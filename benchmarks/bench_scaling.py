@@ -175,8 +175,8 @@ def test_unnested_at_100(benchmark, class_name, description, family, source):
 
 _PARALLEL_WORKERS = (1, 2, 4)
 
-#: Database builders per corpus family (mirroring bench_batch.py: full
-#: sizes make per-row work dominate fixed costs; quick sizes keep CI fast).
+#: Database builders per corpus family: full sizes make per-row work
+#: dominate fixed costs; quick sizes keep CI fast.
 _FULL_DATABASES: dict[str, Callable[[], Any]] = {}
 _QUICK_DATABASES: dict[str, Callable[[], Any]] = {}
 

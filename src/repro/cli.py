@@ -10,8 +10,7 @@ Usage::
 The interactive shell accepts OQL queries terminated by a semicolon and the
 meta-commands ``\\plan``, ``\\explain``, ``\\trace``, ``\\calculus``,
 ``\\stages`` (toggle per-query output), ``\\cache`` (plan-cache statistics),
-``\\compile`` (toggle expression codegen), ``\\batch`` (toggle batch
-execution; ``\\batch N`` sets the rows-per-chunk), ``\\parallel`` (toggle
+``\\batch N`` (set the rows per chunk), ``\\parallel`` (toggle
 partitioned parallel execution; ``\\parallel N`` sets the worker count),
 ``\\backend``
 (switch between the in-memory engine and the SQLite shredding backend;
@@ -110,27 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate by direct calculus interpretation only",
     )
     parser.add_argument(
-        "--no-compile",
-        action="store_true",
-        help=(
-            "interpret expression ASTs per row instead of compiling them "
-            "to native closures (the escape hatch for codegen issues)"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "stream one row at a time between operators instead of "
-            "columnar chunks (the batch-execution escape hatch)"
-        ),
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
         metavar="N",
-        help="rows per chunk on the batch path (default 1024)",
+        help="rows per chunk passed between operators (default 1024)",
     )
     parser.add_argument(
         "--parallel",
@@ -275,8 +258,6 @@ def run_query(
     show_stages: bool = False,
     compare_naive: bool = False,
     unnest: bool = True,
-    compiled_exprs: bool = True,
-    batched_exec: bool = True,
     batch_size: int | None = None,
     parallel: bool = False,
     num_workers: int = 0,
@@ -295,8 +276,6 @@ def run_query(
     if optimizer is None:
         options = OptimizerOptions(
             unnest=unnest,
-            compiled_exprs=compiled_exprs,
-            batched_exec=batched_exec,
             parallel=parallel or num_workers > 0,
             num_workers=max(0, num_workers),
             timeout=timeout,
@@ -416,7 +395,7 @@ def repl(db_name: str, out=None) -> None:
         f"repro OQL shell — database '{db_name}' ({db!r}).\n"
         "End queries with ';' (views: 'define <name> as <query>;').\n"
         "Meta: \\plan \\explain \\trace \\calculus \\stages \\cache "
-        "\\compile \\batch \\parallel \\backend \\limits \\set name=value "
+        "\\batch N \\parallel \\backend \\limits \\set name=value "
         "\\params \\views \\db <name> \\quit",
         file=out,
     )
@@ -445,46 +424,20 @@ def repl(db_name: str, out=None) -> None:
                 flags[command] = not flags[command]
                 print(f"\\{command} {'on' if flags[command] else 'off'}", file=out)
                 continue
-            if command == "compile":
-                from dataclasses import replace as _replace
-
-                optimizer.options = _replace(
-                    optimizer.options,
-                    compiled_exprs=not optimizer.options.compiled_exprs,
-                )
-                state = "on" if optimizer.options.compiled_exprs else "off"
-                print(f"\\compile {state} (expression codegen)", file=out)
-                continue
             if command == "batch":
                 from dataclasses import replace as _replace
 
-                if argument:
-                    # ``\batch N`` sets the chunk size (and turns batching
-                    # on); a bare ``\batch`` toggles the mode.
-                    try:
-                        size = int(argument)
-                        if size < 1:
-                            raise ValueError
-                    except ValueError:
-                        print(
-                            "usage: \\batch (toggle) or \\batch N "
-                            "(rows per chunk, N >= 1)",
-                            file=out,
-                        )
-                        continue
-                    optimizer.options = _replace(
-                        optimizer.options, batched_exec=True, batch_size=size
-                    )
+                try:
+                    size = int(argument)
+                    if size < 1:
+                        raise ValueError
+                except ValueError:
                     print(
-                        f"\\batch on ({size} rows per chunk)", file=out
+                        "usage: \\batch N (rows per chunk, N >= 1)", file=out
                     )
                     continue
-                optimizer.options = _replace(
-                    optimizer.options,
-                    batched_exec=not optimizer.options.batched_exec,
-                )
-                state = "on" if optimizer.options.batched_exec else "off"
-                print(f"\\batch {state} (batch execution)", file=out)
+                optimizer.options = _replace(optimizer.options, batch_size=size)
+                print(f"\\batch {size} rows per chunk", file=out)
                 continue
             if command == "parallel":
                 from dataclasses import replace as _replace
@@ -939,8 +892,6 @@ def main(argv: list[str] | None = None) -> int:
             show_stages=args.stages,
             compare_naive=args.naive,
             unnest=not args.no_unnest,
-            compiled_exprs=not args.no_compile,
-            batched_exec=not args.no_batch,
             batch_size=args.batch_size,
             parallel=args.parallel,
             num_workers=args.workers,

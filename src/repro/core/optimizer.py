@@ -81,14 +81,7 @@ class OptimizerOptions:
     hash_joins: bool = True
     index_scans: bool = True
     merge_joins: bool = False
-    #: Lower expression trees to native Python closures at plan time
-    #: (repro.engine.compile) instead of interpreting the AST per row.
-    compiled_exprs: bool = True
-    #: Execute plans batch-at-a-time: operators exchange columnar chunks
-    #: and expressions run as tier-3 batch kernels.  Requires
-    #: ``compiled_exprs``; with it off, execution stays row-at-a-time.
-    batched_exec: bool = True
-    #: Rows per chunk on the batch path.
+    #: Rows per chunk passed between physical operators.
     batch_size: int = 1024
     #: Partition the driving extent scan and execute partition-local
     #: pipelines in a thread pool (repro.engine.exchange), merging at the

@@ -72,8 +72,6 @@ def _planner_options(options: "OptimizerOptions") -> PlannerOptions:
         hash_joins=options.hash_joins,
         index_scans=options.index_scans,
         merge_joins=options.merge_joins,
-        compiled_exprs=options.compiled_exprs,
-        batched_exec=options.batched_exec,
         batch_size=options.batch_size,
         parallel=options.parallel,
         num_workers=options.num_workers,
@@ -212,11 +210,10 @@ class CompiledQuery:
     stages: tuple[StageResult, ...] = ()
     #: Parameter values fixed by :meth:`bind` (merged with execute kwargs).
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: The memoized expression→closure compiler for this query.  Shared by
+    #: The memoized expression→kernel compiler for this query.  Shared by
     #: every execution (and every :meth:`bind` copy), so a plan-cache hit
-    #: pays zero codegen: the closures compiled for the first execution are
-    #: reused verbatim.  None until the first compiled execution, or always
-    #: when ``options.compiled_exprs`` is off.
+    #: pays zero codegen: the kernels compiled for the first execution are
+    #: reused verbatim.  None until first used.
     _compiler: ExprCompiler | None = field(
         default=None, repr=False, compare=False
     )
@@ -346,17 +343,15 @@ class CompiledQuery:
             ) from exc
         return result
 
-    def expr_compiler(self) -> ExprCompiler | None:
-        """The closure compiler shared by this query's executions (or None
-        when ``compiled_exprs`` is off), created on first use.
+    def expr_compiler(self) -> ExprCompiler:
+        """The kernel compiler shared by this query's executions, created
+        on first use.
 
         The lazy init is benignly racy under threads: two first executions
         may build two compilers and one wins, wasting one codegen pass but
         never corrupting state (the compiler's runtime cell is itself
         thread-local, so the winner is safe to share).
         """
-        if not self.options.compiled_exprs:
-            return None
         if self._compiler is None:
             self._compiler = ExprCompiler()
         return self._compiler
@@ -630,7 +625,7 @@ class QueryPipeline:
             from repro.algebra.typing import infer_plan_type
 
             infer_plan_type(optimized, schema)
-        expr_compiler = ExprCompiler() if options.compiled_exprs else None
+        expr_compiler = ExprCompiler()
         if self.database is not None:
             final = optimized
             self._stage(

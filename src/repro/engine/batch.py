@@ -1,23 +1,22 @@
-"""Columnar chunks: the unit of batch-at-a-time execution.
+"""Columnar chunks: the unit of execution.
 
-The batched physical engine (:mod:`repro.engine.physical`) passes
-:class:`Chunk` objects between operators instead of one environment dict
-per row.  A chunk is a plain column store — ``{column name: list of
-values}`` plus a row count — over the same environments the row engine
-streams: ``chunk.env_at(i)`` reconstructs row *i* exactly as ``rows()``
-would have yielded it.
+The physical engine (:mod:`repro.engine.physical`) passes :class:`Chunk`
+objects between operators instead of one environment dict per row.  A
+chunk is a plain column store — ``{column name: list of values}`` plus a
+row count; ``chunk.env_at(i)`` reconstructs row *i* as the environment a
+row-by-row evaluator would bind.
 
-Two invariants keep the batch path byte-compatible with the row path:
+Two invariants give chunked execution a row-by-row evaluator's behaviour:
 
 * **Chunks are never empty.**  Producers only yield chunks with at least
-  one row, so a tier-3 kernel is never invoked over zero rows — its
+  one row, so a kernel is never invoked over zero rows — its
   column-hoisting prologue would otherwise raise an unbound-variable
-  error on a stream the row path drains silently.
-* **Errors are delivered lazily.**  :func:`chunk_rows` (and every native
-  batch producer) yields the rows that preceded a mid-stream failure as a
-  final partial chunk *before* re-raising, so a consumer that
-  short-circuits — an ``exists`` satisfied by an early row — never
-  observes an error the row-at-a-time path would not have reached.
+  error on a stream that should drain silently.
+* **Errors are delivered lazily.**  :func:`chunk_rows` (and every
+  operator) yields the rows that preceded a mid-stream failure as a final
+  partial chunk *before* re-raising, so a consumer that short-circuits —
+  an ``exists`` satisfied by an early row — never observes an error in a
+  row it would not have reached.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class Chunk:
         self.length = length
 
     def env_at(self, i: int) -> Env:
-        """Row *i* as the environment dict the row engine would yield."""
+        """Row *i* as an environment dict."""
         return {name: col[i] for name, col in self.columns.items()}
 
     def envs(self) -> Iterator[Env]:
@@ -75,8 +74,8 @@ def chunk_rows(rows: Iterator[Env], size: int) -> Iterator[Chunk]:
 
     Only non-empty chunks are yielded.  A mid-stream exception is held
     until the rows already buffered have been yielded as a partial chunk,
-    then re-raised — matching the row path, where a consumer sees every
-    row that preceded the failure (and may stop pulling before it).
+    then re-raised — a consumer sees every row that preceded the failure
+    (and may stop pulling before it).
 
     Every row must bind exactly the columns of the first row.  A key-set
     mismatch raises ``ValueError`` immediately (no partial-chunk flush):

@@ -1,42 +1,36 @@
-"""Expression compilation: calculus terms → native Python closures.
+"""Expression compilation: calculus terms → chunk kernels.
 
 The physical operators evaluate a handful of :class:`~repro.calculus.terms.
 Term` trees — select predicates, map heads, join keys, unnest paths, reduce
-accumulators — once **per row**.  Walking the AST through
+accumulators — once per row of every chunk.  Walking the AST through
 :class:`~repro.calculus.evaluator.Evaluator` for every row pays a large
 constant factor: a type-dispatch dictionary lookup, a bound-method call, two
 ``isinstance`` NULL tests, and (for binary operations) a chain of string
 comparisons in ``apply_binop``, all per node per row.
 
-This module removes that factor by *lowering* each term, in three tiers:
+This module removes that factor by *lowering* each term to a **kernel**: one
+generated Python function ``fn(cols, n) -> (values, t, error)`` that
+evaluates the term over all *n* rows of a columnar
+:class:`~repro.engine.batch.Chunk`, reading column lists hoisted into locals
+instead of an environment dict per row.  A kernel has two generated bodies:
 
-1. **Source generation** (the fast tier): the common row-level node kinds —
-   variables, constants, parameters, projections, arithmetic / comparison /
-   boolean operators, ``if``, ``let``, record construction — are emitted as
-   straight-line Python source with explicit NULL-propagation branches, then
-   ``compile()``d into one native function per term.  Evaluating such a term
-   is plain bytecode: no per-node calls at all.
-2. **Nested-closure composition** (the portable tier): node kinds outside
-   the source subset (lambdas, monoid operations) become one specialized
-   closure each, calling their children's closures directly, with the
-   operator and NULL checks resolved at compile time.  Source-tier code
-   reaches a closure-tier subtree through a single embedded call.
-3. **Batch kernels** (the vectorized tier): the same source-tier body
-   wrapped in one generated ``while`` loop over a columnar
-   :class:`~repro.engine.batch.Chunk` — one native call evaluates the term
-   for every row of a batch, reading hoisted column locals instead of an
-   env dict per row.  Kernels never raise mid-batch: an exception at row
-   *t* is returned as ``(values so far, t, error)`` so the caller can
-   deliver the preceding rows first and replay the error lazily, exactly
-   where the row path would have raised it (see :class:`CompiledKernel`).
+* the **comprehension form** — where the term lowers to a single Python
+  expression (walrus assignments standing in for temporaries) the whole
+  chunk evaluates as one list comprehension;
+* the **statement form** — straight-line statements with explicit
+  NULL-propagation branches inside one ``while`` loop.  It is the
+  comprehension form's error path (any exception in the comprehension
+  reruns the chunk here, which reproduces the exact faulting row and the
+  interpreter's structured error) and the only body for terms the
+  comprehension form cannot express.
 
-Either tier degrades per node, never per term: a node kind neither tier
-knows (a residual :class:`~repro.calculus.terms.Comprehension`) compiles
-into a call into the reference interpreter for *that subtree* only.
+Kernels never raise mid-chunk: an exception at row *t* is returned as
+``(values so far, t, error)`` so the caller can deliver the preceding rows
+first and replay the error lazily (see :class:`CompiledKernel`).
 
 Three properties are load-bearing:
 
-* **Semantic equivalence.**  Every closure reproduces the interpreter's
+* **Semantic equivalence.**  Every kernel reproduces the interpreter's
   behaviour exactly, including three-valued NULL logic (strict NULL
   propagation through arithmetic and comparisons, short-circuiting
   ``and``/``or`` that yield NULL only when the short-circuit value is not
@@ -44,21 +38,19 @@ Three properties are load-bearing:
   identity equality via :func:`~repro.data.values.identity_key`, and the
   interpreter's error behaviour (same exception classes raised at
   *evaluation* time, never eagerly at compile time).  The differential fuzz
-  oracle executes every query through both engines and fails on any
-  divergence (see ``repro.testing.oracle``).
-* **Per-node fallback.**  A node kind the compiler does not know (a future
-  extension term, a residual :class:`~repro.calculus.terms.Comprehension`
-  that survived unnesting) compiles into a closure that hands *that subtree*
-  to the interpreter; its siblings and ancestors stay compiled.  Compilation
+  oracle checks every query against the calculus interpreter (see
+  ``repro.testing.oracle``).
+* **Per-node fallback.**  A node kind the emitter does not know (a lambda,
+  a residual :class:`~repro.calculus.terms.Comprehension` that survived
+  unnesting) becomes a call that hands *that subtree* to the AST
+  interpreter; its siblings and ancestors stay compiled.  Compilation
   therefore never fails — it degrades.
-* **Observability.**  :class:`CompiledExpr` counts compiled vs. fallback
+* **Observability.**  :class:`CompiledKernel` counts compiled vs. fallback
   nodes, so EXPLAIN ANALYZE can annotate each physical operator with
   whether its expressions run ``compiled``, ``mixed``, or ``interpreted``.
 
-The compiler is wired into the engine through ``PlannerOptions.
-compiled_exprs`` (default on; ``--no-compile`` from the CLI) and cached per
-plan on :class:`~repro.core.pipeline.CompiledQuery`, so the plan cache
-amortizes codegen along with planning.
+The compiler is cached per plan on :class:`~repro.core.pipeline.
+CompiledQuery`, so the plan cache amortizes codegen along with planning.
 """
 
 from __future__ import annotations
@@ -72,15 +64,13 @@ from repro.calculus.evaluator import (
     Evaluator,
     UnboundParameterError,
 )
-from repro.calculus.monoids import CollectionMonoid
 from repro.calculus.terms import (
-    Apply,
+    BOOLEAN_OPS,
     BinOp,
     Const,
     Extent,
     If,
     IsNull,
-    Lambda,
     Let,
     Merge,
     Not,
@@ -96,12 +86,10 @@ from repro.calculus.terms import (
 )
 from repro.data.values import NULL, Record, identity_key
 
-Env = Mapping[str, Any]
-EvalFn = Callable[[dict], Any]
-#: A batch kernel: ``fn(cols, n) -> (values, t, error)``.  *cols* maps
-#: column names to value lists (all at least *n* long); rows ``[0, t)``
-#: evaluated successfully into *values*, and *error* is the exception row
-#: *t* raised (None when ``t == n``).  Kernels never raise themselves.
+#: A kernel: ``fn(cols, n) -> (values, t, error)``.  *cols* maps column
+#: names to value lists (all at least *n* long); rows ``[0, t)`` evaluated
+#: successfully into *values*, and *error* is the exception row *t* raised
+#: (None when ``t == n``).  Kernels never raise themselves.
 KernelFn = Callable[[Mapping[str, list], int], "tuple[list, int, Any]"]
 
 #: Types whose ``==`` is plain value equality — the fast path that skips
@@ -109,24 +97,41 @@ KernelFn = Callable[[Mapping[str, list], int], "tuple[list, int, Any]"]
 _SCALARS = frozenset((bool, int, float, str))
 
 
-class CompiledExpr:
-    """A term lowered to a closure, plus how much of it actually compiled.
+class CompiledKernel:
+    """A term lowered to a chunk-level loop, plus how much of it compiled.
 
-    ``fn(env)`` evaluates the term in *env* (a plain dict of variable
-    bindings).  ``compiled_nodes`` / ``fallback_nodes`` count the term's AST
-    nodes that were lowered natively vs. delegated to the interpreter;
-    ``mode`` summarizes them for EXPLAIN ANALYZE.
+    ``fn(cols, n)`` evaluates the term over rows ``0..n-1`` of a columnar
+    chunk and returns ``(values, t, error)``: the results for rows
+    ``[0, t)``, plus the exception row *t* raised — or ``(values, n,
+    None)`` when every row succeeded.  Capturing instead of raising is the
+    contract that lets operators deliver the pre-error rows to their
+    consumer before replaying the failure, so a short-circuiting consumer
+    (``exists`` satisfied early) never observes an error it would not have
+    reached row by row.
+
+    ``compiled_nodes`` / ``fallback_nodes`` count the term's AST nodes that
+    were lowered natively vs. delegated to the interpreter; ``mode``
+    summarizes them for EXPLAIN ANALYZE.  ``trivial_true`` marks the
+    predicate kernel for ``Const(True)`` (the planner's "no predicate"
+    marker) so operators can skip the kernel call — and the ``[True] * n``
+    allocation — entirely.
     """
 
-    __slots__ = ("fn", "term", "compiled_nodes", "fallback_nodes")
+    __slots__ = ("fn", "term", "compiled_nodes", "fallback_nodes", "trivial_true")
 
     def __init__(
-        self, fn: EvalFn, term: Term, compiled_nodes: int, fallback_nodes: int
+        self,
+        fn: KernelFn,
+        term: Term,
+        compiled_nodes: int,
+        fallback_nodes: int,
+        trivial_true: bool = False,
     ):
         self.fn = fn
         self.term = term
         self.compiled_nodes = compiled_nodes
         self.fallback_nodes = fallback_nodes
+        self.trivial_true = trivial_true
 
     @property
     def mode(self) -> str:
@@ -137,42 +142,9 @@ class CompiledExpr:
             return "interpreted"
         return "mixed"
 
-    def __call__(self, env: dict) -> Any:
-        return self.fn(env)
-
-    def __repr__(self) -> str:
-        return (
-            f"CompiledExpr({self.mode}, {self.compiled_nodes} compiled, "
-            f"{self.fallback_nodes} interpreted)"
-        )
-
-
-class CompiledKernel:
-    """A term lowered to a batch-level loop (the vectorized third tier).
-
-    ``fn(cols, n)`` evaluates the term over rows ``0..n-1`` of a columnar
-    chunk and returns ``(values, t, error)``: the results for rows
-    ``[0, t)``, plus the exception row *t* raised — or ``(values, n,
-    None)`` when every row succeeded.  Capturing instead of raising is the
-    contract that lets batch operators deliver the pre-error rows to their
-    consumer before replaying the failure, preserving the row path's lazy
-    short-circuit semantics.
-
-    ``trivial_true`` marks the predicate kernel for ``Const(True)`` (the
-    planner's "no predicate" marker) so operators can skip the kernel call
-    — and the ``[True] * n`` allocation — entirely.
-    """
-
-    __slots__ = ("fn", "term", "trivial_true")
-
-    def __init__(self, fn: KernelFn, term: Term, trivial_true: bool = False):
-        self.fn = fn
-        self.term = term
-        self.trivial_true = trivial_true
-
     def __repr__(self) -> str:
         suffix = ", trivial" if self.trivial_true else ""
-        return f"CompiledKernel({self.term}{suffix})"
+        return f"CompiledKernel({self.term}, {self.mode}{suffix})"
 
 
 class _Counter:
@@ -186,9 +158,9 @@ class _Counter:
 
 
 class ExprRuntime(threading.local):
-    """Per-execution bindings that compiled closures read at evaluation time.
+    """Per-execution bindings that kernels read at evaluation time.
 
-    Closures must be reusable across executions (they are cached on
+    Kernels must be reusable across executions (they are cached on
     :class:`~repro.core.pipeline.CompiledQuery`), so anything that varies per
     execution — the prepared-statement parameter values, the database, the
     fallback interpreter — is reached through this one mutable cell, rebound
@@ -213,7 +185,7 @@ def _memo_key(kind: str, term: Term) -> tuple:
     Terms are frozen dataclasses, so structural equality is the natural memo
     relation — except that Python compares ``bool``/``int``/``float`` across
     types: ``Const(True) == Const(1) == Const(1.0)`` (with equal hashes).
-    Memoizing on the term alone would therefore serve the closure for
+    Memoizing on the term alone would therefore serve the kernel for
     ``Const(1)`` to a ``Const(True)`` head (a fuzzer-found bug: a ``some``
     accumulator then yields ``1``, which is not a boolean to a predicate).
     Equal terms always have the same tree shape, so a traversal-ordered
@@ -230,32 +202,24 @@ def _memo_key(kind: str, term: Term) -> tuple:
 
 
 class ExprCompiler:
-    """Lowers terms to closures; one instance per compiled query (or plan).
+    """Lowers terms to kernels; one instance per compiled query (or plan).
 
-    Compiled closures are memoized structurally (terms are frozen
-    dataclasses), so re-planning the same query — every execution replans,
-    and the planner reconstructs e.g. residual predicates afresh — reuses
-    the closures from the first execution instead of re-lowering.  The memo
-    key is :func:`_memo_key`, not the bare term (see there).
+    Kernels are memoized structurally (terms are frozen dataclasses), so
+    re-planning the same query — every execution replans, and the planner
+    reconstructs e.g. residual predicates afresh — reuses the kernels from
+    the first execution instead of re-lowering.  The memo key is
+    :func:`_memo_key`, not the bare term (see there).
     """
 
     def __init__(self) -> None:
         self.runtime = ExprRuntime()
-        #: kinds "expr"/"pred" hold CompiledExpr; "kexpr"/"kpred" hold the
-        #: batch-tier CompiledKernel for the same term.
-        self._memo: dict[tuple, Any] = {}
+        self._memo: dict[tuple, CompiledKernel] = {}
         #: Identity front-cache over the structural memo: every execution
         #: replans from the same cached logical plan, so operators pass the
         #: very same Term objects — a ``(kind, id)`` hit skips the
         #: tree-walking :func:`_memo_key`.  The stored term keeps the id
         #: alive; an ``is`` check guards against id reuse.
-        self._by_id: dict[tuple[str, int], tuple[Term, Any]] = {}
-
-    def _id_hit(self, kind: str, term: Term) -> Any:
-        hit = self._by_id.get((kind, id(term)))
-        if hit is not None and hit[0] is term:
-            return hit[1]
-        return None
+        self._by_id: dict[tuple[str, int], tuple[Term, CompiledKernel]] = {}
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""
@@ -266,133 +230,41 @@ class ExprCompiler:
 
     # -- entry points -------------------------------------------------------
 
-    def compile(self, term: Term) -> CompiledExpr:
-        """Lower *term* to a value-producing function (source tier first)."""
-        hit = self._id_hit("expr", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("expr", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("expr", id(term))] = (term, memoized)
-            return memoized
-        counter = _Counter()
-        try:
-            fn = _SourceEmitter(self, counter).function(term, predicate=False)
-        except Exception:  # noqa: BLE001 - degrade to the closure tier
-            counter = _Counter()
-            fn = self._compile(term, counter)
-        compiled = CompiledExpr(fn, term, counter.compiled, counter.fallback)
-        self._memo[key] = compiled
-        self._by_id[("expr", id(term))] = (term, compiled)
-        return compiled
-
-    def compile_predicate(self, term: Term) -> CompiledExpr:
-        """Lower *term* to a strict-boolean function (NULL counts as False).
-
-        The result's ``fn`` returns only ``True`` or ``False`` — exactly
-        ``_Context.holds``: a NULL predicate fails the filter, anything
-        non-boolean raises :class:`EvaluationError`.
-        """
-        hit = self._id_hit("pred", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("pred", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("pred", id(term))] = (term, memoized)
-            return memoized
-        if isinstance(term, Const) and term.value is True:
-            # The planner's "no residual predicate" marker; skip the call.
-            compiled = CompiledExpr(_always_true, term, 1, 0)
-            self._memo[key] = compiled
-            return compiled
-        counter = _Counter()
-        try:
-            fn = _SourceEmitter(self, counter).function(term, predicate=True)
-        except Exception:  # noqa: BLE001 - degrade to the closure tier
-            counter = _Counter()
-            value = self._compile(term, counter)
-
-            def fn(env: dict) -> bool:
-                result = value(env)
-                if result is True:
-                    return True
-                if result is False or result is NULL:
-                    return False
-                raise EvaluationError(
-                    "predicate did not evaluate to a boolean"
-                )
-
-        compiled = CompiledExpr(fn, term, counter.compiled, counter.fallback)
-        self._memo[key] = compiled
-        self._by_id[("pred", id(term))] = (term, compiled)
-        return compiled
-
     def compile_kernel(self, term: Term) -> CompiledKernel:
-        """Lower *term* to a value-producing batch kernel (tier 3).
-
-        Falls back to a generated loop over the row closure when the kernel
-        emitter cannot handle the term — the batch path never fails to
-        plan, it just loses the column-hoisting win for that expression.
-        """
-        hit = self._id_hit("kexpr", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("kexpr", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("kexpr", id(term))] = (term, memoized)
-            return memoized
-        try:
-            fn = _KernelEmitter(self, _Counter()).kernel(term, predicate=False)
-        except Exception:  # noqa: BLE001 - degrade to a row-closure loop
-            fn = _loop_kernel(self.compile(term).fn)
-        kernel = CompiledKernel(fn, term)
-        self._memo[key] = kernel
-        self._by_id[("kexpr", id(term))] = (term, kernel)
-        return kernel
+        """Lower *term* to a value-producing kernel."""
+        return self._kernel("expr", term)
 
     def compile_predicate_kernel(self, term: Term) -> CompiledKernel:
-        """Lower *term* to a strict-boolean batch kernel: each result is
-        ``True`` or ``False`` (NULL filters as False), matching
-        :meth:`compile_predicate` row for row."""
-        hit = self._id_hit("kpred", term)
-        if hit is not None:
-            return hit
-        key = _memo_key("kpred", term)
-        memoized = self._memo.get(key)
-        if memoized is not None:
-            self._by_id[("kpred", id(term))] = (term, memoized)
-            return memoized
-        if isinstance(term, Const) and term.value is True:
-            kernel = CompiledKernel(_true_kernel, term, trivial_true=True)
-            self._memo[key] = kernel
-            self._by_id[("kpred", id(term))] = (term, kernel)
-            return kernel
-        try:
-            fn = _KernelEmitter(self, _Counter()).kernel(term, predicate=True)
-        except Exception:  # noqa: BLE001 - degrade to a row-closure loop
-            fn = _loop_kernel(self.compile_predicate(term).fn)
-        kernel = CompiledKernel(fn, term)
-        self._memo[key] = kernel
-        self._by_id[("kpred", id(term))] = (term, kernel)
+        """Lower *term* to a strict-boolean kernel: each result is ``True``
+        or ``False`` — a NULL predicate fails the filter, anything
+        non-boolean faults with :class:`EvaluationError`."""
+        return self._kernel("pred", term)
+
+    def _kernel(self, kind: str, term: Term) -> CompiledKernel:
+        hit = self._by_id.get((kind, id(term)))
+        if hit is not None and hit[0] is term:
+            return hit[1]
+        key = _memo_key(kind, term)
+        kernel = self._memo.get(key)
+        if kernel is None:
+            kernel = self._memo[key] = self._lower(term, kind == "pred")
+        self._by_id[(kind, id(term))] = (term, kernel)
         return kernel
 
-    # -- recursive lowering -------------------------------------------------
+    def _lower(self, term: Term, predicate: bool) -> CompiledKernel:
+        if predicate and isinstance(term, Const) and term.value is True:
+            return CompiledKernel(_true_kernel, term, 1, 0, trivial_true=True)
+        counter = _Counter()
+        try:
+            fn = _KernelEmitter(self, counter).kernel(term, predicate)
+        except Exception:  # noqa: BLE001 - degrade, never fail to plan
+            # The emitter choked on the term as a whole (e.g. nesting deeper
+            # than Python compiles): interpret it from the root.
+            counter = _Counter()
+            fn = _KernelEmitter(self, counter).interpreted(term, predicate)
+        return CompiledKernel(fn, term, counter.compiled, counter.fallback)
 
-    def _compile(self, term: Term, counter: _Counter) -> EvalFn:
-        handler = _HANDLERS.get(type(term))
-        if handler is not None:
-            try:
-                fn = handler(self, term, counter)
-            except Exception:  # noqa: BLE001 - degrade, never fail to plan
-                return self._fallback(term, counter)
-            counter.compiled += 1
-            return fn
-        return self._fallback(term, counter)
-
-    def _fallback(self, term: Term, counter: _Counter) -> EvalFn:
+    def _fallback(self, term: Term, counter: _Counter) -> Callable[[dict], Any]:
         """Hand this subtree to the interpreter (siblings stay compiled)."""
         counter.fallback += 1
         runtime = self.runtime
@@ -404,451 +276,29 @@ class ExprCompiler:
 
         return run
 
-    # -- node handlers ------------------------------------------------------
-
-    def _compile_var(self, term: Var, counter: _Counter) -> EvalFn:
-        name = term.name
-
-        def run(env: dict) -> Any:
-            try:
-                return env[name]
-            except KeyError:
-                raise EvaluationError(
-                    f"unbound variable {name!r}; in scope: {sorted(env)}"
-                ) from None
-
-        return run
-
-    def _compile_const(self, term: Const, counter: _Counter) -> EvalFn:
-        value = term.value
-        return lambda env: value
-
-    def _compile_null(self, term: Null, counter: _Counter) -> EvalFn:
-        return lambda env: NULL
-
-    def _compile_param(self, term: Param, counter: _Counter) -> EvalFn:
-        # Read through the runtime at evaluation time: the binding table
-        # changes per execution, and an unbound parameter must raise when
-        # evaluated, exactly like the interpreter.
-        runtime = self.runtime
-        name = term.name
-
-        def run(env: dict) -> Any:
-            try:
-                return runtime.params[name]
-            except KeyError:
-                raise UnboundParameterError(
-                    f"parameter :{name} has no bound value; bound: "
-                    f"{sorted(runtime.params)}"
-                ) from None
-
-        return run
-
-    def _compile_extent(self, term: Extent, counter: _Counter) -> EvalFn:
-        runtime = self.runtime
-        name = term.name
-        return lambda env: runtime.database.extent(name)
-
-    def _compile_record(self, term: RecordCons, counter: _Counter) -> EvalFn:
-        parts = tuple(
-            (name, self._compile(expr, counter)) for name, expr in term.fields
-        )
-
-        def run(env: dict) -> Any:
-            return Record({name: fn(env) for name, fn in parts})
-
-        return run
-
-    def _compile_proj(self, term: Proj, counter: _Counter) -> EvalFn:
-        base = self._compile(term.expr, counter)
-        attr = term.attr
-
-        def run(env: dict) -> Any:
-            value = base(env)
-            if isinstance(value, Record):
-                try:
-                    return value._fields[attr]  # noqa: SLF001 - hot path
-                except KeyError:
-                    raise KeyError(
-                        f"record has no attribute {attr!r}; attributes are "
-                        f"{sorted(value._fields)}"  # noqa: SLF001
-                    ) from None
-            if value is NULL:
-                return NULL
-            raise EvaluationError(
-                f"projection .{attr} applied to non-record "
-                f"{type(value).__name__}"
-            )
-
-        return run
-
-    def _compile_lambda(self, term: Lambda, counter: _Counter) -> EvalFn:
-        body = self._compile(term.body, counter)
-        param = term.param
-
-        def run(env: dict) -> Any:
-            captured = dict(env)
-
-            def closure(arg: Any) -> Any:
-                inner = dict(captured)
-                inner[param] = arg
-                return body(inner)
-
-            return closure
-
-        return run
-
-    def _compile_apply(self, term: Apply, counter: _Counter) -> EvalFn:
-        fn_c = self._compile(term.fn, counter)
-        arg_c = self._compile(term.arg, counter)
-
-        def run(env: dict) -> Any:
-            fn = fn_c(env)
-            if not callable(fn):
-                raise EvaluationError("application of a non-function value")
-            return fn(arg_c(env))
-
-        return run
-
-    def _compile_if(self, term: If, counter: _Counter) -> EvalFn:
-        cond = self._compile(term.cond, counter)
-        then = self._compile(term.then, counter)
-        orelse = self._compile(term.orelse, counter)
-
-        def run(env: dict) -> Any:
-            value = cond(env)
-            if value is True:
-                return then(env)
-            if value is False or value is NULL:
-                # NULL condition takes the else branch (interpreter policy).
-                return orelse(env)
-            raise EvaluationError("if condition is not a boolean")
-
-        return run
-
-    def _compile_let(self, term: Let, counter: _Counter) -> EvalFn:
-        value_c = self._compile(term.value, counter)
-        body = self._compile(term.body, counter)
-        name = term.var
-
-        def run(env: dict) -> Any:
-            inner = dict(env)
-            inner[name] = value_c(env)
-            return body(inner)
-
-        return run
-
-    def _compile_binop(self, term: BinOp, counter: _Counter) -> EvalFn:
-        left = self._compile(term.left, counter)
-        right = self._compile(term.right, counter)
-        return _BINOPS[term.op](left, right)
-
-    def _compile_not(self, term: Not, counter: _Counter) -> EvalFn:
-        value = self._compile(term.expr, counter)
-
-        def run(env: dict) -> Any:
-            result = value(env)
-            if result is True:
-                return False
-            if result is False:
-                return True
-            if result is NULL:
-                return NULL
-            raise EvaluationError("'not' applied to a non-boolean")
-
-        return run
-
-    def _compile_isnull(self, term: IsNull, counter: _Counter) -> EvalFn:
-        value = self._compile(term.expr, counter)
-        return lambda env: value(env) is NULL
-
-    def _compile_zero(self, term: Zero, counter: _Counter) -> EvalFn:
-        zero = term.monoid.zero
-        return lambda env: zero
-
-    def _compile_singleton(self, term: Singleton, counter: _Counter) -> EvalFn:
-        monoid = term.monoid
-        if not isinstance(monoid, CollectionMonoid):
-            # Ill-formed; raise at evaluation time like the interpreter.
-            name = monoid.name
-
-            def bad(env: dict) -> Any:
-                raise EvaluationError(f"singleton of primitive monoid {name}")
-
-            return bad
-        unit = monoid.unit
-        value = self._compile(term.expr, counter)
-        return lambda env: unit(value(env))
-
-    def _compile_merge(self, term: Merge, counter: _Counter) -> EvalFn:
-        merge = term.monoid.merge
-        left = self._compile(term.left, counter)
-        right = self._compile(term.right, counter)
-        return lambda env: merge(left(env), right(env))
-
-    # NOTE: Comprehension deliberately has no handler.  Residual
-    # comprehensions (queries compiled with unnesting partially off, nested
-    # heads the unnester leaves in place) fall back to the interpreter —
-    # loops are the algebra's job, and the fallback path stays exercised.
-
-
-def _always_true(env: dict) -> bool:
-    return True
-
 
 def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
     return [True] * n, n, None
 
 
-def _loop_kernel(row_fn: EvalFn) -> KernelFn:
-    """Batch adapter over a row closure: one env dict per row.
-
-    The fallback when the kernel emitter cannot lower a term (or the term
-    compiled into something the source tier rejects).  Still honours the
-    kernel contract — an exception at row *i* is captured as a truncation
-    point, never raised."""
-
-    def kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
-        out: list = []
-        append = out.append
-        items = list(cols.items())
-        try:
-            for i in range(n):
-                append(row_fn({name: col[i] for name, col in items}))
-        except Exception as exc:  # noqa: BLE001 - part of the contract
-            return out, len(out), exc
-        return out, n, None
-
-    return kernel
-
-
 # ---------------------------------------------------------------------------
-# Binary operators: one specialized closure-maker per operator, with the
-# interpreter's strict NULL propagation resolved at compile time.
+# Out-of-line error helpers: generated code reproduces the interpreter's
+# exceptions through these, keeping the fault arms off the hot path.
 # ---------------------------------------------------------------------------
-
-
-def _make_and(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        if a is False:
-            return False
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        return a and b
-
-    return run
-
-
-def _make_or(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        if a is True:
-            return True
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        return a or b
-
-    return run
 
 
 def _binop_type_error(op: str, a, b, exc: TypeError) -> EvaluationError:
     """The structured error for an ill-typed operator application.
 
-    Mirrors :func:`repro.calculus.evaluator.apply_binop` so the compiled
-    tiers and the interpreter fail identically (the differential oracle
-    pins this)."""
+    Mirrors :func:`repro.calculus.evaluator.apply_binop` so kernels and the
+    interpreter fail identically (the differential oracle pins this)."""
     return EvaluationError(
         f"operator {op!r} applied to incompatible values "
         f"{type(a).__name__} and {type(b).__name__}: {exc}"
     )
 
 
-def _make_add(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a + b
-        except TypeError as exc:
-            raise _binop_type_error('+', a, b, exc) from exc
-
-    return run
-
-
-def _make_sub(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a - b
-        except TypeError as exc:
-            raise _binop_type_error('-', a, b, exc) from exc
-
-    return run
-
-
-def _make_mul(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a * b
-        except TypeError as exc:
-            raise _binop_type_error('*', a, b, exc) from exc
-
-    return run
-
-
-def _make_div(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        if b == 0:
-            raise DivisionByZeroError("division by zero")
-        try:
-            return a / b
-        except TypeError as exc:
-            raise _binop_type_error("/", a, b, exc) from exc
-
-    return run
-
-
-def _make_mod(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        if b == 0:
-            raise DivisionByZeroError("modulo by zero")
-        try:
-            return a % b
-        except TypeError as exc:
-            raise _binop_type_error("%", a, b, exc) from exc
-
-    return run
-
-
-def _make_eq(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        if a.__class__ in _SCALARS and b.__class__ in _SCALARS:
-            return a == b
-        return identity_key(a) == identity_key(b)
-
-    return run
-
-
-def _make_ne(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        if a.__class__ in _SCALARS and b.__class__ in _SCALARS:
-            return a != b
-        return identity_key(a) != identity_key(b)
-
-    return run
-
-
-def _make_lt(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a < b
-        except TypeError as exc:
-            raise _binop_type_error('<', a, b, exc) from exc
-
-    return run
-
-
-def _make_le(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a <= b
-        except TypeError as exc:
-            raise _binop_type_error('<=', a, b, exc) from exc
-
-    return run
-
-
-def _make_gt(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a > b
-        except TypeError as exc:
-            raise _binop_type_error('>', a, b, exc) from exc
-
-    return run
-
-
-def _make_ge(left: EvalFn, right: EvalFn) -> EvalFn:
-    def run(env: dict) -> Any:
-        a = left(env)
-        b = right(env)
-        if a is NULL or b is NULL:
-            return NULL
-        try:
-            return a >= b
-        except TypeError as exc:
-            raise _binop_type_error('>=', a, b, exc) from exc
-
-    return run
-
-
-_BINOPS: dict[str, Callable[[EvalFn, EvalFn], EvalFn]] = {
-    "and": _make_and,
-    "or": _make_or,
-    "+": _make_add,
-    "-": _make_sub,
-    "*": _make_mul,
-    "/": _make_div,
-    "%": _make_mod,
-    "==": _make_eq,
-    "!=": _make_ne,
-    "<": _make_lt,
-    "<=": _make_le,
-    ">": _make_gt,
-    ">=": _make_ge,
-}
-
-# ---------------------------------------------------------------------------
-# Source tier: emit a term as straight-line Python and compile() it, so the
-# per-row cost is plain bytecode with no per-node calls.  NULL propagation
-# becomes explicit branches; error paths (unbound variable, bad projection)
-# reproduce the interpreter's exceptions through tiny out-of-line helpers.
-# Node kinds outside the source subset embed a single call to a closure-tier
-# (or interpreter-fallback) evaluation of that subtree.
-# ---------------------------------------------------------------------------
-
-
-def _var_miss(name: str, env: dict) -> None:
+def _var_miss(name: str, env: Mapping[str, Any]) -> None:
     raise EvaluationError(
         f"unbound variable {name!r}; in scope: {sorted(env)}"
     )
@@ -883,21 +333,50 @@ def _not_miss() -> None:
     raise EvaluationError("'not' applied to a non-boolean")
 
 
-class _SourceEmitter:
-    """Emits one term as the body of a generated ``def _fn(env):``.
+_UNBOUND = object()
 
-    ``gen`` returns, per node, the *expression string* (a temporary name or
-    an inlined literal) holding the node's value, appending any statements
-    it needs at the current indentation depth.  Sub-expressions that the
-    source tier does not cover are bound into the function's namespace as
-    closure-tier evaluators and invoked with the current environment.
+
+class _KernelEmitter:
+    """Emits one term as a kernel ``def _kern(cols, n)``, in both forms.
+
+    Statement form: ``gen`` returns, per node, the *expression string* (a
+    temporary name or an inlined literal) holding the node's value,
+    appending any statements it needs at the current indentation depth of
+    the row loop.  Expression form: ``xgen`` returns the node as one Python
+    expression.  Both forms share the kernel conventions:
+
+    * **variable reads index hoisted column locals** — a prologue binds
+      ``_colK = cols['name']`` once per chunk (raising the interpreter's
+      unbound-variable error if the column is absent), and the row body
+      reads ``_colK[_i]``;
+    * **lets bind scope temps, not env copies** — a ``let``-bound variable
+      becomes a loop-local name shadowing any same-named column for the
+      extent of the body, so no per-row dict is materialized;
+    * **errors truncate instead of raising** — the statement loop runs
+      inside one ``try`` whose handler returns ``(_out, _i, exc)``, giving
+      the caller the rows that preceded the failure.
+
+    Subtrees outside the emitted subset evaluate through one call into the
+    AST interpreter, fed a per-row env dict materialized from the subtree's
+    free variables (columns absent from the chunk are omitted so the
+    interpreter's own unbound error fires only if actually read).
     """
+
+    handlers: dict[type, Callable[..., str]]
+    xhandlers: dict[type, Callable[..., str]]
 
     def __init__(self, compiler: ExprCompiler, counter: _Counter):
         self.compiler = compiler
         self.counter = counter
         self.lines: list[str] = []
+        #: Per-chunk setup lines (column hoists, fallback column pairs),
+        #: emitted inside the try but before the row loop.
+        self.prologue: list[str] = []
         self.n = 0
+        #: Column name -> hoisted local holding ``cols[name]``.
+        self._columns: dict[str, str] = {}
+        #: Let-bound variable -> loop-local temp (shadows columns).
+        self._scope: dict[str, str] = {}
         # The function's globals.  ``rt`` is the compiler's ExprRuntime:
         # activate() mutates it in place, so generated code reading
         # ``rt.params`` / ``rt.database`` always sees the live execution.
@@ -918,29 +397,84 @@ class _SourceEmitter:
             "rt": compiler.runtime,
         }
 
-    def function(self, term: Term, predicate: bool) -> EvalFn:
-        result = self.gen(term, "env", 1)
+    def kernel(self, term: Term, predicate: bool) -> KernelFn:
+        """The kernel for *term*: the comprehension form where the term
+        lowers to a single expression, the statement loop otherwise.
+
+        The comprehension form evaluates the whole chunk as one list
+        comprehension — no per-row appends, no loop-counter bookkeeping —
+        and keeps the statement loop around as its error path: any
+        exception inside the comprehension (a NULL-division, a bad
+        projection, an unbound parameter) abandons the partial list and
+        reruns the chunk through the statement loop, which reproduces the
+        exact truncation point and structured error.  Expressions are
+        deterministic, so the rerun reaches the same fault; the only cost
+        is double-evaluating the prefix rows of a faulting chunk, and
+        faults abort the query anyway.
+        """
+        slow = self._statement_kernel(term, predicate, self.gen)
+        fast = _KernelEmitter(self.compiler, _Counter())
+        try:
+            return fast._comprehension_kernel(term, predicate, slow)
+        except Exception:  # noqa: BLE001 - the comprehension form is optional
+            return slow
+
+    def interpreted(self, term: Term, predicate: bool) -> KernelFn:
+        """A kernel whose row body is one interpreter call on *term*."""
+        return self._statement_kernel(term, predicate, self._gen_fallback)
+
+    def _statement_kernel(
+        self, term: Term, predicate: bool, gen: Callable[[Term, int], str]
+    ) -> KernelFn:
+        result = gen(term, 3)
         if predicate:
-            self.line(1, f"if {result} is True:")
-            self.line(2, "return True")
-            self.line(1, f"if {result} is False or {result} is NULL:")
-            self.line(2, "return False")
-            self.line(1, "_pred_miss()")
+            self.line(3, f"if {result} is True:")
+            self.line(4, "_append(True)")
+            self.line(3, f"elif {result} is False or {result} is NULL:")
+            self.line(4, "_append(False)")
+            self.line(3, "else:")
+            self.line(4, "_pred_miss()")
         else:
-            self.line(1, f"return {result}")
-        source = "def _fn(env):\n" + "\n".join(self.lines) + "\n"
-        code = compile(source, "<repro.engine.compile>", "exec")
+            self.line(3, f"_append({result})")
+        prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
+        source = (
+            "def _kern(cols, n):\n"
+            "    _out = []\n"
+            "    _append = _out.append\n"
+            "    _i = 0\n"
+            "    try:\n"
+            + prologue
+            + "        while _i < n:\n"
+            + "\n".join(self.lines)
+            + "\n"
+            "            _i += 1\n"
+            "    except Exception as _exc:\n"
+            "        return _out, _i, _exc\n"
+            "    return _out, n, None\n"
+        )
+        code = compile(source, "<repro.engine.compile:kernel>", "exec")
         exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_fn"]
+        return self.ns["_kern"]
 
     # -- emission helpers ---------------------------------------------------
 
     def line(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
 
+    def pline(self, depth: int, text: str) -> None:
+        self.prologue.append("    " * depth + text)
+
     def temp(self) -> str:
         self.n += 1
         return f"t{self.n}"
+
+    def wtemp(self) -> str:
+        """A name for a walrus-assignment target (function-scoped: an
+        assignment expression in a comprehension binds in the enclosing
+        ``_kern`` frame, which is exactly what the nested conditional
+        expressions rely on)."""
+        self.n += 1
+        return f"_w{self.n}"
 
     def bind(self, prefix: str, value: Any) -> str:
         self.n += 1
@@ -948,45 +482,105 @@ class _SourceEmitter:
         self.ns[name] = value
         return name
 
-    def gen(self, term: Term, env: str, depth: int) -> str:
-        # Dispatch through the per-class ``handlers`` table (plain function
-        # objects, no dynamic attribute lookup); _KernelEmitter swaps in its
-        # own table for the nodes whose emission differs in a batch loop.
+    def column(self, name: str) -> str:
+        """The hoisted local for ``cols[name]``, binding it on first use."""
+        local = self._columns.get(name)
+        if local is None:
+            self.n += 1
+            local = f"_col{self.n}"
+            self._columns[name] = local
+            self.pline(2, "try:")
+            self.pline(3, f"{local} = cols[{name!r}]")
+            self.pline(2, "except KeyError:")
+            self.pline(3, f"_var_miss({name!r}, cols)")
+        return local
+
+    def scoped(self, var: str, local: str, emit: Callable[[], str]) -> str:
+        """Run *emit* with let-variable *var* bound to the temp *local*."""
+        scope = self._scope
+        saved = scope.get(var, _UNBOUND)
+        scope[var] = local
+        try:
+            return emit()
+        finally:
+            if saved is _UNBOUND:
+                del scope[var]
+            else:
+                scope[var] = saved
+
+    def fallback_call(self, term: Term) -> str:
+        """*term* as one interpreter call over a per-row env dict.
+
+        The env is a dict comprehension over prologue-hoisted (name,
+        column) pairs of the subtree's free variables, with let-bound temps
+        layered on top (they win over columns).  Columns absent from the
+        chunk are omitted (the ``if _n in cols`` prologue filter) so the
+        interpreter's own unbound-variable error fires only if the row
+        actually reads the name.
+        """
+        sub = self.bind("s", self.compiler._fallback(term, self.counter))
+        names = sorted(free_vars(term))
+        scoped = [
+            (name, self._scope[name]) for name in names if name in self._scope
+        ]
+        col_names = tuple(name for name in names if name not in self._scope)
+        if col_names:
+            self.n += 1
+            pairs = f"_sub{self.n}"
+            self.pline(
+                2,
+                f"{pairs} = [(_n, cols[_n]) for _n in {col_names!r} "
+                "if _n in cols]",
+            )
+            env = f"{{_n: _c[_i] for _n, _c in {pairs}}}"
+        else:
+            env = "{}"
+        if scoped:
+            inner = ", ".join(f"{name!r}: {bound}" for name, bound in scoped)
+            env = f"{{**{env}, {inner}}}"
+        return f"{sub}({env})"
+
+    # -- statement form -----------------------------------------------------
+
+    def gen(self, term: Term, depth: int) -> str:
         handler = self.handlers.get(type(term))
         if handler is None:
-            return self._gen_fallback(term, env, depth)
-        result = handler(self, term, env, depth)
+            return self._gen_fallback(term, depth)
+        result = handler(self, term, depth)
         self.counter.compiled += 1
         return result
 
-    def _gen_fallback(self, term: Term, env: str, depth: int) -> str:
-        # Outside the source subset: one call into the closure tier
-        # (which itself degrades per node to the interpreter).
-        sub = self.bind("s", self.compiler._compile(term, self.counter))
+    def _gen_fallback(self, term: Term, depth: int) -> str:
         out = self.temp()
-        self.line(depth, f"{out} = {sub}({env})")
+        self.line(depth, f"{out} = {self.fallback_call(term)}")
         return out
 
-    # -- node emitters ------------------------------------------------------
+    # Leaves read the same in both forms; ``depth`` is the statement form's.
 
-    def _gen_var(self, term: Var, env: str, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, "try:")
-        self.line(depth + 1, f"{out} = {env}[{term.name!r}]")
-        self.line(depth, "except KeyError:")
-        self.line(depth + 1, f"_var_miss({term.name!r}, {env})")
-        return out
+    def _gen_var(self, term: Var, depth: int = 0) -> str:
+        bound = self._scope.get(term.name)
+        if bound is not None:
+            return bound
+        return f"{self.column(term.name)}[_i]"
 
-    def _gen_const(self, term: Const, env: str, depth: int) -> str:
+    def _gen_const(self, term: Const, depth: int = 0) -> str:
         # Bound as a namespace global, not inlined by repr: operands must be
         # names so that generated `x.__class__` / `x is NULL` stays valid
         # (a literal there is a syntax error / SyntaxWarning).
         return self.bind("c", term.value)
 
-    def _gen_null(self, term: Null, env: str, depth: int) -> str:
+    def _gen_null(self, term: Null, depth: int = 0) -> str:
         return "NULL"
 
-    def _gen_param(self, term: Param, env: str, depth: int) -> str:
+    def _gen_zero(self, term: Zero, depth: int = 0) -> str:
+        return self.bind("c", term.monoid.zero)
+
+    def _gen_extent(self, term: Extent, depth: int) -> str:
+        out = self.temp()
+        self.line(depth, f"{out} = rt.database.extent({term.name!r})")
+        return out
+
+    def _gen_param(self, term: Param, depth: int) -> str:
         out = self.temp()
         self.line(depth, "try:")
         self.line(depth + 1, f"{out} = rt.params[{term.name!r}]")
@@ -994,22 +588,15 @@ class _SourceEmitter:
         self.line(depth + 1, f"_param_miss({term.name!r}, rt.params)")
         return out
 
-    def _gen_extent(self, term: Extent, env: str, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, f"{out} = rt.database.extent({term.name!r})")
-        return out
-
-    def _gen_record(self, term: RecordCons, env: str, depth: int) -> str:
-        parts = [
-            (name, self.gen(expr, env, depth)) for name, expr in term.fields
-        ]
+    def _gen_record(self, term: RecordCons, depth: int) -> str:
+        parts = [(name, self.gen(expr, depth)) for name, expr in term.fields]
         inner = ", ".join(f"{name!r}: {value}" for name, value in parts)
         out = self.temp()
         self.line(depth, f"{out} = Record({{{inner}}})")
         return out
 
-    def _gen_proj(self, term: Proj, env: str, depth: int) -> str:
-        base = self.gen(term.expr, env, depth)
+    def _gen_proj(self, term: Proj, depth: int) -> str:
+        base = self.gen(term.expr, depth)
         out = self.temp()
         self.line(depth, f"if {base}.__class__ is Record:")
         self.line(depth + 1, "try:")
@@ -1020,31 +607,27 @@ class _SourceEmitter:
         self.line(depth + 1, f"{out} = _proj_slow({base}, {term.attr!r})")
         return out
 
-    def _gen_if(self, term: If, env: str, depth: int) -> str:
-        cond = self.gen(term.cond, env, depth)
+    def _gen_if(self, term: If, depth: int) -> str:
+        cond = self.gen(term.cond, depth)
         out = self.temp()
         self.line(depth, f"if {cond} is True:")
-        then = self.gen(term.then, env, depth + 1)
+        then = self.gen(term.then, depth + 1)
         self.line(depth + 1, f"{out} = {then}")
         self.line(depth, f"elif {cond} is False or {cond} is NULL:")
-        orelse = self.gen(term.orelse, env, depth + 1)
+        orelse = self.gen(term.orelse, depth + 1)
         self.line(depth + 1, f"{out} = {orelse}")
         self.line(depth, "else:")
-        self.line(
-            depth + 1, "raise EvaluationError('if condition is not a boolean')"
-        )
+        self.line(depth + 1, "_if_miss()")
         return out
 
-    def _gen_let(self, term: Let, env: str, depth: int) -> str:
-        value = self.gen(term.value, env, depth)
-        self.n += 1
-        inner = f"e{self.n}"
-        self.line(depth, f"{inner} = dict({env})")
-        self.line(depth, f"{inner}[{term.var!r}] = {value}")
-        return self.gen(term.body, inner, depth)
+    def _gen_let(self, term: Let, depth: int) -> str:
+        value = self.gen(term.value, depth)
+        out = self.temp()
+        self.line(depth, f"{out} = {value}")
+        return self.scoped(term.var, out, lambda: self.gen(term.body, depth))
 
-    def _gen_not(self, term: Not, env: str, depth: int) -> str:
-        value = self.gen(term.expr, env, depth)
+    def _gen_not(self, term: Not, depth: int) -> str:
+        value = self.gen(term.expr, depth)
         out = self.temp()
         self.line(depth, f"if {value} is True:")
         self.line(depth + 1, f"{out} = False")
@@ -1053,26 +636,35 @@ class _SourceEmitter:
         self.line(depth, f"elif {value} is NULL:")
         self.line(depth + 1, f"{out} = NULL")
         self.line(depth, "else:")
-        self.line(
-            depth + 1,
-            "raise EvaluationError(\"'not' applied to a non-boolean\")",
-        )
+        self.line(depth + 1, "_not_miss()")
         return out
 
-    def _gen_isnull(self, term: IsNull, env: str, depth: int) -> str:
-        value = self.gen(term.expr, env, depth)
+    def _gen_isnull(self, term: IsNull, depth: int) -> str:
+        value = self.gen(term.expr, depth)
         out = self.temp()
         self.line(depth, f"{out} = {value} is NULL")
         return out
 
-    def _gen_binop(self, term: BinOp, env: str, depth: int) -> str:
+    def _gen_singleton(self, term: Singleton, depth: int) -> str:
+        value = self.gen(term.expr, depth)
+        out = self.temp()
+        self.line(depth, f"{out} = {self.bind('f', term.monoid.unit)}({value})")
+        return out
+
+    def _gen_merge(self, term: Merge, depth: int) -> str:
+        left = self.gen(term.left, depth)
+        right = self.gen(term.right, depth)
+        out = self.temp()
+        merge = self.bind("f", term.monoid.merge)
+        self.line(depth, f"{out} = {merge}({left}, {right})")
+        return out
+
+    def _gen_binop(self, term: BinOp, depth: int) -> str:
         op = term.op
-        if op in ("and", "or"):
-            return self._gen_shortcircuit(term, env, depth)
-        if op not in _SRC_BINOPS:
-            raise NotImplementedError(op)
-        left = self.gen(term.left, env, depth)
-        right = self.gen(term.right, env, depth)
+        if op in BOOLEAN_OPS:
+            return self._gen_shortcircuit(term, depth)
+        left = self.gen(term.left, depth)
+        right = self.gen(term.right, depth)
         out = self.temp()
         self.line(depth, f"if {left} is NULL or {right} is NULL:")
         self.line(depth + 1, f"{out} = NULL")
@@ -1108,186 +700,24 @@ class _SourceEmitter:
         )
         return out
 
-    def _gen_shortcircuit(self, term: BinOp, env: str, depth: int) -> str:
+    def _gen_shortcircuit(self, term: BinOp, depth: int) -> str:
         shortcut = "False" if term.op == "and" else "True"
-        left = self.gen(term.left, env, depth)
+        left = self.gen(term.left, depth)
         out = self.temp()
         self.line(depth, f"if {left} is {shortcut}:")
         self.line(depth + 1, f"{out} = {shortcut}")
         self.line(depth, "else:")
-        right = self.gen(term.right, env, depth + 1)
+        right = self.gen(term.right, depth + 1)
         self.line(depth + 1, f"if {left} is NULL or {right} is NULL:")
         self.line(depth + 2, f"{out} = NULL")
         self.line(depth + 1, "else:")
         self.line(depth + 2, f"{out} = {left} {term.op} {right}")
         return out
 
-
-class _KernelEmitter(_SourceEmitter):
-    """Tier 3: emits one term as a batch kernel ``def _kern(cols, n)``.
-
-    The row body is the same straight-line code the source tier emits, run
-    inside one generated ``while`` loop over the chunk.  Three things
-    differ from the row emitter:
-
-    * **variable reads index hoisted column locals** — a prologue binds
-      ``_colK = cols['name']`` once per batch (raising the interpreter's
-      unbound-variable error if the column is absent), and the loop body
-      reads ``_colK[_i]`` instead of ``env['name']``;
-    * **lets bind scope temps, not env copies** — a ``let``-bound variable
-      becomes a loop-local name shadowing any same-named column for the
-      extent of the body, so no per-row dict is materialized;
-    * **errors truncate instead of raising** — the whole loop runs inside
-      one ``try`` whose handler returns ``(_out, _i, exc)``, giving the
-      caller the rows that preceded the failure (the kernel contract; see
-      :class:`CompiledKernel`).
-
-    Subtrees outside the source subset still evaluate through a
-    closure-tier call, fed a per-row env dict materialized from the
-    subtree's free variables (columns absent from the chunk are omitted so
-    the interpreter's own unbound error fires only if actually read).
-    """
-
-    def __init__(self, compiler: ExprCompiler, counter: _Counter):
-        super().__init__(compiler, counter)
-        #: Per-batch setup lines (column hoists, fallback column pairs),
-        #: emitted inside the try but before the row loop.
-        self.prologue: list[str] = []
-        #: Column name -> hoisted local holding ``cols[name]``.
-        self._columns: dict[str, str] = {}
-        #: Let-bound variable -> loop-local temp (shadows columns).
-        self._scope: dict[str, str] = {}
-
-    def kernel(self, term: Term, predicate: bool) -> KernelFn:
-        """The batch kernel for *term*: the comprehension fast form where
-        the term lowers to a single expression, the statement loop
-        otherwise.
-
-        The fast form evaluates the whole chunk as one list comprehension
-        — no per-row appends, no loop-counter bookkeeping — and keeps the
-        statement loop around as its error path: any exception inside the
-        comprehension (a NULL-division, a bad projection, an unbound
-        parameter) abandons the partial list and reruns the chunk through
-        the slow loop, which reproduces the exact truncation point and
-        structured error of the row tier.  Expressions are deterministic,
-        so the rerun reaches the same fault; the only cost is
-        double-evaluating the prefix rows of a faulting chunk, and faults
-        abort the query anyway.
-        """
-        slow = self._statement_kernel(term, predicate)
-        fast = _KernelEmitter(self.compiler, self.counter)
-        try:
-            return fast._comprehension_kernel(term, predicate, slow)
-        except Exception:  # noqa: BLE001 - fast form is optional
-            return slow
-
-    def _statement_kernel(self, term: Term, predicate: bool) -> KernelFn:
-        result = self.gen(term, "cols", 3)
-        if predicate:
-            self.line(3, f"if {result} is True:")
-            self.line(4, "_append(True)")
-            self.line(3, f"elif {result} is False or {result} is NULL:")
-            self.line(4, "_append(False)")
-            self.line(3, "else:")
-            self.line(4, "_pred_miss()")
-        else:
-            self.line(3, f"_append({result})")
-        prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        source = (
-            "def _kern(cols, n):\n"
-            "    _out = []\n"
-            "    _append = _out.append\n"
-            "    _i = 0\n"
-            "    try:\n"
-            + prologue
-            + "        while _i < n:\n"
-            + "\n".join(self.lines)
-            + "\n"
-            "            _i += 1\n"
-            "    except Exception as _exc:\n"
-            "        return _out, _i, _exc\n"
-            "    return _out, n, None\n"
-        )
-        code = compile(source, "<repro.engine.compile:kernel>", "exec")
-        exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_kern"]
-
-    # -- emission helpers ---------------------------------------------------
-
-    def pline(self, depth: int, text: str) -> None:
-        self.prologue.append("    " * depth + text)
-
-    def column(self, name: str) -> str:
-        """The hoisted local for ``cols[name]``, binding it on first use."""
-        local = self._columns.get(name)
-        if local is None:
-            self.n += 1
-            local = f"_col{self.n}"
-            self._columns[name] = local
-            self.pline(2, "try:")
-            self.pline(3, f"{local} = cols[{name!r}]")
-            self.pline(2, "except KeyError:")
-            self.pline(3, f"_var_miss({name!r}, cols)")
-        return local
-
-    # -- node emitters that differ from the row tier ------------------------
-
-    def _gen_var(self, term: Var, env: str, depth: int) -> str:
-        bound = self._scope.get(term.name)
-        if bound is not None:
-            return bound
-        return f"{self.column(term.name)}[_i]"
-
-    def _gen_let(self, term: Let, env: str, depth: int) -> str:
-        value = self.gen(term.value, env, depth)
-        out = self.temp()
-        self.line(depth, f"{out} = {value}")
-        scope = self._scope
-        had = term.var in scope
-        saved = scope.get(term.var)
-        scope[term.var] = out
-        try:
-            return self.gen(term.body, env, depth)
-        finally:
-            if had:
-                scope[term.var] = saved
-            else:
-                del scope[term.var]
-
-    def _gen_fallback(self, term: Term, env: str, depth: int) -> str:
-        # The closure-tier subtree takes an env dict: materialize one per
-        # row from the subtree's free variables.  Let-bound temps win over
-        # columns; columns absent from the chunk are omitted (guarded by
-        # the ``if _n in cols`` prologue filter) so the interpreter's own
-        # unbound-variable error fires only if the row actually reads the
-        # name — exactly the row path's laziness.
-        sub = self.bind("s", self.compiler._compile(term, self.counter))
-        names = sorted(free_vars(term))
-        scoped = [(name, self._scope[name]) for name in names if name in self._scope]
-        col_names = tuple(name for name in names if name not in self._scope)
-        self.n += 1
-        env_name = f"_env{self.n}"
-        if col_names:
-            pairs = f"_sub{self.n}"
-            self.pline(
-                2,
-                f"{pairs} = [(_n, cols[_n]) for _n in {col_names!r} "
-                "if _n in cols]",
-            )
-            self.line(depth, f"{env_name} = {{_n: _c[_i] for _n, _c in {pairs}}}")
-        else:
-            self.line(depth, f"{env_name} = {{}}")
-        for name, bound in scoped:
-            self.line(depth, f"{env_name}[{name!r}] = {bound}")
-        out = self.temp()
-        self.line(depth, f"{out} = {sub}({env_name})")
-        return out
-
-    # -- comprehension fast form --------------------------------------------
+    # -- comprehension form -------------------------------------------------
     #
-    # Where a term lowers to a *single Python expression* (walrus
-    # assignments standing in for the statement tier's temps), the whole
-    # chunk evaluates as one list comprehension:
+    # Where a term lowers to a *single Python expression* the whole chunk
+    # evaluates as one list comprehension:
     #
     #     def _kern(cols, n):
     #         try:
@@ -1298,7 +728,7 @@ class _KernelEmitter(_SourceEmitter):
     #
     # which is ~2.5x faster than the statement loop (one LIST_APPEND per
     # row, no loop-counter or try-frame bookkeeping per row).  Error arms
-    # that the statement tier spells out (division by zero, type faults,
+    # that the statement form spells out (division by zero, type faults,
     # unbound parameters) are not re-spelled here: the raw exception —
     # KeyError, ZeroDivisionError, TypeError — aborts the comprehension
     # and the chunk reruns through ``_slow``, whose loop reproduces the
@@ -1329,73 +759,22 @@ class _KernelEmitter(_SourceEmitter):
         exec(code, self.ns)  # noqa: S102 - self-generated source only
         return self.ns["_kern"]
 
-    def wtemp(self) -> str:
-        """A name for a walrus-assignment target (function-scoped: an
-        assignment expression in a comprehension binds in the enclosing
-        ``_kern`` frame, which is exactly what the nested conditional
-        expressions rely on)."""
-        self.n += 1
-        return f"_w{self.n}"
-
     def xgen(self, term: Term) -> str:
-        """*term* as one Python expression, or raise ``NotImplementedError``
-        (abandoning the fast form for this kernel)."""
+        """*term* as one Python expression."""
         handler = self.xhandlers.get(type(term))
         if handler is None:
-            return self._x_fallback(term)
+            return self.fallback_call(term)
         return handler(self, term)
 
-    def _x_fallback(self, term: Term) -> str:
-        # Same closure-tier escape as the statement form, but the per-row
-        # env dict is built inline as a dict comprehension over prologue-
-        # hoisted (name, column) pairs, with let-bound temps layered on top.
-        sub = self.bind("s", self.compiler._compile(term, self.counter))
-        names = sorted(free_vars(term))
-        scoped = [
-            (name, self._scope[name]) for name in names if name in self._scope
-        ]
-        col_names = tuple(name for name in names if name not in self._scope)
-        if col_names:
-            self.n += 1
-            pairs = f"_sub{self.n}"
-            self.pline(
-                2,
-                f"{pairs} = [(_n, cols[_n]) for _n in {col_names!r} "
-                "if _n in cols]",
-            )
-            env = f"{{_n: _c[_i] for _n, _c in {pairs}}}"
-        else:
-            env = "{}"
-        if scoped:
-            inner = ", ".join(f"{name!r}: {bound}" for name, bound in scoped)
-            env = f"{{**{env}, {inner}}}"
-        return f"{sub}({env})"
-
-    # -- expression-form node emitters --------------------------------------
-
-    def _x_var(self, term: Var) -> str:
-        bound = self._scope.get(term.name)
-        if bound is not None:
-            return bound
-        return f"{self.column(term.name)}[_i]"
-
-    def _x_const(self, term: Const) -> str:
-        # A namespace name, not a repr literal (operands must be names so
-        # `x.__class__` / `x is NULL` stays valid syntax).
-        return self.bind("c", term.value)
-
-    def _x_null(self, term: Null) -> str:
-        return "NULL"
+    def _x_extent(self, term: Extent) -> str:
+        return f"rt.database.extent({term.name!r})"
 
     def _x_param(self, term: Param) -> str:
         # Raw KeyError on an unbound parameter reruns through the slow
         # loop, which raises the structured UnboundParameterError.  Kept
         # lazy (no prologue hoist) so a parameter referenced only in an
-        # untaken If branch stays unread, as on the row path.
+        # untaken If branch stays unread.
         return f"rt.params[{term.name!r}]"
-
-    def _x_extent(self, term: Extent) -> str:
-        return f"rt.database.extent({term.name!r})"
 
     def _x_record(self, term: RecordCons) -> str:
         inner = ", ".join(
@@ -1427,17 +806,7 @@ class _KernelEmitter(_SourceEmitter):
     def _x_let(self, term: Let) -> str:
         value = self.xgen(term.value)
         out = self.wtemp()
-        scope = self._scope
-        had = term.var in scope
-        saved = scope.get(term.var)
-        scope[term.var] = out
-        try:
-            body = self.xgen(term.body)
-        finally:
-            if had:
-                scope[term.var] = saved
-            else:
-                del scope[term.var]
+        body = self.scoped(term.var, out, lambda: self.xgen(term.body))
         # Tuple evaluates left to right: bind the temp, then the body.
         return f"((({out} := ({value})), {body})[1])"
 
@@ -1453,12 +822,17 @@ class _KernelEmitter(_SourceEmitter):
     def _x_isnull(self, term: IsNull) -> str:
         return f"(({self.xgen(term.expr)}) is NULL)"
 
+    def _x_singleton(self, term: Singleton) -> str:
+        return f"{self.bind('f', term.monoid.unit)}({self.xgen(term.expr)})"
+
+    def _x_merge(self, term: Merge) -> str:
+        merge = self.bind("f", term.monoid.merge)
+        return f"{merge}({self.xgen(term.left)}, {self.xgen(term.right)})"
+
     def _x_binop(self, term: BinOp) -> str:
         op = term.op
-        if op in ("and", "or"):
+        if op in BOOLEAN_OPS:
             return self._x_shortcircuit(term)
-        if op not in _SRC_BINOPS:
-            raise NotImplementedError(op)
         lt = self.wtemp()
         rt_ = self.wtemp()
         left = self.xgen(term.left)
@@ -1474,8 +848,8 @@ class _KernelEmitter(_SourceEmitter):
             # Raw operator: ZeroDivisionError / TypeError rerun through
             # the slow loop, which raises the structured fault.
             body = f"({lt} {op} {rt_})"
-        # Bitwise `|` forces *both* walruses before the NULL test — the
-        # row tier evaluates both operands before propagating NULL.
+        # Bitwise `|` forces *both* walruses before the NULL test — both
+        # operands are evaluated before NULL propagates.
         return (
             f"(NULL if (({lt} := {left}) is NULL) "
             f"| (({rt_} := {right}) is NULL) else {body})"
@@ -1486,82 +860,49 @@ class _KernelEmitter(_SourceEmitter):
         rt_ = self.wtemp()
         left = self.xgen(term.left)
         right = self.xgen(term.right)
-        if term.op == "and":
-            # right IS evaluated when left is NULL, as on the row path.
-            return (
-                f"(False if ({lt} := {left}) is False else "
-                f"(NULL if (({rt_} := {right}) is NULL) or {lt} is NULL "
-                f"else {lt} and {rt_}))"
-            )
+        shortcut = "False" if term.op == "and" else "True"
+        # right IS evaluated when left is NULL, as in the interpreter.
         return (
-            f"(True if ({lt} := {left}) is True else "
+            f"({shortcut} if ({lt} := {left}) is {shortcut} else "
             f"(NULL if (({rt_} := {right}) is NULL) or {lt} is NULL "
-            f"else {lt} or {rt_}))"
+            f"else {lt} {term.op} {rt_}))"
         )
 
 
-#: BinOp operators the source tier emits inline (and/or are special-cased).
-_SRC_BINOPS = frozenset(
-    ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=")
-)
-
-_SRC_HANDLERS: dict[type, Callable[..., str]] = {
-    Var: _SourceEmitter._gen_var,
-    Const: _SourceEmitter._gen_const,
-    Null: _SourceEmitter._gen_null,
-    Param: _SourceEmitter._gen_param,
-    Extent: _SourceEmitter._gen_extent,
-    RecordCons: _SourceEmitter._gen_record,
-    Proj: _SourceEmitter._gen_proj,
-    If: _SourceEmitter._gen_if,
-    Let: _SourceEmitter._gen_let,
-    Not: _SourceEmitter._gen_not,
-    IsNull: _SourceEmitter._gen_isnull,
-    BinOp: _SourceEmitter._gen_binop,
+# The tables hold plain function objects (no dynamic attribute lookup per
+# node).  NOTE: Lambda, Apply and Comprehension deliberately have no entry —
+# loops are the algebra's job, and the interpreter fallback stays exercised.
+_KernelEmitter.handlers = {
+    Var: _KernelEmitter._gen_var,
+    Const: _KernelEmitter._gen_const,
+    Null: _KernelEmitter._gen_null,
+    Zero: _KernelEmitter._gen_zero,
+    Extent: _KernelEmitter._gen_extent,
+    Param: _KernelEmitter._gen_param,
+    RecordCons: _KernelEmitter._gen_record,
+    Proj: _KernelEmitter._gen_proj,
+    If: _KernelEmitter._gen_if,
+    Let: _KernelEmitter._gen_let,
+    Not: _KernelEmitter._gen_not,
+    IsNull: _KernelEmitter._gen_isnull,
+    Singleton: _KernelEmitter._gen_singleton,
+    Merge: _KernelEmitter._gen_merge,
+    BinOp: _KernelEmitter._gen_binop,
 }
-
-# The tables hold plain function objects (no dynamic dispatch), so subclass
-# overrides are wired in explicitly: each emitter class carries its own
-# ``handlers`` table and ``gen`` dispatches through it.
-_SourceEmitter.handlers = _SRC_HANDLERS
-_KERNEL_HANDLERS = dict(_SRC_HANDLERS)
-_KERNEL_HANDLERS[Var] = _KernelEmitter._gen_var
-_KERNEL_HANDLERS[Let] = _KernelEmitter._gen_let
-_KernelEmitter.handlers = _KERNEL_HANDLERS
-
-#: Expression-form emitters for the comprehension fast kernel.
-_X_HANDLERS: dict[type, Callable[..., str]] = {
-    Var: _KernelEmitter._x_var,
-    Const: _KernelEmitter._x_const,
-    Null: _KernelEmitter._x_null,
-    Param: _KernelEmitter._x_param,
+_KernelEmitter.xhandlers = {
+    Var: _KernelEmitter._gen_var,
+    Const: _KernelEmitter._gen_const,
+    Null: _KernelEmitter._gen_null,
+    Zero: _KernelEmitter._gen_zero,
     Extent: _KernelEmitter._x_extent,
+    Param: _KernelEmitter._x_param,
     RecordCons: _KernelEmitter._x_record,
     Proj: _KernelEmitter._x_proj,
     If: _KernelEmitter._x_if,
     Let: _KernelEmitter._x_let,
     Not: _KernelEmitter._x_not,
     IsNull: _KernelEmitter._x_isnull,
+    Singleton: _KernelEmitter._x_singleton,
+    Merge: _KernelEmitter._x_merge,
     BinOp: _KernelEmitter._x_binop,
-}
-_KernelEmitter.xhandlers = _X_HANDLERS
-
-_HANDLERS: dict[type, Callable[[ExprCompiler, Any, _Counter], EvalFn]] = {
-    Var: ExprCompiler._compile_var,
-    Const: ExprCompiler._compile_const,
-    Null: ExprCompiler._compile_null,
-    Param: ExprCompiler._compile_param,
-    Extent: ExprCompiler._compile_extent,
-    RecordCons: ExprCompiler._compile_record,
-    Proj: ExprCompiler._compile_proj,
-    Lambda: ExprCompiler._compile_lambda,
-    Apply: ExprCompiler._compile_apply,
-    If: ExprCompiler._compile_if,
-    Let: ExprCompiler._compile_let,
-    BinOp: ExprCompiler._compile_binop,
-    Not: ExprCompiler._compile_not,
-    IsNull: ExprCompiler._compile_isnull,
-    Zero: ExprCompiler._compile_zero,
-    Singleton: ExprCompiler._compile_singleton,
-    Merge: ExprCompiler._compile_merge,
 }

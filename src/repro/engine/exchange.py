@@ -36,7 +36,7 @@ speculative partition would evaluate rows (and charge budgets for rows) a
 short-circuiting serial run never reaches, making error and governor
 behavior racy.  :func:`try_parallel_plan` returns None for them.
 
-**Threads, not processes.**  Physical plans hold compiled closures and
+**Threads, not processes.**  Physical plans hold compiled kernels and
 rows hold OID-stamped records — neither pickles — so workers are always
 threads.  On free-threaded builds they scale across cores; on GIL builds
 the machinery is exercised (and correct) but CPU-bound speedup waits on
@@ -70,17 +70,18 @@ from repro.calculus.terms import Proj, Term, Var, free_vars
 from repro.data.values import (
     NULL,
     BagValue,
-    CollectionValue,
     ListValue,
     NullValue,
     Record,
     SetValue,
     identity_key,
 )
-from repro.engine.batch import Chunk, Env
+from repro.engine.batch import Chunk, Env, chunk_rows
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
     PhysicalOperator,
+    PScan,
+    _account_result,
     _Context,
 )
 from repro.errors import GovernorError
@@ -217,7 +218,7 @@ class PartitionedScan(Scan):
     partition: PartitionSpec | None = None
 
 
-class PPartitionScan(PhysicalOperator):
+class PPartitionScan(PScan):
     """Physical partitioned scan: one partition's rows of an extent.
 
     Ticks the governor only for *emitted* rows, so across all partitions
@@ -227,61 +228,33 @@ class PPartitionScan(PhysicalOperator):
     def __init__(
         self, context: _Context, extent: str, var: str, spec: PartitionSpec
     ):
-        super().__init__()
-        self._context = context
-        self.extent = extent
-        self.var = var
+        super().__init__(context, extent, var)
         self.spec = spec
-        self._key_fn = (
-            None if spec.key is None else self._expr(context, spec.key)
+        self._key_kernel = (
+            None if spec.key is None else self._kernel(context, spec.key)
         )
 
     def _items(self) -> list:
-        items = list(self._context.database.extent(self.extent))
+        items = super()._items()
         spec = self.spec
         if spec.mode == "range":
             n = len(items)
             lo = (n * spec.index) // spec.count
             hi = (n * (spec.index + 1)) // spec.count
             return items[lo:hi]
-        key_fn = self._key_fn
-        var = self.var
+        if not items:
+            return items
+        keys, _, err = self._run_kernel(
+            self._key_kernel, {self.var: items}, len(items)
+        )
+        if err is not None:
+            raise err
         index, count = spec.index, spec.count
         return [
             obj
-            for obj in items
-            if stable_hash(key_fn({var: obj})) % count == index
+            for obj, key in zip(items, keys)
+            if stable_hash(key) % count == index
         ]
-
-    def rows(self) -> Iterator[Env]:
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for obj in self._items():
-            self.rows_produced += 1
-            units += 1
-            if units >= batch:
-                governor.tick_many(units)
-                units = 0
-                batch = governor.batch()
-            yield {var: obj}
-        if governor is not None:
-            governor.tick_many(units)
-
-    def batches(self) -> Iterator[Chunk]:
-        # Native chunk producer, mirroring PScan.batches: the partition's
-        # rows sliced into columnar chunks, one tick per emitted row.
-        context = self._context
-        var = self.var
-        size = context.batch_size
-        governor = context.governor
-        items = self._items()
-        for start in range(0, len(items), size):
-            col = items[start : start + size]
-            if governor is not None:
-                governor.tick_many(len(col))
-            yield self._emit_chunk(Chunk({var: col}, len(col)))
 
     def describe(self) -> str:
         spec = self.spec
@@ -305,10 +278,9 @@ class PMaterializedSource(PhysicalOperator):
         self._rows = rows
         self.rows_produced = 0
 
-    def rows(self) -> Iterator[Env]:
-        for env in self._rows:
-            self.rows_produced += 1
-            yield env
+    def batches(self) -> Iterator[Chunk]:
+        for chunk in chunk_rows(iter(self._rows), self._context.batch_size):
+            yield self._emit_chunk(chunk)
 
     def describe(self) -> str:
         return f"Materialized({','.join(self._columns)})"
@@ -500,18 +472,16 @@ def try_parallel_plan(
         # and the coordinator concatenates — the partition-aware nest.
         aligned = mode == "hash" and scan.var in nest_node.group_by
 
-    if compiler is None and options.compiled_exprs:
+    if compiler is None:
         compiler = ExprCompiler()
 
     def make_context() -> _Context:
         return _Context(
             database,
             params,
-            compiled_exprs=options.compiled_exprs,
             profile=profile,
             compiler=compiler,
             governor=governor,
-            batched_exec=options.batched_exec,
             batch_size=options.batch_size,
         )
 
@@ -627,17 +597,12 @@ class PGather(PhysicalOperator):
             f"workers={self.num_workers})"
         )
 
-    def rows(self) -> Iterator[Env]:  # pragma: no cover - roots use value()
-        yield {"__result": self.value()}
-
     # -- execution -----------------------------------------------------------
 
     def _run_partition(self, index: int) -> Any:
-        context = self._worker_contexts[index]
-        # Expression closures read thread-local runtime state; bind this
-        # worker thread to its partition's evaluator before running.
-        if context._compiler is not None:
-            context._compiler.activate(context._terms, context.database)
+        # Kernels read thread-local runtime state; bind this worker thread
+        # to its partition's evaluator before running.
+        self._worker_contexts[index].activate()
         root = self._partition_roots[index]
         if self.strategy == "reduce":
             return root.partial_value()
@@ -670,12 +635,9 @@ class PGather(PhysicalOperator):
         # but *whether the query trips* is not — total work is fixed), then
         # the first partition's error, which under range partitioning is
         # the error a serial run would have reached first.
-        if self._context._compiler is not None:
-            # Rebind the coordinator thread: worker-context construction
-            # and partition runs may have left another evaluator active.
-            self._context._compiler.activate(
-                self._context._terms, self._context.database
-            )
+        # Rebind the coordinator thread: worker-context construction and
+        # partition runs may have left another evaluator active.
+        self._context.activate()
         for exc in errors:
             if isinstance(exc, GovernorError):
                 raise exc
@@ -683,8 +645,8 @@ class PGather(PhysicalOperator):
             if exc is not None:
                 raise exc
         if self.strategy == "reduce":
-            return self._account(self._merge_reduce(partials))
-        return self._account(self._merge_nest(partials))
+            return _account_result(self, self._merge_reduce(partials))
+        return _account_result(self, self._merge_nest(partials))
 
     def _merge_reduce(self, partials: list[list]) -> Any:
         monoid = self.monoid
@@ -727,12 +689,6 @@ class PGather(PhysicalOperator):
             [{**env, out_var: value} for env, value in group_rows]
         )
         return self._tail_root.value()
-
-    def _account(self, result: Any) -> Any:
-        self.rows_produced = (
-            len(result) if isinstance(result, CollectionValue) else 1
-        )
-        return result
 
 
 def _fold_serial(monoid, values) -> Any:

@@ -9,22 +9,26 @@ execution cooperatively:
   schedule from the operator loops;
 * **row budget** (``max_rows``): counts *work units* — rows emitted by
   operators plus inner join-pair iterations — so a nested-loop blowup is
-  charged even when it emits few rows.  The check schedule is clamped to
-  the budget, so a trip happens within one in-flight batch of exceeding it;
+  charged even when it emits few rows (the contract is below);
 * **memory budget** (``max_bytes``): blocking operators (hash-join builds,
   hash-nest groups, merge-join sorts, nested-loop inner materialization)
-  :meth:`~Governor.charge` a shallow byte estimate for what they buffer,
-  sampled one row per :data:`SAMPLE_STRIDE`;
+  :meth:`~Governor.charge` a shallow byte estimate for the chunks they
+  buffer, sampled one row per :data:`SAMPLE_STRIDE`;
 * **cancellation** (:class:`CancelToken`): a thread-safe flag a caller can
   trip from outside; the running query observes it at the next settle and
   stops with :class:`~repro.errors.QueryCancelled`.
 
-Hot loops count work units in a local integer and settle every
-:meth:`~Governor.batch` units via :meth:`~Governor.tick_many`, so the
-per-unit cost in governed execution is an increment and a comparison on a
-local — no method call; deadline and cancellation checks — the expensive
-parts, a clock read and an ``Event`` load — run once per ``tick_interval``
-units.
+**The row-budget contract.**  Physical operators count the work units of
+one input chunk — its rows, the elements it unnests to, the join pairs it
+considers — and settle them with a single :meth:`~Governor.tick_many`
+(the nested-loop join settles once per left row).  The trip fires at the
+first settle that carries the running total past ``max_rows``, so the work
+done past the budget is bounded by what one chunk generates in one
+operator.  The error names the budget, not the settled total — the total
+depends on where chunk boundaries fall — so its text is identical at every
+``batch_size``; :attr:`Governor.ticks` keeps the settled total.  Deadline
+and cancellation checks — the expensive parts, a clock read and an
+``Event`` load — run once per ``tick_interval`` units.
 
 A :class:`Governor` is created per execution.  By default it is owned by
 one thread and its counters are plain attributes.  Parallel execution
@@ -32,9 +36,9 @@ one thread and its counters are plain attributes.  Parallel execution
 workers so budgets bound the *query*, not each worker: the exchange layer
 calls :meth:`~Governor.enable_sharing` first, which routes every
 mutating path (``tick``/``tick_many``/``charge``/``release``/``check``)
-through a lock.  Workers still amortize via local counters and
-:meth:`~Governor.batch`, so the lock is taken once per settle — measured
-overhead stays ~0%.  The :class:`CancelToken` is thread-safe either way.
+through a lock.  Workers settle once per chunk, so the lock is taken once
+per settle — measured overhead stays ~0%.  The :class:`CancelToken` is
+thread-safe either way.
 """
 
 from __future__ import annotations
@@ -129,8 +133,8 @@ class Governor:
     Args:
         timeout: wall-clock budget in seconds, or ``None`` for unlimited.
         max_rows: work-unit budget (rows emitted + join pairs considered),
-            or ``None`` for unlimited.  Enforced within one in-flight
-            batch per ticking operator (see :meth:`batch`).
+            or ``None`` for unlimited.  Enforced at the first settle past
+            it (the row-budget contract in the module docstring).
         max_bytes: estimated-memory budget for blocking operators, or
             ``None`` for unlimited.
         token: an optional :class:`CancelToken` observed at checkpoints.
@@ -182,13 +186,12 @@ class Governor:
         """Make the counters safe to share across worker threads.
 
         Idempotent.  After this call every mutating path settles under a
-        single lock; with workers batching locally (see :meth:`batch`)
-        the lock is acquired once per up-to-``tick_interval`` units, so
-        the amortized cost is unchanged.  Under sharing the row budget
-        still trips promptly — within one in-flight local batch *per
-        worker* of the budget being crossed (the single-thread contract
-        is "within one batch"; concurrency adds at most the other
-        workers' in-flight batches before everyone observes the trip).
+        single lock; workers settle once per chunk, so the amortized cost
+        is unchanged.  Under sharing the row budget still trips promptly —
+        within one in-flight chunk *per worker* of the budget being
+        crossed (the single-thread contract is "within one chunk";
+        concurrency adds at most the other workers' in-flight chunks
+        before everyone observes the trip).
         """
         if self._lock is None:
             self._lock = threading.Lock()
@@ -201,8 +204,8 @@ class Governor:
     def _schedule(self, ticks: int) -> int:
         """The tick count at which the next checkpoint must run.
 
-        Clamped to ``max_rows + 1`` so the row budget trips exactly when
-        exceeded, never ``tick_interval`` rows late.
+        Clamped to ``max_rows + 1`` so the row budget trips at the first
+        settle past it, never ``tick_interval`` units late.
         """
         nxt = ticks + self.tick_interval
         if self.max_rows is not None:
@@ -225,18 +228,8 @@ class Governor:
             if self.ticks >= self._next_check:
                 self._checkpoint()
 
-    def batch(self) -> int:
-        """How many work units a loop may count locally before it must
-        settle via :meth:`tick_many`.
-
-        This is the distance to the next scheduled checkpoint, so hot loops
-        replace a method call per work unit with a local increment and
-        comparison — the batch is clamped near a row budget, keeping trips
-        prompt (within one in-flight batch per ticking operator)."""
-        return max(1, self._next_check - self.ticks)
-
     def tick_many(self, units: int) -> None:
-        """Settle *units* locally-counted work units (see :meth:`batch`)."""
+        """Settle one chunk's worth of work units."""
         if not units:
             return
         lock = self._lock
@@ -292,7 +285,7 @@ class Governor:
         self._next_check = self._schedule(self.ticks)
         if self.max_rows is not None and self.ticks > self.max_rows:
             raise BudgetExceeded(
-                f"row budget exceeded: {self.ticks} work units "
+                f"row budget exceeded: more than {self.max_rows} work units "
                 f"(max_rows={self.max_rows})",
                 source=self.source,
                 stage="execute",

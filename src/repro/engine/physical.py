@@ -1,56 +1,40 @@
-"""Physical (executable) operators — the iterator-model engine.
+"""Physical (executable) operators — the chunk-at-a-time engine.
 
 The paper's prototype translates algebraic forms into "physical plans that
 are evaluated in memory" (Section 6).  This module provides those physical
 algorithms:
 
 * pipelined scan / select / map / unnest operators;
-* **nested-loop** and **hash** implementations of join and left outer-join
-  (the planner picks hash when it can extract equi-join keys — the very
-  optimization the paper says unnesting enables for QUERY E);
+* **nested-loop**, **hash** and **sort-merge** implementations of join and
+  left outer-join (the planner picks hash when it can extract equi-join
+  keys — the very optimization the paper says unnesting enables for
+  QUERY E);
 * hash-based grouping for the nest operator (single pass);
 * streaming reduce with quantifier short-circuiting.
 
-Each operator exposes ``rows()`` (an iterator of environments) and counts
-the tuples it produces, so executions can be compared by work performed as
-well as by wall-clock time.
+Every operator implements one protocol, ``batches()``: a restartable stream
+of columnar :class:`~repro.engine.batch.Chunk` blocks.  Each expression an
+operator evaluates — select predicate, map head, join key, unnest path,
+reduce accumulator — is lowered once, when the operator is built, to a
+kernel (:mod:`repro.engine.compile`): one native call evaluates it over a
+whole chunk.  ``rows()`` is a generic per-row view derived from the chunks,
+for tests and diagnostics; operators never call it on each other.
 
-**Batch execution** (``PlannerOptions.batched_exec``, default on): operators
-additionally expose ``batches()``, a stream of columnar
-:class:`~repro.engine.batch.Chunk` blocks.  Scan, select, map, unnest, the
-hash-join probe, hash-nest, and reduce have native batch paths driven by
-tier-3 kernels (:meth:`~repro.engine.compile.ExprCompiler.compile_kernel`):
-one native call evaluates a predicate/projection/join key over a whole
-chunk.  Everything else adapts its ``rows()`` through
-:func:`~repro.engine.batch.chunk_rows`, so the two protocols compose
-freely.  A plan is driven through exactly one protocol per consumer edge —
-``PReduce.value()`` pulls ``batches()`` when the context is batched, else
-``rows()``.
+Three conventions hold across operators:
 
-The row-at-a-time path is kept byte-for-byte intact (not emulated over
-batches): it is the oracle the differential fuzzer cross-checks batch
-execution against on every iteration, via the ``pipeline-row-exec`` and
-``pipeline-batched-exec`` paths in :mod:`repro.testing.oracle`.  Error
-semantics match exactly because kernels *truncate* instead of raising —
-a failure at row *t* surfaces only after the preceding rows have been
-delivered, so a short-circuiting consumer (``exists`` satisfied early)
-never observes an error the row path would not have reached.  Work-unit
-accounting charges the same units (rows scanned, unnest elements, join
-pairs considered) through the same ``tick_many`` machinery, settling once
-per chunk; blocking operators keep their row-mode builds whenever a
-memory budget is active so byte-charging stays stride-for-stride
-identical.
-
-Expression evaluation is pluggable: by default every select predicate, map
-head, join key, unnest path, and reduce accumulator is **compiled** to a
-native Python closure (:mod:`repro.engine.compile`) when the operator is
-built, so the per-row cost is a cascade of direct calls instead of an AST
-walk.  With ``compiled_exprs=False`` the operators evaluate the same terms
-through the calculus interpreter — the historical behaviour, kept as the
-differential baseline.  Blocking operators (hash join build side, sort-merge
-right side, nested-loop inner, hash-nest grouping) memoize their build work
-on the first ``rows()`` entry, so re-entering a restartable stream does not
-redo it.
+* **Errors are delivered lazily.**  Kernels *truncate* instead of raising:
+  a failure at row *t* surfaces only after the preceding rows have been
+  delivered, so a short-circuiting consumer (``exists`` satisfied early)
+  never observes an error it would not have reached row by row.
+* **Work units settle per chunk.**  Operators count the units they perform
+  (rows scanned, unnest elements, join pairs considered) per input chunk
+  and settle them with one ``tick_many`` — see the row-budget contract in
+  :mod:`repro.engine.governor`.
+* **Blocking builds run once and charge what they buffer.**  The hash-join
+  table, the merge-join's sorted right side, the nested-loop inner and the
+  hash-nest groups are memoized on first entry, so re-entering a
+  restartable stream does not redo them; under a memory budget each build
+  charges a stride-sampled byte estimate of the chunks it buffers.
 """
 
 from __future__ import annotations
@@ -69,8 +53,8 @@ from repro.data.values import (
     identity_sort_key,
     is_null,
 )
-from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
-from repro.engine.compile import CompiledExpr, CompiledKernel, ExprCompiler
+from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
+from repro.engine.compile import CompiledKernel, ExprCompiler
 from repro.engine.governor import (
     SAMPLE_STRIDE,
     estimate_buffer_bytes,
@@ -79,52 +63,83 @@ from repro.engine.governor import (
 
 Env = dict[str, Any]
 
-#: Batch threshold for ungoverned loops: a local counter compared against
-#: this never settles, so the hot path pays one increment and one compare.
-_NO_BATCH = 2**63
 
-#: ``n & _STRIDE_MASK == 0`` selects one row per SAMPLE_STRIDE (a power of
-#: two) — a bitwise test, cheaper than modulo in the buffering loops.
-_STRIDE_MASK = SAMPLE_STRIDE - 1
-assert SAMPLE_STRIDE & _STRIDE_MASK == 0, "SAMPLE_STRIDE must be a power of two"
+class _Context:
+    """Shared per-execution state: the database, the bound
+    prepared-statement parameters (``:name`` placeholder values), the
+    expression compiler with the interpreter its fallback nodes call, and
+    the optional per-execution :class:`~repro.engine.governor.Governor`."""
+
+    def __init__(
+        self,
+        database: ExtentProvider,
+        params: Mapping[str, Any] | None = None,
+        profile: bool = False,
+        compiler: ExprCompiler | None = None,
+        governor: Any | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+    ):
+        self.database = database
+        self.params = dict(params) if params else {}
+        self.profile = profile
+        self.governor = governor
+        self.batch_size = max(1, batch_size)
+        self._terms = TermEvaluator(database, self.params, governor=governor)
+        self._compiler = compiler if compiler is not None else ExprCompiler()
+        self.activate()
+
+    def activate(self) -> None:
+        """Bind the calling thread's kernels to this execution."""
+        self._compiler.activate(self._terms, self.database)
+
+    def charge_fn(self):
+        """The governor's byte-accounting hook for blocking operators, or
+        None when ungoverned or no memory budget is set (the shallow size
+        estimation is only worth paying when a budget can trip)."""
+        governor = self.governor
+        if governor is None or governor.max_bytes is None:
+            return None
+        return governor.charge
+
+
+def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
+    """Charge a buffered chunk's bytes, one sampled row per stride.
+
+    *seen* rows were buffered before this chunk, so the sampled rows are
+    the buffer's rows 0, SAMPLE_STRIDE, 2·SAMPLE_STRIDE, … wherever chunk
+    boundaries fall.  One row stands for its whole stride: rows in a buffer
+    share a shape, and charging the stride up front keeps the estimator off
+    the per-row path.
+    """
+    for i in range(-seen % SAMPLE_STRIDE, chunk.length, SAMPLE_STRIDE):
+        charge(estimate_bytes(chunk.env_at(i)) * SAMPLE_STRIDE)
 
 
 class PhysicalOperator:
-    """Base class: a restartable stream of environments."""
+    """Base class: a restartable stream of chunks."""
 
     def __init__(self) -> None:
         self.rows_produced = 0
-        #: Batch accounting: chunks this operator emitted and the rows they
-        #: carried.  Adapter-driven operators count here too, so EXPLAIN
-        #: ANALYZE shows how every operator's output was chunked.
+        #: Chunks this operator emitted and the rows they carried, so
+        #: EXPLAIN ANALYZE shows how every operator's output was chunked.
         self.batches_produced = 0
         self.batch_rows = 0
         #: Wall time spent evaluating this operator's expressions, in ms.
         #: Only accumulated when the execution context profiles evaluation
         #: (EXPLAIN ANALYZE); stays 0.0 otherwise.
         self.eval_ms = 0.0
-        self._exprs: list[CompiledExpr] = []
-
-    def rows(self) -> Iterator[Env]:
-        raise NotImplementedError
+        self._kernels: list[CompiledKernel] = []
 
     def batches(self) -> Iterator[Chunk]:
-        """Batch-at-a-time stream; default adapts ``rows()``.
+        raise NotImplementedError
 
-        Operators without a native batch path (seeds, index scans, merge
-        and nested-loop joins) stay row-driven internally and still compose
-        with batch-native parents through this adapter.  ``rows()`` already
-        counts ``rows_produced``, so only the batch counters move here.
-        """
-        context = getattr(self, "_context", None)
-        size = context.batch_size if context is not None else DEFAULT_BATCH_SIZE
-        for chunk in chunk_rows(self.rows(), size):
-            self.batches_produced += 1
-            self.batch_rows += chunk.length
-            yield chunk
+    def rows(self) -> Iterator[Env]:
+        """The chunk stream one environment at a time (tests, diagnostics)."""
+        for chunk in self.batches():
+            yield from chunk.envs()
 
     def _emit_chunk(self, chunk: Chunk) -> Chunk:
-        """Account a natively produced chunk (``rows()`` was bypassed)."""
+        """Account a produced chunk."""
         self.rows_produced += chunk.length
         self.batches_produced += 1
         self.batch_rows += chunk.length
@@ -133,7 +148,7 @@ class PhysicalOperator:
     def _run_kernel(
         self, kernel: CompiledKernel, columns: Mapping[str, list], n: int
     ) -> tuple[list, int, Any]:
-        """Invoke a tier-3 kernel, timing it when the context profiles."""
+        """Invoke a kernel, timing it when the context profiles."""
         if not self._context.profile:  # type: ignore[attr-defined]
             return kernel.fn(columns, n)
         start = time.perf_counter()
@@ -167,150 +182,32 @@ class PhysicalOperator:
     def eval_mode(self) -> str:
         """How this operator's expressions execute.
 
-        ``"compiled"`` — every AST node lowered to a native closure;
+        ``"compiled"`` — every AST node lowered to generated code;
         ``"mixed"`` — some subtrees fell back to the interpreter;
-        ``"interpreted"`` — everything runs through the interpreter
-        (``compiled_exprs=False``); ``""`` — the operator evaluates no
-        expressions (scans, seeds).
+        ``"interpreted"`` — every expression runs through the interpreter;
+        ``""`` — the operator evaluates no expressions (scans, seeds).
         """
-        if not self._exprs:
+        if not self._kernels:
             return ""
-        compiled = sum(e.compiled_nodes for e in self._exprs)
-        fallback = sum(e.fallback_nodes for e in self._exprs)
+        compiled = sum(k.compiled_nodes for k in self._kernels)
+        fallback = sum(k.fallback_nodes for k in self._kernels)
         if fallback == 0:
             return "compiled"
         if compiled == 0:
             return "interpreted"
         return "mixed"
 
-    def _bind(self, context: "_Context", compiled: CompiledExpr):
-        """Register a compiled expression; wrap it with a timer when the
-        context profiles evaluation (EXPLAIN ANALYZE)."""
-        self._exprs.append(compiled)
-        fn = compiled.fn
-        if not context.profile:
-            return fn
-        perf_counter = time.perf_counter
+    def _kernel(self, context: _Context, term: Term) -> CompiledKernel:
+        """Lower a value expression and register it for ``eval_mode``."""
+        kernel = context._compiler.compile_kernel(term)
+        self._kernels.append(kernel)
+        return kernel
 
-        def timed(env: Env) -> Any:
-            start = perf_counter()
-            try:
-                return fn(env)
-            finally:
-                self.eval_ms += (perf_counter() - start) * 1000.0
-
-        return timed
-
-    def _expr(self, context: "_Context", term: Term):
-        return self._bind(context, context.expr(term))
-
-    def _pred(self, context: "_Context", term: Term):
-        return self._bind(context, context.pred(term))
-
-
-class _Context:
-    """Shared per-execution state: the database, a term evaluator, the bound
-    prepared-statement parameters (``:name`` placeholder values), the
-    expression compiler (or None when running interpreted), and the optional
-    per-execution :class:`~repro.engine.governor.Governor`."""
-
-    def __init__(
-        self,
-        database: ExtentProvider,
-        params: Mapping[str, Any] | None = None,
-        compiled_exprs: bool = True,
-        profile: bool = False,
-        compiler: ExprCompiler | None = None,
-        governor: Any | None = None,
-        batched_exec: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ):
-        self.database = database
-        self.params = dict(params) if params else {}
-        self.profile = profile
-        self.governor = governor
-        self.batch_size = max(1, batch_size)
-        self._terms = TermEvaluator(database, self.params, governor=governor)
-        if compiled_exprs:
-            self._compiler = compiler if compiler is not None else ExprCompiler()
-            self._compiler.activate(self._terms, database)
-        else:
-            self._compiler = None
-        #: Batch execution needs tier-3 kernels, which only exist when the
-        #: expression compiler is on — interpreted runs stay pure row mode.
-        self.batched = bool(batched_exec) and self._compiler is not None
-
-    def batch(self) -> int:
-        """The initial work-unit batch for a ``rows()`` loop.
-
-        Governed loops count work units in a local integer and settle every
-        *batch* units via ``governor.tick_many`` (see
-        :meth:`repro.engine.governor.Governor.batch`); ungoverned loops get
-        :data:`_NO_BATCH`, a threshold the counter never reaches, so both
-        paths pay only a local increment and comparison per unit.
-        """
-        governor = self.governor
-        return governor.batch() if governor is not None else _NO_BATCH
-
-    def charge_fn(self):
-        """The governor's byte-accounting hook for blocking operators, or
-        None when ungoverned or no memory budget is set (the shallow size
-        estimation is only worth paying when a budget can trip)."""
-        governor = self.governor
-        if governor is None or governor.max_bytes is None:
-            return None
-        return governor.charge
-
-    def kernel(self, term: Term) -> CompiledKernel | None:
-        """The tier-3 batch kernel for *term*, or None when this execution
-        is not batched (operators then fall back to the rows() adapter)."""
-        if not self.batched:
-            return None
-        return self._compiler.compile_kernel(term)
-
-    def pred_kernel(self, term: Term) -> CompiledKernel | None:
-        """The strict-boolean batch kernel for *term*, or None (as above)."""
-        if not self.batched:
-            return None
-        return self._compiler.compile_predicate_kernel(term)
-
-    def value(self, term: Term, env: Env) -> Any:
-        return self._terms.evaluate(term, env)
-
-    def holds(self, pred: Term, env: Env) -> bool:
-        result = self.value(pred, env)
-        if result is True:
-            return True
-        if result is False or is_null(result):
-            return False
-        raise EvaluationError("predicate did not evaluate to a boolean")
-
-    def expr(self, term: Term) -> CompiledExpr:
-        """A value-producing evaluator for *term* (compiled when enabled)."""
-        if self._compiler is not None:
-            return self._compiler.compile(term)
-        evaluate = self._terms.evaluate
-
-        def run(env: Env) -> Any:
-            return evaluate(term, env)
-
-        return CompiledExpr(run, term, 0, 1)
-
-    def pred(self, term: Term) -> CompiledExpr:
-        """A strict-boolean evaluator for *term*: NULL filters as False."""
-        if self._compiler is not None:
-            return self._compiler.compile_predicate(term)
-        evaluate = self._terms.evaluate
-
-        def run(env: Env) -> bool:
-            result = evaluate(term, env)
-            if result is True:
-                return True
-            if result is False or is_null(result):
-                return False
-            raise EvaluationError("predicate did not evaluate to a boolean")
-
-        return CompiledExpr(run, term, 0, 1)
+    def _pred_kernel(self, context: _Context, term: Term) -> CompiledKernel:
+        """Lower a strict-boolean predicate (NULL filters as False)."""
+        kernel = context._compiler.compile_predicate_kernel(term)
+        self._kernels.append(kernel)
+        return kernel
 
 
 class PScan(PhysicalOperator):
@@ -322,32 +219,17 @@ class PScan(PhysicalOperator):
         self.extent = extent
         self.var = var
 
-    def rows(self) -> Iterator[Env]:
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for obj in self._context.database.extent(self.extent):
-            self.rows_produced += 1
-            units += 1
-            if units >= batch:
-                governor.tick_many(units)
-                units = 0
-                batch = governor.batch()
-            yield {var: obj}
-        if governor is not None:
-            governor.tick_many(units)
+    def _items(self) -> list:
+        return list(self._context.database.extent(self.extent))
 
     def batches(self) -> Iterator[Chunk]:
-        # Native path: slice the extent directly into column lists — no
-        # per-row dict, no generator hop.  Unit accounting settles once per
-        # chunk via tick_many, charging exactly one unit per row like the
-        # row loop above.
+        # Slice the items directly into column lists — no per-row dict, no
+        # generator hop — charging one work unit per row, once per chunk.
         context = self._context
         var = self.var
         size = context.batch_size
         governor = context.governor
-        items = list(context.database.extent(self.extent))
+        items = self._items()
         for start in range(0, len(items), size):
             col = items[start : start + size]
             if governor is not None:
@@ -358,7 +240,7 @@ class PScan(PhysicalOperator):
         return f"Scan({self.var} <- {self.extent})"
 
 
-class PIndexScan(PhysicalOperator):
+class PIndexScan(PScan):
     """Index access path: fetch only the objects whose indexed attribute
     equals a constant key ("choosing access paths", paper Section 6).
 
@@ -369,47 +251,33 @@ class PIndexScan(PhysicalOperator):
     def __init__(
         self, context: _Context, extent: str, var: str, attr: str, key: Term
     ):
-        super().__init__()
-        self._context = context
-        self.extent = extent
-        self.var = var
+        super().__init__(context, extent, var)
         self.attr = attr
         self.key = key
-        self._key = self._expr(context, key)
+        self._key_kernel = self._kernel(context, key)
 
-    def rows(self) -> Iterator[Env]:
-        value = self._key({})
-        if is_null(value):
+    def _items(self) -> list:
+        values, _, err = self._run_kernel(self._key_kernel, {}, 1)
+        if err is not None:
+            raise err
+        if is_null(values[0]):
             # attr = NULL is NULL, which a filter treats as false — but the
             # index stores NULL-attributed objects under the NULL key, so a
             # raw lookup would wrongly return them.
-            return
-        database = self._context.database
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for obj in database.index_lookup(self.extent, self.attr, value):
-            self.rows_produced += 1
-            units += 1
-            if units >= batch:
-                governor.tick_many(units)
-                units = 0
-                batch = governor.batch()
-            yield {var: obj}
-        if governor is not None:
-            governor.tick_many(units)
+            return []
+        return list(
+            self._context.database.index_lookup(self.extent, self.attr, values[0])
+        )
 
     def describe(self) -> str:
         return f"IndexScan({self.var} <- {self.extent} on {self.attr} = {self.key})"
 
 
 class PSeed(PhysicalOperator):
-    """The singleton empty-environment stream."""
+    """The singleton empty-environment stream: one row, no columns."""
 
-    def rows(self) -> Iterator[Env]:
-        self.rows_produced += 1
-        yield {}
+    def batches(self) -> Iterator[Chunk]:
+        yield self._emit_chunk(Chunk({}, 1))
 
 
 class PSelect(PhysicalOperator):
@@ -420,23 +288,13 @@ class PSelect(PhysicalOperator):
         self._context = context
         self.child = child
         self.pred = pred
-        self._holds = self._pred(context, pred)
+        self._holds = self._pred_kernel(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:
-        holds = self._holds
-        for env in self.child.rows():
-            if holds(env):
-                self.rows_produced += 1
-                yield env
-
     def batches(self) -> Iterator[Chunk]:
-        kernel = self._context.pred_kernel(self.pred)
-        if kernel is None:
-            yield from PhysicalOperator.batches(self)
-            return
+        kernel = self._holds
         if kernel.trivial_true:
             for chunk in self.child.batches():
                 yield self._emit_chunk(chunk)
@@ -476,39 +334,24 @@ class PMap(PhysicalOperator):
         self._context = context
         self.child = child
         self.bindings = bindings
-        self._compiled_bindings = tuple(
-            (name, self._expr(context, expr)) for name, expr in bindings
+        self._binding_kernels = tuple(
+            (name, self._kernel(context, expr)) for name, expr in bindings
         )
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:
-        bindings = self._compiled_bindings
-        for env in self.child.rows():
-            extended = dict(env)
-            for name, fn in bindings:
-                extended[name] = fn(extended)
-            self.rows_produced += 1
-            yield extended
-
     def batches(self) -> Iterator[Chunk]:
-        context = self._context
-        if not context.batched:
-            yield from PhysicalOperator.batches(self)
-            return
-        kernels = tuple(
-            (name, context.kernel(expr)) for name, expr in self.bindings
-        )
+        kernels = self._binding_kernels
         for chunk in self.child.batches():
             columns = dict(chunk.columns)
             n = chunk.length
             err = None
             for name, kernel in kernels:
                 # Later bindings see earlier ones: each kernel runs over the
-                # progressively extended column set, like the row loop's
-                # ``extended`` dict.  An error truncates the chunk to the
-                # rows that evaluated fully; the error replays after them.
+                # progressively extended column set.  An error truncates the
+                # chunk to the rows that evaluated fully; the error replays
+                # after them.
                 values, t, e = self._run_kernel(kernel, columns, n)
                 if t < n:
                     n = t
@@ -529,7 +372,7 @@ class PNestedLoopJoin(PhysicalOperator):
     """Block nested-loop (outer-)join: the fallback join algorithm.
 
     The inner (right) input is materialized once per execution — not once
-    per ``rows()`` entry — so a re-entered stream does not re-run the
+    per ``batches()`` entry — so a re-entered stream does not re-run the
     build side.
     """
 
@@ -549,85 +392,40 @@ class PNestedLoopJoin(PhysicalOperator):
         self.pred = pred
         self.right_columns = right_columns
         self.outer = outer
-        self._holds = self._pred(context, pred)
-        self._right_rows: list[Env] | None = None
+        self._holds = self._pred_kernel(context, pred)
+        self._right: tuple[dict[str, list], int] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    def _materialize_right(self) -> list[Env]:
-        if self._right_rows is None:
+    def _materialize_right(self) -> tuple[dict[str, list], int]:
+        """The right input as whole columns plus its row count."""
+        if self._right is None:
             charge = self._context.charge_fn()
-            if charge is None:
-                self._right_rows = list(self.right.rows())
-            else:
-                materialized = []
-                for nb, env in enumerate(self.right.rows()):
-                    if not nb & _STRIDE_MASK:
-                        # One row stands for its whole stride: rows in a
-                        # buffer share a shape, and charging the stride up
-                        # front keeps the estimator off the per-row path.
-                        charge(estimate_bytes(env) * SAMPLE_STRIDE)
-                    materialized.append(env)
-                self._right_rows = materialized
-        return self._right_rows
-
-    def rows(self) -> Iterator[Env]:
-        right_rows = self._materialize_right()
-        holds = self._holds
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        padding = {col: NULL for col in self.right_columns}
-        for left_env in self.left.rows():
-            matched = False
-            for right_env in right_rows:
-                # Every pair considered is a work unit: a cross-join blowup
-                # is charged here even when it emits almost nothing.
-                units += 1
-                if units >= batch:
-                    governor.tick_many(units)
-                    units = 0
-                    batch = governor.batch()
-                env = {**left_env, **right_env}
-                if holds(env):
-                    matched = True
-                    self.rows_produced += 1
-                    yield env
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-        if governor is not None:
-            governor.tick_many(units)
+            cols: dict[str, list] = {col: [] for col in self.right_columns}
+            m = 0
+            for chunk in self.right.batches():
+                if charge is not None:
+                    _charge_chunk(charge, chunk, m)
+                for col, values in cols.items():
+                    values.extend(chunk.columns[col])
+                m += chunk.length
+            self._right = (cols, m)
+        return self._right
 
     def batches(self) -> Iterator[Chunk]:
-        """Vectorized probe: the materialized right side is columnized once
-        and each left row is broadcast across it, so the predicate runs as
-        one kernel call over all ``m`` right rows instead of ``m`` per-pair
-        closure calls over ``m`` freshly merged env dicts.  Only the left
-        columns the predicate actually reads are broadcast.  Work units,
-        outer padding, and fault truncation mirror ``rows()``: one unit per
-        pair reached (the faulting pair included), matches preceding a
-        fault are emitted, and the faulting left row gets no outer pad."""
+        """Vectorized probe: each left row is broadcast across the
+        materialized right columns, so the predicate runs as one kernel
+        call over all ``m`` right rows.  Only the left columns the
+        predicate actually reads are broadcast.  Every pair reached is a
+        work unit (the faulting pair included) — a cross-join blowup is
+        charged even when it emits almost nothing — settled once per left
+        row.  Matches preceding a fault are emitted, and the faulting left
+        row gets no outer pad."""
         context = self._context
-        pred_kernel = context.pred_kernel(self.pred)
+        pred_kernel = self._holds
         governor = context.governor
-        if pred_kernel is None or (
-            governor is not None and governor.max_rows is not None
-        ):
-            # Row budgets trip at exactly one unit over (the governor's
-            # contract, pinned by its tests); chunked inputs settle whole
-            # chunks at a time and would overshoot.  Under a row budget the
-            # join stays row-driven, like the hash operators' row-mode
-            # builds under a memory budget.
-            yield from PhysicalOperator.batches(self)
-            return
-        right_rows = self._materialize_right()
-        m = len(right_rows)
-        right_cols = {
-            col: [env[col] for env in right_rows]
-            for col in self.right_columns
-        }
+        right_cols, m = self._materialize_right()
         right_items = list(right_cols.items())
         needed = free_vars(self.pred)
         outer = self.outer
@@ -655,8 +453,6 @@ class PNestedLoopJoin(PhysicalOperator):
                     else:
                         flags, t, err = self._run_kernel(pred_kernel, probe, m)
                     if governor is not None:
-                        # Row parity: the unit precedes the predicate call,
-                        # so a faulting pair was still charged.
                         governor.tick_many(t + 1 if err is not None else m)
                     count = m if flags is None else flags.count(True)
                     if count:
@@ -698,12 +494,114 @@ class PNestedLoopJoin(PhysicalOperator):
         return f"{kind}({self.pred})"
 
 
-class PHashJoin(PhysicalOperator):
+class _EquiJoin(PhysicalOperator):
+    """What the hash and sort-merge joins share: equi-key candidates are
+    found by the subclass, the residual predicate and the emission of
+    matches and outer pads are the same."""
+
+    def __init__(
+        self,
+        context: _Context,
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        residual: Term,
+        right_columns: tuple[str, ...],
+        outer: bool,
+    ):
+        super().__init__()
+        self._context = context
+        self.left = left
+        self.right = right
+        self.residual = residual
+        self.right_columns = right_columns
+        self.outer = outer
+        self._holds = self._pred_kernel(context, residual)
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return (self.left, self.right)
+
+    def _emit_candidates(
+        self,
+        cols: Mapping[str, list],
+        n: int,
+        counts: list[int],
+        parent_of: list[int],
+        match_rows: list[tuple],
+        kerr: Any,
+    ) -> Iterator[Chunk]:
+        """Filter candidate pairs through the residual and emit the result.
+
+        Left row *i* of the *n*-row chunk *cols* has ``counts[i]``
+        candidate right tuples (aligned to ``right_columns``), laid out
+        consecutively in *match_rows* with ``parent_of`` naming each
+        candidate's left row.  Every candidate is a work unit (on a
+        residual fault the failing pair included).  A left row without a
+        surviving candidate pads on an outer join; *kerr* (a key fault past
+        row *n*) is raised after the rows that preceded it.
+        """
+        right_columns = self.right_columns
+        outer = self.outer
+        governor = self._context.governor
+        total = len(match_rows)
+        if total and not self._holds.trivial_true:
+            ccols = {
+                name: [col[i] for i in parent_of] for name, col in cols.items()
+            }
+            for j, col_name in enumerate(right_columns):
+                ccols[col_name] = [row[j] for row in match_rows]
+            flags, passed, perr = self._run_kernel(self._holds, ccols, total)
+        else:
+            flags, passed, perr = None, total, None
+        if governor is not None:
+            governor.tick_many(passed + 1 if perr is not None else total)
+        bad_parent = parent_of[passed] if perr is not None else None
+        pending = perr if perr is not None else kerr
+        out_cols: dict[str, list] = {name: [] for name in cols}
+        right_out: list[list] = [[] for _ in right_columns]
+        left_appends = [(out_cols[name].append, cols[name]) for name in cols]
+        right_appends = [col.append for col in right_out]
+        emitted = 0
+        cursor = 0
+        for i in range(n):
+            if i == bad_parent:
+                # The residual faulted mid-row: emit the candidates that
+                # preceded the fault, no outer pad (matched is undecided).
+                stop = passed
+            else:
+                stop = cursor + counts[i]
+            matched = False
+            for c in range(cursor, stop):
+                if flags is None or flags[c]:
+                    matched = True
+                    row = match_rows[c]
+                    for append, col in left_appends:
+                        append(col[i])
+                    for append, v in zip(right_appends, row):
+                        append(v)
+                    emitted += 1
+            if i == bad_parent:
+                break
+            cursor = stop
+            if outer and not matched:
+                for append, col in left_appends:
+                    append(col[i])
+                for append in right_appends:
+                    append(NULL)
+                emitted += 1
+        if emitted:
+            for col_name, values in zip(right_columns, right_out):
+                out_cols[col_name] = values
+            yield self._emit_chunk(Chunk(out_cols, emitted))
+        if pending is not None:
+            raise pending
+
+
+class PHashJoin(_EquiJoin):
     """Hash (outer-)join on extracted equi-keys, with a residual predicate.
 
-    The build-side hash table is constructed on the first ``rows()`` entry
-    and reused by re-entries (e.g. when this join is the inner of a nested
-    loop), so the build input's rows are produced exactly once per
+    The build-side hash table is constructed on the first ``batches()``
+    entry and reused by re-entries (e.g. when this join is the inner of a
+    nested loop), so the build input's rows are produced exactly once per
     execution.
     """
 
@@ -718,83 +616,51 @@ class PHashJoin(PhysicalOperator):
         right_columns: tuple[str, ...],
         outer: bool,
     ):
-        super().__init__()
-        self._context = context
-        self.left = left
-        self.right = right
+        super().__init__(context, left, right, residual, right_columns, outer)
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.residual = residual
-        self.right_columns = right_columns
-        self.outer = outer
-        self._left_key_fns = tuple(self._expr(context, k) for k in left_keys)
-        self._right_key_fns = tuple(self._expr(context, k) for k in right_keys)
-        self._holds = self._pred(context, residual)
-        self._table: dict[tuple[Any, ...], list[Env]] | None = None
-        #: Batch-mode build table: buckets of right-row tuples aligned to
-        #: ``right_columns`` (no per-row dicts).  Built on first batches()
-        #: entry, memoized like ``_table``.
-        self._tuple_table: dict[Any, list[tuple]] | None = None
+        self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
+        self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
+        #: Buckets of right-row tuples aligned to ``right_columns`` (no
+        #: per-row dicts), memoized on first entry.
+        self._table: dict[Any, list[tuple]] | None = None
 
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
+    def _key_columns(
+        self, kernels: tuple[CompiledKernel, ...], cols: Mapping[str, list], n: int
+    ) -> tuple[list[list], int, Any]:
+        """Evaluate join-key kernels over a chunk: one value list per key,
+        all truncated to the rows that precede the first key fault."""
+        err = None
+        parts: list[list] = []
+        for kernel in kernels:
+            values, t, e = self._run_kernel(kernel, cols, n)
+            if t < n:
+                n = t
+                err = e
+                parts = [part[:n] for part in parts]
+            parts.append(values)
+        return parts, n, err
 
-    def _build_table(self) -> dict[Any, list[Env]]:
+    def _build_table(self) -> dict[Any, list[tuple]]:
         # Keys are wrapped with identity_key so that `=` on stored objects
         # matches hash-probe semantics to apply_binop's identity equality.
         # Single-key joins (the common case) use the bare key — no tuple
         # allocation per row; probes below agree on the representation.
-        table: dict[Any, list[Env]] = {}
-        key_fns = self._right_key_fns
-        charge = self._context.charge_fn()
-        if len(key_fns) == 1 and charge is None:
-            (key_fn,) = key_fns
-            for right_env in self.right.rows():
-                key = identity_key(key_fn(right_env))
-                table.setdefault(key, []).append(right_env)
-            return table
-        single = key_fns[0] if len(key_fns) == 1 else None
-        for nb, right_env in enumerate(self.right.rows()):
-            if single is not None:
-                key = identity_key(single(right_env))
-            else:
-                key = tuple(identity_key(fn(right_env)) for fn in key_fns)
-            if charge is not None and not nb & _STRIDE_MASK:
-                # Sampled: one row charges for its whole stride.
-                charge(estimate_bytes(right_env) * SAMPLE_STRIDE)
-            table.setdefault(key, []).append(right_env)
-        return table
-
-    def _build_tuple_table(self) -> dict[Any, list[tuple]]:
-        context = self._context
         right_columns = self.right_columns
-        if context.charge_fn() is not None:
-            # Memory-budgeted builds go through the row-mode build so the
-            # stride-sampled byte charging is identical to the row path,
-            # then convert the buckets to column-aligned tuples.
-            if self._table is None:
-                self._table = self._build_table()
-            return {
-                key: [tuple(env[col] for col in right_columns) for env in envs]
-                for key, envs in self._table.items()
-            }
-        key_kernels = tuple(context.kernel(k) for k in self.right_keys)
+        charge = self._context.charge_fn()
         table: dict[Any, list[tuple]] = {}
+        setdefault = table.setdefault
+        seen = 0
         for chunk in self.right.batches():
             cols = chunk.columns
-            n = chunk.length
-            err = None
-            key_parts: list[list] = []
-            for kernel in key_kernels:
-                values, t, e = self._run_kernel(kernel, cols, n)
-                if t < n:
-                    n = t
-                    err = e
-                    key_parts = [part[:n] for part in key_parts]
-                key_parts.append(values)
+            if charge is not None:
+                _charge_chunk(charge, chunk, seen)
+                seen += chunk.length
+            key_parts, n, err = self._key_columns(
+                self._right_key_kernels, cols, chunk.length
+            )
             col_lists = [cols[col][:n] for col in right_columns]
             row_tuples = list(zip(*col_lists)) if col_lists else [()] * n
-            setdefault = table.setdefault
             if len(key_parts) == 1:
                 (keys,) = key_parts
                 for key_value, row in zip(keys, row_tuples):
@@ -804,37 +670,23 @@ class PHashJoin(PhysicalOperator):
                     key = tuple(identity_key(part[i]) for part in key_parts)
                     setdefault(key, []).append(row)
             if err is not None:
-                # A key-expression fault fails the build exactly as the
-                # row-mode build would at that right row.
+                # A key-expression fault fails the build at that right row.
                 raise err
         return table
 
     def batches(self) -> Iterator[Chunk]:
-        context = self._context
-        if not context.batched:
-            yield from PhysicalOperator.batches(self)
-            return
-        left_kernels = tuple(context.kernel(k) for k in self.left_keys)
-        residual_kernel = context.pred_kernel(self.residual)
-        if self._tuple_table is None:
-            self._tuple_table = self._build_tuple_table()
-        table = self._tuple_table
+        if self._table is None:
+            self._table = self._build_table()
+        table = self._table
         right_columns = self.right_columns
         outer = self.outer
-        governor = context.governor
-        trivial = residual_kernel.trivial_true
+        governor = self._context.governor
+        trivial = self._holds.trivial_true
         for chunk in self.left.batches():
             cols = chunk.columns
-            n = chunk.length
-            kerr = None
-            key_parts: list[list] = []
-            for kernel in left_kernels:
-                values, t, e = self._run_kernel(kernel, cols, n)
-                if t < n:
-                    n = t
-                    kerr = e
-                    key_parts = [part[:n] for part in key_parts]
-                key_parts.append(values)
+            key_parts, n, kerr = self._key_columns(
+                self._left_key_kernels, cols, chunk.length
+            )
             single = key_parts[0] if len(key_parts) == 1 else None
             if trivial and kerr is None:
                 # Fast path (no residual, no key fault): build the output
@@ -902,107 +754,9 @@ class PHashJoin(PhysicalOperator):
                 counts.append(len(bucket))
                 match_rows.extend(bucket)
                 parent_of.extend([i] * len(bucket))
-            total = len(match_rows)
-            if total and not trivial:
-                ccols = {
-                    name: [col[i] for i in parent_of]
-                    for name, col in cols.items()
-                }
-                for j, col_name in enumerate(right_columns):
-                    ccols[col_name] = [row[j] for row in match_rows]
-                flags, passed, perr = self._run_kernel(
-                    residual_kernel, ccols, total
-                )
-            else:
-                flags, passed, perr = None, total, None
-            if governor is not None:
-                # Row parity: one unit per pair considered; on a residual
-                # fault the row path ticked the failing pair too.
-                governor.tick_many(passed + 1 if perr is not None else total)
-            bad_parent = parent_of[passed] if perr is not None else None
-            pending = perr if perr is not None else kerr
-            out_cols: dict[str, list] = {name: [] for name in cols}
-            right_out: list[list] = [[] for _ in right_columns]
-            left_appends = [(out_cols[name].append, cols[name]) for name in cols]
-            right_appends = [col.append for col in right_out]
-            emitted = 0
-            cursor = 0
-            for i in range(n):
-                if i == bad_parent:
-                    for c in range(cursor, passed):
-                        if flags[c]:
-                            row = match_rows[c]
-                            for append, col in left_appends:
-                                append(col[i])
-                            for append, v in zip(right_appends, row):
-                                append(v)
-                            emitted += 1
-                    break
-                count = counts[i]
-                matched = False
-                for c in range(cursor, cursor + count):
-                    if flags is None or flags[c]:
-                        matched = True
-                        row = match_rows[c]
-                        for append, col in left_appends:
-                            append(col[i])
-                        for append, v in zip(right_appends, row):
-                            append(v)
-                        emitted += 1
-                cursor += count
-                if outer and not matched:
-                    for append, col in left_appends:
-                        append(col[i])
-                    for append in right_appends:
-                        append(NULL)
-                    emitted += 1
-            if emitted:
-                for col_name, values in zip(right_columns, right_out):
-                    out_cols[col_name] = values
-                yield self._emit_chunk(Chunk(out_cols, emitted))
-            if pending is not None:
-                raise pending
-
-    def rows(self) -> Iterator[Env]:
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        if self._table is None:
-            self._table = self._build_table()
-        table = self._table
-        key_fns = self._left_key_fns
-        holds = self._holds
-        padding = {col: NULL for col in self.right_columns}
-        single = len(key_fns) == 1
-        if single:
-            (key_fn,) = key_fns
-        for left_env in self.left.rows():
-            if single:
-                value = key_fn(left_env)
-                null_key = value is NULL
-                key = identity_key(value)
-            else:
-                values = tuple(fn(left_env) for fn in key_fns)
-                null_key = any(part is NULL for part in values)
-                key = tuple(identity_key(v) for v in values)
-            matched = False
-            if not null_key:
-                for right_env in table.get(key, ()):
-                    units += 1
-                    if units >= batch:
-                        governor.tick_many(units)
-                        units = 0
-                        batch = governor.batch()
-                    env = {**left_env, **right_env}
-                    if holds(env):
-                        matched = True
-                        self.rows_produced += 1
-                        yield env
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-        if governor is not None:
-            governor.tick_many(units)
+            yield from self._emit_candidates(
+                cols, n, counts, parent_of, match_rows, kerr
+            )
 
     def describe(self) -> str:
         kind = "HashOuterJoin" if self.outer else "HashJoin"
@@ -1014,7 +768,7 @@ class PHashJoin(PhysicalOperator):
         return f"{kind}({keys})"
 
 
-class PMergeJoin(PhysicalOperator):
+class PMergeJoin(_EquiJoin):
     """Sort-merge (outer-)join on a single equi-key.
 
     Both inputs are materialized, NULL keys filtered symmetrically on both
@@ -1039,89 +793,106 @@ class PMergeJoin(PhysicalOperator):
         right_columns: tuple[str, ...],
         outer: bool,
     ):
-        super().__init__()
-        self._context = context
-        self.left = left
-        self.right = right
+        super().__init__(context, left, right, residual, right_columns, outer)
         self.left_key = left_key
         self.right_key = right_key
-        self.residual = residual
-        self.right_columns = right_columns
-        self.outer = outer
-        self._left_key_fn = self._expr(context, left_key)
-        self._right_key_fn = self._expr(context, right_key)
-        self._holds = self._pred(context, residual)
+        self._left_key_kernel = self._kernel(context, left_key)
+        self._right_key_kernel = self._kernel(context, right_key)
         self._right_rows: list[tuple] | None = None
 
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def _keyed(self, source: PhysicalOperator, key_fn) -> Iterator[tuple]:
-        # (sort wrapper, identity key, env) per row; NULL keys are filtered
-        # symmetrically — a NULL key never equi-joins on either side.
-        for env in source.rows():
-            value = key_fn(env)
-            if is_null(value):
-                yield None, None, env
+    def _keyed(
+        self,
+        source: PhysicalOperator,
+        kernel: CompiledKernel,
+        names: tuple[str, ...] | None,
+    ) -> tuple[tuple[str, ...], list[tuple]]:
+        """Materialize *source* as (sort wrapper, identity key, row tuple)
+        triples, the tuples aligned to *names* (default: the columns of the
+        first chunk, returned).  NULL keys get a None wrapper — a NULL key
+        never equi-joins on either side."""
+        keyed: list[tuple] = []
+        for chunk in source.batches():
+            cols = chunk.columns
+            if names is None:
+                names = tuple(cols)
+            values, _, err = self._run_kernel(kernel, cols, chunk.length)
+            if err is not None:
+                raise err
+            if names:
+                rows: Any = zip(*(cols[name] for name in names))
             else:
-                key = identity_key(value)
-                yield identity_sort_key(key), key, env
+                rows = [()] * chunk.length
+            for value, row in zip(values, rows):
+                if is_null(value):
+                    keyed.append((None, None, row))
+                else:
+                    key = identity_key(value)
+                    keyed.append((identity_sort_key(key), key, row))
+        return names or (), keyed
 
-    def rows(self) -> Iterator[Env]:
-        charge = self._context.charge_fn()
+    def batches(self) -> Iterator[Chunk]:
+        context = self._context
+        charge = context.charge_fn()
         if self._right_rows is None:
-            right_rows = [
-                row
-                for row in self._keyed(self.right, self._right_key_fn)
-                if row[0] is not None
-            ]
+            _, keyed = self._keyed(
+                self.right, self._right_key_kernel, self.right_columns
+            )
+            right_rows = [row for row in keyed if row[0] is not None]
             right_rows.sort(key=lambda row: row[0])
             if charge is not None:
                 charge(estimate_buffer_bytes(right_rows, get=lambda r: r[2]))
             self._right_rows = right_rows
         right_rows = self._right_rows
-        left_rows = list(self._keyed(self.left, self._left_key_fn))
+        names, left_rows = self._keyed(self.left, self._left_key_kernel, None)
         if charge is not None:
             charge(estimate_buffer_bytes(left_rows, get=lambda r: r[2]))
-        nullish = [env for wrapper, _, env in left_rows if wrapper is None]
+        nullish = [row for wrapper, _, row in left_rows if wrapper is None]
         sortable = [row for row in left_rows if row[0] is not None]
         sortable.sort(key=lambda row: row[0])
-        padding = {col: NULL for col in self.right_columns}
-        holds = self._holds
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-
+        governor = context.governor
+        size = context.batch_size
+        end = len(right_rows)
         index = 0
-        for wrapper, key, left_env in sortable:
-            while index < len(right_rows) and right_rows[index][0] < wrapper:
-                index += 1
-            matched = False
-            probe = index
-            while probe < len(right_rows) and right_rows[probe][0] == wrapper:
-                units += 1
-                if units >= batch:
-                    governor.tick_many(units)
-                    units = 0
-                    batch = governor.batch()
-                # Wrapper equality is coarser than key equality: confirm on
-                # the raw identity keys before pairing.
-                if right_rows[probe][1] == key:
-                    env = {**left_env, **right_rows[probe][2]}
-                    if holds(env):
-                        matched = True
-                        self.rows_produced += 1
-                        yield env
-                probe += 1
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
-        if governor is not None:
-            governor.tick_many(units)
+        for start in range(0, len(sortable), size):
+            block = sortable[start : start + size]
+            counts: list[int] = []
+            parent_of: list[int] = []
+            match_rows: list[tuple] = []
+            skipped = 0
+            for i, (wrapper, key, _) in enumerate(block):
+                while index < end and right_rows[index][0] < wrapper:
+                    index += 1
+                probe = index
+                count = 0
+                while probe < end and right_rows[probe][0] == wrapper:
+                    # Wrapper equality is coarser than key equality: confirm
+                    # on the raw identity keys before pairing.
+                    if right_rows[probe][1] == key:
+                        match_rows.append(right_rows[probe][2])
+                        count += 1
+                    else:
+                        skipped += 1
+                    probe += 1
+                counts.append(count)
+                parent_of.extend([i] * count)
+            if governor is not None:
+                # Pairs rejected on the raw key were still considered.
+                governor.tick_many(skipped)
+            cols = self._columns(names, [row for _, _, row in block])
+            yield from self._emit_candidates(
+                cols, len(block), counts, parent_of, match_rows, None
+            )
         if self.outer:
-            for left_env in nullish:
-                self.rows_produced += 1
-                yield {**left_env, **padding}
+            for start in range(0, len(nullish), size):
+                block = nullish[start : start + size]
+                cols = self._columns(names, block)
+                for col in self.right_columns:
+                    cols[col] = [NULL] * len(block)
+                yield self._emit_chunk(Chunk(cols, len(block)))
+
+    @staticmethod
+    def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
+        return {name: [row[j] for row in rows] for j, name in enumerate(names)}
 
     def describe(self) -> str:
         kind = "MergeOuterJoin" if self.outer else "MergeJoin"
@@ -1147,54 +918,18 @@ class PUnnest(PhysicalOperator):
         self.var = var
         self.pred = pred
         self.outer = outer
-        self._path_fn = self._expr(context, path)
-        self._holds = self._pred(context, pred)
+        self._path_kernel = self._kernel(context, path)
+        self._holds = self._pred_kernel(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:
-        path_fn = self._path_fn
-        holds = self._holds
-        var = self.var
-        governor = self._context.governor
-        units = 0
-        batch = self._context.batch()
-        for env in self.child.rows():
-            value = path_fn(env)
-            matched = False
-            if not is_null(value):
-                if not isinstance(value, CollectionValue):
-                    raise EvaluationError(
-                        f"unnest path evaluated to {type(value).__name__}"
-                    )
-                for element in value.elements():
-                    units += 1
-                    if units >= batch:
-                        governor.tick_many(units)
-                        units = 0
-                        batch = governor.batch()
-                    extended = {**env, var: element}
-                    if holds(extended):
-                        matched = True
-                        self.rows_produced += 1
-                        yield extended
-            if self.outer and not matched:
-                self.rows_produced += 1
-                yield {**env, var: NULL}
-        if governor is not None:
-            governor.tick_many(units)
-
     def batches(self) -> Iterator[Chunk]:
-        context = self._context
-        path_kernel = context.kernel(self.path)
-        if path_kernel is None:
-            yield from PhysicalOperator.batches(self)
-            return
-        pred_kernel = context.pred_kernel(self.pred)
+        path_kernel = self._path_kernel
+        pred_kernel = self._holds
         var = self.var
         outer = self.outer
-        governor = context.governor
+        governor = self._context.governor
         trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
             cols = chunk.columns
@@ -1258,7 +993,7 @@ class PUnnest(PhysicalOperator):
                 elements.extend(elems)
                 parent_of.extend([i] * len(elems))
             total = len(elements)
-            if total and not pred_kernel.trivial_true:
+            if total:
                 ccols = {
                     name: [col[i] for i in parent_of]
                     for name, col in cols.items()
@@ -1268,9 +1003,8 @@ class PUnnest(PhysicalOperator):
             else:
                 flags, passed, perr = None, total, None
             if governor is not None:
-                # Row parity: one unit per element *reached*.  On a
-                # predicate fault the row path ticked the failing element
-                # too (the unit precedes the holds() call).
+                # One unit per element *reached*: on a predicate fault the
+                # failing element counts too.
                 governor.tick_many(passed + 1 if perr is not None else total)
             bad_parent = parent_of[passed] if perr is not None else None
             pending = perr if perr is not None else err
@@ -1282,7 +1016,7 @@ class PUnnest(PhysicalOperator):
             for i in range(limit):
                 if i == bad_parent:
                     # The predicate faulted mid-parent: emit the candidates
-                    # the row path reached, no outer padding (matched is
+                    # that preceded the fault, no outer padding (matched is
                     # undecided there), and stop.
                     for c in range(cursor, passed):
                         if flags[c]:
@@ -1319,8 +1053,8 @@ class PHashNest(PhysicalOperator):
     """Hash-based grouping implementation of the nest operator.
 
     Grouping is a blocking operation: the child stream is consumed and the
-    groups accumulated on the first ``rows()`` entry, then replayed by any
-    re-entry without re-running the child.
+    groups accumulated on the first ``batches()`` entry, then replayed by
+    any re-entry without re-running the child.
     """
 
     def __init__(
@@ -1343,83 +1077,45 @@ class PHashNest(PhysicalOperator):
         self.null_vars = null_vars
         self.out_var = out_var
         self.pred = pred
-        self._head_fn = self._expr(context, head)
-        self._holds = self._pred(context, pred)
+        self._head_kernel = self._kernel(context, head)
+        self._holds = self._pred_kernel(context, pred)
         self._group_rows: list[tuple[Env, Any]] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def _accumulate_rows(self, raw: bool = False):
-        monoid = self.monoid
-        merge = monoid.merge
-        head_fn = self._head_fn
-        holds = self._holds
-        group_by = self.group_by
-        null_vars = self.null_vars
-        groups: dict[tuple[Any, ...], Any] = {}
-        order: list[tuple[Any, ...]] = []
-        group_envs: dict[tuple[Any, ...], Env] = {}
-        collection = isinstance(monoid, CollectionMonoid)
-        # Raw mode (exchange workers) buffers primitive-monoid heads as
-        # element lists too, so the coordinator can replay the serial fold
-        # over the cross-partition merge instead of reassociating carriers.
-        use_list = collection or raw
-        lift = monoid.lift
-        charge = self._context.charge_fn()
-        buffered = 0
-        single = group_by[0] if len(group_by) == 1 else None
-        for env in self.child.rows():
-            # Identity-aware grouping: distinct stored objects with equal
-            # state must form distinct groups (see algebra evaluator _nest).
-            if single is not None:
-                key = identity_key(env[single])
-            else:
-                key = tuple(identity_key(env[col]) for col in group_by)
-            if key not in groups:
-                # Collection groups accumulate into a plain list and build
-                # the collection once at the end (per-row immutable merges
-                # would copy the accumulator every row).
-                groups[key] = [] if use_list else monoid.zero
-                order.append(key)
-                group_envs[key] = {col: env[col] for col in group_by}
-            if null_vars and any(env[col] is NULL for col in null_vars):
-                continue
-            if not holds(env):
-                continue
-            value = head_fn(env)
-            if use_list:
-                if collection and charge is not None:
-                    if not buffered & _STRIDE_MASK:
-                        # Sampled: one value charges for its whole stride.
-                        charge(estimate_bytes(value) * SAMPLE_STRIDE)
-                    buffered += 1
-                groups[key].append(value)
-            elif value is not NULL:
-                groups[key] = merge(groups[key], lift(value))
-        return order, groups, group_envs
+    def accumulate(self, raw: bool = False):
+        """The grouping build: kernels over child chunks.
 
-    def _accumulate_batched(self, pred_kernel, head_kernel, raw: bool = False):
-        """The batch-mode grouping build: kernels over child chunks.
-
-        Mirrors :meth:`_accumulate_rows` decision for decision — group
-        creation for *every* row (before null-var/predicate filtering),
-        NULL heads skipped only for primitive monoids, stream-order
-        merging — with the head kernel run once per chunk over the
-        filter-surviving rows.  Only used when no memory budget is active
-        (the row build's stride-sampled byte charging is the parity
-        contract there).
+        Returns ``(order, groups, group_envs)``: the first-seen key order,
+        the per-key accumulators, and the per-key group environments.  A
+        group is created for *every* row (before null-var/predicate
+        filtering); the head kernel runs once per chunk over the
+        filter-surviving rows and merges in stream order.
+        Collection-monoid accumulators are plain element lists (built into
+        the collection once at the end — per-row immutable merges would
+        copy the accumulator every row); primitive ones are pre-finalize
+        carriers with NULL heads skipped, or — with ``raw=True``, for the
+        exchange layer — element lists as well, so a coordinator can merge
+        lists across partitions and replay the serial NULL-skipping fold
+        instead of reassociating carriers (which would perturb float
+        results).  The caller finalizes via :meth:`finalize_groups` or its
+        own fold.
         """
         monoid = self.monoid
         merge = monoid.merge
         lift = monoid.lift
         group_by = self.group_by
         null_vars = self.null_vars
+        pred_kernel = self._holds
+        head_kernel = self._head_kernel
         groups: dict[Any, Any] = {}
         order: list[Any] = []
         group_envs: dict[Any, Env] = {}
         collection = isinstance(monoid, CollectionMonoid)
         use_list = collection or raw
+        charge = self._context.charge_fn() if collection else None
+        buffered = 0
         single = group_by[0] if len(group_by) == 1 else None
         trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
@@ -1429,6 +1125,8 @@ class PHashNest(PhysicalOperator):
                 flags, limit, err = None, n, None
             else:
                 flags, limit, err = self._run_kernel(pred_kernel, cols, n)
+            # Identity-aware grouping: distinct stored objects with equal
+            # state must form distinct groups (see algebra evaluator _nest).
             # Key extraction is column-at-a-time: map identity_key down
             # each grouping column and zip the results into row keys, so
             # the per-row cost is the identity_key call alone (no genexpr
@@ -1492,6 +1190,11 @@ class PHashNest(PhysicalOperator):
                     # any predicate fault at ``limit``, so it wins.
                     err = herr
                     picked = picked[:t]
+                if charge is not None:
+                    # Sampled: one buffered value charges for its stride.
+                    for j in range(-buffered % SAMPLE_STRIDE, t, SAMPLE_STRIDE):
+                        charge(estimate_bytes(values[j]) * SAMPLE_STRIDE)
+                    buffered += t
                 for value, i in zip(values, picked):
                     key = keys[i]
                     if use_list:
@@ -1501,28 +1204,6 @@ class PHashNest(PhysicalOperator):
             if err is not None:
                 raise err
         return order, groups, group_envs
-
-    def accumulate(self, raw: bool = False):
-        """Partition-local grouping state, for the exchange layer.
-
-        Returns ``(order, groups, group_envs)``: the first-seen key order,
-        the per-key accumulators, and the per-key group environments.
-        Collection-monoid accumulators are plain element lists (stream
-        order, unfolded); primitive ones are pre-finalize carriers, or —
-        with ``raw=True`` — element lists as well, so a coordinator can
-        merge lists across partitions and replay the serial NULL-skipping
-        fold instead of reassociating carriers (which would perturb float
-        results).  The caller merges states in partition order and
-        finalizes once via :meth:`finalize_groups` or its own fold.  Mode
-        selection matches :meth:`_groups`.
-        """
-        context = self._context
-        head_kernel = context.kernel(self.head)
-        if head_kernel is None or context.charge_fn() is not None:
-            return self._accumulate_rows(raw)
-        return self._accumulate_batched(
-            context.pred_kernel(self.pred), head_kernel, raw
-        )
 
     def finalize_groups(self, order, groups, group_envs) -> list:
         """Fold/finalize accumulators into ``(group_env, value)`` rows."""
@@ -1534,22 +1215,12 @@ class PHashNest(PhysicalOperator):
         return [(group_envs[key], finalize(groups[key])) for key in order]
 
     def _groups(self) -> list:
-        """The memoized grouped rows, built by whichever mode applies."""
+        """The memoized grouped rows."""
         if self._group_rows is None:
             self._group_rows = self.finalize_groups(*self.accumulate())
         return self._group_rows
 
-    def rows(self) -> Iterator[Env]:
-        group_rows = self._groups()
-        out_var = self.out_var
-        for group_env, result in group_rows:
-            self.rows_produced += 1
-            yield {**group_env, out_var: result}
-
     def batches(self) -> Iterator[Chunk]:
-        if not self._context.batched:
-            yield from PhysicalOperator.batches(self)
-            return
         group_rows = self._groups()
         out_var = self.out_var
         group_by = self.group_by
@@ -1565,6 +1236,13 @@ class PHashNest(PhysicalOperator):
     def describe(self) -> str:
         group = ",".join(self.group_by) or "()"
         return f"HashNest({self.monoid.name} -> {self.out_var} by {group})"
+
+
+def _account_result(op: PhysicalOperator, result: Any) -> Any:
+    """EXPLAIN ANALYZE accounting for a root: it "produces" the result —
+    one row per element of a collection result, one row for a scalar."""
+    op.rows_produced = len(result) if isinstance(result, CollectionValue) else 1
+    return result
 
 
 class PReduce(PhysicalOperator):
@@ -1584,65 +1262,27 @@ class PReduce(PhysicalOperator):
         self.monoid = monoid
         self.head = head
         self.pred = pred
-        self._head_fn = self._expr(context, head)
-        self._holds = self._pred(context, pred)
+        self._head_kernel = self._kernel(context, head)
+        self._holds = self._pred_kernel(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:  # pragma: no cover - roots use value()
-        yield {"__result": self.value()}
-
-    def value(self) -> Any:
-        if self._context.batched:
-            head_kernel = self._context.kernel(self.head)
-            if head_kernel is not None:
-                return self._value_batched(
-                    head_kernel, self._context.pred_kernel(self.pred)
-                )
-        monoid = self.monoid
-        merge = monoid.merge
-        head_fn = self._head_fn
-        holds = self._holds
-        if isinstance(monoid, CollectionMonoid):
-            # One-pass bulk construction instead of per-row immutable
-            # merges (which copy the whole accumulator every row).
-            result = monoid.fold_elements(
-                head_fn(env) for env in self.child.rows() if holds(env)
-            )
-            return self._account(result)
-        result = monoid.zero
-        lift = monoid.lift
-        is_all = monoid.name == "all"
-        is_some = monoid.name == "some"
-        for env in self.child.rows():
-            if not holds(env):
-                continue
-            head = head_fn(env)
-            if head is NULL:
-                continue
-            result = merge(result, lift(head))
-            if is_all and result is False:
-                return self._account(False)
-            if is_some and result is True:
-                return self._account(True)
-        return self._account(monoid.finalize(result))
-
-    def _chunk_heads(self, chunk, head_kernel, pred_kernel) -> tuple[list, Any]:
+    def _chunk_heads(self, chunk: Chunk) -> tuple[list, Any]:
         """Heads of the chunk's predicate-surviving rows, plus any fault.
 
         The returned values cover exactly the rows that precede the first
         fault in row order; a head fault wins over a later predicate fault
-        because the row path evaluates pred-then-head row by row.
+        because each row evaluates its predicate, then its head.
         """
         cols = chunk.columns
         n = chunk.length
-        if pred_kernel.trivial_true:
+        if self._holds.trivial_true:
             scols = cols
             count = n
             err = None
         else:
-            flags, limit, err = self._run_kernel(pred_kernel, cols, n)
+            flags, limit, err = self._run_kernel(self._holds, cols, n)
             count = flags.count(True)
             if not count:
                 return [], err
@@ -1655,80 +1295,58 @@ class PReduce(PhysicalOperator):
                     name: list(compress(col, flags))
                     for name, col in cols.items()
                 }
-        values, t, herr = self._run_kernel(head_kernel, scols, count)
+        values, t, herr = self._run_kernel(self._head_kernel, scols, count)
         if herr is not None:
             err = herr
         return values, err
 
-    def _value_batched(self, head_kernel, pred_kernel) -> Any:
+    def value(self) -> Any:
         monoid = self.monoid
         if isinstance(monoid, CollectionMonoid):
-            elements: list = []
-            for chunk in self.child.batches():
-                values, err = self._chunk_heads(chunk, head_kernel, pred_kernel)
-                elements.extend(values)
-                if err is not None:
-                    raise err
-            return self._account(monoid.fold_elements(elements))
+            # One-pass bulk construction instead of per-row immutable
+            # merges (which copy the whole accumulator every row).
+            return _account_result(
+                self, monoid.fold_elements(self.partial_value())
+            )
         merge = monoid.merge
         lift = monoid.lift
         result = monoid.zero
         is_all = monoid.name == "all"
         is_some = monoid.name == "some"
         for chunk in self.child.batches():
-            values, err = self._chunk_heads(chunk, head_kernel, pred_kernel)
+            values, err = self._chunk_heads(chunk)
             for head in values:
                 if head is NULL:
                     continue
                 result = merge(result, lift(head))
-                # Short-circuit *before* raising: the row path would have
-                # stopped pulling at this row and never seen the fault.
+                # Short-circuit *before* raising: the rows past the
+                # deciding one — the faulting row among them — do not count.
                 if is_all and result is False:
-                    return self._account(False)
+                    return _account_result(self, False)
                 if is_some and result is True:
-                    return self._account(True)
+                    return _account_result(self, True)
             if err is not None:
                 raise err
-        return self._account(monoid.finalize(result))
+        return _account_result(self, monoid.finalize(result))
 
     def partial_value(self) -> list:
-        """The partition-local element list, for the exchange workers.
-
-        Returns this partition's head values over the predicate-surviving
-        rows, in stream order, NULLs included (the serial primitive fold
-        skips them at merge time; the coordinator replays that exact fold
-        over the partition-order concatenation, so float arithmetic and
-        collection order match serial execution bit for bit under range
-        partitioning).  Quantifier roots (some/all) never reach here —
-        the planner keeps short-circuiting queries serial.  No result
-        accounting happens here; the gather root owns it.
+        """The head values over the predicate-surviving rows, in stream
+        order, NULLs included — the whole stream here, one partition's for
+        the exchange workers (the serial primitive fold skips NULLs at
+        merge time; the coordinator replays that exact fold over the
+        partition-order concatenation, so float arithmetic and collection
+        order match serial execution bit for bit under range
+        partitioning).  Quantifier roots (some/all) never reach here from
+        the exchange — the planner keeps short-circuiting queries serial.
+        No result accounting happens here; the root owns it.
         """
-        if self._context.batched:
-            head_kernel = self._context.kernel(self.head)
-            if head_kernel is not None:
-                return self._partial_batched(
-                    head_kernel, self._context.pred_kernel(self.pred)
-                )
-        head_fn = self._head_fn
-        holds = self._holds
-        return [head_fn(env) for env in self.child.rows() if holds(env)]
-
-    def _partial_batched(self, head_kernel, pred_kernel) -> list:
         elements: list = []
         for chunk in self.child.batches():
-            values, err = self._chunk_heads(chunk, head_kernel, pred_kernel)
+            values, err = self._chunk_heads(chunk)
             elements.extend(values)
             if err is not None:
                 raise err
         return elements
-
-    def _account(self, result: Any) -> Any:
-        # EXPLAIN ANALYZE accounting: the root "produces" the result — one
-        # row per element of a collection result, one row for a scalar.
-        self.rows_produced = (
-            len(result) if isinstance(result, CollectionValue) else 1
-        )
-        return result
 
     def describe(self) -> str:
         return f"Reduce({self.monoid.name} / {self.head})"
@@ -1742,25 +1360,22 @@ class PEval(PhysicalOperator):
         self._context = context
         self.child = child
         self.expr = expr
-        self._expr_fn = self._expr(context, expr)
+        self._expr_kernel = self._kernel(context, expr)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Env]:  # pragma: no cover - roots use value()
-        yield {"__result": self.value()}
-
     def value(self) -> Any:
-        envs = list(self.child.rows())
-        if len(envs) != 1:
+        chunks = list(self.child.batches())
+        count = sum(chunk.length for chunk in chunks)
+        if count != 1:
             raise EvaluationError(
-                f"Eval root expected exactly one row, got {len(envs)}"
+                f"Eval root expected exactly one row, got {count}"
             )
-        result = self._expr_fn(envs[0])
-        self.rows_produced = (
-            len(result) if isinstance(result, CollectionValue) else 1
-        )
-        return result
+        values, _, err = self._run_kernel(self._expr_kernel, chunks[0].columns, 1)
+        if err is not None:
+            raise err
+        return _account_result(self, values[0])
 
     def describe(self) -> str:
         return f"Eval({self.expr})"

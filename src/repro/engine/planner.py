@@ -67,14 +67,7 @@ class PlannerOptions:
     #: Prefer sort-merge over hash for single-key equi-joins.  Keys must be
     #: totally ordered values (numbers or strings).
     merge_joins: bool = False
-    #: Lower expression trees to native Python closures (repro.engine.compile)
-    #: instead of interpreting the AST per row.
-    compiled_exprs: bool = True
-    #: Pass columnar chunks between operators and evaluate expressions with
-    #: tier-3 batch kernels.  Requires ``compiled_exprs``; interpreted runs
-    #: silently stay on the row path.
-    batched_exec: bool = True
-    #: Rows per chunk on the batch path.
+    #: Rows per chunk passed between operators.
     batch_size: int = DEFAULT_BATCH_SIZE
     #: Partition the driving extent scan and run partition-local pipelines
     #: in a worker pool (repro.engine.exchange).  Plans whose shape does
@@ -100,7 +93,7 @@ def plan_physical(
     placeholders in the plan's expressions (prepared-statement execution).
     *profile* makes operators time their expression evaluation (EXPLAIN
     ANALYZE).  *compiler* reuses a caller-owned :class:`ExprCompiler` so its
-    memoized closures survive across executions (the plan cache passes the
+    memoized kernels survive across executions (the plan cache passes the
     one stored on ``CompiledQuery``).  *governor* is an optional
     :class:`repro.engine.governor.Governor` ticked from every operator loop
     of this execution.
@@ -124,11 +117,9 @@ def plan_physical(
     context = _Context(
         database,
         params,
-        compiled_exprs=options.compiled_exprs,
         profile=profile,
         compiler=compiler,
         governor=governor,
-        batched_exec=options.batched_exec,
         batch_size=options.batch_size,
     )
     return _build(plan, context, options)

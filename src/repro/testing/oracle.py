@@ -10,13 +10,7 @@ that: it runs a query through *every* path the repo can execute —
 * ``algebra-logical`` — the unnested operator tree evaluated by the naive
   logical interpreter (no physical planning);
 * ``pipeline-default`` — the full pipeline with default options;
-* ``pipeline-interpreted-exprs`` — expression compilation disabled, so every
-  per-row expression goes through the tree-walking interpreter (pins the
-  compiled engine of ``pipeline-default`` against the interpreted one);
-* ``pipeline-row-exec`` — batch execution disabled, so operators stream one
-  environment dict per row (the tuple-at-a-time oracle the batched default
-  path is cross-checked against);
-* ``pipeline-batched-exec`` — batch execution with a deliberately tiny,
+* ``pipeline-batched-exec`` — the same with a deliberately tiny,
   non-divisible chunk size (7 rows), stressing chunk-boundary handling that
   the default 1024-row chunks rarely reach;
 * ``pipeline-nl-joins`` — hash joins disabled (everything nested-loop);
@@ -302,11 +296,6 @@ PATHS: tuple[tuple[str, Callable[[str, Mapping[str, Any], Database], Any]], ...]
     ("calculus-normalized", _path_calculus_normalized),
     ("algebra-logical", _path_algebra_logical),
     ("pipeline-default", _pipeline_path()),
-    # compiled_exprs=True is the default, so pipeline-default runs the
-    # expression codegen; this path pins the interpreted-expression engine
-    # against it, making compiled-vs-interpreted a differential axis.
-    ("pipeline-interpreted-exprs", _pipeline_path(compiled_exprs=False)),
-    ("pipeline-row-exec", _pipeline_path(batched_exec=False)),
     ("pipeline-batched-exec", _pipeline_path(batch_size=7)),
     ("pipeline-nl-joins", _pipeline_path(hash_joins=False)),
     ("pipeline-no-index", _pipeline_path(index_scans=False)),

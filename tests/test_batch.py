@@ -1,12 +1,13 @@
-"""Batch-at-a-time execution: chunk plumbing, tier-3 kernels, row parity.
+"""Chunk-at-a-time execution: chunk plumbing, kernels, interpreter parity.
 
-The batch layer's contract is that it is *observationally identical* to the
-tuple-at-a-time path it replaced as the default: same results, same
-structured errors at the same rows, same governor work-unit totals on
-draining queries.  These tests pin that contract directly — batch vs row
-on the same database — plus the chunk-boundary mechanics (partial chunks,
-tiny and non-divisible batch sizes, empty inputs), the kernel truncation
-protocol, and the EXPLAIN ANALYZE chunk accounting.
+The chunked engine's contract is that it is *observationally identical* to
+the calculus interpreter evaluating the same query row by row: same
+results, same structured errors at the same rows, and governor work-unit
+totals that do not depend on the chunk size.  These tests pin that
+contract directly — engine vs the oracle's ``calculus-raw`` path on the
+same database — plus the chunk-boundary mechanics (partial chunks, tiny and
+non-divisible batch sizes, empty inputs), the kernel truncation protocol,
+and the EXPLAIN ANALYZE chunk accounting.
 """
 
 from __future__ import annotations
@@ -15,34 +16,46 @@ from itertools import product
 
 import pytest
 
-from repro.calculus.terms import BinOp, Const, Var
+from repro.algebra.operators import Reduce, Scan
+from repro.calculus.evaluator import Evaluator
+from repro.calculus.terms import Apply, BinOp, Const, Lambda, Var, path
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
+from repro.data.datagen import university_database
 from repro.data.values import NULL, CollectionValue, Record
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
 from repro.engine.compile import ExprCompiler
+from repro.engine.executor import run_with_stats
+from repro.engine.planner import PlannerOptions
 from repro.errors import QueryError
-from repro.testing.oracle import results_equal
+from repro.testing.oracle import PATHS, results_equal
+
+#: The reference semantics: direct evaluation of the translated calculus
+#: term by the tree-walking interpreter (no unnesting, no physical plan).
+calculus_raw = dict(PATHS)["calculus-raw"]
 
 
-def run_both(db, oql, batch_size=DEFAULT_BATCH_SIZE, **params):
-    """Execute *oql* batched and row-at-a-time; assert agreement."""
-    batched = QueryPipeline(db, OptimizerOptions(batch_size=batch_size))
-    rowed = QueryPipeline(db, OptimizerOptions(batched_exec=False))
-    b = batched.run_oql(oql, **params)
-    r = rowed.run_oql(oql, **params)
-    assert results_equal(b, r), f"batch/row disagreement on {oql!r}"
-    return b
+def run_both(db, oql, batch_size=DEFAULT_BATCH_SIZE, options=None, **params):
+    """Execute *oql* on the chunked engine and through the calculus
+    interpreter; assert agreement."""
+    options = OptimizerOptions(batch_size=batch_size, **(options or {}))
+    engine = QueryPipeline(db, options).run_oql(oql, **params)
+    reference = calculus_raw(oql, params, db)
+    assert results_equal(engine, reference), (
+        f"engine/interpreter disagreement on {oql!r}"
+    )
+    return engine
 
 
 def both_fail(db, oql, batch_size=DEFAULT_BATCH_SIZE):
-    """Both paths must fail with a structured QueryError; return the pair."""
-    with pytest.raises(QueryError) as bexc:
+    """Both the engine and the interpreter must fail with a structured
+    QueryError; return the pair."""
+    with pytest.raises(QueryError) as eexc:
         QueryPipeline(db, OptimizerOptions(batch_size=batch_size)).run_oql(oql)
     with pytest.raises(QueryError) as rexc:
-        QueryPipeline(db, OptimizerOptions(batched_exec=False)).run_oql(oql)
-    return bexc.value, rexc.value
+        calculus_raw(oql, {}, db)
+    return eexc.value, rexc.value
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +112,7 @@ class TestChunkRows:
 
 
 # ---------------------------------------------------------------------------
-# Tier-3 kernels: a full operator/value sweep against the row closures
+# Kernels: a full operator/value sweep against the calculus interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -114,26 +127,25 @@ class TestKernelSweep:
         "op", ["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=",
                "and", "or"]
     )
-    def test_kernel_matches_row_closure(self, op):
-        compiler = ExprCompiler()
+    def test_kernel_matches_interpreter(self, op):
         term = BinOp(op, Var("x"), Var("y"))
-        kernel = compiler.compile_kernel(term)
-        closure = compiler.compile(term)
+        kernel = ExprCompiler().compile_kernel(term)
+        interpret = Evaluator(Database()).evaluate
         pairs = list(product(self.VALUES, repeat=2))
         cols = {"x": [p[0] for p in pairs], "y": [p[1] for p in pairs]}
         values, t, err = kernel.fn(cols, len(pairs))
         assert len(values) == t
         for i in range(t):
-            expect = closure.fn({"x": pairs[i][0], "y": pairs[i][1]})
+            expect = interpret(term, {"x": pairs[i][0], "y": pairs[i][1]})
             assert values[i] is expect or values[i] == expect or (
                 expect is NULL and values[i] is NULL
             ), f"{op}: row {i} {pairs[i]} -> {values[i]!r} != {expect!r}"
         if t < len(pairs):
-            # The kernel truncated: the row closure must fault on the very
+            # The kernel truncated: the interpreter must fault on the very
             # same operand pair, with the very same error class.
             assert err is not None
             with pytest.raises(type(err)):
-                closure.fn({"x": pairs[t][0], "y": pairs[t][1]})
+                interpret(term, {"x": pairs[t][0], "y": pairs[t][1]})
 
     def test_predicate_kernel_three_valued_filter(self):
         # x > y under 3VL: NULL operands filter as False, never raise.
@@ -185,7 +197,7 @@ NULL_QUERIES = (
 class TestNullQueries:
     @pytest.mark.parametrize("oql", NULL_QUERIES)
     @pytest.mark.parametrize("size", [1, 2, 7, DEFAULT_BATCH_SIZE])
-    def test_batch_agrees_with_row_under_nulls(self, oql, size):
+    def test_engine_agrees_with_interpreter_under_nulls(self, oql, size):
         run_both(_null_db(), oql, batch_size=size)
 
 
@@ -204,9 +216,9 @@ class TestErrorTruncation:
 
     @pytest.mark.parametrize("size", [1, 3, DEFAULT_BATCH_SIZE])
     def test_mid_stream_division_fault_on_both_paths(self, size):
-        # The zero sits mid-extent: the batch kernel truncates its chunk at
-        # that row and the rerun raises the same structured error the row
-        # path raises.
+        # The zero sits mid-extent: the kernel truncates its chunk at that
+        # row and the rerun raises the same structured error the
+        # interpreter raises.
         db = self._db([5, 4, 0, 2, 1])
         b, r = both_fail(db, "select 100 / n.v from n in N", batch_size=size)
         assert "zero" in str(b) and "zero" in str(r)
@@ -216,7 +228,7 @@ class TestErrorTruncation:
         # The witness (v = 5, where 100/5 > 10) precedes the poison row
         # inside the same chunk: `some` merges the kernel's truncated
         # prefix in stream order and short-circuits before the captured
-        # error would surface — exactly the row path's laziness.
+        # error would surface — exactly the interpreter's laziness.
         db = self._db([5, 0, 3])
         assert run_both(db, "exists n in N: 100 / n.v > 10") is True
 
@@ -250,18 +262,19 @@ DRAINING_QUERIES = (
 
 class TestGovernorParity:
     @pytest.mark.parametrize("oql", DRAINING_QUERIES)
-    def test_work_units_match_row_mode(self, oql, company_db):
-        # A timeout configures a governor without a row budget, so the
-        # batch paths stay active and every operator still ticks; draining
-        # queries (no short-circuit) must account identical totals.
-        batched = QueryPipeline(
-            company_db, OptimizerOptions(timeout=3600.0)
-        ).run_oql_stats(oql)
-        rowed = QueryPipeline(
-            company_db, OptimizerOptions(timeout=3600.0, batched_exec=False)
-        ).run_oql_stats(oql)
-        assert results_equal(batched.result, rowed.result)
-        assert batched.governor_ticks == rowed.governor_ticks
+    def test_work_units_do_not_depend_on_chunk_size(self, oql, company_db):
+        # A timeout configures a governor without a row budget, so every
+        # operator ticks and nothing trips; draining queries (no
+        # short-circuit) must account identical totals however the stream
+        # is chunked.
+        def ticks(size):
+            stats = QueryPipeline(
+                company_db, OptimizerOptions(timeout=3600.0, batch_size=size)
+            ).run_oql_stats(oql)
+            assert results_equal(stats.result, calculus_raw(oql, {}, company_db))
+            return stats.governor_ticks
+
+        assert ticks(1) == ticks(7) == ticks(DEFAULT_BATCH_SIZE) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +306,86 @@ class TestBoundaries:
         assert isinstance(result, CollectionValue) and len(result) == 0
         assert run_both(db, "count( select f from f in F )") == 0
 
-    def test_interpreted_runs_stay_on_the_row_path(self, company_db):
-        # batched_exec needs tier-3 kernels; with expression compilation
-        # off the plan must silently run row-at-a-time and still agree.
-        pipeline = QueryPipeline(
-            company_db, OptimizerOptions(compiled_exprs=False)
+    def test_interpreter_fallback_nodes_run_inside_chunks(self):
+        # A lambda application is outside the emitter's subset: the head
+        # kernel hands that subtree to the AST interpreter per row, and the
+        # operators around it still exchange chunks and still agree.
+        db = Database()
+        db.add_extent("R", [Record(k=i) for i in range(10)])
+        head = BinOp("+", Apply(Lambda("v", Var("v")), path("r", "k")), Const(1))
+        stats = run_with_stats(
+            Reduce(Scan("R", "r"), "sum", head), db, PlannerOptions(batch_size=3)
         )
-        oql = "select e.name from e in Employees where e.salary > 30000"
-        stats = pipeline.run_oql_stats(oql)
-        assert all(op.batches_produced == 0 for op in stats.operators)
-        assert results_equal(
-            stats.result, QueryPipeline(company_db).run_oql(oql)
-        )
+        assert stats.result == sum(range(10)) + 10
+        root, scan = stats.operators
+        assert root.eval_mode == "mixed"
+        assert scan.batches_produced == 4
+
+    # The operators below had no chunk-native body before the row protocol
+    # went away; each is driven across chunk boundaries here.
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("dno", [3, NULL, 999])
+    def test_index_scan(self, size, dno):
+        db = Database()
+        rows = [Record(name=f"e{i}", dno=i % 4) for i in range(30)]
+        db.add_extent("Employees", rows + [Record(name="nobody", dno=NULL)])
+        db.create_index("Employees", "dno")
+        oql = "select e.name from e in Employees where e.dno = :d"
+        plan = QueryPipeline(db).compile_oql(oql).explain(db)
+        assert "IndexScan" in plan
+        result = run_both(db, oql, batch_size=size, d=dno)
+        # A NULL key matches nothing — not the NULL-attributed object the
+        # index files under the NULL key.
+        assert len(result) == (7 if dno == 3 else 0)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize(
+        "oql",
+        [
+            "1 + 2",
+            "select distinct 1 from e in Employees",
+            "count( select e from e in Employees ) + 1",
+            "struct( a: 1, b: max( select e.age from e in Employees ) )",
+        ],
+    )
+    def test_seed_driven_and_constant_queries(self, oql, size, company_db):
+        run_both(company_db, oql, batch_size=size)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize(
+        "oql",
+        [
+            "select struct(e: e.name, d: d.name) from e in Employees, "
+            "d in Departments where e.dno = d.dno",
+            "select struct(e: e.name, d: d.name) from e in Employees, "
+            "d in Departments where e.dno = d.dno and e.age > d.dno",
+            "select struct( D: d.dno, N: count( select e from e in Employees "
+            "where e.dno = d.dno ) ) from d in Departments",
+        ],
+    )
+    def test_merge_joins(self, oql, size, company_db):
+        options = {"merge_joins": True}
+        plan = QueryPipeline(
+            company_db, OptimizerOptions(**options)
+        ).compile_oql(oql).explain(company_db)
+        assert "Merge" in plan
+        run_both(company_db, oql, batch_size=size, options=options)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize(
+        "oql",
+        [
+            "( select distinct s.id from s in Student where s.age > 25 ) union "
+            "( select distinct t.id from t in Transcript where t.grade >= 3.5 )",
+            "sum( select t.grade from t in Transcript ) / "
+            "count( select s from s in Student )",
+        ],
+    )
+    def test_eval_roots(self, oql, size):
+        db = university_database(num_students=20, num_courses=9, seed=7)
+        assert QueryPipeline(db).compile_oql(oql).explain(db).startswith("Eval")
+        run_both(db, oql, batch_size=size)
 
 
 # ---------------------------------------------------------------------------

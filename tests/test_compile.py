@@ -1,26 +1,23 @@
-"""The expression compiler: compiled closures must be indistinguishable
-from the tree-walking interpreter.
+"""The expression compiler: kernels must be indistinguishable from the
+tree-walking interpreter.
 
 Four groups of guarantees:
 
 * **Three-valued NULL logic** — a parametrized sweep over comparisons,
   arithmetic, the full ``and``/``or`` truth tables, ``if``, projections
   off NULL, and division by zero, each checked for exact agreement between
-  the compiled closure and :class:`~repro.calculus.evaluator.Evaluator`
-  (same value, or same exception class).  Every case runs through both
-  tiers: the source-generation tier (the term as-is) and the
-  closure-composition tier (the term wrapped in a ``Lambda`` application,
-  which the source emitter does not handle).
+  the kernel and :class:`~repro.calculus.evaluator.Evaluator` (same value,
+  or same exception class).
 * **Per-node fallback** — a residual comprehension subtree degrades that
   subtree to the interpreter, leaves the rest compiled, reports ``mixed``,
   and still produces the interpreter's value.
 * **Blocking-operator memoization** — hash join, nested-loop join, and
   hash nest build their blocking side exactly once per execution even when
-  their ``rows()`` stream is re-entered; the regression is pinned by
-  counting the build child's ``rows_produced``.
+  their stream is re-entered; the regression is pinned by counting the
+  build child's ``rows_produced``.
 * **EXPLAIN ANALYZE annotations** — per-operator ``eval_mode`` and
-  ``eval_ms`` reporting, in both engine modes, including the rendered
-  report text and the no-profiling default.
+  ``eval_ms`` reporting, including the rendered report text and the
+  no-profiling default.
 """
 
 from __future__ import annotations
@@ -39,17 +36,19 @@ from repro.calculus.terms import (
     IsNull,
     Lambda,
     Let,
+    Merge,
     Not,
     Null,
     Proj,
+    Singleton,
     Var,
+    Zero,
     path,
 )
-from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import NULL, Record, SetValue
-from repro.engine.compile import CompiledExpr, ExprCompiler
+from repro.engine.compile import ExprCompiler, _Counter, _KernelEmitter
 from repro.engine.physical import (
     PHashJoin,
     PHashNest,
@@ -57,7 +56,7 @@ from repro.engine.physical import (
     PScan,
     _Context,
 )
-from repro.testing.oracle import PATHS, check_sample
+from repro.testing.oracle import check_sample
 
 T, F, N = Const(True), Const(False), Null()
 X = Var("x")
@@ -86,8 +85,17 @@ def _outcome(fn):
         return None, type(exc)
 
 
+def _run(kernel, env):
+    """Evaluate *kernel* on the one-row chunk holding *env*; a captured
+    fault is raised, as an operator would replay it."""
+    values, _, err = kernel.fn({name: [value] for name, value in env.items()}, 1)
+    if err is not None:
+        raise err
+    return values[0]
+
+
 # ---------------------------------------------------------------------------
-# Three-valued NULL logic: compiled == interpreted, on both tiers
+# Three-valued NULL logic: kernel == interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -123,21 +131,22 @@ _ENV = {"x": Record(a=NULL, n=NULL)}
 def test_null_semantics_match_interpreter(term, db):
     evaluator, compiler = _engines(db)
     expected = _outcome(lambda: evaluator.evaluate(term, dict(_ENV)))
-    compiled = compiler.compile(term)
-    assert compiled.mode == "compiled"
-    assert _outcome(lambda: compiled(dict(_ENV))) == expected
+    kernel = compiler.compile_kernel(term)
+    assert kernel.mode == "compiled"
+    assert _outcome(lambda: _run(kernel, _ENV)) == expected
 
 
 @pytest.mark.parametrize("term", _null_cases(), ids=repr)
-def test_null_semantics_match_on_closure_tier(term, db):
-    # Wrapping in a Lambda application pushes the body outside the source
-    # emitter's subset, so the whole term lowers via closure composition.
-    wrapped = Apply(Lambda("_w", term), Const(0))
+def test_null_semantics_match_on_statement_form(term, db):
+    # The statement loop normally runs only as the comprehension form's
+    # error path; driven directly here, its success results must agree
+    # with the interpreter (and hence with the comprehension form) too.
     evaluator, compiler = _engines(db)
-    expected = _outcome(lambda: evaluator.evaluate(wrapped, dict(_ENV)))
-    compiled = compiler.compile(wrapped)
-    assert compiled.mode == "compiled"
-    assert _outcome(lambda: compiled(dict(_ENV))) == expected
+    expected = _outcome(lambda: evaluator.evaluate(term, dict(_ENV)))
+    emitter = _KernelEmitter(compiler, _Counter())
+    statement = emitter._statement_kernel(term, False, emitter.gen)
+    values, _, err = statement({name: [v] for name, v in _ENV.items()}, 1)
+    assert ((values[0], None) if err is None else (None, type(err))) == expected
 
 
 @pytest.mark.parametrize(
@@ -157,15 +166,16 @@ def test_null_semantics_match_on_closure_tier(term, db):
 )
 def test_connective_truth_table_pinned(term, expected, db):
     _, compiler = _engines(db)
-    assert compiler.compile(term)({}) is expected
+    assert _run(compiler.compile_kernel(term), {}) is expected
 
 
 def test_predicate_treats_null_as_false(db):
     _, compiler = _engines(db)
-    assert compiler.compile_predicate(BinOp("==", N, Const(1)))({}) is False
-    assert compiler.compile_predicate(T)({}) is True
+    predicate = compiler.compile_predicate_kernel
+    assert _run(predicate(BinOp("==", N, Const(1))), {}) is False
+    assert _run(predicate(T), {}) is True
     with pytest.raises(EvaluationError):
-        compiler.compile_predicate(Const(7))({})
+        _run(predicate(Const(7)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +188,84 @@ def test_residual_comprehension_falls_back_per_node(db):
     term = BinOp("+", comp, Const(1))
     evaluator, compiler = _engines(db)
     env = {"xs": SetValue([1, 2, 3])}
-    compiled = compiler.compile(term)
-    assert compiled.mode == "mixed"
-    assert compiled.fallback_nodes >= 1 and compiled.compiled_nodes >= 1
-    assert compiled(dict(env)) == evaluator.evaluate(term, dict(env)) == 7
+    kernel = compiler.compile_kernel(term)
+    assert kernel.mode == "mixed"
+    assert kernel.fallback_nodes >= 1 and kernel.compiled_nodes >= 1
+    assert _run(kernel, env) == evaluator.evaluate(term, dict(env)) == 7
+
+
+def test_monoid_constructors_compile(db):
+    # Zero / Singleton / Merge roots (set operations evaluate as a merge of
+    # two grouped columns) are emitted, not interpreted.
+    term = Merge("set", Merge("set", Singleton("set", Var("x")), Zero("set")), Var("s"))
+    evaluator, compiler = _engines(db)
+    env = {"x": 1, "s": SetValue([2, 3])}
+    kernel = compiler.compile_kernel(term)
+    assert kernel.mode == "compiled"
+    assert _run(kernel, env) == evaluator.evaluate(term, env) == SetValue([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "term, mode",
+    [
+        # outside the emitted subset: that subtree goes to the interpreter
+        (Apply(Lambda("v", BinOp("+", Var("v"), Const(1))), Var("x")), "mixed"),
+        # ill-formed (a primitive monoid has no unit): cannot be emitted at
+        # all, so the interpreter raises on it when evaluated
+        (Singleton("sum", Var("x")), "interpreted"),
+    ],
+    ids=repr,
+)
+def test_what_the_emitter_cannot_lower_goes_to_the_interpreter(term, mode, db):
+    evaluator, compiler = _engines(db)
+    env = {"x": 41}
+    kernel = compiler.compile_kernel(BinOp("==", term, Const(42)))
+    assert kernel.mode == mode
+    assert _outcome(lambda: _run(kernel, env)) == _outcome(
+        lambda: evaluator.evaluate(BinOp("==", term, Const(42)), env)
+    )
+
+
+def test_term_too_deep_to_emit_is_interpreted_whole(db):
+    # Python refuses to compile more than 100 levels of indentation; the
+    # statement form of a deep if-chain hits that, and lowering degrades to
+    # one interpreter call per row instead of failing to plan.
+    term = Const(0)
+    for depth in range(1, 120):
+        term = If(BinOp("==", Var("x"), Const(depth)), Const(depth), term)
+    evaluator, compiler = _engines(db)
+    kernel = compiler.compile_kernel(term)
+    assert kernel.mode == "interpreted"
+    for x in (0, 1, 119, 120):
+        assert _run(kernel, {"x": x}) == evaluator.evaluate(term, {"x": x})
 
 
 def test_memo_distinguishes_equal_constants_of_different_types(db):
     # Python's cross-type equality makes Const(True) == Const(1) ==
     # Const(1.0) with equal hashes; the memo must not serve one constant's
-    # closure for another (fuzzer-found: a some-head Const(True) received
-    # the closure of a sum-head Const(1), yielding a non-boolean predicate).
+    # kernel for another (fuzzer-found: a some-head Const(True) received
+    # the kernel of a sum-head Const(1), yielding a non-boolean predicate).
     _, compiler = _engines(db)
-    assert compiler.compile(Const(1))({}) is not compiler.compile(T)({})
-    assert compiler.compile(T)({}) is True
-    assert compiler.compile(Const(1))({}) == 1
-    assert type(compiler.compile(Const(1.0))({})) is float
-    assert type(compiler.compile(Const(0))({})) is int
-    assert compiler.compile(F)({}) is False
+
+    def value(term):
+        return _run(compiler.compile_kernel(term), {})
+
+    assert value(Const(1)) is not value(T)
+    assert value(T) is True
+    assert value(Const(1)) == 1
+    assert type(value(Const(1.0))) is float
+    assert type(value(Const(0))) is int
+    assert value(F) is False
 
 
 def test_compiled_terms_are_memoized_structurally(db):
     _, compiler = _engines(db)
     term = BinOp("==", path("r", "k"), Const(3))
-    assert compiler.compile(term) is compiler.compile(term)
+    assert compiler.compile_kernel(term) is compiler.compile_kernel(term)
     # Value and predicate lowerings are distinct entries.
-    assert compiler.compile(term) is not compiler.compile_predicate(term)
+    assert compiler.compile_kernel(term) is not compiler.compile_predicate_kernel(
+        term
+    )
 
 
 def test_compiled_query_reuses_one_compiler(db):
@@ -211,15 +273,6 @@ def test_compiled_query_reuses_one_compiler(db):
     compiled = pipeline.compile_oql("select r.v from r in R where r.k > 2")
     assert compiled.expr_compiler() is compiled.expr_compiler()
     assert isinstance(compiled.expr_compiler(), ExprCompiler)
-
-
-def test_no_compile_option_disables_the_compiler(db):
-    pipeline = QueryPipeline(db, OptimizerOptions(compiled_exprs=False))
-    compiled = pipeline.compile_oql("select r.v from r in R where r.k > 2")
-    assert compiled.expr_compiler() is None
-    assert compiled.execute(db) == QueryPipeline(db).run_oql(
-        "select r.v from r in R where r.k > 2"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +347,6 @@ class TestExplainAnalyzeAnnotations:
         assert "" in modes  # scans evaluate no expressions
         assert any(op.eval_ms > 0 for op in stats.operators if op.eval_mode)
 
-    def test_interpreted_mode_reported_when_compile_off(self, company_db):
-        pipeline = QueryPipeline(
-            company_db, OptimizerOptions(compiled_exprs=False)
-        )
-        stats = pipeline.run_oql_stats(_STATS_QUERY)
-        modes = {op.eval_mode for op in stats.operators if op.eval_mode}
-        assert modes == {"interpreted"}
-
     def test_report_renders_eval_columns(self, company_db):
         report = QueryPipeline(company_db).run_oql_stats(_STATS_QUERY).report()
         assert "exprs=compiled" in report
@@ -338,10 +383,6 @@ class TestExplainAnalyzeAnnotations:
 # ---------------------------------------------------------------------------
 # Differential wiring
 # ---------------------------------------------------------------------------
-
-
-def test_oracle_pins_interpreted_exprs_path():
-    assert "pipeline-interpreted-exprs" in dict(PATHS)
 
 
 def test_oracle_agreement_on_null_heavy_query(db):

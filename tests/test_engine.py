@@ -162,16 +162,13 @@ class TestExecution:
         plan = Reduce(
             Scan("R", "r"), "some", BinOp(">=", path("r", "k"), const(0))
         )
-        physical = plan_physical(plan, db, PlannerOptions(batched_exec=False))
-        assert physical.value() is True
-        # the predicate holds for every row, so the very first row decides
-        scan = physical.children()[0]
-        assert scan.rows_produced == 1
-        # the batch path still short-circuits, at chunk granularity: it
-        # overshoots by at most one chunk instead of reading the extent.
-        batched = plan_physical(plan, db, PlannerOptions(batch_size=2))
-        assert batched.value() is True
-        assert batched.children()[0].rows_produced == 2
+        # the predicate holds for every row, so the very first row decides:
+        # the reduce short-circuits at chunk granularity, reading one chunk
+        # instead of the extent.
+        for size in (1, 2):
+            physical = plan_physical(plan, db, PlannerOptions(batch_size=size))
+            assert physical.value() is True
+            assert physical.children()[0].rows_produced == size
 
     def test_rows_produced_accounting(self, db):
         physical = plan_physical(

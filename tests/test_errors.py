@@ -142,12 +142,13 @@ class TestErrorTaxonomyContract:
 
     @pytest.mark.parametrize("source", BROKEN)
     def test_broken_query_raises_query_error_interpreted(self, db, source):
-        """The interpreted-expression tier makes the same promise."""
+        """Naive evaluation by the calculus interpreter makes the same
+        promise."""
         from repro.core.optimizer import OptimizerOptions
         from repro.core.pipeline import QueryPipeline
         from repro.errors import QueryError
 
-        pipeline = QueryPipeline(db, OptimizerOptions(compiled_exprs=False))
+        pipeline = QueryPipeline(db, OptimizerOptions(unnest=False))
         with pytest.raises(QueryError):
             pipeline.run_oql(source)
 

@@ -89,19 +89,19 @@ class TestRepl:
         assert "unknown meta-command" in text
         assert "unknown database" in text
 
-    def test_batch_toggle_and_size(self):
+    def test_batch_size(self):
         text = self._run(
             [
-                "\\batch",
                 "count( select e from e in Employees );",
                 "\\batch 16",
                 "count( select e from e in Employees );",
+                "\\batch",
                 "\\batch nope",
                 "\\quit",
             ]
         )
-        assert "\\batch off (batch execution)" in text
-        assert "\\batch on (16 rows per chunk)" in text
-        assert "usage: \\batch" in text
-        # both modes ran the query (two result lines)
+        assert "\\batch 16 rows per chunk" in text
+        # a bare or malformed \\batch changes nothing and says how to use it
+        assert text.count("usage: \\batch N") == 2
+        # both chunk sizes ran the query (two result lines)
         assert text.count("  60") == 2

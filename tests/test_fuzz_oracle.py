@@ -143,8 +143,15 @@ class TestOracle:
         assert "algebra-logical" in names
         assert "pipeline-cached" in names
         assert "param-roundtrip" in names
-        assert len(names) == len(set(names))
-        assert len(names) >= 10
+        # the physical-engine axes: chunk boundaries, the exchange, and the
+        # two non-default join algorithms
+        assert {
+            "pipeline-batched-exec",
+            "pipeline-parallel-exec",
+            "pipeline-merge-joins",
+            "pipeline-nl-joins",
+        } <= set(names)
+        assert len(names) == len(set(names)) == 15
 
     def test_simple_query_agrees(self):
         db, _ = random_database(1)
@@ -282,6 +289,33 @@ class TestShrinker:
         assert not default_interesting(source, {}, db)
         verdict = check_sample(source, {}, db)
         assert verdict.agreed, verdict.describe()
+
+
+class TestReproArtifactsStillBite:
+    def test_const_memo_repro_needs_the_typed_memo_key(self, monkeypatch):
+        # With two oracle paths gone, show the pinned artifact still
+        # catches its bug: keying the kernel memo on the bare term again
+        # (Const(True) == Const(1)) makes the default pipeline disagree
+        # with the calculus interpreter on this sample.
+        from pathlib import Path
+
+        from repro.engine import compile as expr_compile
+        from repro.testing.repro_io import load_repro
+
+        source, params, db = load_repro(
+            Path(__file__).parent
+            / "fuzz_repros"
+            / "compiled_const_memo_bool_int_conflation.json"
+        )
+        assert check_sample(source, params, db).agreed
+        monkeypatch.setattr(
+            expr_compile, "_memo_key", lambda kind, term: (kind, term)
+        )
+        verdict = check_sample(source, params, db)
+        assert verdict.reference.path == "calculus-raw" and verdict.reference.ok
+        assert "pipeline-default" in {
+            outcome.path for outcome in verdict.disagreements()
+        }
 
 
 class TestReproIO:

@@ -31,6 +31,25 @@ def db():
 
 
 CROSS = "select e.name from e in Employees, d in Departments"
+EQUI = CROSS + " where e.dno = d.dno"
+UNNEST = "select c.name from e in Employees, c in e.children"
+#: Nested bag result: an outer-unnest feeding a collection-monoid nest,
+#: the only blocking operator in its plan.
+NESTED = (
+    "select struct(E: e.name, K: (select c.name from c in e.children)) "
+    "from e in Employees"
+)
+
+#: Per shape: (query, row budget, the most work units one input row can
+#: generate in one operator).  Each budget lies above what the scans alone
+#: tick, so at the default chunk size the trip fires inside the operator
+#: the shape is named after.
+ROW_BUDGET_SHAPES = {
+    "scan": ("select e.name from e in Employees", 50, 1),
+    "cross-join": (CROSS, 100, 60),  # one left row against the whole inner
+    "unnest": (UNNEST, 100, 3),  # the largest children collection
+    "equi-join": (EQUI, 100, 9),  # the largest department
+}
 
 
 class TestRowBudget:
@@ -39,10 +58,27 @@ class TestRowBudget:
         with pytest.raises(BudgetExceeded, match=r"max_rows=50"):
             pipeline.run_oql(CROSS)
 
-    def test_trips_exactly_one_unit_over(self, db):
-        pipeline = QueryPipeline(db, OptimizerOptions(max_rows=50))
-        with pytest.raises(BudgetExceeded, match=r"51 work units"):
-            pipeline.run_oql(CROSS)
+    @pytest.mark.parametrize("shape", sorted(ROW_BUDGET_SHAPES))
+    def test_trip_report_does_not_depend_on_chunking(self, db, shape):
+        """The row-budget contract (repro.engine.governor): the trip fires
+        at the first per-chunk settle past the budget, the work past it is
+        bounded by what one chunk generates, and the error reads the same
+        at every chunk size."""
+        oql, budget, fanout = ROW_BUDGET_SHAPES[shape]
+        reports = set()
+        for size in (1, 7, 1024):
+            options = OptimizerOptions(batch_size=size, max_rows=budget)
+            pipeline = QueryPipeline(db, options)
+            with pytest.raises(BudgetExceeded) as info:
+                pipeline.run_oql(oql)
+            reports.add(str(info.value))
+            governor = Governor(max_rows=budget)
+            physical = pipeline.compile_oql(oql).physical(db, governor=governor)
+            with pytest.raises(BudgetExceeded):
+                physical.value()
+            assert budget < governor.ticks <= budget + size * fanout
+        assert len(reports) == 1
+        assert f"more than {budget} work units" in reports.pop()
 
     def test_generous_budget_does_not_trip(self, db):
         limited = QueryPipeline(db, OptimizerOptions(max_rows=10_000_000))
@@ -95,25 +131,47 @@ class TestTimeout:
         assert info.value.stage == "execute"
 
 
+#: The blocking builds that buffer chunks: (query, the operator that
+#: buffers).  Each plan holds no other blocking operator.
+BLOCKING_SHAPES = {
+    "nested-loop-inner": (CROSS, "NLJoin"),
+    "hash-join-table": (EQUI, "HashJoin"),
+    "hash-nest-groups": (NESTED, "HashNest(bag"),
+}
+
+
+@pytest.mark.parametrize("size", [7, 1024])
+@pytest.mark.parametrize("shape", sorted(BLOCKING_SHAPES))
 class TestMemoryBudget:
-    def test_blocking_operator_build_trips(self, db):
-        # The hash join materializes the right input; ~100 bytes cannot
-        # hold 8 department environments.
-        pipeline = QueryPipeline(db, OptimizerOptions(max_bytes=100))
-        with pytest.raises(BudgetExceeded, match="memory budget"):
-            pipeline.run_oql(
-                "select e.name from e in Employees, d in Departments "
-                "where e.dno = d.dno"
-            )
-
-    def test_generous_budget_does_not_trip(self, db):
-        pipeline = QueryPipeline(db, OptimizerOptions(max_bytes=100_000_000))
-        query = (
-            "select e.name from e in Employees, d in Departments "
-            "where e.dno = d.dno"
+    def test_blocking_operator_build_trips(self, db, shape, size):
+        # ~100 bytes cannot hold one buffered row, whichever operator
+        # buffers it and however its input is chunked.
+        oql, operator = BLOCKING_SHAPES[shape]
+        pipeline = QueryPipeline(
+            db, OptimizerOptions(max_bytes=100, batch_size=size)
         )
-        assert pipeline.run_oql(query) == QueryPipeline(db).run_oql(query)
+        assert operator in pipeline.compile_oql(oql).explain(db)
+        with pytest.raises(BudgetExceeded, match="memory budget"):
+            pipeline.run_oql(oql)
 
+    def test_generous_budget_does_not_trip(self, db, shape, size):
+        oql, _ = BLOCKING_SHAPES[shape]
+        pipeline = QueryPipeline(
+            db, OptimizerOptions(max_bytes=100_000_000, batch_size=size)
+        )
+        assert pipeline.run_oql(oql) == QueryPipeline(db).run_oql(oql)
+
+    def test_peak_bytes_reported(self, db, shape, size):
+        oql, _ = BLOCKING_SHAPES[shape]
+        pipeline = QueryPipeline(
+            db, OptimizerOptions(max_bytes=100_000_000, batch_size=size)
+        )
+        stats = pipeline.run_oql_stats(oql)
+        assert stats.governor_peak_bytes > 0
+        assert "bytes buffered" in stats.report()
+
+
+class TestMemoryEstimate:
     def test_estimate_bytes_is_shallow_but_positive(self):
         assert estimate_bytes(0) > 0
         assert estimate_bytes("hello") > 0
@@ -275,11 +333,3 @@ class TestGovernorStats:
         assert stats.governor_ticks == 0
         assert "work units" not in stats.report()
 
-    def test_peak_bytes_reported_for_blocking_plans(self, db):
-        pipeline = QueryPipeline(db, OptimizerOptions(max_bytes=100_000_000))
-        stats = pipeline.run_oql_stats(
-            "select e.name from e in Employees, d in Departments "
-            "where e.dno = d.dno"
-        )
-        assert stats.governor_peak_bytes > 0
-        assert "bytes buffered" in stats.report()

@@ -470,7 +470,7 @@ class TestRefusals:
 class TestOracleIntegration:
     def test_sqlite_paths_are_registered(self):
         names = [name for name, _ in PATHS]
-        assert len(names) == 17
+        assert len(names) == 15
         assert "sqlite-shredded" in names
         assert "sqlite-shredded-pushdown" in names
         assert "sqlite-shredded-cached-plan" in names
