@@ -58,6 +58,7 @@ from repro.calculus.terms import (
     fresh_name,
     free_vars,
     substitute,
+    subterms,
     transform,
 )
 from repro.core.rewrite import RewriteEngine, Rule, RuleSet
@@ -179,6 +180,31 @@ def _some_head_to_filter(term: Term) -> Term | None:
     ):
         return Comprehension(
             "some", Const(True), term.qualifiers + (Filter(term.head),)
+        )
+    return None
+
+
+@NORMALIZATION_RULES.rule(
+    "all-head-to-filter",
+    "all{ p | q̄ } → all{ false | q̄, ¬p } (our dual of some-head-to-filter, "
+    "not a paper rule: only a False head moves `all`, so the negated head "
+    "is a filter and feeds join predicates)",
+)
+def _all_head_to_filter(term: Term) -> Term | None:
+    # Exact under the left-biased 3VL: ¬p is evaluated on the same bindings
+    # as p, and True/NULL heads contribute nothing to `all`.  A head that
+    # contains a comprehension is left alone — the unnesting algorithm
+    # splices it as its own box (QUERY E, Figure 2), which a filter copy of
+    # it would change.
+    if (
+        isinstance(term, Comprehension)
+        and term.monoid_name == "all"
+        and term.head != Const(False)
+        and not any(isinstance(t, Comprehension) for t in subterms(term.head))
+    ):
+        negated = normalize_predicates(Not(term.head))
+        return Comprehension(
+            "all", Const(False), term.qualifiers + (Filter(negated),)
         )
     return None
 

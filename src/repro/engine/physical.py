@@ -10,6 +10,9 @@ algorithms:
   keys — the very optimization the paper says unnesting enables for
   QUERY E);
 * hash-based grouping for the nest operator (single pass);
+* the **group-join**: a nest that groups an outer-join by the join's own
+  left columns runs as one keyed operator, folding each left row's matches
+  without the join ever materialising a pair;
 * streaming reduce with quantifier short-circuiting.
 
 Every operator implements one protocol, ``batches()``: a restartable stream
@@ -31,8 +34,8 @@ Three conventions hold across operators:
   and settle them with one ``tick_many`` — see the row-budget contract in
   :mod:`repro.engine.governor`.
 * **Blocking builds run once and charge what they buffer.**  The hash-join
-  table, the merge-join's sorted right side, the nested-loop inner and the
-  hash-nest groups are memoized on first entry, so re-entering a
+  table, the merge-join's sorted right side, the nested-loop inner, the
+  group-join's buckets and the hash-nest groups are memoized on first entry, so re-entering a
   restartable stream does not redo them; under a memory budget each build
   charges a stride-sampled byte estimate of the chunks it buffers.
 """
@@ -156,6 +159,22 @@ class PhysicalOperator:
             return kernel.fn(columns, n)
         finally:
             self.eval_ms += (time.perf_counter() - start) * 1000.0
+
+    def _key_columns(
+        self, kernels: tuple[CompiledKernel, ...], cols: Mapping[str, list], n: int
+    ) -> tuple[list[list], int, Any]:
+        """Evaluate join-key kernels over a chunk: one value list per key,
+        all truncated to the rows that precede the first key fault."""
+        err = None
+        parts: list[list] = []
+        for kernel in kernels:
+            values, t, e = self._run_kernel(kernel, cols, n)
+            if t < n:
+                n = t
+                err = e
+                parts = [part[:n] for part in parts]
+            parts.append(values)
+        return parts, n, err
 
     def children(self) -> tuple["PhysicalOperator", ...]:
         return ()
@@ -516,6 +535,7 @@ class _EquiJoin(PhysicalOperator):
         self.right_columns = right_columns
         self.outer = outer
         self._holds = self._pred_kernel(context, residual)
+        self._residual_vars = free_vars(residual)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
@@ -544,11 +564,16 @@ class _EquiJoin(PhysicalOperator):
         governor = self._context.governor
         total = len(match_rows)
         if total and not self._holds.trivial_true:
+            # Gather only the columns the residual reads.
+            needed = self._residual_vars
             ccols = {
-                name: [col[i] for i in parent_of] for name, col in cols.items()
+                name: [col[i] for i in parent_of]
+                for name, col in cols.items()
+                if name in needed
             }
             for j, col_name in enumerate(right_columns):
-                ccols[col_name] = [row[j] for row in match_rows]
+                if col_name in needed:
+                    ccols[col_name] = [row[j] for row in match_rows]
             flags, passed, perr = self._run_kernel(self._holds, ccols, total)
         else:
             flags, passed, perr = None, total, None
@@ -624,22 +649,6 @@ class PHashJoin(_EquiJoin):
         #: Buckets of right-row tuples aligned to ``right_columns`` (no
         #: per-row dicts), memoized on first entry.
         self._table: dict[Any, list[tuple]] | None = None
-
-    def _key_columns(
-        self, kernels: tuple[CompiledKernel, ...], cols: Mapping[str, list], n: int
-    ) -> tuple[list[list], int, Any]:
-        """Evaluate join-key kernels over a chunk: one value list per key,
-        all truncated to the rows that precede the first key fault."""
-        err = None
-        parts: list[list] = []
-        for kernel in kernels:
-            values, t, e = self._run_kernel(kernel, cols, n)
-            if t < n:
-                n = t
-                err = e
-                parts = [part[:n] for part in parts]
-            parts.append(values)
-        return parts, n, err
 
     def _build_table(self) -> dict[Any, list[tuple]]:
         # Keys are wrapped with identity_key so that `=` on stored objects
@@ -1084,6 +1093,25 @@ class PHashNest(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
+    def _group_keys(self, cols: Mapping[str, list], limit: int) -> list:
+        """The group key of each of the first *limit* rows of a chunk.
+
+        Identity-aware grouping: distinct stored objects with equal state
+        must form distinct groups (see algebra evaluator _nest).  Key
+        extraction is column-at-a-time: map identity_key down each
+        grouping column and zip the results into row keys, so the per-row
+        cost is the identity_key call alone (no genexpr resumption, no
+        per-row tuple building in Python).
+        """
+        group_by = self.group_by
+        if len(group_by) == 1:
+            return list(map(identity_key, cols[group_by[0]][:limit]))
+        if group_by:
+            return list(
+                zip(*(map(identity_key, cols[col][:limit]) for col in group_by))
+            )
+        return [()] * limit
+
     def accumulate(self, raw: bool = False):
         """The grouping build: kernels over child chunks.
 
@@ -1109,6 +1137,7 @@ class PHashNest(PhysicalOperator):
         null_vars = self.null_vars
         pred_kernel = self._holds
         head_kernel = self._head_kernel
+        head_vars = free_vars(self.head)
         groups: dict[Any, Any] = {}
         order: list[Any] = []
         group_envs: dict[Any, Env] = {}
@@ -1116,7 +1145,6 @@ class PHashNest(PhysicalOperator):
         use_list = collection or raw
         charge = self._context.charge_fn() if collection else None
         buffered = 0
-        single = group_by[0] if len(group_by) == 1 else None
         trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
             cols = chunk.columns
@@ -1125,31 +1153,7 @@ class PHashNest(PhysicalOperator):
                 flags, limit, err = None, n, None
             else:
                 flags, limit, err = self._run_kernel(pred_kernel, cols, n)
-            # Identity-aware grouping: distinct stored objects with equal
-            # state must form distinct groups (see algebra evaluator _nest).
-            # Key extraction is column-at-a-time: map identity_key down
-            # each grouping column and zip the results into row keys, so
-            # the per-row cost is the identity_key call alone (no genexpr
-            # resumption, no per-row tuple building in Python).
-            if single is not None:
-                key_src = cols[single]
-                keys = list(
-                    map(identity_key, key_src if limit == n else key_src[:limit])
-                )
-            elif group_by:
-                keys = list(
-                    zip(
-                        *(
-                            map(
-                                identity_key,
-                                cols[col] if limit == n else cols[col][:limit],
-                            )
-                            for col in group_by
-                        )
-                    )
-                )
-            else:
-                keys = [()] * limit
+            keys = self._group_keys(cols, limit)
             for i, key in enumerate(keys):
                 if key not in groups:
                     groups[key] = [] if use_list else monoid.zero
@@ -1180,9 +1184,11 @@ class PHashNest(PhysicalOperator):
                 if m == n:
                     scols = cols
                 else:
+                    # Gather only the columns the head reads.
                     scols = {
                         name: [col[i] for i in picked]
                         for name, col in cols.items()
+                        if name in head_vars
                     }
                 values, t, herr = self._run_kernel(head_kernel, scols, m)
                 if herr is not None:
@@ -1236,6 +1242,376 @@ class PHashNest(PhysicalOperator):
     def describe(self) -> str:
         group = ",".join(self.group_by) or "()"
         return f"HashNest({self.monoid.name} -> {self.out_var} by {group})"
+
+
+#: Element slot of a right row the nest's null-variable or predicate
+#: filter drops.
+_SKIP = object()
+_UNFOLDED = object()
+
+
+class _Fault:
+    """Element slot of a right row whose nest predicate or head faulted:
+    the error surfaces only if a left row reaches the element."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+
+class _Bucket:
+    """The right rows under one join key, in build order."""
+
+    __slots__ = ("rows", "elements", "fault", "carrier", "cols")
+
+    def __init__(self, rows: Any):
+        #: Positions in the build-order right input.
+        self.rows = rows
+        #: Head values of the rows the nest keeps, up to the first fault
+        #: (``fault``); None until a left row first probes the bucket.
+        self.elements: list | None = None
+        self.fault: Exception | None = None
+        #: The primitive-monoid fold of ``elements``, once a group took it.
+        self.carrier: Any = _UNFOLDED
+        #: The right columns a residual reads, gathered for these rows.
+        self.cols: Mapping[str, list] | None = None
+
+
+class PGroupJoin(PHashNest):
+    """The nest of a left outer-join by the join's left columns, as one
+    keyed operator — the paper's ``Γ ∘ =⋈`` pair without the join between.
+
+    Where ``PHashNest`` over ``PHashJoin``/``PNestedLoopJoin`` builds every
+    joined pair only to hash it back onto the left row it came from, this
+    operator never forms a pair.  **Build** hashes the right input on the
+    equi-keys (no keys: one bucket) and runs the nest's predicate and head
+    kernels once per *right row*; a fault there waits in the row's element
+    slot, since the pair evaluates it only where a left row meets the row.
+    **Probe** opens one identity-keyed group per left row, in first-seen
+    order, and hands it the fold of its bucket — computed on the first
+    probe and shared by every left row with that key.  The bucket's
+    elements are replayed one by one where sharing would show: a left row
+    re-entering its group (the bucket counts once per duplicate left row,
+    which a non-idempotent monoid sees), and a residual predicate, which
+    selects the elements per left row.
+
+    What the pair would let a caller observe is kept: groups fold their
+    elements in bucket order (float sums, list and bag order), the first
+    fault in (left row, bucket position) order is the one raised, every
+    candidate pair is a work unit, the build charges the right chunks it
+    reads and a collection monoid charges each group's elements as if
+    buffered per pair.  ``child`` is the probe (left) side.
+    """
+
+    def __init__(
+        self,
+        context: _Context,
+        left: PhysicalOperator,
+        right: PhysicalOperator,
+        left_keys: tuple[Term, ...],
+        right_keys: tuple[Term, ...],
+        residual: Term,
+        right_columns: tuple[str, ...],
+        monoid: Monoid,
+        head: Term,
+        group_by: tuple[str, ...],
+        null_vars: tuple[str, ...],
+        out_var: str,
+        pred: Term,
+    ):
+        super().__init__(
+            context, left, monoid, head, group_by, null_vars, out_var, pred
+        )
+        self.right = right
+        self.left_keys = left_keys
+        self.right_keys = right_keys
+        self.residual = residual
+        self.right_columns = right_columns
+        self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
+        self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
+        self._residual_holds = self._pred_kernel(context, residual)
+        self._built: tuple | None = None
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return (self.child, self.right)
+
+    def _run_total(
+        self, kernel: CompiledKernel, cols: Mapping[str, list], n: int
+    ) -> tuple[list, bool]:
+        """A kernel over all *n* rows with faults kept in place: a faulting
+        row's slot holds its error and evaluation resumes on the next row.
+        Returns the slots and whether any faulted."""
+        values, _, err = self._run_kernel(kernel, cols, n)
+        faulted = err is not None
+        while err is not None:
+            values.append(_Fault(err))
+            start = len(values)
+            if start == n:
+                break
+            rest = {name: col[start:n] for name, col in cols.items()}
+            more, _, err = self._run_kernel(kernel, rest, n - start)
+            values.extend(more)
+        return values, faulted
+
+    def _build(self) -> tuple:
+        """Consume the right input: ``(table, elements, clean, rcols)`` —
+        the buckets by join key, each right row's nest element (its head
+        value, ``_SKIP`` or a ``_Fault``), whether every element is a plain
+        value, and the right columns the residual reads."""
+        charge = self._context.charge_fn()
+        pred_kernel = self._holds
+        head_kernel = self._head_kernel
+        key_kernels = self._right_key_kernels
+        head_vars = free_vars(self.head)
+        residual_vars = free_vars(self.residual)
+        rcols: dict[str, list] = {
+            name: [] for name in self.right_columns if name in residual_vars
+        }
+        rows_of: dict[Any, Any] = {}
+        setdefault = rows_of.setdefault
+        elements: list = []
+        clean = True
+        m = 0
+        for chunk in self.right.batches():
+            cols = chunk.columns
+            if charge is not None:
+                _charge_chunk(charge, chunk, m)
+            key_parts, n, err = self._key_columns(key_kernels, cols, chunk.length)
+            if err is not None:
+                # A key-expression fault fails the build at that right row.
+                raise err
+            if pred_kernel.trivial_true:
+                flags = None
+            else:
+                # On every joined row, kept by the null filter or not.
+                flags, _ = self._run_total(pred_kernel, cols, n)
+            dropped = {
+                i
+                for col in self.null_vars
+                for i, value in enumerate(cols[col])
+                if value is NULL
+            }
+            if flags is not None:
+                dropped.update(i for i, f in enumerate(flags) if f is not True)
+            if not dropped:
+                values, dirty = self._run_total(head_kernel, cols, n)
+            else:
+                dirty = True
+                values = (
+                    [_SKIP] * n
+                    if flags is None
+                    else [f if f.__class__ is _Fault else _SKIP for f in flags]
+                )
+                picked = [i for i in range(n) if i not in dropped]
+                if picked:
+                    scols = {
+                        name: [col[i] for i in picked]
+                        for name, col in cols.items()
+                        if name in head_vars
+                    }
+                    heads, _ = self._run_total(head_kernel, scols, len(picked))
+                    for i, value in zip(picked, heads):
+                        values[i] = value
+            clean = clean and not dirty
+            elements.extend(values)
+            if len(key_parts) == 1:
+                for pos, value in enumerate(key_parts[0], m):
+                    setdefault(identity_key(value), []).append(pos)
+            elif key_parts:
+                for pos, parts in enumerate(zip(*key_parts), m):
+                    setdefault(tuple(map(identity_key, parts)), []).append(pos)
+            for name, column in rcols.items():
+                column.extend(cols[name])
+            m += n
+        if not key_kernels and m:
+            rows_of[()] = range(m)
+        table = {key: _Bucket(rows) for key, rows in rows_of.items()}
+        return table, elements, clean, rcols
+
+    def _probe(self, table: dict, key_parts: list[list], n: int) -> list:
+        """The bucket of each of *n* left rows, None where the key is NULL
+        in any part (a NULL never equi-joins) or has no right row."""
+        get = table.get
+        if not key_parts:
+            return [get(())] * n
+        if len(key_parts) == 1:
+            return [
+                None if value is NULL else get(identity_key(value))
+                for value in key_parts[0]
+            ]
+        return [
+            None
+            if any(value is NULL for value in values)
+            else get(tuple(map(identity_key, values)))
+            for values in zip(*key_parts)
+        ]
+
+    def _check_pad(self) -> None:
+        """The nest predicate over an outer pad (every right column NULL):
+        the pair evaluates it on each padded row, where all it can do is
+        fault."""
+        pad = {col: [NULL] for col in self.right_columns}
+        _, _, err = self._run_kernel(self._holds, pad, 1)
+        if err is not None:
+            raise err
+
+    @staticmethod
+    def _kept(slots: list) -> tuple[list, Exception | None]:
+        """The head values among element *slots* up to the first fault,
+        and that fault."""
+        kept = []
+        for slot in slots:
+            if slot.__class__ is _Fault:
+                return kept, slot.error
+            if slot is not _SKIP:
+                kept.append(slot)
+        return kept, None
+
+    def _fold_into(self, carrier: Any, elems: Any) -> Any:
+        """The serial primitive fold continued over *elems*."""
+        merge = self.monoid.merge
+        lift = self.monoid.lift
+        for value in elems:
+            if value is not NULL:
+                carrier = merge(carrier, lift(value))
+        return carrier
+
+    def accumulate(self, raw: bool = False):
+        """``PHashNest.accumulate`` over the join that is never built: the
+        same ``(order, groups, group_envs)``, one group per distinct left
+        row.  Element lists handed out under *raw* are the caller's to
+        extend; otherwise the groups of one bucket share its list."""
+        if self._built is None:
+            self._built = self._build()
+        table, elements, clean, rcols = self._built
+        context = self._context
+        governor = context.governor
+        monoid = self.monoid
+        collection = isinstance(monoid, CollectionMonoid)
+        use_list = collection or raw
+        charge = context.charge_fn() if collection else None
+        buffered = 0
+        group_by = self.group_by
+        residual_kernel = self._residual_holds
+        plain = residual_kernel.trivial_true
+        needed_left = [
+            name for name in free_vars(self.residual) if name not in rcols
+        ]
+        pad_checked = self._holds.trivial_true
+        groups: dict[Any, Any] = {}
+        order: list[Any] = []
+        group_envs: dict[Any, Env] = {}
+        for chunk in self.child.batches():
+            cols = chunk.columns
+            key_parts, n, kerr = self._key_columns(
+                self._left_key_kernels, cols, chunk.length
+            )
+            buckets = self._probe(table, key_parts, n)
+            if plain and governor is not None:
+                governor.tick_many(
+                    sum(len(b.rows) for b in buckets if b is not None)
+                )
+            for i, key in enumerate(self._group_keys(cols, n)):
+                bucket = buckets[i]
+                if bucket is None:
+                    elems: list = []
+                    padded = True
+                elif plain:
+                    elems = bucket.elements
+                    if elems is None:
+                        elems = [elements[r] for r in bucket.rows]
+                        if not clean:
+                            elems, bucket.fault = self._kept(elems)
+                        bucket.elements = elems
+                    if bucket.fault is not None:
+                        raise bucket.fault
+                    padded = False
+                else:
+                    # The bucket's rows that pass the residual against this
+                    # left row: one kernel call over the whole bucket.
+                    rows = bucket.rows
+                    k = len(rows)
+                    if bucket.cols is None:
+                        bucket.cols = {
+                            name: [col[r] for r in rows]
+                            for name, col in rcols.items()
+                        }
+                    probe = dict(bucket.cols)
+                    for name in needed_left:
+                        probe[name] = [cols[name][i]] * k
+                    flags, passed, perr = self._run_kernel(
+                        residual_kernel, probe, k
+                    )
+                    if governor is not None:
+                        governor.tick_many(passed + 1 if perr is not None else k)
+                    elems = [elements[r] for r in compress(rows, flags)]
+                    if not clean:
+                        elems, fault = self._kept(elems)
+                        if fault is not None:
+                            raise fault
+                    if perr is not None:
+                        raise perr
+                    padded = True not in flags
+                if padded and not pad_checked:
+                    self._check_pad()
+                    pad_checked = True
+                if charge is not None:
+                    # As if buffered per pair: one sampled value charges
+                    # for its stride of the stream of kept elements.
+                    for j in range(
+                        -buffered % SAMPLE_STRIDE, len(elems), SAMPLE_STRIDE
+                    ):
+                        charge(estimate_bytes(elems[j]) * SAMPLE_STRIDE)
+                    buffered += len(elems)
+                shared = plain and bucket is not None
+                if key not in groups:
+                    order.append(key)
+                    group_envs[key] = {col: cols[col][i] for col in group_by}
+                    if use_list:
+                        groups[key] = list(elems) if shared and raw else elems
+                    elif shared:
+                        if bucket.carrier is _UNFOLDED:
+                            bucket.carrier = self._fold_into(monoid.zero, elems)
+                        groups[key] = bucket.carrier
+                    else:
+                        groups[key] = self._fold_into(monoid.zero, elems)
+                elif use_list:
+                    groups[key] = groups[key] + elems
+                else:
+                    groups[key] = self._fold_into(groups[key], elems)
+            if kerr is not None:
+                raise kerr
+        return order, groups, group_envs
+
+    def finalize_groups(self, order, groups, group_envs) -> list:
+        """Fold each shared element list once, however many groups hold it."""
+        monoid = self.monoid
+        if not isinstance(monoid, CollectionMonoid):
+            return super().finalize_groups(order, groups, group_envs)
+        fold = monoid.fold_elements
+        folded: dict[int, Any] = {}
+        group_rows = []
+        for key in order:
+            elems = groups[key]
+            value = folded.get(id(elems))
+            if value is None:
+                value = folded[id(elems)] = fold(elems)
+            group_rows.append((group_envs[key], value))
+        return group_rows
+
+    def describe(self) -> str:
+        group = ",".join(self.group_by) or "()"
+        parts = [f"{self.monoid.name} -> {self.out_var} by {group}"]
+        if self.left_keys:
+            parts.append(
+                ", ".join(
+                    f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
+                )
+            )
+        if self.residual != Const(True):
+            parts.append(f"residual {self.residual}")
+        return f"GroupJoin({'; '.join(parts)})"
 
 
 def _account_result(op: PhysicalOperator, result: Any) -> Any:

@@ -10,12 +10,21 @@ physical plans"):
   loops.  This is precisely the optimization the paper's QUERY E discussion
   motivates ("the resulting outer-joins would both be assigned equality
   predicates, thus making them more efficient").
-* nests become single-pass hash grouping;
+* nests become single-pass hash grouping — except the shape the unnesting
+  algorithm emits for every nested box over an extent, ``Γ ∘ =⋈``: a nest
+  that groups a left outer-join by exactly the join's left columns, with a
+  head and predicate over the right columns only.  Wherever that join
+  would have been hash or nested-loop, nest and join become one
+  **group-join** (:class:`~repro.engine.physical.PGroupJoin`) on the same
+  keys and residual, so no joined pair is built only to be grouped back
+  onto the left row it came from;
 * selections, maps, unnests, reduces map one-to-one.
 
 ``PlannerOptions.hash_joins`` turns key extraction off, which the benchmark
 suite uses to separate "unnesting removes recomputation" from "unnesting
-enables hash joins".
+enables hash joins" (the group-join then runs keyless: one bucket, the whole
+predicate as its residual); ``merge_joins`` keeps a single-key pair as
+``PHashNest`` over ``PMergeJoin``.
 """
 
 from __future__ import annotations
@@ -43,10 +52,12 @@ from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
     PEval,
+    PGroupJoin,
     PHashJoin,
     PIndexScan,
     PHashNest,
     PMap,
+    PMergeJoin,
     PNestedLoopJoin,
     PReduce,
     PScan,
@@ -188,6 +199,9 @@ def _build(
             outer=True,
         )
     if isinstance(plan, Nest):
+        fused = _try_group_join(plan, context, options)
+        if fused is not None:
+            return fused
         return PHashNest(
             context,
             _build(plan.child, context, options),
@@ -265,6 +279,23 @@ def _try_index_scan(
     return None
 
 
+def _join_algorithm(
+    plan: Join | OuterJoin, options: PlannerOptions
+) -> tuple[str, list[tuple[Term, Term]], Term]:
+    """Which join algorithm *plan* gets — ``"merge"``, ``"hash"`` or
+    ``"nested-loop"`` — with the equi-keys it uses and what is left of the
+    predicate (nested-loop: no keys, all of it)."""
+    if options.hash_joins or options.merge_joins:
+        keys, residual = split_equi_conjuncts(
+            plan.pred, plan.left.columns(), plan.right.columns()
+        )
+        if options.merge_joins and len(keys) == 1:
+            return "merge", keys, conj(*residual)
+        if keys and options.hash_joins:
+            return "hash", keys, conj(*residual)
+    return "nested-loop", [], plan.pred
+
+
 def _build_join(
     plan: Join | OuterJoin, context: _Context, options: PlannerOptions
 ) -> PhysicalOperator:
@@ -272,33 +303,63 @@ def _build_join(
     left = _build(plan.left, context, options)
     right = _build(plan.right, context, options)
     right_columns = plan.right.columns()
-    if options.hash_joins or options.merge_joins:
-        keys, residual = split_equi_conjuncts(
-            plan.pred, plan.left.columns(), right_columns
+    algorithm, keys, residual = _join_algorithm(plan, options)
+    if algorithm == "merge":
+        (left_key, right_key), = keys
+        return PMergeJoin(
+            context, left, right, left_key, right_key, residual, right_columns, outer
         )
-        if options.merge_joins and len(keys) == 1:
-            from repro.engine.physical import PMergeJoin
+    if algorithm == "hash":
+        return PHashJoin(
+            context,
+            left,
+            right,
+            tuple(k for k, _ in keys),
+            tuple(k for _, k in keys),
+            residual,
+            right_columns,
+            outer,
+        )
+    return PNestedLoopJoin(context, left, right, residual, right_columns, outer)
 
-            (left_key, right_key), = keys
-            return PMergeJoin(
-                context,
-                left,
-                right,
-                left_key,
-                right_key,
-                conj(*residual),
-                right_columns,
-                outer,
-            )
-        if keys and options.hash_joins:
-            return PHashJoin(
-                context,
-                left,
-                right,
-                tuple(k for k, _ in keys),
-                tuple(k for _, k in keys),
-                conj(*residual),
-                right_columns,
-                outer,
-            )
-    return PNestedLoopJoin(context, left, right, plan.pred, right_columns, outer)
+
+def _try_group_join(
+    nest: Nest, context: _Context, options: PlannerOptions
+) -> PhysicalOperator | None:
+    """``Γ ∘ =⋈`` as one operator: a nest that groups an outer-join by
+    exactly the join's left columns, reads right columns only in its head
+    and predicate, and drops the outer pad through a right-column null
+    variable folds each left row's matches without the join materialising
+    them — wherever the join would have been hash or nested-loop (a
+    sort-merge join reorders the left stream; that pair stays two
+    operators)."""
+    join = nest.child
+    if not isinstance(join, OuterJoin):
+        return None
+    right_columns = join.right.columns()
+    right_set = set(right_columns)
+    if not (
+        set(nest.group_by) == set(join.left.columns())
+        and nest.null_vars
+        and right_set.issuperset(nest.null_vars)
+        and free_vars(nest.head) | free_vars(nest.pred) <= right_set
+    ):
+        return None
+    algorithm, keys, residual = _join_algorithm(join, options)
+    if algorithm == "merge":
+        return None
+    return PGroupJoin(
+        context,
+        _build(join.left, context, options),
+        _build(join.right, context, options),
+        tuple(k for k, _ in keys),
+        tuple(k for _, k in keys),
+        residual,
+        right_columns,
+        nest.monoid,
+        nest.head,
+        nest.group_by,
+        nest.null_vars,
+        nest.out_var,
+        nest.pred,
+    )

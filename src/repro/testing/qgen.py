@@ -343,7 +343,9 @@ class QueryGenerator:
         subquery = self._scalar_subquery(env, (kind,), depth)
         if subquery is None:
             return self._comparison(env)
-        return f"{path} in ( {subquery} )"
+        text = f"{path} in ( {subquery} )"
+        # ``not in``: a universal quantifier whose body is the key test.
+        return f"not ({text})" if rng.random() < 0.35 else text
 
     def _quantifier(self, env: list[tuple[str, RecordType]], depth: int) -> str:
         rng = self.rng
@@ -356,6 +358,16 @@ class QueryGenerator:
             else self._predicate(inner_env, depth - 1)
         )
         keyword = rng.choice(("exists", "for all"))
+        if keyword == "for all" and env and rng.random() < 0.35:
+            # "every element with the outer row's key satisfies the body":
+            # negated into the filter, the key test becomes a join key.
+            own = self._paths_of_kind([(var, element)], ("int", "string"))
+            rng.shuffle(own)
+            for inner, kind in own:
+                outer = self._paths_of_kind(env, (kind,))
+                if outer:
+                    body = f"({inner} != {rng.choice(outer)[0]} or {body})"
+                    break
         return f"{keyword} {var} in {domain}: {body}"
 
     def _count_comparison(
@@ -510,13 +522,15 @@ class QueryGenerator:
 
     def _set_operation(self, depth: int) -> str:
         rng = self.rng
-        candidates = []
-        for extent, element in self._extents():
-            for attr, kind in self._scalar_attrs(element):
-                candidates.append((extent, element, attr))
+        candidates = [
+            (extent, element, attr, kind)
+            for extent, element in self._extents()
+            for attr, kind in self._scalar_attrs(element)
+        ]
         if not candidates:
             return self._select_query([], depth)
-        extent, element, attr = rng.choice(candidates)
+        extent, element, attr, kind = rng.choice(candidates)
+        same_kind = [c for c in candidates if c[3] == kind]
         op = rng.choice(("union", "except", "intersect"))
         sides = []
         for _ in range(2):
@@ -527,4 +541,7 @@ class QueryGenerator:
             sides.append(
                 f"( select distinct {var}.{attr} from {var} in {extent}{where} )"
             )
+            # The second side may range over another extent's attribute of
+            # the same kind: ``except`` then correlates two extents by key.
+            extent, element, attr, _ = rng.choice(same_kind)
         return f"{sides[0]} {op} {sides[1]}"

@@ -14,7 +14,17 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
-from repro.calculus.terms import BinOp, Const, comprehension, const, path, var
+from repro.calculus.terms import (
+    BinOp,
+    Const,
+    comprehension,
+    const,
+    free_vars,
+    path,
+    var,
+)
+from repro.core.optimizer import OptimizerOptions
+from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import Record, SetValue
 from repro.engine.planner import (
@@ -341,3 +351,75 @@ class TestCostModel:
         nested_head = comprehension("sum", path("s2", "w"), ("s2", Extent("S")))
         pricey = Reduce(Scan("R", "r"), "sum", nested_head)
         assert model.cost(pricey) > model.cost(cheap)
+
+
+# ---------------------------------------------------------------------------
+# Group-join fusion
+# ---------------------------------------------------------------------------
+
+
+def _fusable_sites(plan) -> int:
+    """Nests over an outer-join that group by exactly its left columns,
+    read right columns only and null-filter on a right column."""
+    from repro.algebra.operators import operators
+
+    count = 0
+    for op in operators(plan):
+        if isinstance(op, Nest) and isinstance(op.child, OuterJoin):
+            left, right = op.child.left.columns(), set(op.child.right.columns())
+            if (
+                set(op.group_by) == set(left)
+                and op.null_vars
+                and set(op.null_vars) <= right
+                and free_vars(op.head) | free_vars(op.pred) <= right
+            ):
+                count += 1
+    return count
+
+
+def _walk(op):
+    yield op
+    for child in op.children():
+        yield from _walk(child)
+
+
+class TestGroupJoinFusion:
+    def test_fires_at_every_corpus_site(self, databases):
+        from corpus import CORPUS
+        from repro.engine.physical import PGroupJoin
+
+        sites = 0
+        for query in CORPUS:
+            db = databases[query.family]
+            compiled = QueryPipeline(db).compile_oql(query.oql)
+            expected = _fusable_sites(compiled.optimized)
+            # Every such nest is a group-join: none is left as a hash nest
+            # sitting on the outer join it could have absorbed.
+            fused = [
+                op
+                for op in _walk(compiled.physical(db))
+                if isinstance(op, PGroupJoin)
+            ]
+            assert len(fused) == expected, query.name
+            sites += expected
+        assert sites == 26
+
+    def test_merge_joins_keep_the_pair(self, company_db):
+        options = OptimizerOptions(merge_joins=True)
+        compiled = QueryPipeline(company_db, options).compile_oql(
+            "select distinct struct( D: d.dno, T: sum( select e.salary "
+            "from e in Employees where e.dno = d.dno ) ) from d in Departments"
+        )
+        physical = compiled.physical(company_db)
+        assert type(physical.child) is PHashNest
+        assert physical.child.child.describe().startswith("MergeOuterJoin(")
+
+    def test_no_hash_joins_means_the_keyless_form(self, company_db):
+        options = OptimizerOptions(hash_joins=False)
+        compiled = QueryPipeline(company_db, options).compile_oql(
+            "select distinct struct( D: d.dno, T: sum( select e.salary "
+            "from e in Employees where e.dno = d.dno ) ) from d in Departments"
+        )
+        fused = compiled.physical(company_db).child
+        assert fused.describe().startswith("GroupJoin(sum -> ")
+        assert "; residual " in fused.describe() and fused.left_keys == ()

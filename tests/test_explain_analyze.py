@@ -98,3 +98,28 @@ def test_report_mentions_rows_and_cache(company_db):
     text = stats.report()
     assert "rows" in text
     assert "cached plan" in text
+
+
+def test_group_join_reports_as_one_operator(company_db):
+    # The nest over the outer-join is one line of the report — no join
+    # beneath it — with its own rows, chunking and expression mode; its
+    # two inputs are its children.
+    stats = QueryPipeline(company_db).run_oql_stats(
+        "select distinct e.name from e in Employees "
+        "where e.salary >= max( select u.salary from u in Employees "
+        "where u.dno = e.dno )"
+    )
+    labels = [op.operator for op in stats.operators]
+    assert not any("Join(" in label and "GroupJoin" not in label for label in labels)
+    (index,) = [i for i, label in enumerate(labels) if label.startswith("GroupJoin(")]
+    fused = stats.operators[index]
+    employees = len(company_db.extent("Employees"))
+    assert fused.operator.startswith("GroupJoin(max -> ")
+    assert ".dno = " in fused.operator and " by " in fused.operator
+    assert fused.rows_produced == fused.batch_rows == employees  # one group per e
+    assert fused.batches_produced == 1
+    assert fused.eval_mode == "compiled" and fused.eval_ms > 0
+    inputs = stats.operators[index + 1 : index + 3]
+    assert [op.depth for op in inputs] == [fused.depth + 1] * 2
+    assert all(op.operator.startswith("Scan(") for op in inputs)
+    assert f"rows={employees}, batches=1" in stats.report()

@@ -36,7 +36,7 @@ from repro.core.normalization import (
     prepare,
 )
 from repro.data.database import Database
-from repro.data.values import Record, SetValue
+from repro.data.values import NULL, Record, SetValue
 
 
 @pytest.fixture()
@@ -241,14 +241,96 @@ class TestSomeHeadToFilter:
         assert result.head == Const(True)
         assert evaluate(result, db) is True
 
-    def test_all_head_not_rewritten(self, db):
+class TestAllHeadToFilter:
+    """``all{ p | q̄ } → all{ false | q̄, ¬p }`` — our dual of the rule above."""
+
+    def test_rewrite(self, db):
         term = comprehension(
             "all", BinOp(">", path("y", "b"), const(2)), ("y", Extent("Y"))
         )
         result = normalize(term)
-        assert isinstance(result, Comprehension)
-        assert result.head != Const(True)
+        assert result == Comprehension(
+            "all",
+            Const(False),
+            (Generator("y", Extent("Y")), Filter(BinOp("<=", path("y", "b"), const(2)))),
+        )
         assert evaluate(result, db) is False
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["rows", "empty"])
+    @pytest.mark.parametrize("p", [True, False, None], ids=["true", "false", "null"])
+    def test_three_valued_truth_table(self, p, empty):
+        # The head p is read off each row, so it is True, False or NULL per
+        # row and no constant folding can decide the comprehension.
+        database = Database()
+        value = NULL if p is None else p
+        database.add_extent("Y", [] if empty else [Record(p=value), Record(p=value)])
+        term = comprehension("all", path("y", "p"), ("y", Extent("Y")))
+        rewritten = normalize(term)
+        assert rewritten != term
+        # calculus-raw evaluates the term as written.
+        expected = evaluate(term, database)
+        assert expected is (True if empty or p is not False else False)
+        assert evaluate(rewritten, database) is expected
+
+    def test_mixed_heads_agree_with_the_raw_calculus(self):
+        rows = [Record(a=a, b=b) for a in (1, 2, NULL) for b in (1, 2, NULL)]
+        for op in ("and", "or"):
+            head = BinOp(
+                op,
+                BinOp("!=", path("y", "a"), const(1)),
+                BinOp(">=", path("y", "b"), const(2)),
+            )
+            for extent_rows in ([], rows[:1], rows[3:5], rows):
+                database = Database()
+                database.add_extent("Y", extent_rows)
+                term = comprehension("all", head, ("y", Extent("Y")))
+                assert evaluate(normalize(term), database) is evaluate(term, database)
+
+    def test_false_head_is_a_fixpoint(self, db):
+        term = comprehension(
+            "all", BinOp(">", path("y", "b"), const(2)), ("y", Extent("Y"))
+        )
+        once = normalize(term)
+        assert once.head == Const(False)
+        assert normalize(once) == once
+        assert prepare(prepare(term)) == prepare(term)
+
+    def test_head_containing_a_comprehension_is_left_alone(self, db):
+        # QUERY E's shape: the inner quantifier is a box of its own
+        # (Figure 2); only its own head moves.
+        inner = comprehension(
+            "some", BinOp("==", path("x", "a"), path("y", "b")), ("x", Extent("X"))
+        )
+        term = comprehension("all", inner, ("y", Extent("Y")))
+        result = normalize(term)
+        assert result.monoid_name == "all" and len(result.qualifiers) == 1
+        assert isinstance(result.head, Comprehension)
+        assert result.head.monoid_name == "some" and result.head.head == Const(True)
+        assert_preserves(term, db)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["setop_except", "nested_quantifiers", "quantifier_over_subquery_with_agg"],
+    )
+    def test_universal_quantifiers_plan_to_a_keyed_join(self, name, databases):
+        from corpus import corpus_by_name
+        from repro.algebra.operators import Nest, OuterJoin, operators
+        from repro.core.pipeline import QueryPipeline
+        from repro.engine.planner import split_equi_conjuncts
+
+        query = corpus_by_name(name)
+        db = databases[query.family]
+        compiled = QueryPipeline(db).compile_oql(query.oql)
+        (nest,) = [op for op in operators(compiled.optimized) if isinstance(op, Nest)]
+        assert nest.monoid_name == "all" and nest.head == Const(False)
+        join = nest.child
+        assert isinstance(join, OuterJoin)
+        keys, _ = split_equi_conjuncts(
+            join.pred, join.left.columns(), join.right.columns()
+        )
+        assert len(keys) == 1
+        explain = compiled.physical(db).explain()
+        assert "GroupJoin(all -> " in explain and "NLJoin" not in explain
 
 
 class TestHotelExample:

@@ -186,7 +186,9 @@ GOLDEN_SQL = {
     ],
     # Paper QUERY D: two outer-unnests over a quantifier (all/sum) pair —
     # both Nests and the root Reduce push into nested GROUP BY subqueries;
-    # nothing stitches in Python.
+    # nothing stitches in Python.  The universal quantifier's body arrives
+    # negated in the inner unnest's ON clause (all-head-to-filter), so its
+    # nest folds a constant false over the surviving children.
     "query_d": [
         'SELECT "k0" AS c0, COALESCE(SUM("$c"), 0) AS c1 '
         'FROM (SELECT t3."k0$$oid" AS "k0", '
@@ -203,14 +205,13 @@ GOLDEN_SQL = {
         't0."oid" AS "k0$oid", t0."salary" AS "k0$salary", '
         't1."$oid" AS "k1$$oid", t1."age" AS "k1$age", '
         't1."name" AS "k1$name", '
-        '(CASE WHEN (t2."$oid" IS NOT NULL) THEN (t1."age" > t2."age") '
-        'ELSE NULL END) AS "$c", '
+        '(CASE WHEN (t2."$oid" IS NOT NULL) THEN 0 ELSE NULL END) AS "$c", '
         'ROW_NUMBER() OVER (ORDER BY t0."$pos", t1."$pos", t2."$pos") '
         'AS "$rn" '
         'FROM (("Employees" t0 LEFT JOIN "Employees$children" t1 '
         'ON t1."$parent" = t0."$oid") '
         'LEFT JOIN "Employees$manager$children" t2 '
-        'ON t2."$parent" = t0."$oid")) '
+        'ON t2."$parent" = t0."$oid" AND (t1."age" <= t2."age"))) '
         'GROUP BY "k0$$oid", "k1$$oid") t3) '
         'GROUP BY "k0" ORDER BY MIN("$rn")'
     ],
