@@ -3,8 +3,8 @@
 Runs every corpus query twice through the full pipeline — once on the
 default in-memory engine and once on the query-shredding SQLite backend
 (``OptimizerOptions.backend="sqlite"``: extents shredded into flat tables,
-join/unnest chains lowered to flat SELECTs, results stitched back in
-Python) — and writes a machine-readable report to ``BENCH_shred.json`` at
+the lowerable subtrees of the plan run as flat SELECT leaves of the one
+physical plan) — and writes a machine-readable report to ``BENCH_shred.json`` at
 the repository root: per-query wall-clock for both backends, rows
 returned, the ratio, the flat-query count per shredded plan, and the
 geometric-mean ratio across the corpus.

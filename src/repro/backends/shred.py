@@ -21,7 +21,7 @@ columns — raises :class:`~repro.errors.BackendUnsupportedError` instead of
 risking silent divergence.  The store is also an ``ExtentProvider``:
 :meth:`ShreddedStore.extent` re-stitches an extent's rows back into the
 original nested values (same OIDs, same collection kinds), which both
-proves the shredding lossless and feeds the residual evaluator below.
+proves the shredding lossless and feeds the residual operators below.
 
 **SQL lowering** (:func:`compile_segments`).  Maximal chains of
 scan/select/join/outer-join/unnest/outer-unnest/map operators are compiled
@@ -56,19 +56,23 @@ columns through under ``k<i>$`` prefixes), so stacked aggregations become
 *one* SQL statement.  ``Nest`` with a collection monoid compiles to a
 single level-ordered query merged back in one linear pass.  Anything
 outside this fragment (``prod``, parameters, collection heads under
-grouping) falls back to stitching, exactly as before.
+grouping) stays a residual operator above the segments.
 
-**Stitching** (:class:`_HybridEvaluator`).  The flat result sets are
-stitched back into nested values by the reference plan evaluator: the
-segment rows are decoded into environments (``$oid`` → the rehydrated
-object, so identity is preserved end to end) and every operator *above* a
-segment — residual expressions, refused extents, non-lowerable monoids —
-runs the reference Python semantics over them.  This is the shredding
-paper's stitching phase with the repo's own nest operator as the stitcher,
-so 3VL, identity, and monoid semantics match the in-memory engine *by
-construction*.  Execution is governed inside SQLite itself: a progress
-handler ticks the shared governor every few thousand VM opcodes, so
-timeouts, budgets, and cancellation trip mid-``SELECT``.
+**Stitching** (:class:`SqlSegment` / :class:`PSqlSegment`).  Lowering does
+not produce a second executor: :func:`compile_segments` returns the
+optimized plan with every lowered subtree replaced by a ``SqlSegment``
+*leaf*, and the one physical planner (:mod:`repro.engine.planner`) builds
+it into a ``PSqlSegment`` that runs the flat SELECT and decodes the rows
+straight into chunk columns (``$oid`` → the rehydrated object, so identity
+is preserved end to end).  Every operator *above* a segment — residual
+expressions, refused extents, non-lowerable monoids — is an ordinary
+physical operator over those chunks, with the store as the extent
+provider: kernels, the group-join, governor ticks, memory charges and
+EXPLAIN ANALYZE apply to both backends by construction.  This is the
+shredding paper's stitching *phase*, not a stitching evaluator.  Execution
+is governed inside SQLite itself: a progress handler ticks the shared
+governor every few thousand VM opcodes, so timeouts, budgets, and
+cancellation trip mid-``SELECT``.
 
 **Out-of-core storage**.  ``ShreddedStore(db_path=...)`` shreds to a file
 instead of ``:memory:`` (WAL journal, file-backed temp store, bounded page
@@ -94,7 +98,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-from repro.algebra.evaluator import PlanEvaluator
 from repro.algebra.operators import (
     Join,
     Map,
@@ -107,8 +110,9 @@ from repro.algebra.operators import (
     Seed,
     Select,
     Unnest,
+    operators,
+    rebuild,
 )
-from repro.calculus.evaluator import Evaluator as TermEvaluator
 from repro.calculus.monoids import CollectionMonoid, monoid as lookup_monoid
 from repro.calculus.terms import (
     BinOp,
@@ -131,6 +135,9 @@ from repro.data.values import (
     SetValue,
     is_null,
 )
+from repro.engine.batch import Chunk
+from repro.engine.executor import flat_queries as executed_flat_queries
+from repro.engine.physical import PhysicalOperator, _Context, root_value
 from repro.errors import (
     BackendUnsupportedError,
     ExecutionError,
@@ -141,7 +148,10 @@ from repro.errors import (
 __all__ = [
     "ShreddedStore",
     "shredded_store",
+    "SqlSegment",
+    "PSqlSegment",
     "compile_segments",
+    "lower_to_sql",
     "execute_shredded",
     "explain_shredded",
     "shredded_sql",
@@ -305,16 +315,16 @@ class ShreddedStore:
         self._extent_cache: dict[str, CollectionValue] = {}
         self._next_surrogate = -1
         self._join_indexed: set[tuple[str, str]] = set()
-        #: Monotonic nonce for governed statements (see _execute).  An
+        #: Monotonic nonce for governed statements (see PSqlSegment).  An
         #: itertools counter: ``next()`` is atomic under the GIL, where the
         #: old ``+= 1`` read-modify-write raced concurrent sessions into
         #: sharing a nonce (and thus a cached statement's VM-step phase,
         #: corrupting per-query governor accounting).
         self._governed_nonce = itertools.count(1)
-        #: (plan id, pushdown) -> (plan, segments).  The strong plan
-        #: reference keeps ``id()`` from being recycled while the entry
-        #: lives; plan-cache hits then skip re-lowering entirely.
-        self._segment_cache: dict[tuple[int, bool], tuple[Any, dict]] = {}
+        #: plan id -> (plan, lowered plan).  The strong plan reference
+        #: keeps ``id()`` from being recycled while the entry lives;
+        #: plan-cache hits then skip re-lowering entirely.
+        self._segment_cache: dict[int, tuple[Operator, Operator]] = {}
         self._segment_cache_lock = threading.Lock()
         if db_path is not None:
             fingerprint = self._fingerprint()
@@ -506,25 +516,25 @@ class ShreddedStore:
         else:
             yield self.connection
 
-    def cached_segments(self, plan: Any, pushdown: bool) -> dict:
-        """The compiled segments for *plan*, lowered once per store.
+    def lowered_plan(self, plan: Operator) -> Operator:
+        """:func:`compile_segments` of *plan*, lowered once per store.
 
         Plan-cache hits re-execute the same ``CompiledQuery`` (and thus the
         same plan object) many times; re-running the lowering on each
         execution would dominate small queries."""
-        key = (id(plan), pushdown)
+        key = id(plan)
         with self._segment_cache_lock:
             hit = self._segment_cache.get(key)
             if hit is not None and hit[0] is plan:
                 return hit[1]
         # Lowering is pure w.r.t. the cache (index creation serializes on
         # self.lock); concurrent first executions may both lower, one wins.
-        segments = compile_segments(plan, self, pushdown=pushdown)
+        lowered = compile_segments(plan, self)
         with self._segment_cache_lock:
             if len(self._segment_cache) >= 128:
                 self._segment_cache.clear()
-            self._segment_cache[key] = (plan, segments)
-        return segments
+            self._segment_cache[key] = (plan, lowered)
+        return lowered
 
     def prepare_indexes(self, requests: set[tuple[str, str]]) -> list[str]:
         """Create indexes for lowering-time equi-join columns (idempotent);
@@ -1259,16 +1269,13 @@ class _Segment:
 class _SegmentBuilder:
     """Compiles maximal operator subtrees into flat SELECT statements.
 
-    With *pushdown* enabled (the default), ``Reduce`` and ``Nest`` roots
-    with SQL-expressible monoids lower into aggregate queries, and lowered
-    nests additionally participate *inside* chains as derived tables.  With
-    pushdown off the builder reproduces the stitching-only backend — the
-    differential oracle pins both behaviors.
+    ``Reduce`` and ``Nest`` roots with SQL-expressible monoids lower into
+    aggregate queries, and lowered nests additionally participate *inside*
+    chains as derived tables.
     """
 
-    def __init__(self, store: ShreddedStore, pushdown: bool = True):
+    def __init__(self, store: ShreddedStore):
         self._store = store
-        self._pushdown = pushdown
         #: (table, column) equi-join pairs worth indexing, discovered at
         #: lowering time across every *successful* build.
         self.index_requests: set[tuple[str, str]] = set()
@@ -1284,12 +1291,8 @@ class _SegmentBuilder:
     def _build(self, plan: Operator) -> _Segment | None:
         counter = [0]
         if isinstance(plan, Reduce):
-            if not self._pushdown:
-                return None
             return self._build_reduce(plan, counter)
         if isinstance(plan, Nest):
-            if not self._pushdown:
-                return None
             return self._build_nest(plan, counter)
         chain = self._chain(plan, counter)
         if chain is None or not chain.uses_table:
@@ -1335,8 +1338,6 @@ class _SegmentBuilder:
         )
 
     def _chain_seed(self, plan: Seed, counter: list[int]) -> _Chain | None:
-        if not self._pushdown:
-            return None
         alias = self._alias(counter)
         return _Chain(
             from_sql=f"(SELECT 0 AS {_q('$pos')}) {alias}",
@@ -1570,8 +1571,6 @@ class _SegmentBuilder:
         within a group every row carries the same ``$oid``, hence identical
         payload, so the bare columns are sound under GROUP BY.
         """
-        if not self._pushdown:
-            return None
         if plan.monoid_name not in _CHAINABLE:
             return None
         if isinstance(plan.monoid, CollectionMonoid):
@@ -1886,53 +1885,73 @@ def _indexable_column(
     return None
 
 
-def compile_segments(
-    plan: Operator, store: ShreddedStore, pushdown: bool = True
-) -> dict[int, _Segment]:
-    """Maximal SQL-translatable subtrees of *plan*, keyed by node ``id``.
+@dataclass(frozen=True, eq=False)
+class SqlSegment(Operator):
+    """A lowered subtree as a leaf of the logical plan: the flat SELECT that
+    replaces it, binding the same columns.  ``root`` names the subtree's
+    root operator for EXPLAIN."""
+
+    segment: _Segment
+    root: str
+    out_columns: tuple[str, ...]
+
+    def columns(self) -> tuple[str, ...]:
+        return self.out_columns
+
+    def build_physical(self, context: _Context) -> "PSqlSegment":
+        return PSqlSegment(context, self.segment, self.root)
+
+
+_LOWERABLE = (
+    Scan, Select, Map, Join, OuterJoin, Unnest, OuterUnnest, Reduce, Nest
+)
+
+
+def compile_segments(plan: Operator, store: ShreddedStore) -> Operator:
+    """*plan* with every maximal SQL-translatable subtree replaced by a
+    :class:`SqlSegment` leaf.
 
     The walk is top-down greedy: the largest subtree that fully translates
-    becomes one flat SELECT — with *pushdown* that includes ``Reduce`` and
-    ``Nest`` roots lowered to SQL aggregation; anything that refuses
-    (residual expressions, refused extents, non-lowerable monoids) stays
-    Python, and the search recurses into its children — so a plan degrades
+    becomes one flat SELECT — ``Reduce`` and ``Nest`` roots lowered to SQL
+    aggregation included; anything that refuses (residual expressions,
+    refused extents, non-lowerable monoids) stays an operator of the plan,
+    and the search recurses into its children — so a plan degrades
     gracefully from "one flat query per nesting level" down to per-scan
     queries, never failing outright.  Equi-join columns discovered during
     lowering get indexes (plus ANALYZE) before execution.
     """
-    builder = _SegmentBuilder(store, pushdown=pushdown)
-    segments: dict[int, _Segment] = {}
+    builder = _SegmentBuilder(store)
 
-    def visit(node: Operator) -> None:
-        if isinstance(
-            node,
-            (
-                Scan,
-                Select,
-                Map,
-                Join,
-                OuterJoin,
-                Unnest,
-                OuterUnnest,
-                Reduce,
-                Nest,
-            ),
-        ):
+    def visit(node: Operator) -> Operator:
+        if isinstance(node, _LOWERABLE):
             segment = builder.build(node)
             if segment is not None:
-                segments[id(node)] = segment
-                return
-        for child in node.children():
-            visit(child)
+                return SqlSegment(segment, type(node).__name__, node.columns())
+        return rebuild(node, tuple(visit(child) for child in node.children()))
 
-    visit(plan)
+    lowered = visit(plan)
     if builder.index_requests:
         store.prepare_indexes(builder.index_requests)
-    return segments
+    return lowered
+
+
+def lower_to_sql(
+    plan: Operator | None, database: Database, db_path: str | None = None
+) -> tuple[Operator, ShreddedStore]:
+    """What ``backend="sqlite"`` hands the physical planner: *plan* with
+    its lowered subtrees as :class:`SqlSegment` leaves, and *database*'s
+    shredded store as the extent provider residual scans read."""
+    if plan is None:
+        raise BackendUnsupportedError(
+            "backend='sqlite' requires an unnested algebraic plan "
+            "(compile with unnest=True)"
+        )
+    store = shredded_store(database, db_path=db_path)
+    return store.lowered_plan(plan), store
 
 
 # ---------------------------------------------------------------------------
-# Execution: SQL segments + residual reference semantics
+# Execution: SQL segments as leaves of the physical plan
 # ---------------------------------------------------------------------------
 
 
@@ -1972,109 +1991,55 @@ def _install_progress(connection: Any, governor: Any) -> _ProgressTrap | None:
     return trap
 
 
-class _HybridEvaluator(PlanEvaluator):
-    """The stitching evaluator: SQL segments below, reference Python above.
+def _decode_column(values: Any, kind: str, tag: str, objects: Mapping) -> list:
+    """One SQL result column as engine values: ``$oid`` → the rehydrated
+    object, SQL NULL → ``NULL`` (``+inf``, its zero, for a root ``min``)."""
+    if kind == "object":
+        return [NULL if v is None else objects[v] for v in values]
+    if kind == "min":
+        return [float("inf") if v is None else v for v in values]
+    if tag == "bool":
+        return [NULL if v is None else bool(v) for v in values]
+    return [NULL if v is None else v for v in values]
 
-    Operators covered by a compiled segment stream decoded SQLite rows (or,
-    for lowered reduce/nest roots, decode aggregated results directly);
-    every other operator — residual expressions, refused extents,
-    non-lowerable monoids — runs the inherited reference semantics over the
-    shredded store's rehydrated extents.  Identity, 3VL, and monoid
-    behavior therefore match the in-memory engine by construction.
+
+class PSqlSegment(PhysicalOperator):
+    """A flat SELECT as a leaf of the physical plan.
+
+    ``stream`` and ``merge`` segments are chunk sources (:meth:`batches`);
+    a lowered ``Reduce`` — ``reduce`` and ``fold`` segments — is the whole
+    plan and has a :meth:`value`.  The SELECT runs on first entry, once per
+    execution: a re-entered segment replays its decoded columns.
+    ``rows_produced`` is the row count of the SELECT (what ``flat_query``
+    reports), whatever the decode folds those rows into.
     """
 
-    def __init__(
-        self,
-        store: ShreddedStore,
-        segments: Mapping[int, _Segment],
-        params: Mapping[str, Any] | None = None,
-        governor: Any | None = None,
-    ):
-        super().__init__(store)
-        # Residual terms need parameter values and governor ticks; the
-        # base class builds its term evaluator with neither.
-        self._terms = TermEvaluator(store, params, governor)
-        self._store = store
-        self._segments = segments
-        self._governor = governor
-        #: (sql, rows, sql ms, decode/stitch ms) per executed flat query.
-        self.flat_queries: list[tuple[str, int, float, float]] = []
+    def __init__(self, context: _Context, segment: _Segment, root: str):
+        super().__init__()
+        self._context = context
+        self.segment = segment
+        self.root = root
+        #: (sql, rows, sql ms, decode ms) once the SELECT has run.
+        self.flat_query: tuple[str, int, float, float] | None = None
+        self._decoded: tuple[dict[str, list], int] | None = None
 
-    def stream(self, plan: Operator) -> Iterator[dict[str, Any]]:
-        segment = self._segments.get(id(plan))
-        if segment is None:
-            return super().stream(plan)
-        if segment.mode == "merge":
-            return self._stream_merge(segment)
-        return self._stream_segment(segment)
+    def describe(self) -> str:
+        return f"SqlSegment[{self.segment.label}]({self.root} subtree)"
 
-    def _reduce(self, plan: Reduce) -> Any:
-        segment = self._segments.get(id(plan))
-        if segment is None or segment.mode not in ("reduce", "fold"):
-            monoid = plan.monoid
-            if isinstance(monoid, CollectionMonoid):
-                # Same semantics as the base per-row merge loop — for
-                # collection monoids the contribution is unconditionally
-                # unit(head), NULLs kept, no finalize — but folding the
-                # collected elements once is O(n) where repeated
-                # set/bag union rebuilds the accumulator per row (O(n²)).
-                elements = [
-                    self._value(plan.head, env)
-                    for env in self.stream(plan.child)
-                    if self._holds(plan.pred, env)
-                ]
-                self.steps += len(elements)
-                return monoid.fold_elements(elements)
-            return super()._reduce(plan)
-        rows, index = self._execute(segment)
-        start = time.perf_counter()
-        objects = self._store.objects
-        _, kind, tag = segment.decoders[0]
-        if segment.mode == "reduce":
-            value = rows[0][0]
-            if kind == "min":
-                result = float("inf") if value is None else value
-            elif value is None:
-                result = NULL
-            else:
-                result = bool(value) if tag == "bool" else value
-        else:
-            elements: list[Any] = []
-            append = elements.append
-            if kind == "object":
-                for row in rows:
-                    value = row[0]
-                    append(NULL if value is None else objects[value])
-            elif tag == "bool":
-                for row in rows:
-                    value = row[0]
-                    append(NULL if value is None else bool(value))
-            else:
-                for row in rows:
-                    value = row[0]
-                    append(NULL if value is None else value)
-            self.steps += len(rows)
-            monoid = lookup_monoid(segment.monoid_name)
-            assert isinstance(monoid, CollectionMonoid)
-            result = monoid.fold_elements(elements)
-        self._add_decode_ms(index, (time.perf_counter() - start) * 1000.0)
-        return result
-
-    # -- segment execution ---------------------------------------------------
-
-    def _execute(self, segment: _Segment) -> tuple[list[Any], int]:
-        """Run one flat query; returns (rows, flat_queries index).
+    def _fetch(self) -> list[tuple]:
+        """Run the flat query and drain it.
 
         Rows are drained in batches with the governor ticked per batch, and
         a progress handler checkpoints the governor every few thousand VM
         opcodes so budgets trip inside long-running SELECTs too.
         """
-        store = self._store
+        segment = self.segment
+        store: ShreddedStore = self._context.database
         if any(kind == "object" for _, kind, _ in segment.decoders):
             # Only object-decoding segments need the rehydrated extents;
             # scalar aggregates and folds skip that cost entirely.
             store.ensure_loaded(segment.extents)
-        governor = self._governor
+        governor = self._context.governor
         sql = segment.sql
         if governor is not None:
             # SQLite's progress-handler countdown runs off the *statement's*
@@ -2088,7 +2053,7 @@ class _HybridEvaluator(PlanEvaluator):
             # per-connection, so concurrent sessions never share phase.)
             sql = f"{segment.sql} /* governed:{next(store._governed_nonce)} */"
         start = time.perf_counter()
-        rows: list[Any] = []
+        rows: list[tuple] = []
         with store.statement_guard() as connection:
             trap = _install_progress(connection, governor)
             try:
@@ -2110,100 +2075,98 @@ class _HybridEvaluator(PlanEvaluator):
                 if trap is not None:
                     connection.set_progress_handler(None, 0)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.flat_queries.append((segment.sql, len(rows), elapsed_ms, 0.0))
-        return rows, len(self.flat_queries) - 1
+        self.rows_produced = len(rows)
+        self.flat_query = (segment.sql, len(rows), elapsed_ms, 0.0)
+        return rows
 
-    def _add_decode_ms(self, index: int, ms: float) -> None:
-        sql, count, sql_ms, decode_ms = self.flat_queries[index]
-        self.flat_queries[index] = (sql, count, sql_ms, decode_ms + ms)
+    def _record_decode(self, start: float) -> None:
+        sql, count, sql_ms, _ = self.flat_query
+        decode_ms = (time.perf_counter() - start) * 1000.0
+        self.flat_query = (sql, count, sql_ms, decode_ms)
 
-    def _stream_segment(self, segment: _Segment) -> Iterator[dict[str, Any]]:
-        rows, index = self._execute(segment)
-        objects = self._store.objects
-        decoders = segment.decoders
+    def batches(self) -> Iterator[Chunk]:
+        if self._decoded is None:
+            rows = self._fetch()
+            start = time.perf_counter()
+            decode = self._merge if self.segment.mode == "merge" else self._stream
+            self._decoded = decode(rows, self._context.database.objects)
+            self._record_decode(start)
+        columns, total = self._decoded
+        size = self._context.batch_size
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            self.batches_produced += 1
+            self.batch_rows += stop - start
+            yield Chunk(
+                {name: col[start:stop] for name, col in columns.items()},
+                stop - start,
+            )
 
-        def generate() -> Iterator[dict[str, Any]]:
-            total = len(rows)
-            for base in range(0, total, _FETCH_BATCH):
-                start = time.perf_counter()
-                chunk: list[dict[str, Any]] = []
-                for row in rows[base : base + _FETCH_BATCH]:
-                    self.steps += 1
-                    env: dict[str, Any] = {}
-                    for (var, kind, tag), value in zip(decoders, row):
-                        if kind == "min":
-                            env[var] = float("inf") if value is None else value
-                        elif value is None:
-                            env[var] = NULL
-                        elif kind == "object":
-                            env[var] = objects[value]
-                        else:
-                            env[var] = bool(value) if tag == "bool" else value
-                    chunk.append(env)
-                self._add_decode_ms(
-                    index, (time.perf_counter() - start) * 1000.0
-                )
-                yield from chunk
+    def _stream(
+        self, rows: list[tuple], objects: Mapping
+    ) -> tuple[dict[str, list], int]:
+        """One output row per SQL row (chains and GROUP BY nests)."""
+        decoders = self.segment.decoders
+        raw = zip(*rows) if rows else [()] * len(decoders)
+        columns = {
+            var: _decode_column(values, kind, tag, objects)
+            for (var, kind, tag), values in zip(decoders, raw)
+        }
+        return columns, len(rows)
 
-        return generate()
-
-    def _stream_merge(self, segment: _Segment) -> Iterator[dict[str, Any]]:
+    def _merge(
+        self, rows: list[tuple], objects: Mapping
+    ) -> tuple[dict[str, list], int]:
         """Linear-merge stitching for collection-monoid nests.
 
         The rows arrive ordered by group key then enumeration rank, so one
         pass over adjacent runs rebuilds every group; groups are then
-        emitted in first-seen (minimum rank) order, matching the reference
-        nest's output order.
+        emitted in first-seen (minimum rank) order, matching the nest's
+        output order.
         """
-        rows, index = self._execute(segment)
-        start = time.perf_counter()
-        objects = self._store.objects
+        segment = self.segment
         key_count = segment.key_count
-        key_decoders = segment.decoders[:key_count]
-        _, head_kind, head_tag = segment.decoders[key_count]
-        monoid = lookup_monoid(segment.monoid_name)
-        assert isinstance(monoid, CollectionMonoid)
-        out_var = segment.out_var
-        #: [first rank, key env, elements] per group, in key order.
-        groups: list[list[Any]] = []
+        *key_decoders, (_, head_kind, head_tag) = segment.decoders
+        #: (first rank, first row, raw elements) per group, in key order.
+        groups: list[tuple[int, tuple, list]] = []
         previous: Any = None
         for row in rows:
-            self.steps += 1
             key = row[:key_count]
             if not groups or key != previous:
-                env: dict[str, Any] = {}
-                for (var, kind, tag), value in zip(key_decoders, row):
-                    if value is None:
-                        env[var] = NULL
-                    elif kind == "object":
-                        env[var] = objects[value]
-                    else:
-                        env[var] = bool(value) if tag == "bool" else value
-                groups.append([row[key_count + 2], env, []])
+                groups.append((row[key_count + 2], row, []))
                 previous = key
             if row[key_count]:  # the guarded contribution indicator
-                value = row[key_count + 1]
-                if value is None:
-                    element = NULL
-                elif head_kind == "object":
-                    element = objects[value]
-                else:
-                    element = bool(value) if head_tag == "bool" else value
-                groups[-1][2].append(element)
+                groups[-1][2].append(row[key_count + 1])
         groups.sort(key=lambda group: group[0])
-        results = [
-            {**env, out_var: monoid.fold_elements(elements)}
-            for _, env, elements in groups
+        columns = {
+            var: _decode_column(
+                [first[i] for _, first, _ in groups], kind, tag, objects
+            )
+            for i, (var, kind, tag) in enumerate(key_decoders)
+        }
+        fold = lookup_monoid(segment.monoid_name).fold_elements
+        columns[segment.out_var] = [
+            fold(_decode_column(elements, head_kind, head_tag, objects))
+            for _, _, elements in groups
         ]
-        self._add_decode_ms(index, (time.perf_counter() - start) * 1000.0)
-        return iter(results)
+        return columns, len(groups)
 
-
-def _compiled_options(compiled: Any) -> tuple[str | None, bool]:
-    options = getattr(compiled, "options", None)
-    db_path = getattr(options, "db_path", None)
-    pushdown = getattr(options, "sqlite_pushdown", True)
-    return db_path, pushdown
+    def value(self) -> Any:
+        """A lowered ``Reduce``: the single aggregate row (``reduce``), or
+        the ordered element stream folded in one pass (``fold``)."""
+        segment = self.segment
+        rows = self._fetch()
+        start = time.perf_counter()
+        _, kind, tag = segment.decoders[0]
+        values = _decode_column(
+            [row[0] for row in rows], kind, tag, self._context.database.objects
+        )
+        if segment.mode == "reduce":
+            result = values[0]
+        else:
+            result = lookup_monoid(segment.monoid_name).fold_elements(values)
+        self._record_decode(start)
+        return result
 
 
 def execute_shredded(
@@ -2213,37 +2176,22 @@ def execute_shredded(
     governor: Any | None = None,
     flat_queries: list | None = None,
 ) -> Any:
-    """Run a :class:`~repro.core.pipeline.CompiledQuery` on the SQLite
-    backend; *flat_queries* (when given) collects
+    """Run a :class:`~repro.core.pipeline.CompiledQuery` compiled for
+    ``backend="sqlite"``; *flat_queries* (when given) collects
     (sql, rows, sql ms, decode ms) tuples."""
-    if compiled.optimized is None:
-        raise BackendUnsupportedError(
-            "backend='sqlite' requires an unnested algebraic plan "
-            "(compile with unnest=True)"
-        )
-    db_path, pushdown = _compiled_options(compiled)
-    store = shredded_store(database, db_path=db_path)
-    segments = store.cached_segments(compiled.optimized, pushdown)
-    evaluator = _HybridEvaluator(store, segments, params, governor)
-    result = evaluator.evaluate(compiled.optimized)
+    physical = compiled.physical(database, params, governor=governor)
+    result = root_value(physical)
     if flat_queries is not None:
-        flat_queries.extend(evaluator.flat_queries)
+        flat_queries.extend(executed_flat_queries(physical))
     return result
 
 
 def explain_shredded(compiled: Any, database: Database) -> str:
-    """An EXPLAIN rendering: the operator tree with each compiled subtree's
+    """An EXPLAIN rendering: the physical plan with each SQL segment's
     generated flat SQL (``[sql:group]``/``[sql:agg]``/``[sql:merge]``
-    markers show pushed-down aggregation), and ``[py]`` markers on residual
-    operators."""
-    if compiled.optimized is None:
-        raise BackendUnsupportedError(
-            "backend='sqlite' requires an unnested algebraic plan "
-            "(compile with unnest=True)"
-        )
-    db_path, pushdown = _compiled_options(compiled)
-    store = shredded_store(database, db_path=db_path)
-    segments = store.cached_segments(compiled.optimized, pushdown)
+    markers show pushed-down aggregation), and ``[py]`` markers on the
+    residual operators above them."""
+    store = shredded_store(database, db_path=compiled.options.db_path)
     lines = ["backend: sqlite (query shredding over stdlib sqlite3)"]
     if store.db_path is not None:
         lines.append(
@@ -2251,48 +2199,31 @@ def explain_shredded(compiled: Any, database: Database) -> str:
             f"({'reused' if store.reused else 'shredded'})"
         )
 
-    def visit(node: Operator, depth: int) -> None:
+    def visit(op: PhysicalOperator, depth: int) -> None:
         indent = "  " * depth
-        segment = segments.get(id(node))
-        if segment is not None:
-            marker = f"[{segment.label}]"
-            lines.append(f"{indent}{marker} {type(node).__name__} subtree:")
-            lines.append(f"{indent}{' ' * len(marker)} {segment.sql}")
+        if isinstance(op, PSqlSegment):
+            marker = f"[{op.segment.label}]"
+            lines.append(f"{indent}{marker} {op.root} subtree:")
+            lines.append(f"{indent}{' ' * len(marker)} {op.segment.sql}")
             return
-        lines.append(f"{indent}[py]  {type(node).__name__}")
-        for child in node.children():
+        lines.append(f"{indent}[py]  {op.describe()}")
+        for child in op.children():
             visit(child, depth + 1)
 
-    visit(compiled.optimized, 0)
+    visit(compiled.physical(database), 0)
     return "\n".join(lines)
 
 
-def shredded_sql(
-    database: Database, source: str, pushdown: bool = True
-) -> list[str]:
+def shredded_sql(database: Database, source: str) -> list[str]:
     """The flat SQL statements the backend generates for *source*, in plan
     pre-order (the golden-SQL test surface)."""
     from repro.core.optimizer import OptimizerOptions
     from repro.core.pipeline import QueryPipeline
 
-    pipeline = QueryPipeline(
-        database,
-        OptimizerOptions(backend="sqlite", sqlite_pushdown=pushdown),
-    )
-    compiled = pipeline.compile_oql(source)
-    if compiled.optimized is None:  # pragma: no cover - unnest is on
-        return []
-    store = shredded_store(database)
-    segments = compile_segments(compiled.optimized, store, pushdown=pushdown)
-    statements: list[str] = []
-
-    def visit(node: Operator) -> None:
-        segment = segments.get(id(node))
-        if segment is not None:
-            statements.append(segment.sql)
-            return
-        for child in node.children():
-            visit(child)
-
-    visit(compiled.optimized)
-    return statements
+    pipeline = QueryPipeline(database, OptimizerOptions(backend="sqlite"))
+    lowered, _ = lower_to_sql(pipeline.compile_oql(source).optimized, database)
+    return [
+        node.segment.sql
+        for node in operators(lowered)
+        if isinstance(node, SqlSegment)
+    ]

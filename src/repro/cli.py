@@ -177,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "estimated-memory budget for blocking operators (hash/merge "
-            "join builds, grouping); exceeding it raises BudgetExceeded"
+            "estimated-memory budget for blocking operators (join "
+            "builds, grouping); exceeding it raises BudgetExceeded"
         ),
     )
     return parser

@@ -125,23 +125,20 @@ def _not_const(term: Term) -> Term | None:
 
 @NORMALIZATION_RULES.rule("bool-simplify", "true/false identities of and/or")
 def _bool_simplify(term: Term) -> Term | None:
+    # The reference and/or are left-biased, not Kleene: a NULL left operand
+    # makes the result NULL whatever the right one is.  So the absorbing
+    # constant folds only from the left (`false and p`, `true or p`, where
+    # p is never evaluated); `p and false` / `p or true` are NULL for a
+    # NULL p and stay as written.  The identities hold on either side.
     if not (isinstance(term, BinOp) and term.op in ("and", "or")):
         return None
-    true, false = Const(True), Const(False)
-    if term.op == "and":
-        if term.left == true:
-            return term.right
-        if term.right == true:
-            return term.left
-        if false in (term.left, term.right):
-            return false
-    else:
-        if term.left == false:
-            return term.right
-        if term.right == false:
-            return term.left
-        if true in (term.left, term.right):
-            return true
+    identity = Const(term.op == "and")
+    if term.left == identity:
+        return term.right
+    if term.right == identity:
+        return term.left
+    if term.left == Const(term.op == "or"):
+        return term.left
     return None
 
 

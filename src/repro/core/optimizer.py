@@ -80,7 +80,6 @@ class OptimizerOptions:
     reorder_joins: bool = True
     hash_joins: bool = True
     index_scans: bool = True
-    merge_joins: bool = False
     #: Rows per chunk passed between physical operators.
     batch_size: int = 1024
     #: Partition the driving extent scan and execute partition-local
@@ -106,19 +105,16 @@ class OptimizerOptions:
     max_bytes: int | None = None
     #: Execution backend.  ``"memory"`` is the reference in-memory engine;
     #: ``"sqlite"`` shreds extents into flat SQLite tables and lowers
-    #: join/unnest chains of the unnested plan to flat SELECTs
-    #: (repro.backends.shred), stitching results back with the reference
-    #: nest semantics.  Requires ``unnest=True``.
+    #: the subtrees of the unnested plan that translate — join/unnest
+    #: chains, aggregating reduces and nests — to flat SELECTs that run as
+    #: leaves of the same physical plan (repro.backends.shred).  Requires
+    #: ``unnest=True``.
     backend: str = "memory"
     #: SQLite backend: shred into (and reuse) a file-backed store at this
     #: path instead of ``:memory:`` — extents larger than RAM execute out
     #: of core.  A manifest (schema version + per-extent content digest)
     #: decides whether an existing file can be reused or must be re-shred.
     db_path: str | None = None
-    #: SQLite backend: lower Reduce/Nest aggregation into SQL GROUP BY +
-    #: aggregate expressions (the fast path).  Off pins the original
-    #: stitch-in-Python lowering, kept as an oracle path.
-    sqlite_pushdown: bool = True
 
 
 # ---------------------------------------------------------------------------

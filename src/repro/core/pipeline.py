@@ -50,9 +50,8 @@ from repro.engine.compile import ExprCompiler
 from repro.engine.cost import CostModel
 from repro.engine.executor import ExecutionStats, run_with_stats
 from repro.engine.governor import CancelToken, Governor
-from repro.engine.exchange import PGather
 from repro.engine.planner import PlannerOptions, plan_physical
-from repro.engine.physical import PEval, PReduce, PhysicalOperator
+from repro.engine.physical import PhysicalOperator, root_value
 from repro.errors import ExecutionError, PlanningError, QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -71,7 +70,6 @@ def _planner_options(options: "OptimizerOptions") -> PlannerOptions:
     return PlannerOptions(
         hash_joins=options.hash_joins,
         index_scans=options.index_scans,
-        merge_joins=options.merge_joins,
         batch_size=options.batch_size,
         parallel=options.parallel,
         num_workers=options.num_workers,
@@ -311,26 +309,16 @@ class CompiledQuery:
         try:
             values = self._merged_params(params)
             governor = self.make_governor(cancel_token)
-            if self.options.backend == "sqlite":
-                from repro.backends.shred import execute_shredded
-
-                result = execute_shredded(
-                    self, database, values, governor=governor
-                )
-            elif self.options.backend != "memory":
-                raise PlanningError(
-                    f"unknown backend {self.options.backend!r}; "
-                    "expected 'memory' or 'sqlite'"
-                )
-            elif self.optimized is None:
+            plan, provider = self.target(database)
+            if plan is None:
                 # Naive nested-loop evaluation of the calculus form.
                 result = Evaluator(
-                    database, values, governor=governor
+                    provider, values, governor=governor
                 ).evaluate(self.prepared)
             else:
-                physical = self.physical(database, values, governor=governor)
-                assert isinstance(physical, (PReduce, PEval, PGather))
-                result = physical.value()
+                result = root_value(
+                    self._plan(plan, provider, values, governor=governor)
+                )
             if self.order_by:
                 result = _apply_order(result, self.order_by, database, values)
         except QueryError as exc:
@@ -356,6 +344,42 @@ class CompiledQuery:
             self._compiler = ExprCompiler()
         return self._compiler
 
+    def target(self, database: Database) -> tuple[Operator | None, Any]:
+        """What this query runs as against *database*: the logical plan
+        handed to the physical planner and the extent provider it reads —
+        the one place the backend is chosen.  ``"memory"``: the optimized
+        plan (None when unnesting is off: naive calculus evaluation) over
+        the database itself.  ``"sqlite"``: the plan with its lowered
+        subtrees replaced by SQL-segment leaves, over the shredded store."""
+        backend = self.options.backend
+        if backend == "sqlite":
+            from repro.backends.shred import lower_to_sql
+
+            return lower_to_sql(self.optimized, database, self.options.db_path)
+        if backend != "memory":
+            raise PlanningError(
+                f"unknown backend {backend!r}; expected 'memory' or 'sqlite'"
+            )
+        return self.optimized, database
+
+    def _plan(
+        self,
+        plan: Operator,
+        provider: Any,
+        params: Mapping[str, Any] | None,
+        profile: bool = False,
+        governor: Governor | None = None,
+    ) -> PhysicalOperator:
+        return plan_physical(
+            plan,
+            provider,
+            _planner_options(self.options),
+            params,
+            profile=profile,
+            compiler=self.expr_compiler(),
+            governor=governor,
+        )
+
     def physical(
         self,
         database: Database,
@@ -364,21 +388,14 @@ class CompiledQuery:
         governor: Governor | None = None,
     ) -> PhysicalOperator:
         """The physical plan bound to *database* (and parameter values)."""
-        if self.optimized is None:
+        plan, provider = self.target(database)
+        if plan is None:
             raise ValueError("no algebraic plan: query compiled with unnest=False")
-        return plan_physical(
-            self.optimized,
-            database,
-            _planner_options(self.options),
-            params,
-            profile=profile,
-            compiler=self.expr_compiler(),
-            governor=governor,
-        )
+        return self._plan(plan, provider, params, profile, governor)
 
     def explain(self, database: Database) -> str:
-        """An EXPLAIN-style report of the physical plan (or, on the SQLite
-        backend, the operator tree with the generated flat SQL)."""
+        """An EXPLAIN-style report of the physical plan (on the SQLite
+        backend, with the generated flat SQL under each segment)."""
         if self.options.backend == "sqlite":
             from repro.backends.shred import explain_shredded
 
@@ -711,46 +728,24 @@ class QueryPipeline:
         try:
             values = compiled._merged_params(params)
             governor = compiled.make_governor(cancel_token)
-            if compiled.options.backend == "sqlite":
-                from repro.backends.shred import execute_shredded
-
-                flat_queries: list = []
-                start = time.perf_counter()
-                result = execute_shredded(
-                    compiled,
-                    self.database,
-                    values,
-                    governor=governor,
-                    flat_queries=flat_queries,
-                )
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                stats = ExecutionStats(
-                    result=result,
-                    elapsed_ms=elapsed_ms,
-                    backend="sqlite",
-                    flat_queries=flat_queries,
-                )
-            elif compiled.options.backend != "memory":
-                raise PlanningError(
-                    f"unknown backend {compiled.options.backend!r}; "
-                    "expected 'memory' or 'sqlite'"
-                )
-            elif compiled.optimized is None:
+            plan, provider = compiled.target(self.database)
+            if plan is None:
                 start = time.perf_counter()
                 result = Evaluator(
-                    self.database, values, governor=governor
+                    provider, values, governor=governor
                 ).evaluate(compiled.prepared)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 stats = ExecutionStats(result=result, elapsed_ms=elapsed_ms)
             else:
                 stats = run_with_stats(
-                    compiled.optimized,
-                    self.database,
+                    plan,
+                    provider,
                     _planner_options(compiled.options),
                     values,
                     compiler=compiled.expr_compiler(),
                     governor=governor,
                 )
+            stats.backend = compiled.options.backend
             if compiled.order_by:
                 stats.result = _apply_order(
                     stats.result, compiled.order_by, self.database, values

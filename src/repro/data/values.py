@@ -469,18 +469,3 @@ def identity_eq(left: Any, right: Any) -> bool:
     predicate via ``apply_binop``, so they cannot disagree on it.
     """
     return identity_key(left) == identity_key(right)
-
-
-def identity_sort_key(key: Any) -> tuple:
-    """A total order over identity keys / scalar join keys, for sort-merge.
-
-    Ranks values by kind so mixed-type inputs never raise TypeError:
-    numbers (booleans included) sort together, then strings, then
-    everything else by repr.  Values whose sort keys are equal are not
-    necessarily equal — merge loops must still compare the raw keys.
-    """
-    if isinstance(key, (bool, int, float)):
-        return (0, float(key))
-    if isinstance(key, str):
-        return (1, key)
-    return (2, type(key).__name__, repr(key))

@@ -16,8 +16,7 @@ from repro.algebra.operators import Operator
 from repro.calculus.evaluator import ExtentProvider
 from repro.engine.compile import ExprCompiler
 from repro.engine.planner import PlannerOptions, plan_physical
-from repro.engine.exchange import PGather
-from repro.engine.physical import PEval, PReduce, PhysicalOperator
+from repro.engine.physical import PhysicalOperator, root_value
 
 
 @dataclass
@@ -66,20 +65,12 @@ class ExecutionStats:
     #: Which backend ran the query ("memory" or "sqlite").
     backend: str = "memory"
     #: On the SQLite backend: one (sql, rows, sql ms, decode ms) entry per
-    #: flat query the shredding translation executed — SQL execution time
-    #: split from Python decode/stitch time, so a pushdown win is visible
-    #: per query.
+    #: SQL segment of the plan that ran — SQL execution time split from
+    #: Python decode time (see :func:`flat_queries`).
     flat_queries: list = field(default_factory=list)
 
     @property
     def total_rows(self) -> int:
-        # Backends without per-operator tracing (sqlite) report the
-        # result's own cardinality instead of summed operator output.
-        if not self.operators:
-            try:
-                return len(self.result)
-            except TypeError:
-                return 1
         return sum(op.rows_produced for op in self.operators)
 
     def report(self) -> str:
@@ -143,12 +134,12 @@ def run_with_stats(
         compiler=compiler,
         governor=governor,
     )
-    if not isinstance(physical, (PReduce, PEval, PGather)):
-        raise TypeError("a complete plan must be rooted at Reduce or Eval")
     start = time.perf_counter()
-    result = physical.value()
+    result = root_value(physical)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    stats = ExecutionStats(result=result, elapsed_ms=elapsed_ms)
+    stats = ExecutionStats(
+        result=result, elapsed_ms=elapsed_ms, flat_queries=flat_queries(physical)
+    )
     if governor is not None:
         stats.governor_ticks = governor.ticks
         stats.governor_peak_bytes = governor.peak_bytes
@@ -170,3 +161,13 @@ def _collect(op: PhysicalOperator, depth: int, stats: ExecutionStats) -> None:
     )
     for child in op.children():
         _collect(child, depth + 1, stats)
+
+
+def flat_queries(op: PhysicalOperator) -> list[tuple[str, int, float, float]]:
+    """The (sql, rows, sql ms, decode ms) record of every SQL segment under
+    *op* that ran its SELECT, in plan pre-order."""
+    ran = getattr(op, "flat_query", None)
+    found = [] if ran is None else [ran]
+    for child in op.children():
+        found.extend(flat_queries(child))
+    return found

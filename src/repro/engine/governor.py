@@ -11,7 +11,7 @@ execution cooperatively:
   operators plus inner join-pair iterations — so a nested-loop blowup is
   charged even when it emits few rows (the contract is below);
 * **memory budget** (``max_bytes``): blocking operators (hash-join builds,
-  hash-nest groups, merge-join sorts, nested-loop inner materialization)
+  hash-nest groups, nested-loop inner materialization)
   :meth:`~Governor.charge` a shallow byte estimate for the chunks they
   buffer, sampled one row per :data:`SAMPLE_STRIDE`;
 * **cancellation** (:class:`CancelToken`): a thread-safe flag a caller can
@@ -54,7 +54,6 @@ __all__ = [
     "CancelToken",
     "Governor",
     "SAMPLE_STRIDE",
-    "estimate_buffer_bytes",
     "estimate_bytes",
 ]
 
@@ -104,27 +103,6 @@ def estimate_bytes(value: Any) -> int:
 #: whole stride at that rate — rows in a buffer share a shape, so sampling
 #: loses little accuracy and cuts the estimator out of the per-row path.
 SAMPLE_STRIDE = 16
-
-
-def estimate_buffer_bytes(items: Any, get: Any = None) -> int:
-    """Sampled shallow estimate of an already-materialized buffer.
-
-    Measures every :data:`SAMPLE_STRIDE`-th item (through *get* when the
-    buffered row is wrapped, e.g. merge-join sort keys) and scales to the
-    full length.
-    """
-    n = len(items)
-    if n == 0:
-        return 0
-    total = 0
-    sampled = 0
-    for i in range(0, n, SAMPLE_STRIDE):
-        item = items[i]
-        if get is not None:
-            item = get(item)
-        total += estimate_bytes(item)
-        sampled += 1
-    return (total * n) // sampled
 
 
 class Governor:

@@ -5,10 +5,9 @@ are evaluated in memory" (Section 6).  This module provides those physical
 algorithms:
 
 * pipelined scan / select / map / unnest operators;
-* **nested-loop**, **hash** and **sort-merge** implementations of join and
-  left outer-join (the planner picks hash when it can extract equi-join
-  keys — the very optimization the paper says unnesting enables for
-  QUERY E);
+* **nested-loop** and **hash** implementations of join and left
+  outer-join (the planner picks hash when it can extract equi-join keys —
+  the very optimization the paper says unnesting enables for QUERY E);
 * hash-based grouping for the nest operator (single pass);
 * the **group-join**: a nest that groups an outer-join by the join's own
   left columns runs as one keyed operator, folding each left row's matches
@@ -34,10 +33,10 @@ Three conventions hold across operators:
   and settle them with one ``tick_many`` — see the row-budget contract in
   :mod:`repro.engine.governor`.
 * **Blocking builds run once and charge what they buffer.**  The hash-join
-  table, the merge-join's sorted right side, the nested-loop inner, the
-  group-join's buckets and the hash-nest groups are memoized on first entry, so re-entering a
-  restartable stream does not redo them; under a memory budget each build
-  charges a stride-sampled byte estimate of the chunks it buffers.
+  table, the nested-loop inner, the group-join's buckets and the hash-nest
+  groups are memoized on first entry, so re-entering a restartable stream
+  does not redo them; under a memory budget each build charges a
+  stride-sampled byte estimate of the chunks it buffers.
 """
 
 from __future__ import annotations
@@ -53,16 +52,11 @@ from repro.data.values import (
     NULL,
     CollectionValue,
     identity_key,
-    identity_sort_key,
     is_null,
 )
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import CompiledKernel, ExprCompiler
-from repro.engine.governor import (
-    SAMPLE_STRIDE,
-    estimate_buffer_bytes,
-    estimate_bytes,
-)
+from repro.engine.governor import SAMPLE_STRIDE, estimate_bytes
 
 Env = dict[str, Any]
 
@@ -513,115 +507,7 @@ class PNestedLoopJoin(PhysicalOperator):
         return f"{kind}({self.pred})"
 
 
-class _EquiJoin(PhysicalOperator):
-    """What the hash and sort-merge joins share: equi-key candidates are
-    found by the subclass, the residual predicate and the emission of
-    matches and outer pads are the same."""
-
-    def __init__(
-        self,
-        context: _Context,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        residual: Term,
-        right_columns: tuple[str, ...],
-        outer: bool,
-    ):
-        super().__init__()
-        self._context = context
-        self.left = left
-        self.right = right
-        self.residual = residual
-        self.right_columns = right_columns
-        self.outer = outer
-        self._holds = self._pred_kernel(context, residual)
-        self._residual_vars = free_vars(residual)
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def _emit_candidates(
-        self,
-        cols: Mapping[str, list],
-        n: int,
-        counts: list[int],
-        parent_of: list[int],
-        match_rows: list[tuple],
-        kerr: Any,
-    ) -> Iterator[Chunk]:
-        """Filter candidate pairs through the residual and emit the result.
-
-        Left row *i* of the *n*-row chunk *cols* has ``counts[i]``
-        candidate right tuples (aligned to ``right_columns``), laid out
-        consecutively in *match_rows* with ``parent_of`` naming each
-        candidate's left row.  Every candidate is a work unit (on a
-        residual fault the failing pair included).  A left row without a
-        surviving candidate pads on an outer join; *kerr* (a key fault past
-        row *n*) is raised after the rows that preceded it.
-        """
-        right_columns = self.right_columns
-        outer = self.outer
-        governor = self._context.governor
-        total = len(match_rows)
-        if total and not self._holds.trivial_true:
-            # Gather only the columns the residual reads.
-            needed = self._residual_vars
-            ccols = {
-                name: [col[i] for i in parent_of]
-                for name, col in cols.items()
-                if name in needed
-            }
-            for j, col_name in enumerate(right_columns):
-                if col_name in needed:
-                    ccols[col_name] = [row[j] for row in match_rows]
-            flags, passed, perr = self._run_kernel(self._holds, ccols, total)
-        else:
-            flags, passed, perr = None, total, None
-        if governor is not None:
-            governor.tick_many(passed + 1 if perr is not None else total)
-        bad_parent = parent_of[passed] if perr is not None else None
-        pending = perr if perr is not None else kerr
-        out_cols: dict[str, list] = {name: [] for name in cols}
-        right_out: list[list] = [[] for _ in right_columns]
-        left_appends = [(out_cols[name].append, cols[name]) for name in cols]
-        right_appends = [col.append for col in right_out]
-        emitted = 0
-        cursor = 0
-        for i in range(n):
-            if i == bad_parent:
-                # The residual faulted mid-row: emit the candidates that
-                # preceded the fault, no outer pad (matched is undecided).
-                stop = passed
-            else:
-                stop = cursor + counts[i]
-            matched = False
-            for c in range(cursor, stop):
-                if flags is None or flags[c]:
-                    matched = True
-                    row = match_rows[c]
-                    for append, col in left_appends:
-                        append(col[i])
-                    for append, v in zip(right_appends, row):
-                        append(v)
-                    emitted += 1
-            if i == bad_parent:
-                break
-            cursor = stop
-            if outer and not matched:
-                for append, col in left_appends:
-                    append(col[i])
-                for append in right_appends:
-                    append(NULL)
-                emitted += 1
-        if emitted:
-            for col_name, values in zip(right_columns, right_out):
-                out_cols[col_name] = values
-            yield self._emit_chunk(Chunk(out_cols, emitted))
-        if pending is not None:
-            raise pending
-
-
-class PHashJoin(_EquiJoin):
+class PHashJoin(PhysicalOperator):
     """Hash (outer-)join on extracted equi-keys, with a residual predicate.
 
     The build-side hash table is constructed on the first ``batches()``
@@ -641,7 +527,15 @@ class PHashJoin(_EquiJoin):
         right_columns: tuple[str, ...],
         outer: bool,
     ):
-        super().__init__(context, left, right, residual, right_columns, outer)
+        super().__init__()
+        self._context = context
+        self.left = left
+        self.right = right
+        self.residual = residual
+        self.right_columns = right_columns
+        self.outer = outer
+        self._holds = self._pred_kernel(context, residual)
+        self._residual_vars = free_vars(residual)
         self.left_keys = left_keys
         self.right_keys = right_keys
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
@@ -649,6 +543,9 @@ class PHashJoin(_EquiJoin):
         #: Buckets of right-row tuples aligned to ``right_columns`` (no
         #: per-row dicts), memoized on first entry.
         self._table: dict[Any, list[tuple]] | None = None
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return (self.left, self.right)
 
     def _build_table(self) -> dict[Any, list[tuple]]:
         # Keys are wrapped with identity_key so that `=` on stored objects
@@ -767,6 +664,86 @@ class PHashJoin(_EquiJoin):
                 cols, n, counts, parent_of, match_rows, kerr
             )
 
+    def _emit_candidates(
+        self,
+        cols: Mapping[str, list],
+        n: int,
+        counts: list[int],
+        parent_of: list[int],
+        match_rows: list[tuple],
+        kerr: Any,
+    ) -> Iterator[Chunk]:
+        """Filter candidate pairs through the residual and emit the result.
+
+        Left row *i* of the *n*-row chunk *cols* has ``counts[i]``
+        candidate right tuples (aligned to ``right_columns``), laid out
+        consecutively in *match_rows* with ``parent_of`` naming each
+        candidate's left row.  Every candidate is a work unit (on a
+        residual fault the failing pair included).  A left row without a
+        surviving candidate pads on an outer join; *kerr* (a key fault past
+        row *n*) is raised after the rows that preceded it.
+        """
+        right_columns = self.right_columns
+        outer = self.outer
+        governor = self._context.governor
+        total = len(match_rows)
+        if total and not self._holds.trivial_true:
+            # Gather only the columns the residual reads.
+            needed = self._residual_vars
+            ccols = {
+                name: [col[i] for i in parent_of]
+                for name, col in cols.items()
+                if name in needed
+            }
+            for j, col_name in enumerate(right_columns):
+                if col_name in needed:
+                    ccols[col_name] = [row[j] for row in match_rows]
+            flags, passed, perr = self._run_kernel(self._holds, ccols, total)
+        else:
+            flags, passed, perr = None, total, None
+        if governor is not None:
+            governor.tick_many(passed + 1 if perr is not None else total)
+        bad_parent = parent_of[passed] if perr is not None else None
+        pending = perr if perr is not None else kerr
+        out_cols: dict[str, list] = {name: [] for name in cols}
+        right_out: list[list] = [[] for _ in right_columns]
+        left_appends = [(out_cols[name].append, cols[name]) for name in cols]
+        right_appends = [col.append for col in right_out]
+        emitted = 0
+        cursor = 0
+        for i in range(n):
+            if i == bad_parent:
+                # The residual faulted mid-row: emit the candidates that
+                # preceded the fault, no outer pad (matched is undecided).
+                stop = passed
+            else:
+                stop = cursor + counts[i]
+            matched = False
+            for c in range(cursor, stop):
+                if flags is None or flags[c]:
+                    matched = True
+                    row = match_rows[c]
+                    for append, col in left_appends:
+                        append(col[i])
+                    for append, v in zip(right_appends, row):
+                        append(v)
+                    emitted += 1
+            if i == bad_parent:
+                break
+            cursor = stop
+            if outer and not matched:
+                for append, col in left_appends:
+                    append(col[i])
+                for append in right_appends:
+                    append(NULL)
+                emitted += 1
+        if emitted:
+            for col_name, values in zip(right_columns, right_out):
+                out_cols[col_name] = values
+            yield self._emit_chunk(Chunk(out_cols, emitted))
+        if pending is not None:
+            raise pending
+
     def describe(self) -> str:
         kind = "HashOuterJoin" if self.outer else "HashJoin"
         keys = ", ".join(
@@ -775,137 +752,6 @@ class PHashJoin(_EquiJoin):
         if self.residual != Const(True):
             return f"{kind}({keys}; residual {self.residual})"
         return f"{kind}({keys})"
-
-
-class PMergeJoin(_EquiJoin):
-    """Sort-merge (outer-)join on a single equi-key.
-
-    Both inputs are materialized, NULL keys filtered symmetrically on both
-    sides (a NULL never equi-joins; left-side NULL rows still pad on an
-    outer join), and the survivors sorted by a total-order wrapper
-    (``identity_sort_key``) that ranks mixed-type keys instead of raising
-    TypeError.  Duplicate key runs produce the cross product of the runs;
-    within a run the *raw* identity keys are re-checked, since the sort
-    wrapper's order is coarser than key equality.  The planner only selects
-    this algorithm when asked to (``PlannerOptions.merge_joins``).  The
-    sorted right side is built once per execution and reused on re-entry.
-    """
-
-    def __init__(
-        self,
-        context: _Context,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        left_key: Term,
-        right_key: Term,
-        residual: Term,
-        right_columns: tuple[str, ...],
-        outer: bool,
-    ):
-        super().__init__(context, left, right, residual, right_columns, outer)
-        self.left_key = left_key
-        self.right_key = right_key
-        self._left_key_kernel = self._kernel(context, left_key)
-        self._right_key_kernel = self._kernel(context, right_key)
-        self._right_rows: list[tuple] | None = None
-
-    def _keyed(
-        self,
-        source: PhysicalOperator,
-        kernel: CompiledKernel,
-        names: tuple[str, ...] | None,
-    ) -> tuple[tuple[str, ...], list[tuple]]:
-        """Materialize *source* as (sort wrapper, identity key, row tuple)
-        triples, the tuples aligned to *names* (default: the columns of the
-        first chunk, returned).  NULL keys get a None wrapper — a NULL key
-        never equi-joins on either side."""
-        keyed: list[tuple] = []
-        for chunk in source.batches():
-            cols = chunk.columns
-            if names is None:
-                names = tuple(cols)
-            values, _, err = self._run_kernel(kernel, cols, chunk.length)
-            if err is not None:
-                raise err
-            if names:
-                rows: Any = zip(*(cols[name] for name in names))
-            else:
-                rows = [()] * chunk.length
-            for value, row in zip(values, rows):
-                if is_null(value):
-                    keyed.append((None, None, row))
-                else:
-                    key = identity_key(value)
-                    keyed.append((identity_sort_key(key), key, row))
-        return names or (), keyed
-
-    def batches(self) -> Iterator[Chunk]:
-        context = self._context
-        charge = context.charge_fn()
-        if self._right_rows is None:
-            _, keyed = self._keyed(
-                self.right, self._right_key_kernel, self.right_columns
-            )
-            right_rows = [row for row in keyed if row[0] is not None]
-            right_rows.sort(key=lambda row: row[0])
-            if charge is not None:
-                charge(estimate_buffer_bytes(right_rows, get=lambda r: r[2]))
-            self._right_rows = right_rows
-        right_rows = self._right_rows
-        names, left_rows = self._keyed(self.left, self._left_key_kernel, None)
-        if charge is not None:
-            charge(estimate_buffer_bytes(left_rows, get=lambda r: r[2]))
-        nullish = [row for wrapper, _, row in left_rows if wrapper is None]
-        sortable = [row for row in left_rows if row[0] is not None]
-        sortable.sort(key=lambda row: row[0])
-        governor = context.governor
-        size = context.batch_size
-        end = len(right_rows)
-        index = 0
-        for start in range(0, len(sortable), size):
-            block = sortable[start : start + size]
-            counts: list[int] = []
-            parent_of: list[int] = []
-            match_rows: list[tuple] = []
-            skipped = 0
-            for i, (wrapper, key, _) in enumerate(block):
-                while index < end and right_rows[index][0] < wrapper:
-                    index += 1
-                probe = index
-                count = 0
-                while probe < end and right_rows[probe][0] == wrapper:
-                    # Wrapper equality is coarser than key equality: confirm
-                    # on the raw identity keys before pairing.
-                    if right_rows[probe][1] == key:
-                        match_rows.append(right_rows[probe][2])
-                        count += 1
-                    else:
-                        skipped += 1
-                    probe += 1
-                counts.append(count)
-                parent_of.extend([i] * count)
-            if governor is not None:
-                # Pairs rejected on the raw key were still considered.
-                governor.tick_many(skipped)
-            cols = self._columns(names, [row for _, _, row in block])
-            yield from self._emit_candidates(
-                cols, len(block), counts, parent_of, match_rows, None
-            )
-        if self.outer:
-            for start in range(0, len(nullish), size):
-                block = nullish[start : start + size]
-                cols = self._columns(names, block)
-                for col in self.right_columns:
-                    cols[col] = [NULL] * len(block)
-                yield self._emit_chunk(Chunk(cols, len(block)))
-
-    @staticmethod
-    def _columns(names: tuple[str, ...], rows: list[tuple]) -> dict[str, list]:
-        return {name: [row[j] for row in rows] for j, name in enumerate(names)}
-
-    def describe(self) -> str:
-        kind = "MergeOuterJoin" if self.outer else "MergeJoin"
-        return f"{kind}({self.left_key} = {self.right_key})"
 
 
 class PUnnest(PhysicalOperator):
@@ -1755,3 +1601,14 @@ class PEval(PhysicalOperator):
 
     def describe(self) -> str:
         return f"Eval({self.expr})"
+
+
+def root_value(op: PhysicalOperator) -> Any:
+    """Run a complete physical plan.  Only a root has a value: a reduce, an
+    eval, the exchange's gather, a reduce lowered whole to SQL — whatever
+    the planner put there, it answers ``value()``; a stream operator at the
+    root means the logical plan was not a complete query."""
+    value = getattr(op, "value", None)
+    if value is None:
+        raise TypeError("a complete plan must be rooted at Reduce or Eval")
+    return value()

@@ -13,8 +13,7 @@ physical plans"):
 * nests become single-pass hash grouping — except the shape the unnesting
   algorithm emits for every nested box over an extent, ``Γ ∘ =⋈``: a nest
   that groups a left outer-join by exactly the join's left columns, with a
-  head and predicate over the right columns only.  Wherever that join
-  would have been hash or nested-loop, nest and join become one
+  head and predicate over the right columns only.  Nest and join become one
   **group-join** (:class:`~repro.engine.physical.PGroupJoin`) on the same
   keys and residual, so no joined pair is built only to be grouped back
   onto the left row it came from;
@@ -23,8 +22,12 @@ physical plans"):
 ``PlannerOptions.hash_joins`` turns key extraction off, which the benchmark
 suite uses to separate "unnesting removes recomputation" from "unnesting
 enables hash joins" (the group-join then runs keyless: one bucket, the whole
-predicate as its residual); ``merge_joins`` keeps a single-key pair as
-``PHashNest`` over ``PMergeJoin``.
+predicate as its residual).
+
+A logical node that carries ``build_physical(context)`` — the exchange's
+``MaterializedInput``, the SQLite backend's ``SqlSegment`` — is a leaf that
+builds itself; the planner plans everything above it the same way whichever
+backend supplied the leaves.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from repro.engine.physical import (
     PIndexScan,
     PHashNest,
     PMap,
-    PMergeJoin,
     PNestedLoopJoin,
     PReduce,
     PScan,
@@ -66,6 +68,7 @@ from repro.engine.physical import (
     PUnnest,
     PhysicalOperator,
     _Context,
+    root_value,
 )
 
 
@@ -75,9 +78,6 @@ class PlannerOptions:
 
     hash_joins: bool = True
     index_scans: bool = True
-    #: Prefer sort-merge over hash for single-key equi-joins.  Keys must be
-    #: totally ordered values (numbers or strings).
-    merge_joins: bool = False
     #: Rows per chunk passed between operators.
     batch_size: int = DEFAULT_BATCH_SIZE
     #: Partition the driving extent scan and run partition-local pipelines
@@ -143,19 +143,14 @@ def execute(
     params: Mapping[str, Any] | None = None,
 ):
     """Plan and run a logical plan, returning its value."""
-    physical = plan_physical(plan, database, options, params)
-    from repro.engine.exchange import PGather
-
-    if not isinstance(physical, (PReduce, PEval, PGather)):
-        raise TypeError("a complete plan must be rooted at Reduce or Eval")
-    return physical.value()
+    return root_value(plan_physical(plan, database, options, params))
 
 
 def _build(
     plan: Operator, context: _Context, options: PlannerOptions
 ) -> PhysicalOperator:
-    # Exchange-layer logical nodes carry their own physical construction
-    # (they wrap pre-built operators the planner cannot re-derive).
+    # Leaves that carry their own physical construction (they wrap
+    # pre-built operators or SQL the planner cannot re-derive).
     build = getattr(plan, "build_physical", None)
     if build is not None:
         return build(context)
@@ -279,21 +274,18 @@ def _try_index_scan(
     return None
 
 
-def _join_algorithm(
+def _join_keys(
     plan: Join | OuterJoin, options: PlannerOptions
-) -> tuple[str, list[tuple[Term, Term]], Term]:
-    """Which join algorithm *plan* gets — ``"merge"``, ``"hash"`` or
-    ``"nested-loop"`` — with the equi-keys it uses and what is left of the
-    predicate (nested-loop: no keys, all of it)."""
-    if options.hash_joins or options.merge_joins:
+) -> tuple[list[tuple[Term, Term]], Term]:
+    """The equi-keys *plan*'s join hashes on and what is left of the
+    predicate — no keys, all of it, for a nested-loop join."""
+    if options.hash_joins:
         keys, residual = split_equi_conjuncts(
             plan.pred, plan.left.columns(), plan.right.columns()
         )
-        if options.merge_joins and len(keys) == 1:
-            return "merge", keys, conj(*residual)
-        if keys and options.hash_joins:
-            return "hash", keys, conj(*residual)
-    return "nested-loop", [], plan.pred
+        if keys:
+            return keys, conj(*residual)
+    return [], plan.pred
 
 
 def _build_join(
@@ -303,13 +295,8 @@ def _build_join(
     left = _build(plan.left, context, options)
     right = _build(plan.right, context, options)
     right_columns = plan.right.columns()
-    algorithm, keys, residual = _join_algorithm(plan, options)
-    if algorithm == "merge":
-        (left_key, right_key), = keys
-        return PMergeJoin(
-            context, left, right, left_key, right_key, residual, right_columns, outer
-        )
-    if algorithm == "hash":
+    keys, residual = _join_keys(plan, options)
+    if keys:
         return PHashJoin(
             context,
             left,
@@ -330,9 +317,7 @@ def _try_group_join(
     exactly the join's left columns, reads right columns only in its head
     and predicate, and drops the outer pad through a right-column null
     variable folds each left row's matches without the join materialising
-    them — wherever the join would have been hash or nested-loop (a
-    sort-merge join reorders the left stream; that pair stays two
-    operators)."""
+    them."""
     join = nest.child
     if not isinstance(join, OuterJoin):
         return None
@@ -345,9 +330,7 @@ def _try_group_join(
         and free_vars(nest.head) | free_vars(nest.pred) <= right_set
     ):
         return None
-    algorithm, keys, residual = _join_algorithm(join, options)
-    if algorithm == "merge":
-        return None
+    keys, residual = _join_keys(join, options)
     return PGroupJoin(
         context,
         _build(join.left, context, options),

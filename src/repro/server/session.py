@@ -57,6 +57,10 @@ SESSION_OPTION_NAMES = frozenset(
     }
 )
 
+#: The governor limits and the JSON number kinds each accepts (``null``
+#: switches a limit off).
+_LIMIT_KINDS = {"timeout": (int, float), "max_rows": int, "max_bytes": int}
+
 #: Hard ceiling on client-requested ``num_workers`` — a session must not
 #: be able to make the server spawn an unbounded thread pool.  0 means
 #: "auto" (the engine picks a small host-appropriate count).
@@ -95,8 +99,9 @@ class Session:
     def set_options(self, updates: dict[str, Any]) -> dict[str, Any]:
         """Apply ``set`` op updates to the session's options.
 
-        Returns the applied mapping.  Unknown names and un-settable
-        options raise :class:`ProtocolError` without changing anything.
+        Returns the applied mapping.  Unknown names, un-settable options
+        and ill-typed or out-of-range values raise :class:`ProtocolError`
+        without changing anything.
         """
         if not isinstance(updates, dict) or not updates:
             raise ProtocolError("'set' expects a non-empty 'options' object")
@@ -126,6 +131,24 @@ class Session:
                     f"[0, {MAX_SESSION_WORKERS}] (0 = auto), "
                     f"got {workers!r}"
                 )
+        # Values arrive as decoded JSON.  An ill-typed limit stored here
+        # would only surface later, as a raw TypeError from the plan-cache
+        # key or the governor on every following query.
+        for name, kinds in _LIMIT_KINDS.items():
+            limit = updates.get(name)
+            if limit is not None and (
+                isinstance(limit, bool)
+                or not isinstance(limit, kinds)
+                or not limit > 0
+            ):
+                wanted = "an integer" if kinds is int else "a number"
+                raise ProtocolError(
+                    f"{name!r} must be null or {wanted} > 0, got {limit!r}"
+                )
+        if "parallel" in updates and not isinstance(updates["parallel"], bool):
+            raise ProtocolError(
+                f"'parallel' must be true or false, got {updates['parallel']!r}"
+            )
         try:
             self.pipeline.options = replace(self.pipeline.options, **updates)
         except TypeError as exc:  # pragma: no cover - names checked above

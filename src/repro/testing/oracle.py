@@ -15,7 +15,6 @@ that: it runs a query through *every* path the repo can execute —
   the default 1024-row chunks rarely reach;
 * ``pipeline-nl-joins`` — hash joins disabled (everything nested-loop);
 * ``pipeline-no-index`` — index scans disabled;
-* ``pipeline-merge-joins`` — sort-merge joins preferred;
 * ``pipeline-no-opt`` — simplification/algebraic rewriting/join reordering
   all off (the raw unnested plan, physically executed);
 * ``pipeline-cached`` — a second execution of the default pipeline, which
@@ -24,13 +23,11 @@ that: it runs a query through *every* path the repo can execute —
   placeholder (:func:`repro.oql.params.parameterize_literals`), executed
   with the literals re-supplied as bind values;
 * ``sqlite-shredded`` — the query-shredding SQLite backend
-  (:mod:`repro.backends.shred`) with aggregation pushdown *off*: extents
-  flattened into SQLite tables, join/unnest chains lowered to flat
-  SELECTs, results stitched back in Python — an *independently
-  implemented* executor for the same semantics;
-* ``sqlite-shredded-pushdown`` — the SQLite backend's fast path:
-  Reduce/Nest aggregation lowered into SQL ``GROUP BY`` + aggregate
-  expressions, nested results reassembled by ordered linear merge;
+  (:mod:`repro.backends.shred`): extents flattened into SQLite tables,
+  join/unnest chains and Reduce/Nest aggregation lowered to flat SELECTs
+  that run as leaves of the physical plan, nested results reassembled by
+  ordered linear merge — SQLite as an *independently implemented*
+  executor for the lowered part of the same semantics;
 * ``sqlite-shredded-cached-plan`` — the SQLite backend again, from a
   plan-cache hit (the shredded store is also cached; both caches must
   stay coherent) —
@@ -299,7 +296,6 @@ PATHS: tuple[tuple[str, Callable[[str, Mapping[str, Any], Database], Any]], ...]
     ("pipeline-batched-exec", _pipeline_path(batch_size=7)),
     ("pipeline-nl-joins", _pipeline_path(hash_joins=False)),
     ("pipeline-no-index", _pipeline_path(index_scans=False)),
-    ("pipeline-merge-joins", _pipeline_path(merge_joins=True)),
     (
         "pipeline-no-opt",
         _pipeline_path(simplify=False, algebraic=False, reorder_joins=False),
@@ -314,11 +310,8 @@ PATHS: tuple[tuple[str, Callable[[str, Mapping[str, Any], Database], Any]], ...]
     ("param-roundtrip", _path_param_roundtrip),
     # An independently implemented executor: query shredding over stdlib
     # sqlite3.  May *skip* (typed BackendUnsupportedError) on databases it
-    # cannot flatten.  The first path pins the stitch-in-Python lowering
-    # (pushdown off); the second runs the GROUP-BY-pushdown fast path, so
-    # the two SQL lowerings are a differential axis of their own.
-    ("sqlite-shredded", _pipeline_path(backend="sqlite", sqlite_pushdown=False)),
-    ("sqlite-shredded-pushdown", _pipeline_path(backend="sqlite")),
+    # cannot flatten.
+    ("sqlite-shredded", _pipeline_path(backend="sqlite")),
     ("sqlite-shredded-cached-plan", _path_sqlite_cached),
 )
 

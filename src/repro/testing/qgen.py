@@ -16,8 +16,7 @@ Deliberate restrictions, so that every execution path stays comparable:
   sensitive; ordering is covered by the hand-written tests);
 * no division except by powers of two, and float literals are multiples of
   0.25 — keeps float arithmetic exact, so bit-identical across paths;
-* comparisons only between scalars of the same kind (never whole records),
-  so merge-join keys are always totally ordered.
+* comparisons only between scalars of the same kind (never whole records).
 """
 
 from __future__ import annotations

@@ -79,3 +79,34 @@ def test_top_level_exports_cover_the_pipeline():
 
 def test_version_is_set():
     assert repro.__version__
+
+
+def test_production_code_does_not_import_the_reference_plan_evaluator():
+    """``repro.algebra.evaluator`` is the executable form of Figure 5's
+    equations, a reference the tests and the oracle compare against.  The
+    layers that run queries must not build on it: reachable from
+    ``repro.algebra``, ``repro.testing`` and the top-level re-export only."""
+    import ast
+
+    reference_names = {"evaluator", "PlanEvaluator", "evaluate_plan"}
+    production = ("repro.engine", "repro.backends", "repro.core", "repro.server")
+    offenders = []
+    for name in MODULES:
+        if not name.startswith(production):
+            continue
+        module = importlib.import_module(name)
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Import):
+                hit = any(
+                    alias.name == "repro.algebra.evaluator" for alias in node.names
+                )
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "repro.algebra.evaluator" or (
+                    node.module == "repro.algebra"
+                    and any(alias.name in reference_names for alias in node.names)
+                )
+            else:
+                continue
+            if hit:
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

@@ -364,13 +364,10 @@ class TestBoundaries:
             "where e.dno = d.dno ) ) from d in Departments",
         ],
     )
-    def test_merge_joins(self, oql, size, company_db):
-        options = {"merge_joins": True}
-        plan = QueryPipeline(
-            company_db, OptimizerOptions(**options)
-        ).compile_oql(oql).explain(company_db)
-        assert "Merge" in plan
-        run_both(company_db, oql, batch_size=size, options=options)
+    def test_equi_joins(self, oql, size, company_db):
+        plan = QueryPipeline(company_db).compile_oql(oql).explain(company_db)
+        assert "HashJoin" in plan or "GroupJoin" in plan
+        run_both(company_db, oql, batch_size=size)
 
     @pytest.mark.parametrize("size", [1, 7])
     @pytest.mark.parametrize(

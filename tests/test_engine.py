@@ -198,85 +198,6 @@ class TestExecution:
         assert physical.total_rows() == 10
 
 
-class TestMergeJoin:
-    def test_inner_agrees_with_hash(self, db):
-        plan = join_plan(BinOp("==", path("r", "k"), path("s", "k")))
-        merged = execute(plan, db, PlannerOptions(merge_joins=True))
-        assert merged == execute(plan, db)
-
-    def test_outer_pads_unmatched(self, db):
-        plan = Reduce(
-            OuterJoin(
-                Scan("R", "r"), Scan("S", "s"),
-                BinOp("==", path("r", "k"), path("s", "k")),
-            ),
-            "sum",
-            const(1),
-        )
-        merged = execute(plan, db, PlannerOptions(merge_joins=True))
-        assert merged == execute(plan, db) == 9
-
-    def test_duplicate_key_runs_cross_product(self):
-        database = Database()
-        database.add_extent("L", [Record(k=1, a=i) for i in range(3)])
-        database.add_extent("Rt", [Record(k=1, b=i) for i in range(4)])
-        plan = Reduce(
-            Join(Scan("L", "l"), Scan("Rt", "r"),
-                 BinOp("==", path("l", "k"), path("r", "k"))),
-            "sum",
-            const(1),
-        )
-        assert execute(plan, database, PlannerOptions(merge_joins=True)) == 12
-
-    def test_residual_predicate(self, db):
-        pred = BinOp(
-            "and",
-            BinOp("==", path("r", "k"), path("s", "k")),
-            BinOp(">", path("s", "w"), const(2)),
-        )
-        plan = join_plan(pred)
-        assert execute(plan, db, PlannerOptions(merge_joins=True)) == execute(
-            plan, db
-        )
-
-    def test_multi_key_joins_fall_back_to_hash(self, db):
-        from repro.engine.physical import PHashJoin
-
-        pred = BinOp(
-            "and",
-            BinOp("==", path("r", "k"), path("s", "k")),
-            BinOp("==", path("r", "v"), path("s", "w")),
-        )
-        physical = plan_physical(
-            join_plan(pred), db, PlannerOptions(merge_joins=True)
-        )
-        assert isinstance(physical.children()[0], PHashJoin)
-
-    def test_planner_selects_merge_join(self, db):
-        from repro.engine.physical import PMergeJoin
-
-        plan = join_plan(BinOp("==", path("r", "k"), path("s", "k")))
-        physical = plan_physical(plan, db, PlannerOptions(merge_joins=True))
-        assert isinstance(physical.children()[0], PMergeJoin)
-        assert "MergeJoin" in physical.explain()
-
-    def test_corpus_queries_under_merge_joins(self):
-        from corpus import corpus_by_name
-        from repro.core.optimizer import Optimizer, OptimizerOptions
-        from repro.data.datagen import university_database
-        from repro.engine.planner import plan_physical as _pp
-
-        db = university_database(15, 8, seed=4)
-        query = corpus_by_name("query_e")
-        reference = Optimizer(db).run_oql(query.oql)
-        compiled = Optimizer(db).compile_oql(query.oql)
-        physical = _pp(
-            compiled.optimized, db,
-            PlannerOptions(merge_joins=True, hash_joins=False),
-        )
-        assert physical.value() == reference
-
-
 class TestExplain:
     def test_explain_mentions_algorithms(self, db):
         plan = join_plan(BinOp("==", path("r", "k"), path("s", "k")))
@@ -403,16 +324,6 @@ class TestGroupJoinFusion:
             assert len(fused) == expected, query.name
             sites += expected
         assert sites == 26
-
-    def test_merge_joins_keep_the_pair(self, company_db):
-        options = OptimizerOptions(merge_joins=True)
-        compiled = QueryPipeline(company_db, options).compile_oql(
-            "select distinct struct( D: d.dno, T: sum( select e.salary "
-            "from e in Employees where e.dno = d.dno ) ) from d in Departments"
-        )
-        physical = compiled.physical(company_db)
-        assert type(physical.child) is PHashNest
-        assert physical.child.child.describe().startswith("MergeOuterJoin(")
 
     def test_no_hash_joins_means_the_keyless_form(self, company_db):
         options = OptimizerOptions(hash_joins=False)

@@ -123,3 +123,40 @@ def test_group_join_reports_as_one_operator(company_db):
     assert [op.depth for op in inputs] == [fused.depth + 1] * 2
     assert all(op.operator.startswith("Scan(") for op in inputs)
     assert f"rows={employees}, batches=1" in stats.report()
+
+
+def test_sqlite_reports_the_same_operator_tree_over_sql_leaves(company_db):
+    # backend="sqlite" is a planning decision: EXPLAIN ANALYZE shows the
+    # residual operators exactly as the memory backend would (rows,
+    # chunking, expression mode, eval time) and each flat SELECT as a leaf
+    # whose row count is the SELECT's.
+    from repro.core.optimizer import OptimizerOptions
+
+    source = (
+        "select struct(E: e.name, K: (select struct(A: c.name) "
+        "from c in e.children)) from e in Employees"
+    )
+    pipeline = QueryPipeline(company_db, OptimizerOptions(backend="sqlite"))
+    stats = pipeline.run_oql_stats(source)
+    assert stats.result == QueryPipeline(company_db).run_oql(source)
+    root, nest, leaf = stats.operators
+    assert [op.depth for op in stats.operators] == [0, 1, 2]
+    assert root.operator.startswith("Reduce(bag / ")
+    assert root.rows_produced == _expected_root_rows(stats.result)
+    employees = len(company_db.extent("Employees"))
+    assert nest.operator.startswith("HashNest(bag -> ")
+    assert nest.rows_produced == nest.batch_rows == employees
+    assert nest.eval_mode == root.eval_mode == "compiled" and nest.eval_ms > 0
+    assert leaf.operator == "SqlSegment[sql](OuterUnnest subtree)"
+    ((sql, rows, sql_ms, decode_ms),) = stats.flat_queries
+    assert leaf.rows_produced == leaf.batch_rows == rows >= employees
+    assert leaf.batches_produced == 1 and leaf.eval_mode == ""
+    report = stats.report()
+    assert f"flat query: {rows} rows" in report and sql in report
+    assert f"SqlSegment[sql](OuterUnnest subtree)  [rows={rows}, batches=1" in report
+    assert "exprs=compiled" in report and "backend=sqlite" in report
+    again = pipeline.run_oql_stats(source)
+    assert again.from_cache
+    assert [(op.rows_produced, op.depth) for op in again.operators] == [
+        (op.rows_produced, op.depth) for op in stats.operators
+    ]

@@ -144,14 +144,13 @@ class TestOracle:
         assert "pipeline-cached" in names
         assert "param-roundtrip" in names
         # the physical-engine axes: chunk boundaries, the exchange, and the
-        # two non-default join algorithms
+        # non-default join algorithm
         assert {
             "pipeline-batched-exec",
             "pipeline-parallel-exec",
-            "pipeline-merge-joins",
             "pipeline-nl-joins",
         } <= set(names)
-        assert len(names) == len(set(names)) == 15
+        assert len(names) == len(set(names)) == 13
 
     def test_simple_query_agrees(self):
         db, _ = random_database(1)

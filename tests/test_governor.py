@@ -224,6 +224,110 @@ class TestCancellation:
             pipeline.run_oql(CROSS, cancel_token=token)
 
 
+#: ``backend="sqlite"`` shapes that keep a ticking or buffering operator
+#: *above* their SQL segments (a ``/`` keeps a join predicate out of SQL,
+#: a struct head keeps a nest out, triple nesting keeps an outer-unnest):
+#: (query, the operator, a row budget the segments' own fetch ticks stay
+#: under, the most work units one input row generates there).
+TRIPLE = (
+    "select distinct e.name from e in Employees where count( select c "
+    "from c in e.children where c.age > min( select d.age "
+    "from d in e.manager.children ) ) >= 1"
+)
+RESIDUAL_SHAPES = {
+    "unnest": (TRIPLE, "OuterUnnest(", 100, 3),
+    "hash-join": (CROSS + " where e.dno = d.dno / 1", "HashJoin(", 90, 9),
+    "nl-join": (CROSS + " where e.dno / 1 < d.dno", "NLJoin(", 100, 8),
+    # a nest settles no work units of its own: memory budget only
+    "hash-nest": (
+        "select struct(E: e.name, K: (select struct(A: c.name) "
+        "from c in e.children)) from e in Employees",
+        "HashNest(bag",
+        None,
+        None,
+    ),
+}
+TICKING_SHAPES = ["hash-join", "nl-join", "unnest"]
+BUFFERING_SHAPES = ["hash-join", "hash-nest", "nl-join"]
+
+
+def _segments(op):
+    found = [op] if op.describe().startswith("SqlSegment") else []
+    for child in op.children():
+        found.extend(_segments(child))
+    return found
+
+
+class TestResidualOperatorsAboveSqlSegments:
+    """One executor: the operators the SQL lowering leaves above a segment
+    are governed exactly as on the memory backend."""
+
+    def _pipeline(self, db, shape, **options):
+        oql, operator, _, _ = RESIDUAL_SHAPES[shape]
+        pipeline = QueryPipeline(db, OptimizerOptions(backend="sqlite", **options))
+        explain = pipeline.compile_oql(oql).explain(db)
+        assert f"[py]  {operator}" in explain and "[sql" in explain
+        return pipeline, oql
+
+    @pytest.mark.parametrize("shape", TICKING_SHAPES)
+    def test_row_budget_trips_in_the_residual_operator(self, db, shape):
+        _, _, budget, fanout = RESIDUAL_SHAPES[shape]
+        reports = set()
+        for size in (1, 7, 1024):
+            pipeline, oql = self._pipeline(db, shape, batch_size=size, max_rows=budget)
+            for runner in (pipeline, QueryPipeline(db, OptimizerOptions(max_rows=budget))):
+                with pytest.raises(BudgetExceeded) as info:
+                    runner.run_oql(oql)
+                reports.add(str(info.value))
+            governor = Governor(max_rows=budget)
+            physical = pipeline.compile_oql(oql).physical(db, governor=governor)
+            with pytest.raises(BudgetExceeded):
+                physical.value()
+            # Every SELECT drained within budget: the settle that crossed
+            # it belongs to the operator above.
+            segments = _segments(physical)
+            assert segments and all(s.flat_query is not None for s in segments)
+            assert sum(s.rows_produced for s in segments) < budget
+            assert budget < governor.ticks <= budget + size * fanout
+        assert len(reports) == 1
+        assert f"more than {budget} work units" in reports.pop()
+
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    @pytest.mark.parametrize("shape", BUFFERING_SHAPES)
+    def test_memory_budget_trips_in_the_residual_build(self, db, shape, size):
+        pipeline, oql = self._pipeline(db, shape, batch_size=size, max_bytes=100)
+        # SQL segments charge nothing, so only a residual build can trip.
+        with pytest.raises(BudgetExceeded, match="memory budget") as info:
+            pipeline.run_oql(oql)
+        with pytest.raises(BudgetExceeded) as memory:
+            QueryPipeline(
+                db, OptimizerOptions(batch_size=size, max_bytes=100)
+            ).run_oql(oql)
+        assert str(info.value) == str(memory.value)
+
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    @pytest.mark.parametrize("shape", TICKING_SHAPES)
+    def test_cancel_lands_in_the_residual_operator(self, db, shape, size):
+        pipeline, oql = self._pipeline(db, shape, batch_size=size)
+        token = CancelToken()
+        governor = Governor(token=token, tick_interval=1)
+        physical = pipeline.compile_oql(oql).physical(db, governor=governor)
+        # The cancel arrives as the last SELECT finishes draining; the next
+        # checkpoint anyone reaches is a residual operator's settle.
+        last = _segments(physical)[0]
+        fetch = last._fetch
+
+        def fetch_then_cancel():
+            rows = fetch()
+            token.cancel()
+            return rows
+
+        last._fetch = fetch_then_cancel
+        with pytest.raises(QueryCancelled):
+            physical.value()
+        assert last.flat_query is not None
+
+
 class TestGovernorUnit:
     def test_no_limits_never_trips(self):
         governor = Governor()

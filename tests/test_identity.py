@@ -202,8 +202,8 @@ class TestPersistenceRoundTrip:
         assert len(set(oids)) == 2
 
 
-class TestMergeJoinHardening:
-    def _count_join(self, db: Database, outer: bool = False):
+class TestEquiJoinKeyHardening:
+    def _count_join(self, db: Database, outer: bool = False, hash_joins=True):
         from repro.algebra.operators import OuterJoin
 
         join_cls = OuterJoin if outer else Join
@@ -216,14 +216,13 @@ class TestMergeJoinHardening:
             "sum",
             const(1),
         )
-        return execute(plan, db, PlannerOptions(merge_joins=True))
+        return execute(plan, db, PlannerOptions(hash_joins=hash_joins))
 
     def test_null_right_keys_filtered_symmetrically(self):
         db = Database()
         db.add_extent("L", [Record(k=1), Record(k=NULL)])
         db.add_extent("R", [Record(k=1), Record(k=NULL), Record(k=NULL)])
-        # NULL never equi-joins: exactly the 1=1 pair survives, and no
-        # TypeError escapes from sorting unorderable NULL keys.
+        # NULL never equi-joins: exactly the 1=1 pair survives.
         assert self._count_join(db) == 1
         # Outer join still pads every unmatched left row (NULL key included).
         assert self._count_join(db, outer=True) == 2
@@ -234,21 +233,11 @@ class TestMergeJoinHardening:
         db.add_extent("R", [Record(k="red"), Record(k=2), Record(k=1)])
         assert self._count_join(db) == 2
 
-    def test_identity_keys_join_like_hash_join(self):
+    def test_identity_keys_hash_like_the_nested_loop_compares(self):
         db = Database()
         db.add_extent("L", [Record(k=Record(j=1)), Record(k=Record(j=1))], kind="bag")
         db.add_extent("R", [Record(k=Record(j=1))])
-        merged = self._count_join(db)
-        plan = Reduce(
-            Join(
-                Scan("L", "l"),
-                Scan("R", "r"),
-                BinOp("==", path("l", "k"), path("r", "k")),
-            ),
-            "sum",
-            const(1),
-        )
-        assert merged == execute(plan, db)
+        assert self._count_join(db) == self._count_join(db, hash_joins=False)
 
 
 class TestCostModelGuard:

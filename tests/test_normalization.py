@@ -445,9 +445,29 @@ class TestFixpoint:
         assert normalize(once) == once
 
     def test_boolean_simplification(self):
-        term = BinOp("and", Const(True), var("p"))
-        assert normalize(term) == Var("p")
-        term = BinOp("or", var("p"), Const(True))
-        assert normalize(term) == Const(True)
-        term = BinOp("and", var("p"), Const(False))
-        assert normalize(term) == Const(False)
+        p = var("p")
+        # The identities drop from either side ...
+        assert normalize(BinOp("and", Const(True), p)) == p
+        assert normalize(BinOp("and", p, Const(True))) == p
+        assert normalize(BinOp("or", Const(False), p)) == p
+        assert normalize(BinOp("or", p, Const(False))) == p
+        # ... the absorbing constant only from the left: the reference
+        # and/or are left-biased, so a NULL p on the left decides.
+        assert normalize(BinOp("or", Const(True), p)) == Const(True)
+        assert normalize(BinOp("and", Const(False), p)) == Const(False)
+        for term in (BinOp("or", p, Const(True)), BinOp("and", p, Const(False))):
+            assert normalize(term) == term
+
+    @pytest.mark.parametrize("p", [True, False, None], ids=["true", "false", "null"])
+    @pytest.mark.parametrize("constant", [True, False])
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_boolean_simplification_three_valued_truth_table(self, op, constant, p):
+        # p is read off a row, so only bool-simplify can touch the operator;
+        # whatever it does must read the same as the term as written.
+        database = Database()
+        database.add_extent("Y", [Record(p=NULL if p is None else p)])
+        for operands in ((path("y", "p"), Const(constant)), (Const(constant), path("y", "p"))):
+            term = comprehension("bag", BinOp(op, *operands), ("y", Extent("Y")))
+            assert list(evaluate(normalize(term), database)) == list(
+                evaluate(term, database)
+            )

@@ -205,7 +205,6 @@ def test_physical_engines_are_sound(db, term):
     plan = unnest_query(term)
     assert execute(plan, db) == reference
     assert execute(plan, db, PlannerOptions(hash_joins=False)) == reference
-    assert execute(plan, db, PlannerOptions(merge_joins=True)) == reference
 
 
 @_SETTINGS

@@ -3,9 +3,9 @@
 Four concerns, mirroring ISSUE 9's tentpole:
 
 * **parity**: every pushable aggregate monoid (sum/count/avg/min/max,
-  some/all) agrees with the reference evaluator across the divergence-prone
+  some/all) agrees with the calculus reference across the divergence-prone
   axes — 3VL predicates, NULL aggregate inputs, NULL grouping keys, empty
-  groups, and empty extents — with pushdown both on and off;
+  groups, and empty extents;
 * **the pushdown actually fires**: golden checks that grouping/aggregate
   queries lower to a single ``GROUP BY`` statement and EXPLAIN carries the
   ``[sql:group]``/``[sql:agg]``/``[sql:merge]`` markers;
@@ -27,6 +27,7 @@ import pytest
 
 from corpus import CORPUS
 from repro.backends.shred import shredded_sql, shredded_store
+from repro.calculus.evaluator import evaluate
 from repro.cli import DATABASES
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
@@ -34,6 +35,7 @@ from repro.data.database import Database
 from repro.data.schema import FLOAT, INT, STRING, Schema
 from repro.data.values import NULL, Record
 from repro.errors import BudgetExceeded
+from repro.oql.translator import parse_and_translate
 from repro.testing.oracle import results_equal
 
 
@@ -113,15 +115,11 @@ PARITY_QUERIES = [
 
 class TestPushdownParity:
     @pytest.mark.parametrize("source", PARITY_QUERIES)
-    def test_parity_pushdown_on_and_off(self, source):
+    def test_parity_with_the_calculus_reference(self, source):
         db = _agg_db() if "Ts" in source or "Empty" in source else DATABASES["company"]()
-        reference = _pipeline(db).run_oql(source)
+        reference = evaluate(parse_and_translate(source, db.schema), db)
         pushed = _pipeline(db, backend="sqlite").run_oql(source)
-        stitched = _pipeline(
-            db, backend="sqlite", sqlite_pushdown=False
-        ).run_oql(source)
         assert results_equal(reference, pushed)
-        assert results_equal(reference, stitched)
 
 
 class TestPushdownFires:
@@ -140,15 +138,6 @@ class TestPushdownFires:
         assert len(statements) == 1
         assert "GROUP BY" in statements[0]
         assert 'ORDER BY MIN("$rn")' in statements[0]
-
-    def test_pushdown_off_pins_the_stitch_path(self):
-        db = _agg_db()
-        statements = shredded_sql(
-            db,
-            "select distinct t.k, sum(t.v) as S from Ts t group by t.k",
-            pushdown=False,
-        )
-        assert all("GROUP BY" not in sql for sql in statements)
 
     def test_explain_markers(self):
         db = DATABASES["company"]()

@@ -230,6 +230,64 @@ class TestTypedErrors:
             assert reply.error_code == "BUDGET_EXCEEDED"
 
 
+#: ``set`` values that used to be stored and fail every later query with a
+#: raw TypeError (or be silently accepted): wrong JSON types, non-positive
+#: limits, fractional row/byte budgets, a non-boolean switch.
+ILL_TYPED_OPTIONS = [
+    {"max_bytes": [1]},
+    {"timeout": "soon"},
+    {"max_rows": "many"},
+    {"max_rows": -5},
+    {"max_rows": 0},
+    {"max_rows": 2.5},
+    {"max_bytes": True},
+    {"timeout": 0},
+    {"timeout": {"s": 1}},
+    {"parallel": "yes"},
+    {"parallel": 1},
+    # one bad value rejects the whole update
+    {"max_rows": 100, "timeout": "soon"},
+]
+
+
+class TestSetOptionValidation:
+    @pytest.mark.parametrize("options", ILL_TYPED_OPTIONS, ids=json.dumps)
+    def test_ill_typed_values_are_rejected_at_set_time(self, server, options):
+        host, port, db = server
+        with ServeClient(host, port) as client:
+            before = client.call("hello")["options"]
+            reply = client.set_options(**options)
+            assert not reply.ok
+            assert reply.error_code == "PROTOCOL_ERROR"
+            assert any(name in reply["error"]["message"] for name in options)
+            # nothing was stored: the session answers the next query
+            assert client.call("hello")["options"] == before
+            reply = client.query("count(Employees)")
+            assert reply.ok
+            assert reply.value() == Optimizer(db).run_oql("count(Employees)")
+
+    def test_well_typed_values_still_apply(self, server):
+        host, port, _ = server
+        with ServeClient(host, port) as client:
+            applied = {"timeout": 1.5, "max_rows": 100000, "max_bytes": None, "parallel": True}
+            reply = client.set_options(**applied)
+            assert reply.ok
+            assert {k: reply["options"][k] for k in applied} == applied
+            assert client.set_options(timeout=None, max_rows=None).ok
+            assert client.query("count(Employees)").ok
+
+    def test_http_queries_survive_rejected_sets(self, server):
+        # The plan cache is server-wide and its key holds the options: an
+        # unhashable value that reached a session used to fail there.
+        host, port, db = server
+        with ServeClient(host, port) as client:
+            for options in ILL_TYPED_OPTIONS:
+                assert not client.set_options(**options).ok
+            status, body = _http(host, port, "/query", {"q": "count(Employees)"})
+            assert status == 200 and body["ok"] is True
+            assert client.query("count(Employees)").ok
+
+
 # ---------------------------------------------------------------------------
 # admission control and tenant budgets
 # ---------------------------------------------------------------------------

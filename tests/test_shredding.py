@@ -36,6 +36,7 @@ from repro.data.database import Database
 from repro.data.schema import FLOAT, INT, STRING, Schema, set_of
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.errors import BackendUnsupportedError, PlanningError
+from repro.algebra.evaluator import evaluate_plan as evaluate_reference
 from repro.testing.oracle import PATHS, check_sample, results_equal
 
 
@@ -373,6 +374,47 @@ class TestStitching:
         )
         assert results_equal(memory, shredded)
 
+    def test_a_re_entered_segment_runs_its_select_once(self):
+        # The inner of a nested-loop join is entered once per left chunk's
+        # build — and again by anyone re-entering the join; the segment
+        # replays its decoded columns instead of going back to SQLite.
+        from repro.algebra.operators import Join, Reduce, Scan
+        from repro.backends.shred import PSqlSegment, lower_to_sql
+        from repro.calculus.terms import BinOp, const, path
+        from repro.engine.planner import PlannerOptions, plan_physical
+
+        db = DATABASES["company"]()
+        plan = Reduce(
+            Join(
+                Scan("Departments", "d"),
+                Scan("Employees", "e"),
+                # `/` keeps the predicate, hence the join, out of SQL
+                BinOp("<", BinOp("/", path("e", "dno"), const(1)), path("d", "dno")),
+            ),
+            "sum",
+            const(1),
+        )
+        lowered, store = lower_to_sql(plan, db)
+        statements: list[str] = []
+        store.connection.set_trace_callback(statements.append)
+        try:
+            physical = plan_physical(
+                lowered, store, PlannerOptions(batch_size=7, hash_joins=False)
+            )
+            join = physical.child
+            inner = join.right
+            assert isinstance(inner, PSqlSegment)
+            first = [chunk.length for chunk in inner.batches()]
+            again = [chunk.length for chunk in inner.batches()]
+            assert first == again and sum(first) == inner.rows_produced
+            total = physical.value()
+        finally:
+            store.connection.set_trace_callback(None)
+        assert total == evaluate_reference(plan, db)
+        # (the trace also sees the rehydration loads behind `$oid` decoding)
+        assert statements.count(inner.segment.sql) == 1
+        assert statements.count(join.left.segment.sql) == 1
+
     def test_stitched_objects_are_the_rehydrated_ones(self):
         # Rows decoded from SQL resolve $oid to the store's objects, and
         # those compare identity-equal to the database's own (same OIDs).
@@ -471,9 +513,8 @@ class TestRefusals:
 class TestOracleIntegration:
     def test_sqlite_paths_are_registered(self):
         names = [name for name, _ in PATHS]
-        assert len(names) == 15
+        assert len(names) == 13
         assert "sqlite-shredded" in names
-        assert "sqlite-shredded-pushdown" in names
         assert "sqlite-shredded-cached-plan" in names
 
     def test_agreement_on_demo_database(self):
@@ -491,11 +532,7 @@ class TestOracleIntegration:
             "select p.name from p in People", {}, _inheritance_db()
         )
         skipped = {outcome.path for outcome in verdict.skipped}
-        assert skipped == {
-            "sqlite-shredded",
-            "sqlite-shredded-pushdown",
-            "sqlite-shredded-cached-plan",
-        }
+        assert skipped == {"sqlite-shredded", "sqlite-shredded-cached-plan"}
         assert verdict.agreed  # skips are not disagreements
         for outcome in verdict.skipped:
             assert "SKIPPED" in outcome.describe()
@@ -573,11 +610,36 @@ class TestCorpusParity:
         assert TestCorpusParity.refusals == []
 
     @pytest.mark.parametrize("query", CORPUS, ids=lambda q: q.name)
-    def test_stats_path_parity(self, query):
-        # The stats entry point shares the sqlite branch with execute();
-        # spot-check the whole corpus agrees there too (cheap: plan cache).
+    def test_stats_path_is_the_one_physical_plan(self, query):
+        # EXPLAIN ANALYZE on sqlite is the memory backend's: one operator
+        # list, SQL segments its leaves, everything above them compiled.
         db = _FAMILY_DBS[query.family]
-        pipeline = _pipeline(db, backend="sqlite")
-        stats = pipeline.run_oql_stats(query.oql)
+        stats = _pipeline(db, backend="sqlite").run_oql_stats(query.oql)
         memory = _pipeline(db).run_oql(query.oql)
         assert results_equal(memory, stats.result), query.name
+        assert stats.backend == "sqlite" and stats.operators
+        segments = [
+            op for op in stats.operators if op.operator.startswith("SqlSegment[")
+        ]
+        assert segments and len(segments) == len(stats.flat_queries)
+        assert sum(op.rows_produced for op in segments) == sum(
+            rows for _, rows, _, _ in stats.flat_queries
+        )
+        assert all(op.eval_mode == "" for op in segments)
+        residual = [op for op in stats.operators if op not in segments]
+        assert all(op.eval_mode in ("compiled", "") for op in residual)
+        # only a seed (no expression to evaluate) reports no mode
+        assert all(op.eval_mode or op.operator == "Seed" for op in residual)
+
+    def test_residual_operators_survive_where_the_lowering_stops(self):
+        # The lowering is untouched: the same 21 corpus queries keep
+        # operators above their segments.
+        residual = [
+            q.name
+            for q in CORPUS
+            if "[py]" in _pipeline(_FAMILY_DBS[q.family], backend="sqlite")
+            .compile_oql(q.oql)
+            .explain(_FAMILY_DBS[q.family])
+        ]
+        assert len(residual) == 21
+        assert {"triple_nesting", "nested_struct_heads", "setop_union"} <= set(residual)
