@@ -215,7 +215,8 @@ class Evaluator:
         return is_null(self._eval(term.expr, env))
 
     def _eval_zero(self, term: Zero, env: dict[str, Any]) -> Any:
-        return term.monoid.zero
+        # Finalized: avg's zero is the carrier (0.0, 0), its value is NULL.
+        return term.monoid.finalize(term.monoid.zero)
 
     def _eval_singleton(self, term: Singleton, env: dict[str, Any]) -> Any:
         monoid = term.monoid

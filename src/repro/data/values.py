@@ -27,6 +27,7 @@ them; its public ``==``/``hash``/``count`` remain value-based.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from math import copysign
 from typing import Any
 
 
@@ -453,6 +454,45 @@ def identity_key(value: Any) -> Any:
             return value
         return (_LIST_TAG, keys)
     return value
+
+
+def exact_key(value: Any) -> Any:
+    """A hashable key equal only for values no expression can tell apart.
+
+    :func:`identity_key` leaves identity-free values to Python's ``==``,
+    under which ``1 == 1.0 == True``, ``0.0 == -0.0`` and two sets are
+    equal whatever order they iterate in — fine for grouping and joins,
+    which *mean* that equality, but not for deciding that a computation
+    over one value may stand in for the same computation over another:
+    ``sum`` over ``{{1, 2}}`` is ``3`` and over ``{{1.0, 2}}`` is ``3.0``.
+    This key tags every scalar with its class, the sign of a float zero
+    and the iteration order of a collection, all the way down; a stored
+    object is its OID.
+
+    >>> exact_key(BagValue([1, 2])) == exact_key(BagValue([1.0, 2]))
+    False
+    >>> exact_key(SetValue([1, 2])) == exact_key(SetValue([2, 1]))
+    False
+    >>> exact_key(Record(j=1).with_oid(0)) == exact_key(Record(j=1).with_oid(1))
+    False
+    """
+    cls = value.__class__
+    if cls is int or cls is str or cls is bool:
+        return (cls, value)
+    if cls is float:
+        return (cls, value) if value else (cls, value, copysign(1.0, value))
+    if cls is Record or isinstance(value, Record):
+        if value._oid is not None:
+            return (_OID_TAG, value._oid)
+        return (_REC_TAG, tuple((a, exact_key(v)) for a, v in value._key()))
+    if isinstance(value, SetValue):
+        return (_SET_TAG, tuple(map(exact_key, value._order)))
+    if isinstance(value, BagValue):
+        entries = value._entries.values()
+        return (_BAG_TAG, tuple((exact_key(v), count) for v, count in entries))
+    if isinstance(value, ListValue):
+        return (_LIST_TAG, tuple(map(exact_key, value._items)))
+    return (cls, value)
 
 
 def has_identity(value: Any) -> bool:

@@ -573,7 +573,7 @@ class _KernelEmitter:
         return "NULL"
 
     def _gen_zero(self, term: Zero, depth: int = 0) -> str:
-        return self.bind("c", term.monoid.zero)
+        return self.bind("c", term.monoid.finalize(term.monoid.zero))
 
     def _gen_extent(self, term: Extent, depth: int) -> str:
         out = self.temp()

@@ -50,7 +50,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.algebra.operators import (
     Join,
@@ -76,10 +76,12 @@ from repro.data.values import (
     SetValue,
     identity_key,
 )
-from repro.engine.batch import Chunk, Env, chunk_rows
+from repro.engine.batch import Env
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
+    MaterializedInput,
     PhysicalOperator,
+    PMaterializedSource,
     PScan,
     _account_result,
     _Context,
@@ -262,42 +264,6 @@ class PPartitionScan(PScan):
             f"PartitionScan({self.var} <- {self.extent} "
             f"[{spec.mode} {spec.index + 1}/{spec.count}])"
         )
-
-
-class PMaterializedSource(PhysicalOperator):
-    """Leaf that replays coordinator-merged rows into the serial tail plan
-    (the operators above the parallelized nest)."""
-
-    def __init__(self, context: _Context, columns: tuple[str, ...]):
-        super().__init__()
-        self._context = context
-        self._columns = columns
-        self._rows: list[Env] = []
-
-    def feed(self, rows: list[Env]) -> None:
-        self._rows = rows
-        self.rows_produced = 0
-
-    def batches(self) -> Iterator[Chunk]:
-        for chunk in chunk_rows(iter(self._rows), self._context.batch_size):
-            yield self._emit_chunk(chunk)
-
-    def describe(self) -> str:
-        return f"Materialized({','.join(self._columns)})"
-
-
-@dataclass(frozen=True, eq=False)
-class MaterializedInput(Operator):
-    """Logical stand-in for the merged nest output in the tail plan."""
-
-    source: PMaterializedSource
-    source_columns: tuple[str, ...]
-
-    def columns(self) -> tuple[str, ...]:
-        return self.source_columns
-
-    def build_physical(self, context: _Context) -> PhysicalOperator:
-        return self.source
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +650,11 @@ class PGather(PhysicalOperator):
                     (envs[key], _fold_serial(nest_monoid, merged[key]))
                     for key in order
                 ]
-        out_var = nest.out_var
-        self._tail_source.feed(
-            [{**env, out_var: value} for env, value in group_rows]
-        )
+        columns = {
+            col: [env[col] for env, _ in group_rows] for col in nest.group_by
+        }
+        columns[nest.out_var] = [value for _, value in group_rows]
+        self._tail_source.feed(columns, len(group_rows))
         return self._tail_root.value()
 
 

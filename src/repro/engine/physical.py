@@ -12,6 +12,9 @@ algorithms:
 * the **group-join**: a nest that groups an outer-join by the join's own
   left columns runs as one keyed operator, folding each left row's matches
   without the join ever materialising a pair;
+* the **shared nest**: a nest whose spine of outer-joins, outer-unnests and
+  inner nests reads of its outer rows only a few expressions runs that
+  spine over one representative row per distinct binding of them;
 * streaming reduce with quantifier short-circuiting.
 
 Every operator implements one protocol, ``batches()``: a restartable stream
@@ -33,30 +36,35 @@ Three conventions hold across operators:
   and settle them with one ``tick_many`` — see the row-budget contract in
   :mod:`repro.engine.governor`.
 * **Blocking builds run once and charge what they buffer.**  The hash-join
-  table, the nested-loop inner, the group-join's buckets and the hash-nest
-  groups are memoized on first entry, so re-entering a restartable stream
-  does not redo them; under a memory budget each build charges a
-  stride-sampled byte estimate of the chunks it buffers.
+  table, the nested-loop inner, the group-join's buckets, the hash-nest
+  groups and the shared nest's output are memoized on first entry, so
+  re-entering a restartable stream does not redo them; under a memory
+  budget each build charges a stride-sampled byte estimate of the chunks
+  it buffers.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from itertools import compress
 from typing import Any, Iterator, Mapping
 
+from repro.algebra.operators import Operator
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid
 from repro.calculus.terms import Const, Term, free_vars
 from repro.data.values import (
     NULL,
     CollectionValue,
+    exact_key,
     identity_key,
     is_null,
 )
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import CompiledKernel, ExprCompiler
 from repro.engine.governor import SAMPLE_STRIDE, estimate_bytes
+from repro.errors import GovernorError
 
 Env = dict[str, Any]
 
@@ -110,6 +118,17 @@ def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
     """
     for i in range(-seen % SAMPLE_STRIDE, chunk.length, SAMPLE_STRIDE):
         charge(estimate_bytes(chunk.env_at(i)) * SAMPLE_STRIDE)
+
+
+def _column_chunks(
+    columns: Mapping[str, list], length: int, size: int
+) -> Iterator[Chunk]:
+    """Whole columns of *length* rows as chunks of at most *size* rows."""
+    for start in range(0, length, size):
+        stop = min(start + size, length)
+        yield Chunk(
+            {name: col[start:stop] for name, col in columns.items()}, stop - start
+        )
 
 
 class PhysicalOperator:
@@ -284,6 +303,48 @@ class PIndexScan(PScan):
 
     def describe(self) -> str:
         return f"IndexScan({self.var} <- {self.extent} on {self.attr} = {self.key})"
+
+
+class PMaterializedSource(PhysicalOperator):
+    """Leaf replaying columns another operator computed: the stand-in for
+    an input that ran elsewhere — the shared nest's representative rows,
+    the exchange's coordinator-merged groups."""
+
+    def __init__(self, context: _Context, columns: tuple[str, ...]):
+        super().__init__()
+        self._context = context
+        self._columns = columns
+        self._fed: dict[str, list] = {}
+        self._length = 0
+
+    def feed(self, columns: dict[str, list], length: int) -> None:
+        self._fed = columns
+        self._length = length
+        self.rows_produced = 0
+
+    def batches(self) -> Iterator[Chunk]:
+        for chunk in _column_chunks(
+            self._fed, self._length, self._context.batch_size
+        ):
+            yield self._emit_chunk(chunk)
+
+    def describe(self) -> str:
+        return f"Materialized({','.join(self._columns)})"
+
+
+@dataclass(frozen=True, eq=False)
+class MaterializedInput(Operator):
+    """Logical stand-in for a :class:`PMaterializedSource`: a leaf that
+    builds itself, so the planner plans whatever stands above it."""
+
+    source: PMaterializedSource
+    source_columns: tuple[str, ...]
+
+    def columns(self) -> tuple[str, ...]:
+        return self.source_columns
+
+    def build_physical(self, context: _Context) -> PhysicalOperator:
+        return self.source
 
 
 class PSeed(PhysicalOperator):
@@ -1458,6 +1519,157 @@ class PGroupJoin(PHashNest):
         if self.residual != Const(True):
             parts.append(f"residual {self.residual}")
         return f"GroupJoin({'; '.join(parts)})"
+
+
+class PSharedNest(PhysicalOperator):
+    """A nest whose groups are the rows of a descendant ``L``, run over the
+    distinct *bindings* of what its spine reads of them.
+
+    The unnested form of a nested box groups by every outer variable, so
+    the spine between the nest and ``L`` — outer-joins, outer-unnests and
+    inner nests — does the box's work once per ``L`` row even when all it
+    reads of the row is a few expressions ``e1..ek``.  This operator drains
+    ``L`` (``child``), evaluates the ``e`` kernels column-at-a-time, and
+    feeds the spine — planned once, over a :class:`PMaterializedSource`
+    standing in for ``L`` — only the first row of each distinct binding;
+    every ``L`` row then leaves, in stream order, with the value its
+    binding's representative got.  The spine's operators run unchanged and
+    see fewer rows.
+
+    There is one path, and the data picks the representatives.  They are
+    simply *all* rows when no two rows share a binding (nothing to share),
+    when two rows are one identity (the nest merges those into a single
+    group that folds its elements once per row, which only the plain spine
+    reproduces) or when a binding expression faults (whether that fault is
+    ever reached is for the spine to decide); the spine's groups are then
+    the output as they stand.
+
+    A fault held from ``L``'s stream is raised after the spine has run over
+    the rows that preceded it, so an earlier fault inside the spine wins as
+    it does when the spine pulls ``L`` itself.  A ``GovernorError`` is not
+    held: ``L`` is drained first, so a limit that trips inside it wins over
+    a spine fault, as it does in any blocking build.  Buffering ``L`` is
+    charged like any other.
+    """
+
+    def __init__(
+        self,
+        context: _Context,
+        left: PhysicalOperator,
+        source: PMaterializedSource,
+        spine: "PHashNest",
+        bindings: tuple[Term, ...],
+    ):
+        super().__init__()
+        self._context = context
+        self.child = left
+        self.source = source
+        self.spine = spine
+        self.bindings = bindings
+        self._binding_kernels = tuple(self._kernel(context, e) for e in bindings)
+        #: ``(columns, rows)`` of the shared output once computed; columns
+        #: None when nothing was shared and the spine's groups are the output.
+        self._out: tuple[dict[str, list] | None, int] | None = None
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return (self.spine, self.child)
+
+    def _drain(self) -> tuple[dict[str, list], int, list[int] | None, Any]:
+        """Buffer ``L``: its columns, row count, each row's representative
+        (the position of the first row with its binding; None when a
+        binding faulted) and the fault that ended the stream, if any."""
+        charge = self._context.charge_fn()
+        cols: dict[str, list] = {name: [] for name in self.spine.group_by}
+        first_of: dict[Any, int] = {}
+        rep_of: list[int] | None = []
+        n = 0
+        held = None
+        try:
+            for chunk in self.child.batches():
+                ccols = chunk.columns
+                if charge is not None:
+                    _charge_chunk(charge, chunk, n)
+                if rep_of is not None:
+                    parts, _, err = self._key_columns(
+                        self._binding_kernels, ccols, chunk.length
+                    )
+                    if err is not None:
+                        rep_of = None
+                    else:
+                        # exact_key, not identity_key: 1, 1.0 and True — or
+                        # {{1, 2}} and {{1.0, 2}} — are equal as dict keys
+                        # but not as inputs to the spine.
+                        exact = [list(map(exact_key, part)) for part in parts]
+                        keys = zip(*exact) if exact else [()] * chunk.length
+                        setdefault = first_of.setdefault
+                        rep_of.extend(
+                            setdefault(key, pos) for pos, key in enumerate(keys, n)
+                        )
+                for name, col in cols.items():
+                    col.extend(ccols[name])
+                n += chunk.length
+        except GovernorError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - held, raised after the spine
+            held = exc
+        return cols, n, rep_of, held
+
+    def _share(self) -> tuple[dict[str, list] | None, int]:
+        cols, n, rep_of, held = self._drain()
+        spine = self.spine
+        # The representatives, in stream order.
+        firsts = [] if rep_of is None else list(dict.fromkeys(rep_of))
+        ids = None
+        if rep_of is not None and len(firsts) < n:
+            ids = spine._group_keys(cols, n)
+            if len(set(ids)) < n:
+                ids = None  # one identity twice: the plain spine merges them
+        if ids is None:
+            self.source.feed(cols, n)
+            spine._groups()
+            if held is not None:
+                raise held
+            return None, n
+        self.source.feed(
+            {name: [col[i] for i in firsts] for name, col in cols.items()},
+            len(firsts),
+        )
+        out_var = spine.out_var
+        value_of: dict[Any, Any] = {}
+        for chunk in spine.batches():
+            value_of.update(
+                zip(
+                    spine._group_keys(chunk.columns, chunk.length),
+                    chunk.columns[out_var],
+                )
+            )
+        if held is not None:
+            raise held
+        values = [value_of.get(ids[r], _SKIP) for r in rep_of]
+        if len(value_of) < len(firsts):
+            # A selection in the spine dropped some bindings' rows.
+            keep = [value is not _SKIP for value in values]
+            cols = {name: list(compress(col, keep)) for name, col in cols.items()}
+            values = list(compress(values, keep))
+        cols[out_var] = values
+        return cols, len(values)
+
+    def batches(self) -> Iterator[Chunk]:
+        if self._out is None:
+            self._out = self._share()
+        columns, n = self._out
+        chunks = (
+            self.spine.batches()
+            if columns is None
+            else _column_chunks(columns, n, self._context.batch_size)
+        )
+        for chunk in chunks:
+            yield self._emit_chunk(chunk)
+
+    def describe(self) -> str:
+        spine = self.spine
+        per = ", ".join(str(e) for e in self.bindings) or "()"
+        return f"SharedNest({spine.monoid.name} -> {spine.out_var} per {per})"
 
 
 def _account_result(op: PhysicalOperator, result: Any) -> Any:

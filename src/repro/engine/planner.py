@@ -17,6 +17,15 @@ physical plans"):
   **group-join** (:class:`~repro.engine.physical.PGroupJoin`) on the same
   keys and residual, so no joined pair is built only to be grouped back
   onto the left row it came from;
+* a nest that is not that shape but whose groups are still the rows of a
+  descendant ``L`` — reached through nests, selections, outer-unnests and
+  the left side of at least one outer-join — and whose spine reads of
+  ``L`` only proper expressions becomes a **shared nest**
+  (:class:`~repro.engine.physical.PSharedNest`): the spine is planned as
+  it stands over a stand-in leaf and run over one representative row per
+  distinct binding of those expressions — the duplicate-free domain of
+  magic decorrelation, ours rather than the paper's.  Parallel plans keep
+  the plain spine (the exchange merges nests by ``accumulate``);
 * selections, maps, unnests, reduces map one-to-one.
 
 ``PlannerOptions.hash_joins`` turns key extraction off, which the benchmark
@@ -24,15 +33,15 @@ suite uses to separate "unnesting removes recomputation" from "unnesting
 enables hash joins" (the group-join then runs keyless: one bucket, the whole
 predicate as its residual).
 
-A logical node that carries ``build_physical(context)`` — the exchange's
-``MaterializedInput``, the SQLite backend's ``SqlSegment`` — is a leaf that
-builds itself; the planner plans everything above it the same way whichever
-backend supplied the leaves.
+A logical node that carries ``build_physical(context)`` — the stand-in
+``MaterializedInput`` of the shared nest and the exchange's tail, the SQLite
+backend's ``SqlSegment`` — is a leaf that builds itself; the planner plans
+everything above it the same way whichever backend supplied the leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.algebra.operators import (
@@ -54,17 +63,20 @@ from repro.calculus.terms import BinOp, Proj, Term, Var, conj, conjuncts, free_v
 from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
+    MaterializedInput,
     PEval,
     PGroupJoin,
     PHashJoin,
     PIndexScan,
     PHashNest,
     PMap,
+    PMaterializedSource,
     PNestedLoopJoin,
     PReduce,
     PScan,
     PSeed,
     PSelect,
+    PSharedNest,
     PUnnest,
     PhysicalOperator,
     _Context,
@@ -194,19 +206,12 @@ def _build(
             outer=True,
         )
     if isinstance(plan, Nest):
-        fused = _try_group_join(plan, context, options)
+        fused = _try_group_join(plan, context, options) or _try_shared_nest(
+            plan, context, options
+        )
         if fused is not None:
             return fused
-        return PHashNest(
-            context,
-            _build(plan.child, context, options),
-            plan.monoid,
-            plan.head,
-            plan.group_by,
-            plan.null_vars,
-            plan.out_var,
-            plan.pred,
-        )
+        return _hash_nest(plan, plan.child, context, options)
     if isinstance(plan, Reduce):
         return PReduce(
             context, _build(plan.child, context, options), plan.monoid, plan.head, plan.pred
@@ -214,6 +219,22 @@ def _build(
     if isinstance(plan, Eval):
         return PEval(context, _build(plan.child, context, options), plan.expr)
     raise TypeError(f"cannot plan {type(plan).__name__}")
+
+
+def _hash_nest(
+    nest: Nest, child: Operator, context: _Context, options: PlannerOptions
+) -> PHashNest:
+    """*nest* as a hash nest over *child* (its own, or a stand-in for it)."""
+    return PHashNest(
+        context,
+        _build(child, context, options),
+        nest.monoid,
+        nest.head,
+        nest.group_by,
+        nest.null_vars,
+        nest.out_var,
+        nest.pred,
+    )
 
 
 def split_equi_conjuncts(
@@ -345,4 +366,99 @@ def _try_group_join(
         nest.null_vars,
         nest.out_var,
         nest.pred,
+    )
+
+
+def _outer_reads(term: Term, outer: frozenset[str], found: list[Term]) -> bool:
+    """Collect in *found* the maximal subterms of *term* that read the
+    *outer* columns and nothing else.  False when one is a bare column: the
+    term then depends on the row itself, not on a value rows can share."""
+    free = free_vars(term)
+    if not free & outer:
+        return True
+    if free <= outer:
+        if isinstance(term, Var):
+            return False
+        if term not in found:
+            found.append(term)
+        return True
+    return all(_outer_reads(child, outer, found) for child in term.children())
+
+
+def _shared_spine(nest: Nest) -> tuple[list[Operator], tuple[Term, ...]] | None:
+    """The spine from *nest*'s child down to the descendant ``L`` whose
+    columns *nest* groups by, with the expressions the spine reads of
+    ``L`` — or None when the nest does not qualify for sharing.
+
+    ``L`` must be reached through nests, selections, outer-unnests and the
+    left side of outer-joins only: none of them drops a left row for want
+    of a partner, and every nest on the way keeps the ``L`` columns in its
+    own grouping, so each ``L`` row comes out of *nest* as one group (or as
+    none, behind a selection).  At least one outer-join must lie between —
+    a right input never reads ``L``, so there is work that does not depend
+    on the row — and everything the spine does read of ``L`` must be a
+    proper expression, never a bare column or a null test of one.
+    """
+    outer = frozenset(nest.group_by)
+    spine: list[Operator] = []
+    terms: list[Term] = [nest.head, nest.pred]
+    null_vars = set(nest.null_vars)
+    joins = 0
+    node = nest.child
+    while set(node.columns()) != outer:
+        spine.append(node)
+        if isinstance(node, Nest):
+            terms += (node.head, node.pred)
+            null_vars.update(node.null_vars)
+            node = node.child
+        elif isinstance(node, Select):
+            terms.append(node.pred)
+            node = node.child
+        elif isinstance(node, OuterUnnest):
+            terms += (node.path, node.pred)
+            node = node.child
+        elif isinstance(node, OuterJoin):
+            terms.append(node.pred)
+            joins += 1
+            node = node.left
+        else:
+            return None
+    if not joins or null_vars & outer:
+        return None
+    bindings: list[Term] = []
+    if not all(_outer_reads(term, outer, bindings) for term in terms):
+        return None
+    return spine + [node], tuple(bindings)
+
+
+def _try_shared_nest(
+    nest: Nest, context: _Context, options: PlannerOptions
+) -> PhysicalOperator | None:
+    """Correlation-domain sharing: a nest whose groups are the rows of a
+    descendant ``L`` and whose spine reads of ``L`` only expressions runs
+    that spine once per distinct binding of them
+    (:class:`~repro.engine.physical.PSharedNest`).  The spine is planned as
+    it stands over a stand-in leaf for ``L`` — a representative row carries
+    real ``L`` columns, so no term is rewritten.  Parallel plans keep the
+    plain spine: the exchange's partition roots are nests it merges by
+    ``accumulate``."""
+    if options.parallel or not nest.group_by:
+        return None
+    found = _shared_spine(nest)
+    if found is None:
+        return None
+    (*spine, left), bindings = found
+    source = PMaterializedSource(context, left.columns())
+    child: Operator = MaterializedInput(source, left.columns())
+    for node in reversed(spine):
+        if isinstance(node, OuterJoin):
+            child = replace(node, left=child)
+        else:
+            child = replace(node, child=child)
+    return PSharedNest(
+        context,
+        _build(left, context, options),
+        source,
+        _hash_nest(nest, child, context, options),
+        bindings,
     )

@@ -111,8 +111,10 @@ class QueryGenerator:
         self._params = {}
         roll = self.rng.random()
         depth = self.config.max_depth
-        if roll < 0.60:
+        if roll < 0.54:
             source = self._select_query([], depth)
+        elif roll < 0.60:
+            source = self._value_correlated_query(depth)
         elif roll < 0.75:
             source = self._top_aggregate(depth)
         elif roll < 0.90:
@@ -506,6 +508,90 @@ class QueryGenerator:
         return (
             f"select {var}.{group_attr}, {head_agg} as a0 "
             f"from {extent} {var}{where} group by {var}.{group_attr}{having}"
+        )
+
+    # -- nested boxes correlated by a low-cardinality value -------------------
+
+    def _value_correlated_query(self, depth: int) -> str:
+        """A nested aggregate that reads of its outer row one *value* many
+        rows share (attribute values come from small pools), never the row:
+
+        * ``count( select y from y in Y where exists k in y.kids: k.m = o.a )``
+          — a quantifier over a nested collection inside an aggregate over
+          an extent — with ``o`` from an extent or from a nested (bag-valued)
+          collection, where value-equal twins occur;
+        * a two-level aggregate correlated through an arithmetic expression:
+          ``sum( select y.n from y in Y where y.b = o.a % 3 and y.n >= avg(
+          select z.n from z in Z where z.b = o.a % 3 ) )``.
+        """
+        rng = self.rng
+        extents = self._extents()
+        var = self._fresh_var()
+        outer_extent, outer_type = rng.choice(extents)
+        froms = f"{var} in {outer_extent}"
+        nested = [
+            (attr, coll.element)
+            for attr, coll in self._collection_attrs(outer_type)
+            if isinstance(coll.element, RecordType)
+        ]
+        if nested and rng.random() < 0.5:
+            attr, outer_type = rng.choice(nested)
+            parent, var = var, self._fresh_var()
+            froms = f"{parent} in {outer_extent}, {var} in {parent}.{attr}"
+        env = [(var, outer_type)]
+        box = (
+            self._quantified_count(env)
+            if rng.random() < 0.6
+            else self._two_level_aggregate(env)
+        )
+        if box is None:
+            return self._select_query([], depth)
+        distinct = "distinct " if rng.random() < self.config.distinct_probability else ""
+        label, _ = rng.choice(self._paths_of_kind(env, ("int", "string")) or [("0", "")])
+        return f"select {distinct}struct( A0: {label}, A1: {box} ) from {froms}"
+
+    def _quantified_count(self, env: list[tuple[str, RecordType]]) -> str | None:
+        rng = self.rng
+        candidates = []
+        for extent, record_type in self._extents():
+            for attr, coll in self._collection_attrs(record_type):
+                if not isinstance(coll.element, RecordType):
+                    continue
+                for inner, kind in self._scalar_attrs(coll.element, ("int", "string")):
+                    for outer, _ in self._paths_of_kind(env, (kind,)):
+                        candidates.append((extent, attr, inner, outer))
+        if not candidates:
+            return None
+        extent, attr, inner, outer = rng.choice(candidates)
+        row, element = self._fresh_var(), self._fresh_var()
+        keyword, op = rng.choice((("exists", "="), ("exists", "="), ("for all", "!=")))
+        return (
+            f"count( select {row} from {row} in {extent} "
+            f"where {keyword} {element} in {row}.{attr}: {element}.{inner} {op} {outer} )"
+        )
+
+    def _two_level_aggregate(self, env: list[tuple[str, RecordType]]) -> str | None:
+        rng = self.rng
+        outer = self._paths_of_kind(env, ("int",))
+        inner = [
+            (extent, key, num)
+            for extent, record_type in self._extents()
+            for key, _ in self._scalar_attrs(record_type, ("int",))
+            for num, _ in self._scalar_attrs(record_type, _NUMERIC)
+        ]
+        if not outer or not inner:
+            return None
+        path, _ = rng.choice(outer)
+        link = rng.choice((f"{path} % 3", f"{path} % 2 + 1", f"{path} * 2"))
+        (extent1, key1, num1), (extent2, key2, num2) = rng.choice(inner), rng.choice(inner)
+        row1, row2 = self._fresh_var(), self._fresh_var()
+        function, nested = rng.choice(("sum", "max", "count")), rng.choice(("avg", "min"))
+        head = row1 if function == "count" else f"{row1}.{num1}"
+        return (
+            f"{function}( select {head} from {row1} in {extent1} "
+            f"where {row1}.{key1} = {link} and {row1}.{num1} >= {nested}( "
+            f"select {row2}.{num2} from {row2} in {extent2} "
+            f"where {row2}.{key2} = {link} ) )"
         )
 
     # -- other top-level forms ----------------------------------------------

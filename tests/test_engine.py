@@ -26,7 +26,7 @@ from repro.calculus.terms import (
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
-from repro.data.values import Record, SetValue
+from repro.data.values import BagValue, Record, SetValue
 from repro.engine.planner import (
     PlannerOptions,
     execute,
@@ -334,3 +334,103 @@ class TestGroupJoinFusion:
         fused = compiled.physical(company_db).child
         assert fused.describe().startswith("GroupJoin(sum -> ")
         assert "; residual " in fused.describe() and fused.left_keys == ()
+
+
+# ---------------------------------------------------------------------------
+# Correlation-domain sharing
+# ---------------------------------------------------------------------------
+
+
+def _shared_sites(db, oql, options=None):
+    from repro.engine.physical import PSharedNest
+
+    compiled = QueryPipeline(db, options).compile_oql(oql)
+    return [
+        op for op in _walk(compiled.physical(db)) if isinstance(op, PSharedNest)
+    ]
+
+
+class TestSharedNestPlanning:
+    SITES = {
+        "auction_category_counts": "SharedNest(sum -> {} per {}.name)",
+        "query_e": "SharedNest(all -> {} per {}.id)",
+        "hotels": "SharedNest(some -> {} per {}.name)",
+        "nested_in_nested": "SharedNest(bag -> {} per {}.dno)",
+    }
+
+    @pytest.mark.parametrize("hash_joins", [True, False])
+    def test_fires_at_exactly_four_corpus_sites(self, databases, hash_joins):
+        # hash_joins=False still shares: pipeline-nl-joins checks the joins,
+        # algebra-logical and calculus-raw check the sharing.
+        from corpus import CORPUS
+        from repro.engine.physical import PGroupJoin, PHashNest
+
+        options = OptimizerOptions(hash_joins=hash_joins)
+        found = {}
+        for query in CORPUS:
+            for op in _shared_sites(databases[query.family], query.oql, options):
+                assert query.name not in found, "one site per query"
+                found[query.name] = op
+        assert set(found) == set(self.SITES)
+        for name, op in found.items():
+            # The nest itself is never a group-join (that pattern is tried
+            # first); the expression names the correlation, not a column.
+            assert type(op.spine) is PHashNest and not isinstance(op, PGroupJoin)
+            (binding,) = op.bindings
+            (column,) = free_vars(binding)
+            assert op.describe() == self.SITES[name].format(op.spine.out_var, column)
+            assert set(op.spine.group_by) >= {column}
+
+    def test_a_nest_that_reads_a_bare_outer_column_is_not_shared(self, company_db):
+        # struct(D: d, ...) in the inner head reads d itself: nothing two
+        # departments could share.
+        assert not _shared_sites(
+            company_db,
+            "select distinct struct( D: d.name, Rich: ( select struct(E: e.name, D: d) "
+            "from e in Employees where e.dno = d.dno and e.salary > "
+            "avg( select u.salary from u in Employees where u.dno = d.dno ) ) ) "
+            "from d in Departments",
+        )
+
+    def test_a_nest_with_no_outer_join_on_its_spine_is_not_shared(self, company_db):
+        # Γ ∘ =μ: every element comes from the row's own collection.
+        assert not _shared_sites(
+            company_db,
+            "select distinct struct( E: e.name, K: count( select c from c in "
+            "e.children where c.age > 3 ) ) from e in Employees",
+        )
+
+    def test_a_collection_valued_binding_is_compared_exactly(self):
+        # {{1, 2}} = {{1.0, 2}} as values, yet the sums over them are 3 and
+        # 3.0: rows share a representative only when no expression could
+        # tell their bindings apart.
+        db = Database()
+        tags = [BagValue([1, 2]), BagValue([1.0, 2]), BagValue([1, 2])]
+        db.add_extent("O", [Record(k=i, tags=t) for i, t in enumerate(tags, 1)])
+        db.add_extent("Y", [Record(n=n) for n in (1, 2, 5)])
+        oql = (
+            "select struct( A: o.k, S: sum( select t from y in Y, t in o.tags "
+            "where y.n = t ) ) from o in O"
+        )
+        (site,) = _shared_sites(db, oql)
+        assert site.describe().endswith(".tags)")
+        results = {
+            name: sorted(map(repr, QueryPipeline(db, options).run_oql(oql)))
+            for name, options in {
+                "shared": None,
+                "plain": OptimizerOptions(parallel=True),
+                "naive": OptimizerOptions(unnest=False),
+            }.items()
+        }
+        assert results["shared"] == ["<A=1, S=3>", "<A=2, S=3.0>", "<A=3, S=3>"]
+        assert results["plain"] == results["naive"] == results["shared"]
+
+    def test_parallel_plans_keep_the_plain_spine(self, auction_db):
+        from corpus import CORPUS
+
+        (query,) = [q for q in CORPUS if q.name == "auction_category_counts"]
+        options = OptimizerOptions(parallel=True, num_workers=2)
+        assert not _shared_sites(auction_db, query.oql, options)
+        assert QueryPipeline(auction_db, options).run_oql(query.oql) == QueryPipeline(
+            auction_db
+        ).run_oql(query.oql)

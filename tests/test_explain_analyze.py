@@ -160,3 +160,32 @@ def test_sqlite_reports_the_same_operator_tree_over_sql_leaves(company_db):
     assert [(op.rows_produced, op.depth) for op in again.operators] == [
         (op.rows_produced, op.depth) for op in stats.operators
     ]
+
+
+def test_shared_nest_reports_rows_out_over_representatives_in(auction_db):
+    # One line for the operator (a group per left row), its spine beneath
+    # it down to the stand-in leaf (a row per distinct binding), then the
+    # left input it drained.
+    stats = QueryPipeline(auction_db).run_oql_stats(
+        "select distinct struct( C: c.name, N: count( select i from i in Items "
+        "where exists k in i.categories: k.name = c.name ) ) "
+        "from i0 in Items, c in i0.categories"
+    )
+    labels = [op.operator for op in stats.operators]
+    (index,) = [i for i, label in enumerate(labels) if label.startswith("SharedNest(")]
+    shared, spine = stats.operators[index], stats.operators[index + 1]
+    assert shared.operator.startswith("SharedNest(sum -> ") and " per " in shared.operator
+    assert shared.operator.endswith(".name)")
+    assert spine.operator.startswith("HashNest(sum -> ") and spine.depth == shared.depth + 1
+    (leaf,) = [op for op in stats.operators if op.operator.startswith("Materialized(")]
+    left = next(
+        op
+        for op in stats.operators[index + 2 :]
+        if op.depth == shared.depth + 1
+    )
+    assert left.operator.startswith("Unnest(")
+    categories = len(stats.result)
+    assert leaf.rows_produced == spine.rows_produced == categories
+    assert shared.rows_produced == left.rows_produced > categories
+    assert shared.eval_mode == "compiled" and shared.eval_ms > 0
+    assert f"rows={shared.rows_produced}" in stats.report()
