@@ -2003,6 +2003,12 @@ def _decode_column(values: Any, kind: str, tag: str, objects: Mapping) -> list:
     return [NULL if v is None else v for v in values]
 
 
+#: What SQLite says when a statement is too deeply nested for its parser
+#: (the yacc stack, ``SQLITE_MAX_EXPR_DEPTH``): limits of the build, not
+#: faults of the query.
+_SQLITE_PARSE_LIMITS = ("parser stack overflow", "Expression tree is too large")
+
+
 class PSqlSegment(PhysicalOperator):
     """A flat SELECT as a leaf of the physical plan.
 
@@ -2068,6 +2074,12 @@ class PSqlSegment(PhysicalOperator):
             except sqlite3.OperationalError as exc:
                 if trap is not None and trap.tripped is not None:
                     raise trap.tripped from None
+                if any(limit in str(exc) for limit in _SQLITE_PARSE_LIMITS):
+                    # The SELECT is valid SQL that this SQLite build will
+                    # not parse: the backend refuses, it has not failed.
+                    raise BackendUnsupportedError(
+                        f"flat query exceeds a SQLite parser limit: {exc}"
+                    ) from exc
                 raise ExecutionError(
                     f"sqlite backend error: {exc}"
                 ) from exc

@@ -61,7 +61,7 @@ from repro.calculus.terms import (
     subterms,
     transform,
 )
-from repro.core.rewrite import RewriteEngine, Rule, RuleSet
+from repro.core.rewrite import RewriteEngine, RuleSet
 
 NORMALIZATION_RULES = RuleSet("normalization", transform=transform)
 
@@ -77,7 +77,7 @@ def normalize(term: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@NORMALIZATION_RULES.rule("N1-beta", "(λv.e1) e2 → e1[e2/v]")
+@NORMALIZATION_RULES.rule("N1-beta", "(λv.e1) e2 → e1[e2/v]", roots=(Apply,))
 def _beta(term: Term) -> Term | None:
     if isinstance(term, Apply) and isinstance(term.fn, Lambda):
         return substitute(term.fn.body, {term.fn.param: term.arg})
@@ -85,7 +85,7 @@ def _beta(term: Term) -> Term | None:
 
 
 @NORMALIZATION_RULES.rule(
-    "let-inline", "let v = e1 in e2 → e2[e1/v] (reduction rule D6)"
+    "let-inline", "let v = e1 in e2 → e2[e1/v] (reduction rule D6)", roots=(Let,)
 )
 def _let_inline(term: Term) -> Term | None:
     if isinstance(term, Let):
@@ -93,7 +93,7 @@ def _let_inline(term: Term) -> Term | None:
     return None
 
 
-@NORMALIZATION_RULES.rule("N2-projection", "(…, A = e, …).A → e")
+@NORMALIZATION_RULES.rule("N2-projection", "(…, A = e, …).A → e", roots=(Proj,))
 def _projection(term: Term) -> Term | None:
     if isinstance(term, Proj) and isinstance(term.expr, RecordCons):
         try:
@@ -103,7 +103,9 @@ def _projection(term: Term) -> Term | None:
     return None
 
 
-@NORMALIZATION_RULES.rule("if-const", "fold conditionals on literal conditions")
+@NORMALIZATION_RULES.rule(
+    "if-const", "fold conditionals on literal conditions", roots=(If,)
+)
 def _if_const(term: Term) -> Term | None:
     if isinstance(term, If):
         if term.cond == Const(True):
@@ -113,7 +115,7 @@ def _if_const(term: Term) -> Term | None:
     return None
 
 
-@NORMALIZATION_RULES.rule("not-const", "fold negations of literals")
+@NORMALIZATION_RULES.rule("not-const", "fold negations of literals", roots=(Not,))
 def _not_const(term: Term) -> Term | None:
     if isinstance(term, Not):
         if term.expr == Const(True):
@@ -123,7 +125,9 @@ def _not_const(term: Term) -> Term | None:
     return None
 
 
-@NORMALIZATION_RULES.rule("bool-simplify", "true/false identities of and/or")
+@NORMALIZATION_RULES.rule(
+    "bool-simplify", "true/false identities of and/or", roots=(BinOp,)
+)
 def _bool_simplify(term: Term) -> Term | None:
     # The reference and/or are left-biased, not Kleene: a NULL left operand
     # makes the result NULL whatever the right one is.  So the absorbing
@@ -142,7 +146,9 @@ def _bool_simplify(term: Term) -> Term | None:
     return None
 
 
-@NORMALIZATION_RULES.rule("const-fold", "evaluate operations over two literals")
+@NORMALIZATION_RULES.rule(
+    "const-fold", "evaluate operations over two literals", roots=(BinOp,)
+)
 def _const_fold(term: Term) -> Term | None:
     if not isinstance(term, BinOp):
         return None
@@ -168,6 +174,7 @@ def _const_fold(term: Term) -> Term | None:
     "some-head-to-filter",
     "some{ p | q̄ } → some{ true | q̄, p } (the paper's two spellings of "
     "QUERY C's inner quantifier; the filter form feeds join predicates)",
+    roots=(Comprehension,),
 )
 def _some_head_to_filter(term: Term) -> Term | None:
     if (
@@ -186,6 +193,7 @@ def _some_head_to_filter(term: Term) -> Term | None:
     "all{ p | q̄ } → all{ false | q̄, ¬p } (our dual of some-head-to-filter, "
     "not a paper rule: only a False head moves `all`, so the negated head "
     "is a filter and feeds join predicates)",
+    roots=(Comprehension,),
 )
 def _all_head_to_filter(term: Term) -> Term | None:
     # Exact under the left-biased 3VL: ¬p is evaluated on the same bindings
@@ -206,7 +214,9 @@ def _all_head_to_filter(term: Term) -> Term | None:
     return None
 
 
-@NORMALIZATION_RULES.rule("filter-const", "D3/D4: constant filters")
+@NORMALIZATION_RULES.rule(
+    "filter-const", "D3/D4: constant filters", roots=(Comprehension,)
+)
 def _filter_const(term: Term) -> Term | None:
     if not isinstance(term, Comprehension):
         return None
@@ -321,25 +331,23 @@ def _n7(comp: Comprehension, index: int, gen: Generator) -> Term | None:
     )
 
 
-NORMALIZATION_RULES.rules.extend(
-    [
-        Rule("N4-zero-domain", _generator_rule(_n4),
-             "⊕{e | …, v <- zero, …} → zero"),
-        Rule("N5-singleton-domain", _generator_rule(_n5),
-             "⊕{e | …, v <- {e'}, …} binds v to e'"),
-        Rule("N3-conditional-domain", _generator_rule(_n3),
-             "split a generator over if-then-else"),
-        Rule("N6-merge-domain", _generator_rule(_n6),
-             "split a generator over e1 ⊕ e2"),
-        Rule("N7-flatten-domain", _generator_rule(_n7),
-             "flatten a generator over a nested comprehension"),
-    ]
-)
+for _name, _matcher, _description in (
+    ("N4-zero-domain", _n4, "⊕{e | …, v <- zero, …} → zero"),
+    ("N5-singleton-domain", _n5, "⊕{e | …, v <- {e'}, …} binds v to e'"),
+    ("N3-conditional-domain", _n3, "split a generator over if-then-else"),
+    ("N6-merge-domain", _n6, "split a generator over e1 ⊕ e2"),
+    ("N7-flatten-domain", _n7,
+     "flatten a generator over a nested comprehension"),
+):
+    NORMALIZATION_RULES.rule(_name, _description, roots=(Comprehension,))(
+        _generator_rule(_matcher)
+    )
 
 
 @NORMALIZATION_RULES.rule(
     "N8-exists-filter",
     "⊕{e | …, some{p | r̄}, …} → ⊕{e | …, r̄, p, …} for idempotent ⊕",
+    roots=(Comprehension,),
 )
 def _n8(term: Term) -> Term | None:
     if not isinstance(term, Comprehension) or not term.monoid.idempotent:
@@ -361,7 +369,9 @@ def _n8(term: Term) -> Term | None:
 
 
 @NORMALIZATION_RULES.rule(
-    "N9-head-flatten", "⊕{ ⊕{e | r̄} | s̄ } → ⊕{ e | s̄, r̄ } for primitive ⊕"
+    "N9-head-flatten",
+    "⊕{ ⊕{e | r̄} | s̄ } → ⊕{ e | s̄, r̄ } for primitive ⊕",
+    roots=(Comprehension,),
 )
 def _n9(term: Term) -> Term | None:
     if (

@@ -125,7 +125,9 @@ ALGEBRAIC_RULES = RuleSet("algebraic")
 
 
 @ALGEBRAIC_RULES.rule(
-    "select-true-elim", "drop selections whose predicate is constant true"
+    "select-true-elim",
+    "drop selections whose predicate is constant true",
+    roots=(Select,),
 )
 def _select_true(plan: Operator) -> Operator | None:
     from repro.calculus.terms import Const
@@ -135,7 +137,7 @@ def _select_true(plan: Operator) -> Operator | None:
     return None
 
 
-@ALGEBRAIC_RULES.rule("select-merge", "fuse adjacent selections")
+@ALGEBRAIC_RULES.rule("select-merge", "fuse adjacent selections", roots=(Select,))
 def _select_merge(plan: Operator) -> Operator | None:
     if isinstance(plan, Select) and isinstance(plan.child, Select):
         return Select(plan.child.child, conj(plan.child.pred, plan.pred))
@@ -146,6 +148,7 @@ def _select_merge(plan: Operator) -> Operator | None:
     "join-pred-push-right",
     "move right-only join-predicate conjuncts into a selection on the right "
     "input (sound for outer-joins: a failing tuple pads either way)",
+    roots=(Join, OuterJoin),
 )
 def _join_push_right(plan: Operator) -> Operator | None:
     if not isinstance(plan, (Join, OuterJoin)):
@@ -164,6 +167,7 @@ def _join_push_right(plan: Operator) -> Operator | None:
     "join-pred-push-left",
     "move left-only join-predicate conjuncts into a selection on the left "
     "input (inner joins only: an outer-join must keep padding such tuples)",
+    roots=(Join,),
 )
 def _join_push_left(plan: Operator) -> Operator | None:
     if not isinstance(plan, Join):
@@ -179,6 +183,7 @@ def _join_push_left(plan: Operator) -> Operator | None:
 @ALGEBRAIC_RULES.rule(
     "select-pushdown",
     "push a selection below a join / unnest when it only references one side",
+    roots=(Select,),
 )
 def _select_pushdown(plan: Operator) -> Operator | None:
     if not isinstance(plan, Select):
@@ -209,6 +214,7 @@ def _select_pushdown(plan: Operator) -> Operator | None:
 @ALGEBRAIC_RULES.rule(
     "reduce-pred-to-select",
     "materialize a reduce's predicate as a selection so pushdown can move it",
+    roots=(Reduce,),
 )
 def _reduce_pred_to_select(plan: Operator) -> Operator | None:
     from repro.calculus.terms import Const
@@ -225,6 +231,7 @@ def _reduce_pred_to_select(plan: Operator) -> Operator | None:
     "push selection conjuncts over the grouping columns below a nest "
     "(dropping a group's input rows and dropping the emitted group agree "
     "exactly when the predicate only reads the group-by columns)",
+    roots=(Select,),
 )
 def _select_through_nest(plan: Operator) -> Operator | None:
     if not (isinstance(plan, Select) and isinstance(plan.child, Nest)):
@@ -243,7 +250,9 @@ def _select_through_nest(plan: Operator) -> Operator | None:
 
 
 @ALGEBRAIC_RULES.rule(
-    "seed-join-elim", "a join against the unit stream is the other input"
+    "seed-join-elim",
+    "a join against the unit stream is the other input",
+    roots=(Join,),
 )
 def _seed_join(plan: Operator) -> Operator | None:
     if isinstance(plan, Join):

@@ -34,7 +34,8 @@ import threading
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.algebra.operators import Operator
 from repro.algebra.pretty import pretty_plan
@@ -99,13 +100,19 @@ class StageResult:
 
     ``snapshot`` is a pretty-printed rendering of the intermediate form the
     stage produced (OQL text, calculus term, algebraic plan, or physical
-    plan) — the raw object is in ``value``.
+    plan) — the raw object is in ``value``.  It is rendered when first
+    read: only ``explain_stages`` readers want the text, and printing eight
+    forms cost every compile more than its parse stage.
     """
 
     name: str
     elapsed_ms: float
-    snapshot: str
+    render: Callable[[Any], str] = field(repr=False)
     value: Any = field(repr=False, default=None)
+
+    @cached_property
+    def snapshot(self) -> str:
+        return self.render(self.value)
 
 
 class PlanCache:
@@ -663,7 +670,7 @@ class QueryPipeline:
         )
 
     def _stage(self, stages: list, name: str, fn, render) -> Any:
-        """Run one stage: time *fn*, snapshot via *render*, record, count.
+        """Run one stage: time *fn*, record it with its *render*, count.
 
         The stage boundary is also the error boundary: a structured error
         is annotated with the stage that raised it, and a raw exception —
@@ -682,7 +689,7 @@ class QueryPipeline:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         with self._counts_lock:
             self.stage_counts[name] += 1
-        stages.append(StageResult(name, elapsed_ms, render(value), value))
+        stages.append(StageResult(name, elapsed_ms, render, value))
         return value
 
     # -- execution ----------------------------------------------------------

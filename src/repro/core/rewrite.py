@@ -29,6 +29,9 @@ class Rule:
     name: str
     apply: Callable[[Any], Any | None]
     description: str = ""
+    #: Node classes the rule can fire at (subclasses included); ``None``
+    #: means the rule is tried at every node.
+    roots: tuple[type, ...] | None = None
 
     def __call__(self, node: Any) -> Any | None:
         return self.apply(node)
@@ -41,21 +44,49 @@ class RuleSet:
     ``transform`` is the tree-walker the phase runs under; it defaults to
     the algebra's plan transformer and can be any function with the
     signature ``transform(node, fn) -> node``.
+
+    Register rules through :meth:`rule`: the set keeps, per node class, the
+    rules whose ``roots`` admit it, and registration is what resets that
+    index.
     """
 
     name: str
     rules: list[Rule] = field(default_factory=list)
     transform: Callable[[Any, Callable[[Any], Any]], Any] | None = None
+    _by_class: dict[type, tuple[Rule, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def rule(self, name: str, description: str = "") -> Callable:
-        """Decorator registering a function as a rule of this set."""
+    def rule(
+        self,
+        name: str,
+        description: str = "",
+        roots: tuple[type, ...] | None = None,
+    ) -> Callable:
+        """Decorator registering a function as a rule of this set.
+
+        *roots* names the node classes the rule can fire at; the engine
+        then skips it everywhere else instead of calling it to be told no.
+        """
 
         def register(fn: Callable[[Any], Any | None]) -> Rule:
-            rule = Rule(name, fn, description)
+            rule = Rule(name, fn, description, roots)
             self.rules.append(rule)
+            self._by_class.clear()
             return rule
 
         return register
+
+    def rules_for(self, cls: type) -> tuple[Rule, ...]:
+        """The rules to try at a node of class *cls*, in phase order."""
+        rules = self._by_class.get(cls)
+        if rules is None:
+            rules = self._by_class[cls] = tuple(
+                rule
+                for rule in self.rules
+                if rule.roots is None or issubclass(cls, rule.roots)
+            )
+        return rules
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -93,7 +124,7 @@ class RewriteEngine:
 
             def attempt(current: Any) -> Any:
                 nonlocal changed
-                for rule in phase.rules:
+                for rule in phase.rules_for(type(current)):
                     replacement = rule(current)
                     if replacement is not None and replacement != current:
                         self.firings.append(Firing(phase.name, rule.name))

@@ -51,10 +51,17 @@ Three properties are load-bearing:
 
 The compiler is cached per plan on :class:`~repro.core.pipeline.
 CompiledQuery`, so the plan cache amortizes codegen along with planning.
+What the plan cache cannot amortize — a first-seen query — is kept off
+Python's ``compile()``, which cost more than the rest of such a query put
+together: the statement form is emitted with its kernel but compiled only
+when a chunk first faults, and generated source carries no column names, so
+kernels of the same shape, in any query of the process, are closures of one
+compiled factory (:func:`_factory`).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Callable, Mapping
 
@@ -335,6 +342,48 @@ def _not_miss() -> None:
 
 _UNBOUND = object()
 
+#: What generated code reads that no kernel owns — the globals of every
+#: shape.  What a kernel does own (its ``rt`` cell, column names, constants,
+#: monoid functions, fallback subtrees) reaches it as closure variables.
+_HELPERS: dict[str, Any] = {
+    "NULL": NULL,
+    "Record": Record,
+    "EvaluationError": EvaluationError,
+    "DivisionByZeroError": DivisionByZeroError,
+    "_binop_type_error": _binop_type_error,
+    "identity_key": identity_key,
+    "_SCALARS": _SCALARS,
+    "_var_miss": _var_miss,
+    "_param_miss": _param_miss,
+    "_proj_slow": _proj_slow,
+    "_pred_miss": _pred_miss,
+    "_if_miss": _if_miss,
+    "_not_miss": _not_miss,
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable[..., KernelFn]:
+    """Kernel source → its ``_make``, each distinct text once per process.
+
+    Generated source holds no column names and no constants: it is
+    ``def _make(rt, v2, c3, …): def _kern(cols, n): …; return _kern``, the
+    values a kernel owns being ``_make``'s parameters
+    (:meth:`_KernelEmitter.bind`).  So the text is the term's *shape* —
+    ``_e3.name == 'x'`` and ``_u17.name == 'y'`` emit the same characters —
+    and equal characters are equal code.  The key is the text itself; there
+    is no alpha-equivalence function to get wrong.  A kernel is one call of
+    its shape's ``_make``: its own function and closure cells over a code
+    object, and a globals dict, shared with every kernel of that shape (one
+    globals dict per code object keeps CPython's per-instruction
+    ``LOAD_GLOBAL`` caches valid whichever kernel runs).  The bound (a few
+    kB per entry) only matters to a process that keeps meeting new shapes;
+    the 53-query corpus has under a hundred.
+    """
+    ns = dict(_HELPERS)  # a copy: exec stores this shape's ``_make`` in it
+    exec(compile(source, "<repro.engine.compile:kernel>", "exec"), ns)  # noqa: S102
+    return ns["_make"]
+
 
 class _KernelEmitter:
     """Emits one term as a kernel ``def _kern(cols, n)``, in both forms.
@@ -346,9 +395,15 @@ class _KernelEmitter:
     expression.  Both forms share the kernel conventions:
 
     * **variable reads index hoisted column locals** — a prologue binds
-      ``_colK = cols['name']`` once per chunk (raising the interpreter's
+      ``_colK = cols[vJ]`` once per chunk (raising the interpreter's
       unbound-variable error if the column is absent), and the row body
       reads ``_colK[_i]``;
+    * **names and constants are parameters, not text** — ``vJ`` above is a
+      parameter of the enclosing ``_make`` bound to the column's name, as
+      ``cJ`` is to a constant's value, so the text depends on the term's
+      shape alone and :func:`_factory` compiles each shape once
+      (attribute, extent and parameter names are the query's own, not the
+      unnester's fresh ones, and stay literal);
     * **lets bind scope temps, not env copies** — a ``let``-bound variable
       becomes a loop-local name shadowing any same-named column for the
       extent of the body, so no per-row dict is materialized;
@@ -377,25 +432,12 @@ class _KernelEmitter:
         self._columns: dict[str, str] = {}
         #: Let-bound variable -> loop-local temp (shadows columns).
         self._scope: dict[str, str] = {}
-        # The function's globals.  ``rt`` is the compiler's ExprRuntime:
-        # activate() mutates it in place, so generated code reading
-        # ``rt.params`` / ``rt.database`` always sees the live execution.
-        self.ns: dict[str, Any] = {
-            "NULL": NULL,
-            "Record": Record,
-            "EvaluationError": EvaluationError,
-            "DivisionByZeroError": DivisionByZeroError,
-            "_binop_type_error": _binop_type_error,
-            "identity_key": identity_key,
-            "_SCALARS": _SCALARS,
-            "_var_miss": _var_miss,
-            "_param_miss": _param_miss,
-            "_proj_slow": _proj_slow,
-            "_pred_miss": _pred_miss,
-            "_if_miss": _if_miss,
-            "_not_miss": _not_miss,
-            "rt": compiler.runtime,
-        }
+        #: What this kernel owns, by the name generated code calls it:
+        #: ``_make``'s parameters, in binding order.  ``rt`` is the
+        #: compiler's ExprRuntime: activate() mutates it in place, so
+        #: generated code reading ``rt.params`` / ``rt.database`` always
+        #: sees the live execution.
+        self.bound: dict[str, Any] = {"rt": compiler.runtime}
 
     def kernel(self, term: Term, predicate: bool) -> KernelFn:
         """The kernel for *term*: the comprehension form where the term
@@ -403,58 +445,104 @@ class _KernelEmitter:
 
         The comprehension form evaluates the whole chunk as one list
         comprehension — no per-row appends, no loop-counter bookkeeping —
-        and keeps the statement loop around as its error path: any
-        exception inside the comprehension (a NULL-division, a bad
-        projection, an unbound parameter) abandons the partial list and
-        reruns the chunk through the statement loop, which reproduces the
-        exact truncation point and structured error.  Expressions are
-        deterministic, so the rerun reaches the same fault; the only cost
-        is double-evaluating the prefix rows of a faulting chunk, and
-        faults abort the query anyway.
+        and keeps the statement loop as its error path: any exception
+        inside the comprehension (a NULL-division, a bad projection, an
+        unbound parameter) abandons the partial list and reruns the chunk
+        through the statement loop, which reproduces the exact truncation
+        point and structured error.  Expressions are deterministic, so the
+        rerun reaches the same fault; the only cost is double-evaluating
+        the prefix rows of a faulting chunk, and faults abort the query
+        anyway.
+
+        Both forms are *emitted* here (the statement form's walk is what
+        fills the counter), but an error path is compiled only by the first
+        chunk that faults (:meth:`_on_fault`): most kernels never fault, and
+        ``compile()`` costs more than everything else a first-seen query
+        does.
         """
-        slow = self._statement_kernel(term, predicate, self.gen)
+        source = self._statement_source(term, predicate, self.gen)
         fast = _KernelEmitter(self.compiler, _Counter())
         try:
-            return fast._comprehension_kernel(term, predicate, slow)
+            return fast._comprehension_kernel(
+                term, predicate, self._on_fault(source, term, predicate)
+            )
         except Exception:  # noqa: BLE001 - the comprehension form is optional
-            return slow
+            return self._instantiate(source)
 
     def interpreted(self, term: Term, predicate: bool) -> KernelFn:
         """A kernel whose row body is one interpreter call on *term*."""
         return self._statement_kernel(term, predicate, self._gen_fallback)
 
+    def _on_fault(self, source: str, term: Term, predicate: bool) -> KernelFn:
+        """The statement form as an error path: compiled and instantiated
+        by the first chunk that needs it, reused by every later one.
+
+        A statement form Python cannot compile (nesting deeper than its
+        indentation limit, where the comprehension form still fit) becomes
+        the whole-term interpreter kernel — the same degradation
+        :meth:`ExprCompiler._lower` applies at plan time.  Two threads
+        faulting at once both build the same kernel; the last store wins.
+        """
+        # The closure outlives the emitter: hold the text and the values,
+        # not ``self`` with its line buffers.
+        values, compiler = tuple(self.bound.values()), self.compiler
+        fn: KernelFn | None = None
+
+        def slow(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
+            nonlocal fn
+            if fn is None:
+                try:
+                    fn = _factory(source)(*values)
+                except Exception:  # noqa: BLE001 - degrade, never fail a query
+                    fn = _KernelEmitter(compiler, _Counter()).interpreted(
+                        term, predicate
+                    )
+            return fn(cols, n)
+
+        return slow
+
+    def _instantiate(self, source: str) -> KernelFn:
+        """This kernel: its shape's ``_make`` applied to what it owns."""
+        return _factory(source)(*self.bound.values())
+
+    def _make_source(self, kern: str) -> str:
+        """*kern* (``def _kern`` one level in) wrapped as ``_make``."""
+        return f"def _make({', '.join(self.bound)}):\n{kern}    return _kern\n"
+
     def _statement_kernel(
         self, term: Term, predicate: bool, gen: Callable[[Term, int], str]
     ) -> KernelFn:
-        result = gen(term, 3)
+        return self._instantiate(self._statement_source(term, predicate, gen))
+
+    def _statement_source(
+        self, term: Term, predicate: bool, gen: Callable[[Term, int], str]
+    ) -> str:
+        result = gen(term, 4)
         if predicate:
-            self.line(3, f"if {result} is True:")
-            self.line(4, "_append(True)")
-            self.line(3, f"elif {result} is False or {result} is NULL:")
-            self.line(4, "_append(False)")
-            self.line(3, "else:")
-            self.line(4, "_pred_miss()")
+            self.line(4, f"if {result} is True:")
+            self.line(5, "_append(True)")
+            self.line(4, f"elif {result} is False or {result} is NULL:")
+            self.line(5, "_append(False)")
+            self.line(4, "else:")
+            self.line(5, "_pred_miss()")
         else:
-            self.line(3, f"_append({result})")
+            self.line(4, f"_append({result})")
         prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        source = (
-            "def _kern(cols, n):\n"
-            "    _out = []\n"
-            "    _append = _out.append\n"
-            "    _i = 0\n"
-            "    try:\n"
+        return self._make_source(
+            "    def _kern(cols, n):\n"
+            "        _out = []\n"
+            "        _append = _out.append\n"
+            "        _i = 0\n"
+            "        try:\n"
             + prologue
-            + "        while _i < n:\n"
+            + "            while _i < n:\n"
             + "\n".join(self.lines)
             + "\n"
-            "            _i += 1\n"
-            "    except Exception as _exc:\n"
-            "        return _out, _i, _exc\n"
-            "    return _out, n, None\n"
+            "                _i += 1\n"
+            "        except Exception as _exc:\n"
+            "            return _out, _i, _exc\n"
+            "        return _out, n, None\n"
         )
-        code = compile(source, "<repro.engine.compile:kernel>", "exec")
-        exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_kern"]
 
     # -- emission helpers ---------------------------------------------------
 
@@ -479,7 +567,7 @@ class _KernelEmitter:
     def bind(self, prefix: str, value: Any) -> str:
         self.n += 1
         name = f"{prefix}{self.n}"
-        self.ns[name] = value
+        self.bound[name] = value
         return name
 
     def column(self, name: str) -> str:
@@ -489,10 +577,11 @@ class _KernelEmitter:
             self.n += 1
             local = f"_col{self.n}"
             self._columns[name] = local
-            self.pline(2, "try:")
-            self.pline(3, f"{local} = cols[{name!r}]")
-            self.pline(2, "except KeyError:")
-            self.pline(3, f"_var_miss({name!r}, cols)")
+            key = self.bind("v", name)
+            self.pline(3, "try:")
+            self.pline(4, f"{local} = cols[{key}]")
+            self.pline(3, "except KeyError:")
+            self.pline(4, f"_var_miss({key}, cols)")
         return local
 
     def scoped(self, var: str, local: str, emit: Callable[[], str]) -> str:
@@ -528,9 +617,9 @@ class _KernelEmitter:
             self.n += 1
             pairs = f"_sub{self.n}"
             self.pline(
-                2,
-                f"{pairs} = [(_n, cols[_n]) for _n in {col_names!r} "
-                "if _n in cols]",
+                3,
+                f"{pairs} = [(_n, cols[_n]) for _n in "
+                f"{self.bind('v', col_names)} if _n in cols]",
             )
             env = f"{{_n: _c[_i] for _n, _c in {pairs}}}"
         else:
@@ -564,9 +653,10 @@ class _KernelEmitter:
         return f"{self.column(term.name)}[_i]"
 
     def _gen_const(self, term: Const, depth: int = 0) -> str:
-        # Bound as a namespace global, not inlined by repr: operands must be
-        # names so that generated `x.__class__` / `x is NULL` stays valid
-        # (a literal there is a syntax error / SyntaxWarning).
+        # Bound, not inlined by repr: operands must be names so that
+        # generated `x.__class__` / `x is NULL` stays valid (a literal
+        # there is a syntax error / SyntaxWarning), and the value must stay
+        # out of the text the code cache is keyed on.
         return self.bind("c", term.value)
 
     def _gen_null(self, term: Null, depth: int = 0) -> str:
@@ -745,19 +835,18 @@ class _KernelEmitter:
                 f"(True if ({t} := {expr}) is True else "
                 f"(False if {t} is False or {t} is NULL else _pred_miss()))"
             )
-        self.ns["_slow"] = slow
+        self.bound["_slow"] = slow
         prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        source = (
-            "def _kern(cols, n):\n"
-            "    try:\n"
-            + prologue
-            + f"        return [{expr} for _i in range(n)], n, None\n"
-            "    except Exception:\n"
-            "        return _slow(cols, n)\n"
+        return self._instantiate(
+            self._make_source(
+                "    def _kern(cols, n):\n"
+                "        try:\n"
+                + prologue
+                + f"            return [{expr} for _i in range(n)], n, None\n"
+                "        except Exception:\n"
+                "            return _slow(cols, n)\n"
+            )
         )
-        code = compile(source, "<repro.engine.compile:kernel-fast>", "exec")
-        exec(code, self.ns)  # noqa: S102 - self-generated source only
-        return self.ns["_kern"]
 
     def xgen(self, term: Term) -> str:
         """*term* as one Python expression."""

@@ -22,8 +22,12 @@ Four groups of guarantees:
 
 from __future__ import annotations
 
-import pytest
+import builtins
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corpus import CORPUS
 from repro.calculus.evaluator import EvaluationError, Evaluator
 from repro.calculus.monoids import SET
 from repro.calculus.terms import (
@@ -39,16 +43,21 @@ from repro.calculus.terms import (
     Merge,
     Not,
     Null,
+    Param,
     Proj,
+    RecordCons,
     Singleton,
     Var,
     Zero,
+    free_vars,
     path,
+    substitute,
 )
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import NULL, Record, SetValue
-from repro.engine.compile import ExprCompiler, _Counter, _KernelEmitter
+from repro.engine import compile as compile_module
+from repro.engine.compile import ExprCompiler, _factory, _Counter, _KernelEmitter
 from repro.engine.physical import (
     PHashJoin,
     PHashNest,
@@ -273,6 +282,324 @@ def test_compiled_query_reuses_one_compiler(db):
     compiled = pipeline.compile_oql("select r.v from r in R where r.k > 2")
     assert compiled.expr_compiler() is compiled.expr_compiler()
     assert isinstance(compiled.expr_compiler(), ExprCompiler)
+
+
+# ---------------------------------------------------------------------------
+# Cold compile: the error path compiles on a fault, each shape once a process
+# ---------------------------------------------------------------------------
+
+
+def _compile_spy(sources: list[str]):
+    """A stand-in for the ``compile`` the emitter's module calls (a module
+    global shadows the builtin) that records every source text."""
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    return spy
+
+
+@pytest.fixture()
+def compiled_sources(monkeypatch):
+    """Every source text the emitter hands Python's ``compile()``, starting
+    from an empty code cache."""
+    sources: list[str] = []
+    monkeypatch.setattr(
+        compile_module, "compile", _compile_spy(sources), raising=False
+    )
+    _factory.cache_clear()
+    return sources
+
+
+def _is_statement_form(source: str) -> bool:
+    return "while _i < n" in source
+
+
+def _cold_sweep(databases) -> list:
+    """Every corpus query compiled and run on a plan cache that has never
+    seen it."""
+    return [
+        QueryPipeline(databases[query.family]).run_oql(query.oql)
+        for query in CORPUS
+    ]
+
+
+def test_cold_corpus_sweep_compiles_each_shape_once(databases, compiled_sources):
+    first = _cold_sweep(databases)
+    # No corpus query faults, so no error path was ever compiled ...
+    assert not any(_is_statement_form(source) for source in compiled_sources)
+    # ... and the ~240 kernels of a sweep are under a hundred shapes (two
+    # compile() calls per kernel, 482 a sweep, before the code cache).
+    assert 0 < len(compiled_sources) <= 100
+    assert len(set(compiled_sources)) == len(compiled_sources)
+    del compiled_sources[:]
+    assert _cold_sweep(databases) == first
+    assert compiled_sources == []
+
+
+def _chunked(kernel, columns: dict, n: int, size: int):
+    """Drive *kernel* over *n* rows in chunks of *size*, as an operator
+    would: ``(values, t, error type, error text)`` at the first fault."""
+    values: list = []
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        chunk = {name: column[start:stop] for name, column in columns.items()}
+        got, t, err = kernel.fn(chunk, stop - start)
+        values.extend(got[:t])
+        if err is not None:
+            return values, len(values), type(err), str(err)
+    return values, n, None, None
+
+
+def _row_by_row(evaluator, term, predicate: bool, columns: dict, n: int):
+    """The reference: the AST interpreter, one row at a time."""
+    values: list = []
+    for i in range(n):
+        try:
+            value = evaluator.evaluate(
+                term, {name: column[i] for name, column in columns.items()}
+            )
+            if predicate:
+                if value is NULL:
+                    value = False
+                elif value is not True and value is not False:
+                    raise EvaluationError(
+                        "predicate did not evaluate to a boolean"
+                    )
+        except Exception as err:  # noqa: BLE001 - the fault is the result
+            return values, i, type(err), str(err)
+        values.append(value)
+    return values, n, None, None
+
+
+_ROWS = 20
+#: name -> (term, is predicate, a good x, the x that faults)
+_FAULTS = {
+    "division-by-zero": (BinOp("/", Const(10), X), False, 5, 0),
+    "non-boolean-predicate": (X, True, True, 7),
+    "non-boolean-if": (If(X, Const(1), Const(2)), False, False, 7),
+    "unbound-parameter": (
+        If(BinOp("==", X, Const(0)), Param("p"), Const(1)), False, 5, 0,
+    ),
+    "projection-off-non-record": (Proj(X, "a"), False, Record(a=1), 5),
+}
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 1024])
+@pytest.mark.parametrize("fault_row", [0, _ROWS // 2, _ROWS - 1])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_fault_matrix_matches_row_by_row_interpreter(
+    fault, fault_row, chunk_size, db, compiled_sources
+):
+    term, predicate, good, bad = _FAULTS[fault]
+    columns = {"x": [good] * _ROWS}
+    columns["x"][fault_row] = bad
+    evaluator, compiler = _engines(db)
+    expected = _row_by_row(evaluator, term, predicate, columns, _ROWS)
+    assert expected[1] == fault_row and expected[2] is not None
+    kernel = compiler._kernel("pred" if predicate else "expr", term)
+    assert kernel.mode == "compiled"
+    # Lowering compiled the comprehension form alone; the first faulting
+    # chunk compiles the statement form; a second fault compiles nothing.
+    assert [_is_statement_form(s) for s in compiled_sources] == [False]
+    assert _chunked(kernel, columns, _ROWS, chunk_size) == expected
+    assert [_is_statement_form(s) for s in compiled_sources] == [False, True]
+    assert _chunked(kernel, columns, _ROWS, chunk_size) == expected
+    assert len(compiled_sources) == 2
+
+
+def _if_chain(depth: int) -> If:
+    term = BinOp("/", Const(1), Var("z"))
+    for level in range(1, depth):
+        term = If(BinOp("==", X, Const(level)), Const(level), term)
+    return term
+
+
+@pytest.mark.parametrize("depth", range(95, 102))
+def test_if_chain_at_the_compile_limits_matches_interpreter(depth, db):
+    # Around 100 nested ifs Python stops compiling first the statement form
+    # (indentation depth), then the comprehension form (parenthesis depth).
+    # In between, a kernel is `compiled` with an error path that will not
+    # compile when its first fault asks for it; every depth must still
+    # truncate and fault like the interpreter, whichever forms it has.
+    term = _if_chain(depth)
+    evaluator, compiler = _engines(db)
+    kernel = compiler.compile_kernel(term)
+    columns = {"x": [1, depth - 1, 0, 2], "z": [1, 1, 0, 1]}
+    expected = _row_by_row(evaluator, term, False, columns, 4)
+    assert expected[1:3] == (2, compile_module.DivisionByZeroError)
+    assert _chunked(kernel, columns, 4, 1024) == expected
+
+
+def test_unbuildable_comprehension_form_runs_the_statement_form(
+    db, monkeypatch, compiled_sources
+):
+    def refuse(self, term, predicate, slow):
+        raise SyntaxError("too many nested parentheses")
+
+    monkeypatch.setattr(_KernelEmitter, "_comprehension_kernel", refuse)
+    evaluator, compiler = _engines(db)
+    term = BinOp("/", Const(10), X)
+    kernel = compiler.compile_kernel(term)
+    # The statement form is the main path, compiled at lowering time.
+    assert kernel.mode == "compiled"
+    assert [_is_statement_form(s) for s in compiled_sources] == [True]
+    columns = {"x": [5, 2, 0, 1]}
+    assert _chunked(kernel, columns, 4, 1024) == _row_by_row(
+        evaluator, term, False, columns, 4
+    )
+
+
+def test_error_path_that_fails_to_compile_is_interpreted(db, monkeypatch):
+    def spy(source, *args, **kwargs):
+        if _is_statement_form(source) and "_proj_slow" in source:
+            raise IndentationError("too many levels of indentation")
+        return builtins.compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(compile_module, "compile", spy, raising=False)
+    _factory.cache_clear()
+    evaluator, compiler = _engines(db)
+    term = BinOp("/", Const(10), Proj(X, "a"))
+    kernel = compiler.compile_kernel(term)
+    assert kernel.mode == "compiled"
+    columns = {"x": [Record(a=5), Record(a=0), Record(a=1)]}
+    expected = _row_by_row(evaluator, term, False, columns, 3)
+    assert expected[1:3] == (1, compile_module.DivisionByZeroError)
+    assert _chunked(kernel, columns, 3, 1024) == expected
+    assert _chunked(kernel, columns, 3, 1) == expected
+    _factory.cache_clear()
+
+
+def test_terms_equal_up_to_column_names_share_code_not_columns(db):
+    def kernel_for(name):
+        _, compiler = _engines(db)
+        term = BinOp(
+            "and", BinOp(">", path(name, "k"), Const(2)), Not(IsNull(Var(name)))
+        )
+        return compiler.compile_predicate_kernel(term)
+
+    left, right = kernel_for("_e3"), kernel_for("_u17")
+    assert left.fn is not right.fn
+    assert left.fn.__code__ is right.fn.__code__
+    rows, nulls = [Record(k=1), Record(k=5), NULL], [NULL] * 3
+    expected = ([False, True, False], 3, None)
+    assert left.fn({"_e3": rows, "_u17": nulls}, 3) == expected
+    assert right.fn({"_u17": rows, "_e3": nulls}, 3) == expected
+    # ... and name their own column when it is missing.
+    for kernel, name in ((left, "_e3"), (right, "_u17")):
+        values, t, err = kernel.fn({}, 1)
+        assert (values, t) == ([], 0)
+        assert str(err) == f"unbound variable {name!r}; in scope: []"
+
+
+def test_fallback_subtrees_share_code_and_read_their_own_columns(db):
+    def kernel_for(name):
+        evaluator, compiler = _engines(db)
+        comp = Comprehension("sum", Var("v"), (Generator("v", Var(name)),))
+        return compiler.compile_kernel(BinOp("+", comp, Const(1)))
+
+    left, right = kernel_for("_xs4"), kernel_for("_ys9")
+    assert left.mode == right.mode == "mixed"
+    assert left.fn.__code__ is right.fn.__code__
+    assert left.fn({"_xs4": [SetValue([1, 2])], "_ys9": [SetValue([])]}, 1)[0] == [4]
+    assert right.fn({"_xs4": [SetValue([1, 2])], "_ys9": [SetValue([])]}, 1)[0] == [1]
+
+
+def test_equal_constants_of_different_types_share_code_and_keep_values(db):
+    _, compiler = _engines(db)
+    kernels = [compiler.compile_kernel(Const(v)) for v in (True, 1, 1.0)]
+    assert len({id(kernel.fn.__code__) for kernel in kernels}) == 1
+    values = [kernel.fn({}, 1)[0][0] for kernel in kernels]
+    assert [type(value) for value in values] == [bool, int, float]
+
+
+_NAMES = ("x", "y", "z")
+_leaves = st.one_of(
+    st.sampled_from([Var(name) for name in _NAMES]),
+    st.sampled_from([Const(0), Const(1), Const(2), T, F, N, Param("p")]),
+)
+
+
+def _grow(children):
+    arith = st.sampled_from(["+", "-", "*", "/", "==", "<", "and", "or"])
+    return st.one_of(
+        st.builds(BinOp, arith, children, children),
+        st.builds(If, children, children, children),
+        st.builds(Not, children),
+        st.builds(IsNull, children),
+        st.builds(Proj, children, st.sampled_from(["a", "b"])),
+        st.builds(Let, st.just("v"), children, children),
+        st.builds(lambda a, b: RecordCons((("a", a), ("b", b))), children, children),
+        # outside the emitted subset: exercises the free-variable tuples
+        st.builds(lambda e: Apply(Lambda("w", Var("w")), e), children),
+    )
+
+
+_terms = st.recursive(_leaves, _grow, max_leaves=12)
+_values = st.one_of(
+    st.integers(-2, 2),
+    st.booleans(),
+    st.just(NULL),
+    st.builds(lambda a, b: Record(a=a, b=b), st.integers(0, 2), st.just(NULL)),
+)
+_envs = st.fixed_dictionaries({name: _values for name in _NAMES})
+
+
+def _outcomes(kernel, renaming, envs):
+    columns = {
+        renaming[name]: [env[name] for env in envs] for name in _NAMES
+    }
+    values, t, err = kernel.fn(columns, len(envs))
+    # repr, not ==: True and 1 must not pass for each other.
+    return repr(values), t, type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    term=_terms,
+    fresh=st.permutations(["_e3", "_u17", "y", "x"]),
+    envs=st.lists(_envs, min_size=1, max_size=4),
+    predicate=st.booleans(),
+)
+def test_renamed_terms_emit_the_same_source_and_agree_with_a_fresh_compile(
+    term, fresh, envs, predicate
+):
+    # compile() is only ever reached on a code-cache miss, so "the renamed
+    # term emitted the same text" is "it compiled nothing".
+    sources: list[str] = []
+    database = Database()
+    kind = "pred" if predicate else "expr"
+    renaming = dict(zip(_NAMES, fresh))
+    renamed = substitute(term, {a: Var(b) for a, b in renaming.items()})
+    assert free_vars(renamed) == {renaming[name] for name in free_vars(term)}
+    compile_module.compile = _compile_spy(sources)
+    try:
+        _factory.cache_clear()
+        original = _engines(database)[1]._kernel(kind, term)
+        _outcomes(original, dict(zip(_NAMES, _NAMES)), envs)  # error path too
+        del sources[:]
+        shared = _engines(database)[1]._kernel(kind, renamed)
+        through_cache = _outcomes(shared, renaming, envs)
+        assert sources == []
+        _factory.cache_clear()
+        alone = _engines(database)[1]._kernel(kind, renamed)
+        assert _outcomes(alone, renaming, envs) == through_cache
+        assert sources != [] or alone.trivial_true  # really uncached
+    finally:
+        del compile_module.compile
+        _factory.cache_clear()
+
+
+def test_code_cache_is_bounded(db):
+    _, compiler = _engines(db)
+    bound = _factory.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 64):
+        compiler.compile_kernel(Proj(X, f"a{i}"))  # a new shape each
+        assert _factory.cache_info().currsize <= bound
+    assert _factory.cache_info().currsize == bound
+    _factory.cache_clear()
 
 
 # ---------------------------------------------------------------------------

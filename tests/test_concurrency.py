@@ -16,10 +16,16 @@ Three bug classes, each with the test that would have caught it:
    never trip another in-flight query, even on the same database
    (``test_cancellation_*``; the end-to-end variant lives in
    test_serving.py).
+
+A fourth class guards shared state added since: the process-wide kernel
+code cache and the error path a kernel compiles on its first fault
+(``engine/compile.py``) are reached by every thread that plans or runs a
+query (``test_cold_code_cache_*``, ``test_first_fault_*``).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -28,7 +34,10 @@ import pytest
 from corpus import CORPUS
 from repro.backends.shred import shredded_store
 from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.calculus.evaluator import DivisionByZeroError, Evaluator
+from repro.calculus.terms import BinOp, Const, Var
 from repro.core.pipeline import QueryPipeline
+from repro.engine.compile import ExprCompiler, _factory
 from repro.engine.governor import CancelToken
 from repro.errors import QueryCancelled
 
@@ -221,3 +230,73 @@ class TestCancellationIsolation:
         assert not worker.is_alive()
         assert "error" in outcome, "cancelled query ran to completion"
         assert not token_b.cancelled
+
+
+# ---------------------------------------------------------------------------
+# 4. the process-wide code cache and the lazily compiled error path
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def eager_thread_switches():
+    """Switch threads every few bytecodes, so a race has room to show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestSharedKernelCode:
+    def test_cold_code_cache_from_eight_threads(
+        self, databases, eager_thread_switches
+    ):
+        """8 threads each compile and run the whole corpus, all starting on
+        an empty code cache: every answer equals the serial one."""
+        references = {
+            q.name: QueryPipeline(databases[q.family]).run_oql(q.oql)
+            for q in CORPUS
+        }
+        _factory.cache_clear()
+        barrier = threading.Barrier(THREADS)
+
+        def sweep(thread_index: int) -> list[str]:
+            barrier.wait(timeout=30)
+            wrong = []
+            # Each thread walks the corpus from its own offset, so the same
+            # shape is being compiled by one thread and looked up by another.
+            for query in CORPUS[thread_index:] + CORPUS[:thread_index]:
+                pipeline = QueryPipeline(databases[query.family])
+                if pipeline.run_oql(query.oql) != references[query.name]:
+                    wrong.append(f"thread {thread_index}: {query.name}")
+            return wrong
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            failures = [w for ws in pool.map(sweep, range(THREADS)) for w in ws]
+        assert failures == []
+        assert _factory.cache_info().currsize <= _factory.cache_info().maxsize
+
+    def test_first_fault_from_eight_threads_at_once(
+        self, company_db, eager_thread_switches
+    ):
+        """One kernel shared by 8 threads whose first chunks all fault: the
+        error path is compiled under their feet, and each thread still gets
+        its own rows up to the fault and the structured error."""
+        compiler = ExprCompiler()
+        kernel = compiler.compile_kernel(BinOp("/", Const(12), Var("x")))
+        barrier = threading.Barrier(THREADS)
+
+        def run(thread_index: int):
+            compiler.activate(Evaluator(company_db), company_db)
+            column = [1, 2, 3, 4][: thread_index % 4] + [0, 6]
+            barrier.wait(timeout=30)
+            values, t, err = kernel.fn({"x": column}, len(column))
+            return values, t, type(err), column
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            outcomes = list(pool.map(run, range(THREADS)))
+        for values, t, error_type, column in outcomes:
+            assert t == len(column) - 2
+            assert values == [12 / x for x in column[:t]]
+            assert error_type is DivisionByZeroError

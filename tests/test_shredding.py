@@ -23,7 +23,9 @@ import pytest
 
 from corpus import CORPUS
 from repro.backends.shred import (
+    PSqlSegment,
     ShreddedStore,
+    _Segment,
     compile_segments,
     execute_shredded,
     shredded_sql,
@@ -35,6 +37,7 @@ from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.schema import FLOAT, INT, STRING, Schema, set_of
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
+from repro.engine.physical import _Context
 from repro.errors import BackendUnsupportedError, PlanningError
 from repro.algebra.evaluator import evaluate_plan as evaluate_reference
 from repro.testing.oracle import PATHS, check_sample, results_equal
@@ -508,6 +511,23 @@ class TestRefusals:
         ) == BagValue([7])
         with pytest.raises(BackendUnsupportedError):
             _pipeline(db, backend="sqlite").run_oql("select t.k from t in Ts")
+
+    @pytest.mark.parametrize(
+        "expr",
+        # Whichever limit this SQLite build hits first — the yacc stack
+        # ("parser stack overflow") or SQLITE_MAX_EXPR_DEPTH ("Expression
+        # tree is too large") — neither form parses on any build.
+        ["(" * 5000 + "1" + ")" * 5000, "+".join(["1"] * 5000)],
+        ids=["nested-parens", "deep-expression-tree"],
+    )
+    def test_select_past_a_sqlite_parser_limit_is_refused(self, expr):
+        # fuzz seed 90210 iteration 534: five correlated boxes lowered to a
+        # SELECT nested past SQLite's parser stack.  The backend cannot run
+        # it, which is a refusal (a counted skip), not an execution fault.
+        store = shredded_store(DATABASES["ab"]())
+        segment = _Segment(f"SELECT {expr}", (("x", "scalar", "int"),), ())
+        with pytest.raises(BackendUnsupportedError, match="SQLite parser limit"):
+            PSqlSegment(_Context(store), segment, "Scan")._fetch()
 
 
 class TestOracleIntegration:
