@@ -314,7 +314,7 @@ def run_query(
         print(compiled.explain(db), file=out)
 
     start = time.perf_counter()
-    result = compiled.execute(db, **params)
+    result = compiled.execute(db, params)
     elapsed = (time.perf_counter() - start) * 1000
     print(format_result(result), file=out)
     print(f"({elapsed:.2f} ms)", file=out)
@@ -322,7 +322,7 @@ def run_query(
     if compare_naive and unnest:
         naive = Optimizer(db, OptimizerOptions(unnest=False)).compile_oql(source)
         start = time.perf_counter()
-        naive_result = naive.execute(db, **params)
+        naive_result = naive.execute(db, params)
         naive_ms = (time.perf_counter() - start) * 1000
         agree = "results agree" if naive_result == result else "RESULTS DIFFER!"
         print(

@@ -237,7 +237,7 @@ class CompiledQuery:
             self._param_names = names
         return names
 
-    def bind(self, **params: Any) -> "CompiledQuery":
+    def bind(self, /, **params: Any) -> "CompiledQuery":
         """A copy of this query with the given parameter values fixed.
 
         Later :meth:`bind` calls and ``execute`` keyword arguments override
@@ -252,8 +252,12 @@ class CompiledQuery:
             )
         return replace(self, params={**self.params, **params})
 
-    def _merged_params(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Bound values merged with per-call overrides, checked for coverage."""
+    def _merged_params(
+        self, mapping: Mapping[str, Any] | None, named: Mapping[str, Any]
+    ) -> dict[str, Any]:
+        """Bound values merged with per-call overrides (a mapping, keyword
+        arguments over it), checked for coverage."""
+        params = {**(mapping or {}), **named}
         if set(params) - self.param_names:
             raise UnboundParameterError(
                 f"query has no parameter(s) "
@@ -298,14 +302,20 @@ class CompiledQuery:
     def execute(
         self,
         database: Database,
+        params: Mapping[str, Any] | None = None,
+        /,
         *,
         cancel_token: "CancelToken | None" = None,
-        **params: Any,
+        **named: Any,
     ) -> Any:
         """Run the query against *database* using the compiled strategy.
 
-        Keyword arguments supply (or override) parameter values for this
-        call only; every declared placeholder must end up with a value.
+        The *params* mapping, and keyword arguments over it, supply (or
+        override) parameter values for this call only; every declared
+        placeholder must end up with a value.  Names that come from outside
+        the program (a request, a command line) travel in the mapping: a
+        placeholder may be called ``database`` or ``cancel_token``, and as
+        a keyword the latter would be taken for the argument below.
         *cancel_token* attaches a cooperative cancellation handle to this
         execution (see :class:`repro.engine.governor.CancelToken`).
 
@@ -314,7 +324,7 @@ class CompiledQuery:
         else is wrapped in :class:`~repro.errors.ExecutionError`.
         """
         try:
-            values = self._merged_params(params)
+            values = self._merged_params(params, named)
             governor = self.make_governor(cancel_token)
             plan, provider = self.target(database)
             if plan is None:
@@ -697,11 +707,14 @@ class QueryPipeline:
     def run_oql(
         self,
         source: str,
+        params: Mapping[str, Any] | None = None,
+        /,
         *,
         cancel_token: CancelToken | None = None,
-        **params: Any,
+        **named: Any,
     ) -> Any:
-        """Compile (through the cache) and execute an OQL query.
+        """Compile (through the cache) and execute an OQL query; parameter
+        values as for :meth:`CompiledQuery.execute`.
 
         Never propagates a raw Python exception: every failure — parse,
         name resolution, typecheck, execution fault, or a tripped governor
@@ -711,17 +724,20 @@ class QueryPipeline:
         if self.database is None:
             raise ValueError("pipeline has no database to run against")
         return self.compile_oql(source).execute(
-            self.database, cancel_token=cancel_token, **params
+            self.database, params, cancel_token=cancel_token, **named
         )
 
     def run_oql_stats(
         self,
         source: str,
+        params: Mapping[str, Any] | None = None,
+        /,
         *,
         cancel_token: CancelToken | None = None,
-        **params: Any,
+        **named: Any,
     ) -> ExecutionStats:
-        """Compile (through the cache), execute, and collect statistics.
+        """Compile (through the cache), execute, and collect statistics;
+        parameter values as for :meth:`CompiledQuery.execute`.
 
         The returned :class:`~repro.engine.executor.ExecutionStats` carries
         the plan-cache counters and whether *this* execution reused a
@@ -733,7 +749,7 @@ class QueryPipeline:
             raise ValueError("pipeline has no database to run against")
         compiled, from_cache = self.compile_oql_cached(source)
         try:
-            values = compiled._merged_params(params)
+            values = compiled._merged_params(params, named)
             governor = compiled.make_governor(cancel_token)
             plan, provider = compiled.target(self.database)
             if plan is None:

@@ -8,21 +8,20 @@ constant factor: a type-dispatch dictionary lookup, a bound-method call, two
 ``isinstance`` NULL tests, and (for binary operations) a chain of string
 comparisons in ``apply_binop``, all per node per row.
 
-This module removes that factor by *lowering* each term to a **kernel**: one
-generated Python function ``fn(cols, n) -> (values, t, error)`` that
-evaluates the term over all *n* rows of a columnar
-:class:`~repro.engine.batch.Chunk`, reading column lists hoisted into locals
-instead of an environment dict per row.  A kernel has two generated bodies:
+This module removes that factor by *lowering* each term to a **kernel**: a
+function ``fn(cols, n) -> (values, t, error)`` that evaluates the term over
+all *n* rows of a columnar :class:`~repro.engine.batch.Chunk`, reading
+column lists hoisted into locals instead of an environment dict per row.  A
+kernel is one generated body plus the definition:
 
-* the **comprehension form** — where the term lowers to a single Python
-  expression (walrus assignments standing in for temporaries) the whole
-  chunk evaluates as one list comprehension;
-* the **statement form** — straight-line statements with explicit
-  NULL-propagation branches inside one ``while`` loop.  It is the
-  comprehension form's error path (any exception in the comprehension
-  reruns the chunk here, which reproduces the exact faulting row and the
-  interpreter's structured error) and the only body for terms the
-  comprehension form cannot express.
+* the **comprehension form** — the term as a single Python expression
+  (walrus assignments standing in for temporaries), so the whole chunk
+  evaluates as one list comprehension;
+* the **interpreter as its error path** — any exception in the
+  comprehension reruns the chunk through :func:`_interpreted`, one
+  ``Evaluator._eval`` call per row, so the faulting row and the error's
+  class and text are the interpreter's by construction.  The same closure
+  is the whole kernel of a term the emitter cannot lower at all.
 
 Kernels never raise mid-chunk: an exception at row *t* is returned as
 ``(values so far, t, error)`` so the caller can deliver the preceding rows
@@ -31,15 +30,15 @@ first and replay the error lazily (see :class:`CompiledKernel`).
 Three properties are load-bearing:
 
 * **Semantic equivalence.**  Every kernel reproduces the interpreter's
-  behaviour exactly, including three-valued NULL logic (strict NULL
+  values exactly, including three-valued NULL logic (strict NULL
   propagation through arithmetic and comparisons, short-circuiting
   ``and``/``or`` that yield NULL only when the short-circuit value is not
-  reached, ``if`` taking the else-branch on a NULL condition), object
-  identity equality via :func:`~repro.data.values.identity_key`, and the
-  interpreter's error behaviour (same exception classes raised at
-  *evaluation* time, never eagerly at compile time).  The differential fuzz
-  oracle checks every query against the calculus interpreter (see
-  ``repro.testing.oracle``).
+  reached, ``if`` taking the else-branch on a NULL condition) and object
+  identity equality via :func:`~repro.data.values.identity_key`; generated
+  code states no error behaviour of its own — a row the interpreter would
+  fault on only has to raise *something*, at evaluation time, never
+  eagerly at compile time.  The differential fuzz oracle checks every
+  query against the calculus interpreter (see ``repro.testing.oracle``).
 * **Per-node fallback.**  A node kind the emitter does not know (a lambda,
   a residual :class:`~repro.calculus.terms.Comprehension` that survived
   unnesting) becomes a call that hands *that subtree* to the AST
@@ -53,10 +52,9 @@ The compiler is cached per plan on :class:`~repro.core.pipeline.
 CompiledQuery`, so the plan cache amortizes codegen along with planning.
 What the plan cache cannot amortize — a first-seen query — is kept off
 Python's ``compile()``, which cost more than the rest of such a query put
-together: the statement form is emitted with its kernel but compiled only
-when a chunk first faults, and generated source carries no column names, so
-kernels of the same shape, in any query of the process, are closures of one
-compiled factory (:func:`_factory`).
+together: generated source carries no column names, so kernels of the same
+shape, in any query of the process, are closures of one compiled factory
+(:func:`_factory`), and a fault compiles nothing.
 """
 
 from __future__ import annotations
@@ -65,12 +63,7 @@ import functools
 import threading
 from typing import Any, Callable, Mapping
 
-from repro.calculus.evaluator import (
-    DivisionByZeroError,
-    EvaluationError,
-    Evaluator,
-    UnboundParameterError,
-)
+from repro.calculus.evaluator import EvaluationError, Evaluator
 from repro.calculus.terms import (
     BOOLEAN_OPS,
     BinOp,
@@ -154,16 +147,6 @@ class CompiledKernel:
         return f"CompiledKernel({self.term}, {self.mode}{suffix})"
 
 
-class _Counter:
-    """Mutable compile-time tally threaded through the recursive lowering."""
-
-    __slots__ = ("compiled", "fallback")
-
-    def __init__(self) -> None:
-        self.compiled = 0
-        self.fallback = 0
-
-
 class ExprRuntime(threading.local):
     """Per-execution bindings that kernels read at evaluation time.
 
@@ -225,7 +208,11 @@ class ExprCompiler:
         #: replans from the same cached logical plan, so operators pass the
         #: very same Term objects — a ``(kind, id)`` hit skips the
         #: tree-walking :func:`_memo_key`.  The stored term keeps the id
-        #: alive; an ``is`` check guards against id reuse.
+        #: alive; an ``is`` check guards against id reuse.  Only the object
+        #: a shape was first lowered from is pinned, so the map is bounded
+        #: by the memo: the planner also rebuilds some terms (a join's
+        #: residual conjunction) afresh per execution, and pinning those
+        #: would retain one term per request for the life of the query.
         self._by_id: dict[tuple[str, int], tuple[Term, CompiledKernel]] = {}
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
@@ -255,110 +242,109 @@ class ExprCompiler:
         kernel = self._memo.get(key)
         if kernel is None:
             kernel = self._memo[key] = self._lower(term, kind == "pred")
-        self._by_id[(kind, id(term))] = (term, kernel)
+            self._by_id[(kind, id(term))] = (term, kernel)
         return kernel
 
     def _lower(self, term: Term, predicate: bool) -> CompiledKernel:
         if predicate and isinstance(term, Const) and term.value is True:
             return CompiledKernel(_true_kernel, term, 1, 0, trivial_true=True)
-        counter = _Counter()
+        slow = _interpreted(self.runtime, term, predicate)
+        emitter = _KernelEmitter(self.runtime)
         try:
-            fn = _KernelEmitter(self, counter).kernel(term, predicate)
+            fn = emitter.kernel(term, predicate, slow)
         except Exception:  # noqa: BLE001 - degrade, never fail to plan
             # The emitter choked on the term as a whole (e.g. nesting deeper
-            # than Python compiles): interpret it from the root.
-            counter = _Counter()
-            fn = _KernelEmitter(self, counter).interpreted(term, predicate)
-        return CompiledKernel(fn, term, counter.compiled, counter.fallback)
-
-    def _fallback(self, term: Term, counter: _Counter) -> Callable[[dict], Any]:
-        """Hand this subtree to the interpreter (siblings stay compiled)."""
-        counter.fallback += 1
-        runtime = self.runtime
-
-        def run(env: dict) -> Any:
-            # _eval (not evaluate): skips the defensive env copy — the
-            # interpreter never mutates the environment it is handed.
-            return runtime.evaluator._eval(term, env)  # noqa: SLF001
-
-        return run
+            # than Python parses as one expression): interpret it from the
+            # root.
+            return CompiledKernel(slow, term, 0, 1)
+        return CompiledKernel(fn, term, emitter.compiled, emitter.fallback)
 
 
 def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
     return [True] * n, n, None
 
 
+def _interpreted(runtime: ExprRuntime, term: Term, predicate: bool) -> KernelFn:
+    """*term* through the AST interpreter, one call per row: every
+    kernel's error path, and the whole kernel of a term that does not emit.
+
+    Not generated and not fast — it is the definition.  A row's env holds
+    the term's free variables the chunk has; an absent column is left out,
+    so the interpreter's own unbound-variable error fires only if the row
+    reads the name.  Expressions are deterministic, so rerunning a chunk
+    whose comprehension raised reaches the same fault; the cost is
+    evaluating that chunk's prefix rows twice, and a fault aborts the query
+    anyway.  The free variables are walked per call, not per kernel: nearly
+    every kernel is lowered with an error path that never runs.
+    """
+
+    def kern(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
+        present = [(v, cols[v]) for v in free_vars(term) if v in cols]
+        out: list = []
+        try:
+            # _eval (not evaluate): skips the defensive env copy — the
+            # interpreter never mutates the environment it is handed.
+            evaluate = runtime.evaluator._eval  # noqa: SLF001
+            for i in range(n):
+                value = evaluate(term, {v: col[i] for v, col in present})
+                if predicate and value is not True:
+                    if value is not False and value is not NULL:
+                        raise EvaluationError(
+                            "predicate did not evaluate to a boolean"
+                        )
+                    value = False
+                out.append(value)
+        except Exception as exc:  # noqa: BLE001 - the fault is the result
+            return out, len(out), exc
+        return out, n, None
+
+    return kern
+
+
 # ---------------------------------------------------------------------------
-# Out-of-line error helpers: generated code reproduces the interpreter's
-# exceptions through these, keeping the fault arms off the hot path.
+# Out-of-line helpers of generated code, off the hot path.
 # ---------------------------------------------------------------------------
 
 
-def _binop_type_error(op: str, a, b, exc: TypeError) -> EvaluationError:
-    """The structured error for an ill-typed operator application.
-
-    Mirrors :func:`repro.calculus.evaluator.apply_binop` so kernels and the
-    interpreter fail identically (the differential oracle pins this)."""
-    return EvaluationError(
-        f"operator {op!r} applied to incompatible values "
-        f"{type(a).__name__} and {type(b).__name__}: {exc}"
-    )
-
-
-def _var_miss(name: str, env: Mapping[str, Any]) -> None:
-    raise EvaluationError(
-        f"unbound variable {name!r}; in scope: {sorted(env)}"
-    )
-
-
-def _param_miss(name: str, params: Mapping[str, Any]) -> None:
-    raise UnboundParameterError(
-        f"parameter :{name} has no bound value; bound: {sorted(params)}"
-    )
+def _fault() -> None:
+    """What generated code calls where the interpreter would raise (a
+    non-boolean condition, a projection off a non-record).  It only has to
+    reach the kernel's ``except`` arm: the error the query reports is the
+    one the interpreter raises when that arm reruns the chunk."""
+    raise EvaluationError("fault in generated code")
 
 
 def _proj_slow(value: Any, attr: str) -> Any:
-    """The non-fast-path projection: NULL, Record subclass, or type error."""
+    """The non-fast-path projection: NULL, Record subclass, or a fault."""
     if isinstance(value, Record):
-        return value[attr]  # formats the missing-attribute KeyError
+        return value[attr]  # raises on a missing attribute
     if value is NULL:
         return NULL
-    raise EvaluationError(
-        f"projection .{attr} applied to non-record {type(value).__name__}"
-    )
+    return _fault()
 
 
-def _pred_miss() -> None:
-    raise EvaluationError("predicate did not evaluate to a boolean")
+def _subtree(runtime: ExprRuntime, term: Term) -> Callable[[dict], Any]:
+    """One subtree handed to the interpreter (its siblings stay compiled)."""
 
+    def run(env: dict) -> Any:
+        return runtime.evaluator._eval(term, env)  # noqa: SLF001
 
-def _if_miss() -> None:
-    raise EvaluationError("if condition is not a boolean")
-
-
-def _not_miss() -> None:
-    raise EvaluationError("'not' applied to a non-boolean")
+    return run
 
 
 _UNBOUND = object()
 
 #: What generated code reads that no kernel owns — the globals of every
 #: shape.  What a kernel does own (its ``rt`` cell, column names, constants,
-#: monoid functions, fallback subtrees) reaches it as closure variables.
+#: monoid functions, fallback subtrees, its error path) reaches it as
+#: closure variables.
 _HELPERS: dict[str, Any] = {
     "NULL": NULL,
     "Record": Record,
-    "EvaluationError": EvaluationError,
-    "DivisionByZeroError": DivisionByZeroError,
-    "_binop_type_error": _binop_type_error,
     "identity_key": identity_key,
     "_SCALARS": _SCALARS,
-    "_var_miss": _var_miss,
-    "_param_miss": _param_miss,
     "_proj_slow": _proj_slow,
-    "_pred_miss": _pred_miss,
-    "_if_miss": _if_miss,
-    "_not_miss": _not_miss,
+    "_fault": _fault,
 }
 
 
@@ -386,30 +372,36 @@ def _factory(source: str) -> Callable[..., KernelFn]:
 
 
 class _KernelEmitter:
-    """Emits one term as a kernel ``def _kern(cols, n)``, in both forms.
+    """Emits one term as a kernel ``def _kern(cols, n)``.
 
-    Statement form: ``gen`` returns, per node, the *expression string* (a
-    temporary name or an inlined literal) holding the node's value,
-    appending any statements it needs at the current indentation depth of
-    the row loop.  Expression form: ``xgen`` returns the node as one Python
-    expression.  Both forms share the kernel conventions:
+    ``xgen`` returns a node as one Python expression, and the whole chunk
+    evaluates as one list comprehension over it::
+
+        def _kern(cols, n):
+            try:
+                <column hoists>
+                return [<expr> for _i in range(n)], n, None
+            except Exception:
+                return _slow(cols, n)
 
     * **variable reads index hoisted column locals** — a prologue binds
-      ``_colK = cols[vJ]`` once per chunk (raising the interpreter's
-      unbound-variable error if the column is absent), and the row body
-      reads ``_colK[_i]``;
+      ``_colK = cols[vJ]`` once per chunk, and the row body reads
+      ``_colK[_i]``;
     * **names and constants are parameters, not text** — ``vJ`` above is a
       parameter of the enclosing ``_make`` bound to the column's name, as
       ``cJ`` is to a constant's value, so the text depends on the term's
       shape alone and :func:`_factory` compiles each shape once
       (attribute, extent and parameter names are the query's own, not the
       unnester's fresh ones, and stay literal);
-    * **lets bind scope temps, not env copies** — a ``let``-bound variable
-      becomes a loop-local name shadowing any same-named column for the
-      extent of the body, so no per-row dict is materialized;
-    * **errors truncate instead of raising** — the statement loop runs
-      inside one ``try`` whose handler returns ``(_out, _i, exc)``, giving
-      the caller the rows that preceded the failure.
+    * **lets bind walrus temps, not env copies** — a ``let``-bound variable
+      becomes a function-local name shadowing any same-named column for
+      the extent of the body, so no per-row dict is materialized;
+    * **errors are the interpreter's** — no error arm is spelled here: a
+      raw ``KeyError`` (absent column, unbound parameter),
+      ``ZeroDivisionError``, ``TypeError`` or :func:`_fault` abandons the
+      partial list and ``_slow`` — :func:`_interpreted` — reruns the chunk
+      for the truncation row and the structured error.  Success values
+      must agree with the interpreter; a faulting row only has to raise.
 
     Subtrees outside the emitted subset evaluate through one call into the
     AST interpreter, fed a per-row env dict materialized from the subtree's
@@ -418,143 +410,54 @@ class _KernelEmitter:
     """
 
     handlers: dict[type, Callable[..., str]]
-    xhandlers: dict[type, Callable[..., str]]
 
-    def __init__(self, compiler: ExprCompiler, counter: _Counter):
-        self.compiler = compiler
-        self.counter = counter
-        self.lines: list[str] = []
+    def __init__(self, runtime: ExprRuntime):
+        self.runtime = runtime
+        #: AST nodes lowered natively / handed to the interpreter.
+        self.compiled = 0
+        self.fallback = 0
         #: Per-chunk setup lines (column hoists, fallback column pairs),
-        #: emitted inside the try but before the row loop.
+        #: emitted inside the try but before the comprehension.
         self.prologue: list[str] = []
         self.n = 0
         #: Column name -> hoisted local holding ``cols[name]``.
         self._columns: dict[str, str] = {}
-        #: Let-bound variable -> loop-local temp (shadows columns).
+        #: Let-bound variable -> walrus temp (shadows columns).
         self._scope: dict[str, str] = {}
         #: What this kernel owns, by the name generated code calls it:
         #: ``_make``'s parameters, in binding order.  ``rt`` is the
         #: compiler's ExprRuntime: activate() mutates it in place, so
         #: generated code reading ``rt.params`` / ``rt.database`` always
         #: sees the live execution.
-        self.bound: dict[str, Any] = {"rt": compiler.runtime}
+        self.bound: dict[str, Any] = {"rt": runtime}
 
-    def kernel(self, term: Term, predicate: bool) -> KernelFn:
-        """The kernel for *term*: the comprehension form where the term
-        lowers to a single expression, the statement loop otherwise.
-
-        The comprehension form evaluates the whole chunk as one list
-        comprehension — no per-row appends, no loop-counter bookkeeping —
-        and keeps the statement loop as its error path: any exception
-        inside the comprehension (a NULL-division, a bad projection, an
-        unbound parameter) abandons the partial list and reruns the chunk
-        through the statement loop, which reproduces the exact truncation
-        point and structured error.  Expressions are deterministic, so the
-        rerun reaches the same fault; the only cost is double-evaluating
-        the prefix rows of a faulting chunk, and faults abort the query
-        anyway.
-
-        Both forms are *emitted* here (the statement form's walk is what
-        fills the counter), but an error path is compiled only by the first
-        chunk that faults (:meth:`_on_fault`): most kernels never fault, and
-        ``compile()`` costs more than everything else a first-seen query
-        does.
-        """
-        source = self._statement_source(term, predicate, self.gen)
-        fast = _KernelEmitter(self.compiler, _Counter())
-        try:
-            return fast._comprehension_kernel(
-                term, predicate, self._on_fault(source, term, predicate)
-            )
-        except Exception:  # noqa: BLE001 - the comprehension form is optional
-            return self._instantiate(source)
-
-    def interpreted(self, term: Term, predicate: bool) -> KernelFn:
-        """A kernel whose row body is one interpreter call on *term*."""
-        return self._statement_kernel(term, predicate, self._gen_fallback)
-
-    def _on_fault(self, source: str, term: Term, predicate: bool) -> KernelFn:
-        """The statement form as an error path: compiled and instantiated
-        by the first chunk that needs it, reused by every later one.
-
-        A statement form Python cannot compile (nesting deeper than its
-        indentation limit, where the comprehension form still fit) becomes
-        the whole-term interpreter kernel — the same degradation
-        :meth:`ExprCompiler._lower` applies at plan time.  Two threads
-        faulting at once both build the same kernel; the last store wins.
-        """
-        # The closure outlives the emitter: hold the text and the values,
-        # not ``self`` with its line buffers.
-        values, compiler = tuple(self.bound.values()), self.compiler
-        fn: KernelFn | None = None
-
-        def slow(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
-            nonlocal fn
-            if fn is None:
-                try:
-                    fn = _factory(source)(*values)
-                except Exception:  # noqa: BLE001 - degrade, never fail a query
-                    fn = _KernelEmitter(compiler, _Counter()).interpreted(
-                        term, predicate
-                    )
-            return fn(cols, n)
-
-        return slow
-
-    def _instantiate(self, source: str) -> KernelFn:
-        """This kernel: its shape's ``_make`` applied to what it owns."""
-        return _factory(source)(*self.bound.values())
-
-    def _make_source(self, kern: str) -> str:
-        """*kern* (``def _kern`` one level in) wrapped as ``_make``."""
-        return f"def _make({', '.join(self.bound)}):\n{kern}    return _kern\n"
-
-    def _statement_kernel(
-        self, term: Term, predicate: bool, gen: Callable[[Term, int], str]
-    ) -> KernelFn:
-        return self._instantiate(self._statement_source(term, predicate, gen))
-
-    def _statement_source(
-        self, term: Term, predicate: bool, gen: Callable[[Term, int], str]
-    ) -> str:
-        result = gen(term, 4)
+    def kernel(self, term: Term, predicate: bool, slow: KernelFn) -> KernelFn:
+        """The kernel for *term*, with *slow* as its error path: this
+        shape's ``_make`` (:func:`_factory`) applied to what it owns."""
+        expr = self.xgen(term)
         if predicate:
-            self.line(4, f"if {result} is True:")
-            self.line(5, "_append(True)")
-            self.line(4, f"elif {result} is False or {result} is NULL:")
-            self.line(5, "_append(False)")
-            self.line(4, "else:")
-            self.line(5, "_pred_miss()")
-        else:
-            self.line(4, f"_append({result})")
-        prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        return self._make_source(
+            t = self.wtemp()
+            expr = (
+                f"(True if ({t} := {expr}) is True else "
+                f"(False if {t} is False or {t} is NULL else _fault()))"
+            )
+        self.bound["_slow"] = slow
+        source = (
+            f"def _make({', '.join(self.bound)}):\n"
             "    def _kern(cols, n):\n"
-            "        _out = []\n"
-            "        _append = _out.append\n"
-            "        _i = 0\n"
             "        try:\n"
-            + prologue
-            + "            while _i < n:\n"
-            + "\n".join(self.lines)
-            + "\n"
-            "                _i += 1\n"
-            "        except Exception as _exc:\n"
-            "            return _out, _i, _exc\n"
-            "        return _out, n, None\n"
+            + "".join(self.prologue)
+            + f"            return [{expr} for _i in range(n)], n, None\n"
+            "        except Exception:\n"
+            "            return _slow(cols, n)\n"
+            "    return _kern\n"
         )
+        return _factory(source)(*self.bound.values())
 
     # -- emission helpers ---------------------------------------------------
 
-    def line(self, depth: int, text: str) -> None:
-        self.lines.append("    " * depth + text)
-
-    def pline(self, depth: int, text: str) -> None:
-        self.prologue.append("    " * depth + text)
-
-    def temp(self) -> str:
-        self.n += 1
-        return f"t{self.n}"
+    def pline(self, text: str) -> None:
+        self.prologue.append(f"            {text}\n")
 
     def wtemp(self) -> str:
         """A name for a walrus-assignment target (function-scoped: an
@@ -577,11 +480,7 @@ class _KernelEmitter:
             self.n += 1
             local = f"_col{self.n}"
             self._columns[name] = local
-            key = self.bind("v", name)
-            self.pline(3, "try:")
-            self.pline(4, f"{local} = cols[{key}]")
-            self.pline(3, "except KeyError:")
-            self.pline(4, f"_var_miss({key}, cols)")
+            self.pline(f"{local} = cols[{self.bind('v', name)}]")
         return local
 
     def scoped(self, var: str, local: str, emit: Callable[[], str]) -> str:
@@ -607,7 +506,8 @@ class _KernelEmitter:
         interpreter's own unbound-variable error fires only if the row
         actually reads the name.
         """
-        sub = self.bind("s", self.compiler._fallback(term, self.counter))
+        self.fallback += 1
+        sub = self.bind("s", _subtree(self.runtime, term))
         names = sorted(free_vars(term))
         scoped = [
             (name, self._scope[name]) for name in names if name in self._scope
@@ -617,9 +517,8 @@ class _KernelEmitter:
             self.n += 1
             pairs = f"_sub{self.n}"
             self.pline(
-                3,
                 f"{pairs} = [(_n, cols[_n]) for _n in "
-                f"{self.bind('v', col_names)} if _n in cols]",
+                f"{self.bind('v', col_names)} if _n in cols]"
             )
             env = f"{{_n: _c[_i] for _n, _c in {pairs}}}"
         else:
@@ -629,240 +528,43 @@ class _KernelEmitter:
             env = f"{{**{env}, {inner}}}"
         return f"{sub}({env})"
 
-    # -- statement form -----------------------------------------------------
+    # -- one handler per term kind ------------------------------------------
 
-    def gen(self, term: Term, depth: int) -> str:
+    def xgen(self, term: Term) -> str:
+        """*term* as one Python expression."""
         handler = self.handlers.get(type(term))
         if handler is None:
-            return self._gen_fallback(term, depth)
-        result = handler(self, term, depth)
-        self.counter.compiled += 1
+            return self.fallback_call(term)
+        result = handler(self, term)
+        self.compiled += 1
         return result
 
-    def _gen_fallback(self, term: Term, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, f"{out} = {self.fallback_call(term)}")
-        return out
-
-    # Leaves read the same in both forms; ``depth`` is the statement form's.
-
-    def _gen_var(self, term: Var, depth: int = 0) -> str:
+    def _x_var(self, term: Var) -> str:
         bound = self._scope.get(term.name)
         if bound is not None:
             return bound
         return f"{self.column(term.name)}[_i]"
 
-    def _gen_const(self, term: Const, depth: int = 0) -> str:
+    def _x_const(self, term: Const) -> str:
         # Bound, not inlined by repr: operands must be names so that
         # generated `x.__class__` / `x is NULL` stays valid (a literal
         # there is a syntax error / SyntaxWarning), and the value must stay
         # out of the text the code cache is keyed on.
         return self.bind("c", term.value)
 
-    def _gen_null(self, term: Null, depth: int = 0) -> str:
+    def _x_null(self, term: Null) -> str:
         return "NULL"
 
-    def _gen_zero(self, term: Zero, depth: int = 0) -> str:
+    def _x_zero(self, term: Zero) -> str:
+        # Finalized, as the interpreter does: avg's zero is NULL.
         return self.bind("c", term.monoid.finalize(term.monoid.zero))
-
-    def _gen_extent(self, term: Extent, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, f"{out} = rt.database.extent({term.name!r})")
-        return out
-
-    def _gen_param(self, term: Param, depth: int) -> str:
-        out = self.temp()
-        self.line(depth, "try:")
-        self.line(depth + 1, f"{out} = rt.params[{term.name!r}]")
-        self.line(depth, "except KeyError:")
-        self.line(depth + 1, f"_param_miss({term.name!r}, rt.params)")
-        return out
-
-    def _gen_record(self, term: RecordCons, depth: int) -> str:
-        parts = [(name, self.gen(expr, depth)) for name, expr in term.fields]
-        inner = ", ".join(f"{name!r}: {value}" for name, value in parts)
-        out = self.temp()
-        self.line(depth, f"{out} = Record({{{inner}}})")
-        return out
-
-    def _gen_proj(self, term: Proj, depth: int) -> str:
-        base = self.gen(term.expr, depth)
-        out = self.temp()
-        self.line(depth, f"if {base}.__class__ is Record:")
-        self.line(depth + 1, "try:")
-        self.line(depth + 2, f"{out} = {base}._fields[{term.attr!r}]")
-        self.line(depth + 1, "except KeyError:")
-        self.line(depth + 2, f"_proj_slow({base}, {term.attr!r})")
-        self.line(depth, "else:")
-        self.line(depth + 1, f"{out} = _proj_slow({base}, {term.attr!r})")
-        return out
-
-    def _gen_if(self, term: If, depth: int) -> str:
-        cond = self.gen(term.cond, depth)
-        out = self.temp()
-        self.line(depth, f"if {cond} is True:")
-        then = self.gen(term.then, depth + 1)
-        self.line(depth + 1, f"{out} = {then}")
-        self.line(depth, f"elif {cond} is False or {cond} is NULL:")
-        orelse = self.gen(term.orelse, depth + 1)
-        self.line(depth + 1, f"{out} = {orelse}")
-        self.line(depth, "else:")
-        self.line(depth + 1, "_if_miss()")
-        return out
-
-    def _gen_let(self, term: Let, depth: int) -> str:
-        value = self.gen(term.value, depth)
-        out = self.temp()
-        self.line(depth, f"{out} = {value}")
-        return self.scoped(term.var, out, lambda: self.gen(term.body, depth))
-
-    def _gen_not(self, term: Not, depth: int) -> str:
-        value = self.gen(term.expr, depth)
-        out = self.temp()
-        self.line(depth, f"if {value} is True:")
-        self.line(depth + 1, f"{out} = False")
-        self.line(depth, f"elif {value} is False:")
-        self.line(depth + 1, f"{out} = True")
-        self.line(depth, f"elif {value} is NULL:")
-        self.line(depth + 1, f"{out} = NULL")
-        self.line(depth, "else:")
-        self.line(depth + 1, "_not_miss()")
-        return out
-
-    def _gen_isnull(self, term: IsNull, depth: int) -> str:
-        value = self.gen(term.expr, depth)
-        out = self.temp()
-        self.line(depth, f"{out} = {value} is NULL")
-        return out
-
-    def _gen_singleton(self, term: Singleton, depth: int) -> str:
-        value = self.gen(term.expr, depth)
-        out = self.temp()
-        self.line(depth, f"{out} = {self.bind('f', term.monoid.unit)}({value})")
-        return out
-
-    def _gen_merge(self, term: Merge, depth: int) -> str:
-        left = self.gen(term.left, depth)
-        right = self.gen(term.right, depth)
-        out = self.temp()
-        merge = self.bind("f", term.monoid.merge)
-        self.line(depth, f"{out} = {merge}({left}, {right})")
-        return out
-
-    def _gen_binop(self, term: BinOp, depth: int) -> str:
-        op = term.op
-        if op in BOOLEAN_OPS:
-            return self._gen_shortcircuit(term, depth)
-        left = self.gen(term.left, depth)
-        right = self.gen(term.right, depth)
-        out = self.temp()
-        self.line(depth, f"if {left} is NULL or {right} is NULL:")
-        self.line(depth + 1, f"{out} = NULL")
-        if op in ("==", "!="):
-            self.line(
-                depth,
-                f"elif {left}.__class__ in _SCALARS "
-                f"and {right}.__class__ in _SCALARS:",
-            )
-            self.line(depth + 1, f"{out} = {left} {op} {right}")
-            self.line(depth, "else:")
-            self.line(
-                depth + 1,
-                f"{out} = identity_key({left}) {op} identity_key({right})",
-            )
-            return out
-        self.line(depth, "else:")
-        if op in ("/", "%"):
-            fault = "division by zero" if op == "/" else "modulo by zero"
-            self.line(depth + 1, f"if {right} == 0:")
-            self.line(
-                depth + 2, f"raise DivisionByZeroError({fault!r})"
-            )
-        # A well-typed plan never trips the TypeError arm; with
-        # typechecking off the fault must still surface structured,
-        # matching the interpreter (zero-cost when not raised on 3.11+).
-        self.line(depth + 1, "try:")
-        self.line(depth + 2, f"{out} = {left} {op} {right}")
-        self.line(depth + 1, "except TypeError as exc:")
-        self.line(
-            depth + 2,
-            f"raise _binop_type_error({op!r}, {left}, {right}, exc) from exc",
-        )
-        return out
-
-    def _gen_shortcircuit(self, term: BinOp, depth: int) -> str:
-        shortcut = "False" if term.op == "and" else "True"
-        left = self.gen(term.left, depth)
-        out = self.temp()
-        self.line(depth, f"if {left} is {shortcut}:")
-        self.line(depth + 1, f"{out} = {shortcut}")
-        self.line(depth, "else:")
-        right = self.gen(term.right, depth + 1)
-        self.line(depth + 1, f"if {left} is NULL or {right} is NULL:")
-        self.line(depth + 2, f"{out} = NULL")
-        self.line(depth + 1, "else:")
-        self.line(depth + 2, f"{out} = {left} {term.op} {right}")
-        return out
-
-    # -- comprehension form -------------------------------------------------
-    #
-    # Where a term lowers to a *single Python expression* the whole chunk
-    # evaluates as one list comprehension:
-    #
-    #     def _kern(cols, n):
-    #         try:
-    #             <column hoists>
-    #             return [<expr> for _i in range(n)], n, None
-    #         except Exception:
-    #             return _slow(cols, n)
-    #
-    # which is ~2.5x faster than the statement loop (one LIST_APPEND per
-    # row, no loop-counter or try-frame bookkeeping per row).  Error arms
-    # that the statement form spells out (division by zero, type faults,
-    # unbound parameters) are not re-spelled here: the raw exception —
-    # KeyError, ZeroDivisionError, TypeError — aborts the comprehension
-    # and the chunk reruns through ``_slow``, whose loop reproduces the
-    # structured error and exact truncation row.  Success paths must agree
-    # between the two forms; error paths only need to *reach* ``_slow``.
-
-    def _comprehension_kernel(
-        self, term: Term, predicate: bool, slow: KernelFn
-    ) -> KernelFn:
-        expr = self.xgen(term)
-        if predicate:
-            t = self.wtemp()
-            expr = (
-                f"(True if ({t} := {expr}) is True else "
-                f"(False if {t} is False or {t} is NULL else _pred_miss()))"
-            )
-        self.bound["_slow"] = slow
-        prologue = ("\n".join(self.prologue) + "\n") if self.prologue else ""
-        return self._instantiate(
-            self._make_source(
-                "    def _kern(cols, n):\n"
-                "        try:\n"
-                + prologue
-                + f"            return [{expr} for _i in range(n)], n, None\n"
-                "        except Exception:\n"
-                "            return _slow(cols, n)\n"
-            )
-        )
-
-    def xgen(self, term: Term) -> str:
-        """*term* as one Python expression."""
-        handler = self.xhandlers.get(type(term))
-        if handler is None:
-            return self.fallback_call(term)
-        return handler(self, term)
 
     def _x_extent(self, term: Extent) -> str:
         return f"rt.database.extent({term.name!r})"
 
     def _x_param(self, term: Param) -> str:
-        # Raw KeyError on an unbound parameter reruns through the slow
-        # loop, which raises the structured UnboundParameterError.  Kept
-        # lazy (no prologue hoist) so a parameter referenced only in an
-        # untaken If branch stays unread.
+        # Kept lazy (no prologue hoist) so a parameter referenced only in
+        # an untaken If branch stays unread.
         return f"rt.params[{term.name!r}]"
 
     def _x_record(self, term: RecordCons) -> str:
@@ -889,7 +591,7 @@ class _KernelEmitter:
         orelse = self.xgen(term.orelse)
         return (
             f"({then} if ({t} := {cond}) is True else "
-            f"({orelse} if {t} is False or {t} is NULL else _if_miss()))"
+            f"({orelse} if {t} is False or {t} is NULL else _fault()))"
         )
 
     def _x_let(self, term: Let) -> str:
@@ -905,7 +607,7 @@ class _KernelEmitter:
         return (
             f"(False if ({t} := {value}) is True else "
             f"(True if {t} is False else "
-            f"(NULL if {t} is NULL else _not_miss())))"
+            f"(NULL if {t} is NULL else _fault())))"
         )
 
     def _x_isnull(self, term: IsNull) -> str:
@@ -934,8 +636,8 @@ class _KernelEmitter:
                 f"else identity_key({lt}) {op} identity_key({rt_}))"
             )
         else:
-            # Raw operator: ZeroDivisionError / TypeError rerun through
-            # the slow loop, which raises the structured fault.
+            # Raw operator: ZeroDivisionError / TypeError rerun the chunk
+            # through the interpreter, which raises the structured fault.
             body = f"({lt} {op} {rt_})"
         # Bitwise `|` forces *both* walruses before the NULL test — both
         # operands are evaluated before NULL propagates.
@@ -958,31 +660,14 @@ class _KernelEmitter:
         )
 
 
-# The tables hold plain function objects (no dynamic attribute lookup per
+# The table holds plain function objects (no dynamic attribute lookup per
 # node).  NOTE: Lambda, Apply and Comprehension deliberately have no entry —
 # loops are the algebra's job, and the interpreter fallback stays exercised.
 _KernelEmitter.handlers = {
-    Var: _KernelEmitter._gen_var,
-    Const: _KernelEmitter._gen_const,
-    Null: _KernelEmitter._gen_null,
-    Zero: _KernelEmitter._gen_zero,
-    Extent: _KernelEmitter._gen_extent,
-    Param: _KernelEmitter._gen_param,
-    RecordCons: _KernelEmitter._gen_record,
-    Proj: _KernelEmitter._gen_proj,
-    If: _KernelEmitter._gen_if,
-    Let: _KernelEmitter._gen_let,
-    Not: _KernelEmitter._gen_not,
-    IsNull: _KernelEmitter._gen_isnull,
-    Singleton: _KernelEmitter._gen_singleton,
-    Merge: _KernelEmitter._gen_merge,
-    BinOp: _KernelEmitter._gen_binop,
-}
-_KernelEmitter.xhandlers = {
-    Var: _KernelEmitter._gen_var,
-    Const: _KernelEmitter._gen_const,
-    Null: _KernelEmitter._gen_null,
-    Zero: _KernelEmitter._gen_zero,
+    Var: _KernelEmitter._x_var,
+    Const: _KernelEmitter._x_const,
+    Null: _KernelEmitter._x_null,
+    Zero: _KernelEmitter._x_zero,
     Extent: _KernelEmitter._x_extent,
     Param: _KernelEmitter._x_param,
     RecordCons: _KernelEmitter._x_record,

@@ -40,6 +40,7 @@ from repro import __version__
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import PlanCache
 from repro.data.database import Database
+from repro.data.values import CollectionValue
 from repro.engine.governor import CancelToken
 from repro.errors import QueryError
 from repro.server.admission import (
@@ -517,14 +518,13 @@ class ReproServer:
         values = _decode_params(params)
         start = time.perf_counter()
         result = compiled.execute(
-            self.config.database, cancel_token=token, **values
+            self.config.database, values, cancel_token=token
         )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         encoded = encode_result(result)
-        try:
-            rows = len(result)
-        except TypeError:
-            rows = 1
+        # What the tenant is billed and the metrics aggregate: a collection's
+        # elements; a record, string or number is one row (not its len()).
+        rows = len(result) if isinstance(result, CollectionValue) else 1
         nbytes = len(json.dumps(encoded, separators=(",", ":")))
         return {
             "result": encoded,

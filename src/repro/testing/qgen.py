@@ -15,7 +15,10 @@ Deliberate restrictions, so that every execution path stays comparable:
 * no ORDER BY (list results would make cross-path comparison order-
   sensitive; ordering is covered by the hand-written tests);
 * no division except by powers of two, and float literals are multiples of
-  0.25 — keeps float arithmetic exact, so bit-identical across paths;
+  0.25 — keeps float arithmetic exact, so bit-identical across paths — but
+  for one shape (:meth:`QueryGenerator._faulting_head_query`) whose
+  divisor the data can make zero, in the one position where every path
+  must then fail alike;
 * comparisons only between scalars of the same kind (never whole records).
 """
 
@@ -115,6 +118,8 @@ class QueryGenerator:
             source = self._select_query([], depth)
         elif roll < 0.60:
             source = self._value_correlated_query(depth)
+        elif roll < 0.62:
+            source = self._faulting_head_query(depth)
         elif roll < 0.75:
             source = self._top_aggregate(depth)
         elif roll < 0.90:
@@ -593,6 +598,55 @@ class QueryGenerator:
             f"select {row2}.{num2} from {row2} in {extent2} "
             f"where {row2}.{key2} = {link} ) )"
         )
+
+    # -- the one shape that can fault on data ---------------------------------
+
+    def _faulting_head_query(self, depth: int) -> str:
+        """The head of the outermost comprehension divides by ``p - k``:
+        ``select h / (v.a - 3) from v in X, w in v.kids where ...``, also as
+        a struct field or under ``max``/``min``/``sum``.
+
+        ``k`` comes from the pool ``p``'s values do, so some databases hit
+        zero and some do not.  Every strategy evaluates that head on exactly
+        the result's bindings, whatever it does below, so whether a sample
+        faults does not depend on the plan — which a division inside a
+        predicate, a quantifier or a nested box could not promise.
+        """
+        rng = self.rng
+        extents = [
+            (extent, record_type)
+            for extent, record_type in self._extents()
+            if self._scalar_attrs(record_type, ("int",))
+        ]
+        if not extents:
+            return self._select_query([], depth)
+        extent, record_type = rng.choice(extents)
+        var = self._fresh_var()
+        env = [(var, record_type)]
+        froms = f"{var} in {extent}"
+        if rng.random() < self.config.second_generator_probability:
+            domain, element = rng.choice(self._domains(env, 0))
+            var = self._fresh_var()
+            froms += f", {var} in {domain}"
+            env.append((var, element))
+        base, _ = rng.choice(self._paths_of_kind(env, _NUMERIC))
+        pivot, _ = rng.choice(self._paths_of_kind(env, ("int",)))
+        op = rng.choice(("/", "%"))
+        head = f"{base} {op} ({pivot} - {rng.randint(0, INT_RANGE)})"
+        # One plain comparison at most: a selective filter leaves no binding
+        # to fault on.
+        where = f" where {self._comparison(env)}" if rng.random() < 0.5 else ""
+        roll = rng.random()
+        if roll < 0.3:
+            # `%` of these operands is exact, `/` is not: only the former is
+            # summed (a sum of inexact floats depends on the order added).
+            functions = ("max", "min", "sum") if op == "%" else ("max", "min")
+            return f"{rng.choice(functions)}( select {head} from {froms}{where} )"
+        if roll < 0.6:
+            label, _ = rng.choice(self._paths_of_kind(env, ("int", "string")))
+            head = f"struct( A0: {label}, A1: {head} )"
+        distinct = "distinct " if rng.random() < self.config.distinct_probability else ""
+        return f"select {distinct}{head} from {froms}{where}"
 
     # -- other top-level forms ----------------------------------------------
 

@@ -110,3 +110,39 @@ def test_production_code_does_not_import_the_reference_plan_evaluator():
             if hit:
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_generated_code_enters_through_one_door():
+    """Source text becomes code in exactly one function under ``src/repro``
+    — ``engine/compile.py:_factory`` — and that function has one caller, so
+    what may be generated, how it is cached and what it can name are
+    decided in one place."""
+    import ast
+
+    doors = {"exec", "eval", "compile"}
+    found, factory_callers = set(), []
+
+    def visit(module_name, node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id in doors:
+                found.add((module_name, function))
+            elif (
+                isinstance(callee, ast.Attribute)
+                and callee.attr in doors
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id in ("builtins", "__builtins__")
+            ):
+                found.add((module_name, function))
+            elif isinstance(callee, ast.Name) and callee.id == "_factory":
+                factory_callers.append((module_name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(module_name, child, function)
+
+    for name in MODULES + ["repro"]:
+        module = importlib.import_module(name)
+        visit(name, ast.parse(inspect.getsource(module)), None)
+    assert found == {("repro.engine.compile", "_factory")}
+    assert factory_callers == [("repro.engine.compile", "kernel")]

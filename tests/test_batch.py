@@ -120,7 +120,7 @@ class TestKernelSweep:
     #: Every scalar shape the engine's 3VL arithmetic can meet, NULL
     #: included; the cross product drives every kernel branch (NULL
     #: propagation, scalar comparison, identity comparison, zero division,
-    #: type faults) through the comprehension fast form and its slow rerun.
+    #: type faults) through the comprehension form and its interpreter rerun.
     VALUES = (0, 1, 2, 2.5, -3, NULL, True, False, "s", "t")
 
     @pytest.mark.parametrize(
@@ -129,8 +129,11 @@ class TestKernelSweep:
     )
     def test_kernel_matches_interpreter(self, op):
         term = BinOp(op, Var("x"), Var("y"))
-        kernel = ExprCompiler().compile_kernel(term)
-        interpret = Evaluator(Database()).evaluate
+        evaluator, compiler = Evaluator(Database()), ExprCompiler()
+        # As _Context always does: the error path is the interpreter.
+        compiler.activate(evaluator, None)
+        kernel = compiler.compile_kernel(term)
+        interpret = evaluator.evaluate
         pairs = list(product(self.VALUES, repeat=2))
         cols = {"x": [p[0] for p in pairs], "y": [p[1] for p in pairs]}
         values, t, err = kernel.fn(cols, len(pairs))

@@ -114,6 +114,28 @@ class TestMain:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["database", "self", "cancel_token"])
+    def test_placeholder_named_like_an_argument_of_execute(self, name, capsys):
+        # --param values are the user's names, not keyword arguments.
+        query = "select distinct e.name from e in Employees where e.age > :"
+
+        def rows(placeholder):
+            code = main(
+                ["--db", "company", "--naive", "--param",
+                 f"{placeholder}=40", query + placeholder]
+            )
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert "results agree" in captured.out
+            return [
+                line for line in captured.out.splitlines() if " ms" not in line
+            ]
+
+        expected = rows("p")
+        assert len(expected) > 1
+        assert rows(name) == expected
+
+
 class TestOrderBy:
     @pytest.fixture(scope="class")
     def db(self):

@@ -28,13 +28,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS
-from repro.calculus.evaluator import EvaluationError, Evaluator
+from repro.calculus.evaluator import (
+    DivisionByZeroError,
+    EvaluationError,
+    Evaluator,
+)
 from repro.calculus.monoids import SET
 from repro.calculus.terms import (
     Apply,
     BinOp,
     Comprehension,
     Const,
+    Extent,
     Generator,
     If,
     IsNull,
@@ -57,7 +62,7 @@ from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import NULL, Record, SetValue
 from repro.engine import compile as compile_module
-from repro.engine.compile import ExprCompiler, _factory, _Counter, _KernelEmitter
+from repro.engine.compile import ExprCompiler, _factory, _KernelEmitter
 from repro.engine.physical import (
     PHashJoin,
     PHashNest,
@@ -145,19 +150,6 @@ def test_null_semantics_match_interpreter(term, db):
     assert _outcome(lambda: _run(kernel, _ENV)) == expected
 
 
-@pytest.mark.parametrize("term", _null_cases(), ids=repr)
-def test_null_semantics_match_on_statement_form(term, db):
-    # The statement loop normally runs only as the comprehension form's
-    # error path; driven directly here, its success results must agree
-    # with the interpreter (and hence with the comprehension form) too.
-    evaluator, compiler = _engines(db)
-    expected = _outcome(lambda: evaluator.evaluate(term, dict(_ENV)))
-    emitter = _KernelEmitter(compiler, _Counter())
-    statement = emitter._statement_kernel(term, False, emitter.gen)
-    values, _, err = statement({name: [v] for name, v in _ENV.items()}, 1)
-    assert ((values[0], None) if err is None else (None, type(err))) == expected
-
-
 @pytest.mark.parametrize(
     "term, expected",
     [
@@ -236,9 +228,9 @@ def test_what_the_emitter_cannot_lower_goes_to_the_interpreter(term, mode, db):
 
 
 def test_term_too_deep_to_emit_is_interpreted_whole(db):
-    # Python refuses to compile more than 100 levels of indentation; the
-    # statement form of a deep if-chain hits that, and lowering degrades to
-    # one interpreter call per row instead of failing to plan.
+    # Python refuses to parse more than 200 levels of parentheses; the
+    # comprehension form of a deep if-chain hits that, and lowering degrades
+    # to one interpreter call per row instead of failing to plan.
     term = Const(0)
     for depth in range(1, 120):
         term = If(BinOp("==", Var("x"), Const(depth)), Const(depth), term)
@@ -284,8 +276,26 @@ def test_compiled_query_reuses_one_compiler(db):
     assert isinstance(compiled.expr_compiler(), ExprCompiler)
 
 
+def test_kernel_caches_stop_growing_after_the_first_executions(databases):
+    # Every execution replans, and the planner rebuilds some terms (a
+    # join's residual conjunction) as fresh objects each time: the identity
+    # front-cache must not pin one of those per execution.
+    grew = {}
+    for query in CORPUS:
+        database = databases[query.family]
+        compiled = QueryPipeline(database).compile_oql(query.oql)
+        compiler = compiled.expr_compiler()
+        sizes = []
+        for _ in range(50):
+            compiled.execute(database)
+            sizes.append((len(compiler._by_id), len(compiler._memo)))
+        if sizes[1] != sizes[-1]:
+            grew[query.name] = (sizes[1], sizes[-1])
+    assert grew == {}
+
+
 # ---------------------------------------------------------------------------
-# Cold compile: the error path compiles on a fault, each shape once a process
+# Cold compile: each shape compiles once a process, a fault compiles nothing
 # ---------------------------------------------------------------------------
 
 
@@ -327,7 +337,7 @@ def _cold_sweep(databases) -> list:
 
 def test_cold_corpus_sweep_compiles_each_shape_once(databases, compiled_sources):
     first = _cold_sweep(databases)
-    # No corpus query faults, so no error path was ever compiled ...
+    # Nothing with a row loop in it is ever generated ...
     assert not any(_is_statement_form(source) for source in compiled_sources)
     # ... and the ~240 kernels of a sweep are under a hundred shapes (two
     # compile() calls per kernel, 482 a sweep, before the code cache).
@@ -374,15 +384,56 @@ def _row_by_row(evaluator, term, predicate: bool, columns: dict, n: int):
 
 
 _ROWS = 20
+_TEN_OVER_X = BinOp("/", Const(10), X)
 #: name -> (term, is predicate, a good x, the x that faults)
 _FAULTS = {
-    "division-by-zero": (BinOp("/", Const(10), X), False, 5, 0),
+    "division-by-zero": (_TEN_OVER_X, False, 5, 0),
+    "modulo-by-zero": (BinOp("%", Const(10), X), False, 5, 0),
+    # With typechecking off an ill-typed strict operator reaches execution:
+    # the interpreter's TypeError arm.
+    "ill-typed-arithmetic": (BinOp("+", Const(1), X), False, 5, "a"),
+    "ill-typed-comparison": (BinOp("<", X, Const(1)), False, 0, "a"),
     "non-boolean-predicate": (X, True, True, 7),
     "non-boolean-if": (If(X, Const(1), Const(2)), False, False, 7),
+    "non-boolean-not": (Not(X), False, True, 7),
     "unbound-parameter": (
         If(BinOp("==", X, Const(0)), Param("p"), Const(1)), False, 5, 0,
     ),
     "projection-off-non-record": (Proj(X, "a"), False, Record(a=1), 5),
+    "inside-let-body": (
+        Let("v", X, BinOp("/", Const(10), Var("v"))), False, 5, 0,
+    ),
+    "inside-record-field": (
+        RecordCons((("a", X), ("b", _TEN_OVER_X))), False, 5, 0,
+    ),
+    "reached-side-of-and": (
+        BinOp("and", BinOp("<", X, Const(9)), BinOp(">", _TEN_OVER_X, Const(1))),
+        True, 5, 0,
+    ),
+    "reached-side-of-or": (
+        BinOp("or", BinOp(">", X, Const(9)), BinOp(">", _TEN_OVER_X, Const(1))),
+        True, 5, 0,
+    ),
+    "merge-of-non-collection": (
+        Merge("set", Singleton("set", Const(1)), X), False, SetValue([2]), 7,
+    ),
+    "unknown-extent": (
+        If(BinOp("==", X, Const(0)), Extent("Nope"), Const(1)), False, 5, 0,
+    ),
+    # A residual comprehension is a per-node fallback subtree: the fault is
+    # raised by the interpreter inside the comprehension form.
+    "inside-fallback-subtree": (
+        BinOp(
+            "+",
+            Comprehension(
+                "sum",
+                BinOp("/", Var("v"), X),
+                (Generator("v", Singleton("bag", Const(10))),),
+            ),
+            Const(1),
+        ),
+        False, 5, 0,
+    ),
 }
 
 
@@ -399,14 +450,62 @@ def test_fault_matrix_matches_row_by_row_interpreter(
     expected = _row_by_row(evaluator, term, predicate, columns, _ROWS)
     assert expected[1] == fault_row and expected[2] is not None
     kernel = compiler._kernel("pred" if predicate else "expr", term)
-    assert kernel.mode == "compiled"
-    # Lowering compiled the comprehension form alone; the first faulting
-    # chunk compiles the statement form; a second fault compiles nothing.
-    assert [_is_statement_form(s) for s in compiled_sources] == [False]
+    assert kernel.mode == (
+        "mixed" if fault == "inside-fallback-subtree" else "compiled"
+    )
+    # One compile() per kernel, at lowering; a fault compiles nothing,
+    # however many there are.
+    assert len(compiled_sources) == 1
     assert _chunked(kernel, columns, _ROWS, chunk_size) == expected
-    assert [_is_statement_form(s) for s in compiled_sources] == [False, True]
     assert _chunked(kernel, columns, _ROWS, chunk_size) == expected
-    assert len(compiled_sources) == 2
+    assert len(compiled_sources) == 1
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 1024])
+@pytest.mark.parametrize(
+    "term",
+    [
+        BinOp("and", BinOp("!=", X, Const(0)), BinOp(">", _TEN_OVER_X, Const(1))),
+        BinOp("or", BinOp("==", X, Const(0)), BinOp(">", _TEN_OVER_X, Const(1))),
+    ],
+    ids=["and", "or"],
+)
+def test_short_circuited_side_does_not_fault(term, chunk_size, db):
+    columns = {"x": [5, 0, 20, 0]}
+    evaluator, compiler = _engines(db)
+    expected = _row_by_row(evaluator, term, True, columns, 4)
+    assert expected[1:] == (4, None, None)
+    kernel = compiler.compile_predicate_kernel(term)
+    assert _chunked(kernel, columns, 4, chunk_size) == expected
+
+
+def _sum_chain(operators: int) -> BinOp:
+    term = _TEN_OVER_X
+    for _ in range(operators - 1):
+        term = BinOp("+", term, Const(1))
+    return term
+
+
+@pytest.mark.parametrize(
+    "operators, mode", [(60, "compiled"), (70, "interpreted")]
+)
+def test_arithmetic_chain_too_long_for_one_expression_is_interpreted(
+    operators, mode, db
+):
+    # The one input class this module runs slower than a statement loop
+    # would: Python parses the comprehension form as a single expression,
+    # and past ~65 chained operators its parser gives up.  The kernel is
+    # then the interpreter from the root (visible as `exprs=interpreted`),
+    # with the same values and the same fault.
+    term = _sum_chain(operators)
+    evaluator, compiler = _engines(db)
+    kernel = compiler.compile_kernel(term)
+    assert kernel.mode == mode
+    for columns in ({"x": [5, 2, 1, 10]}, {"x": [5, 2, 0, 10]}):
+        expected = _row_by_row(evaluator, term, False, columns, 4)
+        assert _chunked(kernel, columns, 4, 1024) == expected
+        assert _chunked(kernel, columns, 4, 1) == expected
+    assert expected[1:] == (2, DivisionByZeroError, "division by zero")
 
 
 def _if_chain(depth: int) -> If:
@@ -418,57 +517,35 @@ def _if_chain(depth: int) -> If:
 
 @pytest.mark.parametrize("depth", range(95, 102))
 def test_if_chain_at_the_compile_limits_matches_interpreter(depth, db):
-    # Around 100 nested ifs Python stops compiling first the statement form
-    # (indentation depth), then the comprehension form (parenthesis depth).
-    # In between, a kernel is `compiled` with an error path that will not
-    # compile when its first fault asks for it; every depth must still
-    # truncate and fault like the interpreter, whichever forms it has.
+    # Around 100 nested ifs Python stops compiling the comprehension form
+    # (parenthesis depth) and the kernel becomes the interpreter from the
+    # root; on either side of that limit it must truncate and fault like
+    # the interpreter.
     term = _if_chain(depth)
     evaluator, compiler = _engines(db)
     kernel = compiler.compile_kernel(term)
     columns = {"x": [1, depth - 1, 0, 2], "z": [1, 1, 0, 1]}
     expected = _row_by_row(evaluator, term, False, columns, 4)
-    assert expected[1:3] == (2, compile_module.DivisionByZeroError)
+    assert expected[1:3] == (2, DivisionByZeroError)
     assert _chunked(kernel, columns, 4, 1024) == expected
 
 
-def test_unbuildable_comprehension_form_runs_the_statement_form(
+def test_unbuildable_comprehension_form_is_interpreted_whole(
     db, monkeypatch, compiled_sources
 ):
     def refuse(self, term, predicate, slow):
         raise SyntaxError("too many nested parentheses")
 
-    monkeypatch.setattr(_KernelEmitter, "_comprehension_kernel", refuse)
+    monkeypatch.setattr(_KernelEmitter, "kernel", refuse)
     evaluator, compiler = _engines(db)
-    term = BinOp("/", Const(10), X)
-    kernel = compiler.compile_kernel(term)
-    # The statement form is the main path, compiled at lowering time.
-    assert kernel.mode == "compiled"
-    assert [_is_statement_form(s) for s in compiled_sources] == [True]
+    kernel = compiler.compile_kernel(_TEN_OVER_X)
+    # The interpreter is the whole kernel; nothing is generated for it.
+    assert kernel.mode == "interpreted"
+    assert compiled_sources == []
     columns = {"x": [5, 2, 0, 1]}
     assert _chunked(kernel, columns, 4, 1024) == _row_by_row(
-        evaluator, term, False, columns, 4
+        evaluator, _TEN_OVER_X, False, columns, 4
     )
-
-
-def test_error_path_that_fails_to_compile_is_interpreted(db, monkeypatch):
-    def spy(source, *args, **kwargs):
-        if _is_statement_form(source) and "_proj_slow" in source:
-            raise IndentationError("too many levels of indentation")
-        return builtins.compile(source, *args, **kwargs)
-
-    monkeypatch.setattr(compile_module, "compile", spy, raising=False)
-    _factory.cache_clear()
-    evaluator, compiler = _engines(db)
-    term = BinOp("/", Const(10), Proj(X, "a"))
-    kernel = compiler.compile_kernel(term)
-    assert kernel.mode == "compiled"
-    columns = {"x": [Record(a=5), Record(a=0), Record(a=1)]}
-    expected = _row_by_row(evaluator, term, False, columns, 3)
-    assert expected[1:3] == (1, compile_module.DivisionByZeroError)
-    assert _chunked(kernel, columns, 3, 1024) == expected
-    assert _chunked(kernel, columns, 3, 1) == expected
-    _factory.cache_clear()
 
 
 def test_terms_equal_up_to_column_names_share_code_not_columns(db):

@@ -18,7 +18,7 @@ Three bug classes, each with the test that would have caught it:
    test_serving.py).
 
 A fourth class guards shared state added since: the process-wide kernel
-code cache and the error path a kernel compiles on its first fault
+code cache and the interpreter rerun a faulting chunk takes
 (``engine/compile.py``) are reached by every thread that plans or runs a
 query (``test_cold_code_cache_*``, ``test_first_fault_*``).
 """
@@ -233,7 +233,7 @@ class TestCancellationIsolation:
 
 
 # ---------------------------------------------------------------------------
-# 4. the process-wide code cache and the lazily compiled error path
+# 4. the process-wide code cache and the kernels' error path
 # ---------------------------------------------------------------------------
 
 
@@ -280,9 +280,9 @@ class TestSharedKernelCode:
     def test_first_fault_from_eight_threads_at_once(
         self, company_db, eager_thread_switches
     ):
-        """One kernel shared by 8 threads whose first chunks all fault: the
-        error path is compiled under their feet, and each thread still gets
-        its own rows up to the fault and the structured error."""
+        """One kernel shared by 8 threads whose first chunks all fault: each
+        reruns its chunk through its own thread's interpreter, and still
+        gets its own rows up to the fault and the structured error."""
         compiler = ExprCompiler()
         kernel = compiler.compile_kernel(BinOp("/", Const(12), Var("x")))
         barrier = threading.Barrier(THREADS)

@@ -178,6 +178,15 @@ class TestOracle:
         assert report.agreed_ok + report.agreed_error == 40
 
 
+    def test_fixed_seed_run_reaches_the_error_path(self):
+        # qgen's faulting-head shape (~2% of samples) divides by `p - k`;
+        # on some of those databases every path must fail alike — the only
+        # differential evidence the kernels' error path gets.
+        report = run_fuzz(FuzzConfig(seed=11, iterations=150))
+        assert report.ok, report.summary()
+        assert report.agreed_error > 0, report.summary()
+
+
 class TestInvariants:
     def test_clean_on_generated_samples(self):
         config = FuzzConfig(seed=6)

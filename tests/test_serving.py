@@ -587,6 +587,67 @@ class TestHttp:
 
 
 # ---------------------------------------------------------------------------
+# what a request is billed, and what a client may call a placeholder
+# ---------------------------------------------------------------------------
+
+
+class TestRowsAndParameterNames:
+    #: (query, rows): the elements of a collection; one for anything else
+    #: — never a record's field count or a string's length.
+    ROWS = [
+        ("struct(a: count(Employees), b: 2, c: 3, d: 4)", 1),
+        ('"hello world"', 1),
+        ("count(Employees)", 1),
+        ("select d.dno from d in Departments where d.dno < 0", 0),
+        ("select d.dno from d in Departments", None),  # len() of the bag
+    ]
+
+    def test_rows_is_the_result_cardinality(self, company_db):
+        with ServerThread(ServerConfig(database=company_db)) as (host, port):
+            billed = {"wire": 0, "web": 0}
+            with ServeClient(host, port) as client:
+                assert client.hello(tenant="wire").ok
+                for query, rows in self.ROWS:
+                    if rows is None:
+                        rows = len(Optimizer(company_db).run_oql(query))
+                        assert rows > 1
+                    reply = client.query(query)
+                    assert reply.ok and reply["rows"] == rows, query
+                    status, body = _http(
+                        host, port, "/query", {"q": query, "tenant": "web"}
+                    )
+                    assert status == 200 and body["rows"] == rows, query
+                    billed["wire"] += rows
+                    billed["web"] += rows
+                stats = client.stats()["stats"]
+            for tenant, rows in billed.items():
+                assert stats["tenants"][tenant]["rows"] == rows
+            endpoints = stats["metrics"]["endpoints"]
+            assert endpoints["query"]["rows"] == billed["wire"]
+            assert endpoints["http"]["rows"] == billed["web"]
+
+    @pytest.mark.parametrize("name", ["database", "self", "cancel_token"])
+    def test_placeholder_named_like_an_argument_of_execute(self, server, name):
+        host, port, db = server
+        source = "select distinct e.name from e in Employees where e.age > :"
+        expected = Optimizer(db).run_oql(source + "p", p=40)
+        assert len(expected) > 0
+        with ServeClient(host, port) as client:
+            reply = client.query(source + name, params={name: 40})
+            assert reply.ok, reply
+            assert reply.value() == expected
+            assert client.prepare("q", source + name).ok
+            assert client.execute("q", params={name: 40}).value() == expected
+        status, body = _http(
+            host, port, "/query", {"q": source + name, "params": {name: 40}}
+        )
+        assert status == 200, body
+        from repro.server.protocol import decode_result
+
+        assert decode_result(body["result"]) == expected
+
+
+# ---------------------------------------------------------------------------
 # concurrency: the corpus under 8 clients, cross-checked
 # ---------------------------------------------------------------------------
 
