@@ -14,8 +14,11 @@ Assertions (all loud; the job never skips silently):
   query is a coverage regression and fails the run;
 * every result matches the in-memory reference engine;
 * a *reopened* store (fresh ``Database`` instance, same ``db_path``)
-  reuses the on-disk shred via its manifest fingerprint instead of
-  re-shredding, and still returns reference-equal results.
+  reuses the on-disk shred via its fingerprint instead of re-shredding,
+  derives the catalog the first store derived, still returns
+  reference-equal results — and every object in them *is* the reopened
+  database's own (``$oid`` resolves into the database; nothing is
+  rehydrated).
 
 Usage::
 
@@ -45,6 +48,7 @@ from repro.data.datagen import (  # noqa: E402
     travel_database,
     university_database,
 )
+from repro.data.values import CollectionValue, Record  # noqa: E402
 from repro.errors import BackendUnsupportedError  # noqa: E402
 from repro.testing.oracle import results_equal  # noqa: E402
 
@@ -70,16 +74,30 @@ def _on_disk_bytes(path: Path) -> int:
     return total
 
 
+def _records(value: Any):
+    """Every OID-carrying record in or under *value*."""
+    if isinstance(value, Record):
+        if value.oid is not None:
+            yield value
+        for attr in value:
+            yield from _records(value[attr])
+    elif isinstance(value, CollectionValue):
+        for element in value.elements():
+            yield from _records(element)
+
+
 def run_smoke(tmp: Path) -> int:
     failures = 0
     databases = {name: maker() for name, maker in _DATABASES.items()}
     paths = {name: tmp / f"{name}.db" for name in databases}
+    catalogs = {}
 
     # Shred each family to disk under the tiny cache budget and check the
     # image actually outgrows it.
     for name, db in databases.items():
         store = shredded_store(db, db_path=str(paths[name]), cache_kib=_CACHE_KIB)
         assert not store.reused, f"{name}: fresh path unexpectedly reused"
+        catalogs[name] = store.tables
         size = _on_disk_bytes(paths[name])
         budget = _CACHE_KIB * 1024
         print(
@@ -126,9 +144,18 @@ def run_smoke(tmp: Path) -> int:
     if ran != len(CORPUS):
         failures += 1
 
-    # Reopen: a fresh Database instance with the same values must reuse
-    # the on-disk shred (manifest fingerprint match) and still agree.
+    # Reopen: a fresh Database instance with the same values and OIDs must
+    # reuse the on-disk shred (fingerprint match), describe it as the first
+    # store did, and still agree — with its own objects.
     reopened = {name: maker() for name, maker in _DATABASES.items()}
+    own = {
+        name: {
+            record.oid: record
+            for extent in db.extent_names()
+            for record in _records(db.extent(extent))
+        }
+        for name, db in reopened.items()
+    }
     for name, db in reopened.items():
         store = shredded_store(
             db, db_path=str(paths[name]), cache_kib=_CACHE_KIB
@@ -140,20 +167,42 @@ def run_smoke(tmp: Path) -> int:
                 file=sys.stderr,
             )
             failures += 1
-    for query in CORPUS[:: len(CORPUS) // 5 or 1]:
+        if store.tables != catalogs[name]:
+            print(
+                f"FAIL: {name}: reopened store's catalog differs from the "
+                "one the first shred derived",
+                file=sys.stderr,
+            )
+            failures += 1
+    objects = 0
+    for query in CORPUS:
         db = reopened[query.family]
         pipe = QueryPipeline(
             db,
             OptimizerOptions(backend="sqlite", db_path=str(paths[query.family])),
         )
         expected = QueryPipeline(db).run_oql(query.oql)
-        if not results_equal(expected, pipe.run_oql(query.oql)):
+        actual = pipe.run_oql(query.oql)
+        if not results_equal(expected, actual):
             print(
                 f"FAIL: {query.name}: reopened store disagrees with the "
                 "reference",
                 file=sys.stderr,
             )
             failures += 1
+        for record in _records(actual):
+            objects += 1
+            if record is not own[query.family].get(record.oid):
+                print(
+                    f"FAIL: {query.name}: object {record.oid} of the result "
+                    "is not the reopened database's own",
+                    file=sys.stderr,
+                )
+                failures += 1
+                break
+    print(f"reopened sweep: {objects} result objects checked for identity")
+    if not objects:
+        failures += 1
     return failures
 
 

@@ -18,10 +18,12 @@ database stores plain integers under a record-typed schema).  Anything the
 flat encoding cannot represent faithfully — inheritance hierarchies,
 NULL-valued collection attributes, heterogeneous record shapes, mixed-type
 columns — raises :class:`~repro.errors.BackendUnsupportedError` instead of
-risking silent divergence.  The store is also an ``ExtentProvider``:
-:meth:`ShreddedStore.extent` re-stitches an extent's rows back into the
-original nested values (same OIDs, same collection kinds), which both
-proves the shredding lossless and feeds the residual operators below.
+risking silent divergence.  The store holds what only it has: the tables,
+their catalog and indexes, the connections.  The objects stay the
+:class:`~repro.data.database.Database`'s: :attr:`ShreddedStore.objects`
+maps each ``$oid`` to the database's own record, and as the plan's
+``ExtentProvider`` :meth:`ShreddedStore.extent` is the refusal check plus
+``database.extent(name)``.
 
 **SQL lowering** (:func:`compile_segments`).  Maximal chains of
 scan/select/join/outer-join/unnest/outer-unnest/map operators are compiled
@@ -63,31 +65,31 @@ not produce a second executor: :func:`compile_segments` returns the
 optimized plan with every lowered subtree replaced by a ``SqlSegment``
 *leaf*, and the one physical planner (:mod:`repro.engine.planner`) builds
 it into a ``PSqlSegment`` that runs the flat SELECT and decodes the rows
-straight into chunk columns (``$oid`` → the rehydrated object, so identity
-is preserved end to end).  Every operator *above* a segment — residual
-expressions, refused extents, non-lowerable monoids — is an ordinary
-physical operator over those chunks, with the store as the extent
-provider: kernels, the group-join, governor ticks, memory charges and
-EXPLAIN ANALYZE apply to both backends by construction.  This is the
-shredding paper's stitching *phase*, not a stitching evaluator.  Execution
-is governed inside SQLite itself: a progress handler ticks the shared
-governor every few thousand VM opcodes, so timeouts, budgets, and
+straight into chunk columns (``$oid`` → the database's own object: the
+index a flat query returns, followed into the one heap).  Every operator
+*above* a segment — residual expressions, refused extents, non-lowerable
+monoids — is an ordinary physical operator over those chunks, with the
+store as the extent provider: kernels, the group-join, governor ticks,
+memory charges and EXPLAIN ANALYZE apply to both backends by construction.
+This is the shredding paper's stitching *phase*, not a stitching evaluator.
+Execution is governed inside SQLite itself: a progress handler ticks the
+shared governor every few thousand VM opcodes, so timeouts, budgets, and
 cancellation trip mid-``SELECT``.
 
 **Out-of-core storage**.  ``ShreddedStore(db_path=...)`` shreds to a file
 instead of ``:memory:`` (WAL journal, file-backed temp store, bounded page
-cache), records a fingerprint manifest (layout version, schema version,
-per-extent value digests) plus the JSON catalog, and on reopen reuses the
-existing shred when the fingerprint still matches — extents larger than
-memory execute out of core with the working set bounded by
-``cache_size``.  Join columns discovered at lowering time get indexes on
-demand, and ``ANALYZE`` keeps the SQLite planner's estimates honest.
+cache) and records a fingerprint (layout version, schema version, a
+per-extent digest of every stored value and OID).  A reopen whose
+fingerprint matches skips ``CREATE``/``INSERT`` and re-derives the catalog
+from the database, as a fresh shred does; SQL's working set is bounded by
+``cache_size``, the Python objects are the database's, held once.  Join
+columns discovered at lowering time get indexes on demand, and ``ANALYZE``
+keeps the SQLite planner's estimates honest.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sqlite3
 import threading
@@ -136,14 +138,8 @@ from repro.data.values import (
     is_null,
 )
 from repro.engine.batch import Chunk
-from repro.engine.executor import flat_queries as executed_flat_queries
-from repro.engine.physical import PhysicalOperator, _Context, root_value
-from repro.errors import (
-    BackendUnsupportedError,
-    ExecutionError,
-    GovernorError,
-    UnknownExtentError,
-)
+from repro.engine.physical import PhysicalOperator, _Context, _column_chunks
+from repro.errors import BackendUnsupportedError, ExecutionError, GovernorError
 
 __all__ = [
     "ShreddedStore",
@@ -151,7 +147,6 @@ __all__ = [
     "SqlSegment",
     "PSqlSegment",
     "compile_segments",
-    "lower_to_sql",
     "execute_shredded",
     "explain_shredded",
     "shredded_sql",
@@ -171,9 +166,10 @@ _PROGRESS_OPCODES = 2000
 #: Default page-cache budget (KiB) for file-backed stores; the rest of the
 #: working set stays on disk, which is the whole point of out-of-core mode.
 _FILE_CACHE_KIB = 16384
-#: Bumped whenever the flat encoding changes; part of the file manifest's
-#: fingerprint so a stale layout re-shreds instead of misreading.
-_LAYOUT_VERSION = 2
+#: Bumped whenever the flat encoding or what the fingerprint digests
+#: changes; part of the fingerprint, so a stale file re-shreds instead of
+#: being misread.
+_LAYOUT_VERSION = 3
 _MANIFEST_TABLE = "repro$manifest"
 
 
@@ -186,10 +182,6 @@ _SCALAR_TAGS = {bool: "bool", int: "int", float: "float", str: "str"}
 
 
 def _scalar_tag(value: Any) -> str | None:
-    for cls, tag in _SCALAR_TAGS.items():
-        if isinstance(value, bool):
-            return "bool"
-        break
     return _SCALAR_TAGS.get(type(value))
 
 
@@ -217,7 +209,6 @@ class _Table:
     """
 
     name: str
-    extent: str  # root extent this table shreds (child tables inherit it)
     element: str  # "record" | "scalar"
     kind: str  # set | bag | list
     child: bool  # has $parent?
@@ -250,21 +241,14 @@ def _encode(value: Any) -> Any:
     return value
 
 
-def _decode(value: Any, tag: str) -> Any:
-    if value is None:
-        return NULL
-    if tag == "bool":
-        return bool(value)
-    return value
-
-
 class ShreddedStore:
-    """A database's extents shredded into flat in-memory SQLite tables.
+    """A database's extents shredded into flat SQLite tables.
 
-    Also an ``ExtentProvider``: :meth:`extent` stitches the flat rows back
-    into the original nested collection values (rehydration), registering
-    every record by OID in :attr:`objects` so SQL segment rows can resolve
-    ``$oid`` columns to the very objects the residual operators iterate.
+    The store keeps the tables, their catalog and indexes, and the
+    connections; the objects are the database's.  :attr:`objects` resolves
+    a ``$oid`` column to the database's own record — the very object a
+    residual operator reaches through :meth:`extent`, which (the
+    ``ExtentProvider`` protocol) checks for a refusal and delegates.
     """
 
     def __init__(
@@ -307,12 +291,8 @@ class ShreddedStore:
         self.tables: dict[str, _Table] = {}
         #: extent name -> refusal reason (never silent: surfaced by extent()).
         self.refusals: dict[str, str] = {}
-        #: oid -> rehydrated Record (filled lazily per extent).
+        #: oid -> the database's own Record, nested ones included.
         self.objects: dict[int, Record] = {}
-        #: True when a file-backed store reused an existing shred via the
-        #: manifest fingerprint instead of re-shredding.
-        self.reused = False
-        self._extent_cache: dict[str, CollectionValue] = {}
         self._next_surrogate = -1
         self._join_indexed: set[tuple[str, str]] = set()
         #: Monotonic nonce for governed statements (see PSqlSegment).  An
@@ -321,21 +301,18 @@ class ShreddedStore:
         #: sharing a nonce (and thus a cached statement's VM-step phase,
         #: corrupting per-query governor accounting).
         self._governed_nonce = itertools.count(1)
-        #: plan id -> (plan, lowered plan).  The strong plan reference
-        #: keeps ``id()`` from being recycled while the entry lives;
-        #: plan-cache hits then skip re-lowering entirely.
-        self._segment_cache: dict[int, tuple[Operator, Operator]] = {}
-        self._segment_cache_lock = threading.Lock()
-        if db_path is not None:
-            fingerprint = self._fingerprint()
-            if self._try_reuse(fingerprint):
-                self.reused = True
-            else:
-                self._reset_file()
-                self._shred_all()
-                self._write_manifest(fingerprint)
-        else:
-            self._shred_all()
+        fingerprint = self._index_objects()
+        #: True when a file-backed store found its fingerprint in the file
+        #: and kept the tables there instead of re-shredding.
+        self.reused = (
+            db_path is not None and self._stored_fingerprint() == fingerprint
+        )
+        rewrite = db_path is not None and not self.reused
+        if rewrite:
+            self._reset_file()
+        self._shred_all()
+        if rewrite:
+            self._write_manifest(fingerprint)
         self.connection.execute("ANALYZE")
 
     # -- connection / file management ---------------------------------------
@@ -405,6 +382,10 @@ class ShreddedStore:
             execute(f"PRAGMA cache_size=-{int(self.cache_kib)}")
 
     def _shred_all(self) -> None:
+        """Describe every extent and — unless the file's tables are being
+        reused — create and fill its tables.  The catalog is never read
+        back: a reopen derives it as a fresh shred does, so the two cannot
+        disagree."""
         self.connection.execute("BEGIN IMMEDIATE")
         try:
             for name in self._database.extent_names():
@@ -417,57 +398,56 @@ class ShreddedStore:
             self.connection.execute("ROLLBACK")
             raise
 
-    def _fingerprint(self) -> str:
-        """A value-based digest of the database: layout + schema versions
-        plus a per-extent CRC over canonical element reprs.  Deliberately
-        *not* OID-based — engine OIDs are not stable across processes, but
-        the stored values are what the shred encodes."""
-        from repro.engine.exchange import _stable_repr
+    def _index_objects(self) -> str:
+        """One walk of the database: :attr:`objects` learns every stored
+        record, and the returned fingerprint digests the layout and schema
+        versions and, per extent, every value *and OID* in iteration order
+        — what the tables encode.  OIDs count because ``$oid`` columns
+        resolve through :attr:`objects`: a file whose OIDs are another
+        database's must re-shred, not answer with the wrong object."""
+        objects = self.objects
+
+        def canon(value: Any, out: list[str]) -> None:
+            if isinstance(value, Record):
+                if value.oid is not None:
+                    objects[value.oid] = value
+                out.append(f"<{value.oid}")
+                for attr in value.attributes():
+                    out.append(attr + "=")
+                    canon(value[attr], out)
+                out.append(">")
+            elif isinstance(value, CollectionValue):
+                out.append(type(value).__name__ + "[")
+                for element in value.elements():
+                    canon(element, out)
+                out.append("]")
+            else:
+                out.append(repr(value))
 
         parts = [
             f"format:{_LAYOUT_VERSION}",
             f"schema:{self._database.schema_version}",
         ]
-        for name in sorted(self._database.extent_names()):
+        for name in self._database.extent_names():
             value = self._database.extent(name)
             digest = 0
-            count = 0
             for element in value.elements():
-                digest = zlib.crc32(
-                    _stable_repr(element).encode("utf-8"), digest
-                )
-                count += 1
-            parts.append(f"{name}:{_collection_kind(value)}:{count}:{digest}")
+                out: list[str] = []
+                canon(element, out)
+                digest = zlib.crc32(",".join(out).encode("utf-8"), digest)
+            kind = type(value).__name__
+            parts.append(f"{name}:{kind}:{len(value)}:{digest}")
         return ";".join(parts)
 
-    def _manifest_value(self, key: str) -> str | None:
+    def _stored_fingerprint(self) -> str | None:
         try:
             row = self.connection.execute(
-                f"SELECT value FROM {_q(_MANIFEST_TABLE)} WHERE key = ?",
-                (key,),
+                f"SELECT value FROM {_q(_MANIFEST_TABLE)} "
+                "WHERE key = 'fingerprint'"
             ).fetchone()
         except sqlite3.OperationalError:
             return None  # no manifest table: fresh file or foreign content
         return None if row is None else row[0]
-
-    def _try_reuse(self, fingerprint: str) -> bool:
-        if self._manifest_value("fingerprint") != fingerprint:
-            return False
-        catalog_json = self._manifest_value("catalog")
-        refusals_json = self._manifest_value("refusals")
-        if catalog_json is None or refusals_json is None:
-            return False
-        try:
-            catalog = json.loads(catalog_json)
-            refusals = json.loads(refusals_json)
-            tables = {
-                name: _table_from_json(spec) for name, spec in catalog.items()
-            }
-        except (ValueError, KeyError, TypeError):
-            return False
-        self.tables = tables
-        self.refusals = {str(k): str(v) for k, v in refusals.items()}
-        return True
 
     def _reset_file(self) -> None:
         names = [
@@ -481,23 +461,15 @@ class ShreddedStore:
             self.connection.execute(f"DROP TABLE IF EXISTS {_q(name)}")
 
     def _write_manifest(self, fingerprint: str) -> None:
-        catalog = {
-            name: _table_to_json(table) for name, table in self.tables.items()
-        }
         self.connection.execute(
             f"CREATE TABLE IF NOT EXISTS {_q(_MANIFEST_TABLE)} "
             "(key TEXT PRIMARY KEY, value TEXT)"
         )
-        for key, value in (
-            ("fingerprint", fingerprint),
-            ("catalog", json.dumps(catalog, sort_keys=True)),
-            ("refusals", json.dumps(self.refusals, sort_keys=True)),
-        ):
-            self.connection.execute(
-                f"INSERT OR REPLACE INTO {_q(_MANIFEST_TABLE)} "
-                "(key, value) VALUES (?, ?)",
-                (key, value),
-            )
+        self.connection.execute(
+            f"INSERT OR REPLACE INTO {_q(_MANIFEST_TABLE)} (key, value) "
+            "VALUES ('fingerprint', ?)",
+            (fingerprint,),
+        )
 
     @contextmanager
     def statement_guard(self) -> Iterator[sqlite3.Connection]:
@@ -515,26 +487,6 @@ class ShreddedStore:
                 yield self._shared_connection
         else:
             yield self.connection
-
-    def lowered_plan(self, plan: Operator) -> Operator:
-        """:func:`compile_segments` of *plan*, lowered once per store.
-
-        Plan-cache hits re-execute the same ``CompiledQuery`` (and thus the
-        same plan object) many times; re-running the lowering on each
-        execution would dominate small queries."""
-        key = id(plan)
-        with self._segment_cache_lock:
-            hit = self._segment_cache.get(key)
-            if hit is not None and hit[0] is plan:
-                return hit[1]
-        # Lowering is pure w.r.t. the cache (index creation serializes on
-        # self.lock); concurrent first executions may both lower, one wins.
-        lowered = compile_segments(plan, self)
-        with self._segment_cache_lock:
-            if len(self._segment_cache) >= 128:
-                self._segment_cache.clear()
-            self._segment_cache[key] = (plan, lowered)
-        return lowered
 
     def prepare_indexes(self, requests: set[tuple[str, str]]) -> list[str]:
         """Create indexes for lowering-time equi-join columns (idempotent);
@@ -577,21 +529,21 @@ class ShreddedStore:
 
     def _shred_extent(self, name: str) -> None:
         value = self._database.extent(name)
-        kind = _collection_kind(value)
-        table = self._describe(name, name, kind, list(value.elements()), False)
-        self._create(table)
-        self._insert(table, list(value.elements()), None)
+        elements = list(value.elements())
+        table = self._describe(name, _collection_kind(value), elements, False)
+        if not self.reused:
+            self._create(table)
+            self._insert(table, elements, None)
         self.tables[name] = table
 
     def _describe(
         self,
         table_name: str,
-        extent: str,
         kind: str,
         elements: list[Any],
         child: bool,
     ) -> _Table:
-        table = _Table(table_name, extent, "record", kind, child)
+        table = _Table(table_name, "record", kind, child)
         present = [e for e in elements if not is_null(e)]
         records = [e for e in present if isinstance(e, Record)]
         if records:
@@ -653,8 +605,7 @@ class ShreddedStore:
                     )
                 nested = [e for v in present for e in v.elements()]
                 table.children[path] = self._describe(
-                    f"{table.name}${path}", table.extent, kinds.pop(), nested,
-                    True,
+                    f"{table.name}${path}", kinds.pop(), nested, True
                 )
             else:
                 raise BackendUnsupportedError(
@@ -718,99 +669,17 @@ class ShreddedStore:
                 self._flatten(table, path, value, row)
             # collection paths are handled by the child-table inserts
 
-    # -- rehydration (the ExtentProvider protocol) --------------------------
+    # -- the ExtentProvider protocol ------------------------------------------
 
     def extent(self, name: str) -> CollectionValue:
-        cached = self._extent_cache.get(name)
-        if cached is not None:
-            return cached
+        """The database's extent, unless shredding refused it: a residual
+        scan of a refused extent fails here, at scan time, as typed as a
+        lowered one."""
         if name in self.refusals:
             raise BackendUnsupportedError(
                 f"extent {name!r} was not shredded: {self.refusals[name]}"
             )
-        table = self.tables.get(name)
-        if table is None:
-            raise UnknownExtentError(
-                f"unknown extent {name!r}; known extents: "
-                f"{sorted(self.tables)}"
-            )
-        elements = self._load(table).get(None, [])
-        value = _make_collection(table.kind, elements)
-        self._extent_cache[name] = value
-        return value
-
-    def ensure_loaded(self, extents: Iterator[str] | tuple[str, ...]) -> None:
-        """Rehydrate the given extents so ``objects`` can resolve their OIDs."""
-        for name in extents:
-            self.extent(name)
-
-    def _load(self, table: _Table) -> dict[int | None, list[Any]]:
-        """All of *table*'s elements, stitched, grouped by ``$parent``."""
-        loaded_children = {
-            path: self._load(child) for path, child in table.children.items()
-        }
-        columns = table.all_columns()
-        order = '"$parent", "$pos"' if table.child else '"$pos"'
-        sql = (
-            f"SELECT {', '.join(_q(c) for c in columns)} "
-            f"FROM {_q(table.name)} ORDER BY {order}"
-        )
-        grouped: dict[int | None, list[Any]] = {}
-        with self.statement_guard() as connection:
-            rows = connection.execute(sql).fetchall()
-        for values in rows:
-            row = dict(zip(columns, values))
-            parent = row.get("$parent")
-            if table.element == "record":
-                element = self._stitch_record(table, "", row, loaded_children)
-            else:
-                element = _decode(row["$value"], table.columns[""])
-            grouped.setdefault(parent, []).append(element)
-        return grouped
-
-    def _stitch_record(
-        self,
-        table: _Table,
-        prefix: str,
-        row: dict,
-        loaded_children: dict[str, dict[int | None, list[Any]]],
-    ) -> Any:
-        oid = row[table.oid_column(prefix)]
-        if oid is None:
-            return NULL
-        fields: dict[str, Any] = {}
-        for path, tag in table.columns.items():
-            attr = _direct_attr(prefix, path)
-            if attr is not None:
-                fields[attr] = _decode(row[table.value_column(path)], tag)
-        for path in table.records:
-            attr = _direct_attr(prefix, path)
-            if attr is not None:
-                fields[attr] = self._stitch_record(
-                    table, path, row, loaded_children
-                )
-        row_oid = row["$oid"]
-        for path, child in table.children.items():
-            attr = _direct_attr(prefix, path)
-            if attr is not None:
-                elements = loaded_children[path].get(row_oid, [])
-                fields[attr] = _make_collection(child.kind, elements)
-        record = Record(fields)
-        if oid >= 0:
-            record = record.with_oid(oid)
-            self.objects[oid] = record
-        return record
-
-
-def _direct_attr(prefix: str, path: str) -> str | None:
-    """The attribute name when *path* is a direct field of *prefix*."""
-    if prefix:
-        if not path.startswith(prefix + "$"):
-            return None
-        rest = path[len(prefix) + 1 :]
-    else:
-        rest = path
-    return rest if rest and "$" not in rest else None
+        return self._database.extent(name)
 
 
 def _collection_kind(value: CollectionValue) -> str:
@@ -825,14 +694,6 @@ def _collection_kind(value: CollectionValue) -> str:
     )
 
 
-def _make_collection(kind: str, elements: list[Any]) -> CollectionValue:
-    if kind == "set":
-        return SetValue(elements)
-    if kind == "bag":
-        return BagValue(elements)
-    return ListValue(elements)
-
-
 def _walk_path(element: Any, path: str) -> Any | None:
     """Navigate ``a$b$c`` through nested records; None when unreachable."""
     value = element
@@ -841,39 +702,6 @@ def _walk_path(element: Any, path: str) -> Any | None:
             return None
         value = value[attr]
     return value
-
-
-def _table_to_json(table: _Table) -> dict[str, Any]:
-    """The catalog entry persisted in a file-backed store's manifest."""
-    return {
-        "name": table.name,
-        "extent": table.extent,
-        "element": table.element,
-        "kind": table.kind,
-        "child": table.child,
-        "columns": dict(table.columns),
-        "records": sorted(table.records),
-        "children": {
-            path: _table_to_json(child)
-            for path, child in sorted(table.children.items())
-        },
-    }
-
-
-def _table_from_json(spec: Mapping[str, Any]) -> _Table:
-    return _Table(
-        name=spec["name"],
-        extent=spec["extent"],
-        element=spec["element"],
-        kind=spec["kind"],
-        child=bool(spec["child"]),
-        columns=dict(spec["columns"]),
-        records=set(spec["records"]),
-        children={
-            path: _table_from_json(child)
-            for path, child in spec["children"].items()
-        },
-    )
 
 
 #: One shredded store per database, invalidated on schema changes.  Weak so
@@ -1233,7 +1061,6 @@ class _Chain:
     where: list[str]
     binds: dict[str, _VarBind]
     order_cols: list[str]
-    extents: list[str]
     uses_table: bool = True
     #: True when the chain contains a lowered (GROUP BY) nest.
     grouped: bool = False
@@ -1253,8 +1080,6 @@ class _Segment:
     sql: str
     #: Per-output-column decode instructions: (var, kind, tag).
     decoders: tuple[tuple[str, str, str], ...]
-    #: Root extents whose objects the decoded rows reference.
-    extents: tuple[str, ...]
     mode: str = "stream"
     #: EXPLAIN marker: sql | sql:group | sql:agg | sql:merge.
     label: str = "sql"
@@ -1334,7 +1159,6 @@ class _SegmentBuilder:
             where=[],
             binds={plan.var: _VarBind(kind, alias, table)},
             order_cols=[f"{alias}.{_q('$pos')}"],
-            extents=[table.extent],
         )
 
     def _chain_seed(self, plan: Seed, counter: list[int]) -> _Chain | None:
@@ -1344,7 +1168,6 @@ class _SegmentBuilder:
             where=[],
             binds={},
             order_cols=[f"{alias}.{_q('$pos')}"],
-            extents=[],
             uses_table=False,
         )
 
@@ -1404,7 +1227,6 @@ class _SegmentBuilder:
             where=where,
             binds=binds,
             order_cols=left.order_cols + right.order_cols,
-            extents=left.extents + right.extents,
             uses_table=left.uses_table or right.uses_table,
             grouped=left.grouped or right.grouped,
         )
@@ -1467,7 +1289,6 @@ class _SegmentBuilder:
             where=chain.where,
             binds=binds,
             order_cols=chain.order_cols + [f"{alias}.{_q('$pos')}"],
-            extents=chain.extents + [child.extent],
             uses_table=True,
             grouped=chain.grouped,
         )
@@ -1655,7 +1476,6 @@ class _SegmentBuilder:
             where=[],
             binds=rebinds,
             order_cols=[f"{galias}.{_q('$pos')}"],
-            extents=list(chain.extents),
             uses_table=chain.uses_table,
             grouped=True,
         )
@@ -1717,7 +1537,6 @@ class _SegmentBuilder:
         return _Segment(
             sql,
             tuple(decoders),
-            tuple(dict.fromkeys(chain.extents)),
             mode="stream",
             label="sql:group",
         )
@@ -1754,7 +1573,6 @@ class _SegmentBuilder:
         return _Segment(
             sql,
             tuple(decoders),
-            tuple(dict.fromkeys(chain.extents)),
             mode="merge",
             label="sql:merge",
             key_count=len(plan.group_by),
@@ -1780,7 +1598,6 @@ class _SegmentBuilder:
         head = _sql_expr(plan.head, chain.binds)
         if head is None:
             return None
-        extents = tuple(dict.fromkeys(chain.extents))
         if isinstance(plan.monoid, CollectionMonoid):
             sql = f"SELECT {head.sql} AS c0 FROM {chain.from_sql}"
             if where:
@@ -1790,7 +1607,6 @@ class _SegmentBuilder:
             return _Segment(
                 sql,
                 (("", head_kind, head.tag),),
-                extents,
                 mode="fold",
                 label="sql",
                 monoid_name=plan.monoid_name,
@@ -1809,7 +1625,6 @@ class _SegmentBuilder:
         return _Segment(
             sql,
             (("", decode_kind, out_tag),),
-            extents,
             mode="reduce",
             label="sql:agg",
             monoid_name=plan.monoid_name,
@@ -1846,9 +1661,8 @@ class _SegmentBuilder:
         if chain.where:
             sql += f" WHERE {' AND '.join(chain.where)}"
         sql += f" ORDER BY {order}"
-        extents = tuple(dict.fromkeys(chain.extents))
         label = "sql:group" if chain.grouped else "sql"
-        return _Segment(sql, tuple(decoders), extents, label=label)
+        return _Segment(sql, tuple(decoders), label=label)
 
 
 def _indexable_column(
@@ -1935,21 +1749,6 @@ def compile_segments(plan: Operator, store: ShreddedStore) -> Operator:
     return lowered
 
 
-def lower_to_sql(
-    plan: Operator | None, database: Database, db_path: str | None = None
-) -> tuple[Operator, ShreddedStore]:
-    """What ``backend="sqlite"`` hands the physical planner: *plan* with
-    its lowered subtrees as :class:`SqlSegment` leaves, and *database*'s
-    shredded store as the extent provider residual scans read."""
-    if plan is None:
-        raise BackendUnsupportedError(
-            "backend='sqlite' requires an unnested algebraic plan "
-            "(compile with unnest=True)"
-        )
-    store = shredded_store(database, db_path=db_path)
-    return store.lowered_plan(plan), store
-
-
 # ---------------------------------------------------------------------------
 # Execution: SQL segments as leaves of the physical plan
 # ---------------------------------------------------------------------------
@@ -1992,7 +1791,7 @@ def _install_progress(connection: Any, governor: Any) -> _ProgressTrap | None:
 
 
 def _decode_column(values: Any, kind: str, tag: str, objects: Mapping) -> list:
-    """One SQL result column as engine values: ``$oid`` → the rehydrated
+    """One SQL result column as engine values: ``$oid`` → the database's
     object, SQL NULL → ``NULL`` (``+inf``, its zero, for a root ``min``)."""
     if kind == "object":
         return [NULL if v is None else objects[v] for v in values]
@@ -2041,10 +1840,6 @@ class PSqlSegment(PhysicalOperator):
         """
         segment = self.segment
         store: ShreddedStore = self._context.database
-        if any(kind == "object" for _, kind, _ in segment.decoders):
-            # Only object-decoding segments need the rehydrated extents;
-            # scalar aggregates and folds skip that cost entirely.
-            store.ensure_loaded(segment.extents)
         governor = self._context.governor
         sql = segment.sql
         if governor is not None:
@@ -2103,16 +1898,11 @@ class PSqlSegment(PhysicalOperator):
             decode = self._merge if self.segment.mode == "merge" else self._stream
             self._decoded = decode(rows, self._context.database.objects)
             self._record_decode(start)
-        columns, total = self._decoded
-        size = self._context.batch_size
-        for start in range(0, total, size):
-            stop = min(start + size, total)
+        # (not _emit_chunk: rows_produced is the SELECT's row count)
+        for chunk in _column_chunks(*self._decoded, self._context.batch_size):
             self.batches_produced += 1
-            self.batch_rows += stop - start
-            yield Chunk(
-                {name: col[start:stop] for name, col in columns.items()},
-                stop - start,
-            )
+            self.batch_rows += chunk.length
+            yield chunk
 
     def _stream(
         self, rows: list[tuple], objects: Mapping
@@ -2185,17 +1975,15 @@ def execute_shredded(
     compiled: Any,
     database: Database,
     params: Mapping[str, Any] | None = None,
-    governor: Any | None = None,
     flat_queries: list | None = None,
 ) -> Any:
     """Run a :class:`~repro.core.pipeline.CompiledQuery` compiled for
-    ``backend="sqlite"``; *flat_queries* (when given) collects
-    (sql, rows, sql ms, decode ms) tuples."""
-    physical = compiled.physical(database, params, governor=governor)
-    result = root_value(physical)
+    ``backend="sqlite"`` — ``compiled.execute`` — and hand *flat_queries*
+    (when given) its (sql, rows, sql ms, decode ms) tuples."""
+    stats = compiled.run(database, params)
     if flat_queries is not None:
-        flat_queries.extend(executed_flat_queries(physical))
-    return result
+        flat_queries.extend(stats.flat_queries)
+    return stats.result
 
 
 def explain_shredded(compiled: Any, database: Database) -> str:
@@ -2233,7 +2021,7 @@ def shredded_sql(database: Database, source: str) -> list[str]:
     from repro.core.pipeline import QueryPipeline
 
     pipeline = QueryPipeline(database, OptimizerOptions(backend="sqlite"))
-    lowered, _ = lower_to_sql(pipeline.compile_oql(source).optimized, database)
+    lowered, _ = pipeline.compile_oql(source).target(database)
     return [
         node.segment.sql
         for node in operators(lowered)

@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help=(
             "with --backend sqlite: shred into (and reuse) a file-backed "
-            "store at FILE instead of :memory:, so extents larger than RAM "
-            "execute out of core; a manifest decides reuse vs. re-shred"
+            "store at FILE instead of :memory:, so SQL's working set pages "
+            "through a bounded cache; a fingerprint decides reuse vs. re-shred"
         ),
     )
     parser.add_argument(

@@ -111,9 +111,9 @@ class OptimizerOptions:
     #: ``unnest=True``.
     backend: str = "memory"
     #: SQLite backend: shred into (and reuse) a file-backed store at this
-    #: path instead of ``:memory:`` — extents larger than RAM execute out
-    #: of core.  A manifest (schema version + per-extent content digest)
-    #: decides whether an existing file can be reused or must be re-shred.
+    #: path instead of ``:memory:`` — SQL's working set pages through a
+    #: bounded cache.  A fingerprint (schema version + per-extent digest of
+    #: values and OIDs) decides whether an existing file is reused.
     db_path: str | None = None
 
 

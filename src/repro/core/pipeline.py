@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -49,11 +50,20 @@ from repro.core.unnesting import UnnestingTrace, unnest, _uniquify
 from repro.data.database import Database
 from repro.engine.compile import ExprCompiler
 from repro.engine.cost import CostModel
-from repro.engine.executor import ExecutionStats, run_with_stats
+from repro.engine.executor import (
+    ExecutionStats,
+    collect_operators,
+    flat_queries,
+)
 from repro.engine.governor import CancelToken, Governor
 from repro.engine.planner import PlannerOptions, plan_physical
 from repro.engine.physical import PhysicalOperator, root_value
-from repro.errors import ExecutionError, PlanningError, QueryError
+from repro.errors import (
+    BackendUnsupportedError,
+    ExecutionError,
+    PlanningError,
+    QueryError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.optimizer import OptimizerOptions
@@ -222,6 +232,14 @@ class CompiledQuery:
     _compiler: ExprCompiler | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``backend="sqlite"``: shredded store -> :attr:`optimized` with its
+    #: lowered subtrees as SQL-segment leaves.  One mapping shared with
+    #: every :meth:`bind` copy, so a plan is lowered once per store and
+    #: dropped with this query by whatever cache holds it; weak, so a
+    #: cached plan never keeps a replaced store's SQLite image alive.
+    _lowered: "weakref.WeakKeyDictionary[Any, Operator]" = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
+    )
     #: Lazily computed cache for :attr:`param_names` — the term walk is
     #: per-query, not per-execution (``bind`` copies carry it along).
     _param_names: frozenset[str] | None = field(
@@ -253,11 +271,11 @@ class CompiledQuery:
         return replace(self, params={**self.params, **params})
 
     def _merged_params(
-        self, mapping: Mapping[str, Any] | None, named: Mapping[str, Any]
+        self, params: Mapping[str, Any] | None
     ) -> dict[str, Any]:
-        """Bound values merged with per-call overrides (a mapping, keyword
-        arguments over it), checked for coverage."""
-        params = {**(mapping or {}), **named}
+        """Bound values merged with per-call overrides, checked for
+        coverage."""
+        params = params or {}
         if set(params) - self.param_names:
             raise UnboundParameterError(
                 f"query has no parameter(s) "
@@ -323,19 +341,41 @@ class CompiledQuery:
         errors pass through annotated with the query source, and anything
         else is wrapped in :class:`~repro.errors.ExecutionError`.
         """
+        return self.run(
+            database, {**(params or {}), **named}, cancel_token
+        ).result
+
+    def run(
+        self,
+        database: Database,
+        params: Mapping[str, Any] | None = None,
+        cancel_token: "CancelToken | None" = None,
+        profile: bool = False,
+    ) -> ExecutionStats:
+        """One execution and what it measured — the body of
+        :meth:`execute`, ``run_oql_stats`` and ``execute_shredded``.
+
+        *profile* times every operator's expressions and records the
+        per-operator counts (EXPLAIN ANALYZE); without it no operator tree
+        is walked, except for a SQLite plan's ``flat_queries``.
+        """
+        backend = self.options.backend
+        physical = None
         try:
-            values = self._merged_params(params, named)
+            values = self._merged_params(params)
             governor = self.make_governor(cancel_token)
             plan, provider = self.target(database)
-            if plan is None:
+            if plan is not None:
+                physical = self._plan(plan, provider, values, profile, governor)
+            start = time.perf_counter()
+            if physical is None:
                 # Naive nested-loop evaluation of the calculus form.
                 result = Evaluator(
                     provider, values, governor=governor
                 ).evaluate(self.prepared)
             else:
-                result = root_value(
-                    self._plan(plan, provider, values, governor=governor)
-                )
+                result = root_value(physical)
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
             if self.order_by:
                 result = _apply_order(result, self.order_by, database, values)
         except QueryError as exc:
@@ -346,7 +386,16 @@ class CompiledQuery:
                 source=self.source,
                 stage="execute",
             ) from exc
-        return result
+        stats = ExecutionStats(result, elapsed_ms, backend=backend)
+        if governor is not None:
+            stats.governor_ticks = governor.ticks
+            stats.governor_peak_bytes = governor.peak_bytes
+        if physical is not None:
+            if backend == "sqlite":
+                stats.flat_queries = flat_queries(physical)
+            if profile:
+                collect_operators(physical, 0, stats)
+        return stats
 
     def expr_compiler(self) -> ExprCompiler:
         """The kernel compiler shared by this query's executions, created
@@ -370,9 +419,20 @@ class CompiledQuery:
         subtrees replaced by SQL-segment leaves, over the shredded store."""
         backend = self.options.backend
         if backend == "sqlite":
-            from repro.backends.shred import lower_to_sql
+            from repro.backends.shred import compile_segments, shredded_store
 
-            return lower_to_sql(self.optimized, database, self.options.db_path)
+            if self.optimized is None:
+                raise BackendUnsupportedError(
+                    "backend='sqlite' requires an unnested algebraic plan "
+                    "(compile with unnest=True)"
+                )
+            store = shredded_store(database, db_path=self.options.db_path)
+            lowered = self._lowered.get(store)
+            if lowered is None:
+                # Two first executions may both lower; one assignment wins.
+                lowered = compile_segments(self.optimized, store)
+                self._lowered[store] = lowered
+            return lowered, store
         if backend != "memory":
             raise PlanningError(
                 f"unknown backend {backend!r}; expected 'memory' or 'sqlite'"
@@ -748,42 +808,9 @@ class QueryPipeline:
         if self.database is None:
             raise ValueError("pipeline has no database to run against")
         compiled, from_cache = self.compile_oql_cached(source)
-        try:
-            values = compiled._merged_params(params, named)
-            governor = compiled.make_governor(cancel_token)
-            plan, provider = compiled.target(self.database)
-            if plan is None:
-                start = time.perf_counter()
-                result = Evaluator(
-                    provider, values, governor=governor
-                ).evaluate(compiled.prepared)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                stats = ExecutionStats(result=result, elapsed_ms=elapsed_ms)
-            else:
-                stats = run_with_stats(
-                    plan,
-                    provider,
-                    _planner_options(compiled.options),
-                    values,
-                    compiler=compiled.expr_compiler(),
-                    governor=governor,
-                )
-            stats.backend = compiled.options.backend
-            if compiled.order_by:
-                stats.result = _apply_order(
-                    stats.result, compiled.order_by, self.database, values
-                )
-        except QueryError as exc:
-            raise exc.annotate(source=source, stage="execute")
-        except Exception as exc:
-            raise ExecutionError(
-                f"unexpected {type(exc).__name__}: {exc}",
-                source=source,
-                stage="execute",
-            ) from exc
-        if governor is not None:
-            stats.governor_ticks = governor.ticks
-            stats.governor_peak_bytes = governor.peak_bytes
+        stats = compiled.run(
+            self.database, {**(params or {}), **named}, cancel_token, profile=True
+        )
         stats.cache_hits, stats.cache_misses, _ = self.plan_cache.stats()
         stats.from_cache = from_cache
         return stats

@@ -143,11 +143,14 @@ def run_with_stats(
     if governor is not None:
         stats.governor_ticks = governor.ticks
         stats.governor_peak_bytes = governor.peak_bytes
-    _collect(physical, 0, stats)
+    collect_operators(physical, 0, stats)
     return stats
 
 
-def _collect(op: PhysicalOperator, depth: int, stats: ExecutionStats) -> None:
+def collect_operators(
+    op: PhysicalOperator, depth: int, stats: ExecutionStats
+) -> None:
+    """Append *op*'s subtree to ``stats.operators``, in plan pre-order."""
     stats.operators.append(
         OperatorStats(
             op.describe(),
@@ -160,7 +163,7 @@ def _collect(op: PhysicalOperator, depth: int, stats: ExecutionStats) -> None:
         )
     )
     for child in op.children():
-        _collect(child, depth + 1, stats)
+        collect_operators(child, depth + 1, stats)
 
 
 def flat_queries(op: PhysicalOperator) -> list[tuple[str, int, float, float]]:

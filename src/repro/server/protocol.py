@@ -27,7 +27,7 @@ Operations
 ``close``     say goodbye; the server closes the connection after replying.
 
 Results are encoded with the same tagged-JSON value scheme the fuzzer's
-repro artifacts use (:mod:`repro.testing.repro_io`): records become
+repro artifacts use (:mod:`repro.data.codec`): records become
 ``{"$record": {...}, "$oid": n}``, sets/bags/lists become
 ``{"$set"|"$bag"|"$list": [...]}``, NULL becomes ``{"$null": true}`` —
 so a client can reconstruct engine values exactly, and the tests can
@@ -66,6 +66,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.data.codec import decode_value, encode_value
 from repro.errors import (
     BackendUnsupportedError,
     BudgetExceeded,
@@ -77,7 +78,6 @@ from repro.errors import (
     TypeCheckError,
     UnknownExtentError,
 )
-from repro.testing.repro_io import _decode_value, _encode_value
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -119,14 +119,10 @@ def decode_line(line: bytes) -> dict[str, Any]:
     return message
 
 
-def encode_result(value: Any) -> Any:
-    """An engine value as tagged JSON (records/sets/bags/lists/NULL)."""
-    return _encode_value(value)
-
-
-def decode_result(data: Any) -> Any:
-    """The inverse of :func:`encode_result`: tagged JSON back to values."""
-    return _decode_value(data)
+#: An engine value as tagged JSON (records/sets/bags/lists/NULL) and back;
+#: decoding raises ``ValueError`` on a value of the wrong shape.
+encode_result = encode_value
+decode_result = decode_value
 
 
 #: QueryError subclass -> protocol error code, most specific first.

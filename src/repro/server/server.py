@@ -729,4 +729,10 @@ def _decode_params(params: Any) -> dict[str, Any]:
         return {}
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be an object of name -> value")
-    return {name: decode_result(value) for name, value in params.items()}
+    values = {}
+    for name, value in params.items():
+        try:
+            values[name] = decode_result(value)
+        except ValueError as exc:
+            raise ProtocolError(f"parameter {name!r}: {exc}") from exc
+    return values

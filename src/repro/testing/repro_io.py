@@ -6,8 +6,9 @@ definitions — that :func:`load_repro` turns back into a runnable sample.
 ``tests/test_fuzz_regressions.py`` replays every artifact under
 ``tests/fuzz_repros/`` forever, so a fixed bug stays fixed.
 
-The encoding is deliberately explicit (tagged dicts, not pickles): repro
-files are meant to be read, edited, and committed.  Stored objects keep
+The encoding is deliberately explicit (tagged dicts, not pickles — the
+value codec is :mod:`repro.data.codec`): repro files are meant to be read,
+edited, and committed.  Stored objects keep
 their engine-assigned identity via a ``$oid`` sibling of ``$record``;
 objects without one are re-stamped with fresh OIDs on load (the replayed
 sample still distinguishes value-equal duplicates, just under new OIDs).
@@ -19,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.data.codec import decode_value, encode_value
 from repro.data.database import Database
 from repro.data.schema import (
     BOOL,
@@ -33,15 +35,6 @@ from repro.data.schema import (
     Schema,
     StringType,
     Type,
-)
-from repro.data.values import (
-    NULL,
-    BagValue,
-    CollectionValue,
-    ListValue,
-    Record,
-    SetValue,
-    is_null,
 )
 from repro.testing.shrink import _extent_kind
 
@@ -87,53 +80,6 @@ def _decode_type(data: Any) -> Type:
 
 
 # ---------------------------------------------------------------------------
-# Values
-# ---------------------------------------------------------------------------
-
-
-def _encode_value(value: Any) -> Any:
-    if is_null(value):
-        return {"$null": True}
-    if isinstance(value, Record):
-        encoded: dict[str, Any] = {
-            "$record": {attr: _encode_value(v) for attr, v in value.items()}
-        }
-        if value.oid is not None:
-            encoded["$oid"] = value.oid
-        return encoded
-    if isinstance(value, SetValue):
-        return {"$set": [_encode_value(v) for v in value]}
-    if isinstance(value, BagValue):
-        return {"$bag": [_encode_value(v) for v in value]}
-    if isinstance(value, ListValue):
-        return {"$list": [_encode_value(v) for v in value]}
-    if isinstance(value, (bool, int, float, str)):
-        return value
-    raise ValueError(f"cannot encode value {value!r} in a repro file")
-
-
-def _decode_value(data: Any) -> Any:
-    if isinstance(data, dict):
-        if "$null" in data:
-            return NULL
-        if "$record" in data:
-            record = Record(
-                {attr: _decode_value(v) for attr, v in data["$record"].items()}
-            )
-            if "$oid" in data:
-                record = record.with_oid(data["$oid"])
-            return record
-        if "$set" in data:
-            return SetValue(_decode_value(v) for v in data["$set"])
-        if "$bag" in data:
-            return BagValue(_decode_value(v) for v in data["$bag"])
-        if "$list" in data:
-            return ListValue(_decode_value(v) for v in data["$list"])
-        raise ValueError(f"unknown value tag in {sorted(data)}")
-    return data
-
-
-# ---------------------------------------------------------------------------
 # Whole samples
 # ---------------------------------------------------------------------------
 
@@ -159,7 +105,7 @@ def encode_sample(
         "seed": seed,
         "expect": expect,
         "source": source,
-        "params": {name: _encode_value(v) for name, v in params.items()},
+        "params": {name: encode_value(v) for name, v in params.items()},
         "schema": {
             "classes": {
                 name: _encode_type(record_type)
@@ -170,7 +116,7 @@ def encode_sample(
         "extents": {
             name: {
                 "kind": _extent_kind(db, name),
-                "objects": [_encode_value(obj) for obj in db.extent(name).elements()],
+                "objects": [encode_value(obj) for obj in db.extent(name).elements()],
             }
             for name in db.extent_names()
         },
@@ -195,12 +141,12 @@ def decode_sample(data: dict[str, Any]) -> tuple[str, dict[str, Any], Database]:
     for extent_name, payload in data["extents"].items():
         db.add_extent(
             extent_name,
-            [_decode_value(obj) for obj in payload["objects"]],
+            [decode_value(obj) for obj in payload["objects"]],
             kind=payload["kind"],
         )
     for extent_name, attr in data.get("indexes", []):
         db.create_index(extent_name, attr)
-    params = {name: _decode_value(v) for name, v in data.get("params", {}).items()}
+    params = {name: decode_value(v) for name, v in data.get("params", {}).items()}
     return data["source"], params, db
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,49 @@ def test_production_code_does_not_import_the_reference_plan_evaluator():
             if hit:
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_production_code_does_not_import_the_test_harness():
+    """``repro.testing`` — fuzzer, generators, oracle and, through the
+    oracle, the reference evaluators — is for tests and ``repro fuzz``.
+    Nothing else under ``src/repro`` imports it at module level (the
+    subcommand imports it inside its function), so a server process never
+    loads it."""
+    import ast
+    import subprocess
+    import sys
+
+    offenders = []
+    for name in MODULES + ["repro"]:
+        if name.startswith("repro.testing"):
+            continue
+        module = importlib.import_module(name)
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "repro":
+                    names = [f"repro.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any((n + ".").startswith("repro.testing.") for n in names):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.server; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.testing')))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "[]"
 
 
 def test_generated_code_enters_through_one_door():

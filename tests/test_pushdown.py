@@ -33,7 +33,7 @@ from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.schema import FLOAT, INT, STRING, Schema
-from repro.data.values import NULL, Record
+from repro.data.values import NULL, Record, SetValue
 from repro.errors import BudgetExceeded
 from repro.oql.translator import parse_and_translate
 from repro.testing.oracle import results_equal
@@ -218,9 +218,10 @@ class TestFileBackedStore:
         first_db = DATABASES["company"]()
         first = _pipeline(first_db, backend="sqlite", db_path=path).run_oql(source)
         assert shredded_store(first_db, db_path=path).reused is False
-        # A fresh process would see a fresh Database object: same contents,
-        # new OIDs.  The manifest fingerprint is value-based, so the shred
-        # on disk is reused rather than rebuilt.
+        # A fresh process would see a fresh Database object: the same
+        # construction, so the same contents under the same OIDs (both
+        # count from 0).  The fingerprint covers both, so the shred on disk
+        # is reused rather than rebuilt.
         second_db = DATABASES["company"]()
         store = shredded_store(second_db, db_path=path)
         assert store.reused is True
@@ -237,6 +238,50 @@ class TestFileBackedStore:
         assert shredded_store(second_db, db_path=path).reused is True
         reopened = _pipeline(second_db, backend="sqlite", db_path=path).run_oql(source)
         assert results_equal(reopened, _pipeline(second_db).run_oql(source))
+        # ... as the reopened database's own objects, not copies of them
+        own = {e.oid: e for e in second_db.extent("Employees")}
+        assert len(reopened) > 0 and all(e is own[e.oid] for e in reopened)
+
+    def test_reopen_derives_the_catalog_a_fresh_shred_derives(self, tmp_path):
+        # Nothing of the catalog is stored: a reopen describes the data as
+        # a first shred does, refusals included.
+        def build():
+            db = _agg_db()
+            db.add_extent("Kids", [Record(k=1, kids=SetValue([Record(a=1)]))])
+            db.add_extent("Mixed", [Record(k=1), Record(k="one")])
+            return db
+
+        path = str(tmp_path / "store.db")
+        first = shredded_store(build(), db_path=path)
+        second = shredded_store(build(), db_path=path)
+        assert (first.reused, second.reused) == (False, True)
+        assert second.tables == first.tables and set(first.tables) >= {"Ts", "Kids"}
+        assert second.refusals == first.refusals and set(first.refusals) == {"Mixed"}
+        rows = second.connection.execute(
+            'SELECT key FROM "repro$manifest"'
+        ).fetchall()
+        assert rows == [("fingerprint",)]
+
+    def test_same_values_under_other_oids_re_shred(self, tmp_path):
+        # `$oid` columns resolve through the database in hand: a file whose
+        # OIDs are another database's must not be reused.
+        def build(shift):
+            db = Database(_agg_db().schema)
+            for _ in range(shift):
+                db.allocate_oid()
+            db.add_extent("Ts", [Record(k=1, v=10, f=1.5, s="a")])
+            db.add_extent("Empty", [])
+            return db
+
+        path = str(tmp_path / "store.db")
+        source = "select distinct t from t in Ts"
+        first_db, second_db = build(0), build(1)
+        assert first_db.extent("Ts") == second_db.extent("Ts")
+        _pipeline(first_db, backend="sqlite", db_path=path).run_oql(source)
+        [answer] = _pipeline(second_db, backend="sqlite", db_path=path).run_oql(source)
+        assert shredded_store(second_db, db_path=path).reused is False
+        [own] = second_db.extent("Ts")
+        assert answer is own and own.oid == 1
 
     def test_stale_manifest_re_shreds(self, tmp_path):
         path = str(tmp_path / "store.db")
@@ -304,6 +349,55 @@ class TestPlanCacheInteraction:
             db, backend="sqlite", db_path=str(tmp_path / "k.db")
         ).run_oql(source)
         assert a == b
+
+    @pytest.fixture
+    def lowerings(self, monkeypatch):
+        """The plans handed to ``compile_segments`` while the test runs."""
+        from repro.backends import shred
+
+        seen: list = []
+        lower = shred.compile_segments
+
+        def counted(plan, store):
+            seen.append(plan)
+            return lower(plan, store)
+
+        monkeypatch.setattr(shred, "compile_segments", counted)
+        return seen
+
+    def test_a_prepared_plan_is_lowered_once_however_many_rotate(self, lowerings):
+        # The store used to keep its own cache of 128 lowered plans, cleared
+        # wholesale when full: 130 statements in rotation re-lowered on
+        # every execution.  The lowering now lives and dies with its plan.
+        db = DATABASES["company"]()
+        pipeline = _pipeline(db, backend="sqlite")
+        source = "select distinct e.name from e in Employees where e.salary > {}"
+        prepared = [pipeline.compile_oql(source.format(n)) for n in range(130)]
+        for _ in range(4):
+            answers = [compiled.execute(db) for compiled in prepared]
+        assert len(lowerings) == 130
+        assert answers[129] == _pipeline(db).run_oql(source.format(129))
+
+    def test_a_bind_copy_shares_its_originals_lowering(self, lowerings):
+        db = DATABASES["company"]()
+        compiled = _pipeline(db, backend="sqlite").compile_oql(
+            "select distinct e.name from e in Employees where e.age > :a"
+        )
+        bound = compiled.bind(a=40)  # copied before anything was lowered
+        assert bound.execute(db) == compiled.execute(db, a=40)
+        assert compiled.bind(a=50).execute(db) == compiled.execute(db, a=50)
+        assert len(lowerings) == 1
+
+    def test_a_changed_database_is_lowered_against_its_new_store(self, lowerings):
+        db = _agg_db()
+        compiled = _pipeline(db, backend="sqlite").compile_oql(
+            "sum( select t.v from t in Ts )"
+        )
+        assert compiled.execute(db) == 25 and compiled.execute(db) == 25
+        assert len(lowerings) == 1
+        db.add_extent("Ts", [Record(k=1, v=100, f=0.0, s="z")])
+        assert compiled.execute(db) == 100
+        assert len(lowerings) == 2
 
     def test_repl_backend_command_accepts_db_path(self, tmp_path, monkeypatch):
         from repro import cli

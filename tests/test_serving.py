@@ -213,6 +213,39 @@ class TestTypedErrors:
             reply = client.wait(None)
             assert reply.error_code == "PROTOCOL_ERROR"
 
+    #: Parameter values of the wrong shape.  They used to reach the engine
+    #: (a Python list or None as a value, a record whose identity is a
+    #: string) or answer INTERNAL_ERROR with a raw AttributeError/TypeError.
+    MALFORMED_VALUES = [
+        {"$record": 5},
+        {"$set": 3},
+        {"$bag": [[1]]},
+        {"$oid": 1},
+        [1, 2],
+        None,
+        {"$record": {"k": 1}, "$oid": "zz"},
+    ]
+
+    @pytest.mark.parametrize("value", MALFORMED_VALUES, ids=json.dumps)
+    def test_malformed_parameter_value_is_a_protocol_error(self, server, value):
+        host, port, db = server
+        source = "select distinct e.name from e in Employees where e.age > :a"
+        with ServeClient(host, port) as client:
+            reply = client.call("query", q=source, params={"a": value})
+            assert reply.error_code == "PROTOCOL_ERROR", reply
+            assert "parameter 'a'" in reply["error"]["message"]
+            assert client.prepare("q", source).ok
+            reply = client.call("execute", name="q", params={"a": value})
+            assert reply.error_code == "PROTOCOL_ERROR", reply
+            # the connection stays usable
+            expected = Optimizer(db).run_oql(source, a=40)
+            assert client.execute("q", params={"a": 40}).value() == expected
+        status, body = _http(
+            host, port, "/query", {"q": source, "params": {"a": value}}
+        )
+        assert status == 400 and body["error"]["code"] == "PROTOCOL_ERROR", body
+        assert "parameter 'a'" in body["error"]["message"]
+
     def test_query_timeout_is_typed(self, server):
         host, port, _ = server
         with ServeClient(host, port) as client:

@@ -2,8 +2,9 @@
 
 Four concerns, mirroring the backend's layers:
 
-* the shredded store round-trips every demo database losslessly
-  (rehydration == original, OIDs preserved, multiplicity and order kept);
+* the shredded tables encode every demo database losslessly (read back
+  from SQLite against a walk of the objects: OIDs, multiplicity, order),
+  and every `$oid` a query decodes is the database's own object;
 * the generated flat SQL is *stable* (golden tests on representative
   corpus queries — any change to the translation shows up as a diff here);
 * execution parity with the in-memory engine on the shapes most likely to
@@ -25,6 +26,7 @@ from corpus import CORPUS
 from repro.backends.shred import (
     PSqlSegment,
     ShreddedStore,
+    _q,
     _Segment,
     compile_segments,
     execute_shredded,
@@ -54,81 +56,179 @@ def run_both(db, source, **params):
     return memory, shredded
 
 
+def _records(value):
+    """Every OID-carrying record in or under *value*."""
+    if isinstance(value, Record):
+        if value.oid is not None:
+            yield value
+        for attr in value:
+            yield from _records(value[attr])
+    elif isinstance(value, (SetValue, BagValue, ListValue)):
+        for element in value.elements():
+            yield from _records(element)
+
+
+def _objects_by_oid(db):
+    """oid -> the database's own record, by walking its extents."""
+    owned = {}
+    for name in db.extent_names():
+        for record in _records(db.extent(name)):
+            assert owned.setdefault(record.oid, record) is record
+    return owned
+
+
 # ---------------------------------------------------------------------------
-# Shredded storage round-trips
+# Shredded storage: the tables are the encoding, the objects stay put
 # ---------------------------------------------------------------------------
+
+
+def _hand_built(rows, kind="set"):
+    schema = Schema()
+    schema.define_class("T", k=INT)
+    schema.define_extent("Ts", "T")
+    db = Database(schema)
+    db.add_extent("Ts", rows, kind=kind)
+    return db
+
+
+#: The demo databases and the shapes the flat encoding must not lose.
+ENCODING_CASES = {
+    **DATABASES,
+    # value-equal duplicates are distinct objects, one row each; a nested
+    # bag of scalars keeps one row per occurrence
+    "bag-multiplicity": lambda: _hand_built(
+        [
+            Record(k=1, tags=BagValue([7, 7, 8])),
+            Record(k=1, tags=BagValue([7, 7, 8])),
+            Record(k=2, tags=BagValue([])),
+        ],
+        kind="bag",
+    ),
+    "list-order": lambda: _hand_built(
+        [Record(k=3, seq=ListValue(["c", "a", "b"])), Record(k=1, seq=ListValue([]))],
+        kind="list",
+    ),
+    "null-scalars": lambda: _hand_built(
+        [Record(k=1, v=NULL, b=True), Record(k=NULL, v=2.0, b=NULL)]
+    ),
+    # a record inside a record (one of them NULL), and a collection hanging
+    # off the *nested* record: the child table keys on the containing row
+    "nested-record": lambda: _hand_built(
+        [
+            Record(k=1, sub=Record(m=10, kids=SetValue([Record(a=1), Record(a=2)]))),
+            Record(k=2, sub=Record(m=20, kids=SetValue([]))),
+            Record(k=3, sub=NULL),
+        ]
+    ),
+}
+
+
+def _flat_columns(record, prefix=""):
+    """The payload columns one record occupies in its row, and the nested
+    collections that go to child tables — read off the object, not the
+    catalog."""
+    columns, collections = {}, {}
+    for attr in record:
+        value, path = record[attr], f"{prefix}${attr}" if prefix else attr
+        if isinstance(value, Record):
+            columns[path + "$oid"] = value.oid
+            nested = _flat_columns(value, path)
+            columns.update(nested[0])
+            collections.update(nested[1])
+        elif isinstance(value, (SetValue, BagValue, ListValue)):
+            collections[path] = value
+        elif value is not NULL:
+            columns[path] = int(value) if isinstance(value, bool) else value
+    return columns, collections
+
+
+def _expected_rows(table, collection, parent, rows):
+    """Walk *collection* into ``rows[table name]``: one (parent, pos, oid,
+    payload) per element, children under the containing row's ``$oid``."""
+    kinds = {"set": SetValue, "bag": BagValue, "list": ListValue}
+    assert type(collection) is kinds[table.kind], table.name
+    for pos, element in enumerate(collection.elements()):
+        if isinstance(element, Record):
+            columns, collections = _flat_columns(element)
+            oid = element.oid
+        else:
+            columns, collections, oid = {"$value": element}, {}, None
+        rows.setdefault(table.name, []).append((parent, pos, oid, columns))
+        # (a NULL nested record has no collections to lift)
+        assert set(collections) <= set(table.children), table.name
+        for path, nested in collections.items():
+            _expected_rows(table.children[path], nested, oid, rows)
 
 
 class TestShreddedStore:
-    @pytest.mark.parametrize("family", sorted(DATABASES))
-    def test_demo_database_round_trips(self, family):
-        db = DATABASES[family]()
+    @pytest.mark.parametrize("case", sorted(ENCODING_CASES))
+    def test_tables_encode_the_database(self, case):
+        # The encoding, read from SQLite and held against a walk of the
+        # database's objects: row count, $pos order, $parent linkage, $oid
+        # and every payload column of every table.
+        db = ENCODING_CASES[case]()
         store = ShreddedStore(db)
-        assert store.refusals == {}
-        for name in db.extent_names():
-            assert store.extent(name) == db.extent(name)
+        assert store.refusals == {} and set(store.tables) == set(db.extent_names())
+        expected: dict = {}
+        for name, table in store.tables.items():
+            _expected_rows(table, db.extent(name), None, expected)
+        surrogates = []
+        for table in store._all_tables():
+            names = table.all_columns()
+            order = '"$parent", "$pos"' if table.child else '"$pos"'
+            stored = [
+                dict(zip(names, row))
+                for row in store.connection.execute(
+                    f"SELECT {', '.join(_q(c) for c in names)} "
+                    f"FROM {_q(table.name)} ORDER BY {order}"
+                )
+            ]
+            walked = sorted(
+                expected.get(table.name, []), key=lambda row: (row[0] or 0, row[1])
+            )
+            assert len(stored) == len(walked), table.name
+            for row, (parent, pos, oid, columns) in zip(stored, walked):
+                assert row["$pos"] == pos and row.get("$parent") == parent
+                if oid is None:  # a scalar element: a surrogate, never an OID
+                    surrogates.append(row["$oid"])
+                else:
+                    assert row["$oid"] == oid
+                assert set(columns) <= set(table.payload_columns())
+                for column in table.payload_columns():
+                    value = row[column]
+                    assert value == columns.get(column), (table.name, column)
+                    assert type(value) is type(columns.get(column))
+        assert all(s < 0 for s in surrogates)
+        assert len(set(surrogates)) == len(surrogates)
 
-    def test_oids_survive_shredding(self):
+    def test_the_hand_built_cases_lift_what_they_claim(self):
+        tables = {
+            case: ShreddedStore(ENCODING_CASES[case]()).tables
+            for case in ("bag-multiplicity", "list-order", "nested-record", "ab")
+        }
+        assert tables["bag-multiplicity"]["Ts"].kind == "bag"
+        assert tables["bag-multiplicity"]["Ts"].children["tags"].kind == "bag"
+        assert tables["list-order"]["Ts"].children["seq"].kind == "list"
+        assert tables["nested-record"]["Ts"].records == {"", "sub"}
+        assert tables["nested-record"]["Ts"].children["sub$kids"].name == "Ts$sub$kids"
+        assert tables["ab"]["A"].element == "scalar"
+
+    def test_every_stored_object_is_indexed_once(self):
+        # objects: one entry per OID-carrying record of the database —
+        # nested records and elements of nested collections included — and
+        # the entry *is* that record.
+        for family in sorted(DATABASES):
+            db = DATABASES[family]()
+            owned = _objects_by_oid(db)
+            store = ShreddedStore(db)
+            assert len(store.objects) == len(owned), family
+            assert all(store.objects[oid] is record for oid, record in owned.items())
+
+    def test_extent_is_the_databases_own(self):
         db = DATABASES["company"]()
         store = ShreddedStore(db)
-        original = {e.oid for e in db.extent("Employees").elements()}
-        rehydrated = {e.oid for e in store.extent("Employees").elements()}
-        assert rehydrated == original
-
-    def test_bag_multiplicity_survives(self):
-        schema = Schema()
-        schema.define_class("T", k=INT)
-        schema.define_extent("Ts", "T")
-        db = Database(schema)
-        db.add_extent("Ts", [Record(k=1), Record(k=1), Record(k=2)], kind="bag")
-        store = ShreddedStore(db)
-        value = store.extent("Ts")
-        assert isinstance(value, BagValue)
-        assert value.count(Record(k=1)) == 2
-
-    def test_list_order_survives(self):
-        schema = Schema()
-        schema.define_class("T", k=INT)
-        schema.define_extent("Ts", "T")
-        db = Database(schema)
-        db.add_extent("Ts", [Record(k=3), Record(k=1), Record(k=2)], kind="list")
-        store = ShreddedStore(db)
-        value = store.extent("Ts")
-        assert isinstance(value, ListValue)
-        assert [r["k"] for r in value] == [3, 1, 2]
-
-    def test_nulls_round_trip(self):
-        schema = Schema()
-        schema.define_class("T", k=INT, v=FLOAT)
-        schema.define_extent("Ts", "T")
-        db = Database(schema)
-        db.add_extent("Ts", [Record(k=1, v=NULL), Record(k=NULL, v=2.0)])
-        store = ShreddedStore(db)
-        assert store.extent("Ts") == db.extent("Ts")
-
-    def test_nested_record_and_collection_round_trip(self):
-        # A record inside a record, and a collection hanging off the
-        # *nested* record: the child table keys on the containing row.
-        schema = Schema()
-        schema.define_class("T", k=INT)
-        schema.define_extent("Ts", "T")
-        db = Database(schema)
-        rows = [
-            Record(k=1, sub=Record(m=10, kids=SetValue([Record(a=1)]))),
-            Record(k=2, sub=Record(m=20, kids=SetValue([]))),
-        ]
-        db.add_extent("Ts", rows)
-        store = ShreddedStore(db)
-        assert store.extent("Ts") == db.extent("Ts")
-        assert "Ts$sub$kids" in {
-            t.name for t in store.tables["Ts"].children.values()
-        }
-
-    def test_scalar_extent_round_trips(self):
-        db = DATABASES["ab"]()  # A and B store plain ints
-        store = ShreddedStore(db)
-        assert store.extent("A") == db.extent("A")
-        assert store.tables["A"].element == "scalar"
+        for name in db.extent_names():
+            assert store.extent(name) is db.extent(name)
 
     def test_store_is_cached_until_schema_changes(self):
         db = DATABASES["travel"]()
@@ -382,7 +482,6 @@ class TestStitching:
         # build — and again by anyone re-entering the join; the segment
         # replays its decoded columns instead of going back to SQLite.
         from repro.algebra.operators import Join, Reduce, Scan
-        from repro.backends.shred import PSqlSegment, lower_to_sql
         from repro.calculus.terms import BinOp, const, path
         from repro.engine.planner import PlannerOptions, plan_physical
 
@@ -397,7 +496,8 @@ class TestStitching:
             "sum",
             const(1),
         )
-        lowered, store = lower_to_sql(plan, db)
+        store = shredded_store(db)
+        lowered = compile_segments(plan, store)
         statements: list[str] = []
         store.connection.set_trace_callback(statements.append)
         try:
@@ -414,16 +514,60 @@ class TestStitching:
         finally:
             store.connection.set_trace_callback(None)
         assert total == evaluate_reference(plan, db)
-        # (the trace also sees the rehydration loads behind `$oid` decoding)
         assert statements.count(inner.segment.sql) == 1
         assert statements.count(join.left.segment.sql) == 1
 
-    def test_stitched_objects_are_the_rehydrated_ones(self):
-        # Rows decoded from SQL resolve $oid to the store's objects, and
-        # those compare identity-equal to the database's own (same OIDs).
-        db = DATABASES["company"]()
-        memory, shredded = run_both(db, "select distinct e from e in Employees")
-        assert {e.oid for e in memory} == {e.oid for e in shredded}
+    def test_decoded_objects_are_the_databases_own(self):
+        # `$oid` is an index into the one database: whatever object a
+        # corpus query hands back *is* the record the database stores — no
+        # second copy exists to be equal to it.
+        for family in sorted(DATABASES):
+            db = DATABASES[family]()
+            owned = _objects_by_oid(db)
+            pipeline = _pipeline(db, backend="sqlite")
+            for query in CORPUS:
+                if query.family != family:
+                    continue
+                for record in _records(pipeline.run_oql(query.oql)):
+                    assert record is owned[record.oid], query.name
+                    assert record is shredded_store(db).objects[record.oid]
+
+
+class TestExecuteShredded:
+    """``execute_shredded`` is ``CompiledQuery.execute`` plus the flat-query
+    log — it used to be a second driver that forgot three things."""
+
+    def _compile(self, source, db=None):
+        db = db or DATABASES["company"]()
+        return db, _pipeline(db, backend="sqlite").compile_oql(source)
+
+    def test_order_by_applies(self):
+        db, compiled = self._compile(
+            "select distinct e.age from e in Employees order by value desc"
+        )
+        result = execute_shredded(compiled, db)
+        assert isinstance(result, ListValue)
+        assert list(result) == sorted(set(result), reverse=True)
+        assert result == compiled.execute(db)
+
+    def test_bound_parameters_are_used(self):
+        db, compiled = self._compile(
+            "select distinct e.name from e in Employees where e.age > :a"
+        )
+        bound = compiled.bind(a=40)
+        flat: list = []
+        assert execute_shredded(bound, db, flat_queries=flat) == bound.execute(db)
+        assert execute_shredded(bound, db, {"a": 60}) == compiled.execute(db, a=60)
+        assert [sql for sql, _, _, _ in flat] == shredded_sql(db, compiled.source)
+
+    def test_errors_are_annotated(self):
+        from repro.errors import ExecutionError
+
+        source = "select e.name from e in Employees where 10 / (e.age - 26) > 1"
+        db, compiled = self._compile(source)
+        with pytest.raises(ExecutionError, match="division by zero") as caught:
+            execute_shredded(compiled, db)
+        assert caught.value.stage == "execute" and caught.value.source == source
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +669,7 @@ class TestRefusals:
         # SELECT nested past SQLite's parser stack.  The backend cannot run
         # it, which is a refusal (a counted skip), not an execution fault.
         store = shredded_store(DATABASES["ab"]())
-        segment = _Segment(f"SELECT {expr}", (("x", "scalar", "int"),), ())
+        segment = _Segment(f"SELECT {expr}", (("x", "scalar", "int"),))
         with pytest.raises(BackendUnsupportedError, match="SQLite parser limit"):
             PSqlSegment(_Context(store), segment, "Scan")._fetch()
 
