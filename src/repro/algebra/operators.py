@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.calculus.monoids import MONOID_SYMBOLS, Monoid, monoid as lookup_monoid
-from repro.calculus.terms import Const, Term
+from repro.calculus.terms import TRUE, Term
 
 
 class Operator:
@@ -117,7 +117,7 @@ class Unnest(Operator):
     child: Operator
     path: Term
     var: str
-    pred: Term = Const(True)
+    pred: Term = TRUE
 
     def columns(self) -> tuple[str, ...]:
         return self.child.columns() + (self.var,)
@@ -162,7 +162,7 @@ class OuterUnnest(Operator):
     child: Operator
     path: Term
     var: str
-    pred: Term = Const(True)
+    pred: Term = TRUE
 
     def columns(self) -> tuple[str, ...]:
         return self.child.columns() + (self.var,)
@@ -183,7 +183,7 @@ class Reduce(Operator):
     child: Operator
     monoid_name: str
     head: Term
-    pred: Term = Const(True)
+    pred: Term = TRUE
 
     def __post_init__(self) -> None:
         _check_monoid(self.monoid_name)
@@ -223,7 +223,7 @@ class Nest(Operator):
     group_by: tuple[str, ...]
     null_vars: tuple[str, ...]
     out_var: str
-    pred: Term = Const(True)
+    pred: Term = TRUE
 
     def __post_init__(self) -> None:
         _check_monoid(self.monoid_name)

@@ -94,7 +94,6 @@ import math
 import sqlite3
 import threading
 import time
-import weakref
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -704,13 +703,7 @@ def _walk_path(element: Any, path: str) -> Any | None:
     return value
 
 
-#: One shredded store per database, invalidated on schema changes.  Weak so
-#: a dropped database releases its SQLite image.
-_STORES: (
-    "weakref.WeakKeyDictionary[Database, tuple[int, str | None, ShreddedStore]]"
-) = weakref.WeakKeyDictionary()
-_STORES_LOCK = threading.Lock()
-_STORES_BUILD_LOCK = threading.Lock()
+_STORE_BUILD_LOCK = threading.Lock()
 
 
 def shredded_store(
@@ -718,7 +711,9 @@ def shredded_store(
     db_path: str | None = None,
     cache_kib: int | None = None,
 ) -> ShreddedStore:
-    """The (cached) shredded image of *database*.
+    """The (cached) shredded image of *database*, one per database: it
+    hangs on the database itself (``Database.shredded``), so dropping the
+    database releases the SQLite image and its connections with it.
 
     Rebuilt whenever ``schema_version`` changes (mirroring the plan cache's
     staleness rule) or when ``db_path`` switches — an in-memory store and a
@@ -727,7 +722,7 @@ def shredded_store(
     """
 
     def lookup() -> ShreddedStore | None:
-        entry = _STORES.get(database)
+        entry = database.shredded
         if (
             entry is not None
             and entry[0] == database.schema_version
@@ -736,22 +731,18 @@ def shredded_store(
             return entry[2]
         return None
 
-    with _STORES_LOCK:
-        store = lookup()
-        if store is not None:
-            return store
+    store = lookup()
+    if store is not None:
+        return store
     # Serialize builds: two threads that both miss must not each shred the
     # same database (and, file-backed, write the same file) concurrently.
     # Creation is rare — once per schema version — so one coarse lock is
     # fine; re-check under it so the loser adopts the winner's store.
-    with _STORES_BUILD_LOCK:
-        with _STORES_LOCK:
-            store = lookup()
-            if store is not None:
-                return store
-        store = ShreddedStore(database, db_path=db_path, cache_kib=cache_kib)
-        with _STORES_LOCK:
-            _STORES[database] = (database.schema_version, db_path, store)
+    with _STORE_BUILD_LOCK:
+        store = lookup()
+        if store is None:
+            store = ShreddedStore(database, db_path=db_path, cache_kib=cache_kib)
+            database.shredded = (database.schema_version, db_path, store)
     return store
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.data.values import BagValue, ListValue, SetValue
+from repro.data.values import NULL, BagValue, ListValue, SetValue
 
 
 def _identity(value: Any) -> Any:
@@ -58,6 +58,24 @@ class Monoid:
 
     def __repr__(self) -> str:
         return self.name
+
+
+def fold_skipping_nulls(monoid: Monoid, carrier: Any, values: Any) -> Any:
+    """Continue a primitive fold from *carrier* over *values*, in order.
+
+    The null-to-zero rule: a NULL contributes nothing to a primitive
+    accumulator — it cannot be summed or conjoined — so it is skipped, which
+    is merging the zero.  Each other value is lifted and merged; the result
+    is still a carrier, for the caller to continue or ``finalize``.  The
+    engine's group folds go through here so that a float sum comes out the
+    same wherever it is folded.
+    """
+    merge = monoid.merge
+    lift = monoid.lift
+    for value in values:
+        if value is not NULL:
+            carrier = merge(carrier, lift(value))
+    return carrier
 
 
 @dataclass(frozen=True)
@@ -137,8 +155,6 @@ SOME = Monoid(name="some", zero=False, merge=lambda a, b: a or b, idempotent=Tru
 
 
 def _avg_finalize(carrier: tuple[float, int]) -> Any:
-    from repro.data.values import NULL
-
     total, count = carrier
     if count == 0:
         return NULL

@@ -396,11 +396,17 @@ def comprehension(
     return Comprehension(monoid_name, head, tuple(quals))
 
 
+#: The constant true — "no predicate" — as one shared object: the kernel
+#: compiler recognises a term it has lowered before by identity, and the
+#: planner asks for the conjunction of no predicates on every execution.
+TRUE = Const(True)
+
+
 def conj(*preds: Term) -> Term:
-    """The conjunction of predicates; () becomes the constant true."""
-    terms = [p for p in preds if p != Const(True)]
+    """The conjunction of predicates; () becomes the constant :data:`TRUE`."""
+    terms = [p for p in preds if p != TRUE]
     if not terms:
-        return Const(True)
+        return TRUE
     result = terms[0]
     for pred in terms[1:]:
         result = BinOp("and", result, pred)
@@ -411,7 +417,7 @@ def conjuncts(pred: Term) -> list[Term]:
     """Split a predicate into its top-level conjuncts."""
     if isinstance(pred, BinOp) and pred.op == "and":
         return conjuncts(pred.left) + conjuncts(pred.right)
-    if pred == Const(True):
+    if pred == TRUE:
         return []
     return [pred]
 

@@ -277,7 +277,7 @@ def run_query(
         options = OptimizerOptions(
             unnest=unnest,
             parallel=parallel or num_workers > 0,
-            num_workers=max(0, num_workers),
+            num_workers=num_workers,
             timeout=timeout,
             max_rows=max_rows,
             max_bytes=max_bytes,
@@ -287,7 +287,7 @@ def run_query(
         if batch_size is not None:
             from dataclasses import replace as _replace
 
-            options = _replace(options, batch_size=max(1, batch_size))
+            options = _replace(options, batch_size=batch_size)
         optimizer = Optimizer(db, options)
     compiled = optimizer.compile_oql(source)
     # The REPL keeps one \set binding table across queries; only forward the
@@ -372,7 +372,11 @@ def _repl_limits(optimizer: Optimizer, argument: str, out) -> None:
             )
             return
         updates[name] = value
-    optimizer.options = _replace(options, **updates)
+    try:
+        optimizer.options = _replace(options, **updates)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return
     optimizer.plan_cache.clear()
     set_to = " ".join(f"{k}={v!r}" for k, v in updates.items())
     print(f"  limits set: {set_to}", file=out)
@@ -428,15 +432,15 @@ def repl(db_name: str, out=None) -> None:
                 from dataclasses import replace as _replace
 
                 try:
-                    size = int(argument)
-                    if size < 1:
-                        raise ValueError
+                    optimizer.options = _replace(
+                        optimizer.options, batch_size=int(argument)
+                    )
                 except ValueError:
                     print(
                         "usage: \\batch N (rows per chunk, N >= 1)", file=out
                     )
                     continue
-                optimizer.options = _replace(optimizer.options, batch_size=size)
+                size = optimizer.options.batch_size
                 print(f"\\batch {size} rows per chunk", file=out)
                 continue
             if command == "parallel":
@@ -446,9 +450,11 @@ def repl(db_name: str, out=None) -> None:
                     # ``\parallel N`` sets the worker count (and turns
                     # parallel execution on); a bare ``\parallel`` toggles.
                     try:
-                        workers = int(argument)
-                        if workers < 0:
-                            raise ValueError
+                        optimizer.options = _replace(
+                            optimizer.options,
+                            parallel=True,
+                            num_workers=int(argument),
+                        )
                     except ValueError:
                         print(
                             "usage: \\parallel (toggle) or \\parallel N "
@@ -456,10 +462,7 @@ def repl(db_name: str, out=None) -> None:
                             file=out,
                         )
                         continue
-                    optimizer.options = _replace(
-                        optimizer.options, parallel=True, num_workers=workers
-                    )
-                    label = str(workers) if workers else "auto"
+                    label = str(optimizer.options.num_workers or "auto")
                     print(f"\\parallel on ({label} workers)", file=out)
                     continue
                 optimizer.options = _replace(
@@ -806,15 +809,19 @@ def run_serve_command(argv: list[str], out=None) -> int:
     from repro.server import ReproServer, ServerConfig, TenantBudget
 
     out = out if out is not None else sys.stdout
-    args = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
     db = DATABASES[args.db]()
-    options = OptimizerOptions(
-        timeout=args.timeout,
-        max_rows=args.max_rows,
-        max_bytes=args.max_bytes,
-        backend=args.backend,
-        db_path=args.db_path,
-    )
+    try:
+        options = OptimizerOptions(
+            timeout=args.timeout,
+            max_rows=args.max_rows,
+            max_bytes=args.max_bytes,
+            backend=args.backend,
+            db_path=args.db_path,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     config = ServerConfig(
         database=db,
         options=options,

@@ -35,7 +35,8 @@ work to do and is intentionally absent.  See DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 from repro.algebra.operators import (
     Join,
@@ -57,6 +58,7 @@ from repro.core.pipeline import (
 )
 from repro.core.rewrite import RuleSet
 from repro.engine.cost import CostModel
+from repro.errors import OptionError
 
 __all__ = [
     "ALGEBRAIC_RULES",
@@ -115,6 +117,37 @@ class OptimizerOptions:
     #: bounded cache.  A fingerprint (schema version + per-extent digest of
     #: values and OIDs) decides whether an existing file is reused.
     db_path: str | None = None
+
+    def __post_init__(self) -> None:
+        """The one statement of each field's domain.  Values come from a
+        command line, a REPL command or a client's ``set`` request as often
+        as from code, and ``dataclasses.replace`` runs this too: an
+        out-of-domain value is refused where it is made, naming the field,
+        instead of failing every later query from inside the governor."""
+
+        def refuse(name: str, domain: str) -> None:
+            value = getattr(self, name)
+            raise OptionError(f"{name} must be {domain}, got {value!r}")
+
+        def number(name: str, kinds: tuple, least: int, domain: str) -> None:
+            value = getattr(self, name)  # type(): True is no number here
+            if type(value) not in kinds or not value >= least:
+                refuse(name, domain)
+
+        for switch in fields(self):
+            if switch.type == "bool":
+                if not isinstance(getattr(self, switch.name), bool):
+                    refuse(switch.name, "true or false")
+        number("batch_size", (int,), 1, "an integer >= 1")
+        number("num_workers", (int,), 0, "an integer >= 0 (0 = one per core)")
+        for limit in ("max_rows", "max_bytes"):
+            if getattr(self, limit) is not None:
+                number(limit, (int,), 1, "None or an integer > 0")
+        # 0 is in the domain: a deadline that has already passed.
+        if self.timeout is not None:
+            number("timeout", (int, float), 0, "None or a number of seconds >= 0")
+        if self.backend not in ("memory", "sqlite"):
+            refuse("backend", "'memory' or 'sqlite'")
 
 
 # ---------------------------------------------------------------------------

@@ -433,10 +433,6 @@ class CompiledQuery:
                 lowered = compile_segments(self.optimized, store)
                 self._lowered[store] = lowered
             return lowered, store
-        if backend != "memory":
-            raise PlanningError(
-                f"unknown backend {backend!r}; expected 'memory' or 'sqlite'"
-            )
         return self.optimized, database
 
     def _plan(

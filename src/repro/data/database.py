@@ -42,6 +42,11 @@ class Database:
         #: Next engine-assigned object identity.  Every record stored via
         #: :meth:`add_extent` gets a database-unique OID (see :meth:`adopt`).
         self._next_oid: int = 0
+        #: The SQLite backend's image of this database, as ``(schema_version,
+        #: db_path, store)`` — see :func:`repro.backends.shred.shredded_store`.
+        #: It lives here so that the two die together: the store refers back
+        #: to its database, and a cycle is collected as one.
+        self.shredded: tuple[int, str | None, Any] | None = None
 
     # -- object identity (OID allocation) --------------------------------------
 

@@ -9,17 +9,21 @@ set of built indexes (rebuilt on load).
 
 Format sketch::
 
-    {"format": "repro-db", "version": 1,
+    {"format": "repro-db", "version": 2,
      "schema": {"classes": {...}, "extents": {...}},
      "extents": {"Employees": {"kind": "set", "items": [...]}, ...},
      "indexes": [["Employees", "dno"], ...]}
 
-Values are encoded with one-key tag objects so scalars stay plain JSON:
-``{"$record": {...}}``, ``{"$set": [...]}``, ``{"$bag": [[item, count]]}``,
-``{"$list": [...]}``, ``{"$null": true}``.  A stored object's identity rides
-along as ``{"$record": {...}, "$oid": n}``; since the bag encoding groups
-elements by their full encoding, value-equal objects with different OIDs
-stay distinct entries and identity round-trips losslessly.
+Values are in the one tagged-JSON encoding of :mod:`repro.data.codec`,
+scalars plain: ``{"$record": {...}}``, ``{"$set": [...]}``, ``{"$bag":
+[...]}``, ``{"$list": [...]}``, ``{"$null": true}``.  A stored object's
+identity rides along as ``{"$record": {...}, "$oid": n}`` and a bag lists
+every element, so value-equal objects with different OIDs stay distinct and
+identity round-trips losslessly.  (Version 1 wrote a bag as ``[[item,
+count]]`` pairs; such a file is refused by its version number.)
+
+An image comes from outside the program: whatever is wrong with one is a
+:class:`StorageError` that says what.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.data import codec
 from repro.data.database import Database
 from repro.data.schema import (
     ANY,
@@ -45,17 +50,11 @@ from repro.data.schema import (
     StringType,
     Type,
 )
-from repro.data.values import (
-    NULL,
-    BagValue,
-    ListValue,
-    Record,
-    SetValue,
-    is_null,
-)
+from repro.data.values import BagValue, ListValue, SetValue
+from repro.errors import UnknownExtentError
 
 FORMAT_NAME = "repro-db"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class StorageError(Exception):
@@ -68,65 +67,21 @@ class StorageError(Exception):
 
 
 def encode_value(value: Any) -> Any:
-    """Encode a runtime value as JSON-compatible data.
-
-    A record's engine-assigned OID is persisted as a ``$oid`` sibling of
-    ``$record``, so object identity survives a save/load round trip (two
-    value-equal duplicates in a bag stay distinct objects).
-    """
-    if is_null(value):
-        return {"$null": True}
-    if isinstance(value, Record):
-        encoded: dict[str, Any] = {
-            "$record": {k: encode_value(v) for k, v in value.items()}
-        }
-        if value.oid is not None:
-            encoded["$oid"] = value.oid
-        return encoded
-    if isinstance(value, SetValue):
-        return {"$set": [encode_value(v) for v in value.elements()]}
-    if isinstance(value, BagValue):
-        distinct = {}
-        for element in value.elements():
-            key = encode_value(element)
-            marker = json.dumps(key, sort_keys=True)
-            if marker not in distinct:
-                distinct[marker] = [key, 0]
-            distinct[marker][1] += 1
-        return {"$bag": list(distinct.values())}
-    if isinstance(value, ListValue):
-        return {"$list": [encode_value(v) for v in value.elements()]}
-    if isinstance(value, (bool, int, float, str)):
-        return value
-    raise StorageError(f"cannot encode value of type {type(value).__name__}")
+    """:func:`repro.data.codec.encode_value`; what it cannot encode is a
+    :class:`StorageError`."""
+    try:
+        return codec.encode_value(value)
+    except ValueError as exc:
+        raise StorageError(str(exc)) from exc
 
 
 def decode_value(data: Any) -> Any:
-    """Decode JSON data produced by :func:`encode_value`."""
-    if isinstance(data, dict):
-        if "$null" in data:
-            return NULL
-        if "$record" in data:
-            record = Record(
-                {k: decode_value(v) for k, v in data["$record"].items()}
-            )
-            if "$oid" in data:
-                record = record.with_oid(data["$oid"])
-            return record
-        if "$set" in data:
-            return SetValue(decode_value(v) for v in data["$set"])
-        if "$bag" in data:
-            items = []
-            for encoded, count in data["$bag"]:
-                element = decode_value(encoded)
-                items.extend([element] * count)
-            return BagValue(items)
-        if "$list" in data:
-            return ListValue(decode_value(v) for v in data["$list"])
-        raise StorageError(f"unknown value tag in {sorted(data)}")
-    if isinstance(data, (bool, int, float, str)):
-        return data
-    raise StorageError(f"cannot decode {type(data).__name__}")
+    """:func:`repro.data.codec.decode_value`; data of the wrong shape is a
+    :class:`StorageError`."""
+    try:
+        return codec.decode_value(data)
+    except ValueError as exc:
+        raise StorageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +115,9 @@ def decode_type(data: Any) -> Type:
             return _PRIMITIVES[data]
         except KeyError:
             raise StorageError(f"unknown primitive type {data!r}") from None
-    if isinstance(data, dict) and "collection" in data:
-        return CollectionType(data["collection"], decode_type(data["element"]))
-    if isinstance(data, dict) and "record" in data:
+    if isinstance(data, dict) and data.get("collection") in _KINDS.values():
+        return CollectionType(data["collection"], decode_type(data.get("element")))
+    if isinstance(data, dict) and isinstance(data.get("record"), dict):
         fields = tuple((name, decode_type(t)) for name, t in data["record"].items())
         return RecordType(fields)
     raise StorageError(f"cannot decode type from {data!r}")
@@ -179,15 +134,26 @@ def encode_schema(schema: Schema) -> dict[str, Any]:
     }
 
 
+def _section(data: Any, key: str, kind: type, where: str) -> Any:
+    """``data[key]`` (absent: empty), checked to be a JSON *kind*."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "an array"
+        raise StorageError(
+            f"{where}{key!r} must be {shape}, got {type(value).__name__}"
+        )
+    return value
+
+
 def decode_schema(data: dict[str, Any]) -> Schema:
     """Decode JSON produced by :func:`encode_schema`."""
     schema = Schema()
-    for name, encoded in data.get("classes", {}).items():
+    for name, encoded in _section(data, "classes", dict, "schema ").items():
         decoded = decode_type(encoded)
         if not isinstance(decoded, RecordType):
             raise StorageError(f"class {name!r} is not a record type")
         schema.classes[name] = decoded
-    for extent, class_name in data.get("extents", {}).items():
+    for extent, class_name in _section(data, "extents", dict, "schema ").items():
         schema.extents[extent] = class_name
     return schema
 
@@ -224,19 +190,30 @@ def database_to_dict(db: Database) -> dict[str, Any]:
 
 def database_from_dict(data: dict[str, Any]) -> Database:
     """Rebuild a database from :func:`database_to_dict` output."""
-    if data.get("format") != FORMAT_NAME:
+    if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
         raise StorageError("not a repro database image (bad format marker)")
     if data.get("version") != FORMAT_VERSION:
         raise StorageError(
             f"unsupported format version {data.get('version')!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    db = Database(decode_schema(data.get("schema", {})))
-    for name, extent in data.get("extents", {}).items():
-        items = [decode_value(v) for v in extent["items"]]
-        db.add_extent(name, items, kind=extent["kind"])
-    for extent, attr in data.get("indexes", []):
-        db.create_index(extent, attr)
+    db = Database(decode_schema(_section(data, "schema", dict, "")))
+    for name, extent in _section(data, "extents", dict, "").items():
+        if not isinstance(extent, dict) or extent.get("kind") not in _KINDS.values():
+            raise StorageError(
+                f"extent {name!r} needs a 'kind' of {sorted(_KINDS.values())}"
+            )
+        if not isinstance(extent.get("items"), list):
+            raise StorageError(f"extent {name!r} needs an array of 'items'")
+        db.add_extent(name, map(decode_value, extent["items"]), kind=extent["kind"])
+    for index in _section(data, "indexes", list, ""):
+        try:
+            extent, attr = index
+            db.create_index(extent, attr)
+        except (TypeError, ValueError, UnknownExtentError) as exc:
+            raise StorageError(
+                f"index {index!r} is no [extent, attribute] pair to rebuild: {exc}"
+            ) from exc
     return db
 
 

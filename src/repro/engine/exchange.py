@@ -12,7 +12,8 @@ plan runs in a ``concurrent.futures`` thread pool — plus a coordinator
 (contiguous slices of the extent, whose iteration order is itself
 deterministic — see ``SetValue``).  Workers return raw, unfinalized
 state: a reduce worker returns its post-filter head values in stream
-order, a nest worker its per-group element lists / group order.  The
+order, a nest worker its element lists by group key and the first-seen
+group columns aligned with them.  The
 coordinator concatenates partitions in order and replays the exact serial
 fold, so results — including float rounding, group first-seen order, and
 error order — are bit-identical to serial execution.  *Hash* partitioning
@@ -65,10 +66,9 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.calculus.evaluator import ExtentProvider
-from repro.calculus.monoids import CollectionMonoid
+from repro.calculus.monoids import CollectionMonoid, fold_skipping_nulls
 from repro.calculus.terms import Proj, Term, Var, free_vars
 from repro.data.values import (
-    NULL,
     BagValue,
     ListValue,
     NullValue,
@@ -76,7 +76,6 @@ from repro.data.values import (
     SetValue,
     identity_key,
 )
-from repro.engine.batch import Env
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
     MaterializedInput,
@@ -626,35 +625,35 @@ class PGather(PhysicalOperator):
     def _merge_nest(self, partials: list) -> Any:
         nest = self._nest_node
         nest_monoid = nest.monoid
+        columns: dict[str, list] = {col: [] for col in nest.group_by}
         if self.aligned:
-            # Workers returned finalized (env, value) group rows and no
-            # group spans partitions: concatenate in partition order.
-            group_rows = [row for part in partials for row in part]
+            # Workers returned their finalized group columns and no group
+            # spans partitions: concatenate in partition order.
+            columns[nest.out_var] = []
+            count = 0
+            for part_columns, part_count in partials:
+                for col, values in columns.items():
+                    values.extend(part_columns[col])
+                count += part_count
         else:
+            # Workers returned ``(groups, key_cols)``: element lists by key
+            # and the grouping columns aligned with them, both first-seen.
             merged: dict[Any, list] = {}
-            order: list[Any] = []
-            envs: dict[Any, Env] = {}
-            for part_order, part_groups, part_envs in partials:
-                for key in part_order:
+            for part_groups, part_keys in partials:
+                for pos, (key, elements) in enumerate(part_groups.items()):
                     if key in merged:
-                        merged[key].extend(part_groups[key])
+                        merged[key].extend(elements)
                     else:
-                        merged[key] = part_groups[key]
-                        envs[key] = part_envs[key]
-                        order.append(key)
+                        merged[key] = elements
+                        for col, values in columns.items():
+                            values.append(part_keys[col][pos])
             if isinstance(nest_monoid, CollectionMonoid):
-                fold = nest_monoid.fold_elements
-                group_rows = [(envs[key], fold(merged[key])) for key in order]
+                folded = map(nest_monoid.fold_elements, merged.values())
             else:
-                group_rows = [
-                    (envs[key], _fold_serial(nest_monoid, merged[key]))
-                    for key in order
-                ]
-        columns = {
-            col: [env[col] for env, _ in group_rows] for col in nest.group_by
-        }
-        columns[nest.out_var] = [value for _, value in group_rows]
-        self._tail_source.feed(columns, len(group_rows))
+                folded = (_fold_serial(nest_monoid, e) for e in merged.values())
+            columns[nest.out_var] = list(folded)
+            count = len(merged)
+        self._tail_source.feed(columns, count)
         return self._tail_root.value()
 
 
@@ -663,11 +662,4 @@ def _fold_serial(monoid, values) -> Any:
     order, finalize — exactly PReduce.value's loop, replayed over the
     partition-order concatenation so arithmetic matches serial execution
     bit for bit under range partitioning."""
-    merge = monoid.merge
-    lift = monoid.lift
-    accumulator = monoid.zero
-    for value in values:
-        if value is NULL:
-            continue
-        accumulator = merge(accumulator, lift(value))
-    return monoid.finalize(accumulator)
+    return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, values))

@@ -35,12 +35,13 @@ Three conventions hold across operators:
   (rows scanned, unnest elements, join pairs considered) per input chunk
   and settle them with one ``tick_many`` — see the row-budget contract in
   :mod:`repro.engine.governor`.
-* **Blocking builds run once and charge what they buffer.**  The hash-join
-  table, the nested-loop inner, the group-join's buckets, the hash-nest
-  groups and the shared nest's output are memoized on first entry, so
-  re-entering a restartable stream does not redo them; under a memory
-  budget each build charges a stride-sampled byte estimate of the chunks
-  it buffers.
+* **Blocking builds run once, buffer whole columns and charge them.**  A
+  build side is its input's columns, extended chunk by chunk, plus the row
+  *positions* filed under each join key; a nest's groups are one column per
+  grouping variable, appended to when a group opens, plus the accumulators
+  in first-seen order.  Each is memoized on first entry, so re-entering a
+  restartable stream does not redo it; under a memory budget a build
+  charges a stride-sampled byte estimate of the chunks it buffers.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from typing import Any, Iterator, Mapping
 
 from repro.algebra.operators import Operator
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
-from repro.calculus.monoids import CollectionMonoid, Monoid
-from repro.calculus.terms import Const, Term, free_vars
+from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
+from repro.calculus.terms import TRUE, Term, free_vars
 from repro.data.values import (
     NULL,
     CollectionValue,
@@ -118,6 +119,50 @@ def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
     """
     for i in range(-seen % SAMPLE_STRIDE, chunk.length, SAMPLE_STRIDE):
         charge(estimate_bytes(chunk.env_at(i)) * SAMPLE_STRIDE)
+
+
+def _charge_values(charge, values: list, seen: int) -> None:
+    """Charge buffered *values* the same way: *seen* were buffered before
+    them, and one sampled value stands for its stride."""
+    for j in range(-seen % SAMPLE_STRIDE, len(values), SAMPLE_STRIDE):
+        charge(estimate_bytes(values[j]) * SAMPLE_STRIDE)
+
+
+def _index_rows(rows_of: dict, key_parts: list[list], offset: int) -> None:
+    """File build rows *offset*, *offset* + 1, … under their join keys.
+
+    Keys are wrapped with identity_key so that a hash probe gives `=` on
+    stored objects apply_binop's identity equality.  A single key (the
+    common case) is filed bare — no tuple allocation per row — several as
+    a tuple; :func:`_probe_rows` agrees on the representation.
+    """
+    setdefault = rows_of.setdefault
+    if len(key_parts) == 1:
+        for pos, value in enumerate(key_parts[0], offset):
+            setdefault(identity_key(value), []).append(pos)
+    else:
+        for pos, parts in enumerate(zip(*key_parts), offset):
+            setdefault(tuple(map(identity_key, parts)), []).append(pos)
+
+
+def _probe_rows(table: dict, key_parts: list[list], n: int) -> list:
+    """What each of *n* probing rows finds in *table*: None where the key
+    is NULL in any part (a NULL never equi-joins) or has no build row.
+    Without keys every row finds the one entry filed under ``()``."""
+    get = table.get
+    if not key_parts:
+        return [get(())] * n
+    if len(key_parts) == 1:
+        return [
+            None if value is NULL else get(identity_key(value))
+            for value in key_parts[0]
+        ]
+    return [
+        None
+        if any(value is NULL for value in values)
+        else get(tuple(map(identity_key, values)))
+        for values in zip(*key_parts)
+    ]
 
 
 def _column_chunks(
@@ -188,6 +233,146 @@ class PhysicalOperator:
                 parts = [part[:n] for part in parts]
             parts.append(values)
         return parts, n, err
+
+    def _buffered(
+        self, child: "PhysicalOperator", into: dict[str, list]
+    ) -> Iterator[tuple[Mapping[str, list], int, int]]:
+        """Drain *child* into the whole columns *into*, charging each chunk
+        as it is buffered.  Yields every chunk's own columns with its offset
+        in the buffer and its length, so a build's key kernels run chunk by
+        chunk, as the rows arrive."""
+        charge = self._context.charge_fn()
+        offset = 0
+        for chunk in child.batches():
+            if charge is not None:
+                _charge_chunk(charge, chunk, offset)
+            for name, values in into.items():
+                values.extend(chunk.columns[name])
+            yield chunk.columns, offset, chunk.length
+            offset += chunk.length
+
+    def _emit_candidates(
+        self,
+        cols: Mapping[str, list],
+        n: int,
+        parent_of: list[int],
+        added: dict[str, list],
+        kerr: Any,
+    ) -> Iterator[Chunk]:
+        """Filter candidate rows through the operator's ``_holds`` kernel
+        (which reads ``_holds_vars``) and emit the survivors — a hash join's
+        residual path and an unnest's predicate path.
+
+        The candidates of the *n*-row chunk *cols* lie row after row:
+        ``parent_of`` names each one's row and *added* holds the columns it
+        adds, by name (both are consumed).  Every candidate reached is a
+        work unit, on a predicate fault the failing one included.  Under
+        ``outer`` a row none of whose candidates survives pads with NULLs —
+        but not the row the predicate faulted in, where that is undecided:
+        it emits the survivors that preceded the fault.  *kerr* (a key or
+        path fault past row *n*) is raised after the rows that preceded it.
+        """
+        governor = self._context.governor
+        holds: CompiledKernel = self._holds
+        total = len(parent_of)
+        if total and not holds.trivial_true:
+            # Gather only the columns the predicate reads.
+            needed = self._holds_vars
+            ccols = {
+                name: [col[i] for i in parent_of]
+                for name, col in cols.items()
+                if name in needed
+            }
+            ccols.update(added)
+            flags, passed, perr = self._run_kernel(holds, ccols, total)
+            if governor is not None:
+                governor.tick_many(passed + 1 if perr is not None else total)
+            if perr is not None:
+                n = parent_of[passed]
+                kerr = perr
+            # flags covers candidates [0, passed): compress truncates to it.
+            parent_of = list(compress(parent_of, flags))
+            added = {
+                name: list(compress(col, flags)) for name, col in added.items()
+            }
+        elif governor is not None:
+            governor.tick_many(total)
+        if self.outer:
+            matched = set(parent_of)
+            pads = [i for i in range(n) if i not in matched]
+            if pads:
+                # Survivors and pads are two ascending runs of rows, and no
+                # row is in both: one stable sort interleaves them.
+                parent_of.extend(pads)
+                order = sorted(range(len(parent_of)), key=parent_of.__getitem__)
+                parent_of = [parent_of[j] for j in order]
+                for col in added.values():
+                    col.extend([NULL] * len(pads))
+                added = {
+                    name: [col[j] for j in order] for name, col in added.items()
+                }
+        if parent_of:
+            out_cols = {
+                name: [col[i] for i in parent_of] for name, col in cols.items()
+            }
+            out_cols.update(added)
+            yield self._emit_chunk(Chunk(out_cols, len(parent_of)))
+        if kerr is not None:
+            raise kerr
+
+    def _kept_heads(
+        self, cols: Mapping[str, list], n: int, null_vars: tuple[str, ...] = ()
+    ) -> tuple[int, Any, list, Any]:
+        """Heads of the rows of an *n*-row chunk that *null_vars* (none of
+        them NULL) and the ``_holds`` predicate keep: ``(limit, picked,
+        values, err)`` — the predicate decided rows ``[0, limit)``, *picked*
+        are the kept ones among them up to the first fault, *values* their
+        ``_head_kernel`` values, *err* that fault.  A head fault wins over a
+        later predicate fault because each row evaluates its predicate,
+        then its head.
+        """
+        holds: CompiledKernel = self._holds
+        if holds.trivial_true:
+            flags, limit, err = None, n, None
+        else:
+            flags, limit, err = self._run_kernel(holds, cols, n)
+        null_cols = [cols[col] for col in null_vars]
+        if not null_cols and flags is None:
+            picked: Any = range(limit)
+        elif not null_cols:
+            picked = [i for i in range(limit) if flags[i]]
+        elif len(null_cols) == 1:
+            null_col = null_cols[0]
+            picked = [
+                i
+                for i in range(limit)
+                if null_col[i] is not NULL and (flags is None or flags[i])
+            ]
+        else:
+            picked = [
+                i
+                for i in range(limit)
+                if not any(col[i] is NULL for col in null_cols)
+                and (flags is None or flags[i])
+            ]
+        m = len(picked)
+        if not m:
+            return limit, picked, [], err
+        if m == n:
+            scols = cols
+        else:
+            # Gather only the columns the head reads.
+            head_vars = self._head_vars
+            scols = {
+                name: [col[i] for i in picked]
+                for name, col in cols.items()
+                if name in head_vars
+            }
+        values, t, herr = self._run_kernel(self._head_kernel, scols, m)
+        if herr is not None:
+            err = herr
+            picked = picked[:t]
+        return limit, picked, values, err
 
     def children(self) -> tuple["PhysicalOperator", ...]:
         return ()
@@ -475,15 +660,8 @@ class PNestedLoopJoin(PhysicalOperator):
     def _materialize_right(self) -> tuple[dict[str, list], int]:
         """The right input as whole columns plus its row count."""
         if self._right is None:
-            charge = self._context.charge_fn()
             cols: dict[str, list] = {col: [] for col in self.right_columns}
-            m = 0
-            for chunk in self.right.batches():
-                if charge is not None:
-                    _charge_chunk(charge, chunk, m)
-                for col, values in cols.items():
-                    values.extend(chunk.columns[col])
-                m += chunk.length
+            m = sum(length for _, _, length in self._buffered(self.right, cols))
             self._right = (cols, m)
         return self._right
 
@@ -596,56 +774,39 @@ class PHashJoin(PhysicalOperator):
         self.right_columns = right_columns
         self.outer = outer
         self._holds = self._pred_kernel(context, residual)
-        self._residual_vars = free_vars(residual)
+        self._holds_vars = free_vars(residual)
         self.left_keys = left_keys
         self.right_keys = right_keys
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
-        #: Buckets of right-row tuples aligned to ``right_columns`` (no
-        #: per-row dicts), memoized on first entry.
-        self._table: dict[Any, list[tuple]] | None = None
+        #: ``(table, columns)`` once built: the right rows' positions under
+        #: their join keys, and the right input's columns.
+        self._built: tuple[dict[Any, list[int]], dict[str, list]] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    def _build_table(self) -> dict[Any, list[tuple]]:
-        # Keys are wrapped with identity_key so that `=` on stored objects
-        # matches hash-probe semantics to apply_binop's identity equality.
-        # Single-key joins (the common case) use the bare key — no tuple
-        # allocation per row; probes below agree on the representation.
-        right_columns = self.right_columns
-        charge = self._context.charge_fn()
-        table: dict[Any, list[tuple]] = {}
-        setdefault = table.setdefault
-        seen = 0
-        for chunk in self.right.batches():
-            cols = chunk.columns
-            if charge is not None:
-                _charge_chunk(charge, chunk, seen)
-                seen += chunk.length
-            key_parts, n, err = self._key_columns(
-                self._right_key_kernels, cols, chunk.length
+    def _build(self) -> tuple[dict[Any, list[int]], dict[str, list]]:
+        """Buffer the right input and index it.  Every column ends in one
+        NULL past its last row, so position -1 reads as an outer pad."""
+        cols: dict[str, list] = {col: [] for col in self.right_columns}
+        table: dict[Any, list[int]] = {}
+        for chunk_cols, offset, length in self._buffered(self.right, cols):
+            key_parts, _, err = self._key_columns(
+                self._right_key_kernels, chunk_cols, length
             )
-            col_lists = [cols[col][:n] for col in right_columns]
-            row_tuples = list(zip(*col_lists)) if col_lists else [()] * n
-            if len(key_parts) == 1:
-                (keys,) = key_parts
-                for key_value, row in zip(keys, row_tuples):
-                    setdefault(identity_key(key_value), []).append(row)
-            else:
-                for i, row in enumerate(row_tuples):
-                    key = tuple(identity_key(part[i]) for part in key_parts)
-                    setdefault(key, []).append(row)
             if err is not None:
                 # A key-expression fault fails the build at that right row.
                 raise err
-        return table
+            _index_rows(table, key_parts, offset)
+        for col in cols.values():
+            col.append(NULL)
+        return table, cols
 
     def batches(self) -> Iterator[Chunk]:
-        if self._table is None:
-            self._table = self._build_table()
-        table = self._table
-        right_columns = self.right_columns
+        if self._built is None:
+            self._built = self._build()
+        table, right_cols = self._built
         outer = self.outer
         governor = self._context.governor
         trivial = self._holds.trivial_true
@@ -654,163 +815,45 @@ class PHashJoin(PhysicalOperator):
             key_parts, n, kerr = self._key_columns(
                 self._left_key_kernels, cols, chunk.length
             )
-            single = key_parts[0] if len(key_parts) == 1 else None
-            if trivial and kerr is None:
-                # Fast path (no residual, no key fault): build the output
-                # row index in one probe pass, then emit every column with
-                # one comprehension instead of per-row appends.
-                parent_idx: list[int] = []
-                out_rows: list[tuple] = []
-                pairs = 0
-                pad = (NULL,) * len(right_columns) if outer else None
-                for i in range(n):
-                    if single is not None:
-                        value = single[i]
-                        if value is NULL:
-                            bucket = None
-                        else:
-                            bucket = table.get(identity_key(value))
-                    else:
-                        values = tuple(part[i] for part in key_parts)
-                        if any(part is NULL for part in values):
-                            bucket = None
-                        else:
-                            bucket = table.get(
-                                tuple(identity_key(v) for v in values)
-                            )
-                    if bucket:
-                        pairs += len(bucket)
-                        out_rows.extend(bucket)
-                        parent_idx.extend([i] * len(bucket))
-                    elif pad is not None:
-                        out_rows.append(pad)
-                        parent_idx.append(i)
-                if governor is not None:
-                    governor.tick_many(pairs)
-                if parent_idx:
-                    out_cols = {
-                        name: [col[i] for i in parent_idx]
-                        for name, col in cols.items()
-                    }
-                    for j, col_name in enumerate(right_columns):
-                        out_cols[col_name] = [row[j] for row in out_rows]
-                    yield self._emit_chunk(Chunk(out_cols, len(parent_idx)))
-                continue
-            # Probe: expand each left row into its matching right tuples
-            # (NULL keys never equi-join — zero candidates, outer pads).
-            counts: list[int] = []
+            # One probe pass builds the output row index — each left row's
+            # candidate right rows, by position — and every column is then
+            # gathered with one comprehension instead of per-row appends.
+            # Without a residual (and without a key fault to order against)
+            # the candidates are the matches and the pads go in here.
+            plain = trivial and kerr is None
             parent_of: list[int] = []
-            match_rows: list[tuple] = []
-            for i in range(n):
-                if single is not None:
-                    value = single[i]
-                    if value is NULL:
-                        counts.append(0)
-                        continue
-                    key = identity_key(value)
-                else:
-                    values = tuple(part[i] for part in key_parts)
-                    if any(part is NULL for part in values):
-                        counts.append(0)
-                        continue
-                    key = tuple(identity_key(v) for v in values)
-                bucket = table.get(key)
-                if not bucket:
-                    counts.append(0)
-                    continue
-                counts.append(len(bucket))
-                match_rows.extend(bucket)
-                parent_of.extend([i] * len(bucket))
-            yield from self._emit_candidates(
-                cols, n, counts, parent_of, match_rows, kerr
-            )
-
-    def _emit_candidates(
-        self,
-        cols: Mapping[str, list],
-        n: int,
-        counts: list[int],
-        parent_of: list[int],
-        match_rows: list[tuple],
-        kerr: Any,
-    ) -> Iterator[Chunk]:
-        """Filter candidate pairs through the residual and emit the result.
-
-        Left row *i* of the *n*-row chunk *cols* has ``counts[i]``
-        candidate right tuples (aligned to ``right_columns``), laid out
-        consecutively in *match_rows* with ``parent_of`` naming each
-        candidate's left row.  Every candidate is a work unit (on a
-        residual fault the failing pair included).  A left row without a
-        surviving candidate pads on an outer join; *kerr* (a key fault past
-        row *n*) is raised after the rows that preceded it.
-        """
-        right_columns = self.right_columns
-        outer = self.outer
-        governor = self._context.governor
-        total = len(match_rows)
-        if total and not self._holds.trivial_true:
-            # Gather only the columns the residual reads.
-            needed = self._residual_vars
-            ccols = {
-                name: [col[i] for i in parent_of]
-                for name, col in cols.items()
-                if name in needed
+            positions: list[int] = []
+            pads = 0
+            for i, bucket in enumerate(_probe_rows(table, key_parts, n)):
+                if bucket:
+                    positions.extend(bucket)
+                    parent_of.extend([i] * len(bucket))
+                elif outer and plain:
+                    positions.append(-1)
+                    parent_of.append(i)
+                    pads += 1
+            added = {
+                name: [col[p] for p in positions]
+                for name, col in right_cols.items()
             }
-            for j, col_name in enumerate(right_columns):
-                if col_name in needed:
-                    ccols[col_name] = [row[j] for row in match_rows]
-            flags, passed, perr = self._run_kernel(self._holds, ccols, total)
-        else:
-            flags, passed, perr = None, total, None
-        if governor is not None:
-            governor.tick_many(passed + 1 if perr is not None else total)
-        bad_parent = parent_of[passed] if perr is not None else None
-        pending = perr if perr is not None else kerr
-        out_cols: dict[str, list] = {name: [] for name in cols}
-        right_out: list[list] = [[] for _ in right_columns]
-        left_appends = [(out_cols[name].append, cols[name]) for name in cols]
-        right_appends = [col.append for col in right_out]
-        emitted = 0
-        cursor = 0
-        for i in range(n):
-            if i == bad_parent:
-                # The residual faulted mid-row: emit the candidates that
-                # preceded the fault, no outer pad (matched is undecided).
-                stop = passed
-            else:
-                stop = cursor + counts[i]
-            matched = False
-            for c in range(cursor, stop):
-                if flags is None or flags[c]:
-                    matched = True
-                    row = match_rows[c]
-                    for append, col in left_appends:
-                        append(col[i])
-                    for append, v in zip(right_appends, row):
-                        append(v)
-                    emitted += 1
-            if i == bad_parent:
-                break
-            cursor = stop
-            if outer and not matched:
-                for append, col in left_appends:
-                    append(col[i])
-                for append in right_appends:
-                    append(NULL)
-                emitted += 1
-        if emitted:
-            for col_name, values in zip(right_columns, right_out):
-                out_cols[col_name] = values
-            yield self._emit_chunk(Chunk(out_cols, emitted))
-        if pending is not None:
-            raise pending
+            if not plain:
+                yield from self._emit_candidates(cols, n, parent_of, added, kerr)
+                continue
+            if governor is not None:
+                governor.tick_many(len(positions) - pads)
+            if parent_of:
+                out_cols = {
+                    name: [col[i] for i in parent_of] for name, col in cols.items()
+                }
+                out_cols.update(added)
+                yield self._emit_chunk(Chunk(out_cols, len(parent_of)))
 
     def describe(self) -> str:
         kind = "HashOuterJoin" if self.outer else "HashJoin"
         keys = ", ".join(
             f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
         )
-        if self.residual != Const(True):
+        if self.residual != TRUE:
             return f"{kind}({keys}; residual {self.residual})"
         return f"{kind}({keys})"
 
@@ -836,17 +879,17 @@ class PUnnest(PhysicalOperator):
         self.outer = outer
         self._path_kernel = self._kernel(context, path)
         self._holds = self._pred_kernel(context, pred)
+        self._holds_vars = free_vars(pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
     def batches(self) -> Iterator[Chunk]:
         path_kernel = self._path_kernel
-        pred_kernel = self._holds
         var = self.var
         outer = self.outer
         governor = self._context.governor
-        trivial = pred_kernel.trivial_true
+        trivial = self._holds.trivial_true
         for chunk in self.child.batches():
             cols = chunk.columns
             paths, limit, err = self._run_kernel(path_kernel, cols, chunk.length)
@@ -892,11 +935,9 @@ class PUnnest(PhysicalOperator):
             # Expand parents into (parent index, element) candidate pairs.
             parent_of: list[int] = []
             elements: list[Any] = []
-            counts: list[int] = []
             for i in range(limit):
                 value = paths[i]
                 if is_null(value):
-                    counts.append(0)
                     continue
                 if not isinstance(value, CollectionValue):
                     err = EvaluationError(
@@ -905,60 +946,11 @@ class PUnnest(PhysicalOperator):
                     limit = i
                     break
                 elems = list(value.elements())
-                counts.append(len(elems))
                 elements.extend(elems)
                 parent_of.extend([i] * len(elems))
-            total = len(elements)
-            if total:
-                ccols = {
-                    name: [col[i] for i in parent_of]
-                    for name, col in cols.items()
-                }
-                ccols[var] = elements
-                flags, passed, perr = self._run_kernel(pred_kernel, ccols, total)
-            else:
-                flags, passed, perr = None, total, None
-            if governor is not None:
-                # One unit per element *reached*: on a predicate fault the
-                # failing element counts too.
-                governor.tick_many(passed + 1 if perr is not None else total)
-            bad_parent = parent_of[passed] if perr is not None else None
-            pending = perr if perr is not None else err
-            out_cols: dict[str, list] = {name: [] for name in cols}
-            out_var: list = []
-            appends = [(out_cols[name].append, cols[name]) for name in cols]
-            var_append = out_var.append
-            cursor = 0
-            for i in range(limit):
-                if i == bad_parent:
-                    # The predicate faulted mid-parent: emit the candidates
-                    # that preceded the fault, no outer padding (matched is
-                    # undecided there), and stop.
-                    for c in range(cursor, passed):
-                        if flags[c]:
-                            for append, col in appends:
-                                append(col[i])
-                            var_append(elements[c])
-                    break
-                count = counts[i]
-                matched = False
-                for c in range(cursor, cursor + count):
-                    if flags is None or flags[c]:
-                        matched = True
-                        for append, col in appends:
-                            append(col[i])
-                        var_append(elements[c])
-                cursor += count
-                if outer and not matched:
-                    for append, col in appends:
-                        append(col[i])
-                    var_append(NULL)
-            emitted = len(out_var)
-            if emitted:
-                out_cols[var] = out_var
-                yield self._emit_chunk(Chunk(out_cols, emitted))
-            if pending is not None:
-                raise pending
+            yield from self._emit_candidates(
+                cols, limit, parent_of, {var: elements}, err
+            )
 
     def describe(self) -> str:
         kind = "OuterUnnest" if self.outer else "Unnest"
@@ -994,8 +986,9 @@ class PHashNest(PhysicalOperator):
         self.out_var = out_var
         self.pred = pred
         self._head_kernel = self._kernel(context, head)
+        self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
-        self._group_rows: list[tuple[Env, Any]] | None = None
+        self._group_columns: tuple[dict[str, list], int] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -1022,11 +1015,12 @@ class PHashNest(PhysicalOperator):
     def accumulate(self, raw: bool = False):
         """The grouping build: kernels over child chunks.
 
-        Returns ``(order, groups, group_envs)``: the first-seen key order,
-        the per-key accumulators, and the per-key group environments.  A
-        group is created for *every* row (before null-var/predicate
-        filtering); the head kernel runs once per chunk over the
-        filter-surviving rows and merges in stream order.
+        Returns ``(groups, key_cols)``: the accumulators by group key — a
+        dict, so in first-seen order — and, aligned with them, one column
+        per grouping variable, appended to when a group opens.  A group
+        opens for *every* row (before null-var/predicate filtering); the
+        head kernel runs once per chunk over the filter-surviving rows and
+        merges in stream order.
         Collection-monoid accumulators are plain element lists (built into
         the collection once at the end — per-row immutable merges would
         copy the accumulator every row); primitive ones are pre-finalize
@@ -1040,111 +1034,54 @@ class PHashNest(PhysicalOperator):
         monoid = self.monoid
         merge = monoid.merge
         lift = monoid.lift
-        group_by = self.group_by
-        null_vars = self.null_vars
-        pred_kernel = self._holds
-        head_kernel = self._head_kernel
-        head_vars = free_vars(self.head)
         groups: dict[Any, Any] = {}
-        order: list[Any] = []
-        group_envs: dict[Any, Env] = {}
+        key_cols: dict[str, list] = {col: [] for col in self.group_by}
         collection = isinstance(monoid, CollectionMonoid)
         use_list = collection or raw
         charge = self._context.charge_fn() if collection else None
         buffered = 0
-        trivial = pred_kernel.trivial_true
         for chunk in self.child.batches():
             cols = chunk.columns
-            n = chunk.length
-            if trivial:
-                flags, limit, err = None, n, None
-            else:
-                flags, limit, err = self._run_kernel(pred_kernel, cols, n)
+            limit, picked, values, err = self._kept_heads(
+                cols, chunk.length, self.null_vars
+            )
             keys = self._group_keys(cols, limit)
             for i, key in enumerate(keys):
                 if key not in groups:
                     groups[key] = [] if use_list else monoid.zero
-                    order.append(key)
-                    group_envs[key] = {col: cols[col][i] for col in group_by}
-            # Rows surviving the null-var and predicate filters, in order.
-            null_cols = [cols[col] for col in null_vars] if null_vars else None
-            if null_cols is None and flags is None:
-                picked: Any = range(limit)
-            elif null_cols is None:
-                picked = [i for i in range(limit) if flags[i]]
-            elif len(null_cols) == 1:
-                null_col = null_cols[0]
-                picked = [
-                    i
-                    for i in range(limit)
-                    if null_col[i] is not NULL and (flags is None or flags[i])
-                ]
-            else:
-                picked = [
-                    i
-                    for i in range(limit)
-                    if not any(col[i] is NULL for col in null_cols)
-                    and (flags is None or flags[i])
-                ]
-            m = len(picked)
-            if m:
-                if m == n:
-                    scols = cols
-                else:
-                    # Gather only the columns the head reads.
-                    scols = {
-                        name: [col[i] for i in picked]
-                        for name, col in cols.items()
-                        if name in head_vars
-                    }
-                values, t, herr = self._run_kernel(head_kernel, scols, m)
-                if herr is not None:
-                    # A head fault at picked[t] precedes (row-order-wise)
-                    # any predicate fault at ``limit``, so it wins.
-                    err = herr
-                    picked = picked[:t]
-                if charge is not None:
-                    # Sampled: one buffered value charges for its stride.
-                    for j in range(-buffered % SAMPLE_STRIDE, t, SAMPLE_STRIDE):
-                        charge(estimate_bytes(values[j]) * SAMPLE_STRIDE)
-                    buffered += t
-                for value, i in zip(values, picked):
-                    key = keys[i]
-                    if use_list:
-                        groups[key].append(value)
-                    elif value is not NULL:
-                        groups[key] = merge(groups[key], lift(value))
+                    for name, col in key_cols.items():
+                        col.append(cols[name][i])
+            if charge is not None:
+                _charge_values(charge, values, buffered)
+                buffered += len(values)
+            for value, i in zip(values, picked):
+                key = keys[i]
+                if use_list:
+                    groups[key].append(value)
+                elif value is not NULL:
+                    groups[key] = merge(groups[key], lift(value))
             if err is not None:
                 raise err
-        return order, groups, group_envs
+        return groups, key_cols
 
-    def finalize_groups(self, order, groups, group_envs) -> list:
-        """Fold/finalize accumulators into ``(group_env, value)`` rows."""
+    def finalize_groups(self, groups: dict) -> list:
+        """Fold/finalize the accumulators into the ``out_var`` column."""
         monoid = self.monoid
         if isinstance(monoid, CollectionMonoid):
-            fold = monoid.fold_elements
-            return [(group_envs[key], fold(groups[key])) for key in order]
-        finalize = monoid.finalize
-        return [(group_envs[key], finalize(groups[key])) for key in order]
+            return list(map(monoid.fold_elements, groups.values()))
+        return list(map(monoid.finalize, groups.values()))
 
-    def _groups(self) -> list:
-        """The memoized grouped rows."""
-        if self._group_rows is None:
-            self._group_rows = self.finalize_groups(*self.accumulate())
-        return self._group_rows
+    def _groups(self) -> tuple[dict[str, list], int]:
+        """The memoized groups: their columns and how many there are."""
+        if self._group_columns is None:
+            groups, columns = self.accumulate()
+            columns[self.out_var] = self.finalize_groups(groups)
+            self._group_columns = (columns, len(groups))
+        return self._group_columns
 
     def batches(self) -> Iterator[Chunk]:
-        group_rows = self._groups()
-        out_var = self.out_var
-        group_by = self.group_by
-        size = self._context.batch_size
-        for start in range(0, len(group_rows), size):
-            block = group_rows[start : start + size]
-            columns: dict[str, list] = {
-                col: [env[col] for env, _ in block] for col in group_by
-            }
-            columns[out_var] = [result for _, result in block]
-            yield self._emit_chunk(Chunk(columns, len(block)))
+        for chunk in _column_chunks(*self._groups(), self._context.batch_size):
+            yield self._emit_chunk(chunk)
 
     def describe(self) -> str:
         group = ",".join(self.group_by) or "()"
@@ -1266,25 +1203,19 @@ class PGroupJoin(PHashNest):
         the buckets by join key, each right row's nest element (its head
         value, ``_SKIP`` or a ``_Fault``), whether every element is a plain
         value, and the right columns the residual reads."""
-        charge = self._context.charge_fn()
         pred_kernel = self._holds
         head_kernel = self._head_kernel
         key_kernels = self._right_key_kernels
-        head_vars = free_vars(self.head)
+        head_vars = self._head_vars
         residual_vars = free_vars(self.residual)
         rcols: dict[str, list] = {
             name: [] for name in self.right_columns if name in residual_vars
         }
         rows_of: dict[Any, Any] = {}
-        setdefault = rows_of.setdefault
         elements: list = []
         clean = True
-        m = 0
-        for chunk in self.right.batches():
-            cols = chunk.columns
-            if charge is not None:
-                _charge_chunk(charge, chunk, m)
-            key_parts, n, err = self._key_columns(key_kernels, cols, chunk.length)
+        for cols, offset, n in self._buffered(self.right, rcols):
+            key_parts, _, err = self._key_columns(key_kernels, cols, n)
             if err is not None:
                 # A key-expression fault fails the build at that right row.
                 raise err
@@ -1322,37 +1253,12 @@ class PGroupJoin(PHashNest):
                         values[i] = value
             clean = clean and not dirty
             elements.extend(values)
-            if len(key_parts) == 1:
-                for pos, value in enumerate(key_parts[0], m):
-                    setdefault(identity_key(value), []).append(pos)
-            elif key_parts:
-                for pos, parts in enumerate(zip(*key_parts), m):
-                    setdefault(tuple(map(identity_key, parts)), []).append(pos)
-            for name, column in rcols.items():
-                column.extend(cols[name])
-            m += n
-        if not key_kernels and m:
-            rows_of[()] = range(m)
+            if key_parts:
+                _index_rows(rows_of, key_parts, offset)
+        if not key_kernels and elements:
+            rows_of[()] = range(len(elements))
         table = {key: _Bucket(rows) for key, rows in rows_of.items()}
         return table, elements, clean, rcols
-
-    def _probe(self, table: dict, key_parts: list[list], n: int) -> list:
-        """The bucket of each of *n* left rows, None where the key is NULL
-        in any part (a NULL never equi-joins) or has no right row."""
-        get = table.get
-        if not key_parts:
-            return [get(())] * n
-        if len(key_parts) == 1:
-            return [
-                None if value is NULL else get(identity_key(value))
-                for value in key_parts[0]
-            ]
-        return [
-            None
-            if any(value is NULL for value in values)
-            else get(tuple(map(identity_key, values)))
-            for values in zip(*key_parts)
-        ]
 
     def _check_pad(self) -> None:
         """The nest predicate over an outer pad (every right column NULL):
@@ -1375,20 +1281,11 @@ class PGroupJoin(PHashNest):
                 kept.append(slot)
         return kept, None
 
-    def _fold_into(self, carrier: Any, elems: Any) -> Any:
-        """The serial primitive fold continued over *elems*."""
-        merge = self.monoid.merge
-        lift = self.monoid.lift
-        for value in elems:
-            if value is not NULL:
-                carrier = merge(carrier, lift(value))
-        return carrier
-
     def accumulate(self, raw: bool = False):
         """``PHashNest.accumulate`` over the join that is never built: the
-        same ``(order, groups, group_envs)``, one group per distinct left
-        row.  Element lists handed out under *raw* are the caller's to
-        extend; otherwise the groups of one bucket share its list."""
+        same ``(groups, key_cols)``, one group per distinct left row.
+        Element lists handed out under *raw* are the caller's to extend;
+        otherwise the groups of one bucket share its list."""
         if self._built is None:
             self._built = self._build()
         table, elements, clean, rcols = self._built
@@ -1399,7 +1296,6 @@ class PGroupJoin(PHashNest):
         use_list = collection or raw
         charge = context.charge_fn() if collection else None
         buffered = 0
-        group_by = self.group_by
         residual_kernel = self._residual_holds
         plain = residual_kernel.trivial_true
         needed_left = [
@@ -1407,14 +1303,13 @@ class PGroupJoin(PHashNest):
         ]
         pad_checked = self._holds.trivial_true
         groups: dict[Any, Any] = {}
-        order: list[Any] = []
-        group_envs: dict[Any, Env] = {}
+        key_cols: dict[str, list] = {col: [] for col in self.group_by}
         for chunk in self.child.batches():
             cols = chunk.columns
             key_parts, n, kerr = self._key_columns(
                 self._left_key_kernels, cols, chunk.length
             )
-            buckets = self._probe(table, key_parts, n)
+            buckets = _probe_rows(table, key_parts, n)
             if plain and governor is not None:
                 governor.tick_many(
                     sum(len(b.rows) for b in buckets if b is not None)
@@ -1464,48 +1359,45 @@ class PGroupJoin(PHashNest):
                     self._check_pad()
                     pad_checked = True
                 if charge is not None:
-                    # As if buffered per pair: one sampled value charges
-                    # for its stride of the stream of kept elements.
-                    for j in range(
-                        -buffered % SAMPLE_STRIDE, len(elems), SAMPLE_STRIDE
-                    ):
-                        charge(estimate_bytes(elems[j]) * SAMPLE_STRIDE)
+                    # As if buffered per pair, in the stream of kept elements.
+                    _charge_values(charge, elems, buffered)
                     buffered += len(elems)
                 shared = plain and bucket is not None
                 if key not in groups:
-                    order.append(key)
-                    group_envs[key] = {col: cols[col][i] for col in group_by}
+                    for name, col in key_cols.items():
+                        col.append(cols[name][i])
                     if use_list:
                         groups[key] = list(elems) if shared and raw else elems
                     elif shared:
                         if bucket.carrier is _UNFOLDED:
-                            bucket.carrier = self._fold_into(monoid.zero, elems)
+                            bucket.carrier = fold_skipping_nulls(
+                                monoid, monoid.zero, elems
+                            )
                         groups[key] = bucket.carrier
                     else:
-                        groups[key] = self._fold_into(monoid.zero, elems)
+                        groups[key] = fold_skipping_nulls(monoid, monoid.zero, elems)
                 elif use_list:
                     groups[key] = groups[key] + elems
                 else:
-                    groups[key] = self._fold_into(groups[key], elems)
+                    groups[key] = fold_skipping_nulls(monoid, groups[key], elems)
             if kerr is not None:
                 raise kerr
-        return order, groups, group_envs
+        return groups, key_cols
 
-    def finalize_groups(self, order, groups, group_envs) -> list:
+    def finalize_groups(self, groups: dict) -> list:
         """Fold each shared element list once, however many groups hold it."""
         monoid = self.monoid
         if not isinstance(monoid, CollectionMonoid):
-            return super().finalize_groups(order, groups, group_envs)
+            return super().finalize_groups(groups)
         fold = monoid.fold_elements
         folded: dict[int, Any] = {}
-        group_rows = []
-        for key in order:
-            elems = groups[key]
+        out = []
+        for elems in groups.values():
             value = folded.get(id(elems))
             if value is None:
                 value = folded[id(elems)] = fold(elems)
-            group_rows.append((group_envs[key], value))
-        return group_rows
+            out.append(value)
+        return out
 
     def describe(self) -> str:
         group = ",".join(self.group_by) or "()"
@@ -1516,7 +1408,7 @@ class PGroupJoin(PHashNest):
                     f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
                 )
             )
-        if self.residual != Const(True):
+        if self.residual != TRUE:
             parts.append(f"residual {self.residual}")
         return f"GroupJoin({'; '.join(parts)})"
 
@@ -1578,20 +1470,17 @@ class PSharedNest(PhysicalOperator):
         """Buffer ``L``: its columns, row count, each row's representative
         (the position of the first row with its binding; None when a
         binding faulted) and the fault that ended the stream, if any."""
-        charge = self._context.charge_fn()
         cols: dict[str, list] = {name: [] for name in self.spine.group_by}
         first_of: dict[Any, int] = {}
         rep_of: list[int] | None = []
         n = 0
         held = None
         try:
-            for chunk in self.child.batches():
-                ccols = chunk.columns
-                if charge is not None:
-                    _charge_chunk(charge, chunk, n)
+            for ccols, offset, length in self._buffered(self.child, cols):
+                n = offset + length
                 if rep_of is not None:
                     parts, _, err = self._key_columns(
-                        self._binding_kernels, ccols, chunk.length
+                        self._binding_kernels, ccols, length
                     )
                     if err is not None:
                         rep_of = None
@@ -1600,14 +1489,12 @@ class PSharedNest(PhysicalOperator):
                         # {{1, 2}} and {{1.0, 2}} — are equal as dict keys
                         # but not as inputs to the spine.
                         exact = [list(map(exact_key, part)) for part in parts]
-                        keys = zip(*exact) if exact else [()] * chunk.length
+                        keys = zip(*exact) if exact else [()] * length
                         setdefault = first_of.setdefault
                         rep_of.extend(
-                            setdefault(key, pos) for pos, key in enumerate(keys, n)
+                            setdefault(key, pos)
+                            for pos, key in enumerate(keys, offset)
                         )
-                for name, col in cols.items():
-                    col.extend(ccols[name])
-                n += chunk.length
         except GovernorError:
             raise
         except Exception as exc:  # noqa: BLE001 - held, raised after the spine
@@ -1697,42 +1584,11 @@ class PReduce(PhysicalOperator):
         self.head = head
         self.pred = pred
         self._head_kernel = self._kernel(context, head)
+        self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    def _chunk_heads(self, chunk: Chunk) -> tuple[list, Any]:
-        """Heads of the chunk's predicate-surviving rows, plus any fault.
-
-        The returned values cover exactly the rows that precede the first
-        fault in row order; a head fault wins over a later predicate fault
-        because each row evaluates its predicate, then its head.
-        """
-        cols = chunk.columns
-        n = chunk.length
-        if self._holds.trivial_true:
-            scols = cols
-            count = n
-            err = None
-        else:
-            flags, limit, err = self._run_kernel(self._holds, cols, n)
-            count = flags.count(True)
-            if not count:
-                return [], err
-            if count == n:
-                scols = cols
-            else:
-                # flags covers rows [0, limit); compress truncates each
-                # column to it, dropping failures and unevaluated rows.
-                scols = {
-                    name: list(compress(col, flags))
-                    for name, col in cols.items()
-                }
-        values, t, herr = self._run_kernel(self._head_kernel, scols, count)
-        if herr is not None:
-            err = herr
-        return values, err
 
     def value(self) -> Any:
         monoid = self.monoid
@@ -1748,7 +1604,7 @@ class PReduce(PhysicalOperator):
         is_all = monoid.name == "all"
         is_some = monoid.name == "some"
         for chunk in self.child.batches():
-            values, err = self._chunk_heads(chunk)
+            _, _, values, err = self._kept_heads(chunk.columns, chunk.length)
             for head in values:
                 if head is NULL:
                     continue
@@ -1776,7 +1632,7 @@ class PReduce(PhysicalOperator):
         """
         elements: list = []
         for chunk in self.child.batches():
-            values, err = self._chunk_heads(chunk)
+            _, _, values, err = self._kept_heads(chunk.columns, chunk.length)
             elements.extend(values)
             if err is not None:
                 raise err

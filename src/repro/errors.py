@@ -14,6 +14,7 @@ The hierarchy::
     ├── PlanningError            parse / translate / typecheck / rewrite
     │   ├── TypeCheckError       T1–T9 violation, names the subterm
     │   ├── UnknownExtentError   name does not resolve against the schema
+    │   ├── OptionError          an option value outside its domain
     │   └── BackendUnsupportedError
     │                            the selected execution backend refuses the
     │                            query or database (e.g. the SQLite shredding
@@ -41,6 +42,7 @@ __all__ = [
     "PlanningError",
     "TypeCheckError",
     "UnknownExtentError",
+    "OptionError",
     "BackendUnsupportedError",
     "ExecutionError",
     "GovernorError",
@@ -129,6 +131,15 @@ class UnknownExtentError(PlanningError, KeyError):
 
     # KeyError.__str__ repr-quotes its argument; QueryError's wins via MRO,
     # but be explicit so the contract is pinned rather than incidental.
+    __str__ = QueryError.__str__
+
+
+class OptionError(PlanningError, ValueError):
+    """An ``OptimizerOptions`` field was given a value outside its domain
+    (``max_rows=-5``, ``backend="duckdb"``), refused where the options are
+    made; the message names the field.  Also a ``ValueError``, which is
+    what a bad argument is to code that constructs options."""
+
     __str__ = QueryError.__str__
 
 

@@ -57,10 +57,6 @@ SESSION_OPTION_NAMES = frozenset(
     }
 )
 
-#: The governor limits and the JSON number kinds each accepts (``null``
-#: switches a limit off).
-_LIMIT_KINDS = {"timeout": (int, float), "max_rows": int, "max_bytes": int}
-
 #: Hard ceiling on client-requested ``num_workers`` — a session must not
 #: be able to make the server spawn an unbounded thread pool.  0 means
 #: "auto" (the engine picks a small host-appropriate count).
@@ -101,7 +97,12 @@ class Session:
 
         Returns the applied mapping.  Unknown names, un-settable options
         and ill-typed or out-of-range values raise :class:`ProtocolError`
-        without changing anything.
+        without changing anything (values arrive as decoded JSON, and an
+        ill-typed one stored here would fail every following query).
+        ``OptimizerOptions`` states each field's domain; what is checked
+        here is the server's own: which names a client may set, how many
+        workers it may ask for, and that it may not set a deadline that has
+        already passed.
         """
         if not isinstance(updates, dict) or not updates:
             raise ProtocolError("'set' expects a non-empty 'options' object")
@@ -111,48 +112,20 @@ class Session:
                 f"unknown session option(s) {sorted(unknown)}; "
                 f"settable: {sorted(SESSION_OPTION_NAMES)}"
             )
-        if "backend" in updates and updates["backend"] not in (
-            "memory",
-            "sqlite",
-        ):
-            raise ProtocolError(
-                f"unknown backend {updates['backend']!r}; "
-                "expected 'memory' or 'sqlite'"
-            )
-        if "num_workers" in updates:
-            workers = updates["num_workers"]
-            if (
-                isinstance(workers, bool)
-                or not isinstance(workers, int)
-                or not 0 <= workers <= MAX_SESSION_WORKERS
-            ):
-                raise ProtocolError(
-                    f"'num_workers' must be an integer in "
-                    f"[0, {MAX_SESSION_WORKERS}] (0 = auto), "
-                    f"got {workers!r}"
-                )
-        # Values arrive as decoded JSON.  An ill-typed limit stored here
-        # would only surface later, as a raw TypeError from the plan-cache
-        # key or the governor on every following query.
-        for name, kinds in _LIMIT_KINDS.items():
-            limit = updates.get(name)
-            if limit is not None and (
-                isinstance(limit, bool)
-                or not isinstance(limit, kinds)
-                or not limit > 0
-            ):
-                wanted = "an integer" if kinds is int else "a number"
-                raise ProtocolError(
-                    f"{name!r} must be null or {wanted} > 0, got {limit!r}"
-                )
-        if "parallel" in updates and not isinstance(updates["parallel"], bool):
-            raise ProtocolError(
-                f"'parallel' must be true or false, got {updates['parallel']!r}"
-            )
         try:
-            self.pipeline.options = replace(self.pipeline.options, **updates)
-        except TypeError as exc:  # pragma: no cover - names checked above
-            raise ProtocolError(f"invalid session options: {exc}") from exc
+            options = replace(self.pipeline.options, **updates)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+        if options.num_workers > MAX_SESSION_WORKERS:
+            raise ProtocolError(
+                f"'num_workers' must be at most {MAX_SESSION_WORKERS} "
+                f"(0 = auto), got {options.num_workers!r}"
+            )
+        if "timeout" in updates and options.timeout == 0:
+            raise ProtocolError(
+                f"'timeout' must be null or a number > 0, got {options.timeout!r}"
+            )
+        self.pipeline.options = options
         return dict(updates)
 
     def options_snapshot(self) -> dict[str, Any]:

@@ -136,6 +136,64 @@ class TestMain:
         assert rows(name) == expected
 
 
+class TestOptionsAreValidatedWhereTheyAreMade:
+    """An out-of-domain option is refused by the command that sets it, not
+    by every later query."""
+
+    def test_one_shot_refuses_a_negative_budget(self, capsys):
+        code = main(["--max-rows", "-5", "select e.name from e in Employees"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == (
+            "error: max_rows must be None or an integer > 0, got -5"
+        )
+        assert "row budget exceeded" not in captured.err
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "field"),
+        [
+            ("--workers", "-2", "num_workers"),
+            ("--batch-size", "0", "batch_size"),
+            ("--timeout", "-1", "timeout"),
+        ],
+    )
+    def test_one_shot_no_longer_clamps(self, flag, value, field, capsys):
+        assert main([flag, value, "count(Employees)"]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+
+    def test_repl_refuses_an_ill_typed_limit_and_stays_usable(self, monkeypatch):
+        from repro.cli import repl
+
+        lines = iter(
+            [
+                "\\limits max_rows=abc",
+                "count(Employees);",
+                "\\limits",
+                "\\batch 0",
+                "\\parallel -1",
+                "\\limits max_rows=5",
+                "\\quit",
+            ]
+        )
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+        out = io.StringIO()
+        repl("company", out=out)
+        text = out.getvalue()
+        assert "error: max_rows must be None or an integer > 0, got 'abc'" in text
+        assert "limits set: max_rows='abc'" not in text
+        assert "unexpected TypeError" not in text
+        assert "  60\n" in text  # the query after the refused \limits answers
+        assert "timeout=None max_rows=None max_bytes=None" in text
+        assert "usage: \\batch N" in text and "usage: \\parallel" in text
+        assert "limits set: max_rows=5" in text
+
+    def test_serve_refuses_at_start_up(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--max-rows", "-5"])
+        assert exit_info.value.code == 2
+        assert "max_rows must be None or an integer > 0" in capsys.readouterr().err
+
+
 class TestOrderBy:
     @pytest.fixture(scope="class")
     def db(self):

@@ -276,22 +276,39 @@ def test_compiled_query_reuses_one_compiler(db):
     assert isinstance(compiled.expr_compiler(), ExprCompiler)
 
 
-def test_kernel_caches_stop_growing_after_the_first_executions(databases):
+def test_kernel_caches_stop_growing_after_the_first_executions(
+    databases, monkeypatch
+):
     # Every execution replans, and the planner rebuilds some terms (a
     # join's residual conjunction) as fresh objects each time: the identity
     # front-cache must not pin one of those per execution.
+    walked = []
+    memo_key = compile_module._memo_key
+    monkeypatch.setattr(
+        compile_module,
+        "_memo_key",
+        lambda kind, term: walked.append(term) or memo_key(kind, term),
+    )
     grew = {}
+    steady_walks = 0
     for query in CORPUS:
         database = databases[query.family]
         compiled = QueryPipeline(database).compile_oql(query.oql)
         compiler = compiled.expr_compiler()
         sizes = []
         for _ in range(50):
+            del walked[:]
             compiled.execute(database)
             sizes.append((len(compiler._by_id), len(compiler._memo)))
+        steady_walks += len(walked)
         if sizes[1] != sizes[-1]:
             grew[query.name] = (sizes[1], sizes[-1])
     assert grew == {}
+    # Nor may a steady-state execution walk terms to find their kernels:
+    # "no predicate" is the one shared ``TRUE``, an identity hit, and what
+    # is left over a sweep of the corpus is a few join keys and bindings
+    # the planner re-derives (107 walks before ``TRUE`` was shared).
+    assert steady_walks <= 11
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,8 @@ class TestOperatorSurface:
         op = _operators(context, _lefts(1, 1), _rights((1, 1), (1, 2)), "sum")[
             "group-join"
         ]
-        order, groups, _ = op.accumulate(raw=True)
-        assert [groups[key] for key in order] == [[1, 2], [1, 2]]
-        groups[order[0]].append(99)
-        assert groups[order[1]] == [1, 2]
+        groups, _ = op.accumulate(raw=True)
+        first, second = groups.values()
+        assert (first, second) == ([1, 2], [1, 2])
+        first.append(99)
+        assert second == [1, 2]

@@ -237,6 +237,27 @@ class TestShreddedStore:
         db.add_extent("Extra", [Record(k=1)] if False else [])
         assert shredded_store(db) is not first
 
+    def test_dropped_databases_release_their_stores(self):
+        import gc
+        import sqlite3
+        import weakref
+
+        def connections():
+            gc.collect()
+            return sum(isinstance(o, sqlite3.Connection) for o in gc.get_objects())
+
+        before = connections()
+        databases = [DATABASES["ab"]() for _ in range(5)]
+        alive = []
+        for db in databases:
+            options = OptimizerOptions(backend="sqlite")
+            QueryPipeline(db, options).run_oql("select a from a in A")
+            alive += [weakref.ref(db), weakref.ref(shredded_store(db))]
+        assert connections() == before + 5
+        del db, databases
+        assert connections() == before
+        assert [ref() for ref in alive if ref() is not None] == []
+
     def test_unknown_extent_raises(self):
         store = ShreddedStore(DATABASES["ab"]())
         with pytest.raises(KeyError):

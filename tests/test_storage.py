@@ -150,6 +150,71 @@ class TestDatabaseRoundTrip:
         json.dumps(database_to_dict(db))
 
 
+def _image(drop=None, **extent):
+    """A valid one-extent image with the extent's entries overridden (and
+    its *drop* entry removed)."""
+    db = Database()
+    db.add_extent("E", [Record(k=1)])
+    image = database_to_dict(db)
+    image["extents"]["E"].update(extent)
+    image["extents"]["E"].pop(drop, None)
+    return image
+
+
+class TestMalformedImage:
+    """An image is outside input: valid JSON of the wrong shape is a
+    ``StorageError`` naming what is wrong, through both entry points."""
+
+    CASES = {
+        "extent-without-items": (
+            _image(drop="items"),
+            "extent 'E' needs an array of 'items'",
+        ),
+        "bag-not-an-array": (_image(items=[{"$bag": 7}]), r"\$bag must be an array"),
+        "record-not-an-object": (
+            _image(items=[{"$record": [1]}]),
+            r"\$record must be an object",
+        ),
+        "unknown-kind": (_image(kind="heap"), "extent 'E' needs a 'kind' of"),
+        "classes-not-an-object": (
+            {**_image(), "schema": {"classes": []}},
+            "schema 'classes' must be an object",
+        ),
+        "oid-not-an-integer": (
+            _image(items=[{"$record": {"k": 1}, "$oid": "7"}]),
+            r"\$oid must be an integer",
+        ),
+        "index-not-a-pair": ({**_image(), "indexes": [["E"]]}, r"index \['E'\] is no"),
+        "index-on-missing-attribute": (
+            {**_image(), "indexes": [["E", "ghost"]]},
+            "objects lack that attribute",
+        ),
+        "index-on-missing-extent": (
+            {**_image(), "indexes": [["F", "k"]]},
+            "unknown extent 'F'",
+        ),
+        "not-an-object": ([1, 2], "format marker"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_raises_storage_error(self, name, tmp_path):
+        image, message = self.CASES[name]
+        with pytest.raises(StorageError, match=message):
+            database_from_dict(image)
+        path = tmp_path / "image.json"
+        path.write_text(json.dumps(image))
+        with pytest.raises(StorageError, match=message):
+            load_database(path)
+
+    def test_version_1_image_is_refused_by_its_version(self):
+        # Version 1 wrote a bag as [[item, count]] pairs, which version 2
+        # would read as a bag of lists.
+        image = _image(items=[{"$bag": [[1, 2]]}])
+        image["version"] = 1
+        with pytest.raises(StorageError, match="unsupported format version 1"):
+            database_from_dict(image)
+
+
 from hypothesis import given, settings, strategies as st
 
 _scalars = st.one_of(
