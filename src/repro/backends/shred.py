@@ -45,20 +45,40 @@ by the constituent ``$pos`` columns, reproducing the in-memory engine's
 nested-loop enumeration order exactly.
 
 **Aggregation pushdown** (the same :func:`compile_segments`).  The paper's
-O4/O7 reduce/nest operators lower into SQL instead of stitching whenever
-their monoid has an exact SQL rendering: ``sum``/``max``/``avg``/``all``/
-``some`` (and ``min`` at a segment root) become ``GROUP BY`` + aggregate
-expressions over a ``CASE``-guarded contribution — NULL padding from
-outer-joins and failed predicates contribute ``NULL``, which every SQL
-aggregate skips, reproducing the calculus' null-to-zero conversion — and
-first-seen group order is preserved by ``ROW_NUMBER()`` over the chain's
-``$pos`` ordering, grouped as ``MIN("$rn")``.  A lowered ``Nest`` can feed
-further joins and nests as a derived table (record keys pass their payload
-columns through under ``k<i>$`` prefixes), so stacked aggregations become
-*one* SQL statement.  ``Nest`` with a collection monoid compiles to a
-single level-ordered query merged back in one linear pass.  Anything
-outside this fragment (``prod``, parameters, collection heads under
-grouping) stays a residual operator above the segments.
+O4/O7 reduce/nest operators lower into SQL whenever their monoid has an
+exact SQL rendering: ``sum``/``max``/``avg``/``all``/``some`` (and ``min``
+at a segment root) become aggregates over a ``CASE``-guarded contribution
+— NULL padding and failed predicates contribute ``NULL``, which every SQL
+aggregate skips, reproducing the calculus' null-to-zero conversion.  A
+lowered nest is one of three forms, tried in this order; the first two are
+the shapes the physical planner fuses, recognised by its own functions:
+
+* *an aggregate joined to its left side* — a nest over an outer-join on
+  equalities (``Γ ∘ =⋈``, :func:`~repro.engine.planner.group_join_shape`)
+  is ``L LEFT JOIN (SELECT key, AGG(...) FROM R GROUP BY key) ON L.key =
+  key`` with the monoid's zero restored outside the join: no (left, right)
+  pair is formed to be grouped back, and the chain stays L's;
+* *a binding domain* — a nest whose spine reads its left side only through
+  stored column values (:func:`~repro.engine.planner.shared_spine`) states
+  L once (``WITH l``), runs the spine over one row of ``l`` per distinct
+  binding, and joins each L row to its value with ``IS``;
+* *the grouped product* otherwise — ``GROUP BY`` over the joined rows,
+  first-seen group order kept as ``MIN("$rn")`` of a ``ROW_NUMBER()`` over
+  the chain's ``$pos`` ordering, a record key passing its payload columns
+  through the derived table under a ``k<i>$`` prefix.
+
+The first two emit one row per *row* of L, the product form one per group
+of L's keys; so where L's rows may repeat (a bag or list holding a scalar
+value or an ``$oid`` twice — the catalog learns it per table) the product
+form stays: GROUP BY merges such rows and counts their bucket once per
+duplicate.  The first is also refused when a join conjunct that is not an
+equality reads both sides (no key to aggregate under), the second unless
+every binding is one stored column compared exactly — not ``num`` (``1``
+and ``1.0`` would share), not computed, not a collection.  Stacked
+aggregations are *one* statement either way.  A collection-monoid ``Nest``
+compiles to a single level-ordered query merged back in one linear pass;
+anything outside this fragment (``prod``, parameters, collection heads
+under grouping) stays a residual operator above the segments.
 
 **Stitching** (:class:`SqlSegment` / :class:`PSqlSegment`).  Lowering does
 not produce a second executor: :func:`compile_segments` returns the
@@ -96,7 +116,7 @@ import threading
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping
 
 from repro.algebra.operators import (
@@ -125,6 +145,7 @@ from repro.calculus.terms import (
     Proj,
     Term,
     Var,
+    free_vars,
 )
 from repro.data.database import Database
 from repro.data.values import (
@@ -138,6 +159,11 @@ from repro.data.values import (
 )
 from repro.engine.batch import Chunk
 from repro.engine.physical import PhysicalOperator, _Context, _column_chunks
+from repro.engine.planner import (
+    group_join_shape,
+    shared_spine,
+    split_equi_conjuncts,
+)
 from repro.errors import BackendUnsupportedError, ExecutionError, GovernorError
 
 __all__ = [
@@ -149,6 +175,7 @@ __all__ = [
     "execute_shredded",
     "explain_shredded",
     "shredded_sql",
+    "fused_forms",
 ]
 
 
@@ -170,6 +197,10 @@ _FILE_CACHE_KIB = 16384
 #: being misread.
 _LAYOUT_VERSION = 3
 _MANIFEST_TABLE = "repro$manifest"
+#: What only the two fused nest forms write into a statement (the
+#: pre-aggregate's column, the domain's SELECT): :func:`fused_forms`.
+_PREAGGREGATE = "$a"
+_DOMAIN_SELECT = "SELECT * FROM "
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +245,9 @@ class _Table:
     columns: dict[str, str] = field(default_factory=dict)
     records: set[str] = field(default_factory=set)
     children: dict[str, "_Table"] = field(default_factory=dict)
+    #: Some owner holds one element twice, as GROUP BY sees elements: a
+    #: scalar by value, a stored object by ``$oid`` (bags and lists only).
+    repeats: bool = False
 
     def oid_column(self, path: str = "") -> str:
         return "$oid" if path == "" else path + "$oid"
@@ -307,11 +341,7 @@ class ShreddedStore:
             db_path is not None and self._stored_fingerprint() == fingerprint
         )
         rewrite = db_path is not None and not self.reused
-        if rewrite:
-            self._reset_file()
-        self._shred_all()
-        if rewrite:
-            self._write_manifest(fingerprint)
+        self._shred_all(fingerprint if rewrite else None)
         self.connection.execute("ANALYZE")
 
     # -- connection / file management ---------------------------------------
@@ -341,12 +371,31 @@ class ShreddedStore:
         return connection
 
     def _open_connection(self) -> sqlite3.Connection:
-        connection = sqlite3.connect(
-            self.db_path or ":memory:", check_same_thread=False
-        )
-        # Autocommit; shredding wraps itself in an explicit transaction.
-        connection.isolation_level = None
-        self._configure_pragmas(connection)
+        """A configured connection — or, for a ``db_path`` that cannot be
+        opened as a database or that holds somebody else's, a typed refusal
+        before a pragma or a statement of ours has touched the file."""
+        connection = None
+        try:
+            connection = sqlite3.connect(
+                self.db_path or ":memory:", check_same_thread=False
+            )
+            # Autocommit; shredding wraps itself in an explicit transaction.
+            connection.isolation_level = None
+            schema = connection.execute("SELECT name FROM sqlite_master")
+            names = [name for (name,) in schema]
+            if names and _MANIFEST_TABLE not in names:
+                raise sqlite3.DatabaseError(
+                    f"it holds {len(names)} schema object(s) and no "
+                    f"{_MANIFEST_TABLE!r}: not a store of ours, left untouched"
+                )
+            self._configure_pragmas(connection)
+        except sqlite3.Error as exc:
+            if connection is not None:
+                connection.close()
+            raise ExecutionError(
+                f"sqlite backend error: cannot use {self.db_path!r} "
+                f"as a shredded store: {exc}"
+            ) from exc
         with self._connections_lock:
             self._connections.append(connection)
         return connection
@@ -380,18 +429,24 @@ class ShreddedStore:
         if self.cache_kib is not None:
             execute(f"PRAGMA cache_size=-{int(self.cache_kib)}")
 
-    def _shred_all(self) -> None:
+    def _shred_all(self, manifest: str | None) -> None:
         """Describe every extent and — unless the file's tables are being
         reused — create and fill its tables.  The catalog is never read
         back: a reopen derives it as a fresh shred does, so the two cannot
-        disagree."""
+        disagree.  A rewrite (*manifest*: the new fingerprint) drops the
+        stale tables and records the manifest in the one transaction — a
+        file holding tables and no manifest is somebody else's."""
         self.connection.execute("BEGIN IMMEDIATE")
         try:
+            if manifest is not None:
+                self._reset_file()
             for name in self._database.extent_names():
                 try:
                     self._shred_extent(name)
                 except BackendUnsupportedError as exc:
                     self.refusals[name] = exc.message
+            if manifest is not None:
+                self._write_manifest(manifest)
             self.connection.execute("COMMIT")
         except BaseException:
             self.connection.execute("ROLLBACK")
@@ -445,7 +500,7 @@ class ShreddedStore:
                 "WHERE key = 'fingerprint'"
             ).fetchone()
         except sqlite3.OperationalError:
-            return None  # no manifest table: fresh file or foreign content
+            return None  # no manifest table: a fresh file
         return None if row is None else row[0]
 
     def _reset_file(self) -> None:
@@ -529,7 +584,7 @@ class ShreddedStore:
     def _shred_extent(self, name: str) -> None:
         value = self._database.extent(name)
         elements = list(value.elements())
-        table = self._describe(name, _collection_kind(value), elements, False)
+        table = self._describe(name, _collection_kind(value), [elements], False)
         if not self.reused:
             self._create(table)
             self._insert(table, elements, None)
@@ -539,10 +594,13 @@ class ShreddedStore:
         self,
         table_name: str,
         kind: str,
-        elements: list[Any],
+        owned: list[list[Any]],
         child: bool,
     ) -> _Table:
+        """The table of the collections *owned* — one list of elements per
+        owner: the extent itself, or each parent row's nested collection."""
         table = _Table(table_name, "record", kind, child)
+        elements = [e for collection in owned for e in collection]
         present = [e for e in elements if not is_null(e)]
         records = [e for e in present if isinstance(e, Record)]
         if records:
@@ -553,6 +611,9 @@ class ShreddedStore:
                 )
             table.records.add("")
             self._describe_fields(table, "", records)
+            table.repeats = _holds_repeats(
+                [[e.oid for e in c if e.oid is not None] for c in owned]
+            )
             return table
         scalars = [e for e in present if _scalar_tag(e) is not None]
         if len(scalars) != len(present):
@@ -564,6 +625,7 @@ class ShreddedStore:
             tag = _merge_tag(tag, _scalar_tag(e))
         table.element = "scalar"
         table.columns[""] = tag or "any"
+        table.repeats = _holds_repeats([map(_encode, c) for c in owned])
         return table
 
     def _describe_fields(
@@ -602,7 +664,7 @@ class ShreddedStore:
                     raise BackendUnsupportedError(
                         f"{table.name}: mixed collection kinds at {path!r}"
                     )
-                nested = [e for v in present for e in v.elements()]
+                nested = [list(v.elements()) for v in present]
                 table.children[path] = self._describe(
                     f"{table.name}${path}", kinds.pop(), nested, True
                 )
@@ -679,6 +741,13 @@ class ShreddedStore:
                 f"extent {name!r} was not shredded: {self.refusals[name]}"
             )
         return self._database.extent(name)
+
+
+def _holds_repeats(owned: list) -> bool:
+    """Whether one of the *owned* runs of keys holds a key twice (Python's
+    ``==`` and SQL's agree on the encoded scalars: ``1``, ``1.0`` and
+    ``True`` are one key to both, and so are two NULLs to GROUP BY)."""
+    return any(len(set(keys)) < len(keys) for keys in map(list, owned))
 
 
 def _collection_kind(value: CollectionValue) -> str:
@@ -784,6 +853,20 @@ class _VarBind:
 def _bcol(bind: _VarBind, column: str) -> str:
     """A bound table column as qualified SQL (prefix-aware)."""
     return f"{bind.alias}.{_q(bind.prefix + column)}"
+
+
+def _column(bind: _VarBind) -> tuple[str, str, str]:
+    """A bound variable as one result column: ``(sql, decode kind, tag)``
+    — a record by its ``$oid``, the identity a group key compares."""
+    if bind.kind == "expr":
+        assert bind.expr is not None
+        sql, tag = bind.expr.sql, bind.expr.tag
+    else:
+        assert bind.table is not None
+        if bind.kind == "record":
+            return _bcol(bind, bind.table.oid_column()), "object", ""
+        sql, tag = _bcol(bind, bind.table.value_column("")), bind.table.columns[""]
+    return (sql, "object", "") if tag == "object" else (sql, "scalar", tag)
 
 
 _NUMERIC = frozenset(("int", "float", "num", "bool"))
@@ -917,33 +1000,40 @@ def _sql_binop(term: BinOp, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
     return None  # "/" and "%" stay residual by design
 
 
-def _resolve_path(term: Term, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
-    """A variable or projection chain as a SQL column reference."""
+def _stored_column(
+    term: Term, binds: Mapping[str, _VarBind]
+) -> tuple[_VarBind, str, str] | None:
+    """The ``(bind, column, tag)`` behind a variable or projection chain
+    over a table-bound variable, when it is one stored column."""
     attrs: list[str] = []
     while isinstance(term, Proj):
         attrs.append(term.attr)
         term = term.expr
-    if not isinstance(term, Var):
+    bind = binds.get(term.name) if isinstance(term, Var) else None
+    if bind is None or bind.table is None:
         return None
-    bind = binds.get(term.name)
-    if bind is None:
-        return None
-    if bind.kind == "expr":
-        return bind.expr if not attrs else None
     table = bind.table
-    assert table is not None
-    if bind.kind == "scalar":
-        if attrs:
-            return None  # projecting a scalar is an engine-side error
-        return _SqlExpr(_bcol(bind, table.value_column("")), table.columns[""])
-    if not attrs:
-        return _SqlExpr(_bcol(bind, table.oid_column()), "object")
     path = "$".join(reversed(attrs))
+    if bind.kind == "scalar":
+        # (projecting a scalar is an engine-side error)
+        return None if attrs else (bind, table.value_column(""), table.columns[""])
+    if not attrs or path in table.records:
+        return bind, table.oid_column(path), "object"
     if path in table.columns:
-        return _SqlExpr(_bcol(bind, table.value_column(path)), table.columns[path])
-    if path in table.records:
-        return _SqlExpr(_bcol(bind, table.oid_column(path)), "object")
+        return bind, table.value_column(path), table.columns[path]
     return None  # a collection path or an attribute the catalog lacks
+
+
+def _resolve_path(term: Term, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
+    """A variable or projection chain as a SQL column reference."""
+    bind = binds.get(term.name) if isinstance(term, Var) else None
+    if bind is not None and bind.kind == "expr":
+        return bind.expr
+    found = _stored_column(term, binds)
+    if found is None:
+        return None
+    bind, column, tag = found
+    return _SqlExpr(_bcol(bind, column), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -986,51 +1076,43 @@ def _filter_sql(term: Term, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
     return _sql_expr(term, binds)
 
 
+#: monoid -> (SQL aggregate, its zero wrapper, input tags, output tag by
+#: input tag, output tag otherwise).  ``max`` is the paper's (max, 0) monoid:
+#: it floors at zero (scalar two-arg ``max``).  ``min``'s zero is +inf, which
+#: an empty group decodes from NULL at a segment root (the "min" decode
+#: kind).  SQL ``AVG`` is NULL on empty input, exactly the monoid's finalize.
+_AGGREGATES = {
+    "sum": ("SUM", "COALESCE({}, 0)", _NUMERIC_OK,
+            {"int": "int", "bool": "int", "float": "float"}, "num"),
+    "max": ("MAX", "max(0, COALESCE({}, 0))", _NUMERIC_OK,
+            {"int": "int", "bool": "int"}, "num"),
+    "min": ("MIN", "{}", _NUMERIC_OK, {}, "num"),
+    "avg": ("AVG", "{}", _NUMERIC_OK, {}, "float"),
+    "all": ("MIN", "COALESCE({}, 1)", _BOOLISH, {}, "bool"),
+    "some": ("MAX", "COALESCE({}, 0)", _BOOLISH, {}, "bool"),
+}  # fmt: skip
+
+
 def _aggregate_sql(
     name: str, value_sql: str, tag: str
-) -> tuple[str, str, str] | None:
+) -> tuple[str, str, str, str] | None:
     """The SQL aggregate for monoid *name* over *value_sql* contributions.
 
-    Returns ``(sql, out_tag, decode_kind)`` or None when the monoid/input
-    combination has no faithful SQL form.  Contributions are NULL for
-    skipped rows (NULL padding, failed predicates, NULL heads), which SQL
-    aggregates ignore — matching the calculus, where NULL contributes
-    nothing to a primitive accumulator.  The COALESCE/CASE wrappers restore
-    each monoid's zero on an empty group.
+    Returns ``(aggregate, zero, out_tag, decode_kind)`` or None when the
+    monoid/input combination has no faithful SQL form.  Contributions are
+    NULL for skipped rows (NULL padding, failed predicates, NULL heads),
+    which SQL aggregates ignore — matching the calculus, where NULL
+    contributes nothing to a primitive accumulator.  *zero* is a format
+    string over the aggregate's value that restores the monoid's zero
+    where that value is NULL: an empty group, or — the reason it is handed
+    back apart — a left row that no pre-aggregated group joined.
     """
-    if name == "sum":
-        if tag not in _NUMERIC_OK:
-            return None
-        out = "int" if tag in ("int", "bool") else (
-            "float" if tag == "float" else "num"
-        )
-        return (f"COALESCE(SUM({value_sql}), 0)", out, "scalar")
-    if name == "max":
-        # The paper's (max, 0) monoid floors at zero; scalar two-arg max.
-        if tag not in _NUMERIC_OK:
-            return None
-        out = "int" if tag in ("int", "bool") else "num"
-        return (f"max(0, COALESCE(MAX({value_sql}), 0))", out, "scalar")
-    if name == "min":
-        # zero is +inf: an empty group decodes NULL -> float("inf") at the
-        # segment root ("min" decode kind).
-        if tag not in _NUMERIC_OK:
-            return None
-        return (f"MIN({value_sql})", "num", "min")
-    if name == "avg":
-        # SQL AVG is NULL on empty input, exactly the monoid's finalize.
-        if tag not in _NUMERIC_OK:
-            return None
-        return (f"AVG({value_sql})", "float", "scalar")
-    if name == "all":
-        if tag not in _BOOLISH:
-            return None
-        return (f"COALESCE(MIN({value_sql}), 1)", "bool", "scalar")
-    if name == "some":
-        if tag not in _BOOLISH:
-            return None
-        return (f"COALESCE(MAX({value_sql}), 0)", "bool", "scalar")
-    return None
+    if name not in _AGGREGATES or tag not in _AGGREGATES[name][2]:
+        return None
+    function, zero, _, out_tags, out_tag = _AGGREGATES[name]
+    decode_kind = "min" if name == "min" else "scalar"
+    out_tag = out_tags.get(tag, out_tag)
+    return f"{function}({value_sql})", zero, out_tag, decode_kind
 
 
 # ---------------------------------------------------------------------------
@@ -1049,12 +1131,25 @@ class _Chain:
     """
 
     from_sql: str
-    where: list[str]
     binds: dict[str, _VarBind]
     order_cols: list[str]
+    where: list[str] = field(default_factory=list)
     uses_table: bool = True
     #: True when the chain contains a lowered (GROUP BY) nest.
     grouped: bool = False
+    #: False when two rows may agree on every variable as GROUP BY sees
+    #: them: a table under the chain holds an element twice.
+    distinct: bool = True
+    #: ``name AS (SELECT ...)`` definitions ``from_sql`` refers to: the
+    #: prefix of whichever SELECT is stated over this chain.
+    ctes: list[str] = field(default_factory=list)
+
+    def select(self, items: list[str], *filters: str) -> str:
+        """``[WITH ...] SELECT items FROM ... [WHERE ...]`` over the chain."""
+        sql = f"SELECT {', '.join(items)} FROM {self.from_sql}"
+        if self.where or filters:
+            sql += f" WHERE {' AND '.join([*self.where, *filters])}"
+        return f"WITH {', '.join(self.ctes)} {sql}" if self.ctes else sql
 
 
 @dataclass
@@ -1096,6 +1191,9 @@ class _SegmentBuilder:
         #: lowering time across every *successful* build.
         self.index_requests: set[tuple[str, str]] = set()
         self._pending: set[tuple[str, str]] = set()
+        #: id(subtree) -> the chain lowered in its place: while a shared
+        #: spine is lowered, its leaf is the binding domain (_shared_domain).
+        self._standins: dict[int, _Chain] = {}
 
     def build(self, plan: Operator) -> _Segment | None:
         self._pending = set()
@@ -1117,12 +1215,18 @@ class _SegmentBuilder:
 
     # -- chain construction --------------------------------------------------
 
-    def _alias(self, counter: list[int]) -> str:
-        alias = f"t{counter[0]}"
+    def _alias(self, counter: list[int], prefix: str = "t") -> str:
+        alias = f"{prefix}{counter[0]}"
         counter[0] += 1
         return alias
 
     def _chain(self, plan: Operator, counter: list[int]) -> _Chain | None:
+        standin = self._standins.get(id(plan))
+        if standin is not None:
+            # (a copy: selections and maps extend the chain they are given)
+            return replace(
+                standin, where=list(standin.where), binds=dict(standin.binds)
+            )
         if isinstance(plan, Scan):
             return self._chain_scan(plan, counter)
         if isinstance(plan, Select):
@@ -1147,16 +1251,15 @@ class _SegmentBuilder:
         kind = "record" if table.element == "record" else "scalar"
         return _Chain(
             from_sql=f"{_q(table.name)} {alias}",
-            where=[],
             binds={plan.var: _VarBind(kind, alias, table)},
             order_cols=[f"{alias}.{_q('$pos')}"],
+            distinct=not table.repeats,
         )
 
     def _chain_seed(self, plan: Seed, counter: list[int]) -> _Chain | None:
         alias = self._alias(counter)
         return _Chain(
             from_sql=f"(SELECT 0 AS {_q('$pos')}) {alias}",
-            where=[],
             binds={},
             order_cols=[f"{alias}.{_q('$pos')}"],
             uses_table=False,
@@ -1220,6 +1323,8 @@ class _SegmentBuilder:
             order_cols=left.order_cols + right.order_cols,
             uses_table=left.uses_table or right.uses_table,
             grouped=left.grouped or right.grouped,
+            distinct=left.distinct and right.distinct,
+            ctes=left.ctes + right.ctes,
         )
 
     def _equi_columns(
@@ -1282,6 +1387,8 @@ class _SegmentBuilder:
             order_cols=chain.order_cols + [f"{alias}.{_q('$pos')}"],
             uses_table=True,
             grouped=chain.grouped,
+            distinct=chain.distinct and not child.repeats,
+            ctes=chain.ctes,
         )
 
     def _collection(
@@ -1307,164 +1414,302 @@ class _SegmentBuilder:
 
     def _nest_condition(
         self, plan: Nest, binds: Mapping[str, _VarBind]
-    ) -> tuple[bool, str | None]:
-        """The contribution guard: null-var indicators AND the predicate.
-
-        Returns ``(ok, sql)`` — sql None means unconditional.  The
-        indicators are 0/1 (never NULL), so Kleene AND with a possibly-NULL
-        predicate matches the calculus: any NULL/false conjunct yields a
-        NULL contribution, which the aggregates skip (``_holds`` treats
-        NULL as false; null vars are checked first).
+    ) -> list[str] | None:
+        """The contribution guard's conjuncts — null-var indicators, then
+        the predicate; none means unconditional — or None when one does not
+        translate.  The indicators are 0/1 (never NULL), so Kleene AND with
+        a possibly-NULL predicate matches the calculus: any NULL/false
+        conjunct yields a NULL contribution, which the aggregates skip
+        (``_holds`` treats NULL as false; null vars are checked first).
         """
         conds: list[str] = []
         for null_var in plan.null_vars:
             indicator = _sql_expr(Var(null_var), binds)
             if indicator is None:
-                return False, None
+                return None
             conds.append(f"({indicator.sql} IS NOT NULL)")
         if plan.pred != Const(True):
             pred = _filter_sql(plan.pred, binds)
             if pred is None or pred.tag not in _BOOLISH:
-                return False, None
+                return None
             conds.append(pred.sql)
-        if not conds:
-            return True, None
-        return True, " AND ".join(conds)
+        return conds
 
-    def _key_select(
-        self, bind: _VarBind, name: str
-    ) -> tuple[str, tuple[str, str]]:
-        """One group key as ``(select sql, (decode kind, tag))``."""
-        if bind.kind == "record":
-            assert bind.table is not None
-            return _bcol(bind, bind.table.oid_column()), ("object", "")
-        if bind.kind == "scalar":
-            assert bind.table is not None
-            return (
-                _bcol(bind, bind.table.value_column("")),
-                ("scalar", bind.table.columns[""]),
-            )
-        assert bind.expr is not None
-        if bind.expr.tag == "object":
-            return bind.expr.sql, ("object", "")
-        return bind.expr.sql, ("scalar", bind.expr.tag)
-
-    def _pinned_rank(self, plan: Nest, chain: _Chain) -> str | None:
-        """The enumeration-order column pinned by the group key, if any.
+    def _rank(self, plan: Nest, chain: _Chain) -> str:
+        """Each row's enumeration rank under *plan*'s grouping.
 
         When every group-by variable is a record binding and together they
         pin the chain's *leading* order column, that column is constant
         within each group (the key fixes its source row) and distinct
         across groups (``$oid`` and ``$pos`` are bijective per source), so
-        it reproduces first-seen group order directly — the
-        ``ROW_NUMBER()`` window, which forces a full sort of the join
-        output, can be dropped in favor of the bare column.
+        it reproduces first-seen group order directly; otherwise a
+        ``ROW_NUMBER()`` window over the chain's order, which forces a
+        full sort of the join output.
         """
-        if not plan.group_by:
-            return None
         pinned: set[str] = set()
         for var in plan.group_by:
             bind = chain.binds.get(var)
             if bind is None or bind.kind != "record":
-                return None
+                break
             pinned.add(f"{bind.alias}.{_q('$pos')}")
-        if len(pinned) == 1 and chain.order_cols[:1] == list(pinned):
-            return chain.order_cols[0]
-        return None
+        else:
+            if chain.order_cols[:1] == list(pinned):
+                return chain.order_cols[0]
+        return f"ROW_NUMBER() OVER (ORDER BY {', '.join(chain.order_cols)})"
 
     def _chain_nest(self, plan: Nest, counter: list[int]) -> _Chain | None:
-        """A lowered nest as a *derived table* feeding further SQL.
+        """A lowered nest feeding further SQL: fused where the shape
+        allows (:meth:`_fused_nest`), the grouped product otherwise."""
+        if plan.monoid_name not in _CHAINABLE:
+            return None
+        fused = self._fused_nest(plan, counter)
+        return fused or self._grouped_nest(plan, counter)
+
+    def _fused_nest(self, plan: Nest, counter: list[int]) -> _Chain | None:
+        """*plan* as one of the two shapes the physical planner fuses, in
+        its order — or None with no alias consumed: the caller's own form
+        then reads as if this was never tried."""
+        for form in (self._preaggregated, self._shared_domain):
+            mark = counter[0], set(self._pending)
+            chain = form(plan, counter)
+            if chain is not None:
+                return chain
+            counter[0], self._pending = mark
+        return None
+
+    def _fold(
+        self, plan: Nest, binds: Mapping[str, _VarBind], column: str = ""
+    ) -> tuple[str, tuple[str, str, str, str]] | None:
+        """*plan*'s guarded contribution — its head, NULL (which every
+        aggregate skips) wherever its condition fails — and
+        :func:`_aggregate_sql` over it, or over the *column* it is to be
+        selected as."""
+        conds = self._nest_condition(plan, binds)
+        head = _sql_expr(plan.head, binds)
+        if conds is None or head is None or head.tag == "object":
+            return None
+        contrib = head.sql
+        if conds:
+            guard = " AND ".join(conds)
+            contrib = f"(CASE WHEN {guard} THEN {contrib} ELSE NULL END)"
+        aggregate = _aggregate_sql(plan.monoid_name, column or contrib, head.tag)
+        return None if aggregate is None else (contrib, aggregate)
+
+    def _preaggregated(self, plan: Nest, counter: list[int]) -> _Chain | None:
+        """``Γ ∘ =⋈`` as ``L LEFT JOIN (R aggregated per join key)``: the
+        right side is filtered, grouped by its halves of the equi-conjuncts
+        and folded *before* it meets a left row, and the monoid's zero is
+        restored outside the join, where an unmatched left row reads NULL.
+        The chain stays L's — its binds, its ``$pos`` order, its filters.
+        Refusals (a two-sided residual, an L that may repeat): see the
+        module docstring."""
+        join = group_join_shape(plan)
+        if join is None:
+            return None
+        right_columns = join.right.columns()
+        keys, residual = split_equi_conjuncts(
+            join.pred, join.left.columns(), right_columns
+        )
+        if not all(free_vars(part) <= set(right_columns) for part in residual):
+            return None
+        left = self._chain(join.left, counter)
+        if left is None or not left.distinct:
+            return None
+        right = self._chain(join.right, counter)
+        if right is None:
+            return None
+        folded = self._fold(plan, right.binds)
+        filters = [_filter_sql(part, right.binds) for part in residual]
+        if folded is None or None in filters:
+            return None
+        agg_sql, zero, out_tag, _decode = folded[1]
+        galias = self._alias(counter)
+        probe = dict(left.binds)
+        group: list[str] = []
+        on: list[str] = []
+        for i, (left_key, right_key) in enumerate(keys):
+            key = _sql_expr(right_key, right.binds)
+            if key is None:
+                return None
+            group.append(key.sql)
+            probe["$j"] = _VarBind(
+                "expr", expr=_SqlExpr(f"{galias}.{_q(f'j{i}')}", key.tag)
+            )
+            match = _sql_expr(BinOp("==", left_key, Var("$j")), probe)
+            if match is None:
+                return None
+            on.append(match.sql)
+        self._equi_columns(join.pred, {**left.binds, **right.binds})
+        items = [f"{sql} AS {_q(f'j{i}')}" for i, sql in enumerate(group)]
+        items.append(f"{agg_sql} AS {_q(_PREAGGREGATE)}")
+        grouped_sql = right.select(items, *(f.sql for f in filters))
+        if group:
+            grouped_sql += f" GROUP BY {', '.join(group)}"
+        left.binds[plan.out_var] = _VarBind(
+            "expr",
+            expr=_SqlExpr(zero.format(f"{galias}.{_q(_PREAGGREGATE)}"), out_tag),
+        )
+        return replace(
+            left,
+            from_sql=(
+                f"({left.from_sql} LEFT JOIN ({grouped_sql}) {galias} "
+                f"ON {' AND '.join(on) or '1'})"
+            ),
+            uses_table=left.uses_table or right.uses_table,
+            grouped=True,
+        )
+
+    def _shared_domain(self, plan: Nest, counter: list[int]) -> _Chain | None:
+        """A nest over a spine correlated by value, run once per distinct
+        binding: ``WITH l AS (L), d AS (one row of l per binding)``, the
+        spine — this nest on top — lowered as it stands over ``d``, and
+        ``l JOIN spine`` handing each L row its value.  ``d``'s rows are
+        whole rows of ``l`` (bare columns under GROUP BY: one row of each
+        group), so the spine's terms and keys read what they always read.
+        ``IS``, not ``=``: a NULL binding is a binding.  An uncorrelated
+        spine (no binding) is lowered as it stands; the other refusals are
+        the module docstring's."""
+        found = shared_spine(plan)
+        if found is None or not found[1]:
+            return None
+        (*_, leaf), bindings = found
+        if id(leaf) in self._standins:
+            return None  # a nest on a shared spine: the leaf is a domain already
+        base = self._chain(leaf, counter)
+        if base is None or not base.distinct:
+            return None
+
+        def columns(binds: Mapping[str, _VarBind]) -> list[str] | None:
+            stored = [_resolve_path(term, binds) for term in bindings]
+            if any(c is None or c.tag == "num" for c in stored):
+                return None
+            return [c.sql for c in stored]
+
+        carried = self._carried(base.binds, leaf.columns())
+        if carried is None or columns(base.binds) is None:
+            return None
+        items, _, rebind = carried
+        # One rank column: a row of l is one position, which a group key
+        # over l's variables pins (_rank) as it pins a table's.
+        rank = base.order_cols[0]
+        if len(base.order_cols) > 1:
+            rank = f"ROW_NUMBER() OVER (ORDER BY {', '.join(base.order_cols)})"
+        items.append((rank, "$pos"))
+        lname, dname = self._alias(counter, "l"), self._alias(counter, "d")
+        lalias, dalias = self._alias(counter), self._alias(counter)
+        stated = base.select([f"{sql} AS {_q(name)}" for sql, name in items])
+        per_binding = ", ".join(columns(rebind(lname)))
+        ctes = [
+            f"{lname} AS ({stated})",
+            f"{dname} AS ({_DOMAIN_SELECT}{lname} GROUP BY {per_binding})",
+        ]
+        self._standins[id(leaf)] = _Chain(
+            from_sql=f"{dname} {dalias}",
+            binds=rebind(dalias),
+            order_cols=[f"{dalias}.{_q('$pos')}"],
+            uses_table=base.uses_table,
+        )
+        try:
+            spine = self._grouped_nest(plan, counter)
+        finally:
+            del self._standins[id(leaf)]
+        if spine is None:
+            return None
+        outer = rebind(lalias)
+        pairs = zip(columns(spine.binds), columns(outer))
+        on = " AND ".join(f"{theirs} IS {ours}" for theirs, ours in pairs)
+        return _Chain(
+            from_sql=f"({lname} {lalias} JOIN {spine.from_sql} ON {on})",
+            binds={**outer, plan.out_var: spine.binds[plan.out_var]},
+            order_cols=[f"{lalias}.{_q('$pos')}"],
+            uses_table=spine.uses_table,
+            grouped=True,
+            ctes=ctes,
+        )
+
+    def _carried(
+        self, binds: Mapping[str, _VarBind], names: tuple[str, ...]
+    ) -> tuple[list[tuple[str, str]], list[str], Any] | None:
+        """Variables *names* as columns of a derived table: ``(sql, name)``
+        select items, each variable's key column, and a function rebinding
+        the variables over an alias of that table.  A record passes its
+        ``$oid`` and payload columns through under a ``k<i>$`` prefix,
+        anything else is the one column ``k<i>``."""
+        items: list[tuple[str, str]] = []
+        keys: list[str] = []
+        shapes: list[tuple[str, _Table | None, str]] = []
+        for i, var in enumerate(names):
+            bind = binds.get(var)
+            if bind is None:
+                return None
+            if bind.kind == "record":
+                table = bind.table
+                assert table is not None
+                columns = [table.oid_column()] + table.payload_columns()
+                items += [(_bcol(bind, c), f"k{i}${c}") for c in columns]
+                keys.append(f"k{i}${columns[0]}")
+                shapes.append((var, table, ""))
+            else:
+                key_sql, kind, tag = _column(bind)
+                items.append((key_sql, f"k{i}"))
+                keys.append(f"k{i}")
+                shapes.append((var, None, "object" if kind == "object" else tag))
+
+        def rebind(alias: str) -> dict[str, _VarBind]:
+            return {
+                var: _VarBind("record", alias, table, prefix=f"k{i}$")
+                if table is not None
+                else _VarBind("expr", expr=_SqlExpr(f"{alias}.{_q(f'k{i}')}", tag))
+                for i, (var, table, tag) in enumerate(shapes)
+            }
+
+        return items, keys, rebind
+
+    def _grouped_nest(self, plan: Nest, counter: list[int]) -> _Chain | None:
+        """A nest as a GROUP BY over its child's rows, a *derived table*.
 
         The inner query stamps each row with its enumeration rank
         (``ROW_NUMBER()`` over the chain's ``$pos`` order) and the guarded
         contribution; the outer query groups, aggregates, and keeps
         ``MIN("$rn")`` as the group's first-seen position.  Record group
-        keys pass their payload columns through under a ``k<i>$`` prefix —
+        keys pass their payload columns through (:meth:`_carried`) —
         within a group every row carries the same ``$oid``, hence identical
         payload, so the bare columns are sound under GROUP BY.
         """
-        if plan.monoid_name not in _CHAINABLE:
-            return None
-        if isinstance(plan.monoid, CollectionMonoid):
-            return None
         chain = self._chain(plan.child, counter)
         if chain is None:
             return None
-        ok, cond = self._nest_condition(plan, chain.binds)
-        if not ok:
+        folded = self._fold(plan, chain.binds, _q("$c"))
+        if folded is None:
             return None
-        head = _sql_expr(plan.head, chain.binds)
-        if head is None or head.tag == "object":
-            return None
-        aggregate = _aggregate_sql(plan.monoid_name, _q("$c"), head.tag)
-        if aggregate is None:
-            return None
-        agg_sql, out_tag, _decode = aggregate
+        contrib, (agg_sql, zero, out_tag, _decode) = folded
         galias = self._alias(counter)
-        inner_select: list[str] = []
-        outer_select: list[str] = []
-        group_names: list[str] = []
-        rebinds: dict[str, _VarBind] = {}
-        for i, var in enumerate(plan.group_by):
-            bind = chain.binds.get(var)
-            if bind is None:
-                return None
-            if bind.kind == "record":
-                assert bind.table is not None
-                table = bind.table
-                for column in [table.oid_column()] + table.payload_columns():
-                    out = f"k{i}${column}"
-                    inner_select.append(f"{_bcol(bind, column)} AS {_q(out)}")
-                    outer_select.append(_q(out))
-                group_names.append(_q(f"k{i}$" + table.oid_column()))
-                rebinds[var] = _VarBind(
-                    "record", galias, table, prefix=f"k{i}$"
-                )
-            else:
-                key_sql, (kind, tag) = self._key_select(bind, f"k{i}")
-                inner_select.append(f"{key_sql} AS {_q(f'k{i}')}")
-                outer_select.append(_q(f"k{i}"))
-                group_names.append(_q(f"k{i}"))
-                rebinds[var] = _VarBind(
-                    "expr",
-                    expr=_SqlExpr(
-                        f"{galias}.{_q(f'k{i}')}",
-                        "object" if kind == "object" else tag,
-                    ),
-                )
-        contrib = (
-            head.sql
-            if cond is None
-            else f"(CASE WHEN {cond} THEN {head.sql} ELSE NULL END)"
-        )
+        carried = self._carried(chain.binds, plan.group_by)
+        if carried is None:
+            return None
+        items, keys, rebind = carried
+        inner_select = [f"{sql} AS {_q(name)}" for sql, name in items]
         inner_select.append(f"{contrib} AS {_q('$c')}")
-        rank = self._pinned_rank(plan, chain)
-        if rank is None:
-            order = ", ".join(chain.order_cols)
-            rank = f"ROW_NUMBER() OVER (ORDER BY {order})"
-        inner_select.append(f"{rank} AS {_q('$rn')}")
-        inner_sql = f"SELECT {', '.join(inner_select)} FROM {chain.from_sql}"
-        if chain.where:
-            inner_sql += f" WHERE {' AND '.join(chain.where)}"
+        inner_select.append(f"{self._rank(plan, chain)} AS {_q('$rn')}")
         # GROUP BY NULL for key-less nests: one group while input rows
         # exist, *zero* groups on empty input — matching the calculus,
         # where a nest over an empty stream emits nothing (unlike a bare
         # SQL aggregate, which would emit one row).
-        group_clause = ", ".join(group_names) if group_names else "NULL"
-        outer_items = outer_select + [
-            f"{agg_sql} AS {_q('$agg')}",
+        group_clause = ", ".join(_q(key) for key in keys) or "NULL"
+        outer_items = [_q(name) for _, name in items] + [
+            f"{zero.format(agg_sql)} AS {_q('$agg')}",
             f"MIN({_q('$rn')}) AS {_q('$pos')}",
         ]
         grouped_sql = (
-            f"SELECT {', '.join(outer_items)} FROM ({inner_sql}) "
-            f"GROUP BY {group_clause}"
+            f"SELECT {', '.join(outer_items)} "
+            f"FROM ({chain.select(inner_select)}) GROUP BY {group_clause}"
         )
+        rebinds = rebind(galias)
         rebinds[plan.out_var] = _VarBind(
             "expr", expr=_SqlExpr(f"{galias}.{_q('$agg')}", out_tag)
         )
         return _Chain(
             from_sql=f"({grouped_sql}) {galias}",
-            where=[],
             binds=rebinds,
             order_cols=[f"{galias}.{_q('$pos')}"],
             uses_table=chain.uses_table,
@@ -1472,95 +1717,60 @@ class _SegmentBuilder:
         )
 
     def _build_nest(self, plan: Nest, counter: list[int]) -> _Segment | None:
-        """A nest at a segment root: GROUP BY for primitive monoids, a
+        """A nest at a segment root: the fused chain finalised where the
+        shape allows one, else GROUP BY for primitive monoids and a
         level-ordered merge query for collection monoids."""
+        if plan.monoid_name in _CHAINABLE:
+            fused = self._fused_nest(plan, counter)
+            if fused is not None:
+                return self._finalize(plan, fused) if fused.uses_table else None
         chain = self._chain(plan.child, counter)
         if chain is None or not chain.uses_table:
             return None
-        ok, cond = self._nest_condition(plan, chain.binds)
-        if not ok:
-            return None
         if isinstance(plan.monoid, CollectionMonoid):
-            return self._build_nest_merge(plan, chain, cond)
+            return self._build_nest_merge(plan, chain)
         if plan.monoid_name not in _ROOT_AGGREGATES:
             return None
-        head = _sql_expr(plan.head, chain.binds)
-        if head is None or head.tag == "object":
+        folded = self._fold(plan, chain.binds, _q("$c"))
+        if folded is None:
             return None
-        aggregate = _aggregate_sql(plan.monoid_name, _q("$c"), head.tag)
-        if aggregate is None:
+        contrib, (agg_sql, zero, out_tag, decode_kind) = folded
+        keys = _result_columns(chain, plan.group_by)
+        if keys is None:
             return None
-        agg_sql, out_tag, decode_kind = aggregate
-        inner_select: list[str] = []
-        outer_select: list[str] = []
-        group_names: list[str] = []
-        decoders: list[tuple[str, str, str]] = []
-        for i, var in enumerate(plan.group_by):
-            bind = chain.binds.get(var)
-            if bind is None:
-                return None
-            key_sql, (kind, tag) = self._key_select(bind, f"k{i}")
-            inner_select.append(f"{key_sql} AS {_q(f'k{i}')}")
-            outer_select.append(f"{_q(f'k{i}')} AS c{i}")
-            group_names.append(_q(f"k{i}"))
-            decoders.append((var, kind, tag))
-        contrib = (
-            head.sql
-            if cond is None
-            else f"(CASE WHEN {cond} THEN {head.sql} ELSE NULL END)"
-        )
+        names = [_q(f"k{i}") for i in range(len(keys))]
+        inner_select = [f"{sql} AS {k}" for (_, sql, _, _), k in zip(keys, names)]
         inner_select.append(f"{contrib} AS {_q('$c')}")
-        rank = self._pinned_rank(plan, chain)
-        if rank is None:
-            order = ", ".join(chain.order_cols)
-            rank = f"ROW_NUMBER() OVER (ORDER BY {order})"
-        inner_select.append(f"{rank} AS {_q('$rn')}")
-        inner_sql = f"SELECT {', '.join(inner_select)} FROM {chain.from_sql}"
-        if chain.where:
-            inner_sql += f" WHERE {' AND '.join(chain.where)}"
-        group_clause = ", ".join(group_names) if group_names else "NULL"
-        outer_select.append(f"{agg_sql} AS c{len(plan.group_by)}")
+        inner_select.append(f"{self._rank(plan, chain)} AS {_q('$rn')}")
+        outer_select = [f"{k} AS c{i}" for i, k in enumerate(names)]
+        outer_select.append(f"{zero.format(agg_sql)} AS c{len(keys)}")
+        decoders = [(var, kind, tag) for var, _, kind, tag in keys]
         decoders.append((plan.out_var, decode_kind, out_tag))
         sql = (
-            f"SELECT {', '.join(outer_select)} FROM ({inner_sql}) "
-            f"GROUP BY {group_clause} ORDER BY MIN({_q('$rn')})"
+            f"SELECT {', '.join(outer_select)} "
+            f"FROM ({chain.select(inner_select)}) "
+            f"GROUP BY {', '.join(names) or 'NULL'} ORDER BY MIN({_q('$rn')})"
         )
-        return _Segment(
-            sql,
-            tuple(decoders),
-            mode="stream",
-            label="sql:group",
-        )
+        return _Segment(sql, tuple(decoders), mode="stream", label="sql:group")
 
-    def _build_nest_merge(
-        self, plan: Nest, chain: _Chain, cond: str | None
-    ) -> _Segment | None:
+    def _build_nest_merge(self, plan: Nest, chain: _Chain) -> _Segment | None:
         """Collection-monoid nest: one query ordered by group key (then
         enumeration rank), merged back in a single linear pass."""
+        conds = self._nest_condition(plan, chain.binds)
         head = _sql_expr(plan.head, chain.binds)
-        if head is None:
+        keys = _result_columns(chain, plan.group_by)
+        if conds is None or head is None or keys is None:
             return None
-        select: list[str] = []
-        decoders: list[tuple[str, str, str]] = []
-        key_names: list[str] = []
-        for i, var in enumerate(plan.group_by):
-            bind = chain.binds.get(var)
-            if bind is None:
-                return None
-            key_sql, (kind, tag) = self._key_select(bind, f"k{i}")
-            select.append(f"{key_sql} AS c{i}")
-            key_names.append(f"c{i}")
-            decoders.append((var, kind, tag))
+        select = [f"{sql} AS c{i}" for i, (_, sql, _, _) in enumerate(keys)]
+        decoders = [(var, kind, tag) for var, _, kind, tag in keys]
         head_kind = "object" if head.tag == "object" else "scalar"
         decoders.append(("", head_kind, head.tag))
-        select.append(f"({cond or '1'}) AS {_q('$c')}")
+        select.append(f"({' AND '.join(conds) or '1'}) AS {_q('$c')}")
         select.append(f"{head.sql} AS {_q('$h')}")
-        order = ", ".join(chain.order_cols)
-        select.append(f"ROW_NUMBER() OVER (ORDER BY {order}) AS {_q('$rn')}")
-        sql = f"SELECT {', '.join(select)} FROM {chain.from_sql}"
-        if chain.where:
-            sql += f" WHERE {' AND '.join(chain.where)}"
-        sql += " ORDER BY " + ", ".join(key_names + [_q("$rn")])
+        ranked = f"ROW_NUMBER() OVER (ORDER BY {', '.join(chain.order_cols)})"
+        select.append(f"{ranked} AS {_q('$rn')}")
+        order = [f"c{i}" for i in range(len(keys))] + [_q("$rn")]
+        sql = f"{chain.select(select)} ORDER BY {', '.join(order)}"
         return _Segment(
             sql,
             tuple(decoders),
@@ -1571,28 +1781,24 @@ class _SegmentBuilder:
             out_var=plan.out_var,
         )
 
-    def _build_reduce(
-        self, plan: Reduce, counter: list[int]
-    ) -> _Segment | None:
+    def _build_reduce(self, plan: Reduce, counter: list[int]) -> _Segment | None:
         """A reduce root: a single aggregate row for primitive monoids, an
         ordered element stream folded in one pass for collection monoids."""
         chain = self._chain(plan.child, counter)
         if chain is None or not chain.uses_table:
             return None
-        where = list(chain.where)
+        filters: list[str] = []
         if plan.pred != Const(True):
             pred = _filter_sql(plan.pred, chain.binds)
             if pred is None or pred.tag not in _BOOLISH:
                 return None
             # WHERE drops NULL predicates exactly as _holds treats them.
-            where.append(pred.sql)
+            filters.append(pred.sql)
         head = _sql_expr(plan.head, chain.binds)
         if head is None:
             return None
         if isinstance(plan.monoid, CollectionMonoid):
-            sql = f"SELECT {head.sql} AS c0 FROM {chain.from_sql}"
-            if where:
-                sql += f" WHERE {' AND '.join(where)}"
+            sql = chain.select([f"{head.sql} AS c0"], *filters)
             sql += f" ORDER BY {', '.join(chain.order_cols)}"
             head_kind = "object" if head.tag == "object" else "scalar"
             return _Segment(
@@ -1609,12 +1815,9 @@ class _SegmentBuilder:
         aggregate = _aggregate_sql(plan.monoid_name, head.sql, head.tag)
         if aggregate is None:
             return None
-        agg_sql, out_tag, decode_kind = aggregate
-        sql = f"SELECT {agg_sql} AS c0 FROM {chain.from_sql}"
-        if where:
-            sql += f" WHERE {' AND '.join(where)}"
+        agg_sql, zero, out_tag, decode_kind = aggregate
         return _Segment(
-            sql,
+            chain.select([f"{zero.format(agg_sql)} AS c0"], *filters),
             (("", decode_kind, out_tag),),
             mode="reduce",
             label="sql:agg",
@@ -1624,36 +1827,26 @@ class _SegmentBuilder:
     # -- SELECT assembly -----------------------------------------------------
 
     def _finalize(self, plan: Operator, chain: _Chain) -> _Segment:
-        select: list[str] = []
-        decoders: list[tuple[str, str, str]] = []
-        for position, var in enumerate(plan.columns()):
-            bind = chain.binds[var]
-            if bind.kind == "record":
-                assert bind.table is not None
-                expr = _bcol(bind, bind.table.oid_column())
-                decoders.append((var, "object", ""))
-            elif bind.kind == "scalar":
-                assert bind.table is not None
-                expr = _bcol(bind, bind.table.value_column(""))
-                decoders.append((var, "scalar", bind.table.columns[""]))
-            else:
-                assert bind.expr is not None
-                expr = bind.expr.sql
-                if bind.expr.tag == "object":
-                    decoders.append((var, "object", ""))
-                else:
-                    decoders.append((var, "scalar", bind.expr.tag))
-            select.append(f"{expr} AS c{position}")
+        columns = _result_columns(chain, plan.columns())
+        assert columns is not None  # a chain binds every column of its plan
+        select = [f"{sql} AS c{i}" for i, (_, sql, _, _) in enumerate(columns)]
+        decoders = [(var, kind, tag) for var, _, kind, tag in columns]
         # Ordering by every constituent $pos reproduces the in-memory
         # engine's nested-loop enumeration order (padded rows sort first
         # within their left row, which is also the only row it has).
-        order = ", ".join(chain.order_cols)
-        sql = f"SELECT {', '.join(select)} FROM {chain.from_sql}"
-        if chain.where:
-            sql += f" WHERE {' AND '.join(chain.where)}"
-        sql += f" ORDER BY {order}"
+        sql = chain.select(select) + f" ORDER BY {', '.join(chain.order_cols)}"
         label = "sql:group" if chain.grouped else "sql"
         return _Segment(sql, tuple(decoders), label=label)
+
+
+def _result_columns(
+    chain: _Chain, names: tuple[str, ...]
+) -> list[tuple[str, str, str, str]] | None:
+    """``(variable, sql, decode kind, tag)`` of each of the variables
+    *names* (:func:`_column`), or None when the chain lacks one."""
+    if not all(var in chain.binds for var in names):
+        return None
+    return [(var, *_column(chain.binds[var])) for var in names]
 
 
 def _indexable_column(
@@ -1664,30 +1857,10 @@ def _indexable_column(
     Only unprefixed binds qualify: a prefixed bind reads from a derived
     table, which has no index to offer.
     """
-    attrs: list[str] = []
-    while isinstance(term, Proj):
-        attrs.append(term.attr)
-        term = term.expr
-    if not isinstance(term, Var):
+    found = _stored_column(term, binds)
+    if found is None or found[0].prefix:
         return None
-    bind = binds.get(term.name)
-    if bind is None or bind.prefix or bind.table is None:
-        return None
-    table = bind.table
-    if bind.kind == "scalar":
-        if attrs:
-            return None
-        return (table.name, table.value_column(""))
-    if bind.kind != "record":
-        return None
-    if not attrs:
-        return (table.name, table.oid_column())
-    path = "$".join(reversed(attrs))
-    if path in table.columns:
-        return (table.name, table.value_column(path))
-    if path in table.records:
-        return (table.name, table.oid_column(path))
-    return None
+    return found[0].table.name, found[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -2003,6 +2176,13 @@ def explain_shredded(compiled: Any, database: Database) -> str:
 
     visit(compiled.physical(database), 0)
     return "\n".join(lines)
+
+
+def fused_forms(statements: list[str]) -> tuple[bool, bool]:
+    """Whether one of the flat *statements* holds a pre-aggregated nest,
+    and whether one holds a binding domain."""
+    text = " ".join(statements)
+    return f" AS {_q(_PREAGGREGATE)} " in text, f"({_DOMAIN_SELECT}" in text
 
 
 def shredded_sql(database: Database, source: str) -> list[str]:

@@ -331,25 +331,34 @@ def _build_join(
     return PNestedLoopJoin(context, left, right, residual, right_columns, outer)
 
 
-def _try_group_join(
-    nest: Nest, context: _Context, options: PlannerOptions
-) -> PhysicalOperator | None:
-    """``Γ ∘ =⋈`` as one operator: a nest that groups an outer-join by
-    exactly the join's left columns, reads right columns only in its head
-    and predicate, and drops the outer pad through a right-column null
-    variable folds each left row's matches without the join materialising
-    them."""
+def group_join_shape(nest: Nest) -> OuterJoin | None:
+    """The outer-join under a ``Γ ∘ =⋈`` pair, or None: *nest* groups it by
+    exactly its left columns, reads right columns only in its head and
+    predicate, and drops the outer pad through a right-column null
+    variable.  The one statement of the condition: the group-join here and
+    the SQL lowering's pre-aggregation (:mod:`repro.backends.shred`) both
+    fold the right side per left row on the strength of it."""
     join = nest.child
     if not isinstance(join, OuterJoin):
         return None
-    right_columns = join.right.columns()
-    right_set = set(right_columns)
-    if not (
+    right_set = set(join.right.columns())
+    if (
         set(nest.group_by) == set(join.left.columns())
         and nest.null_vars
         and right_set.issuperset(nest.null_vars)
         and free_vars(nest.head) | free_vars(nest.pred) <= right_set
     ):
+        return join
+    return None
+
+
+def _try_group_join(
+    nest: Nest, context: _Context, options: PlannerOptions
+) -> PhysicalOperator | None:
+    """``Γ ∘ =⋈`` as one operator (:func:`group_join_shape`): each left
+    row's matches are folded without the join materialising them."""
+    join = group_join_shape(nest)
+    if join is None:
         return None
     keys, residual = _join_keys(join, options)
     return PGroupJoin(
@@ -359,7 +368,7 @@ def _try_group_join(
         tuple(k for k, _ in keys),
         tuple(k for _, k in keys),
         residual,
-        right_columns,
+        join.right.columns(),
         nest.monoid,
         nest.head,
         nest.group_by,
@@ -385,7 +394,7 @@ def _outer_reads(term: Term, outer: frozenset[str], found: list[Term]) -> bool:
     return all(_outer_reads(child, outer, found) for child in term.children())
 
 
-def _shared_spine(nest: Nest) -> tuple[list[Operator], tuple[Term, ...]] | None:
+def shared_spine(nest: Nest) -> tuple[list[Operator], tuple[Term, ...]] | None:
     """The spine from *nest*'s child down to the descendant ``L`` whose
     columns *nest* groups by, with the expressions the spine reads of
     ``L`` — or None when the nest does not qualify for sharing.
@@ -397,8 +406,11 @@ def _shared_spine(nest: Nest) -> tuple[list[Operator], tuple[Term, ...]] | None:
     none, behind a selection).  At least one outer-join must lie between —
     a right input never reads ``L``, so there is work that does not depend
     on the row — and everything the spine does read of ``L`` must be a
-    proper expression, never a bare column or a null test of one.
+    proper expression, never a bare column or a null test of one.  Shared
+    with the SQL lowering, which runs the same spine over a binding domain.
     """
+    if not nest.group_by:
+        return None
     outer = frozenset(nest.group_by)
     spine: list[Operator] = []
     terms: list[Term] = [nest.head, nest.pred]
@@ -442,9 +454,9 @@ def _try_shared_nest(
     real ``L`` columns, so no term is rewritten.  Parallel plans keep the
     plain spine: the exchange's partition roots are nests it merges by
     ``accumulate``."""
-    if options.parallel or not nest.group_by:
+    if options.parallel:
         return None
-    found = _shared_spine(nest)
+    found = shared_spine(nest)
     if found is None:
         return None
     (*spine, left), bindings = found

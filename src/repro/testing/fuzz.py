@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.backends.shred import fused_forms, shredded_sql
 from repro.testing.invariants import check_invariants
 from repro.testing.oracle import check_sample
 from repro.testing.qgen import QueryGenConfig, QueryGenerator
@@ -83,6 +84,11 @@ class FuzzReport:
     #: Path-level skips: a backend refused a sample with a typed
     #: BackendUnsupportedError.  Counted (never silent) but not findings.
     path_skips: int = 0
+    #: Samples whose sqlite plan lowers a nest as an aggregate joined to
+    #: its left side / over a binding domain (``shred.fused_forms``): that
+    #: the run reached the two forms at all.
+    preaggregated: int = 0
+    domains: int = 0
     findings: list[Finding] = field(default_factory=list)
 
     @property
@@ -95,6 +101,8 @@ class FuzzReport:
             f"{self.agreed_ok} agreed, "
             f"{self.agreed_error} agreed-on-error, "
             f"{self.path_skips} path skip(s), "
+            f"{self.preaggregated} pre-aggregated, "
+            f"{self.domains} domain(s), "
             f"{len(self.findings)} finding(s)"
         ]
         lines.extend(finding.describe() for finding in self.findings)
@@ -278,6 +286,15 @@ def run_fuzz(config: FuzzConfig, progress: Progress | None = None) -> FuzzReport
         source, params, db = generate_sample(config, iteration)
         verdict = check_sample(source, params, db)
         report.path_skips += len(verdict.skipped)
+        try:
+            preaggregated, domain = fused_forms(shredded_sql(db, source))
+        except Exception:  # noqa: BLE001 - a counter must not end the run
+            # Nothing was lowered: a refused query or store — or a fault in
+            # the lowering, which the oracle above has reported as one.
+            pass
+        else:
+            report.preaggregated += preaggregated
+            report.domains += domain
         if verdict.agreed:
             if verdict.reference.ok:
                 report.agreed_ok += 1

@@ -176,7 +176,11 @@ class TestOracle:
         assert report.ok, report.summary()
         assert report.iterations == 40
         assert report.agreed_ok + report.agreed_error == 40
-
+        # The smoke run must reach both fused SQL forms (qgen's nested
+        # aggregates correlated by `=` and by value), and say so.
+        assert report.preaggregated > 0 and report.domains > 0, report.summary()
+        assert "pre-aggregated, " in report.summary()
+        assert "domain(s), " in report.summary()
 
     def test_fixed_seed_run_reaches_the_error_path(self):
         # qgen's faulting-head shape (~2% of samples) divides by `p - k`;

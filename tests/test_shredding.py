@@ -20,29 +20,53 @@ pattern.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from corpus import CORPUS
+from repro.algebra.operators import (
+    Nest,
+    OuterJoin,
+    Reduce,
+    Scan,
+    Select,
+    operators,
+)
 from repro.backends.shred import (
     PSqlSegment,
     ShreddedStore,
+    SqlSegment,
     _q,
     _Segment,
     compile_segments,
     execute_shredded,
+    fused_forms,
     shredded_sql,
     shredded_store,
 )
+from repro.calculus.terms import BinOp, Const, path, record, var
 from repro.cli import DATABASES
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
-from repro.data.schema import FLOAT, INT, STRING, Schema, set_of
+from repro.data.schema import (
+    BOOL,
+    FLOAT,
+    INT,
+    STRING,
+    Schema,
+    bag_of,
+    record_of,
+    set_of,
+)
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine.physical import _Context
-from repro.errors import BackendUnsupportedError, PlanningError
+from repro.engine.planner import execute as execute_plan
+from repro.errors import BackendUnsupportedError, ExecutionError, PlanningError
 from repro.algebra.evaluator import evaluate_plan as evaluate_reference
 from repro.testing.oracle import PATHS, check_sample, results_equal
+from repro.testing.repro_io import load_repro
 
 
 def _pipeline(db, **options):
@@ -285,6 +309,71 @@ class TestShreddedStore:
             store.connection
 
 
+class TestStoreFiles:
+    """``db_path`` is somebody's file system: what is not a store of ours
+    is refused with the typed error, before anything is written to it."""
+
+    SOURCE = "count( select e from e in Employees )"
+
+    def _run(self, path):
+        options = OptimizerOptions(backend="sqlite", db_path=str(path))
+        return QueryPipeline(DATABASES["company"](), options).run_oql(self.SOURCE)
+
+    def test_a_foreign_sqlite_file_keeps_its_tables(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "precious.db"
+        with sqlite3.connect(path) as theirs:
+            theirs.execute("CREATE TABLE precious (x)")
+            theirs.execute("INSERT INTO precious VALUES (42)")
+        theirs.close()
+        before = path.read_bytes()
+        with pytest.raises(ExecutionError, match="sqlite backend error") as refusal:
+            self._run(path)
+        assert str(path) in str(refusal.value)
+        assert path.read_bytes() == before  # not a pragma, not a journal mode
+        assert [p.name for p in tmp_path.iterdir()] == ["precious.db"]
+        with sqlite3.connect(path) as theirs:
+            assert theirs.execute("SELECT x FROM precious").fetchall() == [(42,)]
+        theirs.close()
+
+    @pytest.mark.parametrize("kind", ["missing_directory", "directory", "text_file"])
+    def test_an_unopenable_path_is_a_typed_refusal(self, kind, tmp_path):
+        path = {
+            "missing_directory": tmp_path / "nowhere" / "shred.db",
+            "directory": tmp_path,
+            "text_file": tmp_path / "notes.txt",
+        }[kind]
+        if kind == "text_file":
+            path.write_text("remember the milk, and more than a page header of it\n" * 4)
+        with pytest.raises(ExecutionError, match="sqlite backend error") as refusal:
+            self._run(path)
+        assert not isinstance(refusal.value, BackendUnsupportedError)
+        assert str(path) in str(refusal.value)
+        assert "unexpected" not in str(refusal.value)
+        if kind == "text_file":
+            assert path.read_text().startswith("remember the milk")
+
+    def test_an_empty_file_and_a_stale_store_still_shred(self, tmp_path):
+        path = tmp_path / "shred.db"
+        path.touch()
+        assert self._run(path) == 60
+        reopened = ShreddedStore(DATABASES["company"](), db_path=str(path))
+        assert reopened.reused
+        reopened.close()
+        # another database's store: a manifest of ours, a stale fingerprint
+        stale = ShreddedStore(DATABASES["travel"](), db_path=str(path))
+        assert not stale.reused and set(stale.tables) == {"Cities", "States"}
+        names = {
+            name
+            for (name,) in stale.connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert "Employees" not in names and "Cities" in names
+        stale.close()
+
+
 # ---------------------------------------------------------------------------
 # Golden SQL: the generated flat queries are stable
 # ---------------------------------------------------------------------------
@@ -340,39 +429,73 @@ GOLDEN_SQL = {
         'GROUP BY "k0$$oid", "k1$$oid") t3) '
         'GROUP BY "k0" ORDER BY MIN("$rn")'
     ],
-    # Paper QUERY E: both outer-joins in one flat query, predicates in ON.
-    # The ON conjunction lowers to plain AND (an ON clause only tests
-    # truth, where the reference's left-biased `and` and Kleene AND agree),
-    # keeping the equality conjuncts transparent to SQLite's planner so
-    # the Transcript probe runs off the lowering-time index.  Both
-    # quantifier Nests (some/all) collapse into chained GROUP BY
-    # subqueries under the collection-valued root fold.
+    # Paper QUERY E takes both fused forms.  The universal nest reads of a
+    # student only `s.id`, so its spine runs over d2 — one row of l1 (the
+    # students, stated once) per distinct id — and `l1 JOIN ... ON ... IS`
+    # hands every student its value.  On that spine the existential nest
+    # is a nest over an outer-join on equalities: Transcript is folded per
+    # (id, cno) *before* the join, and COALESCE restores `some`'s zero
+    # where a (student, course) pair met no group.
     "query_e": [
-        'SELECT t4."k0$$oid" AS c0 '
-        'FROM (SELECT "k0$$oid", "k0$age", "k0$id", "k0$name", '
-        'COALESCE(MIN("$c"), 1) AS "$agg", MIN("$rn") AS "$pos" '
-        'FROM (SELECT t3."k0$$oid" AS "k0$$oid", t3."k0$age" AS "k0$age", '
-        't3."k0$id" AS "k0$id", t3."k0$name" AS "k0$name", '
-        '(CASE WHEN (t3."k1$$oid" IS NOT NULL) THEN t3."$agg" '
-        'ELSE NULL END) AS "$c", '
-        't3."$pos" AS "$rn" '
-        'FROM (SELECT "k0$$oid", "k0$age", "k0$id", "k0$name", "k1$$oid", '
-        '"k1$cno", "k1$title", COALESCE(MAX("$c"), 0) AS "$agg", '
-        'MIN("$rn") AS "$pos" '
-        'FROM (SELECT t0."$oid" AS "k0$$oid", t0."age" AS "k0$age", '
-        't0."id" AS "k0$id", t0."name" AS "k0$name", '
-        't1."$oid" AS "k1$$oid", t1."cno" AS "k1$cno", '
-        't1."title" AS "k1$title", '
-        '(CASE WHEN (t2."$oid" IS NOT NULL) THEN 1 ELSE NULL END) AS "$c", '
-        'ROW_NUMBER() OVER (ORDER BY t0."$pos", t1."$pos", t2."$pos") '
-        'AS "$rn" '
-        'FROM (("Student" t0 LEFT JOIN "Courses" t1 '
-        'ON (t1."title" = \'DB\')) '
-        'LEFT JOIN "Transcript" t2 '
-        'ON ((t2."id" = t0."id") AND (t2."cno" = t1."cno")))) '
-        'GROUP BY "k0$$oid", "k1$$oid") t3) '
-        'GROUP BY "k0$$oid") t4 '
-        'WHERE t4."$agg" ORDER BY t4."$pos"'
+        'WITH l1 AS (SELECT t0."$oid" AS "k0$$oid", t0."age" AS "k0$age", '
+        't0."id" AS "k0$id", t0."name" AS "k0$name", t0."$pos" AS "$pos" FROM '
+        '"Student" t0), d2 AS (SELECT * FROM l1 GROUP BY l1."k0$id") SELECT '
+        't3."k0$$oid" AS c0 FROM (l1 t3 JOIN (SELECT "k0$$oid", "k0$age", '
+        '"k0$id", "k0$name", COALESCE(MIN("$c"), 1) AS "$agg", MIN("$rn") AS '
+        '"$pos" FROM (SELECT t4."k0$$oid" AS "k0$$oid", t4."k0$age" AS '
+        '"k0$age", t4."k0$id" AS "k0$id", t4."k0$name" AS "k0$name", (CASE WHEN '
+        '(t5."$oid" IS NOT NULL) THEN COALESCE(t7."$a", 0) ELSE NULL END) AS '
+        '"$c", t4."$pos" AS "$rn" FROM ((d2 t4 LEFT JOIN "Courses" t5 ON '
+        '(t5."title" = \'DB\')) LEFT JOIN (SELECT t6."id" AS "j0", t6."cno" AS '
+        '"j1", MAX((CASE WHEN (t6."$oid" IS NOT NULL) THEN 1 ELSE NULL END)) AS '
+        '"$a" FROM "Transcript" t6 GROUP BY t6."id", t6."cno") t7 ON '
+        '(t4."k0$id" = t7."j0") AND (t5."cno" = t7."j1"))) GROUP BY "k0$$oid") '
+        't8 ON t8."k0$id" IS t3."k0$id") WHERE t8."$agg" ORDER BY t3."$pos"'
+    ],
+    # HAVING + an aggregate head: two nests over one left side, each an
+    # aggregate of Employees per dno joined to the employee row — no pair
+    # of employees is formed, and the chain stays the left side's (its
+    # $pos order, the HAVING as a plain WHERE over the joined aggregate).
+    "group_having": [
+        'SELECT t0."$oid" AS c0, COALESCE(t2."$a", 0) AS c1, max(0, '
+        'COALESCE(t4."$a", 0)) AS c2 FROM (("Employees" t0 LEFT JOIN (SELECT '
+        't1."dno" AS "j0", SUM((CASE WHEN (t1."$oid" IS NOT NULL) THEN 1 ELSE '
+        'NULL END)) AS "$a" FROM "Employees" t1 GROUP BY t1."dno") t2 ON '
+        '(t0."dno" = t2."j0")) LEFT JOIN (SELECT t3."dno" AS "j0", MAX((CASE '
+        'WHEN (t3."$oid" IS NOT NULL) THEN t3."salary" ELSE NULL END)) AS "$a" '
+        'FROM "Employees" t3 GROUP BY t3."dno") t4 ON (t0."dno" = t4."j0")) '
+        'WHERE (COALESCE(t2."$a", 0) > 2) ORDER BY t0."$pos"'
+    ],
+    # A count correlated by value (`k.name = c.name`) under a quantifier:
+    # neither nest is a nest over an outer-join, so the product form stays
+    # — but over d3, one (item, category) row per distinct category name.
+    "auction_category_counts": [
+        'WITH l2 AS (SELECT t0."$oid" AS "k0$$oid", t0."ino" AS "k0$ino", '
+        't0."reserve" AS "k0$reserve", t0."title" AS "k0$title", t1."$oid" AS '
+        '"k1$$oid", t1."name" AS "k1$name", ROW_NUMBER() OVER (ORDER BY '
+        't0."$pos", t1."$pos") AS "$pos" FROM ("Items" t0 JOIN '
+        '"Items$categories" t1 ON t1."$parent" = t0."$oid")), d3 AS (SELECT * '
+        'FROM l2 GROUP BY l2."k1$name") SELECT t4."k0$$oid" AS c0, t4."k1$$oid" '
+        'AS c1, t9."$agg" AS c2 FROM (l2 t4 JOIN (SELECT "k0$$oid", "k0$ino", '
+        '"k0$reserve", "k0$title", "k1$$oid", "k1$name", COALESCE(SUM("$c"), 0) '
+        'AS "$agg", MIN("$rn") AS "$pos" FROM (SELECT t8."k0$$oid" AS '
+        '"k0$$oid", t8."k0$ino" AS "k0$ino", t8."k0$reserve" AS "k0$reserve", '
+        't8."k0$title" AS "k0$title", t8."k1$$oid" AS "k1$$oid", t8."k1$name" '
+        'AS "k1$name", (CASE WHEN (t8."k2$$oid" IS NOT NULL) AND t8."$agg" THEN '
+        '1 ELSE NULL END) AS "$c", t8."$pos" AS "$rn" FROM (SELECT "k0$$oid", '
+        '"k0$ino", "k0$reserve", "k0$title", "k1$$oid", "k1$name", "k2$$oid", '
+        '"k2$ino", "k2$reserve", "k2$title", COALESCE(MAX("$c"), 0) AS "$agg", '
+        'MIN("$rn") AS "$pos" FROM (SELECT t5."k0$$oid" AS "k0$$oid", '
+        't5."k0$ino" AS "k0$ino", t5."k0$reserve" AS "k0$reserve", '
+        't5."k0$title" AS "k0$title", t5."k1$$oid" AS "k1$$oid", t5."k1$name" '
+        'AS "k1$name", t6."$oid" AS "k2$$oid", t6."ino" AS "k2$ino", '
+        't6."reserve" AS "k2$reserve", t6."title" AS "k2$title", (CASE WHEN '
+        '(t7."$oid" IS NOT NULL) THEN 1 ELSE NULL END) AS "$c", ROW_NUMBER() '
+        'OVER (ORDER BY t5."$pos", t6."$pos", t7."$pos") AS "$rn" FROM ((d3 t5 '
+        'LEFT JOIN "Items" t6 ON 1) LEFT JOIN "Items$categories" t7 ON '
+        't7."$parent" = t6."$oid" AND (t7."name" = t5."k1$name"))) GROUP BY '
+        '"k0$$oid", "k1$$oid", "k2$$oid") t8) GROUP BY "k0$$oid", "k1$$oid") t9 '
+        'ON t9."k1$name" IS t4."k1$name") ORDER BY t4."$pos"'
     ],
     # A flat selection compiles the predicate into WHERE; the projected
     # head is pushed into the SELECT list (no object rehydration needed).
@@ -462,6 +585,389 @@ class TestThreeValuedLogicParity:
             "select distinct t.k, count(t.v) as n from Ts t group by t.k",
         )
         assert results_equal(memory, shredded)
+
+
+# ---------------------------------------------------------------------------
+# Fused nests: an aggregate joined to its left side, a binding domain
+# ---------------------------------------------------------------------------
+
+
+def _fusion_db():
+    """Ts: the left rows — two share k = 1, one has no key, f holds the int
+    1 and the float 1.0 (a ``num`` column), xs is a bag of scalars one of
+    which holds 1 twice.  Us: the right rows — an int and a float key 1, a
+    NULL key, no row for k = 3, only NULL contributions for k = 4, only
+    negative ones for k = 5.  Ps: two rows share their boss, one bag holds
+    one object twice."""
+    schema = Schema()
+    schema.define_class("T", id=INT, k=INT, f=FLOAT, s=STRING, xs=bag_of(INT))
+    schema.define_class("U", k=INT, v=INT, b=BOOL, w=INT, s=STRING)
+    schema.define_class("W", a=INT)
+    schema.define_class(
+        "P", id=INT, boss=record_of(n=STRING), cs=bag_of(record_of(m=INT))
+    )
+    for extent, cls in (("Ts", "T"), ("Us", "U"), ("Ws", "W"), ("Ps", "P")):
+        schema.define_extent(extent, cls)
+    db = Database(schema)
+    db.add_extent(
+        "Ts",
+        [
+            Record(id=1, k=1, f=1, s="a", xs=BagValue([1, 1, 2])),
+            Record(id=2, k=1, f=1.0, s="a", xs=BagValue([5])),
+            Record(id=3, k=2, f=2.5, s="b", xs=BagValue([])),
+            Record(id=4, k=NULL, f=NULL, s=NULL, xs=BagValue([7])),
+            Record(id=5, k=3, f=3.5, s="c", xs=BagValue([10, 7])),
+            Record(id=6, k=4, f=4.5, s="d", xs=BagValue([])),
+            Record(id=7, k=5, f=5.5, s="e", xs=BagValue([-3])),
+        ],
+    )
+    db.add_extent(
+        "Us",
+        [
+            Record(k=1, v=10, b=True, w=1, s="a"),
+            Record(k=1.0, v=5, b=False, w=0, s="a"),
+            Record(k=2, v=7, b=True, w=1, s="b"),
+            Record(k=NULL, v=99, b=True, w=1, s=NULL),
+            Record(k=4, v=NULL, b=NULL, w=1, s="d"),
+            Record(k=5, v=-3, b=False, w=1, s="e"),
+            Record(k=5, v=-8, b=False, w=0, s="e"),
+        ],
+    )
+    db.add_extent("Ws", [Record(a=10), Record(a=5)])
+    # (explicit OIDs throughout: one object is stored twice in a bag, one is
+    # shared by two rows, and the allocator only steps past what it has seen)
+    twice, two, five = (Record(m=m).with_oid(9000 + m) for m in (1, 2, 5))
+    ann, bob = Record(n="ann").with_oid(9010), Record(n="bob").with_oid(9011)
+    db.add_extent(
+        "Ps",
+        [
+            Record(id=1, boss=ann, cs=BagValue([twice, twice, two])).with_oid(9021),
+            Record(id=2, boss=ann, cs=BagValue([])).with_oid(9022),
+            Record(id=3, boss=bob, cs=BagValue([five])).with_oid(9023),
+            Record(id=4, boss=NULL, cs=BagValue([])).with_oid(9024),
+        ],
+    )
+    return db
+
+
+_AGGREGATES = {
+    "sum": "sum( select u.v from u in Us where {cond} )",
+    "max": "max( select u.v from u in Us where {cond} )",
+    "avg": "avg( select u.v from u in Us where {cond} )",
+    "count": "count( select u from u in Us where {cond} )",
+    "all": "for all u in ( select u from u in Us where {cond} ): u.b",
+    "some": "exists u in Us: ({cond}) and u.b",
+}
+#: How the right side is reached: (join condition, optimizer options) —
+#: without the algebraic phase `u.w > 0` stays a conjunct of the join.
+_CONDITIONS = {
+    "int_key": ("u.k = t.k", {}),
+    "string_key": ("u.s = t.s", {}),
+    "filtered_right": ("u.k = t.k and u.w > 0", {}),
+    "right_residual": ("u.k = t.k and u.w > 0", {"algebraic": False}),
+}
+_PER_T = "select struct( I: t.id, {fields} ) from t in Ts"
+_PREAGGREGATED, _DOMAIN, _BOTH, _AS_BEFORE = (
+    (True, False), (False, True), (True, True), (False, False)
+)
+#: name -> (OQL, optimizer options, (pre-aggregated, domain) expected of
+#: the statement).  The data carries the other cases: a NULL key on either
+#: side, an int key meeting a float one, a key without right rows, a key
+#: whose contributions are all NULL, a negative max, an avg over nothing.
+FUSED = {
+    f"{aggregate}-{shape}": (
+        _PER_T.format(fields="A: " + template.format(cond=cond)),
+        options,
+        _PREAGGREGATED,
+    )
+    for aggregate, template in _AGGREGATES.items()
+    for shape, (cond, options) in _CONDITIONS.items()
+}
+FUSED.update(
+    {
+        # group_having's shape: two nests stacked on one left side
+        "stacked": (
+            _PER_T.format(
+                fields="A: max( select u.v from u in Us where u.k = t.k ), "
+                "B: count( select u from u in Us where u.s = t.s )"
+            ),
+            {},
+            _PREAGGREGATED,
+        ),
+        "select_between": (
+            _PER_T.format(fields="A: avg( select u.v from u in Us where u.k = t.k )")
+            + " where count( select u from u in Us where u.k = t.k ) > 1",
+            {},
+            _PREAGGREGATED,
+        ),
+        "keyless": (
+            "select t.id from t in Ts "
+            "where t.k < max( select u.v from u in Us where u.w > 0 )",
+            {},
+            _PREAGGREGATED,
+        ),
+        # -- shapes that must not take the form
+        "not-min": (
+            _PER_T.format(fields="A: min( select u.v from u in Us where u.k = t.k )"),
+            {},
+            _AS_BEFORE,
+        ),
+        "not-bag_head": (
+            _PER_T.format(fields="A: ( select u.v from u in Us where u.k = t.k )"),
+            {},
+            _AS_BEFORE,
+        ),
+        # (the residual reads both sides: no pre-aggregate — a domain)
+        "not-two_sided_residual": (
+            _PER_T.format(
+                fields="A: sum( select u.v from u in Us "
+                "where u.k = t.k and u.v > t.id )"
+            ),
+            {},
+            _DOMAIN,
+        ),
+        "not-bag_of_scalars": (
+            "select struct( X: x, N: count( select u from u in Us where u.k = x ) ) "
+            "from t in Ts, x in t.xs",
+            {},
+            _AS_BEFORE,
+        ),
+        "not-repeated_object": (
+            "select struct( M: c.m, N: sum( select u.v from u in Us "
+            "where u.k = c.m ) ) from p in Ps, c in p.cs",
+            {},
+            _AS_BEFORE,
+        ),
+        # -- binding domains: rows 1 and 2 share k = 1, row 4 binds NULL
+        "domain-shared_and_null": (
+            _PER_T.format(fields="N: count( select u from u in Us where u.v > t.k )"),
+            {},
+            _DOMAIN,
+        ),
+        "domain-distinct": (
+            _PER_T.format(fields="N: count( select u from u in Us where u.v > t.id )"),
+            {},
+            _DOMAIN,
+        ),
+        "domain-string": (
+            _PER_T.format(fields="N: count( select u from u in Us where u.s < t.s )"),
+            {},
+            _DOMAIN,
+        ),
+        # f holds 1 and 1.0: shared, both rows would sum to one type
+        "domain-not-num": (
+            _PER_T.format(fields="N: sum( select t.f from u in Us where u.v > t.f )"),
+            {},
+            _AS_BEFORE,
+        ),
+        "domain-record": (
+            "select struct( I: p.id, N: count( select q from q in Ps "
+            "where q.boss != p.boss ) ) from p in Ps",
+            {},
+            _DOMAIN,
+        ),
+        "domain-not-collection": (
+            _PER_T.format(fields="N: count( select u from u in Us where u.v in t.xs )"),
+            {},
+            _AS_BEFORE,
+        ),
+        "domain-not-computed": (
+            _PER_T.format(
+                fields="N: count( select u from u in Us where u.v > t.k + 1 )"
+            ),
+            {},
+            _AS_BEFORE,
+        ),
+        # nothing binds the spine to t: lowered as it stands
+        "domain-not-unbound": (
+            _PER_T.format(
+                fields="N: count( select u from u in Us "
+                "where exists w in Ws: w.a > u.v + 1 )"
+            ),
+            {},
+            _AS_BEFORE,
+        ),
+        "domain-not-bag_of_scalars": (
+            "select struct( X: x, N: count( select u from u in Us where u.v > x ) ) "
+            "from t in Ts, x in t.xs",
+            {},
+            _AS_BEFORE,
+        ),
+        # both nests have t for their leaf: the inner one runs over the
+        # outer one's domain, it does not open its own
+        "domain-leaf_of_two_nests": (
+            "select t.id from t in Ts where exists w in Ws: "
+            "(w.a > 5 and exists u in Us: u.v > t.k)",
+            {},
+            _DOMAIN,
+        ),
+        "preagg_in_domain": (
+            "select t.id from t in Ts where for all w in Ws: "
+            "exists u in Us: (u.k = t.k and u.v = w.a)",
+            {},
+            _BOTH,
+        ),
+        "domain_in_preagg": (
+            _PER_T.format(
+                fields="A: count( select u from u in Us where u.v > t.k ), "
+                "B: sum( select u.v from u in Us where u.k = t.k )"
+            ),
+            {},
+            _BOTH,
+        ),
+    }
+)
+#: What the parent commit's statement returned for each, `fetchall()` on
+#: this data (c0 is t's or p's ``$oid``): the rows and their order are the
+#: contract, whichever form states them.
+PARENT_ROWS = {
+    'sum-int_key': [(0, 15), (1, 15), (2, 7), (3, 0), (4, 0), (5, 0), (6, -11)],
+    'sum-string_key': [(0, 15), (1, 15), (2, 7), (3, 0), (4, 0), (5, 0), (6, -11)],
+    'sum-filtered_right': [(0, 10), (1, 10), (2, 7), (3, 0), (4, 0), (5, 0), (6, -3)],
+    'sum-right_residual': [(0, 10), (1, 10), (2, 7), (3, 0), (4, 0), (5, 0), (6, -3)],
+    'max-int_key': [(0, 10), (1, 10), (2, 7), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'max-string_key': [(0, 10), (1, 10), (2, 7), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'max-filtered_right': [(0, 10), (1, 10), (2, 7), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'max-right_residual': [(0, 10), (1, 10), (2, 7), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'avg-int_key': [
+        (0, 7.5), (1, 7.5), (2, 7.0), (3, None), (4, None), (5, None), (6, -5.5),
+    ],
+    'avg-string_key': [
+        (0, 7.5), (1, 7.5), (2, 7.0), (3, None), (4, None), (5, None), (6, -5.5),
+    ],
+    'avg-filtered_right': [
+        (0, 10.0), (1, 10.0), (2, 7.0), (3, None), (4, None), (5, None), (6,
+        -3.0),
+    ],
+    'avg-right_residual': [
+        (0, 10.0), (1, 10.0), (2, 7.0), (3, None), (4, None), (5, None), (6,
+        -3.0),
+    ],
+    'count-int_key': [(0, 2), (1, 2), (2, 1), (3, 0), (4, 0), (5, 1), (6, 2)],
+    'count-string_key': [(0, 2), (1, 2), (2, 1), (3, 0), (4, 0), (5, 1), (6, 2)],
+    'count-filtered_right': [(0, 1), (1, 1), (2, 1), (3, 0), (4, 0), (5, 1), (6, 1)],
+    'count-right_residual': [(0, 1), (1, 1), (2, 1), (3, 0), (4, 0), (5, 1), (6, 1)],
+    'all-int_key': [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 0)],
+    'all-string_key': [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 0)],
+    'all-filtered_right': [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 0)],
+    'all-right_residual': [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 0)],
+    'some-int_key': [(0, 1), (1, 1), (2, 1), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'some-string_key': [(0, 1), (1, 1), (2, 1), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'some-filtered_right': [(0, 1), (1, 1), (2, 1), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'some-right_residual': [(0, 1), (1, 1), (2, 1), (3, 0), (4, 0), (5, 0), (6, 0)],
+    'stacked': [
+        (0, 10, 2), (1, 10, 2), (2, 7, 1), (3, 0, 0), (4, 0, 0), (5, 0, 1), (6,
+        0, 2),
+    ],
+    'select_between': [(0, 2, 7.5), (1, 2, 7.5), (6, 2, -5.5)],
+    'keyless': [(1,), (2,), (3,), (5,), (6,), (7,)],
+    'not-min': [(0, 5), (1, 5), (2, 7), (3, None), (4, None), (5, None), (6, -8)],
+    'not-bag_head': [
+        (0, 1, 10, 1), (0, 1, 5, 2), (1, 1, 10, 3), (1, 1, 5, 4), (2, 1, 7, 5),
+        (3, 0, None, 6), (4, 0, None, 7), (5, 1, None, 8), (6, 1, -3, 9), (6, 1,
+        -8, 10),
+    ],
+    'not-two_sided_residual': [
+        (0, 15), (1, 15), (2, 7), (3, 0), (4, 0), (5, 0), (6, 0),
+    ],
+    'not-bag_of_scalars': [
+        (0, 1, 4), (0, 2, 1), (1, 5, 2), (3, 7, 0), (4, 10, 0), (4, 7, 0), (6,
+        -3, 0),
+    ],
+    'not-repeated_object': [(9021, 9001, 30), (9021, 9002, 7), (9023, 9005, -11)],
+    'domain-shared_and_null': [(0, 4), (1, 4), (2, 4), (3, 0), (4, 4), (5, 4), (6, 3)],
+    'domain-distinct': [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (6, 2)],
+    'domain-string': [(0, 0), (1, 0), (2, 2), (3, 0), (4, 3), (5, 3), (6, 4)],
+    'domain-not-num': [
+        (0, 4), (1, 4.0), (2, 10.0), (3, 0), (4, 14.0), (5, 18.0), (6, 16.5),
+    ],
+    'domain-record': [(9021, 1), (9022, 1), (9023, 2), (9024, 0)],
+    'domain-not-collection': [(0, 0), (1, 1), (2, 0), (3, 1), (4, 2), (5, 0), (6, 1)],
+    'domain-not-computed': [(0, 4), (1, 4), (2, 4), (3, 0), (4, 4), (5, 3), (6, 3)],
+    'domain-not-unbound': [(0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 4)],
+    'domain-not-bag_of_scalars': [
+        (0, 1, 8), (0, 2, 4), (1, 5, 3), (3, 7, 2), (4, 10, 1), (4, 7, 2), (6,
+        -3, 4),
+    ],
+    'domain-leaf_of_two_nests': [(1,), (2,), (3,), (5,), (6,), (7,)],
+    'preagg_in_domain': [(1,), (2,)],
+    'domain_in_preagg': [
+        (0, 4, 15), (1, 4, 15), (2, 4, 7), (3, 0, 0), (4, 4, 0), (5, 4, 0), (6,
+        3, -11),
+    ],
+}
+
+
+def _statements(db, source, **options):
+    """The flat statements of *source* and the store they run on."""
+    pipeline = _pipeline(db, backend="sqlite", **options)
+    lowered, store = pipeline.compile_oql(source).target(db)
+    return [
+        node.segment.sql for node in operators(lowered) if isinstance(node, SqlSegment)
+    ], store
+
+
+class TestFusedNests:
+    def test_every_case_has_its_rows(self):
+        assert set(FUSED) == set(PARENT_ROWS)
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_same_rows_same_answer(self, name):
+        source, options, forms = FUSED[name]
+        db = _fusion_db()
+        (statement,), store = _statements(db, source, **options)
+        assert fused_forms([statement]) == forms
+        assert store.connection.execute(statement).fetchall() == PARENT_ROWS[name]
+        memory = _pipeline(db, **options).run_oql(source)
+        shredded = _pipeline(db, backend="sqlite", **options).run_oql(source)
+        assert repr(shredded) == repr(memory)
+
+    def test_what_may_repeat_is_learned_from_the_data(self):
+        tables = ShreddedStore(_fusion_db()).tables
+        assert tables["Ts"].children["xs"].repeats  # {{1, 1, 2}}
+        assert tables["Ps"].children["cs"].repeats  # one $oid twice
+        assert not any(tables[name].repeats for name in tables)
+        travel = ShreddedStore(DATABASES["travel"]())
+        assert not any(table.repeats for table in travel._all_tables())
+
+    def test_bag_of_scalars_answers_as_memory_does_and_as_it_did(self):
+        # tests/fuzz_repros/bag_duplicate_scalars_known_divergence.json: the
+        # calculus says <N=2, X=1> twice; every unnested path merges the two
+        # occurrences.  Wrong, but the *same* wrong on both backends.
+        source, _, db = load_repro(
+            Path(__file__).parent
+            / "fuzz_repros/bag_duplicate_scalars_known_divergence.json"
+        )
+        memory, shredded = run_both(db, source)
+        assert repr(shredded) == repr(memory) == "{{<N=0, X=2>, <N=4, X=1>}}"
+        naive = _pipeline(db, unnest=False).run_oql(source)
+        assert repr(naive) == "{{<N=0, X=2>, <N=2, X=1>, <N=2, X=1>}}"
+
+    def test_a_selection_on_the_spine_drops_the_rows_of_its_bindings(self):
+        # Per t, the u above t.k that some w lies above; a (t, u) pair no w
+        # lies above is dropped by a selection *on the spine*, so a t whose
+        # every pair goes (row 4 binds NULL: its one pad) is no group at
+        # all — and neither are the rows that share its binding.
+        db = _fusion_db()
+        pairs = OuterJoin(
+            Scan("Ts", "t"), Scan("Us", "u"), BinOp(">", path("u", "v"), path("t", "k"))
+        )
+        reached = Nest(
+            OuterJoin(pairs, Scan("Ws", "w"), BinOp(">", path("w", "a"), path("u", "v"))),
+            "sum", Const(1), ("t", "u"), ("w",), "m",
+        )  # fmt: skip
+        kept = Select(reached, BinOp(">", var("m"), Const(0)))
+        top = Nest(kept, "sum", Const(1), ("t",), ("u",), "n")
+        plan = Reduce(top, "bag", record(I=path("t", "id"), N=var("n")))
+        store = shredded_store(db)
+        lowered = compile_segments(plan, store)
+        (segment,) = [n for n in operators(lowered) if isinstance(n, SqlSegment)]
+        assert fused_forms([segment.segment.sql]) == _DOMAIN
+        rows = store.connection.execute(segment.segment.sql).fetchall()
+        assert rows == [(0, 2), (1, 2), (2, 2), (4, 2), (5, 2), (6, 1)]  # the parent's
+        expected = evaluate_reference(plan, db)
+        assert repr(execute_plan(lowered, store)) == repr(expected)
+        assert repr(execute_plan(plan, db)) == repr(expected)
 
 
 class TestIdentityParity:
