@@ -33,6 +33,8 @@ expression is parsed, so a colon *starting* an expression is unambiguous.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.oql.ast import (
     Aggregate,
     BinaryOp,
@@ -58,6 +60,18 @@ from repro.oql.lexer import OQLSyntaxError, Token, tokenize
 
 _AGGREGATES = frozenset({"count", "sum", "avg", "max", "min"})
 _COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
+
+#: How deep a query may nest; deeper is an OQLSyntaxError at the token that
+#: crosses it.  It bounds the parser's own nesting (parentheses, nested
+#: clauses, ``not``, unary ``-``) and the tree's depth (``not``, unary ``-``
+#: and each operator of a chain: ``a + b``, ``p and q``, ``x.a``, ``union``).
+#: Later stages recurse over the tree; SQLite's parser takes about 30 levels
+#: of ``- - x``, i.e. ``(0 - (0 - x))``, three of its 100 stack entries each.
+MAX_NESTING = 30
+
+
+def _path(_dot: str, base: Node, attr: str) -> Path:  # ``base.attr`` for _chain
+    return Path(base, attr)
 
 
 def parse(source: str) -> Node:
@@ -87,6 +101,8 @@ class _Parser:
         self._source = source
         self._tokens = tokenize(source)
         self._index = 0
+        # The parser's nesting, the tree level parsed, the deepest reached.
+        self._depth, self._level, self._peak = -1, 0, 0
 
     # -- token plumbing --------------------------------------------------------
 
@@ -147,14 +163,41 @@ class _Parser:
             f"{message}, found {found!r}", self._source, token.position
         )
 
+    # -- nesting (see MAX_NESTING) ---------------------------------------------
+
+    def _reach(self, level: int, token: Token) -> None:
+        if level > MAX_NESTING or self._depth > MAX_NESTING:
+            message = f"expression nested deeper than {MAX_NESTING} levels"
+            raise OQLSyntaxError(message, self._source, token.position)
+        self._peak = max(self._peak, level)
+
+    def _descend(self, token: Token, parse: Callable[[], Node], step: int = 1) -> Node:
+        """*parse* (at *token*) a parser level and *step* tree levels down."""
+        self._depth, self._level = self._depth + 1, self._level + step
+        outer, self._peak = self._peak, self._level
+        self._reach(self._level, token)
+        node = parse()
+        self._depth, self._level = self._depth - 1, self._level - step
+        self._peak = max(outer, self._peak)
+        return node
+
+    def _chain(self, node: Node, operand: Callable, ops: tuple, build=BinaryOp) -> Node:
+        """``node {op operand}`` as a left-deep tree: each operator puts the
+        tree so far one level further down than the deeper of it and the
+        operand, which is measured on its own."""
+        tokens = self._tokens  # the last is "eof", which _advance never passes
+        while (token := tokens[self._index]).value in ops and token.kind != "string":
+            self._advance()
+            outer, self._peak = self._peak, self._level
+            node = build(token.value, node, operand())
+            self._reach(max(outer, self._peak) + 1, token)
+        return node
+
     # -- grammar ---------------------------------------------------------------
 
     def parse_query(self) -> Node:
-        node = self._parse_query_operand()
-        while self._at_keyword("union", "except", "intersect"):
-            op = self._advance().value
-            node = SetOp(op, node, self._parse_query_operand())
-        return node
+        operand, ops = self._parse_query_operand, ("union", "except", "intersect")
+        return self._chain(operand(), operand, ops, SetOp)
 
     def _parse_query_operand(self) -> Node:
         if self._at_keyword("select"):
@@ -234,20 +277,17 @@ class _Parser:
         return FromClause(var, domain)
 
     def _parse_or(self) -> Node:
-        node = self._parse_and()
-        while self._accept_keyword("or"):
-            node = BinaryOp("or", node, self._parse_and())
-        return node
+        return self._descend(self._tokens[self._index], self._or_chain, step=0)
+
+    def _or_chain(self) -> Node:
+        return self._chain(self._parse_and(), self._parse_and, ("or",))
 
     def _parse_and(self) -> Node:
-        node = self._parse_not()
-        while self._accept_keyword("and"):
-            node = BinaryOp("and", node, self._parse_not())
-        return node
+        return self._chain(self._parse_not(), self._parse_not, ("and",))
 
     def _parse_not(self) -> Node:
-        if self._accept_keyword("not"):
-            return UnaryOp("not", self._parse_not())
+        if self._at_keyword("not"):
+            return UnaryOp("not", self._descend(self._advance(), self._parse_not))
         if self._at_keyword("exists"):
             return self._parse_exists()
         if self._at_keyword("for"):
@@ -291,29 +331,20 @@ class _Parser:
         return node
 
     def _parse_additive(self) -> Node:
-        node = self._parse_multiplicative()
-        while self._at_symbol("+", "-"):
-            op = self._advance().value
-            node = BinaryOp(op, node, self._parse_multiplicative())
-        return node
+        return self._chain(
+            self._parse_multiplicative(), self._parse_multiplicative, ("+", "-")
+        )
 
     def _parse_multiplicative(self) -> Node:
-        node = self._parse_unary()
-        while self._at_symbol("*", "/", "%"):
-            op = self._advance().value
-            node = BinaryOp(op, node, self._parse_unary())
-        return node
+        return self._chain(self._parse_unary(), self._parse_unary, ("*", "/", "%"))
 
     def _parse_unary(self) -> Node:
-        if self._accept_symbol("-"):
-            return UnaryOp("-", self._parse_unary())
+        if self._at_symbol("-"):
+            return UnaryOp("-", self._descend(self._advance(), self._parse_unary))
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Node:
-        node = self._parse_primary()
-        while self._accept_symbol("."):
-            node = Path(node, self._expect_ident())
-        return node
+        return self._chain(self._parse_primary(), self._expect_ident, (".",), _path)
 
     def _parse_primary(self) -> Node:
         token = self._peek()

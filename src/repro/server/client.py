@@ -42,6 +42,10 @@ class ServerReply(dict):
         return decode_result(self["result"])
 
 
+def _not_json(token: str) -> None:
+    raise ValueError(f"reply is not strict JSON: it holds a bare {token}")
+
+
 class ServeClient:
     """One NDJSON protocol connection (see the module docstring)."""
 
@@ -94,7 +98,7 @@ class ServeClient:
                 line = self._file.readline()
                 if not line:
                     raise ConnectionError("server closed the connection")
-                reply = ServerReply(json.loads(line))
+                reply = ServerReply(json.loads(line, parse_constant=_not_json))
             finally:
                 self._recv_lock.release()
             if reply.get("id") == request_id:

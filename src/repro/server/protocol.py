@@ -29,9 +29,11 @@ Operations
 Results are encoded with the same tagged-JSON value scheme the fuzzer's
 repro artifacts use (:mod:`repro.data.codec`): records become
 ``{"$record": {...}, "$oid": n}``, sets/bags/lists become
-``{"$set"|"$bag"|"$list": [...]}``, NULL becomes ``{"$null": true}`` —
-so a client can reconstruct engine values exactly, and the tests can
-cross-check server responses against in-process execution value-for-value.
+``{"$set"|"$bag"|"$list": [...]}``, NULL becomes ``{"$null": true}``, a
+non-finite float ``{"$float": "inf"|"-inf"|"nan"}`` (replies are strict
+RFC 8259 JSON) — so a client can reconstruct engine values exactly, and the
+tests can cross-check server responses against in-process execution
+value-for-value.
 
 Error codes
 -----------
@@ -85,6 +87,7 @@ __all__ = [
     "decode_line",
     "decode_result",
     "encode_message",
+    "encode_reply",
     "encode_result",
     "error_payload",
     "http_status_for",
@@ -104,6 +107,13 @@ class ProtocolError(Exception):
 def encode_message(message: dict[str, Any]) -> bytes:
     """One protocol message as an NDJSON line (UTF-8, ``\\n``-terminated)."""
     return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def encode_reply(head: dict[str, Any], result: str, tail: dict[str, Any]) -> bytes:
+    """``{**head, "result": ..., **tail}`` as :func:`encode_message` writes it
+    (no newline), *result* being the result's JSON text, spliced in as is."""
+    left, right = (json.dumps(part, separators=(",", ":")) for part in (head, tail))
+    return f'{left[:-1]},"result":{result},{right[1:]}'.encode("utf-8")
 
 
 def decode_line(line: bytes) -> dict[str, Any]:

@@ -56,6 +56,7 @@ from repro.server.protocol import (
     decode_line,
     decode_result,
     encode_message,
+    encode_reply,
     encode_result,
     error_payload,
     http_status_for,
@@ -276,12 +277,13 @@ class ReproServer:
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
 
-        async def respond(message: dict[str, Any]) -> None:
+        async def respond(reply: dict[str, Any] | bytes) -> None:
+            line = reply if isinstance(reply, bytes) else encode_message(reply)
             async with write_lock:
                 if writer.is_closing():
                     return
                 try:
-                    writer.write(encode_message(message))
+                    writer.write(line)
                     await writer.drain()
                 except (ConnectionError, OSError):
                     pass
@@ -371,7 +373,13 @@ class ReproServer:
             nbytes=payload.get("bytes", 0),
             from_cache=payload.pop("_from_cache", None),
         )
-        await respond({"id": request_id, "ok": True, **payload})
+        head = {"id": request_id, "ok": True}
+        result = payload.pop("result", None)  # JSON text, from a query
+        await respond(
+            {**head, **payload}
+            if result is None
+            else encode_reply(head, result, payload) + b"\n"
+        )
         if op == "close":
             session.closed = True
 
@@ -521,15 +529,16 @@ class ReproServer:
             self.config.database, values, cancel_token=token
         )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        encoded = encode_result(result)
+        # The result's JSON text, made once: ``bytes`` is its length (it is
+        # ASCII), and the reply splices it in (``encode_reply``).
+        text = json.dumps(encode_result(result), separators=(",", ":"), allow_nan=False)
         # What the tenant is billed and the metrics aggregate: a collection's
         # elements; a record, string or number is one row (not its len()).
         rows = len(result) if isinstance(result, CollectionValue) else 1
-        nbytes = len(json.dumps(encoded, separators=(",", ":")))
         return {
-            "result": encoded,
+            "result": text,
             "rows": rows,
-            "bytes": nbytes,
+            "bytes": len(text),
             "elapsed_ms": round(elapsed_ms, 3),
             "_from_cache": from_cache,
         }
@@ -545,7 +554,12 @@ class ReproServer:
         """One-shot HTTP/1.1: ``POST /query`` and ``GET /stats``."""
         start = time.perf_counter()
         status, payload = await self._http_response(request_line, reader)
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        result = payload.pop("result", None)
+        body = (
+            json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            if result is None
+            else encode_reply({"ok": payload.pop("ok")}, result, payload)
+        )
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed", 422: "Unprocessable Entity",
                   429: "Too Many Requests", 499: "Client Closed Request",

@@ -102,7 +102,7 @@ class Session:
         ``OptimizerOptions`` states each field's domain; what is checked
         here is the server's own: which names a client may set, how many
         workers it may ask for, and that it may not set a deadline that has
-        already passed.
+        already passed, nor an infinite one (a reply could not spell it).
         """
         if not isinstance(updates, dict) or not updates:
             raise ProtocolError("'set' expects a non-empty 'options' object")
@@ -121,9 +121,9 @@ class Session:
                 f"'num_workers' must be at most {MAX_SESSION_WORKERS} "
                 f"(0 = auto), got {options.num_workers!r}"
             )
-        if "timeout" in updates and options.timeout == 0:
+        if "timeout" in updates and options.timeout in (0, float("inf")):
             raise ProtocolError(
-                f"'timeout' must be null or a number > 0, got {options.timeout!r}"
+                f"'timeout' must be null or finite and > 0, got {options.timeout!r}"
             )
         self.pipeline.options = options
         return dict(updates)

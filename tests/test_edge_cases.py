@@ -11,6 +11,8 @@ from repro.data.database import Database
 from repro.data.datagen import company_database, university_database
 from repro.data.schema import FLOAT, INT, STRING, Schema
 from repro.data.values import Record, SetValue, is_null
+from repro.oql.lexer import OQLSyntaxError
+from repro.oql.parser import MAX_NESTING, parse
 
 
 def _empty_company() -> Database:
@@ -197,3 +199,135 @@ class TestCompositions:
         enrolled = optimizer.run_oql("select distinct e from e in Enrolled")
         expected = SetValue(set(young.elements()) & set(enrolled.elements()))
         assert both == expected
+
+
+# ---------------------------------------------------------------------------
+# the nesting limit
+# ---------------------------------------------------------------------------
+
+#: shape -> (query at nesting n, the same query without the nesting).  Each
+#: reads the data, so both backends do real work at the deepest level.
+NESTING_SHAPES = {
+    "parentheses": (
+        lambda n: "select distinct " + "(" * n + "e.age" + ")" * n
+        + " from e in Employees",
+        lambda n: "select distinct e.age from e in Employees",
+    ),
+    "plus": (
+        lambda n: "select distinct e.age" + " + 1" * n + " from e in Employees",
+        lambda n: f"select distinct e.age + {n} from e in Employees",
+    ),
+    "and": (
+        lambda n: "select distinct e.name from e in Employees where e.age > 40"
+        + " and e.age > 40" * n,
+        lambda n: "select distinct e.name from e in Employees where e.age > 40",
+    ),
+    "not": (
+        lambda n: "select distinct e.name from e in Employees where "
+        + "not " * n + "e.age > 40",
+        lambda n: "select distinct e.name from e in Employees where "
+        + "not " * (n % 2) + "e.age > 40",
+    ),
+    "minus": (
+        lambda n: "select distinct " + "- " * n + "e.age from e in Employees",
+        lambda n: "select distinct " + "- " * (n % 2) + "e.age from e in Employees",
+    ),
+}
+
+#: Inputs that used to fail with a RecursionError somewhere in the
+#: pipeline, caught and reported as "unexpected RecursionError in <stage>".
+TOO_DEEP = {
+    "100 parentheses": "(" * 100 + "1" + ")" * 100,
+    "500 chained +": "+".join(["1"] * 501),
+    "500 chained and": " and ".join(["true"] * 501),
+    "500 not": "not " * 500 + "true",
+    "500 unary -": "- " * 500 + "1",
+}
+
+
+#: A parenthesised chain of ``_INNER_OPS`` '+', and the most '+' a chain
+#: over it may add.
+_INNER_OPS = MAX_NESTING // 2
+_INNER = "(1" + " + 1" * _INNER_OPS + ")"
+_OUTER_OPS = MAX_NESTING - _INNER_OPS
+
+
+def deepest_accepted(shape: str) -> int:
+    """The largest nesting of *shape* the parser accepts."""
+    deep = NESTING_SHAPES[shape][0]
+    for n in range(MAX_NESTING, 0, -1):
+        try:
+            parse(deep(n))
+        except OQLSyntaxError:
+            continue
+        return n
+    raise AssertionError(f"no {shape} query parses")
+
+
+class TestNestingLimit:
+    @pytest.fixture(scope="class")
+    def db(self):
+        return company_database(40, 5, seed=31)
+
+    @pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+    def test_too_deep_is_a_syntax_error(self, source):
+        message = f"nested deeper than {MAX_NESTING} levels"
+        with pytest.raises(OQLSyntaxError, match=message):
+            Optimizer(company_database(5, 2, seed=1)).run_oql(source)
+
+    def test_the_limit_is_the_constant_for_every_bare_shape(self):
+        bare = {
+            "parentheses": lambda n: "(" * n + "1" + ")" * n,
+            "plus": lambda n: "1" + " + 1" * n,
+            "and": lambda n: "true" + " and true" * n,
+            "or": lambda n: "true" + " or true" * n,
+            "times": lambda n: "1" + " * 1" * n,
+            "not": lambda n: "not " * n + "true",
+            "minus": lambda n: "- " * n + "1",
+            "union": lambda n: " union ".join(["Employees"] * (n + 1)),
+            "count": lambda n: "count(" * n + "Employees" + ")" * n,
+        }
+        for shape, query in bare.items():
+            parse(query(MAX_NESTING))
+            with pytest.raises(OQLSyntaxError, match="nested deeper than"):
+                parse(query(MAX_NESTING + 1))
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            # the first token inside the parenthesis past the limit
+            ("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1), MAX_NESTING + 1),
+            # the operator past the limit
+            ("1" + " + 1" * (MAX_NESTING + 1), 2 + 4 * MAX_NESTING),
+            ("not " * (MAX_NESTING + 1) + "true", 4 * MAX_NESTING),
+            (_INNER + " + 1" * (_OUTER_OPS + 1), len(_INNER) + 1 + 4 * _OUTER_OPS),
+        ],
+        ids=["parentheses", "plus", "not", "plus over parentheses"],
+    )
+    def test_the_error_points_at_the_offending_token(self, source, position):
+        with pytest.raises(OQLSyntaxError) as caught:
+            parse(source)
+        assert caught.value.position == position
+
+    def test_a_chain_counts_the_tree_it_builds(self):
+        """A parenthesised chain inside a chain is as deep as both; a
+        sibling's depth does not add to it."""
+        parse(_INNER + " + 1" * _OUTER_OPS)
+        with pytest.raises(OQLSyntaxError, match="nested deeper than"):
+            parse(_INNER + " + 1" * (_OUTER_OPS + 1))
+        parse("1" + " + 1" * _INNER_OPS + " + " + _INNER)  # one over the operand
+        # a struct's fields are measured apart: the first's depth does not
+        # add to the second's
+        parse("struct(a: " + _INNER + ", b: 1" + " + 1" * (MAX_NESTING - 1) + ")")
+
+    @pytest.mark.parametrize("shape", NESTING_SHAPES)
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_the_deepest_accepted_query_runs(self, db, shape, backend):
+        n = deepest_accepted(shape)
+        assert n >= MAX_NESTING - 1, n
+        deep, shallow = NESTING_SHAPES[shape]
+        with pytest.raises(OQLSyntaxError, match="nested deeper than"):
+            Optimizer(db, OptimizerOptions(backend=backend)).run_oql(deep(n + 1))
+        got = Optimizer(db, OptimizerOptions(backend=backend)).run_oql(deep(n))
+        assert got == Optimizer(db).run_oql(shallow(n))
+        assert len(got) > 0

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.classify import classify_oql
 from repro.core.optimizer import Optimizer, OptimizerOptions
 from repro.data.datagen import company_database
-from repro.oql.parser import parse
+from repro.oql.parser import MAX_NESTING, parse
 from repro.oql.pretty import unparse
 
 _DB = company_database(num_employees=12, num_departments=4, seed=3)
@@ -52,17 +52,19 @@ def aggregates(draw):
 
 
 @st.composite
-def predicates(draw, var="e", depth=1):
-    kind = draw(st.integers(0, 5 if depth > 0 else 2))
+def predicates(draw, var="e", depth=1, budget=MAX_NESTING // 2 - 2):
+    # ``budget`` keeps the query within the parser's nesting limit: each
+    # ``(p op q)`` or ``not (p)`` nests two levels deeper.
+    kind = draw(st.integers(0, 5 if depth > 0 else 2 if budget > 0 else 0))
     if kind == 0:
         return f"{draw(scalar_exprs(var))} {draw(_compare)} {draw(st.integers(0, 100))}"
     if kind == 1:
-        left = draw(predicates(var=var, depth=0))
-        right = draw(predicates(var=var, depth=0))
+        left = draw(predicates(var=var, depth=0, budget=budget - 1))
+        right = draw(predicates(var=var, depth=0, budget=budget - 1))
         op = draw(st.sampled_from(["and", "or"]))
         return f"({left} {op} {right})"
     if kind == 2:
-        return f"not ({draw(predicates(var=var, depth=0))})"
+        return f"not ({draw(predicates(var=var, depth=0, budget=budget - 1))})"
     if kind == 3:
         return f"{draw(scalar_exprs(var))} > {draw(aggregates())}"
     if kind == 4:

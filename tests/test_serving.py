@@ -10,6 +10,8 @@ query: the server must never change an answer, only transport it.
 from __future__ import annotations
 
 import json
+import math
+import socket
 import threading
 import time
 import urllib.error
@@ -19,7 +21,26 @@ import pytest
 
 from corpus import CORPUS
 from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.data.datagen import (
+    ab_database,
+    auction_database,
+    company_database,
+    travel_database,
+    university_database,
+)
+from repro.data.values import (
+    NULL,
+    BagValue,
+    CollectionValue,
+    ListValue,
+    Record,
+    SetValue,
+    is_null,
+)
 from repro.server import ServeClient, ServerConfig, ServerThread, TenantBudget
+from repro.server.protocol import decode_result, encode_result
+from repro.testing.schemagen import random_database
+from test_edge_cases import NESTING_SHAPES, TOO_DEEP, deepest_accepted
 
 #: A query slow enough (~800k join pairs on the test database) that a
 #: cancel or a competing request reliably lands while it is in flight,
@@ -275,6 +296,7 @@ ILL_TYPED_OPTIONS = [
     {"max_rows": 2.5},
     {"max_bytes": True},
     {"timeout": 0},
+    {"timeout": float("inf")},  # would echo back as a bare Infinity
     {"timeout": {"s": 1}},
     {"parallel": "yes"},
     {"parallel": 1},
@@ -726,3 +748,292 @@ def test_concurrent_clients_agree_with_in_process(family, databases):
             thread.join(timeout=120)
         assert not any(t.is_alive() for t in threads), "client thread hung"
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# replies: one encode, spliced; strict JSON; the nesting limit on the wire
+# ---------------------------------------------------------------------------
+
+
+def reference_encode(value):
+    """The tagged-JSON encoder as it was before it dispatched on exact
+    classes: the reference the codec must still agree with (non-finite
+    floats aside, which it used to leave bare)."""
+    if is_null(value):
+        return {"$null": True}
+    if isinstance(value, Record):
+        encoded = {"$record": {attr: reference_encode(v) for attr, v in value.items()}}
+        if value.oid is not None:
+            encoded["$oid"] = value.oid
+        return encoded
+    if isinstance(value, SetValue):
+        return {"$set": [reference_encode(v) for v in value]}
+    if isinstance(value, BagValue):
+        return {"$bag": [reference_encode(v) for v in value]}
+    if isinstance(value, ListValue):
+        return {"$list": [reference_encode(v) for v in value]}
+    if isinstance(value, (bool, int, float, str)):
+        return value
+    raise ValueError(f"cannot encode value {value!r} as tagged JSON")
+
+
+def reference_reply(head, value, elapsed_ms):
+    """The reply the server used to write for *value*: its payload built
+    over the reference encoding and ``json.dumps``-ed whole."""
+    encoded = reference_encode(value)
+    payload = {
+        "result": encoded,
+        "rows": len(value) if isinstance(value, CollectionValue) else 1,
+        "bytes": len(json.dumps(encoded, separators=(",", ":"))),
+        "elapsed_ms": elapsed_ms,
+    }
+    return json.dumps({**head, **payload}, separators=(",", ":")).encode()
+
+
+def strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+#: The e2e benchmark's scale S (``benchmarks/e2e/workloads.py``).
+SCALE_S = {
+    "company": (company_database, 60, 8),
+    "university": (university_database, 40, 12),
+    "travel": (travel_database, 6, 5),
+    "ab": (ab_database, 30, 40),
+    "auction": (auction_database, 40, 25),
+}
+
+
+@pytest.fixture(scope="module")
+def scale_s():
+    return {
+        family: generator(*sizes, seed=1998)
+        for family, (generator, *sizes) in SCALE_S.items()
+    }
+
+
+class RawConnection:
+    """One NDJSON connection read line by line, bytes as the server wrote
+    them."""
+
+    def __init__(self, host, port):
+        self.sock = socket.create_connection((host, port), timeout=60)
+        self.lines = self.sock.makefile("rb")
+
+    def call(self, **message):
+        self.sock.sendall(json.dumps(message).encode() + b"\n")
+        return self.lines.readline()
+
+    def close(self):
+        self.lines.close()
+        self.sock.close()
+
+
+def _post_raw(host, port, body):
+    request = urllib.request.Request(
+        f"http://{host}:{port}/query",
+        data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return response.read()
+
+
+class TestReplyBytes:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_replies_are_byte_identical_to_the_whole_message_encoding(
+        self, scale_s, family
+    ):
+        """Every corpus answer, over ``query``, ``execute`` and ``POST
+        /query``, is the line the server wrote when it ``json.dumps``-ed the
+        whole reply (``elapsed_ms`` taken from the reply), and ``bytes`` is
+        the length of the result's encoding."""
+        db = scale_s[family]
+        with ServerThread(ServerConfig(database=db)) as (host, port):
+            wire = RawConnection(host, port)
+            try:
+                for index, query in enumerate(q for q in CORPUS if q.family == family):
+                    value = Optimizer(db).run_oql(query.oql)
+                    replies = {
+                        "query": wire.call(id=index, op="query", q=query.oql),
+                        "prepare": wire.call(
+                            id="p", op="prepare", name="s", q=query.oql
+                        ),
+                        "execute": wire.call(id=f"x{index}", op="execute", name="s"),
+                        "http": _post_raw(host, port, {"q": query.oql}) + b"\n",
+                    }
+                    heads = {
+                        "query": {"id": index, "ok": True},
+                        "execute": {"id": f"x{index}", "ok": True},
+                        "http": {"ok": True},
+                    }
+                    assert strict_loads(replies["prepare"])["ok"]
+                    for op, head in heads.items():
+                        reply = strict_loads(replies[op])
+                        expected = reference_reply(head, value, reply["elapsed_ms"])
+                        assert replies[op] == expected + b"\n", (query.name, op)
+                        assert reply["bytes"] == len(
+                            json.dumps(reference_encode(value), separators=(",", ":"))
+                        )
+            finally:
+                wire.close()
+
+    def test_the_encoding_equals_the_reference_on_every_corpus_answer(self, scale_s):
+        for query in CORPUS:
+            value = Optimizer(scale_s[query.family]).run_oql(query.oql)
+            assert json.dumps(encode_result(value)) == json.dumps(
+                reference_encode(value)
+            ), query.name
+
+    @pytest.mark.parametrize("seed", [3, 17, 2026])
+    def test_the_encoding_equals_the_reference_on_generated_data(self, seed):
+        db, _ = random_database(seed)
+        for name in db.extent_names():
+            extent = db.extent(name)
+            for value in [extent, *extent.elements()]:
+                assert json.dumps(encode_result(value)) == json.dumps(
+                    reference_encode(value)
+                )
+
+    #: Values where dispatch could go wrong: bool is an int, NULL, empty
+    #: and repeated collection members, identity, subclasses.
+    EDGE_VALUES = [
+        True,
+        1,
+        False,
+        0,
+        1.5,
+        -0.0,
+        "",
+        NULL,
+        Record(),
+        Record(a=True, b=1, c=NULL).with_oid(7),
+        SetValue(),
+        BagValue(),
+        ListValue(),
+        BagValue([1, 1, True, 2.0, "x", "x", Record(k=1), Record(k=1)]),
+        ListValue([SetValue([1, 2]), BagValue([NULL, NULL]), ListValue([])]),
+        BagValue([Record(k=1).with_oid(1), Record(k=1).with_oid(2)]),
+    ]
+
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    def test_the_encoding_equals_the_reference_on_edge_values(self, value):
+        assert json.dumps(encode_result(value)) == json.dumps(reference_encode(value))
+        assert repr(decode_result(encode_result(value))) == repr(value)
+
+    def test_subclasses_encode_as_their_engine_class(self):
+        class Count(int):
+            pass
+
+        class Tagged(SetValue):
+            pass
+
+        value = Tagged([Count(3), Record(a=Count(4))])
+        assert json.dumps(encode_result(value)) == json.dumps(reference_encode(value))
+        with pytest.raises(ValueError, match="cannot encode"):
+            encode_result(object())
+
+    def test_a_reply_dumps_its_result_once(self, server, monkeypatch):
+        """The result is ``json.dumps``-ed once — no second pass to count
+        its bytes, no third inside the envelope."""
+        host, port, db = server
+        query = "select e from e in Employees"
+        encoded = encode_result(Optimizer(db).run_oql(query))
+        dumped = []
+        real_dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            dumped.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        with ServeClient(host, port) as client:
+            assert client.query(query).ok
+        _post_raw(host, port, {"q": query})
+        monkeypatch.undo()
+        holding_result = [
+            obj
+            for obj in dumped
+            if obj == encoded
+            or (isinstance(obj, dict) and obj.get("result") == encoded)
+        ]
+        assert len(holding_result) == 2  # one for each reply
+
+
+#: A float without a JSON spelling, from an aggregate over nothing: min's
+#: zero is +inf.
+_NOTHING = "min(select e.age from e in Employees where e.age < 0)"
+NON_FINITE = {
+    "inf": _NOTHING,
+    "nan": f"{_NOTHING} - {_NOTHING}",
+    "-inf": f"0 - {_NOTHING}",
+    "record": f"struct(A: {_NOTHING})",
+}
+
+
+def same_value(got, expected):
+    if isinstance(expected, float) and math.isnan(expected):
+        return isinstance(got, float) and math.isnan(got)
+    return repr(got) == repr(expected)
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("query", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_a_non_finite_result_is_strict_json(self, server, query):
+        host, port, db = server
+        expected = Optimizer(db).run_oql(query)
+        with ServeClient(host, port) as client:  # parses strictly
+            reply = client.query(query)
+            assert reply.ok, reply
+            assert same_value(reply.value(), expected)
+            assert client.prepare("s", query).ok
+            assert same_value(client.execute("s").value(), expected)
+        body = strict_loads(_post_raw(host, port, {"q": query}))
+        assert same_value(decode_result(body["result"]), expected)
+        assert "$float" in json.dumps(body["result"])
+
+    def test_a_tagged_float_parameter_binds(self, server):
+        host, port, db = server
+        source = "select distinct e.name from e in Employees where e.age > :a"
+        expected = Optimizer(db).run_oql(source, a=float("-inf"))
+        assert len(expected) == len(db.extent("Employees"))
+        with ServeClient(host, port) as client:
+            reply = client.query(source, params={"a": {"$float": "-inf"}})
+            assert reply.ok, reply
+            assert reply.value() == expected
+            bad = client.query(source, params={"a": {"$float": "Infinity"}})
+            assert bad.error_code == "PROTOCOL_ERROR"
+
+
+class TestNestingLimitOnTheWire:
+    TOO_DEEP = {
+        "200 parentheses": "(" * 200 + "1" + ")" * 200,
+        "3000 not": "not " * 3000 + "true",
+        **TOO_DEEP,
+    }
+
+    @pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+    def test_too_deep_is_a_planning_error(self, server, source):
+        host, port, _ = server
+        with ServeClient(host, port) as client:
+            reply = client.query(source)
+        assert reply.error_code == "PLANNING_ERROR"
+        assert "nested deeper than" in reply["error"]["message"]
+        status, body = _http(host, port, "/query", {"q": source})
+        assert status == 400 and "nested deeper than" in body["error"]["message"]
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_the_deepest_accepted_query_of_each_shape_answers(self, server, backend):
+        host, port, db = server
+        with ServeClient(host, port) as client:
+            assert client.set_options(backend=backend).ok
+            for shape, (deep, shallow) in NESTING_SHAPES.items():
+                n = deepest_accepted(shape)
+                reply = client.query(deep(n))
+                assert reply.ok, (shape, reply)
+                assert reply.value() == Optimizer(db).run_oql(shallow(n)), shape
+                refused = client.query(deep(n + 1))
+                assert refused.error_code == "PLANNING_ERROR", shape
