@@ -75,10 +75,10 @@ duplicate.  The first is also refused when a join conjunct that is not an
 equality reads both sides (no key to aggregate under), the second unless
 every binding is one stored column compared exactly — not ``num`` (``1``
 and ``1.0`` would share), not computed, not a collection.  Stacked
-aggregations are *one* statement either way.  A collection-monoid ``Nest``
-compiles to a single level-ordered query merged back in one linear pass;
-anything outside this fragment (``prod``, parameters, collection heads
-under grouping) stays a residual operator above the segments.
+aggregations are *one* statement either way.  A ``Reduce`` root is the
+engine's ``Reduce`` over a segment of its values (kept heads, or the one
+aggregated row).  A collection-monoid ``Nest``, ``prod`` and parameters
+stay operators above the segments.
 
 **Stitching** (:class:`SqlSegment` / :class:`PSqlSegment`).  Lowering does
 not produce a second executor: :func:`compile_segments` returns the
@@ -87,11 +87,12 @@ optimized plan with every lowered subtree replaced by a ``SqlSegment``
 it into a ``PSqlSegment`` that runs the flat SELECT and decodes the rows
 straight into chunk columns (``$oid`` → the database's own object: the
 index a flat query returns, followed into the one heap).  Every operator
-*above* a segment — residual expressions, refused extents, non-lowerable
-monoids — is an ordinary physical operator over those chunks, with the
-store as the extent provider: kernels, the group-join, governor ticks,
-memory charges and EXPLAIN ANALYZE apply to both backends by construction.
-This is the shredding paper's stitching *phase*, not a stitching evaluator.
+*above* a segment — a folding ``Reduce``, a grouping ``HashNest``, residual
+expressions, refused extents — is an ordinary physical operator over those
+chunks, with the store as the extent provider: kernels, the group-join,
+governor ticks, memory charges and EXPLAIN ANALYZE apply to both backends
+by construction.  This is the shredding paper's stitching *phase*, not a
+stitching evaluator.
 Execution is governed inside SQLite itself: a progress handler ticks the
 shared governor every few thousand VM opcodes, so timeouts, budgets, and
 cancellation trip mid-``SELECT``.
@@ -134,7 +135,7 @@ from repro.algebra.operators import (
     operators,
     rebuild,
 )
-from repro.calculus.monoids import CollectionMonoid, monoid as lookup_monoid
+from repro.calculus.monoids import CollectionMonoid
 from repro.calculus.terms import (
     BinOp,
     Const,
@@ -949,28 +950,38 @@ def _result_tag(a: str, b: str) -> str:
     return "any"
 
 
+def _chained(term: Term, op: str) -> list[Term]:
+    """The operands of a chain of *op*, left to right, however it nests."""
+    if isinstance(term, BinOp) and term.op == op:
+        return _chained(term.left, op) + _chained(term.right, op)
+    return [term]
+
+
 def _sql_binop(term: BinOp, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
+    op = term.op
+    if op in ("and", "or"):
+        # The reference evaluator is *left-biased*, not Kleene: a NULL left
+        # operand yields NULL even when the right operand would decide
+        # (``NULL and False`` is NULL; SQLite's Kleene AND gives False).  A
+        # simple CASE states the left operand once — a chain stays linear —
+        # and NULL matches no arm.  Being associative, a chain is stated
+        # left-nested: SQLite parses three times the CASE depth there as in
+        # an arm, with no parentheses (each operand is atomic or has its own).
+        operands = [_sql_expr(part, binds) for part in _chained(term, op)]
+        if any(o is None or o.tag not in _BOOLISH for o in operands):
+            return None
+        decided, undecided = ("1", "0") if op == "or" else ("0", "1")
+        sql = operands[0].sql
+        for right in operands[1:]:
+            sql = (
+                f"(CASE {sql} WHEN {decided} THEN {decided} "
+                f"WHEN {undecided} THEN {right.sql} END)"
+            )
+        return _SqlExpr(sql, "bool")
     left = _sql_expr(term.left, binds)
     right = _sql_expr(term.right, binds)
     if left is None or right is None:
         return None
-    op = term.op
-    if op in ("and", "or"):
-        if left.tag not in ("bool", "any", "null"):
-            return None
-        if right.tag not in ("bool", "any", "null"):
-            return None
-        # The reference evaluator is *left-biased*, not Kleene: a NULL left
-        # operand yields NULL even when the right operand would decide
-        # (``NULL and False`` is NULL; SQLite's Kleene AND gives False, and
-        # likewise ``NULL or True``).  The right-operand cases agree —
-        # ``False and NULL`` short-circuits to False on both — so guarding
-        # the left operand with a CASE restores exact parity.
-        return _SqlExpr(
-            f"(CASE WHEN ({left.sql}) IS NULL THEN NULL "
-            f"ELSE {left.sql} {op.upper()} {right.sql} END)",
-            "bool",
-        )
     if op in ("==", "!="):
         sql_op = "=" if op == "==" else "<>"
         if left.tag == "object" or right.tag == "object":
@@ -1079,8 +1090,9 @@ def _filter_sql(term: Term, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
 #: monoid -> (SQL aggregate, its zero wrapper, input tags, output tag by
 #: input tag, output tag otherwise).  ``max`` is the paper's (max, 0) monoid:
 #: it floors at zero (scalar two-arg ``max``).  ``min``'s zero is +inf, which
-#: an empty group decodes from NULL at a segment root (the "min" decode
-#: kind).  SQL ``AVG`` is NULL on empty input, exactly the monoid's finalize.
+#: an empty group decodes from NULL at a root nest (the "min" decode kind)
+#: and a lowered reduce's ``Reduce`` folds NULL into.  SQL ``AVG`` is NULL on
+#: empty input, exactly the monoid's finalize.
 _AGGREGATES = {
     "sum": ("SUM", "COALESCE({}, 0)", _NUMERIC_OK,
             {"int": "int", "bool": "int", "float": "float"}, "num"),
@@ -1154,35 +1166,26 @@ class _Chain:
 
 @dataclass
 class _Segment:
-    """One compiled flat query covering a subtree of the logical plan.
-
-    ``mode`` selects the stitching strategy: ``stream`` yields one
-    environment per row (chains and GROUP BY nests), ``merge`` linearly
-    merges level-ordered rows into collection-valued groups, ``reduce``
-    decodes a single aggregate row, and ``fold`` folds decoded rows into a
-    collection monoid.
-    """
+    """One compiled flat query covering a subtree of the logical plan: a
+    stream of rows, one environment per SQL row."""
 
     sql: str
     #: Per-output-column decode instructions: (var, kind, tag).
     decoders: tuple[tuple[str, str, str], ...]
-    mode: str = "stream"
-    #: EXPLAIN marker: sql | sql:group | sql:agg | sql:merge.
+    #: EXPLAIN marker: sql | sql:group | sql:agg.
     label: str = "sql"
-    #: merge mode: how many leading columns form the group key.
-    key_count: int = 0
-    #: merge/fold modes: the monoid folding decoded elements.
-    monoid_name: str = ""
-    #: merge mode: the variable bound to each group's collection.
-    out_var: str = ""
+
+
+#: The column of a lowered reduce's values, for the engine's ``Reduce``.
+_VALUE = "$v"
 
 
 class _SegmentBuilder:
     """Compiles maximal operator subtrees into flat SELECT statements.
 
-    ``Reduce`` and ``Nest`` roots with SQL-expressible monoids lower into
-    aggregate queries, and lowered nests additionally participate *inside*
-    chains as derived tables.
+    ``Nest`` roots with SQL-expressible monoids lower into aggregate
+    queries, which also participate *inside* chains as derived tables; a
+    ``Reduce`` root becomes the engine's ``Reduce`` over a segment.
     """
 
     def __init__(self, store: ShreddedStore):
@@ -1195,23 +1198,25 @@ class _SegmentBuilder:
         #: spine is lowered, its leaf is the binding domain (_shared_domain).
         self._standins: dict[int, _Chain] = {}
 
-    def build(self, plan: Operator) -> _Segment | None:
+    def build(self, plan: Operator) -> Operator | None:
+        """What replaces *plan*: a SqlSegment, a Reduce over one, or None."""
         self._pending = set()
-        segment = self._build(plan)
-        if segment is not None:
-            self.index_requests |= self._pending
-        return segment
-
-    def _build(self, plan: Operator) -> _Segment | None:
         counter = [0]
         if isinstance(plan, Reduce):
-            return self._build_reduce(plan, counter)
-        if isinstance(plan, Nest):
-            return self._build_nest(plan, counter)
-        chain = self._chain(plan, counter)
-        if chain is None or not chain.uses_table:
+            segment = self._build_reduce(plan, counter)
+        elif isinstance(plan, Nest):
+            segment = self._build_nest(plan, counter)
+        else:
+            chain = self._chain(plan, counter)
+            usable = chain is not None and chain.uses_table
+            segment = self._finalize(plan, chain) if usable else None
+        if segment is None:
             return None
-        return self._finalize(plan, chain)
+        self.index_requests |= self._pending
+        if isinstance(plan, Reduce):
+            leaf = SqlSegment(segment, "Reduce", (_VALUE,))
+            return Reduce(leaf, plan.monoid_name, Var(_VALUE))
+        return SqlSegment(segment, type(plan).__name__, plan.columns())
 
     # -- chain construction --------------------------------------------------
 
@@ -1718,18 +1723,17 @@ class _SegmentBuilder:
 
     def _build_nest(self, plan: Nest, counter: list[int]) -> _Segment | None:
         """A nest at a segment root: the fused chain finalised where the
-        shape allows one, else GROUP BY for primitive monoids and a
-        level-ordered merge query for collection monoids."""
+        shape allows one, else GROUP BY.  A collection-monoid nest is not
+        lowered: its input becomes a stream segment, which the engine's
+        ``HashNest`` groups."""
+        if plan.monoid_name not in _ROOT_AGGREGATES:
+            return None
         if plan.monoid_name in _CHAINABLE:
             fused = self._fused_nest(plan, counter)
             if fused is not None:
                 return self._finalize(plan, fused) if fused.uses_table else None
         chain = self._chain(plan.child, counter)
         if chain is None or not chain.uses_table:
-            return None
-        if isinstance(plan.monoid, CollectionMonoid):
-            return self._build_nest_merge(plan, chain)
-        if plan.monoid_name not in _ROOT_AGGREGATES:
             return None
         folded = self._fold(plan, chain.binds, _q("$c"))
         if folded is None:
@@ -1751,39 +1755,13 @@ class _SegmentBuilder:
             f"FROM ({chain.select(inner_select)}) "
             f"GROUP BY {', '.join(names) or 'NULL'} ORDER BY MIN({_q('$rn')})"
         )
-        return _Segment(sql, tuple(decoders), mode="stream", label="sql:group")
-
-    def _build_nest_merge(self, plan: Nest, chain: _Chain) -> _Segment | None:
-        """Collection-monoid nest: one query ordered by group key (then
-        enumeration rank), merged back in a single linear pass."""
-        conds = self._nest_condition(plan, chain.binds)
-        head = _sql_expr(plan.head, chain.binds)
-        keys = _result_columns(chain, plan.group_by)
-        if conds is None or head is None or keys is None:
-            return None
-        select = [f"{sql} AS c{i}" for i, (_, sql, _, _) in enumerate(keys)]
-        decoders = [(var, kind, tag) for var, _, kind, tag in keys]
-        head_kind = "object" if head.tag == "object" else "scalar"
-        decoders.append(("", head_kind, head.tag))
-        select.append(f"({' AND '.join(conds) or '1'}) AS {_q('$c')}")
-        select.append(f"{head.sql} AS {_q('$h')}")
-        ranked = f"ROW_NUMBER() OVER (ORDER BY {', '.join(chain.order_cols)})"
-        select.append(f"{ranked} AS {_q('$rn')}")
-        order = [f"c{i}" for i in range(len(keys))] + [_q("$rn")]
-        sql = f"{chain.select(select)} ORDER BY {', '.join(order)}"
-        return _Segment(
-            sql,
-            tuple(decoders),
-            mode="merge",
-            label="sql:merge",
-            key_count=len(plan.group_by),
-            monoid_name=plan.monoid_name,
-            out_var=plan.out_var,
-        )
+        return _Segment(sql, tuple(decoders), label="sql:group")
 
     def _build_reduce(self, plan: Reduce, counter: list[int]) -> _Segment | None:
-        """A reduce root: a single aggregate row for primitive monoids, an
-        ordered element stream folded in one pass for collection monoids."""
+        """A reduce root's segment, one value per row for the engine's own
+        ``Reduce`` to fold: the head of every row the predicate keeps, in
+        enumeration order, for a collection monoid; the one aggregated row
+        for a primitive one, NULL where the monoid's zero is meant."""
         chain = self._chain(plan.child, counter)
         if chain is None or not chain.uses_table:
             return None
@@ -1800,28 +1778,18 @@ class _SegmentBuilder:
         if isinstance(plan.monoid, CollectionMonoid):
             sql = chain.select([f"{head.sql} AS c0"], *filters)
             sql += f" ORDER BY {', '.join(chain.order_cols)}"
-            head_kind = "object" if head.tag == "object" else "scalar"
-            return _Segment(
-                sql,
-                (("", head_kind, head.tag),),
-                mode="fold",
-                label="sql",
-                monoid_name=plan.monoid_name,
-            )
-        if plan.monoid_name not in _ROOT_AGGREGATES:
-            return None
+            kind = "object" if head.tag == "object" else "scalar"
+            return _Segment(sql, ((_VALUE, kind, head.tag),))
         if head.tag == "object":
             return None
         aggregate = _aggregate_sql(plan.monoid_name, head.sql, head.tag)
         if aggregate is None:
             return None
-        agg_sql, zero, out_tag, decode_kind = aggregate
+        agg_sql, zero, out_tag, _decode = aggregate
         return _Segment(
             chain.select([f"{zero.format(agg_sql)} AS c0"], *filters),
-            (("", decode_kind, out_tag),),
-            mode="reduce",
+            ((_VALUE, "scalar", out_tag),),
             label="sql:agg",
-            monoid_name=plan.monoid_name,
         )
 
     # -- SELECT assembly -----------------------------------------------------
@@ -1890,21 +1858,21 @@ def compile_segments(plan: Operator, store: ShreddedStore) -> Operator:
     :class:`SqlSegment` leaf.
 
     The walk is top-down greedy: the largest subtree that fully translates
-    becomes one flat SELECT — ``Reduce`` and ``Nest`` roots lowered to SQL
-    aggregation included; anything that refuses (residual expressions,
-    refused extents, non-lowerable monoids) stays an operator of the plan,
-    and the search recurses into its children — so a plan degrades
-    gracefully from "one flat query per nesting level" down to per-scan
-    queries, never failing outright.  Equi-join columns discovered during
-    lowering get indexes (plus ANALYZE) before execution.
+    becomes one flat SELECT — ``Nest`` roots lowered to SQL aggregation
+    included, a ``Reduce`` root under the engine's ``Reduce``; anything that
+    refuses (residual expressions, refused extents, collection nests) stays
+    an operator of the plan, and the search recurses into its children — so
+    a plan degrades gracefully from "one flat query per nesting level" down
+    to per-scan queries, never failing outright.  Equi-join columns
+    discovered during lowering get indexes (plus ANALYZE) before execution.
     """
     builder = _SegmentBuilder(store)
 
     def visit(node: Operator) -> Operator:
         if isinstance(node, _LOWERABLE):
-            segment = builder.build(node)
-            if segment is not None:
-                return SqlSegment(segment, type(node).__name__, node.columns())
+            lowered = builder.build(node)
+            if lowered is not None:
+                return lowered
         return rebuild(node, tuple(visit(child) for child in node.children()))
 
     lowered = visit(plan)
@@ -1956,7 +1924,7 @@ def _install_progress(connection: Any, governor: Any) -> _ProgressTrap | None:
 
 def _decode_column(values: Any, kind: str, tag: str, objects: Mapping) -> list:
     """One SQL result column as engine values: ``$oid`` → the database's
-    object, SQL NULL → ``NULL`` (``+inf``, its zero, for a root ``min``)."""
+    object, SQL NULL → ``NULL`` (``+inf``, its zero, for a root nest's ``min``)."""
     if kind == "object":
         return [NULL if v is None else objects[v] for v in values]
     if kind == "min":
@@ -1973,14 +1941,11 @@ _SQLITE_PARSE_LIMITS = ("parser stack overflow", "Expression tree is too large")
 
 
 class PSqlSegment(PhysicalOperator):
-    """A flat SELECT as a leaf of the physical plan.
-
-    ``stream`` and ``merge`` segments are chunk sources (:meth:`batches`);
-    a lowered ``Reduce`` — ``reduce`` and ``fold`` segments — is the whole
-    plan and has a :meth:`value`.  The SELECT runs on first entry, once per
-    execution: a re-entered segment replays its decoded columns.
-    ``rows_produced`` is the row count of the SELECT (what ``flat_query``
-    reports), whatever the decode folds those rows into.
+    """A flat SELECT as a leaf of the physical plan: a chunk source, one
+    row per SQL row, whatever folds or groups it above.  The SELECT runs on
+    first entry, once per execution: a re-entered segment replays its
+    decoded columns.  ``rows_produced`` is the row count of the SELECT
+    (what ``flat_query`` reports).
     """
 
     def __init__(self, context: _Context, segment: _Segment, root: str):
@@ -1995,8 +1960,8 @@ class PSqlSegment(PhysicalOperator):
     def describe(self) -> str:
         return f"SqlSegment[{self.segment.label}]({self.root} subtree)"
 
-    def _fetch(self) -> list[tuple]:
-        """Run the flat query and drain it.
+    def _fetch(self) -> tuple[list[tuple], float]:
+        """Run the flat query and drain it: its rows and milliseconds.
 
         Rows are drained in batches with the governor ticked per batch, and
         a progress handler checkpoints the governor every few thousand VM
@@ -2045,94 +2010,28 @@ class PSqlSegment(PhysicalOperator):
             finally:
                 if trap is not None:
                     connection.set_progress_handler(None, 0)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.rows_produced = len(rows)
-        self.flat_query = (segment.sql, len(rows), elapsed_ms, 0.0)
-        return rows
-
-    def _record_decode(self, start: float) -> None:
-        sql, count, sql_ms, _ = self.flat_query
-        decode_ms = (time.perf_counter() - start) * 1000.0
-        self.flat_query = (sql, count, sql_ms, decode_ms)
+        return rows, (time.perf_counter() - start) * 1000.0
 
     def batches(self) -> Iterator[Chunk]:
         if self._decoded is None:
-            rows = self._fetch()
+            rows, sql_ms = self._fetch()
             start = time.perf_counter()
-            decode = self._merge if self.segment.mode == "merge" else self._stream
-            self._decoded = decode(rows, self._context.database.objects)
-            self._record_decode(start)
+            objects = self._context.database.objects
+            # Column by column, by index: ``zip(*rows)`` would unpack every
+            # row as an argument.
+            columns = {
+                var: _decode_column([row[i] for row in rows], kind, tag, objects)
+                for i, (var, kind, tag) in enumerate(self.segment.decoders)
+            }
+            self._decoded = columns, len(rows)
+            decode_ms = (time.perf_counter() - start) * 1000.0
+            self.flat_query = (self.segment.sql, len(rows), sql_ms, decode_ms)
         # (not _emit_chunk: rows_produced is the SELECT's row count)
         for chunk in _column_chunks(*self._decoded, self._context.batch_size):
             self.batches_produced += 1
             self.batch_rows += chunk.length
             yield chunk
-
-    def _stream(
-        self, rows: list[tuple], objects: Mapping
-    ) -> tuple[dict[str, list], int]:
-        """One output row per SQL row (chains and GROUP BY nests)."""
-        decoders = self.segment.decoders
-        raw = zip(*rows) if rows else [()] * len(decoders)
-        columns = {
-            var: _decode_column(values, kind, tag, objects)
-            for (var, kind, tag), values in zip(decoders, raw)
-        }
-        return columns, len(rows)
-
-    def _merge(
-        self, rows: list[tuple], objects: Mapping
-    ) -> tuple[dict[str, list], int]:
-        """Linear-merge stitching for collection-monoid nests.
-
-        The rows arrive ordered by group key then enumeration rank, so one
-        pass over adjacent runs rebuilds every group; groups are then
-        emitted in first-seen (minimum rank) order, matching the nest's
-        output order.
-        """
-        segment = self.segment
-        key_count = segment.key_count
-        *key_decoders, (_, head_kind, head_tag) = segment.decoders
-        #: (first rank, first row, raw elements) per group, in key order.
-        groups: list[tuple[int, tuple, list]] = []
-        previous: Any = None
-        for row in rows:
-            key = row[:key_count]
-            if not groups or key != previous:
-                groups.append((row[key_count + 2], row, []))
-                previous = key
-            if row[key_count]:  # the guarded contribution indicator
-                groups[-1][2].append(row[key_count + 1])
-        groups.sort(key=lambda group: group[0])
-        columns = {
-            var: _decode_column(
-                [first[i] for _, first, _ in groups], kind, tag, objects
-            )
-            for i, (var, kind, tag) in enumerate(key_decoders)
-        }
-        fold = lookup_monoid(segment.monoid_name).fold_elements
-        columns[segment.out_var] = [
-            fold(_decode_column(elements, head_kind, head_tag, objects))
-            for _, _, elements in groups
-        ]
-        return columns, len(groups)
-
-    def value(self) -> Any:
-        """A lowered ``Reduce``: the single aggregate row (``reduce``), or
-        the ordered element stream folded in one pass (``fold``)."""
-        segment = self.segment
-        rows = self._fetch()
-        start = time.perf_counter()
-        _, kind, tag = segment.decoders[0]
-        values = _decode_column(
-            [row[0] for row in rows], kind, tag, self._context.database.objects
-        )
-        if segment.mode == "reduce":
-            result = values[0]
-        else:
-            result = lookup_monoid(segment.monoid_name).fold_elements(values)
-        self._record_decode(start)
-        return result
 
 
 def execute_shredded(
@@ -2152,9 +2051,9 @@ def execute_shredded(
 
 def explain_shredded(compiled: Any, database: Database) -> str:
     """An EXPLAIN rendering: the physical plan with each SQL segment's
-    generated flat SQL (``[sql:group]``/``[sql:agg]``/``[sql:merge]``
-    markers show pushed-down aggregation), and ``[py]`` markers on the
-    residual operators above them."""
+    generated flat SQL (``[sql:group]``/``[sql:agg]`` markers show
+    pushed-down aggregation), and ``[py]`` markers on the operators above
+    them — the ``Reduce`` folding a lowered reduce's values among them."""
     store = shredded_store(database, db_path=compiled.options.db_path)
     lines = ["backend: sqlite (query shredding over stdlib sqlite3)"]
     if store.db_path is not None:

@@ -54,7 +54,7 @@ from typing import Any, Iterator, Mapping
 from repro.algebra.operators import Operator
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
-from repro.calculus.terms import TRUE, Term, free_vars
+from repro.calculus.terms import TRUE, Term, Var, free_vars
 from repro.data.values import (
     NULL,
     CollectionValue,
@@ -359,6 +359,8 @@ class PhysicalOperator:
         if not m:
             return limit, picked, [], err
         if m == n:
+            if isinstance(self.head, Var):  # the chunk's own column, read-only
+                return limit, picked, cols[self.head.name], err
             scols = cols
         else:
             # Gather only the columns the head reads.
@@ -1673,9 +1675,9 @@ class PEval(PhysicalOperator):
 
 def root_value(op: PhysicalOperator) -> Any:
     """Run a complete physical plan.  Only a root has a value: a reduce, an
-    eval, the exchange's gather, a reduce lowered whole to SQL — whatever
-    the planner put there, it answers ``value()``; a stream operator at the
-    root means the logical plan was not a complete query."""
+    eval, the exchange's gather — whatever the planner put there, it
+    answers ``value()``; a stream operator at the root means the logical
+    plan was not a complete query."""
     value = getattr(op, "value", None)
     if value is None:
         raise TypeError("a complete plan must be rooted at Reduce or Eval")

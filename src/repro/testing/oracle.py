@@ -25,8 +25,8 @@ that: it runs a query through *every* path the repo can execute —
 * ``sqlite-shredded`` — the query-shredding SQLite backend
   (:mod:`repro.backends.shred`): extents flattened into SQLite tables,
   join/unnest chains and Reduce/Nest aggregation lowered to flat SELECTs
-  that run as leaves of the physical plan, nested results reassembled by
-  ordered linear merge — SQLite as an *independently implemented*
+  that run as leaves of the physical plan, nested results grouped by the
+  engine's operators above them — SQLite as an *independently implemented*
   executor for the lowered part of the same semantics;
 * ``sqlite-shredded-cached-plan`` — the SQLite backend again, from a
   plan-cache hit (the shredded store is also cached; both caches must

@@ -246,9 +246,14 @@ RESIDUAL_SHAPES = {
         None,
         None,
     ),
+    # a collection nest over a stream segment (its head lowers, the nest
+    # does not), and a reduce lowered whole: the engine's Reduce folds it
+    "stream-nest": (NESTED, "HashNest(bag", None, None),
+    "reduce": ("select e.name from e in Employees", "Reduce(bag / $v)", None, None),
 }
 TICKING_SHAPES = ["hash-join", "nl-join", "unnest"]
-BUFFERING_SHAPES = ["hash-join", "hash-nest", "nl-join"]
+BUFFERING_SHAPES = ["hash-join", "hash-nest", "nl-join", "stream-nest"]
+FOLDING_SHAPES = ["stream-nest", "reduce"]
 
 
 def _segments(op):
@@ -326,6 +331,27 @@ class TestResidualOperatorsAboveSqlSegments:
         with pytest.raises(QueryCancelled):
             physical.value()
         assert last.flat_query is not None
+
+    @pytest.mark.parametrize("size", [1, 7, 1024])
+    @pytest.mark.parametrize("shape", FOLDING_SHAPES)
+    def test_a_fold_above_a_segment_trips_as_on_memory(self, db, shape, size):
+        # The fold settles no work units: the row budget and a cancel trip
+        # while the rows it folds arrive — the segment's fetch here, the
+        # scan on memory — with the same error either way.
+        pipeline, oql = self._pipeline(db, shape, batch_size=size, max_rows=10)
+        memory = QueryPipeline(db, OptimizerOptions(batch_size=size, max_rows=10))
+        errors = []
+        for runner in (pipeline, memory):
+            with pytest.raises(BudgetExceeded) as info:
+                runner.run_oql(oql)
+            errors.append(str(info.value))
+            token = CancelToken()
+            token.cancel()
+            governor = Governor(token=token, tick_interval=1)
+            physical = runner.compile_oql(oql).physical(db, governor=governor)
+            with pytest.raises(QueryCancelled):
+                physical.value()
+        assert errors[0] == errors[1] and "more than 10 work units" in errors[0]
 
 
 class TestGovernorUnit:

@@ -8,7 +8,7 @@ Four concerns, mirroring ISSUE 9's tentpole:
   groups, and empty extents;
 * **the pushdown actually fires**: golden checks that grouping/aggregate
   queries lower to a single ``GROUP BY`` statement and EXPLAIN carries the
-  ``[sql:group]``/``[sql:agg]``/``[sql:merge]`` markers;
+  ``[sql:group]``/``[sql:agg]`` markers;
 * **index-backed probes**: ``EXPLAIN QUERY PLAN`` goldens asserting that
   ``$parent`` unnests and equi-joins discovered at lowering time run off
   indexes (satellite: index coverage + ANALYZE);
@@ -107,7 +107,7 @@ PARITY_QUERIES = [
     "select distinct t.k, avg(t.v) as A from Ts t where t.s = \"a\" group by t.k",
     # Grouped quantifier heads.
     "select distinct e.dno, max(e.salary) as top from Employees e group by e.dno",
-    # Collection-valued nests (the ordered-merge path, [sql:merge]).
+    # Collection-valued nests (a HashNest over a stream segment).
     "select distinct struct( D: d, E: ( select distinct e "
     "from e in Employees where e.dno = d.dno ) ) from d in Departments",
 ]
