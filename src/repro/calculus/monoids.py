@@ -97,16 +97,32 @@ class CollectionMonoid(Monoid):
         return self.fold(self.unit(v) for v in values)
 
 
+def _merge_error(name: str, a: Any, b: Any) -> Exception:
+    # The evaluator imports this module, so its error class is fetched here.
+    from repro.calculus.evaluator import EvaluationError
+
+    return EvaluationError(
+        f"{name} merge of {type(a).__name__} and {type(b).__name__}: "
+        f"both operands must be {name}s"
+    )
+
+
 def _set_merge(a: SetValue, b: SetValue) -> SetValue:
-    return a.union(b)
+    if isinstance(a, SetValue) and isinstance(b, SetValue):
+        return a.union(b)
+    raise _merge_error("set", a, b)
 
 
 def _bag_merge(a: BagValue, b: BagValue) -> BagValue:
-    return a.additive_union(b)
+    if isinstance(a, BagValue) and isinstance(b, BagValue):
+        return a.additive_union(b)
+    raise _merge_error("bag", a, b)
 
 
 def _list_merge(a: ListValue, b: ListValue) -> ListValue:
-    return a.concat(b)
+    if isinstance(a, ListValue) and isinstance(b, ListValue):
+        return a.concat(b)
+    raise _merge_error("list", a, b)
 
 
 SET = CollectionMonoid(

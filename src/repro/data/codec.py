@@ -53,7 +53,7 @@ def _encode(value: Any, cls: type) -> Any:
         return {"$set": [_encode(v, v.__class__) for v in value._order]}
     if cls is BagValue:
         elements: list[Any] = []
-        for element, count in value._entries.values():
+        for element, count in value._counted():
             elements += [_encode(element, element.__class__)] * count
         return {"$bag": elements}
     if cls is ListValue:

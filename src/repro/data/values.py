@@ -7,7 +7,8 @@ attributes), the three collection kinds (sets, bags, lists), and ``NULL``.
 Every value in this module is *immutable and hashable*.  This is a deliberate
 engineering choice: the nest operator of the algebra groups streams by
 arbitrary value keys, and the set monoid must deduplicate arbitrary elements;
-hashability makes both O(1) per element.
+hashability makes both O(1) per element.  A record hashes the frozenset of its
+fields, order-free like its ``==``, so no record is sorted to be hashed.
 
 Object identity.  The paper's data model is object-oriented: two objects
 with identical state are still *distinct* objects.  Stored objects are
@@ -19,15 +20,20 @@ that must distinguish objects — grouping keys in the nest operator,
 equi-join keys, object equality in queries — goes through
 :func:`identity_key` / :func:`identity_eq`, which collapse to plain value
 semantics for identity-free values (literals and computed records never get
-an OID).  :class:`BagValue` stores its elements keyed by identity so a bag
-extent can hold two value-equal but distinct objects without conflating
-them; its public ``==``/``hash``/``count`` remain value-based.
+an OID, and a computed record free of stored objects is its own key).
+:class:`BagValue` counts its elements per identity key in ``_counts`` and keeps
+in ``_reps`` the first element of each key that is not that element (a stored
+object's), so a bag extent holds value-equal but distinct objects apart; its
+public ``==``/``hash``/``count`` remain value-based.
 """
 
 from __future__ import annotations
 
+from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from itertools import chain, repeat, starmap
 from math import copysign
+from operator import is_not
 from typing import Any
 
 
@@ -97,12 +103,10 @@ class Record(Mapping[str, Any]):
     __slots__ = ("_fields", "_hash", "_oid", "_ikey")
 
     def __init__(self, _fields: Mapping[str, Any] | None = None, **kwargs: Any):
-        fields: dict[str, Any] = dict(_fields) if _fields else {}
-        fields.update(kwargs)
-        object.__setattr__(self, "_fields", fields)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_oid", None)
-        object.__setattr__(self, "_ikey", None)
+        _set_fields(self, {**_fields, **kwargs} if _fields else kwargs)
+        _set_hash(self, None)
+        _set_oid(self, None)
+        _set_ikey(self, None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Record is immutable")
@@ -151,10 +155,10 @@ class Record(Mapping[str, Any]):
         The field mapping is shared with the original, so stamping is O(1).
         """
         stamped = Record.__new__(Record)
-        object.__setattr__(stamped, "_fields", self._fields)
-        object.__setattr__(stamped, "_hash", self._hash)
-        object.__setattr__(stamped, "_oid", oid)
-        object.__setattr__(stamped, "_ikey", None)
+        _set_fields(stamped, self._fields)
+        _set_hash(stamped, self._hash)
+        _set_oid(stamped, oid)
+        _set_ikey(stamped, None)
         return stamped
 
     # -- structural equality ----------------------------------------------
@@ -170,8 +174,8 @@ class Record(Mapping[str, Any]):
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash(self._key())
-            object.__setattr__(self, "_hash", cached)
+            cached = hash(frozenset(self._fields.items()))  # order-free, no sort
+            _set_hash(self, cached)
         return cached
 
     def __repr__(self) -> str:
@@ -246,79 +250,85 @@ class SetValue(CollectionValue):
 class BagValue(CollectionValue):
     """An immutable bag (multiset) — carrier of the bag monoid (⊎, {{}}).
 
-    Elements are stored keyed by :func:`identity_key`, so a bag can hold
-    two value-equal but identity-distinct objects without conflating them
-    (a bag extent of duplicates is exactly where the OO model and plain
-    multiset-of-values semantics diverge).  The *public* interface —
-    ``==``, ``hash``, :meth:`count`, ``in`` — remains value-based, matching
-    the value semantics of every other collection.
+    ``_counts`` maps each :func:`identity_key` to its multiplicity in
+    first-seen order, so a bag holds two value-equal but distinct objects
+    apart (where the OO model and multiset-of-values semantics diverge);
+    ``_reps`` holds the first element of each key that is not its element.
+    The *public* interface — ``==``, ``hash``, :meth:`count`, ``in`` —
+    remains value-based, matching the value semantics of every other collection.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_counts", "_reps")
 
     def __init__(self, items: Iterable[Any] = ()):
-        # identity key -> (representative element, multiplicity)
-        entries: dict[Any, tuple[Any, int]] = {}
         if isinstance(items, BagValue):
-            entries = dict(items._entries)
+            counts, reps = items._counts, items._reps
         else:
-            for item in items:
-                key = identity_key(item)
-                found = entries.get(key)
-                entries[key] = (item, 1) if found is None else (found[0], found[1] + 1)
-        object.__setattr__(self, "_entries", entries)
+            items = items if isinstance(items, (list, tuple)) else list(items)
+            keys = list(map(identity_key, items))
+            counts = {}
+            _count_elements(counts, keys)  # a dict keeps its first key
+            reps = {}
+            if any(map(is_not, keys, items)):  # reversed: the first one wins
+                pairs = zip(reversed(keys), reversed(items))
+                reps = {k: v for k, v in pairs if k is not v}
+        _set_counts(self, counts)
+        _set_reps(self, reps)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("BagValue is immutable")
 
     @classmethod
+    def _of(cls, counts: dict[Any, int], reps: dict[Any, Any]) -> "BagValue":
+        bag = cls.__new__(cls)
+        _set_counts(bag, counts)
+        _set_reps(bag, reps)
+        return bag
+
+    @classmethod
     def from_counts(cls, counts: Mapping[Any, int]) -> "BagValue":
-        entries: dict[Any, tuple[Any, int]] = {}
+        keyed: dict[Any, int] = {}
+        reps: dict[Any, Any] = {}
         for value, count in counts.items():
             if count <= 0:
                 continue
             key = identity_key(value)
-            found = entries.get(key)
-            entries[key] = (
-                (value, count) if found is None else (found[0], found[1] + count)
-            )
-        bag = cls()
-        object.__setattr__(bag, "_entries", entries)
-        return bag
+            keyed[key] = keyed.get(key, 0) + count
+            if key is not value:
+                reps.setdefault(key, value)
+        return cls._of(keyed, reps)
+
+    def _counted(self) -> Iterable[tuple[Any, int]]:
+        """(element, multiplicity) per identity key, in first-seen order."""
+        reps, counts = self._reps, self._counts.items()
+        return ((reps.get(k, k), c) for k, c in counts) if reps else counts
 
     def _value_counts(self) -> dict[Any, int]:
         """Multiplicity per *value* (identity collapsed) — the bag's public
         value semantics."""
         counts: dict[Any, int] = {}
-        for value, count in self._entries.values():
+        for value, count in self._counted():
             counts[value] = counts.get(value, 0) + count
         return counts
 
     def count(self, value: Any) -> int:
         """Multiplicity of *value* in the bag (by value, ignoring identity)."""
-        return sum(c for v, c in self._entries.values() if v == value)
+        return sum(c for v, c in self._counted() if v == value)
 
     def elements(self) -> Iterator[Any]:
-        for value, count in self._entries.values():
-            for _ in range(count):
-                yield value
+        return chain.from_iterable(starmap(repeat, self._counted()))
 
     def __len__(self) -> int:
-        return sum(count for _, count in self._entries.values())
+        return sum(self._counts.values())
 
     def __contains__(self, value: Any) -> bool:
-        return any(v == value for v, _ in self._entries.values())
+        return any(v == value for v, _ in self._counted())
 
     def additive_union(self, other: "BagValue") -> "BagValue":
-        entries = dict(self._entries)
-        for key, (value, count) in other._entries.items():
-            found = entries.get(key)
-            entries[key] = (
-                (value, count) if found is None else (found[0], found[1] + count)
-            )
-        bag = BagValue()
-        object.__setattr__(bag, "_entries", entries)
-        return bag
+        counts = dict(self._counts)
+        for key, count in other._counts.items():
+            counts[key] = counts.get(key, 0) + count
+        return BagValue._of(counts, {**other._reps, **self._reps})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BagValue):
@@ -331,6 +341,12 @@ class BagValue(CollectionValue):
     def __repr__(self) -> str:
         inner = ", ".join(repr(v) for v in _stable_order(list(self.elements())))
         return "{{" + inner + "}}"
+
+
+_set_fields, _set_hash, _set_oid, _set_ikey = (
+    getattr(Record, slot).__set__ for slot in Record.__slots__
+)
+_set_counts, _set_reps = BagValue._counts.__set__, BagValue._reps.__set__
 
 
 class ListValue(CollectionValue):
@@ -400,6 +416,7 @@ _REC_TAG = "\x00rec"
 _SET_TAG = "\x00set"
 _BAG_TAG = "\x00bag"
 _LIST_TAG = "\x00list"
+_SCALARS = (int, str, float, bool)
 
 
 def identity_key(value: Any) -> Any:
@@ -430,13 +447,13 @@ def identity_key(value: Any) -> Any:
         if value._oid is not None:
             key: Any = (_OID_TAG, value._oid)
         else:
-            items = value._key()
-            parts = tuple((attr, identity_key(v)) for attr, v in items)
-            if all(part is v for (_, part), (_, v) in zip(parts, items)):
-                key = value  # identity-free all the way down
-            else:
-                key = (_REC_TAG, parts)
-        object.__setattr__(value, "_ikey", key)
+            key = value  # unless some field carries identity
+            for v in value._fields.values():
+                if v.__class__ not in _SCALARS and identity_key(v) is not v:
+                    parts = ((a, identity_key(f)) for a, f in value._key())
+                    key = (_REC_TAG, tuple(parts))
+                    break
+        _set_ikey(value, key)
         return key
     if isinstance(value, SetValue):
         keys = frozenset(identity_key(v) for v in value._items)
@@ -444,10 +461,9 @@ def identity_key(value: Any) -> Any:
             return value  # no member carries identity
         return (_SET_TAG, keys)
     if isinstance(value, BagValue):
-        entries = value._entries
-        if all(key is entry[0] for key, entry in entries.items()):
-            return value
-        return (_BAG_TAG, frozenset((k, c) for k, (_, c) in entries.items()))
+        if not value._reps:
+            return value  # every element is its own key
+        return (_BAG_TAG, frozenset(value._counts.items()))
     if isinstance(value, ListValue):
         keys = tuple(identity_key(v) for v in value._items)
         if all(k is v for k, v in zip(keys, value._items)):
@@ -488,8 +504,7 @@ def exact_key(value: Any) -> Any:
     if isinstance(value, SetValue):
         return (_SET_TAG, tuple(map(exact_key, value._order)))
     if isinstance(value, BagValue):
-        entries = value._entries.values()
-        return (_BAG_TAG, tuple((exact_key(v), count) for v, count in entries))
+        return (_BAG_TAG, tuple((exact_key(v), c) for v, c in value._counted()))
     if isinstance(value, ListValue):
         return (_LIST_TAG, tuple(map(exact_key, value._items)))
     return (cls, value)

@@ -25,7 +25,11 @@ from repro.calculus.monoids import (
     leq,
     monoid,
 )
+from repro.calculus.evaluator import EvaluationError, Evaluator
+from repro.calculus.terms import Merge, Var
+from repro.data.database import Database
 from repro.data.values import NULL, BagValue, ListValue, SetValue, is_null
+from repro.engine.compile import ExprCompiler
 
 ints = st.integers(min_value=-50, max_value=50)
 positive = st.integers(min_value=0, max_value=50)
@@ -157,3 +161,54 @@ class TestLeq:
 
     def test_bag_into_set(self):
         assert leq(BAG, SET)
+
+
+# A merge of the wrong kind is a typed fault naming the monoid and both
+# operand types: a non-collection operand, or another collection kind on
+# either side.
+_OF_KIND = {"set": SetValue([1]), "bag": BagValue([1]), "list": ListValue([1])}
+_OTHER_KIND = {"set": BagValue([1]), "bag": ListValue([1]), "list": SetValue([1])}
+_WRONG_MERGES = [
+    (name, left, right)
+    for name in sorted(_OF_KIND)
+    for left, right in (
+        (_OF_KIND[name], 7),
+        (_OTHER_KIND[name], _OF_KIND[name]),
+        (_OF_KIND[name], _OTHER_KIND[name]),
+    )
+]
+
+
+def _merge_fault(run, name, left, right):
+    with pytest.raises(EvaluationError) as raised:
+        run()
+    assert type(raised.value) is EvaluationError
+    left_type, right_type = type(left).__name__, type(right).__name__
+    assert str(raised.value) == (
+        f"{name} merge of {left_type} and {right_type}: "
+        f"both operands must be {name}s"
+    )
+
+
+@pytest.mark.parametrize("name, left, right", _WRONG_MERGES, ids=repr)
+def test_wrong_kind_merge_is_typed_in_the_evaluator(name, left, right):
+    term = Merge(name, Var("l"), Var("r"))
+    evaluator = Evaluator(Database())
+    env = {"l": left, "r": right}
+    _merge_fault(lambda: evaluator.evaluate(term, env), name, left, right)
+
+
+@pytest.mark.parametrize("name, left, right", _WRONG_MERGES, ids=repr)
+def test_wrong_kind_merge_is_typed_in_a_compiled_kernel(name, left, right):
+    database = Database()
+    compiler = ExprCompiler()
+    compiler.activate(Evaluator(database), database)
+    kernel = compiler.compile_kernel(Merge(name, Var("l"), Var("r")))
+    assert kernel.mode == "compiled"
+
+    def run():
+        _, _, err = kernel.fn({"l": [left], "r": [right]}, 1)
+        if err is not None:
+            raise err
+
+    _merge_fault(run, name, left, right)
