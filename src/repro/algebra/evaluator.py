@@ -33,11 +33,12 @@ from repro.algebra.operators import (
     Seed,
     Select,
     Unnest,
+    occurrence,
 )
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid
 from repro.calculus.terms import Term
-from repro.data.values import NULL, CollectionValue, identity_key, is_null
+from repro.data.values import NULL, CollectionValue, SetValue, identity_key, is_null
 
 Env = dict[str, Any]
 
@@ -110,9 +111,9 @@ class PlanEvaluator:
     # -- operators -------------------------------------------------------------
 
     def _scan(self, plan: Scan) -> Iterator[Env]:
-        for obj in self._database.extent(plan.extent):
+        for binding in _bindings(plan.var, self._database.extent(plan.extent)):
             self.steps += 1
-            yield {plan.var: obj}
+            yield binding
 
     def _select(self, plan: Select) -> Iterator[Env]:
         for env in self.stream(plan.child):
@@ -149,8 +150,8 @@ class PlanEvaluator:
             if not matched:
                 yield {**left_env, **{col: NULL for col in right_columns}}
 
-    def _elements(self, path: Term, env: Env) -> list[Any]:
-        value = self._value(path, env)
+    def _elements(self, plan: Unnest | OuterUnnest, env: Env) -> list[Env]:
+        value = self._value(plan.path, env)
         if is_null(value):
             return []
         if not isinstance(value, CollectionValue):
@@ -158,22 +159,22 @@ class PlanEvaluator:
                 f"unnest path evaluated to {type(value).__name__}, "
                 "expected a collection"
             )
-        return list(value.elements())
+        return _bindings(plan.var, value)
 
     def _unnest(self, plan: Unnest) -> Iterator[Env]:
         for env in self.stream(plan.child):
-            for element in self._elements(plan.path, env):
+            for binding in self._elements(plan, env):
                 self.steps += 1
-                extended = {**env, plan.var: element}
+                extended = {**env, **binding}
                 if self._holds(plan.pred, extended):
                     yield extended
 
     def _outer_unnest(self, plan: OuterUnnest) -> Iterator[Env]:
         for env in self.stream(plan.child):
             matched = False
-            for element in self._elements(plan.path, env):
+            for binding in self._elements(plan, env):
                 self.steps += 1
-                extended = {**env, plan.var: element}
+                extended = {**env, **binding}
                 if self._holds(plan.pred, extended):
                     matched = True
                     yield extended
@@ -207,18 +208,20 @@ class PlanEvaluator:
         groups: dict[tuple[Any, ...], Any] = {}
         order: list[tuple[Any, ...]] = []
         keys_to_env: dict[tuple[Any, ...], Env] = {}
+        tags = [(col, occurrence(col)) for col in plan.group_by]
+        carried = plan.group_by + tuple(tag for _, tag in tags)
         for env in self.stream(plan.child):
             self.steps += 1
-            # Group by object identity, not value: the unnesting translation
-            # (rule C5) groups by the outer range variables assuming bindings
-            # are distinguishable, and two stored objects with equal state
-            # are still distinct objects.  identity_key degrades to the plain
-            # value for identity-free bindings.
-            key = tuple(identity_key(env[col]) for col in plan.group_by)
+            # Group by binding: the unnesting translation (rule C5) groups
+            # by the outer range variables assuming bindings are
+            # distinguishable.  An element of a bag or list is its
+            # occurrence, any other its identity (identity_key: the value
+            # itself where there is no stored object).
+            key = tuple(env[t] if t in env else identity_key(env[c]) for c, t in tags)
             if key not in groups:
                 groups[key] = monoid.zero
                 order.append(key)
-                keys_to_env[key] = {col: env[col] for col in plan.group_by}
+                keys_to_env[key] = {name: env[name] for name in carried if name in env}
             if any(is_null(env[col]) for col in plan.null_vars):
                 continue  # NULL padding converts to the monoid's zero
             if not self._holds(plan.pred, env):
@@ -231,6 +234,14 @@ class PlanEvaluator:
         )
         for key in order:
             yield {**keys_to_env[key], plan.out_var: finalize(groups[key])}
+
+
+def _bindings(var: str, collection: CollectionValue) -> list[Env]:
+    """*var* bound to each element of *collection* (of a bag or list: and
+    to its occurrence)."""
+    tag = None if isinstance(collection, SetValue) else occurrence(var)
+    elements = enumerate(collection.elements())
+    return [{var: e, tag: pos} if tag else {var: e} for pos, e in elements]
 
 
 def evaluate_plan(plan: Operator, database: ExtentProvider) -> Any:

@@ -15,6 +15,11 @@ Operator parameters (predicates, heads, paths) are calculus terms whose free
 variables refer to the environment's columns.  ``columns()`` reports which
 variables an operator's output stream binds — the unnesting algorithm's
 ``w`` is exactly ``plan.columns()``.
+
+A variable over a bag or a list also binds its :func:`occurrence`, the
+element's position there, which a nest groups by instead of the element:
+two occurrences of one value or object are two bindings, as the calculus
+counts them (arXiv:1404.7078 §4: an element *is* its ``($parent, $pos)``).
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ class Operator:
         from repro.algebra.pretty import pretty_plan
 
         return pretty_plan(self)
+
+
+def occurrence(var: str) -> str:
+    """The hidden column of *var*'s position in the bag or list it ranges over."""
+    return var + "#"
 
 
 def _check_monoid(name: str) -> Monoid:

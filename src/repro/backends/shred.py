@@ -65,16 +65,15 @@ the shapes the physical planner fuses, recognised by its own functions:
 * *the grouped product* otherwise — ``GROUP BY`` over the joined rows,
   first-seen group order kept as ``MIN("$rn")`` of a ``ROW_NUMBER()`` over
   the chain's ``$pos`` ordering, a record key passing its payload columns
-  through the derived table under a ``k<i>$`` prefix.
+  through the derived table under a ``k<i>$`` prefix, an occurrence as ``k<i>#``.
 
 The first two emit one row per *row* of L, the product form one per group
-of L's keys; so where L's rows may repeat (a bag or list holding a scalar
-value or an ``$oid`` twice — the catalog learns it per table) the product
-form stays: GROUP BY merges such rows and counts their bucket once per
-duplicate.  The first is also refused when a join conjunct that is not an
-equality reads both sides (no key to aggregate under), the second unless
-every binding is one stored column compared exactly — not ``num`` (``1``
-and ``1.0`` would share), not computed, not a collection.  Stacked
+of L's keys, and the two agree: a variable over a bag or list table is
+keyed by its occurrence, its row's ``$pos``, so no two rows of L share a
+group.  The first is refused when a join conjunct that is not an equality
+reads both sides (no key to aggregate under), the second unless every
+binding is one stored column compared exactly — not ``num`` (``1`` and
+``1.0`` would share), not computed, not a collection.  Stacked
 aggregations are *one* statement either way.  A ``Reduce`` root is the
 engine's ``Reduce`` over a segment of its values (kept heads, or the one
 aggregated row).  A collection-monoid ``Nest``, ``prod`` and parameters
@@ -132,6 +131,7 @@ from repro.algebra.operators import (
     Seed,
     Select,
     Unnest,
+    occurrence,
     operators,
     rebuild,
 )
@@ -196,7 +196,7 @@ _FILE_CACHE_KIB = 16384
 #: Bumped whenever the flat encoding or what the fingerprint digests
 #: changes; part of the fingerprint, so a stale file re-shreds instead of
 #: being misread.
-_LAYOUT_VERSION = 3
+_LAYOUT_VERSION = 4
 _MANIFEST_TABLE = "repro$manifest"
 #: What only the two fused nest forms write into a statement (the
 #: pre-aggregate's column, the domain's SELECT): :func:`fused_forms`.
@@ -246,9 +246,6 @@ class _Table:
     columns: dict[str, str] = field(default_factory=dict)
     records: set[str] = field(default_factory=set)
     children: dict[str, "_Table"] = field(default_factory=dict)
-    #: Some owner holds one element twice, as GROUP BY sees elements: a
-    #: scalar by value, a stored object by ``$oid`` (bags and lists only).
-    repeats: bool = False
 
     def oid_column(self, path: str = "") -> str:
         return "$oid" if path == "" else path + "$oid"
@@ -585,23 +582,18 @@ class ShreddedStore:
     def _shred_extent(self, name: str) -> None:
         value = self._database.extent(name)
         elements = list(value.elements())
-        table = self._describe(name, _collection_kind(value), [elements], False)
+        table = self._describe(name, _collection_kind(value), elements, False)
         if not self.reused:
             self._create(table)
-            self._insert(table, elements, None)
+            self._insert(table, elements, None, set())
         self.tables[name] = table
 
     def _describe(
-        self,
-        table_name: str,
-        kind: str,
-        owned: list[list[Any]],
-        child: bool,
+        self, table_name: str, kind: str, elements: list[Any], child: bool
     ) -> _Table:
-        """The table of the collections *owned* — one list of elements per
-        owner: the extent itself, or each parent row's nested collection."""
+        """The table of *elements*: the extent's, or those of every parent
+        row's nested collection."""
         table = _Table(table_name, "record", kind, child)
-        elements = [e for collection in owned for e in collection]
         present = [e for e in elements if not is_null(e)]
         records = [e for e in present if isinstance(e, Record)]
         if records:
@@ -612,9 +604,6 @@ class ShreddedStore:
                 )
             table.records.add("")
             self._describe_fields(table, "", records)
-            table.repeats = _holds_repeats(
-                [[e.oid for e in c if e.oid is not None] for c in owned]
-            )
             return table
         scalars = [e for e in present if _scalar_tag(e) is not None]
         if len(scalars) != len(present):
@@ -626,7 +615,6 @@ class ShreddedStore:
             tag = _merge_tag(tag, _scalar_tag(e))
         table.element = "scalar"
         table.columns[""] = tag or "any"
-        table.repeats = _holds_repeats([map(_encode, c) for c in owned])
         return table
 
     def _describe_fields(
@@ -665,7 +653,7 @@ class ShreddedStore:
                     raise BackendUnsupportedError(
                         f"{table.name}: mixed collection kinds at {path!r}"
                     )
-                nested = [list(v.elements()) for v in present]
+                nested = [e for v in present for e in v.elements()]
                 table.children[path] = self._describe(
                     f"{table.name}${path}", kinds.pop(), nested, True
                 )
@@ -688,8 +676,9 @@ class ShreddedStore:
             self._create(child)
 
     def _insert(
-        self, table: _Table, elements: list[Any], parent: int | None
+        self, table: _Table, elements: list[Any], parent: int | None, owners: set
     ) -> None:
+        """*elements* as rows of *table*; a collection once per *owners*."""
         columns = table.all_columns()
         sql = (
             f"INSERT INTO {_q(table.name)} "
@@ -711,9 +700,11 @@ class ShreddedStore:
             self.connection.execute(sql, [row[c] for c in columns])
             for path, child in table.children.items():
                 value = _walk_path(element, path)
-                if value is None or is_null(value):
+                owner = (child.name, row["$oid"])
+                if value is None or is_null(value) or owner in owners:
                     continue
-                self._insert(child, list(value.elements()), row["$oid"])
+                owners.add(owner)
+                self._insert(child, list(value.elements()), row["$oid"], owners)
 
     def _flatten(
         self, table: _Table, prefix: str, record: Record, row: dict
@@ -742,13 +733,6 @@ class ShreddedStore:
                 f"extent {name!r} was not shredded: {self.refusals[name]}"
             )
         return self._database.extent(name)
-
-
-def _holds_repeats(owned: list) -> bool:
-    """Whether one of the *owned* runs of keys holds a key twice (Python's
-    ``==`` and SQL's agree on the encoded scalars: ``1``, ``1.0`` and
-    ``True`` are one key to both, and so are two NULLs to GROUP BY)."""
-    return any(len(set(keys)) < len(keys) for keys in map(list, owned))
 
 
 def _collection_kind(value: CollectionValue) -> str:
@@ -841,7 +825,8 @@ class _VarBind:
     ``prefix`` supports lowered nests used as derived tables: a record
     group key passes its payload columns through under a ``k<i>$`` prefix,
     so the rebound variable resolves ``alias."k<i>$<column>"`` instead of
-    the physical column names.
+    the physical column names.  ``occurrence``: over a bag or list, the
+    SQL of the variable's occurrence (its row's ``$pos``, or ``k<i>#``).
     """
 
     kind: str  # "record" | "scalar" | "expr"
@@ -849,11 +834,21 @@ class _VarBind:
     table: _Table | None = None
     expr: _SqlExpr | None = None
     prefix: str = ""
+    occurrence: str = ""
 
 
 def _bcol(bind: _VarBind, column: str) -> str:
     """A bound table column as qualified SQL (prefix-aware)."""
     return f"{bind.alias}.{_q(bind.prefix + column)}"
+
+
+def _table_bind(alias: str, table: _Table, occurs: bool) -> _VarBind:
+    """A variable over *table*'s rows; one that *occurs* (a nest keys it by
+    its occurrence: :func:`~repro.engine.planner.occurring_vars`) with its
+    row's ``$pos`` as the occurrence."""
+    kind = "record" if table.element == "record" else "scalar"
+    occurrence = f"{alias}.{_q('$pos')}" if occurs else ""
+    return _VarBind(kind, alias, table, occurrence=occurrence)
 
 
 def _column(bind: _VarBind) -> tuple[str, str, str]:
@@ -1149,9 +1144,6 @@ class _Chain:
     uses_table: bool = True
     #: True when the chain contains a lowered (GROUP BY) nest.
     grouped: bool = False
-    #: False when two rows may agree on every variable as GROUP BY sees
-    #: them: a table under the chain holds an element twice.
-    distinct: bool = True
     #: ``name AS (SELECT ...)`` definitions ``from_sql`` refers to: the
     #: prefix of whichever SELECT is stated over this chain.
     ctes: list[str] = field(default_factory=list)
@@ -1188,8 +1180,9 @@ class _SegmentBuilder:
     ``Reduce`` root becomes the engine's ``Reduce`` over a segment.
     """
 
-    def __init__(self, store: ShreddedStore):
+    def __init__(self, store: ShreddedStore, occurring: frozenset[str]):
         self._store = store
+        self._occurring = occurring
         #: (table, column) equi-join pairs worth indexing, discovered at
         #: lowering time across every *successful* build.
         self.index_requests: set[tuple[str, str]] = set()
@@ -1253,12 +1246,10 @@ class _SegmentBuilder:
         if table is None:
             return None
         alias = self._alias(counter)
-        kind = "record" if table.element == "record" else "scalar"
         return _Chain(
             from_sql=f"{_q(table.name)} {alias}",
-            binds={plan.var: _VarBind(kind, alias, table)},
+            binds={plan.var: _table_bind(alias, table, plan.var in self._occurring)},
             order_cols=[f"{alias}.{_q('$pos')}"],
-            distinct=not table.repeats,
         )
 
     def _chain_seed(self, plan: Seed, counter: list[int]) -> _Chain | None:
@@ -1328,7 +1319,6 @@ class _SegmentBuilder:
             order_cols=left.order_cols + right.order_cols,
             uses_table=left.uses_table or right.uses_table,
             grouped=left.grouped or right.grouped,
-            distinct=left.distinct and right.distinct,
             ctes=left.ctes + right.ctes,
         )
 
@@ -1363,9 +1353,8 @@ class _SegmentBuilder:
         parent_table = parent_bind.table
         assert parent_table is not None
         alias = self._alias(counter)
-        kind = "record" if child.element == "record" else "scalar"
         binds = dict(chain.binds)
-        binds[plan.var] = _VarBind(kind, alias, child)
+        binds[plan.var] = _table_bind(alias, child, plan.var in self._occurring)
         on = [
             f"{alias}.{_q('$parent')} = "
             f"{_bcol(parent_bind, parent_table.oid_column())}"
@@ -1392,7 +1381,6 @@ class _SegmentBuilder:
             order_cols=chain.order_cols + [f"{alias}.{_q('$pos')}"],
             uses_table=True,
             grouped=chain.grouped,
-            distinct=chain.distinct and not child.repeats,
             ctes=chain.ctes,
         )
 
@@ -1506,8 +1494,7 @@ class _SegmentBuilder:
         and folded *before* it meets a left row, and the monoid's zero is
         restored outside the join, where an unmatched left row reads NULL.
         The chain stays L's — its binds, its ``$pos`` order, its filters.
-        Refusals (a two-sided residual, an L that may repeat): see the
-        module docstring."""
+        Refused (a two-sided residual): see the module docstring."""
         join = group_join_shape(plan)
         if join is None:
             return None
@@ -1518,10 +1505,8 @@ class _SegmentBuilder:
         if not all(free_vars(part) <= set(right_columns) for part in residual):
             return None
         left = self._chain(join.left, counter)
-        if left is None or not left.distinct:
-            return None
         right = self._chain(join.right, counter)
-        if right is None:
+        if left is None or right is None:
             return None
         folded = self._fold(plan, right.binds)
         filters = [_filter_sql(part, right.binds) for part in residual]
@@ -1581,7 +1566,7 @@ class _SegmentBuilder:
         if id(leaf) in self._standins:
             return None  # a nest on a shared spine: the leaf is a domain already
         base = self._chain(leaf, counter)
-        if base is None or not base.distinct:
+        if base is None:
             return None
 
         def columns(binds: Mapping[str, _VarBind]) -> list[str] | None:
@@ -1636,36 +1621,41 @@ class _SegmentBuilder:
         self, binds: Mapping[str, _VarBind], names: tuple[str, ...]
     ) -> tuple[list[tuple[str, str]], list[str], Any] | None:
         """Variables *names* as columns of a derived table: ``(sql, name)``
-        select items, each variable's key column, and a function rebinding
-        the variables over an alias of that table.  A record passes its
+        select items, the key columns, and a function rebinding the
+        variables over an alias of that table.  A record passes its
         ``$oid`` and payload columns through under a ``k<i>$`` prefix,
-        anything else is the one column ``k<i>``."""
+        anything else is the one column ``k<i>``, an occurrence ``k<i>#``."""
         items: list[tuple[str, str]] = []
         keys: list[str] = []
-        shapes: list[tuple[str, _Table | None, str]] = []
+        shapes: list[tuple[str, _Table | None, str, bool]] = []
         for i, var in enumerate(names):
             bind = binds.get(var)
             if bind is None:
                 return None
-            if bind.kind == "record":
-                table = bind.table
-                assert table is not None
+            table, tag = bind.table if bind.kind == "record" else None, ""
+            if table is not None:
                 columns = [table.oid_column()] + table.payload_columns()
                 items += [(_bcol(bind, c), f"k{i}${c}") for c in columns]
                 keys.append(f"k{i}${columns[0]}")
-                shapes.append((var, table, ""))
             else:
                 key_sql, kind, tag = _column(bind)
                 items.append((key_sql, f"k{i}"))
                 keys.append(f"k{i}")
-                shapes.append((var, None, "object" if kind == "object" else tag))
+                tag = "object" if kind == "object" else tag
+            if bind.occurrence:
+                items.append((bind.occurrence, f"k{i}#"))
+                keys.append(f"k{i}#")
+            shapes.append((var, table, tag, bool(bind.occurrence)))
 
         def rebind(alias: str) -> dict[str, _VarBind]:
             return {
-                var: _VarBind("record", alias, table, prefix=f"k{i}$")
-                if table is not None
-                else _VarBind("expr", expr=_SqlExpr(f"{alias}.{_q(f'k{i}')}", tag))
-                for i, (var, table, tag) in enumerate(shapes)
+                var: replace(
+                    _VarBind("record", alias, table, prefix=f"k{i}$")
+                    if table is not None
+                    else _VarBind("expr", expr=_SqlExpr(f"{alias}.{_q(f'k{i}')}", tag)),
+                    occurrence=f"{alias}.{_q(f'k{i}#')}" if occurs else "",
+                )
+                for i, (var, table, tag, occurs) in enumerate(shapes)
             }
 
         return items, keys, rebind
@@ -1811,10 +1801,13 @@ def _result_columns(
     chain: _Chain, names: tuple[str, ...]
 ) -> list[tuple[str, str, str, str]] | None:
     """``(variable, sql, decode kind, tag)`` of each of the variables
-    *names* (:func:`_column`), or None when the chain lacks one."""
+    *names* (:func:`_column`), then of the occurrences some of them carry,
+    or None when the chain lacks one."""
     if not all(var in chain.binds for var in names):
         return None
-    return [(var, *_column(chain.binds[var])) for var in names]
+    binds = [(var, chain.binds[var]) for var in names]
+    tags = [(occurrence(var), b.occurrence, "scalar", "int") for var, b in binds]
+    return [(var, *_column(b)) for var, b in binds] + [tag for tag in tags if tag[1]]
 
 
 def _indexable_column(
@@ -1853,9 +1846,13 @@ _LOWERABLE = (
 )
 
 
-def compile_segments(plan: Operator, store: ShreddedStore) -> Operator:
+def compile_segments(
+    plan: Operator, store: ShreddedStore, occurring: frozenset[str]
+) -> Operator:
     """*plan* with every maximal SQL-translatable subtree replaced by a
-    :class:`SqlSegment` leaf.
+    :class:`SqlSegment` leaf.  *occurring* is the plan's
+    :func:`~repro.engine.planner.occurring_vars`, which the physical plan
+    of the result is built with too.
 
     The walk is top-down greedy: the largest subtree that fully translates
     becomes one flat SELECT — ``Nest`` roots lowered to SQL aggregation
@@ -1866,7 +1863,7 @@ def compile_segments(plan: Operator, store: ShreddedStore) -> Operator:
     to per-scan queries, never failing outright.  Equi-join columns
     discovered during lowering get indexes (plus ANALYZE) before execution.
     """
-    builder = _SegmentBuilder(store)
+    builder = _SegmentBuilder(store, occurring)
 
     def visit(node: Operator) -> Operator:
         if isinstance(node, _LOWERABLE):

@@ -56,7 +56,7 @@ from repro.engine.executor import (
     flat_queries,
 )
 from repro.engine.governor import CancelToken, Governor
-from repro.engine.planner import PlannerOptions, plan_physical
+from repro.engine.planner import PlannerOptions, occurring_vars, plan_physical
 from repro.engine.physical import PhysicalOperator, root_value
 from repro.errors import (
     BackendUnsupportedError,
@@ -240,6 +240,11 @@ class CompiledQuery:
     _lowered: "weakref.WeakKeyDictionary[Any, Operator]" = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
     )
+    #: :meth:`occurring` per database, with the ``schema_version`` it was
+    #: found at; shared with every :meth:`bind` copy like :attr:`_lowered`.
+    _occurring: "weakref.WeakKeyDictionary[Any, tuple]" = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
+    )
     #: Lazily computed cache for :attr:`param_names` — the term walk is
     #: per-query, not per-execution (``bind`` copies carry it along).
     _param_names: frozenset[str] | None = field(
@@ -366,7 +371,9 @@ class CompiledQuery:
             governor = self.make_governor(cancel_token)
             plan, provider = self.target(database)
             if plan is not None:
-                physical = self._plan(plan, provider, values, profile, governor)
+                physical = self._plan(
+                    plan, provider, database, values, profile, governor
+                )
             start = time.perf_counter()
             if physical is None:
                 # Naive nested-loop evaluation of the calculus form.
@@ -430,15 +437,29 @@ class CompiledQuery:
             lowered = self._lowered.get(store)
             if lowered is None:
                 # Two first executions may both lower; one assignment wins.
-                lowered = compile_segments(self.optimized, store)
+                lowered = compile_segments(
+                    self.optimized, store, self.occurring(database)
+                )
                 self._lowered[store] = lowered
             return lowered, store
         return self.optimized, database
+
+    def occurring(self, database: Database) -> frozenset[str]:
+        """:func:`~repro.engine.planner.occurring_vars` of :attr:`optimized`
+        in *database* — the variables both the SQL lowering and the physical
+        planner key groups by their occurrence — found once per state of
+        the database."""
+        found = self._occurring.get(database)
+        if found is None or found[0] != database.schema_version:
+            found = (database.schema_version, occurring_vars(self.optimized, database))
+            self._occurring[database] = found
+        return found[1]
 
     def _plan(
         self,
         plan: Operator,
         provider: Any,
+        database: Database,
         params: Mapping[str, Any] | None,
         profile: bool = False,
         governor: Governor | None = None,
@@ -451,6 +472,7 @@ class CompiledQuery:
             profile=profile,
             compiler=self.expr_compiler(),
             governor=governor,
+            occurring=self.occurring(database),
         )
 
     def physical(
@@ -464,7 +486,7 @@ class CompiledQuery:
         plan, provider = self.target(database)
         if plan is None:
             raise ValueError("no algebraic plan: query compiled with unnest=False")
-        return self._plan(plan, provider, params, profile, governor)
+        return self._plan(plan, provider, database, params, profile, governor)
 
     def explain(self, database: Database) -> str:
         """An EXPLAIN-style report of the physical plan (on the SQLite
@@ -715,25 +737,20 @@ class QueryPipeline:
             from repro.algebra.typing import infer_plan_type
 
             infer_plan_type(optimized, schema)
-        expr_compiler = ExprCompiler()
-        if self.database is not None:
-            final = optimized
+        compiled = CompiledQuery(
+            source, term, prepared, logical, optimized, trace, options,
+            rule_firings=engine.firings,
+        )
+        database = self.database
+        if database is not None:
             self._stage(
                 stages,
                 "plan",
-                lambda: plan_physical(
-                    final,
-                    self.database,
-                    _planner_options(options),
-                    compiler=expr_compiler,
-                ),
+                lambda: compiled._plan(optimized, database, database, None),
                 lambda physical: physical.explain(),
             )
-        return CompiledQuery(
-            source, term, prepared, logical, optimized, trace, options,
-            rule_firings=engine.firings, stages=tuple(stages),
-            _compiler=expr_compiler,
-        )
+        compiled.stages = tuple(stages)
+        return compiled
 
     def _stage(self, stages: list, name: str, fn, render) -> Any:
         """Run one stage: time *fn*, record it with its *render*, count.

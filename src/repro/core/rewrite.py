@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.errors import PlanningError
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -117,7 +119,8 @@ class RewriteEngine:
         self.firings: list[Firing] = []
 
     def run_phase(self, phase: RuleSet, node: Any) -> Any:
-        """Run one phase to a fixpoint; records firings."""
+        """Run one phase to a fixpoint; records firings.  Still rewriting
+        after ``max_passes`` passes is a :class:`PlanningError`."""
         transform = phase.transform or _default_transform
         for _ in range(self._max_passes):
             changed = False
@@ -135,8 +138,9 @@ class RewriteEngine:
             node = transform(node, attempt)
             if not changed:
                 return node
-        raise RuntimeError(
-            f"optimizer phase {phase.name!r} did not reach a fixpoint"
+        raise PlanningError(
+            f"optimizer phase {phase.name!r} did not reach a fixpoint in "
+            f"{self._max_passes} passes (last rule fired: {self.firings[-1].rule})"
         )
 
     def run(self, phases: list[RuleSet], node: Any) -> Any:

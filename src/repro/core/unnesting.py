@@ -247,10 +247,10 @@ class _Translator:
             return result
         # Rule C5: the Γ grouping variables are the range variables in scope
         # at box entry.  The paper's correctness argument assumes bindings of
-        # those variables are distinguishable *objects*; the evaluators honor
-        # that by keying groups with identity_key, so two value-equal objects
-        # drawn from a bag extent still form two separate groups (the
-        # identity layer in repro.data.values).
+        # those variables are distinguishable; the evaluators honor that by
+        # keying a group with a binding's occurrence where it ranges over a
+        # bag or list and with identity_key otherwise, so one value or object
+        # held twice, or two value-equal objects, form separate groups.
         result = Nest(
             plan,
             comp.monoid_name,

@@ -51,7 +51,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.algebra.operators import (
     Join,
@@ -223,7 +223,8 @@ class PPartitionScan(PScan):
     """Physical partitioned scan: one partition's rows of an extent.
 
     Ticks the governor only for *emitted* rows, so across all partitions
-    the driving extent charges exactly what a serial scan charges.
+    the driving extent charges exactly what a serial scan charges.  A row's
+    occurrence is its position in the whole extent, as in a serial scan.
     """
 
     def __init__(
@@ -235,27 +236,26 @@ class PPartitionScan(PScan):
             None if spec.key is None else self._kernel(context, spec.key)
         )
 
-    def _items(self) -> list:
-        items = super()._items()
+    def _items(self) -> tuple[list, Sequence[int]]:
+        items, _ = super()._items()
         spec = self.spec
         if spec.mode == "range":
             n = len(items)
             lo = (n * spec.index) // spec.count
             hi = (n * (spec.index + 1)) // spec.count
-            return items[lo:hi]
+            return items[lo:hi], range(lo, hi)
         if not items:
-            return items
+            return items, ()
         keys, _, err = self._run_kernel(
             self._key_kernel, {self.var: items}, len(items)
         )
         if err is not None:
             raise err
         index, count = spec.index, spec.count
-        return [
-            obj
-            for obj, key in zip(items, keys)
-            if stable_hash(key) % count == index
+        picked = [
+            i for i, key in enumerate(keys) if stable_hash(key) % count == index
         ]
+        return [items[i] for i in picked], picked
 
     def describe(self) -> str:
         spec = self.spec
@@ -378,6 +378,7 @@ def try_parallel_plan(
     profile: bool = False,
     compiler: "ExprCompiler | None" = None,
     governor: Any | None = None,
+    occurring: frozenset[str] = frozenset(),
 ) -> "PGather | None":
     """Decompose *plan* into a :class:`PGather` of partition pipelines.
 
@@ -448,6 +449,7 @@ def try_parallel_plan(
             compiler=compiler,
             governor=governor,
             batch_size=options.batch_size,
+            occurring=occurring,
         )
 
     base_context = make_context()
@@ -625,7 +627,9 @@ class PGather(PhysicalOperator):
     def _merge_nest(self, partials: list) -> Any:
         nest = self._nest_node
         nest_monoid = nest.monoid
-        columns: dict[str, list] = {col: [] for col in nest.group_by}
+        columns: dict[str, list] = {
+            col: [] for col in self._partition_roots[0].carried
+        }
         if self.aligned:
             # Workers returned their finalized group columns and no group
             # spans partitions: concatenate in partition order.

@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
-from typing import Any, Iterator, Mapping
+from itertools import compress, groupby
+from typing import Any, Iterator, Mapping, Sequence
 
-from repro.algebra.operators import Operator
+from repro.algebra.operators import Operator, occurrence
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
 from repro.calculus.terms import TRUE, Term, Var, free_vars
@@ -73,8 +73,9 @@ Env = dict[str, Any]
 class _Context:
     """Shared per-execution state: the database, the bound
     prepared-statement parameters (``:name`` placeholder values), the
-    expression compiler with the interpreter its fallback nodes call, and
-    the optional per-execution :class:`~repro.engine.governor.Governor`."""
+    expression compiler with the interpreter its fallback nodes call, the
+    optional per-execution :class:`~repro.engine.governor.Governor`, and
+    the occurrence column of each variable *occurring* over a bag or list."""
 
     def __init__(
         self,
@@ -84,12 +85,14 @@ class _Context:
         compiler: ExprCompiler | None = None,
         governor: Any | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        occurring: frozenset[str] = frozenset(),
     ):
         self.database = database
         self.params = dict(params) if params else {}
         self.profile = profile
         self.governor = governor
         self.batch_size = max(1, batch_size)
+        self.occurrences = {var: occurrence(var) for var in occurring}
         self._terms = TermEvaluator(database, self.params, governor=governor)
         self._compiler = compiler if compiler is not None else ExprCompiler()
         self.activate()
@@ -312,13 +315,18 @@ class PhysicalOperator:
                     name: [col[j] for j in order] for name, col in added.items()
                 }
         if parent_of:
-            out_cols = {
-                name: [col[i] for i in parent_of] for name, col in cols.items()
-            }
-            out_cols.update(added)
-            yield self._emit_chunk(Chunk(out_cols, len(parent_of)))
+            yield self._gathered(cols, parent_of, added)
         if kerr is not None:
             raise kerr
+
+    def _gathered(
+        self, cols: Mapping[str, list], parent_of: list[int], added: dict[str, list]
+    ) -> Chunk:
+        """One row per candidate: its row's columns of *cols*, each gathered
+        with one comprehension instead of per-row appends, and *added*."""
+        out_cols = {name: [col[i] for i in parent_of] for name, col in cols.items()}
+        out_cols.update(added)
+        return self._emit_chunk(Chunk(out_cols, len(parent_of)))
 
     def _kept_heads(
         self, cols: Mapping[str, list], n: int, null_vars: tuple[str, ...] = ()
@@ -430,16 +438,20 @@ class PhysicalOperator:
 
 
 class PScan(PhysicalOperator):
-    """Sequential scan of a class extent."""
+    """Sequential scan of a class extent (a row's occurrence: its position)."""
 
     def __init__(self, context: _Context, extent: str, var: str):
         super().__init__()
         self._context = context
         self.extent = extent
         self.var = var
+        self._occurrence = context.occurrences.get(var)
 
-    def _items(self) -> list:
-        return list(self._context.database.extent(self.extent))
+    def _items(self) -> tuple[list, Sequence[int]]:
+        """The rows to emit and each one's occurrence: its position in the
+        extent (an index scan's: among the matches)."""
+        items = list(self._context.database.extent(self.extent))
+        return items, range(len(items))
 
     def batches(self) -> Iterator[Chunk]:
         # Slice the items directly into column lists — no per-row dict, no
@@ -448,12 +460,15 @@ class PScan(PhysicalOperator):
         var = self.var
         size = context.batch_size
         governor = context.governor
-        items = self._items()
+        items, positions = self._items()
         for start in range(0, len(items), size):
             col = items[start : start + size]
             if governor is not None:
                 governor.tick_many(len(col))
-            yield self._emit_chunk(Chunk({var: col}, len(col)))
+            columns = {var: col}
+            if self._occurrence is not None:
+                columns[self._occurrence] = list(positions[start : start + size])
+            yield self._emit_chunk(Chunk(columns, len(col)))
 
     def describe(self) -> str:
         return f"Scan({self.var} <- {self.extent})"
@@ -475,7 +490,7 @@ class PIndexScan(PScan):
         self.key = key
         self._key_kernel = self._kernel(context, key)
 
-    def _items(self) -> list:
+    def _items(self) -> tuple[list, Sequence[int]]:
         values, _, err = self._run_kernel(self._key_kernel, {}, 1)
         if err is not None:
             raise err
@@ -483,10 +498,10 @@ class PIndexScan(PScan):
             # attr = NULL is NULL, which a filter treats as false — but the
             # index stores NULL-attributed objects under the NULL key, so a
             # raw lookup would wrongly return them.
-            return []
-        return list(
-            self._context.database.index_lookup(self.extent, self.attr, values[0])
-        )
+            return [], ()
+        database = self._context.database
+        items = list(database.index_lookup(self.extent, self.attr, values[0]))
+        return items, range(len(items))
 
     def describe(self) -> str:
         return f"IndexScan({self.var} <- {self.extent} on {self.attr} = {self.key})"
@@ -844,11 +859,7 @@ class PHashJoin(PhysicalOperator):
             if governor is not None:
                 governor.tick_many(len(positions) - pads)
             if parent_of:
-                out_cols = {
-                    name: [col[i] for i in parent_of] for name, col in cols.items()
-                }
-                out_cols.update(added)
-                yield self._emit_chunk(Chunk(out_cols, len(parent_of)))
+                yield self._gathered(cols, parent_of, added)
 
     def describe(self) -> str:
         kind = "HashOuterJoin" if self.outer else "HashJoin"
@@ -860,8 +871,15 @@ class PHashJoin(PhysicalOperator):
         return f"{kind}({keys})"
 
 
+def _positions(parent_of: list[int]) -> list[int]:
+    """Each candidate's position among its parent's, where a parent's
+    candidates lie in one run."""
+    return [pos for _, run in groupby(parent_of) for pos, _ in enumerate(run)]
+
+
 class PUnnest(PhysicalOperator):
-    """Pipelined (outer-)unnest of a collection-valued path."""
+    """Pipelined (outer-)unnest of a collection-valued path (a row's
+    occurrence: its element's position; an outer pad's is 0 or NULL)."""
 
     def __init__(
         self,
@@ -882,6 +900,7 @@ class PUnnest(PhysicalOperator):
         self._path_kernel = self._kernel(context, path)
         self._holds = self._pred_kernel(context, pred)
         self._holds_vars = free_vars(pred)
+        self._occurrence = context.occurrences.get(var)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -889,70 +908,50 @@ class PUnnest(PhysicalOperator):
     def batches(self) -> Iterator[Chunk]:
         path_kernel = self._path_kernel
         var = self.var
-        outer = self.outer
+        occ = self._occurrence
         governor = self._context.governor
         trivial = self._holds.trivial_true
+        # Without a predicate a row's outer pad is known while expanding;
+        # with one, _emit_candidates pads the rows no candidate survives.
+        pad = self.outer and trivial
         for chunk in self.child.batches():
             cols = chunk.columns
             paths, limit, err = self._run_kernel(path_kernel, cols, chunk.length)
-            if trivial:
-                # Fast path (no predicate): build the output row index and
-                # element column in one expansion pass, then emit every
-                # column with one comprehension instead of per-row appends.
-                parent_idx: list[int] = []
-                out_elements: list[Any] = []
-                total = 0
-                for i in range(limit):
-                    value = paths[i]
-                    if is_null(value):
-                        if outer:
-                            parent_idx.append(i)
-                            out_elements.append(NULL)
-                        continue
-                    if not isinstance(value, CollectionValue):
-                        err = EvaluationError(
-                            f"unnest path evaluated to {type(value).__name__}"
-                        )
-                        break
-                    elems = list(value.elements())
-                    if elems:
-                        total += len(elems)
-                        out_elements.extend(elems)
-                        parent_idx.extend([i] * len(elems))
-                    elif outer:
-                        parent_idx.append(i)
-                        out_elements.append(NULL)
-                if governor is not None:
-                    governor.tick_many(total)
-                if parent_idx:
-                    out_cols = {
-                        name: [col[i] for i in parent_idx]
-                        for name, col in cols.items()
-                    }
-                    out_cols[var] = out_elements
-                    yield self._emit_chunk(Chunk(out_cols, len(parent_idx)))
-                if err is not None:
-                    raise err
-                continue
             # Expand parents into (parent index, element) candidate pairs.
             parent_of: list[int] = []
             elements: list[Any] = []
+            total = 0
             for i in range(limit):
                 value = paths[i]
                 if is_null(value):
-                    continue
-                if not isinstance(value, CollectionValue):
+                    elems: list = []
+                elif isinstance(value, CollectionValue):
+                    elems = list(value.elements())
+                else:
                     err = EvaluationError(
                         f"unnest path evaluated to {type(value).__name__}"
                     )
                     limit = i
                     break
-                elems = list(value.elements())
-                elements.extend(elems)
-                parent_of.extend([i] * len(elems))
-            yield from self._emit_candidates(
-                cols, limit, parent_of, {var: elements}, err
-            )
+                if elems:
+                    total += len(elems)
+                    elements.extend(elems)
+                    parent_of.extend([i] * len(elems))
+                elif pad:
+                    parent_of.append(i)
+                    elements.append(NULL)
+            added = {var: elements}
+            if occ is not None:
+                added[occ] = _positions(parent_of)
+            if not trivial:
+                yield from self._emit_candidates(cols, limit, parent_of, added, err)
+                continue
+            if governor is not None:
+                governor.tick_many(total)
+            if parent_of:
+                yield self._gathered(cols, parent_of, added)
+            if err is not None:
+                raise err
 
     def describe(self) -> str:
         kind = "OuterUnnest" if self.outer else "Unnest"
@@ -991,6 +990,13 @@ class PHashNest(PhysicalOperator):
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
         self._group_columns: tuple[dict[str, list], int] | None = None
+        #: Per grouping variable, the column keying a group: its occurrence
+        #: where it has one.  A group carries out both, for an outer nest.
+        self._keys = self.carried = group_by
+        occ = context.occurrences
+        if occ:
+            self._keys = tuple(occ.get(col, col) for col in group_by)
+            self.carried += tuple(occ[col] for col in group_by if col in occ)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -998,20 +1004,17 @@ class PHashNest(PhysicalOperator):
     def _group_keys(self, cols: Mapping[str, list], limit: int) -> list:
         """The group key of each of the first *limit* rows of a chunk.
 
-        Identity-aware grouping: distinct stored objects with equal state
-        must form distinct groups (see algebra evaluator _nest).  Key
-        extraction is column-at-a-time: map identity_key down each
-        grouping column and zip the results into row keys, so the per-row
-        cost is the identity_key call alone (no genexpr resumption, no
-        per-row tuple building in Python).
+        Binding-aware grouping: distinct stored objects with equal state,
+        and two occurrences of one element, form distinct groups (see
+        algebra evaluator _nest).  Key extraction is column-at-a-time: map
+        identity_key down each key column and zip the results into row
+        keys, so the per-row cost is the identity_key call alone.
         """
-        group_by = self.group_by
-        if len(group_by) == 1:
-            return list(map(identity_key, cols[group_by[0]][:limit]))
-        if group_by:
-            return list(
-                zip(*(map(identity_key, cols[col][:limit]) for col in group_by))
-            )
+        keys = self._keys
+        if len(keys) == 1:
+            return list(map(identity_key, cols[keys[0]][:limit]))
+        if keys:
+            return list(zip(*(map(identity_key, cols[col][:limit]) for col in keys)))
         return [()] * limit
 
     def accumulate(self, raw: bool = False):
@@ -1019,7 +1022,7 @@ class PHashNest(PhysicalOperator):
 
         Returns ``(groups, key_cols)``: the accumulators by group key — a
         dict, so in first-seen order — and, aligned with them, one column
-        per grouping variable, appended to when a group opens.  A group
+        per :attr:`carried` column, appended to when a group opens.  A group
         opens for *every* row (before null-var/predicate filtering); the
         head kernel runs once per chunk over the filter-surviving rows and
         merges in stream order.
@@ -1037,7 +1040,7 @@ class PHashNest(PhysicalOperator):
         merge = monoid.merge
         lift = monoid.lift
         groups: dict[Any, Any] = {}
-        key_cols: dict[str, list] = {col: [] for col in self.group_by}
+        key_cols: dict[str, list] = {col: [] for col in self.carried}
         collection = isinstance(monoid, CollectionMonoid)
         use_list = collection or raw
         charge = self._context.charge_fn() if collection else None
@@ -1134,13 +1137,11 @@ class PGroupJoin(PHashNest):
     equi-keys (no keys: one bucket) and runs the nest's predicate and head
     kernels once per *right row*; a fault there waits in the row's element
     slot, since the pair evaluates it only where a left row meets the row.
-    **Probe** opens one identity-keyed group per left row, in first-seen
-    order, and hands it the fold of its bucket — computed on the first
-    probe and shared by every left row with that key.  The bucket's
-    elements are replayed one by one where sharing would show: a left row
-    re-entering its group (the bucket counts once per duplicate left row,
-    which a non-idempotent monoid sees), and a residual predicate, which
-    selects the elements per left row.
+    **Probe** opens one group per left row, in stream order — no two left
+    rows share a binding, since an element of a bag or list is keyed by its
+    occurrence — and hands it the fold of its bucket, computed on the first
+    probe and shared by every left row with that join key.  A residual
+    predicate, which selects the elements per left row, folds them anew.
 
     What the pair would let a caller observe is kept: groups fold their
     elements in bucket order (float sums, list and bag order), the first
@@ -1305,7 +1306,7 @@ class PGroupJoin(PHashNest):
         ]
         pad_checked = self._holds.trivial_true
         groups: dict[Any, Any] = {}
-        key_cols: dict[str, list] = {col: [] for col in self.group_by}
+        key_cols: dict[str, list] = {col: [] for col in self.carried}
         for chunk in self.child.batches():
             cols = chunk.columns
             key_parts, n, kerr = self._key_columns(
@@ -1364,24 +1365,21 @@ class PGroupJoin(PHashNest):
                     # As if buffered per pair, in the stream of kept elements.
                     _charge_values(charge, elems, buffered)
                     buffered += len(elems)
+                if key in groups:
+                    continue  # one binding twice: never in a plan's stream
                 shared = plain and bucket is not None
-                if key not in groups:
-                    for name, col in key_cols.items():
-                        col.append(cols[name][i])
-                    if use_list:
-                        groups[key] = list(elems) if shared and raw else elems
-                    elif shared:
-                        if bucket.carrier is _UNFOLDED:
-                            bucket.carrier = fold_skipping_nulls(
-                                monoid, monoid.zero, elems
-                            )
-                        groups[key] = bucket.carrier
-                    else:
-                        groups[key] = fold_skipping_nulls(monoid, monoid.zero, elems)
-                elif use_list:
-                    groups[key] = groups[key] + elems
+                for name, col in key_cols.items():
+                    col.append(cols[name][i])
+                if use_list:
+                    groups[key] = list(elems) if shared and raw else elems
+                elif shared:
+                    if bucket.carrier is _UNFOLDED:
+                        bucket.carrier = fold_skipping_nulls(
+                            monoid, monoid.zero, elems
+                        )
+                    groups[key] = bucket.carrier
                 else:
-                    groups[key] = fold_skipping_nulls(monoid, groups[key], elems)
+                    groups[key] = fold_skipping_nulls(monoid, monoid.zero, elems)
             if kerr is not None:
                 raise kerr
         return groups, key_cols
@@ -1431,12 +1429,12 @@ class PSharedNest(PhysicalOperator):
     see fewer rows.
 
     There is one path, and the data picks the representatives.  They are
-    simply *all* rows when no two rows share a binding (nothing to share),
-    when two rows are one identity (the nest merges those into a single
-    group that folds its elements once per row, which only the plain spine
-    reproduces) or when a binding expression faults (whether that fault is
-    ever reached is for the spine to decide); the spine's groups are then
-    the output as they stand.
+    simply *all* rows when no two rows share a binding (nothing to share)
+    or when a binding expression faults (whether that fault is ever reached
+    is for the spine to decide); the spine's groups are then the output as
+    they stand.  Every ``L`` row is its own group of the spine — an element
+    of a bag or list is keyed by its occurrence — so the value its
+    representative got is its own.
 
     A fault held from ``L``'s stream is raised after the spine has run over
     the rows that preceded it, so an earlier fault inside the spine wins as
@@ -1472,7 +1470,7 @@ class PSharedNest(PhysicalOperator):
         """Buffer ``L``: its columns, row count, each row's representative
         (the position of the first row with its binding; None when a
         binding faulted) and the fault that ended the stream, if any."""
-        cols: dict[str, list] = {name: [] for name in self.spine.group_by}
+        cols: dict[str, list] = {name: [] for name in self.spine.carried}
         first_of: dict[Any, int] = {}
         rep_of: list[int] | None = []
         n = 0
@@ -1508,17 +1506,13 @@ class PSharedNest(PhysicalOperator):
         spine = self.spine
         # The representatives, in stream order.
         firsts = [] if rep_of is None else list(dict.fromkeys(rep_of))
-        ids = None
-        if rep_of is not None and len(firsts) < n:
-            ids = spine._group_keys(cols, n)
-            if len(set(ids)) < n:
-                ids = None  # one identity twice: the plain spine merges them
-        if ids is None:
+        if rep_of is None or len(firsts) == n:
             self.source.feed(cols, n)
             spine._groups()
             if held is not None:
                 raise held
             return None, n
+        ids = spine._group_keys(cols, n)
         self.source.feed(
             {name: [col[i] for i in firsts] for name, col in cols.items()},
             len(firsts),

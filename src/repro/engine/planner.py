@@ -28,6 +28,12 @@ physical plans"):
   the plain spine (the exchange merges nests by ``accumulate``);
 * selections, maps, unnests, reduces map one-to-one.
 
+First, once per plan, :func:`occurring_vars` finds the grouped variables
+over a bag or list (by extent kind or schema type): their scans and
+unnests emit an occurrence column, joins carry it, nests group by it.  On
+SQLite the same set, found before lowering, keys the SQL's groups too.
+Set-only plans are planned exactly as they were.
+
 ``PlannerOptions.hash_joins`` turns key extraction off, which the benchmark
 suite uses to separate "unnesting removes recomputation" from "unnesting
 enables hash joins" (the group-join then runs keyless: one bucket, the whole
@@ -59,7 +65,10 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.calculus.evaluator import ExtentProvider
-from repro.calculus.terms import BinOp, Proj, Term, Var, conj, conjuncts, free_vars
+from repro.calculus.terms import BinOp, Extent, Proj, Term, Var, conj, conjuncts, free_vars
+from repro.calculus.typing import CalculusTypeError, TypeChecker
+from repro.data.schema import ANY, Type
+from repro.data.values import SetValue
 from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
@@ -82,6 +91,7 @@ from repro.engine.physical import (
     _Context,
     root_value,
 )
+from repro.errors import QueryError
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,7 @@ def plan_physical(
     profile: bool = False,
     compiler: "ExprCompiler | None" = None,
     governor: Any | None = None,
+    occurring: frozenset[str] | None = None,
 ) -> PhysicalOperator:
     """Translate a logical plan into a physical plan bound to *database*.
 
@@ -119,9 +130,12 @@ def plan_physical(
     memoized kernels survive across executions (the plan cache passes the
     one stored on ``CompiledQuery``).  *governor* is an optional
     :class:`repro.engine.governor.Governor` ticked from every operator loop
-    of this execution.
+    of this execution.  *occurring* is :func:`occurring_vars` of the plan
+    before the SQL lowering replaced subtrees (None: of *plan* itself).
     """
     options = options or PlannerOptions()
+    if occurring is None:
+        occurring = occurring_vars(plan, database)
     if options.parallel:
         # Imported lazily: exchange depends on this module's _build.
         from repro.engine.exchange import try_parallel_plan
@@ -134,6 +148,7 @@ def plan_physical(
             profile=profile,
             compiler=compiler,
             governor=governor,
+            occurring=occurring,
         )
         if gathered is not None:
             return gathered
@@ -144,8 +159,54 @@ def plan_physical(
         compiler=compiler,
         governor=governor,
         batch_size=options.batch_size,
+        occurring=occurring,
     )
     return _build(plan, context, options)
+
+
+def occurring_vars(plan: Operator, database: Any) -> frozenset[str]:
+    """The variables of the logical *plan* a nest groups by that range over
+    a bag or a list: by a scan's extent kind in *database* (a
+    :class:`~repro.data.database.Database`), by an unnest's path type (a
+    path the schema cannot type counts).  Only those paths are typed."""
+    grouped: set[str] = set()
+    binders: dict[str, Scan | Unnest | OuterUnnest] = {}
+    nodes = [plan]
+    for node in nodes:
+        nodes += node.children()
+        if isinstance(node, Nest):
+            grouped.update(node.group_by)
+        elif isinstance(node, (Scan, Unnest, OuterUnnest)):
+            binders[node.var] = node
+    checker = TypeChecker(getattr(database, "schema", None))
+    found: set[str] = set()
+    for var in grouped:
+        node = binders.get(var)
+        if isinstance(node, Scan):
+            try:
+                if not isinstance(database.extent(node.extent), SetValue):
+                    found.add(var)
+            except QueryError:
+                pass  # a scan that fails, when it runs
+        elif node is not None:
+            if getattr(_domain(var, binders, checker), "monoid_name", None) != "set":
+                found.add(var)
+    return frozenset(found)
+
+
+def _domain(var: str, binders: Mapping[str, Operator], checker: TypeChecker) -> Type:
+    """The type of the collection *var* ranges over (ANY where untyped)."""
+    node = binders[var]
+    term = Extent(node.extent) if isinstance(node, Scan) else node.path
+    env = {
+        v: getattr(_domain(v, binders, checker), "element", ANY)
+        for v in free_vars(term)
+        if v in binders
+    }
+    try:
+        return checker.infer(term, env)
+    except CalculusTypeError:
+        return ANY
 
 
 def execute(
@@ -316,6 +377,8 @@ def _build_join(
     left = _build(plan.left, context, options)
     right = _build(plan.right, context, options)
     right_columns = plan.right.columns()
+    if context.occurrences:
+        right_columns += tuple(filter(None, map(context.occurrences.get, right_columns)))
     keys, residual = _join_keys(plan, options)
     if keys:
         return PHashJoin(

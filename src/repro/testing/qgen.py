@@ -114,7 +114,9 @@ class QueryGenerator:
         self._params = {}
         roll = self.rng.random()
         depth = self.config.max_depth
-        if roll < 0.54:
+        if roll < 0.08:
+            source = self._scalar_collection_query(depth)
+        elif roll < 0.54:
             source = self._select_query([], depth)
         elif roll < 0.60:
             source = self._value_correlated_query(depth)
@@ -597,6 +599,70 @@ class QueryGenerator:
             f"where {row1}.{key1} = {link} and {row1}.{num1} >= {nested}( "
             f"select {row2}.{num2} from {row2} in {extent2} "
             f"where {row2}.{key2} = {link} ) )"
+        )
+
+    # -- sets and bags mixed over a collection of scalars ----------------------
+
+    def _scalar_collection_query(self, depth: int) -> str:
+        """The set/bag mixes of arXiv:1905.02069 over ``t.c``, a bag, list
+        or set of scalars (where a bag or list may hold one value twice):
+
+        * a set of bags, ``select distinct ( select x from x in t.c ) …``;
+        * a bag of sets, ``select ( select distinct x from x in t.c ) …``;
+        * ``distinct`` under ``sum``, ``sum( select distinct x from t in
+          T, x in t.c )``;
+        * a ``distinct`` across the outer-unnest of a nested box,
+          ``select distinct struct( A0: count( select x from x in t.c where
+          … ), A1: t.a ) from t in T``;
+        * a correlated ``count`` or ``sum`` driven by each element, ``select
+          struct( A0: x, A1: count( select u from u in U where u.b = x ) )
+          from t in T, x in t.c`` — once per occurrence.
+        """
+        rng = self.rng
+        owners = [
+            (extent, record_type, attr, _kind_of(coll.element))
+            for extent, record_type in self._extents()
+            for attr, coll in self._collection_attrs(record_type)
+            if _kind_of(coll.element) is not None
+        ]
+        if not owners:
+            return self._select_query([], depth)
+        extent, record_type, attr, kind = rng.choice(owners)
+        t, x = self._fresh_var(), self._fresh_var()
+        domain = f"{x} in {t}.{attr}"
+        roll = rng.random()
+        if roll < 0.2:
+            return f"select distinct ( select {x} from {domain} ) from {t} in {extent}"
+        if roll < 0.4:
+            return f"select ( select distinct {x} from {domain} ) from {t} in {extent}"
+        if roll < 0.55 and kind in _NUMERIC:
+            return f"sum( select distinct {x} from {t} in {extent}, {domain} )"
+        label = rng.choice(self._paths_of_kind([(t, record_type)], _NUMERIC) or [(t, "")])
+        if roll < 0.7:
+            op = rng.choice(("=", "!=", "<") if kind == "string" else ("=", "<", ">="))
+            box = (
+                f"count( select {x} from {domain} "
+                f"where {x} {op} {self._literal(kind, allow_null=False)} )"
+            )
+            return f"select distinct struct( A0: {box}, A1: {label[0]} ) from {t} in {extent}"
+        keyed = [
+            (other, key, num)
+            for other, other_type in self._extents()
+            for key, _ in self._scalar_attrs(other_type, (kind,))
+            for num in [n for n, _ in self._scalar_attrs(other_type, _NUMERIC)] or [None]
+        ]
+        if not keyed:
+            return f"select {x} from {t} in {extent}, {domain}"
+        other, key, num = rng.choice(keyed)
+        u = self._fresh_var()
+        if num is not None and rng.random() < 0.5:
+            box = f"sum( select {u}.{num} from {u} in {other} where {u}.{key} = {x} )"
+        else:
+            box = f"count( select {u} from {u} in {other} where {u}.{key} = {x} )"
+        distinct = "distinct " if rng.random() < 0.3 else ""
+        return (
+            f"select {distinct}struct( A0: {x}, A1: {box} ) "
+            f"from {t} in {extent}, {domain}"
         )
 
     # -- the one shape that can fault on data ---------------------------------

@@ -4,9 +4,10 @@ Follows the :mod:`repro.data.datagen` conventions — every generator takes a
 seed (or an ``random.Random``) and is fully deterministic — but instead of
 the paper's fixed example schemas it invents a fresh one each time: a few
 record classes with scalar attributes, nested collection attributes (sets or
-bags of inner records), class extents, NULLs sprinkled into nullable
-attributes, intentionally empty collections, and hash indexes on a few
-scalar attributes.
+bags of inner records), a collection of scalars (``vals``: a bag of ints, a
+list of strings or a set of floats, often repeating a value), class extents,
+NULLs sprinkled into nullable attributes, intentionally empty collections,
+and hash indexes on a few scalar attributes.
 
 Numeric design notes (they matter for the differential oracle):
 
@@ -19,11 +20,14 @@ Numeric design notes (they matter for the differential oracle):
 
 The generator deliberately emits *value-equal duplicate objects* (with
 probability :attr:`SchemaGenConfig.duplicate_probability`, both as extra
-extent members and as repeated nested-collection elements).  The paper's
-data model is object-oriented — two objects with identical state are still
-distinct — and the engine now honours that via engine-assigned OIDs
-(:meth:`repro.data.database.Database.adopt`), so the fuzzer probes exactly
-the spot where value semantics and object semantics diverge.  Earlier
+extent members and as repeated nested-collection elements), half of them
+the *same* stored object twice, and repeats a value in a collection of
+scalars with the same probability.  The paper's data model is
+object-oriented — two objects with identical state are still distinct — and
+the engine now honours that via engine-assigned OIDs
+(:meth:`repro.data.database.Database.adopt`), while a bag or list holding
+one value or one object twice holds two occurrences of it; so the fuzzer
+probes exactly the spots where value, object and occurrence diverge.  Earlier
 versions instead stamped a synthetic unique ``oid`` *attribute* onto every
 object to keep value-based records distinguishable; that workaround is
 retained behind :attr:`SchemaGenConfig.synthetic_oids` purely so old seeds
@@ -48,7 +52,7 @@ from repro.data.schema import (
     RecordType,
     Schema,
 )
-from repro.data.values import NULL, BagValue, Record, SetValue
+from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 
 #: The string pool shared with the query generator, so string equality
 #: predicates have a real chance of matching data.
@@ -59,6 +63,15 @@ STRING_POOL = (
 #: Inclusive upper bound for generated integer attribute values (and the
 #: literal pool the query generator draws from).
 INT_RANGE = 8
+
+#: The collections of scalars a class may hold (as its ``vals`` attribute):
+#: a bag and a list, which repeat values, and a set, which collapses them.
+SCALAR_COLLECTIONS = (
+    CollectionType("bag", INT),
+    CollectionType("list", STRING),
+    CollectionType("set", FLOAT),
+)
+_COLLECTIONS = {"bag": BagValue, "list": ListValue, "set": SetValue}
 
 
 @dataclass
@@ -129,6 +142,8 @@ def random_schema(
             inner = RecordType(inner_fields)
             monoid = "bag" if rng.random() < config.bag_extent_probability else "set"
             attrs[f"kids{n}"] = CollectionType(monoid, inner)
+        if not config.synthetic_oids and rng.random() < 0.5:
+            attrs["vals"] = rng.choice(SCALAR_COLLECTIONS)
         generated.schema.define_class(class_name, **attrs)  # type: ignore[arg-type]
         for attr, attr_type in attrs.items():
             if attr != "oid" and not isinstance(attr_type, CollectionType):
@@ -158,12 +173,21 @@ def _random_record(
     class_name: str,
     config: SchemaGenConfig,
     oids: Iterator[int],
+    db: Database,
 ) -> Record:
     record_type = generated.schema.class_type(class_name)
     fields: dict[str, object] = {}
     for attr, attr_type in record_type.fields:
         if attr == "oid":
             fields[attr] = next(oids)
+        elif attr_type in SCALAR_COLLECTIONS:
+            values = [
+                random_value(rng, attr_type.element)
+                for _ in range(rng.randint(0, config.max_nested_size))
+            ]
+            if values and rng.random() < config.duplicate_probability:
+                values.append(rng.choice(values))
+            fields[attr] = _COLLECTIONS[attr_type.monoid_name](values)
         elif isinstance(attr_type, CollectionType):
             size = rng.randint(0, config.max_nested_size)
             inner: list[Record] = []
@@ -178,14 +202,14 @@ def _random_record(
                     not config.synthetic_oids
                     and rng.random() < config.duplicate_probability
                 ):
-                    # A value-equal twin; Database.adopt stamps each
-                    # occurrence with its own OID, so in a bag the twins
-                    # stay distinct objects.
-                    inner.append(Record(member_fields))
-            if attr_type.monoid_name == "bag":
-                fields[attr] = BagValue(inner)
-            else:
-                fields[attr] = SetValue(inner)
+                    # A value-equal twin, which Database.adopt stamps with
+                    # an OID of its own — or, half the time, the one stored
+                    # object twice, stamped now so adoption keeps its OID.
+                    twin = Record(member_fields)
+                    if rng.random() < 0.5:
+                        twin = inner[-1] = twin.with_oid(db.allocate_oid())
+                    inner.append(twin)
+            fields[attr] = _COLLECTIONS[attr_type.monoid_name](inner)
         elif (
             (class_name, attr) in generated.nullable
             and rng.random() < config.null_probability
@@ -215,7 +239,7 @@ def random_database(
         size = rng.randint(config.min_extent_size, config.max_extent_size)
         objects = []
         for _ in range(size):
-            obj = _random_record(rng, generated, class_name, config, oids)
+            obj = _random_record(rng, generated, class_name, config, oids, db)
             objects.append(obj)
             if (
                 not config.synthetic_oids
@@ -223,7 +247,11 @@ def random_database(
             ):
                 # Store the same record value twice; adoption assigns each
                 # occurrence its own OID (set extents still collapse the
-                # pair by value, bag extents keep two distinct objects).
+                # pair by value, bag extents keep two distinct objects) —
+                # or, half the time, the one stored object twice: adopted
+                # now, it keeps its OIDs when the extent adopts it again.
+                if rng.random() < 0.5:
+                    obj = objects[-1] = db.adopt(obj)
                 objects.append(obj)
         db.add_extent(extent_name, objects, kind=generated.extent_kinds[extent_name])
     # Hash indexes on a few scalar attributes, so the index-scan path of the

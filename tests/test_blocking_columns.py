@@ -270,12 +270,15 @@ def _group_forms(context, lefts, rights, monoid_name, group_by, left_key):
     return forms
 
 
-def _groups_of(lefts, rights, monoid_name, group_by, left_key, label):
+def _groups_of(
+    lefts, rights, monoid_name, group_by, left_key, label, occurring=frozenset()
+):
     """Every form's group rows — ``label(row)`` and the shown value — at
-    every chunk size, all equal; returns them."""
+    every chunk size, all equal; returns them.  *occurring* names the left
+    variables whose rows carry an occurrence column."""
     outcomes = {}
     for size in BATCH_SIZES:
-        context = _Context(Database(), batch_size=size)
+        context = _Context(Database(), batch_size=size, occurring=occurring)
         forms = _group_forms(context, lefts, rights, monoid_name, group_by, left_key)
         for name, op in forms.items():
             outcomes[name, size] = [
@@ -296,14 +299,6 @@ ALL = {
     "max": "11",
 }
 NONE = {"sum": "0", "bag": ("BagValue", []), "list": ("ListValue", []), "max": "0"}
-#: Key 1's bucket (heads 10 and 11) folded twice: what one identity met
-#: twice comes to, which only an idempotent monoid cannot see.
-TWICE = {
-    "sum": "42",
-    "bag": ("BagValue", ["10", "10", "11", "11"]),
-    "list": ("ListValue", ["10", "11", "10", "11"]),
-    "max": "11",
-}
 
 
 def _of(monoid_name, *values):
@@ -338,13 +333,14 @@ class TestGroupColumns:
         assert nest._groups() == ({"m": []}, 0)
 
     def test_two_grouping_columns(self, monoid_name):
-        # Groups are (a, b) pairs: rows 0 and 2 are one pair, rows 0 and 1
-        # share only ``a``.  Mutations: append to the key columns for every
-        # row, not when a group opens (4 entries for 3 groups, the third
-        # one's the first's again); append only to the first grouping column.
+        # Groups are (a, b) pairs: rows 0 and 1 share only ``a``, and each
+        # ``a1`` row meets two right rows.  Mutations: in the nests over a
+        # join, append to the key columns for every joined row, not when a
+        # group opens (5 entries for 3 groups); append only to the first
+        # grouping column.
         a1, a2 = Record(k=1).with_oid(1), Record(k=2).with_oid(2)
         b1, b2 = Record(t="x").with_oid(3), Record(t="y").with_oid(4)
-        lefts = [{"a": a, "b": b} for a, b in [(a1, b1), (a1, b2), (a1, b1), (a2, b1)]]
+        lefts = [{"a": a, "b": b} for a, b in [(a1, b1), (a1, b2), (a2, b1)]]
         groups = _groups_of(
             lefts,
             RIGHTS,
@@ -354,26 +350,46 @@ class TestGroupColumns:
             lambda row: (row["a"].oid, row["b"].oid),
         )
         assert groups == [
-            ((1, 3), TWICE[monoid_name]),
+            ((1, 3), _of(monoid_name, 10, 11)),
             ((1, 4), _of(monoid_name, 10, 11)),
             ((2, 3), _of(monoid_name, 5)),
         ]
 
-    def test_one_identity_twice_and_equal_values_under_two_identities(
-        self, monoid_name
-    ):
-        # Rows 0 and 1 are one object (one group, its bucket folded twice);
-        # row 2 equals them in value under another OID (its own group).
-        # Mutations: key the groups on the value (`identity_key` -> the
-        # row); in the group-join, append to the key column for every row.
+    def test_equal_values_under_two_identities(self, monoid_name):
+        # A variable without an occurrence is keyed by its identity: two
+        # objects equal in value are two groups.  Mutation: key the groups
+        # on the value (`identity_key` -> the row).
         same, other = Record(k=1).with_oid(7), Record(k=1).with_oid(8)
-        lefts = [{"l": same}, {"l": same}, {"l": other}]
         groups = _groups_of(
-            lefts, RIGHTS, monoid_name, ("l",), path("l", "k"), lambda row: row["l"].oid
+            [{"l": same}, {"l": other}],
+            RIGHTS,
+            monoid_name,
+            ("l",),
+            path("l", "k"),
+            lambda row: row["l"].oid,
+        )
+        assert groups == [(7, _of(monoid_name, 10, 11)), (8, _of(monoid_name, 10, 11))]
+
+    def test_one_identity_at_two_occurrences(self, monoid_name):
+        # Rows 0 and 1 are one object at two occurrences of a bag (two
+        # groups, each folding its bucket once); row 2 equals them in value
+        # under another OID (its own group).  Mutation: key the groups on
+        # the variable rather than its occurrence.
+        same, other = Record(k=1).with_oid(7), Record(k=1).with_oid(8)
+        lefts = [{"l": same, "l#": 0}, {"l": same, "l#": 1}, {"l": other, "l#": 2}]
+        groups = _groups_of(
+            lefts,
+            RIGHTS,
+            monoid_name,
+            ("l",),
+            path("l", "k"),
+            lambda row: (row["l"].oid, row["l#"]),
+            occurring=frozenset({"l"}),
         )
         assert groups == [
-            (7, TWICE[monoid_name]),
-            (8, _of(monoid_name, 10, 11)),
+            ((7, 0), _of(monoid_name, 10, 11)),
+            ((7, 1), _of(monoid_name, 10, 11)),
+            ((8, 2), _of(monoid_name, 10, 11)),
         ]
 
     def test_null_group_keys_share_one_group(self, monoid_name):

@@ -3,8 +3,10 @@
 Section 8 leaves bag/list unnesting as future work because "grouping alone
 is not capable of reconstructing the input stream ... these collection
 types are not idempotent".  Our engine's streams are *multisets* (operators
-never deduplicate), so bag-monoid queries come out of the same C1–C9
-translation correct — these tests pin that extension.  List-valued results
+never deduplicate) and a variable ranging over a bag or list carries its
+element's occurrence, which the nest groups by, so bag-monoid queries come
+out of the same C1–C9 translation correct — these tests pin that
+extension, repeated elements included.  List-valued results
 are provided through the ORDER BY engine extension, and the measured
 executor (EXPLAIN ANALYZE) is covered here too.
 """
@@ -24,9 +26,12 @@ from repro.calculus.terms import (
     record,
     var,
 )
+from repro.core.optimizer import OptimizerOptions
+from repro.core.pipeline import QueryPipeline
 from repro.core.unnesting import unnest_query
 from repro.data.database import Database
 from repro.data.datagen import company_database
+from repro.data.schema import INT, STRING, Schema, bag_of, list_of
 from repro.data.values import BagValue, ListValue, Record, SetValue
 from repro.engine import run_with_stats
 from repro.engine.planner import PlannerOptions, execute
@@ -111,6 +116,103 @@ class TestBagUnnesting:
         term = comprehension("sum", var("x"), ("x", Extent("B")))
         assert evaluate(term, database) == 17
         assert execute(unnest_query(term), database) == 17
+
+    # Each occurrence of a repeated element is a binding of its own: the
+    # nested count runs once per occurrence, where grouping by the element
+    # would merge the two and count their matches twice in one row.
+
+    @staticmethod
+    def _repeats_database():
+        schema = Schema()
+        schema.define_class("T", xs=bag_of(INT), names=list_of(STRING))
+        schema.define_class("U", k=INT, s=STRING, v=INT)
+        schema.define_extent("Ts", "T")
+        schema.define_extent("Us", "U")
+        database = Database(schema)
+        database.add_extent(
+            "Ts",
+            [
+                Record(xs=BagValue([1, 1, 2]), names=ListValue(["a", "b", "a"])),
+                Record(xs=BagValue([1]), names=ListValue([])),
+            ],
+        )
+        database.add_extent(
+            "Us",
+            [Record(k=1, s="a", v=1), Record(k=1, s="a", v=2), Record(k=3, s="c", v=3)],
+        )
+        return database
+
+    @staticmethod
+    def _matches(key, value):
+        """``count`` of the Us whose *key* equals *value*."""
+        return comprehension(
+            "sum", const(1), ("u", Extent("Us")), BinOp("==", path("u", key), value)
+        )
+
+    def test_bag_of_scalars_with_a_repeat(self):
+        database = self._repeats_database()
+        term = comprehension(
+            "bag",
+            record(X=var("x"), N=self._matches("k", var("x"))),
+            ("t", Extent("Ts")),
+            ("x", path("t", "xs")),
+        )
+        result = self.check(term, database)
+        assert result == BagValue(
+            [Record(X=1, N=2), Record(X=1, N=2), Record(X=2, N=0), Record(X=1, N=2)]
+        )
+
+    def test_list_with_a_repeat(self):
+        database = self._repeats_database()
+        term = comprehension(
+            "bag",
+            record(S=var("n"), N=self._matches("s", var("n"))),
+            ("t", Extent("Ts")),
+            ("n", path("t", "names")),
+        )
+        result = self.check(term, database)
+        assert result == BagValue(
+            [Record(S="a", N=2), Record(S="b", N=0), Record(S="a", N=2)]
+        )
+
+    def test_bag_extent_holding_one_object_twice(self):
+        database = self._repeats_database()
+        twice = Record(k=1).with_oid(500)
+        database.add_extent("B", [twice, twice, Record(k=3)], kind="bag")
+        term = comprehension(
+            "bag",
+            record(K=path("b", "k"), N=self._matches("k", path("b", "k"))),
+            ("b", Extent("B")),
+        )
+        result = self.check(term, database)
+        assert result == BagValue(
+            [Record(K=1, N=2), Record(K=1, N=2), Record(K=3, N=1)]
+        )
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_a_compiled_query_sees_an_extent_become_a_bag(self, backend):
+        # What a compiled query keys by its occurrence is found once per
+        # state of the database, not once per database.
+        schema = Schema()
+        schema.define_class("U", k=INT)
+        schema.define_extent("Bs", "U")
+        schema.define_extent("Us", "U")
+        database = Database(schema)
+        database.add_extent("Us", [Record(k=1), Record(k=3)])
+        twice = Record(k=1).with_oid(500)
+        database.add_extent("Bs", [twice, Record(k=3)])
+        pipeline = QueryPipeline(database, OptimizerOptions(backend=backend))
+        compiled = pipeline.compile_oql(
+            "select struct( K: b.k, N: count( select u from u in Us where u.k = b.k ) ) "
+            "from b in Bs"
+        )
+        assert compiled.execute(database) == BagValue(
+            [Record(K=1, N=1), Record(K=3, N=1)]
+        )
+        database.add_extent("Bs", [twice, twice, Record(k=3)], kind="bag")
+        assert compiled.execute(database) == BagValue(
+            [Record(K=1, N=1), Record(K=1, N=1), Record(K=3, N=1)]
+        )
 
 
 class TestListSupport:

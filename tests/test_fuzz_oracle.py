@@ -10,7 +10,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.schema import INT, Schema
-from repro.data.values import NULL, BagValue, Record, SetValue
+from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.oql.translator import parse_and_translate
 from repro.testing.fuzz import FuzzConfig, generate_sample, run_fuzz
 from repro.testing.invariants import (
@@ -63,20 +63,25 @@ class TestGenerators:
                 query = gen.query()
                 parse_and_translate(query.source, db.schema)  # must not raise
 
-    def test_every_object_has_a_unique_engine_oid(self):
+    def test_every_object_has_an_engine_oid_of_its_own(self):
         # Stored objects get engine-assigned identities (Database.adopt);
-        # generated schemas no longer carry a synthetic oid attribute.
+        # generated schemas no longer carry a synthetic oid attribute.  An
+        # OID seen twice is one object held twice, never two objects.
         db, _ = random_database(23)
-        oids = []
+        by_oid = {}
         for name in db.extent_names():
             for obj in db.extent(name).elements():
                 assert "oid" not in obj
-                oids.append(obj.oid)
-                for value in obj.values():
-                    if hasattr(value, "elements"):
-                        oids.extend(kid.oid for kid in value.elements())
-        assert None not in oids
-        assert len(oids) == len(set(oids))
+                kids = [
+                    kid
+                    for value in obj.values()
+                    if hasattr(value, "elements")
+                    for kid in value.elements()
+                    if isinstance(kid, Record)
+                ]
+                for stored in [obj, *kids]:
+                    assert stored.oid is not None
+                    assert by_oid.setdefault(stored.oid, stored) == stored
 
     def test_synthetic_oid_attributes_behind_backcompat_flag(self):
         db, _ = random_database(23, SchemaGenConfig(synthetic_oids=True))
@@ -89,25 +94,33 @@ class TestGenerators:
                         attr_oids.extend(kid["oid"] for kid in value.elements())
         assert len(attr_oids) == len(set(attr_oids))
 
-    def test_generator_emits_value_equal_duplicates_in_bags(self):
+    def test_generator_emits_duplicates_in_bags(self):
         # With duplicates enabled (the default), some seed produces a bag
-        # extent holding two identity-distinct but value-equal objects.
+        # extent holding two identity-distinct but value-equal objects, and
+        # some seed one holding the same object twice; some bag or list of
+        # scalars holds one value twice.
+        found = set()
         for seed in range(40):
             db, generated = random_database(
                 seed, SchemaGenConfig(duplicate_probability=0.5)
             )
             for name, kind in generated.extent_kinds.items():
-                if kind != "bag":
-                    continue
                 objs = list(db.extent(name).elements())
-                values = {}
+                if kind == "bag":
+                    oids = {}
+                    for obj in objs:
+                        oids.setdefault(obj, []).append(obj.oid)
+                    for twins in oids.values():
+                        if len(set(twins)) > 1:
+                            found.add("value-equal objects")
+                        if len(set(twins)) < len(twins):
+                            found.add("one object twice")
                 for obj in objs:
-                    values.setdefault(obj, []).append(obj.oid)
-                if any(len(oids) > 1 for oids in values.values()):
-                    dupes = [o for o in values.values() if len(o) > 1]
-                    assert all(len(set(o)) == len(o) for o in dupes)
-                    return
-        raise AssertionError("no seed produced duplicate objects in a bag")
+                    vals = obj["vals"] if "vals" in obj else None
+                    if isinstance(vals, (BagValue, ListValue)):
+                        if len(set(vals.elements())) < len(vals):
+                            found.add("one value twice")
+        assert found == {"value-equal objects", "one object twice", "one value twice"}
 
     def test_params_only_contain_referenced_names(self):
         _, generated = random_database(3)

@@ -3,6 +3,8 @@ algebraic/join-order phases (paper Section 6)."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.algebra.operators import (
@@ -25,6 +27,7 @@ from repro.core.optimizer import (
 from repro.core.rewrite import RewriteEngine, Rule, RuleSet
 from repro.data.datagen import company_database, university_database
 from repro.engine.cost import CostModel
+from repro.errors import PlanningError
 
 
 @pytest.fixture(scope="module")
@@ -67,21 +70,47 @@ class TestRewriteEngine:
         assert all(f.rule == "fuse-selects" for f in engine.firings)
         assert len(engine.firings) == 2
 
-    def test_diverging_phase_detected(self):
-        phase = RuleSet("bad")
+    @staticmethod
+    def _ping_pong() -> RuleSet:
+        """Two rules undoing each other: a set reduce becomes a bag one and
+        back, one firing a pass, forever."""
+        phase = RuleSet("ping-pong")
+        for name, before, after in (("to-bag", "set", "bag"), ("to-set", "bag", "set")):
 
-        @phase.rule("flip-flop")
-        def flip(plan):
-            if isinstance(plan, Select):
-                # alternates between two forms forever
-                flipped = BinOp("and", Const(True), plan.pred)
-                if plan.pred != flipped:
-                    return Select(plan.child, flipped)
-            return None
+            @phase.rule(name, roots=(Reduce,))
+            def flip(plan, before=before, after=after):
+                if plan.monoid_name == before:
+                    return Reduce(plan.child, after, plan.head, plan.pred)
+                return None
 
-        engine = RewriteEngine(max_passes=5)
-        with pytest.raises(RuntimeError, match="fixpoint"):
-            engine.run_phase(phase, Select(Scan("X", "x"), var("p")))
+        return phase
+
+    def test_diverging_phase_is_a_typed_planning_error(self):
+        engine = RewriteEngine(max_passes=3)
+        plan = Reduce(Scan("X", "x"), "set", var("x"))
+        with pytest.raises(PlanningError) as raised:
+            engine.run_phase(self._ping_pong(), plan)
+        assert str(raised.value) == (
+            "optimizer phase 'ping-pong' did not reach a fixpoint in 3 passes "
+            "(last rule fired: to-bag)"
+        )
+        assert [f.rule for f in engine.firings] == ["to-bag", "to-set", "to-bag"]
+
+    def test_run_oql_surfaces_a_diverging_phase_with_its_stage(
+        self, company, monkeypatch
+    ):
+        import repro.core.optimizer as optimizer
+        import repro.core.pipeline as pipeline
+
+        monkeypatch.setattr(optimizer, "ALGEBRAIC_RULES", self._ping_pong())
+        monkeypatch.setattr(
+            pipeline, "RewriteEngine", functools.partial(RewriteEngine, max_passes=3)
+        )
+        source = "select distinct e.name from e in Employees"
+        with pytest.raises(PlanningError, match="ping-pong") as raised:
+            pipeline.QueryPipeline(company).run_oql(source)
+        assert raised.value.stage == "optimize"
+        assert raised.value.source == source
 
 
 class TestAlgebraicRules:

@@ -21,7 +21,8 @@ from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.datagen import company_database, university_database
-from repro.data.values import Record, SetValue
+from repro.data.schema import INT, Schema, bag_of
+from repro.data.values import BagValue, Record, SetValue
 from repro.engine.exchange import (
     PGather,
     resolve_workers,
@@ -221,6 +222,74 @@ class TestAgreement:
         stats = par.run_oql_stats("select distinct e.name from e in Employees")
         assert "Gather(" in stats.report()
         assert "workers=3" in stats.report()
+
+
+def _bag_database() -> Database:
+    """A bag extent holding one object three times, each with a bag of
+    ints that repeats a value."""
+    schema = Schema()
+    schema.define_class("B", k=INT, xs=bag_of(INT))
+    schema.define_class("U", k=INT, v=INT)
+    schema.define_extent("Bs", "B")
+    schema.define_extent("Us", "U")
+    db = Database(schema)
+    thrice = Record(k=1, xs=BagValue([1, 1, 2])).with_oid(500)
+    db.add_extent(
+        "Bs",
+        [
+            thrice,
+            Record(k=2, xs=BagValue([3])),
+            thrice,
+            Record(k=1, xs=BagValue([])),
+            thrice,
+            Record(k=3, xs=BagValue([1, 1])),
+        ],
+        kind="bag",
+    )
+    db.add_extent(
+        "Us", [Record(k=1, v=1), Record(k=1, v=2), Record(k=3, v=3), Record(k=2, v=4)]
+    )
+    return db
+
+
+class TestOccurrences:
+    """Plans over bags keep the exchange: a partitioned scan numbers its
+    rows by their position in the whole extent, so the coordinator never
+    merges two partitions' groups that only share a local position."""
+
+    @pytest.mark.parametrize(
+        "oql, shape",
+        [
+            (
+                "select struct(K: b.k, N: count(select u from u in Us "
+                "where u.k = b.k)) from b in Bs",
+                "nest/hash, aligned",
+            ),
+            (
+                "select struct(K: b.k, N: count(select x from x in b.xs "
+                "where x > 0)) from b in Bs",
+                "nest/range",
+            ),
+            (
+                # The tail's nest groups by b: the merge carries b's occurrence.
+                "select struct(K: b.k, N: count(select x from x in b.xs where "
+                "count(select u from u in Us where u.k = x) > 0)) from b in Bs",
+                "nest/range",
+            ),
+            (
+                "select struct(X: x, N: count(select u from u in Us "
+                "where u.k = x)) from b in Bs, x in b.xs",
+                "nest/range",
+            ),
+        ],
+    )
+    def test_bag_plans_partition_and_agree(self, oql, shape):
+        db = _bag_database()
+        serial, par = _pipelines(db)
+        assert f"Gather({shape}," in _gather(par, db, oql).describe()
+        reference = QueryPipeline(db, OptimizerOptions(unnest=False)).run_oql(oql)
+        assert serial.run_oql(oql) == reference
+        assert par.run_oql(oql) == reference
 
 
 # ---------------------------------------------------------------------------

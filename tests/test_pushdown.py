@@ -358,9 +358,9 @@ class TestPlanCacheInteraction:
         seen: list = []
         lower = shred.compile_segments
 
-        def counted(plan, store):
+        def counted(plan, store, occurring):
             seen.append(plan)
-            return lower(plan, store)
+            return lower(plan, store, occurring)
 
         monkeypatch.setattr(shred, "compile_segments", counted)
         return seen

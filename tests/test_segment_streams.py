@@ -33,7 +33,7 @@ from repro.data.schema import BOOL, FLOAT, INT, STRING, Schema, list_of, set_of
 from repro.data.values import NULL, ListValue, Record, SetValue
 from repro.engine.batch import Chunk
 from repro.engine.physical import PHashNest, PhysicalOperator, PReduce, _Context
-from repro.engine.planner import PlannerOptions, execute as execute_plan
+from repro.engine.planner import PlannerOptions, execute as execute_plan, occurring_vars
 from repro.oql.translator import parse_and_translate
 
 SIZES = (1, 7, 1024)
@@ -260,7 +260,7 @@ class TestParity:
             record(T=var("t"), M=var("m")),
         )
         store = shredded_store(db)
-        lowered = compile_segments(plan, store)
+        lowered = compile_segments(plan, store, occurring_vars(plan, db))
         options = PlannerOptions(batch_size=size)
         expected = repr(evaluate_plan(plan, db))
         assert repr(execute_plan(plan, db, options)) == expected

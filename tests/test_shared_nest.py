@@ -67,7 +67,7 @@ class Rows(PhysicalOperator):
 
 def _lefts(*keys, extra=None):
     """Left rows ``{l: Record(k=…, n=position)}``; ``n`` keeps value-equal
-    rows apart unless *extra* pins it (duplicate-identity rows)."""
+    rows apart unless *extra* pins it (one identity, at two occurrences)."""
     return [
         {"l": Record(k=k, n=i if extra is None else extra)}
         for i, k in enumerate(keys)
@@ -170,13 +170,16 @@ def _outcome(op):
     return ("rows", [(_show(row["l"]), _show(row["m"])) for row in rows])
 
 
-def _compare(spine, lefts, rights, representatives=None, **kwargs):
+def _compare(
+    spine, lefts, rights, representatives=None, occurring=frozenset(), **kwargs
+):
     """Both forms agree at every chunk size; returns the outcome.
     *representatives*, when given, is how many rows the shared spine must
-    have been fed."""
+    have been fed; *occurring* names the left variables whose rows carry an
+    occurrence."""
     outcomes = {}
     for size in BATCH_SIZES:
-        context = _Context(Database(), batch_size=size)
+        context = _Context(Database(), batch_size=size, occurring=occurring)
         ops = _pair(context, spine, lefts, rights, **kwargs)
         for name, op in ops.items():
             outcomes[name, size] = _outcome(op)
@@ -301,29 +304,40 @@ class TestAgreement:
     @pytest.mark.parametrize(
         ("monoid_name", "expected"),
         [
-            # Rows 0 and 2 are one identity: one group, its elements twice …
-            ("sum", ["42", "20", "21"]),
+            ("sum", ["21", "20", "21", "21"]),
             ("bag", [
-                ("BagValue", ["10", "10", "11", "11"]),
+                ("BagValue", ["10", "11"]),
                 ("BagValue", ["20"]),
                 ("BagValue", ["10", "11"]),
+                ("BagValue", ["10", "11"]),
             ]),
-            # … which an idempotent monoid cannot see.
             ("set", [
                 ("SetValue", ["10", "11"]),
                 ("SetValue", ["20"]),
                 ("SetValue", ["10", "11"]),
+                ("SetValue", ["10", "11"]),
             ]),
-            ("max", ["11", "20", "11"]),
+            ("max", ["11", "20", "11", "11"]),
         ],
     )  # fmt: skip
-    def test_duplicate_identity_left_rows(self, monoid_name, expected):
-        # Row 3 shares the binding of rows 0 and 2 without being them, so
-        # there is something to share — and the duplicates forbid it.
-        # Mutation: skip the identity check (sum gives 21, in 4 rows).
+    def test_one_identity_at_two_occurrences_shares_its_binding(
+        self, monoid_name, expected
+    ):
+        # Rows 0 and 2 are one identity at two positions of a bag, and row 3
+        # shares their binding without being them: one representative per
+        # binding, every row its own group.  Mutation: key the spine's
+        # groups on the variable, not its occurrence (the plain spine then
+        # folds rows 0 and 2 into one group: sum gives 42, in 3 rows).
         lefts = _lefts(1, 2, 1, extra=0) + [{"l": Record(k=1, n=7)}]
+        lefts = [{**row, "l#": pos} for pos, row in enumerate(lefts)]
         rights = _rights((1, 10), (2, 20), (1, 11))
-        outcome = _compare(join_spine(monoid_name), lefts, rights, representatives=4)
+        outcome = _compare(
+            join_spine(monoid_name),
+            lefts,
+            rights,
+            representatives=2,
+            occurring=frozenset({"l"}),
+        )
         assert _values(outcome) == expected
 
     def test_float_sum_and_avg_fold_in_stream_order(self):

@@ -31,6 +31,7 @@ from repro.algebra.operators import (
     Reduce,
     Scan,
     Select,
+    occurrence,
     operators,
 )
 from repro.backends.shred import (
@@ -62,7 +63,7 @@ from repro.data.schema import (
 )
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine.physical import _Context
-from repro.engine.planner import execute as execute_plan
+from repro.engine.planner import execute as execute_plan, occurring_vars
 from repro.errors import BackendUnsupportedError, ExecutionError, PlanningError
 from repro.algebra.evaluator import evaluate_plan as evaluate_reference
 from repro.testing.oracle import PATHS, check_sample, results_equal
@@ -724,17 +725,19 @@ FUSED.update(
             {},
             _DOMAIN,
         ),
-        "not-bag_of_scalars": (
+        # (L is a bag holding the scalar 1, or one object, twice: each
+        # occurrence is its own row of L, so the forms hold)
+        "bag_of_scalars": (
             "select struct( X: x, N: count( select u from u in Us where u.k = x ) ) "
             "from t in Ts, x in t.xs",
             {},
-            _AS_BEFORE,
+            _PREAGGREGATED,
         ),
-        "not-repeated_object": (
+        "repeated_object": (
             "select struct( M: c.m, N: sum( select u.v from u in Us "
             "where u.k = c.m ) ) from p in Ps, c in p.cs",
             {},
-            _AS_BEFORE,
+            _PREAGGREGATED,
         ),
         # -- binding domains: rows 1 and 2 share k = 1, row 4 binds NULL
         "domain-shared_and_null": (
@@ -785,11 +788,18 @@ FUSED.update(
             {},
             _AS_BEFORE,
         ),
-        "domain-not-bag_of_scalars": (
+        # (the spine reads x itself: a row, not a value rows share)
+        "domain-not-bare_column": (
             "select struct( X: x, N: count( select u from u in Us where u.v > x ) ) "
             "from t in Ts, x in t.xs",
             {},
             _AS_BEFORE,
+        ),
+        "domain-repeated_object": (
+            "select struct( M: c.m, N: count( select u from u in Us "
+            "where u.v > c.m ) ) from p in Ps, c in p.cs",
+            {},
+            _DOMAIN,
         ),
         # both nests have t for their leaf: the inner one runs over the
         # outer one's domain, it does not open its own
@@ -869,11 +879,6 @@ PARENT_ROWS = {
     'not-two_sided_residual': [
         (0, 15), (1, 15), (2, 7), (3, 0), (4, 0), (5, 0), (6, 0),
     ],
-    'not-bag_of_scalars': [
-        (0, 1, 4), (0, 2, 1), (1, 5, 2), (3, 7, 0), (4, 10, 0), (4, 7, 0), (6,
-        -3, 0),
-    ],
-    'not-repeated_object': [(9021, 9001, 30), (9021, 9002, 7), (9023, 9005, -11)],
     'domain-shared_and_null': [(0, 4), (1, 4), (2, 4), (3, 0), (4, 4), (5, 4), (6, 3)],
     'domain-distinct': [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (6, 2)],
     'domain-string': [(0, 0), (1, 0), (2, 2), (3, 0), (4, 3), (5, 3), (6, 4)],
@@ -884,15 +889,29 @@ PARENT_ROWS = {
     'domain-not-collection': [(0, 0), (1, 1), (2, 0), (3, 1), (4, 2), (5, 0), (6, 1)],
     'domain-not-computed': [(0, 4), (1, 4), (2, 4), (3, 0), (4, 4), (5, 3), (6, 3)],
     'domain-not-unbound': [(0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (6, 4)],
-    'domain-not-bag_of_scalars': [
-        (0, 1, 8), (0, 2, 4), (1, 5, 3), (3, 7, 2), (4, 10, 1), (4, 7, 2), (6,
-        -3, 4),
-    ],
     'domain-leaf_of_two_nests': [(1,), (2,), (3,), (5,), (6,), (7,)],
     'preagg_in_domain': [(1,), (2,)],
     'domain_in_preagg': [
         (0, 4, 15), (1, 4, 15), (2, 4, 7), (3, 0, 0), (4, 4, 0), (5, 4, 0), (6,
         3, -11),
+    ],
+    # Over a bag L the parent merged two occurrences into one row; each is
+    # its own row now, its occurrence (the child row's $pos) one more column.
+    'bag_of_scalars': [
+        (0, 1, 2, 0), (0, 1, 2, 1), (0, 2, 1, 2), (1, 5, 2, 0), (3, 7, 0, 0),
+        (4, 10, 0, 0), (4, 7, 0, 1), (6, -3, 0, 0),
+    ],
+    'repeated_object': [
+        (9021, 9001, 15, 0), (9021, 9001, 15, 1), (9021, 9002, 7, 2),
+        (9023, 9005, -11, 0),
+    ],
+    'domain-not-bare_column': [
+        (0, 1, 0, 4), (0, 1, 1, 4), (0, 2, 2, 4), (1, 5, 0, 3), (3, 7, 0, 2),
+        (4, 10, 0, 1), (4, 7, 1, 2), (6, -3, 0, 4),
+    ],
+    'domain-repeated_object': [
+        (9021, 9001, 4, 0), (9021, 9001, 4, 1), (9021, 9002, 4, 2),
+        (9023, 9005, 3, 0),
     ],
 }
 
@@ -921,26 +940,67 @@ class TestFusedNests:
         shredded = _pipeline(db, backend="sqlite", **options).run_oql(source)
         assert repr(shredded) == repr(memory)
 
-    def test_what_may_repeat_is_learned_from_the_data(self):
-        tables = ShreddedStore(_fusion_db()).tables
-        assert tables["Ts"].children["xs"].repeats  # {{1, 1, 2}}
-        assert tables["Ps"].children["cs"].repeats  # one $oid twice
-        assert not any(tables[name].repeats for name in tables)
-        travel = ShreddedStore(DATABASES["travel"]())
-        assert not any(table.repeats for table in travel._all_tables())
-
-    def test_bag_of_scalars_answers_as_memory_does_and_as_it_did(self):
-        # tests/fuzz_repros/bag_duplicate_scalars_known_divergence.json: the
-        # calculus says <N=2, X=1> twice; every unnested path merges the two
-        # occurrences.  Wrong, but the *same* wrong on both backends.
+    def test_occurrences_answer_as_the_calculus_does_on_both_backends(self):
+        # A bag holding the scalar 1, or one stored object, twice: each
+        # occurrence is a binding of its own, as the calculus iterates it
+        # (tests/fuzz_repros/bag_duplicate_scalars.json, and every FUSED
+        # case over xs and cs).
         source, _, db = load_repro(
-            Path(__file__).parent
-            / "fuzz_repros/bag_duplicate_scalars_known_divergence.json"
+            Path(__file__).parent / "fuzz_repros/bag_duplicate_scalars.json"
         )
+        samples = [(source, db)] + [
+            (FUSED[name][0], _fusion_db())
+            for name in sorted(FUSED)
+            if name.endswith(("bag_of_scalars", "repeated_object", "bare_column"))
+        ]
+        answers = []
+        for source, db in samples:
+            memory, shredded = run_both(db, source)
+            naive = _pipeline(db, unnest=False).run_oql(source)
+            assert repr(shredded) == repr(memory) == repr(naive)
+            answers.append(repr(naive))
+        assert len(answers) == 5
+        assert answers[0] == "{{<N=0, X=2>, <N=2, X=1>, <N=2, X=1>}}"
+
+    @pytest.mark.parametrize(
+        "source, keyed",
+        [
+            (FUSED["bag_of_scalars"][0], True),
+            # a collection nest over a [sql] stream of t and x, grouped by t
+            (
+                "select struct( K: t.k, XS: ( select x from x in t.xs ) ) from t in Ts",
+                False,
+            ),
+            (
+                "select struct( K: t.k, XS: ( select distinct x from x in t.xs ) ) "
+                "from t in Ts",
+                False,
+            ),
+            ("sum( select count( select x from x in t.xs ) from t in Ts )", False),
+        ],
+    )
+    def test_the_sql_carries_only_the_occurrences_a_nest_groups_by(
+        self, source, keyed
+    ):
+        # One decision, the planner's: the SQL decodes an occurrence column
+        # for exactly the variables the physical plan keys groups by.
+        # Mutation: give every variable over a bag or list table its $pos.
+        db = _fusion_db()
+        compiled = _pipeline(db, backend="sqlite").compile_oql(source)
+        lowered, _ = compiled.target(db)
+        occurring = compiled.occurring(db)
+        decoded = {
+            name
+            for node in operators(lowered)
+            if isinstance(node, SqlSegment)
+            for name, _, _ in node.segment.decoders
+        }
+        assert {name for name in decoded if name.endswith("#")} == {
+            occurrence(name) for name in occurring
+        }
+        assert bool(occurring) == keyed
         memory, shredded = run_both(db, source)
-        assert repr(shredded) == repr(memory) == "{{<N=0, X=2>, <N=4, X=1>}}"
-        naive = _pipeline(db, unnest=False).run_oql(source)
-        assert repr(naive) == "{{<N=0, X=2>, <N=2, X=1>, <N=2, X=1>}}"
+        assert repr(shredded) == repr(memory)
 
     def test_a_selection_on_the_spine_drops_the_rows_of_its_bindings(self):
         # Per t, the u above t.k that some w lies above; a (t, u) pair no w
@@ -959,7 +1019,7 @@ class TestFusedNests:
         top = Nest(kept, "sum", Const(1), ("t",), ("u",), "n")
         plan = Reduce(top, "bag", record(I=path("t", "id"), N=var("n")))
         store = shredded_store(db)
-        lowered = compile_segments(plan, store)
+        lowered = compile_segments(plan, store, occurring_vars(plan, db))
         (segment,) = [n for n in operators(lowered) if isinstance(n, SqlSegment)]
         assert fused_forms([segment.segment.sql]) == _DOMAIN
         rows = store.connection.execute(segment.segment.sql).fetchall()
@@ -1023,7 +1083,7 @@ class TestStitching:
             const(1),
         )
         store = shredded_store(db)
-        lowered = compile_segments(plan, store)
+        lowered = compile_segments(plan, store, occurring_vars(plan, db))
         statements: list[str] = []
         store.connection.set_trace_callback(statements.append)
         try:
