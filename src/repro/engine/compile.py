@@ -39,9 +39,8 @@ Three properties are load-bearing:
   fault on only has to raise *something*, at evaluation time, never
   eagerly at compile time.  The differential fuzz oracle checks every
   query against the calculus interpreter (see ``repro.testing.oracle``).
-* **Per-node fallback.**  A node kind the emitter does not know (a lambda,
-  a residual :class:`~repro.calculus.terms.Comprehension` that survived
-  unnesting) becomes a call that hands *that subtree* to the AST
+* **Per-node fallback.**  A node kind the emitter does not know (a lambda
+  or its application) becomes a call that hands *that subtree* to the AST
   interpreter; its siblings and ancestors stay compiled.  Compilation
   therefore never fails — it degrades.
 * **Observability.**  :class:`CompiledKernel` counts compiled vs. fallback
@@ -64,11 +63,14 @@ import threading
 from typing import Any, Callable, Mapping
 
 from repro.calculus.evaluator import EvaluationError, Evaluator
+from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
 from repro.calculus.terms import (
     BOOLEAN_OPS,
     BinOp,
+    Comprehension,
     Const,
     Extent,
+    Filter,
     If,
     IsNull,
     Let,
@@ -84,7 +86,9 @@ from repro.calculus.terms import (
     Zero,
     free_vars,
 )
-from repro.data.values import NULL, Record, identity_key
+from repro.data.values import NULL, CollectionValue, Record, identity_key
+from repro.engine.governor import charge_values
+from repro.errors import GovernorError
 
 #: A kernel: ``fn(cols, n) -> (values, t, error)``.  *cols* maps column
 #: names to value lists (all at least *n* long); rows ``[0, t)`` evaluated
@@ -167,6 +171,7 @@ class ExprRuntime(threading.local):
         self.params: Mapping[str, Any] = {}
         self.database: Any = None
         self.evaluator: Evaluator | None = None
+        self.kept = 0  # collection elements this execution's folds kept
 
 
 def _memo_key(kind: str, term: Term) -> tuple:
@@ -214,6 +219,8 @@ class ExprCompiler:
         #: residual conjunction) afresh per execution, and pinning those
         #: would retain one term per request for the life of the query.
         self._by_id: dict[tuple[str, int], tuple[Term, CompiledKernel]] = {}
+        #: The planner's group-unnest folds, by the variable each binds.
+        self.derived: dict[str, tuple] = {}
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""
@@ -221,6 +228,7 @@ class ExprCompiler:
         runtime.params = evaluator.params
         runtime.database = database
         runtime.evaluator = evaluator
+        runtime.kept = 0
 
     # -- entry points -------------------------------------------------------
 
@@ -314,8 +322,11 @@ def _fault() -> None:
     raise EvaluationError("fault in generated code")
 
 
-def _proj_slow(value: Any, attr: str) -> Any:
-    """The non-fast-path projection: NULL, Record subclass, or a fault."""
+def _proj(value: Any, attr: str) -> Any:
+    """A projection: the inline fast path's fallback (NULL, a Record
+    subclass, a fault), and a generator domain's step (it holds no walrus)."""
+    if value.__class__ is Record and attr in value._fields:
+        return value._fields[attr]
     if isinstance(value, Record):
         return value[attr]  # raises on a missing attribute
     if value is NULL:
@@ -332,6 +343,43 @@ def _subtree(runtime: ExprRuntime, term: Term) -> Callable[[dict], Any]:
     return run
 
 
+def _members(value: Any) -> Any:
+    """A generator domain's elements as a tuple; none for NULL."""
+    if isinstance(value, CollectionValue):
+        return tuple(value.elements())
+    if value is NULL:
+        return ()
+    return _fault()
+
+
+def _fold(monoid: Monoid, values: Any) -> Any:
+    """A primitive fold as the interpreter's: NULLs skipped, stream order,
+    ``all`` / ``some`` stopping at the deciding element."""
+    if monoid.name not in ("all", "some"):
+        return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, values))
+    result, decided = monoid.zero, monoid.name == "some"
+    for value in values:
+        if value is not NULL and (result := monoid.merge(result, value)) is decided:
+            break
+    return result
+
+
+def _settle(rt: ExprRuntime, out: list, units: int, kept: list) -> tuple:
+    """A clean chunk's result, once the elements its folds reached settle
+    as work units and the collection elements they kept are charged
+    (sampled from the execution's running count); a trip is its error."""
+    governor = getattr(rt.evaluator, "governor", None)  # None: not activated
+    try:
+        if governor is not None:
+            governor.tick_many(units)
+            for values in kept if governor.max_bytes is not None else ():
+                charge_values(governor.charge, values, rt.kept)
+                rt.kept += len(values)
+    except GovernorError as exc:
+        return [], 0, exc
+    return out, len(out), None
+
+
 _UNBOUND = object()
 
 #: What generated code reads that no kernel owns — the globals of every
@@ -343,8 +391,11 @@ _HELPERS: dict[str, Any] = {
     "Record": Record,
     "identity_key": identity_key,
     "_SCALARS": _SCALARS,
-    "_proj_slow": _proj_slow,
     "_fault": _fault,
+    "_proj": _proj,
+    "_members": _members,
+    "_fold": _fold,
+    "_settle": _settle,
 }
 
 
@@ -442,14 +493,17 @@ class _KernelEmitter:
                 f"(False if {t} is False or {t} is NULL else _fault()))"
             )
         self.bound["_slow"] = slow
+        # Folds count the elements they reach in _k, collections kept in _b.
         source = (
             f"def _make({', '.join(self.bound)}):\n"
             "    def _kern(cols, n):\n"
             "        try:\n"
             + "".join(self.prologue)
-            + f"            return [{expr} for _i in range(n)], n, None\n"
+            + "            _k, _b = 0, []\n"
+            + f"            _out = [{expr} for _i in range(n)]\n"
             "        except Exception:\n"
             "            return _slow(cols, n)\n"
+            "        return _settle(rt, _out, _k, _b)\n"
             "    return _kern\n"
         )
         return _factory(source)(*self.bound.values())
@@ -581,7 +635,7 @@ class _KernelEmitter:
             f"({t}._fields[{attr!r}] "
             f"if ({t} := {base}).__class__ is Record "
             f"and {attr!r} in {t}._fields "
-            f"else _proj_slow({t}, {attr!r}))"
+            f"else _proj({t}, {attr!r}))"
         )
 
     def _x_if(self, term: If) -> str:
@@ -602,6 +656,9 @@ class _KernelEmitter:
         return f"((({out} := ({value})), {body})[1])"
 
     def _x_not(self, term: Not) -> str:
+        if isinstance(term.expr, IsNull):  # a boolean: no NULL, no fault
+            self.compiled += 1
+            return f"(({self.xgen(term.expr.expr)}) is not NULL)"
         value = self.xgen(term.expr)
         t = self.wtemp()
         return (
@@ -659,10 +716,55 @@ class _KernelEmitter:
             f"else {lt} {term.op} {rt_}))"
         )
 
+    def _x_comprehension(self, term: Comprehension) -> str:
+        """A generator expression in the row's own: a ``for`` over each
+        domain's :func:`_members` (its size added to ``_k``), ``if ((t :=
+        v),)`` for a singleton domain, an ``if`` per filter; folded by
+        :func:`_fold`, or ``fold_elements`` of a list kept in ``_b``."""
+        saved = dict(self._scope)  # an emitter that raises is discarded
+        clauses: list[str] = []
+        for qualifier in term.qualifiers:
+            t, domain = self.wtemp(), getattr(qualifier, "domain", None)
+            if isinstance(qualifier, Filter):
+                clauses.append(
+                    f"if (({t} := {self.xgen(qualifier.pred)}) is True or "
+                    f"({t} is not False and {t} is not NULL and _fault()))"
+                )
+            elif isinstance(domain, Singleton) and domain.monoid.is_collection:
+                clauses.append(f"if (({t} := {self.xgen(domain.expr)}),)")
+                self.compiled += 1
+                self._scope[qualifier.var] = t
+            else:  # Python refuses a walrus in a comprehension's iterable
+                domain, element = self._domain(domain), self.wtemp()
+                clauses.append(
+                    f"for {t} in (_members({domain}),) "
+                    f"if (_k := _k + len({t})) for {element} in {t}"
+                )
+                self._scope[qualifier.var] = element
+        head = self.xgen(term.head)
+        self._scope.clear()
+        self._scope.update(saved)
+        if not clauses or not clauses[0].startswith("for "):
+            clauses.insert(0, f"for {self.wtemp()} in (None,)")
+        stream = f"{head} {' '.join(clauses)}"
+        monoid = term.monoid
+        if isinstance(monoid, CollectionMonoid):
+            kept = self.wtemp()
+            fold = self.bind("f", monoid.fold_elements)
+            return f"{fold}((_b.append(({kept} := [{stream}])), {kept})[1])"
+        return f"_fold({self.bind('m', monoid)}, ({stream}))"
+
+    def _domain(self, term: Term) -> str:
+        """A domain, without a walrus: projections through :func:`_proj`."""
+        if isinstance(term, Proj):
+            self.compiled += 1
+            return f"_proj({self._domain(term.expr)}, {term.attr!r})"
+        return self.xgen(term) if isinstance(term, Var) else self.fallback_call(term)
+
 
 # The table holds plain function objects (no dynamic attribute lookup per
-# node).  NOTE: Lambda, Apply and Comprehension deliberately have no entry —
-# loops are the algebra's job, and the interpreter fallback stays exercised.
+# node).  NOTE: Lambda and Apply deliberately have no entry — no plan
+# leaves one behind, and the interpreter fallback stays exercised.
 _KernelEmitter.handlers = {
     Var: _KernelEmitter._x_var,
     Const: _KernelEmitter._x_const,
@@ -679,4 +781,5 @@ _KernelEmitter.handlers = {
     Singleton: _KernelEmitter._x_singleton,
     Merge: _KernelEmitter._x_merge,
     BinOp: _KernelEmitter._x_binop,
+    Comprehension: _KernelEmitter._x_comprehension,
 }

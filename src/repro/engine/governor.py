@@ -54,6 +54,7 @@ __all__ = [
     "CancelToken",
     "Governor",
     "SAMPLE_STRIDE",
+    "charge_values",
     "estimate_bytes",
 ]
 
@@ -103,6 +104,13 @@ def estimate_bytes(value: Any) -> int:
 #: whole stride at that rate — rows in a buffer share a shape, so sampling
 #: loses little accuracy and cuts the estimator out of the per-row path.
 SAMPLE_STRIDE = 16
+
+
+def charge_values(charge, values: list, seen: int) -> None:
+    """Charge buffered *values* through *charge*: *seen* were buffered
+    before them, and one sampled value stands for its stride."""
+    for j in range(-seen % SAMPLE_STRIDE, len(values), SAMPLE_STRIDE):
+        charge(estimate_bytes(values[j]) * SAMPLE_STRIDE)
 
 
 class Governor:

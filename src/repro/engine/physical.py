@@ -4,7 +4,9 @@ The paper's prototype translates algebraic forms into "physical plans that
 are evaluated in memory" (Section 6).  This module provides those physical
 algorithms:
 
-* pipelined scan / select / map / unnest operators;
+* pipelined scan / select / map / unnest operators — a map also carries
+  the planner's **group-unnest**: a nest over an outer-unnest of its own
+  rows, bound as one generated fold per row (no operator of its own);
 * **nested-loop** and **hash** implementations of join and left
   outer-join (the planner picks hash when it can extract equi-join keys —
   the very optimization the paper says unnesting enables for QUERY E);
@@ -64,7 +66,7 @@ from repro.data.values import (
 )
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import CompiledKernel, ExprCompiler
-from repro.engine.governor import SAMPLE_STRIDE, estimate_bytes
+from repro.engine.governor import SAMPLE_STRIDE, charge_values, estimate_bytes
 from repro.errors import GovernorError
 
 Env = dict[str, Any]
@@ -122,13 +124,6 @@ def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
     """
     for i in range(-seen % SAMPLE_STRIDE, chunk.length, SAMPLE_STRIDE):
         charge(estimate_bytes(chunk.env_at(i)) * SAMPLE_STRIDE)
-
-
-def _charge_values(charge, values: list, seen: int) -> None:
-    """Charge buffered *values* the same way: *seen* were buffered before
-    them, and one sampled value stands for its stride."""
-    for j in range(-seen % SAMPLE_STRIDE, len(values), SAMPLE_STRIDE):
-        charge(estimate_bytes(values[j]) * SAMPLE_STRIDE)
 
 
 def _index_rows(rows_of: dict, key_parts: list[list], offset: int) -> None:
@@ -1057,7 +1052,7 @@ class PHashNest(PhysicalOperator):
                     for name, col in key_cols.items():
                         col.append(cols[name][i])
             if charge is not None:
-                _charge_values(charge, values, buffered)
+                charge_values(charge, values, buffered)
                 buffered += len(values)
             for value, i in zip(values, picked):
                 key = keys[i]
@@ -1363,7 +1358,7 @@ class PGroupJoin(PHashNest):
                     pad_checked = True
                 if charge is not None:
                     # As if buffered per pair, in the stream of kept elements.
-                    _charge_values(charge, elems, buffered)
+                    charge_values(charge, elems, buffered)
                     buffered += len(elems)
                 if key in groups:
                     continue  # one binding twice: never in a plan's stream

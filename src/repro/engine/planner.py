@@ -17,7 +17,12 @@ physical plans"):
   **group-join** (:class:`~repro.engine.physical.PGroupJoin`) on the same
   keys and residual, so no joined pair is built only to be grouped back
   onto the left row it came from;
-* a nest that is not that shape but whose groups are still the rows of a
+* a nest over an outer-unnest of its own rows (``Γ ∘ =μ``, a nested box
+  over a path) is re-folded into the calculus term ``⊕{ h | x <- path, x
+  is not NULL, q, p }`` — a **group-unnest**: a
+  :class:`~repro.engine.physical.PMap` binding the nest's variable to that
+  fold, one generator expression per row, no child row and no group;
+* a nest that is neither but whose groups are still the rows of a
   descendant ``L`` — reached through nests, selections, outer-unnests and
   the left side of at least one outer-join — and whose spine reads of
   ``L`` only proper expressions becomes a **shared nest**
@@ -65,7 +70,10 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.calculus.evaluator import ExtentProvider
-from repro.calculus.terms import BinOp, Extent, Proj, Term, Var, conj, conjuncts, free_vars
+from repro.calculus.terms import (
+    TRUE, BinOp, Comprehension, Extent, Filter, Generator, IsNull, Not, Proj,
+    Singleton, Term, Var, conj, conjuncts, free_vars,
+)
 from repro.calculus.typing import CalculusTypeError, TypeChecker
 from repro.data.schema import ANY, Type
 from repro.data.values import SetValue
@@ -178,6 +186,8 @@ def occurring_vars(plan: Operator, database: Any) -> frozenset[str]:
             grouped.update(node.group_by)
         elif isinstance(node, (Scan, Unnest, OuterUnnest)):
             binders[node.var] = node
+    if not grouped:
+        return frozenset()
     checker = TypeChecker(getattr(database, "schema", None))
     found: set[str] = set()
     for var in grouped:
@@ -248,30 +258,15 @@ def _build(
         return PMap(context, _build(plan.child, context, options), plan.bindings)
     if isinstance(plan, (Join, OuterJoin)):
         return _build_join(plan, context, options)
-    if isinstance(plan, Unnest):
-        return PUnnest(
-            context,
-            _build(plan.child, context, options),
-            plan.path,
-            plan.var,
-            plan.pred,
-            outer=False,
-        )
-    if isinstance(plan, OuterUnnest):
-        return PUnnest(
-            context,
-            _build(plan.child, context, options),
-            plan.path,
-            plan.var,
-            plan.pred,
-            outer=True,
-        )
+    if isinstance(plan, (Unnest, OuterUnnest)):
+        child = _build(plan.child, context, options)
+        outer = isinstance(plan, OuterUnnest)
+        return PUnnest(context, child, plan.path, plan.var, plan.pred, outer=outer)
     if isinstance(plan, Nest):
-        fused = _try_group_join(plan, context, options) or _try_shared_nest(
-            plan, context, options
-        )
-        if fused is not None:
-            return fused
+        for fuse in (_try_group_join, _try_group_unnest, _try_shared_nest):
+            fused = fuse(plan, context, options)
+            if fused is not None:
+                return fused
         return _hash_nest(plan, plan.child, context, options)
     if isinstance(plan, Reduce):
         return PReduce(
@@ -439,6 +434,57 @@ def _try_group_join(
         nest.out_var,
         nest.pred,
     )
+
+
+def group_unnest(nest: Nest, fold: bool = False) -> tuple | None:
+    """``(L, None)`` for ``Γ^{⊕,h,p}_{by cols(L); null x} ∘ Map* ∘
+    =μ^{q}_{x <- path}(L)`` (an inner nest of that shape may stand for a
+    ``Map``), else None; with *fold*, ``(L, ⊕{ h | x <- path, x is not
+    NULL, q, b <- {{e}}…, p })``: a binding or an inner fold is a singleton
+    generator, so ``Γ ∘ Γ ∘ =μ ∘ =μ`` is one nested term.  Nothing in it
+    reads a column ``L`` lacks: a nest drops the columns it folds."""
+    if len(nest.null_vars) != 1:
+        return None
+    lets: list[Generator] = []
+    node = nest.child
+    while not (isinstance(node, OuterUnnest) and node.var == nest.null_vars[0]):
+        inner = group_unnest(node, fold) if isinstance(node, Nest) else None
+        if isinstance(node, Map):
+            if fold:
+                lets[:0] = [Generator(n, Singleton("bag", e)) for n, e in node.bindings]
+            node = node.child
+        elif inner is not None:
+            if fold:
+                lets.insert(0, Generator(node.out_var, Singleton("bag", inner[1])))
+            node = inner[0]
+        else:
+            return None
+    left, var = node.child, node.var
+    if set(nest.group_by) != set(left.columns()):
+        return None
+    if not fold:
+        return left, None
+    q, p = ([Filter(f)] if f != TRUE else [] for f in (node.pred, nest.pred))
+    quals = (Generator(var, node.path), Filter(Not(IsNull(Var(var)))), *q, *lets, *p)
+    return left, Comprehension(nest.monoid_name, nest.head, quals)
+
+
+def _try_group_unnest(
+    nest: Nest, context: _Context, options: PlannerOptions
+) -> PhysicalOperator | None:
+    """:func:`group_unnest` as a ``PMap`` binding the nest's variable to
+    the fold over ``L``.  The fold is derived once per compiled query (by
+    the nest's variable, while it keeps its head and predicate), so every
+    execution finds its kernel by identity.  Parallel plans keep the pair."""
+    found = None if options.parallel else group_unnest(nest)
+    if found is None:
+        return None
+    derived = context._compiler.derived
+    hit = derived.get(nest.out_var)
+    if hit is None or hit[0] is not nest.head or hit[1] is not nest.pred:
+        hit = (nest.head, nest.pred, group_unnest(nest, fold=True)[1])
+        derived[nest.out_var] = hit
+    return PMap(context, _build(found[0], context, options), ((nest.out_var, hit[2]),))
 
 
 def _outer_reads(term: Term, outer: frozenset[str], found: list[Term]) -> bool:

@@ -116,8 +116,10 @@ class QueryGenerator:
         depth = self.config.max_depth
         if roll < 0.08:
             source = self._scalar_collection_query(depth)
-        elif roll < 0.54:
+        elif roll < 0.50:
             source = self._select_query([], depth)
+        elif roll < 0.54:
+            source = self._sibling_path_query(depth)
         elif roll < 0.60:
             source = self._value_correlated_query(depth)
         elif roll < 0.62:
@@ -600,6 +602,91 @@ class QueryGenerator:
             f"select {row2}.{num2} from {row2} in {extent2} "
             f"where {row2}.{key2} = {link} ) )"
         )
+
+    # -- two paths of one parent, one nested in the other ---------------------
+
+    def _sibling_path_query(self, depth: int) -> str:
+        """An aggregate, quantifier or nested select over a path ``t.p``
+        whose head or filter holds a quantifier or aggregate over a second
+        path ``t.q`` of the same parent — the ``Γ ∘ Γ ∘ =μ ∘ =μ`` chain:
+
+        * ``count( select c from c in t.p where exists d in t.q: d.m = c.m )``;
+        * ``( select struct( B0: c.m, B1: for all d in t.q: c.m >= d.m )
+          from c in t.p )``;
+        * ``for all c in t.p: count( select d from d in t.q where … ) > 1``;
+
+        each as a field of ``select struct( A0: t.a, A1: … ) from t in T``.
+        A quantifier's body may divide by ``d.n - k`` behind a guard that
+        decides the element first where the divisor is zero — ``d.n = k or
+        c.n / (d.n - k) > 0`` — so the division faults on no path.
+        """
+        rng = self.rng
+        parents = [
+            (extent, record_type, nested)
+            for extent, record_type in self._extents()
+            for nested in [
+                [
+                    (attr, coll.element)
+                    for attr, coll in self._collection_attrs(record_type)
+                    if isinstance(coll.element, RecordType)
+                ]
+            ]
+            if nested
+        ]
+        if not parents:
+            return self._select_query([], depth)
+        extent, record_type, nested = rng.choice(parents)
+        t, c, d = self._fresh_var(), self._fresh_var(), self._fresh_var()
+        (p, c_type), (q, d_type) = rng.choice(nested), rng.choice(nested)
+        inner = self._sibling_box(c, c_type, f"{t}.{q}", d, d_type)
+        if inner is None:
+            return self._select_query([], depth)
+        text, is_bool = inner
+        roll = rng.random()
+        if is_bool and roll < 0.35:
+            box = f"count( select {c} from {c} in {t}.{p} where {text} )"
+        elif is_bool and roll < 0.55:
+            box = f"{rng.choice(('for all', 'exists'))} {c} in {t}.{p}: {text}"
+        elif not is_bool and roll < 0.45:
+            box = f"{rng.choice(('for all', 'exists'))} {c} in {t}.{p}: {text} > 1"
+        else:
+            label = rng.choice(self._paths_of_kind([(c, c_type)], ("int", "string")) or [(c, "")])
+            box = f"( select struct( B0: {label[0]}, B1: {text} ) from {c} in {t}.{p} )"
+        label, _ = rng.choice(self._paths_of_kind([(t, record_type)], ("int", "string")) or [(t, "")])
+        distinct = "distinct " if rng.random() < self.config.distinct_probability else ""
+        return f"select {distinct}struct( A0: {label}, A1: {box} ) from {t} in {extent}"
+
+    def _sibling_box(
+        self, c: str, c_type: RecordType, domain: str, d: str, d_type: RecordType
+    ) -> tuple[str, bool] | None:
+        """A quantifier (``True``) or a count / min / max (``False``) over
+        *domain* that reads the enclosing element *c*; None when the two
+        element types share no scalar kind."""
+        rng = self.rng
+        pairs = [
+            (x, y, kind)
+            for x, kind in self._scalar_attrs(d_type, ("int", "float", "string"))
+            for y, other in self._scalar_attrs(c_type, (kind,))
+        ]
+        if not pairs:
+            return None
+        x, y, kind = rng.choice(pairs)
+        op = rng.choice(("=", "!=", "<") if kind == "string" else ("=", "<", ">=", "!="))
+        compare = f"{d}.{x} {op} {c}.{y}"
+        roll = rng.random()
+        if roll < 0.5:
+            keyword = rng.choice(("for all", "exists"))
+            ints = [(x, y) for x, y, kind in pairs if kind == "int"]
+            if ints and rng.random() < 0.4:
+                x, y = rng.choice(ints)
+                k = rng.randint(0, INT_RANGE)
+                guard = f"{d}.{x} = {k} or" if keyword == "for all" else f"{d}.{x} != {k} and"
+                compare = f"({guard} {c}.{y} / ({d}.{x} - {k}) > 0)"
+            return f"{keyword} {d} in {domain}: {compare}", True
+        if roll < 0.75 or kind not in _NUMERIC:
+            return f"count( select {d} from {d} in {domain} where {compare} )", False
+        function = rng.choice(("min", "max"))
+        return f"{function}( select {d}.{x} from {d} in {domain} )", False
 
     # -- sets and bags mixed over a collection of scalars ----------------------
 

@@ -8,7 +8,7 @@ Four groups of guarantees:
   off NULL, and division by zero, each checked for exact agreement between
   the kernel and :class:`~repro.calculus.evaluator.Evaluator` (same value,
   or same exception class).
-* **Per-node fallback** — a residual comprehension subtree degrades that
+* **Per-node fallback** — a lambda application subtree degrades that
   subtree to the interpreter, leaves the rest compiled, reports ``mixed``,
   and still produces the interpreter's value.
 * **Blocking-operator memoization** — hash join, nested-loop join, and
@@ -40,6 +40,7 @@ from repro.calculus.terms import (
     Comprehension,
     Const,
     Extent,
+    Filter,
     Generator,
     If,
     IsNull,
@@ -60,7 +61,7 @@ from repro.calculus.terms import (
 )
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
-from repro.data.values import NULL, Record, SetValue
+from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine import compile as compile_module
 from repro.engine.compile import ExprCompiler, _factory, _KernelEmitter
 from repro.engine.physical import (
@@ -184,15 +185,44 @@ def test_predicate_treats_null_as_false(db):
 # ---------------------------------------------------------------------------
 
 
-def test_residual_comprehension_falls_back_per_node(db):
-    comp = Comprehension("sum", Var("v"), (Generator("v", Var("xs")),))
-    term = BinOp("+", comp, Const(1))
+def test_lambda_application_falls_back_per_node(db):
+    applied = Apply(Lambda("v", BinOp("*", Var("v"), Const(2))), Var("xs"))
+    term = BinOp("+", applied, Const(1))
     evaluator, compiler = _engines(db)
-    env = {"xs": SetValue([1, 2, 3])}
+    env = {"xs": 3}
     kernel = compiler.compile_kernel(term)
     assert kernel.mode == "mixed"
     assert kernel.fallback_nodes >= 1 and kernel.compiled_nodes >= 1
     assert _run(kernel, env) == evaluator.evaluate(term, dict(env)) == 7
+
+
+_V = Var("v")
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        # no qualifier, and a filter before any generator: one binding
+        Comprehension("bag", X),
+        Comprehension("sum", X, (Filter(BinOp(">", X, Const(1))),)),
+        # a domain that is not a path is handed to the interpreter
+        Comprehension("sum", path("v", "k"), (Generator("v", Extent("R")),)),
+        # an inner generator shadowing the outer one's variable
+        Comprehension(
+            "list",
+            BinOp("+", _V, Comprehension("sum", _V, (Generator("v", path("x", "ys")),))),
+            (Generator("v", path("x", "xs")),),
+        ),
+    ],
+    ids=["no-qualifier", "leading-filter", "extent-domain", "shadowing"],
+)
+def test_folds_agree_with_the_interpreter(term, db):
+    evaluator, compiler = _engines(db)
+    kernel = compiler.compile_kernel(term)
+    for x in (3, Record(xs=BagValue([1, 2, 1]), ys=BagValue([10, 20]))):
+        env = {"x": x}
+        got = _outcome(lambda: repr(_run(kernel, env)))
+        assert got == _outcome(lambda: repr(evaluator.evaluate(term, env)))
 
 
 def test_monoid_constructors_compile(db):
@@ -402,6 +432,15 @@ def _row_by_row(evaluator, term, predicate: bool, columns: dict, n: int):
 
 _ROWS = 20
 _TEN_OVER_X = BinOp("/", Const(10), X)
+_BAG12, _BAG10 = BagValue([1, 2]), BagValue([1, 0])
+
+
+def _sum_over_x(head, *filters):
+    """``sum{ head | v <- x, filters }``."""
+    quals = (Generator("v", X),) + tuple(Filter(f) for f in filters)
+    return Comprehension("sum", head, quals)
+
+
 #: name -> (term, is predicate, a good x, the x that faults)
 _FAULTS = {
     "division-by-zero": (_TEN_OVER_X, False, 5, 0),
@@ -437,19 +476,32 @@ _FAULTS = {
     "unknown-extent": (
         If(BinOp("==", X, Const(0)), Extent("Nope"), Const(1)), False, 5, 0,
     ),
-    # A residual comprehension is a per-node fallback subtree: the fault is
-    # raised by the interpreter inside the comprehension form.
+    # A lambda application is a per-node fallback subtree: the fault is
+    # raised by the interpreter inside it.
     "inside-fallback-subtree": (
-        BinOp(
-            "+",
-            Comprehension(
-                "sum",
-                BinOp("/", Var("v"), X),
-                (Generator("v", Singleton("bag", Const(10))),),
-            ),
-            Const(1),
-        ),
+        BinOp("+", Apply(Lambda("v", BinOp("/", Const(10), Var("v"))), X), Const(1)),
         False, 5, 0,
+    ),
+    # A comprehension is a generated fold; its faults are the interpreter's.
+    "fold-head": (_sum_over_x(BinOp("/", Const(10), Var("v"))), False, _BAG12, _BAG10),
+    "fold-filter": (
+        _sum_over_x(Var("v"), BinOp(">", BinOp("/", Const(10), Var("v")), Const(1))),
+        False, _BAG12, _BAG10,
+    ),
+    "fold-domain-not-a-collection": (_sum_over_x(Var("v")), False, _BAG12, 7),
+    # A NULL domain folds to the zero, which the division then meets.
+    "fold-null-domain-is-zero": (
+        BinOp("/", Const(10), _sum_over_x(Var("v"))), False, _BAG12, NULL,
+    ),
+    # ``all`` is decided by 10 / 20 > 1 before the 0 it never reaches: the
+    # good rows answer False; the bad row reaches its 0.
+    "fold-all-decided-before-a-fault": (
+        Comprehension(
+            "all",
+            BinOp(">", BinOp("/", Const(10), Var("v")), Const(1)),
+            (Generator("v", X),),
+        ),
+        False, ListValue([20, 0]), ListValue([1, 0]),
     ),
 }
 
@@ -590,14 +642,14 @@ def test_terms_equal_up_to_column_names_share_code_not_columns(db):
 def test_fallback_subtrees_share_code_and_read_their_own_columns(db):
     def kernel_for(name):
         evaluator, compiler = _engines(db)
-        comp = Comprehension("sum", Var("v"), (Generator("v", Var(name)),))
-        return compiler.compile_kernel(BinOp("+", comp, Const(1)))
+        applied = Apply(Lambda("w", Var("w")), Var(name))
+        return compiler.compile_kernel(BinOp("+", applied, Const(1)))
 
     left, right = kernel_for("_xs4"), kernel_for("_ys9")
     assert left.mode == right.mode == "mixed"
     assert left.fn.__code__ is right.fn.__code__
-    assert left.fn({"_xs4": [SetValue([1, 2])], "_ys9": [SetValue([])]}, 1)[0] == [4]
-    assert right.fn({"_xs4": [SetValue([1, 2])], "_ys9": [SetValue([])]}, 1)[0] == [1]
+    assert left.fn({"_xs4": [3], "_ys9": [0]}, 1)[0] == [4]
+    assert right.fn({"_xs4": [3], "_ys9": [0]}, 1)[0] == [1]
 
 
 def test_equal_constants_of_different_types_share_code_and_keep_values(db):

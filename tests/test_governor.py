@@ -33,8 +33,8 @@ def db():
 CROSS = "select e.name from e in Employees, d in Departments"
 EQUI = CROSS + " where e.dno = d.dno"
 UNNEST = "select c.name from e in Employees, c in e.children"
-#: Nested bag result: an outer-unnest feeding a collection-monoid nest,
-#: the only blocking operator in its plan.
+#: Nested bag result: a collection-monoid nest over an outer-unnest, one
+#: generated bag fold per employee, the only buffering in its plan.
 NESTED = (
     "select struct(E: e.name, K: (select c.name from c in e.children)) "
     "from e in Employees"
@@ -131,12 +131,14 @@ class TestTimeout:
         assert info.value.stage == "execute"
 
 
-#: The blocking builds that buffer chunks: (query, the operator that
-#: buffers).  Each plan holds no other blocking operator.
+#: The builds that buffer values: (query, the operator that buffers).
+#: Each plan holds no other.  A nest over an outer-unnest of its own rows
+#: is a generated fold in a ``Map``, charging its kept elements as the
+#: nest's groups would be.
 BLOCKING_SHAPES = {
     "nested-loop-inner": (CROSS, "NLJoin"),
     "hash-join-table": (EQUI, "HashJoin"),
-    "hash-nest-groups": (NESTED, "HashNest(bag"),
+    "hash-nest-groups": (NESTED, "Map("),
 }
 
 
