@@ -25,6 +25,7 @@ counts them (arXiv:1404.7078 §4: an element *is* its ``($parent, $pos)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterator
 
 from repro.calculus.monoids import MONOID_SYMBOLS, Monoid, monoid as lookup_monoid
@@ -346,6 +347,10 @@ def rebuild(plan: Operator, children: tuple[Operator, ...]) -> Operator:
 
 
 def transform_plan(plan: Operator, fn) -> Operator:
-    """Rebuild *plan* bottom-up, applying *fn* at every node."""
-    new_children = tuple(transform_plan(c, fn) for c in plan.children())
-    return fn(rebuild(plan, new_children))
+    """Rebuild *plan* bottom-up, applying *fn* at every node; an operator
+    whose children all come back as themselves is passed on as itself."""
+    children = plan.children()
+    walked = tuple([transform_plan(c, fn) for c in children])
+    if not all(map(is_, walked, children)):
+        plan = rebuild(plan, walked)
+    return fn(plan)

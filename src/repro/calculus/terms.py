@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Callable, Iterator
 
 from repro.calculus.monoids import MONOID_SYMBOLS, Monoid, monoid as lookup_monoid
@@ -438,10 +439,15 @@ def transform(term: Term, fn: Callable[[Term], Term]) -> Term:
     """Rebuild *term* bottom-up, applying *fn* to every node.
 
     *fn* receives each node after its children have been transformed and
-    returns the (possibly unchanged) replacement.
+    returns the (possibly unchanged) replacement.  A node whose children all
+    come back as themselves is passed on as itself, not copied.
     """
-    rebuilt = _rebuild(term, tuple(transform(c, fn) for c in term.children()))
-    return fn(rebuilt)
+    children = term.children()
+    if children:
+        walked = tuple([transform(c, fn) for c in children])
+        if not all(map(is_, walked, children)):
+            term = _rebuild(term, walked)
+    return fn(term)
 
 
 def _rebuild(term: Term, children: tuple[Term, ...]) -> Term:

@@ -51,6 +51,7 @@ from repro.calculus.terms import (
     Singleton,
     Term,
     Zero,
+    _rebuild,
     alpha_rename,
     bound_vars,
     conj,
@@ -63,7 +64,7 @@ from repro.calculus.terms import (
 )
 from repro.core.rewrite import RewriteEngine, RuleSet
 
-NORMALIZATION_RULES = RuleSet("normalization", transform=transform)
+NORMALIZATION_RULES = RuleSet("normalization", rebuild=_rebuild)
 
 
 def normalize(term: Term) -> Term:
@@ -502,6 +503,8 @@ def _canonical_step(term: Term) -> Term:
     quals: tuple[Qualifier, ...] = tuple(generators)
     if conjuncts(pred):
         quals += (Filter(pred),)
+    if quals == term.qualifiers:
+        return term
     return Comprehension(term.monoid_name, term.head, quals)
 
 

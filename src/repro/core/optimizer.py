@@ -340,45 +340,40 @@ def _flatten_joins(plan: Join) -> tuple[list[Operator], list[Term]]:
 def _rebuild_joins(
     leaves: list[Operator], preds: list[Term], cost_model: CostModel
 ) -> Operator:
-    remaining = list(leaves)
-    pool = list(preds)
-
-    def applicable(cols: set[str]) -> list[Term]:
-        return [p for p in pool if free_vars(p) <= cols]
+    # Each leaf's cardinality and columns and each conjunct's free variables
+    # are computed once.  The running join's cardinality is carried from step
+    # to step: it is the product the estimator gives the join built so far.
+    remaining = [
+        (leaf, cost_model.cardinality(leaf), set(leaf.columns())) for leaf in leaves
+    ]
+    pool = [(pred, free_vars(pred)) for pred in preds]
 
     # Start from the smallest leaf.
-    current = min(remaining, key=cost_model.cardinality)
-    remaining.remove(current)
-    current_cols = set(current.columns())
+    start = min(range(len(remaining)), key=lambda index: remaining[index][1])
+    current, current_card, current_cols = remaining.pop(start)
 
     while remaining:
-        best = None
-        best_card = float("inf")
-        best_preds: list[Term] = []
-        for leaf in remaining:
-            cols = current_cols | set(leaf.columns())
-            usable = applicable(cols)
+        best_index = 0
+        best_rank = best_card = float("inf")
+        for index, (_, leaf_card, leaf_cols) in enumerate(remaining):
+            cols = current_cols | leaf_cols
+            usable = [pred for pred, needs in pool if needs <= cols]
             selectivity = cost_model.selectivity(conj(*usable)) if usable else 1.0
-            card = (
-                cost_model.cardinality(current)
-                * cost_model.cardinality(leaf)
-                * selectivity
-            )
+            card = current_card * leaf_card * selectivity
             # Strongly prefer joins with at least one predicate over cross
             # products.
-            if not usable:
-                card *= 1e6
-            if card < best_card:
-                best, best_card, best_preds = leaf, card, usable
-        assert best is not None
-        remaining.remove(best)
-        for pred in best_preds:
-            pool.remove(pred)
-        current = Join(current, best, conj(*best_preds))
-        current_cols |= set(best.columns())
+            rank = card if usable else card * 1e6
+            if rank < best_rank:
+                best_index, best_rank, best_card = index, rank, card
+        best, _, best_cols = remaining.pop(best_index)
+        current_cols = current_cols | best_cols
+        usable = [pred for pred, needs in pool if needs <= current_cols]
+        pool = [(pred, needs) for pred, needs in pool if not needs <= current_cols]
+        current = Join(current, best, conj(*usable))
+        current_card = best_card
 
     if pool:
-        current = Select(current, conj(*pool))
+        current = Select(current, conj(*(pred for pred, _ in pool)))
     return current
 
 

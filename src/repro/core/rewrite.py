@@ -6,21 +6,29 @@ constructs and with a rule language for specifying query transformations",
 compiled by OPTGEN.  In Python the natural equivalent is first-class rule
 objects: a :class:`Rule` is a named partial function on nodes, a
 :class:`RuleSet` groups rules into an optimizer phase, and
-:class:`RewriteEngine` drives them to a fixpoint bottom-up, recording every
-firing.
+:class:`RewriteEngine` rewrites a tree to each phase's normal form.
 
-The engine is generic over the node type: it only needs a *transform*
-function ``transform(node, fn) -> node`` that rebuilds a tree bottom-up
-applying ``fn`` at every node.  The calculus normalization phase runs it
-with :func:`repro.calculus.terms.transform`; the algebraic phase with
-:func:`repro.algebra.operators.transform_plan`.
+The engine walks ``children()``; a phase names its domain's ``rebuild``
+(:func:`repro.calculus.terms._rebuild`, :func:`repro.algebra.operators.rebuild`).
+A phase is one bottom-up walk: at each node it normalizes the children and
+tries the rules; when one fires it walks the replacement's children and
+retries there, in a loop, until none fires.  An identity memo keeps every
+node the walk returned (each is normal) for the phase, so a replacement
+reusing one does not enter it again.  No confirming pass is needed: a rule
+reads only the node it fires at and what lies below, so a normal subtree
+stays normal wherever it is put, and such local rules are strongly
+normalizing (Ricciotti–Cheney, arXiv:2011.13451) — redex order cannot change
+the normal form, which ``tests/test_rewrite_confluence.py`` checks.  More
+than ``max_firings`` firings in a phase is divergence: :class:`PlanningError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Any, Callable
 
+from repro.algebra.operators import rebuild as rebuild_plan
 from repro.errors import PlanningError
 
 
@@ -41,29 +49,22 @@ class Rule:
 
 @dataclass
 class RuleSet:
-    """A named optimizer phase: an ordered collection of rules.
-
-    ``transform`` is the tree-walker the phase runs under; it defaults to
-    the algebra's plan transformer and can be any function with the
-    signature ``transform(node, fn) -> node``.
+    """A named optimizer phase: an ordered collection of rules, and the
+    ``rebuild`` of its node domain (by default the algebra's).
 
     Register rules through :meth:`rule`: the set keeps, per node class, the
-    rules whose ``roots`` admit it, and registration is what resets that
-    index.
+    rules whose ``roots`` admit it, and registration resets that index.
     """
 
     name: str
     rules: list[Rule] = field(default_factory=list)
-    transform: Callable[[Any, Callable[[Any], Any]], Any] | None = None
+    rebuild: Callable[[Any, tuple], Any] = rebuild_plan
     _by_class: dict[type, tuple[Rule, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def rule(
-        self,
-        name: str,
-        description: str = "",
-        roots: tuple[type, ...] | None = None,
+        self, name: str, description: str = "", roots: tuple[type, ...] | None = None
     ) -> Callable:
         """Decorator registering a function as a rule of this set.
 
@@ -84,9 +85,7 @@ class RuleSet:
         rules = self._by_class.get(cls)
         if rules is None:
             rules = self._by_class[cls] = tuple(
-                rule
-                for rule in self.rules
-                if rule.roots is None or issubclass(cls, rule.roots)
+                r for r in self.rules if r.roots is None or issubclass(cls, r.roots)
             )
         return rules
 
@@ -105,43 +104,44 @@ class Firing:
         return f"{self.phase}/{self.rule}"
 
 
-def _default_transform(node: Any, fn: Callable[[Any], Any]) -> Any:
-    from repro.algebra.operators import transform_plan
-
-    return transform_plan(node, fn)
-
-
 class RewriteEngine:
-    """Applies rule sets to a tree, bottom-up, to a fixpoint per phase."""
+    """Rewrites a tree to each phase's normal form, one walk a phase."""
 
-    def __init__(self, max_passes: int = 500):
-        self._max_passes = max_passes
+    def __init__(self, max_firings: int = 10_000):
+        self._max_firings = max_firings
         self.firings: list[Firing] = []
 
     def run_phase(self, phase: RuleSet, node: Any) -> Any:
-        """Run one phase to a fixpoint; records firings.  Still rewriting
-        after ``max_passes`` passes is a :class:`PlanningError`."""
-        transform = phase.transform or _default_transform
-        for _ in range(self._max_passes):
-            changed = False
+        """Rewrite *node* to the phase's normal form; records firings.
+        Firing more than ``max_firings`` times is a :class:`PlanningError`."""
+        rebuild, firings = phase.rebuild, self.firings
+        bound = len(firings) + self._max_firings
+        normal: dict[int, Any] = {}  # id -> node: holding it keeps its id unique
 
-            def attempt(current: Any) -> Any:
-                nonlocal changed
-                for rule in phase.rules_for(type(current)):
-                    replacement = rule(current)
-                    if replacement is not None and replacement != current:
-                        self.firings.append(Firing(phase.name, rule.name))
-                        changed = True
-                        return replacement
-                return current
+        def walk(node: Any) -> Any:
+            while id(node) not in normal:
+                children = node.children()
+                if children:
+                    walked = tuple(map(walk, children))
+                    if not all(map(is_, walked, children)):
+                        node = rebuild(node, walked)
+                for rule in phase.rules_for(type(node)):
+                    replacement = rule.apply(node)
+                    if replacement is not None and replacement != node:
+                        firings.append(Firing(phase.name, rule.name))
+                        if len(firings) > bound:
+                            raise PlanningError(
+                                f"optimizer phase {phase.name!r} still rewriting "
+                                f"after {self._max_firings} firings (last rule "
+                                f"fired: {rule.name})"
+                            )
+                        node = replacement
+                        break
+                else:
+                    normal[id(node)] = node
+            return node
 
-            node = transform(node, attempt)
-            if not changed:
-                return node
-        raise PlanningError(
-            f"optimizer phase {phase.name!r} did not reach a fixpoint in "
-            f"{self._max_passes} passes (last rule fired: {self.firings[-1].rule})"
-        )
+        return walk(node)
 
     def run(self, phases: list[RuleSet], node: Any) -> Any:
         for phase in phases:

@@ -417,12 +417,19 @@ def _replace(term: Term, target: Term, replacement: Term) -> Term:
     Two comprehensions that differ only in the names of their bound
     variables denote the same subquery; replacing all of them with the same
     box output variable is the common-subexpression sharing the paper's
-    graph-reduction discussion (Section 2) calls for.
+    graph-reduction discussion (Section 2) calls for.  The target itself is
+    recognised by identity; another comprehension is α-canonicalised to be
+    compared only when it has the target's monoid and qualifier count.
     """
     canon = _alpha_canonical(target)
+    shape = (target.monoid_name, len(target.qualifiers))
 
     def step(t: Term) -> Term:
-        if isinstance(t, Comprehension) and _alpha_canonical(t) == canon:
+        if t is target or (
+            isinstance(t, Comprehension)
+            and (t.monoid_name, len(t.qualifiers)) == shape
+            and _alpha_canonical(t) == canon
+        ):
             return replacement
         return t
 

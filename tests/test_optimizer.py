@@ -73,7 +73,7 @@ class TestRewriteEngine:
     @staticmethod
     def _ping_pong() -> RuleSet:
         """Two rules undoing each other: a set reduce becomes a bag one and
-        back, one firing a pass, forever."""
+        back at the same node, forever."""
         phase = RuleSet("ping-pong")
         for name, before, after in (("to-bag", "set", "bag"), ("to-set", "bag", "set")):
 
@@ -86,31 +86,53 @@ class TestRewriteEngine:
         return phase
 
     def test_diverging_phase_is_a_typed_planning_error(self):
-        engine = RewriteEngine(max_passes=3)
+        engine = RewriteEngine(max_firings=3)
         plan = Reduce(Scan("X", "x"), "set", var("x"))
         with pytest.raises(PlanningError) as raised:
             engine.run_phase(self._ping_pong(), plan)
         assert str(raised.value) == (
-            "optimizer phase 'ping-pong' did not reach a fixpoint in 3 passes "
-            "(last rule fired: to-bag)"
+            "optimizer phase 'ping-pong' still rewriting after 3 firings "
+            "(last rule fired: to-set)"
         )
-        assert [f.rule for f in engine.firings] == ["to-bag", "to-set", "to-bag"]
+        assert [f.rule for f in engine.firings] == [
+            "to-bag", "to-set", "to-bag", "to-set"
+        ]
 
+    def test_a_phase_may_fire_exactly_its_bound(self):
+        phase = RuleSet("once")
+        phase.rule("to-bag", roots=(Reduce,))(
+            lambda plan: Reduce(plan.child, "bag", plan.head, plan.pred)
+            if plan.monoid_name == "set"
+            else None
+        )
+        engine = RewriteEngine(max_firings=1)
+        result = engine.run_phase(phase, Reduce(Scan("X", "x"), "set", var("x")))
+        assert result.monoid_name == "bag"
+        assert [f.rule for f in engine.firings] == ["to-bag"]
+
+    @pytest.mark.parametrize("bound", [3, None])
     def test_run_oql_surfaces_a_diverging_phase_with_its_stage(
-        self, company, monkeypatch
+        self, company, monkeypatch, bound
     ):
+        """At a small bound and at the default one alike, the ping-pong is a
+        PlanningError of the optimize stage: the engine retries a node in a
+        loop, so a long divergence is never a RecursionError."""
         import repro.core.optimizer as optimizer
         import repro.core.pipeline as pipeline
 
         monkeypatch.setattr(optimizer, "ALGEBRAIC_RULES", self._ping_pong())
-        monkeypatch.setattr(
-            pipeline, "RewriteEngine", functools.partial(RewriteEngine, max_passes=3)
-        )
+        if bound is not None:
+            monkeypatch.setattr(
+                pipeline,
+                "RewriteEngine",
+                functools.partial(RewriteEngine, max_firings=bound),
+            )
         source = "select distinct e.name from e in Employees"
         with pytest.raises(PlanningError, match="ping-pong") as raised:
             pipeline.QueryPipeline(company).run_oql(source)
         assert raised.value.stage == "optimize"
         assert raised.value.source == source
+        assert f"after {bound or 10_000} firings" in str(raised.value)
 
 
 class TestAlgebraicRules:

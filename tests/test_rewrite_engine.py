@@ -1,5 +1,5 @@
 """Tests for the generic rewrite engine across both node domains
-(calculus terms via `terms.transform`, algebra plans via `transform_plan`),
+(calculus terms via `terms._rebuild`, algebra plans via `operators.rebuild`),
 and for the declarative normalization rule set."""
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from repro.calculus.terms import (
     Const,
     Extent,
     Lambda,
+    _rebuild,
     comprehension,
     const,
-    transform,
     var,
 )
 from repro.core.normalization import NORMALIZATION_RULES, normalize
@@ -23,7 +23,7 @@ from repro.core.rewrite import Firing, RewriteEngine, Rule, RuleSet
 
 class TestGenericEngine:
     def test_calculus_phase(self):
-        phase = RuleSet("demo", transform=transform)
+        phase = RuleSet("demo", rebuild=_rebuild)
 
         @phase.rule("fold-add")
         def fold(term):
@@ -42,8 +42,8 @@ class TestGenericEngine:
         assert [f.rule for f in engine.firings] == ["fold-add", "fold-add"]
 
     def test_run_multiple_phases(self):
-        first = RuleSet("first", transform=transform)
-        second = RuleSet("second", transform=transform)
+        first = RuleSet("first", rebuild=_rebuild)
+        second = RuleSet("second", rebuild=_rebuild)
 
         @first.rule("one-to-two")
         def one_to_two(term):

@@ -1,0 +1,113 @@
+"""Rewrite work is linear in the query.
+
+A rule phase is one walk (:mod:`repro.core.rewrite`): a node is tried when
+the walk reaches it and again only after a rule fired there, and a subtree
+the walk has already returned is not entered again.  So the rule attempts
+of a phase — counted by wrapping :meth:`RuleSet.rules_for`, not timed —
+stay within a constant per node of its input plus a constant per firing.
+Inputs: every corpus query, 200 qgen samples of seed 7, and three wide
+queries: a ``struct`` of 200 fields, an equi-join chain of 24 generators
+and 24 sibling ``count(select …)`` aggregates.  The last is the one the
+walk's memo keeps linear: its 24 boxes unnest into a chain of 24 nests and
+outer-joins that a selection is pushed down through, one firing a level,
+and a walk that re-entered each replacement's already-normal chain would
+read ≈ 21 attempts a node (it also fails one qgen sample).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from corpus import CORPUS
+from repro.cli import DATABASES
+from repro.core.pipeline import QueryPipeline
+from repro.core.rewrite import RewriteEngine, RuleSet
+from repro.testing.fuzz import FuzzConfig, generate_sample
+
+#: Rule attempts per node of a phase's input, and per firing.  Over the
+#: corpus and qgen a phase reads ≤ ≈ 9.3 attempts a node, all in small
+#: comprehension-heavy terms that fire about once every two nodes; the
+#: wide queries read ≤ 2.  Without the memo the 24 aggregates read 1 525
+#: attempts for 74 nodes and 24 firings, against a bound of 828 here.
+ATTEMPTS_PER_NODE = 6
+ATTEMPTS_PER_FIRING = 16
+
+
+def _nodes(node) -> int:
+    return 1 + sum(_nodes(child) for child in node.children())
+
+
+@pytest.fixture()
+def phase_runs(monkeypatch):
+    """``(phase, input nodes, rule attempts, firings)`` of every phase run."""
+    runs: list[tuple[str, int, int, int]] = []
+    attempts = [0]
+    rules_for, run_phase = RuleSet.rules_for, RewriteEngine.run_phase
+
+    def counting_rules_for(self, cls):
+        rules = rules_for(self, cls)
+        attempts[0] += len(rules)
+        return rules
+
+    def recording_run_phase(self, phase, node):
+        before, fired = attempts[0], len(self.firings)
+        result = run_phase(self, phase, node)
+        runs.append(
+            (phase.name, _nodes(node), attempts[0] - before, len(self.firings) - fired)
+        )
+        return result
+
+    monkeypatch.setattr(RuleSet, "rules_for", counting_rules_for)
+    monkeypatch.setattr(RewriteEngine, "run_phase", recording_run_phase)
+    return runs
+
+
+def _assert_linear(runs, what: str) -> None:
+    assert runs, what
+    for phase, nodes, attempts, firings in runs:
+        bound = ATTEMPTS_PER_NODE * nodes + ATTEMPTS_PER_FIRING * firings
+        assert attempts <= bound, (what, phase, nodes, attempts, firings)
+    del runs[:]
+
+
+def _struct(fields: int) -> str:
+    heads = ", ".join(f"f{i}: e.age + {i}" for i in range(fields))
+    return f"select distinct struct( {heads} ) from e in Employees"
+
+
+def _chain(generators: int) -> str:
+    gens = ", ".join(f"e{i} in Employees" for i in range(generators))
+    preds = " and ".join(f"e{i}.dno = e{i + 1}.dno" for i in range(generators - 1))
+    return f"select distinct e0.name from {gens} where {preds}"
+
+
+def _sibling_aggregates(count: int) -> str:
+    heads = ", ".join(
+        f"a{i}: count( select u from u in Employees "
+        f"where u.dno = e.dno and u.age > {i} )"
+        for i in range(count)
+    )
+    return f"select distinct struct( {heads} ) from e in Employees"
+
+
+class TestRewriteLinearity:
+    def test_corpus(self, phase_runs):
+        for query in CORPUS:
+            QueryPipeline(DATABASES[query.family]()).compile_oql(query.oql)
+            _assert_linear(phase_runs, query.name)
+
+    def test_qgen_samples(self, phase_runs):
+        config = FuzzConfig(seed=7)
+        for iteration in range(200):
+            source, _, db = generate_sample(config, iteration)
+            QueryPipeline(db).compile_oql(source)
+            _assert_linear(phase_runs, source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [_struct(200), _chain(24), _sibling_aggregates(24)],
+        ids=["struct-200-fields", "chain-24-generators", "24-sibling-aggregates"],
+    )
+    def test_wide_query(self, phase_runs, source):
+        QueryPipeline(DATABASES["company"]()).compile_oql(source)
+        _assert_linear(phase_runs, source)
