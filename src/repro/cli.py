@@ -5,20 +5,24 @@ Usage::
     python -m repro "select distinct e.name from e in Employees"
     python -m repro --db university --explain "select distinct s from s in Student"
     python -m repro --trace --plan "for all a in A: exists b in B: a = b" --db ab
-    python -m repro            # interactive shell
+    python -m repro --max-rows 100000 --backend sqlite   # interactive shell
 
-The interactive shell accepts OQL queries terminated by a semicolon and the
-meta-commands ``\\plan``, ``\\explain``, ``\\trace``, ``\\calculus``,
-``\\stages`` (toggle per-query output), ``\\cache`` (plan-cache statistics),
-``\\batch N`` (set the rows per chunk), ``\\parallel`` (toggle
-partitioned parallel execution; ``\\parallel N`` sets the worker count),
-``\\backend``
-(switch between the in-memory engine and the SQLite shredding backend;
-``\\backend sqlite`` or, file-backed/out-of-core,
-``\\backend sqlite /tmp/store.db``), ``\\limits``
-(show/set per-query governor limits, e.g.
-``\\limits timeout=1.0 max_rows=100000``),
-``\\db <name>`` (switch database), and ``\\quit``.
+Every option a user may set is named once, in
+:data:`repro.core.optimizer.SETTABLE_OPTIONS`, and checked once, by
+:func:`repro.core.optimizer.update_options`.  Each is a flag here and in
+``repro serve`` (``--max-rows``, ``--num-workers``, ...), a ``\\set`` in the
+shell and a key of the server's ``set`` op, and a refused value reads the
+same on all of them.  ``--db-path`` and ``--no-unnest`` are start-up only.
+
+The interactive shell starts from the options the flags name.  It accepts
+OQL queries terminated by a semicolon (views: ``define <name> as <query>;``)
+and the meta-commands ``\\set`` (show the settings) or ``\\set name=value
+...`` (change them, e.g. ``\\set max_rows=100000 backend=sqlite``),
+``\\plan``, ``\\explain``, ``\\trace``, ``\\calculus``, ``\\stages`` (toggle
+per-query output), ``\\cache`` (plan-cache statistics), ``\\param
+name=value`` and ``\\params`` (bind and list ``:name`` placeholders),
+``\\views``, ``\\db <name>`` (switch database; the settings stay, the views
+go) and ``\\quit``.
 
 Prepared-statement placeholders (``:name``) take their values from repeated
 ``--param name=value`` flags::
@@ -32,11 +36,17 @@ import argparse
 import ast as python_ast
 import sys
 import time
-from typing import Any, Callable
+from dataclasses import replace
+from typing import Any, Callable, Collection
 
 from repro.algebra.pretty import pretty_plan
 from repro.calculus.pretty import pretty
-from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.core.optimizer import (
+    SETTABLE_OPTIONS,
+    OptimizerOptions,
+    QueryPipeline,
+    update_options,
+)
 from repro.data.database import Database
 from repro.data.datagen import (
     ab_database,
@@ -45,6 +55,7 @@ from repro.data.datagen import (
     travel_database,
     university_database,
 )
+from repro.errors import OptionError
 
 DATABASES: dict[str, Callable[[], Database]] = {
     "company": lambda: company_database(num_employees=60, num_departments=8),
@@ -53,6 +64,61 @@ DATABASES: dict[str, Callable[[], Database]] = {
     "ab": lambda: ab_database(size_a=20, size_b=30),
     "auction": lambda: auction_database(num_users=30, num_items=20),
 }
+
+#: The per-query displays, in the order they print: each is a ``repro``
+#: flag and a shell toggle of the same name.
+DISPLAYS = {
+    "calculus": "print the calculus translation",
+    "stages": "print every pipeline stage's intermediate form and wall time",
+    "trace": "print the unnesting rule trace",
+    "plan": "print the unnested algebraic plan",
+    "explain": "print the physical plan",
+}
+
+
+def literal(text: str) -> Any:
+    """*text* as a Python literal when it parses as one (``4``, ``1.5``,
+    ``None``, ``[1, 2]``), else the text itself."""
+    try:
+        return python_ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return text
+
+
+def parse_param(text: str) -> tuple[str, Any]:
+    """Parse a ``name=value`` binding or setting; the value is read by
+    :func:`literal`."""
+    name, sep, raw = text.partition("=")
+    if not sep or not name:
+        raise ValueError(f"expected NAME=VALUE, got {text!r}")
+    return name, literal(raw)
+
+
+def add_option_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--name`` for every settable option (read by :func:`literal`
+    and checked by :func:`parse_options`), and start-up-only ``--db-path``."""
+    for name, help_text in SETTABLE_OPTIONS.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=literal,
+            default=argparse.SUPPRESS,
+            help=help_text,
+        )
+    parser.add_argument(
+        "--db-path",
+        metavar="FILE",
+        help=(
+            "start-up only: with --backend sqlite, shred into (and reuse) a "
+            "file-backed store at FILE instead of :memory:"
+        ),
+    )
+
+
+def parse_options(args: argparse.Namespace, **start_up: Any) -> OptimizerOptions:
+    """The options *args*' option flags name over the start-up-only
+    settings, checked as every setting is (an :class:`OptionError`)."""
+    settings = {k: v for k, v in vars(args).items() if k in SETTABLE_OPTIONS}
+    return update_options(OptimizerOptions(db_path=args.db_path, **start_up), settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,23 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="company",
         help="demo database (default: company)",
     )
-    parser.add_argument(
-        "--plan", action="store_true", help="print the unnested algebraic plan"
-    )
-    parser.add_argument(
-        "--explain", action="store_true", help="print the physical plan"
-    )
-    parser.add_argument(
-        "--trace", action="store_true", help="print the unnesting rule trace"
-    )
-    parser.add_argument(
-        "--calculus", action="store_true", help="print the calculus translation"
-    )
-    parser.add_argument(
-        "--stages",
-        action="store_true",
-        help="print every pipeline stage's intermediate form and wall time",
-    )
+    for name, help_text in DISPLAYS.items():
+        parser.add_argument(f"--{name}", action="store_true", help=help_text)
     parser.add_argument(
         "--param",
         action="append",
@@ -106,81 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-unnest",
         action="store_true",
-        help="evaluate by direct calculus interpretation only",
+        help="start-up only: evaluate by direct calculus interpretation",
     )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rows per chunk passed between operators (default 1024)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help=(
-            "partition the driving extent scan and execute partition-local "
-            "pipelines in a worker pool, merging deterministically at the "
-            "root (plans that do not partition run serially)"
-        ),
-    )
-    parser.add_argument(
-        "-j",
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker/partition count for --parallel (default 0: one per "
-            "visible core, capped at 8); implies --parallel when > 0"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("memory", "sqlite"),
-        default="memory",
-        help=(
-            "execution backend: the in-memory reference engine, or query "
-            "shredding over stdlib sqlite3 (flat SELECTs + stitching)"
-        ),
-    )
-    parser.add_argument(
-        "--db-path",
-        default=None,
-        metavar="FILE",
-        help=(
-            "with --backend sqlite: shred into (and reuse) a file-backed "
-            "store at FILE instead of :memory:, so SQL's working set pages "
-            "through a bounded cache; a fingerprint decides reuse vs. re-shred"
-        ),
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per query; exceeding it raises QueryTimeout",
-    )
-    parser.add_argument(
-        "--max-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "work-unit budget per query (rows emitted + join pairs "
-            "considered); exceeding it raises BudgetExceeded"
-        ),
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "estimated-memory budget for blocking operators (join "
-            "builds, grouping); exceeding it raises BudgetExceeded"
-        ),
-    )
+    add_option_flags(parser)
     return parser
 
 
@@ -233,78 +212,35 @@ def _cell(value: Any, max_width: int = 36) -> str:
     return text
 
 
-def parse_param(text: str) -> tuple[str, Any]:
-    """Parse a ``name=value`` CLI binding; the value is a Python literal
-    when it parses as one (``4``, ``1.5``, ``None``, ``[1, 2]``) and a plain
-    string otherwise."""
-    name, sep, raw = text.partition("=")
-    if not sep or not name:
-        raise ValueError(f"--param expects NAME=VALUE, got {text!r}")
-    try:
-        value = python_ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
-        value = raw
-    return name, value
-
-
 def run_query(
     source: str,
-    db: Database,
+    pipeline: QueryPipeline,
     *,
-    show_plan: bool = False,
-    show_explain: bool = False,
-    show_trace: bool = False,
-    show_calculus: bool = False,
-    show_stages: bool = False,
+    show: Collection[str] = (),
     compare_naive: bool = False,
-    unnest: bool = True,
-    batch_size: int | None = None,
-    parallel: bool = False,
-    num_workers: int = 0,
-    timeout: float | None = None,
-    max_rows: int | None = None,
-    max_bytes: int | None = None,
-    backend: str = "memory",
-    db_path: str | None = None,
-    optimizer: Optimizer | None = None,
     params: dict[str, Any] | None = None,
     out=None,
 ) -> None:
-    """Compile and run one OQL query, printing the requested artifacts."""
+    """Compile and run one OQL query on *pipeline*, printing the
+    :data:`DISPLAYS` named in *show*."""
     out = out if out is not None else sys.stdout
-    params = params or {}
-    if optimizer is None:
-        options = OptimizerOptions(
-            unnest=unnest,
-            parallel=parallel or num_workers > 0,
-            num_workers=num_workers,
-            timeout=timeout,
-            max_rows=max_rows,
-            max_bytes=max_bytes,
-            backend=backend,
-            db_path=db_path,
-        )
-        if batch_size is not None:
-            from dataclasses import replace as _replace
-
-            options = _replace(options, batch_size=batch_size)
-        optimizer = Optimizer(db, options)
-    compiled = optimizer.compile_oql(source)
-    # The REPL keeps one \set binding table across queries; only forward the
+    db = pipeline.database
+    compiled = pipeline.compile_oql(source)
+    # The shell keeps one \param table across queries; only forward the
     # names this query actually declares.
-    params = {k: v for k, v in params.items() if k in compiled.param_names}
-    if show_calculus:
+    params = {k: v for k, v in (params or {}).items() if k in compiled.param_names}
+    if "calculus" in show:
         print("calculus:", pretty(compiled.term), file=out)
-    if show_stages:
+    if "stages" in show:
         print(compiled.explain_stages(), file=out)
-    if show_trace and compiled.trace is not None:
+    if "trace" in show and compiled.trace is not None:
         print("unnesting trace:", file=out)
         for entry in compiled.trace.entries:
             print(f"  ({entry.rule}) {entry.detail}", file=out)
-    if show_plan and compiled.optimized is not None:
+    if "plan" in show and compiled.optimized is not None:
         print("plan:", file=out)
         print(pretty_plan(compiled.optimized), file=out)
-    if show_explain and compiled.optimized is not None:
+    if "explain" in show and compiled.optimized is not None:
         label = (
             "shredded plan:"
             if compiled.options.backend == "sqlite"
@@ -319,8 +255,10 @@ def run_query(
     print(format_result(result), file=out)
     print(f"({elapsed:.2f} ms)", file=out)
 
-    if compare_naive and unnest:
-        naive = Optimizer(db, OptimizerOptions(unnest=False)).compile_oql(source)
+    if compare_naive and pipeline.options.unnest:
+        # The paper's nested-loop strategy under the user's own limits.
+        naive_options = replace(pipeline.options, unnest=False, backend="memory")
+        naive = QueryPipeline(db, naive_options).compile_oql(source)
         start = time.perf_counter()
         naive_result = naive.execute(db, params)
         naive_ms = (time.perf_counter() - start) * 1000
@@ -332,75 +270,20 @@ def run_query(
         )
 
 
-def _repl_limits(optimizer: Optimizer, argument: str, out) -> None:
-    """The REPL ``\\limits`` command: show, set, or clear governor limits.
-
-    ``\\limits`` shows the current limits, ``\\limits off`` clears them, and
-    ``\\limits timeout=0.5 max_rows=10000 max_bytes=1000000`` sets any subset
-    (each key optional).  Changing limits clears the plan cache: cached
-    CompiledQuery objects carry their options snapshot.
-    """
-    from dataclasses import replace as _replace
-
-    options = optimizer.options
-    if not argument.strip():
-        print(
-            f"  timeout={options.timeout!r} max_rows={options.max_rows!r} "
-            f"max_bytes={options.max_bytes!r}",
-            file=out,
-        )
-        return
-    if argument.strip().lower() == "off":
-        optimizer.options = _replace(
-            options, timeout=None, max_rows=None, max_bytes=None
-        )
-        optimizer.plan_cache.clear()
-        print("  limits cleared", file=out)
-        return
-    updates: dict[str, Any] = {}
-    for piece in argument.split():
-        try:
-            name, value = parse_param(piece)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return
-        if name not in ("timeout", "max_rows", "max_bytes"):
-            print(
-                f"error: unknown limit {name!r} "
-                "(expected timeout, max_rows, or max_bytes)",
-                file=out,
-            )
-            return
-        updates[name] = value
-    try:
-        optimizer.options = _replace(options, **updates)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return
-    optimizer.plan_cache.clear()
-    set_to = " ".join(f"{k}={v!r}" for k, v in updates.items())
-    print(f"  limits set: {set_to}", file=out)
-
-
-def repl(db_name: str, out=None) -> None:
+def repl(
+    db_name: str, options: OptimizerOptions | None = None, out=None
+) -> None:
     """The interactive OQL shell (see the module docstring for commands)."""
     out = out if out is not None else sys.stdout
-    db = DATABASES[db_name]()
-    optimizer = Optimizer(db)
-    flags = {
-        "plan": False,
-        "explain": False,
-        "trace": False,
-        "calculus": False,
-        "stages": False,
-    }
+    pipeline = QueryPipeline(DATABASES[db_name](), options)
+    show: set[str] = set()
     params: dict[str, Any] = {}
     print(
-        f"repro OQL shell — database '{db_name}' ({db!r}).\n"
+        f"repro OQL shell — database '{db_name}' ({pipeline.database!r}).\n"
         "End queries with ';' (views: 'define <name> as <query>;').\n"
-        "Meta: \\plan \\explain \\trace \\calculus \\stages \\cache "
-        "\\batch N \\parallel \\backend \\limits \\set name=value "
-        "\\params \\views \\db <name> \\quit",
+        "Meta: \\set [name=value ...] \\plan \\explain \\trace \\calculus "
+        "\\stages \\cache \\param name=value \\params \\views \\db <name> "
+        "\\quit",
         file=out,
     )
     buffer: list[str] = []
@@ -419,132 +302,56 @@ def repl(db_name: str, out=None) -> None:
             if command == "db":
                 if argument in DATABASES:
                     db = DATABASES[argument]()
-                    optimizer = Optimizer(db)
-                    print(f"switched to '{argument}' ({db!r})", file=out)
+                    pipeline = QueryPipeline(db, pipeline.options)
+                    print(
+                        f"switched to '{argument}' ({db!r}); "
+                        "settings kept, views dropped",
+                        file=out,
+                    )
                 else:
                     print(f"unknown database; choose from {sorted(DATABASES)}", file=out)
-                continue
-            if command in flags:
-                flags[command] = not flags[command]
-                print(f"\\{command} {'on' if flags[command] else 'off'}", file=out)
-                continue
-            if command == "batch":
-                from dataclasses import replace as _replace
-
+            elif command in DISPLAYS:
+                show ^= {command}
+                print(f"\\{command} {'on' if command in show else 'off'}", file=out)
+            elif command == "set":
                 try:
-                    optimizer.options = _replace(
-                        optimizer.options, batch_size=int(argument)
-                    )
-                except ValueError:
-                    print(
-                        "usage: \\batch N (rows per chunk, N >= 1)", file=out
-                    )
-                    continue
-                size = optimizer.options.batch_size
-                print(f"\\batch {size} rows per chunk", file=out)
-                continue
-            if command == "parallel":
-                from dataclasses import replace as _replace
-
-                if argument:
-                    # ``\parallel N`` sets the worker count (and turns
-                    # parallel execution on); a bare ``\parallel`` toggles.
-                    try:
-                        optimizer.options = _replace(
-                            optimizer.options,
-                            parallel=True,
-                            num_workers=int(argument),
-                        )
-                    except ValueError:
-                        print(
-                            "usage: \\parallel (toggle) or \\parallel N "
-                            "(workers, N >= 0; 0 = one per core)",
-                            file=out,
-                        )
-                        continue
-                    label = str(optimizer.options.num_workers or "auto")
-                    print(f"\\parallel on ({label} workers)", file=out)
-                    continue
-                optimizer.options = _replace(
-                    optimizer.options, parallel=not optimizer.options.parallel
-                )
-                state = "on" if optimizer.options.parallel else "off"
-                print(f"\\parallel {state} (partitioned execution)", file=out)
-                continue
-            if command == "backend":
-                from dataclasses import replace as _replace
-
-                db_path = None
-                if argument:
-                    # ``\backend NAME [PATH]`` selects it (PATH: a
-                    # file-backed sqlite store); a bare ``\backend``
-                    # toggles between memory and sqlite.
-                    pieces = argument.split(None, 1)
-                    name = pieces[0].strip().lower()
-                    if len(pieces) > 1:
-                        db_path = pieces[1].strip() or None
-                    if name not in ("memory", "sqlite") or (
-                        db_path and name != "sqlite"
-                    ):
-                        print(
-                            "usage: \\backend (toggle) or "
-                            "\\backend memory|sqlite [db-path]",
-                            file=out,
-                        )
-                        continue
+                    updates = dict(parse_param(piece) for piece in argument.split())
+                    pipeline.options = update_options(pipeline.options, updates)
+                except ValueError as exc:  # OptionError is a ValueError
+                    print(f"error: {exc}", file=out)
                 else:
-                    name = (
-                        "sqlite"
-                        if optimizer.options.backend == "memory"
-                        else "memory"
+                    settings = " ".join(
+                        f"{name}={getattr(pipeline.options, name)!r}"
+                        for name in SETTABLE_OPTIONS
                     )
-                optimizer.options = _replace(
-                    optimizer.options, backend=name, db_path=db_path
-                )
-                # Options are part of the plan-cache key, but clear anyway
-                # so stale CompiledQuery snapshots (and their store
-                # bindings) do not linger after a backend/store switch.
-                optimizer.plan_cache.clear()
-                suffix = f" (file: {db_path})" if db_path else ""
-                print(f"\\backend {name}{suffix}", file=out)
-                continue
-            if command == "limits":
-                _repl_limits(optimizer, argument, out)
-                continue
-            if command == "views":
-                if optimizer.views:
-                    for view_name in sorted(optimizer.views):
-                        print(f"  {view_name}", file=out)
-                else:
-                    print("  (no views defined)", file=out)
-                continue
-            if command == "cache":
-                print(f"  {optimizer.plan_cache!r}", file=out)
-                counts = optimizer.stage_counts
+                    print(f"  {settings}", file=out)
+            elif command == "views":
+                for view_name in sorted(pipeline.views) or ["(no views defined)"]:
+                    print(f"  {view_name}", file=out)
+            elif command == "cache":
+                print(f"  {pipeline.plan_cache!r}", file=out)
+                counts = pipeline.stage_counts
                 if counts:
                     ran = ", ".join(
                         f"{name}: {counts[name]}"
                         for name in sorted(counts, key=counts.get, reverse=True)
                     )
                     print(f"  stage runs — {ran}", file=out)
-                continue
-            if command == "set":
+            elif command == "param":
                 try:
                     name, value = parse_param(argument)
                 except ValueError as exc:
                     print(f"error: {exc}", file=out)
-                    continue
-                params[name] = value
-                print(f"  :{name} = {value!r}", file=out)
-                continue
-            if command == "params":
-                if params:
-                    for name in sorted(params):
-                        print(f"  :{name} = {params[name]!r}", file=out)
                 else:
+                    params[name] = value
+                    print(f"  :{name} = {value!r}", file=out)
+            elif command == "params":
+                for name in sorted(params):
+                    print(f"  :{name} = {params[name]!r}", file=out)
+                if not params:
                     print("  (no parameters set)", file=out)
-                continue
-            print(f"unknown meta-command \\{command}", file=out)
+            else:
+                print(f"unknown meta-command \\{command}", file=out)
             continue
         buffer.append(line)
         if not stripped.endswith(";"):
@@ -555,21 +362,10 @@ def repl(db_name: str, out=None) -> None:
             continue
         try:
             if source.lstrip().lower().startswith("define"):
-                name = optimizer.define_view(source)
+                name = pipeline.define_view(source)
                 print(f"view {name!r} defined", file=out)
             else:
-                run_query(
-                    source,
-                    db,
-                    show_plan=flags["plan"],
-                    show_explain=flags["explain"],
-                    show_trace=flags["trace"],
-                    show_calculus=flags["calculus"],
-                    show_stages=flags["stages"],
-                    optimizer=optimizer,
-                    params=params,
-                    out=out,
-                )
+                run_query(source, pipeline, show=show, params=params, out=out)
         except Exception as exc:  # noqa: BLE001 - REPL survives bad queries
             print(f"error: {exc}", file=out)
 
@@ -687,7 +483,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "Serve OQL queries over TCP: newline-delimited JSON requests "
             "(plus a thin HTTP/1.1 POST endpoint on the same port), "
             "sessions with prepared statements, admission control, and "
-            "per-tenant budgets (see repro.server)."
+            "per-tenant budgets (see repro.server).  The option flags set "
+            "every session's defaults."
         ),
     )
     parser.add_argument(
@@ -702,18 +499,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default="company",
         help="demo database to serve (default: company)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("memory", "sqlite"),
-        default="memory",
-        help="default execution backend for sessions (default: memory)",
-    )
-    parser.add_argument(
-        "--db-path",
-        default=None,
-        metavar="FILE",
-        help="with --backend sqlite: file-backed shredded store at FILE",
-    )
+    add_option_flags(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -737,27 +523,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "admission control: queued queries beyond the in-flight limit "
             "before typed rejection (default: 2x --max-inflight)"
         ),
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-query wall-clock budget for every session",
-    )
-    parser.add_argument(
-        "--max-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="default per-query work-unit budget for every session",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="default per-query memory budget for every session",
     )
     parser.add_argument(
         "--tenant-max-queries",
@@ -811,19 +576,12 @@ def run_serve_command(argv: list[str], out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    db = DATABASES[args.db]()
     try:
-        options = OptimizerOptions(
-            timeout=args.timeout,
-            max_rows=args.max_rows,
-            max_bytes=args.max_bytes,
-            backend=args.backend,
-            db_path=args.db_path,
-        )
-    except ValueError as exc:
+        options = parse_options(args)
+    except OptionError as exc:
         parser.error(str(exc))
     config = ServerConfig(
-        database=db,
+        database=DATABASES[args.db](),
         options=options,
         host=args.host,
         port=args.port,
@@ -844,7 +602,7 @@ def run_serve_command(argv: list[str], out=None) -> int:
         print(
             f"repro serve: database '{args.db}' on {host}:{port} "
             f"(workers={config.workers}, max_inflight={server.max_inflight}, "
-            f"queue_depth={server.queue_depth}, backend={args.backend})",
+            f"queue_depth={server.queue_depth}, backend={options.backend})",
             file=out,
             flush=True,
         )
@@ -883,35 +641,21 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "serve":
         return run_serve_command(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.query is None:
-        repl(args.db)
-        return 0
-    db = DATABASES[args.db]()
     try:
-        params = dict(parse_param(binding) for binding in args.param)
-        run_query(
-            args.query,
-            db,
-            show_plan=args.plan,
-            show_explain=args.explain,
-            show_trace=args.trace,
-            show_calculus=args.calculus,
-            show_stages=args.stages,
-            compare_naive=args.naive,
-            unnest=not args.no_unnest,
-            batch_size=args.batch_size,
-            parallel=args.parallel,
-            num_workers=args.workers,
-            timeout=args.timeout,
-            max_rows=args.max_rows,
-            max_bytes=args.max_bytes,
-            backend=args.backend,
-            db_path=args.db_path,
-            params=params,
-        )
+        options = parse_options(args, unnest=not args.no_unnest)
+        if args.query is not None:
+            run_query(
+                args.query,
+                QueryPipeline(DATABASES[args.db](), options),
+                show={name for name in DISPLAYS if getattr(args, name)},
+                compare_naive=args.naive,
+                params=dict(parse_param(binding) for binding in args.param),
+            )
     except Exception as exc:  # noqa: BLE001 - CLI reports, not crashes
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.query is None:
+        repl(args.db, options)
     return 0
 
 

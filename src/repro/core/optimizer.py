@@ -35,7 +35,7 @@ work to do and is intentionally absent.  See DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from repro.algebra.operators import (
@@ -67,8 +67,10 @@ __all__ = [
     "OptimizerOptions",
     "PlanCache",
     "QueryPipeline",
+    "SETTABLE_OPTIONS",
     "StageResult",
     "reorder_joins",
+    "update_options",
 ]
 
 
@@ -148,6 +150,59 @@ class OptimizerOptions:
             number("timeout", (int, float), 0, "None or a number of seconds >= 0")
         if self.backend not in ("memory", "sqlite"):
             refuse("backend", "'memory' or 'sqlite'")
+
+
+#: The options a user may set, and what each means.  The flags of ``repro``
+#: and ``repro serve``, the shell's ``\set`` and the server's ``set`` op all
+#: take these names and check their values with :func:`update_options`.
+#: Two settings are start-up only.  ``db_path`` flows into
+#: ``sqlite3.connect()``, so a client that could set it would make the
+#: server create or open an arbitrary filesystem path.  ``unnest`` and the
+#: other phase switches are structural and stay with whoever made the options.
+SETTABLE_OPTIONS: dict[str, str] = {
+    "timeout": "wall-clock budget per query in seconds; exceeding it raises "
+    "QueryTimeout",
+    "max_rows": "work-unit budget per query (rows emitted + join pairs "
+    "considered); exceeding it raises BudgetExceeded",
+    "max_bytes": "estimated-memory budget for blocking operators (join builds, "
+    "grouping); exceeding it raises BudgetExceeded",
+    "backend": "'memory', the reference engine, or 'sqlite', query shredding "
+    "over stdlib sqlite3 (flat SELECTs + stitching)",
+    "batch_size": "rows per chunk passed between operators (default 1024)",
+    "parallel": "True: partition the driving extent scan over a worker pool "
+    "(plans that do not partition run serially)",
+    "num_workers": "workers for parallel execution (0 = one per core; at most 8)",
+}
+
+
+def update_options(
+    options: OptimizerOptions, updates: dict[str, Any]
+) -> OptimizerOptions:
+    """*options* with the settings in *updates* applied, or an
+    :class:`OptionError` and nothing applied.
+
+    ``OptimizerOptions`` states each field's domain.  What is checked here
+    is what a setting adds: that its name is in :data:`SETTABLE_OPTIONS`,
+    at most 8 workers (a server client must not spawn an unbounded thread
+    pool), and a finite ``timeout`` > 0 — not a deadline that has already
+    passed, nor one a strict-JSON reply could not spell.
+    """
+    unknown = updates.keys() - SETTABLE_OPTIONS.keys()
+    if unknown:
+        raise OptionError(
+            f"unknown session option(s) {sorted(unknown)}; "
+            f"settable: {sorted(SETTABLE_OPTIONS)}"
+        )
+    options = replace(options, **updates)
+    if options.num_workers > 8:
+        raise OptionError(
+            f"'num_workers' must be at most 8 (0 = auto), got {options.num_workers!r}"
+        )
+    if "timeout" in updates and options.timeout in (0, float("inf")):
+        raise OptionError(
+            f"'timeout' must be null or finite and > 0, got {options.timeout!r}"
+        )
+    return options
 
 
 # ---------------------------------------------------------------------------

@@ -23,44 +23,21 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
-from repro.core.optimizer import OptimizerOptions
+from repro.core.optimizer import SETTABLE_OPTIONS, OptimizerOptions, update_options
 from repro.core.pipeline import CompiledQuery, PlanCache, QueryPipeline
 from repro.data.database import Database
 from repro.engine.governor import CancelToken
+from repro.errors import OptionError
 from repro.server.protocol import ProtocolError
 
 if TYPE_CHECKING:
     from repro.server.admission import TenantAccount
 
-__all__ = ["MAX_SESSION_WORKERS", "SESSION_OPTION_NAMES", "Session"]
+__all__ = ["Session"]
 
 _session_ids = itertools.count(1)
-
-#: The options a session may change with the ``set`` op.  Deliberately the
-#: serving-relevant subset: governor limits, the backend pair, and the
-#: parallel-execution switches.  Structural phase switches (unnest,
-#: simplify, ...) stay server-side — and so does ``db_path``: it flows
-#: into ``sqlite3.connect()``, so a client that could set it would make
-#: the server create or open an arbitrary filesystem path.  The sqlite
-#: backend always uses the server-configured path (``--db-path``).
-SESSION_OPTION_NAMES = frozenset(
-    {
-        "timeout",
-        "max_rows",
-        "max_bytes",
-        "backend",
-        "parallel",
-        "num_workers",
-    }
-)
-
-#: Hard ceiling on client-requested ``num_workers`` — a session must not
-#: be able to make the server spawn an unbounded thread pool.  0 means
-#: "auto" (the engine picks a small host-appropriate count).
-MAX_SESSION_WORKERS = 8
 
 
 class Session:
@@ -95,42 +72,23 @@ class Session:
     def set_options(self, updates: dict[str, Any]) -> dict[str, Any]:
         """Apply ``set`` op updates to the session's options.
 
-        Returns the applied mapping.  Unknown names, un-settable options
-        and ill-typed or out-of-range values raise :class:`ProtocolError`
-        without changing anything (values arrive as decoded JSON, and an
-        ill-typed one stored here would fail every following query).
-        ``OptimizerOptions`` states each field's domain; what is checked
-        here is the server's own: which names a client may set, how many
-        workers it may ask for, and that it may not set a deadline that has
-        already passed, nor an infinite one (a reply could not spell it).
+        Returns the applied mapping.  Values arrive as decoded JSON and are
+        checked by :func:`~repro.core.optimizer.update_options`, as every
+        setting is; a refused update is a :class:`ProtocolError` and changes
+        nothing (an ill-typed value stored here would fail every following
+        query).
         """
         if not isinstance(updates, dict) or not updates:
             raise ProtocolError("'set' expects a non-empty 'options' object")
-        unknown = set(updates) - SESSION_OPTION_NAMES
-        if unknown:
-            raise ProtocolError(
-                f"unknown session option(s) {sorted(unknown)}; "
-                f"settable: {sorted(SESSION_OPTION_NAMES)}"
-            )
         try:
-            options = replace(self.pipeline.options, **updates)
-        except ValueError as exc:
+            self.pipeline.options = update_options(self.pipeline.options, updates)
+        except OptionError as exc:
             raise ProtocolError(str(exc)) from exc
-        if options.num_workers > MAX_SESSION_WORKERS:
-            raise ProtocolError(
-                f"'num_workers' must be at most {MAX_SESSION_WORKERS} "
-                f"(0 = auto), got {options.num_workers!r}"
-            )
-        if "timeout" in updates and options.timeout in (0, float("inf")):
-            raise ProtocolError(
-                f"'timeout' must be null or finite and > 0, got {options.timeout!r}"
-            )
-        self.pipeline.options = options
         return dict(updates)
 
     def options_snapshot(self) -> dict[str, Any]:
         options = self.pipeline.options
-        return {name: getattr(options, name) for name in sorted(SESSION_OPTION_NAMES)}
+        return {name: getattr(options, name) for name in sorted(SETTABLE_OPTIONS)}
 
     # -- prepared statements -------------------------------------------------
 

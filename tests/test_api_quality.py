@@ -156,6 +156,30 @@ def test_production_code_does_not_import_the_test_harness():
     assert loaded.stdout.strip() == "[]"
 
 
+def test_the_cli_does_not_load_the_server():
+    """``import repro.cli`` and a one-shot query load neither ``asyncio`` nor
+    the server: ``repro serve`` imports them inside its function, and the
+    options' table and checks live beside ``OptimizerOptions``."""
+    import subprocess
+    import sys
+
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; repro.cli.main(['count(Employees)']); "
+            "print(sorted(m for m in ('asyncio', 'repro.server.server') "
+            "if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.splitlines()[-1] == "[]"
+
+
 def test_generated_code_enters_through_one_door():
     """Source text becomes code in exactly one function under ``src/repro``
     — ``engine/compile.py:_factory`` — and that function has one caller, so

@@ -2,14 +2,51 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
 
-from repro.cli import DATABASES, build_parser, format_result, main, run_query
-from repro.core.optimizer import Optimizer, OptimizerOptions
+from repro.cli import (
+    DATABASES,
+    build_parser,
+    build_serve_parser,
+    format_result,
+    literal,
+    main,
+    repl,
+    run_query,
+)
+from repro.core.optimizer import (
+    SETTABLE_OPTIONS,
+    Optimizer,
+    OptimizerOptions,
+    QueryPipeline,
+)
 from repro.data.datagen import company_database
 from repro.data.values import ListValue, Record, SetValue
+from repro.server import ServeClient, ServerConfig, ServerThread
+
+
+def shell(lines, monkeypatch, start=None):
+    """What the shell prints for *lines*: started by ``main(start)`` (its
+    stdout) when *start* is given, else by ``repl("company")``."""
+    inputs = iter(lines)
+
+    def scripted(prompt=""):
+        try:
+            return next(inputs)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", scripted)
+    out = io.StringIO()
+    if start is None:
+        repl("company", out=out)
+    else:
+        monkeypatch.setattr("sys.stdout", out)
+        assert main(start) == 0
+    return out.getvalue()
 
 
 class TestCliPlumbing:
@@ -63,10 +100,10 @@ class TestCliPlumbing:
 
 
 class TestRunQuery:
-    def _capture(self, source, **kwargs):
-        db = company_database(15, 4, seed=8)
+    def _capture(self, source, options=None, **kwargs):
+        pipeline = QueryPipeline(company_database(15, 4, seed=8), options)
         out = io.StringIO()
-        run_query(source, db, out=out, **kwargs)
+        run_query(source, pipeline, out=out, **kwargs)
         return out.getvalue()
 
     def test_basic(self):
@@ -76,10 +113,7 @@ class TestRunQuery:
     def test_show_everything(self):
         text = self._capture(
             "select distinct e.name from e in Employees where e.age > 30",
-            show_plan=True,
-            show_explain=True,
-            show_trace=True,
-            show_calculus=True,
+            show={"plan", "explain", "trace", "calculus"},
         )
         assert "calculus:" in text
         assert "unnesting trace:" in text
@@ -97,7 +131,8 @@ class TestRunQuery:
 
     def test_no_unnest(self):
         text = self._capture(
-            "select distinct e.name from e in Employees", unnest=False
+            "select distinct e.name from e in Employees",
+            OptimizerOptions(unnest=False),
         )
         assert "(15 rows)" in text
 
@@ -152,7 +187,7 @@ class TestOptionsAreValidatedWhereTheyAreMade:
     @pytest.mark.parametrize(
         ("flag", "value", "field"),
         [
-            ("--workers", "-2", "num_workers"),
+            ("--num-workers", "-2", "num_workers"),
             ("--batch-size", "0", "batch_size"),
             ("--timeout", "-1", "timeout"),
         ],
@@ -162,36 +197,149 @@ class TestOptionsAreValidatedWhereTheyAreMade:
         assert f"error: {field} must be" in capsys.readouterr().err
 
     def test_repl_refuses_an_ill_typed_limit_and_stays_usable(self, monkeypatch):
-        from repro.cli import repl
-
-        lines = iter(
+        text = shell(
             [
-                "\\limits max_rows=abc",
+                "\\set max_rows=abc",
                 "count(Employees);",
-                "\\limits",
-                "\\batch 0",
-                "\\parallel -1",
-                "\\limits max_rows=5",
+                "\\set",
+                "\\set batch_size=0",
+                "\\set num_workers=-1",
+                "\\set max_rows=5",
                 "\\quit",
-            ]
+            ],
+            monkeypatch,
         )
-        monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
-        out = io.StringIO()
-        repl("company", out=out)
-        text = out.getvalue()
         assert "error: max_rows must be None or an integer > 0, got 'abc'" in text
-        assert "limits set: max_rows='abc'" not in text
+        assert "max_rows='abc'" not in text
         assert "unexpected TypeError" not in text
-        assert "  60\n" in text  # the query after the refused \limits answers
+        assert "  60\n" in text  # the query after the refused \set answers
         assert "timeout=None max_rows=None max_bytes=None" in text
-        assert "usage: \\batch N" in text and "usage: \\parallel" in text
-        assert "limits set: max_rows=5" in text
+        assert "error: batch_size must be an integer >= 1, got 0" in text
+        assert "error: num_workers must be an integer >= 0" in text
+        assert "max_rows=5 " in text
 
     def test_serve_refuses_at_start_up(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--max-rows", "-5"])
         assert exit_info.value.code == 2
         assert "max_rows must be None or an integer > 0" in capsys.readouterr().err
+
+
+class TestTheShellKeepsItsSettings:
+    def test_start_up_flags_reach_the_shell(self, monkeypatch):
+        lines = ["count( select e from e in Employees );", "\\set"]
+        text = shell(lines, monkeypatch, start=["--max-rows", "5"])
+        assert "row budget exceeded: more than 5 work units" in text
+        assert "max_rows=5 " in text
+        text = shell(["\\set"], monkeypatch, start=["--backend", "sqlite"])
+        assert "backend='sqlite'" in text
+
+    def test_switching_database_keeps_the_settings_and_drops_the_views(
+        self, monkeypatch
+    ):
+        text = shell(
+            [
+                "define Rich as select e from e in Employees where e.salary > 1;",
+                "\\set max_rows=5 backend=sqlite",
+                "\\db ab",
+                "\\views",
+                "\\set",
+                "select a from a in A;",
+            ],
+            monkeypatch,
+        )
+        assert "settings kept, views dropped" in text
+        assert "(no views defined)" in text
+        after = text.split("switched to 'ab'")[-1]
+        assert "max_rows=5 max_bytes=None backend='sqlite'" in after
+        assert "row budget exceeded: more than 5 work units" in text
+
+    def test_naive_runs_under_the_users_limits(self, capsys):
+        query = (
+            "select distinct e.name from e in Employees "
+            "where e.salary > avg( select u.salary from u in Employees )"
+        )
+        assert main(["--naive", "--max-rows", "300", query]) == 1
+        captured = capsys.readouterr()
+        assert "row budget exceeded" in captured.err
+        assert "results agree" not in captured.out
+
+
+#: One good and one bad value of every settable option, as a flag or
+#: ``\set`` reads it; the wire ``set`` op sends what :func:`literal` reads.
+SETTINGS = [
+    ("timeout", "1.5", "0"),
+    ("max_rows", "5000", "abc"),
+    ("max_bytes", "1000000", "-1"),
+    ("backend", "sqlite", "duckdb"),
+    ("batch_size", "16", "0"),
+    ("parallel", "True", "yes"),
+    ("num_workers", "2", "9"),
+]
+
+#: The option flags that set no setting, and why.
+START_UP_ONLY = {
+    "db_path": "a filesystem path: a server client must not open one",
+    "unnest": "a structural phase switch, like the server keeps it",
+}
+
+
+class TestOneOptionVocabulary:
+    """``repro``'s flags, the shell's ``\\set`` and the wire ``set`` op
+    name every setting alike and refuse a value with the same text."""
+
+    @pytest.fixture(scope="class")
+    def wire(self, company_db):
+        with ServerThread(ServerConfig(database=company_db)) as (host, port):
+            with ServeClient(host, port) as client:
+                yield client
+
+    @staticmethod
+    def refusals(name, text, wire, monkeypatch, capsys):
+        """What the flag, ``\\set`` and ``set`` say of *text*: None when it
+        is accepted, else the error's text."""
+        code = main([f"--{name.replace('_', '-')}", text, "count(Employees)"])
+        err = capsys.readouterr().err.strip()
+        flag = None if code == 0 else err.removeprefix("error: ")
+        said = shell([f"\\set {name}={text}"], monkeypatch)
+        errors = [l for l in said.splitlines() if l.startswith("error: ")]
+        set_ = errors[0].removeprefix("error: ") if errors else None
+        reply = wire.set_options(**{name: literal(text)})
+        over_wire = None if reply.ok else reply["error"]["message"]
+        if not reply.ok:
+            assert reply.error_code == "PROTOCOL_ERROR"
+        return flag, set_, over_wire
+
+    def test_the_table_covers_every_settable_name(self):
+        assert [name for name, _, _ in SETTINGS] == list(SETTABLE_OPTIONS)
+
+    @pytest.mark.parametrize(("name", "good", "bad"), SETTINGS)
+    def test_every_surface_accepts_and_refuses_alike(
+        self, name, good, bad, wire, monkeypatch, capsys
+    ):
+        assert self.refusals(name, good, wire, monkeypatch, capsys) == (None,) * 3
+        flag, set_, over_wire = self.refusals(name, bad, wire, monkeypatch, capsys)
+        assert flag is not None and name in flag
+        assert flag == set_ == over_wire
+
+    def test_an_unknown_name_reads_the_same(self, wire, monkeypatch):
+        said = shell(["\\set unnest=False"], monkeypatch)
+        reply = wire.set_options(unnest=False)
+        assert f"error: {reply['error']['message']}\n" in said
+        assert "unknown session option(s) ['unnest']" in said
+
+    @pytest.mark.parametrize("parser", [build_parser, build_serve_parser])
+    def test_every_option_flag_is_a_setting_or_start_up_only(self, parser):
+        fields = {f.name for f in dataclasses.fields(OptimizerOptions)}
+        named = {}
+        for action in parser()._actions:
+            name = action.dest.removeprefix("no_")
+            if name in fields:
+                named[name] = action.option_strings
+        for name, flags in named.items():
+            assert name in SETTABLE_OPTIONS or name in START_UP_ONLY, name
+            assert flags == ["--" + name.replace("_", "-")] or name == "unnest"
+        assert SETTABLE_OPTIONS.keys() <= named.keys()
 
 
 class TestOrderBy:

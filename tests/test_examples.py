@@ -93,15 +93,17 @@ class TestRepl:
         text = self._run(
             [
                 "count( select e from e in Employees );",
-                "\\batch 16",
+                "\\set batch_size=16",
                 "count( select e from e in Employees );",
-                "\\batch",
-                "\\batch nope",
+                "\\set batch_size",
+                "\\set batch_size=nope",
+                "\\set",
                 "\\quit",
             ]
         )
-        assert "\\batch 16 rows per chunk" in text
-        # a bare or malformed \\batch changes nothing and says how to use it
-        assert text.count("usage: \\batch N") == 2
+        assert text.count("batch_size=16 ") == 2
+        # a malformed \\set changes nothing and says what is wrong
+        assert "error: expected NAME=VALUE, got 'batch_size'" in text
+        assert "error: batch_size must be an integer >= 1, got 'nope'" in text
         # both chunk sizes ran the query (two result lines)
         assert text.count("  60") == 2

@@ -402,22 +402,24 @@ class TestPlanCacheInteraction:
     def test_repl_backend_command_accepts_db_path(self, tmp_path, monkeypatch):
         from repro import cli
 
-        path = str(tmp_path / "repl.db")
+        path = tmp_path / "repl.db"
         lines = iter(
             [
-                f"\\backend sqlite {path}",
+                "\\set backend=sqlite",
                 "count( select e from e in Employees );",
-                "\\backend memory",
+                "\\set backend=memory",
                 "count( select e from e in Employees );",
                 "\\quit",
             ]
         )
         monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
         out = io.StringIO()
-        cli.repl("company", out=out)
+        monkeypatch.setattr("sys.stdout", out)
+        assert cli.main(["--db-path", str(path)]) == 0
         text = out.getvalue()
-        assert f"\\backend sqlite (file: {path})" in text
-        assert "\\backend memory" in text
+        assert "backend='sqlite'" in text and "backend='memory'" in text
+        assert text.count("  60\n") == 2
+        assert path.exists()  # the sqlite leg shredded into the start-up file
 
     def test_cli_flag_parses(self):
         from repro.cli import build_parser
