@@ -827,6 +827,8 @@ class _VarBind:
     so the rebound variable resolves ``alias."k<i>$<column>"`` instead of
     the physical column names.  ``occurrence``: over a bag or list, the
     SQL of the variable's occurrence (its row's ``$pos``, or ``k<i>#``).
+    ``decode``: how a result column decodes a lowered nest's value
+    (``min``: NULL is its zero, ``+inf``).
     """
 
     kind: str  # "record" | "scalar" | "expr"
@@ -835,6 +837,7 @@ class _VarBind:
     expr: _SqlExpr | None = None
     prefix: str = ""
     occurrence: str = ""
+    decode: str = ""
 
 
 def _bcol(bind: _VarBind, column: str) -> str:
@@ -857,6 +860,8 @@ def _column(bind: _VarBind) -> tuple[str, str, str]:
     if bind.kind == "expr":
         assert bind.expr is not None
         sql, tag = bind.expr.sql, bind.expr.tag
+        if bind.decode:
+            return sql, bind.decode, tag
     else:
         assert bind.table is not None
         if bind.kind == "record":
@@ -1048,11 +1053,10 @@ def _resolve_path(term: Term, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
 
 
 #: Monoids whose SQL value encoding is exact *mid-query*, so a lowered nest
-#: can feed further SQL.  ``min`` is excluded: its zero is ``inf``, which
-#: SQL renders as NULL — decodable at a segment root, not chainable.
+#: can feed further SQL.  ``min`` lowers only at a segment root: its zero is
+#: ``inf``, which SQL renders as NULL and only the root's decode restores.
 #: ``prod`` has no SQL aggregate at all and always stays residual.
 _CHAINABLE = frozenset(("sum", "max", "avg", "all", "some"))
-_ROOT_AGGREGATES = _CHAINABLE | {"min"}
 
 _BOOLISH = frozenset(("bool", "any", "null"))
 _NUMERIC_OK = _NUMERIC | {"any", "null"}
@@ -1197,10 +1201,8 @@ class _SegmentBuilder:
         counter = [0]
         if isinstance(plan, Reduce):
             segment = self._build_reduce(plan, counter)
-        elif isinstance(plan, Nest):
-            segment = self._build_nest(plan, counter)
         else:
-            chain = self._chain(plan, counter)
+            chain = self._chain(plan, counter, root=True)
             usable = chain is not None and chain.uses_table
             segment = self._finalize(plan, chain) if usable else None
         if segment is None:
@@ -1218,7 +1220,10 @@ class _SegmentBuilder:
         counter[0] += 1
         return alias
 
-    def _chain(self, plan: Operator, counter: list[int]) -> _Chain | None:
+    def _chain(
+        self, plan: Operator, counter: list[int], root: bool = False
+    ) -> _Chain | None:
+        """*plan* as a chain; *root*: as a segment's root (:meth:`_chain_nest`)."""
         standin = self._standins.get(id(plan))
         if standin is not None:
             # (a copy: selections and maps extend the chain they are given)
@@ -1238,7 +1243,7 @@ class _SegmentBuilder:
         if isinstance(plan, Seed):
             return self._chain_seed(plan, counter)
         if isinstance(plan, Nest):
-            return self._chain_nest(plan, counter)
+            return self._chain_nest(plan, counter, root)
         return None
 
     def _chain_scan(self, plan: Scan, counter: list[int]) -> _Chain | None:
@@ -1450,13 +1455,20 @@ class _SegmentBuilder:
                 return chain.order_cols[0]
         return f"ROW_NUMBER() OVER (ORDER BY {', '.join(chain.order_cols)})"
 
-    def _chain_nest(self, plan: Nest, counter: list[int]) -> _Chain | None:
-        """A lowered nest feeding further SQL: fused where the shape
-        allows (:meth:`_fused_nest`), the grouped product otherwise."""
+    def _chain_nest(
+        self, plan: Nest, counter: list[int], root: bool = False
+    ) -> _Chain | None:
+        """A lowered nest: fused where the shape allows
+        (:meth:`_fused_nest`), the grouped product otherwise.  A collection
+        monoid is not lowered (its input becomes a stream segment, which the
+        engine's ``HashNest`` groups); ``min`` is the grouped product of a
+        segment *root* only, where the decode restores its zero."""
+        if root and plan.monoid_name == "min":
+            return self._grouped_nest(plan, counter, payload=False)
         if plan.monoid_name not in _CHAINABLE:
             return None
         fused = self._fused_nest(plan, counter)
-        return fused or self._grouped_nest(plan, counter)
+        return fused or self._grouped_nest(plan, counter, payload=not root)
 
     def _fused_nest(self, plan: Nest, counter: list[int]) -> _Chain | None:
         """*plan* as one of the two shapes the physical planner fuses, in
@@ -1618,13 +1630,14 @@ class _SegmentBuilder:
         )
 
     def _carried(
-        self, binds: Mapping[str, _VarBind], names: tuple[str, ...]
+        self, binds: Mapping[str, _VarBind], names: tuple[str, ...], payload: bool = True
     ) -> tuple[list[tuple[str, str]], list[str], Any] | None:
         """Variables *names* as columns of a derived table: ``(sql, name)``
         select items, the key columns, and a function rebinding the
         variables over an alias of that table.  A record passes its
-        ``$oid`` and payload columns through under a ``k<i>$`` prefix,
-        anything else is the one column ``k<i>``, an occurrence ``k<i>#``."""
+        ``$oid`` — and, with *payload*, its payload columns — through under
+        a ``k<i>$`` prefix, anything else is the one column ``k<i>``, an
+        occurrence ``k<i>#``."""
         items: list[tuple[str, str]] = []
         keys: list[str] = []
         shapes: list[tuple[str, _Table | None, str, bool]] = []
@@ -1634,7 +1647,9 @@ class _SegmentBuilder:
                 return None
             table, tag = bind.table if bind.kind == "record" else None, ""
             if table is not None:
-                columns = [table.oid_column()] + table.payload_columns()
+                columns = [table.oid_column()]
+                if payload:
+                    columns += table.payload_columns()
                 items += [(_bcol(bind, c), f"k{i}${c}") for c in columns]
                 keys.append(f"k{i}${columns[0]}")
             else:
@@ -1660,16 +1675,20 @@ class _SegmentBuilder:
 
         return items, keys, rebind
 
-    def _grouped_nest(self, plan: Nest, counter: list[int]) -> _Chain | None:
+    def _grouped_nest(
+        self, plan: Nest, counter: list[int], payload: bool = True
+    ) -> _Chain | None:
         """A nest as a GROUP BY over its child's rows, a *derived table*.
 
         The inner query stamps each row with its enumeration rank
         (``ROW_NUMBER()`` over the chain's ``$pos`` order) and the guarded
         contribution; the outer query groups, aggregates, and keeps
         ``MIN("$rn")`` as the group's first-seen position.  Record group
-        keys pass their payload columns through (:meth:`_carried`) —
-        within a group every row carries the same ``$oid``, hence identical
-        payload, so the bare columns are sound under GROUP BY.
+        keys pass their payload columns through (:meth:`_carried`) for the
+        SQL above to read — within a group every row carries the same
+        ``$oid``, hence identical payload, so the bare columns are sound
+        under GROUP BY — unless *payload* is off: a segment root reads only
+        the ``$oid``.
         """
         chain = self._chain(plan.child, counter)
         if chain is None:
@@ -1677,9 +1696,9 @@ class _SegmentBuilder:
         folded = self._fold(plan, chain.binds, _q("$c"))
         if folded is None:
             return None
-        contrib, (agg_sql, zero, out_tag, _decode) = folded
+        contrib, (agg_sql, zero, out_tag, decode) = folded
         galias = self._alias(counter)
-        carried = self._carried(chain.binds, plan.group_by)
+        carried = self._carried(chain.binds, plan.group_by, payload)
         if carried is None:
             return None
         items, keys, rebind = carried
@@ -1701,7 +1720,7 @@ class _SegmentBuilder:
         )
         rebinds = rebind(galias)
         rebinds[plan.out_var] = _VarBind(
-            "expr", expr=_SqlExpr(f"{galias}.{_q('$agg')}", out_tag)
+            "expr", expr=_SqlExpr(f"{galias}.{_q('$agg')}", out_tag), decode=decode
         )
         return _Chain(
             from_sql=f"({grouped_sql}) {galias}",
@@ -1710,42 +1729,6 @@ class _SegmentBuilder:
             uses_table=chain.uses_table,
             grouped=True,
         )
-
-    def _build_nest(self, plan: Nest, counter: list[int]) -> _Segment | None:
-        """A nest at a segment root: the fused chain finalised where the
-        shape allows one, else GROUP BY.  A collection-monoid nest is not
-        lowered: its input becomes a stream segment, which the engine's
-        ``HashNest`` groups."""
-        if plan.monoid_name not in _ROOT_AGGREGATES:
-            return None
-        if plan.monoid_name in _CHAINABLE:
-            fused = self._fused_nest(plan, counter)
-            if fused is not None:
-                return self._finalize(plan, fused) if fused.uses_table else None
-        chain = self._chain(plan.child, counter)
-        if chain is None or not chain.uses_table:
-            return None
-        folded = self._fold(plan, chain.binds, _q("$c"))
-        if folded is None:
-            return None
-        contrib, (agg_sql, zero, out_tag, decode_kind) = folded
-        keys = _result_columns(chain, plan.group_by)
-        if keys is None:
-            return None
-        names = [_q(f"k{i}") for i in range(len(keys))]
-        inner_select = [f"{sql} AS {k}" for (_, sql, _, _), k in zip(keys, names)]
-        inner_select.append(f"{contrib} AS {_q('$c')}")
-        inner_select.append(f"{self._rank(plan, chain)} AS {_q('$rn')}")
-        outer_select = [f"{k} AS c{i}" for i, k in enumerate(names)]
-        outer_select.append(f"{zero.format(agg_sql)} AS c{len(keys)}")
-        decoders = [(var, kind, tag) for var, _, kind, tag in keys]
-        decoders.append((plan.out_var, decode_kind, out_tag))
-        sql = (
-            f"SELECT {', '.join(outer_select)} "
-            f"FROM ({chain.select(inner_select)}) "
-            f"GROUP BY {', '.join(names) or 'NULL'} ORDER BY MIN({_q('$rn')})"
-        )
-        return _Segment(sql, tuple(decoders), label="sql:group")
 
     def _build_reduce(self, plan: Reduce, counter: list[int]) -> _Segment | None:
         """A reduce root's segment, one value per row for the engine's own
@@ -1785,8 +1768,15 @@ class _SegmentBuilder:
     # -- SELECT assembly -----------------------------------------------------
 
     def _finalize(self, plan: Operator, chain: _Chain) -> _Segment:
-        columns = _result_columns(chain, plan.columns())
-        assert columns is not None  # a chain binds every column of its plan
+        """*plan*'s columns from *chain*: ``(variable, sql, decode kind,
+        tag)`` of each variable (:func:`_column`), then of the occurrences
+        some of them carry.  A chain binds every column of its plan."""
+        binds = [(var, chain.binds[var]) for var in plan.columns()]
+        columns = [(var, *_column(b)) for var, b in binds] + [
+            (occurrence(var), b.occurrence, "scalar", "int")
+            for var, b in binds
+            if b.occurrence
+        ]
         select = [f"{sql} AS c{i}" for i, (_, sql, _, _) in enumerate(columns)]
         decoders = [(var, kind, tag) for var, _, kind, tag in columns]
         # Ordering by every constituent $pos reproduces the in-memory
@@ -1795,19 +1785,6 @@ class _SegmentBuilder:
         sql = chain.select(select) + f" ORDER BY {', '.join(chain.order_cols)}"
         label = "sql:group" if chain.grouped else "sql"
         return _Segment(sql, tuple(decoders), label=label)
-
-
-def _result_columns(
-    chain: _Chain, names: tuple[str, ...]
-) -> list[tuple[str, str, str, str]] | None:
-    """``(variable, sql, decode kind, tag)`` of each of the variables
-    *names* (:func:`_column`), then of the occurrences some of them carry,
-    or None when the chain lacks one."""
-    if not all(var in chain.binds for var in names):
-        return None
-    binds = [(var, chain.binds[var]) for var in names]
-    tags = [(occurrence(var), b.occurrence, "scalar", "int") for var, b in binds]
-    return [(var, *_column(b)) for var, b in binds] + [tag for tag in tags if tag[1]]
 
 
 def _indexable_column(

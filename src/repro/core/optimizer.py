@@ -101,7 +101,9 @@ class OptimizerOptions:
     typecheck: bool = True
     #: Per-query governor limits (repro.engine.governor), all off by
     #: default.  ``timeout`` is a wall-clock budget in seconds; ``max_rows``
-    #: bounds work units (rows emitted + join pairs considered);
+    #: bounds work units (rows emitted + join pairs considered; on sqlite a
+    #: lowered segment's are the rows it returns plus one per 2 000 VM
+    #: opcodes, so a fully lowered aggregate is one row);
     #: ``max_bytes`` bounds the estimated memory buffered by blocking
     #: operators.  Tripping any of them raises a structured GovernorError.
     timeout: float | None = None

@@ -12,8 +12,8 @@ algorithms:
   the very optimization the paper says unnesting enables for QUERY E);
 * hash-based grouping for the nest operator (single pass);
 * the **group-join**: a nest that groups an outer-join by the join's own
-  left columns runs as one keyed operator, folding each left row's matches
-  without the join ever materialising a pair;
+  left columns runs as a map over the left stream, handing each left row
+  the fold of its matches without the join ever materialising a pair;
 * the **shared nest**: a nest whose spine of outer-joins, outer-unnests and
   inner nests reads of its outer rows only a few expressions runs that
   spine over one representative row per distinct binding of them;
@@ -1028,7 +1028,7 @@ class PHashNest(PhysicalOperator):
         exchange layer — element lists as well, so a coordinator can merge
         lists across partitions and replay the serial NULL-skipping fold
         instead of reassociating carriers (which would perturb float
-        results).  The caller finalizes via :meth:`finalize_groups` or its
+        results).  The caller finalizes: :meth:`_groups`, or the exchange's
         own fold.
         """
         monoid = self.monoid
@@ -1064,18 +1064,17 @@ class PHashNest(PhysicalOperator):
                 raise err
         return groups, key_cols
 
-    def finalize_groups(self, groups: dict) -> list:
-        """Fold/finalize the accumulators into the ``out_var`` column."""
-        monoid = self.monoid
-        if isinstance(monoid, CollectionMonoid):
-            return list(map(monoid.fold_elements, groups.values()))
-        return list(map(monoid.finalize, groups.values()))
-
     def _groups(self) -> tuple[dict[str, list], int]:
         """The memoized groups: their columns and how many there are."""
         if self._group_columns is None:
             groups, columns = self.accumulate()
-            columns[self.out_var] = self.finalize_groups(groups)
+            monoid = self.monoid
+            fold = (
+                monoid.fold_elements
+                if isinstance(monoid, CollectionMonoid)
+                else monoid.finalize
+            )
+            columns[self.out_var] = list(map(fold, groups.values()))
             self._group_columns = (columns, len(groups))
         return self._group_columns
 
@@ -1091,7 +1090,6 @@ class PHashNest(PhysicalOperator):
 #: Element slot of a right row the nest's null-variable or predicate
 #: filter drops.
 _SKIP = object()
-_UNFOLDED = object()
 
 
 class _Fault:
@@ -1116,15 +1114,15 @@ class _Bucket:
         #: (``fault``); None until a left row first probes the bucket.
         self.elements: list | None = None
         self.fault: Exception | None = None
-        #: The primitive-monoid fold of ``elements``, once a group took it.
-        self.carrier: Any = _UNFOLDED
+        #: The nest's value of ``elements`` when no fault cut them short.
+        self.carrier: Any = None
         #: The right columns a residual reads, gathered for these rows.
         self.cols: Mapping[str, list] | None = None
 
 
-class PGroupJoin(PHashNest):
-    """The nest of a left outer-join by the join's left columns, as one
-    keyed operator — the paper's ``Γ ∘ =⋈`` pair without the join between.
+class PGroupJoin(PhysicalOperator):
+    """The nest of a left outer-join by the join's left columns, as a map
+    over the left stream: the paper's ``Γ ∘ =⋈`` pair, no join between.
 
     Where ``PHashNest`` over ``PHashJoin``/``PNestedLoopJoin`` builds every
     joined pair only to hash it back onto the left row it came from, this
@@ -1132,18 +1130,19 @@ class PGroupJoin(PHashNest):
     equi-keys (no keys: one bucket) and runs the nest's predicate and head
     kernels once per *right row*; a fault there waits in the row's element
     slot, since the pair evaluates it only where a left row meets the row.
-    **Probe** opens one group per left row, in stream order — no two left
-    rows share a binding, since an element of a bag or list is keyed by its
-    occurrence — and hands it the fold of its bucket, computed on the first
+    **Probe** streams: each left row is its own group — no two left rows
+    share a binding, since an element of a bag or list is keyed by its
+    occurrence — so a left chunk leaves with its own columns plus
+    ``out_var``, each row carrying its bucket's value, folded on the first
     probe and shared by every left row with that join key.  A residual
     predicate, which selects the elements per left row, folds them anew.
 
-    What the pair would let a caller observe is kept: groups fold their
+    What the pair would let a caller observe is kept: rows fold their
     elements in bucket order (float sums, list and bag order), the first
-    fault in (left row, bucket position) order is the one raised, every
-    candidate pair is a work unit, the build charges the right chunks it
-    reads and a collection monoid charges each group's elements as if
-    buffered per pair.  ``child`` is the probe (left) side.
+    fault in (left row, bucket position) order is raised after the rows
+    before it, every candidate pair is a work unit, the build charges the
+    right chunks it reads and a collection monoid charges each row's
+    elements as if buffered per pair.  ``child`` is the probe (left) side.
     """
 
     def __init__(
@@ -1162,14 +1161,21 @@ class PGroupJoin(PHashNest):
         out_var: str,
         pred: Term,
     ):
-        super().__init__(
-            context, left, monoid, head, group_by, null_vars, out_var, pred
-        )
+        super().__init__()
+        self._context = context
+        self.child = left
         self.right = right
+        self.monoid = monoid
+        self.group_by = group_by
+        self.null_vars = null_vars
+        self.out_var = out_var
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual = residual
         self.right_columns = right_columns
+        self._head_kernel = self._kernel(context, head)
+        self._head_vars = free_vars(head)
+        self._holds = self._pred_kernel(context, pred)
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
         self._residual_holds = self._pred_kernel(context, residual)
@@ -1258,15 +1264,6 @@ class PGroupJoin(PHashNest):
         table = {key: _Bucket(rows) for key, rows in rows_of.items()}
         return table, elements, clean, rcols
 
-    def _check_pad(self) -> None:
-        """The nest predicate over an outer pad (every right column NULL):
-        the pair evaluates it on each padded row, where all it can do is
-        fault."""
-        pad = {col: [NULL] for col in self.right_columns}
-        _, _, err = self._run_kernel(self._holds, pad, 1)
-        if err is not None:
-            raise err
-
     @staticmethod
     def _kept(slots: list) -> tuple[list, Exception | None]:
         """The head values among element *slots* up to the first fault,
@@ -1279,32 +1276,29 @@ class PGroupJoin(PHashNest):
                 kept.append(slot)
         return kept, None
 
-    def accumulate(self, raw: bool = False):
-        """``PHashNest.accumulate`` over the join that is never built: the
-        same ``(groups, key_cols)``, one group per distinct left row.
-        Element lists handed out under *raw* are the caller's to extend;
-        otherwise the groups of one bucket share its list."""
+    def _fold(self, elems: list) -> Any:
+        """The nest's value of one row's elements."""
+        monoid = self.monoid
+        if isinstance(monoid, CollectionMonoid):
+            return monoid.fold_elements(elems)
+        return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, elems))
+
+    def batches(self) -> Iterator[Chunk]:
         if self._built is None:
             self._built = self._build()
         table, elements, clean, rcols = self._built
-        context = self._context
-        governor = context.governor
-        monoid = self.monoid
-        collection = isinstance(monoid, CollectionMonoid)
-        use_list = collection or raw
-        charge = context.charge_fn() if collection else None
+        governor = self._context.governor
+        collection = isinstance(self.monoid, CollectionMonoid)
+        charge = self._context.charge_fn() if collection else None
         buffered = 0
         residual_kernel = self._residual_holds
         plain = residual_kernel.trivial_true
-        needed_left = [
-            name for name in free_vars(self.residual) if name not in rcols
-        ]
+        needed_left = [name for name in free_vars(self.residual) if name not in rcols]
         pad_checked = self._holds.trivial_true
-        groups: dict[Any, Any] = {}
-        key_cols: dict[str, list] = {col: [] for col in self.carried}
+        unmatched = self._fold([])
         for chunk in self.child.batches():
             cols = chunk.columns
-            key_parts, n, kerr = self._key_columns(
+            key_parts, n, err = self._key_columns(
                 self._left_key_kernels, cols, chunk.length
             )
             buckets = _probe_rows(table, key_parts, n)
@@ -1312,20 +1306,24 @@ class PGroupJoin(PHashNest):
                 governor.tick_many(
                     sum(len(b.rows) for b in buckets if b is not None)
                 )
-            for i, key in enumerate(self._group_keys(cols, n)):
-                bucket = buckets[i]
+            out: list = []
+            for i, bucket in enumerate(buckets):
                 if bucket is None:
                     elems: list = []
+                    value = unmatched
                     padded = True
                 elif plain:
-                    elems = bucket.elements
-                    if elems is None:
+                    if bucket.elements is None:
                         elems = [elements[r] for r in bucket.rows]
                         if not clean:
                             elems, bucket.fault = self._kept(elems)
                         bucket.elements = elems
+                        if bucket.fault is None:
+                            bucket.carrier = self._fold(elems)
                     if bucket.fault is not None:
-                        raise bucket.fault
+                        err = bucket.fault
+                        break
+                    elems, value = bucket.elements, bucket.carrier
                     padded = False
                 else:
                     # The bucket's rows that pass the residual against this
@@ -1349,50 +1347,34 @@ class PGroupJoin(PHashNest):
                     if not clean:
                         elems, fault = self._kept(elems)
                         if fault is not None:
-                            raise fault
+                            perr = fault  # it precedes the residual's own
                     if perr is not None:
-                        raise perr
+                        err = perr
+                        break
+                    value = self._fold(elems)
                     padded = True not in flags
                 if padded and not pad_checked:
-                    self._check_pad()
+                    # The pair evaluates the nest predicate on each padded
+                    # row (every right column NULL), where it can only fault.
+                    pad = {col: [NULL] for col in self.right_columns}
+                    fault = self._run_kernel(self._holds, pad, 1)[2]
+                    if fault is not None:
+                        err = fault
+                        break
                     pad_checked = True
                 if charge is not None:
                     # As if buffered per pair, in the stream of kept elements.
                     charge_values(charge, elems, buffered)
                     buffered += len(elems)
-                if key in groups:
-                    continue  # one binding twice: never in a plan's stream
-                shared = plain and bucket is not None
-                for name, col in key_cols.items():
-                    col.append(cols[name][i])
-                if use_list:
-                    groups[key] = list(elems) if shared and raw else elems
-                elif shared:
-                    if bucket.carrier is _UNFOLDED:
-                        bucket.carrier = fold_skipping_nulls(
-                            monoid, monoid.zero, elems
-                        )
-                    groups[key] = bucket.carrier
-                else:
-                    groups[key] = fold_skipping_nulls(monoid, monoid.zero, elems)
-            if kerr is not None:
-                raise kerr
-        return groups, key_cols
-
-    def finalize_groups(self, groups: dict) -> list:
-        """Fold each shared element list once, however many groups hold it."""
-        monoid = self.monoid
-        if not isinstance(monoid, CollectionMonoid):
-            return super().finalize_groups(groups)
-        fold = monoid.fold_elements
-        folded: dict[int, Any] = {}
-        out = []
-        for elems in groups.values():
-            value = folded.get(id(elems))
-            if value is None:
-                value = folded[id(elems)] = fold(elems)
-            out.append(value)
-        return out
+                out.append(value)
+            if out:
+                columns = dict(cols)
+                if len(out) < chunk.length:  # a fault cut the chunk short
+                    columns = {name: col[: len(out)] for name, col in cols.items()}
+                columns[self.out_var] = out
+                yield self._emit_chunk(Chunk(columns, len(out)))
+            if err is not None:
+                raise err
 
     def describe(self) -> str:
         group = ",".join(self.group_by) or "()"

@@ -16,7 +16,7 @@ physical plans"):
   head and predicate over the right columns only.  Nest and join become one
   **group-join** (:class:`~repro.engine.physical.PGroupJoin`) on the same
   keys and residual, so no joined pair is built only to be grouped back
-  onto the left row it came from;
+  onto the left row it came from: a map over the left stream;
 * a nest over an outer-unnest of its own rows (``Γ ∘ =μ``, a nested box
   over a path) is re-folded into the calculus term ``⊕{ h | x <- path, x
   is not NULL, q, p }`` — a **group-unnest**: a
@@ -29,9 +29,9 @@ physical plans"):
   (:class:`~repro.engine.physical.PSharedNest`): the spine is planned as
   it stands over a stand-in leaf and run over one representative row per
   distinct binding of those expressions — the duplicate-free domain of
-  magic decorrelation, ours rather than the paper's.  Parallel plans keep
-  the plain spine (the exchange merges nests by ``accumulate``);
-* selections, maps, unnests, reduces map one-to-one.
+  magic decorrelation, ours rather than the paper's;
+* selections, maps, unnests, reduces map one-to-one.  Parallel plans fuse
+  none of the three nests above: the exchange merges plain ``PHashNest``s.
 
 First, once per plan, :func:`occurring_vars` finds the grouped variables
 over a bag or list (by extent kind or schema type): their scans and
@@ -263,10 +263,11 @@ def _build(
         outer = isinstance(plan, OuterUnnest)
         return PUnnest(context, child, plan.path, plan.var, plan.pred, outer=outer)
     if isinstance(plan, Nest):
-        for fuse in (_try_group_join, _try_group_unnest, _try_shared_nest):
-            fused = fuse(plan, context, options)
-            if fused is not None:
-                return fused
+        if not options.parallel:  # the exchange merges plain nests only
+            for fuse in (_try_group_join, _try_group_unnest, _try_shared_nest):
+                fused = fuse(plan, context, options)
+                if fused is not None:
+                    return fused
         return _hash_nest(plan, plan.child, context, options)
     if isinstance(plan, Reduce):
         return PReduce(
@@ -475,8 +476,8 @@ def _try_group_unnest(
     """:func:`group_unnest` as a ``PMap`` binding the nest's variable to
     the fold over ``L``.  The fold is derived once per compiled query (by
     the nest's variable, while it keeps its head and predicate), so every
-    execution finds its kernel by identity.  Parallel plans keep the pair."""
-    found = None if options.parallel else group_unnest(nest)
+    execution finds its kernel by identity."""
+    found = group_unnest(nest)
     if found is None:
         return None
     derived = context._compiler.derived
@@ -560,11 +561,7 @@ def _try_shared_nest(
     that spine once per distinct binding of them
     (:class:`~repro.engine.physical.PSharedNest`).  The spine is planned as
     it stands over a stand-in leaf for ``L`` — a representative row carries
-    real ``L`` columns, so no term is rewritten.  Parallel plans keep the
-    plain spine: the exchange's partition roots are nests it merges by
-    ``accumulate``."""
-    if options.parallel:
-        return None
+    real ``L`` columns, so no term is rewritten."""
     found = shared_spine(nest)
     if found is None:
         return None

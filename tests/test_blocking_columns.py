@@ -7,10 +7,10 @@ residual and a ``PUnnest`` with a predicate; every case runs through both,
 inner and outer, at chunk sizes 1, 7 and 1024, against the calculus
 interpreter evaluating the same keys, paths and predicate row by row: the
 same rows in the same order, then the same error (class and text), and the
-work units the parent commit charged.  **Group columns**: ``PHashNest`` and
-``PGroupJoin`` keep one column per grouping variable, appended to when a
-group opens; the cases are the ones where "one entry per group" and "one
-entry per row" differ.
+work units the parent commit charged.  **Group columns**: ``PHashNest``
+keeps one column per grouping variable, appended to when a group opens, and
+``PGroupJoin`` passes its left rows through; the cases are the ones where
+"one entry per group" and "one entry per row" differ.
 
 Each case was shown to bite by breaking the code and watching it fail; the
 mutation is named beside the case it kills.
@@ -30,6 +30,7 @@ from repro.engine.physical import (
     PGroupJoin,
     PHashJoin,
     PHashNest,
+    PMap,
     PNestedLoopJoin,
     PSeed,
     PUnnest,
@@ -271,11 +272,20 @@ def _group_forms(context, lefts, rights, monoid_name, group_by, left_key):
 
 
 def _groups_of(
-    lefts, rights, monoid_name, group_by, left_key, label, occurring=frozenset()
+    lefts,
+    rights,
+    monoid_name,
+    group_by,
+    left_key,
+    label,
+    occurring=frozenset(),
+    mapped=None,
 ):
     """Every form's group rows — ``label(row)`` and the shown value — at
     every chunk size, all equal; returns them.  *occurring* names the left
-    variables whose rows carry an occurrence column."""
+    variables whose rows carry an occurrence column.  *mapped*, where the
+    group-join's rows (one per left row) are not the nests' groups, makes
+    them from the groups."""
     outcomes = {}
     for size in BATCH_SIZES:
         context = _Context(Database(), batch_size=size, occurring=occurring)
@@ -285,7 +295,10 @@ def _groups_of(
                 (label(row), _show(row["m"])) for row in op.rows()
             ]
     reference = outcomes["nest-nl-join", 1024]
-    assert all(outcome == reference for outcome in outcomes.values()), outcomes
+    fused = reference if mapped is None else mapped(reference)
+    for (name, _), outcome in outcomes.items():
+        expected = fused if name.startswith("group-join") else reference
+        assert outcome == expected, outcomes
     return reference
 
 
@@ -393,19 +406,44 @@ class TestGroupColumns:
         ]
 
     def test_null_group_keys_share_one_group(self, monoid_name):
-        # Two NULL left rows: one group (first seen at row 1), padded twice.
-        # Mutation: open a group per NULL row (`key is NULL or key not in`).
+        # Two NULL left rows: one group of a nest (first seen at row 1),
+        # padded twice.  Mutation: open a group per NULL row (`key is NULL
+        # or key not in`).  The group-join maps its left rows, in which a
+        # plan never repeats a binding: each NULL row is padded on its own.
         lefts = [{"l": Record(k=2)}, {"l": NULL}, {"l": NULL}, {"l": Record(k=1)}]
+
+        def label(row):
+            return "NULL" if row["l"] is NULL else row["l"]["k"]
+
         groups = _groups_of(
             lefts,
             RIGHTS,
             monoid_name,
             ("l",),
             path("l", "k"),
-            lambda row: "NULL" if row["l"] is NULL else row["l"]["k"],
+            label,
+            mapped=lambda groups: groups[:2] + groups[1:],
         )
         assert groups == [
             (2, _of(monoid_name, 5)),
             ("NULL", NONE[monoid_name]),
             (1, _of(monoid_name, 10, 11)),
         ]
+
+
+def test_a_fault_above_the_streaming_group_join_can_come_first():
+    # The group-join streams, the pair blocks.  Left row 0 divides by zero
+    # in a Map above; left row 1's join key faults below it.  The Map sees
+    # row 0 before the group-join reaches row 1, so its error wins; the
+    # pair's nest raises the key fault before the Map sees a row (as does
+    # every parallel plan, which keeps the pair).  Mutation: block on the
+    # whole left input before emitting.
+    lefts = [{"l": Record(k=1, d=1, x=0)}, {"l": Record(k=2, d=0, x=1)}]
+    divide = (("y", BinOp("/", Const(1), path("l", "x"))),)
+    for size in BATCH_SIZES:
+        context = _Context(Database(), batch_size=size)
+        forms = _group_forms(context, lefts, RIGHTS, "sum", ("l",), KEY)
+        for name, op in forms.items():
+            expected = "division" if name.startswith("group-join") else "modulo"
+            with pytest.raises(Exception, match=f"^{expected} by zero$"):
+                list(PMap(context, op, divide).rows())

@@ -356,6 +356,43 @@ class TestResidualOperatorsAboveSqlSegments:
         assert errors[0] == errors[1] and "more than 10 work units" in errors[0]
 
 
+class TestLoweredAggregateUnderARowBudget:
+    """The sqlite contract: a lowered segment's work units are the rows it
+    returns plus one per 2 000 SQLite VM opcodes (its progress handler).  A
+    fully lowered aggregate returns one row, so the budget that trips the
+    memory backend's scan lets it answer; rows or opcodes past the budget
+    trip it."""
+
+    COUNT = "count( select e from e in Employees )"
+    NAMES = "select e.name from e in Employees"
+    TRIPLES = "count( select e from e in Employees, d in Departments, f in Employees )"
+
+    def _ticks(self, pipeline, db, oql):
+        governor = Governor(max_rows=10**9)
+        pipeline.compile_oql(oql).physical(db, governor=governor).value()
+        return governor.ticks
+
+    def test_memory_charges_the_scan(self, db):
+        pipeline = QueryPipeline(db, OptimizerOptions(max_rows=5))
+        for oql in (self.COUNT, self.NAMES):
+            with pytest.raises(BudgetExceeded, match="more than 5 work units"):
+                pipeline.run_oql(oql)
+        assert self._ticks(pipeline, db, self.COUNT) == 60
+
+    def test_sqlite_charges_rows_returned_and_opcodes(self, db):
+        from repro.backends import shred
+
+        assert shred._PROGRESS_OPCODES == 2000
+        pipeline = QueryPipeline(db, OptimizerOptions(backend="sqlite", max_rows=5))
+        assert pipeline.run_oql(self.COUNT) == 60
+        assert self._ticks(pipeline, db, self.COUNT) == 1  # one row, few opcodes
+        with pytest.raises(BudgetExceeded, match="more than 5 work units"):
+            pipeline.run_oql(self.NAMES)  # 60 rows returned
+        with pytest.raises(BudgetExceeded, match="more than 5 work units"):
+            pipeline.run_oql(self.TRIPLES)  # one row, 28 800 joined in SQL
+        assert self._ticks(pipeline, db, self.TRIPLES) > 10
+
+
 class TestGovernorUnit:
     def test_no_limits_never_trips(self):
         governor = Governor()

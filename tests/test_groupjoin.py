@@ -442,7 +442,9 @@ class TestGovernor:
 
 
 class TestOperatorSurface:
-    def test_build_runs_once_and_groups_are_memoized(self):
+    def test_right_side_builds_once_and_left_side_streams_again(self):
+        # As for PHashJoin: a re-entry probes the memoized build with a
+        # fresh pass over the left input.
         context = _Context(Database())
         op = _operators(context, _lefts(1, 2), _rights((1, 1), (2, 2)), "sum")[
             "group-join"
@@ -450,8 +452,28 @@ class TestOperatorSurface:
         first, second = list(op.rows()), list(op.rows())
         assert first == second
         left, right = op.children()
-        assert (left.rows_produced, right.rows_produced) == (2, 2)
+        assert (left.rows_produced, right.rows_produced) == (4, 2)
         assert op.rows_produced == 4 and op.batches_produced == 2
+
+    def test_rows_before_a_left_input_fault_are_delivered_first(self):
+        # The group-join streams: the first left chunk's rows leave before
+        # the left input raises on its second.  Mutation: block on the
+        # whole left input before emitting (the error then comes first).
+        class FaultAfterOneChunk(Rows):
+            def batches(self):
+                yield from list(super().batches())[:1]
+                raise ZeroDivisionError("left input fault")
+
+        context = _Context(Database(), batch_size=2)
+        op = _operators(
+            context, [], _rights((1, 10), (2, 20), (1, 11)), "sum"
+        )["group-join"]
+        op.child = FaultAfterOneChunk(context, _lefts(1, 2, 1))
+        delivered = []
+        with pytest.raises(ZeroDivisionError, match="left input fault"):
+            for row in op.rows():
+                delivered.append(_show(row["m"]))
+        assert delivered == ["21", "20"]
 
     def test_describe(self):
         context = _Context(Database())
@@ -472,7 +494,7 @@ class TestOperatorSurface:
         # The exchange coordinator extends the lists it is given.
         context = _Context(Database())
         op = _operators(context, _lefts(1, 1), _rights((1, 1), (1, 2)), "sum")[
-            "group-join"
+            "nest-hash-join"
         ]
         groups, _ = op.accumulate(raw=True)
         first, second = groups.values()

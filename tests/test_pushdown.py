@@ -137,7 +137,9 @@ class TestPushdownFires:
         )
         assert len(statements) == 1
         assert "GROUP BY" in statements[0]
-        assert 'ORDER BY MIN("$rn")' in statements[0]
+        # First-seen group order: each group's least row number, ordered by.
+        assert 'MIN("$rn") AS "$pos"' in statements[0]
+        assert statements[0].endswith('ORDER BY t1."$pos"')
 
     def test_explain_markers(self):
         db = DATABASES["company"]()

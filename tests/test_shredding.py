@@ -403,8 +403,10 @@ GOLDEN_SQL = {
     # negated in the inner unnest's ON clause (all-head-to-filter), so its
     # nest folds a constant false over the surviving children.
     "query_d": [
-        'SELECT "k0" AS c0, COALESCE(SUM("$c"), 0) AS c1 '
-        'FROM (SELECT t3."k0$$oid" AS "k0", '
+        'SELECT t4."k0$$oid" AS c0, t4."$agg" AS c1 '
+        'FROM (SELECT "k0$$oid", COALESCE(SUM("$c"), 0) AS "$agg", '
+        'MIN("$rn") AS "$pos" '
+        'FROM (SELECT t3."k0$$oid" AS "k0$$oid", '
         '(CASE WHEN (t3."k1$$oid" IS NOT NULL) AND t3."$agg" '
         'THEN 1 ELSE NULL END) AS "$c", '
         't3."$pos" AS "$rn" '
@@ -426,7 +428,7 @@ GOLDEN_SQL = {
         'LEFT JOIN "Employees$manager$children" t2 '
         'ON t2."$parent" = t0."$oid" AND (t1."age" <= t2."age"))) '
         'GROUP BY "k0$$oid", "k1$$oid") t3) '
-        'GROUP BY "k0" ORDER BY MIN("$rn")'
+        'GROUP BY "k0$$oid") t4 ORDER BY t4."$pos"'
     ],
     # Paper QUERY E takes both fused forms.  The universal nest reads of a
     # student only `s.id`, so its spine runs over d2 — one row of l1 (the
@@ -505,13 +507,14 @@ GOLDEN_SQL = {
     # Section 5 group-by: the whole Nest (grouping + avg aggregate) pushes
     # into one GROUP BY query; first-seen group order via MIN(row number).
     "group_avg": [
-        'SELECT "k0" AS c0, AVG("$c") AS c1 '
+        'SELECT t1."k0" AS c0, t1."$agg" AS c1 '
+        'FROM (SELECT "k0", AVG("$c") AS "$agg", MIN("$rn") AS "$pos" '
         'FROM (SELECT t0."dno" AS "k0", '
         '(CASE WHEN (t0."dno" IS NOT NULL) THEN t0."salary" '
         'ELSE NULL END) AS "$c", '
         'ROW_NUMBER() OVER (ORDER BY t0."$pos") AS "$rn" '
         'FROM "Employees" t0 WHERE (t0."age" > 30)) '
-        'GROUP BY "k0" ORDER BY MIN("$rn")'
+        'GROUP BY "k0") t1 ORDER BY t1."$pos"'
     ],
 }
 
@@ -905,9 +908,13 @@ PARENT_ROWS = {
         (9021, 9001, 15, 0), (9021, 9001, 15, 1), (9021, 9002, 7, 2),
         (9023, 9005, -11, 0),
     ],
+    # The parent's rows, one column moved: its grouped root nest listed the
+    # occurrence before the value, its fused forms after.  A root nest is
+    # now the chain `_finalize` lists, the occurrence after the value in
+    # every form; results decode columns by name, so no answer changed.
     'domain-not-bare_column': [
-        (0, 1, 0, 4), (0, 1, 1, 4), (0, 2, 2, 4), (1, 5, 0, 3), (3, 7, 0, 2),
-        (4, 10, 0, 1), (4, 7, 1, 2), (6, -3, 0, 4),
+        (0, 1, 4, 0), (0, 1, 4, 1), (0, 2, 4, 2), (1, 5, 3, 0), (3, 7, 2, 0),
+        (4, 10, 1, 0), (4, 7, 2, 1), (6, -3, 4, 0),
     ],
     'domain-repeated_object': [
         (9021, 9001, 4, 0), (9021, 9001, 4, 1), (9021, 9002, 4, 2),
