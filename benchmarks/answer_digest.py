@@ -5,7 +5,9 @@ on the benchmark's own data (``DATA_SEED``) at a scale, once per backend,
 and each result feeds the backend's digest: the query's name, the result's
 ``repr`` and its tagged-JSON encoding.  A change to the value layer, the
 codec or an operator must leave every digest as it was, and the memory and
-sqlite digests equal each other.
+sqlite digests equal each other.  Each backend answers twice against the
+same databases: a cold pass, then a warm one that reuses the closed build
+sides the first kept (``Database.builds``); the two digests must agree.
 
 Run from the repository root::
 
@@ -15,6 +17,7 @@ Run from the repository root::
 
 ``--check`` exits 1 when a digest differs from ``answer_digests.json``;
 ``--write`` records the digests of the scales named, keeping the others.
+Any run exits 1 when a warm pass answers differently from its cold one.
 """
 
 from __future__ import annotations
@@ -36,22 +39,31 @@ RECORD = HERE / "answer_digests.json"
 BACKENDS = ("memory", "sqlite")
 
 
-def digests(scale: str) -> dict[str, str]:
-    """The digest of every backend's answers at *scale*."""
+def _digest(engine, queries) -> str:
+    """One pass of every query through *engine*, as one sha256."""
+    sha = hashlib.sha256()
+    for q in queries:
+        result = execute(engine, q)
+        for part in (q.name, repr(result), json.dumps(encode_value(result))):
+            sha.update(part.encode("utf-8"))
+    return sha.hexdigest()
+
+
+def digests(scale: str) -> tuple[dict[str, str], list[str]]:
+    """The digest of every backend's answers at *scale*, from a cold pass,
+    and the backends whose warm pass digested differently."""
     queries = load_queries()
     out = {}
+    unstable = []
     for backend in BACKENDS:
         engine = build_engine(generate(scale, DATA_SEED), queries, backend=backend)
         try:
-            sha = hashlib.sha256()
-            for q in queries:
-                result = execute(engine, q)
-                for part in (q.name, repr(result), json.dumps(encode_value(result))):
-                    sha.update(part.encode("utf-8"))
-            out[backend] = sha.hexdigest()
+            out[backend] = _digest(engine, queries)
+            if _digest(engine, queries) != out[backend]:
+                unstable.append(backend)
         finally:
             engine.close()
-    return out
+    return out, unstable
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,7 +76,10 @@ def main(argv: list[str] | None = None) -> int:
     recorded = json.loads(RECORD.read_text()) if RECORD.exists() else {}
     failed = False
     for scale in args.scales:
-        got = digests(scale)
+        got, unstable = digests(scale)
+        for backend in unstable:
+            failed = True
+            print(f"{scale} {backend:6s} warm pass DIFFERS from the cold pass")
         for backend, digest in got.items():
             want = recorded.get(scale, {}).get(backend)
             status = "" if not args.check else ("  ok" if digest == want else "  DIFFERS")

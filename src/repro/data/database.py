@@ -10,11 +10,78 @@ system.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any, Iterable
 
 from repro.data.schema import Schema
 from repro.data.values import BagValue, CollectionValue, ListValue, Record, SetValue
 from repro.errors import UnknownExtentError
+
+
+#: How many closed build sides one database keeps (:class:`BuildMemo`).
+BUILD_MEMO_SIZE = 128
+
+
+class BuildMemo:
+    """The hash indexes the engine builds over stored data.
+
+    A hash join's or group-join's build side is *closed* when it reads one
+    extent and nothing of the query — no parameter, no outer variable (the
+    planner decides; DESIGN §7).  Its hash table depends only on the
+    database's state, so the database keeps it beside its ``create_index``
+    tables, keyed by what the build reads, never by a query.  A thread-safe
+    LRU of at most ``maxsize`` entries, tagged with the
+    :attr:`Database.schema_version` they were built at: a lookup or store
+    at a newer version drops them all.  An entry is immutable once stored.
+
+    >>> memo = BuildMemo(maxsize=1)
+    >>> memo.store("k", 0, "entry"); memo.lookup("k", 0)
+    'entry'
+    >>> memo.lookup("k", 1) is None, len(memo)
+    (True, 0)
+    """
+
+    def __init__(self, maxsize: int = BUILD_MEMO_SIZE):
+        self.maxsize = maxsize
+        self.version = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def _at(self, version: int) -> bool:
+        """Whether *version* is the entries' own, dropping them for a newer
+        one (caller holds the lock)."""
+        if version > self.version:
+            self._entries.clear()
+            self.version = version
+        return version == self.version
+
+    def lookup(self, key: Any, version: int) -> Any:
+        """The entry stored for *key* at *version*, or None."""
+        with self._lock:
+            entry = self._entries.get(key) if self._at(version) else None
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
+
+    def store(self, key: Any, version: int, entry: Any) -> None:
+        """Keep *entry*, built at *version*, evicting the least recently
+        used beyond ``maxsize``; an entry of an older state is dropped."""
+        with self._lock:
+            if not self._at(version):
+                return
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class Database:
@@ -34,6 +101,8 @@ class Database:
         self._extents: dict[str, CollectionValue] = {}
         self._extent_cache: dict[str, CollectionValue] = {}
         self._indexes: dict[tuple[str, str], dict[Any, list[Any]]] = {}
+        #: The closed build sides of hash joins and group-joins, per state.
+        self.builds = BuildMemo()
         self._statistics: dict[tuple[str, str], int] | None = None
         #: Monotone counter bumped by every change that can alter plan choice
         #: (extent contents, indexes, statistics).  The plan cache keys on it

@@ -219,8 +219,10 @@ class ExprCompiler:
         #: residual conjunction) afresh per execution, and pinning those
         #: would retain one term per request for the life of the query.
         self._by_id: dict[tuple[str, int], tuple[Term, CompiledKernel]] = {}
-        #: The planner's group-unnest folds, by the variable each binds.
-        self.derived: dict[str, tuple] = {}
+        #: What the planner derives once per query: its group-unnest folds,
+        #: by the variable each binds, and its hash builds' key facts
+        #: (``planner._build_facts``), by the ids of what they derive from.
+        self.derived: dict[Any, tuple] = {}
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""

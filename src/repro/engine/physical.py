@@ -38,12 +38,12 @@ Three conventions hold across operators:
   and settle them with one ``tick_many`` — see the row-budget contract in
   :mod:`repro.engine.governor`.
 * **Blocking builds run once, buffer whole columns and charge them.**  A
-  build side is its input's columns, extended chunk by chunk, plus the row
-  *positions* filed under each join key; a nest's groups are one column per
-  grouping variable, appended to when a group opens, plus the accumulators
-  in first-seen order.  Each is memoized on first entry, so re-entering a
-  restartable stream does not redo it; under a memory budget a build
-  charges a stride-sampled byte estimate of the chunks it buffers.
+  build side is its input's columns plus the row *positions* filed under
+  each join key; a nest's groups are one column per grouping variable plus
+  the accumulators in first-seen order.  Each is memoized on first entry;
+  a join's *closed* build side, once per database state
+  (:mod:`repro.engine.reuse`).  Under a memory budget a build charges a
+  stride-sampled byte estimate of the chunks it buffers.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from repro.data.values import (
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import CompiledKernel, ExprCompiler
 from repro.engine.governor import SAMPLE_STRIDE, charge_values, estimate_bytes
+from repro.engine.reuse import reused
 from repro.errors import GovernorError
 
 Env = dict[str, Any]
@@ -126,41 +127,36 @@ def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
         charge(estimate_bytes(chunk.env_at(i)) * SAMPLE_STRIDE)
 
 
-def _index_rows(rows_of: dict, key_parts: list[list], offset: int) -> None:
-    """File build rows *offset*, *offset* + 1, … under their join keys.
+def _filed(key_parts: list[list], bare: Sequence[bool]) -> list[list]:
+    """Key parts as a hash table files them: through identity_key, so that a
+    probe gives `=` on stored objects apply_binop's identity equality — but
+    as they are where the planner typed the part as a scalar (*bare*)."""
+    return [
+        part if plain else list(map(identity_key, part))
+        for part, plain in zip(key_parts, bare)
+    ]
 
-    Keys are wrapped with identity_key so that a hash probe gives `=` on
-    stored objects apply_binop's identity equality.  A single key (the
-    common case) is filed bare — no tuple allocation per row — several as
-    a tuple; :func:`_probe_rows` agrees on the representation.
-    """
+
+def _index_rows(rows_of: dict, key_parts: list, offset: int, bare: Sequence) -> None:
+    """File build rows *offset*, *offset* + 1, … under their :func:`_filed`
+    join keys: one part alone (no tuple per row), several as a tuple."""
     setdefault = rows_of.setdefault
-    if len(key_parts) == 1:
-        for pos, value in enumerate(key_parts[0], offset):
-            setdefault(identity_key(value), []).append(pos)
-    else:
-        for pos, parts in enumerate(zip(*key_parts), offset):
-            setdefault(tuple(map(identity_key, parts)), []).append(pos)
+    parts = _filed(key_parts, bare)
+    for pos, key in enumerate(parts[0] if len(parts) == 1 else zip(*parts), offset):
+        setdefault(key, []).append(pos)
 
 
-def _probe_rows(table: dict, key_parts: list[list], n: int) -> list:
+def _probe_rows(table: dict, key_parts: list, n: int, bare: Sequence) -> list:
     """What each of *n* probing rows finds in *table*: None where the key
     is NULL in any part (a NULL never equi-joins) or has no build row.
     Without keys every row finds the one entry filed under ``()``."""
     get = table.get
     if not key_parts:
         return [get(())] * n
-    if len(key_parts) == 1:
-        return [
-            None if value is NULL else get(identity_key(value))
-            for value in key_parts[0]
-        ]
-    return [
-        None
-        if any(value is NULL for value in values)
-        else get(tuple(map(identity_key, values)))
-        for values in zip(*key_parts)
-    ]
+    parts = _filed(key_parts, bare)  # identity_key keeps NULL as it is
+    if len(parts) == 1:
+        return [None if key is NULL else get(key) for key in parts[0]]
+    return [None if any(k is NULL for k in keys) else get(keys) for keys in zip(*parts)]
 
 
 def _column_chunks(
@@ -777,6 +773,8 @@ class PHashJoin(PhysicalOperator):
         residual: Term,
         right_columns: tuple[str, ...],
         outer: bool,
+        bare: tuple[Sequence[bool], Sequence[bool]] | None = None,
+        reuse_key: Any = None,
     ):
         super().__init__()
         self._context = context
@@ -791,6 +789,8 @@ class PHashJoin(PhysicalOperator):
         self.right_keys = right_keys
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
+        self._bare = bare or ((False,) * len(left_keys),) * 2  # see _filed
+        self.reuse_key = reuse_key  # see repro.engine.reuse
         #: ``(table, columns)`` once built: the right rows' positions under
         #: their join keys, and the right input's columns.
         self._built: tuple[dict[Any, list[int]], dict[str, list]] | None = None
@@ -798,9 +798,10 @@ class PHashJoin(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    def _build(self) -> tuple[dict[Any, list[int]], dict[str, list]]:
-        """Buffer the right input and index it.  Every column ends in one
-        NULL past its last row, so position -1 reads as an outer pad."""
+    def _build(self) -> tuple[tuple[dict[Any, list[int]], list[list]], bool]:
+        """Buffer the right input and index it: the table and the columns,
+        in ``right_columns`` order.  Every column ends in one NULL past its
+        last row, so position -1 reads as an outer pad."""
         cols: dict[str, list] = {col: [] for col in self.right_columns}
         table: dict[Any, list[int]] = {}
         for chunk_cols, offset, length in self._buffered(self.right, cols):
@@ -810,14 +811,15 @@ class PHashJoin(PhysicalOperator):
             if err is not None:
                 # A key-expression fault fails the build at that right row.
                 raise err
-            _index_rows(table, key_parts, offset)
+            _index_rows(table, key_parts, offset, self._bare[1])
         for col in cols.values():
             col.append(NULL)
-        return table, cols
+        return (table, list(cols.values())), True
 
     def batches(self) -> Iterator[Chunk]:
         if self._built is None:
-            self._built = self._build()
+            table, columns = reused(self, self._build)
+            self._built = table, dict(zip(self.right_columns, columns))
         table, right_cols = self._built
         outer = self.outer
         governor = self._context.governor
@@ -836,7 +838,8 @@ class PHashJoin(PhysicalOperator):
             parent_of: list[int] = []
             positions: list[int] = []
             pads = 0
-            for i, bucket in enumerate(_probe_rows(table, key_parts, n)):
+            buckets = _probe_rows(table, key_parts, n, self._bare[0])
+            for i, bucket in enumerate(buckets):
                 if bucket:
                     positions.extend(bucket)
                     parent_of.extend([i] * len(bucket))
@@ -1102,24 +1105,6 @@ class _Fault:
         self.error = error
 
 
-class _Bucket:
-    """The right rows under one join key, in build order."""
-
-    __slots__ = ("rows", "elements", "fault", "carrier", "cols")
-
-    def __init__(self, rows: Any):
-        #: Positions in the build-order right input.
-        self.rows = rows
-        #: Head values of the rows the nest keeps, up to the first fault
-        #: (``fault``); None until a left row first probes the bucket.
-        self.elements: list | None = None
-        self.fault: Exception | None = None
-        #: The nest's value of ``elements`` when no fault cut them short.
-        self.carrier: Any = None
-        #: The right columns a residual reads, gathered for these rows.
-        self.cols: Mapping[str, list] | None = None
-
-
 class PGroupJoin(PhysicalOperator):
     """The nest of a left outer-join by the join's left columns, as a map
     over the left stream: the paper's ``Γ ∘ =⋈`` pair, no join between.
@@ -1129,13 +1114,12 @@ class PGroupJoin(PhysicalOperator):
     operator never forms a pair.  **Build** hashes the right input on the
     equi-keys (no keys: one bucket) and runs the nest's predicate and head
     kernels once per *right row*; a fault there waits in the row's element
-    slot, since the pair evaluates it only where a left row meets the row.
-    **Probe** streams: each left row is its own group — no two left rows
-    share a binding, since an element of a bag or list is keyed by its
-    occurrence — so a left chunk leaves with its own columns plus
-    ``out_var``, each row carrying its bucket's value, folded on the first
-    probe and shared by every left row with that join key.  A residual
-    predicate, which selects the elements per left row, folds them anew.
+    slot, since the pair evaluates it only where a left row meets the row;
+    then it folds each bucket.  **Probe** streams: each left row is its own
+    group — an element of a bag or list is keyed by its occurrence — so a
+    left chunk leaves with its own columns plus ``out_var``, each row
+    carrying its bucket's value.  Under a residual predicate, which selects
+    the elements per left row, each row folds them anew.
 
     What the pair would let a caller observe is kept: rows fold their
     elements in bucket order (float sums, list and bag order), the first
@@ -1160,6 +1144,8 @@ class PGroupJoin(PhysicalOperator):
         null_vars: tuple[str, ...],
         out_var: str,
         pred: Term,
+        bare: tuple[Sequence[bool], Sequence[bool]] | None = None,
+        reuse_key: Any = None,
     ):
         super().__init__()
         self._context = context
@@ -1179,7 +1165,9 @@ class PGroupJoin(PhysicalOperator):
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
         self._residual_holds = self._pred_kernel(context, residual)
-        self._built: tuple | None = None
+        self._bare = bare or ((False,) * len(left_keys),) * 2
+        self.reuse_key = reuse_key
+        self._built: tuple[dict[Any, tuple], bool] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child, self.right)
@@ -1202,11 +1190,14 @@ class PGroupJoin(PhysicalOperator):
             values.extend(more)
         return values, faulted
 
-    def _build(self) -> tuple:
-        """Consume the right input: ``(table, elements, clean, rcols)`` —
-        the buckets by join key, each right row's nest element (its head
-        value, ``_SKIP`` or a ``_Fault``), whether every element is a plain
-        value, and the right columns the residual reads."""
+    def _build(self) -> tuple[tuple[dict[Any, tuple], bool], bool]:
+        """Consume the right input: ``((table, clean), keep)``, *clean* if
+        each right row's nest element is a head value (not ``_SKIP`` or a
+        ``_Fault``), *keep* if none faulted.  ``table`` maps a join key to
+        its bucket's ``(pairs, value, elems)`` — candidate pairs, the fold
+        (or the ``_Fault`` that cut it short) and, for a collection's byte
+        charge, the elements — or, under a residual, to ``(cols, slots)``:
+        the right columns it reads, in order, and the element slots."""
         pred_kernel = self._holds
         head_kernel = self._head_kernel
         key_kernels = self._right_key_kernels
@@ -1258,11 +1249,32 @@ class PGroupJoin(PhysicalOperator):
             clean = clean and not dirty
             elements.extend(values)
             if key_parts:
-                _index_rows(rows_of, key_parts, offset)
+                _index_rows(rows_of, key_parts, offset, self._bare[1])
         if not key_kernels and elements:
             rows_of[()] = range(len(elements))
-        table = {key: _Bucket(rows) for key, rows in rows_of.items()}
-        return table, elements, clean, rcols
+        keep = clean or not any(slot.__class__ is _Fault for slot in elements)
+        table: dict[Any, tuple] = {}
+        if not self._residual_holds.trivial_true:
+            for key, rows in rows_of.items():
+                cols = [[col[r] for r in rows] for col in rcols.values()]
+                table[key] = (cols, [elements[r] for r in rows])
+            return (table, clean), keep
+        collection = isinstance(self.monoid, CollectionMonoid)
+        shared: dict[Any, tuple] = {}  # equal scalar buckets, one tuple
+        for key, rows in rows_of.items():
+            elems, fault = [elements[r] for r in rows], None
+            if not clean:
+                elems, fault = self._kept(elems)
+            try:
+                value = _Fault(fault) if fault else self._fold(elems)
+            except Exception as exc:  # noqa: BLE001 - raised where reached
+                value = _Fault(exc)
+            keep = keep and value.__class__ is not _Fault
+            bucket = (len(rows), value, elems if collection else None)
+            if not collection:
+                bucket = shared.setdefault((bucket[0], exact_key(value)), bucket)
+            table[key] = bucket
+        return (table, clean), keep
 
     @staticmethod
     def _kept(slots: list) -> tuple[list, Exception | None]:
@@ -1285,15 +1297,17 @@ class PGroupJoin(PhysicalOperator):
 
     def batches(self) -> Iterator[Chunk]:
         if self._built is None:
-            self._built = self._build()
-        table, elements, clean, rcols = self._built
+            self._built = reused(self, self._build)
+        table, clean = self._built
         governor = self._context.governor
         collection = isinstance(self.monoid, CollectionMonoid)
         charge = self._context.charge_fn() if collection else None
         buffered = 0
         residual_kernel = self._residual_holds
         plain = residual_kernel.trivial_true
-        needed_left = [name for name in free_vars(self.residual) if name not in rcols]
+        residual_vars = free_vars(self.residual)
+        read = [n for n in self.right_columns if n in residual_vars]
+        needed_left = [n for n in residual_vars if n not in self.right_columns]
         pad_checked = self._holds.trivial_true
         unmatched = self._fold([])
         for chunk in self.child.batches():
@@ -1301,11 +1315,9 @@ class PGroupJoin(PhysicalOperator):
             key_parts, n, err = self._key_columns(
                 self._left_key_kernels, cols, chunk.length
             )
-            buckets = _probe_rows(table, key_parts, n)
+            buckets = _probe_rows(table, key_parts, n, self._bare[0])
             if plain and governor is not None:
-                governor.tick_many(
-                    sum(len(b.rows) for b in buckets if b is not None)
-                )
+                governor.tick_many(sum(b[0] for b in buckets if b is not None))
             out: list = []
             for i, bucket in enumerate(buckets):
                 if bucket is None:
@@ -1313,29 +1325,17 @@ class PGroupJoin(PhysicalOperator):
                     value = unmatched
                     padded = True
                 elif plain:
-                    if bucket.elements is None:
-                        elems = [elements[r] for r in bucket.rows]
-                        if not clean:
-                            elems, bucket.fault = self._kept(elems)
-                        bucket.elements = elems
-                        if bucket.fault is None:
-                            bucket.carrier = self._fold(elems)
-                    if bucket.fault is not None:
-                        err = bucket.fault
+                    _, value, elems = bucket
+                    if value.__class__ is _Fault:
+                        err = value.error
                         break
-                    elems, value = bucket.elements, bucket.carrier
                     padded = False
                 else:
                     # The bucket's rows that pass the residual against this
                     # left row: one kernel call over the whole bucket.
-                    rows = bucket.rows
-                    k = len(rows)
-                    if bucket.cols is None:
-                        bucket.cols = {
-                            name: [col[r] for r in rows]
-                            for name, col in rcols.items()
-                        }
-                    probe = dict(bucket.cols)
+                    bcols, slots = bucket
+                    k = len(slots)
+                    probe = dict(zip(read, bcols))
                     for name in needed_left:
                         probe[name] = [cols[name][i]] * k
                     flags, passed, perr = self._run_kernel(
@@ -1343,7 +1343,7 @@ class PGroupJoin(PhysicalOperator):
                     )
                     if governor is not None:
                         governor.tick_many(passed + 1 if perr is not None else k)
-                    elems = [elements[r] for r in compress(rows, flags)]
+                    elems = list(compress(slots, flags))
                     if not clean:
                         elems, fault = self._kept(elems)
                         if fault is not None:

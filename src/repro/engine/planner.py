@@ -71,11 +71,11 @@ from repro.algebra.operators import (
 )
 from repro.calculus.evaluator import ExtentProvider
 from repro.calculus.terms import (
-    TRUE, BinOp, Comprehension, Extent, Filter, Generator, IsNull, Not, Proj,
-    Singleton, Term, Var, conj, conjuncts, free_vars,
+    TRUE, BinOp, Comprehension, Const, Extent, Filter, Generator, IsNull, Not,
+    Proj, Singleton, Term, Var, conj, conjuncts, free_vars, param_names, substitute,
 )
 from repro.calculus.typing import CalculusTypeError, TypeChecker
-from repro.data.schema import ANY, Type
+from repro.data.schema import ANY, BoolType, FloatType, IntType, StringType, Type
 from repro.data.values import SetValue
 from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.compile import ExprCompiler
@@ -366,6 +366,109 @@ def _join_keys(
     return [], plan.pred
 
 
+#: Key types whose values identity_key returns as they are.
+_BARE_TYPES = (BoolType, IntType, FloatType, StringType)
+
+
+def _typed_bare(terms: list[Term], side: Operator, schema: Any) -> tuple[bool, ...]:
+    """Per join-key term over *side*'s columns, whether *schema* types it
+    as a scalar — whose values a hash table then files bare, not through
+    identity_key.  The terms are typed as :func:`occurring_vars` types
+    paths: each variable by the domain of the scan or unnest binding it."""
+    binders: dict[str, Scan | Unnest | OuterUnnest] = {}
+    nodes = [side]
+    for node in nodes:
+        nodes += node.children()
+        if isinstance(node, (Scan, Unnest, OuterUnnest)):
+            binders[node.var] = node
+    checker = TypeChecker(schema)
+    bare = []
+    for term in terms:
+        env = {
+            v: getattr(_domain(v, binders, checker), "element", ANY)
+            for v in free_vars(term)
+            if v in binders
+        }
+        try:
+            bare.append(isinstance(checker.infer(term, env), _BARE_TYPES))
+        except CalculusTypeError:
+            bare.append(False)
+    return tuple(bare)
+
+
+def closed_build(right: Operator, terms: tuple[Term, ...]) -> str | None:
+    """What the logical plan fixes of a closed build side's reuse key, or
+    None when *right* — a hash join's or group-join's build input — is not
+    closed.  It is closed when it is a ``Scan``, or a ``Select`` over one,
+    and neither its selection nor the build's *terms* (the right keys, a
+    group-join's head and predicate) holds a parameter or reads a variable
+    other than the scan's.  Its hash table then depends on nothing but the
+    extent, and the database keeps it (:mod:`repro.engine.reuse`)."""
+    scan = right.child if type(right) is Select else right
+    if type(scan) is not Scan:
+        return None
+    if scan is not right:
+        terms = (right.pred, *terms)
+    if any(free_vars(t) - {scan.var} or param_names(t) for t in terms):
+        return None
+    # Nothing of the query: each compile names the scan's variable afresh.
+    # A repr, not the terms: Const(1) == Const(1.0) == Const(True).
+    anonymous = {scan.var: Var("$")}
+    return repr((scan.extent, tuple(substitute(t, anonymous) for t in terms)))
+
+
+def _build_facts(
+    join: Join | OuterJoin, keys: list, context: _Context, terms: tuple[Term, ...]
+) -> tuple[tuple, str | None]:
+    """``(bare, closed)`` for a hash table built over *join*'s right input
+    on *keys*: :func:`_typed_bare` of the left and the right keys, and
+    :func:`closed_build` of the right input with the build's own *terms*.
+    Derived once per compiled query, beside the group-unnest folds, under
+    the ids of the objects it derives from — the right input, the join
+    predicate and the terms, which every execution passes again even where
+    the nodes around them are rebuilt (a shared nest's spine); the entry
+    keeps them alive, so an id cannot come back as another object."""
+    derived = context._compiler.derived
+    schema = getattr(context.database, "schema", None)
+    sources = (join.right, join.pred, *terms)
+    slot = tuple(map(id, sources))
+    hit = derived.get(slot)
+    if hit is None or hit[1] is not schema or hit[2] != keys:
+        lefts, rights = [k for k, _ in keys], [k for _, k in keys]
+        bare = (
+            _typed_bare(lefts, join.left, schema),
+            _typed_bare(rights, join.right, schema),
+        )
+        hit = (sources, schema, keys, bare, closed_build(join.right, (*rights, *terms)))
+        derived[slot] = hit
+    return hit[3], hit[4]
+
+
+def _reuse_key(
+    closed: str | None,
+    right: PhysicalOperator,
+    context: _Context,
+    options: PlannerOptions,
+    *own: Any,
+) -> tuple | None:
+    """A closed build's key in the database's memo: what the logical plan
+    fixes, what the operator adds (*own*), the planned right subtree's
+    operators — an index scan or not, an occurrence column or not — and
+    the chunk size.  None for an open build, a database that keeps no
+    builds and a parallel plan."""
+    if closed is None or options.parallel:
+        return None
+    if getattr(context.database, "builds", None) is None:
+        return None
+    ops = [right]
+    for op in ops:
+        ops += op.children()
+    shape = tuple(
+        (type(op).__name__, getattr(op, "_occurrence", None) is not None) for op in ops
+    )
+    return (closed, *own, shape, context.batch_size)
+
+
 def _build_join(
     plan: Join | OuterJoin, context: _Context, options: PlannerOptions
 ) -> PhysicalOperator:
@@ -377,6 +480,7 @@ def _build_join(
         right_columns += tuple(filter(None, map(context.occurrences.get, right_columns)))
     keys, residual = _join_keys(plan, options)
     if keys:
+        bare, closed = _build_facts(plan, keys, context, ())
         return PHashJoin(
             context,
             left,
@@ -386,6 +490,8 @@ def _build_join(
             residual,
             right_columns,
             outer,
+            bare,
+            _reuse_key(closed, right, context, options, "hash"),
         )
     return PNestedLoopJoin(context, left, right, residual, right_columns, outer)
 
@@ -420,20 +526,32 @@ def _try_group_join(
     if join is None:
         return None
     keys, residual = _join_keys(join, options)
+    left = _build(join.left, context, options)
+    right = _build(join.right, context, options)
+    right_columns = join.right.columns()
+    bare, closed = _build_facts(join, keys, context, (nest.head, nest.pred))
+    # The table's shape — folded buckets, or the columns (by position) a
+    # residual reads of them — and the null filter, by position.
+    plain = isinstance(residual, Const) and residual.value is True
+    read = tuple(i for i, c in enumerate(right_columns) if c in free_vars(residual))
+    nulls = tuple(map(right_columns.index, nest.null_vars))
+    own = (nest.monoid.name, nulls, plain, read)
     return PGroupJoin(
         context,
-        _build(join.left, context, options),
-        _build(join.right, context, options),
+        left,
+        right,
         tuple(k for k, _ in keys),
         tuple(k for _, k in keys),
         residual,
-        join.right.columns(),
+        right_columns,
         nest.monoid,
         nest.head,
         nest.group_by,
         nest.null_vars,
         nest.out_var,
         nest.pred,
+        bare,
+        _reuse_key(closed, right, context, options, "group", *own),
     )
 
 

@@ -20,7 +20,9 @@ Three bug classes, each with the test that would have caught it:
 A fourth class guards shared state added since: the process-wide kernel
 code cache and the interpreter rerun a faulting chunk takes
 (``engine/compile.py``) are reached by every thread that plans or runs a
-query (``test_cold_code_cache_*``, ``test_first_fault_*``).
+query (``test_cold_code_cache_*``, ``test_first_fault_*``).  A fifth: the
+closed builds a database keeps (``Database.builds``) are published by one
+execution and read by others (``TestKeptBuilds``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from repro.core.optimizer import Optimizer, OptimizerOptions
 from repro.calculus.evaluator import DivisionByZeroError, Evaluator
 from repro.calculus.terms import BinOp, Const, Var
 from repro.core.pipeline import QueryPipeline
+from repro.data.database import BuildMemo
+from repro.data.datagen import company_database, university_database
 from repro.engine.compile import ExprCompiler, _factory
 from repro.engine.governor import CancelToken
 from repro.errors import QueryCancelled
@@ -300,3 +304,91 @@ class TestSharedKernelCode:
             assert t == len(column) - 2
             assert values == [12 / x for x in column[:t]]
             assert error_type is DivisionByZeroError
+
+
+# ---------------------------------------------------------------------------
+# 5. closed builds kept by the database, from a cold memo
+# ---------------------------------------------------------------------------
+
+#: Prepared group-join queries (and one hash join) over two databases.
+KEPT_BUILD_QUERIES = [
+    q
+    for q in CORPUS
+    if q.name in ("agg_max_pred", "group_having", "query_b", "query_e",
+                  "double_membership", "setop_except")
+]
+
+
+@pytest.fixture()
+def fresh_databases():
+    """Databases no other test has run on, so every memo starts cold."""
+    return {
+        "company": company_database(60, 8, seed=11),
+        "university": university_database(40, 12, seed=11),
+    }
+
+
+def _serial_then_cold(databases, queries=KEPT_BUILD_QUERIES):
+    """Each query's serial answer; then every memo emptied."""
+    references = {
+        q.name: QueryPipeline(databases[q.family]).run_oql(q.oql) for q in queries
+    }
+    for db in databases.values():
+        db.builds = BuildMemo()
+    return references
+
+
+class TestKeptBuilds:
+    ROUNDS = 5
+
+    def test_two_threads_one_database(self, fresh_databases, eager_thread_switches):
+        references = _serial_then_cold(fresh_databases)
+        compiled = {
+            q.name: QueryPipeline(fresh_databases[q.family]).compile_oql(q.oql)
+            for q in KEPT_BUILD_QUERIES
+        }
+        barrier = threading.Barrier(2)
+
+        def run(thread_index: int) -> list[str]:
+            barrier.wait(timeout=30)
+            wrong = []
+            order = KEPT_BUILD_QUERIES[thread_index:] + KEPT_BUILD_QUERIES[:thread_index]
+            for _ in range(self.ROUNDS):
+                for q in order:
+                    got = compiled[q.name].execute(fresh_databases[q.family])
+                    if got != references[q.name]:
+                        wrong.append(f"thread {thread_index}: {q.name}")
+            return wrong
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            failures = [w for ws in pool.map(run, range(2)) for w in ws]
+        assert failures == []
+        assert all(len(db.builds) for db in fresh_databases.values())
+
+    def test_two_sessions_of_a_two_worker_server(self, fresh_databases):
+        from repro.server import ServeClient, ServerConfig, ServerThread
+
+        db = fresh_databases["company"]
+        queries = [q for q in KEPT_BUILD_QUERIES if q.family == "company"]
+        references = _serial_then_cold({"company": db}, queries)
+        config = ServerConfig(database=db, workers=2)
+        with ServerThread(config) as (host, port):
+            barrier = threading.Barrier(2)
+
+            def session(index: int) -> list[str]:
+                wrong = []
+                with ServeClient(host, port) as client:
+                    for q in queries:
+                        assert client.prepare(q.name, q.oql).ok
+                    barrier.wait(timeout=30)
+                    for _ in range(self.ROUNDS):
+                        for q in queries[index:] + queries[:index]:
+                            reply = client.execute(q.name)
+                            if not reply.ok or reply.value() != references[q.name]:
+                                wrong.append(f"session {index}: {q.name}")
+                return wrong
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                failures = [w for ws in pool.map(session, range(2)) for w in ws]
+        assert failures == []
+        assert len(db.builds) > 0

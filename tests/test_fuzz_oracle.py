@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.data.database import Database
+from repro.data.database import BuildMemo, Database
 from repro.data.schema import INT, Schema
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.oql.translator import parse_and_translate
@@ -333,6 +333,9 @@ class TestReproArtifactsStillBite:
             / "compiled_const_memo_bool_int_conflation.json"
         )
         assert check_sample(source, params, db).agreed
+        # The check above kept its closed builds, made by the right kernels;
+        # the mutant must build its own.
+        db.builds = BuildMemo()
         monkeypatch.setattr(
             expr_compile, "_memo_key", lambda kind, term: (kind, term)
         )

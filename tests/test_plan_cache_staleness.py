@@ -18,6 +18,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import NULL, Record
@@ -123,3 +124,32 @@ def test_ddl_invalidates_then_recompiles():
     misses = pipeline.plan_cache.misses
     pipeline.run_oql(source, **params)  # key changed: must recompile
     assert pipeline.plan_cache.misses == misses + 1
+
+
+def test_ddl_makes_the_next_run_rebuild_its_closed_build():
+    """The group-join's build over ``E`` is kept per database state: a warm
+    run reuses it, and after each of ``add_extent``, ``create_index`` and
+    ``analyze`` the next run builds it again, over the new data."""
+    source = QUERIES[2][0]
+    db = Database()
+    rows = [_row(i) for i in range(6)]
+    db.add_extent("E", list(rows))
+    pipeline = QueryPipeline(db)
+    before = pipeline.run_oql(source)
+    assert len(db.builds) == 1
+    hits = db.builds.hits
+    assert pipeline.run_oql(source) == before
+    assert db.builds.hits == hits + 1
+    changes = (
+        lambda: db.add_extent("E", rows + [_row(6), _row(7), _row(8)]),
+        lambda: db.create_index("E", "k"),
+        db.analyze,
+    )
+    for change in changes:
+        change()
+        misses = db.builds.misses
+        got = pipeline.run_oql(source)
+        assert db.builds.misses == misses + 1
+        assert got == QueryPipeline(db).run_oql(source)
+        assert got == QueryPipeline(db, OptimizerOptions(unnest=False)).run_oql(source)
+    assert got != before  # the added rows are counted
