@@ -46,6 +46,7 @@ randomized databases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 
 from repro.algebra.operators import (
     Eval,
@@ -66,14 +67,14 @@ from repro.calculus.terms import (
     Filter,
     Generator,
     Lambda,
+    Let,
     Term,
     Var,
+    _rebuild,
     conj,
     conjuncts,
     free_vars,
     fresh_name,
-    substitute,
-    transform,
 )
 from repro.core.normalization import prepare
 from repro.errors import PlanningError
@@ -83,13 +84,25 @@ class UnnestingError(PlanningError):
     """The translator was given a term it cannot compile (internal bug)."""
 
 
-@dataclass
 class TraceEntry:
-    """One rule firing, recorded for the Figure 2 style walkthrough."""
+    """One rule firing, recorded for the Figure 2 style walkthrough.
 
-    rule: str
-    detail: str
-    plan: Operator | None = None
+    Its detail is ``detail.format(*args)``, rendered on first read: the
+    terms and plans a firing names are printed only when someone looks.
+    """
+
+    __slots__ = ("rule", "plan", "_detail", "_args")
+
+    def __init__(
+        self, rule: str, detail: str, plan: Operator | None = None, args: tuple = ()
+    ):
+        self.rule, self.plan, self._detail, self._args = rule, plan, detail, args
+
+    @property
+    def detail(self) -> str:
+        if self._args:
+            self._detail, self._args = self._detail.format(*self._args), ()
+        return self._detail
 
     def __str__(self) -> str:
         return f"({self.rule}) {self.detail}"
@@ -101,8 +114,11 @@ class UnnestingTrace:
 
     entries: list[TraceEntry] = field(default_factory=list)
 
-    def record(self, rule: str, detail: str, plan: Operator | None = None) -> None:
-        self.entries.append(TraceEntry(rule, detail, plan))
+    def record(
+        self, rule: str, detail: str, plan: Operator | None = None, *args: object
+    ) -> None:
+        """Record a firing; *detail* is a ``str.format`` template over *args*."""
+        self.entries.append(TraceEntry(rule, detail, plan, args))
 
     def rules_fired(self) -> list[str]:
         return [entry.rule for entry in self.entries]
@@ -151,17 +167,10 @@ class _Translator:
         # splice every nested comprehension onto a Seed and evaluate the
         # residual expression over the resulting singleton stream.
         plan: Operator = Seed()
-        residual = term
-        while True:
-            nested = _find_spliceable(residual, set(plan.columns()))
-            if nested is None:
-                break
-            out = fresh_name("m")
-            plan = self._compile(
-                nested, plan, box=_Box(plan.columns(), out)
-            )
-            residual = _replace(residual, nested, Var(out))
-            self.trace.record("C9", f"spliced top-level box into {out}", plan)
+        boxes = _boxes([term], set(plan.columns()))
+        plan, (residual,) = self._splice_boxes(
+            boxes, plan, [term], "C9", "spliced top-level box into {}"
+        )
         leftover = _any_comprehension(residual)
         if leftover is not None:
             raise UnnestingError(
@@ -192,24 +201,16 @@ class _Translator:
         while True:
             w = set(plan.columns()) if plan is not None else set()
 
-            # (C8) — splice a nested comprehension from the predicate as soon
-            # as its free variables no longer depend on pending generators.
-            spliced = False
-            for index, pred in enumerate(preds):
-                nested = _find_spliceable(pred, w)
-                if nested is None:
-                    continue
-                plan, out = self._splice(nested, plan)
-                # Replace the comprehension everywhere it occurs (predicate
-                # and head), so a repeated subquery is computed only once.
-                preds[:] = [_replace(p, nested, Var(out)) for p in preds]
-                head = _replace(head, nested, Var(out))
-                self.trace.record(
-                    "C8", f"predicate box -> {out}: {nested}", plan
+            # (C8) — splice the nested comprehensions of the predicate as
+            # soon as their free variables no longer depend on pending
+            # generators.  Each is replaced everywhere it occurs (predicate
+            # and head), so a repeated subquery is computed only once.
+            boxes = _boxes(preds, w)
+            if boxes:
+                plan, terms = self._splice_boxes(
+                    boxes, plan, [head, *preds], "C8", "predicate box -> {}: {}"
                 )
-                spliced = True
-                break
-            if spliced:
+                head, preds[:] = terms[0], terms[1:]
                 continue
 
             if pending:
@@ -222,12 +223,12 @@ class _Translator:
                 continue
 
             # (C9) — splice nested comprehensions remaining in the head.
-            nested = _find_spliceable(head, w)
-            if nested is not None:
-                plan, out = self._splice(nested, plan)
-                head = _replace(head, nested, Var(out))
-                preds[:] = [_replace(p, nested, Var(out)) for p in preds]
-                self.trace.record("C9", f"head box -> {out}: {nested}", plan)
+            boxes = _boxes([head], w)
+            if boxes:
+                plan, terms = self._splice_boxes(
+                    boxes, plan, [head, *preds], "C9", "head box -> {}: {}"
+                )
+                head, preds[:] = terms[0], terms[1:]
                 continue
             break
 
@@ -243,7 +244,7 @@ class _Translator:
             plan = Seed()
         if box is None:
             result: Operator = Reduce(plan, comp.monoid_name, head, residual)
-            self.trace.record("C2", f"reduce[{comp.monoid_name}]", result)
+            self.trace.record("C2", "reduce[{}]", result, comp.monoid_name)
             return result
         # Rule C5: the Γ grouping variables are the range variables in scope
         # at box entry.  The paper's correctness argument assumes bindings of
@@ -262,9 +263,11 @@ class _Translator:
         )
         self.trace.record(
             "C5",
-            f"nest[{comp.monoid_name}] group_by({','.join(box.entry_vars) or '()'})"
-            f" -> {box.out_var}",
+            "nest[{}] group_by({}) -> {}",
             result,
+            comp.monoid_name,
+            ",".join(box.entry_vars) or "()",
+            box.out_var,
         )
         return result
 
@@ -277,6 +280,33 @@ class _Translator:
         out = fresh_name("m")
         new_plan = self._compile(nested, plan, box=_Box(plan.columns(), out))
         return new_plan, out
+
+    def _splice_boxes(
+        self,
+        boxes: list[Comprehension],
+        plan: Operator | None,
+        terms: list[Term],
+        rule: str,
+        detail: str,
+    ) -> tuple[Operator, list[Term]]:
+        """Splice *boxes* onto *plan*, left to right, and replace them in
+        *terms* with their output variables in one rebuild.
+
+        α-equivalent boxes share one output variable (:class:`_Spliced`).
+        A box is spliced with the earlier boxes it contains already replaced,
+        as though each splice had been followed by its own replacement.
+        """
+        spliced = _Spliced()
+        for box in boxes:
+            out = spliced.lookup(box)
+            if out is None:
+                nested = _replace_boxes(box, spliced, root=False) if spliced else box
+                plan, name = self._splice(nested, plan)
+                out = Var(name)
+                spliced.add(box, out)
+                self.trace.record(rule, detail, plan, name, nested)
+            spliced.by_box[id(box)] = out
+        return plan, [_replace_boxes(t, spliced) for t in terms]
 
     def _compile_generator(
         self,
@@ -294,7 +324,7 @@ class _Translator:
         # a box and unnest its output variable.
         if isinstance(domain, Comprehension):
             plan, out = self._splice(domain, plan)
-            self.trace.record("C8", f"generator-domain box -> {out}", plan)
+            self.trace.record("C8", "generator-domain box -> {}", plan, out)
             domain = Var(out)
 
         w = set(plan.columns()) if plan is not None else set()
@@ -308,18 +338,18 @@ class _Translator:
                     plan = Select(right, conj(*own)) if own else right
                     if mixed:
                         plan = Select(plan, conj(*mixed))
-                    self.trace.record("C1", f"scan {gen.var} <- {domain.name}", plan)
+                    self.trace.record("C1", "scan {} <- {}", plan, gen.var, domain.name)
                 else:
                     # (C3) — join with the extent; p[v] is pushed below.
                     if own:
                         right = Select(right, conj(*own))
                     plan = Join(plan, right, conj(*mixed))
-                    self.trace.record("C3", f"join {gen.var} <- {domain.name}", plan)
+                    self.trace.record("C3", "join {} <- {}", plan, gen.var, domain.name)
             else:
                 # (C6) — inner generators must not block the stream.
                 plan = OuterJoin(plan, right, conj(*(own + mixed)))
                 self.trace.record(
-                    "C6", f"outer-join {gen.var} <- {domain.name}", plan
+                    "C6", "outer-join {} <- {}", plan, gen.var, domain.name
                 )
             return plan, introduced
 
@@ -330,12 +360,12 @@ class _Translator:
             if plan is None:
                 plan = Seed()
             plan = Unnest(plan, domain, gen.var, pred)
-            self.trace.record("C4", f"unnest {gen.var} <- {domain}", plan)
+            self.trace.record("C4", "unnest {} <- {}", plan, gen.var, domain)
         else:
             # (C7)
             assert plan is not None
             plan = OuterUnnest(plan, domain, gen.var, pred)
-            self.trace.record("C7", f"outer-unnest {gen.var} <- {domain}", plan)
+            self.trace.record("C7", "outer-unnest {} <- {}", plan, gen.var, domain)
         return plan, introduced
 
 
@@ -378,26 +408,30 @@ def _split_predicates(
 # ---------------------------------------------------------------------------
 
 
-def _find_spliceable(term: Term, w: set[str]) -> Comprehension | None:
-    """The first outermost comprehension in *term* whose free vars ⊆ w.
+def _boxes(terms: list[Term], w: set[str]) -> list[Comprehension]:
+    """The outermost comprehensions of *terms* whose free vars ⊆ w, left to
+    right: the boxes that can be spliced onto a stream binding *w*.
 
     Comprehensions under a lambda are skipped (their result depends on the
     lambda's argument, so they cannot be computed once per stream tuple).
     """
-    if isinstance(term, Comprehension):
-        if free_vars(term) <= w:
-            return term
-        # An inner part of a non-spliceable comprehension can still not be
-        # spliced from *here*: its free variables include generator vars of
-        # the enclosing comprehension, which are not stream columns.
-        return None
-    if isinstance(term, Lambda):
-        return None
-    for child in term.children():
-        found = _find_spliceable(child, w)
-        if found is not None:
-            return found
-    return None
+    found: list[Comprehension] = []
+
+    def walk(term: Term) -> None:
+        if isinstance(term, Comprehension):
+            # An inner part of a non-spliceable comprehension cannot be
+            # spliced from *here* either: its free variables include
+            # generator vars of the enclosing comprehension, which are not
+            # stream columns.
+            if free_vars(term) <= w:
+                found.append(term)
+        elif not isinstance(term, Lambda):
+            for child in term.children():
+                walk(child)
+
+    for term in terms:
+        walk(term)
+    return found
 
 
 def _any_comprehension(term: Term) -> Comprehension | None:
@@ -411,29 +445,87 @@ def _any_comprehension(term: Term) -> Comprehension | None:
     return None
 
 
-def _replace(term: Term, target: Term, replacement: Term) -> Term:
-    """Replace every alpha-equivalent occurrence of *target* by *replacement*.
+class _Spliced:
+    """The boxes spliced so far and their output variables, found again by
+    α-equivalence.
 
     Two comprehensions that differ only in the names of their bound
-    variables denote the same subquery; replacing all of them with the same
-    box output variable is the common-subexpression sharing the paper's
-    graph-reduction discussion (Section 2) calls for.  The target itself is
-    recognised by identity; another comprehension is α-canonicalised to be
-    compared only when it has the target's monoid and qualifier count.
+    variables denote the same subquery; giving all of them the same box
+    output variable is the common-subexpression sharing the paper's
+    graph-reduction discussion (Section 2) calls for.  A box of the walk
+    that found them is recognised by identity; another comprehension is
+    compared by α-canonical form, and a comprehension is canonicalised once,
+    and only when a box of its monoid and qualifier count was spliced.
     """
-    canon = _alpha_canonical(target)
-    shape = (target.monoid_name, len(target.qualifiers))
 
-    def step(t: Term) -> Term:
-        if t is target or (
-            isinstance(t, Comprehension)
-            and (t.monoid_name, len(t.qualifiers)) == shape
-            and _alpha_canonical(t) == canon
-        ):
-            return replacement
-        return t
+    def __init__(self) -> None:
+        self.by_box: dict[int, Var] = {}
+        self._shapes: dict[tuple[str, int], list[tuple[Comprehension, Var]]] = {}
+        self._tables: dict[tuple[str, int], dict[Term, Var]] = {}
+        self._canon: dict[int, tuple[Comprehension, Term]] = {}
 
-    return transform(term, step)
+    def __bool__(self) -> bool:
+        return bool(self._shapes)
+
+    def _canonical(self, comp: Comprehension) -> Term:
+        known = self._canon.get(id(comp))
+        if known is None:  # keeps *comp* alive, so its id is not reused
+            known = self._canon[id(comp)] = (comp, _alpha_canonical(comp))
+        return known[1]
+
+    def _table(self, shape: tuple[str, int]) -> dict[Term, Var] | None:
+        table = self._tables.get(shape)
+        if table is None and shape in self._shapes:
+            table = self._tables[shape] = {
+                self._canonical(box): out for box, out in self._shapes[shape]
+            }
+        return table
+
+    def lookup(self, comp: Comprehension) -> Var | None:
+        """The output variable of the spliced box *comp* is a copy of."""
+        out = self.by_box.get(id(comp))
+        if out is None:
+            table = self._table((comp.monoid_name, len(comp.qualifiers)))
+            if table is not None:
+                out = table.get(self._canonical(comp))
+        return out
+
+    def add(self, box: Comprehension, out: Var) -> None:
+        shape = (box.monoid_name, len(box.qualifiers))
+        self._shapes.setdefault(shape, []).append((box, out))
+        if shape in self._tables:
+            self._tables[shape][self._canonical(box)] = out
+
+
+def _replace_boxes(term: Term, spliced: _Spliced, root: bool = True) -> Term:
+    """*term* with each outermost copy of a spliced box replaced by the box's
+    output variable; with ``root=False`` *term* itself is kept.
+
+    Replacing the outermost copies in one walk is what replacing every copy
+    of each box in turn would give: a term is α-equivalent to a box exactly
+    when it still is after the copies of other boxes inside both are
+    replaced.
+    """
+
+    def walk(t: Term) -> Term:
+        if isinstance(t, Comprehension):
+            out = spliced.lookup(t)
+            if out is not None:
+                return out
+        return _walk_children(t, walk)
+
+    return walk(term) if root else _walk_children(term, walk)
+
+
+def _walk_children(term: Term, walk) -> Term:
+    """*term* with *walk* applied to its children; itself if none changed."""
+    children = term.children()
+    if not children:
+        return term
+    walked = tuple([walk(child) for child in children])
+    if all(map(is_, walked, children)):
+        return term
+    return _rebuild(term, walked)
 
 
 def _alpha_canonical(term: Term) -> Term:
@@ -469,8 +561,6 @@ def _alpha_canonical(term: Term) -> Term:
             inner_env[t.param] = name
             return Lambda(name, canon(t.body, inner_env))
         children = tuple(canon(c, env) for c in t.children())
-        from repro.calculus.terms import _rebuild
-
         return _rebuild(t, children)
 
     return canon(term, {})
@@ -481,22 +571,37 @@ def _uniquify(term: Term) -> Term:
 
     The C8 early-splice test compares free variables against stream columns;
     shadowed names would make that test unsound, so the translator runs on
-    alpha-unique terms.
+    alpha-unique terms.  One top-down walk: *env* maps each generator
+    variable in scope to its new name, so every node is visited once.
     """
 
-    def rename(t: Term) -> Term:
-        if not isinstance(t, Comprehension):
+    def walk(t: Term, env: dict[str, Var]) -> Term:
+        if isinstance(t, Var):
+            return env.get(t.name, t)
+        if isinstance(t, Comprehension):
+            inner = dict(env)
+            quals: list = []
+            for qualifier in t.qualifiers:
+                if isinstance(qualifier, Generator):
+                    domain = walk(qualifier.domain, inner)
+                    name = fresh_name(qualifier.var.strip("_") or "v")
+                    inner[qualifier.var] = Var(name)
+                    quals.append(Generator(name, domain))
+                else:
+                    quals.append(Filter(walk(qualifier.pred, inner)))
+            return Comprehension(t.monoid_name, walk(t.head, inner), tuple(quals))
+        if isinstance(t, Lambda) and t.param in env:
+            inner = {k: v for k, v in env.items() if k != t.param}
+            return Lambda(t.param, walk(t.body, inner))
+        if isinstance(t, Let) and t.var in env:
+            inner = {k: v for k, v in env.items() if k != t.var}
+            return Let(t.var, walk(t.value, env), walk(t.body, inner))
+        children = t.children()
+        if not children:
             return t
-        mapping: dict[str, Term] = {}
-        quals = []
-        for qualifier in t.qualifiers:
-            if isinstance(qualifier, Generator):
-                domain = substitute(qualifier.domain, mapping)
-                new_name = fresh_name(qualifier.var.strip("_") or "v")
-                mapping[qualifier.var] = Var(new_name)
-                quals.append(Generator(new_name, domain))
-            else:
-                quals.append(Filter(substitute(qualifier.pred, mapping)))
-        return Comprehension(t.monoid_name, substitute(t.head, mapping), tuple(quals))
+        walked = tuple([walk(child, env) for child in children])
+        if all(map(is_, walked, children)):
+            return t
+        return _rebuild(t, walked)
 
-    return transform(term, rename)
+    return walk(term, {})

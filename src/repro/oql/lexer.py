@@ -7,7 +7,7 @@ are case-sensitive.  String literals use double quotes, as in the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from repro.errors import PlanningError
 
@@ -51,15 +51,44 @@ KEYWORDS = frozenset(
 #: Multi- and single-character symbols, longest first.
 SYMBOLS = ("<=", ">=", "!=", "<>", "=", "<", ">", "(", ")", ",", ".", ":", "+", "-", "*", "/", "%")
 
+#: One scan, one match per token.  A match skips whitespace and ``--``
+#: comments, then takes, by group number, 1 a word that starts with an ASCII
+#: letter or ``_``, 2 a float, 3 an int (``\d`` is exactly what ``int`` and
+#: ``float`` accept), 4 the text of a string without escapes or 5 a symbol —
+#: or nothing: at the end of the source, or where :func:`_lex_slow` takes
+#: over (an escaped or unterminated string, a word that starts with a
+#: non-ASCII letter, a stray character).  Every match starts where the last
+#: one ended, so the scan never searches ahead.
+_SCAN = re.compile(
+    r"(?:\s|--[^\n]*)*(?:([A-Za-z_]\w*)|(\d+\.\d+)|(\d+)|\"([^\"\\]*)\"|("
+    + "|".join(map(re.escape, SYMBOLS))
+    + ")|)"
+).finditer
 
-@dataclass(frozen=True)
+_WORD_TAIL = re.compile(r"\w*").match
+_GROUP_KINDS = {2: "float", 3: "int"}
+
+
 class Token:
     """One lexical token: kind is 'keyword', 'ident', 'int', 'float',
-    'string', 'symbol', or 'eof'."""
+    'string', 'symbol', or 'eof'; ``source[position:end]`` is its text."""
 
-    kind: str
-    value: str
-    position: int  # character offset, for error messages
+    __slots__ = ("kind", "value", "position", "end")
+
+    def __init__(self, kind: str, value: str, position: int, end: int | None = None):
+        self.kind, self.value, self.position = kind, value, position
+        self.end = position + len(value) if end is None else end
+
+    def _fields(self) -> tuple[str, str, int, int]:
+        return (self.kind, self.value, self.position, self.end)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.value!r})"
@@ -83,45 +112,47 @@ class OQLSyntaxError(PlanningError, SyntaxError):
 def tokenize(source: str) -> list[Token]:
     """Tokenize an OQL query, ending with an 'eof' token."""
     tokens: list[Token] = []
-    index = 0
-    length = len(source)
-    while index < length:
-        char = source[index]
-        if char.isspace():
-            index += 1
-            continue
-        if source.startswith("--", index):  # line comment
-            # A comment on the last line may end at EOF with no newline;
-            # find() returning -1 must consume to end-of-source, not wrap.
-            newline = source.find("\n", index)
-            index = length if newline == -1 else newline + 1
-            continue
-        if char == '"':
-            index = _lex_string(source, index, tokens)
-            continue
-        if char.isdigit():
-            index = _lex_number(source, index, tokens)
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            word = source[start:index]
-            if word.lower() in KEYWORDS:
-                tokens.append(Token("keyword", word.lower(), start))
-            else:
-                tokens.append(Token("ident", word, start))
-            continue
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, index):
-                value = "!=" if symbol == "<>" else symbol
-                tokens.append(Token("symbol", value, index))
-                index += len(symbol)
+    append = tokens.append
+    index, length = 0, len(source)
+    while True:
+        for match in _SCAN(source, index):
+            group = match.lastindex
+            if group is None:
                 break
+            value, start = match[group], match.start(group)
+            if group == 1:
+                word = value.lower()
+                if word in KEYWORDS:
+                    append(Token("keyword", word, start, match.end()))
+                else:
+                    append(Token("ident", value, start, match.end()))
+            elif group == 5:
+                append(Token("symbol", "!=" if value == "<>" else value, start, match.end()))
+            elif group == 4:
+                append(Token("string", value, start - 1, match.end()))
+            else:
+                append(Token(_GROUP_KINDS[group], value, start, match.end()))
+        index = match.end()
+        if index == length:
+            append(Token("eof", "", length, length))
+            return tokens
+        index = _lex_slow(source, index, append)
+
+
+def _lex_slow(source: str, index: int, append) -> int:
+    """Lex the one token at *index* the scan cannot; return where it ends."""
+    char = source[index]
+    if char == '"':
+        return _lex_string(source, index, append)
+    if char.isalpha():  # ``\w`` is exactly ``isalnum()`` or ``_``
+        end = _WORD_TAIL(source, index + 1).end()
+        word = source[index:end]
+        if word.lower() in KEYWORDS:
+            append(Token("keyword", word.lower(), index, end))
         else:
-            raise OQLSyntaxError(f"unexpected character {char!r}", source, index)
-    tokens.append(Token("eof", "", length))
-    return tokens
+            append(Token("ident", word, index, end))
+        return end
+    raise OQLSyntaxError(f"unexpected character {char!r}", source, index)
 
 
 #: Backslash escapes recognized inside string literals.
@@ -134,7 +165,7 @@ _STRING_ESCAPES = {
 }
 
 
-def _lex_string(source: str, index: int, tokens: list[Token]) -> int:
+def _lex_string(source: str, index: int, append) -> int:
     """Lex a double-quoted string literal starting at *index*.
 
     Supports the usual backslash escapes (``\\"``, ``\\\\``, ``\\n``,
@@ -147,7 +178,7 @@ def _lex_string(source: str, index: int, tokens: list[Token]) -> int:
     while index < length:
         char = source[index]
         if char == '"':
-            tokens.append(Token("string", "".join(parts), start))
+            append(Token("string", "".join(parts), start, index + 1))
             return index + 1
         if char == "\\":
             if index + 1 >= length:
@@ -166,23 +197,3 @@ def _lex_string(source: str, index: int, tokens: list[Token]) -> int:
         parts.append(char)
         index += 1
     raise OQLSyntaxError("unterminated string literal", source, start)
-
-
-def _lex_number(source: str, index: int, tokens: list[Token]) -> int:
-    start = index
-    length = len(source)
-    while index < length and source[index].isdigit():
-        index += 1
-    is_float = False
-    if (
-        index + 1 < length
-        and source[index] == "."
-        and source[index + 1].isdigit()
-    ):
-        is_float = True
-        index += 1
-        while index < length and source[index].isdigit():
-            index += 1
-    kind = "float" if is_float else "int"
-    tokens.append(Token(kind, source[start:index], start))
-    return index

@@ -41,10 +41,9 @@ def parameterize_literals(
             continue
         name = f"{prefix}{len(params)}"
         params[name] = _literal_value(token)
-        end = token.position + _source_width(token)
         pieces.append(source[cursor : token.position])
         pieces.append(f":{name}")
-        cursor = end
+        cursor = token.end
     pieces.append(source[cursor:])
     return "".join(pieces), params
 
@@ -56,10 +55,3 @@ def _literal_value(token: Token) -> Any:
         return float(token.value)
     return token.value
 
-
-def _source_width(token: Token) -> int:
-    # String tokens store the unquoted text; the source span includes the
-    # surrounding double quotes.
-    if token.kind == "string":
-        return len(token.value) + 2
-    return len(token.value)

@@ -1,30 +1,41 @@
-"""Recursive-descent parser for the OQL subset.
+"""Recursive-descent parser for the OQL subset, with precedence climbing.
 
 Grammar (keywords case-insensitive)::
 
-    query        ::= select | or_expr
+    query        ::= operand {(UNION | EXCEPT | INTERSECT) operand}
+    operand      ::= select | expr
     select       ::= SELECT [DISTINCT] item {, item}
                      FROM from_clause {, from_clause}
-                     [WHERE or_expr]
-                     [GROUP BY or_expr {, or_expr}]
-                     [HAVING or_expr]
-    item         ::= or_expr [AS ident]
-    from_clause  ::= ident IN or_expr | or_expr [AS] ident
-    or_expr      ::= and_expr {OR and_expr}
-    and_expr     ::= not_expr {AND not_expr}
-    not_expr     ::= NOT not_expr | quantifier | comparison
-    quantifier   ::= EXISTS ident IN additive ':' or_expr
-                   | EXISTS '(' query ')'
-                   | FOR ALL ident IN additive ':' or_expr
-    comparison   ::= additive [(= | != | < | <= | > | >= | IN) additive]
-    additive     ::= multiplicative {(+ | -) multiplicative}
-    multiplicative ::= unary {(* | /) unary}
-    unary        ::= '-' unary | postfix
-    postfix      ::= primary {'.' ident}
+                     [WHERE expr] [GROUP BY expr {, expr}] [HAVING expr]
+                     [ORDER BY expr [ASC | DESC] {, expr [ASC | DESC]}]
+    item         ::= expr [AS ident]
+    from_clause  ::= ident IN expr | expr [AS] ident
+    expr         ::= prefix | unary | expr binary_op expr
+    prefix       ::= NOT expr₃ | EXISTS ident IN expr₄ ':' expr
+                   | EXISTS '(' query ')' | FOR ALL ident IN expr₄ ':' expr
+    unary        ::= '-' unary | primary {'.' ident}
     primary      ::= literal | ident | ':' ident | aggregate '(' query ')'
-                   | STRUCT '(' ident ':' or_expr {, ident ':' or_expr} ')'
-                   | '(' query ')'
+                   | FLATTEN '(' query ')' | '(' query ')'
+                   | STRUCT '(' ident ':' expr {, ident ':' expr} ')'
     aggregate    ::= COUNT | SUM | AVG | MAX | MIN
+
+Binary operators bind by one table, loosest first; ``exprₙ`` is an
+expression whose operators all have precedence n or more:
+
+    ====  =============================  ===========================
+    prec  operators                      associativity
+    ====  =============================  ===========================
+    1     OR                             left
+    2     AND                            left
+    3     = != <> < <= > >= IN           none: ``a = b = c`` is an error
+    4     + -                            left
+    5     * / %                          left
+    ====  =============================  ===========================
+
+A prefix form binds looser than every comparison and tighter than AND, so it
+starts an operand of precedence 3 or less (``not a = b and c`` is ``(not (a
+= b)) and c``) and only AND or OR may follow it.  ``-`` and ``.`` bind
+tighter than every binary operator.
 
 A ``:name`` in expression position is a prepared-statement parameter.  The
 colons of ``struct(A: e)`` and ``exists v in e: p`` are consumed before an
@@ -59,7 +70,21 @@ from repro.oql.ast import (
 from repro.oql.lexer import OQLSyntaxError, Token, tokenize
 
 _AGGREGATES = frozenset({"count", "sum", "avg", "max", "min"})
-_COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
+_CONSTANTS = {"true": True, "false": False, "nil": None}
+_LITERALS = {"int": int, "float": float, "string": str}
+_PREFIXES = frozenset({"not", "exists", "for"})
+
+#: The binary operators' precedences (the table in the module docstring).
+#: A value in the table names an operator unless its token is a string.
+_PRECEDENCE = {
+    "or": 1,
+    "and": 2,
+    **dict.fromkeys(("=", "!=", "<", "<=", ">", ">=", "in"), 3),
+    **dict.fromkeys(("+", "-"), 4),
+    **dict.fromkeys(("*", "/", "%"), 5),
+}
+_COMPARISON = 3  # the one non-associative precedence; it adds no level
+_UNARY = 6  # binds tighter than every binary operator
 
 #: How deep a query may nest; deeper is an OQLSyntaxError at the token that
 #: crosses it.  It bounds the parser's own nesting (parentheses, nested
@@ -106,33 +131,20 @@ class _Parser:
 
     # -- token plumbing --------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.kind != "eof":
-            self._index += 1
-        return token
-
-    def _at_keyword(self, *words: str) -> bool:
-        token = self._peek()
-        return token.kind == "keyword" and token.value in words
-
-    def _at_symbol(self, *symbols: str) -> bool:
-        token = self._peek()
-        return token.kind == "symbol" and token.value in symbols
+    def _peek(self) -> Token:
+        return self._tokens[self._index]  # the last is "eof", never passed
 
     def _accept_keyword(self, word: str) -> bool:
-        if self._at_keyword(word):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.value == word and token.kind == "keyword":
+            self._index += 1
             return True
         return False
 
     def _accept_symbol(self, symbol: str) -> bool:
-        if self._at_symbol(symbol):
-            self._advance()
+        token = self._tokens[self._index]
+        if token.value == symbol and token.kind == "symbol":
+            self._index += 1
             return True
         return False
 
@@ -145,10 +157,10 @@ class _Parser:
             self._fail(f"expected {symbol!r}")
 
     def _expect_ident(self) -> str:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.kind != "ident":
             self._fail("expected an identifier")
-        self._advance()
+        self._index += 1
         return token.value
 
     def expect_eof(self) -> None:
@@ -171,23 +183,24 @@ class _Parser:
             raise OQLSyntaxError(message, self._source, token.position)
         self._peak = max(self._peak, level)
 
-    def _descend(self, token: Token, parse: Callable[[], Node], step: int = 1) -> Node:
-        """*parse* (at *token*) a parser level and *step* tree levels down."""
+    def _descend(self, token: Token, lowest: int, step: int = 1) -> Node:
+        """Parse (at *token*) an expression of precedence *lowest* or more,
+        one parser level and *step* tree levels down."""
         self._depth, self._level = self._depth + 1, self._level + step
         outer, self._peak = self._peak, self._level
         self._reach(self._level, token)
-        node = parse()
+        node = self._expression(lowest)
         self._depth, self._level = self._depth - 1, self._level - step
         self._peak = max(outer, self._peak)
         return node
 
-    def _chain(self, node: Node, operand: Callable, ops: tuple, build=BinaryOp) -> Node:
+    def _chain(self, node: Node, operand: Callable, ops: tuple, build) -> Node:
         """``node {op operand}`` as a left-deep tree: each operator puts the
         tree so far one level further down than the deeper of it and the
         operand, which is measured on its own."""
-        tokens = self._tokens  # the last is "eof", which _advance never passes
+        tokens = self._tokens
         while (token := tokens[self._index]).value in ops and token.kind != "string":
-            self._advance()
+            self._index += 1
             outer, self._peak = self._peak, self._level
             node = build(token.value, node, operand())
             self._reach(max(outer, self._peak) + 1, token)
@@ -200,12 +213,11 @@ class _Parser:
         return self._chain(operand(), operand, ops, SetOp)
 
     def _parse_query_operand(self) -> Node:
-        if self._at_keyword("select"):
+        if self._accept_keyword("select"):
             return self._parse_select()
         return self._parse_or()
 
     def _parse_select(self) -> Select:
-        self._expect_keyword("select")
         distinct = self._accept_keyword("distinct")
         items = [self._parse_item()]
         while self._accept_symbol(","):
@@ -259,17 +271,13 @@ class _Parser:
         return SelectItem(expr, alias)
 
     def _parse_from_clause(self) -> FromClause:
-        # "v in domain" form.
-        ahead = self._peek(1)
-        if (
-            self._peek().kind == "ident"
-            and ahead.kind == "keyword"
-            and ahead.value == "in"
-        ):
-            var = self._expect_ident()
-            self._expect_keyword("in")
-            domain = self._parse_or()
-            return FromClause(var, domain)
+        # "v in domain" form; an ident is never the last ("eof") token.
+        if self._peek().kind == "ident":
+            ahead = self._tokens[self._index + 1]
+            if ahead.kind == "keyword" and ahead.value == "in":
+                var = self._expect_ident()
+                self._index += 1
+                return FromClause(var, self._parse_or())
         # "domain [as] v" form.
         domain = self._parse_or()
         self._accept_keyword("as")
@@ -277,119 +285,98 @@ class _Parser:
         return FromClause(var, domain)
 
     def _parse_or(self) -> Node:
-        return self._descend(self._tokens[self._index], self._or_chain, step=0)
+        return self._descend(self._tokens[self._index], 1, step=0)
 
-    def _or_chain(self) -> Node:
-        return self._chain(self._parse_and(), self._parse_and, ("or",))
+    def _expression(self, lowest: int) -> Node:
+        """Precedence climbing: the operators of precedence *lowest* or more
+        over prefix and unary operands.  *ceiling* bounds what may follow
+        what was parsed: no operator binds tighter than the last one, a
+        comparison follows no comparison and only AND/OR follow a prefix."""
+        tokens = self._tokens
+        token = tokens[self._index]
+        ceiling = _UNARY
+        if token.kind == "keyword" and token.value in _PREFIXES and lowest <= _COMPARISON:
+            node, ceiling = self._parse_prefix(token), _COMPARISON
+        elif token.value == "-" and token.kind == "symbol":
+            self._index += 1
+            node = UnaryOp("-", self._descend(token, _UNARY))
+        else:
+            node = self._parse_primary()
+            if tokens[self._index].value == ".":
+                node = self._chain(node, self._expect_ident, (".",), _path)
+        while True:
+            token = tokens[self._index]
+            precedence = _PRECEDENCE.get(token.value, 0)
+            if not lowest <= precedence < ceiling or token.kind == "string":
+                return node
+            self._index += 1
+            if precedence == _COMPARISON:
+                right, ceiling = self._expression(_COMPARISON + 1), _COMPARISON
+                if token.value == "in":
+                    node = InCollection(node, right)
+                else:
+                    op = "==" if token.value == "=" else token.value
+                    node = BinaryOp(op, node, right)
+                continue
+            outer, self._peak = self._peak, self._level
+            node = BinaryOp(token.value, node, self._expression(precedence + 1))
+            self._reach(max(outer, self._peak) + 1, token)
+            ceiling = precedence + 1
 
-    def _parse_and(self) -> Node:
-        return self._chain(self._parse_not(), self._parse_not, ("and",))
-
-    def _parse_not(self) -> Node:
-        if self._at_keyword("not"):
-            return UnaryOp("not", self._descend(self._advance(), self._parse_not))
-        if self._at_keyword("exists"):
-            return self._parse_exists()
-        if self._at_keyword("for"):
-            return self._parse_forall()
-        return self._parse_comparison()
-
-    def _parse_exists(self) -> Node:
-        self._expect_keyword("exists")
-        if self._at_symbol("("):
+    def _parse_prefix(self, token: Token) -> Node:
+        self._index += 1
+        if token.value == "not":
+            return UnaryOp("not", self._descend(token, _COMPARISON))
+        if token.value == "exists" and self._accept_symbol("("):
             # exists(query): true iff the collection is non-empty.
-            self._expect_symbol("(")
             query = self.parse_query()
             self._expect_symbol(")")
             return Exists("__element", query, Literal(True))
+        if token.value == "for":
+            self._expect_keyword("all")
         var = self._expect_ident()
         self._expect_keyword("in")
-        domain = self._parse_additive()
+        domain = self._expression(_COMPARISON + 1)
         self._expect_symbol(":")
         predicate = self._parse_or()
-        return Exists(var, domain, predicate)
-
-    def _parse_forall(self) -> Node:
-        self._expect_keyword("for")
-        self._expect_keyword("all")
-        var = self._expect_ident()
-        self._expect_keyword("in")
-        domain = self._parse_additive()
-        self._expect_symbol(":")
-        predicate = self._parse_or()
-        return ForAll(var, domain, predicate)
-
-    def _parse_comparison(self) -> Node:
-        node = self._parse_additive()
-        token = self._peek()
-        if token.kind == "symbol" and token.value in _COMPARISONS:
-            self._advance()
-            op = "==" if token.value == "=" else token.value
-            return BinaryOp(op, node, self._parse_additive())
-        if self._accept_keyword("in"):
-            return InCollection(node, self._parse_additive())
-        return node
-
-    def _parse_additive(self) -> Node:
-        return self._chain(
-            self._parse_multiplicative(), self._parse_multiplicative, ("+", "-")
-        )
-
-    def _parse_multiplicative(self) -> Node:
-        return self._chain(self._parse_unary(), self._parse_unary, ("*", "/", "%"))
-
-    def _parse_unary(self) -> Node:
-        if self._at_symbol("-"):
-            return UnaryOp("-", self._descend(self._advance(), self._parse_unary))
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Node:
-        return self._chain(self._parse_primary(), self._expect_ident, (".",), _path)
+        build = Exists if token.value == "exists" else ForAll
+        return build(var, domain, predicate)
 
     def _parse_primary(self) -> Node:
-        token = self._peek()
-        if token.kind == "int":
-            self._advance()
-            return Literal(int(token.value))
-        if token.kind == "float":
-            self._advance()
-            return Literal(float(token.value))
-        if token.kind == "string":
-            self._advance()
-            return Literal(token.value)
-        if self._accept_keyword("true"):
-            return Literal(True)
-        if self._accept_keyword("false"):
-            return Literal(False)
-        if self._accept_keyword("nil"):
-            return Literal(None)
-        if token.kind == "keyword" and token.value in _AGGREGATES:
-            self._advance()
-            self._expect_symbol("(")
-            argument = self.parse_query()
-            self._expect_symbol(")")
-            return Aggregate(token.value, argument)
-        if self._accept_keyword("flatten"):
-            self._expect_symbol("(")
-            argument = self.parse_query()
-            self._expect_symbol(")")
-            return Flatten(argument)
-        if self._accept_keyword("struct"):
-            return self._parse_struct()
-        if self._at_symbol(":"):
-            return self._parse_parameter()
-        if token.kind == "ident":
-            self._advance()
-            return Name(token.value)
-        if self._accept_symbol("("):
-            node = self.parse_query()
-            self._expect_symbol(")")
-            return node
+        token = self._tokens[self._index]
+        kind, value = token.kind, token.value
+        if kind == "ident":
+            self._index += 1
+            return Name(value)
+        if kind in _LITERALS:
+            self._index += 1
+            return Literal(_LITERALS[kind](value))
+        if kind == "keyword":
+            if value in _CONSTANTS:
+                self._index += 1
+                return Literal(_CONSTANTS[value])
+            if value in _AGGREGATES or value == "flatten":
+                self._index += 1
+                self._expect_symbol("(")
+                argument = self.parse_query()
+                self._expect_symbol(")")
+                return Flatten(argument) if value == "flatten" else Aggregate(value, argument)
+            if value == "struct":
+                self._index += 1
+                return self._parse_struct()
+        elif kind == "symbol":
+            if value == ":":
+                self._index += 1
+                return self._parse_parameter()
+            if value == "(":
+                self._index += 1
+                node = self.parse_query()
+                self._expect_symbol(")")
+                return node
         self._fail("expected an expression")
         raise AssertionError("unreachable")
 
     def _parse_parameter(self) -> Parameter:
-        self._expect_symbol(":")
         token = self._peek()
         if token.kind == "keyword":
             self._fail(

@@ -82,6 +82,27 @@ class TestLexer:
     def test_eof_token(self):
         assert tokenize("")[-1].kind == "eof"
 
+    @pytest.mark.parametrize("literal", ["1\u00b2", "1.\u00b2"], ids=["int", "float"])
+    def test_non_decimal_digit_is_a_syntax_error(self, literal):
+        # "\u00b2" (superscript two) is a digit to str.isdigit but not to int().
+        source = f"select e from e in Employees where e.age > {literal}"
+        column = source.index("\u00b2") + 1
+        message = f"unexpected character '\u00b2' \\(line 1, column {column}\\)"
+        with pytest.raises(OQLSyntaxError, match=message):
+            tokenize(source)
+        with pytest.raises(OQLSyntaxError, match=message):
+            parse(source)
+
+    def test_other_decimal_digits_are_numbers(self):
+        # Arabic-Indic three and one-point-five: int() and float() take them.
+        assert parse("\u0663") == Literal(3)
+        assert parse("\u0661.\u0665") == Literal(1.5)
+
+    def test_token_end_is_past_its_source_text(self):
+        source = 'e.name = "a\\"b" <> 42'
+        spans = [source[t.position : t.end] for t in tokenize(source)]
+        assert spans == ["e", ".", "name", "=", '"a\\"b"', "<>", "42", ""]
+
 
 class TestParser:
     def test_simple_select(self):

@@ -1,8 +1,18 @@
 """Grammar-directed OQL fuzzing: random *valid* OQL over the company schema
 must (a) parse, (b) round-trip through the unparser, (c) agree between the
-naive and optimized strategies, and (d) classify without error."""
+naive and optimized strategies, and (d) classify without error.
+
+The ``oql-property-ci`` profile registered here raises the example budget
+to 1000 a property.  Every property names its settings, so this module
+takes the profile's when asked to::
+
+    HYPOTHESIS_PROFILE=oql-property-ci pytest tests/test_oql_property.py \\
+        --hypothesis-seed 34
+"""
 
 from __future__ import annotations
+
+import os
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,6 +29,9 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+settings.register_profile("oql-property-ci", _SETTINGS, max_examples=1000)
+if os.environ.get("HYPOTHESIS_PROFILE") == "oql-property-ci":
+    _SETTINGS = settings.get_profile("oql-property-ci")
 
 # -- strategy: random OQL text over Employees/Departments -------------------
 

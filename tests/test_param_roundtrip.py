@@ -63,6 +63,44 @@ def small_db() -> Database:
     return db
 
 
+@pytest.fixture()
+def names_db() -> Database:
+    names = ['a"b', "a\\b", "a\nb", 'q"\\\n\tz\r', "plain"]
+    db = Database()
+    db.add_extent(
+        "E",
+        [Record(oid=i, name=name, age=4 + i) for i, name in enumerate(names)],
+    )
+    return db
+
+
+class TestEscapedStrings:
+    """A string literal is cut out of the source by its span, escapes and
+    quotes included, so the rest of the query survives parameterization."""
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            ('"a\\"b"', 'a"b'),
+            ('"a\\\\b"', "a\\b"),
+            ('"a\\nb"', "a\nb"),
+            ('"q\\"\\\\\\n\\tz\\r"', 'q"\\\n\tz\r'),
+        ],
+        ids=["quote", "backslash", "newline", "mixed"],
+    )
+    def test_round_trip(self, names_db, literal, value):
+        source = f"select e.oid from e in E where e.name = {literal} and e.age > 3"
+        parameterized, params = parameterize_literals(source)
+        assert parameterized == (
+            "select e.oid from e in E where e.name = :p0 and e.age > :p1"
+        )
+        assert params == {"p0": value, "p1": 3}
+        pipeline = QueryPipeline(names_db)
+        literal_result = pipeline.run_oql(source)
+        assert len(literal_result) == 1
+        assert pipeline.run_oql(parameterized, params) == literal_result
+
+
 class TestNullParams:
     def test_null_equality_binding_matches_nil_literal(self, small_db):
         pipeline = QueryPipeline(small_db)
