@@ -56,6 +56,7 @@ from repro.data.datagen import (
     university_database,
 )
 from repro.errors import OptionError
+from repro.oql.parser import is_definition
 
 DATABASES: dict[str, Callable[[], Database]] = {
     "company": lambda: company_database(num_employees=60, num_departments=8),
@@ -361,7 +362,7 @@ def repl(
         if not source.strip():
             continue
         try:
-            if source.lstrip().lower().startswith("define"):
+            if is_definition(source):
                 name = pipeline.define_view(source)
                 print(f"view {name!r} defined", file=out)
             else:

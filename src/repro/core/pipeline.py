@@ -602,8 +602,9 @@ class QueryPipeline:
     def run_statement(self, source: str):
         """Execute a statement: a DEFINE registers a view (returns its
         name); anything else compiles and runs as a query."""
-        stripped = source.lstrip().lower()
-        if stripped.startswith("define"):
+        from repro.oql.parser import is_definition
+
+        if is_definition(source):
             return self.define_view(source)
         return self.run_oql(source)
 

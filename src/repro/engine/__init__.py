@@ -1,7 +1,7 @@
 """The physical execution engine: iterator-model operators, the physical
-planner (hash vs. nested-loop algorithm assignment, index access paths),
-the cost model, the per-query governor (timeouts, budgets, cancellation),
-and the measured executor."""
+planner (the hash join's equi-keys — with none, the nested-loop join —
+and index access paths), the cost model, the per-query governor
+(timeouts, budgets, cancellation), and the measured executor."""
 
 from repro.engine.cost import CostModel
 from repro.engine.executor import ExecutionStats, run_with_stats

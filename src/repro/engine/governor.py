@@ -11,7 +11,7 @@ execution cooperatively:
   operators plus inner join-pair iterations — so a nested-loop blowup is
   charged even when it emits few rows (the contract is below);
 * **memory budget** (``max_bytes``): blocking operators (hash-join builds,
-  hash-nest groups, nested-loop inner materialization)
+  keyless ones included, hash-nest groups, the shared nest's left rows)
   :meth:`~Governor.charge` a shallow byte estimate for the chunks they
   buffer, sampled one row per :data:`SAMPLE_STRIDE`;
 * **cancellation** (:class:`CancelToken`): a thread-safe flag a caller can
@@ -21,10 +21,11 @@ execution cooperatively:
 **The row-budget contract.**  Physical operators count the work units of
 one input chunk — its rows, the elements it unnests to, the join pairs it
 considers — and settle them with a single :meth:`~Governor.tick_many`
-(the nested-loop join settles once per left row).  The trip fires at the
-first settle that carries the running total past ``max_rows``, so the work
-done past the budget is bounded by what one chunk generates in one
-operator.  The error names the budget, not the settled total — the total
+(a keyless join settles once per slice of ``batch_size // m`` left rows
+against its ``m`` right rows: at most ``max(batch_size, m)`` pairs).  The
+trip fires at the first settle that carries the running total past
+``max_rows``, so the work done past the budget is bounded by what one
+chunk generates in one operator.  The error names the budget, not the settled total — the total
 depends on where chunk boundaries fall — so its text is identical at every
 ``batch_size``; :attr:`Governor.ticks` keeps the settled total.  Deadline
 and cancellation checks — the expensive parts, a clock read and an

@@ -7,9 +7,9 @@ algorithms:
 * pipelined scan / select / map / unnest operators — a map also carries
   the planner's **group-unnest**: a nest over an outer-unnest of its own
   rows, bound as one generated fold per row (no operator of its own);
-* **nested-loop** and **hash** implementations of join and left
-  outer-join (the planner picks hash when it can extract equi-join keys —
-  the very optimization the paper says unnesting enables for QUERY E);
+* one **hash** join and left outer-join, keyed on the equi-join keys the
+  planner extracts (the optimization the paper says unnesting enables for
+  QUERY E); with none it is the **nested-loop** join, one bucket;
 * hash-based grouping for the nest operator (single pass);
 * the **group-join**: a nest that groups an outer-join by the join's own
   left columns runs as a map over the left stream, handing each left row
@@ -137,10 +137,17 @@ def _filed(key_parts: list[list], bare: Sequence[bool]) -> list[list]:
     ]
 
 
-def _index_rows(rows_of: dict, key_parts: list, offset: int, bare: Sequence) -> None:
-    """File build rows *offset*, *offset* + 1, … under their :func:`_filed`
-    join keys: one part alone (no tuple per row), several as a tuple."""
+def _index_rows(
+    rows_of: dict, key_parts: list, offset: int, n: int, bare: Sequence
+) -> None:
+    """File the *n* build rows *offset*, *offset* + 1, … under their
+    :func:`_filed` join keys: one part alone (no tuple per row), several as
+    a tuple, none under ``()`` — a keyless table is one bucket."""
     setdefault = rows_of.setdefault
+    if not key_parts:
+        if n:
+            setdefault((), []).extend(range(offset, offset + n))
+        return
     parts = _filed(key_parts, bare)
     for pos, key in enumerate(parts[0] if len(parts) == 1 else zip(*parts), offset):
         setdefault(key, []).append(pos)
@@ -635,125 +642,6 @@ class PMap(PhysicalOperator):
         return f"Map({inner})"
 
 
-class PNestedLoopJoin(PhysicalOperator):
-    """Block nested-loop (outer-)join: the fallback join algorithm.
-
-    The inner (right) input is materialized once per execution — not once
-    per ``batches()`` entry — so a re-entered stream does not re-run the
-    build side.
-    """
-
-    def __init__(
-        self,
-        context: _Context,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        pred: Term,
-        right_columns: tuple[str, ...],
-        outer: bool,
-    ):
-        super().__init__()
-        self._context = context
-        self.left = left
-        self.right = right
-        self.pred = pred
-        self.right_columns = right_columns
-        self.outer = outer
-        self._holds = self._pred_kernel(context, pred)
-        self._right: tuple[dict[str, list], int] | None = None
-
-    def children(self) -> tuple[PhysicalOperator, ...]:
-        return (self.left, self.right)
-
-    def _materialize_right(self) -> tuple[dict[str, list], int]:
-        """The right input as whole columns plus its row count."""
-        if self._right is None:
-            cols: dict[str, list] = {col: [] for col in self.right_columns}
-            m = sum(length for _, _, length in self._buffered(self.right, cols))
-            self._right = (cols, m)
-        return self._right
-
-    def batches(self) -> Iterator[Chunk]:
-        """Vectorized probe: each left row is broadcast across the
-        materialized right columns, so the predicate runs as one kernel
-        call over all ``m`` right rows.  Only the left columns the
-        predicate actually reads are broadcast.  Every pair reached is a
-        work unit (the faulting pair included) — a cross-join blowup is
-        charged even when it emits almost nothing — settled once per left
-        row.  Matches preceding a fault are emitted, and the faulting left
-        row gets no outer pad."""
-        context = self._context
-        pred_kernel = self._holds
-        governor = context.governor
-        right_cols, m = self._materialize_right()
-        right_items = list(right_cols.items())
-        needed = free_vars(self.pred)
-        outer = self.outer
-        size = context.batch_size
-        trivial = pred_kernel.trivial_true
-        out: dict[str, list] | None = None
-        left_only: list[str] = []
-        needed_left: list[str] = []
-        produced = 0
-        for chunk in self.left.batches():
-            lcols = chunk.columns
-            if out is None:
-                left_only = [n for n in lcols if n not in right_cols]
-                needed_left = [n for n in left_only if n in needed]
-                out = {n: [] for n in left_only}
-                for col in right_cols:
-                    out[col] = []
-            for i in range(chunk.length):
-                if m:
-                    probe = dict(right_cols)
-                    for name in needed_left:
-                        probe[name] = [lcols[name][i]] * m
-                    if trivial:
-                        flags, t, err = None, m, None
-                    else:
-                        flags, t, err = self._run_kernel(pred_kernel, probe, m)
-                    if governor is not None:
-                        governor.tick_many(t + 1 if err is not None else m)
-                    count = m if flags is None else flags.count(True)
-                    if count:
-                        if count == m:
-                            for col, rc in right_items:
-                                out[col].extend(rc)
-                        else:
-                            for col, rc in right_items:
-                                out[col].extend(compress(rc, flags))
-                        for name in left_only:
-                            out[name].extend([lcols[name][i]] * count)
-                        produced += count
-                    if err is not None:
-                        if produced:
-                            yield self._emit_chunk(Chunk(out, produced))
-                        raise err
-                    if count or not outer:
-                        if produced >= size:
-                            yield self._emit_chunk(Chunk(out, produced))
-                            out = {n: [] for n in out}
-                            produced = 0
-                        continue
-                # No pairs matched (or the right side is empty): outer pad.
-                if outer:
-                    for name in left_only:
-                        out[name].append(lcols[name][i])
-                    for col in right_cols:
-                        out[col].append(NULL)
-                    produced += 1
-                if produced >= size:
-                    yield self._emit_chunk(Chunk(out, produced))
-                    out = {n: [] for n in out}
-                    produced = 0
-        if produced:
-            yield self._emit_chunk(Chunk(out, produced))
-
-    def describe(self) -> str:
-        kind = "OuterNLJoin" if self.outer else "NLJoin"
-        return f"{kind}({self.pred})"
-
-
 class PHashJoin(PhysicalOperator):
     """Hash (outer-)join on extracted equi-keys, with a residual predicate.
 
@@ -761,6 +649,12 @@ class PHashJoin(PhysicalOperator):
     entry and reused by re-entries (e.g. when this join is the inner of a
     nested loop), so the build input's rows are produced exactly once per
     execution.
+
+    With no keys it is the nested-loop join: the table is one bucket
+    holding all ``m`` right rows, and the probe takes ``batch_size // m``
+    left rows (at least one) at a time, so a slice's candidate pairs — and
+    its output chunk — stay within ``max(batch_size, m)`` rows and its work
+    units settle at once.
     """
 
     def __init__(
@@ -811,7 +705,7 @@ class PHashJoin(PhysicalOperator):
             if err is not None:
                 # A key-expression fault fails the build at that right row.
                 raise err
-            _index_rows(table, key_parts, offset, self._bare[1])
+            _index_rows(table, key_parts, offset, length, self._bare[1])
         for col in cols.values():
             col.append(NULL)
         return (table, list(cols.values())), True
@@ -824,7 +718,16 @@ class PHashJoin(PhysicalOperator):
         outer = self.outer
         governor = self._context.governor
         trivial = self._holds.trivial_true
-        for chunk in self.left.batches():
+        chunks = self.left.batches()
+        if not self.left_keys:
+            # One bucket of m rows: probe batch_size // m left rows at a time.
+            step = max(1, self._context.batch_size // max(1, len(table.get((), ()))))
+            chunks = (
+                part
+                for chunk in chunks
+                for part in _column_chunks(chunk.columns, chunk.length, step)
+            )
+        for chunk in chunks:
             cols = chunk.columns
             key_parts, n, kerr = self._key_columns(
                 self._left_key_kernels, cols, chunk.length
@@ -860,6 +763,8 @@ class PHashJoin(PhysicalOperator):
                 yield self._gathered(cols, parent_of, added)
 
     def describe(self) -> str:
+        if not self.left_keys:
+            return f"{'OuterNLJoin' if self.outer else 'NLJoin'}({self.residual})"
         kind = "HashOuterJoin" if self.outer else "HashJoin"
         keys = ", ".join(
             f"{l} = {r}" for l, r in zip(self.left_keys, self.right_keys)
@@ -1109,7 +1014,7 @@ class PGroupJoin(PhysicalOperator):
     """The nest of a left outer-join by the join's left columns, as a map
     over the left stream: the paper's ``Γ ∘ =⋈`` pair, no join between.
 
-    Where ``PHashNest`` over ``PHashJoin``/``PNestedLoopJoin`` builds every
+    Where ``PHashNest`` over ``PHashJoin``, keyed or not, builds every
     joined pair only to hash it back onto the left row it came from, this
     operator never forms a pair.  **Build** hashes the right input on the
     equi-keys (no keys: one bucket) and runs the nest's predicate and head
@@ -1248,10 +1153,7 @@ class PGroupJoin(PhysicalOperator):
                         values[i] = value
             clean = clean and not dirty
             elements.extend(values)
-            if key_parts:
-                _index_rows(rows_of, key_parts, offset, self._bare[1])
-        if not key_kernels and elements:
-            rows_of[()] = range(len(elements))
+            _index_rows(rows_of, key_parts, offset, n, self._bare[1])
         keep = clean or not any(slot.__class__ is _Fault for slot in elements)
         table: dict[Any, tuple] = {}
         if not self._residual_holds.trivial_true:

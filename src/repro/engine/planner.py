@@ -4,10 +4,11 @@ The planner performs the access-path / algorithm assignment step of the
 paper's Section 6 optimizer ("126 lines for translating algebraic forms into
 physical plans"):
 
-* (outer-)joins whose predicate contains equi-conjuncts — ``f(left-vars) =
-  g(right-vars)`` — become **hash joins** on those keys with the remaining
-  conjuncts as a residual predicate; everything else falls back to nested
-  loops.  This is precisely the optimization the paper's QUERY E discussion
+* every (outer-)join becomes a :class:`~repro.engine.physical.PHashJoin`
+  keyed on its predicate's equi-conjuncts — ``f(left-vars) =
+  g(right-vars)`` — with the remaining conjuncts as a residual predicate;
+  a predicate with none gives a keyless one, the **nested-loop** join.
+  This is precisely the optimization the paper's QUERY E discussion
   motivates ("the resulting outer-joins would both be assigned equality
   predicates, thus making them more efficient").
 * nests become single-pass hash grouping — except the shape the unnesting
@@ -41,8 +42,8 @@ Set-only plans are planned exactly as they were.
 
 ``PlannerOptions.hash_joins`` turns key extraction off, which the benchmark
 suite uses to separate "unnesting removes recomputation" from "unnesting
-enables hash joins" (the group-join then runs keyless: one bucket, the whole
-predicate as its residual).
+enables hash joins": every join and group-join then runs keyless, one
+bucket with the whole predicate as its residual.
 
 A logical node that carries ``build_physical(context)`` — the stand-in
 ``MaterializedInput`` of the shared nest and the exchange's tail, the SQLite
@@ -88,7 +89,6 @@ from repro.engine.physical import (
     PHashNest,
     PMap,
     PMaterializedSource,
-    PNestedLoopJoin,
     PReduce,
     PScan,
     PSeed,
@@ -356,7 +356,7 @@ def _join_keys(
     plan: Join | OuterJoin, options: PlannerOptions
 ) -> tuple[list[tuple[Term, Term]], Term]:
     """The equi-keys *plan*'s join hashes on and what is left of the
-    predicate — no keys, all of it, for a nested-loop join."""
+    predicate — no keys, all of it, for the nested-loop join."""
     if options.hash_joins:
         keys, residual = split_equi_conjuncts(
             plan.pred, plan.left.columns(), plan.right.columns()
@@ -479,21 +479,19 @@ def _build_join(
     if context.occurrences:
         right_columns += tuple(filter(None, map(context.occurrences.get, right_columns)))
     keys, residual = _join_keys(plan, options)
-    if keys:
-        bare, closed = _build_facts(plan, keys, context, ())
-        return PHashJoin(
-            context,
-            left,
-            right,
-            tuple(k for k, _ in keys),
-            tuple(k for _, k in keys),
-            residual,
-            right_columns,
-            outer,
-            bare,
-            _reuse_key(closed, right, context, options, "hash"),
-        )
-    return PNestedLoopJoin(context, left, right, residual, right_columns, outer)
+    bare, closed = _build_facts(plan, keys, context, ())
+    return PHashJoin(
+        context,
+        left,
+        right,
+        tuple(k for k, _ in keys),
+        tuple(k for _, k in keys),
+        residual,
+        right_columns,
+        outer,
+        bare,
+        _reuse_key(closed, right, context, options, "hash"),
+    )
 
 
 def group_join_shape(nest: Nest) -> OuterJoin | None:

@@ -107,6 +107,18 @@ def parse(source: str) -> Node:
     return node
 
 
+def is_definition(source: str) -> bool:
+    """Whether *source* is a view definition: its first token is the
+    keyword ``define``.  A word that only begins with it (``defined``) is an
+    identifier, and a source that does not lex is not a definition either —
+    it fails as a query, typed."""
+    try:
+        first = tokenize(source)[0]
+    except OQLSyntaxError:
+        return False
+    return first.kind == "keyword" and first.value == "define"
+
+
 def parse_statement(source: str) -> Node:
     """Parse a query or a ``define name as query`` view definition."""
     parser = _Parser(source)

@@ -13,7 +13,8 @@ that: it runs a query through *every* path the repo can execute —
 * ``pipeline-batched-exec`` — the same with a deliberately tiny,
   non-divisible chunk size (7 rows), stressing chunk-boundary handling that
   the default 1024-row chunks rarely reach;
-* ``pipeline-nl-joins`` — hash joins disabled (everything nested-loop);
+* ``pipeline-nl-joins`` — equi-key extraction disabled: every join is a
+  keyless hash join (the nested-loop join), every group-join one bucket;
 * ``pipeline-no-index`` — index scans disabled;
 * ``pipeline-no-opt`` — simplification/algebraic rewriting/join reordering
   all off (the raw unnested plan, physically executed);

@@ -31,7 +31,6 @@ from repro.engine.physical import (
     PHashJoin,
     PHashNest,
     PMap,
-    PNestedLoopJoin,
     PSeed,
     PUnnest,
     _Context,
@@ -257,7 +256,7 @@ def _group_forms(context, lefts, rights, monoid_name, group_by, left_key):
         "group-join": PGroupJoin(context, *leaves(), *keys, TRUE, ("r",), *nest_args),
         "nest-nl-join": PHashNest(
             context,
-            PNestedLoopJoin(context, *leaves(), whole, ("r",), True),
+            PHashJoin(context, *leaves(), (), (), whole, ("r",), True),
             *nest_args,
         ),
     }

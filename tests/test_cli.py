@@ -254,6 +254,22 @@ class TestTheShellKeepsItsSettings:
         assert "max_rows=5 max_bytes=None backend='sqlite'" in after
         assert "row budget exceeded: more than 5 work units" in text
 
+    def test_a_word_that_begins_with_define_is_a_query(self, monkeypatch):
+        text = shell(
+            [
+                "defineX;",
+                "define defineds as select e from e in Employees;",
+                "count( defineds );",
+                "defineds;",
+            ],
+            monkeypatch,
+        )
+        assert "error: unknown name 'defineX'" in text
+        assert "expected a 'define" not in text
+        assert "view 'defineds' defined" in text
+        assert "  60\n" in text
+        assert text.count("error:") == 1  # ``defineds`` answers, as a query
+
     def test_naive_runs_under_the_users_limits(self, capsys):
         query = (
             "select distinct e.name from e in Employees "

@@ -67,7 +67,6 @@ from repro.engine.compile import ExprCompiler, _factory, _KernelEmitter
 from repro.engine.physical import (
     PHashJoin,
     PHashNest,
-    PNestedLoopJoin,
     PScan,
     _Context,
 )
@@ -780,10 +779,12 @@ def test_hash_join_build_side_runs_once(db):
 def test_nested_loop_join_inner_runs_once(db):
     context = _Context(db)
     left, right = PScan(context, "R", "r"), PScan(context, "S", "s")
-    join = PNestedLoopJoin(
+    join = PHashJoin(
         context,
         left,
         right,
+        (),
+        (),
         BinOp("==", path("r", "k"), path("s", "k")),
         ("s",),
         False,

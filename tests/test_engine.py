@@ -36,7 +36,6 @@ from repro.engine.planner import (
 from repro.engine.physical import (
     PHashJoin,
     PHashNest,
-    PNestedLoopJoin,
     PReduce,
     PScan,
     PSelect,
@@ -110,12 +109,16 @@ class TestAlgorithmAssignment:
     def test_theta_join_gets_nested_loop(self, db):
         plan = join_plan(BinOp("<", path("r", "k"), path("s", "k")))
         physical = plan_physical(plan, db)
-        assert isinstance(physical.child, PNestedLoopJoin)
+        assert isinstance(physical.child, PHashJoin)
+        assert physical.child.left_keys == ()
+        assert physical.child.describe().startswith("NLJoin(")
 
     def test_hash_joins_disabled(self, db):
         plan = join_plan(BinOp("==", path("r", "k"), path("s", "k")))
         physical = plan_physical(plan, db, PlannerOptions(hash_joins=False))
-        assert isinstance(physical.child, PNestedLoopJoin)
+        assert isinstance(physical.child, PHashJoin)
+        assert physical.child.left_keys == ()
+        assert physical.child.describe().startswith("NLJoin(")
 
     def test_nest_gets_hash_nest(self, db):
         plan = Reduce(

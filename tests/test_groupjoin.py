@@ -1,7 +1,7 @@
 """``PGroupJoin`` against the operator pair it replaces.
 
 Every case builds the same inputs three ways — ``PGroupJoin``,
-``PHashNest(PHashJoin(…))`` and ``PHashNest(PNestedLoopJoin(…))`` — plus the
+``PHashNest(PHashJoin(…))`` keyed and keyless (the nested-loop join) — plus the
 keyless ``PGroupJoin`` the planner emits when hash joins are off, and holds
 all of them to one outcome at chunk sizes 1, 7 and 1024: the same group
 rows in the same order (floats compared on their repr, collections element
@@ -22,7 +22,6 @@ from repro.engine.physical import (
     PGroupJoin,
     PHashJoin,
     PHashNest,
-    PNestedLoopJoin,
     PhysicalOperator,
     _Context,
 )
@@ -99,7 +98,7 @@ def _operators(
         ),
         "nest-nl-join": PHashNest(
             context,
-            PNestedLoopJoin(context, *leaves(), whole, ("r",), True),
+            PHashJoin(context, *leaves(), (), (), whole, ("r",), True),
             *nest_args,
         ),
     }

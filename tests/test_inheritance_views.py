@@ -9,6 +9,7 @@ from repro.core.optimizer import Optimizer
 from repro.data.database import Database
 from repro.data.schema import FLOAT, INT, STRING, Schema
 from repro.data.values import Record, SetValue
+from repro.errors import QueryError
 from repro.oql.ast import Define
 from repro.oql.parser import parse_statement
 from repro.oql.translator import parse_and_translate
@@ -147,6 +148,21 @@ class TestViews:
         )
         assert name == "V"
         assert optimizer.run_statement("count( select v from v in V )") == 3
+
+    def test_the_first_token_decides_what_a_statement_is(self, optimizer):
+        # ``defineds`` only begins with the keyword: it is a name, and the
+        # statement a query — here, of the view of that name.
+        optimizer.run_statement("define defineds as select distinct p from p in Persons")
+        assert optimizer.run_statement("defineds") == optimizer.run_oql(
+            "select distinct p from p in Persons"
+        )
+        with pytest.raises(QueryError) as info:  # not a raw ValueError
+            optimizer.run_statement("defineX")
+        assert info.value.stage == "translate"
+        assert "unknown name 'defineX'" in str(info.value)
+        # A leading comment is skipped and the keyword is case-blind.
+        source = "-- a view\n  DEFINE W as select distinct p from p in Persons"
+        assert optimizer.run_statement(source) == "W"
 
     def test_bad_define_rejected(self, optimizer):
         with pytest.raises(Exception):

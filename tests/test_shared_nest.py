@@ -32,7 +32,6 @@ from repro.engine.physical import (
     PHashJoin,
     PHashNest,
     PMaterializedSource,
-    PNestedLoopJoin,
     PSharedNest,
     PUnnest,
     PhysicalOperator,
@@ -102,7 +101,7 @@ def unnest_spine(monoid_name="sum"):
     whose tags is ``l.k``."""
 
     def build(context, leaf, rights):
-        cross = PNestedLoopJoin(context, leaf, Rows(context, rights), TRUE, ("r",), True)
+        cross = PHashJoin(context, leaf, Rows(context, rights), (), (), TRUE, ("r",), True)
         tags = PUnnest(
             context, cross, path("r", "tags"), "t", BinOp("==", var("t"), L_KEY), True
         )
@@ -117,7 +116,7 @@ def own_collection_spine(monoid_name, pred_op="=="):
     elements of the row's own collection ``l.k`` that meet a right row."""
 
     def build(context, leaf, rights):
-        cross = PNestedLoopJoin(context, leaf, Rows(context, rights), TRUE, ("r",), True)
+        cross = PHashJoin(context, leaf, Rows(context, rights), (), (), TRUE, ("r",), True)
         own = PUnnest(context, cross, L_KEY, "t", BinOp(pred_op, var("t"), R_KEY), True)
         return _nest(context, own, monoid_name, var("t"), ("l",), ("t",), "m")
 
@@ -420,8 +419,9 @@ class TestFaults:
 
         def unreached(context, leaf, rights):
             # Reads the binding only where a left row meets a right row.
-            join = PNestedLoopJoin(
-                context, leaf, Rows(context, rights), BinOp("==", key, R_KEY), ("r",), True
+            join = PHashJoin(
+                context, leaf, Rows(context, rights), (), (), BinOp("==", key, R_KEY),
+                ("r",), True,
             )
             return _nest(context, join, "sum", R_VALUE, ("l",), ("r",), "m")
 
