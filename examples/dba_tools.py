@@ -61,7 +61,7 @@ def main() -> None:
     print(f"Cost model estimate after  ANALYZE: "
           f"{model.cardinality(select):.0f} rows "
           f"(dno has {db.distinct_count('Employees', 'dno')} distinct values)")
-    actual = len(db.index_lookup("Employees", "dno", 4))
+    actual = optimizer.run_oql("count( select e from e in Employees where e.dno = 4 )")
     print(f"Actual matching employees:          {actual} rows")
 
     # ---- EXPLAIN ANALYZE on a nested query ---------------------------------------

@@ -29,8 +29,9 @@ class BuildMemo:
     A hash join's or group-join's build side is *closed* when it reads one
     extent and nothing of the query — no parameter, no outer variable (the
     planner decides; DESIGN §7).  Its hash table depends only on the
-    database's state, so the database keeps it beside its ``create_index``
-    tables, keyed by what the build reads, never by a query.  A thread-safe
+    database's state, so the database keeps it, keyed by what the build
+    reads, never by a query; an index scan probes the same entry a hash
+    join building its extent on its attribute reads.  A thread-safe
     LRU of at most ``maxsize`` entries, tagged with the
     :attr:`Database.schema_version` they were built at: a lookup or store
     at a newer version drops them all.  An entry is immutable once stored.
@@ -87,20 +88,21 @@ class BuildMemo:
 class Database:
     """A schema plus in-memory extents, with optional attribute indexes.
 
+    >>> from repro.core.optimizer import Optimizer
     >>> db = Database()
     >>> db.add_extent("Employees", [Record(name="Smith", dno=1)])
     >>> len(db.extent("Employees"))
     1
     >>> db.create_index("Employees", "dno")
-    >>> [r["name"] for r in db.index_lookup("Employees", "dno", 1)]
-    ['Smith']
+    >>> Optimizer(db).run_oql("select e.name from e in Employees where e.dno = 1")
+    {{'Smith'}}
     """
 
     def __init__(self, schema: Schema | None = None):
         self.schema = schema or Schema()
         self._extents: dict[str, CollectionValue] = {}
         self._extent_cache: dict[str, CollectionValue] = {}
-        self._indexes: dict[tuple[str, str], dict[Any, list[Any]]] = {}
+        self._indexes: set[tuple[str, str]] = set()
         #: The closed build sides of hash joins and group-joins, per state.
         self.builds = BuildMemo()
         self._statistics: dict[tuple[str, str], int] | None = None
@@ -266,21 +268,20 @@ class Database:
     # -- indexes ("choosing access paths", paper Section 6) ------------------
 
     def create_index(self, extent_name: str, attr: str) -> None:
-        """Build a hash index over attribute *attr* of extent *extent_name*.
+        """Declare a hash index over attribute *attr* of extent *extent_name*.
 
         The planner turns equality selections on indexed attributes into
-        index scans.  Indexes are built eagerly and must be (re)created
-        after ``add_extent`` replaces the extent's contents.
+        index scans.  The index's table is a kept build
+        (:class:`BuildMemo`): built by the first scan that probes it, and
+        again after any change of state, so it never goes stale.
         """
-        table: dict[Any, list[Any]] = {}
         for obj in self.extent(extent_name):
             if not isinstance(obj, Record) or attr not in obj:
                 raise ValueError(
                     f"cannot index {extent_name!r} on {attr!r}: objects lack "
                     "that attribute"
                 )
-            table.setdefault(obj[attr], []).append(obj)
-        self._indexes[(extent_name, attr)] = table
+        self._indexes.add((extent_name, attr))
         self.schema_version += 1
 
     def has_index(self, extent_name: str, attr: str) -> bool:
@@ -290,17 +291,6 @@ class Database:
         return tuple(
             sorted(attr for ext, attr in self._indexes if ext == extent_name)
         )
-
-    def index_lookup(self, extent_name: str, attr: str, value: Any) -> list[Any]:
-        """Objects of *extent_name* whose *attr* equals *value* (via index)."""
-        try:
-            table = self._indexes[(extent_name, attr)]
-        except KeyError:
-            raise KeyError(
-                f"no index on {extent_name}.{attr}; create one with "
-                "create_index()"
-            ) from None
-        return table.get(value, [])
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{n}: {len(c)}" for n, c in sorted(self._extents.items()))

@@ -9,7 +9,8 @@ algorithms:
   rows, bound as one generated fold per row (no operator of its own);
 * one **hash** join and left outer-join, keyed on the equi-join keys the
   planner extracts (the optimization the paper says unnesting enables for
-  QUERY E); with none it is the **nested-loop** join, one bucket;
+  QUERY E); with none it is the **nested-loop** join, one bucket; probed
+  by one seed row on a closed key, it is the **index scan**;
 * hash-based grouping for the nest operator (single pass);
 * the **group-join**: a nest that groups an outer-join by the join's own
   left columns runs as a map over the left stream, handing each left row
@@ -56,7 +57,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro.algebra.operators import Operator, occurrence
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
-from repro.calculus.terms import TRUE, Term, Var, free_vars
+from repro.calculus.terms import TRUE, Proj, Term, Var, free_vars
 from repro.data.values import (
     NULL,
     CollectionValue,
@@ -447,7 +448,7 @@ class PScan(PhysicalOperator):
 
     def _items(self) -> tuple[list, Sequence[int]]:
         """The rows to emit and each one's occurrence: its position in the
-        extent (an index scan's: among the matches)."""
+        extent."""
         items = list(self._context.database.extent(self.extent))
         return items, range(len(items))
 
@@ -470,39 +471,6 @@ class PScan(PhysicalOperator):
 
     def describe(self) -> str:
         return f"Scan({self.var} <- {self.extent})"
-
-
-class PIndexScan(PScan):
-    """Index access path: fetch only the objects whose indexed attribute
-    equals a constant key ("choosing access paths", paper Section 6).
-
-    The key expression must be closed (no free range variables); it is
-    evaluated once per execution.
-    """
-
-    def __init__(
-        self, context: _Context, extent: str, var: str, attr: str, key: Term
-    ):
-        super().__init__(context, extent, var)
-        self.attr = attr
-        self.key = key
-        self._key_kernel = self._kernel(context, key)
-
-    def _items(self) -> tuple[list, Sequence[int]]:
-        values, _, err = self._run_kernel(self._key_kernel, {}, 1)
-        if err is not None:
-            raise err
-        if is_null(values[0]):
-            # attr = NULL is NULL, which a filter treats as false — but the
-            # index stores NULL-attributed objects under the NULL key, so a
-            # raw lookup would wrongly return them.
-            return [], ()
-        database = self._context.database
-        items = list(database.index_lookup(self.extent, self.attr, values[0]))
-        return items, range(len(items))
-
-    def describe(self) -> str:
-        return f"IndexScan({self.var} <- {self.extent} on {self.attr} = {self.key})"
 
 
 class PMaterializedSource(PhysicalOperator):
@@ -772,6 +740,38 @@ class PHashJoin(PhysicalOperator):
         if self.residual != TRUE:
             return f"{kind}({keys}; residual {self.residual})"
         return f"{kind}({keys})"
+
+
+class PIndexScan(PHashJoin):
+    """Index access path: the objects whose indexed attribute equals a
+    closed key ("choosing access paths", paper Section 6) — the one-row
+    seed, keyed by the key, hash-joined to the extent's scan, keyed by
+    ``var.attr``.  Its table is the kept build a hash join of that scan on
+    that key reads; a NULL key finds nothing.  An EXPLAIN leaf."""
+
+    def __init__(
+        self,
+        context: _Context,
+        scan: PScan,
+        attr: str,
+        key: Term,
+        bare: tuple[Sequence[bool], Sequence[bool]],
+        reuse_key: Any,
+    ):
+        var, occurrence = scan.var, scan._occurrence
+        columns = (var,) if occurrence is None else (var, occurrence)
+        super().__init__(
+            context, PSeed(), scan, (key,), (Proj(Var(var), attr),), TRUE, columns,
+            False, bare, reuse_key,
+        )
+        self.extent, self.var, self.attr, self.key = scan.extent, var, attr, key
+        self._occurrence = occurrence  # a scan's, for a kept build's shape
+
+    def children(self) -> tuple[PhysicalOperator, ...]:
+        return ()
+
+    def describe(self) -> str:
+        return f"IndexScan({self.var} <- {self.extent} on {self.attr} = {self.key})"
 
 
 def _positions(parent_of: list[int]) -> list[int]:

@@ -31,7 +31,9 @@ physical plans"):
   it stands over a stand-in leaf and run over one representative row per
   distinct binding of those expressions — the duplicate-free domain of
   magic decorrelation, ours rather than the paper's;
-* selections, maps, unnests, reduces map one-to-one.  Parallel plans fuse
+* an equality selection of a scan on a closed key and an indexed attribute
+  becomes an **index scan**: one seed row hash-joined to the scan's build;
+* other selections, maps, unnests, reduces map one-to-one.  Parallel plans fuse
   none of the three nests above: the exchange merges plain ``PHashNest``s.
 
 First, once per plan, :func:`occurring_vars` finds the grouped variables
@@ -250,7 +252,7 @@ def _build(
         # ``type is`` not isinstance: a PartitionedScan child must keep its
         # partition restriction, which an index scan would bypass.
         if options.index_scans and type(plan.child) is Scan:
-            indexed = _try_index_scan(plan, plan.child, context)
+            indexed = _try_index_scan(plan, plan.child, context, options)
             if indexed is not None:
                 return indexed
         return PSelect(context, _build(plan.child, context, options), plan.pred)
@@ -321,10 +323,11 @@ def split_equi_conjuncts(
 
 
 def _try_index_scan(
-    select: Select, scan: Scan, context: _Context
+    select: Select, scan: Scan, context: _Context, options: PlannerOptions
 ) -> PhysicalOperator | None:
-    """Convert ``σ_{v.attr = const}(Scan X)`` into an index scan when the
-    database has an index on ``X.attr``.  Remaining conjuncts stay as a
+    """Convert ``σ_{v.attr = key}(Scan X)``, *key* closed, into an index
+    scan when the database declares an index on ``X.attr``: a probe of the
+    kept build of ``Scan X`` on ``v.attr``.  Remaining conjuncts stay as a
     residual selection."""
     database = context.database
     if not hasattr(database, "has_index"):
@@ -335,15 +338,20 @@ def _try_index_scan(
             continue
         for attr_side, key_side in ((part.left, part.right), (part.right, part.left)):
             if free_vars(key_side):
-                continue  # the key must be a constant expression
+                continue  # the key must be a closed expression
             if not (
                 isinstance(attr_side, Proj)
                 and attr_side.expr == Var(scan.var)
                 and database.has_index(scan.extent, attr_side.attr)
             ):
                 continue
+            # The seed probes the scan: a hash join's facts and reuse key.
+            probe = Join(Seed(), scan, part)
+            bare, closed = _build_facts(probe, [(key_side, attr_side)], context, ())
+            right = PScan(context, scan.extent, scan.var)
+            reuse_key = _reuse_key(closed, right, context, options, "hash")
             access: PhysicalOperator = PIndexScan(
-                context, scan.extent, scan.var, attr_side.attr, key_side
+                context, right, attr_side.attr, key_side, bare, reuse_key
             )
             residual = parts[:index] + parts[index + 1 :]
             if residual:

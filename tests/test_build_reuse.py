@@ -385,3 +385,64 @@ class TestTypedKeys:
         naive = QueryPipeline(db, OptimizerOptions(unnest=False))
         assert compiled.execute(db) == naive.run_oql(source)
         assert compiled.execute(db) == naive.run_oql(source)  # warm
+
+
+class TestTheIndexIsAKeptBuild:
+    """``create_index`` declares a key; an index scan probes the kept build
+    of its extent's scan on that attribute — the table a hash join building
+    the same scan on the same key reads — and settles it as every kept
+    build does."""
+
+    SOURCE = "select distinct e.name from e in Employees where e.dno = 2"
+
+    def _db(self):
+        db = _cold(company_database(60, 8, seed=1998))
+        db.create_index("Employees", "dno")
+        return db
+
+    def test_an_index_scan_and_a_hash_join_read_one_build(self):
+        db = self._db()
+        pipeline = QueryPipeline(db)
+        join = (
+            "select distinct struct( D: d.name, E: e.name ) from d in "
+            "Departments, e in Employees where d.dno = e.dno"
+        )
+        assert "IndexScan" in pipeline.compile_oql(self.SOURCE).explain(db)
+        (hash_join,) = _joins(pipeline.compile_oql(join), db)
+        assert hash_join.right.describe().endswith("<- Employees)")
+        pipeline.run_oql(self.SOURCE)
+        got = pipeline.run_oql(join)
+        assert (len(db.builds), db.builds.hits, db.builds.misses) == (1, 1, 1)
+        assert got == QueryPipeline(db, OptimizerOptions(unnest=False)).run_oql(join)
+
+    def test_cold_warm_and_emptied_settle_alike(self):
+        """Work units, the trip point under a ``max_rows`` budget (one in
+        the build, one in the probe) and EXPLAIN ANALYZE's IndexScan rows:
+        the scan's rows and the matches, whether the build runs or is read."""
+        db = self._db()
+        unlimited, *tripping = (
+            QueryPipeline(db, OptimizerOptions(max_rows=rows)).compile_oql(self.SOURCE)
+            for rows in (10**9, 30, 61)
+        )
+
+        def observe():
+            trips = []
+            for compiled in tripping:  # first, so that a cold run trips cold
+                with pytest.raises(GovernorError) as info:
+                    compiled.execute(db)
+                trips.append(info.value.message)
+            stats = unlimited.run(db, profile=True)
+            (rows,) = (
+                op.rows_produced
+                for op in stats.operators
+                if op.operator.startswith("IndexScan")
+            )
+            return stats.governor_ticks, rows, trips
+
+        cold = observe()
+        assert cold[0] == db.cardinality("Employees") + cold[1]
+        hits = db.builds.hits
+        assert observe() == cold
+        assert db.builds.hits == hits + 3
+        _cold(db)
+        assert observe() == cold

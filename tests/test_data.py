@@ -58,23 +58,17 @@ class TestIndexes:
         db.add_extent("E", [Record(k=i % 3, v=i) for i in range(9)])
         return db
 
-    def test_create_and_lookup(self):
+    def test_create_index_declares_a_key(self):
         db = self._db()
         db.create_index("E", "k")
-        assert db.has_index("E", "k")
-        assert len(db.index_lookup("E", "k", 0)) == 3
-        assert db.index_lookup("E", "k", 99) == []
+        assert db.has_index("E", "k") and not db.has_index("E", "v")
+        assert len(db.builds) == 0  # built by the first scan that probes it
 
     def test_indexed_attributes(self):
         db = self._db()
         db.create_index("E", "k")
         db.create_index("E", "v")
         assert db.indexed_attributes("E") == ("k", "v")
-
-    def test_lookup_without_index(self):
-        db = self._db()
-        with pytest.raises(KeyError, match="no index"):
-            db.index_lookup("E", "k", 0)
 
     def test_index_on_missing_attribute(self):
         db = self._db()
@@ -123,6 +117,61 @@ class TestIndexes:
         before = Optimizer(db).run_oql(source)
         db.create_index("Employees", "dno")
         assert Optimizer(db).run_oql(source) == before
+
+    @staticmethod
+    def _both(db, source, **params):
+        """*source*'s answer through an index scan, the scan plan and the
+        calculus evaluator — which must agree."""
+        from repro.core.optimizer import OptimizerOptions
+        from repro.core.pipeline import QueryPipeline
+
+        compiled = QueryPipeline(db).compile_oql(source)
+        assert "IndexScan" in compiled.explain(db)
+        references = (
+            QueryPipeline(db, OptimizerOptions(index_scans=False)),
+            QueryPipeline(db, OptimizerOptions(unnest=False)),
+        )
+        answers = {pipeline.run_oql(source, **params) for pipeline in references}
+        assert len(answers) == 1
+        return compiled.execute(db, params), answers.pop()
+
+    def test_an_equal_state_twin_is_another_object(self):
+        db = Database()
+        db.add_extent("B", [Record(s=1), Record(s=1)], kind="bag")
+        b0, b1 = db.extent("B").elements()
+        db.add_extent("A", [Record(n="a1", r=b0), Record(n="a2", r=b1)])
+        db.create_index("A", "r")
+        source = "select distinct a.n from a in A where a.r = :p"
+        got, expected = self._both(db, source, p=b0)
+        assert got == expected == SetValue(["a1"])
+
+    def test_the_index_follows_add_extent(self):
+        db = Database()
+        db.add_extent("E", [Record(n="x", dno=1)])
+        db.create_index("E", "dno")
+        db.add_extent("E", [Record(n="y", dno=1)])
+        got, expected = self._both(db, "select e.n from e in E where e.dno = 1")
+        assert got == expected == BagValue(["y"])
+
+    def test_objects_added_without_the_attribute_fail_as_a_scan(self):
+        from repro.core.optimizer import OptimizerOptions
+        from repro.core.pipeline import QueryPipeline
+        from repro.errors import ExecutionError
+
+        db = Database()
+        db.add_extent("E", [Record(n="x", dno=1)])
+        db.create_index("E", "dno")
+        db.add_extent("E", [Record(n="y")])
+        source = "select e.n from e in E where e.dno = 1"
+        compiled = QueryPipeline(db).compile_oql(source)
+        assert "IndexScan" in compiled.explain(db)
+        scan = QueryPipeline(db, OptimizerOptions(index_scans=False))
+        errors = []
+        for plan in (compiled, scan.compile_oql(source)):
+            with pytest.raises(ExecutionError) as info:
+                plan.execute(db)
+            errors.append(info.value.message)
+        assert errors[0] == errors[1]
 
 
 class TestDatagen:
