@@ -847,8 +847,8 @@ def _bcol(bind: _VarBind, column: str) -> str:
 
 def _table_bind(alias: str, table: _Table, occurs: bool) -> _VarBind:
     """A variable over *table*'s rows; one that *occurs* (a nest keys it by
-    its occurrence: :func:`~repro.engine.planner.occurring_vars`) with its
-    row's ``$pos`` as the occurrence."""
+    its occurrence: the typing's ``occurring``) with its row's ``$pos`` as
+    the occurrence."""
     kind = "record" if table.element == "record" else "scalar"
     occurrence = f"{alias}.{_q('$pos')}" if occurs else ""
     return _VarBind(kind, alias, table, occurrence=occurrence)
@@ -1827,9 +1827,9 @@ def compile_segments(
     plan: Operator, store: ShreddedStore, occurring: frozenset[str]
 ) -> Operator:
     """*plan* with every maximal SQL-translatable subtree replaced by a
-    :class:`SqlSegment` leaf.  *occurring* is the plan's
-    :func:`~repro.engine.planner.occurring_vars`, which the physical plan
-    of the result is built with too.
+    :class:`SqlSegment` leaf.  *occurring* is the ``occurring`` set of the
+    plan's typing (:func:`~repro.algebra.typing.type_plan`), which the
+    physical plan of the result is built with too.
 
     The walk is top-down greedy: the largest subtree that fully translates
     becomes one flat SELECT — ``Nest`` roots lowered to SQL aggregation

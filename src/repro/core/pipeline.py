@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.algebra.operators import Operator
 from repro.algebra.pretty import pretty_plan
+from repro.algebra.typing import PlanTypeChecker, type_plan
 from repro.calculus.evaluator import Evaluator, UnboundParameterError
 from repro.calculus.pretty import pretty
 from repro.calculus.terms import Term, param_names
@@ -56,7 +57,7 @@ from repro.engine.executor import (
     flat_queries,
 )
 from repro.engine.governor import CancelToken, Governor
-from repro.engine.planner import PlannerOptions, occurring_vars, plan_physical
+from repro.engine.planner import PlannerOptions, plan_physical
 from repro.engine.physical import PhysicalOperator, root_value
 from repro.errors import (
     BackendUnsupportedError,
@@ -240,9 +241,9 @@ class CompiledQuery:
     _lowered: "weakref.WeakKeyDictionary[Any, Operator]" = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
     )
-    #: :meth:`occurring` per database, with the ``schema_version`` it was
+    #: :meth:`typing` per database, with the ``schema_version`` it was
     #: found at; shared with every :meth:`bind` copy like :attr:`_lowered`.
-    _occurring: "weakref.WeakKeyDictionary[Any, tuple]" = field(
+    _typing: "weakref.WeakKeyDictionary[Any, tuple]" = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
     )
     #: Lazily computed cache for :attr:`param_names` — the term walk is
@@ -438,21 +439,21 @@ class CompiledQuery:
             if lowered is None:
                 # Two first executions may both lower; one assignment wins.
                 lowered = compile_segments(
-                    self.optimized, store, self.occurring(database)
+                    self.optimized, store, self.typing(database).occurring
                 )
                 self._lowered[store] = lowered
             return lowered, store
         return self.optimized, database
 
-    def occurring(self, database: Database) -> frozenset[str]:
-        """:func:`~repro.engine.planner.occurring_vars` of :attr:`optimized`
-        in *database* — the variables both the SQL lowering and the physical
-        planner key groups by their occurrence — found once per state of
-        the database."""
-        found = self._occurring.get(database)
+    def typing(self, database: Database) -> PlanTypeChecker:
+        """The Figure 6 typing of :attr:`optimized` in *database*, once per
+        state of the database: the column types the physical planner files
+        keys by, and the variables both it and the SQL lowering key groups
+        by their occurrence.  The compile leaves the first one here."""
+        found = self._typing.get(database)
         if found is None or found[0] != database.schema_version:
-            found = (database.schema_version, occurring_vars(self.optimized, database))
-            self._occurring[database] = found
+            found = (database.schema_version, type_plan(self.optimized, database))
+            self._typing[database] = found
         return found[1]
 
     def _plan(
@@ -472,7 +473,7 @@ class CompiledQuery:
             profile=profile,
             compiler=self.expr_compiler(),
             governor=governor,
-            occurring=self.occurring(database),
+            occurring=self.typing(database),
         )
 
     def physical(
@@ -734,16 +735,15 @@ class QueryPipeline:
                 return plan
 
             optimized = self._stage(stages, "optimize", optimize, pretty_plan)
-        if options.typecheck:
-            from repro.algebra.typing import infer_plan_type
-
-            infer_plan_type(optimized, schema)
+        database = self.database
+        if options.typecheck or database is not None:
+            typing = type_plan(optimized, database, strict=options.typecheck)
         compiled = CompiledQuery(
             source, term, prepared, logical, optimized, trace, options,
             rule_firings=engine.firings,
         )
-        database = self.database
         if database is not None:
+            compiled._typing[database] = (database.schema_version, typing)
             self._stage(
                 stages,
                 "plan",

@@ -378,7 +378,7 @@ def try_parallel_plan(
     profile: bool = False,
     compiler: "ExprCompiler | None" = None,
     governor: Any | None = None,
-    occurring: frozenset[str] = frozenset(),
+    occurring: Any = None,
 ) -> "PGather | None":
     """Decompose *plan* into a :class:`PGather` of partition pipelines.
 
@@ -449,7 +449,7 @@ def try_parallel_plan(
             compiler=compiler,
             governor=governor,
             batch_size=options.batch_size,
-            occurring=occurring,
+            typing=occurring,
         )
 
     base_context = make_context()

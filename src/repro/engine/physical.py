@@ -79,7 +79,8 @@ class _Context:
     prepared-statement parameters (``:name`` placeholder values), the
     expression compiler with the interpreter its fallback nodes call, the
     optional per-execution :class:`~repro.engine.governor.Governor`, and
-    the occurrence column of each variable *occurring* over a bag or list."""
+    the plan's *typing* (:mod:`repro.algebra.typing`): the planner reads
+    it, and each of its occurring variables has an occurrence column."""
 
     def __init__(
         self,
@@ -89,14 +90,15 @@ class _Context:
         compiler: ExprCompiler | None = None,
         governor: Any | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        occurring: frozenset[str] = frozenset(),
+        typing: Any = None,
     ):
         self.database = database
         self.params = dict(params) if params else {}
         self.profile = profile
         self.governor = governor
         self.batch_size = max(1, batch_size)
-        self.occurrences = {var: occurrence(var) for var in occurring}
+        self.typing = typing
+        self.occurrences = {v: occurrence(v) for v in getattr(typing, "occurring", ())}
         self._terms = TermEvaluator(database, self.params, governor=governor)
         self._compiler = compiler if compiler is not None else ExprCompiler()
         self.activate()
@@ -128,29 +130,30 @@ def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
         charge(estimate_bytes(chunk.env_at(i)) * SAMPLE_STRIDE)
 
 
-def _filed(key_parts: list[list], bare: Sequence[bool]) -> list[list]:
-    """Key parts as a hash table files them: through identity_key, so that a
-    probe gives `=` on stored objects apply_binop's identity equality — but
-    as they are where the planner typed the part as a scalar (*bare*)."""
-    return [
+def _filed(key_parts: list[list], bare: Sequence[bool]) -> list:
+    """Each row's key as a hash table files it: one part alone (no tuple
+    per row), several as a tuple.  A part goes through identity_key, so that
+    a probe gives `=` on stored objects apply_binop's identity equality, but
+    as it is where the plan's typing types it as a scalar (*bare*)."""
+    parts = [
         part if plain else list(map(identity_key, part))
         for part, plain in zip(key_parts, bare)
     ]
+    return parts[0] if len(parts) == 1 else list(zip(*parts))
 
 
 def _index_rows(
     rows_of: dict, key_parts: list, offset: int, n: int, bare: Sequence
 ) -> None:
     """File the *n* build rows *offset*, *offset* + 1, … under their
-    :func:`_filed` join keys: one part alone (no tuple per row), several as
-    a tuple, none under ``()`` — a keyless table is one bucket."""
+    :func:`_filed` join keys, none under ``()``: a keyless table is one
+    bucket."""
     setdefault = rows_of.setdefault
     if not key_parts:
         if n:
             setdefault((), []).extend(range(offset, offset + n))
         return
-    parts = _filed(key_parts, bare)
-    for pos, key in enumerate(parts[0] if len(parts) == 1 else zip(*parts), offset):
+    for pos, key in enumerate(_filed(key_parts, bare), offset):
         setdefault(key, []).append(pos)
 
 
@@ -161,10 +164,10 @@ def _probe_rows(table: dict, key_parts: list, n: int, bare: Sequence) -> list:
     get = table.get
     if not key_parts:
         return [get(())] * n
-    parts = _filed(key_parts, bare)  # identity_key keeps NULL as it is
-    if len(parts) == 1:
-        return [None if key is NULL else get(key) for key in parts[0]]
-    return [None if any(k is NULL for k in keys) else get(keys) for keys in zip(*parts)]
+    keys = _filed(key_parts, bare)  # identity_key keeps NULL as it is
+    if len(key_parts) == 1:
+        return [None if key is NULL else get(key) for key in keys]
+    return [None if any(k is NULL for k in key) else get(key) for key in keys]
 
 
 def _column_chunks(
@@ -635,7 +638,7 @@ class PHashJoin(PhysicalOperator):
         residual: Term,
         right_columns: tuple[str, ...],
         outer: bool,
-        bare: tuple[Sequence[bool], Sequence[bool]] | None = None,
+        bare: tuple[Sequence[bool], Sequence[bool]],
         reuse_key: Any = None,
     ):
         super().__init__()
@@ -651,7 +654,7 @@ class PHashJoin(PhysicalOperator):
         self.right_keys = right_keys
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
-        self._bare = bare or ((False,) * len(left_keys),) * 2  # see _filed
+        self._bare = bare  # see _filed
         self.reuse_key = reuse_key  # see repro.engine.reuse
         #: ``(table, columns)`` once built: the right rows' positions under
         #: their join keys, and the right input's columns.
@@ -687,6 +690,8 @@ class PHashJoin(PhysicalOperator):
         governor = self._context.governor
         trivial = self._holds.trivial_true
         chunks = self.left.batches()
+        # An empty build matches no key, so none is evaluated: no fault.
+        key_kernels = self._left_key_kernels if table else ()
         if not self.left_keys:
             # One bucket of m rows: probe batch_size // m left rows at a time.
             step = max(1, self._context.batch_size // max(1, len(table.get((), ()))))
@@ -697,9 +702,7 @@ class PHashJoin(PhysicalOperator):
             )
         for chunk in chunks:
             cols = chunk.columns
-            key_parts, n, kerr = self._key_columns(
-                self._left_key_kernels, cols, chunk.length
-            )
+            key_parts, n, kerr = self._key_columns(key_kernels, cols, chunk.length)
             # One probe pass builds the output row index — each left row's
             # candidate right rows, by position — and every column is then
             # gathered with one comprehension instead of per-row appends.
@@ -747,7 +750,8 @@ class PIndexScan(PHashJoin):
     closed key ("choosing access paths", paper Section 6) — the one-row
     seed, keyed by the key, hash-joined to the extent's scan, keyed by
     ``var.attr``.  Its table is the kept build a hash join of that scan on
-    that key reads; a NULL key finds nothing.  An EXPLAIN leaf."""
+    that key reads; a NULL key finds nothing, and over an empty extent the
+    key is not evaluated.  An EXPLAIN leaf."""
 
     def __init__(
         self,
@@ -879,6 +883,7 @@ class PHashNest(PhysicalOperator):
         null_vars: tuple[str, ...],
         out_var: str,
         pred: Term,
+        bare: Sequence[bool],
     ):
         super().__init__()
         self._context = context
@@ -895,30 +900,18 @@ class PHashNest(PhysicalOperator):
         self._group_columns: tuple[dict[str, list], int] | None = None
         #: Per grouping variable, the column keying a group: its occurrence
         #: where it has one.  A group carries out both, for an outer nest.
+        #: Keys are :func:`_filed` — distinct stored objects with equal state
+        #: form distinct groups — but an occurrence is filed bare.
         self._keys = self.carried = group_by
+        self._bare = bare
         occ = context.occurrences
         if occ:
             self._keys = tuple(occ.get(col, col) for col in group_by)
             self.carried += tuple(occ[col] for col in group_by if col in occ)
+            self._bare = tuple(b or col in occ for col, b in zip(group_by, bare))
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    def _group_keys(self, cols: Mapping[str, list], limit: int) -> list:
-        """The group key of each of the first *limit* rows of a chunk.
-
-        Binding-aware grouping: distinct stored objects with equal state,
-        and two occurrences of one element, form distinct groups (see
-        algebra evaluator _nest).  Key extraction is column-at-a-time: map
-        identity_key down each key column and zip the results into row
-        keys, so the per-row cost is the identity_key call alone.
-        """
-        keys = self._keys
-        if len(keys) == 1:
-            return list(map(identity_key, cols[keys[0]][:limit]))
-        if keys:
-            return list(zip(*(map(identity_key, cols[col][:limit]) for col in keys)))
-        return [()] * limit
 
     def accumulate(self, raw: bool = False):
         """The grouping build: kernels over child chunks.
@@ -953,7 +946,11 @@ class PHashNest(PhysicalOperator):
             limit, picked, values, err = self._kept_heads(
                 cols, chunk.length, self.null_vars
             )
-            keys = self._group_keys(cols, limit)
+            keys = (
+                _filed([cols[k][:limit] for k in self._keys], self._bare)
+                if self._keys
+                else [()] * limit
+            )
             for i, key in enumerate(keys):
                 if key not in groups:
                     groups[key] = [] if use_list else monoid.zero
@@ -1049,7 +1046,7 @@ class PGroupJoin(PhysicalOperator):
         null_vars: tuple[str, ...],
         out_var: str,
         pred: Term,
-        bare: tuple[Sequence[bool], Sequence[bool]] | None = None,
+        bare: tuple[Sequence[bool], Sequence[bool]],
         reuse_key: Any = None,
     ):
         super().__init__()
@@ -1070,7 +1067,7 @@ class PGroupJoin(PhysicalOperator):
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
         self._residual_holds = self._pred_kernel(context, residual)
-        self._bare = bare or ((False,) * len(left_keys),) * 2
+        self._bare = bare
         self.reuse_key = reuse_key
         self._built: tuple[dict[Any, tuple], bool] | None = None
 
@@ -1212,11 +1209,11 @@ class PGroupJoin(PhysicalOperator):
         needed_left = [n for n in residual_vars if n not in self.right_columns]
         pad_checked = self._holds.trivial_true
         unmatched = self._fold([])
+        # An empty build matches no key, so none is evaluated: no fault.
+        key_kernels = self._left_key_kernels if table else ()
         for chunk in self.child.batches():
             cols = chunk.columns
-            key_parts, n, err = self._key_columns(
-                self._left_key_kernels, cols, chunk.length
-            )
+            key_parts, n, err = self._key_columns(key_kernels, cols, chunk.length)
             buckets = _probe_rows(table, key_parts, n, self._bare[0])
             if plain and governor is not None:
                 governor.tick_many(sum(b[0] for b in buckets if b is not None))
@@ -1391,7 +1388,8 @@ class PSharedNest(PhysicalOperator):
             if held is not None:
                 raise held
             return None, n
-        ids = spine._group_keys(cols, n)
+        keys, bare = spine._keys, spine._bare
+        ids = _filed([cols[k] for k in keys], bare)
         self.source.feed(
             {name: [col[i] for i in firsts] for name, col in cols.items()},
             len(firsts),
@@ -1401,7 +1399,7 @@ class PSharedNest(PhysicalOperator):
         for chunk in spine.batches():
             value_of.update(
                 zip(
-                    spine._group_keys(chunk.columns, chunk.length),
+                    _filed([chunk.columns[k] for k in keys], bare),
                     chunk.columns[out_var],
                 )
             )

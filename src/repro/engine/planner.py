@@ -36,11 +36,12 @@ physical plans"):
 * other selections, maps, unnests, reduces map one-to-one.  Parallel plans fuse
   none of the three nests above: the exchange merges plain ``PHashNest``s.
 
-First, once per plan, :func:`occurring_vars` finds the grouped variables
-over a bag or list (by extent kind or schema type): their scans and
-unnests emit an occurrence column, joins carry it, nests group by it.  On
-SQLite the same set, found before lowering, keys the SQL's groups too.
-Set-only plans are planned exactly as they were.
+The planner reads the plan's one Figure 6 typing
+(:func:`~repro.algebra.typing.type_plan`).  Its grouped variables over a
+bag or list (by extent kind or path type) have their scans and unnests emit
+an occurrence column, joins carry it, nests group by it; on SQLite the same
+set keys the SQL's groups too.  Its column types decide which keys every
+hash table files bare.  Set-only plans are planned exactly as they were.
 
 ``PlannerOptions.hash_joins`` turns key extraction off, which the benchmark
 suite uses to separate "unnesting removes recomputation" from "unnesting
@@ -72,14 +73,12 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
+from repro.algebra.typing import PlanTypeChecker, type_plan
 from repro.calculus.evaluator import ExtentProvider
 from repro.calculus.terms import (
-    TRUE, BinOp, Comprehension, Const, Extent, Filter, Generator, IsNull, Not,
+    TRUE, BinOp, Comprehension, Const, Filter, Generator, IsNull, Not,
     Proj, Singleton, Term, Var, conj, conjuncts, free_vars, param_names, substitute,
 )
-from repro.calculus.typing import CalculusTypeError, TypeChecker
-from repro.data.schema import ANY, BoolType, FloatType, IntType, StringType, Type
-from repro.data.values import SetValue
 from repro.engine.batch import DEFAULT_BATCH_SIZE
 from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
@@ -101,7 +100,6 @@ from repro.engine.physical import (
     _Context,
     root_value,
 )
-from repro.errors import QueryError
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def plan_physical(
     profile: bool = False,
     compiler: "ExprCompiler | None" = None,
     governor: Any | None = None,
-    occurring: frozenset[str] | None = None,
+    occurring: PlanTypeChecker | None = None,
 ) -> PhysicalOperator:
     """Translate a logical plan into a physical plan bound to *database*.
 
@@ -140,12 +138,13 @@ def plan_physical(
     memoized kernels survive across executions (the plan cache passes the
     one stored on ``CompiledQuery``).  *governor* is an optional
     :class:`repro.engine.governor.Governor` ticked from every operator loop
-    of this execution.  *occurring* is :func:`occurring_vars` of the plan
-    before the SQL lowering replaced subtrees (None: of *plan* itself).
+    of this execution.  *occurring* is the plan's typing
+    (:func:`~repro.algebra.typing.type_plan`), found before the SQL lowering
+    replaced subtrees (None: of *plan* itself).
     """
     options = options or PlannerOptions()
     if occurring is None:
-        occurring = occurring_vars(plan, database)
+        occurring = type_plan(plan, database)
     if options.parallel:
         # Imported lazily: exchange depends on this module's _build.
         from repro.engine.exchange import try_parallel_plan
@@ -169,56 +168,9 @@ def plan_physical(
         compiler=compiler,
         governor=governor,
         batch_size=options.batch_size,
-        occurring=occurring,
+        typing=occurring,
     )
     return _build(plan, context, options)
-
-
-def occurring_vars(plan: Operator, database: Any) -> frozenset[str]:
-    """The variables of the logical *plan* a nest groups by that range over
-    a bag or a list: by a scan's extent kind in *database* (a
-    :class:`~repro.data.database.Database`), by an unnest's path type (a
-    path the schema cannot type counts).  Only those paths are typed."""
-    grouped: set[str] = set()
-    binders: dict[str, Scan | Unnest | OuterUnnest] = {}
-    nodes = [plan]
-    for node in nodes:
-        nodes += node.children()
-        if isinstance(node, Nest):
-            grouped.update(node.group_by)
-        elif isinstance(node, (Scan, Unnest, OuterUnnest)):
-            binders[node.var] = node
-    if not grouped:
-        return frozenset()
-    checker = TypeChecker(getattr(database, "schema", None))
-    found: set[str] = set()
-    for var in grouped:
-        node = binders.get(var)
-        if isinstance(node, Scan):
-            try:
-                if not isinstance(database.extent(node.extent), SetValue):
-                    found.add(var)
-            except QueryError:
-                pass  # a scan that fails, when it runs
-        elif node is not None:
-            if getattr(_domain(var, binders, checker), "monoid_name", None) != "set":
-                found.add(var)
-    return frozenset(found)
-
-
-def _domain(var: str, binders: Mapping[str, Operator], checker: TypeChecker) -> Type:
-    """The type of the collection *var* ranges over (ANY where untyped)."""
-    node = binders[var]
-    term = Extent(node.extent) if isinstance(node, Scan) else node.path
-    env = {
-        v: getattr(_domain(v, binders, checker), "element", ANY)
-        for v in free_vars(term)
-        if v in binders
-    }
-    try:
-        return checker.infer(term, env)
-    except CalculusTypeError:
-        return ANY
 
 
 def execute(
@@ -293,6 +245,7 @@ def _hash_nest(
         nest.null_vars,
         nest.out_var,
         nest.pred,
+        context.typing.bare(map(Var, nest.group_by)),
     )
 
 
@@ -374,36 +327,6 @@ def _join_keys(
     return [], plan.pred
 
 
-#: Key types whose values identity_key returns as they are.
-_BARE_TYPES = (BoolType, IntType, FloatType, StringType)
-
-
-def _typed_bare(terms: list[Term], side: Operator, schema: Any) -> tuple[bool, ...]:
-    """Per join-key term over *side*'s columns, whether *schema* types it
-    as a scalar — whose values a hash table then files bare, not through
-    identity_key.  The terms are typed as :func:`occurring_vars` types
-    paths: each variable by the domain of the scan or unnest binding it."""
-    binders: dict[str, Scan | Unnest | OuterUnnest] = {}
-    nodes = [side]
-    for node in nodes:
-        nodes += node.children()
-        if isinstance(node, (Scan, Unnest, OuterUnnest)):
-            binders[node.var] = node
-    checker = TypeChecker(schema)
-    bare = []
-    for term in terms:
-        env = {
-            v: getattr(_domain(v, binders, checker), "element", ANY)
-            for v in free_vars(term)
-            if v in binders
-        }
-        try:
-            bare.append(isinstance(checker.infer(term, env), _BARE_TYPES))
-        except CalculusTypeError:
-            bare.append(False)
-    return tuple(bare)
-
-
 def closed_build(right: Operator, terms: tuple[Term, ...]) -> str | None:
     """What the logical plan fixes of a closed build side's reuse key, or
     None when *right* — a hash join's or group-join's build input — is not
@@ -429,25 +352,22 @@ def _build_facts(
     join: Join | OuterJoin, keys: list, context: _Context, terms: tuple[Term, ...]
 ) -> tuple[tuple, str | None]:
     """``(bare, closed)`` for a hash table built over *join*'s right input
-    on *keys*: :func:`_typed_bare` of the left and the right keys, and
+    on *keys*: the typing's ``bare`` of the left and the right keys, and
     :func:`closed_build` of the right input with the build's own *terms*.
-    Derived once per compiled query, beside the group-unnest folds, under
-    the ids of the objects it derives from — the right input, the join
-    predicate and the terms, which every execution passes again even where
-    the nodes around them are rebuilt (a shared nest's spine); the entry
-    keeps them alive, so an id cannot come back as another object."""
-    derived = context._compiler.derived
-    schema = getattr(context.database, "schema", None)
+    Derived once per compiled query and typing, beside the group-unnest
+    folds, under the ids of the objects it derives from — the right input,
+    the join predicate and the terms, which every execution passes again
+    even where the nodes around them are rebuilt (a shared nest's spine);
+    the entry keeps them alive, so an id cannot come back as another
+    object."""
+    derived, typing = context._compiler.derived, context.typing
     sources = (join.right, join.pred, *terms)
     slot = tuple(map(id, sources))
     hit = derived.get(slot)
-    if hit is None or hit[1] is not schema or hit[2] != keys:
+    if hit is None or hit[1] is not typing or hit[2] != keys:
         lefts, rights = [k for k, _ in keys], [k for _, k in keys]
-        bare = (
-            _typed_bare(lefts, join.left, schema),
-            _typed_bare(rights, join.right, schema),
-        )
-        hit = (sources, schema, keys, bare, closed_build(join.right, (*rights, *terms)))
+        bare = (typing.bare(lefts), typing.bare(rights))
+        hit = (sources, typing, keys, bare, closed_build(join.right, (*rights, *terms)))
         derived[slot] = hit
     return hit[3], hit[4]
 

@@ -19,7 +19,9 @@ Deliberate restrictions, so that every execution path stays comparable:
   for one shape (:meth:`QueryGenerator._faulting_head_query`) whose
   divisor the data can make zero, in the one position where every path
   must then fail alike;
-* comparisons only between scalars of the same kind (never whole records).
+* comparisons only between scalars of the same kind, but for one shape
+  (:meth:`QueryGenerator._object_key_query`) that joins and groups on
+  stored objects, where equal state must not stand in for identity.
 """
 
 from __future__ import annotations
@@ -116,8 +118,10 @@ class QueryGenerator:
         depth = self.config.max_depth
         if roll < 0.08:
             source = self._scalar_collection_query(depth)
-        elif roll < 0.50:
+        elif roll < 0.44:
             source = self._select_query([], depth)
+        elif roll < 0.50:
+            source = self._object_key_query(depth)
         elif roll < 0.54:
             source = self._sibling_path_query(depth)
         elif roll < 0.60:
@@ -751,6 +755,114 @@ class QueryGenerator:
             f"select {distinct}struct( A0: {x}, A1: {box} ) "
             f"from {t} in {extent}, {domain}"
         )
+
+    # -- joins and groupings on stored objects ---------------------------------
+
+    def _object_key_query(self, depth: int) -> str:
+        """A join or a grouping whose key is a stored object — ``r``, an
+        attribute holding an object of extent ``Y`` (schemagen's ``ref``):
+
+        * a join, ``select struct( A0: …, A1: … ) from x in X, y in Y where
+          x.r = y``, or of two references, ``x.r = z.r``;
+        * a membership, ``x.r in ( select y from y in Y where … )``, and a
+          count per object, ``count( select x from x in X where x.r = y )``;
+        * a grouping, ``select x.r, count(x) as a0 from X x group by x.r``;
+        * a join of the elements of two nested collections, ``c = d``.
+
+        Bag extents and nested bags hold equal-state twins, and a reference
+        may be a twin no extent holds, so a key filed by value, not by
+        identity, joins or groups what it must keep apart.
+        """
+        rng = self.rng
+        extents = self._extents()
+        owners = [
+            (extent, record_type, attr, target)
+            for extent, record_type in extents
+            for attr, attr_type in record_type.fields
+            if isinstance(attr_type, RecordType)
+            for target, element in extents
+            if element == attr_type
+        ]
+        if not owners:
+            return self._nested_element_join(depth)
+        extent, record_type, attr, target = rng.choice(owners)
+        x, y = self._fresh_var(), self._fresh_var()
+        target_type = dict(extents)[target]
+        env = [(x, record_type), (y, target_type)]
+        distinct = "distinct " if rng.random() < self.config.distinct_probability else ""
+        roll = rng.random()
+        if roll < 0.3:
+            key = rng.choice((f"{x}.{attr} = {y}", f"{y} = {x}.{attr}"))
+            if rng.random() < 0.3:
+                key += f" and {self._comparison(env)}"
+            return (
+                f"select {distinct}struct( A0: {self._label(x, record_type)}, "
+                f"A1: {self._label(y, target_type)} ) "
+                f"from {x} in {extent}, {y} in {target} where {key}"
+            )
+        if roll < 0.45:
+            other, other_type, other_attr, _ = rng.choice(
+                [o for o in owners if o[3] == target]
+            )
+            z = self._fresh_var()
+            return (
+                f"select {distinct}struct( A0: {self._label(x, record_type)}, "
+                f"A1: {self._label(z, other_type)} ) from {x} in {extent}, "
+                f"{z} in {other} where {x}.{attr} = {z}.{other_attr}"
+            )
+        if roll < 0.6:
+            where = f" where {self._comparison([(y, target_type)])}" if rng.random() < 0.6 else ""
+            test = f"{x}.{attr} in ( select {y} from {y} in {target}{where} )"
+            if rng.random() < 0.35:
+                test = f"not ({test})"
+            return (
+                f"select {distinct}{self._label(x, record_type)} "
+                f"from {x} in {extent} where {test}"
+            )
+        if roll < 0.75:
+            return (
+                f"select {distinct}struct( A0: {self._label(y, target_type)}, "
+                f"A1: count( select {x} from {x} in {extent} where {x}.{attr} = {y} ) ) "
+                f"from {y} in {target}"
+            )
+        if roll < 0.9:
+            having = f" having count({x}) > 1" if rng.random() < 0.3 else ""
+            return (
+                f"select {x}.{attr}, count({x}) as a0 from {extent} {x} "
+                f"group by {x}.{attr}{having}"
+            )
+        return self._nested_element_join(depth)
+
+    def _nested_element_join(self, depth: int) -> str:
+        """``select struct( A0: c.m1, … ) from t in T, c in t.p, u in U, d
+        in u.q where c = d``: the elements of nested collections, where a
+        bag holds one object twice or two equal-state objects."""
+        rng = self.rng
+        nested = [
+            (extent, record_type, attr, coll.element)
+            for extent, record_type in self._extents()
+            for attr, coll in self._collection_attrs(record_type)
+            if isinstance(coll.element, RecordType)
+        ]
+        if not nested:
+            return self._select_query([], depth)
+        (e1, t1_type, p, c_type), (e2, _, q, d_type) = rng.choice(nested), rng.choice(nested)
+        if c_type != d_type:
+            return self._select_query([], depth)
+        t, c, u, d = (self._fresh_var() for _ in range(4))
+        distinct = "distinct " if rng.random() < self.config.distinct_probability else ""
+        return (
+            f"select {distinct}struct( A0: {self._label(c, c_type)}, "
+            f"A1: {self._label(t, t1_type)} ) "
+            f"from {t} in {e1}, {c} in {t}.{p}, {u} in {e2}, {d} in {u}.{q} where {c} = {d}"
+        )
+
+    def _label(self, var: str, record_type: RecordType) -> str:
+        """A scalar path of *var*, or now and then *var* itself."""
+        paths = self._paths_of_kind([(var, record_type)], ("int", "string"))
+        if not paths or self.rng.random() < 0.15:
+            return var
+        return self.rng.choice(paths)[0]
 
     # -- the one shape that can fault on data ---------------------------------
 

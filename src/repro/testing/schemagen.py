@@ -5,7 +5,9 @@ seed (or an ``random.Random``) and is fully deterministic — but instead of
 the paper's fixed example schemas it invents a fresh one each time: a few
 record classes with scalar attributes, nested collection attributes (sets or
 bags of inner records), a collection of scalars (``vals``: a bag of ints, a
-list of strings or a set of floats, often repeating a value), class extents,
+list of strings or a set of floats, often repeating a value), an
+object-valued attribute (``ref``: a stored object of an earlier class's
+extent, or an equal-state twin of one that no extent holds), class extents,
 NULLs sprinkled into nullable attributes, intentionally empty collections,
 and hash indexes on a few scalar attributes.
 
@@ -114,6 +116,8 @@ class GeneratedSchema:
     nullable: set[tuple[str, str]] = field(default_factory=set)
     #: extent name -> collection kind ("set" | "bag").
     extent_kinds: dict[str, str] = field(default_factory=dict)
+    #: class name -> the extent its ``ref`` attribute points into.
+    refs: dict[str, str] = field(default_factory=dict)
 
 
 def random_schema(
@@ -144,6 +148,10 @@ def random_schema(
             attrs[f"kids{n}"] = CollectionType(monoid, inner)
         if not config.synthetic_oids and rng.random() < 0.5:
             attrs["vals"] = rng.choice(SCALAR_COLLECTIONS)
+        if index and not config.synthetic_oids and rng.random() < 0.5:
+            target = rng.randrange(index)
+            attrs["ref"] = generated.schema.class_type(f"C{target}")
+            generated.refs[class_name] = f"X{target}"
         generated.schema.define_class(class_name, **attrs)  # type: ignore[arg-type]
         for attr, attr_type in attrs.items():
             if attr != "oid" and not isinstance(attr_type, CollectionType):
@@ -215,9 +223,24 @@ def _random_record(
             and rng.random() < config.null_probability
         ):
             fields[attr] = NULL
+        elif attr == "ref":
+            fields[attr] = _random_ref(rng, db.extent(generated.refs[class_name]), config)
         else:
             fields[attr] = random_value(rng, attr_type)
     return Record(fields)
+
+
+def _random_ref(rng: random.Random, extent, config: SchemaGenConfig) -> object:
+    """One stored object of *extent*, or — as often as objects are
+    duplicated — an equal-state twin of one, which a join on the reference
+    must not match with it; NULL when the extent is empty."""
+    targets = list(extent.elements())
+    if not targets:
+        return NULL
+    target = rng.choice(targets)
+    if rng.random() < config.duplicate_probability:
+        return Record(dict(target.items()))  # adopted with an OID of its own
+    return target
 
 
 def random_database(

@@ -35,7 +35,7 @@ from repro.engine.physical import (
     PUnnest,
     _Context,
 )
-from tests.test_groupjoin import BATCH_SIZES, Rows
+from tests.test_groupjoin import BATCH_SIZES, KEYED, KEYLESS, Rows, typing_of
 
 # ---------------------------------------------------------------------------
 # Candidates: one routine, two callers
@@ -130,7 +130,7 @@ def _build(caller, context, spec, outer):
     if caller == "hash-join":
         rights = Rows(context, _right_rows(spec))
         return PHashJoin(
-            context, lefts, rights, (KEY,), (path("r", "k"),), PRED, ("r",), outer
+            context, lefts, rights, (KEY,), (path("r", "k"),), PRED, ("r",), outer, KEYED
         )
     return PUnnest(context, lefts, PATH, "r", PRED, outer)
 
@@ -245,7 +245,9 @@ def _group_forms(context, lefts, rights, monoid_name, group_by, left_key):
     the one empty row of a ``Seed``."""
     monoid = lookup_monoid(monoid_name)
     nest_args = (monoid, HEAD, group_by, ("r",), "m", TRUE)
+    nest_bare = (False,) * len(group_by)
     keys = ((), ()) if left_key is None else ((left_key,), (path("r", "k"),))
+    bare = KEYLESS if left_key is None else KEYED
     whole = TRUE if left_key is None else BinOp("==", left_key, path("r", "k"))
 
     def leaves():
@@ -253,19 +255,25 @@ def _group_forms(context, lefts, rights, monoid_name, group_by, left_key):
         return left, Rows(context, rights)
 
     forms = {
-        "group-join": PGroupJoin(context, *leaves(), *keys, TRUE, ("r",), *nest_args),
+        "group-join": PGroupJoin(
+            context, *leaves(), *keys, TRUE, ("r",), *nest_args, bare
+        ),
         "nest-nl-join": PHashNest(
             context,
-            PHashJoin(context, *leaves(), (), (), whole, ("r",), True),
+            PHashJoin(context, *leaves(), (), (), whole, ("r",), True, KEYLESS),
             *nest_args,
+            nest_bare,
         ),
     }
     if left_key is not None:
         forms["group-join-keyless"] = PGroupJoin(
-            context, *leaves(), (), (), whole, ("r",), *nest_args
+            context, *leaves(), (), (), whole, ("r",), *nest_args, KEYLESS
         )
         forms["nest-hash-join"] = PHashNest(
-            context, PHashJoin(context, *leaves(), *keys, TRUE, ("r",), True), *nest_args
+            context,
+            PHashJoin(context, *leaves(), *keys, TRUE, ("r",), True, KEYED),
+            *nest_args,
+            nest_bare,
         )
     return forms
 
@@ -287,7 +295,7 @@ def _groups_of(
     them from the groups."""
     outcomes = {}
     for size in BATCH_SIZES:
-        context = _Context(Database(), batch_size=size, occurring=occurring)
+        context = _Context(Database(), batch_size=size, typing=typing_of(occurring))
         forms = _group_forms(context, lefts, rights, monoid_name, group_by, left_key)
         for name, op in forms.items():
             outcomes[name, size] = [
@@ -340,7 +348,7 @@ class TestGroupColumns:
         context = _Context(Database())
         monoid = lookup_monoid(monoid_name)
         nest = PHashNest(
-            context, Rows(context, []), monoid, HEAD, (), ("r",), "m", TRUE
+            context, Rows(context, []), monoid, HEAD, (), ("r",), "m", TRUE, ()
         )
         assert nest._groups() == ({"m": []}, 0)
 

@@ -324,7 +324,7 @@ def test_a_head_that_folds_settles_as_if_rebuilt():
         join = PGroupJoin(
             context, PScan(context, "Departments", "d"), PScan(context, "Employees", "u"),
             (Proj(d, "dno"),), (Proj(u, "dno"),), TRUE, ("u",), lookup_monoid("bag"),
-            names, ("d",), ("u",), "m", TRUE, reuse_key=("head folds",),
+            names, ("d",), ("u",), "m", TRUE, ((False,), (False,)), ("head folds",),
         )
         root = PReduce(context, join, lookup_monoid("bag"), every, TRUE)
         value = root_value(root)

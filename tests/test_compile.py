@@ -768,6 +768,7 @@ def test_hash_join_build_side_runs_once(db):
         Const(True),
         ("s",),
         False,
+        ((False,), (False,)),
     )
     first, second = _exhaust_twice(join)
     assert len(first) == len(second) == 6
@@ -788,6 +789,7 @@ def test_nested_loop_join_inner_runs_once(db):
         BinOp("==", path("r", "k"), path("s", "k")),
         ("s",),
         False,
+        ((), ()),
     )
     first, second = _exhaust_twice(join)
     assert len(first) == len(second) == 6
@@ -799,7 +801,7 @@ def test_hash_nest_groups_built_once(db):
     context = _Context(db)
     child = PScan(context, "S", "s")
     nest = PHashNest(
-        context, child, SET, path("s", "w"), ("s",), (), "ws", Const(True)
+        context, child, SET, path("s", "w"), ("s",), (), "ws", Const(True), (False,)
     )
     first, second = _exhaust_twice(nest)
     assert len(first) == len(second) == 6

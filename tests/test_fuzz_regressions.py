@@ -10,6 +10,11 @@ test run:
 * ``expect: disagreement`` artifacts pin *known divergences* (documented
   model limitations): the suite fails loudly if the behaviour silently
   changes, so the documentation can never rot.
+
+``typed_plan_samples.json`` holds the qgen samples whose plans the one
+Figure 6 typing changed: a grouped variable over a typed set with no
+occurrence column, or a shared-nest spine's keys filed bare.  Each keeps
+that plan, and all paths agree on it.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ from pathlib import Path
 
 import pytest
 
+from repro import QueryPipeline
 from repro.testing.oracle import check_sample
-from repro.testing.repro_io import load_repro
+from repro.testing.repro_io import decode_sample, load_repro
 
 REPRO_DIR = Path(__file__).parent / "fuzz_repros"
 REPRO_FILES = sorted(REPRO_DIR.glob("*.json"))
+TYPED_SAMPLES = json.loads((Path(__file__).parent / "typed_plan_samples.json").read_text())
 
 
 def test_repro_directory_is_populated():
@@ -64,3 +71,21 @@ def test_repro_files_are_well_formed(path: Path):
     source, params, db = load_repro(path)
     assert source == data["source"]
     assert set(db.extent_names()) == set(data["extents"])
+
+
+@pytest.mark.parametrize(
+    "sample", TYPED_SAMPLES, ids=[s["description"].split(":")[0] for s in TYPED_SAMPLES]
+)
+def test_plans_the_typing_changed_agree(sample):
+    source, params, db = decode_sample(sample)
+    compiled = QueryPipeline(db).compile_oql(source)
+    operators = [compiled.physical(db, params)]
+    for op in operators:
+        operators += op.children()
+    bare = sum(
+        sum(side) for op in operators if getattr(op, "left_keys", ()) for side in op._bare
+    )
+    assert len(compiled.typing(db).occurring) == sample["occurring"]
+    assert bare == sample["bare_key_sides"]
+    verdict = check_sample(source, params, db)
+    assert verdict.agreed, verdict.describe()

@@ -39,7 +39,7 @@ from repro.engine.governor import CancelToken, Governor
 from repro.engine.physical import PHashNest, PMap, PUnnest, _Context
 from repro.engine.planner import PlannerOptions, plan_physical
 from repro.errors import BudgetExceeded, QueryCancelled
-from tests.test_groupjoin import BATCH_SIZES, Rows, _show
+from tests.test_groupjoin import BATCH_SIZES, Rows, _show, typing_of
 
 XS, YS = path("l", "xs"), path("l", "ys")
 
@@ -80,6 +80,7 @@ def _pair(context: _Context, node: Operator):
         node.null_vars,
         node.out_var,
         node.pred,
+        (False,) * len(node.group_by),
     )
 
 
@@ -99,12 +100,12 @@ def _forms(nest, size, occurring=frozenset(), **limits):
         Database(),
         PlannerOptions(batch_size=size),
         governor=fold_governor,
-        occurring=occurring,
+        occurring=typing_of(occurring),
     )
     assert isinstance(fold, PMap), fold.explain()
     pair_governor = Governor(**limits) if limits else None
     context = _Context(
-        Database(), governor=pair_governor, batch_size=size, occurring=occurring
+        Database(), governor=pair_governor, batch_size=size, typing=typing_of(occurring)
     )
     return {"fold": (fold, fold_governor), "pair": (_pair(context, nest), pair_governor)}
 

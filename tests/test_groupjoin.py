@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algebra.typing import PlanTypeChecker
 from repro.calculus.monoids import monoid as lookup_monoid
 from repro.calculus.terms import BinOp, Const, conj, path
 from repro.data.database import Database
@@ -29,6 +30,17 @@ from repro.errors import BudgetExceeded
 
 BATCH_SIZES = (1, 7, 1024)
 TRUE = Const(True)
+#: The bare flags of a one-key and a keyless hash table whose keys are
+#: filed through identity_key.
+KEYED, KEYLESS = ((False,), (False,)), ((), ())
+
+
+def typing_of(occurring=frozenset()) -> PlanTypeChecker:
+    """A plan typing that names the *occurring* variables and types no
+    column, so every key is filed through identity_key."""
+    typing = PlanTypeChecker()
+    typing.occurring = frozenset(occurring)
+    return typing
 
 
 class Rows(PhysicalOperator):
@@ -78,28 +90,34 @@ def _operators(
     nest_args = (monoid, head, ("l",), ("r",), "m", pred)
     equalities = [BinOp("==", a, b) for a, b in zip(left_keys, right_keys)]
     whole = conj(*equalities, residual)
+    # Every key filed through identity_key, as an untyped plan files it.
+    keyed, keyless = ((False,) * len(left_keys),) * 2, ((), ())
 
     def leaves():
         return Rows(context, lefts), Rows(context, rights)
 
     return {
         "group-join": PGroupJoin(
-            context, *leaves(), left_keys, right_keys, residual, ("r",), *nest_args
+            context, *leaves(), left_keys, right_keys, residual, ("r",), *nest_args,
+            keyed,
         ),
         "group-join-keyless": PGroupJoin(
-            context, *leaves(), (), (), whole, ("r",), *nest_args
+            context, *leaves(), (), (), whole, ("r",), *nest_args, keyless
         ),
         "nest-hash-join": PHashNest(
             context,
             PHashJoin(
-                context, *leaves(), left_keys, right_keys, residual, ("r",), True
+                context, *leaves(), left_keys, right_keys, residual, ("r",), True,
+                keyed,
             ),
             *nest_args,
+            (False,),
         ),
         "nest-nl-join": PHashNest(
             context,
-            PHashJoin(context, *leaves(), (), (), whole, ("r",), True),
+            PHashJoin(context, *leaves(), (), (), whole, ("r",), True, keyless),
             *nest_args,
+            (False,),
         ),
     }
 
@@ -126,7 +144,7 @@ def _compare(lefts, rights, monoid_name, occurring=frozenset(), **kwargs):
     *occurring* names the left variables whose rows carry an occurrence."""
     outcomes = {}
     for size in BATCH_SIZES:
-        context = _Context(Database(), batch_size=size, occurring=occurring)
+        context = _Context(Database(), batch_size=size, typing=typing_of(occurring))
         for name, op in _operators(
             context, lefts, rights, monoid_name, **kwargs
         ).items():

@@ -74,7 +74,7 @@ def _evaluated(db, pred, outer):
 def _keyless(context, db, pred, outer):
     lefts = Rows(context, [{"l": x} for x in db.extent("L")])
     rights = Rows(context, [{"r": x} for x in db.extent("R")])
-    return PHashJoin(context, lefts, rights, (), (), pred, ("r",), outer)
+    return PHashJoin(context, lefts, rights, (), (), pred, ("r",), outer, ((), ()))
 
 
 def _run(op):
@@ -137,6 +137,7 @@ def test_a_keyless_build_files_every_right_row(outer):
         TRUE,
         ("d",),
         outer,
+        ((), ()),
     )
     plan = (OuterJoin if outer else Join)(
         Scan("Employees", "e"), Scan("Departments", "d"), TRUE

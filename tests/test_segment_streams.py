@@ -13,6 +13,7 @@ import pytest
 
 from repro.algebra.evaluator import evaluate_plan
 from repro.algebra.operators import Nest, OuterJoin, Reduce, Scan
+from repro.algebra.typing import type_plan
 from repro.backends.shred import compile_segments, shredded_store
 from repro.calculus.evaluator import evaluate
 from repro.calculus.monoids import monoid
@@ -33,7 +34,7 @@ from repro.data.schema import BOOL, FLOAT, INT, STRING, Schema, list_of, set_of
 from repro.data.values import NULL, ListValue, Record, SetValue
 from repro.engine.batch import Chunk
 from repro.engine.physical import PHashNest, PhysicalOperator, PReduce, _Context
-from repro.engine.planner import PlannerOptions, execute as execute_plan, occurring_vars
+from repro.engine.planner import PlannerOptions, execute as execute_plan
 from repro.oql.translator import parse_and_translate
 
 SIZES = (1, 7, 1024)
@@ -260,7 +261,7 @@ class TestParity:
             record(T=var("t"), M=var("m")),
         )
         store = shredded_store(db)
-        lowered = compile_segments(plan, store, occurring_vars(plan, db))
+        lowered = compile_segments(plan, store, type_plan(plan, db).occurring)
         options = PlannerOptions(batch_size=size)
         expected = repr(evaluate_plan(plan, db))
         assert repr(execute_plan(plan, db, options)) == expected
@@ -312,7 +313,7 @@ class TestReadOnlyColumns:
     def test_hash_nest(self):
         op = PHashNest(
             _Context(None), _Chunks(self.CHUNKS), monoid("list"), var("v"),
-            ("k",), (), "m", TRUE,
+            ("k",), (), "m", TRUE, (False,),
         )  # fmt: skip
         columns, count = op._groups()
         groups = [ListValue([3, 4]), ListValue([NULL, 5.5]), ListValue([-0.0])]

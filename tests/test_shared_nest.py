@@ -38,6 +38,7 @@ from repro.engine.physical import (
     _Context,
 )
 from repro.errors import BudgetExceeded, QueryCancelled
+from tests.test_groupjoin import KEYED, KEYLESS, typing_of
 
 BATCH_SIZES = (1, 7, 1024)
 TRUE = Const(True)
@@ -79,8 +80,9 @@ def _rights(*pairs):
 
 def _nest(context, child, monoid_name, head, group_by, null_vars, out, pred=TRUE):
     return PHashNest(
-        context, child, lookup_monoid(monoid_name), head, group_by, null_vars, out, pred
-    )
+        context, child, lookup_monoid(monoid_name), head, group_by, null_vars, out, pred,
+        (False,) * len(group_by),
+    )  # fmt: skip
 
 
 def join_spine(monoid_name, head=R_VALUE, left_key=L_KEY):
@@ -88,8 +90,9 @@ def join_spine(monoid_name, head=R_VALUE, left_key=L_KEY):
 
     def build(context, leaf, rights):
         join = PHashJoin(
-            context, leaf, Rows(context, rights), (left_key,), (R_KEY,), TRUE, ("r",), True
-        )
+            context, leaf, Rows(context, rights), (left_key,), (R_KEY,), TRUE, ("r",), True,
+            KEYED,
+        )  # fmt: skip
         return _nest(context, join, monoid_name, head, ("l",), ("r",), "m")
 
     return build
@@ -101,7 +104,9 @@ def unnest_spine(monoid_name="sum"):
     whose tags is ``l.k``."""
 
     def build(context, leaf, rights):
-        cross = PHashJoin(context, leaf, Rows(context, rights), (), (), TRUE, ("r",), True)
+        cross = PHashJoin(
+            context, leaf, Rows(context, rights), (), (), TRUE, ("r",), True, KEYLESS
+        )
         tags = PUnnest(
             context, cross, path("r", "tags"), "t", BinOp("==", var("t"), L_KEY), True
         )
@@ -116,7 +121,9 @@ def own_collection_spine(monoid_name, pred_op="=="):
     elements of the row's own collection ``l.k`` that meet a right row."""
 
     def build(context, leaf, rights):
-        cross = PHashJoin(context, leaf, Rows(context, rights), (), (), TRUE, ("r",), True)
+        cross = PHashJoin(
+            context, leaf, Rows(context, rights), (), (), TRUE, ("r",), True, KEYLESS
+        )
         own = PUnnest(context, cross, L_KEY, "t", BinOp(pred_op, var("t"), R_KEY), True)
         return _nest(context, own, monoid_name, var("t"), ("l",), ("t",), "m")
 
@@ -132,11 +139,11 @@ def nested_spine():
         avg = PGroupJoin(
             context, leaf, Rows(context, others),
             (L_KEY,), (path("q", "k"),), TRUE, ("q",),
-            lookup_monoid("avg"), path("q", "v"), ("l",), ("q",), "a", TRUE,
+            lookup_monoid("avg"), path("q", "v"), ("l",), ("q",), "a", TRUE, KEYED,
         )  # fmt: skip
         join = PHashJoin(
             context, avg, Rows(context, rights), (L_KEY,), (R_KEY,),
-            BinOp(">", R_VALUE, var("a")), ("r",), True,
+            BinOp(">", R_VALUE, var("a")), ("r",), True, KEYED,
         )  # fmt: skip
         return _nest(context, join, "bag", R_VALUE, ("l",), ("r",), "m")
 
@@ -178,7 +185,7 @@ def _compare(
     occurrence."""
     outcomes = {}
     for size in BATCH_SIZES:
-        context = _Context(Database(), batch_size=size, occurring=occurring)
+        context = _Context(Database(), batch_size=size, typing=typing_of(occurring))
         ops = _pair(context, spine, lefts, rights, **kwargs)
         for name, op in ops.items():
             outcomes[name, size] = _outcome(op)
@@ -389,8 +396,9 @@ class TestAgreement:
             inner.out_var = "a"
             kept = PSelect(context, inner, BinOp(">", var("a"), Const(25)))
             join = PHashJoin(
-                context, kept, Rows(context, rights), (L_KEY,), (R_KEY,), TRUE, ("r",), True
-            )
+                context, kept, Rows(context, rights), (L_KEY,), (R_KEY,), TRUE, ("r",), True,
+                KEYED,
+            )  # fmt: skip
             return _nest(context, join, "max", R_VALUE, ("l",), ("r",), "m")
 
         outcome = _compare(spine, _lefts(1, 2, 1, 3, 2), RIGHTS, representatives=3)
@@ -421,7 +429,7 @@ class TestFaults:
             # Reads the binding only where a left row meets a right row.
             join = PHashJoin(
                 context, leaf, Rows(context, rights), (), (), BinOp("==", key, R_KEY),
-                ("r",), True,
+                ("r",), True, KEYLESS,
             )
             return _nest(context, join, "sum", R_VALUE, ("l",), ("r",), "m")
 

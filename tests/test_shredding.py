@@ -34,6 +34,7 @@ from repro.algebra.operators import (
     occurrence,
     operators,
 )
+from repro.algebra.typing import type_plan
 from repro.backends.shred import (
     PSqlSegment,
     ShreddedStore,
@@ -63,7 +64,7 @@ from repro.data.schema import (
 )
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine.physical import _Context
-from repro.engine.planner import execute as execute_plan, occurring_vars
+from repro.engine.planner import execute as execute_plan
 from repro.errors import BackendUnsupportedError, ExecutionError, PlanningError
 from repro.algebra.evaluator import evaluate_plan as evaluate_reference
 from repro.testing.oracle import PATHS, check_sample, results_equal
@@ -995,7 +996,7 @@ class TestFusedNests:
         db = _fusion_db()
         compiled = _pipeline(db, backend="sqlite").compile_oql(source)
         lowered, _ = compiled.target(db)
-        occurring = compiled.occurring(db)
+        occurring = compiled.typing(db).occurring
         decoded = {
             name
             for node in operators(lowered)
@@ -1026,7 +1027,7 @@ class TestFusedNests:
         top = Nest(kept, "sum", Const(1), ("t",), ("u",), "n")
         plan = Reduce(top, "bag", record(I=path("t", "id"), N=var("n")))
         store = shredded_store(db)
-        lowered = compile_segments(plan, store, occurring_vars(plan, db))
+        lowered = compile_segments(plan, store, type_plan(plan, db).occurring)
         (segment,) = [n for n in operators(lowered) if isinstance(n, SqlSegment)]
         assert fused_forms([segment.segment.sql]) == _DOMAIN
         rows = store.connection.execute(segment.segment.sql).fetchall()
@@ -1090,7 +1091,7 @@ class TestStitching:
             const(1),
         )
         store = shredded_store(db)
-        lowered = compile_segments(plan, store, occurring_vars(plan, db))
+        lowered = compile_segments(plan, store, type_plan(plan, db).occurring)
         statements: list[str] = []
         store.connection.set_trace_callback(statements.append)
         try:
