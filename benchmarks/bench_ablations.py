@@ -18,8 +18,6 @@ import pytest
 
 from repro.core.optimizer import Optimizer, OptimizerOptions
 from repro.data.datagen import company_database, university_database
-from repro.engine import run_with_stats
-from repro.engine.planner import PlannerOptions
 
 from conftest import timed
 
@@ -51,8 +49,8 @@ def test_ablation_report(report_writer, benchmark):
     )
     reference = with_reorder.execute(db)
     assert without.execute(db) == reference
-    stats_with = run_with_stats(with_reorder.optimized, db)
-    stats_without = run_with_stats(without.optimized, db)
+    stats_with = with_reorder.run(db, profile=True)
+    stats_without = without.run(db, profile=True)
     lines.append("join permutation (3-way equi-join, selective input last):")
     lines.append(
         f"  reorder on : {stats_with.elapsed_ms:8.2f} ms, "
@@ -68,13 +66,11 @@ def test_ablation_report(report_writer, benchmark):
     db = company_database(num_employees=3000, num_departments=12, seed=1998)
     db.create_index("Employees", "dno")
     compiled = Optimizer(db).compile_oql(INDEXED)
-    _, ms_indexed = timed(
-        lambda: run_with_stats(compiled.optimized, db).result
-    )
-    stats_idx = run_with_stats(compiled.optimized, db)
-    stats_seq = run_with_stats(
-        compiled.optimized, db, PlannerOptions(index_scans=False)
-    )
+    _, ms_indexed = timed(lambda: compiled.execute(db))
+    stats_idx = compiled.run(db, profile=True)
+    stats_seq = Optimizer(db, OptimizerOptions(index_scans=False)).compile_oql(
+        INDEXED
+    ).run(db, profile=True)
     assert stats_idx.result == stats_seq.result
     lines.append("")
     lines.append("index access path (equality selection over 3000 employees):")
@@ -95,8 +91,8 @@ def test_ablation_report(report_writer, benchmark):
         db, OptimizerOptions(algebraic=False, reorder_joins=False)
     ).compile_oql(QUERY_E)
     assert with_alg.execute(db) == without_alg.execute(db)
-    stats_alg = run_with_stats(with_alg.optimized, db)
-    stats_noalg = run_with_stats(without_alg.optimized, db)
+    stats_alg = with_alg.run(db, profile=True)
+    stats_noalg = without_alg.run(db, profile=True)
     lines.append("")
     lines.append("algebraic rewrites (QUERY E, selection pushdown into scans):")
     lines.append(

@@ -271,7 +271,7 @@ def build_parallel_report(quick: bool) -> dict[str, Any]:
                 db, OptimizerOptions(parallel=True, num_workers=workers)
             )
             compiled = par.compile_oql(query.oql)
-            physical = compiled.physical(db, {})
+            physical = compiled.physical(db)
             if isinstance(physical, PGather):
                 parallelized = True
                 entry.setdefault("strategy", physical.strategy)

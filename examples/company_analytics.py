@@ -49,15 +49,16 @@ def figure8() -> None:
     print("\nPlan B — after the Section 5 simplification (Figure 8.B):")
     print(pretty_plan(plan_b))
 
-    from repro.engine.planner import plan_physical
+    from repro.engine import Execution, plan_physical
 
     for label, plan in [("A", plan_a), ("B", plan_b)]:
         physical = plan_physical(plan, db)
+        execution = Execution(physical)
         start = time.perf_counter()
-        result = physical.value()
+        result = physical.value(execution)
         elapsed = (time.perf_counter() - start) * 1000
         print(f"\nPlan {label}: {elapsed:.2f} ms, "
-              f"{physical.total_rows()} rows processed")
+              f"{physical.total_rows(execution)} rows processed")
     assert plan_physical(plan_a, db).value() == plan_physical(plan_b, db).value()
 
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import Optimizer, company_database
+from repro import Optimizer, OptimizerOptions, company_database
 from repro.data.storage import load_database, save_database
-from repro.engine import run_with_stats
-from repro.engine.planner import PlannerOptions
 
 
 def main() -> None:
@@ -38,13 +36,13 @@ def main() -> None:
     compiled = optimizer.compile_oql(source)
 
     print("\nWithout an index:")
-    stats = run_with_stats(compiled.optimized, db, PlannerOptions(index_scans=False))
-    print(stats.report())
+    unindexed = Optimizer(db, OptimizerOptions(index_scans=False)).compile_oql(source)
+    print(unindexed.run(db, profile=True).report())
 
     db.create_index("Employees", "dno")
+    # The same compiled query: a new database state is planned afresh.
     print("\nAfter CREATE INDEX on Employees.dno:")
-    stats = run_with_stats(compiled.optimized, db)
-    print(stats.report())
+    print(compiled.run(db, profile=True).report())
 
     # ---- statistics ------------------------------------------------------------
     from repro.engine.cost import CostModel
@@ -70,9 +68,7 @@ def main() -> None:
         "from e in Employees where e.dno = d.dno ) ) from d in Departments"
     )
     print("\nEXPLAIN ANALYZE of a nested aggregate query:")
-    compiled = optimizer.compile_oql(nested)
-    stats = run_with_stats(compiled.optimized, db)
-    print(stats.report())
+    print(optimizer.compile_oql(nested).run(db, profile=True).report())
 
 
 if __name__ == "__main__":

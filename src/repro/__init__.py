@@ -53,7 +53,7 @@ from repro.data.datagen import (
     travel_database,
     university_database,
 )
-from repro.engine.executor import ExecutionStats, run_with_stats
+from repro.engine.executor import ExecutionStats
 from repro.engine.governor import CancelToken, Governor
 from repro.engine.planner import PlannerOptions, execute, plan_physical
 from repro.errors import (
@@ -116,7 +116,6 @@ __all__ = [
     "prepare",
     "pretty",
     "pretty_plan",
-    "run_with_stats",
     "simplify",
     "translate",
     "travel_database",

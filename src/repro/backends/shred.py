@@ -159,7 +159,12 @@ from repro.data.values import (
     is_null,
 )
 from repro.engine.batch import Chunk
-from repro.engine.physical import PhysicalOperator, _Context, _column_chunks
+from repro.engine.physical import (
+    Execution,
+    PhysicalOperator,
+    _Context,
+    _column_chunks,
+)
 from repro.engine.planner import (
     group_join_shape,
     shared_spine,
@@ -1918,23 +1923,23 @@ class PSqlSegment(PhysicalOperator):
     """A flat SELECT as a leaf of the physical plan: a chunk source, one
     row per SQL row, whatever folds or groups it above.  The SELECT runs on
     first entry, once per execution: a re-entered segment replays its
-    decoded columns.  ``rows_produced`` is the row count of the SELECT
-    (what ``flat_query`` reports).
+    decoded columns.  Its ``rows_produced`` is the row count of the SELECT
+    (what :meth:`flat_query` reports).
     """
 
     def __init__(self, context: _Context, segment: _Segment, root: str):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.segment = segment
         self.root = root
-        #: (sql, rows, sql ms, decode ms) once the SELECT has run.
-        self.flat_query: tuple[str, int, float, float] | None = None
-        self._decoded: tuple[dict[str, list], int] | None = None
 
     def describe(self) -> str:
         return f"SqlSegment[{self.segment.label}]({self.root} subtree)"
 
-    def _fetch(self) -> tuple[list[tuple], float]:
+    def flat_query(self, ex: Execution) -> tuple[str, int, float, float] | None:
+        """(sql, rows, sql ms, decode ms), once the SELECT has run in *ex*."""
+        return ex.memo[self][2] if self in ex.memo else None
+
+    def _fetch(self, ex: Execution) -> tuple[list[tuple], float]:
         """Run the flat query and drain it: its rows and milliseconds.
 
         Rows are drained in batches with the governor ticked per batch, and
@@ -1942,8 +1947,8 @@ class PSqlSegment(PhysicalOperator):
         opcodes so budgets trip inside long-running SELECTs too.
         """
         segment = self.segment
-        store: ShreddedStore = self._context.database
-        governor = self._context.governor
+        store: ShreddedStore = ex.database
+        governor = ex.governor
         sql = segment.sql
         if governor is not None:
             # SQLite's progress-handler countdown runs off the *statement's*
@@ -1984,27 +1989,29 @@ class PSqlSegment(PhysicalOperator):
             finally:
                 if trap is not None:
                     connection.set_progress_handler(None, 0)
-        self.rows_produced = len(rows)
+        ex.counts[self].rows_produced = len(rows)
         return rows, (time.perf_counter() - start) * 1000.0
 
-    def batches(self) -> Iterator[Chunk]:
-        if self._decoded is None:
-            rows, sql_ms = self._fetch()
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        decoded = ex.memo.get(self)
+        if decoded is None:
+            rows, sql_ms = self._fetch(ex)
             start = time.perf_counter()
-            objects = self._context.database.objects
+            objects = ex.database.objects
             # Column by column, by index: ``zip(*rows)`` would unpack every
             # row as an argument.
             columns = {
                 var: _decode_column([row[i] for row in rows], kind, tag, objects)
                 for i, (var, kind, tag) in enumerate(self.segment.decoders)
             }
-            self._decoded = columns, len(rows)
             decode_ms = (time.perf_counter() - start) * 1000.0
-            self.flat_query = (self.segment.sql, len(rows), sql_ms, decode_ms)
+            flat = (self.segment.sql, len(rows), sql_ms, decode_ms)
+            decoded = ex.memo[self] = columns, len(rows), flat
         # (not _emit_chunk: rows_produced is the SELECT's row count)
-        for chunk in _column_chunks(*self._decoded, self._context.batch_size):
-            self.batches_produced += 1
-            self.batch_rows += chunk.length
+        counts = ex.counts[self]
+        for chunk in _column_chunks(*decoded[:2], self._context.batch_size):
+            counts.batches_produced += 1
+            counts.batch_rows += chunk.length
             yield chunk
 
 

@@ -58,7 +58,7 @@ from repro.engine.executor import (
 )
 from repro.engine.governor import CancelToken, Governor
 from repro.engine.planner import PlannerOptions, plan_physical
-from repro.engine.physical import PhysicalOperator, root_value
+from repro.engine.physical import Execution, PhysicalOperator
 from repro.errors import (
     BackendUnsupportedError,
     ExecutionError,
@@ -226,23 +226,24 @@ class CompiledQuery:
     stages: tuple[StageResult, ...] = ()
     #: Parameter values fixed by :meth:`bind` (merged with execute kwargs).
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: The memoized expression→kernel compiler for this query.  Shared by
-    #: every execution (and every :meth:`bind` copy), so a plan-cache hit
-    #: pays zero codegen: the kernels compiled for the first execution are
-    #: reused verbatim.  None until first used.
-    _compiler: ExprCompiler | None = field(
-        default=None, repr=False, compare=False
+    #: The expression→kernel compiler whose kernels this query's physical
+    #: plans hold; shared with every :meth:`bind` copy.
+    _compiler: ExprCompiler = field(
+        default_factory=ExprCompiler, repr=False, compare=False
     )
-    #: ``backend="sqlite"``: shredded store -> :attr:`optimized` with its
-    #: lowered subtrees as SQL-segment leaves.  One mapping shared with
-    #: every :meth:`bind` copy, so a plan is lowered once per store and
-    #: dropped with this query by whatever cache holds it; weak, so a
-    #: cached plan never keeps a replaced store's SQLite image alive.
-    _lowered: "weakref.WeakKeyDictionary[Any, Operator]" = field(
+    #: ``backend="sqlite"``: shredded store -> ``(lowered, physical)``,
+    #: :attr:`optimized` with its lowered subtrees as SQL-segment leaves and
+    #: its physical plan (None until first run).  One mapping shared with
+    #: every :meth:`bind` copy, so a plan is lowered and planned once per
+    #: store and dropped with this query by whatever cache holds it; weak,
+    #: and a physical plan holds its store weakly, so a cached plan never
+    #: keeps a replaced store's SQLite image alive.
+    _lowered: "weakref.WeakKeyDictionary[Any, tuple]" = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
     )
-    #: :meth:`typing` per database, with the ``schema_version`` it was
-    #: found at; shared with every :meth:`bind` copy like :attr:`_lowered`.
+    #: Database -> ``(schema_version, typing, physical)``: :meth:`typing`
+    #: and the memory backend's physical plan (None until first planned) at
+    #: that state; shared with every :meth:`bind` copy like :attr:`_lowered`.
     _typing: "weakref.WeakKeyDictionary[Any, tuple]" = field(
         default_factory=weakref.WeakKeyDictionary, repr=False, compare=False
     )
@@ -361,20 +362,17 @@ class CompiledQuery:
         """One execution and what it measured — the body of
         :meth:`execute`, ``run_oql_stats`` and ``execute_shredded``.
 
-        *profile* times every operator's expressions and records the
-        per-operator counts (EXPLAIN ANALYZE); without it no operator tree
-        is walked, except for a SQLite plan's ``flat_queries``.
+        The query's kept physical plan (:meth:`physical`) runs in a fresh
+        :class:`~repro.engine.physical.Execution`.  *profile* times every
+        operator's expressions and records the per-operator counts (EXPLAIN
+        ANALYZE); without it no operator tree is walked, except for a SQLite
+        plan's ``flat_queries``.
         """
         backend = self.options.backend
-        physical = None
         try:
             values = self._merged_params(params)
             governor = self.make_governor(cancel_token)
-            plan, provider = self.target(database)
-            if plan is not None:
-                physical = self._plan(
-                    plan, provider, database, values, profile, governor
-                )
+            physical, provider = self._kept(database)
             start = time.perf_counter()
             if physical is None:
                 # Naive nested-loop evaluation of the calculus form.
@@ -382,7 +380,8 @@ class CompiledQuery:
                     provider, values, governor=governor
                 ).evaluate(self.prepared)
             else:
-                result = root_value(physical)
+                ex = Execution(physical, values, governor, profile)
+                result = physical.value(ex)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             if self.order_by:
                 result = _apply_order(result, self.order_by, database, values)
@@ -400,22 +399,14 @@ class CompiledQuery:
             stats.governor_peak_bytes = governor.peak_bytes
         if physical is not None:
             if backend == "sqlite":
-                stats.flat_queries = flat_queries(physical)
+                stats.flat_queries = flat_queries(physical, ex)
             if profile:
-                collect_operators(physical, 0, stats)
+                collect_operators(physical, ex, 0, stats)
         return stats
 
     def expr_compiler(self) -> ExprCompiler:
-        """The kernel compiler shared by this query's executions, created
-        on first use.
-
-        The lazy init is benignly racy under threads: two first executions
-        may build two compilers and one wins, wasting one codegen pass but
-        never corrupting state (the compiler's runtime cell is itself
-        thread-local, so the winner is safe to share).
-        """
-        if self._compiler is None:
-            self._compiler = ExprCompiler()
+        """The kernel compiler shared by this query's plans (its runtime
+        cell is thread-local, so executions on several threads share it)."""
         return self._compiler
 
     def target(self, database: Database) -> tuple[Operator | None, Any]:
@@ -435,14 +426,14 @@ class CompiledQuery:
                     "(compile with unnest=True)"
                 )
             store = shredded_store(database, db_path=self.options.db_path)
-            lowered = self._lowered.get(store)
-            if lowered is None:
+            kept = self._lowered.get(store)
+            if kept is None:
                 # Two first executions may both lower; one assignment wins.
                 lowered = compile_segments(
                     self.optimized, store, self.typing(database).occurring
                 )
-                self._lowered[store] = lowered
-            return lowered, store
+                kept = self._lowered[store] = (lowered, None)
+            return kept[0], store
         return self.optimized, database
 
     def typing(self, database: Database) -> PlanTypeChecker:
@@ -452,42 +443,44 @@ class CompiledQuery:
         by their occurrence.  The compile leaves the first one here."""
         found = self._typing.get(database)
         if found is None or found[0] != database.schema_version:
-            found = (database.schema_version, type_plan(self.optimized, database))
-            self._typing[database] = found
+            typing = type_plan(self.optimized, database)
+            found = self._typing[database] = (database.schema_version, typing, None)
         return found[1]
 
-    def _plan(
-        self,
-        plan: Operator,
-        provider: Any,
-        database: Database,
-        params: Mapping[str, Any] | None,
-        profile: bool = False,
-        governor: Governor | None = None,
-    ) -> PhysicalOperator:
-        return plan_physical(
-            plan,
-            provider,
-            _planner_options(self.options),
-            params,
-            profile=profile,
-            compiler=self.expr_compiler(),
-            governor=governor,
-            occurring=self.typing(database),
-        )
-
-    def physical(
-        self,
-        database: Database,
-        params: Mapping[str, Any] | None = None,
-        profile: bool = False,
-        governor: Governor | None = None,
-    ) -> PhysicalOperator:
-        """The physical plan bound to *database* (and parameter values)."""
+    def _kept(self, database: Database) -> tuple[PhysicalOperator | None, Any]:
+        """The physical plan of :meth:`target` and the provider it reads;
+        None for no algebraic plan."""
         plan, provider = self.target(database)
         if plan is None:
-            raise ValueError("no algebraic plan: query compiled with unnest=False")
-        return self._plan(plan, provider, database, params, profile, governor)
+            return None, provider
+        return self._planned(plan, provider, database), provider
+
+    def _planned(
+        self, plan: Operator, provider: Any, database: Database
+    ) -> PhysicalOperator:
+        """*plan*'s physical plan over *provider*, planned once per state of
+        *database* (per store on SQLite) and kept beside the typing or the
+        lowered plan.  Two first executions may both plan; one assignment
+        wins."""
+        keep = self._typing if provider is database else self._lowered
+        typing = self.typing(database)
+        kept = keep[provider]
+        if kept[-1] is None:
+            physical = plan_physical(
+                plan, provider, _planner_options(self.options), self._compiler, typing
+            )
+            kept = keep[provider] = (*kept[:-1], physical)
+        return kept[-1]
+
+    def physical(self, database: Database) -> PhysicalOperator:
+        """The physical plan this query runs against *database*'s current
+        state: the one every execution shares, planned on first use."""
+        physical, _ = self._kept(database)
+        if physical is None:
+            raise PlanningError(
+                "no algebraic plan: query compiled with unnest=False"
+            )
+        return physical
 
     def explain(self, database: Database) -> str:
         """An EXPLAIN-style report of the physical plan (on the SQLite
@@ -743,11 +736,11 @@ class QueryPipeline:
             rule_firings=engine.firings,
         )
         if database is not None:
-            compiled._typing[database] = (database.schema_version, typing)
+            compiled._typing[database] = (database.schema_version, typing, None)
             self._stage(
                 stages,
                 "plan",
-                lambda: compiled._plan(optimized, database, database, None),
+                lambda: compiled._planned(optimized, database, database),
                 lambda physical: physical.explain(),
             )
         compiled.stages = tuple(stages)

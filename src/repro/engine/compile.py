@@ -154,11 +154,12 @@ class CompiledKernel:
 class ExprRuntime(threading.local):
     """Per-execution bindings that kernels read at evaluation time.
 
-    Kernels must be reusable across executions (they are cached on
-    :class:`~repro.core.pipeline.CompiledQuery`), so anything that varies per
-    execution — the prepared-statement parameter values, the database, the
-    fallback interpreter — is reached through this one mutable cell, rebound
-    by :meth:`ExprCompiler.activate` before each execution plans.
+    Kernels must be reusable across executions (the kept physical plan of
+    a :class:`~repro.core.pipeline.CompiledQuery` holds them), so anything
+    that varies per execution — the prepared-statement parameter values,
+    the database, the fallback interpreter — is reached through this one
+    mutable cell, rebound by :meth:`ExprCompiler.activate` when an
+    execution starts.
 
     The cell is a ``threading.local``: a ``CompiledQuery`` shared by a
     thread pool has each thread activate and read *its own* bindings, so
@@ -197,32 +198,19 @@ def _memo_key(kind: str, term: Term) -> tuple:
 
 
 class ExprCompiler:
-    """Lowers terms to kernels; one instance per compiled query (or plan).
+    """Lowers terms to kernels; one instance per compiled query.
 
-    Kernels are memoized structurally (terms are frozen dataclasses), so
-    re-planning the same query — every execution replans, and the planner
-    reconstructs e.g. residual predicates afresh — reuses the kernels from
-    the first execution instead of re-lowering.  The memo key is
+    The physical plan is built once per compiled query and database state
+    and its operators hold their kernels, so a term is lowered when a plan
+    is built, never per execution.  Kernels are memoized structurally
+    (terms are frozen dataclasses): the plans of several database states,
+    and equal terms within one plan, share a kernel.  The memo key is
     :func:`_memo_key`, not the bare term (see there).
     """
 
     def __init__(self) -> None:
         self.runtime = ExprRuntime()
         self._memo: dict[tuple, CompiledKernel] = {}
-        #: Identity front-cache over the structural memo: every execution
-        #: replans from the same cached logical plan, so operators pass the
-        #: very same Term objects — a ``(kind, id)`` hit skips the
-        #: tree-walking :func:`_memo_key`.  The stored term keeps the id
-        #: alive; an ``is`` check guards against id reuse.  Only the object
-        #: a shape was first lowered from is pinned, so the map is bounded
-        #: by the memo: the planner also rebuilds some terms (a join's
-        #: residual conjunction) afresh per execution, and pinning those
-        #: would retain one term per request for the life of the query.
-        self._by_id: dict[tuple[str, int], tuple[Term, CompiledKernel]] = {}
-        #: What the planner derives once per query: its group-unnest folds,
-        #: by the variable each binds, and its hash builds' key facts
-        #: (``planner._build_facts``), by the ids of what they derive from.
-        self.derived: dict[Any, tuple] = {}
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""
@@ -245,14 +233,10 @@ class ExprCompiler:
         return self._kernel("pred", term)
 
     def _kernel(self, kind: str, term: Term) -> CompiledKernel:
-        hit = self._by_id.get((kind, id(term)))
-        if hit is not None and hit[0] is term:
-            return hit[1]
         key = _memo_key(kind, term)
         kernel = self._memo.get(key)
         if kernel is None:
             kernel = self._memo[key] = self._lower(term, kind == "pred")
-            self._by_id[(kind, id(term))] = (term, kernel)
         return kernel
 
     def _lower(self, term: Term, predicate: bool) -> CompiledKernel:

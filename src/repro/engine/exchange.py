@@ -41,8 +41,10 @@ behavior racy.  :func:`try_parallel_plan` returns None for them.
 rows hold OID-stamped records — neither pickles — so workers are always
 threads.  On free-threaded builds they scale across cores; on GIL builds
 the machinery is exercised (and correct) but CPU-bound speedup waits on
-the interpreter.  The governor is shared across workers via its locked
-settle path (:meth:`~repro.engine.governor.Governor.enable_sharing`).
+the interpreter.  Every worker runs in the coordinator's one
+:class:`~repro.engine.physical.Execution`, activated on its own thread;
+the governor is shared across workers via its locked settle path
+(:meth:`~repro.engine.governor.Governor.enable_sharing`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.algebra.operators import (
     Join,
@@ -65,7 +67,6 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
-from repro.calculus.evaluator import ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, fold_skipping_nulls
 from repro.calculus.terms import Proj, Term, Var, free_vars
 from repro.data.values import (
@@ -76,13 +77,12 @@ from repro.data.values import (
     SetValue,
     identity_key,
 )
-from repro.engine.compile import ExprCompiler
 from repro.engine.physical import (
+    Execution,
     MaterializedInput,
     PhysicalOperator,
     PMaterializedSource,
     PScan,
-    _account_result,
     _Context,
 )
 from repro.errors import GovernorError
@@ -236,8 +236,8 @@ class PPartitionScan(PScan):
             None if spec.key is None else self._kernel(context, spec.key)
         )
 
-    def _items(self) -> tuple[list, Sequence[int]]:
-        items, _ = super()._items()
+    def _items(self, ex: Execution) -> tuple[list, Sequence[int]]:
+        items, _ = super()._items(ex)
         spec = self.spec
         if spec.mode == "range":
             n = len(items)
@@ -247,7 +247,7 @@ class PPartitionScan(PScan):
         if not items:
             return items, ()
         keys, _, err = self._run_kernel(
-            self._key_kernel, {self.var: items}, len(items)
+            ex, self._key_kernel, {self.var: items}, len(items)
         )
         if err is not None:
             raise err
@@ -371,14 +371,7 @@ def _substitute(node: Operator, mapping: dict[int, Operator]) -> Operator:
 
 
 def try_parallel_plan(
-    plan: Operator,
-    database: ExtentProvider,
-    options,
-    params: Mapping[str, Any] | None = None,
-    profile: bool = False,
-    compiler: "ExprCompiler | None" = None,
-    governor: Any | None = None,
-    occurring: Any = None,
+    plan: Operator, context: _Context, options
 ) -> "PGather | None":
     """Decompose *plan* into a :class:`PGather` of partition pipelines.
 
@@ -438,23 +431,7 @@ def try_parallel_plan(
         # and the coordinator concatenates — the partition-aware nest.
         aligned = mode == "hash" and scan.var in nest_node.group_by
 
-    if compiler is None:
-        compiler = ExprCompiler()
-
-    def make_context() -> _Context:
-        return _Context(
-            database,
-            params,
-            profile=profile,
-            compiler=compiler,
-            governor=governor,
-            batch_size=options.batch_size,
-            typing=occurring,
-        )
-
-    base_context = make_context()
     partition_roots: list[PhysicalOperator] = []
-    worker_contexts: list[_Context] = []
     for index in range(count):
         mapping: dict[int, Operator] = {
             id(scan): PartitionedScan(
@@ -470,31 +447,28 @@ def try_parallel_plan(
                 PartitionSpec("hash", index, count, right_key),
             )
         worker_logical = _substitute(worker_template, mapping)
-        context = make_context()
-        worker_contexts.append(context)
         partition_roots.append(_build(worker_logical, context, options))
 
     tail_root = None
     tail_source = None
     if strategy == "nest":
-        tail_source = PMaterializedSource(base_context, nest_node.columns())
+        tail_source = PMaterializedSource(context, nest_node.columns())
         tail_logical: Operator = MaterializedInput(
             tail_source, nest_node.columns()
         )
         for op in reversed(path[:nest_index]):
             tail_logical = replace(op, child=tail_logical)
         tail_logical = replace(plan, child=tail_logical)
-        tail_root = _build(tail_logical, base_context, options)
+        tail_root = _build(tail_logical, context, options)
 
     return PGather(
-        base_context,
+        context,
         strategy=strategy,
         mode=mode,
         aligned=aligned,
         monoid=monoid,
         nest_node=nest_node,
         partition_roots=partition_roots,
-        worker_contexts=worker_contexts,
         tail_root=tail_root,
         tail_source=tail_source,
         num_workers=count,
@@ -528,20 +502,17 @@ class PGather(PhysicalOperator):
         monoid,
         nest_node,
         partition_roots: list[PhysicalOperator],
-        worker_contexts: list[_Context],
         tail_root: PhysicalOperator | None,
         tail_source: PMaterializedSource | None,
         num_workers: int,
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.strategy = strategy
         self.mode = mode
         self.aligned = aligned
         self.monoid = monoid
         self._nest_node = nest_node
         self._partition_roots = partition_roots
-        self._worker_contexts = worker_contexts
         self._tail_root = tail_root
         self._tail_source = tail_source
         self.num_workers = num_workers
@@ -566,19 +537,20 @@ class PGather(PhysicalOperator):
 
     # -- execution -----------------------------------------------------------
 
-    def _run_partition(self, index: int) -> Any:
+    def _run_partition(self, ex: Execution, index: int) -> Any:
         # Kernels read thread-local runtime state; bind this worker thread
-        # to its partition's evaluator before running.
-        self._worker_contexts[index].activate()
+        # to the execution before running.
+        ex.activate()
         root = self._partition_roots[index]
         if self.strategy == "reduce":
-            return root.partial_value()
+            return root.partial_value(ex)
         if self.aligned:
-            return root._groups()
-        return root.accumulate(raw=True)
+            return root._groups(ex)
+        return root.accumulate(ex, raw=True)
 
-    def value(self) -> Any:
-        governor = self._context.governor
+    def value(self, ex: Execution | None = None) -> Any:
+        ex = Execution(self) if ex is None else ex
+        governor = ex.governor
         if governor is not None:
             governor.enable_sharing()
         count = len(self._partition_roots)
@@ -588,7 +560,7 @@ class PGather(PhysicalOperator):
             max_workers=self.num_workers, thread_name_prefix="repro-exchange"
         ) as pool:
             futures = [
-                pool.submit(self._run_partition, index)
+                pool.submit(self._run_partition, ex, index)
                 for index in range(count)
             ]
             for index, future in enumerate(futures):
@@ -602,9 +574,6 @@ class PGather(PhysicalOperator):
         # but *whether the query trips* is not — total work is fixed), then
         # the first partition's error, which under range partitioning is
         # the error a serial run would have reached first.
-        # Rebind the coordinator thread: worker-context construction and
-        # partition runs may have left another evaluator active.
-        self._context.activate()
         for exc in errors:
             if isinstance(exc, GovernorError):
                 raise exc
@@ -612,8 +581,8 @@ class PGather(PhysicalOperator):
             if exc is not None:
                 raise exc
         if self.strategy == "reduce":
-            return _account_result(self, self._merge_reduce(partials))
-        return _account_result(self, self._merge_nest(partials))
+            return ex.account(self, self._merge_reduce(partials))
+        return ex.account(self, self._merge_nest(ex, partials))
 
     def _merge_reduce(self, partials: list[list]) -> Any:
         monoid = self.monoid
@@ -624,7 +593,7 @@ class PGather(PhysicalOperator):
             return monoid.fold_elements(elements)
         return _fold_serial(monoid, (v for part in partials for v in part))
 
-    def _merge_nest(self, partials: list) -> Any:
+    def _merge_nest(self, ex: Execution, partials: list) -> Any:
         nest = self._nest_node
         nest_monoid = nest.monoid
         columns: dict[str, list] = {
@@ -657,8 +626,8 @@ class PGather(PhysicalOperator):
                 folded = (_fold_serial(nest_monoid, e) for e in merged.values())
             columns[nest.out_var] = list(folded)
             count = len(merged)
-        self._tail_source.feed(columns, count)
-        return self._tail_root.value()
+        self._tail_source.feed(ex, columns, count)
+        return self._tail_root.value(ex)
 
 
 def _fold_serial(monoid, values) -> Any:

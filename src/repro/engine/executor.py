@@ -1,22 +1,18 @@
-"""Execution driver with per-operator statistics (EXPLAIN ANALYZE style).
+"""Per-operator statistics of one execution (EXPLAIN ANALYZE style).
 
-Wraps the physical planner: runs a logical plan and reports, per physical
-operator, the rows it produced and the plan-wide totals, plus wall time.
-The benchmarks use the row counts as a machine-independent work metric (the
-same role the paper's stream lengths play in its operator discussion).
+:meth:`repro.core.pipeline.CompiledQuery.run` runs a kept physical plan and
+reports, from the execution's counters, the rows each physical operator
+produced and the plan-wide totals, plus wall time.  The benchmarks use the
+row counts as a machine-independent work metric (the same role the paper's
+stream lengths play in its operator discussion).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
-from repro.algebra.operators import Operator
-from repro.calculus.evaluator import ExtentProvider
-from repro.engine.compile import ExprCompiler
-from repro.engine.planner import PlannerOptions, plan_physical
-from repro.engine.physical import PhysicalOperator, root_value
+from repro.engine.physical import Execution, PhysicalOperator
 
 
 @dataclass
@@ -47,8 +43,8 @@ class ExecutionStats:
     ``cache_hits``/``cache_misses`` are the plan-cache counters at the time
     the statistics were collected; ``from_cache`` records whether this
     particular execution reused a cached plan (both are filled in by
-    :class:`repro.core.pipeline.QueryPipeline` — direct ``run_with_stats``
-    calls leave them at their defaults).
+    :class:`repro.core.pipeline.QueryPipeline` — a direct
+    ``CompiledQuery.run`` leaves them at their defaults).
     """
 
     result: Any
@@ -107,70 +103,35 @@ class ExecutionStats:
         return "\n".join(lines)
 
 
-def run_with_stats(
-    plan: Operator,
-    database: ExtentProvider,
-    options: PlannerOptions | None = None,
-    params: Mapping[str, Any] | None = None,
-    profile: bool = True,
-    compiler: "ExprCompiler | None" = None,
-    governor: Any | None = None,
-) -> ExecutionStats:
-    """Plan, execute, and collect per-operator statistics.
-
-    *profile* (default on — this is the EXPLAIN ANALYZE entry point) makes
-    every operator time its expression evaluation, at the cost of a timer
-    call per evaluated expression.  *compiler* reuses a caller-owned
-    expression compiler (see :func:`repro.engine.planner.plan_physical`).
-    *governor* attaches per-query limits; its accounting lands in
-    ``governor_ticks``/``governor_peak_bytes``.
-    """
-    physical = plan_physical(
-        plan,
-        database,
-        options,
-        params,
-        profile=profile,
-        compiler=compiler,
-        governor=governor,
-    )
-    start = time.perf_counter()
-    result = root_value(physical)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    stats = ExecutionStats(
-        result=result, elapsed_ms=elapsed_ms, flat_queries=flat_queries(physical)
-    )
-    if governor is not None:
-        stats.governor_ticks = governor.ticks
-        stats.governor_peak_bytes = governor.peak_bytes
-    collect_operators(physical, 0, stats)
-    return stats
-
-
 def collect_operators(
-    op: PhysicalOperator, depth: int, stats: ExecutionStats
+    op: PhysicalOperator, ex: Execution, depth: int, stats: ExecutionStats
 ) -> None:
-    """Append *op*'s subtree to ``stats.operators``, in plan pre-order."""
+    """Append *op*'s subtree, with its counters in execution *ex*, to
+    ``stats.operators``, in plan pre-order."""
+    counts = ex.counts[op]
     stats.operators.append(
         OperatorStats(
             op.describe(),
-            op.rows_produced,
+            counts.rows_produced,
             depth,
             op.eval_mode(),
-            op.eval_ms,
-            op.batches_produced,
-            op.batch_rows,
+            counts.eval_ms,
+            counts.batches_produced,
+            counts.batch_rows,
         )
     )
     for child in op.children():
-        collect_operators(child, depth + 1, stats)
+        collect_operators(child, ex, depth + 1, stats)
 
 
-def flat_queries(op: PhysicalOperator) -> list[tuple[str, int, float, float]]:
+def flat_queries(
+    op: PhysicalOperator, ex: Execution
+) -> list[tuple[str, int, float, float]]:
     """The (sql, rows, sql ms, decode ms) record of every SQL segment under
-    *op* that ran its SELECT, in plan pre-order."""
+    *op* that ran its SELECT in execution *ex*, in plan pre-order."""
     ran = getattr(op, "flat_query", None)
-    found = [] if ran is None else [ran]
+    record = None if ran is None else ran(ex)
+    found = [] if record is None else [record]
     for child in op.children():
-        found.extend(flat_queries(child))
+        found.extend(flat_queries(child, ex))
     return found

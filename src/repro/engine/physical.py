@@ -20,13 +20,22 @@ algorithms:
   spine over one representative row per distinct binding of them;
 * streaming reduce with quantifier short-circuiting.
 
-Every operator implements one protocol, ``batches()``: a restartable stream
-of columnar :class:`~repro.engine.batch.Chunk` blocks.  Each expression an
-operator evaluates — select predicate, map head, join key, unnest path,
-reduce accumulator — is lowered once, when the operator is built, to a
-kernel (:mod:`repro.engine.compile`): one native call evaluates it over a
-whole chunk.  ``rows()`` is a generic per-row view derived from the chunks,
-for tests and diagnostics; operators never call it on each other.
+A physical plan is built once per compiled query and database state and
+shared by every execution of it, from any thread: an operator holds only
+what planning fixes — its kernels, keys, ``bare`` flags, reuse key, chunk
+size and typing — and never assigns to itself once built.  An execution is
+an :class:`Execution`, made per call and passed down: the parameter values
+and their interpreter, the governor, the profile flag, every operator's
+counters and every memo a run builds.
+
+Every operator implements one protocol, ``batches(ex)``: a restartable
+stream of columnar :class:`~repro.engine.batch.Chunk` blocks in execution
+*ex*; a root answers ``value(ex)``.  Each expression an operator evaluates —
+select predicate, map head, join key, unnest path, reduce accumulator — is
+lowered once, when the operator is built, to a kernel
+(:mod:`repro.engine.compile`): one native call evaluates it over a whole
+chunk.  ``rows(ex)`` is a generic per-row view derived from the chunks, for
+tests and diagnostics; operators never call it on each other.
 
 Three conventions hold across operators:
 
@@ -41,8 +50,8 @@ Three conventions hold across operators:
 * **Blocking builds run once, buffer whole columns and charge them.**  A
   build side is its input's columns plus the row *positions* filed under
   each join key; a nest's groups are one column per grouping variable plus
-  the accumulators in first-seen order.  Each is memoized on first entry;
-  a join's *closed* build side, once per database state
+  the accumulators in first-seen order.  Each is memoized in the execution
+  on first entry; a join's *closed* build side, once per database state
   (:mod:`repro.engine.reuse`).  Under a memory budget a build charges a
   stride-sampled byte estimate of the chunks it buffers.
 """
@@ -50,6 +59,8 @@ Three conventions hold across operators:
 from __future__ import annotations
 
 import time
+import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, groupby
 from typing import Any, Iterator, Mapping, Sequence
@@ -75,37 +86,79 @@ Env = dict[str, Any]
 
 
 class _Context:
-    """Shared per-execution state: the database, the bound
-    prepared-statement parameters (``:name`` placeholder values), the
-    expression compiler with the interpreter its fallback nodes call, the
-    optional per-execution :class:`~repro.engine.governor.Governor`, and
-    the plan's *typing* (:mod:`repro.algebra.typing`): the planner reads
-    it, and each of its occurring variables has an occurrence column."""
+    """What a physical plan is built for: the database, the expression
+    compiler whose kernels its operators hold, the chunk size and the plan's
+    *typing* (:mod:`repro.algebra.typing`): the planner reads it, and each
+    of its occurring variables has an occurrence column.
+
+    The database is held weakly: a plan kept per database state must not
+    keep a replaced store (and its SQLite image) alive."""
 
     def __init__(
         self,
         database: ExtentProvider,
-        params: Mapping[str, Any] | None = None,
-        profile: bool = False,
         compiler: ExprCompiler | None = None,
-        governor: Any | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         typing: Any = None,
     ):
-        self.database = database
-        self.params = dict(params) if params else {}
-        self.profile = profile
-        self.governor = governor
+        self._database = None if database is None else weakref.ref(database)
         self.batch_size = max(1, batch_size)
         self.typing = typing
         self.occurrences = {v: occurrence(v) for v in getattr(typing, "occurring", ())}
-        self._terms = TermEvaluator(database, self.params, governor=governor)
         self._compiler = compiler if compiler is not None else ExprCompiler()
+
+    @property
+    def database(self) -> ExtentProvider | None:
+        return None if self._database is None else self._database()
+
+
+class _Counts:
+    """One operator's counters in one execution: the rows and chunks it
+    emitted and the rows they carried, so EXPLAIN ANALYZE shows how every
+    operator's output was chunked, and the wall time its expressions took
+    in ms (only accumulated when the execution profiles)."""
+
+    __slots__ = ("rows_produced", "batches_produced", "batch_rows", "eval_ms")
+
+    def __init__(self) -> None:
+        self.rows_produced = self.batches_produced = self.batch_rows = 0
+        self.eval_ms = 0.0
+
+
+class Execution:
+    """One run of the physical plan *plan* (its root, or any operator of
+    it): made per call, passed down ``batches`` and ``value``, and dropped
+    with everything it built.
+
+    It holds the bound prepared-statement parameters (``:name`` placeholder
+    values) and the interpreter that reads them, which the kernels' fallback
+    nodes call; the optional :class:`~repro.engine.governor.Governor`; the
+    *profile* flag (EXPLAIN ANALYZE: time every kernel call); each
+    operator's :class:`_Counts` (``counts``); and ``memo``, what an operator
+    builds once per run — an open build side, a nest's groups, a shared
+    nest's output and fed stand-in, a SQL segment's decoded rows."""
+
+    def __init__(
+        self,
+        plan: "PhysicalOperator",
+        params: Mapping[str, Any] | None = None,
+        governor: Any | None = None,
+        profile: bool = False,
+    ):
+        context = plan._context
+        self.database = context.database
+        self.params = dict(params) if params else {}
+        self.governor = governor
+        self.profile = profile
+        self.evaluator = TermEvaluator(self.database, self.params, governor=governor)
+        self.counts: dict[PhysicalOperator, _Counts] = defaultdict(_Counts)
+        self.memo: dict[PhysicalOperator, Any] = {}
+        self._compiler = context._compiler
         self.activate()
 
     def activate(self) -> None:
         """Bind the calling thread's kernels to this execution."""
-        self._compiler.activate(self._terms, self.database)
+        self._compiler.activate(self.evaluator, self.database)
 
     def charge_fn(self):
         """The governor's byte-accounting hook for blocking operators, or
@@ -115,6 +168,13 @@ class _Context:
         if governor is None or governor.max_bytes is None:
             return None
         return governor.charge
+
+    def account(self, op: "PhysicalOperator", result: Any) -> Any:
+        """EXPLAIN ANALYZE accounting for a root: it "produces" the result —
+        one row per element of a collection result, one row for a scalar."""
+        rows = len(result) if isinstance(result, CollectionValue) else 1
+        self.counts[op].rows_produced = rows
+        return result
 
 
 def _charge_chunk(charge, chunk: Chunk, seen: int) -> None:
@@ -184,54 +244,63 @@ def _column_chunks(
 class PhysicalOperator:
     """Base class: a restartable stream of chunks."""
 
-    def __init__(self) -> None:
-        self.rows_produced = 0
-        #: Chunks this operator emitted and the rows they carried, so
-        #: EXPLAIN ANALYZE shows how every operator's output was chunked.
-        self.batches_produced = 0
-        self.batch_rows = 0
-        #: Wall time spent evaluating this operator's expressions, in ms.
-        #: Only accumulated when the execution context profiles evaluation
-        #: (EXPLAIN ANALYZE); stays 0.0 otherwise.
-        self.eval_ms = 0.0
+    def __init__(self, context: _Context) -> None:
+        self._context = context
         self._kernels: list[CompiledKernel] = []
 
-    def batches(self) -> Iterator[Chunk]:
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
         raise NotImplementedError
 
-    def rows(self) -> Iterator[Env]:
+    def value(self, ex: Execution | None = None) -> Any:
+        """Run a complete plan (a fresh unparameterised, ungoverned
+        execution when *ex* is None).  Only a root has a value: a reduce, an
+        eval, the exchange's gather — a stream operator at the root means
+        the logical plan was not a complete query."""
+        raise TypeError("a complete plan must be rooted at Reduce or Eval")
+
+    def rows(self, ex: Execution | None = None) -> Iterator[Env]:
         """The chunk stream one environment at a time (tests, diagnostics)."""
-        for chunk in self.batches():
+        for chunk in self.batches(Execution(self) if ex is None else ex):
             yield from chunk.envs()
 
-    def _emit_chunk(self, chunk: Chunk) -> Chunk:
+    def _emit_chunk(self, ex: Execution, chunk: Chunk) -> Chunk:
         """Account a produced chunk."""
-        self.rows_produced += chunk.length
-        self.batches_produced += 1
-        self.batch_rows += chunk.length
+        counts = ex.counts[self]
+        counts.rows_produced += chunk.length
+        counts.batches_produced += 1
+        counts.batch_rows += chunk.length
         return chunk
 
     def _run_kernel(
-        self, kernel: CompiledKernel, columns: Mapping[str, list], n: int
+        self,
+        ex: Execution,
+        kernel: CompiledKernel,
+        columns: Mapping[str, list],
+        n: int,
     ) -> tuple[list, int, Any]:
-        """Invoke a kernel, timing it when the context profiles."""
-        if not self._context.profile:  # type: ignore[attr-defined]
+        """Invoke a kernel, timing it when the execution profiles."""
+        if not ex.profile:
             return kernel.fn(columns, n)
         start = time.perf_counter()
         try:
             return kernel.fn(columns, n)
         finally:
-            self.eval_ms += (time.perf_counter() - start) * 1000.0
+            elapsed = (time.perf_counter() - start) * 1000.0
+            ex.counts[self].eval_ms += elapsed
 
     def _key_columns(
-        self, kernels: tuple[CompiledKernel, ...], cols: Mapping[str, list], n: int
+        self,
+        ex: Execution,
+        kernels: tuple[CompiledKernel, ...],
+        cols: Mapping[str, list],
+        n: int,
     ) -> tuple[list[list], int, Any]:
         """Evaluate join-key kernels over a chunk: one value list per key,
         all truncated to the rows that precede the first key fault."""
         err = None
         parts: list[list] = []
         for kernel in kernels:
-            values, t, e = self._run_kernel(kernel, cols, n)
+            values, t, e = self._run_kernel(ex, kernel, cols, n)
             if t < n:
                 n = t
                 err = e
@@ -240,15 +309,15 @@ class PhysicalOperator:
         return parts, n, err
 
     def _buffered(
-        self, child: "PhysicalOperator", into: dict[str, list]
+        self, ex: Execution, child: "PhysicalOperator", into: dict[str, list]
     ) -> Iterator[tuple[Mapping[str, list], int, int]]:
         """Drain *child* into the whole columns *into*, charging each chunk
         as it is buffered.  Yields every chunk's own columns with its offset
         in the buffer and its length, so a build's key kernels run chunk by
         chunk, as the rows arrive."""
-        charge = self._context.charge_fn()
+        charge = ex.charge_fn()
         offset = 0
-        for chunk in child.batches():
+        for chunk in child.batches(ex):
             if charge is not None:
                 _charge_chunk(charge, chunk, offset)
             for name, values in into.items():
@@ -258,6 +327,7 @@ class PhysicalOperator:
 
     def _emit_candidates(
         self,
+        ex: Execution,
         cols: Mapping[str, list],
         n: int,
         parent_of: list[int],
@@ -277,7 +347,7 @@ class PhysicalOperator:
         it emits the survivors that preceded the fault.  *kerr* (a key or
         path fault past row *n*) is raised after the rows that preceded it.
         """
-        governor = self._context.governor
+        governor = ex.governor
         holds: CompiledKernel = self._holds
         total = len(parent_of)
         if total and not holds.trivial_true:
@@ -289,7 +359,7 @@ class PhysicalOperator:
                 if name in needed
             }
             ccols.update(added)
-            flags, passed, perr = self._run_kernel(holds, ccols, total)
+            flags, passed, perr = self._run_kernel(ex, holds, ccols, total)
             if governor is not None:
                 governor.tick_many(passed + 1 if perr is not None else total)
             if perr is not None:
@@ -317,21 +387,29 @@ class PhysicalOperator:
                     name: [col[j] for j in order] for name, col in added.items()
                 }
         if parent_of:
-            yield self._gathered(cols, parent_of, added)
+            yield self._gathered(ex, cols, parent_of, added)
         if kerr is not None:
             raise kerr
 
     def _gathered(
-        self, cols: Mapping[str, list], parent_of: list[int], added: dict[str, list]
+        self,
+        ex: Execution,
+        cols: Mapping[str, list],
+        parent_of: list[int],
+        added: dict[str, list],
     ) -> Chunk:
         """One row per candidate: its row's columns of *cols*, each gathered
         with one comprehension instead of per-row appends, and *added*."""
         out_cols = {name: [col[i] for i in parent_of] for name, col in cols.items()}
         out_cols.update(added)
-        return self._emit_chunk(Chunk(out_cols, len(parent_of)))
+        return self._emit_chunk(ex, Chunk(out_cols, len(parent_of)))
 
     def _kept_heads(
-        self, cols: Mapping[str, list], n: int, null_vars: tuple[str, ...] = ()
+        self,
+        ex: Execution,
+        cols: Mapping[str, list],
+        n: int,
+        null_vars: tuple[str, ...] = (),
     ) -> tuple[int, Any, list, Any]:
         """Heads of the rows of an *n*-row chunk that *null_vars* (none of
         them NULL) and the ``_holds`` predicate keep: ``(limit, picked,
@@ -345,7 +423,7 @@ class PhysicalOperator:
         if holds.trivial_true:
             flags, limit, err = None, n, None
         else:
-            flags, limit, err = self._run_kernel(holds, cols, n)
+            flags, limit, err = self._run_kernel(ex, holds, cols, n)
         null_cols = [cols[col] for col in null_vars]
         if not null_cols and flags is None:
             picked: Any = range(limit)
@@ -380,7 +458,7 @@ class PhysicalOperator:
                 for name, col in cols.items()
                 if name in head_vars
             }
-        values, t, herr = self._run_kernel(self._head_kernel, scols, m)
+        values, t, herr = self._run_kernel(ex, self._head_kernel, scols, m)
         if herr is not None:
             err = herr
             picked = picked[:t]
@@ -402,9 +480,10 @@ class PhysicalOperator:
     def describe(self) -> str:
         return self.name()
 
-    def total_rows(self) -> int:
-        """Rows produced by this operator and everything below it."""
-        return self.rows_produced + sum(c.total_rows() for c in self.children())
+    def total_rows(self, ex: Execution) -> int:
+        """Rows produced in *ex* by this operator and everything below it."""
+        own = ex.counts[self].rows_produced
+        return own + sum(c.total_rows(ex) for c in self.children())
 
     # -- expression binding --------------------------------------------------
 
@@ -443,26 +522,24 @@ class PScan(PhysicalOperator):
     """Sequential scan of a class extent (a row's occurrence: its position)."""
 
     def __init__(self, context: _Context, extent: str, var: str):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.extent = extent
         self.var = var
         self._occurrence = context.occurrences.get(var)
 
-    def _items(self) -> tuple[list, Sequence[int]]:
+    def _items(self, ex: Execution) -> tuple[list, Sequence[int]]:
         """The rows to emit and each one's occurrence: its position in the
         extent."""
-        items = list(self._context.database.extent(self.extent))
+        items = list(ex.database.extent(self.extent))
         return items, range(len(items))
 
-    def batches(self) -> Iterator[Chunk]:
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
         # Slice the items directly into column lists — no per-row dict, no
         # generator hop — charging one work unit per row, once per chunk.
-        context = self._context
         var = self.var
-        size = context.batch_size
-        governor = context.governor
-        items, positions = self._items()
+        size = self._context.batch_size
+        governor = ex.governor
+        items, positions = self._items(ex)
         for start in range(0, len(items), size):
             col = items[start : start + size]
             if governor is not None:
@@ -470,34 +547,28 @@ class PScan(PhysicalOperator):
             columns = {var: col}
             if self._occurrence is not None:
                 columns[self._occurrence] = list(positions[start : start + size])
-            yield self._emit_chunk(Chunk(columns, len(col)))
+            yield self._emit_chunk(ex, Chunk(columns, len(col)))
 
     def describe(self) -> str:
         return f"Scan({self.var} <- {self.extent})"
 
 
 class PMaterializedSource(PhysicalOperator):
-    """Leaf replaying columns another operator computed: the stand-in for
-    an input that ran elsewhere — the shared nest's representative rows,
-    the exchange's coordinator-merged groups."""
+    """Leaf replaying columns another operator computed in the same
+    execution: the stand-in for an input that ran elsewhere — the shared
+    nest's representative rows, the exchange's coordinator-merged groups."""
 
     def __init__(self, context: _Context, columns: tuple[str, ...]):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self._columns = columns
-        self._fed: dict[str, list] = {}
-        self._length = 0
 
-    def feed(self, columns: dict[str, list], length: int) -> None:
-        self._fed = columns
-        self._length = length
-        self.rows_produced = 0
+    def feed(self, ex: Execution, columns: dict[str, list], length: int) -> None:
+        ex.memo[self] = columns, length
 
-    def batches(self) -> Iterator[Chunk]:
-        for chunk in _column_chunks(
-            self._fed, self._length, self._context.batch_size
-        ):
-            yield self._emit_chunk(chunk)
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        columns, length = ex.memo.get(self, ({}, 0))
+        for chunk in _column_chunks(columns, length, self._context.batch_size):
+            yield self._emit_chunk(ex, chunk)
 
     def describe(self) -> str:
         return f"Materialized({','.join(self._columns)})"
@@ -521,16 +592,15 @@ class MaterializedInput(Operator):
 class PSeed(PhysicalOperator):
     """The singleton empty-environment stream: one row, no columns."""
 
-    def batches(self) -> Iterator[Chunk]:
-        yield self._emit_chunk(Chunk({}, 1))
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        yield self._emit_chunk(ex, Chunk({}, 1))
 
 
 class PSelect(PhysicalOperator):
     """Pipelined selection."""
 
     def __init__(self, context: _Context, child: PhysicalOperator, pred: Term):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = child
         self.pred = pred
         self._holds = self._pred_kernel(context, pred)
@@ -538,17 +608,17 @@ class PSelect(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def batches(self) -> Iterator[Chunk]:
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
         kernel = self._holds
         if kernel.trivial_true:
-            for chunk in self.child.batches():
-                yield self._emit_chunk(chunk)
+            for chunk in self.child.batches(ex):
+                yield self._emit_chunk(ex, chunk)
             return
-        for chunk in self.child.batches():
-            flags, t, err = self._run_kernel(kernel, chunk.columns, chunk.length)
+        for chunk in self.child.batches(ex):
+            flags, t, err = self._run_kernel(ex, kernel, chunk.columns, chunk.length)
             if err is None and all(flags):
                 # Every row passed: pass the chunk through unchanged.
-                yield self._emit_chunk(chunk)
+                yield self._emit_chunk(ex, chunk)
             else:
                 # flags covers rows [0, t); compress truncates each column
                 # to it, dropping both failures and unevaluated rows.
@@ -558,7 +628,7 @@ class PSelect(PhysicalOperator):
                         name: list(compress(col, flags))
                         for name, col in chunk.columns.items()
                     }
-                    yield self._emit_chunk(Chunk(columns, count))
+                    yield self._emit_chunk(ex, Chunk(columns, count))
             if err is not None:
                 raise err
 
@@ -575,8 +645,7 @@ class PMap(PhysicalOperator):
         child: PhysicalOperator,
         bindings: tuple[tuple[str, Term], ...],
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = child
         self.bindings = bindings
         self._binding_kernels = tuple(
@@ -586,9 +655,9 @@ class PMap(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def batches(self) -> Iterator[Chunk]:
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
         kernels = self._binding_kernels
-        for chunk in self.child.batches():
+        for chunk in self.child.batches(ex):
             columns = dict(chunk.columns)
             n = chunk.length
             err = None
@@ -597,14 +666,14 @@ class PMap(PhysicalOperator):
                 # progressively extended column set.  An error truncates the
                 # chunk to the rows that evaluated fully; the error replays
                 # after them.
-                values, t, e = self._run_kernel(kernel, columns, n)
+                values, t, e = self._run_kernel(ex, kernel, columns, n)
                 if t < n:
                     n = t
                     err = e
                     columns = {k: col[:n] for k, col in columns.items()}
                 columns[name] = values
             if n:
-                yield self._emit_chunk(Chunk(columns, n))
+                yield self._emit_chunk(ex, Chunk(columns, n))
             if err is not None:
                 raise err
 
@@ -617,9 +686,9 @@ class PHashJoin(PhysicalOperator):
     """Hash (outer-)join on extracted equi-keys, with a residual predicate.
 
     The build-side hash table is constructed on the first ``batches()``
-    entry and reused by re-entries (e.g. when this join is the inner of a
-    nested loop), so the build input's rows are produced exactly once per
-    execution.
+    entry of an execution and reused by its re-entries (e.g. when this join
+    is the inner of a nested loop), so the build input's rows are produced
+    exactly once per execution.
 
     With no keys it is the nested-loop join: the table is one bucket
     holding all ``m`` right rows, and the probe takes ``batch_size // m``
@@ -641,8 +710,7 @@ class PHashJoin(PhysicalOperator):
         bare: tuple[Sequence[bool], Sequence[bool]],
         reuse_key: Any = None,
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.left = left
         self.right = right
         self.residual = residual
@@ -656,22 +724,21 @@ class PHashJoin(PhysicalOperator):
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
         self._bare = bare  # see _filed
         self.reuse_key = reuse_key  # see repro.engine.reuse
-        #: ``(table, columns)`` once built: the right rows' positions under
-        #: their join keys, and the right input's columns.
-        self._built: tuple[dict[Any, list[int]], dict[str, list]] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    def _build(self) -> tuple[tuple[dict[Any, list[int]], list[list]], bool]:
+    def _build(
+        self, ex: Execution
+    ) -> tuple[tuple[dict[Any, list[int]], list[list]], bool]:
         """Buffer the right input and index it: the table and the columns,
         in ``right_columns`` order.  Every column ends in one NULL past its
         last row, so position -1 reads as an outer pad."""
         cols: dict[str, list] = {col: [] for col in self.right_columns}
         table: dict[Any, list[int]] = {}
-        for chunk_cols, offset, length in self._buffered(self.right, cols):
+        for chunk_cols, offset, length in self._buffered(ex, self.right, cols):
             key_parts, _, err = self._key_columns(
-                self._right_key_kernels, chunk_cols, length
+                ex, self._right_key_kernels, chunk_cols, length
             )
             if err is not None:
                 # A key-expression fault fails the build at that right row.
@@ -681,15 +748,18 @@ class PHashJoin(PhysicalOperator):
             col.append(NULL)
         return (table, list(cols.values())), True
 
-    def batches(self) -> Iterator[Chunk]:
-        if self._built is None:
-            table, columns = reused(self, self._build)
-            self._built = table, dict(zip(self.right_columns, columns))
-        table, right_cols = self._built
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        built = ex.memo.get(self)
+        if built is None:
+            # The table and the right input's columns: the right rows'
+            # positions under their join keys, and what they carry.
+            table, columns = reused(self, ex, self._build)
+            built = ex.memo[self] = table, dict(zip(self.right_columns, columns))
+        table, right_cols = built
         outer = self.outer
-        governor = self._context.governor
+        governor = ex.governor
         trivial = self._holds.trivial_true
-        chunks = self.left.batches()
+        chunks = self.left.batches(ex)
         # An empty build matches no key, so none is evaluated: no fault.
         key_kernels = self._left_key_kernels if table else ()
         if not self.left_keys:
@@ -702,7 +772,7 @@ class PHashJoin(PhysicalOperator):
             )
         for chunk in chunks:
             cols = chunk.columns
-            key_parts, n, kerr = self._key_columns(key_kernels, cols, chunk.length)
+            key_parts, n, kerr = self._key_columns(ex, key_kernels, cols, chunk.length)
             # One probe pass builds the output row index — each left row's
             # candidate right rows, by position — and every column is then
             # gathered with one comprehension instead of per-row appends.
@@ -726,12 +796,12 @@ class PHashJoin(PhysicalOperator):
                 for name, col in right_cols.items()
             }
             if not plain:
-                yield from self._emit_candidates(cols, n, parent_of, added, kerr)
+                yield from self._emit_candidates(ex, cols, n, parent_of, added, kerr)
                 continue
             if governor is not None:
                 governor.tick_many(len(positions) - pads)
             if parent_of:
-                yield self._gathered(cols, parent_of, added)
+                yield self._gathered(ex, cols, parent_of, added)
 
     def describe(self) -> str:
         if not self.left_keys:
@@ -765,8 +835,8 @@ class PIndexScan(PHashJoin):
         var, occurrence = scan.var, scan._occurrence
         columns = (var,) if occurrence is None else (var, occurrence)
         super().__init__(
-            context, PSeed(), scan, (key,), (Proj(Var(var), attr),), TRUE, columns,
-            False, bare, reuse_key,
+            context, PSeed(context), scan, (key,), (Proj(Var(var), attr),), TRUE,
+            columns, False, bare, reuse_key,
         )
         self.extent, self.var, self.attr, self.key = scan.extent, var, attr, key
         self._occurrence = occurrence  # a scan's, for a kept build's shape
@@ -797,8 +867,7 @@ class PUnnest(PhysicalOperator):
         pred: Term,
         outer: bool,
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = child
         self.path = path
         self.var = var
@@ -812,18 +881,18 @@ class PUnnest(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def batches(self) -> Iterator[Chunk]:
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
         path_kernel = self._path_kernel
         var = self.var
         occ = self._occurrence
-        governor = self._context.governor
+        governor = ex.governor
         trivial = self._holds.trivial_true
         # Without a predicate a row's outer pad is known while expanding;
         # with one, _emit_candidates pads the rows no candidate survives.
         pad = self.outer and trivial
-        for chunk in self.child.batches():
+        for chunk in self.child.batches(ex):
             cols = chunk.columns
-            paths, limit, err = self._run_kernel(path_kernel, cols, chunk.length)
+            paths, limit, err = self._run_kernel(ex, path_kernel, cols, chunk.length)
             # Expand parents into (parent index, element) candidate pairs.
             parent_of: list[int] = []
             elements: list[Any] = []
@@ -851,12 +920,12 @@ class PUnnest(PhysicalOperator):
             if occ is not None:
                 added[occ] = _positions(parent_of)
             if not trivial:
-                yield from self._emit_candidates(cols, limit, parent_of, added, err)
+                yield from self._emit_candidates(ex, cols, limit, parent_of, added, err)
                 continue
             if governor is not None:
                 governor.tick_many(total)
             if parent_of:
-                yield self._gathered(cols, parent_of, added)
+                yield self._gathered(ex, cols, parent_of, added)
             if err is not None:
                 raise err
 
@@ -869,8 +938,8 @@ class PHashNest(PhysicalOperator):
     """Hash-based grouping implementation of the nest operator.
 
     Grouping is a blocking operation: the child stream is consumed and the
-    groups accumulated on the first ``batches()`` entry, then replayed by
-    any re-entry without re-running the child.
+    groups accumulated on an execution's first ``batches()`` entry, then
+    replayed by any re-entry without re-running the child.
     """
 
     def __init__(
@@ -885,8 +954,7 @@ class PHashNest(PhysicalOperator):
         pred: Term,
         bare: Sequence[bool],
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = child
         self.monoid = monoid
         self.head = head
@@ -897,7 +965,6 @@ class PHashNest(PhysicalOperator):
         self._head_kernel = self._kernel(context, head)
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
-        self._group_columns: tuple[dict[str, list], int] | None = None
         #: Per grouping variable, the column keying a group: its occurrence
         #: where it has one.  A group carries out both, for an outer nest.
         #: Keys are :func:`_filed` — distinct stored objects with equal state
@@ -913,7 +980,7 @@ class PHashNest(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def accumulate(self, raw: bool = False):
+    def accumulate(self, ex: Execution, raw: bool = False):
         """The grouping build: kernels over child chunks.
 
         Returns ``(groups, key_cols)``: the accumulators by group key — a
@@ -939,12 +1006,12 @@ class PHashNest(PhysicalOperator):
         key_cols: dict[str, list] = {col: [] for col in self.carried}
         collection = isinstance(monoid, CollectionMonoid)
         use_list = collection or raw
-        charge = self._context.charge_fn() if collection else None
+        charge = ex.charge_fn() if collection else None
         buffered = 0
-        for chunk in self.child.batches():
+        for chunk in self.child.batches(ex):
             cols = chunk.columns
             limit, picked, values, err = self._kept_heads(
-                cols, chunk.length, self.null_vars
+                ex, cols, chunk.length, self.null_vars
             )
             keys = (
                 _filed([cols[k][:limit] for k in self._keys], self._bare)
@@ -969,10 +1036,11 @@ class PHashNest(PhysicalOperator):
                 raise err
         return groups, key_cols
 
-    def _groups(self) -> tuple[dict[str, list], int]:
-        """The memoized groups: their columns and how many there are."""
-        if self._group_columns is None:
-            groups, columns = self.accumulate()
+    def _groups(self, ex: Execution) -> tuple[dict[str, list], int]:
+        """The groups, memoized in *ex*: their columns and how many."""
+        found = ex.memo.get(self)
+        if found is None:
+            groups, columns = self.accumulate(ex)
             monoid = self.monoid
             fold = (
                 monoid.fold_elements
@@ -980,12 +1048,12 @@ class PHashNest(PhysicalOperator):
                 else monoid.finalize
             )
             columns[self.out_var] = list(map(fold, groups.values()))
-            self._group_columns = (columns, len(groups))
-        return self._group_columns
+            found = ex.memo[self] = columns, len(groups)
+        return found
 
-    def batches(self) -> Iterator[Chunk]:
-        for chunk in _column_chunks(*self._groups(), self._context.batch_size):
-            yield self._emit_chunk(chunk)
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        for chunk in _column_chunks(*self._groups(ex), self._context.batch_size):
+            yield self._emit_chunk(ex, chunk)
 
     def describe(self) -> str:
         group = ",".join(self.group_by) or "()"
@@ -1049,8 +1117,7 @@ class PGroupJoin(PhysicalOperator):
         bare: tuple[Sequence[bool], Sequence[bool]],
         reuse_key: Any = None,
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = left
         self.right = right
         self.monoid = monoid
@@ -1069,18 +1136,17 @@ class PGroupJoin(PhysicalOperator):
         self._residual_holds = self._pred_kernel(context, residual)
         self._bare = bare
         self.reuse_key = reuse_key
-        self._built: tuple[dict[Any, tuple], bool] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child, self.right)
 
     def _run_total(
-        self, kernel: CompiledKernel, cols: Mapping[str, list], n: int
+        self, ex: Execution, kernel: CompiledKernel, cols: Mapping[str, list], n: int
     ) -> tuple[list, bool]:
         """A kernel over all *n* rows with faults kept in place: a faulting
         row's slot holds its error and evaluation resumes on the next row.
         Returns the slots and whether any faulted."""
-        values, _, err = self._run_kernel(kernel, cols, n)
+        values, _, err = self._run_kernel(ex, kernel, cols, n)
         faulted = err is not None
         while err is not None:
             values.append(_Fault(err))
@@ -1088,11 +1154,11 @@ class PGroupJoin(PhysicalOperator):
             if start == n:
                 break
             rest = {name: col[start:n] for name, col in cols.items()}
-            more, _, err = self._run_kernel(kernel, rest, n - start)
+            more, _, err = self._run_kernel(ex, kernel, rest, n - start)
             values.extend(more)
         return values, faulted
 
-    def _build(self) -> tuple[tuple[dict[Any, tuple], bool], bool]:
+    def _build(self, ex: Execution) -> tuple[tuple[dict[Any, tuple], bool], bool]:
         """Consume the right input: ``((table, clean), keep)``, *clean* if
         each right row's nest element is a head value (not ``_SKIP`` or a
         ``_Fault``), *keep* if none faulted.  ``table`` maps a join key to
@@ -1111,8 +1177,8 @@ class PGroupJoin(PhysicalOperator):
         rows_of: dict[Any, Any] = {}
         elements: list = []
         clean = True
-        for cols, offset, n in self._buffered(self.right, rcols):
-            key_parts, _, err = self._key_columns(key_kernels, cols, n)
+        for cols, offset, n in self._buffered(ex, self.right, rcols):
+            key_parts, _, err = self._key_columns(ex, key_kernels, cols, n)
             if err is not None:
                 # A key-expression fault fails the build at that right row.
                 raise err
@@ -1120,7 +1186,7 @@ class PGroupJoin(PhysicalOperator):
                 flags = None
             else:
                 # On every joined row, kept by the null filter or not.
-                flags, _ = self._run_total(pred_kernel, cols, n)
+                flags, _ = self._run_total(ex, pred_kernel, cols, n)
             dropped = {
                 i
                 for col in self.null_vars
@@ -1130,7 +1196,7 @@ class PGroupJoin(PhysicalOperator):
             if flags is not None:
                 dropped.update(i for i, f in enumerate(flags) if f is not True)
             if not dropped:
-                values, dirty = self._run_total(head_kernel, cols, n)
+                values, dirty = self._run_total(ex, head_kernel, cols, n)
             else:
                 dirty = True
                 values = (
@@ -1145,7 +1211,7 @@ class PGroupJoin(PhysicalOperator):
                         for name, col in cols.items()
                         if name in head_vars
                     }
-                    heads, _ = self._run_total(head_kernel, scols, len(picked))
+                    heads, _ = self._run_total(ex, head_kernel, scols, len(picked))
                     for i, value in zip(picked, heads):
                         values[i] = value
             clean = clean and not dirty
@@ -1194,13 +1260,14 @@ class PGroupJoin(PhysicalOperator):
             return monoid.fold_elements(elems)
         return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, elems))
 
-    def batches(self) -> Iterator[Chunk]:
-        if self._built is None:
-            self._built = reused(self, self._build)
-        table, clean = self._built
-        governor = self._context.governor
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        built = ex.memo.get(self)
+        if built is None:
+            built = ex.memo[self] = reused(self, ex, self._build)
+        table, clean = built
+        governor = ex.governor
         collection = isinstance(self.monoid, CollectionMonoid)
-        charge = self._context.charge_fn() if collection else None
+        charge = ex.charge_fn() if collection else None
         buffered = 0
         residual_kernel = self._residual_holds
         plain = residual_kernel.trivial_true
@@ -1211,9 +1278,9 @@ class PGroupJoin(PhysicalOperator):
         unmatched = self._fold([])
         # An empty build matches no key, so none is evaluated: no fault.
         key_kernels = self._left_key_kernels if table else ()
-        for chunk in self.child.batches():
+        for chunk in self.child.batches(ex):
             cols = chunk.columns
-            key_parts, n, err = self._key_columns(key_kernels, cols, chunk.length)
+            key_parts, n, err = self._key_columns(ex, key_kernels, cols, chunk.length)
             buckets = _probe_rows(table, key_parts, n, self._bare[0])
             if plain and governor is not None:
                 governor.tick_many(sum(b[0] for b in buckets if b is not None))
@@ -1238,7 +1305,7 @@ class PGroupJoin(PhysicalOperator):
                     for name in needed_left:
                         probe[name] = [cols[name][i]] * k
                     flags, passed, perr = self._run_kernel(
-                        residual_kernel, probe, k
+                        ex, residual_kernel, probe, k
                     )
                     if governor is not None:
                         governor.tick_many(passed + 1 if perr is not None else k)
@@ -1256,7 +1323,7 @@ class PGroupJoin(PhysicalOperator):
                     # The pair evaluates the nest predicate on each padded
                     # row (every right column NULL), where it can only fault.
                     pad = {col: [NULL] for col in self.right_columns}
-                    fault = self._run_kernel(self._holds, pad, 1)[2]
+                    fault = self._run_kernel(ex, self._holds, pad, 1)[2]
                     if fault is not None:
                         err = fault
                         break
@@ -1271,7 +1338,7 @@ class PGroupJoin(PhysicalOperator):
                 if len(out) < chunk.length:  # a fault cut the chunk short
                     columns = {name: col[: len(out)] for name, col in cols.items()}
                 columns[self.out_var] = out
-                yield self._emit_chunk(Chunk(columns, len(out)))
+                yield self._emit_chunk(ex, Chunk(columns, len(out)))
             if err is not None:
                 raise err
 
@@ -1328,21 +1395,19 @@ class PSharedNest(PhysicalOperator):
         spine: "PHashNest",
         bindings: tuple[Term, ...],
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = left
         self.source = source
         self.spine = spine
         self.bindings = bindings
         self._binding_kernels = tuple(self._kernel(context, e) for e in bindings)
-        #: ``(columns, rows)`` of the shared output once computed; columns
-        #: None when nothing was shared and the spine's groups are the output.
-        self._out: tuple[dict[str, list] | None, int] | None = None
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.spine, self.child)
 
-    def _drain(self) -> tuple[dict[str, list], int, list[int] | None, Any]:
+    def _drain(
+        self, ex: Execution
+    ) -> tuple[dict[str, list], int, list[int] | None, Any]:
         """Buffer ``L``: its columns, row count, each row's representative
         (the position of the first row with its binding; None when a
         binding faulted) and the fault that ended the stream, if any."""
@@ -1352,11 +1417,11 @@ class PSharedNest(PhysicalOperator):
         n = 0
         held = None
         try:
-            for ccols, offset, length in self._buffered(self.child, cols):
+            for ccols, offset, length in self._buffered(ex, self.child, cols):
                 n = offset + length
                 if rep_of is not None:
                     parts, _, err = self._key_columns(
-                        self._binding_kernels, ccols, length
+                        ex, self._binding_kernels, ccols, length
                     )
                     if err is not None:
                         rep_of = None
@@ -1377,26 +1442,29 @@ class PSharedNest(PhysicalOperator):
             held = exc
         return cols, n, rep_of, held
 
-    def _share(self) -> tuple[dict[str, list] | None, int]:
-        cols, n, rep_of, held = self._drain()
+    def _share(self, ex: Execution) -> tuple[dict[str, list] | None, int]:
+        """The shared output: ``(columns, rows)``, columns None when nothing
+        was shared and the spine's groups are the output as they stand."""
+        cols, n, rep_of, held = self._drain(ex)
         spine = self.spine
         # The representatives, in stream order.
         firsts = [] if rep_of is None else list(dict.fromkeys(rep_of))
         if rep_of is None or len(firsts) == n:
-            self.source.feed(cols, n)
-            spine._groups()
+            self.source.feed(ex, cols, n)
+            spine._groups(ex)
             if held is not None:
                 raise held
             return None, n
         keys, bare = spine._keys, spine._bare
         ids = _filed([cols[k] for k in keys], bare)
         self.source.feed(
+            ex,
             {name: [col[i] for i in firsts] for name, col in cols.items()},
             len(firsts),
         )
         out_var = spine.out_var
         value_of: dict[Any, Any] = {}
-        for chunk in spine.batches():
+        for chunk in spine.batches(ex):
             value_of.update(
                 zip(
                     _filed([chunk.columns[k] for k in keys], bare),
@@ -1414,29 +1482,23 @@ class PSharedNest(PhysicalOperator):
         cols[out_var] = values
         return cols, len(values)
 
-    def batches(self) -> Iterator[Chunk]:
-        if self._out is None:
-            self._out = self._share()
-        columns, n = self._out
+    def batches(self, ex: Execution) -> Iterator[Chunk]:
+        out = ex.memo.get(self)
+        if out is None:
+            out = ex.memo[self] = self._share(ex)
+        columns, n = out
         chunks = (
-            self.spine.batches()
+            self.spine.batches(ex)
             if columns is None
             else _column_chunks(columns, n, self._context.batch_size)
         )
         for chunk in chunks:
-            yield self._emit_chunk(chunk)
+            yield self._emit_chunk(ex, chunk)
 
     def describe(self) -> str:
         spine = self.spine
         per = ", ".join(str(e) for e in self.bindings) or "()"
         return f"SharedNest({spine.monoid.name} -> {spine.out_var} per {per})"
-
-
-def _account_result(op: PhysicalOperator, result: Any) -> Any:
-    """EXPLAIN ANALYZE accounting for a root: it "produces" the result —
-    one row per element of a collection result, one row for a scalar."""
-    op.rows_produced = len(result) if isinstance(result, CollectionValue) else 1
-    return result
 
 
 class PReduce(PhysicalOperator):
@@ -1450,8 +1512,7 @@ class PReduce(PhysicalOperator):
         head: Term,
         pred: Term,
     ):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = child
         self.monoid = monoid
         self.head = head
@@ -1463,21 +1524,20 @@ class PReduce(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def value(self) -> Any:
+    def value(self, ex: Execution | None = None) -> Any:
+        ex = Execution(self) if ex is None else ex
         monoid = self.monoid
         if isinstance(monoid, CollectionMonoid):
             # One-pass bulk construction instead of per-row immutable
             # merges (which copy the whole accumulator every row).
-            return _account_result(
-                self, monoid.fold_elements(self.partial_value())
-            )
+            return ex.account(self, monoid.fold_elements(self.partial_value(ex)))
         merge = monoid.merge
         lift = monoid.lift
         result = monoid.zero
         is_all = monoid.name == "all"
         is_some = monoid.name == "some"
-        for chunk in self.child.batches():
-            _, _, values, err = self._kept_heads(chunk.columns, chunk.length)
+        for chunk in self.child.batches(ex):
+            _, _, values, err = self._kept_heads(ex, chunk.columns, chunk.length)
             for head in values:
                 if head is NULL:
                     continue
@@ -1485,14 +1545,14 @@ class PReduce(PhysicalOperator):
                 # Short-circuit *before* raising: the rows past the
                 # deciding one — the faulting row among them — do not count.
                 if is_all and result is False:
-                    return _account_result(self, False)
+                    return ex.account(self, False)
                 if is_some and result is True:
-                    return _account_result(self, True)
+                    return ex.account(self, True)
             if err is not None:
                 raise err
-        return _account_result(self, monoid.finalize(result))
+        return ex.account(self, monoid.finalize(result))
 
-    def partial_value(self) -> list:
+    def partial_value(self, ex: Execution) -> list:
         """The head values over the predicate-surviving rows, in stream
         order, NULLs included — the whole stream here, one partition's for
         the exchange workers (the serial primitive fold skips NULLs at
@@ -1504,8 +1564,8 @@ class PReduce(PhysicalOperator):
         No result accounting happens here; the root owns it.
         """
         elements: list = []
-        for chunk in self.child.batches():
-            _, _, values, err = self._kept_heads(chunk.columns, chunk.length)
+        for chunk in self.child.batches(ex):
+            _, _, values, err = self._kept_heads(ex, chunk.columns, chunk.length)
             elements.extend(values)
             if err is not None:
                 raise err
@@ -1519,8 +1579,7 @@ class PEval(PhysicalOperator):
     """Root for non-comprehension queries: expression over one tuple."""
 
     def __init__(self, context: _Context, child: PhysicalOperator, expr: Term):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self.child = child
         self.expr = expr
         self._expr_kernel = self._kernel(context, expr)
@@ -1528,28 +1587,18 @@ class PEval(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def value(self) -> Any:
-        chunks = list(self.child.batches())
+    def value(self, ex: Execution | None = None) -> Any:
+        ex = Execution(self) if ex is None else ex
+        chunks = list(self.child.batches(ex))
         count = sum(chunk.length for chunk in chunks)
         if count != 1:
             raise EvaluationError(
                 f"Eval root expected exactly one row, got {count}"
             )
-        values, _, err = self._run_kernel(self._expr_kernel, chunks[0].columns, 1)
+        values, _, err = self._run_kernel(ex, self._expr_kernel, chunks[0].columns, 1)
         if err is not None:
             raise err
-        return _account_result(self, values[0])
+        return ex.account(self, values[0])
 
     def describe(self) -> str:
         return f"Eval({self.expr})"
-
-
-def root_value(op: PhysicalOperator) -> Any:
-    """Run a complete physical plan.  Only a root has a value: a reduce, an
-    eval, the exchange's gather — whatever the planner put there, it
-    answers ``value()``; a stream operator at the root means the logical
-    plan was not a complete query."""
-    value = getattr(op, "value", None)
-    if value is None:
-        raise TypeError("a complete plan must be rooted at Reduce or Eval")
-    return value()

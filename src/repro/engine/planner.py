@@ -96,9 +96,9 @@ from repro.engine.physical import (
     PSelect,
     PSharedNest,
     PUnnest,
+    Execution,
     PhysicalOperator,
     _Context,
-    root_value,
 )
 
 
@@ -123,53 +123,31 @@ def plan_physical(
     plan: Operator,
     database: ExtentProvider,
     options: PlannerOptions | None = None,
-    params: Mapping[str, Any] | None = None,
-    profile: bool = False,
     compiler: "ExprCompiler | None" = None,
-    governor: Any | None = None,
     occurring: PlanTypeChecker | None = None,
 ) -> PhysicalOperator:
-    """Translate a logical plan into a physical plan bound to *database*.
+    """Translate a logical plan into a physical plan for *database*.
 
-    *params* supplies values for any :class:`~repro.calculus.terms.Param`
-    placeholders in the plan's expressions (prepared-statement execution).
-    *profile* makes operators time their expression evaluation (EXPLAIN
-    ANALYZE).  *compiler* reuses a caller-owned :class:`ExprCompiler` so its
-    memoized kernels survive across executions (the plan cache passes the
-    one stored on ``CompiledQuery``).  *governor* is an optional
-    :class:`repro.engine.governor.Governor` ticked from every operator loop
-    of this execution.  *occurring* is the plan's typing
+    The plan fixes what every execution shares — kernels, keys, reuse keys,
+    chunk size — and holds nothing of one: parameter values, a governor and
+    profiling come with each :class:`~repro.engine.physical.Execution`
+    passed to its root's ``value``.  *compiler* is the caller's
+    :class:`ExprCompiler` (a compiled query's own), whose kernels the
+    operators hold.  *occurring* is the plan's typing
     (:func:`~repro.algebra.typing.type_plan`), found before the SQL lowering
     replaced subtrees (None: of *plan* itself).
     """
     options = options or PlannerOptions()
     if occurring is None:
         occurring = type_plan(plan, database)
+    context = _Context(database, compiler, options.batch_size, occurring)
     if options.parallel:
         # Imported lazily: exchange depends on this module's _build.
         from repro.engine.exchange import try_parallel_plan
 
-        gathered = try_parallel_plan(
-            plan,
-            database,
-            options,
-            params=params,
-            profile=profile,
-            compiler=compiler,
-            governor=governor,
-            occurring=occurring,
-        )
+        gathered = try_parallel_plan(plan, context, options)
         if gathered is not None:
             return gathered
-    context = _Context(
-        database,
-        params,
-        profile=profile,
-        compiler=compiler,
-        governor=governor,
-        batch_size=options.batch_size,
-        typing=occurring,
-    )
     return _build(plan, context, options)
 
 
@@ -180,7 +158,8 @@ def execute(
     params: Mapping[str, Any] | None = None,
 ):
     """Plan and run a logical plan, returning its value."""
-    return root_value(plan_physical(plan, database, options, params))
+    root = plan_physical(plan, database, options)
+    return root.value(Execution(root, params))
 
 
 def _build(
@@ -192,7 +171,7 @@ def _build(
     if build is not None:
         return build(context)
     if isinstance(plan, Seed):
-        return PSeed()
+        return PSeed(context)
     if isinstance(plan, Scan):
         partition = getattr(plan, "partition", None)
         if partition is not None:
@@ -353,23 +332,10 @@ def _build_facts(
 ) -> tuple[tuple, str | None]:
     """``(bare, closed)`` for a hash table built over *join*'s right input
     on *keys*: the typing's ``bare`` of the left and the right keys, and
-    :func:`closed_build` of the right input with the build's own *terms*.
-    Derived once per compiled query and typing, beside the group-unnest
-    folds, under the ids of the objects it derives from — the right input,
-    the join predicate and the terms, which every execution passes again
-    even where the nodes around them are rebuilt (a shared nest's spine);
-    the entry keeps them alive, so an id cannot come back as another
-    object."""
-    derived, typing = context._compiler.derived, context.typing
-    sources = (join.right, join.pred, *terms)
-    slot = tuple(map(id, sources))
-    hit = derived.get(slot)
-    if hit is None or hit[1] is not typing or hit[2] != keys:
-        lefts, rights = [k for k, _ in keys], [k for _, k in keys]
-        bare = (typing.bare(lefts), typing.bare(rights))
-        hit = (sources, typing, keys, bare, closed_build(join.right, (*rights, *terms)))
-        derived[slot] = hit
-    return hit[3], hit[4]
+    :func:`closed_build` of the right input with the build's own *terms*."""
+    lefts, rights = [k for k, _ in keys], [k for _, k in keys]
+    bare = (context.typing.bare(lefts), context.typing.bare(rights))
+    return bare, closed_build(join.right, (*rights, *terms))
 
 
 def _reuse_key(
@@ -518,18 +484,12 @@ def _try_group_unnest(
     nest: Nest, context: _Context, options: PlannerOptions
 ) -> PhysicalOperator | None:
     """:func:`group_unnest` as a ``PMap`` binding the nest's variable to
-    the fold over ``L``.  The fold is derived once per compiled query (by
-    the nest's variable, while it keeps its head and predicate), so every
-    execution finds its kernel by identity."""
-    found = group_unnest(nest)
+    the fold over ``L``."""
+    found = group_unnest(nest, fold=True)
     if found is None:
         return None
-    derived = context._compiler.derived
-    hit = derived.get(nest.out_var)
-    if hit is None or hit[0] is not nest.head or hit[1] is not nest.pred:
-        hit = (nest.head, nest.pred, group_unnest(nest, fold=True)[1])
-        derived[nest.out_var] = hit
-    return PMap(context, _build(found[0], context, options), ((nest.out_var, hit[2]),))
+    left, fold = found
+    return PMap(context, _build(left, context, options), ((nest.out_var, fold),))
 
 
 def _outer_reads(term: Term, outer: frozenset[str], found: list[Term]) -> bool:

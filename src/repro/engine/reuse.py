@@ -74,25 +74,24 @@ def replay_settles(governor: Governor | None, settles: Iterable[int]) -> None:
             charge(-units)
 
 
-def reused(op: Any, build: Callable[[], tuple[Any, bool]]) -> Any:
-    """The value of ``build()`` for physical operator *op* — a hash join
-    or group-join — through its database's memo when *op*'s ``right``
-    input is closed (its ``reuse_key`` is not None).
+def reused(op: Any, ex: Any, build: Callable[[Any], tuple[Any, bool]]) -> Any:
+    """The value of ``build(ex)`` for physical operator *op* — a hash join
+    or group-join — in execution *ex*, through its database's memo when
+    *op*'s ``right`` input is closed (its ``reuse_key`` is not None).
 
     *build* returns ``(value, keep)``, *keep* false when the value holds a
     fault: a fault's error carries the source of the query it surfaced in,
     so such a build runs afresh every time.  A completed build is kept with
-    its settles, the counts of *op*'s ``right`` subtree and how many
-    collection elements its kernels' folds kept, unless the database moved
-    on while it ran.  A build that raises — a fault, a trip, a timeout, a
-    cancel — leaves nothing behind.
+    its settles, the counts *ex* holds for *op*'s ``right`` subtree and how
+    many collection elements its kernels' folds kept, unless the database
+    moved on while it ran; a kept one settles them into *ex*.  A build that
+    raises — a fault, a trip, a timeout, a cancel — leaves nothing behind.
     """
     key = op.reuse_key
     if key is None:
-        return build()[0]
-    context = op._context
-    database = context.database
-    runtime = context._compiler.runtime
+        return build(ex)[0]
+    database = ex.database
+    runtime = op._context._compiler.runtime
     subtree = [op.right]
     for node in subtree:
         subtree += node.children()
@@ -100,23 +99,25 @@ def reused(op: Any, build: Callable[[], tuple[Any, bool]]) -> Any:
     entry = database.builds.lookup(key, version)
     if entry is not None:
         value, settles, counts, kept = entry
-        replay_settles(context.governor, settles)
+        replay_settles(ex.governor, settles)
         for node, (rows, batches, batch_rows) in zip(subtree, counts):
-            node.rows_produced, node.batches_produced = rows, batches
-            node.batch_rows = batch_rows
+            own = ex.counts[node]
+            own.rows_produced, own.batches_produced, own.batch_rows = (
+                rows, batches, batch_rows
+            )
         runtime.kept += kept
         return value
-    governor, terms, kept = context.governor, context._terms, runtime.kept
+    governor, evaluator, kept = ex.governor, ex.evaluator, runtime.kept
     recorder = SettleRecorder(governor)
-    context.governor = terms.governor = recorder
+    ex.governor = evaluator.governor = recorder
     try:
-        value, keep = build()
+        value, keep = build(ex)
     finally:
-        context.governor = terms.governor = governor
+        ex.governor = evaluator.governor = governor
     if keep and database.schema_version == version:
         counts = tuple(
-            (node.rows_produced, node.batches_produced, node.batch_rows)
-            for node in subtree
+            (own.rows_produced, own.batches_produced, own.batch_rows)
+            for own in map(ex.counts.__getitem__, subtree)
         )
         entry = (value, array("q", recorder.settles), counts, runtime.kept - kept)
         database.builds.store(key, version, entry)

@@ -3,6 +3,7 @@ package's `__all__` lists are honest."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -214,3 +215,92 @@ def test_generated_code_enters_through_one_door():
         visit(name, ast.parse(inspect.getsource(module)), None)
     assert found == {("repro.engine.compile", "_factory")}
     assert factory_callers == [("repro.engine.compile", "kernel")]
+
+
+#: The modules that define physical operators.
+OPERATOR_MODULES = (
+    "repro.engine.physical",
+    "repro.engine.exchange",
+    "repro.backends.shred",
+)
+
+
+def _root(expr):
+    """The name an attribute, subscript or call chain starts from."""
+    while isinstance(expr, (ast.Attribute, ast.Subscript, ast.Call)):
+        expr = expr.func if isinstance(expr, ast.Call) else expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+SETTERS = ("setattr", "delattr")
+
+
+def _writes(method):
+    """What *method* stores to: ``(node, root name)`` for every attribute
+    or subscript it assigns or deletes, and every ``setattr``/``delattr``."""
+    for node in ast.walk(method):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            if isinstance(node, ast.Call) and _root(node.func) in SETTERS:
+                yield node, None
+            continue
+        for target in targets:
+            for written in ast.walk(target):
+                if isinstance(getattr(written, "ctx", None), (ast.Store, ast.Del)):
+                    yield written, _root(written)
+
+
+def _of_execution(method):
+    """``ex`` and the names *method* binds only from it."""
+    roots: dict[str, set] = {}
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for bound in ast.walk(target):
+                    if isinstance(bound, ast.Name):
+                        roots.setdefault(bound.id, set()).add(_root(node.value))
+    return {"ex"} | {name for name, found in roots.items() if found == {"ex"}}
+
+
+def test_a_physical_plan_is_never_written_once_built():
+    """One physical plan is kept per compiled query and database state and
+    run by every session at once, so an operator is fixed when its
+    ``__init__`` returns.  No other method of a ``PhysicalOperator``
+    subclass assigns an attribute of itself or of another operator — of
+    anything but the execution passed in (``ex``) and names bound only from
+    it — nor an item of its own state: what a run builds and counts lives
+    in its :class:`~repro.engine.physical.Execution`."""
+    classes = {}
+    for name in OPERATOR_MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (name, node)
+    operators = {"PhysicalOperator"}
+    grown = True
+    while grown:
+        grown = False
+        for name, (_, node) in classes.items():
+            if name not in operators and {_root(b) for b in node.bases} & operators:
+                operators.add(name)
+                grown = True
+    assert {"PIndexScan", "PSharedNest", "PGather", "PSqlSegment"} <= operators
+
+    found = []
+    for name in sorted(operators):
+        module, cls = classes[name]
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            allowed = _of_execution(method)
+            for written, root in _writes(method):
+                if (
+                    root == "self"
+                    or isinstance(written, (ast.Attribute, ast.Call))
+                    and root not in allowed
+                ):
+                    found.append(f"{module}:{written.lineno} {name}.{method.name}")
+    assert found == []

@@ -26,8 +26,8 @@ from repro.data.datagen import university_database
 from repro.data.values import NULL, CollectionValue, Record
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
 from repro.engine.compile import ExprCompiler
-from repro.engine.executor import run_with_stats
-from repro.engine.planner import PlannerOptions
+from repro.engine.physical import Execution
+from repro.engine.planner import PlannerOptions, plan_physical
 from repro.errors import QueryError
 from repro.testing.oracle import PATHS, results_equal
 
@@ -130,7 +130,7 @@ class TestKernelSweep:
     def test_kernel_matches_interpreter(self, op):
         term = BinOp(op, Var("x"), Var("y"))
         evaluator, compiler = Evaluator(Database()), ExprCompiler()
-        # As _Context always does: the error path is the interpreter.
+        # As an Execution always does: the error path is the interpreter.
         compiler.activate(evaluator, None)
         kernel = compiler.compile_kernel(term)
         interpret = evaluator.evaluate
@@ -316,13 +316,16 @@ class TestBoundaries:
         db = Database()
         db.add_extent("R", [Record(k=i) for i in range(10)])
         head = BinOp("+", Apply(Lambda("v", Var("v")), path("r", "k")), Const(1))
-        stats = run_with_stats(
+        # A plan, not a compiled query: normalization would beta-reduce the
+        # application away.
+        root = plan_physical(
             Reduce(Scan("R", "r"), "sum", head), db, PlannerOptions(batch_size=3)
         )
-        assert stats.result == sum(range(10)) + 10
-        root, scan = stats.operators
-        assert root.eval_mode == "mixed"
-        assert scan.batches_produced == 4
+        ex = Execution(root, profile=True)
+        assert root.value(ex) == sum(range(10)) + 10
+        (scan,) = root.children()
+        assert root.eval_mode() == "mixed"
+        assert ex.counts[scan].batches_produced == 4
 
     # The operators below had no chunk-native body before the row protocol
     # went away; each is driven across chunk boundaries here.

@@ -27,6 +27,7 @@ from repro.data.database import Database
 from repro.data.values import NULL, CollectionValue, ListValue, Record
 from repro.engine.governor import Governor
 from repro.engine.physical import (
+    Execution,
     PGroupJoin,
     PHashJoin,
     PHashNest,
@@ -139,11 +140,12 @@ def _show_pair(left, right):
     return (left["n"], "pad" if right is NULL else repr(right["v"]))
 
 
-def _drain(op):
-    """The rows an operator delivers, then the error that ended them."""
+def _drain(op, ex=None):
+    """The rows an operator delivers (in execution *ex*, or a fresh one),
+    then the error that ended them."""
     rows = []
     try:
-        for row in op.rows():
+        for row in op.rows(ex):
             rows.append(_show_pair(row["l"], row["r"]))
     except Exception as exc:  # noqa: BLE001 - errors are part of the contract
         return rows, (type(exc).__name__, str(exc))
@@ -182,8 +184,9 @@ def test_candidates(case, caller, outer, size):
     own, units, prefixed = CASES[case]
     spec = (PREFIX if prefixed else []) + own
     governor = Governor(max_rows=10**9)
-    context = _Context(Database(), governor=governor, batch_size=size)
-    rows, error = _drain(_build(caller, context, spec, outer))
+    context = _Context(Database(), batch_size=size)
+    op = _build(caller, context, spec, outer)
+    rows, error = _drain(op, Execution(op, governor=governor))
     want_rows, want_error, reached = _interpreted(spec, outer)
     assert (rows, error) == (want_rows, want_error)
     assert governor.ticks == units == reached
@@ -216,11 +219,12 @@ def test_a_reentered_hash_join_builds_once():
     context = _Context(Database())
     spec = CASES["pads-and-matches-interleaved"][0]
     op = _build("hash-join", context, spec, True)
-    first, second = _drain(op), _drain(op)
+    ex = Execution(op)
+    first, second = _drain(op, ex), _drain(op, ex)
     assert first == second and first[1] is None
     rights = _right_rows(spec)
-    assert op.right.rows_produced == len(rights)
-    (column,) = op._built[1].values()
+    assert ex.counts[op.right].rows_produced == len(rights)
+    (column,) = ex.memo[op][1].values()
     assert column == [row["r"] for row in rights] + [NULL]
 
 
@@ -251,7 +255,7 @@ def _group_forms(context, lefts, rights, monoid_name, group_by, left_key):
     whole = TRUE if left_key is None else BinOp("==", left_key, path("r", "k"))
 
     def leaves():
-        left = PSeed() if lefts is None else Rows(context, lefts)
+        left = PSeed(context) if lefts is None else Rows(context, lefts)
         return left, Rows(context, rights)
 
     forms = {
@@ -350,7 +354,7 @@ class TestGroupColumns:
         nest = PHashNest(
             context, Rows(context, []), monoid, HEAD, (), ("r",), "m", TRUE, ()
         )
-        assert nest._groups() == ({"m": []}, 0)
+        assert nest._groups(Execution(nest)) == ({"m": []}, 0)
 
     def test_two_grouping_columns(self, monoid_name):
         # Groups are (a, b) pairs: rows 0 and 1 share only ``a``, and each

@@ -35,7 +35,7 @@ from repro.data.schema import INT, STRING, Schema
 from repro.data.values import NULL, Record
 from repro.engine.governor import CancelToken, Governor
 from repro.engine.physical import (
-    PGroupJoin, PHashJoin, PReduce, PScan, _Context, root_value,
+    Execution, PGroupJoin, PHashJoin, PReduce, PScan, _Context,
 )
 from repro.engine.planner import closed_build
 from repro.errors import ExecutionError, GovernorError, QueryCancelled, QueryTimeout
@@ -75,9 +75,10 @@ def _observe(compiled, db, **limits):
     trip's class and text), the governor's counters and every operator's
     EXPLAIN ANALYZE counts."""
     governor = Governor(**limits) if limits else None
-    physical = compiled.physical(db, profile=True, governor=governor)
+    physical = compiled.physical(db)
+    ex = Execution(physical, governor=governor, profile=True)
     try:
-        outcome = ("ok", repr(root_value(physical)))
+        outcome = ("ok", repr(physical.value(ex)))
     except GovernorError as exc:
         outcome = (type(exc).__name__, exc.message)
     counters = (
@@ -86,10 +87,12 @@ def _observe(compiled, db, **limits):
         else (governor.ticks, governor.bytes_charged, governor.peak_bytes,
               governor.checkpoints)
     )
-    counts = [
-        (op.describe(), op.rows_produced, op.batches_produced, op.batch_rows)
-        for op in _operators(physical)
-    ]
+    counts = []
+    for op in _operators(physical):
+        own = ex.counts[op]
+        counts.append(
+            (op.describe(), own.rows_produced, own.batches_produced, own.batch_rows)
+        )
     return outcome, counters, counts
 
 
@@ -166,7 +169,7 @@ class TestBudgetsTripWhereTheyTripCold:
         options = OptimizerOptions(batch_size=batch_size)
         compiled = QueryPipeline(db, options).compile_oql(query.oql)
         cold = _observe(compiled, db, **limits)
-        root_value(compiled.physical(db))  # keeps the closed builds
+        compiled.physical(db).value()  # keeps the closed builds
         assert len(db.builds) == len(_closed_ops(compiled, db)) > 0
         warm = _observe(compiled, db, **limits)
         # A failed run reports no operator counts; the trip and the
@@ -255,8 +258,9 @@ class TestCutShortLeavesNothing:
     @pytest.mark.parametrize("limits", [{"max_rows": 5}, {"max_bytes": 100}])
     def test_a_budget_trip(self, limits):
         compiled, db = self._compiled()
+        physical = compiled.physical(db)
         with pytest.raises(GovernorError):
-            root_value(compiled.physical(db, governor=Governor(**limits)))
+            physical.value(Execution(physical, governor=Governor(**limits)))
         assert len(db.builds) == 0
 
     def test_a_cancel_and_a_timeout(self):
@@ -267,10 +271,11 @@ class TestCutShortLeavesNothing:
             (Governor(token=token, tick_interval=1), QueryCancelled),
             (Governor(timeout=1e-9, tick_interval=1), QueryTimeout),
         ):
+            physical = compiled.physical(db)
             with pytest.raises(error):
-                root_value(compiled.physical(db, governor=governor))
+                physical.value(Execution(physical, governor=governor))
             assert len(db.builds) == 0
-        root_value(compiled.physical(db))
+        compiled.physical(db).value()
         assert len(db.builds) == 1
 
 
@@ -291,17 +296,16 @@ def test_the_lru_bound_holds():
 
 @pytest.mark.parametrize("name", ["query_e", "nested_in_nested"])
 def test_a_shared_nest_spine_derives_its_facts_once(name):
-    """A shared nest's spine is rebuilt every execution around the same
-    right inputs and predicates: the planner's derived facts stay put."""
+    """A shared nest's spine, with its builds' facts, is planned once per
+    database state: every execution runs the one kept plan."""
     query = next(q for q in CORPUS if q.name == name)
     db = SCALE_S[query.family]
     compiled = QueryPipeline(db).compile_oql(query.oql)
     assert "SharedNest" in compiled.explain(db)
-    compiled.execute(db)
-    derived = len(compiled.expr_compiler().derived)
+    physical = compiled.physical(db)
     for _ in range(3):
         compiled.execute(db)
-    assert len(compiled.expr_compiler().derived) == derived
+    assert compiled.physical(db) is physical
 
 
 def test_a_head_that_folds_settles_as_if_rebuilt():
@@ -320,14 +324,14 @@ def test_a_head_that_folds_settles_as_if_rebuilt():
     )
 
     def run(governor):
-        context = _Context(db, governor=governor, batch_size=16)
+        context = _Context(db, batch_size=16)
         join = PGroupJoin(
             context, PScan(context, "Departments", "d"), PScan(context, "Employees", "u"),
             (Proj(d, "dno"),), (Proj(u, "dno"),), TRUE, ("u",), lookup_monoid("bag"),
             names, ("d",), ("u",), "m", TRUE, ((False,), (False,)), ("head folds",),
         )
         root = PReduce(context, join, lookup_monoid("bag"), every, TRUE)
-        value = root_value(root)
+        value = root.value(Execution(root, governor=governor))
         if governor is None:
             return repr(value)
         return repr(value), governor.ticks, governor.bytes_charged, governor.peak_bytes

@@ -65,6 +65,7 @@ from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine import compile as compile_module
 from repro.engine.compile import ExprCompiler, _factory, _KernelEmitter
 from repro.engine.physical import (
+    Execution,
     PHashJoin,
     PHashNest,
     PScan,
@@ -308,9 +309,9 @@ def test_compiled_query_reuses_one_compiler(db):
 def test_kernel_caches_stop_growing_after_the_first_executions(
     databases, monkeypatch
 ):
-    # Every execution replans, and the planner rebuilds some terms (a
-    # join's residual conjunction) as fresh objects each time: the identity
-    # front-cache must not pin one of those per execution.
+    # The physical plan is kept per compiled query and database state, and
+    # its operators hold their kernels: after the first execution no
+    # execution lowers a term, or looks one up.
     walked = []
     memo_key = compile_module._memo_key
     monkeypatch.setattr(
@@ -328,16 +329,12 @@ def test_kernel_caches_stop_growing_after_the_first_executions(
         for _ in range(50):
             del walked[:]
             compiled.execute(database)
-            sizes.append((len(compiler._by_id), len(compiler._memo)))
+            sizes.append(len(compiler._memo))
         steady_walks += len(walked)
-        if sizes[1] != sizes[-1]:
-            grew[query.name] = (sizes[1], sizes[-1])
+        if sizes[0] != sizes[-1]:
+            grew[query.name] = (sizes[0], sizes[-1])
     assert grew == {}
-    # Nor may a steady-state execution walk terms to find their kernels:
-    # "no predicate" is the one shared ``TRUE``, an identity hit, and what
-    # is left over a sweep of the corpus is a few join keys and bindings
-    # the planner re-derives (107 walks before ``TRUE`` was shared).
-    assert steady_walks <= 11
+    assert steady_walks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +750,9 @@ def test_code_cache_is_bounded(db):
 
 
 def _exhaust_twice(op):
-    return list(op.rows()), list(op.rows())
+    """Two passes over *op* in one execution, and that execution."""
+    ex = Execution(op)
+    return list(op.rows(ex)), list(op.rows(ex)), ex
 
 
 def test_hash_join_build_side_runs_once(db):
@@ -770,11 +769,11 @@ def test_hash_join_build_side_runs_once(db):
         False,
         ((False,), (False,)),
     )
-    first, second = _exhaust_twice(join)
+    first, second, ex = _exhaust_twice(join)
     assert len(first) == len(second) == 6
     # The build (right) side was scanned exactly once; the probe side re-ran.
-    assert right.rows_produced == 6
-    assert left.rows_produced == 12
+    assert ex.counts[right].rows_produced == 6
+    assert ex.counts[left].rows_produced == 12
 
 
 def test_nested_loop_join_inner_runs_once(db):
@@ -791,10 +790,10 @@ def test_nested_loop_join_inner_runs_once(db):
         False,
         ((), ()),
     )
-    first, second = _exhaust_twice(join)
+    first, second, ex = _exhaust_twice(join)
     assert len(first) == len(second) == 6
-    assert right.rows_produced == 6
-    assert left.rows_produced == 12
+    assert ex.counts[right].rows_produced == 6
+    assert ex.counts[left].rows_produced == 12
 
 
 def test_hash_nest_groups_built_once(db):
@@ -803,9 +802,9 @@ def test_hash_nest_groups_built_once(db):
     nest = PHashNest(
         context, child, SET, path("s", "w"), ("s",), (), "ws", Const(True), (False,)
     )
-    first, second = _exhaust_twice(nest)
+    first, second, ex = _exhaust_twice(nest)
     assert len(first) == len(second) == 6
-    assert child.rows_produced == 6
+    assert ex.counts[child].rows_produced == 6
 
 
 # ---------------------------------------------------------------------------
@@ -831,14 +830,15 @@ class TestExplainAnalyzeAnnotations:
     def test_unprofiled_execution_skips_eval_timers(self, company_db):
         compiled = QueryPipeline(company_db).compile_oql(_STATS_QUERY)
         physical = compiled.physical(company_db)
-        physical.value()
+        ex = Execution(physical)
+        physical.value(ex)
 
         def walk(op):
             yield op
             for child in op.children():
                 yield from walk(child)
 
-        assert all(op.eval_ms == 0.0 for op in walk(physical))
+        assert all(ex.counts[op].eval_ms == 0.0 for op in walk(physical))
 
     def test_paper_queries_fully_compiled(self, company_db):
         # Regression guard: the paper's flagship shapes must not silently

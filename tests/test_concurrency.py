@@ -22,7 +22,11 @@ code cache and the interpreter rerun a faulting chunk takes
 (``engine/compile.py``) are reached by every thread that plans or runs a
 query (``test_cold_code_cache_*``, ``test_first_fault_*``).  A fifth: the
 closed builds a database keeps (``Database.builds``) are published by one
-execution and read by others (``TestKeptBuilds``).
+execution and read by others (``TestKeptBuilds``).  A sixth: a compiled
+query keeps one physical plan per database state, run by every session at
+once, so whatever one execution builds lives in its own
+:class:`~repro.engine.physical.Execution`, never on the plan
+(``TestOneSharedPlan``).
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from repro.core.pipeline import QueryPipeline
 from repro.data.database import BuildMemo
 from repro.data.datagen import company_database, university_database
 from repro.engine.compile import ExprCompiler, _factory
-from repro.engine.governor import CancelToken
-from repro.errors import QueryCancelled
+from repro.engine.governor import CancelToken, Governor
+from repro.engine.physical import Execution
+from repro.errors import GovernorError, QueryCancelled
 
 THREADS = 8
 
@@ -392,3 +397,117 @@ class TestKeptBuilds:
                 failures = [w for ws in pool.map(session, range(2)) for w in ws]
         assert failures == []
         assert len(db.builds) > 0
+
+
+# ---------------------------------------------------------------------------
+# 6. one kept physical plan, many executions at once
+# ---------------------------------------------------------------------------
+
+#: A parameterised (open) hash-join build, a kept group-join build and a
+#: shared nest, each of which builds something per execution.
+SHARED_PLAN_QUERY = (
+    "select distinct struct( D: d.name, Rich: ( select e.name from e in Employees "
+    "where e.dno = d.dno and e.age > :a and e.salary > avg( select u.salary "
+    "from u in Employees where u.dno = d.dno ) ) ) from d in Departments"
+)
+
+
+class CancelAfter(CancelToken):
+    """A token that reads as cancelled from its *n*-th check on."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    @property
+    def cancelled(self) -> bool:
+        self.n -= 1
+        return self.n < 0
+
+
+class TestOneSharedPlan:
+    AGES = (20, 30, 40, 50)
+    ROUNDS = 3
+
+    @pytest.fixture()
+    def compiled(self, fresh_databases):
+        db = fresh_databases["company"]
+        options = OptimizerOptions(batch_size=4)  # many chunks, many settles
+        compiled = QueryPipeline(db, options).compile_oql(SHARED_PLAN_QUERY)
+        explain = compiled.explain(db)
+        assert all(
+            op in explain
+            for op in ("SharedNest", "GroupJoin", "HashOuterJoin", "Select(_e")
+        ), explain
+        return compiled, db
+
+    @staticmethod
+    def _observe(compiled, db, age, governed, profiled):
+        """The answer, the per-operator counts (profiled) and the work
+        units (governed) of one execution."""
+        token = CancelToken() if governed else None
+        stats = compiled.run(db, {"a": age}, token, profile=profiled)
+        counts = [
+            (op.operator, op.depth, op.rows_produced, op.batches_produced,
+             op.batch_rows, op.eval_mode)
+            for op in stats.operators
+        ]  # fmt: skip
+        return repr(stats.result), counts, stats.governor_ticks
+
+    def test_eight_threads_one_plan(self, compiled, eager_thread_switches):
+        """Different parameters per thread, a governor on half the runs and
+        profiling on some: each answer, profile and work-unit count is the
+        serial one, and every run used the one kept plan."""
+        compiled, db = compiled
+        plan = compiled.physical(db)
+        serial = {
+            age: self._observe(compiled, db, age, True, True) for age in self.AGES
+        }
+        assert len({answer for answer, _, _ in serial.values()}) == len(self.AGES)
+        barrier = threading.Barrier(THREADS)
+
+        def run(thread_index: int) -> list[str]:
+            barrier.wait(timeout=30)
+            wrong = []
+            for round_index in range(self.ROUNDS):
+                for offset, age in enumerate(self.AGES):
+                    age = self.AGES[(offset + thread_index) % len(self.AGES)]
+                    governed = (thread_index + offset + round_index) % 2 == 0
+                    profiled = (thread_index + round_index) % 3 == 0
+                    got = self._observe(compiled, db, age, governed, profiled)
+                    answer, counts, ticks = serial[age]
+                    if (
+                        got[0] != answer
+                        or got[1] != (counts if profiled else [])
+                        or got[2] != (ticks if governed else 0)
+                    ):
+                        wrong.append(f"thread {thread_index}: a={age}")
+            return wrong
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            failures = [w for ws in pool.map(run, range(THREADS)) for w in ws]
+        assert failures == []
+        assert compiled.physical(db) is plan
+
+    @pytest.mark.parametrize("limit", ["max_rows", "cancel"])
+    def test_a_cut_short_execution_leaves_nothing_on_the_plan(self, compiled, limit):
+        """Executions that trip or are cancelled at every checkpoint of the
+        run — mid-build included — each followed by an unlimited execution
+        with other parameters: that one answers in full."""
+        compiled, db = compiled
+        want = {age: compiled.execute(db, a=age) for age in (20, 50)}
+        plan = compiled.physical(db)
+        probe = Governor(tick_interval=1)
+        plan.value(Execution(plan, {"a": 20}, probe))
+        points = probe.ticks if limit == "max_rows" else probe.checkpoints
+        assert points > 30
+        for n in range(points):
+            if limit == "max_rows":
+                governor = Governor(max_rows=n, tick_interval=1)
+            else:
+                governor = Governor(token=CancelAfter(n), tick_interval=1)
+            with pytest.raises(GovernorError):
+                plan.value(Execution(plan, {"a": 20}, governor))
+            assert compiled.execute(db, a=50) == want[50], n
+        assert compiled.execute(db, a=20) == want[20]
+        assert compiled.physical(db) is plan

@@ -34,6 +34,7 @@ from repro.engine.planner import (
     split_equi_conjuncts,
 )
 from repro.engine.physical import (
+    Execution,
     PHashJoin,
     PHashNest,
     PReduce,
@@ -180,8 +181,9 @@ class TestExecution:
         # instead of the extent.
         for size in (1, 2):
             physical = plan_physical(plan, db, PlannerOptions(batch_size=size))
-            assert physical.value() is True
-            assert physical.children()[0].rows_produced == size
+            ex = Execution(physical)
+            assert physical.value(ex) is True
+            assert ex.counts[physical.children()[0]].rows_produced == size
 
     def test_rows_produced_accounting(self, db):
         physical = plan_physical(
@@ -192,13 +194,14 @@ class TestExecution:
             ),
             db,
         )
-        assert physical.value() == 3
+        ex = Execution(physical)
+        assert physical.value(ex) == 3
         select = physical.children()[0]
         assert isinstance(select, PSelect)
-        assert select.rows_produced == 3
-        assert select.children()[0].rows_produced == 6
+        assert ex.counts[select].rows_produced == 3
+        assert ex.counts[select.children()[0]].rows_produced == 6
         # 6 (scan) + 3 (select) + 1 (the root's scalar result row)
-        assert physical.total_rows() == 10
+        assert physical.total_rows(ex) == 10
 
 
 class TestExplain:

@@ -79,13 +79,14 @@ class TestEvaluatorErrorMessages:
 class TestOptimizerErrors:
     def test_physical_plan_without_unnesting(self):
         from repro.core.optimizer import CompiledQuery, Optimizer, OptimizerOptions
+        from repro.errors import PlanningError
         from repro.data.datagen import company_database
 
         db = company_database(5, 2, seed=2)
         compiled = Optimizer(db, OptimizerOptions(unnest=False)).compile_oql(
             "select distinct e from e in Employees"
         )
-        with pytest.raises(ValueError, match="unnest=False"):
+        with pytest.raises(PlanningError, match="unnest=False"):
             compiled.explain(db)
 
     def test_order_by_on_scalar_result(self):

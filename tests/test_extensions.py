@@ -33,8 +33,7 @@ from repro.data.database import Database
 from repro.data.datagen import company_database
 from repro.data.schema import INT, STRING, Schema, bag_of, list_of
 from repro.data.values import BagValue, ListValue, Record, SetValue
-from repro.engine import run_with_stats
-from repro.engine.planner import PlannerOptions, execute
+from repro.engine.planner import PlannerOptions, execute, plan_physical
 
 
 @pytest.fixture(scope="module")
@@ -252,8 +251,7 @@ class TestExecutorStats:
             ("e", Extent("Employees")),
             BinOp(">", path("e", "age"), const(30)),
         )
-        plan = unnest_query(term)
-        stats = run_with_stats(plan, db)
+        stats = QueryPipeline(db).compile_term(term).run(db, profile=True)
         assert stats.result == evaluate(term, db)
         assert stats.total_rows > 0
         assert stats.elapsed_ms >= 0
@@ -268,8 +266,8 @@ class TestExecutorStats:
             ("e", Extent("Employees")),
             ("d", Extent("Departments")),
         )
-        plan = unnest_query(term)
-        stats = run_with_stats(plan, db, PlannerOptions(hash_joins=False))
+        options = OptimizerOptions(hash_joins=False)
+        stats = QueryPipeline(db, options).compile_term(term).run(db, profile=True)
         cross = db.cardinality("Employees") * db.cardinality("Departments")
         join_rows = [
             op.rows_produced for op in stats.operators if "Join" in op.operator
@@ -280,4 +278,4 @@ class TestExecutorStats:
         from repro.algebra.operators import Scan
 
         with pytest.raises(TypeError, match="rooted at"):
-            run_with_stats(Scan("Employees", "e"), db)
+            plan_physical(Scan("Employees", "e"), db).value()

@@ -79,7 +79,7 @@ def test_repro_files_are_well_formed(path: Path):
 def test_plans_the_typing_changed_agree(sample):
     source, params, db = decode_sample(sample)
     compiled = QueryPipeline(db).compile_oql(source)
-    operators = [compiled.physical(db, params)]
+    operators = [compiled.physical(db)]
     for op in operators:
         operators += op.children()
     bare = sum(

@@ -17,12 +17,20 @@ from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.datagen import company_database
 from repro.engine.governor import CancelToken, Governor, estimate_bytes
+from repro.engine.physical import Execution
 from repro.errors import (
     BudgetExceeded,
     GovernorError,
     QueryCancelled,
     QueryTimeout,
 )
+
+
+def _governed(compiled, db, governor):
+    """*compiled*'s kept plan for *db* and one execution of it under
+    *governor*."""
+    physical = compiled.physical(db)
+    return physical, Execution(physical, governor=governor)
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +81,9 @@ class TestRowBudget:
                 pipeline.run_oql(oql)
             reports.add(str(info.value))
             governor = Governor(max_rows=budget)
-            physical = pipeline.compile_oql(oql).physical(db, governor=governor)
+            physical, ex = _governed(pipeline.compile_oql(oql), db, governor)
             with pytest.raises(BudgetExceeded):
-                physical.value()
+                physical.value(ex)
             assert budget < governor.ticks <= budget + size * fanout
         assert len(reports) == 1
         assert f"more than {budget} work units" in reports.pop()
@@ -287,14 +295,14 @@ class TestResidualOperatorsAboveSqlSegments:
                     runner.run_oql(oql)
                 reports.add(str(info.value))
             governor = Governor(max_rows=budget)
-            physical = pipeline.compile_oql(oql).physical(db, governor=governor)
+            physical, ex = _governed(pipeline.compile_oql(oql), db, governor)
             with pytest.raises(BudgetExceeded):
-                physical.value()
+                physical.value(ex)
             # Every SELECT drained within budget: the settle that crossed
             # it belongs to the operator above.
             segments = _segments(physical)
-            assert segments and all(s.flat_query is not None for s in segments)
-            assert sum(s.rows_produced for s in segments) < budget
+            assert segments and all(s.flat_query(ex) is not None for s in segments)
+            assert sum(ex.counts[s].rows_produced for s in segments) < budget
             assert budget < governor.ticks <= budget + size * fanout
         assert len(reports) == 1
         assert f"more than {budget} work units" in reports.pop()
@@ -318,21 +326,21 @@ class TestResidualOperatorsAboveSqlSegments:
         pipeline, oql = self._pipeline(db, shape, batch_size=size)
         token = CancelToken()
         governor = Governor(token=token, tick_interval=1)
-        physical = pipeline.compile_oql(oql).physical(db, governor=governor)
+        physical, ex = _governed(pipeline.compile_oql(oql), db, governor)
         # The cancel arrives as the last SELECT finishes draining; the next
         # checkpoint anyone reaches is a residual operator's settle.
         last = _segments(physical)[0]
         fetch = last._fetch
 
-        def fetch_then_cancel():
-            rows = fetch()
+        def fetch_then_cancel(ex):
+            rows = fetch(ex)
             token.cancel()
             return rows
 
         last._fetch = fetch_then_cancel
         with pytest.raises(QueryCancelled):
-            physical.value()
-        assert last.flat_query is not None
+            physical.value(ex)
+        assert last.flat_query(ex) is not None
 
     @pytest.mark.parametrize("size", [1, 7, 1024])
     @pytest.mark.parametrize("shape", FOLDING_SHAPES)
@@ -350,9 +358,9 @@ class TestResidualOperatorsAboveSqlSegments:
             token = CancelToken()
             token.cancel()
             governor = Governor(token=token, tick_interval=1)
-            physical = runner.compile_oql(oql).physical(db, governor=governor)
+            physical, ex = _governed(runner.compile_oql(oql), db, governor)
             with pytest.raises(QueryCancelled):
-                physical.value()
+                physical.value(ex)
         assert errors[0] == errors[1] and "more than 10 work units" in errors[0]
 
 
@@ -369,7 +377,8 @@ class TestLoweredAggregateUnderARowBudget:
 
     def _ticks(self, pipeline, db, oql):
         governor = Governor(max_rows=10**9)
-        pipeline.compile_oql(oql).physical(db, governor=governor).value()
+        physical, ex = _governed(pipeline.compile_oql(oql), db, governor)
+        physical.value(ex)
         return governor.ticks
 
     def test_memory_charges_the_scan(self, db):

@@ -36,7 +36,8 @@ from repro.data.values import NULL, BagValue, ListValue, Record
 from repro.engine import compile as compile_module
 from repro.engine.compile import ExprCompiler
 from repro.engine.governor import CancelToken, Governor
-from repro.engine.physical import PHashNest, PMap, PUnnest, _Context
+from repro.calculus.evaluator import Evaluator
+from repro.engine.physical import Execution, PHashNest, PMap, PUnnest, _Context
 from repro.engine.planner import PlannerOptions, plan_physical
 from repro.errors import BudgetExceeded, QueryCancelled
 from tests.test_groupjoin import BATCH_SIZES, Rows, _show, typing_of
@@ -84,9 +85,9 @@ def _pair(context: _Context, node: Operator):
     )
 
 
-def _outcome(op):
+def _outcome(op, governor=None):
     try:
-        rows = list(op.rows())
+        rows = list(op.rows(Execution(op, governor=governor)))
     except Exception as exc:  # noqa: BLE001 - errors are part of the contract
         return ("error", type(exc).__name__, str(exc))
     return ("rows", [(_show(row["l"]), _show(row["m"])) for row in rows])
@@ -95,18 +96,11 @@ def _outcome(op):
 def _forms(nest, size, occurring=frozenset(), **limits):
     """``{"fold": (operator, governor), "pair": (…)}`` at chunk *size*."""
     fold_governor = Governor(**limits) if limits else None
-    fold = plan_physical(
-        nest,
-        Database(),
-        PlannerOptions(batch_size=size),
-        governor=fold_governor,
-        occurring=typing_of(occurring),
-    )
+    options = PlannerOptions(batch_size=size)
+    fold = plan_physical(nest, Database(), options, occurring=typing_of(occurring))
     assert isinstance(fold, PMap), fold.explain()
     pair_governor = Governor(**limits) if limits else None
-    context = _Context(
-        Database(), governor=pair_governor, batch_size=size, typing=typing_of(occurring)
-    )
+    context = _Context(Database(), batch_size=size, typing=typing_of(occurring))
     return {"fold": (fold, fold_governor), "pair": (_pair(context, nest), pair_governor)}
 
 
@@ -316,7 +310,7 @@ class TestGovernor:
         # Mutation: settle nothing (the pair ticks every unnested element).
         forms = _forms(_chain(self.ROWS, "sum"), size, max_rows=10_000)
         (fold, g1), (pair, g2) = forms["fold"], forms["pair"]
-        assert _outcome(fold) == _outcome(pair)
+        assert _outcome(fold, g1) == _outcome(pair, g2)
         assert g1.ticks == g2.ticks == 21
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
@@ -325,7 +319,7 @@ class TestGovernor:
         for name, (op, governor) in _forms(
             _chain(self.ROWS, "sum"), size, max_rows=5
         ).items():
-            outcome = _outcome(op)
+            outcome = _outcome(op, governor)
             assert outcome[:2] == ("error", BudgetExceeded.__name__), name
             assert "more than 5 work units (max_rows=5)" in outcome[2]
             assert 5 < governor.ticks <= 5 + size * 6, name
@@ -338,13 +332,15 @@ class TestGovernor:
         # each chunk's kept elements from position 0 (the stride restarts).
         nest = _chain(self.ROWS, monoid_name)
         roomy = _forms(nest, size, max_bytes=10**9)
-        peaks = {g.peak_bytes for op, g in roomy.values() if _outcome(op)[0] == "rows"}
+        peaks = {
+            g.peak_bytes for op, g in roomy.values() if _outcome(op, g)[0] == "rows"
+        }
         assert len(peaks) == 1 and (peaks.pop() > 0) == (monoid_name != "sum")
         if monoid_name == "sum":
             return
         texts = set()
-        for name, (op, _) in _forms(nest, size, max_bytes=64).items():
-            outcome = _outcome(op)
+        for name, (op, governor) in _forms(nest, size, max_bytes=64).items():
+            outcome = _outcome(op, governor)
             assert outcome[:2] == ("error", BudgetExceeded.__name__), name
             texts.add(outcome[2])
         assert len(texts) == 1 and "max_bytes=64" in texts.pop()
@@ -353,10 +349,11 @@ class TestGovernor:
     def test_cancel(self, size):
         token = CancelToken()
         token.cancel()
-        for name, (op, _) in _forms(
+        for name, (op, governor) in _forms(
             _chain(self.ROWS, "sum"), size, token=token, tick_interval=1
         ).items():
-            assert _outcome(op)[:2] == ("error", QueryCancelled.__name__), name
+            outcome = _outcome(op, governor)
+            assert outcome[:2] == ("error", QueryCancelled.__name__), name
 
 
 def test_the_planner_keeps_the_pair_where_the_fold_does_not_apply():
@@ -373,24 +370,12 @@ def test_the_planner_keeps_the_pair_where_the_fold_does_not_apply():
     assert isinstance(plan_physical(plain, Database()), PMap)
 
 
-def test_the_fold_is_derived_once_per_compiler():
-    # Every execution replans; the fold's term must be the same object, so
-    # its kernel is an identity hit.  Mutation: derive it per execution.
-    nest = _chain([_row(_items(1))], "sum")
-    compiler = ExprCompiler()
-    terms = {
-        id(plan_physical(nest, Database(), compiler=compiler).bindings[0][1])
-        for _ in range(3)
-    }
-    assert len(terms) == 1
-
-
 def test_a_fold_leaves_no_binding_behind():
     # ``sum{ m | m <- {{ x }} } + m``: after the fold, ``m`` is the column
     # again, not the fold's last binding.  Mutation: keep the fold's scope.
     fold = Comprehension("sum", Var("m"), (Generator("m", Singleton("bag", Var("x"))),))
     compiler = ExprCompiler()
-    compiler.activate(_Context(Database())._terms, Database())
+    compiler.activate(Evaluator(Database()), Database())
     kernel = compiler.compile_kernel(BinOp("+", fold, Var("m")))
     assert kernel.mode == "compiled"
     assert kernel.fn({"x": [5, 1], "m": [100, 7]}, 2) == ([105, 8], 2, None)

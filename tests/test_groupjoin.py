@@ -20,6 +20,7 @@ from repro.data.values import NULL, CollectionValue, Record
 from repro.engine.batch import chunk_rows
 from repro.engine.governor import Governor
 from repro.engine.physical import (
+    Execution,
     PGroupJoin,
     PHashJoin,
     PHashNest,
@@ -47,13 +48,12 @@ class Rows(PhysicalOperator):
     """A leaf replaying fixed rows, chunked at the context's batch size."""
 
     def __init__(self, context: _Context, rows: list[dict]):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self._rows = rows
 
-    def batches(self):
+    def batches(self, ex):
         for chunk in chunk_rows(iter(self._rows), self._context.batch_size):
-            yield self._emit_chunk(chunk)
+            yield self._emit_chunk(ex, chunk)
 
 
 def _lefts(*keys, extra=None):
@@ -130,10 +130,11 @@ def _show(value):
     return repr(value)
 
 
-def _outcome(op):
-    """``("rows", …)`` or ``("error", class, text)`` for one operator."""
+def _outcome(op, ex=None):
+    """``("rows", …)`` or ``("error", class, text)`` for one operator (in
+    execution *ex*, or a fresh one)."""
     try:
-        rows = list(op.rows())
+        rows = list(op.rows(ex))
     except Exception as exc:  # noqa: BLE001 - errors are part of the contract
         return ("error", type(exc).__name__, str(exc))
     return ("rows", [(_show(row["l"]), _show(row["m"])) for row in rows])
@@ -358,12 +359,14 @@ class TestFaults:
                 head=self.DIVIDE,
             )
             fused, pair = ops["group-join"], ops["nest-hash-join"]
-            outcome = _outcome(fused)
-            assert outcome == _outcome(pair)
+            ex = Execution(fused)
+            outcome = _outcome(fused, ex)
+            assert outcome == _outcome(pair, ex)
             assert outcome[:2] == ("error", "DivisionByZeroError")
             assert "modulo by zero" in outcome[2]
             # Both consumed the same left rows before the fault.
-            assert fused.child.rows_produced == pair.child.left.rows_produced
+            left_rows = ex.counts[fused.child].rows_produced
+            assert left_rows == ex.counts[pair.child.left].rows_produced
 
     def test_earlier_head_fault_wins_over_a_later_key_fault(self):
         lefts = [{"l": Record(k=k, d=d)} for k, d in [(9, 1), (3, 0)]]
@@ -415,9 +418,9 @@ class TestGovernor:
 
     def _run(self, name, size, monoid_name="sum", **limits):
         governor = Governor(**limits)
-        context = _Context(Database(), governor=governor, batch_size=size)
+        context = _Context(Database(), batch_size=size)
         op = _operators(context, self.LEFTS, self.RIGHTS, monoid_name)[name]
-        return _outcome(op), governor
+        return _outcome(op, Execution(op, governor=governor)), governor
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
     def test_same_work_units_when_nothing_trips(self, size):
@@ -466,19 +469,20 @@ class TestOperatorSurface:
         op = _operators(context, _lefts(1, 2), _rights((1, 1), (2, 2)), "sum")[
             "group-join"
         ]
-        first, second = list(op.rows()), list(op.rows())
+        ex = Execution(op)
+        first, second = list(op.rows(ex)), list(op.rows(ex))
         assert first == second
         left, right = op.children()
-        assert (left.rows_produced, right.rows_produced) == (4, 2)
-        assert op.rows_produced == 4 and op.batches_produced == 2
+        assert (ex.counts[left].rows_produced, ex.counts[right].rows_produced) == (4, 2)
+        assert ex.counts[op].rows_produced == 4 and ex.counts[op].batches_produced == 2
 
     def test_rows_before_a_left_input_fault_are_delivered_first(self):
         # The group-join streams: the first left chunk's rows leave before
         # the left input raises on its second.  Mutation: block on the
         # whole left input before emitting (the error then comes first).
         class FaultAfterOneChunk(Rows):
-            def batches(self):
-                yield from list(super().batches())[:1]
+            def batches(self, ex):
+                yield from list(super().batches(ex))[:1]
                 raise ZeroDivisionError("left input fault")
 
         context = _Context(Database(), batch_size=2)
@@ -513,7 +517,7 @@ class TestOperatorSurface:
         op = _operators(context, _lefts(1, 1), _rights((1, 1), (1, 2)), "sum")[
             "nest-hash-join"
         ]
-        groups, _ = op.accumulate(raw=True)
+        groups, _ = op.accumulate(Execution(op), raw=True)
         first, second = groups.values()
         assert (first, second) == ([1, 2], [1, 2])
         first.append(99)

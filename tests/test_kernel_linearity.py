@@ -80,12 +80,12 @@ def _physical_nodes(op) -> int:
     return 1 + sum(_physical_nodes(child) for child in op.children())
 
 
-def _assert_linear(compile_query, db, sizes, what: str, params=None):
+def _assert_linear(compile_query, db, sizes, what: str):
     """Compile a query (which lowers its kernels) and plan it: every kernel
     lowered on the way, and the plan, within bounds.  Returns the query."""
     del sizes[:]
     compiled = compile_query()
-    physical = compiled.physical(db, params)
+    physical = compiled.physical(db)
     assert sizes, what
     for source_bytes, nodes in sizes:
         assert source_bytes <= BASE_BYTES + BYTES_PER_NODE * nodes, (what, source_bytes, nodes)
@@ -106,10 +106,10 @@ class TestLinearity:
     def test_qgen_samples(self, kernel_sizes):
         config = FuzzConfig(seed=7)
         for iteration in range(200):
-            source, params, db = generate_sample(config, iteration)
+            source, _, db = generate_sample(config, iteration)
             pipeline = QueryPipeline(db)
             _assert_linear(
-                lambda: pipeline.compile_oql(source), db, kernel_sizes, source, params
+                lambda: pipeline.compile_oql(source), db, kernel_sizes, source
             )
 
 

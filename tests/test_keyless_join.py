@@ -20,7 +20,7 @@ from repro.data.database import Database
 from repro.data.datagen import company_database
 from repro.data.values import NULL, Record
 from repro.engine.governor import Governor
-from repro.engine.physical import PHashJoin, _Context
+from repro.engine.physical import Execution, PHashJoin, _Context
 from repro.errors import BudgetExceeded
 from tests.test_groupjoin import BATCH_SIZES, Rows
 
@@ -77,11 +77,12 @@ def _keyless(context, db, pred, outer):
     return PHashJoin(context, lefts, rights, (), (), pred, ("r",), outer, ((), ()))
 
 
-def _run(op):
-    """The rows, the error and every output chunk's length."""
+def _run(op, governor):
+    """The rows, the error and every output chunk's length, under
+    *governor*."""
     rows, lengths = [], []
     try:
-        for chunk in op.batches():
+        for chunk in op.batches(Execution(op, governor=governor)):
             lengths.append(chunk.length)
             rows.extend(map(_show, chunk.envs()))
     except Exception as exc:  # noqa: BLE001
@@ -98,8 +99,8 @@ def test_keyless_probe_is_the_nested_loop_join(outer, kind, m_of, size):
     db = _database(m)
     pred = _residual(kind, m)
     governor = Governor(max_rows=10**9)
-    op = _keyless(_Context(db, governor=governor, batch_size=size), db, pred, outer)
-    rows, error, lengths = _run(op)
+    op = _keyless(_Context(db, batch_size=size), db, pred, outer)
+    rows, error, lengths = _run(op, governor)
     want_rows, want_error, reached = _evaluated(db, pred, outer)
     assert (rows, error) == (want_rows, want_error)
     assert governor.ticks == reached
@@ -152,10 +153,11 @@ def test_a_memory_budget_trips_in_the_build():
     for size in BATCH_SIZES:
         db = _database(200)
         governor = Governor(max_bytes=2_000)
-        op = _keyless(_Context(db, governor=governor, batch_size=size), db, TRUE, True)
+        op = _keyless(_Context(db, batch_size=size), db, TRUE, True)
+        ex = Execution(op, governor=governor)
         with pytest.raises(BudgetExceeded) as info:
-            list(op.batches())
-        assert op.left.rows_produced == 0  # tripped before the probe
+            list(op.batches(ex))
+        assert ex.counts[op.left].rows_produced == 0  # tripped before the probe
         texts.add(str(info.value))
     (text,) = texts
     assert text.startswith("memory budget exceeded")

@@ -277,8 +277,13 @@ class TestPipeline:
             company, OptimizerOptions(unnest=False)
         ).compile_oql("select distinct e.name from e in Employees")
         assert compiled.logical is None
-        with pytest.raises(ValueError, match="unnest=False"):
-            compiled.physical(company)
+        # A typed refusal, not a raw ValueError.
+        for refusal in (compiled.physical, compiled.explain):
+            with pytest.raises(PlanningError) as info:
+                refusal(company)
+            assert str(info.value) == (
+                "no algebraic plan: query compiled with unnest=False"
+            )
 
     def test_explain(self, company):
         compiled = Optimizer(company).compile_oql(

@@ -30,6 +30,7 @@ from repro.engine.exchange import (
     try_parallel_plan,
 )
 from repro.engine.governor import BudgetExceeded, CancelToken, Governor
+from repro.engine.physical import _Context
 from repro.errors import QueryCancelled
 from repro.testing.oracle import results_equal
 
@@ -45,7 +46,7 @@ def _pipelines(db, **kwargs):
 
 
 def _gather(pipeline: QueryPipeline, db, oql: str) -> PGather:
-    physical = pipeline.compile_oql(oql).physical(db, {})
+    physical = pipeline.compile_oql(oql).physical(db)
     assert isinstance(physical, PGather), physical.explain()
     return physical
 
@@ -205,7 +206,7 @@ class TestAgreement:
         _, par = _pipelines(db)
         physical = par.compile_oql(
             "exists e in Employees: e.salary > 0"
-        ).physical(db, {})
+        ).physical(db)
         assert not isinstance(physical, PGather)
 
     def test_explain_surfaces_partitions_and_workers(self):
@@ -430,7 +431,7 @@ class TestDecomposition:
             db, OptimizerOptions(parallel=True, num_workers=2)
         )
         # A constant query has no driving extent scan to partition.
-        physical = pipeline.compile_oql("1 + 2").physical(db, {})
+        physical = pipeline.compile_oql("1 + 2").physical(db)
         assert not isinstance(physical, PGather)
 
     def test_join_query_partitions_on_hash_keys(self):
@@ -460,7 +461,7 @@ class TestDecomposition:
 
         assert (
             try_parallel_plan(
-                compiled.optimized, db, _planner_options(options)
+                compiled.optimized, _Context(db), _planner_options(options)
             )
             is None
         )

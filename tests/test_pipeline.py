@@ -311,3 +311,79 @@ class TestParameterizeCorpus:
         second = pipeline.compile_oql(source)
         assert second is first
         assert second.execute(db, **params) == pipeline.run_oql(query.oql)
+
+
+class TestOnePhysicalPlanPerState:
+    """A compiled query keeps one physical plan per database state (per
+    store on SQLite): the compile's ``plan`` stage keeps the plan it builds,
+    and ``run``, ``physical``, ``explain`` and ``execute_shredded`` reuse it
+    until ``schema_version`` moves."""
+
+    QUERY = (
+        "select distinct e.name from e in Employees where e.salary >= max("
+        "select u.salary from u in Employees where u.dno = e.dno and u.age > :a)"
+    )
+
+    @pytest.fixture()
+    def planned(self, monkeypatch):
+        """The extent provider of every ``plan_physical`` call."""
+        from repro.core import pipeline as pipeline_module
+
+        calls = []
+        plan = pipeline_module.plan_physical
+
+        def counted(logical, provider, *args):
+            calls.append(provider)
+            return plan(logical, provider, *args)
+
+        monkeypatch.setattr(pipeline_module, "plan_physical", counted)
+        return calls
+
+    def test_a_cold_run_and_two_more_plan_once(self, db, planned):
+        pipeline = QueryPipeline(db)
+        answers = {repr(pipeline.run_oql(self.QUERY, a=age)) for age in (30, 30, 30)}
+        assert planned == [db] and len(answers) == 1
+
+    def test_a_plan_cache_hit_plans_nothing(self, db, planned):
+        pipeline = QueryPipeline(db)
+        pipeline.run_oql(self.QUERY, a=30)
+        del planned[:]
+        compiled, hit = pipeline.compile_oql_cached(self.QUERY)
+        assert hit
+        pipeline.run_oql(self.QUERY, a=40)
+        pipeline.run_oql_stats(self.QUERY, a=50)
+        compiled.bind(a=60).execute(db)
+        assert "GroupJoin" in compiled.explain(db)
+        assert compiled.physical(db) is compiled.physical(db)
+        assert planned == []
+
+    @pytest.mark.parametrize("change", ["create_index", "add_extent"])
+    def test_a_new_database_state_plans_once_more(self, db, planned, change):
+        compiled = QueryPipeline(db).compile_oql(self.QUERY)
+        before = compiled.execute(db, a=30)
+        kept = compiled.physical(db)
+        if change == "create_index":
+            db.create_index("Employees", "dno")
+        else:
+            db.add_extent("Extra", [Record(x=1)])
+        assert [compiled.execute(db, a=30) for _ in range(3)] == [before] * 3
+        assert planned == [db, db] and compiled.physical(db) is not kept
+
+    def test_sqlite_plans_once_per_store(self, db, planned):
+        from repro.backends.shred import execute_shredded, shredded_store
+
+        pipeline = QueryPipeline(db, OptimizerOptions(backend="sqlite"))
+        compiled = pipeline.compile_oql(self.QUERY)
+        memory = QueryPipeline(db).run_oql(self.QUERY, a=30)
+        del planned[:]
+        for _ in range(3):
+            assert pipeline.run_oql(self.QUERY, a=30) == memory
+        assert execute_shredded(compiled, db, {"a": 30}) == memory
+        compiled.explain(db)
+        first = shredded_store(db)
+        assert planned == [first]
+        db.create_index("Employees", "age")
+        for _ in range(2):
+            assert compiled.execute(db, a=30) == memory
+        second = shredded_store(db)
+        assert second is not first and planned == [first, second]

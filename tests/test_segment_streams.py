@@ -33,7 +33,13 @@ from repro.data.database import Database
 from repro.data.schema import BOOL, FLOAT, INT, STRING, Schema, list_of, set_of
 from repro.data.values import NULL, ListValue, Record, SetValue
 from repro.engine.batch import Chunk
-from repro.engine.physical import PHashNest, PhysicalOperator, PReduce, _Context
+from repro.engine.physical import (
+    Execution,
+    PHashNest,
+    PhysicalOperator,
+    PReduce,
+    _Context,
+)
 from repro.engine.planner import PlannerOptions, execute as execute_plan
 from repro.oql.translator import parse_and_translate
 
@@ -273,10 +279,10 @@ class _Chunks(PhysicalOperator):
     """A child whose chunk columns are tuples: read-only sequences."""
 
     def __init__(self, chunks):
-        super().__init__()
+        super().__init__(_Context(None))
         self._chunks = chunks
 
-    def batches(self):
+    def batches(self, ex):
         yield from self._chunks
 
 
@@ -302,20 +308,21 @@ class TestReadOnlyColumns:
         parts = (values[:3], values[3:])
         chunks = [Chunk({"v": tuple(part)}, len(part)) for part in parts]
         op = PReduce(_Context(None), _Chunks(chunks), m, var("v"), TRUE)
-        kept = op._kept_heads(chunks[0].columns, chunks[0].length)
+        ex = Execution(op)
+        kept = op._kept_heads(ex, chunks[0].columns, chunks[0].length)
         assert kept[2] is chunks[0].columns["v"]
         reference = evaluate(
             comprehension(name, var("x"), ("x", const(ListValue(values)))), None
         )
-        assert repr(op.value()) == repr(reference)
-        assert repr(op.partial_value()) == repr(values)
+        assert repr(op.value(ex)) == repr(reference)
+        assert repr(op.partial_value(ex)) == repr(values)
 
     def test_hash_nest(self):
         op = PHashNest(
             _Context(None), _Chunks(self.CHUNKS), monoid("list"), var("v"),
             ("k",), (), "m", TRUE, (False,),
         )  # fmt: skip
-        columns, count = op._groups()
+        columns, count = op._groups(Execution(op))
         groups = [ListValue([3, 4]), ListValue([NULL, 5.5]), ListValue([-0.0])]
         assert count == 3
         assert repr(columns) == repr({"k": [1, 2, NULL], "m": groups})

@@ -28,6 +28,7 @@ from repro.data.values import NULL, BagValue, CollectionValue, Record, SetValue
 from repro.engine.batch import chunk_rows
 from repro.engine.governor import CancelToken, Governor
 from repro.engine.physical import (
+    Execution,
     PGroupJoin,
     PHashJoin,
     PHashNest,
@@ -50,8 +51,7 @@ class Rows(PhysicalOperator):
     row that is an exception is raised in its place."""
 
     def __init__(self, context: _Context, rows: list):
-        super().__init__()
-        self._context = context
+        super().__init__(context)
         self._rows = rows
 
     def _stream(self):
@@ -60,9 +60,9 @@ class Rows(PhysicalOperator):
                 raise row
             yield row
 
-    def batches(self):
+    def batches(self, ex):
         for chunk in chunk_rows(self._stream(), self._context.batch_size):
-            yield self._emit_chunk(chunk)
+            yield self._emit_chunk(ex, chunk)
 
 
 def _lefts(*keys, extra=None):
@@ -167,10 +167,11 @@ def _show(value):
     return repr(value)
 
 
-def _outcome(op):
-    """``("rows", …)`` or ``("error", class, text)`` for one operator."""
+def _outcome(op, ex=None):
+    """``("rows", …)`` or ``("error", class, text)`` for one operator (in
+    execution *ex*, or a fresh one)."""
     try:
-        rows = list(op.rows())
+        rows = list(op.rows(ex))
     except Exception as exc:  # noqa: BLE001 - errors are part of the contract
         return ("error", type(exc).__name__, str(exc))
     return ("rows", [(_show(row["l"]), _show(row["m"])) for row in rows])
@@ -187,10 +188,11 @@ def _compare(
     for size in BATCH_SIZES:
         context = _Context(Database(), batch_size=size, typing=typing_of(occurring))
         ops = _pair(context, spine, lefts, rights, **kwargs)
+        ex = Execution(ops["shared"])
         for name, op in ops.items():
-            outcomes[name, size] = _outcome(op)
+            outcomes[name, size] = _outcome(op, ex)
         if representatives is not None:
-            assert ops["shared"].source.rows_produced == representatives
+            assert ex.counts[ops["shared"].source].rows_produced == representatives
     reference = outcomes["plain", 1024]
     assert all(o == reference for o in outcomes.values()), outcomes
     return reference
@@ -472,9 +474,9 @@ class TestGovernor:
     def _run(self, name, size, spine=None, **limits):
         limits.setdefault("tick_interval", 1)
         governor = Governor(**limits)
-        context = _Context(Database(), governor=governor, batch_size=size)
+        context = _Context(Database(), batch_size=size)
         ops = _pair(context, spine or join_spine("bag"), self.LEFTS, self.RIGHTS)
-        return _outcome(ops[name]), governor
+        return _outcome(ops[name], Execution(ops[name], governor=governor)), governor
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
     def test_fewer_work_units_when_nothing_trips(self, size):
@@ -539,8 +541,9 @@ class TestGovernor:
                 _lefts(1, 1) + [trip],
                 _rights((1, 0)),
             )
-            assert _outcome(ops["shared"])[:2] == ("error", BudgetExceeded.__name__)
-            assert ops["shared"].source.rows_produced == 0
+            ex = Execution(ops["shared"])
+            assert _outcome(ops["shared"], ex)[:2] == ("error", BudgetExceeded.__name__)
+            assert ex.counts[ops["shared"].source].rows_produced == 0
             assert _outcome(ops["plain"])[1] == "DivisionByZeroError"
 
 
@@ -548,12 +551,14 @@ class TestOperatorSurface:
     def test_runs_once_and_replays(self):
         context = _Context(Database())
         op = _pair(context, join_spine("sum"), _lefts(1, 2, 1, 1), RIGHTS)["shared"]
-        first, second = list(op.rows()), list(op.rows())
+        ex = Execution(op)
+        first, second = list(op.rows(ex)), list(op.rows(ex))
         assert first == second and len(first) == 4
         spine, left = op.children()
-        assert left.rows_produced == 4
-        assert (spine.rows_produced, op.source.rows_produced) == (2, 2)
-        assert op.rows_produced == 8 and op.batches_produced == 2
+        counts = ex.counts
+        assert counts[left].rows_produced == 4
+        assert (counts[spine].rows_produced, counts[op.source].rows_produced) == (2, 2)
+        assert counts[op].rows_produced == 8 and counts[op].batches_produced == 2
 
     def test_describe(self):
         context = _Context(Database())

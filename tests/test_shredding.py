@@ -63,7 +63,7 @@ from repro.data.schema import (
     set_of,
 )
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
-from repro.engine.physical import _Context
+from repro.engine.physical import Execution, _Context
 from repro.engine.planner import execute as execute_plan
 from repro.errors import BackendUnsupportedError, ExecutionError, PlanningError
 from repro.algebra.evaluator import evaluate_plan as evaluate_reference
@@ -1101,10 +1101,11 @@ class TestStitching:
             join = physical.child
             inner = join.right
             assert isinstance(inner, PSqlSegment)
-            first = [chunk.length for chunk in inner.batches()]
-            again = [chunk.length for chunk in inner.batches()]
-            assert first == again and sum(first) == inner.rows_produced
-            total = physical.value()
+            ex = Execution(physical)
+            first = [chunk.length for chunk in inner.batches(ex)]
+            again = [chunk.length for chunk in inner.batches(ex)]
+            assert first == again and sum(first) == ex.counts[inner].rows_produced
+            total = physical.value(ex)
         finally:
             store.connection.set_trace_callback(None)
         assert total == evaluate_reference(plan, db)
@@ -1265,7 +1266,8 @@ class TestRefusals:
         store = shredded_store(DATABASES["ab"]())
         segment = _Segment(f"SELECT {expr}", (("x", "scalar", "int"),))
         with pytest.raises(BackendUnsupportedError, match="SQLite parser limit"):
-            PSqlSegment(_Context(store), segment, "Scan")._fetch()
+            op = PSqlSegment(_Context(store), segment, "Scan")
+            op._fetch(Execution(op))
 
 
 class TestOracleIntegration:
