@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.algebra.pretty import pretty_plan
 from repro.core.normalization import prepare
-from repro.core.unnesting import UnnestingTrace, unnest, _uniquify
+from repro.core.unnesting import UnnestingTrace, unnest
 from repro.data.datagen import university_database
 from repro.oql.translator import parse_and_translate
 
@@ -41,7 +41,7 @@ def _nested_quantifier_query(depth: int) -> str:
 
 def test_figure2_walkthrough(report_writer, benchmark):
     db = university_database(num_students=30, num_courses=10, seed=1998)
-    term = _uniquify(prepare(parse_and_translate(QUERY_E, db.schema)))
+    term = prepare(parse_and_translate(QUERY_E, db.schema))
 
     trace = UnnestingTrace()
     plan = unnest(term, trace)
@@ -88,7 +88,7 @@ def test_unnesting_compile_time(report_writer, benchmark):
     firing_counts = []
     for depth in (1, 2, 4, 8, 16):
         source = _nested_quantifier_query(depth)
-        term = _uniquify(prepare(parse_and_translate(source, db.schema)))
+        term = prepare(parse_and_translate(source, db.schema))
         size = sum(1 for _ in _iter_terms(term))
         trace = UnnestingTrace()
         unnest(term, trace)
@@ -105,7 +105,7 @@ def test_unnesting_compile_time(report_writer, benchmark):
     per_depth = [(count / depth) for depth, count in firing_counts]
     assert max(per_depth) <= 2 * min(per_depth) + 3
 
-    deep = _uniquify(prepare(parse_and_translate(_nested_quantifier_query(8), db.schema)))
+    deep = prepare(parse_and_translate(_nested_quantifier_query(8), db.schema))
     benchmark(lambda: unnest(deep))
 
 

@@ -54,7 +54,7 @@ def _count_lines(module) -> int:
 
 def test_optimizer_report(report_writer, benchmark):
     ours = {
-        "normalization (N1-N9 + predicates + canonical form)": _count_lines(
+        "normalization (one recursion: N1-N9, predicates, canonical form)": _count_lines(
             repro.core.normalization
         ),
         "query unnesting (C1-C9)": _count_lines(repro.core.unnesting),
@@ -75,12 +75,13 @@ def test_optimizer_report(report_writer, benchmark):
     for name, count in ours.items():
         lines.append(f"  {count:5d}  {name}")
     lines.append(f"  {sum(ours.values()):5d}  total")
-    from repro.core.normalization import NORMALIZATION_RULES
+    from repro.testing.normalization_spec import NORMALIZATION_RULES
 
     lines.append("")
     lines.append(
         "declarative rewrite rules per phase (the OPTL-style rule counts): "
-        f"normalization={len(NORMALIZATION_RULES)}, "
+        f"normalization={len(NORMALIZATION_RULES)} (the spec the recursion "
+        "is tested against), "
         f"algebraic={len(ALGEBRAIC_RULES)}, "
         "unnesting=9 (C1-C9), simplification=1 (Section 5)"
     )

@@ -15,7 +15,6 @@ from repro import (
     evaluate,
     evaluate_plan,
     infer_type,
-    normalize,
     prepare,
     pretty,
     pretty_plan,

@@ -36,12 +36,7 @@ from repro.calculus.evaluator import Evaluator, evaluate
 from repro.calculus.pretty import pretty
 from repro.calculus.typing import infer_type
 from repro.core.classify import classify, classify_oql
-from repro.core.normalization import (
-    canonicalize,
-    normalize,
-    normalize_predicates,
-    prepare,
-)
+from repro.core.normalization import prepare
 from repro.core.optimizer import CompiledQuery, Optimizer, OptimizerOptions
 from repro.core.pipeline import PIPELINE_STAGES, PlanCache, QueryPipeline, StageResult
 from repro.core.simplification import simplify
@@ -98,7 +93,6 @@ __all__ = [
     "UnknownExtentError",
     "UnnestingTrace",
     "ab_database",
-    "canonicalize",
     "classify",
     "classify_oql",
     "company_database",
@@ -106,8 +100,6 @@ __all__ = [
     "evaluate_plan",
     "execute",
     "infer_type",
-    "normalize",
-    "normalize_predicates",
     "parameterize_literals",
     "parse",
     "parse_and_translate",

@@ -529,19 +529,6 @@ def param_names(term: Term) -> frozenset[str]:
     )
 
 
-def bound_vars(term: Term) -> frozenset[str]:
-    """All variables bound anywhere inside *term*."""
-    result: set[str] = set()
-    for sub in subterms(term):
-        if isinstance(sub, Lambda):
-            result.add(sub.param)
-        elif isinstance(sub, Let):
-            result.add(sub.var)
-        elif isinstance(sub, Comprehension):
-            result.update(g.var for g in sub.generators())
-    return frozenset(result)
-
-
 _GLOBAL_FRESH = itertools.count(1)
 
 
@@ -635,18 +622,3 @@ def _subst_comprehension(term: Comprehension, mapping: dict[str, Term]) -> Compr
         quals.append(Generator(var_name, domain))
     head = apply(term.head)
     return Comprehension(term.monoid_name, head, tuple(quals))
-
-
-def alpha_rename(comp: Comprehension, suffix: str) -> Comprehension:
-    """Rename every generator variable of *comp* by appending *suffix*."""
-    mapping: dict[str, Term] = {}
-    quals: list[Qualifier] = []
-    for qualifier in comp.qualifiers:
-        if isinstance(qualifier, Generator):
-            new_name = qualifier.var + suffix
-            domain = substitute(qualifier.domain, mapping)
-            mapping[qualifier.var] = Var(new_name)
-            quals.append(Generator(new_name, domain))
-        else:
-            quals.append(Filter(substitute(qualifier.pred, mapping)))
-    return Comprehension(comp.monoid_name, substitute(comp.head, mapping), tuple(quals))

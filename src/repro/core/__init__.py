@@ -3,7 +3,7 @@ algorithm (C1-C9), the Section 5 simplification, and the staged
 optimizer pipeline."""
 
 from repro.core.classify import NestingReport, classify, classify_oql
-from repro.core.normalization import canonicalize, normalize, normalize_predicates, prepare
+from repro.core.normalization import prepare
 from repro.core.optimizer import CompiledQuery, Optimizer, OptimizerOptions
 from repro.core.pipeline import (
     PIPELINE_STAGES,
@@ -25,11 +25,8 @@ __all__ = [
     "StageResult",
     "UnnestingError",
     "UnnestingTrace",
-    "canonicalize",
     "classify",
     "classify_oql",
-    "normalize",
-    "normalize_predicates",
     "prepare",
     "simplify",
     "unnest",

@@ -13,27 +13,37 @@ universal quantifiers — are exactly the ones the unnesting algorithm of
 Section 4 (:mod:`repro.core.unnesting`) handles with outer-joins and
 grouping.
 
-The rules are expressed declaratively in the :data:`NORMALIZATION_RULES`
-rule set (run by the generic :class:`~repro.core.rewrite.RewriteEngine`,
-mirroring the paper's OPTL organization where "30 lines are for
-normalization of comprehensions").
+:func:`prepare` is one structural recursion.  The rules are local and
+strongly normalizing, and their normal form is syntactic (Ricciotti–Cheney,
+arXiv:2011.13451), so a walk that normalizes a node's parts before it looks
+at the node needs no redex search: each rule fires where the walk already
+is.  A generator is renamed to a fresh name as it is entered, so a splice
+(N7–N9) never captures a variable and the unnester gets alpha-unique terms;
+a variable that N1, N5, N7 or a ``let`` removes is bound in the walk's
+environment to its normal value, so substitution is not a second walk.
+Negations are pushed inward (DeMorgan, the paper's "normalization of
+predicates") where the input has them, and every comprehension comes out as
+``⊕{ e | v1 <- path1, ..., pred }``: generators first, the filters conjoined
+into one trailing predicate, as the unnesting algorithm (Figure 7) assumes.
 
-Soundness side conditions (made explicit here, they are implicit in the
-paper's monoid well-formedness discussion):
-
-* N6 (merge split) and N7 (flattening) may collapse duplicates when the
-  generator domain is an *idempotent* collection (a set) feeding a
-  *non-idempotent* accumulator (e.g. ``sum``).  In that configuration the
-  rules are not meaning-preserving, so we keep the term nested and let the
-  unnesting algorithm deal with it.
-* N8 (existential unnesting) requires the outer accumulator to be
-  idempotent, as stated in the paper.
+The rules in their declarative form — the spec this recursion implements —
+are :data:`repro.testing.normalization_spec.NORMALIZATION_RULES`; tests and
+the fuzzer check ``prepare`` against them up to α-renaming.  Two soundness
+side conditions are implicit in the paper's monoid well-formedness
+discussion: N6 and N7 keep a generator over an *idempotent* collection (a
+set) feeding a *non-idempotent* accumulator (e.g. ``sum``) nested, since
+flattening it could collapse duplicates; and N8 requires an idempotent
+outer accumulator, as the paper states.
 """
 
 from __future__ import annotations
 
+from operator import is_
+
+from repro.calculus.evaluator import EvaluationError, apply_binop
 from repro.calculus.monoids import monoid as lookup_monoid
 from repro.calculus.terms import (
+    TRUE,
     Apply,
     BinOp,
     Comprehension,
@@ -50,464 +60,362 @@ from repro.calculus.terms import (
     RecordCons,
     Singleton,
     Term,
+    Var,
     Zero,
     _rebuild,
-    alpha_rename,
-    bound_vars,
-    conj,
-    conjuncts,
     fresh_name,
-    free_vars,
-    substitute,
     subterms,
-    transform,
 )
-from repro.core.rewrite import RewriteEngine, RuleSet
+from repro.calculus.typing import CalculusTypeError
 
-NORMALIZATION_RULES = RuleSet("normalization", rebuild=_rebuild)
+FALSE = Const(False)
 
-
-def normalize(term: Term) -> Term:
-    """Normalize *term* to a fixpoint of rules N1–N9."""
-    engine = RewriteEngine()
-    return engine.run_phase(NORMALIZATION_RULES, term)
-
-
-# ---------------------------------------------------------------------------
-# Expression-level rules
-# ---------------------------------------------------------------------------
-
-
-@NORMALIZATION_RULES.rule("N1-beta", "(λv.e1) e2 → e1[e2/v]", roots=(Apply,))
-def _beta(term: Term) -> Term | None:
-    if isinstance(term, Apply) and isinstance(term.fn, Lambda):
-        return substitute(term.fn.body, {term.fn.param: term.arg})
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "let-inline", "let v = e1 in e2 → e2[e1/v] (reduction rule D6)", roots=(Let,)
-)
-def _let_inline(term: Term) -> Term | None:
-    if isinstance(term, Let):
-        return substitute(term.body, {term.var: term.value})
-    return None
-
-
-@NORMALIZATION_RULES.rule("N2-projection", "(…, A = e, …).A → e", roots=(Proj,))
-def _projection(term: Term) -> Term | None:
-    if isinstance(term, Proj) and isinstance(term.expr, RecordCons):
-        try:
-            return term.expr.field_expr(term.attr)
-        except KeyError:
-            return None
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "if-const", "fold conditionals on literal conditions", roots=(If,)
-)
-def _if_const(term: Term) -> Term | None:
-    if isinstance(term, If):
-        if term.cond == Const(True):
-            return term.then
-        if term.cond == Const(False):
-            return term.orelse
-    return None
-
-
-@NORMALIZATION_RULES.rule("not-const", "fold negations of literals", roots=(Not,))
-def _not_const(term: Term) -> Term | None:
-    if isinstance(term, Not):
-        if term.expr == Const(True):
-            return Const(False)
-        if term.expr == Const(False):
-            return Const(True)
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "bool-simplify", "true/false identities of and/or", roots=(BinOp,)
-)
-def _bool_simplify(term: Term) -> Term | None:
-    # The reference and/or are left-biased, not Kleene: a NULL left operand
-    # makes the result NULL whatever the right one is.  So the absorbing
-    # constant folds only from the left (`false and p`, `true or p`, where
-    # p is never evaluated); `p and false` / `p or true` are NULL for a
-    # NULL p and stay as written.  The identities hold on either side.
-    if not (isinstance(term, BinOp) and term.op in ("and", "or")):
-        return None
-    identity = Const(term.op == "and")
-    if term.left == identity:
-        return term.right
-    if term.right == identity:
-        return term.left
-    if term.left == Const(term.op == "or"):
-        return term.left
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "const-fold", "evaluate operations over two literals", roots=(BinOp,)
-)
-def _const_fold(term: Term) -> Term | None:
-    if not isinstance(term, BinOp):
-        return None
-    if term.op in ("and", "or"):
-        return None  # handled by bool-simplify
-    if not (isinstance(term.left, Const) and isinstance(term.right, Const)):
-        return None
-    from repro.calculus.evaluator import EvaluationError, apply_binop
-
-    try:
-        value = apply_binop(term.op, term.left.value, term.right.value)
-    except (EvaluationError, TypeError):
-        return None  # e.g. division by zero stays a runtime error
-    return Const(value)
-
-
-# ---------------------------------------------------------------------------
-# Comprehension rules
-# ---------------------------------------------------------------------------
-
-
-@NORMALIZATION_RULES.rule(
-    "some-head-to-filter",
-    "some{ p | q̄ } → some{ true | q̄, p } (the paper's two spellings of "
-    "QUERY C's inner quantifier; the filter form feeds join predicates)",
-    roots=(Comprehension,),
-)
-def _some_head_to_filter(term: Term) -> Term | None:
-    if (
-        isinstance(term, Comprehension)
-        and term.monoid_name == "some"
-        and term.head != Const(True)
-    ):
-        return Comprehension(
-            "some", Const(True), term.qualifiers + (Filter(term.head),)
-        )
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "all-head-to-filter",
-    "all{ p | q̄ } → all{ false | q̄, ¬p } (our dual of some-head-to-filter, "
-    "not a paper rule: only a False head moves `all`, so the negated head "
-    "is a filter and feeds join predicates)",
-    roots=(Comprehension,),
-)
-def _all_head_to_filter(term: Term) -> Term | None:
-    # Exact under the left-biased 3VL: ¬p is evaluated on the same bindings
-    # as p, and True/NULL heads contribute nothing to `all`.  A head that
-    # contains a comprehension is left alone — the unnesting algorithm
-    # splices it as its own box (QUERY E, Figure 2), which a filter copy of
-    # it would change.
-    if (
-        isinstance(term, Comprehension)
-        and term.monoid_name == "all"
-        and term.head != Const(False)
-        and not any(isinstance(t, Comprehension) for t in subterms(term.head))
-    ):
-        negated = normalize_predicates(Not(term.head))
-        return Comprehension(
-            "all", Const(False), term.qualifiers + (Filter(negated),)
-        )
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "filter-const", "D3/D4: constant filters", roots=(Comprehension,)
-)
-def _filter_const(term: Term) -> Term | None:
-    if not isinstance(term, Comprehension):
-        return None
-    if any(
-        isinstance(q, Filter) and q.pred == Const(False) for q in term.qualifiers
-    ):
-        return Zero(term.monoid_name)
-    if any(
-        isinstance(q, Filter) and q.pred == Const(True) for q in term.qualifiers
-    ):
-        quals = tuple(
-            q
-            for q in term.qualifiers
-            if not (isinstance(q, Filter) and q.pred == Const(True))
-        )
-        return Comprehension(term.monoid_name, term.head, quals)
-    return None
-
-
-def _generator_rule(matcher):
-    """Build a rule body that applies *matcher* to the first matching
-    generator of a comprehension."""
-
-    def apply(term: Term) -> Term | None:
-        if not isinstance(term, Comprehension):
-            return None
-        for index, qualifier in enumerate(term.qualifiers):
-            if isinstance(qualifier, Generator):
-                replacement = matcher(term, index, qualifier)
-                if replacement is not None:
-                    return replacement
-        return None
-
-    return apply
-
-
-def _n4(comp: Comprehension, index: int, gen: Generator) -> Term | None:
-    if isinstance(gen.domain, Zero):
-        return Zero(comp.monoid_name)
-    return None
-
-
-def _n5(comp: Comprehension, index: int, gen: Generator) -> Term | None:
-    if isinstance(gen.domain, Singleton):
-        before = comp.qualifiers[:index]
-        after = comp.qualifiers[index + 1 :]
-        return _substitute_tail(comp, before, after, {gen.var: gen.domain.expr})
-    return None
-
-
-def _n3(comp: Comprehension, index: int, gen: Generator) -> Term | None:
-    domain = gen.domain
-    if not isinstance(domain, If):
-        return None
-    before = comp.qualifiers[:index]
-    after = comp.qualifiers[index + 1 :]
-    then_comp = Comprehension(
-        comp.monoid_name,
-        comp.head,
-        before + (Filter(domain.cond), Generator(gen.var, domain.then)) + after,
-    )
-    else_comp = Comprehension(
-        comp.monoid_name,
-        comp.head,
-        before + (Filter(Not(domain.cond)), Generator(gen.var, domain.orelse)) + after,
-    )
-    return Merge(comp.monoid_name, then_comp, else_comp)
-
-
-def _n6(comp: Comprehension, index: int, gen: Generator) -> Term | None:
-    domain = gen.domain
-    if not isinstance(domain, Merge):
-        return None
-    domain_monoid = lookup_monoid(domain.monoid_name)
-    # Sound unless an idempotent merge (set union) feeds a non-idempotent
-    # accumulator (duplicates would be double-counted).
-    if not (comp.monoid.idempotent or not domain_monoid.idempotent):
-        return None
-    before = comp.qualifiers[:index]
-    after = comp.qualifiers[index + 1 :]
-    left = Comprehension(
-        comp.monoid_name, comp.head, before + (Generator(gen.var, domain.left),) + after
-    )
-    right = Comprehension(
-        comp.monoid_name, comp.head, before + (Generator(gen.var, domain.right),) + after
-    )
-    return Merge(comp.monoid_name, left, right)
-
-
-def _n7(comp: Comprehension, index: int, gen: Generator) -> Term | None:
-    domain = gen.domain
-    if not isinstance(domain, Comprehension):
-        return None
-    domain_monoid = domain.monoid
-    if not domain_monoid.is_collection:
-        raise TypeError(
-            f"generator domain is a {domain.monoid_name} comprehension, "
-            "which is not a collection"
-        )
-    if not (comp.monoid.idempotent or not domain_monoid.idempotent):
-        return None
-    inner = _avoid_capture(domain, comp)
-    before = comp.qualifiers[:index]
-    after = comp.qualifiers[index + 1 :]
-    return Comprehension(
-        comp.monoid_name,
-        comp.head,
-        before
-        + inner.qualifiers
-        + (Generator(gen.var, Singleton(inner.monoid_name, inner.head)),)
-        + after,
-    )
-
-
-for _name, _matcher, _description in (
-    ("N4-zero-domain", _n4, "⊕{e | …, v <- zero, …} → zero"),
-    ("N5-singleton-domain", _n5, "⊕{e | …, v <- {e'}, …} binds v to e'"),
-    ("N3-conditional-domain", _n3, "split a generator over if-then-else"),
-    ("N6-merge-domain", _n6, "split a generator over e1 ⊕ e2"),
-    ("N7-flatten-domain", _n7,
-     "flatten a generator over a nested comprehension"),
-):
-    NORMALIZATION_RULES.rule(_name, _description, roots=(Comprehension,))(
-        _generator_rule(_matcher)
-    )
-
-
-@NORMALIZATION_RULES.rule(
-    "N8-exists-filter",
-    "⊕{e | …, some{p | r̄}, …} → ⊕{e | …, r̄, p, …} for idempotent ⊕",
-    roots=(Comprehension,),
-)
-def _n8(term: Term) -> Term | None:
-    if not isinstance(term, Comprehension) or not term.monoid.idempotent:
-        return None
-    for index, qualifier in enumerate(term.qualifiers):
-        if not isinstance(qualifier, Filter):
-            continue
-        pred = qualifier.pred
-        if isinstance(pred, Comprehension) and pred.monoid_name == "some":
-            inner = _avoid_capture(pred, term)
-            new_quals = (
-                term.qualifiers[:index]
-                + inner.qualifiers
-                + (Filter(inner.head),)
-                + term.qualifiers[index + 1 :]
-            )
-            return Comprehension(term.monoid_name, term.head, new_quals)
-    return None
-
-
-@NORMALIZATION_RULES.rule(
-    "N9-head-flatten",
-    "⊕{ ⊕{e | r̄} | s̄ } → ⊕{ e | s̄, r̄ } for primitive ⊕",
-    roots=(Comprehension,),
-)
-def _n9(term: Term) -> Term | None:
-    if (
-        isinstance(term, Comprehension)
-        and isinstance(term.head, Comprehension)
-        and term.head.monoid_name == term.monoid_name
-        and not term.monoid.is_collection
-    ):
-        inner = _avoid_capture(term.head, term)
-        return Comprehension(
-            term.monoid_name, inner.head, term.qualifiers + inner.qualifiers
-        )
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
-
-
-def _substitute_tail(
-    comp: Comprehension,
-    before: tuple[Qualifier, ...],
-    after: tuple[Qualifier, ...],
-    mapping: dict[str, Term],
-) -> Comprehension:
-    """Substitute in the qualifiers after a removed generator and the head."""
-    new_after: list[Qualifier] = []
-    current = dict(mapping)
-    for qualifier in after:
-        if isinstance(qualifier, Generator):
-            new_after.append(
-                Generator(qualifier.var, substitute(qualifier.domain, current))
-            )
-            current.pop(qualifier.var, None)
-        else:
-            new_after.append(Filter(substitute(qualifier.pred, current)))
-    head = substitute(comp.head, current)
-    return Comprehension(comp.monoid_name, head, before + tuple(new_after))
-
-
-def _avoid_capture(inner: Comprehension, context: Term) -> Comprehension:
-    """Rename *inner*'s generators when they clash with *context*'s names."""
-    inner_vars = {g.var for g in inner.generators()}
-    context_names = bound_vars(context) | free_vars(context)
-    if inner_vars & context_names:
-        return alpha_rename(inner, fresh_name("r"))
-    return inner
-
-
-# ---------------------------------------------------------------------------
-# Predicate normalization (Section 6: "34 lines for normalization of
-# predicates (using DeMorgan's laws)")
-# ---------------------------------------------------------------------------
-
+#: DeMorgan: the operator or quantifier a negation turns each one into.
+_DUAL = {"and": "or", "or": "and", "some": "all", "all": "some"}
 _NEGATED_COMPARISON = {
-    "==": "!=",
-    "!=": "==",
-    "<": ">=",
-    "<=": ">",
-    ">": "<=",
-    ">=": "<",
+    "==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"
 }
 
 
-def normalize_predicates(term: Term) -> Term:
-    """Push negations inward (DeMorgan) and flip negated comparisons."""
-    return transform(term, _predicate_step)
-
-
-def _predicate_step(term: Term) -> Term:
-    if not isinstance(term, Not):
-        return term
-    inner = term.expr
-    if isinstance(inner, Not):
-        return inner.expr
-    if isinstance(inner, Const) and isinstance(inner.value, bool):
-        return Const(not inner.value)
-    if isinstance(inner, BinOp):
-        if inner.op == "and":
-            return BinOp(
-                "or",
-                normalize_predicates(Not(inner.left)),
-                normalize_predicates(Not(inner.right)),
-            )
-        if inner.op == "or":
-            return BinOp(
-                "and",
-                normalize_predicates(Not(inner.left)),
-                normalize_predicates(Not(inner.right)),
-            )
-        if inner.op in _NEGATED_COMPARISON:
-            return BinOp(_NEGATED_COMPARISON[inner.op], inner.left, inner.right)
-    # ¬∃ → ∀¬ and ¬∀ → ∃¬ (quantifier duality of the all/some monoids).
-    if isinstance(inner, Comprehension) and inner.monoid_name == "some":
-        return Comprehension(
-            "all", normalize_predicates(Not(inner.head)), inner.qualifiers
-        )
-    if isinstance(inner, Comprehension) and inner.monoid_name == "all":
-        return Comprehension(
-            "some", normalize_predicates(Not(inner.head)), inner.qualifiers
-        )
-    return term
-
-
-# ---------------------------------------------------------------------------
-# Canonical form for the unnesting algorithm
-# ---------------------------------------------------------------------------
-
-
-def canonicalize(term: Term) -> Term:
-    """Rewrite every comprehension into ``⊕{ e | v1 <- path1, ..., pred }``.
-
-    The unnesting algorithm (Figure 7) assumes generators come first and all
-    filters are conjoined into a single trailing predicate.  Moving a filter
-    later in the qualifier list never changes the produced bindings, so this
-    is meaning-preserving for any monoid.
-    """
-    return transform(term, _canonical_step)
-
-
-def _canonical_step(term: Term) -> Term:
-    if not isinstance(term, Comprehension):
-        return term
-    generators = term.generators()
-    preds = [f.pred for f in term.filters()]
-    pred = conj(*preds)
-    quals: tuple[Qualifier, ...] = tuple(generators)
-    if conjuncts(pred):
-        quals += (Filter(pred),)
-    if quals == term.qualifiers:
-        return term
-    return Comprehension(term.monoid_name, term.head, quals)
-
-
 def prepare(term: Term) -> Term:
-    """The full front half of the pipeline: normalize, then canonicalize."""
-    return canonicalize(normalize(normalize_predicates(term)))
+    """Normalize *term* (N1–N9, negations pushed inward) into canonical
+    comprehensions whose generators all have fresh, distinct names."""
+    return _Normalizer().walk(term, {}, True)
+
+
+def _boxless(term: Term) -> bool:
+    """No comprehension in *term*: the unnester splices one in an ``all``
+    head as a box of its own (QUERY E, Figure 2), so the head stays."""
+    return not any(type(sub) is Comprehension for sub in subterms(term))
+
+
+class _Qualifiers(list):
+    """A comprehension's qualifiers in the order the rules leave them, and
+    its filters conjoined left to right so far (None: no filter)."""
+
+    __slots__ = ("pred",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pred: Term | None = None
+
+
+class _Normalizer:
+    """One :func:`prepare` call.
+
+    ``walk(t, env, dm)`` returns the normal form of *t* with *env*'s
+    bindings substituted; with *dm* it first pushes *t*'s negations inward,
+    which the input needs and a term the walk returned does not.  Every
+    comprehension it returns is canonical; ``parts`` keeps its qualifiers in
+    the order the rules left them, because a splice conjoins the spliced
+    filters one by one.  ``used`` holds the bound values already placed in
+    the output: a second occurrence is a copy with fresh names.
+    """
+
+    __slots__ = ("parts", "used", "frames", "branching")
+
+    def __init__(self) -> None:
+        self.parts: dict[int, tuple[Comprehension, tuple[Qualifier, ...]]] = {}
+        self.used: set[int] = set()
+        #: The environment each comprehension being built was entered with.
+        self.frames: list[dict[str, Term]] = []
+        #: Generators over a conditional or a merge (N3, N6), and whether
+        #: they are their comprehension's own rather than spliced into it.
+        self.branching: dict[int, tuple[Generator, bool]] = {}
+
+    def walk(self, t: Term, env: dict[str, Term], dm: bool) -> Term:
+        kind = type(t)
+        if kind is Var:
+            value = env.get(t.name)
+            if value is None:
+                return t
+            if type(value) is not Var and type(value) is not Const:
+                if id(value) in self.used:
+                    return self.walk(value, {}, False)
+                self.used.add(id(value))
+            return value
+        if kind is Comprehension:
+            return self.comprehension(t, env, dm)
+        if kind is BinOp:
+            left, right = self.walk(t.left, env, dm), self.walk(t.right, env, dm)
+            if left is t.left and right is t.right:
+                return self.binop(t.op, left, right, t)
+            return self.binop(t.op, left, right)
+        if kind is Proj:  # N2
+            expr = self.walk(t.expr, env, dm)
+            if type(expr) is RecordCons:
+                for name, value in expr.fields:
+                    if name == t.attr:
+                        return value
+            return t if expr is t.expr else Proj(expr, t.attr)
+        if kind is Not:
+            return self.negation(t.expr, env, dm)
+        if kind is If:
+            cond, then, orelse = (self.walk(c, env, dm) for c in t.children())
+            if cond == TRUE:
+                return then
+            if cond == FALSE:
+                return orelse
+            return If(cond, then, orelse)
+        if kind is Let:
+            return self.walk(t.body, {**env, t.var: self.walk(t.value, env, dm)}, dm)
+        if kind is Lambda:
+            name = fresh_name(t.param.strip("_") or "v")
+            return Lambda(name, self.walk(t.body, {**env, t.param: Var(name)}, dm))
+        if kind is Apply:  # N1
+            fn, arg = self.walk(t.fn, env, dm), self.walk(t.arg, env, dm)
+            if type(fn) is Lambda:
+                return self.walk(fn.body, {fn.param: arg}, False)
+            return Apply(fn, arg)
+        children = t.children()
+        if not children:
+            return t
+        walked = tuple([self.walk(child, env, dm) for child in children])
+        return t if all(map(is_, walked, children)) else _rebuild(t, walked)
+
+    def binop(self, op: str, left: Term, right: Term, same: Term | None = None) -> Term:
+        if op == "and" or op == "or":
+            # The reference and/or are left-biased, not Kleene: a NULL left
+            # operand makes the result NULL whatever the right one is.  So
+            # the absorbing constant folds only from the left (`false and
+            # p`, `true or p`); `p and false` / `p or true` stay as written.
+            identity = TRUE if op == "and" else FALSE
+            if left == identity:
+                return right
+            if right == identity:
+                return left
+            if left == (FALSE if op == "and" else TRUE):
+                return left
+        elif type(left) is Const and type(right) is Const:
+            try:
+                return Const(apply_binop(op, left.value, right.value))
+            except (EvaluationError, TypeError):
+                pass  # e.g. division by zero stays a runtime error
+        return same if same is not None else BinOp(op, left, right)
+
+    def negation(self, expr: Term, env: dict[str, Term], dm: bool) -> Term:
+        """``¬expr``: DeMorgan on the input's syntax, then the literal fold."""
+        if dm:
+            kind = type(expr)
+            if kind is Not:
+                return self.walk(expr.expr, env, dm)
+            if kind is Const and type(expr.value) is bool:
+                return FALSE if expr.value else TRUE
+            if kind is BinOp:
+                if expr.op == "and" or expr.op == "or":
+                    left = self.negation(expr.left, env, dm)
+                    right = self.negation(expr.right, env, dm)
+                    return self.binop(_DUAL[expr.op], left, right)
+                flipped = _NEGATED_COMPARISON.get(expr.op)
+                if flipped is not None:
+                    left = self.walk(expr.left, env, dm)
+                    return self.binop(flipped, left, self.walk(expr.right, env, dm))
+            if kind is Comprehension and expr.monoid_name in _DUAL:
+                dual = _DUAL[expr.monoid_name]
+                return self.comprehension(
+                    Comprehension(dual, Not(expr.head), expr.qualifiers), env, dm
+                )
+        expr = self.walk(expr, env, dm)
+        if expr == TRUE:
+            return FALSE
+        if expr == FALSE:
+            return TRUE
+        return Not(expr)
+
+    # -- comprehensions ------------------------------------------------------
+
+    def comprehension(self, t: Comprehension, env: dict[str, Term], dm: bool) -> Term:
+        name = t.monoid_name
+        monoid = lookup_monoid(name)
+        out = _Qualifiers()
+        self.frames.append(env)
+        head = self.body(t, dict(env), dm, monoid, out)
+        self.frames.pop()
+        if head is None:
+            return Zero(name)
+        split = self.split(name, monoid, head, out)
+        if split is not None:
+            return split
+        generators = tuple([q for q in out if type(q) is Generator])
+        result = Comprehension(
+            name, head, generators if out.pred is None else generators + (Filter(out.pred),)
+        )
+        self.parts[id(result)] = (result, tuple(out))
+        return result
+
+    def body(self, t, env, dm, monoid, out: _Qualifiers) -> Term | None:
+        """Append *t*'s qualifiers to *out*; returns its head (None: zero)."""
+        name = t.monoid_name
+        known = self.parts.get(id(t))
+        if not self.scope(known[1] if known else t.qualifiers, env, dm, True, monoid, out, t):
+            return None
+        if name == "all":
+            # all{ p | q̄ } → all{ false | q̄, ¬p }.  The rule set folds p
+            # before N5/N7 substitute into it (a box they bring keeps p), so
+            # p is normalized with the substituted variables free.
+            back = {}
+            free = dict(env)
+            for var, value in env.items():
+                if type(value) is not Var:
+                    free[var] = Var(fresh_name(var.strip("_") or "v"))
+                    back[free[var].name] = value
+            head = self.walk(t.head, free, dm)
+            if head != FALSE and _boxless(head):
+                negated = self.negation(head, {}, True)
+                negated = self.walk(negated, back, False) if back else negated
+                return FALSE if self.filter(negated, monoid, out) else None
+            if back:
+                head = self.walk(head, back, False)
+        else:
+            head = self.walk(t.head, env, dm)
+        if type(head) is Zero and not monoid.is_collection and self.emptied(
+            head, t.head, env, dm, name
+        ):
+            return None  # N9 of a box that an ancestor's value emptied
+        while (  # N9
+            type(head) is Comprehension
+            and head.monoid_name == name
+            and not monoid.is_collection
+        ):
+            head = self.splice(head, monoid, out)
+            if head is None:
+                return None
+        if name == "some" and head != TRUE:  # some{ p | q̄ } → some{ true | q̄, p }
+            return TRUE if self.filter(head, monoid, out) else None
+        if name == "all" and head != FALSE and _boxless(head):
+            return FALSE if self.filter(self.negation(head, {}, True), monoid, out) else None
+        return head
+
+    def emptied(self, zero: Zero, term: Term, env, dm: bool, name: str) -> bool:
+        """Whether *zero* — *term* normalized under *env* — is the zero of a
+        ``name`` comprehension that a value bound outside the current one
+        emptied.  The rule set normalizes bottom-up, so it splices that box
+        (N8, N9) before the value reaches it, and the emptiness then empties
+        the current comprehension."""
+        if zero.monoid_name != name:
+            return False
+        outer = self.frames[-1]
+        free = {
+            k: Var(k) if type(v) is not Var and outer.get(k) is v else v
+            for k, v in env.items()
+        }
+        if free == env:
+            return False
+        before = self.walk(term, free, dm)
+        return type(before) is Comprehension and before.monoid_name == name
+
+    def scope(self, quals, env, dm, fresh, monoid, out, where) -> bool:
+        """Append *quals*' normal forms to *out*; False when the
+        comprehension is its monoid's zero.  A *fresh* scope renames its
+        generators; otherwise *quals* are a normal comprehension's, spliced
+        into another, and are walked only to substitute what *env* binds."""
+        for q in quals:
+            if type(q) is Generator:
+                domain = self.walk(q.domain, env, dm) if fresh or env else q.domain
+                kind = type(domain)
+                if kind is Zero:  # N4
+                    return False
+                if kind is Singleton:  # N5
+                    env[q.var] = domain.expr
+                    continue
+                if kind is Comprehension:
+                    inner = domain.monoid
+                    if not inner.is_collection:
+                        raise CalculusTypeError(
+                            f"generator domain of {q.var!r} is a {inner.name} "
+                            "comprehension, which is not a collection",
+                            where,
+                        )
+                    if monoid.idempotent or not inner.idempotent:  # N7
+                        head = self.splice(domain, monoid, out)
+                        if head is None:
+                            return False
+                        env[q.var] = head
+                        continue
+                var = q.var
+                if fresh:
+                    var = fresh_name(var.strip("_") or "v")
+                    env[q.var] = Var(var)
+                gen = Generator(var, domain)
+                if kind is If or kind is Merge:
+                    self.branching[id(gen)] = (gen, fresh)
+                out.append(gen)
+            else:
+                pred = self.walk(q.pred, env, dm) if fresh or env else q.pred
+                if type(pred) is Zero and monoid.idempotent and fresh and self.emptied(
+                    pred, q.pred, env, dm, "some"
+                ):
+                    return False  # N8 of a box that an ancestor's value emptied
+                if not self.filter(pred, monoid, out):
+                    return False
+        return True
+
+    def filter(self, pred: Term, monoid, out: _Qualifiers) -> bool:
+        if type(pred) is Const:  # filter-const (D3/D4)
+            if pred == FALSE:
+                return False
+            if pred == TRUE:
+                return True
+        if type(pred) is Comprehension and pred.monoid_name == "some" and monoid.idempotent:
+            head = self.splice(pred, monoid, out)  # N8
+            return head is not None and self.filter(head, monoid, out)
+        out.append(Filter(pred))
+        out.pred = pred if out.pred is None else BinOp("and", out.pred, pred)
+        return True
+
+    def splice(self, comp: Comprehension, monoid, out: _Qualifiers) -> Term | None:
+        """Append normal *comp*'s qualifiers to *out*; returns its head
+        (None: zero).  N6–N8 fire under an idempotent accumulator where a
+        non-idempotent one keeps the term, so only the qualifiers of such a
+        comprehension spliced into an idempotent one are dispatched again."""
+        quals = self.parts[id(comp)][1]
+        if comp.monoid.idempotent or not monoid.idempotent:
+            if out.pred is None:
+                if comp.qualifiers and type(comp.qualifiers[-1]) is Filter:
+                    out.pred = comp.qualifiers[-1].pred  # its filters, conjoined
+            else:
+                for q in quals:
+                    if type(q) is Filter:
+                        out.pred = BinOp("and", out.pred, q.pred)
+            out.extend(quals)
+            return comp.head
+        env: dict[str, Term] = {}
+        if not self.scope(quals, env, False, False, monoid, out, comp):
+            return None
+        return self.walk(comp.head, env, False) if env else comp.head
+
+    def split(self, name: str, monoid, head: Term, out: _Qualifiers) -> Term | None:
+        """N3, else N6: split over the first generator whose domain is a
+        conditional, else a merge, and normalize each half anew.  Like the
+        rule set, which tries N3 and N6 before N7 splices, a comprehension's
+        own generators go before the ones spliced into it."""
+        if not self.branching:
+            return None
+        order = sorted(
+            (not self.branching[id(q)][1], i)
+            for i, q in enumerate(out)
+            if id(q) in self.branching
+        )
+        conditionals = [i for _, i in order if type(out[i].domain) is If]
+        merges = [
+            i for _, i in order
+            if type(out[i].domain) is Merge
+            and (monoid.idempotent or not out[i].domain.monoid.idempotent)
+        ]
+        if not conditionals and not merges:
+            return None
+        index = (conditionals or merges)[0]
+        var, domain = out[index].var, out[index].domain
+        if conditionals:
+            halves = (
+                (Filter(domain.cond), Generator(var, domain.then)),
+                (Filter(Not(domain.cond)), Generator(var, domain.orelse)),
+            )
+        else:
+            halves = ((Generator(var, domain.left),), (Generator(var, domain.right),))
+        before, after = tuple(out[:index]), tuple(out[index + 1 :])
+        left, right = (
+            self.walk(Comprehension(name, head, before + half + after), {}, False)
+            for half in halves
+        )
+        return Merge(name, left, right)

@@ -47,7 +47,7 @@ from repro.calculus.terms import Term, param_names
 from repro.core.normalization import prepare
 from repro.core.rewrite import RewriteEngine
 from repro.core.simplification import simplify
-from repro.core.unnesting import UnnestingTrace, unnest, _uniquify
+from repro.core.unnesting import UnnestingTrace, unnest
 from repro.data.database import Database
 from repro.engine.compile import ExprCompiler
 from repro.engine.cost import CostModel
@@ -697,7 +697,7 @@ class QueryPipeline:
                 stages, "typecheck", lambda: infer_type(term, schema), str
             )
         prepared = self._stage(
-            stages, "normalize", lambda: _uniquify(prepare(term)), pretty
+            stages, "normalize", lambda: prepare(term), pretty
         )
         if not options.unnest:
             return CompiledQuery(

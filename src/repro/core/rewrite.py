@@ -8,6 +8,12 @@ objects: a :class:`Rule` is a named partial function on nodes, a
 :class:`RuleSet` groups rules into an optimizer phase, and
 :class:`RewriteEngine` rewrites a tree to each phase's normal form.
 
+The pipeline runs one phase through it, the algebraic rules of
+:mod:`repro.core.optimizer`.  Figure 4's N1–N9 rules are a phase too, but
+only as the spec (:mod:`repro.testing.normalization_spec`) that tests and
+the fuzzer hold the pipeline's one-walk normalization
+(:func:`repro.core.normalization.prepare`) to.
+
 The engine walks ``children()``; a phase names its domain's ``rebuild``
 (:func:`repro.calculus.terms._rebuild`, :func:`repro.algebra.operators.rebuild`).
 A phase is one bottom-up walk: at each node it normalizes the children and

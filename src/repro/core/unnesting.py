@@ -67,7 +67,6 @@ from repro.calculus.terms import (
     Filter,
     Generator,
     Lambda,
-    Let,
     Term,
     Var,
     _rebuild,
@@ -148,8 +147,8 @@ def unnest(term: Term, trace: UnnestingTrace | None = None) -> Operator:
 
 
 def unnest_query(term: Term, trace: UnnestingTrace | None = None) -> Operator:
-    """Prepare (normalize + canonicalize) and unnest *term*."""
-    return unnest(_uniquify(prepare(term)), trace)
+    """Prepare (normalize, with fresh generator names) and unnest *term*."""
+    return unnest(prepare(term), trace)
 
 
 class _Translator:
@@ -564,44 +563,3 @@ def _alpha_canonical(term: Term) -> Term:
         return _rebuild(t, children)
 
     return canon(term, {})
-
-
-def _uniquify(term: Term) -> Term:
-    """Give every comprehension generator a globally unique variable name.
-
-    The C8 early-splice test compares free variables against stream columns;
-    shadowed names would make that test unsound, so the translator runs on
-    alpha-unique terms.  One top-down walk: *env* maps each generator
-    variable in scope to its new name, so every node is visited once.
-    """
-
-    def walk(t: Term, env: dict[str, Var]) -> Term:
-        if isinstance(t, Var):
-            return env.get(t.name, t)
-        if isinstance(t, Comprehension):
-            inner = dict(env)
-            quals: list = []
-            for qualifier in t.qualifiers:
-                if isinstance(qualifier, Generator):
-                    domain = walk(qualifier.domain, inner)
-                    name = fresh_name(qualifier.var.strip("_") or "v")
-                    inner[qualifier.var] = Var(name)
-                    quals.append(Generator(name, domain))
-                else:
-                    quals.append(Filter(walk(qualifier.pred, inner)))
-            return Comprehension(t.monoid_name, walk(t.head, inner), tuple(quals))
-        if isinstance(t, Lambda) and t.param in env:
-            inner = {k: v for k, v in env.items() if k != t.param}
-            return Lambda(t.param, walk(t.body, inner))
-        if isinstance(t, Let) and t.var in env:
-            inner = {k: v for k, v in env.items() if k != t.var}
-            return Let(t.var, walk(t.value, env), walk(t.body, inner))
-        children = t.children()
-        if not children:
-            return t
-        walked = tuple([walk(child, env) for child in children])
-        if all(map(is_, walked, children)):
-            return t
-        return _rebuild(t, walked)
-
-    return walk(term, {})

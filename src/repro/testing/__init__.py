@@ -17,8 +17,10 @@ package machine-generates adversarial coverage:
   prepared-statement/plan-cache path) and the results are compared under
   the correct monoid equality;
 * :mod:`repro.testing.invariants` — per-sample pipeline checks: type
-  preservation across stages, N-rule normal form after normalization, and
-  operator-tree well-formedness after unnesting;
+  preservation across stages, N-rule normal form after normalization (the
+  pipeline's one-walk ``prepare`` against the declarative N1–N9 rule set of
+  :mod:`repro.testing.normalization_spec`), and operator-tree
+  well-formedness after unnesting;
 * :mod:`repro.testing.shrink` — a delta-debugging shrinker that minimizes
   any disagreeing query/database pair;
 * :mod:`repro.testing.repro_io` — JSON repro artifacts (replayed forever by

@@ -10,7 +10,9 @@ whatever its result:
 * **normal form** — after :func:`repro.core.normalization.prepare` the term
   satisfies the unconditional N-rule guarantees (no beta-redexes, no lets,
   no projections of record constructors, no zero/singleton/merge/conditional
-  generator domains) and normalization has reached a fixpoint;
+  generator domains), the term equals what the declarative N1–N9 rule set
+  (:mod:`repro.testing.normalization_spec`) reaches up to α-renaming, and
+  normalization has reached a fixpoint;
 * **plan well-formedness** — every operator of the unnested tree references
   only range variables bound below it, and never rebinds a column.
 
@@ -52,10 +54,11 @@ from repro.calculus.terms import (
     subterms,
 )
 from repro.calculus.typing import infer_type
-from repro.core.normalization import canonicalize, normalize, prepare
-from repro.core.unnesting import _uniquify, unnest
+from repro.core.normalization import prepare
+from repro.core.unnesting import _alpha_canonical, unnest
 from repro.data.database import Database
 from repro.oql.translator import parse_and_translate
+from repro.testing.normalization_spec import canonicalize, normalize, reference_prepare
 from repro.testing.oracle import substitute_params
 
 
@@ -113,8 +116,9 @@ def check_type_preservation(term: Term, prepared: Term, plan: Operator, db: Data
 # ---------------------------------------------------------------------------
 
 
-def check_normal_form(prepared: Term) -> None:
-    """The unconditional guarantees of Figure 4's normal form."""
+def check_normal_form(term: Term, prepared: Term) -> None:
+    """The unconditional guarantees of Figure 4's normal form, and
+    ``prepared == prepare(term)`` equal to the N1–N9 spec's up to α."""
     for sub in subterms(prepared):
         if isinstance(sub, Let):
             raise InvariantViolation(f"normal form contains a let: {sub!r}")
@@ -132,11 +136,11 @@ def check_normal_form(prepared: Term) -> None:
                     raise InvariantViolation(
                         f"unnormalized generator domain (N3-N6): {domain!r}"
                     )
-    # Normalization must be a fixpoint: running it again changes nothing
-    # (modulo the fresh names introduced by variable uniquification).
-    again = canonicalize(normalize(prepared))
-    if again != canonicalize(prepared):
-        raise InvariantViolation("normalize(normalize(t)) != normalize(t)")
+    if _alpha_canonical(reference_prepare(term)) != _alpha_canonical(prepared):
+        raise InvariantViolation("prepare(t) differs from the N1-N9 spec's normal form")
+    # Normalization is a fixpoint: no rule fires in its output.
+    if canonicalize(normalize(prepared)) != prepared:
+        raise InvariantViolation("normalize(prepare(t)) != prepare(t)")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +241,7 @@ def check_invariants(
     """
     try:
         term = substitute_params(parse_and_translate(source, db.schema), params)
-        prepared = _uniquify(prepare(term))
+        prepared = prepare(term)
         plan = unnest(prepared)
     except InvariantViolation:
         raise
@@ -246,7 +250,7 @@ def check_invariants(
     violations: list[str] = []
     for name, check in (
         ("type-preservation", lambda: check_type_preservation(term, prepared, plan, db)),
-        ("normal-form", lambda: check_normal_form(prepared)),
+        ("normal-form", lambda: check_normal_form(term, prepared)),
         ("plan-well-formed", lambda: check_plan_well_formed(plan)),
     ):
         try:

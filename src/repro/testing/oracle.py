@@ -57,7 +57,7 @@ from repro.calculus.typing import infer_type
 from repro.errors import BackendUnsupportedError, QueryError
 from repro.core.normalization import prepare
 from repro.core.pipeline import QueryPipeline
-from repro.core.unnesting import _uniquify, unnest
+from repro.core.unnesting import unnest
 from repro.data.database import Database
 from repro.data.values import (
     BagValue,
@@ -225,7 +225,7 @@ def _path_calculus_normalized(
 ) -> Any:
     term = parse_and_translate(source, db.schema)
     infer_type(term, db.schema)
-    return evaluate(_uniquify(prepare(term)), db, params=params)
+    return evaluate(prepare(term), db, params=params)
 
 
 def _path_algebra_logical(
@@ -233,7 +233,7 @@ def _path_algebra_logical(
 ) -> Any:
     term = substitute_params(parse_and_translate(source, db.schema), params)
     infer_type(term, db.schema)
-    plan = unnest(_uniquify(prepare(term)))
+    plan = unnest(prepare(term))
     return evaluate_plan(plan, db)
 
 

@@ -63,7 +63,6 @@ def test_top_level_exports_cover_the_pipeline():
         "Database",
         "parse",
         "parse_and_translate",
-        "normalize",
         "prepare",
         "unnest",
         "unnest_query",

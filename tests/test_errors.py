@@ -101,6 +101,31 @@ class TestOptimizerErrors:
         with pytest.raises(ExecutionError, match="collection"):
             compiled.execute(db)
 
+    @pytest.mark.parametrize(
+        "source, monoid",
+        [
+            ("select x from x in sum(select e.salary from e in Employees)", "sum"),
+            ("select x from x in (exists e in Employees: e.salary > 3)", "some"),
+        ],
+    )
+    def test_a_primitive_generator_domain_is_a_type_error(self, source, monoid):
+        # Without the typecheck stage, normalization is the first to see a
+        # generator over a sum or a quantifier: a typed refusal naming it.
+        from repro.calculus.typing import CalculusTypeError
+        from repro.core.optimizer import OptimizerOptions
+        from repro.core.pipeline import QueryPipeline
+        from repro.data.datagen import company_database
+        from repro.errors import TypeCheckError
+
+        pipeline = QueryPipeline(
+            company_database(5, 2, seed=2), options=OptimizerOptions(typecheck=False)
+        )
+        with pytest.raises(CalculusTypeError) as info:
+            pipeline.run_oql(source)
+        assert isinstance(info.value, TypeCheckError)
+        assert info.value.stage == "normalize"
+        assert f"generator domain of 'x' is a {monoid} comprehension" in str(info.value)
+
 
 class TestErrorTaxonomyContract:
     """run_oql's error contract: whatever is wrong with a query — syntax,

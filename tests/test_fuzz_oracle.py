@@ -215,7 +215,17 @@ class TestInvariants:
         from repro.calculus.terms import Const, Let, Var
 
         with pytest.raises(InvariantViolation, match="let"):
-            check_normal_form(Let("x", Const(1), Var("x")))
+            check_normal_form(Const(1), Let("x", Const(1), Var("x")))
+
+    def test_normal_form_compares_with_the_rule_set(self):
+        from repro.calculus.terms import BinOp, Const, Extent, comprehension, path
+
+        term = comprehension(
+            "set", path("x", "a"), ("x", Extent("X")), BinOp("<", Const(1), Const(2))
+        )
+        with pytest.raises(InvariantViolation, match="spec"):
+            check_normal_form(term, term)
+        check_normal_form(term, comprehension("set", path("y", "a"), ("y", Extent("X"))))
 
     def test_plan_rejects_unbound_columns(self):
         from repro.algebra.operators import Reduce, Scan, Select

@@ -1,5 +1,10 @@
 """Unit tests for the normalization algorithm (paper Figure 4, rules N1–N9),
-predicate normalization, and canonicalization."""
+predicate normalization, and canonicalization.
+
+Most classes test the rules in their declarative form, the spec of
+:mod:`repro.testing.normalization_spec`; ``TestPrepareIsTheSpec`` checks
+the pipeline's one-walk :func:`~repro.core.normalization.prepare` against
+it."""
 
 from __future__ import annotations
 
@@ -27,16 +32,18 @@ from repro.calculus.terms import (
     const,
     path,
     record,
+    subterms,
     var,
 )
-from repro.core.normalization import (
+from repro.core.normalization import prepare
+from repro.core.unnesting import _alpha_canonical
+from repro.data.database import Database
+from repro.data.values import NULL, Record, SetValue
+from repro.testing.normalization_spec import (
     canonicalize,
     normalize,
     normalize_predicates,
-    prepare,
 )
-from repro.data.database import Database
-from repro.data.values import NULL, Record, SetValue
 
 
 @pytest.fixture()
@@ -293,7 +300,7 @@ class TestAllHeadToFilter:
         once = normalize(term)
         assert once.head == Const(False)
         assert normalize(once) == once
-        assert prepare(prepare(term)) == prepare(term)
+        assert _alpha_canonical(prepare(prepare(term))) == _alpha_canonical(prepare(term))
 
     def test_head_containing_a_comprehension_is_left_alone(self, db):
         # QUERY E's shape: the inner quantifier is a box of its own
@@ -471,3 +478,141 @@ class TestFixpoint:
             assert list(evaluate(normalize(term), database)) == list(
                 evaluate(term, database)
             )
+
+
+def _gens(*pairs):
+    return tuple(Generator(v, d) for v, d in pairs)
+
+
+_X, _Y = Extent("X"), Extent("Y")
+_A = path("x", "a")
+
+#: Closed terms with every construct the one walk handles, each named for
+#: the rule (or the rule-order question) it exercises.
+_SPEC_CASES = {
+    "beta": Apply(Lambda("f", BinOp("+", var("f"), const(1))), const(2)),
+    "beta-through-let": Let(
+        "g",
+        Lambda("y", BinOp("<", var("y"), const(3))),
+        comprehension("set", var("x"), ("x", _X), Apply(var("g"), _A)),
+    ),
+    "let-bound-box-used-twice": Let(
+        "c",
+        comprehension("set", path("y", "b"), ("y", _Y)),
+        comprehension(
+            "bag", record(p=var("u"), q=var("w")), ("u", var("c")), ("w", var("c"))
+        ),
+    ),
+    "projection-of-record": comprehension(
+        "set", Proj(record(k=_A, m=const(1)), "k"), ("x", _X)
+    ),
+    "conditional-domain": Comprehension(
+        "bag",
+        var("y"),
+        (
+            Generator("x", _X),
+            Filter(BinOp(">", _A, const(0))),
+            Generator("y", If(BinOp("==", _A, const(1)), _Y, Zero("bag"))),
+            Filter(BinOp("<", path("y", "b"), const(3))),
+        ),
+    ),
+    "merge-domain-split": comprehension(
+        "set", var("x"), ("x", Merge("set", _X, _Y)), BinOp(">", var("x"), const(0))
+    ),
+    "merge-domain-kept-under-sum": comprehension(
+        "sum", const(1), ("x", Merge("set", _X, _Y))
+    ),
+    "own-merge-before-spliced-merge": comprehension(
+        "set",
+        var("z"),
+        ("w", comprehension("list", var("v"), ("v", Merge("set", _X, _Y)))),
+        ("u", Merge("set", _X, _Y)),
+        ("z", _Y),
+    ),
+    "singleton-and-zero-domains": comprehension(
+        "bag", BinOp("+", var("s"), var("x")), ("s", Singleton("set", const(4))), ("x", _X)
+    ),
+    "flatten-kept-set-into-sum": comprehension(
+        "sum", var("v"), ("v", comprehension("set", _A, ("x", _X)))
+    ),
+    "bag-with-exists-spliced-into-set": comprehension(
+        "set",
+        var("v"),
+        (
+            "v",
+            comprehension(
+                "bag",
+                _A,
+                ("x", _X),
+                comprehension("some", BinOp("==", path("y", "b"), _A), ("y", _Y)),
+            ),
+        ),
+    ),
+    "head-flatten": comprehension(
+        "max", comprehension("max", path("y", "b"), ("y", _Y), BinOp(">", _A, const(1))),
+        ("x", _X),
+    ),
+    "all-head-with-beta": comprehension(
+        "all", Apply(Lambda("p", BinOp(">=", _A, var("p"))), const(3)), ("x", _X)
+    ),
+    "all-head-decided-before-a-box-comes-in": comprehension(
+        "all",
+        BinOp("==", const(0), var("v")),
+        ("v", comprehension("set", comprehension("sum", const(0), ("r", _Y)), ("s", _X))),
+    ),
+    "negations": comprehension(
+        "set",
+        var("x"),
+        ("x", _X),
+        Not(Not(BinOp("<", _A, const(2)))),
+        Not(BinOp("and", BinOp("==", _A, const(1)), Not(var("q")))),
+        Not(comprehension("some", BinOp("==", path("y", "b"), _A), ("y", _Y))),
+    ),
+    "negated-variable-is-not-pushed-after-substitution": comprehension(
+        "set",
+        var("x"),
+        ("x", _X),
+        ("t", comprehension("bag", BinOp("<", path("y", "b"), _A), ("y", _Y))),
+        Not(var("t")),
+    ),
+    "box-emptied-by-an-ancestors-value": comprehension(
+        "max",
+        comprehension(
+            "max",
+            comprehension("max", const(0), ("r", _Y), BinOp("==", var("v"), const(1))),
+            ("s", _Y),
+        ),
+        ("v", comprehension("set", const(0), ("x", _X))),
+    ),
+    "exists-emptied-behind-an-or": comprehension(
+        "set",
+        var("y"),
+        ("v", comprehension("set", const(1), ("x", _X))),
+        ("y", _Y),
+        BinOp(
+            "or",
+            BinOp("<", const(4), var("v")),
+            comprehension("some", BinOp("<", var("v"), var("v")), ("z", _Y)),
+        ),
+    ),
+}
+
+
+class TestPrepareIsTheSpec:
+    """The one walk reaches the rule set's normal form up to α, every
+    generator of its output has its own name, and the rules fire nowhere
+    in it."""
+
+    @pytest.mark.parametrize("term", list(_SPEC_CASES.values()), ids=list(_SPEC_CASES))
+    def test_prepare_equals_the_rule_set(self, term):
+        prepared = prepare(term)
+        spec = canonicalize(normalize(normalize_predicates(term)))
+        assert _alpha_canonical(prepared) == _alpha_canonical(spec)
+        names = [
+            g.var
+            for sub in subterms(prepared)
+            if isinstance(sub, Comprehension)
+            for g in sub.generators()
+        ]
+        assert len(names) == len(set(names))
+        assert canonicalize(normalize(prepared)) == prepared

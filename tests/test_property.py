@@ -27,11 +27,12 @@ from repro.calculus.terms import (
     record,
     var,
 )
-from repro.core.normalization import normalize, prepare
-from repro.core.unnesting import unnest_query
+from repro.core.normalization import prepare
+from repro.core.unnesting import _alpha_canonical, unnest_query
 from repro.data.database import Database
 from repro.data.values import Record, SetValue
 from repro.engine.planner import PlannerOptions, execute
+from repro.testing.normalization_spec import canonicalize, normalize, reference_prepare
 
 # ---------------------------------------------------------------------------
 # Random databases over a fixed two-extent schema
@@ -230,6 +231,16 @@ def test_unnesting_is_complete(term):
 def test_normalization_idempotent(db, term):
     once = normalize(term)
     assert normalize(once) == once
+
+
+@_SETTINGS
+@given(term=comprehensions())
+def test_prepare_is_the_rule_sets_normal_form(term):
+    """The one-walk ``prepare`` reaches the N1–N9 spec's normal form, up to
+    α, and the rules fire nowhere in it."""
+    prepared = prepare(term)
+    assert _alpha_canonical(prepared) == _alpha_canonical(reference_prepare(term))
+    assert canonicalize(normalize(prepared)) == prepared
 
 
 @_SETTINGS

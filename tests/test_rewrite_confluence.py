@@ -1,17 +1,22 @@
 """The rule phases are confluent: redex order cannot change a normal form.
 
-:class:`~repro.core.rewrite.RewriteEngine` rewrites a phase in one
-bottom-up walk, in one fixed order: children first, then the first rule in
-phase order, again at the same node until none fires.  That order is
+The pipeline normalizes in one structural recursion
+(:func:`repro.core.normalization.prepare`), and
+:class:`~repro.core.rewrite.RewriteEngine` rewrites the algebraic phase in
+one bottom-up walk, in one fixed order: children first, then the first rule
+in phase order, again at the same node until none fires.  Both orders are
 licensed by confluence — a system of local rules like N1–N9 is strongly
 normalizing (Ricciotti–Cheney, arXiv:2011.13451), so every order reaches
 the one normal form.  This module checks the licence of *our* rules rather
 than assuming it: a reference engine below rewrites one redex at a time,
 chosen at random among every (position, rule) pair that fires, and must
-reach the engine's normal form — up to α-renaming for calculus terms, and
-exactly for plans.  Inputs are the 53 corpus queries and 200 qgen samples
-(seed 7) for normalization, and the corpus's unnested plans for
-``ALGEBRAIC_RULES``.  A phase re-run on its own output fires nothing.
+reach the recursion's normal form — up to α-renaming for calculus terms
+(the N1–N9 rule set of :mod:`repro.testing.normalization_spec`, then its
+canonical order), and the engine's exactly for plans.  Inputs are the 53
+corpus queries and 200 qgen samples (seed 7) for normalization, and the
+corpus's unnested plans for ``ALGEBRAIC_RULES``.  ``prepare`` equals the
+rule set's engine run on every input, and a phase re-run on its own output
+fires nothing.
 
 The ``rewrite-confluence-ci`` profile registered here raises the example
 budget.  Hypothesis fixes a test's settings when ``@given`` decorates it, so
@@ -32,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS
 from repro.cli import DATABASES
-from repro.core.normalization import NORMALIZATION_RULES, normalize, normalize_predicates
+from repro.core.normalization import prepare
 from repro.core.optimizer import ALGEBRAIC_RULES
 from repro.core.pipeline import QueryPipeline
 from repro.core.rewrite import RewriteEngine, RuleSet
@@ -41,6 +46,11 @@ from repro.core.unnesting import _alpha_canonical
 from repro.oql.parser import parse
 from repro.oql.translator import peel_order_by, translate
 from repro.testing.fuzz import FuzzConfig, generate_sample
+from repro.testing.normalization_spec import (
+    NORMALIZATION_RULES,
+    canonicalize,
+    normalize_predicates,
+)
 
 settings.register_profile("rewrite-confluence-ci", max_examples=1000, deadline=None)
 if os.environ.get("HYPOTHESIS_PROFILE") == "rewrite-confluence-ci":
@@ -128,8 +138,14 @@ def one_redex_at_a_time(phase: RuleSet, node, rng: random.Random):
 @given(st.data(), st.randoms(use_true_random=False))
 def test_normalization_reaches_one_normal_form(data, rng):
     term = data.draw(st.sampled_from(_terms()), label="term")
-    reference = one_redex_at_a_time(NORMALIZATION_RULES, term, rng)
-    assert _alpha_canonical(reference) == _alpha_canonical(normalize(term))
+    reference = canonicalize(one_redex_at_a_time(NORMALIZATION_RULES, term, rng))
+    assert _alpha_canonical(reference) == _alpha_canonical(prepare(term))
+
+
+def test_prepare_is_the_rule_sets_normal_form():
+    for term in _terms():
+        spec = canonicalize(RewriteEngine().run_phase(NORMALIZATION_RULES, term))
+        assert _alpha_canonical(prepare(term)) == _alpha_canonical(spec), term
 
 
 @settings(deadline=None)

@@ -1,8 +1,15 @@
 """Tests for the generic rewrite engine across both node domains
 (calculus terms via `terms._rebuild`, algebra plans via `operators.rebuild`),
-and for the declarative normalization rule set."""
+and for the declarative normalization rule set — the spec that the
+pipeline's one-walk ``prepare`` is tested against, and never imports."""
 
 from __future__ import annotations
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +24,9 @@ from repro.calculus.terms import (
     const,
     var,
 )
-from repro.core.normalization import NORMALIZATION_RULES, normalize
+from repro.core import normalization
 from repro.core.rewrite import Firing, RewriteEngine, Rule, RuleSet
+from repro.testing.normalization_spec import NORMALIZATION_RULES, normalize
 
 
 class TestGenericEngine:
@@ -105,6 +113,28 @@ class TestNormalizationRuleSet:
         engine = RewriteEngine()
         assert normalize(term) == engine.run_phase(NORMALIZATION_RULES, term)
         assert normalize(term) == Const(42)
+
+    def test_the_pipeline_never_imports_the_rule_set(self):
+        code = (
+            "import sys\n"
+            "from repro.core.pipeline import QueryPipeline\n"
+            "from repro.data.datagen import company_database\n"
+            "QueryPipeline(company_database()).run_oql("
+            "'select distinct e.name from e in Employees where exists c in "
+            "e.children: c.age > 3')\n"
+            "print('repro.testing.normalization_spec' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.strip() == "False"
+        source = inspect.getsource(normalization)
+        assert "RewriteEngine" not in source and "RuleSet" not in source
 
     def test_every_rule_has_description_or_name(self):
         for rule in NORMALIZATION_RULES.rules:

@@ -1,25 +1,30 @@
 """Rewrite work is linear in the query.
 
-A rule phase is one walk (:mod:`repro.core.rewrite`): a node is tried when
-the walk reaches it and again only after a rule fired there, and a subtree
-the walk has already returned is not entered again.  So the rule attempts
-of a phase — counted by wrapping :meth:`RuleSet.rules_for`, not timed —
-stay within a constant per node of its input plus a constant per firing.
-Inputs: every corpus query, 200 qgen samples of seed 7, and three wide
-queries: a ``struct`` of 200 fields, an equi-join chain of 24 generators
-and 24 sibling ``count(select …)`` aggregates.  The last is the one the
-walk's memo keeps linear: its 24 boxes unnest into a chain of 24 nests and
+The algebraic phase is one walk (:mod:`repro.core.rewrite`): a node is
+tried when the walk reaches it and again only after a rule fired there, and
+a subtree the walk has already returned is not entered again.  So the rule
+attempts of a phase — counted by wrapping :meth:`RuleSet.rules_for`, not
+timed — stay within a constant per node of its input plus a constant per
+firing.  (Normalization no longer runs through
+:class:`~repro.core.rewrite.RewriteEngine`; it is counted below.)  Inputs:
+every corpus query, 200 qgen samples of seed 7, and three wide queries: a
+``struct`` of 200 fields, an equi-join chain of 24 generators and 24
+sibling ``count(select …)`` aggregates.  The last is the one the walk's
+memo keeps linear: its 24 boxes unnest into a chain of 24 nests and
 outer-joins that a selection is pushed down through, one firing a level,
 and a walk that re-entered each replacement's already-normal chain would
 read ≈ 21 attempts a node (it also fails one qgen sample).
 
-Unnesting and the generator renaming before it are linear too, counted as
-the Python calls they make (a profile hook's "call" events) per node of
-their input.  ``unnest`` splices the k boxes of k sibling aggregates and
-rebuilds the head once: ≈ 27 calls a node at k = 12, 24 and 50, where one
-replacement walk per box read 93, 167 and 326.  ``_uniquify`` renames in one
-walk: ≈ 4.4 calls a node at nesting depth 5, 10 and 20, where substituting
-into each comprehension's whole body read 26, 40 and 69.
+Normalization and unnesting are linear too, counted as the Python calls
+they make (a profile hook's "call" events) per node of their input.
+``prepare`` is one recursion that renames each generator as it enters it
+and splices a normal comprehension's qualifiers without walking them again:
+≈ 5.5–6.6 calls a node on from-subqueries nested 3, 6, 9 and 14 deep and on
+``exists`` chains as deep, where the N1–N9 rule set run by the engine, its
+capture-avoiding renames and a renaming pass read 65–143 and 74–173.
+``unnest`` splices the k boxes of k sibling aggregates and rebuilds the
+head once: ≈ 27 calls a node at k = 12, 24 and 50, where one replacement
+walk per box read 93, 167 and 326.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from repro.cli import DATABASES
 from repro.core.pipeline import QueryPipeline
 from repro.core.normalization import prepare
 from repro.core.rewrite import RewriteEngine, RuleSet
-from repro.core.unnesting import _uniquify, unnest
+from repro.core.unnesting import unnest
+from repro.oql.parser import MAX_NESTING
 from repro.oql.translator import parse_and_translate
 from repro.testing.fuzz import FuzzConfig, generate_sample
 
@@ -45,9 +51,9 @@ from repro.testing.fuzz import FuzzConfig, generate_sample
 ATTEMPTS_PER_NODE = 6
 ATTEMPTS_PER_FIRING = 16
 
-#: Python calls per input node of ``unnest`` and of ``_uniquify``.
+#: Python calls per input node of ``unnest`` and of ``prepare``.
 UNNEST_CALLS_PER_NODE = 40
-UNIQUIFY_CALLS_PER_NODE = 8
+PREPARE_CALLS_PER_NODE = 8
 
 
 def _nodes(node) -> int:
@@ -161,13 +167,37 @@ class TestUnnestingLinearity:
     @pytest.mark.parametrize("count", [12, 24, 50])
     def test_sibling_aggregates(self, count):
         schema = DATABASES["company"]().schema
-        term = _uniquify(prepare(parse_and_translate(_sibling_aggregates(count), schema)))
+        term = prepare(parse_and_translate(_sibling_aggregates(count), schema))
         calls = _calls(unnest, term)
         assert calls <= UNNEST_CALLS_PER_NODE * _nodes(term), (count, calls, _nodes(term))
 
-    @pytest.mark.parametrize("depth", [5, 10, 20])
-    def test_uniquify_nested_comprehensions(self, depth):
+
+def _nested_from(depth: int) -> str:
+    """*depth* from-subqueries, each selecting from the next one in."""
+    inner = "Employees"
+    for i in range(depth, 0, -1):
+        inner = f"(select e{i} from e{i} in {inner} where e{i}.age > {i})"
+    return f"select distinct x.name from x in {inner}"
+
+
+def _exists_chain(depth: int) -> str:
+    """*depth* ``exists``, each ranging over the children of the one out."""
+    pred = f"c{depth}.age > {depth}"
+    for i in range(depth, 0, -1):
+        source = "e.children" if i == 1 else f"c{i - 1}.children"
+        pred = f"exists c{i} in {source}: ({pred})"
+    return f"select distinct e.name from e in Employees where {pred}"
+
+
+class TestNormalizationLinearity:
+    """One recursion: calls per node stay flat as the nesting deepens (the
+    parser caps it at ``MAX_NESTING`` levels, ≈ 14 from-subqueries)."""
+
+    @pytest.mark.parametrize("depth", [3, 6, 9, 14])
+    @pytest.mark.parametrize("shape", [_nested_from, _exists_chain], ids=["from", "exists"])
+    def test_nested_queries(self, shape, depth):
+        assert 2 * depth <= MAX_NESTING
         schema = DATABASES["company"]().schema
-        term = prepare(parse_and_translate(_nested_aggregates(depth), schema))
-        calls = _calls(_uniquify, term)
-        assert calls <= UNIQUIFY_CALLS_PER_NODE * _nodes(term), (depth, calls, _nodes(term))
+        term = parse_and_translate(shape(depth), schema)
+        calls = _calls(prepare, term)
+        assert calls <= PREPARE_CALLS_PER_NODE * _nodes(term), (depth, calls, _nodes(term))

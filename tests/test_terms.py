@@ -23,8 +23,6 @@ from repro.calculus.terms import (
     Singleton,
     Var,
     Zero,
-    alpha_rename,
-    bound_vars,
     comprehension,
     conj,
     conjuncts,
@@ -38,6 +36,7 @@ from repro.calculus.terms import (
     transform,
     var,
 )
+from repro.testing.normalization_spec import alpha_rename, bound_vars
 
 
 class TestConstruction:
