@@ -14,6 +14,7 @@ over mixed monoids (rule D7's duplicate guard).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -44,10 +45,16 @@ class Monoid:
     idempotent: bool = False
     lift: Callable[[Any], Any] = field(compare=False, default=_identity)
     finalize: Callable[[Any], Any] = field(compare=False, default=_identity)
+    #: A primitive monoid's fold (see :func:`fold_skipping_nulls`).
+    loop: Callable[[Any, Iterable[Any]], Any] = field(compare=False, default=None)  # type: ignore[assignment]
 
     @property
     def is_collection(self) -> bool:
         return isinstance(self, CollectionMonoid)
+
+    @property
+    def has_carrier(self) -> bool:  # avg's (sum, count): finalize it
+        return self.finalize is not _identity
 
     def fold(self, values: Any) -> Any:
         """Merge an iterable of values, starting from the zero element."""
@@ -65,17 +72,72 @@ def fold_skipping_nulls(monoid: Monoid, carrier: Any, values: Any) -> Any:
 
     The null-to-zero rule: a NULL contributes nothing to a primitive
     accumulator — it cannot be summed or conjoined — so it is skipped, which
-    is merging the zero.  Each other value is lifted and merged; the result
-    is still a carrier, for the caller to continue or ``finalize``.  The
-    engine's group folds go through here so that a float sum comes out the
-    same wherever it is folded.
+    is merging the zero.  Each other value is merged (the monoid's ``loop``
+    writes its merge inline; ``all`` / ``some`` stop at the deciding element)
+    into a carrier for the caller to continue or ``finalize``.  It equals
+    the evaluators' ``merge(carrier, lift(value))`` fold, so that a float sum
+    comes out the same wherever it is folded.
     """
-    merge = monoid.merge
-    lift = monoid.lift
+    return monoid.loop(carrier, values)
+
+
+def fold_value(monoid: Monoid, values: Iterable[Any]) -> Any:
+    """A whole fold's value: a collection built in one pass, or a primitive
+    fold from the zero, NULLs skipped, finalized."""
+    if isinstance(monoid, CollectionMonoid):
+        return monoid.fold_elements(values)
+    return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, values))
+
+
+def _sum_loop(total: Any, values: Iterable[Any]) -> Any:
     for value in values:
         if value is not NULL:
-            carrier = merge(carrier, lift(value))
+            total = total + value
+    return total
+
+
+def _prod_loop(product: Any, values: Iterable[Any]) -> Any:
+    for value in values:
+        if value is not NULL:
+            product = product * value
+    return product
+
+
+def _max_loop(best: Any, values: Iterable[Any]) -> Any:
+    for value in values:
+        if value is not NULL and not best >= value:
+            best = value
+    return best
+
+
+def _min_loop(best: Any, values: Iterable[Any]) -> Any:
+    for value in values:
+        if value is not NULL and not best <= value:
+            best = value
+    return best
+
+
+def _all_loop(carrier: Any, values: Iterable[Any]) -> Any:
+    for value in values:
+        if value is not NULL and (carrier := carrier and value) is False:
+            break
     return carrier
+
+
+def _some_loop(carrier: Any, values: Iterable[Any]) -> Any:
+    for value in values:
+        if value is not NULL and (carrier := carrier or value) is True:
+            break
+    return carrier
+
+
+def _avg_loop(carrier: tuple[Any, int], values: Iterable[Any]) -> tuple[Any, int]:
+    total, count = carrier
+    for value in values:
+        if value is not NULL:
+            total = total + value
+            count = count + 1
+    return total, count
 
 
 @dataclass(frozen=True)
@@ -155,19 +217,20 @@ LIST = CollectionMonoid(
     from_elements=ListValue,
 )
 
-SUM = Monoid(name="sum", zero=0, merge=lambda a, b: a + b)
-PROD = Monoid(name="prod", zero=1, merge=lambda a, b: a * b)
+SUM = Monoid(name="sum", zero=0, merge=lambda a, b: a + b, loop=_sum_loop)
+PROD = Monoid(name="prod", zero=1, merge=lambda a, b: a * b, loop=_prod_loop)
 # The paper uses (max, 0); we use the usual identity-free formulation with a
 # floor of 0 to match the paper's (max, 0) monoid on non-negative numbers.
-MAX = Monoid(name="max", zero=0, merge=lambda a, b: a if a >= b else b, idempotent=True)
+MAX = Monoid("max", 0, lambda a, b: a if a >= b else b, idempotent=True, loop=_max_loop)
 MIN = Monoid(
     name="min",
     zero=float("inf"),
     merge=lambda a, b: a if a <= b else b,
     idempotent=True,
+    loop=_min_loop,
 )
-ALL = Monoid(name="all", zero=True, merge=lambda a, b: a and b, idempotent=True)
-SOME = Monoid(name="some", zero=False, merge=lambda a, b: a or b, idempotent=True)
+ALL = Monoid("all", True, lambda a, b: a and b, idempotent=True, loop=_all_loop)
+SOME = Monoid("some", False, lambda a, b: a or b, idempotent=True, loop=_some_loop)
 
 
 def _avg_finalize(carrier: tuple[float, int]) -> Any:
@@ -185,6 +248,7 @@ AVG = Monoid(
     merge=lambda a, b: (a[0] + b[0], a[1] + b[1]),
     lift=lambda v: (v, 1),
     finalize=_avg_finalize,
+    loop=_avg_loop,
 )
 
 #: Every monoid known to the calculus, by name.

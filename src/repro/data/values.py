@@ -29,11 +29,11 @@ public ``==``/``hash``/``count`` remain value-based.
 
 from __future__ import annotations
 
-from collections import _count_elements  # type: ignore[attr-defined]
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections import _count_elements, deque  # type: ignore[attr-defined]
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat, starmap
 from math import copysign
-from operator import is_not
+from operator import attrgetter, is_, is_not, itemgetter
 from typing import Any
 
 
@@ -192,6 +192,10 @@ class CollectionValue:
         """Iterate over the elements *with* multiplicity."""
         raise NotImplementedError
 
+    def members(self) -> Sequence[Any]:
+        """The elements, in order: a set's or a list's own tuple, no copy."""
+        return tuple(self.elements())
+
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -207,7 +211,9 @@ class SetValue(CollectionValue):
     group first-seen order, bag results built from set extents) are
     therefore deterministic across processes regardless of
     ``PYTHONHASHSEED``.  Equality, hashing, and membership remain
-    order-insensitive; only iteration order is pinned.
+    order-insensitive; only iteration order is pinned.  Membership (``in``,
+    ``==``, ``hash``) is a frozenset built on first use, not by ``__init__``
+    (threads racing to build it build equal frozensets).
     """
 
     __slots__ = ("_items", "_order")
@@ -215,21 +221,43 @@ class SetValue(CollectionValue):
     def __init__(self, items: Iterable[Any] = ()):
         # dict.fromkeys dedups by the same ==/hash as frozenset and keeps
         # the first occurrence, so value semantics are unchanged.
-        ordered = dict.fromkeys(items)
-        object.__setattr__(self, "_order", tuple(ordered))
-        object.__setattr__(self, "_items", frozenset(ordered))
+        _set_order(self, tuple(dict.fromkeys(items)))
+        _set_items(self, None)
+
+    @classmethod
+    def of_structs(cls, records: Sequence[Record], names: Sequence[str]) -> "SetValue":
+        """The set of *records*, each with exactly the fields *names*: two
+        are equal exactly when their field values, read by name, are, so
+        duplicates drop on those tuples (the first kept), hashing no record."""
+        keys = map(itemgetter(*names), map(attrgetter("_fields"), records))
+        first: dict[Any, Record] = {}
+        deque(map(first.setdefault, keys, records), maxlen=0)  # one hash a key
+        made = cls.__new__(cls)
+        _set_order(made, tuple(first.values()))
+        _set_items(made, None)
+        return made
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("SetValue is immutable")
 
+    def _membership(self) -> frozenset:
+        items = self._items
+        if items is None:
+            items = frozenset(self._order)
+            _set_items(self, items)
+        return items
+
     def elements(self) -> Iterator[Any]:
         return iter(self._order)
+
+    def members(self) -> tuple[Any, ...]:
+        return self._order
 
     def __len__(self) -> int:
         return len(self._order)
 
     def __contains__(self, value: Any) -> bool:
-        return value in self._items
+        return value in self._membership()
 
     def union(self, other: "SetValue") -> "SetValue":
         return SetValue(self._order + other._order)
@@ -237,14 +265,17 @@ class SetValue(CollectionValue):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetValue):
             return NotImplemented
-        return self._items == other._items
+        return self._membership() == other._membership()
 
     def __hash__(self) -> int:
-        return hash(("set", self._items))
+        return hash(("set", self._membership()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(v) for v in _stable_order(self._items))
+        inner = ", ".join(repr(v) for v in _stable_order(self._order))
         return "{" + inner + "}"
+
+
+_set_items, _set_order = SetValue._items.__set__, SetValue._order.__set__
 
 
 class BagValue(CollectionValue):
@@ -363,6 +394,9 @@ class ListValue(CollectionValue):
     def elements(self) -> Iterator[Any]:
         return iter(self._items)
 
+    def members(self) -> tuple[Any, ...]:
+        return self._items
+
     def __len__(self) -> int:
         return len(self._items)
 
@@ -456,10 +490,10 @@ def identity_key(value: Any) -> Any:
         _set_ikey(value, key)
         return key
     if isinstance(value, SetValue):
-        keys = frozenset(identity_key(v) for v in value._items)
-        if keys == value._items:
+        keys = tuple(map(identity_key, value._order))
+        if all(map(is_, keys, value._order)):
             return value  # no member carries identity
-        return (_SET_TAG, keys)
+        return (_SET_TAG, frozenset(keys))
     if isinstance(value, BagValue):
         if not value._reps:
             return value  # every element is its own key

@@ -63,7 +63,7 @@ import threading
 from typing import Any, Callable, Mapping
 
 from repro.calculus.evaluator import EvaluationError, Evaluator
-from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
+from repro.calculus.monoids import CollectionMonoid
 from repro.calculus.terms import (
     BOOLEAN_OPS,
     BinOp,
@@ -309,8 +309,7 @@ def _fault() -> None:
 
 
 def _proj(value: Any, attr: str) -> Any:
-    """A projection: the inline fast path's fallback (NULL, a Record
-    subclass, a fault), and a generator domain's step (it holds no walrus)."""
+    """The inline projection's fallback: NULL, a Record subclass, a fault."""
     if value.__class__ is Record and attr in value._fields:
         return value._fields[attr]
     if isinstance(value, Record):
@@ -330,24 +329,12 @@ def _subtree(runtime: ExprRuntime, term: Term) -> Callable[[dict], Any]:
 
 
 def _members(value: Any) -> Any:
-    """A generator domain's elements as a tuple; none for NULL."""
+    """A generator domain's elements (a set's or list's own); none for NULL."""
     if isinstance(value, CollectionValue):
-        return tuple(value.elements())
+        return value.members()
     if value is NULL:
         return ()
     return _fault()
-
-
-def _fold(monoid: Monoid, values: Any) -> Any:
-    """A primitive fold as the interpreter's: NULLs skipped, stream order,
-    ``all`` / ``some`` stopping at the deciding element."""
-    if monoid.name not in ("all", "some"):
-        return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, values))
-    result, decided = monoid.zero, monoid.name == "some"
-    for value in values:
-        if value is not NULL and (result := monoid.merge(result, value)) is decided:
-            break
-    return result
 
 
 def _settle(rt: ExprRuntime, out: list, units: int, kept: list) -> tuple:
@@ -380,7 +367,6 @@ _HELPERS: dict[str, Any] = {
     "_fault": _fault,
     "_proj": _proj,
     "_members": _members,
-    "_fold": _fold,
     "_settle": _settle,
 }
 
@@ -703,49 +689,49 @@ class _KernelEmitter:
         )
 
     def _x_comprehension(self, term: Comprehension) -> str:
-        """A generator expression in the row's own: a ``for`` over each
-        domain's :func:`_members` (its size added to ``_k``), ``if ((t :=
-        v),)`` for a singleton domain, an ``if`` per filter; folded by
-        :func:`_fold`, or ``fold_elements`` of a list kept in ``_b``."""
+        """A generator expression in the row's own: a domain is bound in a
+        condition (Python refuses a walrus in an iterable), ``if (_k := _k +
+        len((t := _members(<domain>)))) for x in t``, a singleton domain
+        ``if ((t := v),)``, a filter an ``if``; folded by the monoid's
+        ``loop``, or ``fold_elements`` of a list kept in ``_b``."""
         saved = dict(self._scope)  # an emitter that raises is discarded
-        clauses: list[str] = []
+        clauses: list[str] = [f"for {self.wtemp()} in (None,)"]
         for qualifier in term.qualifiers:
             t, domain = self.wtemp(), getattr(qualifier, "domain", None)
             if isinstance(qualifier, Filter):
-                clauses.append(
-                    f"if (({t} := {self.xgen(qualifier.pred)}) is True or "
-                    f"({t} is not False and {t} is not NULL and _fault()))"
-                )
+                pred = qualifier.pred
+                if isinstance(pred.expr if isinstance(pred, Not) else pred, IsNull):
+                    clauses.append(f"if {self.xgen(pred)}")  # a boolean: bare
+                else:
+                    clauses.append(
+                        f"if (({t} := {self.xgen(pred)}) is True or "
+                        f"({t} is not False and {t} is not NULL and _fault()))"
+                    )
             elif isinstance(domain, Singleton) and domain.monoid.is_collection:
                 clauses.append(f"if (({t} := {self.xgen(domain.expr)}),)")
                 self.compiled += 1
                 self._scope[qualifier.var] = t
-            else:  # Python refuses a walrus in a comprehension's iterable
-                domain, element = self._domain(domain), self.wtemp()
+            else:
+                element = self.wtemp()
                 clauses.append(
-                    f"for {t} in (_members({domain}),) "
-                    f"if (_k := _k + len({t})) for {element} in {t}"
+                    f"if (_k := _k + len(({t} := _members({self.xgen(domain)})))) "
+                    f"for {element} in {t}"
                 )
                 self._scope[qualifier.var] = element
         head = self.xgen(term.head)
         self._scope.clear()
         self._scope.update(saved)
-        if not clauses or not clauses[0].startswith("for "):
-            clauses.insert(0, f"for {self.wtemp()} in (None,)")
         stream = f"{head} {' '.join(clauses)}"
         monoid = term.monoid
         if isinstance(monoid, CollectionMonoid):
             kept = self.wtemp()
             fold = self.bind("f", monoid.fold_elements)
             return f"{fold}((_b.append(({kept} := [{stream}])), {kept})[1])"
-        return f"_fold({self.bind('m', monoid)}, ({stream}))"
-
-    def _domain(self, term: Term) -> str:
-        """A domain, without a walrus: projections through :func:`_proj`."""
-        if isinstance(term, Proj):
-            self.compiled += 1
-            return f"_proj({self._domain(term.expr)}, {term.attr!r})"
-        return self.xgen(term) if isinstance(term, Var) else self.fallback_call(term)
+        loop = self.bind("f", monoid.loop)
+        folded = f"{loop}({self.bind('c', monoid.zero)}, ({stream}))"
+        if monoid.has_carrier:
+            return f"{self.bind('f', monoid.finalize)}({folded})"
+        return folded
 
 
 # The table holds plain function objects (no dynamic attribute lookup per

@@ -53,6 +53,7 @@ import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Any, Sequence
 
 from repro.algebra.operators import (
@@ -67,7 +68,7 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
-from repro.calculus.monoids import CollectionMonoid, fold_skipping_nulls
+from repro.calculus.monoids import fold_value
 from repro.calculus.terms import Proj, Term, Var, free_vars
 from repro.data.values import (
     BagValue,
@@ -585,17 +586,13 @@ class PGather(PhysicalOperator):
         return ex.account(self, self._merge_nest(ex, partials))
 
     def _merge_reduce(self, partials: list[list]) -> Any:
-        monoid = self.monoid
-        if isinstance(monoid, CollectionMonoid):
-            elements: list = []
-            for part in partials:
-                elements.extend(part)
-            return monoid.fold_elements(elements)
-        return _fold_serial(monoid, (v for part in partials for v in part))
+        # The serial fold replayed over the partition-order concatenation,
+        # so arithmetic matches serial execution bit for bit under range
+        # partitioning.
+        return fold_value(self.monoid, list(chain.from_iterable(partials)))
 
     def _merge_nest(self, ex: Execution, partials: list) -> Any:
         nest = self._nest_node
-        nest_monoid = nest.monoid
         columns: dict[str, list] = {
             col: [] for col in self._partition_roots[0].carried
         }
@@ -620,19 +617,7 @@ class PGather(PhysicalOperator):
                         merged[key] = elements
                         for col, values in columns.items():
                             values.append(part_keys[col][pos])
-            if isinstance(nest_monoid, CollectionMonoid):
-                folded = map(nest_monoid.fold_elements, merged.values())
-            else:
-                folded = (_fold_serial(nest_monoid, e) for e in merged.values())
-            columns[nest.out_var] = list(folded)
+            columns[nest.out_var] = [fold_value(nest.monoid, e) for e in merged.values()]
             count = len(merged)
         self._tail_source.feed(ex, columns, count)
         return self._tail_root.value(ex)
-
-
-def _fold_serial(monoid, values) -> Any:
-    """The serial primitive-monoid fold: NULL-skip, lift, merge in element
-    order, finalize — exactly PReduce.value's loop, replayed over the
-    partition-order concatenation so arithmetic matches serial execution
-    bit for bit under range partitioning."""
-    return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, values))

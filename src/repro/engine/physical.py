@@ -67,11 +67,12 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from repro.algebra.operators import Operator, occurrence
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
-from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls
-from repro.calculus.terms import TRUE, Proj, Term, Var, free_vars
+from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls, fold_value
+from repro.calculus.terms import TRUE, Proj, RecordCons, Term, Var, free_vars
 from repro.data.values import (
     NULL,
     CollectionValue,
+    SetValue,
     exact_key,
     identity_key,
     is_null,
@@ -900,9 +901,9 @@ class PUnnest(PhysicalOperator):
             for i in range(limit):
                 value = paths[i]
                 if is_null(value):
-                    elems: list = []
+                    elems: Sequence[Any] = ()
                 elif isinstance(value, CollectionValue):
-                    elems = list(value.elements())
+                    elems = value.members()
                 else:
                     err = EvaluationError(
                         f"unnest path evaluated to {type(value).__name__}"
@@ -1231,7 +1232,7 @@ class PGroupJoin(PhysicalOperator):
             if not clean:
                 elems, fault = self._kept(elems)
             try:
-                value = _Fault(fault) if fault else self._fold(elems)
+                value = _Fault(fault) if fault else fold_value(self.monoid, elems)
             except Exception as exc:  # noqa: BLE001 - raised where reached
                 value = _Fault(exc)
             keep = keep and value.__class__ is not _Fault
@@ -1253,13 +1254,6 @@ class PGroupJoin(PhysicalOperator):
                 kept.append(slot)
         return kept, None
 
-    def _fold(self, elems: list) -> Any:
-        """The nest's value of one row's elements."""
-        monoid = self.monoid
-        if isinstance(monoid, CollectionMonoid):
-            return monoid.fold_elements(elems)
-        return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, elems))
-
     def batches(self, ex: Execution) -> Iterator[Chunk]:
         built = ex.memo.get(self)
         if built is None:
@@ -1275,7 +1269,7 @@ class PGroupJoin(PhysicalOperator):
         read = [n for n in self.right_columns if n in residual_vars]
         needed_left = [n for n in residual_vars if n not in self.right_columns]
         pad_checked = self._holds.trivial_true
-        unmatched = self._fold([])
+        unmatched = fold_value(self.monoid, [])
         # An empty build matches no key, so none is evaluated: no fault.
         key_kernels = self._left_key_kernels if table else ()
         for chunk in self.child.batches(ex):
@@ -1317,7 +1311,7 @@ class PGroupJoin(PhysicalOperator):
                     if perr is not None:
                         err = perr
                         break
-                    value = self._fold(elems)
+                    value = fold_value(self.monoid, elems)
                     padded = True not in flags
                 if padded and not pad_checked:
                     # The pair evaluates the nest predicate on each padded
@@ -1520,6 +1514,9 @@ class PReduce(PhysicalOperator):
         self._head_kernel = self._kernel(context, head)
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
+        #: A set of structs dedups on field tuples (SetValue.of_structs).
+        structs = monoid.name == "set" and isinstance(head, RecordCons)
+        self._struct_fields = tuple(n for n, _ in head.fields) if structs else ()
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -1530,24 +1527,20 @@ class PReduce(PhysicalOperator):
         if isinstance(monoid, CollectionMonoid):
             # One-pass bulk construction instead of per-row immutable
             # merges (which copy the whole accumulator every row).
-            return ex.account(self, monoid.fold_elements(self.partial_value(ex)))
-        merge = monoid.merge
-        lift = monoid.lift
+            values = self.partial_value(ex)
+            names = self._struct_fields
+            if names:
+                return ex.account(self, SetValue.of_structs(values, names))
+            return ex.account(self, monoid.fold_elements(values))
         result = monoid.zero
-        is_all = monoid.name == "all"
-        is_some = monoid.name == "some"
+        decided = {"all": False, "some": True}.get(monoid.name)
         for chunk in self.child.batches(ex):
             _, _, values, err = self._kept_heads(ex, chunk.columns, chunk.length)
-            for head in values:
-                if head is NULL:
-                    continue
-                result = merge(result, lift(head))
-                # Short-circuit *before* raising: the rows past the
-                # deciding one — the faulting row among them — do not count.
-                if is_all and result is False:
-                    return ex.account(self, False)
-                if is_some and result is True:
-                    return ex.account(self, True)
+            result = fold_skipping_nulls(monoid, result, values)
+            # Short-circuit *before* raising: the rows past the deciding
+            # one — the faulting row among them — do not count.
+            if result is decided:
+                return ex.account(self, result)
             if err is not None:
                 raise err
         return ex.account(self, monoid.finalize(result))

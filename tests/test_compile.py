@@ -205,7 +205,7 @@ _V = Var("v")
         # no qualifier, and a filter before any generator: one binding
         Comprehension("bag", X),
         Comprehension("sum", X, (Filter(BinOp(">", X, Const(1))),)),
-        # a domain that is not a path is handed to the interpreter
+        # an extent domain (every domain is emitted inline)
         Comprehension("sum", path("v", "k"), (Generator("v", Extent("R")),)),
         # an inner generator shadowing the outer one's variable
         Comprehension(
@@ -223,6 +223,44 @@ def test_folds_agree_with_the_interpreter(term, db):
         env = {"x": x}
         got = _outcome(lambda: repr(_run(kernel, env)))
         assert got == _outcome(lambda: repr(evaluator.evaluate(term, env)))
+
+
+_DOMAIN_ROWS = BagValue([Record(k=1), Record(k=2), NULL, Record(k=2)])
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [Extent("R"), Param("p"), Proj(Param("q"), "xs"), Var("l")],
+    ids=["extent", "param", "param-path", "let-bound"],
+)
+@pytest.mark.parametrize("monoid", ["sum", "all", "avg", "bag"])
+@pytest.mark.parametrize("p", [_DOMAIN_ROWS, NULL, 7], ids=["bag", "null", "int"])
+def test_every_domain_compiles_and_agrees_with_the_interpreter(domain, monoid, p, db):
+    head = BinOp(">", path("v", "k"), Const(1)) if monoid == "all" else path("v", "k")
+    fold = Comprehension(
+        monoid, head, (Generator("v", domain), Filter(Not(IsNull(Var("v")))))
+    )
+    term = Let("l", Param("p"), fold)
+    params = {"p": p, "q": Record(xs=ListValue(_DOMAIN_ROWS.elements()))}
+    evaluator = Evaluator(db, params)
+    compiler = ExprCompiler()
+    compiler.activate(evaluator, db)
+    kernel = compiler.compile_kernel(term)
+    assert kernel.fallback_nodes == 0 and kernel.mode == "compiled"
+    got = _outcome(lambda: repr(_run(kernel, {})))
+    assert got == _outcome(lambda: repr(evaluator.evaluate(term, {})))
+
+
+@pytest.mark.parametrize("test", [Not(IsNull(_V)), IsNull(_V)], ids=repr)
+def test_a_null_test_filter_is_emitted_bare(test, db, compiled_sources):
+    # `[not] v is NULL` is a boolean: no walrus, no fault arm.
+    fold = Comprehension("bag", _V, (Generator("v", Var("xs")), Filter(test)))
+    evaluator, compiler = _engines(db)
+    kernel = compiler.compile_kernel(fold)
+    [source] = compiled_sources
+    assert "_fault" not in source and " NULL)" in source
+    env = {"xs": BagValue([1, NULL, 2])}
+    assert repr(_run(kernel, env)) == repr(evaluator.evaluate(fold, env))
 
 
 def test_monoid_constructors_compile(db):

@@ -2,13 +2,24 @@
 
 The monoid laws (associativity, identity, and the declared commutativity /
 idempotence flags) are the soundness bedrock of the whole system — they are
-checked here with hypothesis over randomly generated carrier values.
+checked here with hypothesis over randomly generated carrier values.  So is
+each primitive monoid's ``loop``, the fold the engine runs, against the
+reference ``merge(carrier, lift(value))`` fold the evaluators run.
+
+The ``value-laws-ci`` profile (also registered by ``test_value_laws.py``)
+raises the example budget; this module loads it when asked to::
+
+    HYPOTHESIS_PROFILE=value-laws-ci pytest tests/test_monoids.py \\
+        --hypothesis-seed 27
 """
 
 from __future__ import annotations
 
+import os
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.calculus.monoids import (
     ALL,
@@ -22,6 +33,7 @@ from repro.calculus.monoids import (
     SET,
     SOME,
     SUM,
+    fold_skipping_nulls,
     leq,
     monoid,
 )
@@ -30,6 +42,10 @@ from repro.calculus.terms import Merge, Var
 from repro.data.database import Database
 from repro.data.values import NULL, BagValue, ListValue, SetValue, is_null
 from repro.engine.compile import ExprCompiler
+
+settings.register_profile("value-laws-ci", max_examples=1000, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "value-laws-ci":
+    settings.load_profile("value-laws-ci")
 
 ints = st.integers(min_value=-50, max_value=50)
 positive = st.integers(min_value=0, max_value=50)
@@ -212,3 +228,76 @@ def test_wrong_kind_merge_is_typed_in_a_compiled_kernel(name, left, right):
             raise err
 
     _merge_fault(run, name, left, right)
+
+
+# ---------------------------------------------------------------------------
+# Fold loops: each primitive monoid's loop is the reference fold
+# ---------------------------------------------------------------------------
+
+PRIMITIVE = ["sum", "prod", "max", "min", "all", "some", "avg"]
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.5, -1.5, 1e16, 1e-300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+#: Streams mixing ints, floats (``-0.0`` included), bools and NULL.
+STREAMS = st.lists(
+    st.one_of(st.integers(-3, 3), _FLOATS, st.booleans(), st.just(NULL)),
+    max_size=12,
+)
+_NUMBERS = st.one_of(st.integers(-3, 3), _FLOATS, st.booleans())
+_START = {
+    "sum": _NUMBERS,
+    "prod": _NUMBERS,
+    "max": _NUMBERS,
+    "min": _NUMBERS,
+    "all": st.booleans(),
+    "some": st.booleans(),
+    "avg": st.tuples(_FLOATS, st.integers(0, 9)),
+}
+
+
+def reference_fold(m, carrier, values):
+    """The evaluators' fold: NULLs skipped, each value lifted and merged."""
+    for value in values:
+        if value is not NULL:
+            carrier = m.merge(carrier, m.lift(value))
+    return carrier
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+@given(STREAMS, st.fixed_dictionaries(_START))
+def test_fold_loops_equal_the_reference_fold(values, starts):
+    for name in PRIMITIVE:
+        m = MONOIDS[name]
+        for carrier in (m.zero, starts[name]):
+            got = fold_skipping_nulls(m, carrier, iter(values))
+            want = reference_fold(m, carrier, values)
+            assert repr(got) == repr(want), name
+            assert repr(m.finalize(got)) == repr(m.finalize(want)), name
+            if name in ("sum", "avg"):  # a float sum, bit for bit
+                parts = zip(got, want) if name == "avg" else [(got, want)]
+                assert all(_bits(a) == _bits(b) for a, b in parts), name
+
+
+@given(st.lists(st.booleans() | st.just(NULL), max_size=6))
+def test_quantifier_loops_stop_at_the_deciding_element(prefix):
+    for m, deciding in ((ALL, False), (SOME, True)):
+        undecided = [v for v in prefix if v is not deciding]
+
+        def stream():
+            yield from undecided
+            yield deciding
+            raise AssertionError("pulled the element after the deciding one")
+
+        assert fold_skipping_nulls(m, m.zero, stream()) is deciding
+        assert fold_skipping_nulls(m, m.zero, iter(undecided)) is m.zero
+
+
+@given(st.integers(0, 5))
+def test_avg_of_an_empty_or_all_null_stream_is_null(nulls):
+    carrier = fold_skipping_nulls(AVG, AVG.zero, [NULL] * nulls)
+    assert carrier == AVG.zero
+    assert AVG.finalize(carrier) is NULL
