@@ -35,7 +35,7 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
-from repro.calculus.terms import Term
+from repro.calculus.terms import RecordCons, Term
 from repro.calculus.typing import _PRIMITIVE_MONOID_TYPES, CalculusTypeError, TypeChecker
 from repro.data.schema import (
     ANY,
@@ -44,6 +44,7 @@ from repro.data.schema import (
     CollectionType,
     FloatType,
     IntType,
+    RecordType,
     Schema,
     StringType,
     Type,
@@ -134,6 +135,16 @@ class PlanTypeChecker:
         whose values a hash table then files as they are, not through
         identity_key."""
         return tuple(isinstance(self._type_of(term), _BARE_TYPES) for term in terms)
+
+    def plain(self, head: Term) -> bool:
+        """Whether *head*, over the plan's columns, is typed a scalar, or is
+        a ``RecordCons`` whose fields all are: a computed struct has no OID,
+        so each of its values is its own identity_key and a bag counts them
+        as they are (``BagValue.of_plain``)."""
+        type_ = self._type_of(head)
+        if isinstance(head, RecordCons) and isinstance(type_, RecordType):
+            return all(isinstance(t, _BARE_TYPES) for _, t in type_.fields)
+        return isinstance(type_, _BARE_TYPES)
 
     def _type_of(self, term: Term) -> Type:
         try:

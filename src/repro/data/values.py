@@ -108,6 +108,17 @@ class Record(Mapping[str, Any]):
         _set_oid(self, None)
         _set_ikey(self, None)
 
+    @classmethod
+    def _of(cls, fields: dict[str, Any]) -> "Record":
+        """The record of *fields*, a fresh dict no one else holds: adopted,
+        not copied (a kernel's struct)."""
+        made = cls.__new__(cls)
+        _set_fields(made, fields)
+        _set_hash(made, None)
+        _set_oid(made, None)
+        _set_ikey(made, None)
+        return made
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Record is immutable")
 
@@ -317,6 +328,15 @@ class BagValue(CollectionValue):
         return bag
 
     @classmethod
+    def of_plain(cls, items: Iterable[Any]) -> "BagValue":
+        """The bag of *items*, each its own :func:`identity_key` (a scalar,
+        NULL, or a computed struct of those): counted as they are, with no
+        key to compute and no representative to keep."""
+        counts: dict[Any, int] = {}
+        _count_elements(counts, items)  # a dict keeps its first key
+        return cls._of(counts, {})
+
+    @classmethod
     def from_counts(cls, counts: Mapping[Any, int]) -> "BagValue":
         keyed: dict[Any, int] = {}
         reps: dict[Any, Any] = {}
@@ -336,7 +356,10 @@ class BagValue(CollectionValue):
 
     def _value_counts(self) -> dict[Any, int]:
         """Multiplicity per *value* (identity collapsed) — the bag's public
-        value semantics."""
+        value semantics.  Without representatives every key is its element,
+        so that is ``_counts`` itself (read-only, like every bag's)."""
+        if not self._reps:
+            return self._counts
         counts: dict[Any, int] = {}
         for value, count in self._counted():
             counts[value] = counts.get(value, 0) + count

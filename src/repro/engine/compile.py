@@ -58,6 +58,7 @@ shape, in any query of the process, are closures of one compiled factory
 
 from __future__ import annotations
 
+import copy
 import functools
 import threading
 from typing import Any, Callable, Mapping
@@ -86,7 +87,7 @@ from repro.calculus.terms import (
     Zero,
     free_vars,
 )
-from repro.data.values import NULL, CollectionValue, Record, identity_key
+from repro.data.values import NULL, BagValue, CollectionValue, Record, identity_key
 from repro.engine.governor import charge_values
 from repro.errors import GovernorError
 
@@ -208,9 +209,21 @@ class ExprCompiler:
     :func:`_memo_key`, not the bare term (see there).
     """
 
+    #: Whether a bag comprehension at a kernel's root counts its elements
+    #: as they are (``BagValue.of_plain``): only on :attr:`_plain`.
+    plain_root = False
+
     def __init__(self) -> None:
         self.runtime = ExprRuntime()
         self._memo: dict[tuple, CompiledKernel] = {}
+
+    @functools.cached_property
+    def _plain(self) -> "ExprCompiler":
+        """The twin, sharing this compiler's runtime and memo, that lowers
+        the kernels the planner typed plain."""
+        twin = copy.copy(self)
+        twin.plain_root = True
+        return twin
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""
@@ -222,9 +235,11 @@ class ExprCompiler:
 
     # -- entry points -------------------------------------------------------
 
-    def compile_kernel(self, term: Term) -> CompiledKernel:
-        """Lower *term* to a value-producing kernel."""
-        return self._kernel("expr", term)
+    def compile_kernel(self, term: Term, plain: bool = False) -> CompiledKernel:
+        """Lower *term* to a value-producing kernel.  With *plain*, *term*
+        is a bag comprehension whose head the plan's typing found plain
+        (:meth:`~repro.algebra.typing.PlanTypeChecker.plain`)."""
+        return self._kernel("plain" if plain else "expr", term)
 
     def compile_predicate_kernel(self, term: Term) -> CompiledKernel:
         """Lower *term* to a strict-boolean kernel: each result is ``True``
@@ -236,14 +251,16 @@ class ExprCompiler:
         key = _memo_key(kind, term)
         kernel = self._memo.get(key)
         if kernel is None:
-            kernel = self._memo[key] = self._lower(term, kind == "pred")
+            lowering = self._plain if kind == "plain" else self
+            kernel = self._memo[key] = lowering._lower(term, kind == "pred")
         return kernel
 
     def _lower(self, term: Term, predicate: bool) -> CompiledKernel:
         if predicate and isinstance(term, Const) and term.value is True:
             return CompiledKernel(_true_kernel, term, 1, 0, trivial_true=True)
         slow = _interpreted(self.runtime, term, predicate)
-        emitter = _KernelEmitter(self.runtime)
+        plain = self.plain_root and isinstance(term, Comprehension)
+        emitter = _KernelEmitter(self.runtime, plain)
         try:
             fn = emitter.kernel(term, predicate, slow)
         except Exception:  # noqa: BLE001 - degrade, never fail to plan
@@ -366,6 +383,7 @@ _HELPERS: dict[str, Any] = {
     "_SCALARS": _SCALARS,
     "_fault": _fault,
     "_proj": _proj,
+    "_record": Record._of,
     "_members": _members,
     "_settle": _settle,
 }
@@ -434,8 +452,10 @@ class _KernelEmitter:
 
     handlers: dict[type, Callable[..., str]]
 
-    def __init__(self, runtime: ExprRuntime):
+    def __init__(self, runtime: ExprRuntime, plain_root: bool = False):
         self.runtime = runtime
+        #: The root bag comprehension's elements are their own keys.
+        self.plain_root = plain_root
         #: AST nodes lowered natively / handed to the interpreter.
         self.compiled = 0
         self.fallback = 0
@@ -597,7 +617,7 @@ class _KernelEmitter:
         inner = ", ".join(
             f"{name!r}: {self.xgen(expr)}" for name, expr in term.fields
         )
-        return f"Record({{{inner}}})"
+        return f"_record({{{inner}}})"
 
     def _x_proj(self, term: Proj) -> str:
         base = self.xgen(term.expr)
@@ -693,7 +713,11 @@ class _KernelEmitter:
         condition (Python refuses a walrus in an iterable), ``if (_k := _k +
         len((t := _members(<domain>)))) for x in t``, a singleton domain
         ``if ((t := v),)``, a filter an ``if``; folded by the monoid's
-        ``loop``, or ``fold_elements`` of a list kept in ``_b``."""
+        ``loop``, or ``fold_elements`` of a list kept in ``_b`` (the root
+        bag of a plain kernel: ``BagValue.of_plain``)."""
+        # Only the root bag is plain: its domains and head hold other folds.
+        plain = self.plain_root and term.monoid_name == "bag"
+        self.plain_root = False
         saved = dict(self._scope)  # an emitter that raises is discarded
         clauses: list[str] = [f"for {self.wtemp()} in (None,)"]
         for qualifier in term.qualifiers:
@@ -725,7 +749,7 @@ class _KernelEmitter:
         monoid = term.monoid
         if isinstance(monoid, CollectionMonoid):
             kept = self.wtemp()
-            fold = self.bind("f", monoid.fold_elements)
+            fold = self.bind("f", BagValue.of_plain if plain else monoid.fold_elements)
             return f"{fold}((_b.append(({kept} := [{stream}])), {kept})[1])"
         loop = self.bind("f", monoid.loop)
         folded = f"{loop}({self.bind('c', monoid.zero)}, ({stream}))"

@@ -68,14 +68,22 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro.algebra.operators import Operator, occurrence
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls, fold_value
-from repro.calculus.terms import TRUE, Proj, RecordCons, Term, Var, free_vars
+from repro.calculus.terms import (
+    TRUE,
+    Comprehension,
+    Proj,
+    RecordCons,
+    Term,
+    Var,
+    free_vars,
+)
 from repro.data.values import (
     NULL,
+    BagValue,
     CollectionValue,
     SetValue,
     exact_key,
     identity_key,
-    is_null,
 )
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import CompiledKernel, ExprCompiler
@@ -201,6 +209,19 @@ def _filed(key_parts: list[list], bare: Sequence[bool]) -> list:
         for part, plain in zip(key_parts, bare)
     ]
     return parts[0] if len(parts) == 1 else list(zip(*parts))
+
+
+def _plain_bag(context: _Context, monoid: Monoid, head: Term) -> bool:
+    """Whether a bag of *head*'s values counts them as they are
+    (``BagValue.of_plain``): the plan's typing finds *head* plain."""
+    typing = context.typing
+    return monoid.name == "bag" and typing is not None and typing.plain(head)
+
+
+def _plain_fold(context: _Context, term: Term) -> bool:
+    """Whether *term* is a bag comprehension whose head is plain: a
+    group-unnest's fold, whose generators bind the plan's own columns."""
+    return isinstance(term, Comprehension) and _plain_bag(context, term.monoid, term.head)
 
 
 def _index_rows(
@@ -506,9 +527,12 @@ class PhysicalOperator:
             return "interpreted"
         return "mixed"
 
-    def _kernel(self, context: _Context, term: Term) -> CompiledKernel:
-        """Lower a value expression and register it for ``eval_mode``."""
-        kernel = context._compiler.compile_kernel(term)
+    def _kernel(
+        self, context: _Context, term: Term, plain: bool = False
+    ) -> CompiledKernel:
+        """Lower a value expression (*plain*: a bag comprehension whose
+        elements are their own keys) and register it for ``eval_mode``."""
+        kernel = context._compiler.compile_kernel(term, plain)
         self._kernels.append(kernel)
         return kernel
 
@@ -649,8 +673,10 @@ class PMap(PhysicalOperator):
         super().__init__(context)
         self.child = child
         self.bindings = bindings
+        #: A bag comprehension whose head is plain counts its elements.
         self._binding_kernels = tuple(
-            (name, self._kernel(context, expr)) for name, expr in bindings
+            (name, self._kernel(context, expr, _plain_fold(context, expr)))
+            for name, expr in bindings
         )
 
     def children(self) -> tuple[PhysicalOperator, ...]:
@@ -900,7 +926,7 @@ class PUnnest(PhysicalOperator):
             total = 0
             for i in range(limit):
                 value = paths[i]
-                if is_null(value):
+                if value is NULL:
                     elems: Sequence[Any] = ()
                 elif isinstance(value, CollectionValue):
                     elems = value.members()
@@ -966,6 +992,15 @@ class PHashNest(PhysicalOperator):
         self._head_kernel = self._kernel(context, head)
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
+        #: What a group's accumulator becomes: a collection built from its
+        #: element list (a plain bag counted as it is), a carrier finalized.
+        self._fold = (
+            BagValue.of_plain
+            if _plain_bag(context, monoid, head)
+            else monoid.fold_elements
+            if isinstance(monoid, CollectionMonoid)
+            else monoid.finalize
+        )
         #: Per grouping variable, the column keying a group: its occurrence
         #: where it has one.  A group carries out both, for an outer nest.
         #: Keys are :func:`_filed` — distinct stored objects with equal state
@@ -988,21 +1023,22 @@ class PHashNest(PhysicalOperator):
         dict, so in first-seen order — and, aligned with them, one column
         per :attr:`carried` column, appended to when a group opens.  A group
         opens for *every* row (before null-var/predicate filtering); the
-        head kernel runs once per chunk over the filter-surviving rows and
-        merges in stream order.
-        Collection-monoid accumulators are plain element lists (built into
-        the collection once at the end — per-row immutable merges would
-        copy the accumulator every row); primitive ones are pre-finalize
-        carriers with NULL heads skipped, or — with ``raw=True``, for the
-        exchange layer — element lists as well, so a coordinator can merge
+        head kernel runs once per chunk over the filter-surviving rows.
+        Collection-monoid accumulators are element lists (built into the
+        collection once at the end — per-row immutable merges would copy the
+        accumulator every row).  A primitive one is a pre-finalize carrier:
+        each chunk gathers its surviving values per group key, and each
+        group's list continues its carrier through the monoid's ``loop``
+        (NULLs skipped), so every group folds in stream order with no
+        per-row merge.  With ``raw=True``, for the exchange layer, primitive
+        accumulators are element lists as well, so a coordinator can merge
         lists across partitions and replay the serial NULL-skipping fold
         instead of reassociating carriers (which would perturb float
         results).  The caller finalizes: :meth:`_groups`, or the exchange's
         own fold.
         """
         monoid = self.monoid
-        merge = monoid.merge
-        lift = monoid.lift
+        loop = monoid.loop
         groups: dict[Any, Any] = {}
         key_cols: dict[str, list] = {col: [] for col in self.carried}
         collection = isinstance(monoid, CollectionMonoid)
@@ -1027,12 +1063,19 @@ class PHashNest(PhysicalOperator):
             if charge is not None:
                 charge_values(charge, values, buffered)
                 buffered += len(values)
-            for value, i in zip(values, picked):
-                key = keys[i]
-                if use_list:
-                    groups[key].append(value)
-                elif value is not NULL:
-                    groups[key] = merge(groups[key], lift(value))
+            if use_list:
+                for value, i in zip(values, picked):
+                    groups[keys[i]].append(value)
+            else:
+                gathered: dict[Any, list] = {}
+                for value, i in zip(values, picked):
+                    key = keys[i]
+                    if key in gathered:
+                        gathered[key].append(value)
+                    else:
+                        gathered[key] = [value]
+                for key, run in gathered.items():
+                    groups[key] = loop(groups[key], run)
             if err is not None:
                 raise err
         return groups, key_cols
@@ -1042,13 +1085,7 @@ class PHashNest(PhysicalOperator):
         found = ex.memo.get(self)
         if found is None:
             groups, columns = self.accumulate(ex)
-            monoid = self.monoid
-            fold = (
-                monoid.fold_elements
-                if isinstance(monoid, CollectionMonoid)
-                else monoid.finalize
-            )
-            columns[self.out_var] = list(map(fold, groups.values()))
+            columns[self.out_var] = list(map(self._fold, groups.values()))
             found = ex.memo[self] = columns, len(groups)
         return found
 
@@ -1517,6 +1554,8 @@ class PReduce(PhysicalOperator):
         #: A set of structs dedups on field tuples (SetValue.of_structs).
         structs = monoid.name == "set" and isinstance(head, RecordCons)
         self._struct_fields = tuple(n for n, _ in head.fields) if structs else ()
+        #: A plain bag counts its elements as they are.
+        self._plain = _plain_bag(context, monoid, head)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -1531,6 +1570,8 @@ class PReduce(PhysicalOperator):
             names = self._struct_fields
             if names:
                 return ex.account(self, SetValue.of_structs(values, names))
+            if self._plain:
+                return ex.account(self, BagValue.of_plain(values))
             return ex.account(self, monoid.fold_elements(values))
         result = monoid.zero
         decided = {"all": False, "some": True}.get(monoid.name)

@@ -9,7 +9,10 @@ test run:
   forever;
 * ``expect: disagreement`` artifacts pin *known divergences* (documented
   model limitations): the suite fails loudly if the behaviour silently
-  changes, so the documentation can never rot.
+  changes, so the documentation can never rot;
+* ``compare: repr`` artifacts pin a wrong answer the oracle's canonical
+  image cannot see (it maps ``3`` and ``3.0`` to one value): every path
+  that answers must ``repr`` its result as the calculus reference does.
 
 ``typed_plan_samples.json`` holds the qgen samples whose plans the one
 Figure 6 typing changed: a grouped variable over a typed set with no
@@ -25,11 +28,14 @@ from pathlib import Path
 import pytest
 
 from repro import QueryPipeline
-from repro.testing.oracle import check_sample
+from repro.testing.oracle import check_sample, run_all_paths
 from repro.testing.repro_io import decode_sample, load_repro
 
 REPRO_DIR = Path(__file__).parent / "fuzz_repros"
 REPRO_FILES = sorted(REPRO_DIR.glob("*.json"))
+EXACT_FILES = [
+    p for p in REPRO_FILES if json.loads(p.read_text()).get("compare") == "repr"
+]
 TYPED_SAMPLES = json.loads((Path(__file__).parent / "typed_plan_samples.json").read_text())
 
 
@@ -57,6 +63,17 @@ def test_replay_repro(path: Path):
             f"agree — the limitation was fixed; update the artifact (and its "
             f"documentation) to expect agreement:\n{verdict.describe()}"
         )
+
+
+@pytest.mark.parametrize("path", EXACT_FILES, ids=[p.stem for p in EXACT_FILES])
+def test_replay_repro_exactly(path: Path):
+    source, params, db = load_repro(path)
+    reference, *others = run_all_paths(source, params, db)
+    assert reference.ok, reference.error
+    for outcome in others:
+        if not outcome.skipped:
+            assert outcome.ok, f"{outcome.path}: {outcome.error}"
+            assert repr(outcome.value) == repr(reference.value), outcome.path
 
 
 @pytest.mark.parametrize(

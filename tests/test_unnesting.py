@@ -254,6 +254,34 @@ class TestCompleteness:
         nests = [op for op in operators(plan) if isinstance(op, Nest)]
         assert len(nests) == 1
 
+    @pytest.mark.parametrize(
+        "a, b, shared",
+        [(1, 1.0, False), (1.0, 1, False), (1, 1, True)],
+    )
+    @pytest.mark.parametrize("where", ["head", "filter"])
+    def test_boxes_share_only_under_equal_constant_types(
+        self, company, a, b, shared, where
+    ):
+        """``Const(1) == Const(1.0)``, but a box summing 1s is not one
+        summing 1.0s: two boxes share only when the types of their
+        constants match too, in the head or in a filter."""
+
+        def box(value):
+            if where == "head":
+                return comprehension("sum", const(value), ("e", Extent("Employees")))
+            return comprehension(
+                "sum",
+                path("e", "salary"),
+                ("e", Extent("Employees")),
+                BinOp(">", path("e", "salary"), const(value)),
+            )
+
+        term = record(a=box(a), b=box(b))
+        plan = unnest_query(term)
+        nests = [op for op in operators(plan) if isinstance(op, Nest)]
+        assert len(nests) == (1 if shared else 2)
+        assert repr(evaluate_plan(plan, company)) == repr(evaluate(term, company))
+
 
 class TestFigure2Boxes:
     def test_boxes_compose(self, university):

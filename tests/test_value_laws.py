@@ -12,6 +12,8 @@ so their membership is built lazily, by the law that first needs it.  Three laws
   implementation below (one ``(first element, multiplicity)`` entry per
   identity key), and :func:`identity_key` / :func:`exact_key` agree with
   their plain references;
+- over identity-free items (scalars, NULL, structs of those), a bag counted
+  as it is (:meth:`BagValue.of_plain`) is the bag ``BagValue`` keys;
 - :func:`decode_value` inverts :func:`encode_value` up to ``repr``.
 
 The ``value-laws-ci`` profile registered here raises the example budget.
@@ -204,6 +206,8 @@ def _extend(inner):
 
 
 LEAVES = st.one_of(SCALARS, st.sampled_from(SHARED), stored(SCALARS))
+#: Items that are their own identity keys: scalars, NULL, computed structs.
+PLAIN = st.one_of(SCALARS, st.dictionaries(ATTRS, SCALARS, max_size=3).map(Record))
 VALUES = st.recursive(LEAVES, _extend, max_leaves=12)
 ITEMS = st.lists(VALUES, max_size=8)
 
@@ -288,6 +292,17 @@ def test_bag_from_counts_matches_the_reference(counts):
     assert same_objects(bag.elements(), ref.elements())
     assert identity_key(bag) == ref.identity_key(bag)
     assert exact_key(bag) == ref.exact_key()
+
+
+@given(st.lists(PLAIN, max_size=8))
+def test_plain_bag_is_the_keyed_bag(items):
+    plain, keyed = BagValue.of_plain(items), BagValue(items)
+    assert plain == keyed and hash(plain) == hash(keyed)
+    assert repr(plain) == repr(keyed)
+    assert same_objects(plain.elements(), keyed.elements())
+    assert same_objects(plain._counts, keyed._counts)
+    assert list(plain._counts.values()) == list(keyed._counts.values())
+    assert plain._value_counts() is plain._counts
 
 
 @given(VALUES)
