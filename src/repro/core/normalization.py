@@ -1,10 +1,12 @@
 """The normalization algorithm for monoid comprehensions (paper Figure 4).
 
 Normalization puts the calculus into a canonical form: beta-redexes and
-record projections are reduced (N1, N2), generator domains built from
-conditionals / zeros / singletons / merges are simplified away (N3–N6),
-nested comprehension domains are flattened (N7), existential quantifications
-in filters are unnested (N8), and same-monoid head nesting collapses (N9).
+record projections are reduced (N1, N2), an application commutes through a
+conditional (so a closed term of relational type keeps no λ), generator
+domains built from conditionals / zeros / singletons / merges are
+simplified away (N3–N6), nested comprehension domains are flattened (N7),
+existential quantifications in filters are unnested (N8), and same-monoid
+head nesting collapses (N9).
 
 The paper proves these rules reduce every generator domain to a *path*
 (``x.A1...An`` over a range variable or an extent).  Queries that still
@@ -162,16 +164,24 @@ class _Normalizer:
         if kind is Lambda:
             name = fresh_name(t.param.strip("_") or "v")
             return Lambda(name, self.walk(t.body, {**env, t.param: Var(name)}, dm))
-        if kind is Apply:  # N1
-            fn, arg = self.walk(t.fn, env, dm), self.walk(t.arg, env, dm)
-            if type(fn) is Lambda:
-                return self.walk(fn.body, {fn.param: arg}, False)
-            return Apply(fn, arg)
+        if kind is Apply:
+            return self.apply(self.walk(t.fn, env, dm), self.walk(t.arg, env, dm))
         children = t.children()
         if not children:
             return t
         walked = tuple([self.walk(child, env, dm) for child in children])
         return t if all(map(is_, walked, children)) else _rebuild(t, walked)
+
+    def apply(self, fn: Term, arg: Term) -> Term:
+        """``fn arg`` of two normal forms: N1, and the commuting conversion
+        ``(if c then f else g) a → if c then f a else g a``, so a closed
+        term of relational type leaves no λ behind."""
+        if type(fn) is Lambda:  # N1
+            return self.walk(fn.body, {fn.param: arg}, False)
+        if type(fn) is If:  # the else branch gets its own copy of the argument
+            copy = self.walk(arg, {}, False)
+            return If(fn.cond, self.apply(fn.then, arg), self.apply(fn.orelse, copy))
+        return Apply(fn, arg)
 
     def binop(self, op: str, left: Term, right: Term, same: Term | None = None) -> Term:
         if op == "and" or op == "or":

@@ -17,17 +17,20 @@ kernel is one generated body plus the definition:
 * the **comprehension form** — the term as a single Python expression
   (walrus assignments standing in for temporaries), so the whole chunk
   evaluates as one list comprehension;
+* **row functions for deep terms** — a subterm more than :data:`_DEPTH`
+  levels below its expression's root is emitted as a function of the row
+  (``_hN(_i, <temps it reads>)``) defined before the comprehension, so no
+  expression nests deeper than Python parses, at any term depth;
 * the **interpreter as its error path** — any exception in the
   comprehension reruns the chunk through :func:`_interpreted`, one
   ``Evaluator._eval`` call per row, so the faulting row and the error's
-  class and text are the interpreter's by construction.  The same closure
-  is the whole kernel of a term the emitter cannot lower at all.
+  class and text are the interpreter's by construction.
 
 Kernels never raise mid-chunk: an exception at row *t* is returned as
 ``(values so far, t, error)`` so the caller can deliver the preceding rows
 first and replay the error lazily (see :class:`CompiledKernel`).
 
-Three properties are load-bearing:
+Two properties are load-bearing:
 
 * **Semantic equivalence.**  Every kernel reproduces the interpreter's
   values exactly, including three-valued NULL logic (strict NULL
@@ -39,13 +42,10 @@ Three properties are load-bearing:
   fault on only has to raise *something*, at evaluation time, never
   eagerly at compile time.  The differential fuzz oracle checks every
   query against the calculus interpreter (see ``repro.testing.oracle``).
-* **Per-node fallback.**  A node kind the emitter does not know (a lambda
-  or its application) becomes a call that hands *that subtree* to the AST
-  interpreter; its siblings and ancestors stay compiled.  Compilation
-  therefore never fails — it degrades.
-* **Observability.**  :class:`CompiledKernel` counts compiled vs. fallback
-  nodes, so EXPLAIN ANALYZE can annotate each physical operator with
-  whether its expressions run ``compiled``, ``mixed``, or ``interpreted``.
+* **Totality.**  Every term kind a plan holds has a handler.  The one
+  kind without — a λ or its application, which :func:`~repro.core.
+  normalization.prepare` leaves in no closed term of relational type — is
+  a :class:`~repro.errors.PlanningError` when the plan is built.
 
 The compiler is cached per plan on :class:`~repro.core.pipeline.
 CompiledQuery`, so the plan cache amortizes codegen along with planning.
@@ -58,7 +58,6 @@ shape, in any query of the process, are closures of one compiled factory
 
 from __future__ import annotations
 
-import copy
 import functools
 import threading
 from typing import Any, Callable, Mapping
@@ -89,7 +88,7 @@ from repro.calculus.terms import (
 )
 from repro.data.values import NULL, BagValue, CollectionValue, Record, identity_key
 from repro.engine.governor import charge_values
-from repro.errors import GovernorError
+from repro.errors import GovernorError, PlanningError
 
 #: A kernel: ``fn(cols, n) -> (values, t, error)``.  *cols* maps column
 #: names to value lists (all at least *n* long); rows ``[0, t)`` evaluated
@@ -103,7 +102,7 @@ _SCALARS = frozenset((bool, int, float, str))
 
 
 class CompiledKernel:
-    """A term lowered to a chunk-level loop, plus how much of it compiled.
+    """A term lowered to a chunk-level loop.
 
     ``fn(cols, n)`` evaluates the term over rows ``0..n-1`` of a columnar
     chunk and returns ``(values, t, error)``: the results for rows
@@ -114,42 +113,21 @@ class CompiledKernel:
     (``exists`` satisfied early) never observes an error it would not have
     reached row by row.
 
-    ``compiled_nodes`` / ``fallback_nodes`` count the term's AST nodes that
-    were lowered natively vs. delegated to the interpreter; ``mode``
-    summarizes them for EXPLAIN ANALYZE.  ``trivial_true`` marks the
-    predicate kernel for ``Const(True)`` (the planner's "no predicate"
-    marker) so operators can skip the kernel call — and the ``[True] * n``
-    allocation — entirely.
+    ``trivial_true`` marks the predicate kernel for ``Const(True)`` (the
+    planner's "no predicate" marker) so operators can skip the kernel call
+    — and the ``[True] * n`` allocation — entirely.
     """
 
-    __slots__ = ("fn", "term", "compiled_nodes", "fallback_nodes", "trivial_true")
+    __slots__ = ("fn", "term", "trivial_true")
 
-    def __init__(
-        self,
-        fn: KernelFn,
-        term: Term,
-        compiled_nodes: int,
-        fallback_nodes: int,
-        trivial_true: bool = False,
-    ):
+    def __init__(self, fn: KernelFn, term: Term, trivial_true: bool = False):
         self.fn = fn
         self.term = term
-        self.compiled_nodes = compiled_nodes
-        self.fallback_nodes = fallback_nodes
         self.trivial_true = trivial_true
-
-    @property
-    def mode(self) -> str:
-        """``compiled`` | ``mixed`` | ``interpreted``."""
-        if self.fallback_nodes == 0:
-            return "compiled"
-        if self.compiled_nodes == 0:
-            return "interpreted"
-        return "mixed"
 
     def __repr__(self) -> str:
         suffix = ", trivial" if self.trivial_true else ""
-        return f"CompiledKernel({self.term}, {self.mode}{suffix})"
+        return f"CompiledKernel({self.term}{suffix})"
 
 
 class ExprRuntime(threading.local):
@@ -158,9 +136,9 @@ class ExprRuntime(threading.local):
     Kernels must be reusable across executions (the kept physical plan of
     a :class:`~repro.core.pipeline.CompiledQuery` holds them), so anything
     that varies per execution — the prepared-statement parameter values,
-    the database, the fallback interpreter — is reached through this one
-    mutable cell, rebound by :meth:`ExprCompiler.activate` when an
-    execution starts.
+    the database, the interpreter of a chunk's error path — is reached
+    through this one mutable cell, rebound by :meth:`ExprCompiler.activate`
+    when an execution starts.
 
     The cell is a ``threading.local``: a ``CompiledQuery`` shared by a
     thread pool has each thread activate and read *its own* bindings, so
@@ -209,21 +187,9 @@ class ExprCompiler:
     :func:`_memo_key`, not the bare term (see there).
     """
 
-    #: Whether a bag comprehension at a kernel's root counts its elements
-    #: as they are (``BagValue.of_plain``): only on :attr:`_plain`.
-    plain_root = False
-
     def __init__(self) -> None:
         self.runtime = ExprRuntime()
         self._memo: dict[tuple, CompiledKernel] = {}
-
-    @functools.cached_property
-    def _plain(self) -> "ExprCompiler":
-        """The twin, sharing this compiler's runtime and memo, that lowers
-        the kernels the planner typed plain."""
-        twin = copy.copy(self)
-        twin.plain_root = True
-        return twin
 
     def activate(self, evaluator: Evaluator, database: Any) -> None:
         """Point the runtime at one execution's interpreter and database."""
@@ -251,24 +217,18 @@ class ExprCompiler:
         key = _memo_key(kind, term)
         kernel = self._memo.get(key)
         if kernel is None:
-            lowering = self._plain if kind == "plain" else self
-            kernel = self._memo[key] = lowering._lower(term, kind == "pred")
+            kernel = self._memo[key] = self._lower(term, kind)
         return kernel
 
-    def _lower(self, term: Term, predicate: bool) -> CompiledKernel:
+    def _lower(self, term: Term, kind: str) -> CompiledKernel:
+        predicate = kind == "pred"
         if predicate and isinstance(term, Const) and term.value is True:
-            return CompiledKernel(_true_kernel, term, 1, 0, trivial_true=True)
+            return CompiledKernel(_true_kernel, term, trivial_true=True)
+        emitter = _KernelEmitter(
+            self.runtime, kind == "plain" and isinstance(term, Comprehension)
+        )
         slow = _interpreted(self.runtime, term, predicate)
-        plain = self.plain_root and isinstance(term, Comprehension)
-        emitter = _KernelEmitter(self.runtime, plain)
-        try:
-            fn = emitter.kernel(term, predicate, slow)
-        except Exception:  # noqa: BLE001 - degrade, never fail to plan
-            # The emitter choked on the term as a whole (e.g. nesting deeper
-            # than Python parses as one expression): interpret it from the
-            # root.
-            return CompiledKernel(slow, term, 0, 1)
-        return CompiledKernel(fn, term, emitter.compiled, emitter.fallback)
+        return CompiledKernel(emitter.kernel(term, predicate, slow), term)
 
 
 def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
@@ -277,7 +237,7 @@ def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
 
 def _interpreted(runtime: ExprRuntime, term: Term, predicate: bool) -> KernelFn:
     """*term* through the AST interpreter, one call per row: every
-    kernel's error path, and the whole kernel of a term that does not emit.
+    kernel's error path, ``_slow``.
 
     Not generated and not fast — it is the definition.  A row's env holds
     the term's free variables the chunk has; an absent column is left out,
@@ -326,7 +286,7 @@ def _fault() -> None:
 
 
 def _proj(value: Any, attr: str) -> Any:
-    """The inline projection's fallback: NULL, a Record subclass, a fault."""
+    """The inline projection's slow path: NULL, a Record subclass, a fault."""
     if value.__class__ is Record and attr in value._fields:
         return value._fields[attr]
     if isinstance(value, Record):
@@ -334,15 +294,6 @@ def _proj(value: Any, attr: str) -> Any:
     if value is NULL:
         return NULL
     return _fault()
-
-
-def _subtree(runtime: ExprRuntime, term: Term) -> Callable[[dict], Any]:
-    """One subtree handed to the interpreter (its siblings stay compiled)."""
-
-    def run(env: dict) -> Any:
-        return runtime.evaluator._eval(term, env)  # noqa: SLF001
-
-    return run
 
 
 def _members(value: Any) -> Any:
@@ -372,10 +323,13 @@ def _settle(rt: ExprRuntime, out: list, units: int, kept: list) -> tuple:
 
 _UNBOUND = object()
 
+#: Term levels an expression nests before :meth:`_KernelEmitter.split`
+#: moves a subterm into a row function of its own.
+_DEPTH = 32
+
 #: What generated code reads that no kernel owns — the globals of every
 #: shape.  What a kernel does own (its ``rt`` cell, column names, constants,
-#: monoid functions, fallback subtrees, its error path) reaches it as
-#: closure variables.
+#: monoid functions, its error path) reaches it as closure variables.
 _HELPERS: dict[str, Any] = {
     "NULL": NULL,
     "Record": Record,
@@ -442,12 +396,8 @@ class _KernelEmitter:
       ``ZeroDivisionError``, ``TypeError`` or :func:`_fault` abandons the
       partial list and ``_slow`` — :func:`_interpreted` — reruns the chunk
       for the truncation row and the structured error.  Success values
-      must agree with the interpreter; a faulting row only has to raise.
-
-    Subtrees outside the emitted subset evaluate through one call into the
-    AST interpreter, fed a per-row env dict materialized from the subtree's
-    free variables (columns absent from the chunk are omitted so the
-    interpreter's own unbound error fires only if actually read).
+      must agree with the interpreter; a faulting row only has to raise;
+    * **deep subterms are row functions** — :meth:`split` (see there).
     """
 
     handlers: dict[type, Callable[..., str]]
@@ -456,13 +406,12 @@ class _KernelEmitter:
         self.runtime = runtime
         #: The root bag comprehension's elements are their own keys.
         self.plain_root = plain_root
-        #: AST nodes lowered natively / handed to the interpreter.
-        self.compiled = 0
-        self.fallback = 0
-        #: Per-chunk setup lines (column hoists, fallback column pairs),
-        #: emitted inside the try but before the comprehension.
+        #: Per-chunk setup lines (column hoists, row functions), emitted
+        #: inside the try but before the comprehension.
         self.prologue: list[str] = []
         self.n = 0
+        #: Term levels below the root of the expression being emitted.
+        self.depth = 0
         #: Column name -> hoisted local holding ``cols[name]``.
         self._columns: dict[str, str] = {}
         #: Let-bound variable -> walrus temp (shadows columns).
@@ -508,8 +457,8 @@ class _KernelEmitter:
     def wtemp(self) -> str:
         """A name for a walrus-assignment target (function-scoped: an
         assignment expression in a comprehension binds in the enclosing
-        ``_kern`` frame, which is exactly what the nested conditional
-        expressions rely on)."""
+        ``_kern`` or row-function frame, which is exactly what the nested
+        conditional expressions rely on)."""
         self.n += 1
         return f"_w{self.n}"
 
@@ -534,56 +483,50 @@ class _KernelEmitter:
         scope = self._scope
         saved = scope.get(var, _UNBOUND)
         scope[var] = local
-        try:
-            return emit()
-        finally:
-            if saved is _UNBOUND:
-                del scope[var]
-            else:
-                scope[var] = saved
-
-    def fallback_call(self, term: Term) -> str:
-        """*term* as one interpreter call over a per-row env dict.
-
-        The env is a dict comprehension over prologue-hoisted (name,
-        column) pairs of the subtree's free variables, with let-bound temps
-        layered on top (they win over columns).  Columns absent from the
-        chunk are omitted (the ``if _n in cols`` prologue filter) so the
-        interpreter's own unbound-variable error fires only if the row
-        actually reads the name.
-        """
-        self.fallback += 1
-        sub = self.bind("s", _subtree(self.runtime, term))
-        names = sorted(free_vars(term))
-        scoped = [
-            (name, self._scope[name]) for name in names if name in self._scope
-        ]
-        col_names = tuple(name for name in names if name not in self._scope)
-        if col_names:
-            self.n += 1
-            pairs = f"_sub{self.n}"
-            self.pline(
-                f"{pairs} = [(_n, cols[_n]) for _n in "
-                f"{self.bind('v', col_names)} if _n in cols]"
-            )
-            env = f"{{_n: _c[_i] for _n, _c in {pairs}}}"
+        expr = emit()
+        if saved is _UNBOUND:
+            del scope[var]
         else:
-            env = "{}"
-        if scoped:
-            inner = ", ".join(f"{name!r}: {bound}" for name, bound in scoped)
-            env = f"{{**{env}, {inner}}}"
-        return f"{sub}({env})"
+            scope[var] = saved
+        return expr
+
+    def split(self, term: Term) -> str:
+        """*term* as a call of a row function defined in the prologue::
+
+            def _hN(_i, <the let and generator temps it reads>):
+                nonlocal _k
+                return <term, its depth counted from 0 again>
+
+        Each term level nests at most about five brackets and Python parses
+        200, so no expression of a kernel nests deeper than it parses, at
+        any term depth.  The call sits where the subterm did, so a lazy
+        position (a branch, a right operand, a fold head) stays lazy; the
+        row function's folds count what they reach in the kernel's ``_k``."""
+        free = free_vars(term)
+        args = ", ".join(("_i", *(t for v, t in self._scope.items() if v in free)))
+        self.n += 1
+        name = f"_h{self.n}"
+        depth, self.depth = self.depth, 0
+        expr = self.xgen(term)
+        self.depth = depth
+        indent = " " * 16
+        self.pline(f"def {name}({args}):\n{indent}nonlocal _k\n{indent}return {expr}")
+        return f"{name}({args})"
 
     # -- one handler per term kind ------------------------------------------
 
     def xgen(self, term: Term) -> str:
-        """*term* as one Python expression."""
+        """*term* as one Python expression: a row function's call
+        (:meth:`split`) more than :data:`_DEPTH` levels below its root."""
         handler = self.handlers.get(type(term))
         if handler is None:
-            return self.fallback_call(term)
-        result = handler(self, term)
-        self.compiled += 1
-        return result
+            raise PlanningError(f"no kernel for the {type(term).__name__} term {term}")
+        if self.depth >= _DEPTH and term.children():
+            return self.split(term)
+        self.depth += 1
+        expr = handler(self, term)
+        self.depth -= 1
+        return expr
 
     def _x_var(self, term: Var) -> str:
         bound = self._scope.get(term.name)
@@ -649,7 +592,6 @@ class _KernelEmitter:
 
     def _x_not(self, term: Not) -> str:
         if isinstance(term.expr, IsNull):  # a boolean: no NULL, no fault
-            self.compiled += 1
             return f"(({self.xgen(term.expr.expr)}) is not NULL)"
         value = self.xgen(term.expr)
         t = self.wtemp()
@@ -663,6 +605,8 @@ class _KernelEmitter:
         return f"(({self.xgen(term.expr)}) is NULL)"
 
     def _x_singleton(self, term: Singleton) -> str:
+        if not term.monoid.is_collection:  # no unit: the interpreter faults
+            return "_fault()"
         return f"{self.bind('f', term.monoid.unit)}({self.xgen(term.expr)})"
 
     def _x_merge(self, term: Merge) -> str:
@@ -720,6 +664,7 @@ class _KernelEmitter:
         self.plain_root = False
         saved = dict(self._scope)  # an emitter that raises is discarded
         clauses: list[str] = [f"for {self.wtemp()} in (None,)"]
+        self.depth += 1  # a qualifier nests twice a head's brackets
         for qualifier in term.qualifiers:
             t, domain = self.wtemp(), getattr(qualifier, "domain", None)
             if isinstance(qualifier, Filter):
@@ -733,7 +678,6 @@ class _KernelEmitter:
                     )
             elif isinstance(domain, Singleton) and domain.monoid.is_collection:
                 clauses.append(f"if (({t} := {self.xgen(domain.expr)}),)")
-                self.compiled += 1
                 self._scope[qualifier.var] = t
             else:
                 element = self.wtemp()
@@ -742,6 +686,7 @@ class _KernelEmitter:
                     f"for {element} in {t}"
                 )
                 self._scope[qualifier.var] = element
+        self.depth -= 1
         head = self.xgen(term.head)
         self._scope.clear()
         self._scope.update(saved)
@@ -759,8 +704,7 @@ class _KernelEmitter:
 
 
 # The table holds plain function objects (no dynamic attribute lookup per
-# node).  NOTE: Lambda and Apply deliberately have no entry — no plan
-# leaves one behind, and the interpreter fallback stays exercised.
+# node).  Lambda and Apply have none: a plan that holds one is refused.
 _KernelEmitter.handlers = {
     Var: _KernelEmitter._x_var,
     Const: _KernelEmitter._x_const,

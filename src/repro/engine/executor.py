@@ -19,9 +19,9 @@ from repro.engine.physical import Execution, PhysicalOperator
 class OperatorStats:
     """Row production of one physical operator.
 
-    ``eval_mode`` records how the operator's expressions executed
-    ("compiled", "mixed", "interpreted", or "" for expression-free
-    operators); ``eval_ms`` is the wall time spent inside those expression
+    ``eval_mode`` is "compiled" for an operator that evaluates expressions
+    (every kernel is generated code) and "" for one that evaluates none;
+    ``eval_ms`` is the wall time spent inside those expression
     evaluators when profiling was enabled.  ``batches_produced`` /
     ``batch_rows`` record the operator's chunked output (both stay 0 on
     the root, which folds chunks into the result value).

@@ -140,12 +140,13 @@ class Execution:
     with everything it built.
 
     It holds the bound prepared-statement parameters (``:name`` placeholder
-    values) and the interpreter that reads them, which the kernels' fallback
-    nodes call; the optional :class:`~repro.engine.governor.Governor`; the
-    *profile* flag (EXPLAIN ANALYZE: time every kernel call); each
-    operator's :class:`_Counts` (``counts``); and ``memo``, what an operator
-    builds once per run — an open build side, a nest's groups, a shared
-    nest's output and fed stand-in, a SQL segment's decoded rows."""
+    values) and the interpreter that reads them, which a kernel's error
+    path reruns a faulting chunk through; the optional
+    :class:`~repro.engine.governor.Governor`; the *profile* flag (EXPLAIN
+    ANALYZE: time every kernel call); each operator's :class:`_Counts`
+    (``counts``); and ``memo``, what an operator builds once per run — an
+    open build side, a nest's groups, a shared nest's output and fed
+    stand-in, a SQL segment's decoded rows."""
 
     def __init__(
         self,
@@ -510,22 +511,9 @@ class PhysicalOperator:
     # -- expression binding --------------------------------------------------
 
     def eval_mode(self) -> str:
-        """How this operator's expressions execute.
-
-        ``"compiled"`` — every AST node lowered to generated code;
-        ``"mixed"`` — some subtrees fell back to the interpreter;
-        ``"interpreted"`` — every expression runs through the interpreter;
-        ``""`` — the operator evaluates no expressions (scans, seeds).
-        """
-        if not self._kernels:
-            return ""
-        compiled = sum(k.compiled_nodes for k in self._kernels)
-        fallback = sum(k.fallback_nodes for k in self._kernels)
-        if fallback == 0:
-            return "compiled"
-        if compiled == 0:
-            return "interpreted"
-        return "mixed"
+        """``"compiled"`` — the operator's expressions run as kernels, which
+        are generated code; ``""`` — it evaluates none (scans, seeds)."""
+        return "compiled" if self._kernels else ""
 
     def _kernel(
         self, context: _Context, term: Term, plain: bool = False

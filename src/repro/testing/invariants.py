@@ -8,9 +8,10 @@ whatever its result:
   by normalization, and the unnested plan's type matches it (Theorem 1's
   typing judgement is stable across Figure 4 and Figure 7);
 * **normal form** — after :func:`repro.core.normalization.prepare` the term
-  satisfies the unconditional N-rule guarantees (no beta-redexes, no lets,
-  no projections of record constructors, no zero/singleton/merge/conditional
-  generator domains), the term equals what the declarative N1–N9 rule set
+  satisfies the unconditional N-rule guarantees (no λ and no application
+  unless its type is a function type, no lets, no projections of record
+  constructors, no zero/singleton/merge/conditional generator domains),
+  the term equals what the declarative N1–N9 rule set
   (:mod:`repro.testing.normalization_spec`) reaches up to α-renaming, and
   normalization has reached a fixpoint;
 * **plan well-formedness** — every operator of the unnested tree references
@@ -57,6 +58,7 @@ from repro.calculus.typing import infer_type
 from repro.core.normalization import prepare
 from repro.core.unnesting import _alpha_canonical, unnest
 from repro.data.database import Database
+from repro.data.schema import FunctionType, Schema
 from repro.oql.translator import parse_and_translate
 from repro.testing.normalization_spec import canonicalize, normalize, reference_prepare
 from repro.testing.oracle import substitute_params
@@ -116,14 +118,21 @@ def check_type_preservation(term: Term, prepared: Term, plan: Operator, db: Data
 # ---------------------------------------------------------------------------
 
 
-def check_normal_form(term: Term, prepared: Term) -> None:
+def check_normal_form(term: Term, prepared: Term, schema: Schema | None = None) -> None:
     """The unconditional guarantees of Figure 4's normal form, and
-    ``prepared == prepare(term)`` equal to the N1–N9 spec's up to α."""
+    ``prepared == prepare(term)`` equal to the N1–N9 spec's up to α.  A
+    normal form whose type is not a function type is λ-free
+    (Ricciotti–Cheney, arXiv:2011.13451)."""
+    relational = not isinstance(infer_type(prepared, schema), FunctionType)
     for sub in subterms(prepared):
         if isinstance(sub, Let):
             raise InvariantViolation(f"normal form contains a let: {sub!r}")
         if isinstance(sub, Apply) and isinstance(sub.fn, Lambda):
             raise InvariantViolation(f"normal form contains a beta-redex: {sub!r}")
+        if relational and isinstance(sub, (Lambda, Apply)):
+            raise InvariantViolation(
+                f"normal form of a relational type is not λ-free: {sub!r}"
+            )
         if isinstance(sub, Proj) and isinstance(sub.expr, RecordCons):
             raise InvariantViolation(
                 f"normal form projects a record constructor (N2): {sub!r}"
@@ -250,7 +259,7 @@ def check_invariants(
     violations: list[str] = []
     for name, check in (
         ("type-preservation", lambda: check_type_preservation(term, prepared, plan, db)),
-        ("normal-form", lambda: check_normal_form(term, prepared)),
+        ("normal-form", lambda: check_normal_form(term, prepared, db.schema)),
         ("plan-well-formed", lambda: check_plan_well_formed(plan)),
     ):
         try:

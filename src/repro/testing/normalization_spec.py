@@ -85,6 +85,16 @@ def _beta(term: Term) -> Term | None:
 
 
 @NORMALIZATION_RULES.rule(
+    "if-apply", "(if c then f else g) a → if c then f a else g a", roots=(Apply,)
+)
+def _if_apply(term: Term) -> Term | None:
+    if isinstance(term, Apply) and isinstance(term.fn, If):
+        fn = term.fn
+        return If(fn.cond, Apply(fn.then, term.arg), Apply(fn.orelse, term.arg))
+    return None
+
+
+@NORMALIZATION_RULES.rule(
     "let-inline", "let v = e1 in e2 → e2[e1/v] (reduction rule D6)", roots=(Let,)
 )
 def _let_inline(term: Term) -> Term | None:

@@ -26,9 +26,8 @@ from repro.data.datagen import university_database
 from repro.data.values import NULL, CollectionValue, Record
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk, chunk_rows
 from repro.engine.compile import ExprCompiler
-from repro.engine.physical import Execution
 from repro.engine.planner import PlannerOptions, plan_physical
-from repro.errors import QueryError
+from repro.errors import PlanningError, QueryError
 from repro.testing.oracle import PATHS, results_equal
 
 #: The reference semantics: direct evaluation of the translated calculus
@@ -309,23 +308,16 @@ class TestBoundaries:
         assert isinstance(result, CollectionValue) and len(result) == 0
         assert run_both(db, "count( select f from f in F )") == 0
 
-    def test_interpreter_fallback_nodes_run_inside_chunks(self):
-        # A lambda application is outside the emitter's subset: the head
-        # kernel hands that subtree to the AST interpreter per row, and the
-        # operators around it still exchange chunks and still agree.
+    def test_a_lambda_in_a_plan_is_refused(self):
+        # A plan, not a compiled query: normalization would beta-reduce the
+        # application away.  No kernel evaluates a λ, so planning refuses.
         db = Database()
         db.add_extent("R", [Record(k=i) for i in range(10)])
         head = BinOp("+", Apply(Lambda("v", Var("v")), path("r", "k")), Const(1))
-        # A plan, not a compiled query: normalization would beta-reduce the
-        # application away.
-        root = plan_physical(
-            Reduce(Scan("R", "r"), "sum", head), db, PlannerOptions(batch_size=3)
-        )
-        ex = Execution(root, profile=True)
-        assert root.value(ex) == sum(range(10)) + 10
-        (scan,) = root.children()
-        assert root.eval_mode() == "mixed"
-        assert ex.counts[scan].batches_produced == 4
+        with pytest.raises(PlanningError, match="no kernel for the Apply term"):
+            plan_physical(
+                Reduce(Scan("R", "r"), "sum", head), db, PlannerOptions(batch_size=3)
+            )
 
     # The operators below had no chunk-native body before the row protocol
     # went away; each is driven across chunk boundaries here.

@@ -8,9 +8,9 @@ Four groups of guarantees:
   off NULL, and division by zero, each checked for exact agreement between
   the kernel and :class:`~repro.calculus.evaluator.Evaluator` (same value,
   or same exception class).
-* **Per-node fallback** — a lambda application subtree degrades that
-  subtree to the interpreter, leaves the rest compiled, reports ``mixed``,
-  and still produces the interpreter's value.
+* **Generated code throughout** — terms too deep for one Python
+  expression compile (their deep subterms become row functions), and a
+  fault anywhere reruns its chunk through the interpreter.
 * **Blocking-operator memoization** — hash join, nested-loop join, and
   hash nest build their blocking side exactly once per execution even when
   their stream is re-entered; the regression is pinned by counting the
@@ -63,7 +63,7 @@ from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine import compile as compile_module
-from repro.engine.compile import ExprCompiler, _factory, _KernelEmitter
+from repro.engine.compile import ExprCompiler, _factory
 from repro.engine.physical import (
     Execution,
     PHashJoin,
@@ -71,6 +71,7 @@ from repro.engine.physical import (
     PScan,
     _Context,
 )
+from repro.errors import PlanningError
 from repro.testing.oracle import check_sample
 
 T, F, N = Const(True), Const(False), Null()
@@ -147,7 +148,6 @@ def test_null_semantics_match_interpreter(term, db):
     evaluator, compiler = _engines(db)
     expected = _outcome(lambda: evaluator.evaluate(term, dict(_ENV)))
     kernel = compiler.compile_kernel(term)
-    assert kernel.mode == "compiled"
     assert _outcome(lambda: _run(kernel, _ENV)) == expected
 
 
@@ -181,19 +181,15 @@ def test_predicate_treats_null_as_false(db):
 
 
 # ---------------------------------------------------------------------------
-# Per-node fallback and memoization
+# What the emitter lowers, and memoization
 # ---------------------------------------------------------------------------
 
 
-def test_lambda_application_falls_back_per_node(db):
+def test_a_lambda_application_has_no_kernel(db):
     applied = Apply(Lambda("v", BinOp("*", Var("v"), Const(2))), Var("xs"))
-    term = BinOp("+", applied, Const(1))
-    evaluator, compiler = _engines(db)
-    env = {"xs": 3}
-    kernel = compiler.compile_kernel(term)
-    assert kernel.mode == "mixed"
-    assert kernel.fallback_nodes >= 1 and kernel.compiled_nodes >= 1
-    assert _run(kernel, env) == evaluator.evaluate(term, dict(env)) == 7
+    _, compiler = _engines(db)
+    with pytest.raises(PlanningError, match="no kernel for the Apply term"):
+        compiler.compile_kernel(BinOp("+", applied, Const(1)))
 
 
 _V = Var("v")
@@ -246,7 +242,6 @@ def test_every_domain_compiles_and_agrees_with_the_interpreter(domain, monoid, p
     compiler = ExprCompiler()
     compiler.activate(evaluator, db)
     kernel = compiler.compile_kernel(term)
-    assert kernel.fallback_nodes == 0 and kernel.mode == "compiled"
     got = _outcome(lambda: repr(_run(kernel, {})))
     assert got == _outcome(lambda: repr(evaluator.evaluate(term, {})))
 
@@ -270,41 +265,32 @@ def test_monoid_constructors_compile(db):
     evaluator, compiler = _engines(db)
     env = {"x": 1, "s": SetValue([2, 3])}
     kernel = compiler.compile_kernel(term)
-    assert kernel.mode == "compiled"
     assert _run(kernel, env) == evaluator.evaluate(term, env) == SetValue([1, 2, 3])
 
 
-@pytest.mark.parametrize(
-    "term, mode",
-    [
-        # outside the emitted subset: that subtree goes to the interpreter
-        (Apply(Lambda("v", BinOp("+", Var("v"), Const(1))), Var("x")), "mixed"),
-        # ill-formed (a primitive monoid has no unit): cannot be emitted at
-        # all, so the interpreter raises on it when evaluated
-        (Singleton("sum", Var("x")), "interpreted"),
-    ],
-    ids=repr,
-)
-def test_what_the_emitter_cannot_lower_goes_to_the_interpreter(term, mode, db):
+def test_a_singleton_of_a_primitive_monoid_faults_as_the_interpreter(db):
+    # Ill-formed (a primitive monoid has no unit): the kernel faults on the
+    # row, and the chunk's rerun raises the interpreter's own error.
+    term = BinOp("==", Singleton("sum", Var("x")), Const(42))
     evaluator, compiler = _engines(db)
-    env = {"x": 41}
-    kernel = compiler.compile_kernel(BinOp("==", term, Const(42)))
-    assert kernel.mode == mode
-    assert _outcome(lambda: _run(kernel, env)) == _outcome(
-        lambda: evaluator.evaluate(BinOp("==", term, Const(42)), env)
+    kernel = compiler.compile_kernel(term)
+    assert kernel.fn({"x": []}, 0) == ([], 0, None)
+    assert _outcome(lambda: _run(kernel, {"x": 41})) == _outcome(
+        lambda: evaluator.evaluate(term, {"x": 41})
     )
 
 
-def test_term_too_deep_to_emit_is_interpreted_whole(db):
+def test_term_too_deep_for_one_expression_compiles(db, compiled_sources):
     # Python refuses to parse more than 200 levels of parentheses; the
-    # comprehension form of a deep if-chain hits that, and lowering degrades
-    # to one interpreter call per row instead of failing to plan.
+    # comprehension form of a deep if-chain would hit that, so its deep
+    # subterms are row functions of their own.
     term = Const(0)
     for depth in range(1, 120):
         term = If(BinOp("==", Var("x"), Const(depth)), Const(depth), term)
     evaluator, compiler = _engines(db)
     kernel = compiler.compile_kernel(term)
-    assert kernel.mode == "interpreted"
+    [source] = compiled_sources
+    assert "nonlocal _k" in source  # a row function per 32 levels
     for x in (0, 1, 119, 120):
         assert _run(kernel, {"x": x}) == evaluator.evaluate(term, {"x": x})
 
@@ -443,6 +429,13 @@ def _chunked(kernel, columns: dict, n: int, size: int):
     return values, n, None, None
 
 
+def _sum_chain(operators: int) -> BinOp:
+    term = _TEN_OVER_X
+    for _ in range(operators - 1):
+        term = BinOp("+", term, Const(1))
+    return term
+
+
 def _row_by_row(evaluator, term, predicate: bool, columns: dict, n: int):
     """The reference: the AST interpreter, one row at a time."""
     values: list = []
@@ -510,12 +503,8 @@ _FAULTS = {
     "unknown-extent": (
         If(BinOp("==", X, Const(0)), Extent("Nope"), Const(1)), False, 5, 0,
     ),
-    # A lambda application is a per-node fallback subtree: the fault is
-    # raised by the interpreter inside it.
-    "inside-fallback-subtree": (
-        BinOp("+", Apply(Lambda("v", BinOp("/", Const(10), Var("v"))), X), Const(1)),
-        False, 5, 0,
-    ),
+    # Forty levels deep: the fault is raised inside a row function.
+    "inside-a-row-function": (_sum_chain(40), False, 5, 0),
     # A comprehension is a generated fold; its faults are the interpreter's.
     "fold-head": (_sum_over_x(BinOp("/", Const(10), Var("v"))), False, _BAG12, _BAG10),
     "fold-filter": (
@@ -553,9 +542,6 @@ def test_fault_matrix_matches_row_by_row_interpreter(
     expected = _row_by_row(evaluator, term, predicate, columns, _ROWS)
     assert expected[1] == fault_row and expected[2] is not None
     kernel = compiler._kernel("pred" if predicate else "expr", term)
-    assert kernel.mode == (
-        "mixed" if fault == "inside-fallback-subtree" else "compiled"
-    )
     # One compile() per kernel, at lowering; a fault compiles nothing,
     # however many there are.
     assert len(compiled_sources) == 1
@@ -582,28 +568,18 @@ def test_short_circuited_side_does_not_fault(term, chunk_size, db):
     assert _chunked(kernel, columns, 4, chunk_size) == expected
 
 
-def _sum_chain(operators: int) -> BinOp:
-    term = _TEN_OVER_X
-    for _ in range(operators - 1):
-        term = BinOp("+", term, Const(1))
-    return term
-
-
-@pytest.mark.parametrize(
-    "operators, mode", [(60, "compiled"), (70, "interpreted")]
-)
-def test_arithmetic_chain_too_long_for_one_expression_is_interpreted(
-    operators, mode, db
+@pytest.mark.parametrize("operators", [60, 70])
+def test_arithmetic_chain_too_long_for_one_expression_compiles(
+    operators, db, compiled_sources
 ):
-    # The one input class this module runs slower than a statement loop
-    # would: Python parses the comprehension form as a single expression,
-    # and past ~65 chained operators its parser gives up.  The kernel is
-    # then the interpreter from the root (visible as `exprs=interpreted`),
+    # Past ~65 chained operators Python no longer parses the comprehension
+    # form as one expression; the chain's deep end is then a row function,
     # with the same values and the same fault.
     term = _sum_chain(operators)
     evaluator, compiler = _engines(db)
     kernel = compiler.compile_kernel(term)
-    assert kernel.mode == mode
+    [source] = compiled_sources
+    assert ("nonlocal _k" in source) == (operators > 32)
     for columns in ({"x": [5, 2, 1, 10]}, {"x": [5, 2, 0, 10]}):
         expected = _row_by_row(evaluator, term, False, columns, 4)
         assert _chunked(kernel, columns, 4, 1024) == expected
@@ -620,10 +596,9 @@ def _if_chain(depth: int) -> If:
 
 @pytest.mark.parametrize("depth", range(95, 102))
 def test_if_chain_at_the_compile_limits_matches_interpreter(depth, db):
-    # Around 100 nested ifs Python stops compiling the comprehension form
-    # (parenthesis depth) and the kernel becomes the interpreter from the
-    # root; on either side of that limit it must truncate and fault like
-    # the interpreter.
+    # Around 100 nested ifs Python would stop parsing the comprehension
+    # form as one expression (parenthesis depth); on either side of that
+    # limit the kernel must truncate and fault like the interpreter.
     term = _if_chain(depth)
     evaluator, compiler = _engines(db)
     kernel = compiler.compile_kernel(term)
@@ -631,24 +606,6 @@ def test_if_chain_at_the_compile_limits_matches_interpreter(depth, db):
     expected = _row_by_row(evaluator, term, False, columns, 4)
     assert expected[1:3] == (2, DivisionByZeroError)
     assert _chunked(kernel, columns, 4, 1024) == expected
-
-
-def test_unbuildable_comprehension_form_is_interpreted_whole(
-    db, monkeypatch, compiled_sources
-):
-    def refuse(self, term, predicate, slow):
-        raise SyntaxError("too many nested parentheses")
-
-    monkeypatch.setattr(_KernelEmitter, "kernel", refuse)
-    evaluator, compiler = _engines(db)
-    kernel = compiler.compile_kernel(_TEN_OVER_X)
-    # The interpreter is the whole kernel; nothing is generated for it.
-    assert kernel.mode == "interpreted"
-    assert compiled_sources == []
-    columns = {"x": [5, 2, 0, 1]}
-    assert _chunked(kernel, columns, 4, 1024) == _row_by_row(
-        evaluator, _TEN_OVER_X, False, columns, 4
-    )
 
 
 def test_terms_equal_up_to_column_names_share_code_not_columns(db):
@@ -671,19 +628,6 @@ def test_terms_equal_up_to_column_names_share_code_not_columns(db):
         values, t, err = kernel.fn({}, 1)
         assert (values, t) == ([], 0)
         assert str(err) == f"unbound variable {name!r}; in scope: []"
-
-
-def test_fallback_subtrees_share_code_and_read_their_own_columns(db):
-    def kernel_for(name):
-        evaluator, compiler = _engines(db)
-        applied = Apply(Lambda("w", Var("w")), Var(name))
-        return compiler.compile_kernel(BinOp("+", applied, Const(1)))
-
-    left, right = kernel_for("_xs4"), kernel_for("_ys9")
-    assert left.mode == right.mode == "mixed"
-    assert left.fn.__code__ is right.fn.__code__
-    assert left.fn({"_xs4": [3], "_ys9": [0]}, 1)[0] == [4]
-    assert right.fn({"_xs4": [3], "_ys9": [0]}, 1)[0] == [1]
 
 
 def test_equal_constants_of_different_types_share_code_and_keep_values(db):
@@ -711,8 +655,6 @@ def _grow(children):
         st.builds(Proj, children, st.sampled_from(["a", "b"])),
         st.builds(Let, st.just("v"), children, children),
         st.builds(lambda a, b: RecordCons((("a", a), ("b", b))), children, children),
-        # outside the emitted subset: exercises the free-variable tuples
-        st.builds(lambda e: Apply(Lambda("w", Var("w")), e), children),
     )
 
 
@@ -879,9 +821,8 @@ class TestExplainAnalyzeAnnotations:
         assert all(ex.counts[op].eval_ms == 0.0 for op in walk(physical))
 
     def test_paper_queries_fully_compiled(self, company_db):
-        # Regression guard: the paper's flagship shapes must not silently
-        # regress to interpreter fallback (e.g. a Term kind losing its
-        # handler).  Any non-empty mode other than "compiled" is a bug.
+        # Every operator that evaluates expressions runs kernels: a term
+        # kind losing its handler would refuse the plan, not degrade.
         for source in (
             "select distinct struct( E: e.name, C: c.name ) "
             "from e in Employees, c in e.children",

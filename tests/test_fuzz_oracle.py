@@ -217,6 +217,13 @@ class TestInvariants:
         with pytest.raises(InvariantViolation, match="let"):
             check_normal_form(Const(1), Let("x", Const(1), Var("x")))
 
+    def test_normal_form_of_a_relational_type_is_lambda_free(self):
+        from repro.calculus.terms import Apply, Const, Param
+
+        applied = Apply(Param("g"), Const(1))  # no λ reduces it away
+        with pytest.raises(InvariantViolation, match="λ-free"):
+            check_normal_form(applied, applied)
+
     def test_normal_form_compares_with_the_rule_set(self):
         from repro.calculus.terms import BinOp, Const, Extent, comprehension, path
 

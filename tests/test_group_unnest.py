@@ -377,5 +377,4 @@ def test_a_fold_leaves_no_binding_behind():
     compiler = ExprCompiler()
     compiler.activate(Evaluator(Database()), Database())
     kernel = compiler.compile_kernel(BinOp("+", fold, Var("m")))
-    assert kernel.mode == "compiled"
     assert kernel.fn({"x": [5, 1], "m": [100, 7]}, 2) == ([105, 8], 2, None)

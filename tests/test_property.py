@@ -6,10 +6,21 @@ databases, and checks the paper's two theorems empirically:
 
 * normalization is meaning-preserving (Figure 4);
 * the unnesting translation is meaning-preserving (Theorem 2) and complete
-  (Theorem 1), all the way down to the physical engine.
+  (Theorem 1), all the way down to the physical engine;
+* a closed term of relational type normalizes to a λ-free term
+  (Ricciotti–Cheney, arXiv:2011.13451), so every plan runs as kernels.
+
+The λ-freedom property draws 50 terms, or 1000 under the
+``rewrite-confluence-ci`` profile, which it loads when asked to, as
+:mod:`tests.test_rewrite_confluence` does::
+
+    HYPOTHESIS_PROFILE=rewrite-confluence-ci pytest \\
+        tests/test_property.py::test_lambdas_normalize_away --hypothesis-seed 30
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,22 +28,37 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.algebra.evaluator import evaluate_plan
 from repro.calculus.evaluator import evaluate
 from repro.calculus.terms import (
+    Apply,
     BinOp,
     Comprehension,
     Extent,
+    If,
+    Lambda,
+    Let,
+    Proj,
+    RecordCons,
     Term,
+    Var,
     comprehension,
     const,
     path,
     record,
+    subterms,
+    transform,
     var,
 )
 from repro.core.normalization import prepare
+from repro.core.pipeline import QueryPipeline
 from repro.core.unnesting import _alpha_canonical, unnest_query
 from repro.data.database import Database
 from repro.data.values import Record, SetValue
 from repro.engine.planner import PlannerOptions, execute
 from repro.testing.normalization_spec import canonicalize, normalize, reference_prepare
+
+_CONFLUENCE_CI = os.environ.get("HYPOTHESIS_PROFILE") == "rewrite-confluence-ci"
+settings.register_profile("rewrite-confluence-ci", max_examples=1000, deadline=None)
+if _CONFLUENCE_CI:
+    settings.load_profile("rewrite-confluence-ci")
 
 # ---------------------------------------------------------------------------
 # Random databases over a fixed two-extent schema
@@ -167,6 +193,40 @@ def _comprehension(draw, depth, scope, fresh, monoids=None, scalar_head=False):
     return comprehension(monoid_name, head, *qualifiers)
 
 
+def _applied(draw, fn_of, arg: Term, names) -> Term:
+    """*arg* passed through a λ the way :func:`higher_order` draws it."""
+    shape = draw(st.sampled_from(["beta", "let", "if", "record"]))
+    v, w, f = next(names), next(names), next(names)
+    inc = fn_of(v, draw(st.integers(min_value=0, max_value=2)))
+    if shape == "beta":
+        return Apply(inc, arg)
+    if shape == "let":
+        return Let(f, inc, Apply(Var(f), arg))
+    if shape == "if":
+        pick = BinOp(draw(st.sampled_from(_COMPARE_OPS)), arg, const(2))
+        return Apply(If(pick, inc, fn_of(w, 1)), arg)
+    return Apply(Proj(RecordCons((("f", inc), ("g", const(0)))), "f"), arg)
+
+
+@st.composite
+def higher_order(draw):
+    """A :func:`comprehensions` term whose compared operands are passed
+    through a λ: β-redexes, let-bound λs, ``(if p then λ else λ) e`` and a
+    λ projected from a record and applied."""
+    counter = draw(st.integers(min_value=0, max_value=10_000))
+    names = iter(f"f{counter}_{i}" for i in range(10_000))
+
+    def fn_of(v: str, k: int) -> Lambda:
+        return Lambda(v, BinOp("+", Var(v), const(k)))
+
+    def wrap(t: Term) -> Term:
+        if type(t) is BinOp and t.op in _COMPARE_OPS and draw(st.booleans()):
+            return BinOp(t.op, t.left, _applied(draw, fn_of, t.right, names))
+        return t
+
+    return transform(draw(comprehensions()), wrap)
+
+
 # ---------------------------------------------------------------------------
 # The theorems
 # ---------------------------------------------------------------------------
@@ -251,3 +311,16 @@ def test_full_optimizer_pipeline_sound(db, term):
     reference = evaluate(term, db)
     compiled = Optimizer(db).compile_term(term)
     assert compiled.execute(db) == reference
+
+
+@settings(
+    max_examples=settings.default.max_examples if _CONFLUENCE_CI else 50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(db=databases(), term=higher_order())
+def test_lambdas_normalize_away(db, term):
+    """prepare's normal form of a closed relational term is λ-free, so the
+    whole plan compiles, and it answers as the raw term does."""
+    assert not any(isinstance(t, (Lambda, Apply)) for t in subterms(prepare(term)))
+    assert QueryPipeline(db).compile_term(term).execute(db) == evaluate(term, db)
