@@ -62,10 +62,11 @@ the shapes the physical planner fuses, recognised by its own functions:
   stored column values (:func:`~repro.engine.planner.shared_spine`) states
   L once (``WITH l``), runs the spine over one row of ``l`` per distinct
   binding, and joins each L row to its value with ``IS``;
-* *the grouped product* otherwise — ``GROUP BY`` over the joined rows,
-  first-seen group order kept as ``MIN("$rn")`` of a ``ROW_NUMBER()`` over
-  the chain's ``$pos`` ordering, a record key passing its payload columns
-  through the derived table under a ``k<i>$`` prefix, an occurrence as ``k<i>#``.
+* *the grouped product* otherwise — ``GROUP BY`` over the joined rows, a
+  record key passing its payload columns through the derived table under a
+  ``k<i>$`` prefix, an occurrence as ``k<i>#``; first-seen group order from
+  the chain's own ``$pos`` columns — those the keys pin pass through bare,
+  the next one as its ``MIN`` (:meth:`_SegmentBuilder._grouped_nest`).
 
 The first two emit one row per *row* of L, the product form one per group
 of L's keys, and the two agree: a variable over a bag or list table is
@@ -1142,8 +1143,8 @@ class _Chain:
 
     ``order_cols`` are the SQL expressions that reproduce the in-memory
     engine's nested-loop enumeration order (one ``$pos`` per constituent
-    source, in enumeration order); a lowered nest replaces its inputs'
-    ``$pos`` columns with its groups' first-seen ``MIN("$rn")``.
+    source, in enumeration order); a lowered nest's are its groups'
+    first-seen position (:meth:`_SegmentBuilder._grouped_nest`).
     """
 
     from_sql: str
@@ -1438,28 +1439,6 @@ class _SegmentBuilder:
             conds.append(pred.sql)
         return conds
 
-    def _rank(self, plan: Nest, chain: _Chain) -> str:
-        """Each row's enumeration rank under *plan*'s grouping.
-
-        When every group-by variable is a record binding and together they
-        pin the chain's *leading* order column, that column is constant
-        within each group (the key fixes its source row) and distinct
-        across groups (``$oid`` and ``$pos`` are bijective per source), so
-        it reproduces first-seen group order directly; otherwise a
-        ``ROW_NUMBER()`` window over the chain's order, which forces a
-        full sort of the join output.
-        """
-        pinned: set[str] = set()
-        for var in plan.group_by:
-            bind = chain.binds.get(var)
-            if bind is None or bind.kind != "record":
-                break
-            pinned.add(f"{bind.alias}.{_q('$pos')}")
-        else:
-            if chain.order_cols[:1] == list(pinned):
-                return chain.order_cols[0]
-        return f"ROW_NUMBER() OVER (ORDER BY {', '.join(chain.order_cols)})"
-
     def _chain_nest(
         self, plan: Nest, counter: list[int], root: bool = False
     ) -> _Chain | None:
@@ -1572,8 +1551,10 @@ class _SegmentBuilder:
         spine — this nest on top — lowered as it stands over ``d``, and
         ``l JOIN spine`` handing each L row its value.  ``d``'s rows are
         whole rows of ``l`` (bare columns under GROUP BY: one row of each
-        group), so the spine's terms and keys read what they always read.
-        ``IS``, not ``=``: a NULL binding is a binding.  An uncorrelated
+        group), so the spine's terms and keys read what they always read;
+        ``l`` carries L's order columns, a record's ``$pos`` as its key
+        column ``k<i>$$pos``, for the final ORDER BY and the spine's keys to
+        pin.  ``IS``, not ``=``: a NULL binding is a binding.  An uncorrelated
         spine (no binding) is lowered as it stands; the other refusals are
         the module docstring's."""
         found = shared_spine(plan)
@@ -1592,16 +1573,10 @@ class _SegmentBuilder:
                 return None
             return [c.sql for c in stored]
 
-        carried = self._carried(base.binds, leaf.columns())
+        carried = self._carried(base.binds, leaf.columns(), order=base.order_cols)
         if carried is None or columns(base.binds) is None:
             return None
-        items, _, rebind = carried
-        # One rank column: a row of l is one position, which a group key
-        # over l's variables pins (_rank) as it pins a table's.
-        rank = base.order_cols[0]
-        if len(base.order_cols) > 1:
-            rank = f"ROW_NUMBER() OVER (ORDER BY {', '.join(base.order_cols)})"
-        items.append((rank, "$pos"))
+        items, _, rebind, positions = carried
         lname, dname = self._alias(counter, "l"), self._alias(counter, "d")
         lalias, dalias = self._alias(counter), self._alias(counter)
         stated = base.select([f"{sql} AS {_q(name)}" for sql, name in items])
@@ -1613,11 +1588,11 @@ class _SegmentBuilder:
         self._standins[id(leaf)] = _Chain(
             from_sql=f"{dname} {dalias}",
             binds=rebind(dalias),
-            order_cols=[f"{dalias}.{_q('$pos')}"],
+            order_cols=[f"{dalias}.{_q(name)}" for name in positions],
             uses_table=base.uses_table,
         )
         try:
-            spine = self._grouped_nest(plan, counter)
+            spine = self._grouped_nest(plan, counter, ordered=False)
         finally:
             del self._standins[id(leaf)]
         if spine is None:
@@ -1628,21 +1603,23 @@ class _SegmentBuilder:
         return _Chain(
             from_sql=f"({lname} {lalias} JOIN {spine.from_sql} ON {on})",
             binds={**outer, plan.out_var: spine.binds[plan.out_var]},
-            order_cols=[f"{lalias}.{_q('$pos')}"],
+            order_cols=[f"{lalias}.{_q(name)}" for name in positions],
             uses_table=spine.uses_table,
             grouped=True,
             ctes=ctes,
         )
 
     def _carried(
-        self, binds: Mapping[str, _VarBind], names: tuple[str, ...], payload: bool = True
-    ) -> tuple[list[tuple[str, str]], list[str], Any] | None:
+        self, binds: Mapping[str, _VarBind], names: tuple[str, ...], payload: bool = True,
+        order: list[str] | tuple[str, ...] = (),
+    ) -> tuple[list[tuple[str, str]], list[str], Any, list[str]] | None:
         """Variables *names* as columns of a derived table: ``(sql, name)``
-        select items, the key columns, and a function rebinding the
-        variables over an alias of that table.  A record passes its
-        ``$oid`` — and, with *payload*, its payload columns — through under
-        a ``k<i>$`` prefix, anything else is the one column ``k<i>``, an
-        occurrence ``k<i>#``."""
+        select items, the key columns, a function rebinding the variables
+        over an alias of that table, and the names *order* (order columns)
+        is carried under.  A record passes its ``$oid`` — and, with
+        *payload*, its payload columns; its ``$pos`` when that is in *order*
+        — through under a ``k<i>$`` prefix, anything else is the one column
+        ``k<i>``, an occurrence ``k<i>#``, any other order column ``$o<j>``."""
         items: list[tuple[str, str]] = []
         keys: list[str] = []
         shapes: list[tuple[str, _Table | None, str, bool]] = []
@@ -1655,6 +1632,8 @@ class _SegmentBuilder:
                 columns = [table.oid_column()]
                 if payload:
                     columns += table.payload_columns()
+                if _bcol(bind, "$pos") in order:
+                    columns.append("$pos")
                 items += [(_bcol(bind, c), f"k{i}${c}") for c in columns]
                 keys.append(f"k{i}${columns[0]}")
             else:
@@ -1678,22 +1657,34 @@ class _SegmentBuilder:
                 for i, (var, table, tag, occurs) in enumerate(shapes)
             }
 
-        return items, keys, rebind
+        named = {sql: name for sql, name in reversed(items)}  # k<i>$$pos before k<i>#
+        items += [(sql, named.setdefault(sql, f"$o{j}")) for j, sql in enumerate(order)
+                  if sql not in named]
+        return items, keys, rebind, [named[sql] for sql in order]
 
     def _grouped_nest(
-        self, plan: Nest, counter: list[int], payload: bool = True
+        self, plan: Nest, counter: list[int], payload: bool = True, ordered: bool = True
     ) -> _Chain | None:
         """A nest as a GROUP BY over its child's rows, a *derived table*.
 
-        The inner query stamps each row with its enumeration rank
-        (``ROW_NUMBER()`` over the chain's ``$pos`` order) and the guarded
-        contribution; the outer query groups, aggregates, and keeps
-        ``MIN("$rn")`` as the group's first-seen position.  Record group
-        keys pass their payload columns through (:meth:`_carried`) for the
-        SQL above to read — within a group every row carries the same
-        ``$oid``, hence identical payload, so the bare columns are sound
-        under GROUP BY — unless *payload* is off: a segment root reads only
-        the ``$oid``.
+        The inner query selects the keys and the guarded contribution; the
+        outer query groups and aggregates.  Record group keys pass their
+        payload columns through (:meth:`_carried`) for the SQL above to
+        read — within a group every row carries the same ``$oid``, hence
+        identical payload, so the bare columns are sound under GROUP BY —
+        unless *payload* is off: a segment root reads only the ``$oid``.
+
+        A group's first-seen position is the least ``$pos`` tuple of its
+        rows.  A record key fixes its row's ``$pos`` within a group (given
+        its parent's, for a child table); an occurrence key is that
+        ``$pos``.  So the order columns ``c1..ck`` the keys pin from the
+        left pass through bare as the same kind of constant: when every
+        key is one of them, they order the groups by themselves; otherwise
+        one more column ``c(k+1)`` does as ``MIN("$rn")`` — the column
+        itself when it is the last, else a ``ROW_NUMBER()`` window over the
+        chain's order, which sorts the whole join output.  Not *ordered* (a
+        shared spine, whose rows are ordered by the L rows they join), only
+        the pinned columns pass.
         """
         chain = self._chain(plan.child, counter)
         if chain is None:
@@ -1703,22 +1694,30 @@ class _SegmentBuilder:
             return None
         contrib, (agg_sql, zero, out_tag, decode) = folded
         galias = self._alias(counter)
-        carried = self._carried(chain.binds, plan.group_by, payload)
+        pins = [b and (b.occurrence if b.kind != "record" else _bcol(b, "$pos"))
+                for b in map(chain.binds.get, plan.group_by)]
+        order = chain.order_cols
+        bare = list(itertools.takewhile(pins.__contains__, order))
+        carried = self._carried(chain.binds, plan.group_by, payload, bare)
         if carried is None:
             return None
-        items, keys, rebind = carried
+        items, keys, rebind, positions = carried
         inner_select = [f"{sql} AS {_q(name)}" for sql, name in items]
         inner_select.append(f"{contrib} AS {_q('$c')}")
-        inner_select.append(f"{self._rank(plan, chain)} AS {_q('$rn')}")
+        outer_items = [_q(name) for _, name in items]
+        outer_items.append(f"{zero.format(agg_sql)} AS {_q('$agg')}")
+        rest = order[len(bare):]
+        if ordered and rest and not (bare and set(pins) <= set(bare)):
+            window = f"ROW_NUMBER() OVER (ORDER BY {', '.join(order)})"
+            rank = rest[0] if len(rest) == 1 else window
+            inner_select.append(f"{rank} AS {_q('$rn')}")
+            outer_items.append(f"MIN({_q('$rn')}) AS {_q('$pos')}")
+            positions.append("$pos")
         # GROUP BY NULL for key-less nests: one group while input rows
         # exist, *zero* groups on empty input — matching the calculus,
         # where a nest over an empty stream emits nothing (unlike a bare
         # SQL aggregate, which would emit one row).
         group_clause = ", ".join(_q(key) for key in keys) or "NULL"
-        outer_items = [_q(name) for _, name in items] + [
-            f"{zero.format(agg_sql)} AS {_q('$agg')}",
-            f"MIN({_q('$rn')}) AS {_q('$pos')}",
-        ]
         grouped_sql = (
             f"SELECT {', '.join(outer_items)} "
             f"FROM ({chain.select(inner_select)}) GROUP BY {group_clause}"
@@ -1730,7 +1729,7 @@ class _SegmentBuilder:
         return _Chain(
             from_sql=f"({grouped_sql}) {galias}",
             binds=rebinds,
-            order_cols=[f"{galias}.{_q('$pos')}"],
+            order_cols=[f"{galias}.{_q(name)}" for name in positions],
             uses_table=chain.uses_table,
             grouped=True,
         )

@@ -654,8 +654,9 @@ class _KernelEmitter:
 
     def _x_comprehension(self, term: Comprehension) -> str:
         """A generator expression in the row's own: a domain is bound in a
-        condition (Python refuses a walrus in an iterable), ``if (_k := _k +
-        len((t := _members(<domain>)))) for x in t``, a singleton domain
+        condition (Python refuses a walrus in an iterable), ``if (_k :=
+        len((t := _members(<domain>))) + _k) for x in t`` (``_k`` read after
+        the domain, whose own folds count into it), a singleton domain
         ``if ((t := v),)``, a filter an ``if``; folded by the monoid's
         ``loop``, or ``fold_elements`` of a list kept in ``_b`` (the root
         bag of a plain kernel: ``BagValue.of_plain``)."""
@@ -682,7 +683,7 @@ class _KernelEmitter:
             else:
                 element = self.wtemp()
                 clauses.append(
-                    f"if (_k := _k + len(({t} := _members({self.xgen(domain)})))) "
+                    f"if (_k := len(({t} := _members({self.xgen(domain)}))) + _k) "
                     f"for {element} in {t}"
                 )
                 self._scope[qualifier.var] = element

@@ -19,7 +19,7 @@ import os
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.calculus.monoids import (
     ALL,
@@ -267,7 +267,25 @@ def _bits(value):
     return struct.pack("<d", value) if isinstance(value, float) else value
 
 
+def _same(a, b) -> bool:
+    """Bit for bit — re-association and ``-0.0`` show there — except that a
+    NaN only has to meet a NaN: IEEE 754 leaves the sign and payload of an
+    operation on NaNs unspecified, and one stream can end on either."""
+    if isinstance(a, float) and a != a:
+        return isinstance(b, float) and b != b
+    return _bits(a) == _bits(b)
+
+
+def _nan(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 @given(STREAMS, st.fixed_dictionaries(_START))
+@example(  # -nan, then a NaN with payload 1: the sum's NaN is either
+    [_nan(0xFFF8000000000000), _nan(0x7FF8000000000001)],
+    {"sum": 0, "prod": 1, "max": 0, "min": 0, "all": True, "some": False,
+     "avg": (0.0, 0)},
+)
 def test_fold_loops_equal_the_reference_fold(values, starts):
     for name in PRIMITIVE:
         m = MONOIDS[name]
@@ -278,7 +296,7 @@ def test_fold_loops_equal_the_reference_fold(values, starts):
             assert repr(m.finalize(got)) == repr(m.finalize(want)), name
             if name in ("sum", "avg"):  # a float sum, bit for bit
                 parts = zip(got, want) if name == "avg" else [(got, want)]
-                assert all(_bits(a) == _bits(b) for a, b in parts), name
+                assert all(_same(a, b) for a, b in parts), name
 
 
 @given(st.lists(st.booleans() | st.just(NULL), max_size=6))

@@ -137,8 +137,11 @@ class TestPushdownFires:
         )
         assert len(statements) == 1
         assert "GROUP BY" in statements[0]
-        # First-seen group order: each group's least row number, ordered by.
+        # First-seen group order: each group's least $pos (the chain's one
+        # order column, no ROW_NUMBER() window), ordered by.
+        assert 't0."$pos" AS "$rn"' in statements[0]
         assert 'MIN("$rn") AS "$pos"' in statements[0]
+        assert "ROW_NUMBER()" not in statements[0]
         assert statements[0].endswith('ORDER BY t1."$pos"')
 
     def test_explain_markers(self):

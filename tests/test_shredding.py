@@ -26,11 +26,14 @@ import pytest
 
 from corpus import CORPUS
 from repro.algebra.operators import (
+    Map,
     Nest,
     OuterJoin,
+    OuterUnnest,
     Reduce,
     Scan,
     Select,
+    Unnest,
     occurrence,
     operators,
 )
@@ -51,6 +54,7 @@ from repro.calculus.terms import BinOp, Const, path, record, var
 from repro.cli import DATABASES
 from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
+from repro.data.codec import encode_value
 from repro.data.database import Database
 from repro.data.schema import (
     BOOL,
@@ -402,34 +406,28 @@ GOLDEN_SQL = {
     # both Nests and the root Reduce push into nested GROUP BY subqueries;
     # nothing stitches in Python.  The universal quantifier's body arrives
     # negated in the inner unnest's ON clause (all-head-to-filter), so its
-    # nest folds a constant false over the surviving children.
+    # nest folds a constant false over the surviving children.  Each nest's
+    # keys pin the $pos columns before its last, which pass through bare
+    # (k0$$pos, k1$$pos) and order the groups: no window, no MIN("$rn").
     "query_d": [
-        'SELECT t4."k0$$oid" AS c0, t4."$agg" AS c1 '
-        'FROM (SELECT "k0$$oid", COALESCE(SUM("$c"), 0) AS "$agg", '
-        'MIN("$rn") AS "$pos" '
-        'FROM (SELECT t3."k0$$oid" AS "k0$$oid", '
-        '(CASE WHEN (t3."k1$$oid" IS NOT NULL) AND t3."$agg" '
-        'THEN 1 ELSE NULL END) AS "$c", '
-        't3."$pos" AS "$rn" '
-        'FROM (SELECT "k0$$oid", "k0$age", "k0$dno", "k0$manager$name", '
-        '"k0$manager$oid", "k0$name", "k0$oid", "k0$salary", "k1$$oid", '
-        '"k1$age", "k1$name", COALESCE(MIN("$c"), 1) AS "$agg", '
-        'MIN("$rn") AS "$pos" '
-        'FROM (SELECT t0."$oid" AS "k0$$oid", t0."age" AS "k0$age", '
-        't0."dno" AS "k0$dno", t0."manager$name" AS "k0$manager$name", '
-        't0."manager$oid" AS "k0$manager$oid", t0."name" AS "k0$name", '
-        't0."oid" AS "k0$oid", t0."salary" AS "k0$salary", '
-        't1."$oid" AS "k1$$oid", t1."age" AS "k1$age", '
-        't1."name" AS "k1$name", '
-        '(CASE WHEN (t2."$oid" IS NOT NULL) THEN 0 ELSE NULL END) AS "$c", '
-        'ROW_NUMBER() OVER (ORDER BY t0."$pos", t1."$pos", t2."$pos") '
-        'AS "$rn" '
-        'FROM (("Employees" t0 LEFT JOIN "Employees$children" t1 '
-        'ON t1."$parent" = t0."$oid") '
-        'LEFT JOIN "Employees$manager$children" t2 '
-        'ON t2."$parent" = t0."$oid" AND (t1."age" <= t2."age"))) '
-        'GROUP BY "k0$$oid", "k1$$oid") t3) '
-        'GROUP BY "k0$$oid") t4 ORDER BY t4."$pos"'
+        'SELECT t4."k0$$oid" AS c0, t4."$agg" AS c1 FROM (SELECT "k0$$oid", '
+        '"k0$$pos", COALESCE(SUM("$c"), 0) AS "$agg" FROM (SELECT t3."k0$$oid" '
+        'AS "k0$$oid", t3."k0$$pos" AS "k0$$pos", (CASE WHEN (t3."k1$$oid" IS '
+        'NOT NULL) AND t3."$agg" THEN 1 ELSE NULL END) AS "$c" FROM (SELECT '
+        '"k0$$oid", "k0$age", "k0$dno", "k0$manager$name", "k0$manager$oid", '
+        '"k0$name", "k0$oid", "k0$salary", "k0$$pos", "k1$$oid", "k1$age", '
+        '"k1$name", "k1$$pos", COALESCE(MIN("$c"), 1) AS "$agg" FROM (SELECT '
+        't0."$oid" AS "k0$$oid", t0."age" AS "k0$age", t0."dno" AS "k0$dno", '
+        't0."manager$name" AS "k0$manager$name", t0."manager$oid" AS '
+        '"k0$manager$oid", t0."name" AS "k0$name", t0."oid" AS "k0$oid", '
+        't0."salary" AS "k0$salary", t0."$pos" AS "k0$$pos", t1."$oid" AS '
+        '"k1$$oid", t1."age" AS "k1$age", t1."name" AS "k1$name", t1."$pos" AS '
+        '"k1$$pos", (CASE WHEN (t2."$oid" IS NOT NULL) THEN 0 ELSE NULL END) '
+        'AS "$c" FROM (("Employees" t0 LEFT JOIN "Employees$children" t1 ON '
+        't1."$parent" = t0."$oid") LEFT JOIN "Employees$manager$children" t2 '
+        'ON t2."$parent" = t0."$oid" AND (t1."age" <= t2."age"))) GROUP BY '
+        '"k0$$oid", "k1$$oid") t3) GROUP BY "k0$$oid") t4 ORDER BY '
+        't4."k0$$pos"'
     ],
     # Paper QUERY E takes both fused forms.  The universal nest reads of a
     # student only `s.id`, so its spine runs over d2 — one row of l1 (the
@@ -440,19 +438,20 @@ GOLDEN_SQL = {
     # where a (student, course) pair met no group.
     "query_e": [
         'WITH l1 AS (SELECT t0."$oid" AS "k0$$oid", t0."age" AS "k0$age", '
-        't0."id" AS "k0$id", t0."name" AS "k0$name", t0."$pos" AS "$pos" FROM '
-        '"Student" t0), d2 AS (SELECT * FROM l1 GROUP BY l1."k0$id") SELECT '
-        't3."k0$$oid" AS c0 FROM (l1 t3 JOIN (SELECT "k0$$oid", "k0$age", '
-        '"k0$id", "k0$name", COALESCE(MIN("$c"), 1) AS "$agg", MIN("$rn") AS '
-        '"$pos" FROM (SELECT t4."k0$$oid" AS "k0$$oid", t4."k0$age" AS '
-        '"k0$age", t4."k0$id" AS "k0$id", t4."k0$name" AS "k0$name", (CASE WHEN '
-        '(t5."$oid" IS NOT NULL) THEN COALESCE(t7."$a", 0) ELSE NULL END) AS '
-        '"$c", t4."$pos" AS "$rn" FROM ((d2 t4 LEFT JOIN "Courses" t5 ON '
-        '(t5."title" = \'DB\')) LEFT JOIN (SELECT t6."id" AS "j0", t6."cno" AS '
-        '"j1", MAX((CASE WHEN (t6."$oid" IS NOT NULL) THEN 1 ELSE NULL END)) AS '
-        '"$a" FROM "Transcript" t6 GROUP BY t6."id", t6."cno") t7 ON '
-        '(t4."k0$id" = t7."j0") AND (t5."cno" = t7."j1"))) GROUP BY "k0$$oid") '
-        't8 ON t8."k0$id" IS t3."k0$id") WHERE t8."$agg" ORDER BY t3."$pos"'
+        't0."id" AS "k0$id", t0."name" AS "k0$name", t0."$pos" AS "k0$$pos" '
+        'FROM "Student" t0), d2 AS (SELECT * FROM l1 GROUP BY l1."k0$id") '
+        'SELECT t3."k0$$oid" AS c0 FROM (l1 t3 JOIN (SELECT "k0$$oid", '
+        '"k0$age", "k0$id", "k0$name", "k0$$pos", COALESCE(MIN("$c"), 1) AS '
+        '"$agg" FROM (SELECT t4."k0$$oid" AS "k0$$oid", t4."k0$age" AS '
+        '"k0$age", t4."k0$id" AS "k0$id", t4."k0$name" AS "k0$name", '
+        't4."k0$$pos" AS "k0$$pos", (CASE WHEN (t5."$oid" IS NOT NULL) THEN '
+        'COALESCE(t7."$a", 0) ELSE NULL END) AS "$c" FROM ((d2 t4 LEFT JOIN '
+        '"Courses" t5 ON (t5."title" = \'DB\')) LEFT JOIN (SELECT t6."id" AS '
+        '"j0", t6."cno" AS "j1", MAX((CASE WHEN (t6."$oid" IS NOT NULL) THEN 1 '
+        'ELSE NULL END)) AS "$a" FROM "Transcript" t6 GROUP BY t6."id", '
+        't6."cno") t7 ON (t4."k0$id" = t7."j0") AND (t5."cno" = t7."j1"))) '
+        'GROUP BY "k0$$oid") t8 ON t8."k0$id" IS t3."k0$id") WHERE t8."$agg" '
+        'ORDER BY t3."k0$$pos"'
     ],
     # HAVING + an aggregate head: two nests over one left side, each an
     # aggregate of Employees per dno joined to the employee row — no pair
@@ -471,33 +470,36 @@ GOLDEN_SQL = {
     # A count correlated by value (`k.name = c.name`) under a quantifier:
     # neither nest is a nest over an outer-join, so the product form stays
     # — but over d3, one (item, category) row per distinct category name.
+    # l2 carries its rows' $pos columns (k0$$pos, k1$$pos), not a rank.
     "auction_category_counts": [
         'WITH l2 AS (SELECT t0."$oid" AS "k0$$oid", t0."ino" AS "k0$ino", '
-        't0."reserve" AS "k0$reserve", t0."title" AS "k0$title", t1."$oid" AS '
-        '"k1$$oid", t1."name" AS "k1$name", ROW_NUMBER() OVER (ORDER BY '
-        't0."$pos", t1."$pos") AS "$pos" FROM ("Items" t0 JOIN '
-        '"Items$categories" t1 ON t1."$parent" = t0."$oid")), d3 AS (SELECT * '
-        'FROM l2 GROUP BY l2."k1$name") SELECT t4."k0$$oid" AS c0, t4."k1$$oid" '
-        'AS c1, t9."$agg" AS c2 FROM (l2 t4 JOIN (SELECT "k0$$oid", "k0$ino", '
-        '"k0$reserve", "k0$title", "k1$$oid", "k1$name", COALESCE(SUM("$c"), 0) '
-        'AS "$agg", MIN("$rn") AS "$pos" FROM (SELECT t8."k0$$oid" AS '
+        't0."reserve" AS "k0$reserve", t0."title" AS "k0$title", t0."$pos" AS '
+        '"k0$$pos", t1."$oid" AS "k1$$oid", t1."name" AS "k1$name", t1."$pos" '
+        'AS "k1$$pos" FROM ("Items" t0 JOIN "Items$categories" t1 ON '
+        't1."$parent" = t0."$oid")), d3 AS (SELECT * FROM l2 GROUP BY '
+        'l2."k1$name") SELECT t4."k0$$oid" AS c0, t4."k1$$oid" AS c1, '
+        't9."$agg" AS c2 FROM (l2 t4 JOIN (SELECT "k0$$oid", "k0$ino", '
+        '"k0$reserve", "k0$title", "k0$$pos", "k1$$oid", "k1$name", "k1$$pos", '
+        'COALESCE(SUM("$c"), 0) AS "$agg" FROM (SELECT t8."k0$$oid" AS '
         '"k0$$oid", t8."k0$ino" AS "k0$ino", t8."k0$reserve" AS "k0$reserve", '
-        't8."k0$title" AS "k0$title", t8."k1$$oid" AS "k1$$oid", t8."k1$name" '
-        'AS "k1$name", (CASE WHEN (t8."k2$$oid" IS NOT NULL) AND t8."$agg" THEN '
-        '1 ELSE NULL END) AS "$c", t8."$pos" AS "$rn" FROM (SELECT "k0$$oid", '
-        '"k0$ino", "k0$reserve", "k0$title", "k1$$oid", "k1$name", "k2$$oid", '
-        '"k2$ino", "k2$reserve", "k2$title", COALESCE(MAX("$c"), 0) AS "$agg", '
-        'MIN("$rn") AS "$pos" FROM (SELECT t5."k0$$oid" AS "k0$$oid", '
-        't5."k0$ino" AS "k0$ino", t5."k0$reserve" AS "k0$reserve", '
-        't5."k0$title" AS "k0$title", t5."k1$$oid" AS "k1$$oid", t5."k1$name" '
-        'AS "k1$name", t6."$oid" AS "k2$$oid", t6."ino" AS "k2$ino", '
-        't6."reserve" AS "k2$reserve", t6."title" AS "k2$title", (CASE WHEN '
-        '(t7."$oid" IS NOT NULL) THEN 1 ELSE NULL END) AS "$c", ROW_NUMBER() '
-        'OVER (ORDER BY t5."$pos", t6."$pos", t7."$pos") AS "$rn" FROM ((d3 t5 '
+        't8."k0$title" AS "k0$title", t8."k0$$pos" AS "k0$$pos", t8."k1$$oid" '
+        'AS "k1$$oid", t8."k1$name" AS "k1$name", t8."k1$$pos" AS "k1$$pos", '
+        '(CASE WHEN (t8."k2$$oid" IS NOT NULL) AND t8."$agg" THEN 1 ELSE NULL '
+        'END) AS "$c" FROM (SELECT "k0$$oid", "k0$ino", "k0$reserve", '
+        '"k0$title", "k0$$pos", "k1$$oid", "k1$name", "k1$$pos", "k2$$oid", '
+        '"k2$ino", "k2$reserve", "k2$title", "k2$$pos", COALESCE(MAX("$c"), 0) '
+        'AS "$agg" FROM (SELECT t5."k0$$oid" AS "k0$$oid", t5."k0$ino" AS '
+        '"k0$ino", t5."k0$reserve" AS "k0$reserve", t5."k0$title" AS '
+        '"k0$title", t5."k0$$pos" AS "k0$$pos", t5."k1$$oid" AS "k1$$oid", '
+        't5."k1$name" AS "k1$name", t5."k1$$pos" AS "k1$$pos", t6."$oid" AS '
+        '"k2$$oid", t6."ino" AS "k2$ino", t6."reserve" AS "k2$reserve", '
+        't6."title" AS "k2$title", t6."$pos" AS "k2$$pos", (CASE WHEN '
+        '(t7."$oid" IS NOT NULL) THEN 1 ELSE NULL END) AS "$c" FROM ((d3 t5 '
         'LEFT JOIN "Items" t6 ON 1) LEFT JOIN "Items$categories" t7 ON '
         't7."$parent" = t6."$oid" AND (t7."name" = t5."k1$name"))) GROUP BY '
-        '"k0$$oid", "k1$$oid", "k2$$oid") t8) GROUP BY "k0$$oid", "k1$$oid") t9 '
-        'ON t9."k1$name" IS t4."k1$name") ORDER BY t4."$pos"'
+        '"k0$$oid", "k1$$oid", "k2$$oid") t8) GROUP BY "k0$$oid", "k1$$oid") '
+        't9 ON t9."k1$name" IS t4."k1$name") ORDER BY t4."k0$$pos", '
+        't4."k1$$pos"'
     ],
     # A flat selection compiles the predicate into WHERE; the projected
     # head is pushed into the SELECT list (no object rehydration needed).
@@ -506,16 +508,14 @@ GOLDEN_SQL = {
         'WHERE (t0."salary" > 70000) ORDER BY t0."$pos"'
     ],
     # Section 5 group-by: the whole Nest (grouping + avg aggregate) pushes
-    # into one GROUP BY query; first-seen group order via MIN(row number).
+    # into one GROUP BY query; first-seen group order is each group's least
+    # $pos (one order column, no window).
     "group_avg": [
-        'SELECT t1."k0" AS c0, t1."$agg" AS c1 '
-        'FROM (SELECT "k0", AVG("$c") AS "$agg", MIN("$rn") AS "$pos" '
-        'FROM (SELECT t0."dno" AS "k0", '
-        '(CASE WHEN (t0."dno" IS NOT NULL) THEN t0."salary" '
-        'ELSE NULL END) AS "$c", '
-        'ROW_NUMBER() OVER (ORDER BY t0."$pos") AS "$rn" '
-        'FROM "Employees" t0 WHERE (t0."age" > 30)) '
-        'GROUP BY "k0") t1 ORDER BY t1."$pos"'
+        'SELECT t1."k0" AS c0, t1."$agg" AS c1 FROM (SELECT "k0", AVG("$c") AS '
+        '"$agg", MIN("$rn") AS "$pos" FROM (SELECT t0."dno" AS "k0", (CASE '
+        'WHEN (t0."dno" IS NOT NULL) THEN t0."salary" ELSE NULL END) AS "$c", '
+        't0."$pos" AS "$rn" FROM "Employees" t0 WHERE (t0."age" > 30)) GROUP '
+        'BY "k0") t1 ORDER BY t1."$pos"'
     ],
 }
 
@@ -526,6 +526,20 @@ class TestGoldenSQL:
         query = next(q for q in CORPUS if q.name == name)
         db = DATABASES[query.family]()
         assert shredded_sql(db, query.oql) == GOLDEN_SQL[name]
+
+    def test_few_statements_rank_rows_with_a_window(self):
+        # A grouped nest orders its groups with the chain's own $pos
+        # columns; only keys leaving two or more of them unpinned need a
+        # ROW_NUMBER() window, which sorts the whole join output.  In the
+        # corpus only a shared spine's nest has such keys (`hotels`), and a
+        # spine's groups need no order of their own.
+        dbs = {family: DATABASES[family]() for family in DATABASES}
+        sites = {
+            q.name: n
+            for q in CORPUS
+            if (n := sum(s.count("ROW_NUMBER()") for s in shredded_sql(dbs[q.family], q.oql)))
+        }
+        assert sites == {}
 
     def test_every_corpus_query_produces_some_sql(self):
         # The translation degrades gracefully, but on the demo databases no
@@ -1037,6 +1051,127 @@ class TestFusedNests:
         assert repr(execute_plan(plan, db)) == repr(expected)
 
 
+def _grouped_in_order(db, nest, head, forms=(False, False)):
+    """A bag of *head* over *nest*, lowered: its one flat query, after
+    checking that both backends answer the reference's rows in its order.
+    *forms*: :func:`fused_forms` of the query (the grouped product)."""
+    plan = Reduce(nest, "bag", head)
+    store = shredded_store(db)
+    lowered = compile_segments(plan, store, type_plan(plan, db).occurring)
+    (sql,) = [n.segment.sql for n in operators(lowered) if isinstance(n, SqlSegment)]
+    assert fused_forms([sql]) == forms
+    expected = encode_value(evaluate_reference(plan, db))
+    assert encode_value(execute_plan(lowered, store)) == expected
+    assert encode_value(execute_plan(plan, db)) == expected
+    return sql
+
+
+class TestFirstSeenOrder:
+    """A grouped nest orders its groups by their first rows through the
+    chain's own ``$pos`` columns: bare where the keys pin them, one
+    ``MIN`` after them, and a ``ROW_NUMBER()`` window only when the keys
+    leave two or more unpinned.  Each case is answered order-exactly."""
+
+    def test_a_scalar_key_over_one_table_takes_the_least_pos(self):
+        # First seen: a, b, NULL, d, e — not the GROUP BY's NULL first.
+        nest = Nest(
+            Map(Scan("Us", "u"), (("s", path("u", "s")),)),
+            "sum", path("u", "v"), ("s",), (), "n",
+        )  # fmt: skip
+        sql = _grouped_in_order(_fusion_db(), nest, record(S=var("s"), N=var("n")))
+        assert 'MIN("$rn")' in sql and "ROW_NUMBER()" not in sql
+
+    def test_keys_pinning_all_but_the_last_column_take_its_least(self):
+        # Per t, (x < 2) before (x >= 2) when that is how its xs run; a t
+        # with no xs is one padded group, its $pos NULL.
+        nest = Nest(
+            Map(
+                OuterUnnest(Scan("Ts", "t"), path("t", "xs"), "x"),
+                (("small", BinOp("<", var("x"), Const(2))),),
+            ),
+            "sum", Const(1), ("t", "small"), ("x",), "n",
+        )  # fmt: skip
+        head = record(I=path("t", "id"), S=var("small"), N=var("n"))
+        sql = _grouped_in_order(_fusion_db(), nest, head)
+        assert '"k0$$pos"' in sql and 'MIN("$rn")' in sql
+        assert "ROW_NUMBER()" not in sql
+
+    def test_a_bag_holding_an_element_twice_keeps_both_groups(self):
+        # `twice` is two occurrences of one object: two groups, in order.
+        pairs = OuterJoin(
+            OuterUnnest(Scan("Ps", "p"), path("p", "cs"), "c"),
+            Scan("Ws", "w"),
+            BinOp(">", path("w", "a"), BinOp("+", path("c", "m"), Const(0))),
+        )
+        nest = Nest(pairs, "sum", Const(1), ("p", "c"), ("w",), "n")
+        head = record(I=path("p", "id"), M=path("c", "m"), N=var("n"))
+        sql = _grouped_in_order(_fusion_db(), nest, head)
+        # Every key pins a column: the pinned $pos columns order the groups.
+        assert 'ORDER BY t3."k0$$pos", t3."k1$$pos"' in sql
+        assert "MIN(" not in sql and "ROW_NUMBER()" not in sql
+        # So does a scalar's occurrence: t.xs holds 1 twice.
+        scalars = OuterJoin(
+            OuterUnnest(Scan("Ts", "t"), path("t", "xs"), "x"),
+            Scan("Ws", "w"),
+            BinOp(">", path("w", "a"), BinOp("+", var("x"), Const(0))),
+        )
+        nest = Nest(scalars, "sum", Const(1), ("t", "x"), ("w",), "n")
+        head = record(I=path("t", "id"), X=var("x"), N=var("n"))
+        sql = _grouped_in_order(_fusion_db(), nest, head)
+        assert 'ORDER BY t3."k0$$pos", t3."k1#"' in sql
+        assert "MIN(" not in sql and "ROW_NUMBER()" not in sql
+
+    def test_two_unpinned_columns_keep_the_window(self):
+        # Per t, the groups (w.a > 7) and (w.a <= 7) share their least x: only
+        # the (x, w) order tells that the first comes first.
+        nest = Nest(
+            Map(
+                OuterJoin(
+                    OuterUnnest(Scan("Ts", "t"), path("t", "xs"), "x"),
+                    Scan("Ws", "w"),
+                    BinOp(">", path("w", "a"), var("x")),
+                ),
+                (("big", BinOp(">", path("w", "a"), Const(7))),),
+            ),
+            "sum", Const(1), ("t", "big"), ("w",), "n",
+        )  # fmt: skip
+        head = record(I=path("t", "id"), B=var("big"), N=var("n"))
+        sql = _grouped_in_order(_fusion_db(), nest, head)
+        assert sql.count("ROW_NUMBER()") == 1
+
+    def test_a_domain_carries_its_order_columns(self):
+        # l states (t, y) rows, y over a *set* of scalars: no key holds y's
+        # $pos, so l carries it as an order column of its own, and the
+        # result keeps each t's ys in stored order (5, 3, 9), not sorted.
+        schema = Schema()
+        schema.define_class("T", id=INT, k=INT, ys=set_of(INT))
+        schema.define_class("U", v=INT)
+        schema.define_extent("Ts", "T")
+        schema.define_extent("Us", "U")
+        db = Database(schema)
+        db.add_extent(
+            "Ts",
+            [
+                Record(id=1, k=2, ys=SetValue([5, 3, 9])),
+                Record(id=2, k=2, ys=SetValue([])),
+                Record(id=3, k=7, ys=SetValue([4, 1])),
+                Record(id=4, k=NULL, ys=SetValue([8])),
+            ],
+        )
+        db.add_extent("Us", [Record(v=3), Record(v=8), Record(v=1)])
+        pairs = OuterJoin(
+            Unnest(Scan("Ts", "t"), path("t", "ys"), "y"),
+            Scan("Us", "u"),
+            BinOp(">", path("u", "v"), path("t", "k")),
+        )
+        nest = Nest(pairs, "sum", Const(1), ("t", "y"), ("u",), "n")
+        head = record(I=path("t", "id"), Y=var("y"), N=var("n"))
+        sql = _grouped_in_order(db, nest, head, forms=_DOMAIN)
+        assert 't1."$pos" AS "$o1"' in sql
+        assert sql.endswith('ORDER BY t4."k0$$pos", t4."$o1"')
+        assert "ROW_NUMBER()" not in sql
+
+
 class TestIdentityParity:
     def test_value_equal_duplicates_parity(self):
         # Two value-equal records are distinct *objects*: bag semantics must
@@ -1365,6 +1500,9 @@ class TestCorpusParity:
             TestCorpusParity.refusals.append((query.name, str(exc)))
             pytest.fail(f"backend refused corpus query {query.name}: {exc}")
         assert results_equal(memory, shredded), query.name
+        # Order-exact: set and bag elements, groups included, come back in
+        # the order the memory engine enumerates them.
+        assert encode_value(memory) == encode_value(shredded), query.name
 
     def test_zero_silent_skips(self):
         assert TestCorpusParity.refusals == []
