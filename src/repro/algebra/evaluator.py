@@ -199,8 +199,6 @@ class PlanEvaluator:
             contribution = self._contribution(monoid, plan.head, env)
             if contribution is not None:
                 result = monoid.merge(result, contribution)
-        if isinstance(monoid, CollectionMonoid):
-            return result
         return monoid.finalize(result)
 
     def _nest(self, plan: Nest) -> Iterator[Env]:
@@ -229,11 +227,8 @@ class PlanEvaluator:
             contribution = self._contribution(monoid, plan.head, env)
             if contribution is not None:
                 groups[key] = monoid.merge(groups[key], contribution)
-        finalize = (
-            (lambda v: v) if isinstance(monoid, CollectionMonoid) else monoid.finalize
-        )
         for key in order:
-            yield {**keys_to_env[key], plan.out_var: finalize(groups[key])}
+            yield {**keys_to_env[key], plan.out_var: monoid.finalize(groups[key])}
 
 
 def _bindings(var: str, collection: CollectionValue) -> list[Env]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Iterator
 
-from repro.calculus.monoids import MONOID_SYMBOLS, Monoid, monoid as lookup_monoid
+from repro.calculus.monoids import Monoid, monoid as lookup_monoid
 from repro.calculus.terms import TRUE, Term
 
 
@@ -205,7 +205,7 @@ class Reduce(Operator):
 
     @property
     def symbol(self) -> str:
-        return MONOID_SYMBOLS[self.monoid_name]
+        return self.monoid.symbol
 
     def columns(self) -> tuple[str, ...]:
         return ()  # produces a value, not a stream
@@ -252,7 +252,7 @@ class Nest(Operator):
 
     @property
     def symbol(self) -> str:
-        return MONOID_SYMBOLS[self.monoid_name]
+        return self.monoid.symbol
 
     def columns(self) -> tuple[str, ...]:
         return self.group_by + (self.out_var,)

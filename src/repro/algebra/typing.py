@@ -36,7 +36,8 @@ from repro.algebra.operators import (
     Unnest,
 )
 from repro.calculus.terms import RecordCons, Term
-from repro.calculus.typing import _PRIMITIVE_MONOID_TYPES, CalculusTypeError, TypeChecker
+from repro.calculus.monoids import monoid as lookup_monoid
+from repro.calculus.typing import CalculusTypeError, TypeChecker
 from repro.data.schema import (
     ANY,
     AnyType,
@@ -176,9 +177,10 @@ class PlanTypeChecker:
 
     def reduction_type(self, monoid_name: str, head: Term, env: EnvType) -> Type:
         head_type = self.infer(head, env)
-        if monoid_name in _PRIMITIVE_MONOID_TYPES:
-            return _PRIMITIVE_MONOID_TYPES[monoid_name]
-        return CollectionType(monoid_name, head_type)
+        try:
+            return self._terms.fold_type(lookup_monoid(monoid_name), head_type, head)
+        except CalculusTypeError as exc:
+            return self._fail(str(exc), exc)
 
     def _bind(self, env: EnvType, var: str, type_: Type) -> None:
         env[var] = self.columns[var] = ANY if self._failed else type_

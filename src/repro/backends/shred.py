@@ -64,7 +64,8 @@ the shapes the physical planner fuses, recognised by its own functions:
   binding, and joins each L row to its value with ``IS``;
 * *the grouped product* otherwise — ``GROUP BY`` over the joined rows, a
   record key passing its payload columns through the derived table under a
-  ``k<i>$`` prefix, an occurrence as ``k<i>#``; first-seen group order from
+  ``k<i>$`` prefix (its occurrence is its ``k<i>$$pos``), a scalar's
+  occurrence as ``k<i>#``; first-seen group order from
   the chain's own ``$pos`` columns — those the keys pin pass through bare,
   the next one as its ``MIN`` (:meth:`_SegmentBuilder._grouped_nest`).
 
@@ -832,7 +833,8 @@ class _VarBind:
     group key passes its payload columns through under a ``k<i>$`` prefix,
     so the rebound variable resolves ``alias."k<i>$<column>"`` instead of
     the physical column names.  ``occurrence``: over a bag or list, the
-    SQL of the variable's occurrence (its row's ``$pos``, or ``k<i>#``).
+    SQL of the variable's occurrence (its row's ``$pos``: ``k<i>$$pos`` of
+    a record, ``k<i>#`` of a scalar, over a derived table).
     ``decode``: how a result column decodes a lowered nest's value
     (``min``: NULL is its zero, ``+inf``).
     """
@@ -1205,7 +1207,13 @@ class _SegmentBuilder:
         """What replaces *plan*: a SqlSegment, a Reduce over one, or None."""
         self._pending = set()
         counter = [0]
-        if isinstance(plan, Reduce):
+        # A reduce, or a collection nest into one group whose every row
+        # contributes (the set an ORDER BY ranges over), folds the segment.
+        whole = isinstance(plan, Reduce) or (
+            isinstance(plan, Nest) and isinstance(plan.monoid, CollectionMonoid)
+            and not plan.group_by and not plan.null_vars and plan.pred == Const(True)
+        )
+        if whole:
             segment = self._build_reduce(plan, counter)
         else:
             chain = self._chain(plan, counter, root=True)
@@ -1214,9 +1222,9 @@ class _SegmentBuilder:
         if segment is None:
             return None
         self.index_requests |= self._pending
-        if isinstance(plan, Reduce):
-            leaf = SqlSegment(segment, "Reduce", (_VALUE,))
-            return Reduce(leaf, plan.monoid_name, Var(_VALUE))
+        if whole:
+            leaf = SqlSegment(segment, type(plan).__name__, (_VALUE,))
+            return replace(plan, child=leaf, head=Var(_VALUE), pred=Const(True))
         return SqlSegment(segment, type(plan).__name__, plan.columns())
 
     # -- chain construction --------------------------------------------------
@@ -1618,8 +1626,9 @@ class _SegmentBuilder:
         over an alias of that table, and the names *order* (order columns)
         is carried under.  A record passes its ``$oid`` — and, with
         *payload*, its payload columns; its ``$pos`` when that is in *order*
-        — through under a ``k<i>$`` prefix, anything else is the one column
-        ``k<i>``, an occurrence ``k<i>#``, any other order column ``$o<j>``."""
+        or is its occurrence — through under a ``k<i>$`` prefix, anything
+        else is the one column ``k<i>``, its occurrence ``k<i>#``; any other
+        order column is ``$o<j>``."""
         items: list[tuple[str, str]] = []
         keys: list[str] = []
         shapes: list[tuple[str, _Table | None, str, bool]] = []
@@ -1632,19 +1641,22 @@ class _SegmentBuilder:
                 columns = [table.oid_column()]
                 if payload:
                     columns += table.payload_columns()
-                if _bcol(bind, "$pos") in order:
-                    columns.append("$pos")
+                if bind.occurrence or _bcol(bind, "$pos") in order:
+                    columns.append("$pos")  # a record's occurrence is its $pos
                 items += [(_bcol(bind, c), f"k{i}${c}") for c in columns]
                 keys.append(f"k{i}${columns[0]}")
+                occurs = f"k{i}$$pos" if bind.occurrence else ""
             else:
                 key_sql, kind, tag = _column(bind)
                 items.append((key_sql, f"k{i}"))
                 keys.append(f"k{i}")
                 tag = "object" if kind == "object" else tag
-            if bind.occurrence:
-                items.append((bind.occurrence, f"k{i}#"))
-                keys.append(f"k{i}#")
-            shapes.append((var, table, tag, bool(bind.occurrence)))
+                occurs = f"k{i}#" if bind.occurrence else ""
+                if occurs:
+                    items.append((bind.occurrence, occurs))
+            if occurs:
+                keys.append(occurs)
+            shapes.append((var, table, tag, occurs))
 
         def rebind(alias: str) -> dict[str, _VarBind]:
             return {
@@ -1652,12 +1664,12 @@ class _SegmentBuilder:
                     _VarBind("record", alias, table, prefix=f"k{i}$")
                     if table is not None
                     else _VarBind("expr", expr=_SqlExpr(f"{alias}.{_q(f'k{i}')}", tag)),
-                    occurrence=f"{alias}.{_q(f'k{i}#')}" if occurs else "",
+                    occurrence=f"{alias}.{_q(occurs)}" if occurs else "",
                 )
                 for i, (var, table, tag, occurs) in enumerate(shapes)
             }
 
-        named = {sql: name for sql, name in reversed(items)}  # k<i>$$pos before k<i>#
+        named = {sql: name for sql, name in reversed(items)}
         items += [(sql, named.setdefault(sql, f"$o{j}")) for j, sql in enumerate(order)
                   if sql not in named]
         return items, keys, rebind, [named[sql] for sql in order]
@@ -1734,11 +1746,12 @@ class _SegmentBuilder:
             grouped=True,
         )
 
-    def _build_reduce(self, plan: Reduce, counter: list[int]) -> _Segment | None:
-        """A reduce root's segment, one value per row for the engine's own
-        ``Reduce`` to fold: the head of every row the predicate keeps, in
-        enumeration order, for a collection monoid; the one aggregated row
-        for a primitive one, NULL where the monoid's zero is meant."""
+    def _build_reduce(self, plan: Reduce | Nest, counter: list[int]) -> _Segment | None:
+        """A reduce root's segment (or a one-group nest's), one value per
+        row for the engine's own operator to fold: the head of every row the
+        predicate keeps, in enumeration order, for a collection monoid; the
+        one aggregated row for a primitive one, NULL where the monoid's zero
+        is meant."""
         chain = self._chain(plan.child, counter)
         if chain is None or not chain.uses_table:
             return None

@@ -222,7 +222,7 @@ class Evaluator:
         monoid = term.monoid
         if not isinstance(monoid, CollectionMonoid):
             raise EvaluationError(f"singleton of primitive monoid {monoid.name}")
-        return monoid.unit(self._eval(term.expr, env))
+        return monoid.finalize(monoid.unit(self._eval(term.expr, env)))
 
     def _eval_merge(self, term: Merge, env: dict[str, Any]) -> Any:
         left = self._eval(term.left, env)
@@ -231,12 +231,15 @@ class Evaluator:
 
     def _eval_comprehension(self, term: Comprehension, env: dict[str, Any]) -> Any:
         monoid = term.monoid
+        bindings = self._bindings(term.qualifiers, env)
+        if isinstance(monoid, CollectionMonoid):
+            # In one pass, which equals the fold of the heads' units; merging
+            # each unit would copy (and a sorted fold re-sort) the whole
+            # accumulator every head.
+            return monoid.fold_elements(self._eval(term.head, b) for b in bindings)
         result = monoid.zero
-        for binding in self._bindings(term.qualifiers, env):
+        for binding in bindings:
             value = self._eval(term.head, binding)
-            if isinstance(monoid, CollectionMonoid):
-                result = monoid.merge(result, monoid.unit(value))
-                continue
             if is_null(value):
                 # A NULL contributes nothing to a primitive accumulator (a
                 # NULL cannot be summed or conjoined) — the same policy the
@@ -249,8 +252,6 @@ class Evaluator:
                 return False
             if monoid.name == "some" and result is True:
                 return True
-        if isinstance(monoid, CollectionMonoid):
-            return result
         return monoid.finalize(result)
 
     def _bindings(

@@ -10,12 +10,16 @@ primitive type.
 The properties *commutative* and *idempotent* drive both the normalization
 algorithm (rule N7/N8 side conditions) and the semantics of comprehensions
 over mixed monoids (rule D7's duplicate guard).
+
+ORDER BY is a fold too, of the ``sorted[…]`` family (:class:`SortedMonoid`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.data.values import NULL, BagValue, ListValue, SetValue
@@ -62,6 +66,10 @@ class Monoid:
         for value in values:
             result = self.merge(result, value)
         return result
+
+    @property
+    def symbol(self) -> str:  # in the plan printers (paper notation)
+        return MONOID_SYMBOLS.get(self.name, self.name)
 
     def __repr__(self) -> str:
         return self.name
@@ -271,13 +279,71 @@ MONOID_SYMBOLS: dict[str, str] = {
 }
 
 
+@dataclass(frozen=True)
+class SortedMonoid(CollectionMonoid):
+    """``sorted[d0…dn]`` (ORDER BY): folds ``struct(k0: key0, …, v: e)``
+    heads into the list of their elements, by ``k0`` first, ascending where
+    ``di`` is ``+``; NULL sorts first ascending, last descending.  Its
+    carrier is the tuple of rows ``(key0, …, e)`` in order, and ``merge`` is
+    stable: tied rows keep the order they were folded in.  Commutative up
+    to ties, not idempotent (a ``select distinct`` sorts a set's elements)."""
+
+    descending: tuple[bool, ...] = ()
+
+    def order(self, rows: list) -> list:
+        """*rows* in key order: one stable pass per key, the least
+        significant first."""
+        for i in reversed(range(len(self.descending))):
+            key, descending = itemgetter(i), self.descending[i]
+            try:  # a NULL among two or more keys fails a comparison
+                rows = sorted(rows, key=key, reverse=descending)
+            except TypeError:
+                nulls = [r for r in rows if r[i] is NULL]
+                rows = sorted((r for r in rows if r[i] is not NULL), key=key, reverse=descending)
+                rows = rows + nulls if descending else nulls + rows
+        return rows
+
+
+def _rows(heads: Iterable[Any]) -> list:
+    """Heads as rows: a struct as its values in its order (a row kernel
+    hands over the tuples)."""
+    return [h if h.__class__ is tuple else tuple(h._fields.values()) for h in heads]
+
+
+def _elements(rows: Iterable[tuple]) -> ListValue:
+    return ListValue(map(itemgetter(-1), rows))
+
+
+@lru_cache(maxsize=None)
+def sorted_monoid(directions: str) -> SortedMonoid:
+    """``sorted[directions]``: one ``+`` (ascending) or ``-`` (descending)
+    per key."""
+    name = f"sorted[{directions}]"
+    if not directions or set(directions) - {"+", "-"}:
+        raise KeyError(f"unknown monoid {name!r}: one + or - per key")
+    found = SortedMonoid(
+        name=name,
+        zero=(),
+        merge=lambda a, b: tuple(found.order([*a, *b])),
+        finalize=_elements,
+        unit=lambda head: tuple(_rows([head])),
+        from_elements=lambda heads: _elements(found.order(_rows(heads))),
+        descending=tuple(d == "-" for d in directions),
+    )
+    return found
+
+
 def monoid(name: str) -> Monoid:
-    """Look up a monoid by name, raising a helpful error when unknown."""
-    try:
-        return MONOIDS[name]
-    except KeyError:
-        known = ", ".join(sorted(MONOIDS))
-        raise KeyError(f"unknown monoid {name!r}; known monoids: {known}") from None
+    """Look up a monoid by name, ``MONOIDS`` first, raising a helpful error
+    when unknown."""
+    found = MONOIDS.get(name)
+    if found is not None:
+        return found
+    family, _, directions = name.partition("[")
+    if family == "sorted" and directions.endswith("]"):
+        return sorted_monoid(directions[:-1])
+    known = ", ".join(sorted(MONOIDS))
+    raise KeyError(f"unknown monoid {name!r}; known monoids: {known}, sorted[+-…]")
 
 
 def leq(inner: Monoid, outer: Monoid) -> bool:

@@ -87,10 +87,7 @@ def pretty(term: Term) -> str:
         open_b, close_b = _MONOID_BRACES.get(term.monoid_name, ("{", "}"))
         return f"{open_b} {pretty(term.expr)} {close_b}"
     if isinstance(term, Merge):
-        from repro.calculus.monoids import MONOID_SYMBOLS
-
-        symbol = MONOID_SYMBOLS[term.monoid_name]
-        return f"{_atom(term.left)} {symbol} {_atom(term.right)}"
+        return f"{_atom(term.left)} {term.monoid.symbol} {_atom(term.right)}"
     if isinstance(term, Comprehension):
         return _pretty_comprehension(term)
     raise TypeError(f"cannot pretty-print {type(term).__name__}")

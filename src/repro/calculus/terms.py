@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Any, Callable, Iterator
 
-from repro.calculus.monoids import MONOID_SYMBOLS, Monoid, monoid as lookup_monoid
+from repro.calculus.monoids import Monoid, monoid as lookup_monoid
 
 
 class Term:
@@ -344,7 +344,7 @@ class Comprehension(Term):
 
     @property
     def symbol(self) -> str:
-        return MONOID_SYMBOLS[self.monoid_name]
+        return self.monoid.symbol
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ term given a schema (for extents) and a typing environment σ (for free
 variables).  Besides the paper's rules it enforces the monoid
 well-formedness order: a generator whose domain is a commutative collection
 cannot feed a non-commutative comprehension (see
-:func:`repro.calculus.monoids.leq`).
+:func:`repro.calculus.monoids.leq`), and a ``sorted[…]`` fold (ORDER BY)
+is a list of its heads' ``v`` whose keys are primitive.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.calculus.monoids import leq, monoid as lookup_monoid
+from repro.calculus.monoids import Monoid, SortedMonoid, leq, monoid as lookup_monoid
 from repro.calculus.terms import (
     ARITHMETIC_OPS,
     BOOLEAN_OPS,
@@ -48,7 +49,9 @@ from repro.data.schema import (
     AnyType,
     BoolType,
     CollectionType,
+    FloatType,
     FunctionType,
+    IntType,
     RecordType,
     Schema,
     StringType,
@@ -93,6 +96,10 @@ def infer_type(
     """Infer the type of *term* under substitution *env* (rule notation σ ⊢ e : t)."""
     checker = TypeChecker(schema)
     return checker.infer(term, dict(env) if env else {})
+
+
+#: The types an ORDER BY key may have (ANY: NULL, a parameter).
+_KEY_TYPES = (BoolType, IntType, FloatType, StringType, AnyType)
 
 
 class TypeChecker:
@@ -145,10 +152,10 @@ class TypeChecker:
             self.infer(term.expr, env)
             return BOOL
         if isinstance(term, Zero):
-            return self._monoid_type(term.monoid_name, ANY)
+            return self.fold_type(term.monoid, ANY, term)
         if isinstance(term, Singleton):
             element = self.infer(term.expr, env)
-            return self._monoid_type(term.monoid_name, element)  # (T8)
+            return self.fold_type(term.monoid, element, term)  # (T8)
         if isinstance(term, Merge):
             left = self.infer(term.left, env)
             right = self.infer(term.right, env)
@@ -257,10 +264,27 @@ class TypeChecker:
             return BOOL
         raise CalculusTypeError(f"unknown operator {term.op!r}", term)
 
-    def _monoid_type(self, monoid_name: str, element: Type) -> Type:
-        if monoid_name in _PRIMITIVE_MONOID_TYPES:
-            return _PRIMITIVE_MONOID_TYPES[monoid_name]
-        return CollectionType(monoid_name, element)
+    def fold_type(self, monoid: Monoid, head: Type, term: Term) -> Type:
+        """The type of a *monoid* fold of *head* values: a primitive's
+        carrier, a collection of them — or, of ``sorted[…]``, ``list(T)``
+        of ``struct(k0: …, v: T)`` heads whose keys are primitive."""
+        if monoid.name in _PRIMITIVE_MONOID_TYPES:
+            return _PRIMITIVE_MONOID_TYPES[monoid.name]
+        if not isinstance(monoid, SortedMonoid):
+            return CollectionType(monoid.name, head)
+        if isinstance(head, AnyType):
+            return CollectionType("list", ANY)
+        names = [f"k{i}" for i in range(len(monoid.descending))] + ["v"]
+        if not isinstance(head, RecordType) or [n for n, _ in head.fields] != names:
+            raise CalculusTypeError(f"head of {monoid.name} is {head}", term)
+        for i, (_, key) in enumerate(head.fields[:-1]):
+            if not isinstance(key, _KEY_TYPES):
+                raise CalculusTypeError(
+                    f"ORDER BY key {i + 1} has type {key}; a key must be a "
+                    "primitive value",
+                    term,
+                )
+        return CollectionType("list", head.fields[-1][1])
 
     def _infer_comprehension(self, term: Comprehension, env: dict[str, Type]) -> Type:
         outer = term.monoid
@@ -304,7 +328,7 @@ class TypeChecker:
                     term,
                 )
             return expected
-        return CollectionType(outer.name, head)
+        return self.fold_type(outer, head, term)
 
     def _expect(self, term: Term, env: dict[str, Type], expected: Type, what: str) -> None:
         actual = self.infer(term, env)

@@ -34,8 +34,10 @@ the fuzzer check ``prepare`` against them up to α-renaming.  Two soundness
 side conditions are implicit in the paper's monoid well-formedness
 discussion: N6 and N7 keep a generator over an *idempotent* collection (a
 set) feeding a *non-idempotent* accumulator (e.g. ``sum``) nested, since
-flattening it could collapse duplicates; and N8 requires an idempotent
-outer accumulator, as the paper states.
+flattening it could collapse duplicates; N3 and N6 leave a comprehension
+whose monoid finalizes a carrier (avg, sorted) whole, since its halves'
+values do not merge; and N8 requires an idempotent outer accumulator, as
+the paper states.
 """
 
 from __future__ import annotations
@@ -398,8 +400,10 @@ class _Normalizer:
         """N3, else N6: split over the first generator whose domain is a
         conditional, else a merge, and normalize each half anew.  Like the
         rule set, which tries N3 and N6 before N7 splices, a comprehension's
-        own generators go before the ones spliced into it."""
-        if not self.branching:
+        own generators go before the ones spliced into it.  Not for a
+        monoid whose value is not its carrier (avg, sorted): its two
+        halves' values would not merge."""
+        if not self.branching or monoid.has_carrier:
             return None
         order = sorted(
             (not self.branching[id(q)][1], i)

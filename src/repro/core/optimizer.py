@@ -49,7 +49,7 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
-from repro.calculus.terms import Term, conj, conjuncts, free_vars
+from repro.calculus.terms import Const, Term, Var, conj, conjuncts, free_vars
 from repro.core.pipeline import (
     CompiledQuery,
     PlanCache,
@@ -313,6 +313,21 @@ def _reduce_pred_to_select(plan: Operator) -> Operator | None:
         return Reduce(
             Select(plan.child, plan.pred), plan.monoid_name, plan.head
         )
+    return None
+
+
+@ALGEBRAIC_RULES.rule(
+    "unnested-nest-pred-to-select",
+    "materialize the predicate of a one-group nest unnested at once as a "
+    "selection (a group of no contribution unnests to nothing either way)",
+    roots=(Unnest,),
+)
+def _unnested_nest_pred_to_select(plan: Operator) -> Operator | None:
+    nest = plan.child if isinstance(plan, Unnest) else None
+    if isinstance(nest, Nest) and not nest.group_by and nest.pred != Const(True):
+        if plan.path == Var(nest.out_var):
+            filtered = replace(nest, child=Select(nest.child, nest.pred), pred=Const(True))
+            return replace(plan, child=filtered)
     return None
 
 

@@ -219,9 +219,6 @@ class CompiledQuery:
     trace: UnnestingTrace | None
     options: "OptimizerOptions"
     rule_firings: list = field(default_factory=list)
-    #: ORDER BY keys over the result element (engine extension; the paper
-    #: defers list monoids).  Each entry is (key term, ascending).
-    order_by: tuple = ()
     #: Per-stage instrumentation, in execution order.
     stages: tuple[StageResult, ...] = ()
     #: Parameter values fixed by :meth:`bind` (merged with execute kwargs).
@@ -383,8 +380,6 @@ class CompiledQuery:
                 ex = Execution(physical, values, governor, profile)
                 result = physical.value(ex)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            if self.order_by:
-                result = _apply_order(result, self.order_by, database, values)
         except QueryError as exc:
             raise exc.annotate(source=self.source, stage="execute")
         except Exception as exc:
@@ -509,37 +504,6 @@ class CompiledQuery:
         return "\n\n".join(blocks)
 
 
-def _apply_order(
-    result: Any,
-    order_by: tuple,
-    database: Database,
-    params: Mapping[str, Any] | None = None,
-) -> Any:
-    """Sort a collection result into a list by the ORDER BY keys."""
-    from repro.data.values import CollectionValue, ListValue, Record
-
-    if not isinstance(result, CollectionValue):
-        raise ExecutionError(
-            "ORDER BY applies to collection-valued queries only"
-        )
-    evaluator = Evaluator(database, params)
-
-    def env_of(element: Any) -> dict[str, Any]:
-        env = {"value": element}
-        if isinstance(element, Record):
-            env.update(element)
-        return env
-
-    elements = list(result.elements())
-    # Stable sorts applied from the least to the most significant key.
-    for key_term, ascending in reversed(order_by):
-        elements.sort(
-            key=lambda element: evaluator.evaluate(key_term, env_of(element)),
-            reverse=not ascending,
-        )
-    return ListValue(elements)
-
-
 class QueryPipeline:
     """The end-to-end OQL compiler/executor as an explicit stage sequence.
 
@@ -656,31 +620,21 @@ class QueryPipeline:
 
     def _compile_source(self, source: str) -> CompiledQuery:
         """Run the full stage cascade on OQL text (no cache involvement)."""
-        from repro.oql import ast as oql_ast
         from repro.oql.parser import parse
         from repro.oql.pretty import unparse
-        from repro.oql.translator import (
-            peel_order_by,
-            translate,
-            translate_order_keys,
-        )
+        from repro.oql.translator import translate
 
         schema = self.database.schema if self.database is not None else None
         stages: list[StageResult] = []
 
         parsed = self._stage(stages, "parse", lambda: parse(source), unparse)
-        stripped, order_items = peel_order_by(parsed)
         term = self._stage(
             stages,
             "translate",
-            lambda: translate(stripped, schema, self.views),
+            lambda: translate(parsed, schema, self.views),
             pretty,
         )
-        compiled = self._compile_from_term(term, source, stages)
-        if order_items:
-            assert isinstance(stripped, oql_ast.Select)
-            compiled.order_by = translate_order_keys(order_items, stripped, schema)
-        return compiled
+        return self._compile_from_term(term, source, stages)
 
     def _compile_from_term(
         self, term: Term, source: str | None, stages: list[StageResult]

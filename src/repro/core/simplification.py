@@ -35,7 +35,7 @@ Matching details (all checked, the rewrite refuses otherwise):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.algebra.operators import (
     Map,
@@ -65,12 +65,13 @@ def simplify(plan: Operator) -> Operator:
 
 
 def _simplify_node(plan: Operator) -> Operator:
-    if isinstance(plan, Reduce) and plan.monoid.idempotent:
-        child = plan.child
-        if isinstance(child, Nest):
-            rewritten = _try_rewrite(plan, child)
-            if rewritten is not None:
-                return rewritten
+    # The parent folds the whole stream: a reduce, or a nest into one group
+    # (the set an ORDER BY of a grouped select ranges over).
+    whole = isinstance(plan, Reduce) or isinstance(plan, Nest) and not plan.group_by
+    if whole and plan.monoid.idempotent and isinstance(plan.child, Nest):
+        rewritten = _try_rewrite(plan, plan.child)
+        if rewritten is not None:
+            return rewritten
     return plan
 
 
@@ -92,7 +93,7 @@ def _decompose(plan: Operator) -> _Tower | None:
     return None
 
 
-def _try_rewrite(parent: Reduce, nest: Nest) -> Operator | None:
+def _try_rewrite(parent: Reduce | Nest, nest: Nest) -> Operator | None:
     join = nest.child
     if not isinstance(join, OuterJoin):
         return None
@@ -161,7 +162,7 @@ def _try_rewrite(parent: Reduce, nest: Nest) -> Operator | None:
         out_var=nest.out_var,
         pred=substitute(nest.pred, rename_ba),
     )
-    return Reduce(grouped, parent.monoid_name, new_head, new_pred)
+    return replace(parent, child=grouped, head=new_head, pred=new_pred)
 
 
 def _equality_of_copies(

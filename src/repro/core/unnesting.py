@@ -134,6 +134,9 @@ class _Box:
 
     entry_vars: tuple[str, ...]  # variables in scope at box entry (group-by)
     out_var: str  # the variable the box binds its result to
+    #: Whether a binding its generators do not match survives (C6, C7).  A
+    #: root generator's domain need not pad: an empty box binds nothing.
+    padded: bool = True
 
 
 def unnest(term: Term, trace: UnnestingTrace | None = None) -> Operator:
@@ -216,10 +219,9 @@ class _Translator:
 
             if pending:
                 gen = pending.pop(0)
-                plan, introduced = self._compile_generator(
-                    gen, plan, preds, box is not None
-                )
-                if box is not None:
+                inner = box is not None and box.padded
+                plan, introduced = self._compile_generator(gen, plan, preds, inner)
+                if inner:
                     null_vars.extend(introduced)
                 continue
 
@@ -273,13 +275,13 @@ class _Translator:
         return result
 
     def _splice(
-        self, nested: Comprehension, plan: Operator | None
+        self, nested: Comprehension, plan: Operator | None, padded: bool = True
     ) -> tuple[Operator, str]:
         """Compile *nested* as a box consuming the current stream."""
         if plan is None:
             plan = Seed()
         out = fresh_name("m")
-        new_plan = self._compile(nested, plan, box=_Box(plan.columns(), out))
+        new_plan = self._compile(nested, plan, box=_Box(plan.columns(), out, padded))
         return new_plan, out
 
     def _splice_boxes(
@@ -324,7 +326,7 @@ class _Translator:
         # comprehension feeding a bag/sum accumulator): splice the domain as
         # a box and unnest its output variable.
         if isinstance(domain, Comprehension):
-            plan, out = self._splice(domain, plan)
+            plan, out = self._splice(domain, plan, padded=inner)
             self.trace.record("C8", "generator-domain box -> {}", plan, out)
             domain = Var(out)
 

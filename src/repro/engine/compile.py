@@ -201,11 +201,13 @@ class ExprCompiler:
 
     # -- entry points -------------------------------------------------------
 
-    def compile_kernel(self, term: Term, plain: bool = False) -> CompiledKernel:
-        """Lower *term* to a value-producing kernel.  With *plain*, *term*
-        is a bag comprehension whose head the plan's typing found plain
-        (:meth:`~repro.algebra.typing.PlanTypeChecker.plain`)."""
-        return self._kernel("plain" if plain else "expr", term)
+    def compile_kernel(self, term: Term, kind: str = "expr") -> CompiledKernel:
+        """Lower *term* to a value-producing kernel.  Of kind ``plain``,
+        *term* is a bag comprehension whose head the plan's typing found
+        plain (:meth:`~repro.algebra.typing.PlanTypeChecker.plain`); of
+        kind ``row``, a ``RecordCons`` the kernel returns as the tuple of
+        its values (its error path, the interpreter, as the struct)."""
+        return self._kernel(kind, term)
 
     def compile_predicate_kernel(self, term: Term) -> CompiledKernel:
         """Lower *term* to a strict-boolean kernel: each result is ``True``
@@ -228,7 +230,7 @@ class ExprCompiler:
             self.runtime, kind == "plain" and isinstance(term, Comprehension)
         )
         slow = _interpreted(self.runtime, term, predicate)
-        return CompiledKernel(emitter.kernel(term, predicate, slow), term)
+        return CompiledKernel(emitter.kernel(term, predicate, slow, kind == "row"), term)
 
 
 def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
@@ -423,10 +425,16 @@ class _KernelEmitter:
         #: sees the live execution.
         self.bound: dict[str, Any] = {"rt": runtime}
 
-    def kernel(self, term: Term, predicate: bool, slow: KernelFn) -> KernelFn:
+    def kernel(
+        self, term: Term, predicate: bool, slow: KernelFn, row: bool = False
+    ) -> KernelFn:
         """The kernel for *term*, with *slow* as its error path: this
-        shape's ``_make`` (:func:`_factory`) applied to what it owns."""
-        expr = self.xgen(term)
+        shape's ``_make`` (:func:`_factory`) applied to what it owns.  A
+        *row* kernel's ``RecordCons`` is the tuple of its fields."""
+        if row:
+            expr = f"({''.join(f'{self.xgen(field)}, ' for _, field in term.fields)})"
+        else:
+            expr = self.xgen(term)
         if predicate:
             t = self.wtemp()
             expr = (
@@ -607,7 +615,7 @@ class _KernelEmitter:
     def _x_singleton(self, term: Singleton) -> str:
         if not term.monoid.is_collection:  # no unit: the interpreter faults
             return "_fault()"
-        return f"{self.bind('f', term.monoid.unit)}({self.xgen(term.expr)})"
+        return f"{self.bind('f', term.monoid.fold_elements)}(({self.xgen(term.expr)},))"
 
     def _x_merge(self, term: Merge) -> str:
         merge = self.bind("f", term.monoid.merge)

@@ -62,12 +62,19 @@ import time
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, groupby
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.algebra.operators import Operator, occurrence
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
-from repro.calculus.monoids import CollectionMonoid, Monoid, fold_skipping_nulls, fold_value
+from repro.calculus.monoids import (
+    CollectionMonoid,
+    Monoid,
+    SortedMonoid,
+    fold_skipping_nulls,
+    fold_value,
+)
 from repro.calculus.terms import (
     TRUE,
     Comprehension,
@@ -217,6 +224,20 @@ def _plain_bag(context: _Context, monoid: Monoid, head: Term) -> bool:
     (``BagValue.of_plain``): the plan's typing finds *head* plain."""
     typing = context.typing
     return monoid.name == "bag" and typing is not None and typing.plain(head)
+
+
+def _collect(context: _Context, monoid: Monoid, head: Term) -> Any:
+    """How a fold builds its value from the list of its *head* values: a
+    plain bag counts them as they are, a set of structs drops repeats on
+    their field tuples (``SetValue.of_structs``), any other collection is
+    built in one pass, and a primitive's carrier is finalized."""
+    if _plain_bag(context, monoid, head):
+        return BagValue.of_plain
+    if monoid.name == "set" and isinstance(head, RecordCons):
+        return partial(SetValue.of_structs, names=tuple(n for n, _ in head.fields))
+    if isinstance(monoid, CollectionMonoid):
+        return monoid.fold_elements
+    return monoid.finalize
 
 
 def _plain_fold(context: _Context, term: Term) -> bool:
@@ -447,25 +468,10 @@ class PhysicalOperator:
             flags, limit, err = None, n, None
         else:
             flags, limit, err = self._run_kernel(ex, holds, cols, n)
-        null_cols = [cols[col] for col in null_vars]
-        if not null_cols and flags is None:
-            picked: Any = range(limit)
-        elif not null_cols:
-            picked = [i for i in range(limit) if flags[i]]
-        elif len(null_cols) == 1:
-            null_col = null_cols[0]
-            picked = [
-                i
-                for i in range(limit)
-                if null_col[i] is not NULL and (flags is None or flags[i])
-            ]
-        else:
-            picked = [
-                i
-                for i in range(limit)
-                if not any(col[i] is NULL for col in null_cols)
-                and (flags is None or flags[i])
-            ]
+        picked: Any = range(limit) if flags is None else [i for i in range(limit) if flags[i]]
+        for var in null_vars:  # a NULL-padded row contributes nothing
+            col = cols[var]
+            picked = [i for i in picked if col[i] is not NULL]
         m = len(picked)
         if not m:
             return limit, picked, [], err
@@ -516,11 +522,11 @@ class PhysicalOperator:
         return "compiled" if self._kernels else ""
 
     def _kernel(
-        self, context: _Context, term: Term, plain: bool = False
+        self, context: _Context, term: Term, kind: str = "expr"
     ) -> CompiledKernel:
-        """Lower a value expression (*plain*: a bag comprehension whose
-        elements are their own keys) and register it for ``eval_mode``."""
-        kernel = context._compiler.compile_kernel(term, plain)
+        """Lower a value expression (:meth:`ExprCompiler.compile_kernel`'s
+        *kind*) and register it for ``eval_mode``."""
+        kernel = context._compiler.compile_kernel(term, kind)
         self._kernels.append(kernel)
         return kernel
 
@@ -663,7 +669,7 @@ class PMap(PhysicalOperator):
         self.bindings = bindings
         #: A bag comprehension whose head is plain counts its elements.
         self._binding_kernels = tuple(
-            (name, self._kernel(context, expr, _plain_fold(context, expr)))
+            (name, self._kernel(context, expr, "plain" if _plain_fold(context, expr) else "expr"))
             for name, expr in bindings
         )
 
@@ -980,15 +986,8 @@ class PHashNest(PhysicalOperator):
         self._head_kernel = self._kernel(context, head)
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
-        #: What a group's accumulator becomes: a collection built from its
-        #: element list (a plain bag counted as it is), a carrier finalized.
-        self._fold = (
-            BagValue.of_plain
-            if _plain_bag(context, monoid, head)
-            else monoid.fold_elements
-            if isinstance(monoid, CollectionMonoid)
-            else monoid.finalize
-        )
+        #: What a group's accumulator (element list or carrier) becomes.
+        self._fold = _collect(context, monoid, head)
         #: Per grouping variable, the column keying a group: its occurrence
         #: where it has one.  A group carries out both, for an outer nest.
         #: Keys are :func:`_filed` — distinct stored objects with equal state
@@ -1041,7 +1040,7 @@ class PHashNest(PhysicalOperator):
             keys = (
                 _filed([cols[k][:limit] for k in self._keys], self._bare)
                 if self._keys
-                else [()] * limit
+                else [()] * min(limit, 1)  # one group, opened by the first row
             )
             for i, key in enumerate(keys):
                 if key not in groups:
@@ -1051,7 +1050,12 @@ class PHashNest(PhysicalOperator):
             if charge is not None:
                 charge_values(charge, values, buffered)
                 buffered += len(values)
-            if use_list:
+            if not self._keys and values:  # the one group takes every row
+                if use_list:
+                    groups[()].extend(values)
+                else:
+                    groups[()] = loop(groups[()], values)
+            elif use_list:
                 for value, i in zip(values, picked):
                     groups[keys[i]].append(value)
             else:
@@ -1536,14 +1540,12 @@ class PReduce(PhysicalOperator):
         self.monoid = monoid
         self.head = head
         self.pred = pred
-        self._head_kernel = self._kernel(context, head)
+        #: A sorted fold's heads are its rows, (k0, …, v) tuples.
+        self._rows = isinstance(monoid, SortedMonoid) and isinstance(head, RecordCons)
+        self._head_kernel = self._kernel(context, head, "row" if self._rows else "expr")
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
-        #: A set of structs dedups on field tuples (SetValue.of_structs).
-        structs = monoid.name == "set" and isinstance(head, RecordCons)
-        self._struct_fields = tuple(n for n, _ in head.fields) if structs else ()
-        #: A plain bag counts its elements as they are.
-        self._plain = _plain_bag(context, monoid, head)
+        self._collect = _collect(context, monoid, head)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -1554,13 +1556,7 @@ class PReduce(PhysicalOperator):
         if isinstance(monoid, CollectionMonoid):
             # One-pass bulk construction instead of per-row immutable
             # merges (which copy the whole accumulator every row).
-            values = self.partial_value(ex)
-            names = self._struct_fields
-            if names:
-                return ex.account(self, SetValue.of_structs(values, names))
-            if self._plain:
-                return ex.account(self, BagValue.of_plain(values))
-            return ex.account(self, monoid.fold_elements(values))
+            return ex.account(self, self._collect(self.partial_value(ex)))
         result = monoid.zero
         decided = {"all": False, "some": True}.get(monoid.name)
         for chunk in self.child.batches(ex):

@@ -12,7 +12,10 @@ examples use:
   corresponding primitive monoid;
 * ``group by`` (the Section 5 example) → the *implicitly nested* calculus
   form the paper shows: one inner aggregate comprehension per aggregated
-  item, correlated on equality of the grouping expressions.
+  item, correlated on equality of the grouping expressions;
+* a query's ``order by k1, k2 desc`` → ``sorted[+-]{ struct(k0: k1, k1:
+  k2, v: e) | q̄ }`` of its unordered ``⊕{ e | q̄ }``, a fold of the
+  ``sorted`` list monoid (:class:`repro.calculus.monoids.SortedMonoid`).
 
 Free identifiers resolve to range variables when bound, otherwise to class
 extents (checked against the schema when one is supplied).
@@ -20,7 +23,10 @@ extents (checked against the schema when one is supplied).
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.calculus import terms as t
+from repro.calculus.monoids import sorted_monoid
 from repro.data.schema import Schema
 from repro.errors import PlanningError, UnknownExtentError
 from repro.oql import ast
@@ -51,7 +57,10 @@ def translate(
     a view reference is inlined at translation time, so normalization and
     unnesting see through it.
     """
-    return _Translator(schema, views).translate(node, frozenset())
+    translator = _Translator(schema, views)
+    if isinstance(node, ast.Select) and node.order_by:  # the one sortable select
+        return translator._ordered(node, frozenset())
+    return translator.translate(node, frozenset())
 
 
 def parse_and_translate(
@@ -239,11 +248,10 @@ class _Translator:
     # -- select blocks -------------------------------------------------------------
 
     def _select(self, node: ast.Select, scope: frozenset[str]) -> t.Term:
-        if node.order_by:
+        if node.order_by:  # a root select's is translate()'s
             raise TranslationError(
-                "ORDER BY has no calculus translation (the paper defers list "
-                "monoids); it is applied by the execution engine and is only "
-                "supported at the top level of a query"
+                "ORDER BY sorts a query's result into a list; it is "
+                "only supported at the top level of a query"
             )
         inner_scope = scope
         qualifiers: list[t.Qualifier] = []
@@ -260,6 +268,35 @@ class _Translator:
         head = self._projection(node.items, inner_scope)
         monoid_name = "set" if node.distinct else "bag"
         return t.Comprehension(monoid_name, head, tuple(qualifiers))
+
+    def _ordered(self, node: ast.Select, scope: frozenset[str]) -> t.Term:
+        """``sorted[d…]{ struct(k0: key0, …, v: e) | q̄ }`` of the select
+        ``bag{ e | q̄ }`` unordered: the normal form of ``sorted[d…]{
+        struct(…, v: x) | x <- bag{ e | q̄ } }``, so every path, the calculus
+        reference among them, folds the select's own stream (a bag value
+        would enumerate its equal elements together).  A set (``select
+        distinct``, a ``group by``) sorts ``x <- set{ e | q̄ }``, which stays
+        nested.  A key reads the element as ``value`` and each of its fields
+        by its projection alias."""
+        unordered = self._select(dataclasses.replace(node, order_by=()), scope)
+        element, qualifiers = unordered.head, unordered.qualifiers
+        if unordered.monoid_name == "set":  # distinct, or grouped
+            element = t.Var(self._fresh("x"))
+            qualifiers = (t.Generator(element.name, unordered),)
+        aliases = {self._item_name(item, i) for i, item in enumerate(node.items)}
+        env: dict[str, t.Term] = {"value": element}
+        env.update((alias, t.Proj(element, alias)) for alias in aliases)
+        keys = frozenset(env)
+        fields = tuple(
+            (f"k{i}", t.substitute(self.translate(item.expr, keys), env))
+            for i, item in enumerate(node.order_by)
+        )
+        directions = "".join("+" if item.ascending else "-" for item in node.order_by)
+        return t.Comprehension(
+            sorted_monoid(directions).name,
+            t.RecordCons(fields + (("v", element),)),
+            qualifiers,
+        )
 
     def _projection(
         self, items: tuple[ast.SelectItem, ...], scope: frozenset[str]
@@ -378,41 +415,6 @@ class _Translator:
         if isinstance(node, ast.UnaryOp) and node.op == "not":
             return t.Not(self._mark_aggregates(node.operand, scope))
         return self.translate(node, scope)
-
-
-# ---------------------------------------------------------------------------
-# ORDER BY support (an execution-engine extension; see Optimizer)
-# ---------------------------------------------------------------------------
-
-
-def peel_order_by(node: ast.Node) -> tuple[ast.Node, tuple[ast.OrderItem, ...]]:
-    """Strip a top-level ORDER BY clause, returning (query, order items)."""
-    if isinstance(node, ast.Select) and node.order_by:
-        import dataclasses
-
-        return dataclasses.replace(node, order_by=()), node.order_by
-    return node, ()
-
-
-def translate_order_keys(
-    items: tuple[ast.OrderItem, ...],
-    select: ast.Select,
-    schema: Schema | None = None,
-) -> tuple[tuple[t.Term, bool], ...]:
-    """Translate ORDER BY keys into terms over the result element.
-
-    The keys may reference the select's projection aliases, or ``value``
-    for the whole element of a single-expression projection.
-    """
-    translator = _Translator(schema)
-    aliases = frozenset(
-        translator._item_name(item, index)
-        for index, item in enumerate(select.items)
-    ) | {"value"}
-    return tuple(
-        (translator.translate(item.expr, aliases), item.ascending)
-        for item in items
-    )
 
 
 class _AggregateMarker(t.Term):

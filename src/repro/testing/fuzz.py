@@ -89,6 +89,8 @@ class FuzzReport:
     #: the run reached the two forms at all.
     preaggregated: int = 0
     domains: int = 0
+    #: Samples that sort their result (``order by``).
+    ordered: int = 0
     findings: list[Finding] = field(default_factory=list)
 
     @property
@@ -103,6 +105,7 @@ class FuzzReport:
             f"{self.path_skips} path skip(s), "
             f"{self.preaggregated} pre-aggregated, "
             f"{self.domains} domain(s), "
+            f"{self.ordered} ordered, "
             f"{len(self.findings)} finding(s)"
         ]
         lines.extend(finding.describe() for finding in self.findings)
@@ -286,6 +289,7 @@ def run_fuzz(config: FuzzConfig, progress: Progress | None = None) -> FuzzReport
         source, params, db = generate_sample(config, iteration)
         verdict = check_sample(source, params, db)
         report.path_skips += len(verdict.skipped)
+        report.ordered += " order by " in source
         try:
             preaggregated, domain = fused_forms(shredded_sql(db, source))
         except Exception:  # noqa: BLE001 - a counter must not end the run

@@ -140,8 +140,10 @@ def check_normal_form(term: Term, prepared: Term, schema: Schema | None = None) 
         if isinstance(sub, Comprehension):
             for generator in sub.generators():
                 domain = generator.domain
-                # N3-N6 fire unconditionally on these domain shapes.
-                if isinstance(domain, (Zero, Singleton, Merge, If)):
+                # N3-N6 fire on these domain shapes, N3 and N6 unless the
+                # comprehension's value is not its carrier (avg, sorted).
+                split = () if sub.monoid.has_carrier else (Merge, If)
+                if isinstance(domain, (Zero, Singleton, *split)):
                     raise InvariantViolation(
                         f"unnormalized generator domain (N3-N6): {domain!r}"
                     )

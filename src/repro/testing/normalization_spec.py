@@ -20,6 +20,9 @@ paper's monoid well-formedness discussion):
   *non-idempotent* accumulator (e.g. ``sum``).  In that configuration the
   rules are not meaning-preserving, so we keep the term nested and let the
   unnesting algorithm deal with it.
+* N3 and N6 (conditional and merge split) leave a comprehension whose
+  monoid finalizes a carrier (avg, sorted) whole: the halves' finalized
+  values do not merge.
 * N8 (existential unnesting) requires the outer accumulator to be
   idempotent, as stated in the paper.
 """
@@ -279,7 +282,7 @@ def _n5(comp: Comprehension, index: int, gen: Generator) -> Term | None:
 
 def _n3(comp: Comprehension, index: int, gen: Generator) -> Term | None:
     domain = gen.domain
-    if not isinstance(domain, If):
+    if not isinstance(domain, If) or comp.monoid.has_carrier:
         return None
     before = comp.qualifiers[:index]
     after = comp.qualifiers[index + 1 :]
@@ -298,7 +301,7 @@ def _n3(comp: Comprehension, index: int, gen: Generator) -> Term | None:
 
 def _n6(comp: Comprehension, index: int, gen: Generator) -> Term | None:
     domain = gen.domain
-    if not isinstance(domain, Merge):
+    if not isinstance(domain, Merge) or comp.monoid.has_carrier:
         return None
     domain_monoid = lookup_monoid(domain.monoid_name)
     # Sound unless an idempotent merge (set union) feeds a non-idempotent

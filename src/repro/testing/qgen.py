@@ -10,10 +10,12 @@ group-by with having, set operations, and ``flatten`` — plus prepared-
 statement ``:name`` placeholders whose values are returned alongside the
 source.
 
+A root select may be ordered — ``order by`` a total key, so that every
+path must return the same list: every field of a struct element, or
+``value`` for a scalar one, each ascending or descending.
+
 Deliberate restrictions, so that every execution path stays comparable:
 
-* no ORDER BY (list results would make cross-path comparison order-
-  sensitive; ordering is covered by the hand-written tests);
 * no division except by powers of two, and float literals are multiples of
   0.25 — keeps float arithmetic exact, so bit-identical across paths — but
   for one shape (:meth:`QueryGenerator._faulting_head_query`) whose
@@ -68,6 +70,9 @@ class QueryGenConfig:
     distinct_probability: float = 0.65
 
 
+#: The share of root selects with a total key that sort their result.
+_ORDER_BY_PROBABILITY = 0.5
+
 _NUMERIC = ("int", "float")
 
 
@@ -119,7 +124,7 @@ class QueryGenerator:
         if roll < 0.08:
             source = self._scalar_collection_query(depth)
         elif roll < 0.44:
-            source = self._select_query([], depth)
+            source = self._select_query([], depth, ordered=True)
         elif roll < 0.50:
             source = self._object_key_query(depth)
         elif roll < 0.54:
@@ -425,11 +430,12 @@ class QueryGenerator:
         env: list[tuple[str, RecordType]],
         depth: int,
         force_plain: bool = False,
+        ordered: bool = False,
     ) -> str:
         """A select-from-where query over (and possibly correlated with)
         the in-scope environment.  With *force_plain* the head is the first
         range variable itself (the shape ``count(...)`` and ``exists(...)``
-        consume)."""
+        consume); with *ordered* it may sort (:meth:`_order_by`)."""
         rng = self.rng
         config = self.config
 
@@ -445,7 +451,8 @@ class QueryGenerator:
         if not force_plain and rng.random() < config.group_by_probability:
             grouped = self._group_by_select(var, element, inner_env, depth)
             if grouped is not None:
-                return grouped
+                text, keys = grouped
+                return text + self._order_by(keys if ordered else ())
 
         if rng.random() < config.second_generator_probability:
             domain2, element2 = self._pick_domain(inner_env, 0)
@@ -461,26 +468,44 @@ class QueryGenerator:
         if force_plain:
             return f"select {distinct}{var} from {', '.join(froms)}{where}"
 
-        head = self._head(inner_env, depth - 1)
-        return f"select {distinct}{head} from {', '.join(froms)}{where}"
+        head, keys = self._head(inner_env, depth - 1)
+        order = self._order_by(keys if ordered else ())
+        return f"select {distinct}{head} from {', '.join(froms)}{where}{order}"
 
-    def _head(self, env: list[tuple[str, RecordType]], depth: int) -> str:
+    def _order_by(self, keys: tuple[str, ...]) -> str:
+        """`` order by`` *keys*, each ascending or descending — or nothing,
+        when there are no keys or the roll says so."""
+        rng = self.rng
+        if not keys or rng.random() >= _ORDER_BY_PROBABILITY:
+            return ""
+        return " order by " + ", ".join(
+            key + rng.choice(("", " asc", " desc")) for key in keys
+        )
+
+    def _head(
+        self, env: list[tuple[str, RecordType]], depth: int
+    ) -> tuple[str, tuple[str, ...]]:
+        """A select head, and the keys that order its elements totally:
+        ``value`` for a scalar, every field of a struct of scalars, none
+        for an object or a struct holding a collection."""
         rng = self.rng
         roll = rng.random()
         if roll < 0.30:
             kind = rng.choice(("int", "float", "string"))
-            return self._scalar_expr(env, kind, depth)
+            return self._scalar_expr(env, kind, depth), ("value",)
         if roll < 0.45:
             var, _ = rng.choice(env)
-            return var
+            return var, ()
         # A struct head; fields may hold scalars, nested selects (type-JA
         # nesting in the head — QUERY B's shape), or correlated aggregates
         # (QUERY D's shape).
         fields = []
+        scalar = True
         for index in range(rng.randint(2, 3)):
             label = f"A{index}"
             sub_roll = rng.random()
             if depth > 0 and sub_roll < 0.25:
+                scalar = False
                 fields.append(
                     f"{label}: ( {self._select_query(env, min(depth, 1), force_plain=True)} )"
                 )
@@ -490,7 +515,8 @@ class QueryGenerator:
             else:
                 kind = rng.choice(("int", "float", "string"))
                 fields.append(f"{label}: {self._scalar_expr(env, kind, 0)}")
-        return f"struct( {', '.join(fields)} )"
+        keys = tuple(f"value.A{i}" for i in range(len(fields))) if scalar else ()
+        return f"struct( {', '.join(fields)} )", keys
 
     def _group_by_select(
         self,
@@ -498,8 +524,9 @@ class QueryGenerator:
         element: RecordType,
         env: list[tuple[str, RecordType]],
         depth: int,
-    ) -> str | None:
-        """``select v.g, agg(v.n) as a0 from X v group by v.g [having ...]``."""
+    ) -> tuple[str, tuple[str, str]] | None:
+        """``select v.g, agg(v.n) as a0 from X v group by v.g [having ...]``,
+        and its items' names ``(g, a0)``."""
         rng = self.rng
         extent, element = rng.choice(self._extents())
         group_attrs = self._scalar_attrs(element, ("int", "string"))
@@ -521,7 +548,7 @@ class QueryGenerator:
         return (
             f"select {var}.{group_attr}, {head_agg} as a0 "
             f"from {extent} {var}{where} group by {var}.{group_attr}{having}"
-        )
+        ), (group_attr, "a0")
 
     # -- nested boxes correlated by a low-cardinality value -------------------
 

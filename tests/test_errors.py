@@ -89,17 +89,15 @@ class TestOptimizerErrors:
         with pytest.raises(PlanningError, match="unnest=False"):
             compiled.explain(db)
 
-    def test_order_by_on_scalar_result(self):
+    def test_order_by_an_object_is_refused_at_typecheck(self):
         from repro.core.optimizer import Optimizer
         from repro.data.datagen import company_database
+        from repro.errors import TypeCheckError
 
         db = company_database(5, 2, seed=2)
-        compiled = Optimizer(db).compile_oql("count( select e from e in Employees )")
-        compiled.order_by = ((var("value"), True),)
-        from repro.errors import ExecutionError
-
-        with pytest.raises(ExecutionError, match="collection"):
-            compiled.execute(db)
+        with pytest.raises(TypeCheckError, match="a key must be a primitive") as err:
+            Optimizer(db).compile_oql("select e from e in Employees order by value")
+        assert err.value.stage == "typecheck"
 
     @pytest.mark.parametrize(
         "source, monoid",

@@ -6,8 +6,9 @@ types are not idempotent".  Our engine's streams are *multisets* (operators
 never deduplicate) and a variable ranging over a bag or list carries its
 element's occurrence, which the nest groups by, so bag-monoid queries come
 out of the same C1–C9 translation correct — these tests pin that
-extension, repeated elements included.  List-valued results
-are provided through the ORDER BY engine extension, and the measured
+extension, repeated elements included.  List-valued results come from
+ORDER BY, a fold of the ``sorted`` list monoid at the query's root (NULL
+keys, ties, a key that is not a primitive value), and the measured
 executor (EXPLAIN ANALYZE) is covered here too.
 """
 
@@ -20,6 +21,8 @@ from repro.calculus.evaluator import evaluate
 from repro.calculus.terms import (
     BinOp,
     Extent,
+    If,
+    Merge,
     comprehension,
     const,
     path,
@@ -32,8 +35,9 @@ from repro.core.unnesting import unnest_query
 from repro.data.database import Database
 from repro.data.datagen import company_database
 from repro.data.schema import INT, STRING, Schema, bag_of, list_of
-from repro.data.values import BagValue, ListValue, Record, SetValue
+from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine.planner import PlannerOptions, execute, plan_physical
+from repro.errors import TypeCheckError
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +245,142 @@ class TestListSupport:
         term = comprehension("list", var("x"), ("x", Extent("S")))
         with pytest.raises(CalculusTypeError, match="non-commutative"):
             infer_type(term, schema)
+
+
+#: The ways an ordered query runs: the unnested plan in memory and over
+#: SQLite, and the calculus term itself.
+ORDER_PATHS = {
+    "memory": OptimizerOptions(),
+    "sqlite": OptimizerOptions(backend="sqlite"),
+    "calculus": OptimizerOptions(unnest=False),
+}
+
+
+class TestOrderByFold:
+    """ORDER BY folds the query's result into a list (``sorted[…]``): NULL
+    keys sort first ascending and last descending, tied elements keep the
+    fold's enumeration order, and a key that is not a primitive value is a
+    type error before anything runs."""
+
+    @pytest.fixture(scope="class")
+    def tdb(self):
+        schema = Schema()
+        schema.define_class("T", n=STRING, k=INT)
+        schema.define_extent("Ts", "T")
+        database = Database(schema)
+        keys = {"a": 3, "b": NULL, "c": 1, "d": NULL, "e": 2, "f": 1}
+        database.add_extent("Ts", [Record(n=n, k=k) for n, k in keys.items()])
+        return database
+
+    def names(self, tdb, path, source):
+        result = QueryPipeline(tdb, ORDER_PATHS[path]).run_oql(source)
+        assert isinstance(result, ListValue)
+        return [row["n"] for row in result]
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    @pytest.mark.parametrize(
+        "direction, expected",
+        [("asc", "bdcfea"), ("desc", "aecfbd")],
+    )
+    def test_mixed_null_and_int_keys(self, tdb, path, direction, expected):
+        source = f"select t.n as n, t.k as k from t in Ts order by k {direction}"
+        assert self.names(tdb, path, source) == list(expected)
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    @pytest.mark.parametrize("direction", ["asc", "desc"])
+    def test_all_null_keys_keep_the_enumeration_order(self, tdb, path, direction):
+        source = f"select t.n as n, nil as k from t in Ts order by k {direction}"
+        assert self.names(tdb, path, source) == list("abcdef")
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    def test_a_secondary_key_breaks_ties(self, tdb, path):
+        source = "select t.n as n, t.k as k from t in Ts order by k desc, n desc"
+        assert self.names(tdb, path, source) == list("aefcdb")
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "select struct(a: t.k, b: t.n) from t in Ts order by value",
+            "select t from t in Ts order by value",
+        ],
+    )
+    def test_a_record_key_is_refused_before_execution(self, tdb, path, source):
+        pipeline = QueryPipeline(tdb, ORDER_PATHS[path])
+        with pytest.raises(TypeCheckError, match="a key must be a primitive") as err:
+            pipeline.compile_oql(source)
+        assert err.value.stage == "typecheck"
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    def test_distinct_sorts_each_element_once(self, tdb, path):
+        result = QueryPipeline(tdb, ORDER_PATHS[path]).run_oql(
+            "select distinct t.k from t in Ts order by value desc"
+        )
+        assert result == ListValue([3, 2, 1, NULL])
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    def test_a_grouped_select_sorts_each_group_once(self, tdb, path):
+        result = QueryPipeline(tdb, ORDER_PATHS[path]).run_oql(
+            "select t.k, count(t) as c from t in Ts where t.k > 0 group by t.k "
+            "order by k desc"
+        )
+        assert [(row["k"], row["c"]) for row in result] == [(3, 1), (2, 1), (1, 2)]
+
+    def test_a_distinct_sort_plans_its_set_as_the_select(self, db):
+        """The set stays nested, but as a root generator's domain it joins
+        as the unordered select does (no outer join pads it), its filters
+        are selections, and SQLite computes its elements."""
+        source = (
+            "select distinct d.name from d in Departments where exists( "
+            "select e from e in Employees where e.dno = d.dno and e.age > 30 ) "
+            "and count( select e from e in Employees where e.dno = d.dno ) > 2"
+        )
+        plan = QueryPipeline(db).compile_oql(f"{source} order by value").explain(db)
+        assert "Outer" not in plan
+        assert "Select(_m" in plan  # the count filter, not the set nest's pred
+        sqlite = QueryPipeline(db, ORDER_PATHS["sqlite"]).compile_oql(f"{source} order by value")
+        assert "[sql] Nest subtree" in sqlite.explain(db)
+        unordered = QueryPipeline(db).run_oql(source)
+        assert sqlite.execute(db) == ListValue(sorted(unordered))
+
+    def test_the_sort_is_the_plan_root(self, tdb):
+        compiled = QueryPipeline(tdb).compile_oql(
+            "select t.n as n, t.k as k from t in Ts order by k desc"
+        )
+        assert compiled.explain(tdb).startswith("Reduce(sorted[-] / ")
+        stats = compiled.run(tdb, profile=True)
+        root = stats.operators[0]
+        assert root.operator.startswith("Reduce(sorted[-] / ")
+        assert stats.result == compiled.execute(tdb)
+
+
+class TestAvgOverASplitDomain:
+    """N3 and N6 leave an ``avg`` whole when its domain is a conditional or a
+    bag merge: avg's halves are (sum, count) carriers whose finalized
+    values do not merge, so every path answers the mean of the whole."""
+
+    @staticmethod
+    def salaries(dno: int):
+        return comprehension(
+            "bag", var("e"), ("e", Extent("Employees")),
+            BinOp("==", path("e", "dno"), const(dno)),
+        )
+
+    @pytest.mark.parametrize("path_name", ORDER_PATHS)
+    @pytest.mark.parametrize("domain", ["merge", "if"])
+    def test_avg_is_the_mean_of_the_whole_domain(self, db, path_name, domain):
+        if domain == "merge":
+            term_domain = Merge("bag", self.salaries(4), self.salaries(3))
+            wanted = (4, 3)
+        else:
+            many = BinOp(">", comprehension("sum", const(1), ("u", Extent("Employees"))), const(3))
+            term_domain = If(many, self.salaries(6), self.salaries(3))
+            wanted = (6,)
+        term = comprehension("avg", path("x", "salary"), ("x", term_domain))
+        salaries = [e["salary"] for e in db.extent("Employees") if e["dno"] in wanted]
+        assert len(salaries) > 1
+        result = QueryPipeline(db, ORDER_PATHS[path_name]).compile_term(term).execute(db)
+        assert result == pytest.approx(sum(salaries) / len(salaries))
 
 
 class TestExecutorStats:

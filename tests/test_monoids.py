@@ -33,6 +33,7 @@ from repro.calculus.monoids import (
     SET,
     SOME,
     SUM,
+    SortedMonoid,
     fold_skipping_nulls,
     leq,
     monoid,
@@ -40,7 +41,7 @@ from repro.calculus.monoids import (
 from repro.calculus.evaluator import EvaluationError, Evaluator
 from repro.calculus.terms import Merge, Var
 from repro.data.database import Database
-from repro.data.values import NULL, BagValue, ListValue, SetValue, is_null
+from repro.data.values import NULL, BagValue, ListValue, Record, SetValue, is_null
 from repro.engine.compile import ExprCompiler
 
 settings.register_profile("value-laws-ci", max_examples=1000, deadline=None)
@@ -65,13 +66,31 @@ _CARRIERS = {
 }
 
 
+#: ORDER BY keys: ints and NULL, few of them, so that ties are common.
+sort_keys = st.integers(min_value=0, max_value=3) | st.just(NULL)
+#: A sorted fold's heads, struct(k0, k1, v), with any element v.
+heads = st.builds(
+    lambda k0, k1, v: Record(k0=k0, k1=k1, v=v), sort_keys, sort_keys, ints
+)
+#: Heads whose element is its keys: ties only between equal heads.
+total_heads = st.builds(
+    lambda k0, k1: Record(k0=k0, k1=k1, v=Record(a=k0, b=k1)), sort_keys, sort_keys
+)
+SORTED = ("sorted[+-]", "sorted[--]")
+
+
 def carrier(name: str):
+    if name in SORTED:  # a fold of units, over total keys
+        m = monoid(name)
+        return st.lists(total_heads, max_size=5).map(
+            lambda hs: m.fold(m.unit(h) for h in hs)
+        )
     return _CARRIERS[name]
 
 
-@pytest.mark.parametrize("name", sorted(MONOIDS))
+@pytest.mark.parametrize("name", sorted(MONOIDS) + list(SORTED))
 def test_monoid_laws(name):
-    m = MONOIDS[name]
+    m = monoid(name)
     strategy = carrier(name)
 
     @given(strategy, strategy, strategy)
@@ -87,6 +106,58 @@ def test_monoid_laws(name):
             assert m.merge(a, a) == a
 
     check()
+
+
+def _before(m: SortedMonoid, a: Record, b: Record) -> bool:
+    """*a* sorts strictly before *b* under *m*'s keys."""
+    for i, descending in enumerate(m.descending):
+        x, y = a[f"k{i}"], b[f"k{i}"]
+        if x == y:
+            continue
+        if is_null(x) or is_null(y):
+            return is_null(x) != descending  # NULL first ascending
+        return x > y if descending else x < y
+    return False
+
+
+@pytest.mark.parametrize("name", SORTED)
+@given(st.lists(heads, max_size=8))
+def test_sorted_fold_elements_is_the_fold_of_its_units(name, hs):
+    m = monoid(name)
+    folded = m.fold_elements(hs)
+    assert folded == m.finalize(m.fold(m.unit(h) for h in hs))
+    assert isinstance(folded, ListValue)
+
+
+@given(st.lists(st.tuples(sort_keys, sort_keys), max_size=8))
+def test_sorted_orders_by_its_keys_and_is_stable_on_ties(keys):
+    m = monoid("sorted[+-]")
+    hs = [Record(k0=k0, k1=k1, v=i) for i, (k0, k1) in enumerate(keys)]
+    out = list(m.fold_elements(hs))  # the elements: positions in hs
+    assert sorted(out) == list(range(len(hs)))
+    for i, j in zip(out, out[1:]):
+        assert not _before(m, hs[j], hs[i])  # in key order
+        if not _before(m, hs[i], hs[j]):  # tied: in the order folded
+            assert i < j
+
+
+@given(st.lists(total_heads, max_size=6), st.randoms(use_true_random=False))
+def test_sorted_is_commutative_on_total_keys(hs, rnd):
+    m = monoid("sorted[+-]")
+    shuffled = list(hs)
+    rnd.shuffle(shuffled)
+    assert m.fold_elements(hs) == m.fold_elements(shuffled)
+
+
+def test_sorted_family_lookup():
+    m = monoid("sorted[+-]")
+    assert m is monoid("sorted[+-]") and m.descending == (False, True)
+    assert m.commutative and not m.idempotent and m.is_collection
+    assert "sorted[+-]" not in MONOIDS
+    for bad in ("sorted[]", "sorted[+x]", "sorted", "unsorted[+]", "sorted_distinct[+]"):
+        with pytest.raises(KeyError, match="unknown monoid"):
+            monoid(bad)
+    assert leq(SET, m) and leq(BAG, m) and leq(LIST, m)
 
 
 def test_registry_contents():

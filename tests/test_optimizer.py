@@ -145,6 +145,7 @@ class TestAlgebraicRules:
             "join-pred-push-left",
             "select-pushdown",
             "reduce-pred-to-select",
+            "unnested-nest-pred-to-select",
             "select-through-nest",
             "seed-join-elim",
         }

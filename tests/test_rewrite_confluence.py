@@ -44,7 +44,7 @@ from repro.core.rewrite import RewriteEngine, RuleSet
 from repro.core.simplification import simplify
 from repro.core.unnesting import _alpha_canonical
 from repro.oql.parser import parse
-from repro.oql.translator import peel_order_by, translate
+from repro.oql.translator import translate
 from repro.testing.fuzz import FuzzConfig, generate_sample
 from repro.testing.normalization_spec import (
     NORMALIZATION_RULES,
@@ -77,8 +77,7 @@ def _terms() -> tuple:
         sources.append((source, db))
     terms = []
     for source, db in sources:
-        stripped, _ = peel_order_by(parse(source))
-        terms.append(normalize_predicates(translate(stripped, db.schema)))
+        terms.append(normalize_predicates(translate(parse(source), db.schema)))
     return tuple(terms)
 
 

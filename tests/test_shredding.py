@@ -1109,6 +1109,9 @@ class TestFirstSeenOrder:
         # Every key pins a column: the pinned $pos columns order the groups.
         assert 'ORDER BY t3."k0$$pos", t3."k1$$pos"' in sql
         assert "MIN(" not in sql and "ROW_NUMBER()" not in sql
+        # c's occurrence is its row's $pos: selected once, as k1$$pos.
+        assert sql.count('t1."$pos" AS') == 1 and '"k1#"' not in sql
+        assert 'GROUP BY "k0$$oid", "k1$$oid", "k1$$pos"' in sql
         # So does a scalar's occurrence: t.xs holds 1 twice.
         scalars = OuterJoin(
             OuterUnnest(Scan("Ts", "t"), path("t", "xs"), "x"),
