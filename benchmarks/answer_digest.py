@@ -11,9 +11,9 @@ sides the first kept (``Database.builds``); the two digests must agree.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/answer_digest.py S L          # print
-    PYTHONPATH=src python benchmarks/answer_digest.py --check S    # compare
-    PYTHONPATH=src python benchmarks/answer_digest.py --write S L  # record
+    python benchmarks/answer_digest.py S L          # print
+    python benchmarks/answer_digest.py --check S    # compare
+    python benchmarks/answer_digest.py --write S L  # record
 
 ``--check`` exits 1 when a digest differs from ``answer_digests.json``;
 ``--write`` records the digests of the scales named, keeping the others.
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE / "e2e"))
+sys.path[:0] = [str(HERE / "e2e"), str(HERE.parent / "src")]
 
 from workloads import DATA_SEED, build_engine, execute, generate, load_queries  # noqa: E402
 

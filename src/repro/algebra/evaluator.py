@@ -181,28 +181,30 @@ class PlanEvaluator:
             if not matched:
                 yield {**env, plan.var: NULL}
 
-    def _contribution(self, monoid: Monoid, head: Term, env: Env) -> Any | None:
-        """The value an environment contributes to a reduction, or None."""
+    def _add(self, monoid: Monoid, result: Any, head: Term, env: Env) -> Any:
+        """*result* with *env*'s head value added: a collection's list of
+        heads appends it (one ``fold_elements`` builds the value: merging
+        units would copy, or re-sort, the whole accumulator every row), a
+        primitive carrier merges it lifted (a NULL contributes nothing)."""
         value = self._value(head, env)
         if isinstance(monoid, CollectionMonoid):
-            return monoid.unit(value)
-        if is_null(value):
-            return None  # NULL contributes nothing to a primitive accumulator
-        return monoid.lift(value)
+            result.append(value)
+        elif not is_null(value):
+            result = monoid.merge(result, monoid.lift(value))
+        return result
 
     def _reduce(self, plan: Reduce) -> Any:
         monoid = plan.monoid
-        result = monoid.zero
+        collection = isinstance(monoid, CollectionMonoid)
+        result = [] if collection else monoid.zero
         for env in self.stream(plan.child):
-            if not self._holds(plan.pred, env):
-                continue
-            contribution = self._contribution(monoid, plan.head, env)
-            if contribution is not None:
-                result = monoid.merge(result, contribution)
-        return monoid.finalize(result)
+            if self._holds(plan.pred, env):
+                result = self._add(monoid, result, plan.head, env)
+        return monoid.fold_elements(result) if collection else monoid.finalize(result)
 
     def _nest(self, plan: Nest) -> Iterator[Env]:
         monoid = plan.monoid
+        collection = isinstance(monoid, CollectionMonoid)
         groups: dict[tuple[Any, ...], Any] = {}
         order: list[tuple[Any, ...]] = []
         keys_to_env: dict[tuple[Any, ...], Env] = {}
@@ -217,18 +219,16 @@ class PlanEvaluator:
             # itself where there is no stored object).
             key = tuple(env[t] if t in env else identity_key(env[c]) for c, t in tags)
             if key not in groups:
-                groups[key] = monoid.zero
+                groups[key] = [] if collection else monoid.zero
                 order.append(key)
                 keys_to_env[key] = {name: env[name] for name in carried if name in env}
             if any(is_null(env[col]) for col in plan.null_vars):
                 continue  # NULL padding converts to the monoid's zero
-            if not self._holds(plan.pred, env):
-                continue
-            contribution = self._contribution(monoid, plan.head, env)
-            if contribution is not None:
-                groups[key] = monoid.merge(groups[key], contribution)
+            if self._holds(plan.pred, env):
+                groups[key] = self._add(monoid, groups[key], plan.head, env)
+        fold = monoid.fold_elements if collection else monoid.finalize
         for key in order:
-            yield {**keys_to_env[key], plan.out_var: monoid.finalize(groups[key])}
+            yield {**keys_to_env[key], plan.out_var: fold(groups[key])}
 
 
 def _bindings(var: str, collection: CollectionValue) -> list[Env]:

@@ -12,13 +12,17 @@ algorithm (rule N7/N8 side conditions) and the semantics of comprehensions
 over mixed monoids (rule D7's duplicate guard).
 
 ORDER BY is a fold too, of the ``sorted[…]`` family (:class:`SortedMonoid`).
+
+A comprehension's value is its monoid's fold of its heads: the engine keeps
+the heads as a list and :func:`folder` alone says how it becomes the value,
+checked against the evaluators' ``merge``/``lift`` fold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Any, Callable
 
@@ -49,7 +53,10 @@ class Monoid:
     idempotent: bool = False
     lift: Callable[[Any], Any] = field(compare=False, default=_identity)
     finalize: Callable[[Any], Any] = field(compare=False, default=_identity)
-    #: A primitive monoid's fold (see :func:`fold_skipping_nulls`).
+    #: A primitive's fold, ``loop(carrier, values)``, in order, its merge
+    #: inline (``all``/``some`` stop at the deciding value).  A NULL cannot
+    #: be summed or conjoined, so it is skipped (merging the zero); it equals
+    #: the ``merge(carrier, lift(v))`` fold, so a float sum is the same bits.
     loop: Callable[[Any, Iterable[Any]], Any] = field(compare=False, default=None)  # type: ignore[assignment]
 
     @property
@@ -73,28 +80,6 @@ class Monoid:
 
     def __repr__(self) -> str:
         return self.name
-
-
-def fold_skipping_nulls(monoid: Monoid, carrier: Any, values: Any) -> Any:
-    """Continue a primitive fold from *carrier* over *values*, in order.
-
-    The null-to-zero rule: a NULL contributes nothing to a primitive
-    accumulator — it cannot be summed or conjoined — so it is skipped, which
-    is merging the zero.  Each other value is merged (the monoid's ``loop``
-    writes its merge inline; ``all`` / ``some`` stop at the deciding element)
-    into a carrier for the caller to continue or ``finalize``.  It equals
-    the evaluators' ``merge(carrier, lift(value))`` fold, so that a float sum
-    comes out the same wherever it is folded.
-    """
-    return monoid.loop(carrier, values)
-
-
-def fold_value(monoid: Monoid, values: Iterable[Any]) -> Any:
-    """A whole fold's value: a collection built in one pass, or a primitive
-    fold from the zero, NULLs skipped, finalized."""
-    if isinstance(monoid, CollectionMonoid):
-        return monoid.fold_elements(values)
-    return monoid.finalize(fold_skipping_nulls(monoid, monoid.zero, values))
 
 
 def _sum_loop(total: Any, values: Iterable[Any]) -> Any:
@@ -331,6 +316,24 @@ def sorted_monoid(directions: str) -> SortedMonoid:
         descending=tuple(d == "-" for d in directions),
     )
     return found
+
+
+def folder(monoid: Monoid, plain: bool = False, fields: Sequence[str] = ()) -> Callable:
+    """A fold's ``heads → value``: a bag of *plain* heads counts them as
+    they are, a set of structs with *fields* drops repeats on their field
+    tuples, any other collection is built in one pass, and a primitive is its
+    ``loop`` from the zero, finalized only where it has a carrier (avg)."""
+    if plain and monoid.name == "bag":
+        return BagValue.of_plain
+    if fields and monoid.name == "set":
+        return partial(SetValue.of_structs, names=tuple(fields))
+    if isinstance(monoid, CollectionMonoid):
+        return monoid.fold_elements
+    fold = partial(monoid.loop, monoid.zero)
+    if not monoid.has_carrier:
+        return fold
+    finalize = monoid.finalize
+    return lambda heads: finalize(fold(heads))
 
 
 def monoid(name: str) -> Monoid:

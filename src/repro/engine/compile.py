@@ -63,7 +63,7 @@ import threading
 from typing import Any, Callable, Mapping
 
 from repro.calculus.evaluator import EvaluationError, Evaluator
-from repro.calculus.monoids import CollectionMonoid
+from repro.calculus.monoids import CollectionMonoid, folder
 from repro.calculus.terms import (
     BOOLEAN_OPS,
     BinOp,
@@ -86,7 +86,7 @@ from repro.calculus.terms import (
     Zero,
     free_vars,
 )
-from repro.data.values import NULL, BagValue, CollectionValue, Record, identity_key
+from repro.data.values import NULL, CollectionValue, Record, identity_key
 from repro.engine.governor import charge_values
 from repro.errors import GovernorError, PlanningError
 
@@ -615,7 +615,7 @@ class _KernelEmitter:
     def _x_singleton(self, term: Singleton) -> str:
         if not term.monoid.is_collection:  # no unit: the interpreter faults
             return "_fault()"
-        return f"{self.bind('f', term.monoid.fold_elements)}(({self.xgen(term.expr)},))"
+        return f"{self.bind('f', folder(term.monoid))}(({self.xgen(term.expr)},))"
 
     def _x_merge(self, term: Merge) -> str:
         merge = self.bind("f", term.monoid.merge)
@@ -666,8 +666,8 @@ class _KernelEmitter:
         len((t := _members(<domain>))) + _k) for x in t`` (``_k`` read after
         the domain, whose own folds count into it), a singleton domain
         ``if ((t := v),)``, a filter an ``if``; folded by the monoid's
-        ``loop``, or ``fold_elements`` of a list kept in ``_b`` (the root
-        bag of a plain kernel: ``BagValue.of_plain``)."""
+        ``loop``, or the monoid's ``folder`` of a list kept in ``_b`` (the
+        root bag of a plain kernel is plain: ``BagValue.of_plain``)."""
         # Only the root bag is plain: its domains and head hold other folds.
         plain = self.plain_root and term.monoid_name == "bag"
         self.plain_root = False
@@ -703,7 +703,7 @@ class _KernelEmitter:
         monoid = term.monoid
         if isinstance(monoid, CollectionMonoid):
             kept = self.wtemp()
-            fold = self.bind("f", BagValue.of_plain if plain else monoid.fold_elements)
+            fold = self.bind("f", folder(monoid, plain))
             return f"{fold}((_b.append(({kept} := [{stream}])), {kept})[1])"
         loop = self.bind("f", monoid.loop)
         folded = f"{loop}({self.bind('c', monoid.zero)}, ({stream}))"

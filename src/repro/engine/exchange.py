@@ -68,7 +68,6 @@ from repro.algebra.operators import (
     Select,
     Unnest,
 )
-from repro.calculus.monoids import fold_value
 from repro.calculus.terms import Proj, Term, Var, free_vars
 from repro.data.values import (
     BagValue,
@@ -486,11 +485,12 @@ class PGather(PhysicalOperator):
     in a thread pool, then merges in partition order.
 
     ``strategy="reduce"``: each worker returns its partition's post-filter
-    head values (stream order); the coordinator replays the serial fold
-    over the concatenation.  ``strategy="nest"``: each worker returns its
-    raw grouping state; the coordinator merges groups by key in partition
-    order (or concatenates finalized groups when partition-aligned),
-    finalizes, and streams the merged group rows through the serial tail.
+    head values (stream order); the coordinator folds the concatenation
+    with the partition root's own fold.  ``strategy="nest"``: each worker
+    returns its groups' head lists; the coordinator extends them by key in
+    partition order (or concatenates folded groups when partition-aligned),
+    folds each as the root would, and streams the merged group rows through
+    the serial tail.
     """
 
     def __init__(
@@ -547,7 +547,7 @@ class PGather(PhysicalOperator):
             return root.partial_value(ex)
         if self.aligned:
             return root._groups(ex)
-        return root.accumulate(ex, raw=True)
+        return root.accumulate(ex)
 
     def value(self, ex: Execution | None = None) -> Any:
         ex = Execution(self) if ex is None else ex
@@ -589,7 +589,7 @@ class PGather(PhysicalOperator):
         # The serial fold replayed over the partition-order concatenation,
         # so arithmetic matches serial execution bit for bit under range
         # partitioning.
-        return fold_value(self.monoid, list(chain.from_iterable(partials)))
+        return self._partition_roots[0]._fold(list(chain.from_iterable(partials)))
 
     def _merge_nest(self, ex: Execution, partials: list) -> Any:
         nest = self._nest_node
@@ -617,7 +617,8 @@ class PGather(PhysicalOperator):
                         merged[key] = elements
                         for col, values in columns.items():
                             values.append(part_keys[col][pos])
-            columns[nest.out_var] = [fold_value(nest.monoid, e) for e in merged.values()]
+            fold = self._partition_roots[0]._fold
+            columns[nest.out_var] = [fold(e) for e in merged.values()]
             count = len(merged)
         self._tail_source.feed(ex, columns, count)
         return self._tail_root.value(ex)

@@ -62,19 +62,12 @@ import time
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, groupby
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.algebra.operators import Operator, occurrence
 from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
-from repro.calculus.monoids import (
-    CollectionMonoid,
-    Monoid,
-    SortedMonoid,
-    fold_skipping_nulls,
-    fold_value,
-)
+from repro.calculus.monoids import CollectionMonoid, Monoid, SortedMonoid, folder
 from repro.calculus.terms import (
     TRUE,
     Comprehension,
@@ -84,14 +77,7 @@ from repro.calculus.terms import (
     Var,
     free_vars,
 )
-from repro.data.values import (
-    NULL,
-    BagValue,
-    CollectionValue,
-    SetValue,
-    exact_key,
-    identity_key,
-)
+from repro.data.values import NULL, CollectionValue, exact_key, identity_key
 from repro.engine.batch import DEFAULT_BATCH_SIZE, Chunk
 from repro.engine.compile import CompiledKernel, ExprCompiler
 from repro.engine.governor import SAMPLE_STRIDE, charge_values, estimate_bytes
@@ -226,18 +212,12 @@ def _plain_bag(context: _Context, monoid: Monoid, head: Term) -> bool:
     return monoid.name == "bag" and typing is not None and typing.plain(head)
 
 
-def _collect(context: _Context, monoid: Monoid, head: Term) -> Any:
-    """How a fold builds its value from the list of its *head* values: a
-    plain bag counts them as they are, a set of structs drops repeats on
-    their field tuples (``SetValue.of_structs``), any other collection is
-    built in one pass, and a primitive's carrier is finalized."""
-    if _plain_bag(context, monoid, head):
-        return BagValue.of_plain
-    if monoid.name == "set" and isinstance(head, RecordCons):
-        return partial(SetValue.of_structs, names=tuple(n for n, _ in head.fields))
-    if isinstance(monoid, CollectionMonoid):
-        return monoid.fold_elements
-    return monoid.finalize
+def _folder(context: _Context, monoid: Monoid, head: Term) -> Any:
+    """The :func:`~repro.calculus.monoids.folder` of a fold of *head*
+    values: plain where the plan's typing finds *head* plain, with a struct
+    head's fields."""
+    fields = [n for n, _ in head.fields] if isinstance(head, RecordCons) else ()
+    return folder(monoid, _plain_bag(context, monoid, head), fields)
 
 
 def _plain_fold(context: _Context, term: Term) -> bool:
@@ -986,8 +966,10 @@ class PHashNest(PhysicalOperator):
         self._head_kernel = self._kernel(context, head)
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
-        #: What a group's accumulator (element list or carrier) becomes.
-        self._fold = _collect(context, monoid, head)
+        #: What a group's list of head values becomes; an empty group's,
+        #: computed once.
+        self._fold = _folder(context, monoid, head)
+        self._empty = self._fold([])
         #: Per grouping variable, the column keying a group: its occurrence
         #: where it has one.  A group carries out both, for an outer nest.
         #: Keys are :func:`_filed` — distinct stored objects with equal state
@@ -1003,34 +985,23 @@ class PHashNest(PhysicalOperator):
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    def accumulate(self, ex: Execution, raw: bool = False):
+    def accumulate(self, ex: Execution):
         """The grouping build: kernels over child chunks.
 
-        Returns ``(groups, key_cols)``: the accumulators by group key — a
-        dict, so in first-seen order — and, aligned with them, one column
-        per :attr:`carried` column, appended to when a group opens.  A group
-        opens for *every* row (before null-var/predicate filtering); the
-        head kernel runs once per chunk over the filter-surviving rows.
-        Collection-monoid accumulators are element lists (built into the
-        collection once at the end — per-row immutable merges would copy the
-        accumulator every row).  A primitive one is a pre-finalize carrier:
-        each chunk gathers its surviving values per group key, and each
-        group's list continues its carrier through the monoid's ``loop``
-        (NULLs skipped), so every group folds in stream order with no
-        per-row merge.  With ``raw=True``, for the exchange layer, primitive
-        accumulators are element lists as well, so a coordinator can merge
-        lists across partitions and replay the serial NULL-skipping fold
-        instead of reassociating carriers (which would perturb float
-        results).  The caller finalizes: :meth:`_groups`, or the exchange's
-        own fold.
+        Returns ``(groups, key_cols)``: each group's list of head values,
+        in stream order, NULLs included, by group key — a dict, so in
+        first-seen order — and, aligned with them, one column per
+        :attr:`carried` column.  A group opens for *every* row (before
+        null-var/predicate filtering); the head kernel runs once per chunk
+        over the filter-surviving rows.  The caller folds each list once
+        with :attr:`_fold`: :meth:`_groups`, or the exchange after
+        extending the lists across partitions.
         """
-        monoid = self.monoid
-        loop = monoid.loop
-        groups: dict[Any, Any] = {}
+        groups: dict[Any, list] = {}
         key_cols: dict[str, list] = {col: [] for col in self.carried}
-        collection = isinstance(monoid, CollectionMonoid)
-        use_list = collection or raw
-        charge = ex.charge_fn() if collection else None
+        # Only a collection's heads are charged: a primitive's lists are
+        # transient, O(the input rows).
+        charge = ex.charge_fn() if isinstance(self.monoid, CollectionMonoid) else None
         buffered = 0
         for chunk in self.child.batches(ex):
             cols = chunk.columns
@@ -1044,30 +1015,17 @@ class PHashNest(PhysicalOperator):
             )
             for i, key in enumerate(keys):
                 if key not in groups:
-                    groups[key] = [] if use_list else monoid.zero
+                    groups[key] = []
                     for name, col in key_cols.items():
                         col.append(cols[name][i])
             if charge is not None:
                 charge_values(charge, values, buffered)
                 buffered += len(values)
-            if not self._keys and values:  # the one group takes every row
-                if use_list:
-                    groups[()].extend(values)
-                else:
-                    groups[()] = loop(groups[()], values)
-            elif use_list:
+            if self._keys:
                 for value, i in zip(values, picked):
                     groups[keys[i]].append(value)
-            else:
-                gathered: dict[Any, list] = {}
-                for value, i in zip(values, picked):
-                    key = keys[i]
-                    if key in gathered:
-                        gathered[key].append(value)
-                    else:
-                        gathered[key] = [value]
-                for key, run in gathered.items():
-                    groups[key] = loop(groups[key], run)
+            elif values:  # the one group takes every row
+                groups[()].extend(values)
             if err is not None:
                 raise err
         return groups, key_cols
@@ -1077,7 +1035,8 @@ class PHashNest(PhysicalOperator):
         found = ex.memo.get(self)
         if found is None:
             groups, columns = self.accumulate(ex)
-            columns[self.out_var] = list(map(self._fold, groups.values()))
+            fold, empty = self._fold, self._empty
+            columns[self.out_var] = [fold(g) if g else empty for g in groups.values()]
             found = ex.memo[self] = columns, len(groups)
         return found
 
@@ -1164,6 +1123,7 @@ class PGroupJoin(PhysicalOperator):
         self._left_key_kernels = tuple(self._kernel(context, k) for k in left_keys)
         self._right_key_kernels = tuple(self._kernel(context, k) for k in right_keys)
         self._residual_holds = self._pred_kernel(context, residual)
+        self._fold = _folder(context, monoid, head)
         self._bare = bare
         self.reuse_key = reuse_key
 
@@ -1261,7 +1221,7 @@ class PGroupJoin(PhysicalOperator):
             if not clean:
                 elems, fault = self._kept(elems)
             try:
-                value = _Fault(fault) if fault else fold_value(self.monoid, elems)
+                value = _Fault(fault) if fault else self._fold(elems)
             except Exception as exc:  # noqa: BLE001 - raised where reached
                 value = _Fault(exc)
             keep = keep and value.__class__ is not _Fault
@@ -1289,8 +1249,7 @@ class PGroupJoin(PhysicalOperator):
             built = ex.memo[self] = reused(self, ex, self._build)
         table, clean = built
         governor = ex.governor
-        collection = isinstance(self.monoid, CollectionMonoid)
-        charge = ex.charge_fn() if collection else None
+        charge = ex.charge_fn() if isinstance(self.monoid, CollectionMonoid) else None
         buffered = 0
         residual_kernel = self._residual_holds
         plain = residual_kernel.trivial_true
@@ -1298,7 +1257,7 @@ class PGroupJoin(PhysicalOperator):
         read = [n for n in self.right_columns if n in residual_vars]
         needed_left = [n for n in residual_vars if n not in self.right_columns]
         pad_checked = self._holds.trivial_true
-        unmatched = fold_value(self.monoid, [])
+        unmatched = self._fold([])
         # An empty build matches no key, so none is evaluated: no fault.
         key_kernels = self._left_key_kernels if table else ()
         for chunk in self.child.batches(ex):
@@ -1340,7 +1299,7 @@ class PGroupJoin(PhysicalOperator):
                     if perr is not None:
                         err = perr
                         break
-                    value = fold_value(self.monoid, elems)
+                    value = self._fold(elems)
                     padded = True not in flags
                 if padded and not pad_checked:
                     # The pair evaluates the nest predicate on each padded
@@ -1545,7 +1504,7 @@ class PReduce(PhysicalOperator):
         self._head_kernel = self._kernel(context, head, "row" if self._rows else "expr")
         self._head_vars = free_vars(head)
         self._holds = self._pred_kernel(context, pred)
-        self._collect = _collect(context, monoid, head)
+        self._fold = _folder(context, monoid, head)
 
     def children(self) -> tuple[PhysicalOperator, ...]:
         return (self.child,)
@@ -1556,12 +1515,12 @@ class PReduce(PhysicalOperator):
         if isinstance(monoid, CollectionMonoid):
             # One-pass bulk construction instead of per-row immutable
             # merges (which copy the whole accumulator every row).
-            return ex.account(self, self._collect(self.partial_value(ex)))
-        result = monoid.zero
+            return ex.account(self, self._fold(self.partial_value(ex)))
+        result, loop = monoid.zero, monoid.loop
         decided = {"all": False, "some": True}.get(monoid.name)
         for chunk in self.child.batches(ex):
             _, _, values, err = self._kept_heads(ex, chunk.columns, chunk.length)
-            result = fold_skipping_nulls(monoid, result, values)
+            result = loop(result, values)
             # Short-circuit *before* raising: the rows past the deciding
             # one — the faulting row among them — do not count.
             if result is decided:
@@ -1572,14 +1531,11 @@ class PReduce(PhysicalOperator):
 
     def partial_value(self, ex: Execution) -> list:
         """The head values over the predicate-surviving rows, in stream
-        order, NULLs included — the whole stream here, one partition's for
-        the exchange workers (the serial primitive fold skips NULLs at
-        merge time; the coordinator replays that exact fold over the
-        partition-order concatenation, so float arithmetic and collection
-        order match serial execution bit for bit under range
-        partitioning).  Quantifier roots (some/all) never reach here from
-        the exchange — the planner keeps short-circuiting queries serial.
-        No result accounting happens here; the root owns it.
+        order, NULLs included: the whole stream here, one partition's for
+        an exchange worker, whose coordinator folds the partition-order
+        concatenation with :attr:`_fold` (so it folds as a serial run under
+        range partitioning).  The planner keeps quantifier roots (some/all)
+        serial.  The root owns the result accounting.
         """
         elements: list = []
         for chunk in self.child.batches(ex):

@@ -23,8 +23,12 @@ from repro.algebra.operators import (
 )
 from repro.algebra.pretty import plan_signature, pretty_plan
 from repro.calculus.terms import BinOp, Const, Proj, Var, const, path, record, var
+from repro.core.optimizer import Optimizer
+from repro.core.unnesting import unnest_query
 from repro.data.database import Database
-from repro.data.values import NULL, Record, SetValue, is_null
+from repro.data.datagen import company_database
+from repro.data.values import NULL, ListValue, Record, SetValue, is_null
+from repro.oql.translator import parse_and_translate
 
 
 @pytest.fixture()
@@ -225,6 +229,16 @@ class TestRoots:
     def test_reduce_quantifier(self, db):
         plan = Reduce(Scan("Emp", "e"), "all", BinOp(">", path("e", "dno"), const(0)))
         assert evaluate_plan(plan, db) is True
+
+    def test_an_ordered_select_of_2500_rows_answers_as_the_engine(self):
+        # A collection's heads are folded once: one sort of 2 500 rows, where
+        # merging one unit a row re-sorted the accumulator on every row.
+        database = company_database(2500, 40, seed=1998)
+        query = "select e.dno as d, e.name as n from e in Employees order by d, n desc"
+        plan = unnest_query(parse_and_translate(query, database.schema))
+        got = evaluate_plan(plan, database)
+        assert isinstance(got, ListValue) and len(got) == 2500
+        assert got == Optimizer(database).run_oql(query)
 
     def test_eval_root(self, db):
         plan = Eval(Seed(), const(42))

@@ -1,11 +1,11 @@
-"""A hash nest's primitive groups fold in one loop per group and chunk.
+"""A hash nest's primitive groups fold once each, from their head lists.
 
-``PHashNest.accumulate`` gathers each chunk's surviving head values per
-group key and continues each group's carrier through the monoid's ``loop``
-(NULLs skipped), instead of merging row by row.  Every group must still come
-out as the calculus evaluator folds it, in stream order — a float sum bit
-for bit, so compared by ``repr`` — whatever the chunk size, and the
-exchange's ``raw`` accumulation must still hand back element lists.
+``PHashNest.accumulate`` keeps each group as the list of its head values in
+stream order, NULLs included, and ``_groups`` folds each list once with the
+monoid's ``folder`` (its ``loop``, NULLs skipped), instead of merging row by
+row.  Every group must come out as the calculus evaluator folds it, in
+stream order — a float sum bit for bit, so compared by ``repr`` — whatever
+the chunk size, and ``accumulate`` must hand the exchange those lists.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def test_groups_fold_as_the_calculus_does(name, size):
 def test_raw_accumulation_keeps_element_lists(name, size):
     rows = _rows(name)
     nest = _nest(name, rows, size)
-    groups, columns = nest.accumulate(Execution(nest), raw=True)
+    groups, columns = nest.accumulate(Execution(nest))
     expected: dict = {}
     for key, value in zip(rows["k"], rows["v"]):
         expected.setdefault(key, []).append(value)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.typing import PlanTypeChecker
+from repro.calculus.evaluator import evaluate
 from repro.calculus.monoids import monoid as lookup_monoid
-from repro.calculus.terms import BinOp, Const, conj, path
+from repro.calculus.terms import BinOp, Const, RecordCons, comprehension, conj, path
 from repro.data.database import Database
-from repro.data.values import NULL, CollectionValue, Record
+from repro.data.schema import INT, RecordType
+from repro.data.values import NULL, BagValue, CollectionValue, ListValue, Record, SetValue
 from repro.engine.batch import chunk_rows
 from repro.engine.governor import Governor
 from repro.engine.physical import (
@@ -294,6 +296,38 @@ class TestAgreement:
         )
         assert _values(outcome) == ["0", "30", "60"]
 
+    @pytest.mark.parametrize("monoid_name", ["bag", "set"])
+    @pytest.mark.parametrize("residual", [TRUE, BinOp("<", HEAD, path("l", "n"))])
+    def test_plain_bags_and_struct_sets_answer_as_the_calculus(self, monoid_name, residual):
+        # A scalar head folds a plain bag (BagValue.of_plain), a struct head
+        # a set of structs (SetValue.of_structs), in every form: the bucket
+        # folds and the per-row folds under a residual alike.
+        head = HEAD if monoid_name == "bag" else RecordCons((("a", HEAD), ("b", R_KEY)))
+        lefts = [{"l": Record(k=k, n=n)} for k, n in ((1, 50), (2, 50), (3, 50), (1, 11))]
+        rights = _rights((1, 10), (2, 5), (1, 10), (1, 11), (2, 5), (1, 10))
+        typing = typing_of()
+        typing.columns = {"r": RecordType((("k", INT), ("v", INT)))}
+        domain = ListValue([row["r"] for row in rights])
+        expected = [
+            _show(evaluate(comprehension(
+                monoid_name, head, ("r", Const(domain)),
+                BinOp("==", L_KEY, R_KEY), residual,
+            ), None, {"l": row["l"]}))
+            for row in lefts
+        ]  # fmt: skip
+        for size in BATCH_SIZES:
+            context = _Context(Database(), batch_size=size, typing=typing)
+            ops = _operators(
+                context, lefts, rights, monoid_name, head=head, residual=residual
+            )
+            fold = ops["group-join"]._fold
+            if monoid_name == "bag":
+                assert fold == BagValue.of_plain
+            else:
+                assert fold.func == SetValue.of_structs
+            for name, op in ops.items():
+                assert _values(_outcome(op)) == expected, (name, size)
+
     def test_quantifier_monoids(self):
         rights = _rights((1, True), (1, False), (2, True), (3, NULL))
         assert _values(_compare(_lefts(1, 2, 3, 4), rights, "all")) == [
@@ -517,7 +551,7 @@ class TestOperatorSurface:
         op = _operators(context, _lefts(1, 1), _rights((1, 1), (1, 2)), "sum")[
             "nest-hash-join"
         ]
-        groups, _ = op.accumulate(Execution(op), raw=True)
+        groups, _ = op.accumulate(Execution(op))
         first, second = groups.values()
         assert (first, second) == ([1, 2], [1, 2])
         first.append(99)

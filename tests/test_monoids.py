@@ -4,7 +4,9 @@ The monoid laws (associativity, identity, and the declared commutativity /
 idempotence flags) are the soundness bedrock of the whole system — they are
 checked here with hypothesis over randomly generated carrier values.  So is
 each primitive monoid's ``loop``, the fold the engine runs, against the
-reference ``merge(carrier, lift(value))`` fold the evaluators run.
+reference ``merge(carrier, lift(value))`` fold the evaluators run, and
+``folder``, which makes every fold's heads its value, against the fold of
+the heads' units.
 
 The ``value-laws-ci`` profile (also registered by ``test_value_laws.py``)
 raises the example budget; this module loads it when asked to::
@@ -34,7 +36,7 @@ from repro.calculus.monoids import (
     SOME,
     SUM,
     SortedMonoid,
-    fold_skipping_nulls,
+    folder,
     leq,
     monoid,
 )
@@ -361,7 +363,7 @@ def test_fold_loops_equal_the_reference_fold(values, starts):
     for name in PRIMITIVE:
         m = MONOIDS[name]
         for carrier in (m.zero, starts[name]):
-            got = fold_skipping_nulls(m, carrier, iter(values))
+            got = m.loop(carrier, iter(values))
             want = reference_fold(m, carrier, values)
             assert repr(got) == repr(want), name
             assert repr(m.finalize(got)) == repr(m.finalize(want)), name
@@ -380,12 +382,70 @@ def test_quantifier_loops_stop_at_the_deciding_element(prefix):
             yield deciding
             raise AssertionError("pulled the element after the deciding one")
 
-        assert fold_skipping_nulls(m, m.zero, stream()) is deciding
-        assert fold_skipping_nulls(m, m.zero, iter(undecided)) is m.zero
+        assert m.loop(m.zero, stream()) is deciding
+        assert m.loop(m.zero, iter(undecided)) is m.zero
 
 
 @given(st.integers(0, 5))
 def test_avg_of_an_empty_or_all_null_stream_is_null(nulls):
-    carrier = fold_skipping_nulls(AVG, AVG.zero, [NULL] * nulls)
+    carrier = AVG.loop(AVG.zero, [NULL] * nulls)
     assert carrier == AVG.zero
     assert AVG.finalize(carrier) is NULL
+
+
+# ---------------------------------------------------------------------------
+# The folder: the one function that makes a fold's heads its value
+# ---------------------------------------------------------------------------
+
+#: Scalar heads, NULL among them (no NaN: it is not equal to itself).
+_SCALARS = st.one_of(
+    st.integers(-3, 3), st.sampled_from([0.0, -0.0, 0.5, 1e16]), st.booleans(),
+    st.sampled_from(["a", "b"]), st.just(NULL),
+)  # fmt: skip
+#: Computed structs of scalars, with the fields ``a`` and ``b``.
+_STRUCTS = st.builds(lambda a, b: Record(a=a, b=b), ints | st.just(NULL), ints)
+#: A collection fold's heads: scalars, structs, or collections of them.
+_COLLECTION_HEADS = st.lists(
+    st.one_of(_SCALARS, _STRUCTS, st.lists(ints, max_size=2).map(BagValue)), max_size=8
+)
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDS) + ["sorted[+-]"])
+def test_folder_is_the_fold_of_the_heads(name):
+    m = monoid(name)
+    fold = folder(m)
+    if name == "sorted[+-]":
+        strategy = st.lists(heads, max_size=8)
+    elif m.is_collection:
+        strategy = _COLLECTION_HEADS
+    else:
+        strategy = STREAMS
+
+    @given(strategy)
+    def check(hs):
+        got = fold(list(hs))
+        if m.is_collection:
+            want = m.finalize(m.fold(m.unit(h) for h in hs))
+            assert got == want and type(got) is type(want)
+            assert list(got.elements()) == list(want.elements())
+        else:
+            want = m.finalize(reference_fold(m, m.zero, hs))
+            assert repr(got) == repr(want)
+            assert _same(got, want)
+
+    check()
+
+
+@given(st.lists(_SCALARS | _STRUCTS, max_size=8))
+def test_folder_of_a_plain_bag_counts_its_heads_as_they_are(hs):
+    got, want = folder(BAG, plain=True)(list(hs)), BagValue(hs)
+    assert got == want and list(got.elements()) == list(want.elements())
+    assert folder(SET, plain=True)(list(hs)) == SetValue(hs)  # a bag's flag
+
+
+@given(st.lists(_STRUCTS, max_size=8))
+def test_folder_of_a_struct_set_drops_repeats_on_its_fields(hs):
+    got, want = folder(SET, fields=("a", "b"))(list(hs)), SetValue(hs)
+    assert got == want and list(got.elements()) == list(want.elements())
+    assert hash(got) == hash(want)
+    assert folder(BAG, fields=("a", "b"))(list(hs)) == BagValue(hs)  # a set's
