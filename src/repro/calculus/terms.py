@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import copysign
 from operator import is_
 from typing import Any, Callable, Iterator
 
@@ -52,11 +53,31 @@ class Var(Term):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Term):
-    """A literal constant (bool, int, float, or string)."""
+    """A literal constant (bool, int, float, or string).
+
+    Two constants are one term only when their values have one type and
+    are equal, a float's sign of zero included: ``Const(1)``,
+    ``Const(1.0)`` and ``Const(True)`` are three terms, and so are
+    ``Const(0.0)`` and ``Const(-0.0)``.  A NaN is equal only to itself.
+    So every table keyed by terms keys them exactly.
+    """
 
     value: Any
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Const:
+            return NotImplemented
+        a, b = self.value, other.value
+        return a is b or (
+            type(a) is type(b)
+            and a == b
+            and (type(a) is not float or copysign(1.0, a) == copysign(1.0, b))
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
     def __repr__(self) -> str:
         return f"Const({self.value!r})"

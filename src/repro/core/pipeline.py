@@ -17,9 +17,10 @@ On top of the staged compiler sit the two serving-layer features:
   :class:`~repro.calculus.terms.Param` terms; the same
   :class:`CompiledQuery` is then :meth:`~CompiledQuery.bind`-able to any
   parameter values, so one plan serves every binding;
-* a **plan cache** — :class:`PlanCache` is an LRU keyed by the
-  whitespace-normalized source, the database's schema version, the option
-  set, and the view-definition epoch, with hit/miss counters surfaced
+* a **plan cache** — :class:`PlanCache` is an LRU keyed by the source
+  (whitespace-normalized unless it holds a string or a comment), the
+  database's schema version, the option set, and the view-definition
+  epoch, with hit/miss counters surfaced
   through :class:`~repro.engine.executor.ExecutionStats`.
 
 :class:`repro.core.optimizer.Optimizer` is the backward-compatible facade:
@@ -573,8 +574,10 @@ class QueryPipeline:
         schema_version = (
             self.database.schema_version if self.database is not None else None
         )
+        # Whitespace folds only where no string or comment can hold it.
+        verbatim = '"' in source or "--" in source
         return (
-            " ".join(source.split()),
+            source if verbatim else " ".join(source.split()),
             schema_version,
             self.options,
             self._views_epoch,

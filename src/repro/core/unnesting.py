@@ -63,7 +63,6 @@ from repro.algebra.operators import (
 )
 from repro.calculus.terms import (
     Comprehension,
-    Const,
     Extent,
     Filter,
     Generator,
@@ -75,7 +74,6 @@ from repro.calculus.terms import (
     conjuncts,
     free_vars,
     fresh_name,
-    subterms,
 )
 from repro.core.normalization import prepare
 from repro.errors import PlanningError
@@ -457,9 +455,8 @@ class _Spliced:
     output variable is the common-subexpression sharing the paper's
     graph-reduction discussion (Section 2) calls for.  A box of the walk
     that found them is recognised by identity; another comprehension is
-    compared by α-canonical form plus the types of its constants in
-    traversal order (``Const(1) == Const(1.0) == Const(True)``, but a box
-    summing 1s is not one summing 1.0s), and a comprehension is
+    compared by α-canonical form (constants compare by type and value, so
+    a box summing 1s is not one summing 1.0s), and a comprehension is
     canonicalised once, and only when a box of its monoid and qualifier
     count was spliced.
     """
@@ -467,20 +464,19 @@ class _Spliced:
     def __init__(self) -> None:
         self.by_box: dict[int, Var] = {}
         self._shapes: dict[tuple[str, int], list[tuple[Comprehension, Var]]] = {}
-        self._tables: dict[tuple[str, int], dict[tuple, Var]] = {}
-        self._canon: dict[int, tuple[Comprehension, tuple]] = {}
+        self._tables: dict[tuple[str, int], dict[Term, Var]] = {}
+        self._canon: dict[int, tuple[Comprehension, Term]] = {}
 
     def __bool__(self) -> bool:
         return bool(self._shapes)
 
-    def _canonical(self, comp: Comprehension) -> tuple:
+    def _canonical(self, comp: Comprehension) -> Term:
         known = self._canon.get(id(comp))
         if known is None:  # keeps *comp* alive, so its id is not reused
-            types = tuple(type(t.value) for t in subterms(comp) if type(t) is Const)
-            known = self._canon[id(comp)] = (comp, (_alpha_canonical(comp), types))
+            known = self._canon[id(comp)] = (comp, _alpha_canonical(comp))
         return known[1]
 
-    def _table(self, shape: tuple[str, int]) -> dict[tuple, Var] | None:
+    def _table(self, shape: tuple[str, int]) -> dict[Term, Var] | None:
         table = self._tables.get(shape)
         if table is None and shape in self._shapes:
             table = self._tables[shape] = {

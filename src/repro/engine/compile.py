@@ -154,37 +154,15 @@ class ExprRuntime(threading.local):
         self.kept = 0  # collection elements this execution's folds kept
 
 
-def _memo_key(kind: str, term: Term) -> tuple:
-    """A memo key that never conflates equal-but-differently-typed constants.
-
-    Terms are frozen dataclasses, so structural equality is the natural memo
-    relation — except that Python compares ``bool``/``int``/``float`` across
-    types: ``Const(True) == Const(1) == Const(1.0)`` (with equal hashes).
-    Memoizing on the term alone would therefore serve the kernel for
-    ``Const(1)`` to a ``Const(True)`` head (a fuzzer-found bug: a ``some``
-    accumulator then yields ``1``, which is not a boolean to a predicate).
-    Equal terms always have the same tree shape, so a traversal-ordered
-    tuple of the constant value *types* disambiguates fully.
-    """
-    const_types: list[type] = []
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if type(node) is Const:
-            const_types.append(type(node.value))
-        stack.extend(node.children())
-    return (kind, term, tuple(const_types))
-
-
 class ExprCompiler:
     """Lowers terms to kernels; one instance per compiled query.
 
     The physical plan is built once per compiled query and database state
     and its operators hold their kernels, so a term is lowered when a plan
-    is built, never per execution.  Kernels are memoized structurally
-    (terms are frozen dataclasses): the plans of several database states,
-    and equal terms within one plan, share a kernel.  The memo key is
-    :func:`_memo_key`, not the bare term (see there).
+    is built, never per execution.  Kernels are memoized structurally on
+    ``(kind, term)`` (terms compare exactly, constants by type and value):
+    the plans of several database states, and equal terms within one plan,
+    share a kernel.
     """
 
     def __init__(self) -> None:
@@ -216,7 +194,7 @@ class ExprCompiler:
         return self._kernel("pred", term)
 
     def _kernel(self, kind: str, term: Term) -> CompiledKernel:
-        key = _memo_key(kind, term)
+        key = (kind, term)
         kernel = self._memo.get(key)
         if kernel is None:
             kernel = self._memo[key] = self._lower(term, kind)

@@ -611,12 +611,14 @@ class PGather(PhysicalOperator):
             merged: dict[Any, list] = {}
             for part_groups, part_keys in partials:
                 for pos, (key, elements) in enumerate(part_groups.items()):
-                    if key in merged:
-                        merged[key].extend(elements)
-                    else:
+                    if key not in merged:
                         merged[key] = elements
                         for col, values in columns.items():
                             values.append(part_keys[col][pos])
+                    elif merged[key]:
+                        merged[key].extend(elements)
+                    else:  # no heads yet: the empty tuple
+                        merged[key] = elements
             fold = self._partition_roots[0]._fold
             columns[nest.out_var] = [fold(e) for e in merged.values()]
             count = len(merged)

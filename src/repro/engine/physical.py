@@ -992,7 +992,8 @@ class PHashNest(PhysicalOperator):
         in stream order, NULLs included, by group key — a dict, so in
         first-seen order — and, aligned with them, one column per
         :attr:`carried` column.  A group opens for *every* row (before
-        null-var/predicate filtering); the head kernel runs once per chunk
+        null-var/predicate filtering) as the empty tuple, and its list
+        opens with its first head; the head kernel runs once per chunk
         over the filter-surviving rows.  The caller folds each list once
         with :attr:`_fold`: :meth:`_groups`, or the exchange after
         extending the lists across partitions.
@@ -1015,7 +1016,7 @@ class PHashNest(PhysicalOperator):
             )
             for i, key in enumerate(keys):
                 if key not in groups:
-                    groups[key] = []
+                    groups[key] = ()
                     for name, col in key_cols.items():
                         col.append(cols[name][i])
             if charge is not None:
@@ -1023,9 +1024,17 @@ class PHashNest(PhysicalOperator):
                 buffered += len(values)
             if self._keys:
                 for value, i in zip(values, picked):
-                    groups[keys[i]].append(value)
+                    heads = groups[keys[i]]
+                    if heads:
+                        heads.append(value)
+                    else:
+                        groups[keys[i]] = [value]
             elif values:  # the one group takes every row
-                groups[()].extend(values)
+                heads = groups[()]
+                if heads:
+                    heads.extend(values)
+                else:
+                    groups[()] = list(values)
             if err is not None:
                 raise err
         return groups, key_cols

@@ -306,7 +306,7 @@ def _join_keys(
     return [], plan.pred
 
 
-def closed_build(right: Operator, terms: tuple[Term, ...]) -> str | None:
+def closed_build(right: Operator, terms: tuple[Term, ...]) -> tuple | None:
     """What the logical plan fixes of a closed build side's reuse key, or
     None when *right* — a hash join's or group-join's build input — is not
     closed.  It is closed when it is a ``Scan``, or a ``Select`` over one,
@@ -322,14 +322,13 @@ def closed_build(right: Operator, terms: tuple[Term, ...]) -> str | None:
     if any(free_vars(t) - {scan.var} or param_names(t) for t in terms):
         return None
     # Nothing of the query: each compile names the scan's variable afresh.
-    # A repr, not the terms: Const(1) == Const(1.0) == Const(True).
     anonymous = {scan.var: Var("$")}
-    return repr((scan.extent, tuple(substitute(t, anonymous) for t in terms)))
+    return scan.extent, tuple(substitute(t, anonymous) for t in terms)
 
 
 def _build_facts(
     join: Join | OuterJoin, keys: list, context: _Context, terms: tuple[Term, ...]
-) -> tuple[tuple, str | None]:
+) -> tuple[tuple, tuple | None]:
     """``(bare, closed)`` for a hash table built over *join*'s right input
     on *keys*: the typing's ``bare`` of the left and the right keys, and
     :func:`closed_build` of the right input with the build's own *terms*."""
@@ -339,7 +338,7 @@ def _build_facts(
 
 
 def _reuse_key(
-    closed: str | None,
+    closed: tuple | None,
     right: PhysicalOperator,
     context: _Context,
     options: PlannerOptions,

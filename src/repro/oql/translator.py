@@ -27,7 +27,7 @@ import dataclasses
 
 from repro.calculus import terms as t
 from repro.calculus.monoids import sorted_monoid
-from repro.data.schema import Schema
+from repro.data.schema import CollectionType, RecordType, Schema, Type
 from repro.errors import PlanningError, UnknownExtentError
 from repro.oql import ast
 from repro.oql.parser import parse
@@ -81,6 +81,8 @@ class _Translator:
         self._schema = schema
         self._views = views or {}
         self._counter = 0
+        #: The schema's type of each range variable in scope that has one.
+        self._types: dict[str, Type] = {}
 
     def _fresh(self, hint: str) -> str:
         self._counter += 1
@@ -121,7 +123,10 @@ class _Translator:
         if isinstance(node, ast.ForAll):
             return self._quantifier("all", node.var, node.domain, node.predicate, scope)
         if isinstance(node, ast.Select):
-            return self._select(node, scope)
+            types = self._types.copy()
+            term = self._select(node, scope)
+            self._types = types
+            return term
         if isinstance(node, ast.SetOp):
             return self._set_op(node, scope)
         raise TranslationError(f"unsupported OQL construct {type(node).__name__}")
@@ -197,7 +202,10 @@ class _Translator:
         scope: frozenset[str],
     ) -> t.Term:
         domain_term = self.translate(domain, scope)
+        types = self._types.copy()
+        self._bind(var, domain_term)
         body = self.translate(predicate, scope | {var})
+        self._types = types
         return t.Comprehension(monoid_name, body, (t.Generator(var, domain_term),))
 
     def _set_op(self, node: ast.SetOp, scope: frozenset[str]) -> t.Term:
@@ -237,13 +245,50 @@ class _Translator:
     def _aggregate_term(
         self, function: str, monoid_name: str, argument: t.Term
     ) -> t.Term:
-        if isinstance(argument, t.Comprehension) and argument.monoid.is_collection:
+        fuse = isinstance(argument, t.Comprehension) and argument.monoid.is_collection
+        if fuse and argument.monoid_name == "set" and monoid_name not in ("max", "min"):
+            fuse = self._repeat_free(argument)  # else the set's dedup must stay
+        if fuse:
             # Fuse: sum(select e.x from ...) = sum{ e.x | ... }.
             head = t.Const(1) if function == "count" else argument.head
             return t.Comprehension(monoid_name, head, argument.qualifiers)
         var = self._fresh("ag")
         head = t.Const(1) if function == "count" else t.Var(var)
         return t.Comprehension(monoid_name, head, (t.Generator(var, argument),))
+
+    def _repeat_free(self, comp: t.Comprehension) -> bool:
+        """``set{ x | x <- e.attr, filters }`` over an attribute the schema
+        types as a set (paper QUERY D's ``c <- e.children``): no repeat to
+        drop.  An extent is not taken for a set: a bag extent may hold one
+        object twice."""
+        generators = [q for q in comp.qualifiers if isinstance(q, t.Generator)]
+        if len(generators) != 1 or comp.head != t.Var(generators[0].var):
+            return False
+        domain = generators[0].domain
+        kind = self._schema_type(domain) if isinstance(domain, t.Proj) else None
+        return isinstance(kind, CollectionType) and kind.monoid_name == "set"
+
+    def _schema_type(self, term: t.Term) -> Type | None:
+        """The schema's type of an extent, a range variable over one, or an
+        attribute path from either; None for any other term."""
+        if isinstance(term, t.Extent):
+            if self._schema is not None and self._schema.has_extent(term.name):
+                return self._schema.extent_type(term.name)
+        elif isinstance(term, t.Var):
+            return self._types.get(term.name)
+        elif isinstance(term, t.Proj):
+            record = self._schema_type(term.expr)
+            if isinstance(record, RecordType) and record.has_attribute(term.attr):
+                return record.attribute(term.attr)
+        return None
+
+    def _bind(self, var: str, domain: t.Term) -> None:
+        """Enter range variable *var* over *domain* into :attr:`_types`."""
+        collection = self._schema_type(domain)
+        if isinstance(collection, CollectionType):
+            self._types[var] = collection.element
+        else:
+            self._types.pop(var, None)
 
     # -- select blocks -------------------------------------------------------------
 
@@ -258,6 +303,7 @@ class _Translator:
         for clause in node.from_clauses:
             domain = self.translate(clause.domain, inner_scope)
             qualifiers.append(t.Generator(clause.var, domain))
+            self._bind(clause.var, domain)
             inner_scope |= {clause.var}
         if node.group_by:
             return self._grouped_select(node, qualifiers, inner_scope)

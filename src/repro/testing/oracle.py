@@ -149,17 +149,18 @@ def _canonical(value: Any) -> Any:
 
     Sets and bags compare as multisets of canonical elements; lists keep
     their order.  Floats are rounded to 9 places so the (rare) paths that
-    associate float additions differently still compare equal.
+    associate float additions differently still compare equal.  Types are
+    kept: ``2``, ``2.0`` and ``True`` have three images, since a path that
+    answers an int where Figure 6 types a float is wrong.
     """
     if is_null(value):
         return "<null>"
     if isinstance(value, bool):
         return value
-    if isinstance(value, float):
-        return ("f", round(value, 9))
+    if isinstance(value, float):  # round(nan) is a new nan, unequal to all
+        return ("f", round(value, 9) if value == value else "nan")
     if isinstance(value, int):
-        # 2 and 2.0 are the same value to the query language.
-        return ("f", round(float(value), 9))
+        return ("i", value)
     if isinstance(value, Record):
         return ("rec", tuple(sorted((k, _canonical(v)) for k, v in value.items())))
     if isinstance(value, ListValue):
@@ -173,8 +174,9 @@ def _canonical(value: Any) -> Any:
 
 
 def results_equal(left: Any, right: Any) -> bool:
-    """Equality across execution paths: exact when possible, canonical
-    (float-rounded, order-insensitive) otherwise."""
+    """Equality across execution paths: ``==`` when that holds (it takes
+    ``2`` for ``2.0``), canonical (float-rounded, order-insensitive, typed)
+    otherwise.  The oracle's own verdict compares canonical images."""
     try:
         if left == right:
             return True
@@ -188,7 +190,7 @@ def _outcomes_match(left: PathOutcome, right: PathOutcome) -> bool:
         return False
     if not left.ok:
         return True  # both failed: agreement (error classes may differ)
-    return results_equal(left.value, right.value)
+    return _canonical(left.value) == _canonical(right.value)
 
 
 # ---------------------------------------------------------------------------

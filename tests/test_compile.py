@@ -337,11 +337,11 @@ def test_kernel_caches_stop_growing_after_the_first_executions(
     # its operators hold their kernels: after the first execution no
     # execution lowers a term, or looks one up.
     walked = []
-    memo_key = compile_module._memo_key
+    kernel = compile_module.ExprCompiler._kernel
     monkeypatch.setattr(
-        compile_module,
-        "_memo_key",
-        lambda kind, term: walked.append(term) or memo_key(kind, term),
+        compile_module.ExprCompiler,
+        "_kernel",
+        lambda self, kind, term: walked.append(term) or kernel(self, kind, term),
     )
     grew = {}
     steady_walks = 0

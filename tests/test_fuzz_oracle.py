@@ -334,28 +334,36 @@ class TestShrinker:
 
 
 class TestReproArtifactsStillBite:
-    def test_const_memo_repro_needs_the_typed_memo_key(self, monkeypatch):
-        # With two oracle paths gone, show the pinned artifact still
-        # catches its bug: keying the kernel memo on the bare term again
-        # (Const(True) == Const(1)) makes the default pipeline disagree
-        # with the calculus interpreter on this sample.
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            "compiled_const_memo_bool_int_conflation",  # Const(True) == Const(1)
+            "box_sharing_int_then_float_sum",  # Const(1) == Const(1.0)
+        ],
+    )
+    def test_const_repros_need_exact_const_equality(self, artifact, monkeypatch):
+        # Show the pinned artifacts still catch their bugs: with the lax
+        # dataclass equality patched back into Const (a kernel served for a
+        # constant of another type, a box shared with one summing 1.0s),
+        # the default pipeline disagrees with the calculus interpreter.
         from pathlib import Path
 
-        from repro.engine import compile as expr_compile
+        from repro.calculus.terms import Const
         from repro.testing.repro_io import load_repro
 
         source, params, db = load_repro(
-            Path(__file__).parent
-            / "fuzz_repros"
-            / "compiled_const_memo_bool_int_conflation.json"
+            Path(__file__).parent / "fuzz_repros" / f"{artifact}.json"
         )
         assert check_sample(source, params, db).agreed
         # The check above kept its closed builds, made by the right kernels;
         # the mutant must build its own.
         db.builds = BuildMemo()
         monkeypatch.setattr(
-            expr_compile, "_memo_key", lambda kind, term: (kind, term)
+            Const,
+            "__eq__",
+            lambda self, other: type(other) is Const and self.value == other.value,
         )
+        monkeypatch.setattr(Const, "__hash__", lambda self: hash((self.value,)))
         verdict = check_sample(source, params, db)
         assert verdict.reference.path == "calculus-raw" and verdict.reference.ok
         assert "pipeline-default" in {

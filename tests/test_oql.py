@@ -341,3 +341,68 @@ class TestTranslator:
         result = evaluate(term, db)
         total = sum(record["n"] for record in result)
         assert total == db.cardinality("Employees")
+
+
+class TestAggregatesOverADistinct:
+    """An aggregate of a ``select distinct`` folds the set the select
+    answers, not the stream it deduplicates.  Only a set-typed attribute's
+    own elements (paper QUERY D's ``c <- e.children``) fuse into the fold."""
+
+    @staticmethod
+    def _expected(db) -> dict[str, object]:
+        employees = list(db.extent("Employees"))
+        dnos = {e["dno"] for e in employees}
+        salaries = {e["salary"] for e in employees}
+        ages = {c["age"] for e in employees for c in e["children"]}
+        return {
+            "count(select distinct e.dno from e in Employees)": len(dnos),
+            "sum(select distinct e.salary from e in Employees)": sum(salaries),
+            "avg(select distinct e.dno from e in Employees)": sum(dnos) / len(dnos),
+            "max(select distinct e.dno from e in Employees)": max(dnos),
+            "count(select distinct c.age from e in Employees, c in e.children)": len(ages),
+            "sum(select count(select distinct c from c in e.children) "
+            "from e in Employees)": sum(len(e["children"]) for e in employees),
+        }
+
+    def test_every_path_answers_what_the_extents_hold(self, company_db):
+        from repro.testing.oracle import run_all_paths
+
+        for source, expected in self._expected(company_db).items():
+            for outcome in run_all_paths(source, {}, company_db):
+                assert outcome.ok, (source, outcome.describe())
+                assert repr(outcome.value) == repr(expected), (source, outcome.path)
+
+    def test_a_bag_extent_holding_one_object_twice(self):
+        from pathlib import Path
+
+        from repro.testing.oracle import run_all_paths
+        from repro.testing.repro_io import load_repro
+
+        _, _, db = load_repro(
+            Path(__file__).parent
+            / "fuzz_repros"
+            / "sqlite_one_object_twice_in_a_bag_extent.json"
+        )
+        objects = list(db.extent("X2"))
+        assert len(objects) == 2
+        source = "count(select distinct v from v in X2)"
+        for outcome in run_all_paths(source, {}, db):
+            assert outcome.ok and outcome.value == len({v.oid for v in objects})
+
+    def test_only_a_set_attributes_elements_fuse(self, company_db):
+        schema = company_db.schema
+        fused = parse_and_translate(
+            "select count(select distinct c from c in e.children where c.age > 3) "
+            "from e in Employees",
+            schema,
+        ).head
+        assert fused.monoid_name == "sum" and fused.head == Const(1)
+        assert fused.generators()[0].domain == Proj(Var("e"), "children")
+        for source in (
+            "count(select distinct e.dno from e in Employees)",
+            "count(select distinct e from e in Employees)",
+            "sum(select distinct c.age from e in Employees, c in e.children)",
+        ):
+            term = parse_and_translate(source, schema)
+            (generator,) = term.generators()
+            assert generator.domain.monoid_name == "set", source

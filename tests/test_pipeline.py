@@ -102,6 +102,16 @@ class TestPlanCache:
         pipeline.compile_oql("select e.name from\n  e in Employees")
         assert pipeline.plan_cache.hits == 1
 
+    def test_whitespace_a_string_or_comment_holds_keeps_its_entry(self, db):
+        pipeline = QueryPipeline(db)
+        n = len(db.extent("Employees"))
+        query = 'count(select e from e in Employees where "a{}b" = "a b")'
+        assert pipeline.run_oql(query.format("  ")) == 0
+        assert pipeline.run_oql(query.format(" ")) == n
+        assert pipeline.run_oql("count(Employees) -- c\n + 1") == n + 1
+        assert pipeline.run_oql("count(Employees) -- c + 1") == n
+        assert pipeline.plan_cache.hits == 0
+
     def test_schema_change_invalidates(self, db):
         pipeline = QueryPipeline(db)
         pipeline.compile_oql(PARAM_QUERY)

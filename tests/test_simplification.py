@@ -157,6 +157,27 @@ class TestNonApplicability:
         assert evaluate_plan(simplify(plan), db) == evaluate(query, db)
 
 
+    def test_parent_reading_another_constant_type_not_rewritten(self, db):
+        """The head's ``e.dno + 1.0`` is not the grouping expression
+        ``e.dno + 1``: replacing it by the key column would answer ints."""
+        e_key = BinOp("+", path("e", "dno"), const(1))
+        u_key = BinOp("+", path("u", "dno"), const(1))
+        inner = comprehension(
+            "sum",
+            path("u", "salary"),
+            ("u", Extent("Employees")),
+            BinOp("==", e_key, u_key),
+        )
+        query = comprehension(
+            "set",
+            record(E=BinOp("+", path("e", "dno"), const(1.0)), S=inner),
+            ("e", Extent("Employees")),
+        )
+        plan = unnest_query(query)
+        assert not simplification_applies(plan)
+        assert repr(evaluate_plan(simplify(plan), db)) == repr(evaluate(query, db))
+
+
 class TestSimplificationProperty:
     """Hypothesis: across random group-by instances (aggregate × filters ×
     grouping attribute), the rewrite fires and preserves the result."""

@@ -71,6 +71,15 @@ class TestConstruction:
         b = comprehension("sum", const(1), ("x", Extent("X")))
         assert a == b
 
+    def test_constants_compare_by_type_and_value(self):
+        nan = float("nan")
+        distinct = [Const(1), Const(1.0), Const(True), Const(0.0), Const(-0.0)]
+        assert len(set(distinct)) == len(distinct)
+        assert BinOp("+", var("x"), Const(1)) != BinOp("+", var("x"), Const(1.0))
+        assert Const(-0.0) == Const(-0.0) and hash(Const(2)) == hash(Const(2))
+        assert Const(nan) == Const(nan) and Const(nan) != Const(float("nan"))
+        assert Const(1) != Var("x") and Const("a") == Const("a")
+
     def test_field_expr(self):
         rec = record(a=const(1))
         assert rec.field_expr("a") == Const(1)
