@@ -17,8 +17,8 @@ Expected shape (and what the assertions pin):
 Run as a script, this module instead benchmarks **parallel partitioned
 execution** (repro.engine.exchange) and writes ``BENCH_parallel.json``::
 
-    PYTHONPATH=src python benchmarks/bench_scaling.py          # full report
-    PYTHONPATH=src python benchmarks/bench_scaling.py --quick  # CI smoke
+    python benchmarks/bench_scaling.py          # full report
+    python benchmarks/bench_scaling.py --quick  # CI smoke
 
 Every corpus query runs serially and through the exchange layer at a
 sweep of worker counts, with agreement asserted on all of them.  The
@@ -42,13 +42,14 @@ from pathlib import Path
 from typing import Any, Callable
 
 _REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_REPO / "src"))  # before the first repro import
 
-import pytest
+import pytest  # noqa: E402
 
-from repro.core.optimizer import Optimizer, OptimizerOptions
-from repro.data.datagen import company_database, university_database
+from repro.core.optimizer import Optimizer, OptimizerOptions  # noqa: E402
+from repro.data.datagen import company_database, university_database  # noqa: E402
 
-from conftest import timed
+from conftest import timed  # noqa: E402
 
 #: (class, description, database family, OQL)
 CLASSES = [
@@ -185,7 +186,6 @@ def _init_parallel_bench() -> None:
     """Deferred imports: tests/ (for the corpus) is only put on sys.path
     when the module runs as a script, not under pytest collection."""
     sys.path.insert(0, str(_REPO / "tests"))
-    sys.path.insert(0, str(_REPO / "src"))
     from repro.data.datagen import (
         ab_database,
         auction_database,

@@ -20,7 +20,7 @@ checked against the evaluators' ``merge``/``lift`` fold.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -289,10 +289,12 @@ class SortedMonoid(CollectionMonoid):
         return rows
 
 
-def _rows(heads: Iterable[Any]) -> list:
-    """Heads as rows: a struct as its values in its order (a row kernel
-    hands over the tuples)."""
-    return [h if h.__class__ is tuple else tuple(h._fields.values()) for h in heads]
+def _rows(heads: Iterable[Any], names: tuple[str, ...]) -> list:
+    """Heads as rows: a struct as its values read by the key *names* ``k0…,
+    v`` (``k10`` is the eleventh key, whatever order the struct keeps its
+    fields in); a row kernel hands over the tuples."""
+    read = itemgetter(*names)
+    return [h if h.__class__ is tuple else read(h) for h in heads]
 
 
 def _elements(rows: Iterable[tuple]) -> ListValue:
@@ -306,27 +308,25 @@ def sorted_monoid(directions: str) -> SortedMonoid:
     name = f"sorted[{directions}]"
     if not directions or set(directions) - {"+", "-"}:
         raise KeyError(f"unknown monoid {name!r}: one + or - per key")
+    names = (*(f"k{i}" for i in range(len(directions))), "v")
     found = SortedMonoid(
         name=name,
         zero=(),
         merge=lambda a, b: tuple(found.order([*a, *b])),
         finalize=_elements,
-        unit=lambda head: tuple(_rows([head])),
-        from_elements=lambda heads: _elements(found.order(_rows(heads))),
+        unit=lambda head: tuple(_rows([head], names)),
+        from_elements=lambda heads: _elements(found.order(_rows(heads, names))),
         descending=tuple(d == "-" for d in directions),
     )
     return found
 
 
-def folder(monoid: Monoid, plain: bool = False, fields: Sequence[str] = ()) -> Callable:
+def folder(monoid: Monoid, plain: bool = False) -> Callable:
     """A fold's ``heads → value``: a bag of *plain* heads counts them as
-    they are, a set of structs with *fields* drops repeats on their field
-    tuples, any other collection is built in one pass, and a primitive is its
-    ``loop`` from the zero, finalized only where it has a carrier (avg)."""
+    they are, any other collection is built in one pass, and a primitive is
+    its ``loop`` from the zero, finalized only where it has a carrier (avg)."""
     if plain and monoid.name == "bag":
         return BagValue.of_plain
-    if fields and monoid.name == "set":
-        return partial(SetValue.of_structs, names=tuple(fields))
     if isinstance(monoid, CollectionMonoid):
         return monoid.fold_elements
     fold = partial(monoid.loop, monoid.zero)

@@ -275,16 +275,17 @@ class TypeChecker:
         if isinstance(head, AnyType):
             return CollectionType("list", ANY)
         names = [f"k{i}" for i in range(len(monoid.descending))] + ["v"]
-        if not isinstance(head, RecordType) or [n for n, _ in head.fields] != names:
+        fields = dict(head.fields) if isinstance(head, RecordType) else {}
+        if sorted(fields) != sorted(names):  # a record type's are by name: k10 < k2
             raise CalculusTypeError(f"head of {monoid.name} is {head}", term)
-        for i, (_, key) in enumerate(head.fields[:-1]):
+        for i, key in enumerate(map(fields.get, names[:-1])):
             if not isinstance(key, _KEY_TYPES):
                 raise CalculusTypeError(
                     f"ORDER BY key {i + 1} has type {key}; a key must be a "
                     "primitive value",
                     term,
                 )
-        return CollectionType("list", head.fields[-1][1])
+        return CollectionType("list", fields["v"])
 
     def _infer_comprehension(self, term: Comprehension, env: dict[str, Type]) -> Type:
         outer = term.monoid

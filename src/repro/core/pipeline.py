@@ -546,14 +546,20 @@ class QueryPipeline:
 
         Returns the view's name.  The body may reference previously
         defined views.  Redefinition bumps the view epoch, invalidating
-        every cached plan that might have inlined the old body.
+        every cached plan that might have inlined the old body.  Any other
+        statement is a :class:`~repro.errors.PlanningError` at
+        ``stage=parse`` that names it.
         """
         from repro.oql import ast as oql_ast
         from repro.oql.parser import parse_statement
 
         statement = parse_statement(source)
         if not isinstance(statement, oql_ast.Define):
-            raise ValueError("expected a 'define <name> as <query>' statement")
+            raise PlanningError(
+                "expected a 'define <name> as <query>' statement",
+                source=source,
+                stage="parse",
+            )
         self.views[statement.name] = statement.query
         self._views_epoch += 1
         return statement.name

@@ -42,7 +42,7 @@ def _encode(value: Any, cls: type) -> Any:
     if cls is str or cls is int or cls is bool:
         return value
     if cls is Record:
-        fields = value._fields.items()
+        fields = zip(value._layout, value._values)
         encoded = {"$record": {a: _encode(v, v.__class__) for a, v in fields}}
         if value._oid is not None:
             encoded["$oid"] = value._oid

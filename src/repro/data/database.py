@@ -139,14 +139,14 @@ class Database:
         identity; query literals and computed records never go through
         ``adopt`` and stay identity-free.
         """
-        if isinstance(value, Record):
-            fields = {attr: self.adopt(v) for attr, v in value.items()}
+        if isinstance(value, Record):  # its layout, its values adopted
+            values = tuple(map(self.adopt, value._values))
             oid = value.oid
             if oid is None:
                 oid = self.allocate_oid()
             elif oid >= self._next_oid:
                 self._next_oid = oid + 1
-            return Record(fields).with_oid(oid)
+            return Record._of(value._layout, values).with_oid(oid)
         if isinstance(value, SetValue):
             return SetValue(self.adopt(v) for v in value.elements())
         if isinstance(value, BagValue):

@@ -7,8 +7,9 @@ attributes), the three collection kinds (sets, bags, lists), and ``NULL``.
 Every value in this module is *immutable and hashable*.  This is a deliberate
 engineering choice: the nest operator of the algebra groups streams by
 arbitrary value keys, and the set monoid must deduplicate arbitrary elements;
-hashability makes both O(1) per element.  A record hashes the frozenset of its
-fields, order-free like its ``==``, so no record is sorted to be hashed.
+hashability makes both O(1) per element.  A record is a layout, one per
+attribute-name set, and the tuple of its values: it hashes the tuple, and
+``==`` compares layouts by identity and tuples by value, order-free.
 
 Object identity.  The paper's data model is object-oriented: two objects
 with identical state are still *distinct* objects.  Stored objects are
@@ -29,11 +30,11 @@ public ``==``/``hash``/``count`` remain value-based.
 
 from __future__ import annotations
 
-from collections import _count_elements, deque  # type: ignore[attr-defined]
+from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat, starmap
 from math import copysign
-from operator import attrgetter, is_, is_not, itemgetter
+from operator import is_, is_not
 from typing import Any
 
 
@@ -78,12 +79,28 @@ def is_null(value: Any) -> bool:
     return isinstance(value, NullValue)
 
 
+#: Every record layout: one per attribute-name set (a frozenset key), also
+#: filed under each name order met (a tuple key) so that no lookup sorts.
+LAYOUTS: dict[Any, dict[str, int]] = {}
+
+
+def layout_of(names: tuple[str, ...]) -> dict[str, int]:
+    """The layout of records with the attributes *names*: each name's position,
+    in the order the first record of this name set listed them — one per set."""
+    layout = LAYOUTS.get(names)
+    if layout is None:
+        fresh = {name: i for i, name in enumerate(names)}
+        layout = LAYOUTS[names] = LAYOUTS.setdefault(frozenset(names), fresh)
+    return layout
+
+
 class Record(Mapping[str, Any]):
     """An immutable record (the calculus' tuple ``(A1=e1, ..., An=en)``).
 
     Attributes are accessed by projection (``record["name"]`` or
-    ``record.get``).  Records compare and hash structurally, so they can be
-    set elements and grouping keys.
+    ``record.get``).  A record is its name set's layout (:func:`layout_of`)
+    and the tuple of its values in that order; records compare and hash as
+    their tuples, so they can be set elements and grouping keys.
 
     A record may additionally carry an engine-assigned :attr:`oid` — the
     object identity of the paper's OO model.  The OID deliberately does
@@ -100,23 +117,23 @@ class Record(Mapping[str, Any]):
     True
     """
 
-    __slots__ = ("_fields", "_hash", "_oid", "_ikey")
+    __slots__ = ("_layout", "_values", "__dict__")
+    #: A stored object's own ``__dict__`` holds its OID (:meth:`with_oid`),
+    #: and its identity key and hash once computed; other records read these.
+    _oid = _ikey = _hash = None
 
     def __init__(self, _fields: Mapping[str, Any] | None = None, **kwargs: Any):
-        _set_fields(self, {**_fields, **kwargs} if _fields else kwargs)
-        _set_hash(self, None)
-        _set_oid(self, None)
-        _set_ikey(self, None)
+        fields = {**_fields, **kwargs} if _fields and kwargs else _fields or kwargs
+        layout = layout_of(tuple(fields))
+        _set_layout(self, layout)
+        _set_values(self, tuple(map(fields.__getitem__, layout)))
 
     @classmethod
-    def _of(cls, fields: dict[str, Any]) -> "Record":
-        """The record of *fields*, a fresh dict no one else holds: adopted,
-        not copied (a kernel's struct)."""
-        made = cls.__new__(cls)
-        _set_fields(made, fields)
-        _set_hash(made, None)
-        _set_oid(made, None)
-        _set_ikey(made, None)
+    def _of(cls, layout: dict[str, int], values: tuple) -> "Record":
+        """The record of *values* in *layout*'s order (a kernel's struct)."""
+        made = _new(cls)
+        _set_layout(made, layout)
+        _set_values(made, values)
         return made
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -126,22 +143,22 @@ class Record(Mapping[str, Any]):
 
     def __getitem__(self, name: str) -> Any:
         try:
-            return self._fields[name]
+            return self._values[self._layout[name]]
         except KeyError:
             raise KeyError(
                 f"record has no attribute {name!r}; attributes are "
-                f"{sorted(self._fields)}"
+                f"{sorted(self._layout)}"
             ) from None
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._fields)
+        return iter(self._layout)
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return len(self._values)
 
     def attributes(self) -> tuple[str, ...]:
         """The record's attribute names, sorted."""
-        return tuple(sorted(self._fields))
+        return tuple(sorted(self._layout))
 
     def with_field(self, name: str, value: Any) -> "Record":
         """A copy of this record with attribute *name* set to *value*.
@@ -149,9 +166,7 @@ class Record(Mapping[str, Any]):
         The copy is a *derived* value, not the stored object — it carries
         no OID even when this record has one.
         """
-        fields = dict(self._fields)
-        fields[name] = value
-        return Record(fields)
+        return Record({**self, name: value})
 
     # -- object identity ---------------------------------------------------
 
@@ -163,35 +178,34 @@ class Record(Mapping[str, Any]):
     def with_oid(self, oid: int) -> "Record":
         """This record stamped with object identity *oid*.
 
-        The field mapping is shared with the original, so stamping is O(1).
+        The layout and values are shared with the original, so stamping is O(1).
         """
-        stamped = Record.__new__(Record)
-        _set_fields(stamped, self._fields)
-        _set_hash(stamped, self._hash)
-        _set_oid(stamped, oid)
-        _set_ikey(stamped, None)
+        stamped = Record._of(self._layout, self._values)
+        object.__setattr__(stamped, "__dict__", {"_oid": oid})  # a small dict
         return stamped
 
     # -- structural equality ----------------------------------------------
 
-    def _key(self) -> tuple[tuple[str, Any], ...]:
-        return tuple(sorted(self._fields.items(), key=lambda kv: kv[0]))
-
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Record):
-            return NotImplemented
-        return self._fields == other._fields
+        if other.__class__ is Record or isinstance(other, Record):
+            return self._layout is other._layout and self._values == other._values
+        return NotImplemented
 
     def __hash__(self) -> int:
-        cached = self._hash
+        cached = self._hash  # a stored object keeps its own
         if cached is None:
-            cached = hash(frozenset(self._fields.items()))  # order-free, no sort
-            _set_hash(self, cached)
+            cached = hash(self._values)
+            if self._oid is not None:
+                self.__dict__["_hash"] = cached
         return cached
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._key())
+        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(zip(self._layout, self._values)))
         return f"<{inner}>"
+
+
+_new = object.__new__
+_set_layout, _set_values = Record._layout.__set__, Record._values.__set__
 
 
 class CollectionValue:
@@ -234,19 +248,6 @@ class SetValue(CollectionValue):
         # the first occurrence, so value semantics are unchanged.
         _set_order(self, tuple(dict.fromkeys(items)))
         _set_items(self, None)
-
-    @classmethod
-    def of_structs(cls, records: Sequence[Record], names: Sequence[str]) -> "SetValue":
-        """The set of *records*, each with exactly the fields *names*: two
-        are equal exactly when their field values, read by name, are, so
-        duplicates drop on those tuples (the first kept), hashing no record."""
-        keys = map(itemgetter(*names), map(attrgetter("_fields"), records))
-        first: dict[Any, Record] = {}
-        deque(map(first.setdefault, keys, records), maxlen=0)  # one hash a key
-        made = cls.__new__(cls)
-        _set_order(made, tuple(first.values()))
-        _set_items(made, None)
-        return made
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("SetValue is immutable")
@@ -300,7 +301,7 @@ class BagValue(CollectionValue):
     remains value-based, matching the value semantics of every other collection.
     """
 
-    __slots__ = ("_counts", "_reps")
+    __slots__ = ("_counts", "_reps", "_hash")
 
     def __init__(self, items: Iterable[Any] = ()):
         if isinstance(items, BagValue):
@@ -316,6 +317,7 @@ class BagValue(CollectionValue):
                 reps = {k: v for k, v in pairs if k is not v}
         _set_counts(self, counts)
         _set_reps(self, reps)
+        _set_bag_hash(self, None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("BagValue is immutable")
@@ -325,6 +327,7 @@ class BagValue(CollectionValue):
         bag = cls.__new__(cls)
         _set_counts(bag, counts)
         _set_reps(bag, reps)
+        _set_bag_hash(bag, None)
         return bag
 
     @classmethod
@@ -390,17 +393,18 @@ class BagValue(CollectionValue):
         return self._value_counts() == other._value_counts()
 
     def __hash__(self) -> int:
-        return hash(("bag", frozenset(self._value_counts().items())))
+        cached = self._hash
+        if cached is None:
+            cached = hash(("bag", frozenset(self._value_counts().items())))
+            _set_bag_hash(self, cached)
+        return cached
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(v) for v in _stable_order(list(self.elements())))
         return "{{" + inner + "}}"
 
 
-_set_fields, _set_hash, _set_oid, _set_ikey = (
-    getattr(Record, slot).__set__ for slot in Record.__slots__
-)
-_set_counts, _set_reps = BagValue._counts.__set__, BagValue._reps.__set__
+_set_counts, _set_reps, _set_bag_hash = (getattr(BagValue, s).__set__ for s in BagValue.__slots__)
 
 
 class ListValue(CollectionValue):
@@ -498,19 +502,15 @@ def identity_key(value: Any) -> Any:
     if cls is bool or cls is int or cls is float or cls is str:
         return value
     if cls is Record or isinstance(value, Record):
-        cached = value._ikey
-        if cached is not None:
-            return cached
-        if value._oid is not None:
-            key: Any = (_OID_TAG, value._oid)
-        else:
+        key = value._ikey  # a stored object's, once computed
+        if key is None and value._oid is not None:
+            key = value.__dict__["_ikey"] = (_OID_TAG, value._oid)
+        elif key is None:
             key = value  # unless some field carries identity
-            for v in value._fields.values():
+            for v in value._values:
                 if v.__class__ not in _SCALARS and identity_key(v) is not v:
-                    parts = ((a, identity_key(f)) for a, f in value._key())
-                    key = (_REC_TAG, tuple(parts))
-                    break
-        _set_ikey(value, key)
+                    parts = zip(value._layout, map(identity_key, value._values))
+                    return (_REC_TAG, tuple(sorted(parts)))
         return key
     if isinstance(value, SetValue):
         keys = tuple(map(identity_key, value._order))
@@ -557,7 +557,7 @@ def exact_key(value: Any) -> Any:
     if cls is Record or isinstance(value, Record):
         if value._oid is not None:
             return (_OID_TAG, value._oid)
-        return (_REC_TAG, tuple((a, exact_key(v)) for a, v in value._key()))
+        return (_REC_TAG, tuple(sorted(zip(value._layout, map(exact_key, value._values)))))
     if isinstance(value, SetValue):
         return (_SET_TAG, tuple(map(exact_key, value._order)))
     if isinstance(value, BagValue):

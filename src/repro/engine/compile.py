@@ -86,7 +86,15 @@ from repro.calculus.terms import (
     Zero,
     free_vars,
 )
-from repro.data.values import NULL, CollectionValue, Record, identity_key
+from repro.data.schema import ANY, RecordType, Type
+from repro.data.values import (
+    LAYOUTS,
+    NULL,
+    CollectionValue,
+    Record,
+    identity_key,
+    layout_of,
+)
 from repro.engine.governor import charge_values
 from repro.errors import GovernorError, PlanningError
 
@@ -179,33 +187,37 @@ class ExprCompiler:
 
     # -- entry points -------------------------------------------------------
 
-    def compile_kernel(self, term: Term, kind: str = "expr") -> CompiledKernel:
+    def compile_kernel(
+        self, term: Term, kind: str = "expr", typing: Any = None
+    ) -> CompiledKernel:
         """Lower *term* to a value-producing kernel.  Of kind ``plain``,
         *term* is a bag comprehension whose head the plan's typing found
         plain (:meth:`~repro.algebra.typing.PlanTypeChecker.plain`); of
         kind ``row``, a ``RecordCons`` the kernel returns as the tuple of
-        its values (its error path, the interpreter, as the struct)."""
-        return self._kernel(kind, term)
+        its values (its error path, the interpreter, as the struct).  The
+        plan's *typing*, when given, picks the layout each projection
+        binds; the kernel answers the same under any typing."""
+        return self._kernel(kind, term, typing)
 
-    def compile_predicate_kernel(self, term: Term) -> CompiledKernel:
+    def compile_predicate_kernel(self, term: Term, typing: Any = None) -> CompiledKernel:
         """Lower *term* to a strict-boolean kernel: each result is ``True``
         or ``False`` — a NULL predicate fails the filter, anything
         non-boolean faults with :class:`EvaluationError`."""
-        return self._kernel("pred", term)
+        return self._kernel("pred", term, typing)
 
-    def _kernel(self, kind: str, term: Term) -> CompiledKernel:
+    def _kernel(self, kind: str, term: Term, typing: Any = None) -> CompiledKernel:
         key = (kind, term)
         kernel = self._memo.get(key)
         if kernel is None:
-            kernel = self._memo[key] = self._lower(term, kind)
+            kernel = self._memo[key] = self._lower(term, kind, typing)
         return kernel
 
-    def _lower(self, term: Term, kind: str) -> CompiledKernel:
+    def _lower(self, term: Term, kind: str, typing: Any) -> CompiledKernel:
         predicate = kind == "pred"
         if predicate and isinstance(term, Const) and term.value is True:
             return CompiledKernel(_true_kernel, term, trivial_true=True)
         emitter = _KernelEmitter(
-            self.runtime, kind == "plain" and isinstance(term, Comprehension)
+            self.runtime, kind == "plain" and isinstance(term, Comprehension), typing
         )
         slow = _interpreted(self.runtime, term, predicate)
         return CompiledKernel(emitter.kernel(term, predicate, slow, kind == "row"), term)
@@ -267,8 +279,6 @@ def _fault() -> None:
 
 def _proj(value: Any, attr: str) -> Any:
     """The inline projection's slow path: NULL, a Record subclass, a fault."""
-    if value.__class__ is Record and attr in value._fields:
-        return value._fields[attr]
     if isinstance(value, Record):
         return value[attr]  # raises on a missing attribute
     if value is NULL:
@@ -300,8 +310,6 @@ def _settle(rt: ExprRuntime, out: list, units: int, kept: list) -> tuple:
         return [], 0, exc
     return out, len(out), None
 
-
-_UNBOUND = object()
 
 #: Term levels an expression nests before :meth:`_KernelEmitter.split`
 #: moves a subterm into a row function of its own.
@@ -382,8 +390,11 @@ class _KernelEmitter:
 
     handlers: dict[type, Callable[..., str]]
 
-    def __init__(self, runtime: ExprRuntime, plain_root: bool = False):
+    def __init__(self, runtime: ExprRuntime, plain_root: bool = False, typing: Any = None):
         self.runtime = runtime
+        #: The type of every column (by the plan's typing, if any) and
+        #: variable in scope: what picks the layout a projection binds.
+        self._types: dict[str, Type] = dict(getattr(typing, "columns", {}))
         #: The root bag comprehension's elements are their own keys.
         self.plain_root = plain_root
         #: Per-chunk setup lines (column hoists, row functions), emitted
@@ -464,17 +475,33 @@ class _KernelEmitter:
             self.pline(f"{local} = cols[{self.bind('v', name)}]")
         return local
 
-    def scoped(self, var: str, local: str, emit: Callable[[], str]) -> str:
-        """Run *emit* with let-variable *var* bound to the temp *local*."""
-        scope = self._scope
-        saved = scope.get(var, _UNBOUND)
-        scope[var] = local
+    def scoped(self, var: str, local: str, emit: Callable[[], str], type_: Any) -> str:
+        """Run *emit* with let-variable *var* of type *type_* bound to the
+        temp *local*."""
+        saved = dict(self._scope), dict(self._types)
+        self._scope[var], self._types[var] = local, type_
         expr = emit()
-        if saved is _UNBOUND:
-            del scope[var]
-        else:
-            scope[var] = saved
+        self._scope, self._types = saved
         return expr
+
+    def _type(self, term: Term) -> Type:
+        """*term*'s type when it is a path from a typed variable, ANY
+        otherwise: all a projection needs, and no domain is typed whole."""
+        if isinstance(term, Var):
+            return self._types.get(term.name, ANY)
+        if isinstance(term, Proj):
+            base = self._type(term.expr)
+            if isinstance(base, RecordType) and base.has_attribute(term.attr):
+                return base.attribute(term.attr)
+        return ANY
+
+    def _layout(self, term: Term) -> dict[str, int] | None:
+        """The layout of *term*'s records by the plan's typing: its record
+        type's, once some record of those names exists."""
+        type_ = self._type(term)
+        if isinstance(type_, RecordType):
+            return LAYOUTS.get(frozenset(name for name, _ in type_.fields))
+        return None
 
     def split(self, term: Term) -> str:
         """*term* as a call of a row function defined in the prologue::
@@ -543,21 +570,33 @@ class _KernelEmitter:
         return f"rt.params[{term.name!r}]"
 
     def _x_record(self, term: RecordCons) -> str:
-        inner = ", ".join(
-            f"{name!r}: {self.xgen(expr)}" for name, expr in term.fields
-        )
-        return f"_record({{{inner}}})"
+        """``_record(L, (…))``: the struct's layout ``L`` bound, its values
+        in ``L``'s order — evaluated in the struct's own, through temps,
+        where the two differ."""
+        names = tuple(name for name, _ in term.fields)
+        layout = layout_of(names)
+        record = f"_record({self.bind('L', layout)}, "
+        values = [self.xgen(expr) for _, expr in term.fields]
+        if tuple(layout) == names:
+            return f"{record}({''.join(f'{v}, ' for v in values)}))"
+        temps = {name: self.wtemp() for name in names}
+        bound = "".join(f"({temps[n]} := {v}), " for n, v in zip(names, values))
+        return f"({bound}{record}({''.join(f'{temps[n]}, ' for n in layout)})))[-1]"
 
     def _x_proj(self, term: Proj) -> str:
+        """A record's value at the attribute's position: a constant where
+        the typing gives the base a layout and the record has it, else read
+        in the record's own layout (a missing attribute's ``KeyError``
+        reruns the chunk); ``_proj`` for anything but a ``Record``."""
         base = self.xgen(term.expr)
         t = self.wtemp()
         attr = term.attr
-        return (
-            f"({t}._fields[{attr!r}] "
-            f"if ({t} := {base}).__class__ is Record "
-            f"and {attr!r} in {t}._fields "
-            f"else _proj({t}, {attr!r}))"
-        )
+        read = f"{t}._values[{t}._layout[{attr!r}]]"
+        layout = self._layout(term.expr)
+        if layout is not None and attr in layout:
+            bound = self.bind("L", layout)
+            read = f"({t}._values[{layout[attr]}] if {t}._layout is {bound} else {read})"
+        return f"({read} if ({t} := {base}).__class__ is Record else _proj({t}, {attr!r}))"
 
     def _x_if(self, term: If) -> str:
         cond = self.xgen(term.cond)
@@ -572,7 +611,8 @@ class _KernelEmitter:
     def _x_let(self, term: Let) -> str:
         value = self.xgen(term.value)
         out = self.wtemp()
-        body = self.scoped(term.var, out, lambda: self.xgen(term.body))
+        type_ = self._type(term.value)
+        body = self.scoped(term.var, out, lambda: self.xgen(term.body), type_)
         # Tuple evaluates left to right: bind the temp, then the body.
         return f"((({out} := ({value})), {body})[1])"
 
@@ -649,7 +689,7 @@ class _KernelEmitter:
         # Only the root bag is plain: its domains and head hold other folds.
         plain = self.plain_root and term.monoid_name == "bag"
         self.plain_root = False
-        saved = dict(self._scope)  # an emitter that raises is discarded
+        saved = dict(self._scope), dict(self._types)  # a raise discards the emitter
         clauses: list[str] = [f"for {self.wtemp()} in (None,)"]
         self.depth += 1  # a qualifier nests twice a head's brackets
         for qualifier in term.qualifiers:
@@ -666,6 +706,7 @@ class _KernelEmitter:
             elif isinstance(domain, Singleton) and domain.monoid.is_collection:
                 clauses.append(f"if (({t} := {self.xgen(domain.expr)}),)")
                 self._scope[qualifier.var] = t
+                self._types[qualifier.var] = self._type(domain.expr)
             else:
                 element = self.wtemp()
                 clauses.append(
@@ -673,10 +714,10 @@ class _KernelEmitter:
                     f"for {element} in {t}"
                 )
                 self._scope[qualifier.var] = element
+                self._types[qualifier.var] = getattr(self._type(domain), "element", ANY)
         self.depth -= 1
         head = self.xgen(term.head)
-        self._scope.clear()
-        self._scope.update(saved)
+        self._scope, self._types = saved
         stream = f"{head} {' '.join(clauses)}"
         monoid = term.monoid
         if isinstance(monoid, CollectionMonoid):

@@ -158,7 +158,7 @@ def _stable_repr(key: Any) -> str:
         return "fs{" + ",".join(sorted(_stable_repr(v) for v in key)) + "}"
     if isinstance(key, Record):
         inner = ",".join(
-            f"{name}={_stable_repr(value)}" for name, value in key._key()
+            f"{name}={_stable_repr(value)}" for name, value in sorted(key.items())
         )
         return "<" + inner + ">"
     if isinstance(key, SetValue):

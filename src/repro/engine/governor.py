@@ -91,9 +91,9 @@ def estimate_bytes(value: Any) -> int:
     Rows are records or scalars; one level covers the common shapes.
     """
     size = sys.getsizeof(value, 64)
-    fields = getattr(value, "_fields", None)
-    if fields is not None:  # a Record: charge its field dict's values
-        value = fields
+    values = getattr(value, "_values", None)
+    if values is not None:  # a Record: charge its values
+        value = values
     if isinstance(value, dict):
         size += sum(sys.getsizeof(v, 64) for v in value.values())
     elif isinstance(value, (list, tuple, set, frozenset)):

@@ -214,10 +214,8 @@ def _plain_bag(context: _Context, monoid: Monoid, head: Term) -> bool:
 
 def _folder(context: _Context, monoid: Monoid, head: Term) -> Any:
     """The :func:`~repro.calculus.monoids.folder` of a fold of *head*
-    values: plain where the plan's typing finds *head* plain, with a struct
-    head's fields."""
-    fields = [n for n, _ in head.fields] if isinstance(head, RecordCons) else ()
-    return folder(monoid, _plain_bag(context, monoid, head), fields)
+    values: plain where the plan's typing finds *head* plain."""
+    return folder(monoid, _plain_bag(context, monoid, head))
 
 
 def _plain_fold(context: _Context, term: Term) -> bool:
@@ -506,13 +504,13 @@ class PhysicalOperator:
     ) -> CompiledKernel:
         """Lower a value expression (:meth:`ExprCompiler.compile_kernel`'s
         *kind*) and register it for ``eval_mode``."""
-        kernel = context._compiler.compile_kernel(term, kind)
+        kernel = context._compiler.compile_kernel(term, kind, context.typing)
         self._kernels.append(kernel)
         return kernel
 
     def _pred_kernel(self, context: _Context, term: Term) -> CompiledKernel:
         """Lower a strict-boolean predicate (NULL filters as False)."""
-        kernel = context._compiler.compile_predicate_kernel(term)
+        kernel = context._compiler.compile_predicate_kernel(term, context.typing)
         self._kernels.append(kernel)
         return kernel
 

@@ -48,6 +48,7 @@ to diverging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Any, Callable, Mapping
 
 from repro.algebra.evaluator import evaluate_plan
@@ -149,7 +150,9 @@ def _canonical(value: Any) -> Any:
 
     Sets and bags compare as multisets of canonical elements; lists keep
     their order.  Floats are rounded to 9 places so the (rare) paths that
-    associate float additions differently still compare equal.  Types are
+    associate float additions differently still compare equal, whatever the
+    sign of a rounding error; an exact ``-0.0`` is not ``0.0``, at the top
+    level as inside a collection.  Types are
     kept: ``2``, ``2.0`` and ``True`` have three images, since a path that
     answers an int where Figure 6 types a float is wrong.
     """
@@ -158,7 +161,11 @@ def _canonical(value: Any) -> Any:
     if isinstance(value, bool):
         return value
     if isinstance(value, float):  # round(nan) is a new nan, unequal to all
-        return ("f", round(value, 9) if value == value else "nan")
+        if value != value:
+            return ("f", "nan")
+        if not value and copysign(1.0, value) < 0:
+            return ("f", "-0.0")  # an exact -0.0, at any depth
+        return ("f", round(value, 9) + 0.0)  # a rounding error's sign drops
     if isinstance(value, int):
         return ("i", value)
     if isinstance(value, Record):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.algebra.evaluator import evaluate_plan
 from repro.calculus.evaluator import evaluate
+from repro.calculus.monoids import monoid
 from repro.calculus.terms import (
     BinOp,
     Extent,
@@ -296,6 +297,26 @@ class TestOrderByFold:
     def test_a_secondary_key_breaks_ties(self, tdb, path):
         source = "select t.n as n, t.k as k from t in Ts order by k desc, n desc"
         assert self.names(tdb, path, source) == list("aefcdb")
+
+    @pytest.mark.parametrize("path", ORDER_PATHS)
+    @pytest.mark.parametrize(
+        "keys, expected",
+        [("n, 0, 0, 0, 0, 0, 0, 0, k", "abcdef"), ("k, 0, 0, 0, 0, 0, 0, 0, n desc", "dbfcea")],
+    )
+    def test_eleven_keys_sort_in_key_order(self, tdb, path, keys, expected):
+        """The keys are ``k0…k10``: ``k10`` is the last key, not the third
+        (as it is by name)."""
+        source = f"select t.n as n, t.k as k from t in Ts order by 0, 0, {keys}"
+        assert self.names(tdb, path, source) == list(expected)
+
+    def test_a_sort_reads_its_keys_by_name(self):
+        """However a head record orders its fields, ``k2`` is the third key."""
+        names = [f"k{i}" for i in range(11)] + ["v"]
+        heads = [
+            Record(**dict(reversed([*zip(names, [0, 0, rank, *[0] * 7, -rank]), ("v", v)])))
+            for v, rank in (("x", 2), ("y", 1), ("z", 3))
+        ]
+        assert monoid("sorted[" + "+" * 11 + "]").from_elements(heads) == ListValue("yxz")
 
     @pytest.mark.parametrize("path", ORDER_PATHS)
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from repro.testing.invariants import (
 )
 from repro.testing.oracle import (
     PATHS,
+    _canonical,
     check_sample,
     results_equal,
     run_all_paths,
@@ -147,6 +148,13 @@ class TestResultsEqual:
         assert results_equal(NULL, NULL)
         assert not results_equal(NULL, 0)
         assert results_equal(Record(a=1.0), Record(a=1))
+
+    def test_one_zero_sign_rule_at_every_depth(self):
+        # The verdict compares images: an exact -0.0 is not 0.0, at the top
+        # level as inside a collection, while a rounding error's sign drops.
+        for wrap in (lambda v: v, lambda v: BagValue([v]), lambda v: ListValue([Record(a=v)])):
+            assert _canonical(wrap(-0.0)) != _canonical(wrap(0.0))
+            assert _canonical(wrap(-1e-12)) == _canonical(wrap(0.0)) == _canonical(wrap(1e-12))
 
 
 class TestOracle:

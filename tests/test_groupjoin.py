@@ -300,8 +300,8 @@ class TestAgreement:
     @pytest.mark.parametrize("residual", [TRUE, BinOp("<", HEAD, path("l", "n"))])
     def test_plain_bags_and_struct_sets_answer_as_the_calculus(self, monoid_name, residual):
         # A scalar head folds a plain bag (BagValue.of_plain), a struct head
-        # a set of structs (SetValue.of_structs), in every form: the bucket
-        # folds and the per-row folds under a residual alike.
+        # a set of structs, in every form: the bucket folds and the per-row
+        # folds under a residual alike.
         head = HEAD if monoid_name == "bag" else RecordCons((("a", HEAD), ("b", R_KEY)))
         lefts = [{"l": Record(k=k, n=n)} for k, n in ((1, 50), (2, 50), (3, 50), (1, 11))]
         rights = _rights((1, 10), (2, 5), (1, 10), (1, 11), (2, 5), (1, 10))
@@ -321,10 +321,7 @@ class TestAgreement:
                 context, lefts, rights, monoid_name, head=head, residual=residual
             )
             fold = ops["group-join"]._fold
-            if monoid_name == "bag":
-                assert fold == BagValue.of_plain
-            else:
-                assert fold.func == SetValue.of_structs
+            assert (fold == BagValue.of_plain) == (monoid_name == "bag")
             for name, op in ops.items():
                 assert _values(_outcome(op)) == expected, (name, size)
 

@@ -65,9 +65,9 @@ def kernel_sizes(monkeypatch):
     )
     lower = ExprCompiler._lower
 
-    def spy(self, term, predicate):
+    def spy(self, term, predicate, typing):
         del sources[:]
-        kernel = lower(self, term, predicate)
+        kernel = lower(self, term, predicate, typing)
         if sources:
             sizes.append((len(sources[-1]), _nodes(term)))
         return kernel

@@ -442,10 +442,3 @@ def test_folder_of_a_plain_bag_counts_its_heads_as_they_are(hs):
     assert got == want and list(got.elements()) == list(want.elements())
     assert folder(SET, plain=True)(list(hs)) == SetValue(hs)  # a bag's flag
 
-
-@given(st.lists(_STRUCTS, max_size=8))
-def test_folder_of_a_struct_set_drops_repeats_on_its_fields(hs):
-    got, want = folder(SET, fields=("a", "b"))(list(hs)), SetValue(hs)
-    assert got == want and list(got.elements()) == list(want.elements())
-    assert hash(got) == hash(want)
-    assert folder(BAG, fields=("a", "b"))(list(hs)) == BagValue(hs)  # a set's

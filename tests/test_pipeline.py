@@ -12,6 +12,7 @@ from repro.core.pipeline import PIPELINE_STAGES, PlanCache, QueryPipeline
 from repro.data.database import Database
 from repro.data.datagen import company_database
 from repro.data.values import Record, SetValue
+from repro.errors import PlanningError
 from repro.oql import parameterize_literals
 from tests.corpus import CORPUS
 
@@ -149,6 +150,16 @@ class TestPlanCache:
         second = pipeline.run_oql(query)
         assert pipeline.plan_cache.hits == 0
         assert len(second) >= len(first)
+
+    def test_define_view_refuses_a_query_naming_it(self, db):
+        source = "select e.name from e in Employees"
+        with pytest.raises(PlanningError) as err:
+            QueryPipeline(db).define_view(source)
+        assert err.value.stage == "parse" and err.value.source == source
+        assert str(err.value) == (
+            "expected a 'define <name> as <query>' statement "
+            f"[stage=parse, query={source!r}]"
+        )
 
     def test_lru_eviction(self, db):
         pipeline = QueryPipeline(db, cache_size=2)

@@ -1,13 +1,12 @@
 """A root set of structs, and a set's lazily built membership.
 
-``select distinct struct(…)`` reduces its rows into a set without hashing
-a record: :meth:`SetValue.of_structs` drops duplicates on the tuples of the
-head's field values, read by field name, and keeps the first row of each.
-The result must be the set the plain constructor builds — the same members,
-the first-seen representative of each — down to :func:`exact_key`, which
-tells ``1`` from ``1.0`` and ``True`` and one stored object from its
-equal-state twin.  A set's membership frozenset is built on first use, by
-whichever thread gets there first.
+``select distinct struct(…)`` reduces its rows into a set of records, each
+a layout shared by its name set and a tuple of values, so two structs
+listing their fields in other orders are one member.  The set keeps the
+first row of each member — the first-seen representative, down to
+:func:`exact_key`, which tells ``1`` from ``1.0`` and ``True`` and one
+stored object from its equal-state twin.  A set's membership frozenset is
+built on first use, by whichever thread gets there first.
 """
 
 from __future__ import annotations
@@ -57,17 +56,16 @@ def test_distinct_struct_of_equal_state_twins_keeps_the_first_oid(options):
 def test_fields_in_another_insertion_order_are_one_member():
     ab, ba = Record({"A": 1, "B": 2}), Record({"B": 2, "A": 1})
     other = Record({"B": 1, "A": 2})
-    for names in ("AB", "BA"):
-        built = SetValue.of_structs([ab, ba, other], names)
-        assert len(built) == 2 and built == SetValue([ab, other])
-        assert built.members()[0] is ab and built.members()[1] is other
+    assert ab == ba and hash(ab) == hash(ba) and ab != other
+    built = SetValue([ab, ba, other])
+    assert len(built) == 2 and built.members()[0] is ab and built.members()[1] is other
 
 
-def test_of_structs_keeps_the_first_of_each_key():
+def test_a_struct_set_keeps_the_first_of_each_member():
     rows = [Record(A=True, B="x"), Record(A=1.0, B="x"), Record(A=1, B="y")]
-    kept = SetValue.of_structs(rows, "AB").members()
+    kept = SetValue(rows).members()
     assert len(kept) == 2 and kept[0] is rows[0] and kept[1] is rows[2]
-    assert exact_key(SetValue.of_structs(rows, "AB")) == exact_key(SetValue(rows))
+    assert exact_key(SetValue(rows)) != exact_key(SetValue(rows[1:]))
 
 
 def test_threads_agree_on_a_fresh_sets_membership():
@@ -77,7 +75,7 @@ def test_threads_agree_on_a_fresh_sets_membership():
     plain = SetValue(rows)
     probes = [Record(A=3, B="3"), Record(A=3, B="4"), rows[-1]]
     expected = ([p in plain for p in probes], hash(plain), True, True)
-    fresh = [SetValue.of_structs(rows, "AB") for _ in range(20)]
+    fresh = [SetValue(rows) for _ in range(20)]
     start = threading.Barrier(8, timeout=10)
     seen: list = []
 

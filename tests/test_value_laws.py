@@ -4,8 +4,9 @@ The strategy builds nested records, sets, bags and lists over mixed ints,
 floats and bools (``-0.0`` included), strings and ``NULL``, with stored
 records carrying OIDs: value-equal twins under different OIDs, and distinct
 copies of one object under the same OID.  Some sets are sets of records
-built by :meth:`SetValue.of_structs`, as a query's root set of structs is,
-so their membership is built lazily, by the law that first needs it.  Three laws are checked:
+over one name set in either insertion order, as a query's root set of
+structs is, so their membership is built lazily, by the law that first
+needs it.  Three laws are checked:
 
 - ``a == b`` implies ``hash(a) == hash(b)``;
 - a :class:`BagValue` behaves exactly like :class:`RefBag`, the plain
@@ -185,12 +186,12 @@ def _struct(fields, flip, oid):
 def structs(inner):
     """A set of records over the fields ``a`` and ``b`` (either insertion
     order, some stored), built as a query's ``select distinct struct(b: …,
-    a: …)`` is: deduplicated on field tuples, its membership built on
-    first use."""
+    a: …)`` is: deduplicated on its records, its membership built on first
+    use."""
     fields = st.fixed_dictionaries({"a": inner, "b": SCALARS})
     oids = st.none() | st.integers(0, 3)
     record = st.builds(_struct, fields, st.booleans(), oids)
-    return st.lists(record, max_size=3).map(lambda rs: SetValue.of_structs(rs, "ba"))
+    return st.lists(record, max_size=3).map(SetValue)
 
 
 def _extend(inner):
