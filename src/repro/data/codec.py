@@ -42,8 +42,9 @@ def _encode(value: Any, cls: type) -> Any:
     if cls is str or cls is int or cls is bool:
         return value
     if cls is Record:
-        fields = zip(value._layout, value._values)
-        encoded = {"$record": {a: _encode(v, v.__class__) for a, v in fields}}
+        v = value._values  # in sorted-name order, read in the layout's own
+        fields = value._layout.items()
+        encoded = {"$record": {a: _encode(v[i], v[i].__class__) for a, i in fields}}
         if value._oid is not None:
             encoded["$oid"] = value._oid
         return encoded

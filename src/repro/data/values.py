@@ -7,9 +7,10 @@ attributes), the three collection kinds (sets, bags, lists), and ``NULL``.
 Every value in this module is *immutable and hashable*.  This is a deliberate
 engineering choice: the nest operator of the algebra groups streams by
 arbitrary value keys, and the set monoid must deduplicate arbitrary elements;
-hashability makes both O(1) per element.  A record is a layout, one per
-attribute-name set, and the tuple of its values: it hashes the tuple, and
-``==`` compares layouts by identity and tuples by value, order-free.
+hashability makes both O(1) per element.  A record is the layout of its
+attribute names' order, which it iterates and encodes in, and the tuple of
+its values in sorted-name order, which it hashes and compares: ``<a=1, b=2>``
+built either way round is one value.
 
 Object identity.  The paper's data model is object-oriented: two objects
 with identical state are still *distinct* objects.  Stored objects are
@@ -34,7 +35,7 @@ from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat, starmap
 from math import copysign
-from operator import is_, is_not
+from operator import is_, is_not, itemgetter
 from typing import Any
 
 
@@ -79,28 +80,37 @@ def is_null(value: Any) -> bool:
     return isinstance(value, NullValue)
 
 
-#: Every record layout: one per attribute-name set (a frozenset key), also
-#: filed under each name order met (a tuple key) so that no lookup sorts.
-LAYOUTS: dict[Any, dict[str, int]] = {}
+#: Layouts by name order: *names* → (each name's position among the names
+#: sorted, iterated in *names*' order; an ``itemgetter`` sorting values listed
+#: in that order, None where they are).  Only a cache, so no record
+#: construction sorts: no answer depends on a layout's identity, and it is
+#: cleared at 4 096 entries.
+LAYOUTS: dict[tuple[str, ...], tuple[dict[str, int], Any]] = {}
 
 
-def layout_of(names: tuple[str, ...]) -> dict[str, int]:
-    """The layout of records with the attributes *names*: each name's position,
-    in the order the first record of this name set listed them — one per set."""
-    layout = LAYOUTS.get(names)
-    if layout is None:
-        fresh = {name: i for i, name in enumerate(names)}
-        layout = LAYOUTS[names] = LAYOUTS.setdefault(frozenset(names), fresh)
-    return layout
+def layout_of(names: tuple[str, ...]) -> tuple[dict[str, int], Any]:
+    """The layout of records listing the attributes *names* in this order, and
+    the getter that puts values listed so into sorted-name order."""
+    found = LAYOUTS.get(names)
+    if found is None:
+        if len(LAYOUTS) >= 4096:
+            LAYOUTS.clear()
+        ordered = sorted(names)
+        position = {name: i for i, name in enumerate(ordered)}
+        layout = {name: position[name] for name in names}
+        sort = None if list(names) == ordered else itemgetter(*map(names.index, ordered))
+        found = LAYOUTS[names] = layout, sort
+    return found
 
 
 class Record(Mapping[str, Any]):
     """An immutable record (the calculus' tuple ``(A1=e1, ..., An=en)``).
 
     Attributes are accessed by projection (``record["name"]`` or
-    ``record.get``).  A record is its name set's layout (:func:`layout_of`)
-    and the tuple of its values in that order; records compare and hash as
-    their tuples, so they can be set elements and grouping keys.
+    ``record.get``).  A record is the layout of its name order
+    (:func:`layout_of`), which it iterates in, and the tuple of its values in
+    sorted-name order, which it hashes and compares: records are set
+    elements and grouping keys whatever order they list their fields in.
 
     A record may additionally carry an engine-assigned :attr:`oid` — the
     object identity of the paper's OO model.  The OID deliberately does
@@ -124,13 +134,15 @@ class Record(Mapping[str, Any]):
 
     def __init__(self, _fields: Mapping[str, Any] | None = None, **kwargs: Any):
         fields = {**_fields, **kwargs} if _fields and kwargs else _fields or kwargs
-        layout = layout_of(tuple(fields))
+        layout, sort = layout_of(tuple(fields))
+        values = tuple(fields.values())
         _set_layout(self, layout)
-        _set_values(self, tuple(map(fields.__getitem__, layout)))
+        _set_values(self, values if sort is None else sort(values))
 
     @classmethod
     def _of(cls, layout: dict[str, int], values: tuple) -> "Record":
-        """The record of *values* in *layout*'s order (a kernel's struct)."""
+        """The record of *layout* and *values* in sorted-name order (a kernel's
+        struct)."""
         made = _new(cls)
         _set_layout(made, layout)
         _set_values(made, values)
@@ -146,8 +158,7 @@ class Record(Mapping[str, Any]):
             return self._values[self._layout[name]]
         except KeyError:
             raise KeyError(
-                f"record has no attribute {name!r}; attributes are "
-                f"{sorted(self._layout)}"
+                f"record has no attribute {name!r}; attributes are {sorted(self._layout)}"
             ) from None
 
     def __iter__(self) -> Iterator[str]:
@@ -161,11 +172,8 @@ class Record(Mapping[str, Any]):
         return tuple(sorted(self._layout))
 
     def with_field(self, name: str, value: Any) -> "Record":
-        """A copy of this record with attribute *name* set to *value*.
-
-        The copy is a *derived* value, not the stored object — it carries
-        no OID even when this record has one.
-        """
+        """A copy of this record with attribute *name* set to *value*: a
+        *derived* value, with no OID even when this record has one."""
         return Record({**self, name: value})
 
     # -- object identity ---------------------------------------------------
@@ -176,10 +184,8 @@ class Record(Mapping[str, Any]):
         return self._oid
 
     def with_oid(self, oid: int) -> "Record":
-        """This record stamped with object identity *oid*.
-
-        The layout and values are shared with the original, so stamping is O(1).
-        """
+        """This record stamped with object identity *oid*, sharing its layout
+        and values (O(1))."""
         stamped = Record._of(self._layout, self._values)
         object.__setattr__(stamped, "__dict__", {"_oid": oid})  # a small dict
         return stamped
@@ -188,7 +194,10 @@ class Record(Mapping[str, Any]):
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is Record or isinstance(other, Record):
-            return self._layout is other._layout and self._values == other._values
+            mine, theirs = self._layout, other._layout
+            return (mine is theirs or mine.keys() == theirs.keys()) and (
+                self._values == other._values
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -200,7 +209,7 @@ class Record(Mapping[str, Any]):
         return cached
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(zip(self._layout, self._values)))
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(sorted(self._layout), self._values))
         return f"<{inner}>"
 
 
@@ -341,16 +350,7 @@ class BagValue(CollectionValue):
 
     @classmethod
     def from_counts(cls, counts: Mapping[Any, int]) -> "BagValue":
-        keyed: dict[Any, int] = {}
-        reps: dict[Any, Any] = {}
-        for value, count in counts.items():
-            if count <= 0:
-                continue
-            key = identity_key(value)
-            keyed[key] = keyed.get(key, 0) + count
-            if key is not value:
-                reps.setdefault(key, value)
-        return cls._of(keyed, reps)
+        return cls(chain.from_iterable(starmap(repeat, counts.items())))
 
     def _counted(self) -> Iterable[tuple[Any, int]]:
         """(element, multiplicity) per identity key, in first-seen order."""
@@ -509,8 +509,8 @@ def identity_key(value: Any) -> Any:
             key = value  # unless some field carries identity
             for v in value._values:
                 if v.__class__ not in _SCALARS and identity_key(v) is not v:
-                    parts = zip(value._layout, map(identity_key, value._values))
-                    return (_REC_TAG, tuple(sorted(parts)))
+                    keys = map(identity_key, value._values)
+                    return (_REC_TAG, tuple(zip(sorted(value._layout), keys)))
         return key
     if isinstance(value, SetValue):
         keys = tuple(map(identity_key, value._order))
@@ -557,7 +557,7 @@ def exact_key(value: Any) -> Any:
     if cls is Record or isinstance(value, Record):
         if value._oid is not None:
             return (_OID_TAG, value._oid)
-        return (_REC_TAG, tuple(sorted(zip(value._layout, map(exact_key, value._values)))))
+        return (_REC_TAG, tuple(zip(sorted(value._layout), map(exact_key, value._values))))
     if isinstance(value, SetValue):
         return (_SET_TAG, tuple(map(exact_key, value._order)))
     if isinstance(value, BagValue):

@@ -86,15 +86,7 @@ from repro.calculus.terms import (
     Zero,
     free_vars,
 )
-from repro.data.schema import ANY, RecordType, Type
-from repro.data.values import (
-    LAYOUTS,
-    NULL,
-    CollectionValue,
-    Record,
-    identity_key,
-    layout_of,
-)
+from repro.data.values import NULL, CollectionValue, Record, identity_key, layout_of
 from repro.engine.governor import charge_values
 from repro.errors import GovernorError, PlanningError
 
@@ -187,37 +179,33 @@ class ExprCompiler:
 
     # -- entry points -------------------------------------------------------
 
-    def compile_kernel(
-        self, term: Term, kind: str = "expr", typing: Any = None
-    ) -> CompiledKernel:
+    def compile_kernel(self, term: Term, kind: str = "expr") -> CompiledKernel:
         """Lower *term* to a value-producing kernel.  Of kind ``plain``,
         *term* is a bag comprehension whose head the plan's typing found
         plain (:meth:`~repro.algebra.typing.PlanTypeChecker.plain`); of
         kind ``row``, a ``RecordCons`` the kernel returns as the tuple of
-        its values (its error path, the interpreter, as the struct).  The
-        plan's *typing*, when given, picks the layout each projection
-        binds; the kernel answers the same under any typing."""
-        return self._kernel(kind, term, typing)
+        its values (its error path, the interpreter, as the struct)."""
+        return self._kernel(kind, term)
 
-    def compile_predicate_kernel(self, term: Term, typing: Any = None) -> CompiledKernel:
+    def compile_predicate_kernel(self, term: Term) -> CompiledKernel:
         """Lower *term* to a strict-boolean kernel: each result is ``True``
         or ``False`` — a NULL predicate fails the filter, anything
         non-boolean faults with :class:`EvaluationError`."""
-        return self._kernel("pred", term, typing)
+        return self._kernel("pred", term)
 
-    def _kernel(self, kind: str, term: Term, typing: Any = None) -> CompiledKernel:
+    def _kernel(self, kind: str, term: Term) -> CompiledKernel:
         key = (kind, term)
         kernel = self._memo.get(key)
         if kernel is None:
-            kernel = self._memo[key] = self._lower(term, kind, typing)
+            kernel = self._memo[key] = self._lower(term, kind)
         return kernel
 
-    def _lower(self, term: Term, kind: str, typing: Any) -> CompiledKernel:
+    def _lower(self, term: Term, kind: str) -> CompiledKernel:
         predicate = kind == "pred"
         if predicate and isinstance(term, Const) and term.value is True:
             return CompiledKernel(_true_kernel, term, trivial_true=True)
         emitter = _KernelEmitter(
-            self.runtime, kind == "plain" and isinstance(term, Comprehension), typing
+            self.runtime, kind == "plain" and isinstance(term, Comprehension)
         )
         slow = _interpreted(self.runtime, term, predicate)
         return CompiledKernel(emitter.kernel(term, predicate, slow, kind == "row"), term)
@@ -311,6 +299,8 @@ def _settle(rt: ExprRuntime, out: list, units: int, kept: list) -> tuple:
     return out, len(out), None
 
 
+_UNBOUND = object()
+
 #: Term levels an expression nests before :meth:`_KernelEmitter.split`
 #: moves a subterm into a row function of its own.
 _DEPTH = 32
@@ -390,11 +380,8 @@ class _KernelEmitter:
 
     handlers: dict[type, Callable[..., str]]
 
-    def __init__(self, runtime: ExprRuntime, plain_root: bool = False, typing: Any = None):
+    def __init__(self, runtime: ExprRuntime, plain_root: bool = False):
         self.runtime = runtime
-        #: The type of every column (by the plan's typing, if any) and
-        #: variable in scope: what picks the layout a projection binds.
-        self._types: dict[str, Type] = dict(getattr(typing, "columns", {}))
         #: The root bag comprehension's elements are their own keys.
         self.plain_root = plain_root
         #: Per-chunk setup lines (column hoists, row functions), emitted
@@ -475,33 +462,17 @@ class _KernelEmitter:
             self.pline(f"{local} = cols[{self.bind('v', name)}]")
         return local
 
-    def scoped(self, var: str, local: str, emit: Callable[[], str], type_: Any) -> str:
-        """Run *emit* with let-variable *var* of type *type_* bound to the
-        temp *local*."""
-        saved = dict(self._scope), dict(self._types)
-        self._scope[var], self._types[var] = local, type_
+    def scoped(self, var: str, local: str, emit: Callable[[], str]) -> str:
+        """Run *emit* with let-variable *var* bound to the temp *local*."""
+        scope = self._scope
+        saved = scope.get(var, _UNBOUND)
+        scope[var] = local
         expr = emit()
-        self._scope, self._types = saved
+        if saved is _UNBOUND:
+            del scope[var]
+        else:
+            scope[var] = saved
         return expr
-
-    def _type(self, term: Term) -> Type:
-        """*term*'s type when it is a path from a typed variable, ANY
-        otherwise: all a projection needs, and no domain is typed whole."""
-        if isinstance(term, Var):
-            return self._types.get(term.name, ANY)
-        if isinstance(term, Proj):
-            base = self._type(term.expr)
-            if isinstance(base, RecordType) and base.has_attribute(term.attr):
-                return base.attribute(term.attr)
-        return ANY
-
-    def _layout(self, term: Term) -> dict[str, int] | None:
-        """The layout of *term*'s records by the plan's typing: its record
-        type's, once some record of those names exists."""
-        type_ = self._type(term)
-        if isinstance(type_, RecordType):
-            return LAYOUTS.get(frozenset(name for name, _ in type_.fields))
-        return None
 
     def split(self, term: Term) -> str:
         """*term* as a call of a row function defined in the prologue::
@@ -571,32 +542,25 @@ class _KernelEmitter:
 
     def _x_record(self, term: RecordCons) -> str:
         """``_record(L, (…))``: the struct's layout ``L`` bound, its values
-        in ``L``'s order — evaluated in the struct's own, through temps,
-        where the two differ."""
-        names = tuple(name for name, _ in term.fields)
-        layout = layout_of(names)
-        record = f"_record({self.bind('L', layout)}, "
-        values = [self.xgen(expr) for _, expr in term.fields]
-        if tuple(layout) == names:
-            return f"{record}({''.join(f'{v}, ' for v in values)}))"
-        temps = {name: self.wtemp() for name in names}
-        bound = "".join(f"({temps[n]} := {v}), " for n, v in zip(names, values))
-        return f"({bound}{record}({''.join(f'{temps[n]}, ' for n in layout)})))[-1]"
+        evaluated in the struct's order, sorted by name by a bound ``S``
+        where that order is not."""
+        layout, sort = layout_of(tuple(name for name, _ in term.fields))
+        values = f"({''.join(f'{self.xgen(expr)}, ' for _, expr in term.fields)})"
+        if sort is not None:
+            values = f"{self.bind('S', sort)}({values})"
+        return f"_record({self.bind('L', layout)}, {values})"
 
     def _x_proj(self, term: Proj) -> str:
-        """A record's value at the attribute's position: a constant where
-        the typing gives the base a layout and the record has it, else read
-        in the record's own layout (a missing attribute's ``KeyError``
-        reruns the chunk); ``_proj`` for anything but a ``Record``."""
+        """A record's value read through its own layout (a missing attribute's
+        ``KeyError`` reruns the chunk); ``_proj`` for anything else."""
         base = self.xgen(term.expr)
         t = self.wtemp()
         attr = term.attr
-        read = f"{t}._values[{t}._layout[{attr!r}]]"
-        layout = self._layout(term.expr)
-        if layout is not None and attr in layout:
-            bound = self.bind("L", layout)
-            read = f"({t}._values[{layout[attr]}] if {t}._layout is {bound} else {read})"
-        return f"({read} if ({t} := {base}).__class__ is Record else _proj({t}, {attr!r}))"
+        return (
+            f"({t}._values[{t}._layout[{attr!r}]] "
+            f"if ({t} := {base}).__class__ is Record "
+            f"else _proj({t}, {attr!r}))"
+        )
 
     def _x_if(self, term: If) -> str:
         cond = self.xgen(term.cond)
@@ -611,8 +575,7 @@ class _KernelEmitter:
     def _x_let(self, term: Let) -> str:
         value = self.xgen(term.value)
         out = self.wtemp()
-        type_ = self._type(term.value)
-        body = self.scoped(term.var, out, lambda: self.xgen(term.body), type_)
+        body = self.scoped(term.var, out, lambda: self.xgen(term.body))
         # Tuple evaluates left to right: bind the temp, then the body.
         return f"((({out} := ({value})), {body})[1])"
 
@@ -689,7 +652,7 @@ class _KernelEmitter:
         # Only the root bag is plain: its domains and head hold other folds.
         plain = self.plain_root and term.monoid_name == "bag"
         self.plain_root = False
-        saved = dict(self._scope), dict(self._types)  # a raise discards the emitter
+        saved = dict(self._scope)  # an emitter that raises is discarded
         clauses: list[str] = [f"for {self.wtemp()} in (None,)"]
         self.depth += 1  # a qualifier nests twice a head's brackets
         for qualifier in term.qualifiers:
@@ -706,7 +669,6 @@ class _KernelEmitter:
             elif isinstance(domain, Singleton) and domain.monoid.is_collection:
                 clauses.append(f"if (({t} := {self.xgen(domain.expr)}),)")
                 self._scope[qualifier.var] = t
-                self._types[qualifier.var] = self._type(domain.expr)
             else:
                 element = self.wtemp()
                 clauses.append(
@@ -714,10 +676,10 @@ class _KernelEmitter:
                     f"for {element} in {t}"
                 )
                 self._scope[qualifier.var] = element
-                self._types[qualifier.var] = getattr(self._type(domain), "element", ANY)
         self.depth -= 1
         head = self.xgen(term.head)
-        self._scope, self._types = saved
+        self._scope.clear()
+        self._scope.update(saved)
         stream = f"{head} {' '.join(clauses)}"
         monoid = term.monoid
         if isinstance(monoid, CollectionMonoid):

@@ -504,13 +504,13 @@ class PhysicalOperator:
     ) -> CompiledKernel:
         """Lower a value expression (:meth:`ExprCompiler.compile_kernel`'s
         *kind*) and register it for ``eval_mode``."""
-        kernel = context._compiler.compile_kernel(term, kind, context.typing)
+        kernel = context._compiler.compile_kernel(term, kind)
         self._kernels.append(kernel)
         return kernel
 
     def _pred_kernel(self, context: _Context, term: Term) -> CompiledKernel:
         """Lower a strict-boolean predicate (NULL filters as False)."""
-        kernel = context._compiler.compile_predicate_kernel(term, context.typing)
+        kernel = context._compiler.compile_predicate_kernel(term)
         self._kernels.append(kernel)
         return kernel
 

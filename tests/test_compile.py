@@ -341,8 +341,7 @@ def test_kernel_caches_stop_growing_after_the_first_executions(
     monkeypatch.setattr(
         compile_module.ExprCompiler,
         "_kernel",
-        lambda self, kind, term, typing=None: walked.append(term)
-        or kernel(self, kind, term, typing),
+        lambda self, kind, term: walked.append(term) or kernel(self, kind, term),
     )
     grew = {}
     steady_walks = 0

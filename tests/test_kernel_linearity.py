@@ -65,9 +65,9 @@ def kernel_sizes(monkeypatch):
     )
     lower = ExprCompiler._lower
 
-    def spy(self, term, predicate, typing):
+    def spy(self, term, predicate):
         del sources[:]
-        kernel = lower(self, term, predicate, typing)
+        kernel = lower(self, term, predicate)
         if sources:
             sizes.append((len(sources[-1]), _nodes(term)))
         return kernel

@@ -1,8 +1,8 @@
 """A root set of structs, and a set's lazily built membership.
 
 ``select distinct struct(…)`` reduces its rows into a set of records, each
-a layout shared by its name set and a tuple of values, so two structs
-listing their fields in other orders are one member.  The set keeps the
+the layout of its field order and the tuple of its values in sorted-name
+order, so two structs listing their fields in other orders are one member.  The set keeps the
 first row of each member — the first-seen representative, down to
 :func:`exact_key`, which tells ``1`` from ``1.0`` and ``True`` and one
 stored object from its equal-state twin.  A set's membership frozenset is

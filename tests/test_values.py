@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pipeline import QueryPipeline
+from repro.data import values
+from repro.data.codec import decode_value, encode_value
+from repro.data.datagen import company_database
 from repro.data.values import (
     NULL,
     BagValue,
@@ -92,6 +96,32 @@ class TestRecord:
 
     def test_repr_is_sorted(self):
         assert repr(Record(b=2, a=1)) == "<a=1, b=2>"
+
+    def test_a_record_iterates_and_encodes_in_its_own_order(self):
+        # Whatever records the process built before, a struct's fields read
+        # in the order the struct lists them.
+        pipeline = QueryPipeline(company_database(num_employees=5))
+
+        def encoded(names):
+            fields = ", ".join(f"{n}: e.{a}" for n, a in zip(names, ("name", "age")))
+            result = pipeline.run_oql(f"select distinct struct({fields}) from e in Employees")
+            return [list(r) for r in result], encode_value(result)
+
+        first = encoded("ba")
+        assert first[0][0] == ["b", "a"]
+        assert encoded("ab")[0][0] == ["a", "b"]
+        assert encoded("ba") == first
+        assert list(encode_value(Record(b=2, a=1))["$record"]) == ["b", "a"]
+
+    def test_the_layout_cache_stays_bounded(self):
+        before = Record(b=2, a=1)
+        for i in range(5000):
+            decode_value({"$record": {f"f{i}": i, "g": 0}})
+        assert len(values.LAYOUTS) <= 4096
+        after = Record(b=2, a=1)
+        assert after._layout is not before._layout  # rebuilt after a clear
+        assert after == before == Record(a=1, b=2) and hash(after) == hash(before)
+        assert Record(b=2, a=1) != Record(b=1, a=2) and Record(b=2, a=1) != Record(b=2, c=1)
 
 
 class TestSetValue:
