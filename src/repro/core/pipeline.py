@@ -401,8 +401,9 @@ class CompiledQuery:
         return stats
 
     def expr_compiler(self) -> ExprCompiler:
-        """The kernel compiler shared by this query's plans (its runtime
-        cell is thread-local, so executions on several threads share it)."""
+        """The kernel compiler shared by this query's plans.  Its kernels
+        hold nothing of a run — each reads the execution it is called with —
+        so executions on any number of threads share it."""
         return self._compiler
 
     def target(self, database: Database) -> tuple[Operator | None, Any]:

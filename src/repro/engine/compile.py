@@ -9,10 +9,13 @@ constant factor: a type-dispatch dictionary lookup, a bound-method call, two
 comparisons in ``apply_binop``, all per node per row.
 
 This module removes that factor by *lowering* each term to a **kernel**: a
-function ``fn(cols, n) -> (values, t, error)`` that evaluates the term over
-all *n* rows of a columnar :class:`~repro.engine.batch.Chunk`, reading
-column lists hoisted into locals instead of an environment dict per row.  A
-kernel is one generated body plus the definition:
+function ``fn(ex, cols, n) -> (values, t, error)`` that evaluates the term
+over all *n* rows of a columnar :class:`~repro.engine.batch.Chunk`, reading
+column lists hoisted into locals instead of an environment dict per row.
+Everything a run varies — parameter values, the database, the governor —
+it reads from *ex*, the :class:`~repro.engine.physical.Execution` it is
+called in, so one kernel serves every execution of the plans that hold it.
+A kernel is one generated body plus the definition:
 
 * the **comprehension form** — the term as a single Python expression
   (walrus assignments standing in for temporaries), so the whole chunk
@@ -23,8 +26,9 @@ kernel is one generated body plus the definition:
   expression nests deeper than Python parses, at any term depth;
 * the **interpreter as its error path** — any exception in the
   comprehension reruns the chunk through :func:`_interpreted`, one
-  ``Evaluator._eval`` call per row, so the faulting row and the error's
-  class and text are the interpreter's by construction.
+  ``Evaluator._eval`` call per row of an interpreter built from *ex*, so
+  the faulting row and the error's class and text are the interpreter's by
+  construction.
 
 Kernels never raise mid-chunk: an exception at row *t* is returned as
 ``(values so far, t, error)`` so the caller can deliver the preceding rows
@@ -59,7 +63,6 @@ shape, in any query of the process, are closures of one compiled factory
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Any, Callable, Mapping
 
 from repro.calculus.evaluator import EvaluationError, Evaluator
@@ -90,11 +93,12 @@ from repro.data.values import NULL, CollectionValue, Record, identity_key, layou
 from repro.engine.governor import charge_values
 from repro.errors import GovernorError, PlanningError
 
-#: A kernel: ``fn(cols, n) -> (values, t, error)``.  *cols* maps column
-#: names to value lists (all at least *n* long); rows ``[0, t)`` evaluated
-#: successfully into *values*, and *error* is the exception row *t* raised
-#: (None when ``t == n``).  Kernels never raise themselves.
-KernelFn = Callable[[Mapping[str, list], int], "tuple[list, int, Any]"]
+#: A kernel: ``fn(ex, cols, n) -> (values, t, error)``.  *ex* is the
+#: execution it runs in; *cols* maps column names to value lists (all at
+#: least *n* long); rows ``[0, t)`` evaluated successfully into *values*, and
+#: *error* is the exception row *t* raised (None when ``t == n``).  Kernels
+#: never raise themselves.
+KernelFn = Callable[[Any, Mapping[str, list], int], "tuple[list, int, Any]"]
 
 #: Types whose ``==`` is plain value equality — the fast path that skips
 #: :func:`identity_key` (which returns scalars unchanged anyway).
@@ -104,10 +108,10 @@ _SCALARS = frozenset((bool, int, float, str))
 class CompiledKernel:
     """A term lowered to a chunk-level loop.
 
-    ``fn(cols, n)`` evaluates the term over rows ``0..n-1`` of a columnar
-    chunk and returns ``(values, t, error)``: the results for rows
-    ``[0, t)``, plus the exception row *t* raised — or ``(values, n,
-    None)`` when every row succeeded.  Capturing instead of raising is the
+    ``fn(ex, cols, n)`` evaluates the term in execution *ex* over rows
+    ``0..n-1`` of a columnar chunk and returns ``(values, t, error)``: the
+    results for rows ``[0, t)``, plus the exception row *t* raised — or
+    ``(values, n, None)`` when every row succeeded.  Capturing instead of raising is the
     contract that lets operators deliver the pre-error rows to their
     consumer before replaying the failure, so a short-circuiting consumer
     (``exists`` satisfied early) never observes an error it would not have
@@ -130,30 +134,6 @@ class CompiledKernel:
         return f"CompiledKernel({self.term}{suffix})"
 
 
-class ExprRuntime(threading.local):
-    """Per-execution bindings that kernels read at evaluation time.
-
-    Kernels must be reusable across executions (the kept physical plan of
-    a :class:`~repro.core.pipeline.CompiledQuery` holds them), so anything
-    that varies per execution — the prepared-statement parameter values,
-    the database, the interpreter of a chunk's error path — is reached
-    through this one mutable cell, rebound by :meth:`ExprCompiler.activate`
-    when an execution starts.
-
-    The cell is a ``threading.local``: a ``CompiledQuery`` shared by a
-    thread pool has each thread activate and read *its own* bindings, so
-    concurrent executions with different parameters cannot clobber each
-    other mid-query.  (``__init__`` runs once per thread on first access,
-    giving every thread the empty defaults until it activates.)
-    """
-
-    def __init__(self) -> None:
-        self.params: Mapping[str, Any] = {}
-        self.database: Any = None
-        self.evaluator: Evaluator | None = None
-        self.kept = 0  # collection elements this execution's folds kept
-
-
 class ExprCompiler:
     """Lowers terms to kernels; one instance per compiled query.
 
@@ -166,16 +146,7 @@ class ExprCompiler:
     """
 
     def __init__(self) -> None:
-        self.runtime = ExprRuntime()
         self._memo: dict[tuple, CompiledKernel] = {}
-
-    def activate(self, evaluator: Evaluator, database: Any) -> None:
-        """Point the runtime at one execution's interpreter and database."""
-        runtime = self.runtime
-        runtime.params = evaluator.params
-        runtime.database = database
-        runtime.evaluator = evaluator
-        runtime.kept = 0
 
     # -- entry points -------------------------------------------------------
 
@@ -204,38 +175,40 @@ class ExprCompiler:
         predicate = kind == "pred"
         if predicate and isinstance(term, Const) and term.value is True:
             return CompiledKernel(_true_kernel, term, trivial_true=True)
-        emitter = _KernelEmitter(
-            self.runtime, kind == "plain" and isinstance(term, Comprehension)
-        )
-        slow = _interpreted(self.runtime, term, predicate)
+        emitter = _KernelEmitter(kind == "plain" and isinstance(term, Comprehension))
+        slow = _interpreted(term, predicate)
         return CompiledKernel(emitter.kernel(term, predicate, slow, kind == "row"), term)
 
 
-def _true_kernel(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
+def _true_kernel(ex: Any, cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
     return [True] * n, n, None
 
 
-def _interpreted(runtime: ExprRuntime, term: Term, predicate: bool) -> KernelFn:
+def _interpreted(term: Term, predicate: bool) -> KernelFn:
     """*term* through the AST interpreter, one call per row: every
     kernel's error path, ``_slow``.
 
-    Not generated and not fast — it is the definition.  A row's env holds
-    the term's free variables the chunk has; an absent column is left out,
-    so the interpreter's own unbound-variable error fires only if the row
-    reads the name.  Expressions are deterministic, so rerunning a chunk
-    whose comprehension raised reaches the same fault; the cost is
-    evaluating that chunk's prefix rows twice, and a fault aborts the query
-    anyway.  The free variables are walked per call, not per kernel: nearly
+    Not generated and not fast — it is the definition.  The interpreter is
+    built from the execution when the chunk reruns, so it reads that run's
+    parameters and database and settles on the governor then in force (a
+    kept build's :class:`~repro.engine.reuse.SettleRecorder` included).  A
+    row's env holds the term's free variables the chunk has; an absent
+    column is left out, so the interpreter's own unbound-variable error
+    fires only if the row reads the name.  Expressions are deterministic,
+    so rerunning a chunk whose comprehension raised reaches the same fault;
+    the cost is evaluating that chunk's prefix rows twice, and a fault
+    aborts the query anyway.  The free variables are walked per call, not per kernel: nearly
     every kernel is lowered with an error path that never runs.
     """
 
-    def kern(cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
+    def kern(ex: Any, cols: Mapping[str, list], n: int) -> tuple[list, int, Any]:
         present = [(v, cols[v]) for v in free_vars(term) if v in cols]
         out: list = []
         try:
             # _eval (not evaluate): skips the defensive env copy — the
             # interpreter never mutates the environment it is handed.
-            evaluate = runtime.evaluator._eval  # noqa: SLF001
+            interpreter = Evaluator(ex.database, ex.params, governor=ex.governor)
+            evaluate = interpreter._eval  # noqa: SLF001
             for i in range(n):
                 value = evaluate(term, {v: col[i] for v, col in present})
                 if predicate and value is not True:
@@ -283,17 +256,18 @@ def _members(value: Any) -> Any:
     return _fault()
 
 
-def _settle(rt: ExprRuntime, out: list, units: int, kept: list) -> tuple:
+def _settle(ex: Any, out: list, units: int, kept: list) -> tuple:
     """A clean chunk's result, once the elements its folds reached settle
-    as work units and the collection elements they kept are charged
-    (sampled from the execution's running count); a trip is its error."""
-    governor = getattr(rt.evaluator, "governor", None)  # None: not activated
+    as work units on *ex*'s governor and the collection elements they kept
+    are charged (sampled from the execution's running count, ``ex.kept``);
+    a trip is its error."""
+    governor = ex.governor
     try:
         if governor is not None:
             governor.tick_many(units)
             for values in kept if governor.max_bytes is not None else ():
-                charge_values(governor.charge, values, rt.kept)
-                rt.kept += len(values)
+                charge_values(governor.charge, values, ex.kept)
+                ex.kept += len(values)
     except GovernorError as exc:
         return [], 0, exc
     return out, len(out), None
@@ -306,8 +280,8 @@ _UNBOUND = object()
 _DEPTH = 32
 
 #: What generated code reads that no kernel owns — the globals of every
-#: shape.  What a kernel does own (its ``rt`` cell, column names, constants,
-#: monoid functions, its error path) reaches it as closure variables.
+#: shape.  What a kernel does own (column names, constants, monoid
+#: functions, its error path) reaches it as closure variables.
 _HELPERS: dict[str, Any] = {
     "NULL": NULL,
     "Record": Record,
@@ -326,7 +300,7 @@ def _factory(source: str) -> Callable[..., KernelFn]:
     """Kernel source → its ``_make``, each distinct text once per process.
 
     Generated source holds no column names and no constants: it is
-    ``def _make(rt, v2, c3, …): def _kern(cols, n): …; return _kern``, the
+    ``def _make(v2, c3, …): def _kern(ex, cols, n): …; return _kern``, the
     values a kernel owns being ``_make``'s parameters
     (:meth:`_KernelEmitter.bind`).  So the text is the term's *shape* —
     ``_e3.name == 'x'`` and ``_u17.name == 'y'`` emit the same characters —
@@ -345,17 +319,18 @@ def _factory(source: str) -> Callable[..., KernelFn]:
 
 
 class _KernelEmitter:
-    """Emits one term as a kernel ``def _kern(cols, n)``.
+    """Emits one term as a kernel ``def _kern(ex, cols, n)``.
 
     ``xgen`` returns a node as one Python expression, and the whole chunk
     evaluates as one list comprehension over it::
 
-        def _kern(cols, n):
+        def _kern(ex, cols, n):
             try:
                 <column hoists>
-                return [<expr> for _i in range(n)], n, None
+                _out = [<expr> for _i in range(n)]
             except Exception:
-                return _slow(cols, n)
+                return _slow(ex, cols, n)
+            return _settle(ex, _out, _k, _b)
 
     * **variable reads index hoisted column locals** — a prologue binds
       ``_colK = cols[vJ]`` once per chunk, and the row body reads
@@ -366,6 +341,9 @@ class _KernelEmitter:
       shape alone and :func:`_factory` compiles each shape once
       (attribute, extent and parameter names are the query's own, not the
       unnester's fresh ones, and stay literal);
+    * **the run is the execution** — parameters and extents are read as
+      ``ex.params[…]`` and ``ex.database.extent(…)``, and ``_settle``
+      ticks ``ex.governor``;
     * **lets bind walrus temps, not env copies** — a ``let``-bound variable
       becomes a function-local name shadowing any same-named column for
       the extent of the body, so no per-row dict is materialized;
@@ -380,8 +358,7 @@ class _KernelEmitter:
 
     handlers: dict[type, Callable[..., str]]
 
-    def __init__(self, runtime: ExprRuntime, plain_root: bool = False):
-        self.runtime = runtime
+    def __init__(self, plain_root: bool = False):
         #: The root bag comprehension's elements are their own keys.
         self.plain_root = plain_root
         #: Per-chunk setup lines (column hoists, row functions), emitted
@@ -395,11 +372,8 @@ class _KernelEmitter:
         #: Let-bound variable -> walrus temp (shadows columns).
         self._scope: dict[str, str] = {}
         #: What this kernel owns, by the name generated code calls it:
-        #: ``_make``'s parameters, in binding order.  ``rt`` is the
-        #: compiler's ExprRuntime: activate() mutates it in place, so
-        #: generated code reading ``rt.params`` / ``rt.database`` always
-        #: sees the live execution.
-        self.bound: dict[str, Any] = {"rt": runtime}
+        #: ``_make``'s parameters, in binding order.
+        self.bound: dict[str, Any] = {}
 
     def kernel(
         self, term: Term, predicate: bool, slow: KernelFn, row: bool = False
@@ -421,14 +395,14 @@ class _KernelEmitter:
         # Folds count the elements they reach in _k, collections kept in _b.
         source = (
             f"def _make({', '.join(self.bound)}):\n"
-            "    def _kern(cols, n):\n"
+            "    def _kern(ex, cols, n):\n"
             "        try:\n"
             + "".join(self.prologue)
             + "            _k, _b = 0, []\n"
             + f"            _out = [{expr} for _i in range(n)]\n"
             "        except Exception:\n"
-            "            return _slow(cols, n)\n"
-            "        return _settle(rt, _out, _k, _b)\n"
+            "            return _slow(ex, cols, n)\n"
+            "        return _settle(ex, _out, _k, _b)\n"
             "    return _kern\n"
         )
         return _factory(source)(*self.bound.values())
@@ -533,12 +507,12 @@ class _KernelEmitter:
         return self.bind("c", term.monoid.finalize(term.monoid.zero))
 
     def _x_extent(self, term: Extent) -> str:
-        return f"rt.database.extent({term.name!r})"
+        return f"ex.database.extent({term.name!r})"
 
     def _x_param(self, term: Param) -> str:
         # Kept lazy (no prologue hoist) so a parameter referenced only in
         # an untaken If branch stays unread.
-        return f"rt.params[{term.name!r}]"
+        return f"ex.params[{term.name!r}]"
 
     def _x_record(self, term: RecordCons) -> str:
         """``_record(L, (…))``: the struct's layout ``L`` bound, its values

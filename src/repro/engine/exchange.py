@@ -42,8 +42,9 @@ rows hold OID-stamped records — neither pickles — so workers are always
 threads.  On free-threaded builds they scale across cores; on GIL builds
 the machinery is exercised (and correct) but CPU-bound speedup waits on
 the interpreter.  Every worker runs in the coordinator's one
-:class:`~repro.engine.physical.Execution`, activated on its own thread;
-the governor is shared across workers via its locked settle path
+:class:`~repro.engine.physical.Execution`, which its kernels are called
+with: the workers share its parameters, its ``kept`` count and its
+governor, whose locked settle path makes it safe to share
 (:meth:`~repro.engine.governor.Governor.enable_sharing`).
 """
 
@@ -539,9 +540,6 @@ class PGather(PhysicalOperator):
     # -- execution -----------------------------------------------------------
 
     def _run_partition(self, ex: Execution, index: int) -> Any:
-        # Kernels read thread-local runtime state; bind this worker thread
-        # to the execution before running.
-        ex.activate()
         root = self._partition_roots[index]
         if self.strategy == "reduce":
             return root.partial_value(ex)

@@ -66,7 +66,7 @@ from itertools import compress, groupby
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.algebra.operators import Operator, occurrence
-from repro.calculus.evaluator import EvaluationError, Evaluator as TermEvaluator, ExtentProvider
+from repro.calculus.evaluator import EvaluationError, ExtentProvider
 from repro.calculus.monoids import CollectionMonoid, Monoid, SortedMonoid, folder
 from repro.calculus.terms import (
     TRUE,
@@ -132,14 +132,16 @@ class Execution:
     it): made per call, passed down ``batches`` and ``value``, and dropped
     with everything it built.
 
-    It holds the bound prepared-statement parameters (``:name`` placeholder
-    values) and the interpreter that reads them, which a kernel's error
-    path reruns a faulting chunk through; the optional
-    :class:`~repro.engine.governor.Governor`; the *profile* flag (EXPLAIN
-    ANALYZE: time every kernel call); each operator's :class:`_Counts`
-    (``counts``); and ``memo``, what an operator builds once per run — an
-    open build side, a nest's groups, a shared nest's output and fed
-    stand-in, a SQL segment's decoded rows."""
+    It is all a kernel reads of its run (kernels are called ``fn(ex, cols,
+    n)``): the bound prepared-statement parameters (``:name`` placeholder
+    values), the database, the optional
+    :class:`~repro.engine.governor.Governor` and ``kept``, how many
+    collection elements the kernels' folds have kept so far (their byte
+    charges are sampled from that count).  It also holds the *profile* flag
+    (EXPLAIN ANALYZE: time every kernel call); each operator's
+    :class:`_Counts` (``counts``); and ``memo``, what an operator builds
+    once per run — an open build side, a nest's groups, a shared nest's
+    output and fed stand-in, a SQL segment's decoded rows."""
 
     def __init__(
         self,
@@ -148,20 +150,13 @@ class Execution:
         governor: Any | None = None,
         profile: bool = False,
     ):
-        context = plan._context
-        self.database = context.database
+        self.database = plan._context.database
         self.params = dict(params) if params else {}
         self.governor = governor
+        self.kept = 0
         self.profile = profile
-        self.evaluator = TermEvaluator(self.database, self.params, governor=governor)
         self.counts: dict[PhysicalOperator, _Counts] = defaultdict(_Counts)
         self.memo: dict[PhysicalOperator, Any] = {}
-        self._compiler = context._compiler
-        self.activate()
-
-    def activate(self) -> None:
-        """Bind the calling thread's kernels to this execution."""
-        self._compiler.activate(self.evaluator, self.database)
 
     def charge_fn(self):
         """The governor's byte-accounting hook for blocking operators, or
@@ -302,10 +297,10 @@ class PhysicalOperator:
     ) -> tuple[list, int, Any]:
         """Invoke a kernel, timing it when the execution profiles."""
         if not ex.profile:
-            return kernel.fn(columns, n)
+            return kernel.fn(ex, columns, n)
         start = time.perf_counter()
         try:
-            return kernel.fn(columns, n)
+            return kernel.fn(ex, columns, n)
         finally:
             elapsed = (time.perf_counter() - start) * 1000.0
             ex.counts[self].eval_ms += elapsed

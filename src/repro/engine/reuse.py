@@ -91,7 +91,6 @@ def reused(op: Any, ex: Any, build: Callable[[Any], tuple[Any, bool]]) -> Any:
     if key is None:
         return build(ex)[0]
     database = ex.database
-    runtime = op._context._compiler.runtime
     subtree = [op.right]
     for node in subtree:
         subtree += node.children()
@@ -105,20 +104,20 @@ def reused(op: Any, ex: Any, build: Callable[[Any], tuple[Any, bool]]) -> Any:
             own.rows_produced, own.batches_produced, own.batch_rows = (
                 rows, batches, batch_rows
             )
-        runtime.kept += kept
+        ex.kept += kept
         return value
-    governor, evaluator, kept = ex.governor, ex.evaluator, runtime.kept
+    governor, kept = ex.governor, ex.kept
     recorder = SettleRecorder(governor)
-    ex.governor = evaluator.governor = recorder
+    ex.governor = recorder
     try:
         value, keep = build(ex)
     finally:
-        ex.governor = evaluator.governor = governor
+        ex.governor = governor
     if keep and database.schema_version == version:
         counts = tuple(
             (own.rows_produced, own.batches_produced, own.batch_rows)
             for own in map(ex.counts.__getitem__, subtree)
         )
-        entry = (value, array("q", recorder.settles), counts, runtime.kept - kept)
+        entry = (value, array("q", recorder.settles), counts, ex.kept - kept)
         database.builds.store(key, version, entry)
     return value

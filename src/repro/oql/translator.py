@@ -323,15 +323,17 @@ class _Translator:
         would enumerate its equal elements together).  A set (``select
         distinct``, a ``group by``) sorts ``x <- set{ e | q̄ }``, which stays
         nested.  A key reads the element as ``value`` and each of its fields
-        by its projection alias."""
+        by its projection alias, or — one unaliased item being the element
+        itself — the element by that item's name."""
         unordered = self._select(dataclasses.replace(node, order_by=()), scope)
         element, qualifiers = unordered.head, unordered.qualifiers
         if unordered.monoid_name == "set":  # distinct, or grouped
             element = t.Var(self._fresh("x"))
             qualifiers = (t.Generator(element.name, unordered),)
         aliases = {self._item_name(item, i) for i, item in enumerate(node.items)}
+        bare = len(node.items) == 1 and node.items[0].alias is None
         env: dict[str, t.Term] = {"value": element}
-        env.update((alias, t.Proj(element, alias)) for alias in aliases)
+        env.update((alias, element if bare else t.Proj(element, alias)) for alias in aliases)
         keys = frozenset(env)
         fields = tuple(
             (f"k{i}", t.substitute(self.translate(item.expr, keys), env))

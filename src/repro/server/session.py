@@ -155,8 +155,3 @@ class Session:
         for token in tokens:
             token.cancel()
         return len(tokens)
-
-    @property
-    def inflight_count(self) -> int:
-        with self._inflight_lock:
-            return len(self._inflight)

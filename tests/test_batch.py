@@ -16,6 +16,7 @@ from itertools import product
 
 import pytest
 
+from kernel_runs import execution
 from repro.algebra.operators import Reduce, Scan
 from repro.calculus.evaluator import Evaluator
 from repro.calculus.terms import Apply, BinOp, Const, Lambda, Var, path
@@ -128,14 +129,12 @@ class TestKernelSweep:
     )
     def test_kernel_matches_interpreter(self, op):
         term = BinOp(op, Var("x"), Var("y"))
-        evaluator, compiler = Evaluator(Database()), ExprCompiler()
-        # As an Execution always does: the error path is the interpreter.
-        compiler.activate(evaluator, None)
-        kernel = compiler.compile_kernel(term)
-        interpret = evaluator.evaluate
+        kernel = ExprCompiler().compile_kernel(term)
+        interpret = Evaluator(Database()).evaluate
         pairs = list(product(self.VALUES, repeat=2))
         cols = {"x": [p[0] for p in pairs], "y": [p[1] for p in pairs]}
-        values, t, err = kernel.fn(cols, len(pairs))
+        # The error path is the interpreter, built from the execution.
+        values, t, err = kernel.fn(execution(), cols, len(pairs))
         assert len(values) == t
         for i in range(t):
             expect = interpret(term, {"x": pairs[i][0], "y": pairs[i][1]})
@@ -155,7 +154,7 @@ class TestKernelSweep:
         term = BinOp(">", Var("x"), Const(1))
         kernel = compiler.compile_predicate_kernel(term)
         col = [0, 1, 2, NULL, 5]
-        flags, t, err = kernel.fn({"x": col}, len(col))
+        flags, t, err = kernel.fn(execution(), {"x": col}, len(col))
         assert err is None and t == len(col)
         assert flags == [False, False, True, False, True]
 

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS
+from kernel_runs import execution
 from repro.calculus.evaluator import (
     DivisionByZeroError,
     EvaluationError,
@@ -87,10 +88,7 @@ def db() -> Database:
 
 
 def _engines(db):
-    evaluator = Evaluator(db)
-    compiler = ExprCompiler()
-    compiler.activate(evaluator, db)
-    return evaluator, compiler
+    return Evaluator(db), ExprCompiler()
 
 
 def _outcome(fn):
@@ -101,10 +99,12 @@ def _outcome(fn):
         return None, type(exc)
 
 
-def _run(kernel, env):
-    """Evaluate *kernel* on the one-row chunk holding *env*; a captured
-    fault is raised, as an operator would replay it."""
-    values, _, err = kernel.fn({name: [value] for name, value in env.items()}, 1)
+def _run(kernel, env, ex=None):
+    """Evaluate *kernel* in *ex* (a run over no database, by default) on
+    the one-row chunk holding *env*; a captured fault is raised, as an
+    operator would replay it."""
+    ex = execution() if ex is None else ex
+    values, _, err = kernel.fn(ex, {name: [value] for name, value in env.items()}, 1)
     if err is not None:
         raise err
     return values[0]
@@ -217,7 +217,7 @@ def test_folds_agree_with_the_interpreter(term, db):
     kernel = compiler.compile_kernel(term)
     for x in (3, Record(xs=BagValue([1, 2, 1]), ys=BagValue([10, 20]))):
         env = {"x": x}
-        got = _outcome(lambda: repr(_run(kernel, env)))
+        got = _outcome(lambda: repr(_run(kernel, env, execution(db))))
         assert got == _outcome(lambda: repr(evaluator.evaluate(term, env)))
 
 
@@ -239,10 +239,8 @@ def test_every_domain_compiles_and_agrees_with_the_interpreter(domain, monoid, p
     term = Let("l", Param("p"), fold)
     params = {"p": p, "q": Record(xs=ListValue(_DOMAIN_ROWS.elements()))}
     evaluator = Evaluator(db, params)
-    compiler = ExprCompiler()
-    compiler.activate(evaluator, db)
-    kernel = compiler.compile_kernel(term)
-    got = _outcome(lambda: repr(_run(kernel, {})))
+    kernel = ExprCompiler().compile_kernel(term)
+    got = _outcome(lambda: repr(_run(kernel, {}, execution(db, params))))
     assert got == _outcome(lambda: repr(evaluator.evaluate(term, {})))
 
 
@@ -274,7 +272,7 @@ def test_a_singleton_of_a_primitive_monoid_faults_as_the_interpreter(db):
     term = BinOp("==", Singleton("sum", Var("x")), Const(42))
     evaluator, compiler = _engines(db)
     kernel = compiler.compile_kernel(term)
-    assert kernel.fn({"x": []}, 0) == ([], 0, None)
+    assert kernel.fn(execution(), {"x": []}, 0) == ([], 0, None)
     assert _outcome(lambda: _run(kernel, {"x": 41})) == _outcome(
         lambda: evaluator.evaluate(term, {"x": 41})
     )
@@ -415,14 +413,16 @@ def test_cold_corpus_sweep_compiles_each_shape_once(databases, compiled_sources)
     assert compiled_sources == []
 
 
-def _chunked(kernel, columns: dict, n: int, size: int):
-    """Drive *kernel* over *n* rows in chunks of *size*, as an operator
-    would: ``(values, t, error type, error text)`` at the first fault."""
+def _chunked(kernel, columns: dict, n: int, size: int, ex=None):
+    """Drive *kernel* in *ex* over *n* rows in chunks of *size*, as an
+    operator would: ``(values, t, error type, error text)`` at the first
+    fault."""
+    ex = execution() if ex is None else ex
     values: list = []
     for start in range(0, n, size):
         stop = min(start + size, n)
         chunk = {name: column[start:stop] for name, column in columns.items()}
-        got, t, err = kernel.fn(chunk, stop - start)
+        got, t, err = kernel.fn(ex, chunk, stop - start)
         values.extend(got[:t])
         if err is not None:
             return values, len(values), type(err), str(err)
@@ -545,8 +545,9 @@ def test_fault_matrix_matches_row_by_row_interpreter(
     # One compile() per kernel, at lowering; a fault compiles nothing,
     # however many there are.
     assert len(compiled_sources) == 1
-    assert _chunked(kernel, columns, _ROWS, chunk_size) == expected
-    assert _chunked(kernel, columns, _ROWS, chunk_size) == expected
+    ex = execution(db)
+    assert _chunked(kernel, columns, _ROWS, chunk_size, ex) == expected
+    assert _chunked(kernel, columns, _ROWS, chunk_size, ex) == expected
     assert len(compiled_sources) == 1
 
 
@@ -621,11 +622,12 @@ def test_terms_equal_up_to_column_names_share_code_not_columns(db):
     assert left.fn.__code__ is right.fn.__code__
     rows, nulls = [Record(k=1), Record(k=5), NULL], [NULL] * 3
     expected = ([False, True, False], 3, None)
-    assert left.fn({"_e3": rows, "_u17": nulls}, 3) == expected
-    assert right.fn({"_u17": rows, "_e3": nulls}, 3) == expected
+    ex = execution(db)
+    assert left.fn(ex, {"_e3": rows, "_u17": nulls}, 3) == expected
+    assert right.fn(ex, {"_u17": rows, "_e3": nulls}, 3) == expected
     # ... and name their own column when it is missing.
     for kernel, name in ((left, "_e3"), (right, "_u17")):
-        values, t, err = kernel.fn({}, 1)
+        values, t, err = kernel.fn(ex, {}, 1)
         assert (values, t) == ([], 0)
         assert str(err) == f"unbound variable {name!r}; in scope: []"
 
@@ -634,7 +636,7 @@ def test_equal_constants_of_different_types_share_code_and_keep_values(db):
     _, compiler = _engines(db)
     kernels = [compiler.compile_kernel(Const(v)) for v in (True, 1, 1.0)]
     assert len({id(kernel.fn.__code__) for kernel in kernels}) == 1
-    values = [kernel.fn({}, 1)[0][0] for kernel in kernels]
+    values = [kernel.fn(execution(db), {}, 1)[0][0] for kernel in kernels]
     assert [type(value) for value in values] == [bool, int, float]
 
 
@@ -672,7 +674,7 @@ def _outcomes(kernel, renaming, envs):
     columns = {
         renaming[name]: [env[name] for env in envs] for name in _NAMES
     }
-    values, t, err = kernel.fn(columns, len(envs))
+    values, t, err = kernel.fn(execution(), columns, len(envs))
     # repr, not ==: True and 1 must not pass for each other.
     return repr(values), t, type(err), str(err)
 

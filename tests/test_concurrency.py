@@ -26,7 +26,10 @@ execution and read by others (``TestKeptBuilds``).  A sixth: a compiled
 query keeps one physical plan per database state, run by every session at
 once, so whatever one execution builds lives in its own
 :class:`~repro.engine.physical.Execution`, never on the plan
-(``TestOneSharedPlan``).
+(``TestOneSharedPlan``).  A seventh: a kernel reads parameters and governor
+from the execution it is called with, so two executions of that plan
+interleaved on one thread never read each other's
+(``TestInterleavedExecutions``).
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from corpus import CORPUS
+from kernel_runs import execution
 from repro.backends.shred import shredded_store
 from repro.core.optimizer import Optimizer, OptimizerOptions
-from repro.calculus.evaluator import DivisionByZeroError, Evaluator
+from repro.calculus.evaluator import DivisionByZeroError
 from repro.calculus.terms import BinOp, Const, Var
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import BuildMemo
@@ -290,17 +294,16 @@ class TestSharedKernelCode:
         self, company_db, eager_thread_switches
     ):
         """One kernel shared by 8 threads whose first chunks all fault: each
-        reruns its chunk through its own thread's interpreter, and still
-        gets its own rows up to the fault and the structured error."""
-        compiler = ExprCompiler()
-        kernel = compiler.compile_kernel(BinOp("/", Const(12), Var("x")))
+        reruns its chunk through an interpreter of its own execution, and
+        still gets its own rows up to the fault and the structured error."""
+        kernel = ExprCompiler().compile_kernel(BinOp("/", Const(12), Var("x")))
         barrier = threading.Barrier(THREADS)
 
         def run(thread_index: int):
-            compiler.activate(Evaluator(company_db), company_db)
+            ex = execution(company_db)
             column = [1, 2, 3, 4][: thread_index % 4] + [0, 6]
             barrier.wait(timeout=30)
-            values, t, err = kernel.fn({"x": column}, len(column))
+            values, t, err = kernel.fn(ex, {"x": column}, len(column))
             return values, t, type(err), column
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
@@ -511,3 +514,46 @@ class TestOneSharedPlan:
             assert compiled.execute(db, a=50) == want[50], n
         assert compiled.execute(db, a=20) == want[20]
         assert compiled.physical(db) is plan
+
+
+# ---------------------------------------------------------------------------
+# 7. executions of one plan interleaved on one thread
+# ---------------------------------------------------------------------------
+
+
+class TestInterleavedExecutions:
+    """A kernel reads its run — parameters, governor — from the execution
+    it is called with, so an execution made while another is still being
+    drained on the same thread changes nothing the first one reads."""
+
+    def test_parameters_are_the_executions_own(self):
+        db = company_database(20, 3, seed=1)
+        compiled = QueryPipeline(db).compile_oql(
+            "select e.name from e in Employees where e.age > :a"
+        )
+        plan = compiled.physical(db)
+        stream = plan.children()[0].rows(Execution(plan, {"a": 100}))
+        Execution(plan, {"a": 0})
+        assert list(stream) == []
+
+    def test_governor_is_the_executions_own(self):
+        db = company_database(50, 3, seed=1)
+        compiled = QueryPipeline(db).compile_oql(
+            "select struct(n: e.name, k: sum(select c.age from c in e.children)) "
+            "from e in Employees"
+        )
+        plan = compiled.physical(db)
+
+        def drained(interleave: bool) -> int:
+            governor = Governor(max_rows=10**9)
+            ex = Execution(plan, governor=governor)
+            stream = plan.children()[0].batches(ex)
+            if interleave:
+                Execution(plan)
+            for _ in stream:
+                pass
+            return governor.ticks
+
+        alone = drained(False)
+        assert alone > 0
+        assert drained(True) == alone

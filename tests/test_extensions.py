@@ -39,6 +39,7 @@ from repro.data.schema import INT, STRING, Schema, bag_of, list_of
 from repro.data.values import NULL, BagValue, ListValue, Record, SetValue
 from repro.engine.planner import PlannerOptions, execute, plan_physical
 from repro.errors import TypeCheckError
+from repro.testing.oracle import PATHS, run_all_paths
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +347,29 @@ class TestOrderByFold:
             "order by k desc"
         )
         assert [(row["k"], row["c"]) for row in result] == [(3, 1), (2, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "source, key",
+        [
+            ("select e.dno from e in Employees order by dno desc", lambda dno: dno),
+            (
+                "select e.manager from e in Employees order by manager.name",
+                lambda manager: manager["name"],
+            ),
+        ],
+    )
+    def test_a_scalar_head_sorts_by_its_own_name(self, company_db, source, key):
+        """One unaliased item is the element itself, so its name (``dno``,
+        ``manager``) is the element, as ``value`` is, on every path."""
+        outcomes = run_all_paths(source, {}, company_db)
+        assert len(outcomes) == len(PATHS)
+        for outcome in outcomes:
+            assert outcome.ok, (outcome.path, outcome.describe())
+            assert repr(outcome.value) == repr(outcomes[0].value), outcome.path
+        values = list(outcomes[0].value)
+        reverse = source.endswith("desc")
+        assert values == sorted(values, key=key, reverse=reverse)
+        assert len(values) == company_db.cardinality("Employees")
 
     def test_a_distinct_sort_plans_its_set_as_the_select(self, db):
         """The set stays nested, but as a root generator's domain it joins

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from kernel_runs import execution
 from repro.algebra.operators import Nest, Operator, OuterUnnest
 from repro.calculus.monoids import monoid as lookup_monoid
 from repro.calculus.terms import (
@@ -36,7 +37,6 @@ from repro.data.values import NULL, BagValue, ListValue, Record
 from repro.engine import compile as compile_module
 from repro.engine.compile import ExprCompiler
 from repro.engine.governor import CancelToken, Governor
-from repro.calculus.evaluator import Evaluator
 from repro.engine.physical import Execution, PHashNest, PMap, PUnnest, _Context
 from repro.engine.planner import PlannerOptions, plan_physical
 from repro.errors import BudgetExceeded, QueryCancelled
@@ -247,10 +247,10 @@ class TestAgreement:
         ]
 
 
-def _no_error_path(runtime, term, predicate):
+def _no_error_path(term, predicate):
     """A kernel error path that answers with an error of its own."""
 
-    def kern(cols, n):
+    def kern(ex, cols, n):
         return [], 0, AssertionError("the error path ran")
 
     return kern
@@ -374,7 +374,5 @@ def test_a_fold_leaves_no_binding_behind():
     # ``sum{ m | m <- {{ x }} } + m``: after the fold, ``m`` is the column
     # again, not the fold's last binding.  Mutation: keep the fold's scope.
     fold = Comprehension("sum", Var("m"), (Generator("m", Singleton("bag", Var("x"))),))
-    compiler = ExprCompiler()
-    compiler.activate(Evaluator(Database()), Database())
-    kernel = compiler.compile_kernel(BinOp("+", fold, Var("m")))
-    assert kernel.fn({"x": [5, 1], "m": [100, 7]}, 2) == ([105, 8], 2, None)
+    kernel = ExprCompiler().compile_kernel(BinOp("+", fold, Var("m")))
+    assert kernel.fn(execution(), {"x": [5, 1], "m": [100, 7]}, 2) == ([105, 8], 2, None)

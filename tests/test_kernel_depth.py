@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from kernel_runs import execution
 from repro.calculus.evaluator import Evaluator, evaluate
 from repro.calculus.terms import (
     Apply,
@@ -125,23 +126,21 @@ DEPTHS = [1, 31, 32, 33, 100, 300]
 _COLUMNS = {"x": [2, 0, 4], "xs": [BagValue([1])] * 3}
 
 
-def _engines(governor=None):
-    database = Database()
-    evaluator = Evaluator(database, governor=governor)
-    compiler = ExprCompiler()
-    compiler.activate(evaluator, database)
-    return evaluator, compiler
+def _engines():
+    return Evaluator(Database()), ExprCompiler()
 
 
-def _chunked(kernel, columns: dict, size: int):
-    """*kernel* over the rows of *columns* in chunks of *size*: the values
-    by ``repr`` up to the first fault, its row, class and text."""
+def _chunked(kernel, columns: dict, size: int, governor=None):
+    """*kernel* over the rows of *columns* in chunks of *size*, in one run
+    under *governor*: the values by ``repr`` up to the first fault, its
+    row, class and text."""
+    ex = execution(Database(), governor=governor)
     n = len(columns["x"])
     values: list = []
     for start in range(0, n, size):
         stop = min(start + size, n)
         chunk = {name: column[start:stop] for name, column in columns.items()}
-        got, t, err = kernel.fn(chunk, stop - start)
+        got, t, err = kernel.fn(ex, chunk, stop - start)
         values.extend(got[:t])
         if err is not None:
             return repr(values), len(values), type(err), str(err)
@@ -213,8 +212,9 @@ def test_folds_below_a_split_tick_the_governor(kind, sources, monkeypatch):
         if split:
             monkeypatch.setattr(compile_module, "_DEPTH", 3)
         for size in (1, 1024):
-            _, compiler = _engines(Governor(max_rows=depth + depth // 2))
-            outcomes.append(_chunked(compiler.compile_kernel(term), columns, size))
+            kernel = ExprCompiler().compile_kernel(term)
+            governor = Governor(max_rows=depth + depth // 2)
+            outcomes.append(_chunked(kernel, columns, size, governor))
     assert ["def _h" in source for source in sources] == [False, False, True, True]
     assert outcomes[:2] == outcomes[2:]
     # Row 0 settles `depth` elements, the folds in a domain included; row 1

@@ -40,6 +40,7 @@ from repro.calculus.monoids import (
     leq,
     monoid,
 )
+from kernel_runs import execution
 from repro.calculus.evaluator import EvaluationError, Evaluator
 from repro.calculus.terms import Merge, Var
 from repro.data.database import Database
@@ -289,13 +290,10 @@ def test_wrong_kind_merge_is_typed_in_the_evaluator(name, left, right):
 
 @pytest.mark.parametrize("name, left, right", _WRONG_MERGES, ids=repr)
 def test_wrong_kind_merge_is_typed_in_a_compiled_kernel(name, left, right):
-    database = Database()
-    compiler = ExprCompiler()
-    compiler.activate(Evaluator(database), database)
-    kernel = compiler.compile_kernel(Merge(name, Var("l"), Var("r")))
+    kernel = ExprCompiler().compile_kernel(Merge(name, Var("l"), Var("r")))
 
     def run():
-        _, _, err = kernel.fn({"l": [left], "r": [right]}, 1)
+        _, _, err = kernel.fn(execution(Database()), {"l": [left], "r": [right]}, 1)
         if err is not None:
             raise err
 
