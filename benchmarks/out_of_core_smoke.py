@@ -18,7 +18,11 @@ Assertions (all loud; the job never skips silently):
   derives the catalog the first store derived, still returns
   reference-equal results — and every object in them *is* the reopened
   database's own (``$oid`` resolves into the database; nothing is
-  rehydrated).
+  rehydrated);
+* each family's file, reopened from a fresh interpreter under another
+  ``PYTHONHASHSEED``, is reused there too and answers every corpus query
+  as the in-memory reference does (``repr`` for ``repr``): the fingerprint
+  and the answers read no hash order.
 
 Usage::
 
@@ -27,6 +31,9 @@ Usage::
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -203,10 +210,54 @@ def run_smoke(tmp: Path) -> int:
     print(f"reopened sweep: {objects} result objects checked for identity")
     if not objects:
         failures += 1
+
+    # Reopen from another process under another hash seed: reused again,
+    # and the same answers.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    for name, db in reopened.items():
+        done = subprocess.run(
+            [sys.executable, __file__, "--reopen", name, str(paths[name])],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        child = json.loads(done.stdout)
+        expected = {
+            query.name: repr(QueryPipeline(db).run_oql(query.oql))
+            for query in CORPUS
+            if query.family == name
+        }
+        if not child["reused"] or child["answers"] != expected:
+            wrong = sorted(q for q in expected if child["answers"].get(q) != expected[q])
+            print(
+                f"FAIL: {name}: reopened under PYTHONHASHSEED={seed}: "
+                f"reused={child['reused']}, answers differ for {wrong}",
+                file=sys.stderr,
+            )
+            failures += 1
+    print(f"cross-process reopen: {len(reopened)} families under PYTHONHASHSEED={seed}")
     return failures
 
 
+def reopen(name: str, path: str) -> None:
+    """Open *name*'s file in this process and print, as JSON, whether the
+    store was reused and the ``repr`` of each of the family's answers."""
+    db = _DATABASES[name]()
+    store = shredded_store(db, db_path=path, cache_kib=_CACHE_KIB)
+    pipe = QueryPipeline(db, OptimizerOptions(backend="sqlite", db_path=path))
+    answers = {
+        query.name: repr(pipe.run_oql(query.oql))
+        for query in CORPUS
+        if query.family == name
+    }
+    print(json.dumps({"reused": store.reused, "answers": answers}))
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--reopen"]:
+        reopen(*sys.argv[2:4])
+        return 0
     with tempfile.TemporaryDirectory(prefix="repro-ooc-") as tmp:
         failures = run_smoke(Path(tmp))
     if failures:

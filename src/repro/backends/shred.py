@@ -98,15 +98,18 @@ Execution is governed inside SQLite itself: a progress handler ticks the
 shared governor every few thousand VM opcodes, so timeouts, budgets, and
 cancellation trip mid-``SELECT``.
 
-**Out-of-core storage**.  ``ShreddedStore(db_path=...)`` shreds to a file
-instead of ``:memory:`` (WAL journal, file-backed temp store, bounded page
-cache) and records a fingerprint (layout version, schema version, a
-per-extent digest of every stored value and OID).  A reopen whose
-fingerprint matches skips ``CREATE``/``INSERT`` and re-derives the catalog
-from the database, as a fresh shred does; SQL's working set is bounded by
-``cache_size``, the Python objects are the database's, held once.  Join
-columns discovered at lowering time get indexes on demand, and ``ANALYZE``
-keeps the SQLite planner's estimates honest.
+**Out-of-core storage**.  Each table level is shredded in one walk, which
+yields the catalog, the rows (one ``executemany`` a table), the surrogate
+``$oid`` of every row without an OID and :attr:`ShreddedStore.objects`.
+``ShreddedStore(db_path=...)`` shreds to a file instead of ``:memory:``
+(WAL journal, file-backed temp store, bounded page cache) and records a
+fingerprint: a CRC32 over the layout version and every table's catalog
+entry and rows, OIDs included.  A reopen walks the database again; when
+the fingerprints match it keeps the tables and writes nothing.  SQL's
+working set is bounded by ``cache_size``, the Python objects are the
+database's, held once.  Join columns discovered at lowering time get
+indexes on demand, and ``ANALYZE`` keeps the SQLite planner's estimates
+honest.
 """
 
 from __future__ import annotations
@@ -141,8 +144,6 @@ from repro.calculus.monoids import CollectionMonoid
 from repro.calculus.terms import (
     BinOp,
     Const,
-    If,
-    IsNull,
     Not,
     Null,
     Proj,
@@ -158,7 +159,6 @@ from repro.data.values import (
     ListValue,
     Record,
     SetValue,
-    is_null,
 )
 from repro.engine.batch import Chunk
 from repro.engine.physical import (
@@ -203,7 +203,7 @@ _FILE_CACHE_KIB = 16384
 #: Bumped whenever the flat encoding or what the fingerprint digests
 #: changes; part of the fingerprint, so a stale file re-shreds instead of
 #: being misread.
-_LAYOUT_VERSION = 4
+_LAYOUT_VERSION = 5
 _MANIFEST_TABLE = "repro$manifest"
 #: What only the two fused nest forms write into a statement (the
 #: pre-aggregate's column, the domain's SELECT): :func:`fused_forms`.
@@ -216,23 +216,32 @@ _DOMAIN_SELECT = "SELECT * FROM "
 # ---------------------------------------------------------------------------
 
 
-_SCALAR_TAGS = {bool: "bool", int: "int", float: "float", str: "str"}
+#: The label the walk files a value under by its type (any other type's is
+#: ``other``): a scalar's value tag, ``null``, ``record`` or a collection kind.
+_LABELS = {bool: "bool", int: "int", float: "float", str: "str", type(NULL): "null"}
+_LABELS.update({Record: "record", SetValue: "set", BagValue: "bag", ListValue: "list"})
+_TAGS = frozenset(("bool", "int", "float", "str"))
+_KINDS = frozenset(("set", "bag", "list"))
 
 
-def _scalar_tag(value: Any) -> str | None:
-    return _SCALAR_TAGS.get(type(value))
-
-
-def _merge_tag(a: str | None, b: str) -> str:
-    if a is None or a == b:
-        return b
-    if {a, b} <= {"int", "float", "num"}:
-        return "num"
-    raise BackendUnsupportedError(
-        f"mixed value types in one column ({a} vs {b}) cannot be shredded "
-        "faithfully (SQLite orders across storage classes; the engine "
-        "raises a type error)"
-    )
+def _scalar_tag(labels: list[str]) -> str | None:
+    """The value tag of a column whose non-NULL values met *labels* (first
+    seen first): ``any`` for none, None unless every one is a scalar's."""
+    if not _TAGS.issuperset(labels):
+        return None
+    tag: str | None = None
+    for label in labels:
+        if tag in (None, label):
+            tag = label
+        elif {tag, label} <= {"int", "float", "num"}:
+            tag = "num"
+        else:
+            raise BackendUnsupportedError(
+                f"mixed value types in one column ({tag} vs {label}) cannot be "
+                "shredded faithfully (SQLite orders across storage classes; the "
+                "engine raises a type error)"
+            )
+    return tag or "any"
 
 
 @dataclass
@@ -271,12 +280,33 @@ class _Table:
         return structural + self.payload_columns()
 
 
-def _encode(value: Any) -> Any:
-    if is_null(value):
-        return None
-    if isinstance(value, bool):
-        return int(value)
-    return value
+class _Shape:
+    """The attributes of the records one table level meets at one path:
+    each attribute's column path, and the labels (:data:`_LABELS`) of the
+    values met under it, first seen first."""
+
+    __slots__ = ("layout", "paths", "labels", "mixed")
+
+    def __init__(self, prefix: str, layout: Mapping[str, int]):
+        self.layout = layout
+        self.mixed = False  # a record of other attributes met here
+        names = sorted(layout)
+        self.paths = tuple(f"{prefix}${name}" if prefix else name for name in names)
+        self.labels: tuple[dict[str, None], ...] = tuple({} for _ in names)
+
+
+def _value(label: str, value: Any) -> Any:
+    """A scalar or NULL as SQLite stores it."""
+    return None if label == "null" else int(value) if label == "bool" else value
+
+
+def _digest(table: _Table, rows: list[tuple], crc: int) -> int:
+    """*crc* over *table*'s catalog entry and *rows*: reprs of lists and
+    sorted items, never a set's iteration order or ``hash()``."""
+    entry = (table.name, table.kind, table.element, table.all_columns())
+    entry += (sorted(table.columns.items()),)
+    crc = zlib.crc32(repr(entry).encode(), crc)
+    return zlib.crc32(repr(rows).encode(), crc)
 
 
 class ShreddedStore:
@@ -308,13 +338,11 @@ class ShreddedStore:
         self.cache_kib = cache_kib
         self.lock = threading.Lock()
         # Connection policy: an in-memory store IS one connection (a second
-        # ``:memory:`` connection would see a different, empty database), so
-        # it stays shared across threads with ``self.lock`` serializing
-        # statements.  A file-backed store gives every thread its own
-        # connection (see :meth:`connection`): concurrent sessions then
-        # read in parallel under WAL, and — the bug this replaced — never
-        # interleave cursors, statement caches, or progress handlers on a
-        # connection another thread is mid-query on.
+        # ``:memory:`` connection would see a different, empty database),
+        # shared across threads with ``self.lock`` serializing statements.
+        # A file-backed store gives every thread its own (:meth:`connection`):
+        # sessions read in parallel under WAL and never interleave cursors,
+        # statement caches or progress handlers on one connection.
         self._shared_connection: sqlite3.Connection | None = None
         self._tlocal = threading.local()
         self._connections: list[sqlite3.Connection] = []
@@ -331,22 +359,16 @@ class ShreddedStore:
         self.refusals: dict[str, str] = {}
         #: oid -> the database's own Record, nested ones included.
         self.objects: dict[int, Record] = {}
-        self._next_surrogate = -1
+        #: ``$oid`` of the rows that have no OID: -1, -2, …
+        self._surrogates = itertools.count(-1, -1)
         self._join_indexed: set[tuple[str, str]] = set()
-        #: Monotonic nonce for governed statements (see PSqlSegment).  An
-        #: itertools counter: ``next()`` is atomic under the GIL, where the
-        #: old ``+= 1`` read-modify-write raced concurrent sessions into
-        #: sharing a nonce (and thus a cached statement's VM-step phase,
-        #: corrupting per-query governor accounting).
+        #: Monotonic nonce for governed statements (see PSqlSegment):
+        #: ``next()`` is atomic under the GIL, so no two sessions share one.
         self._governed_nonce = itertools.count(1)
-        fingerprint = self._index_objects()
         #: True when a file-backed store found its fingerprint in the file
         #: and kept the tables there instead of re-shredding.
-        self.reused = (
-            db_path is not None and self._stored_fingerprint() == fingerprint
-        )
-        rewrite = db_path is not None and not self.reused
-        self._shred_all(fingerprint if rewrite else None)
+        self.reused = False
+        self._shred_all()
         self.connection.execute("ANALYZE")
 
     # -- connection / file management ---------------------------------------
@@ -360,12 +382,9 @@ class ShreddedStore:
         opened lazily against :attr:`db_path` with the same pragmas.
         """
         if self._closed:
-            # Without this check a closed in-memory store would lazily
-            # open a brand-new empty ':memory:' database here and answer
-            # post-close queries with silently wrong (empty) results.
-            raise sqlite3.ProgrammingError(
-                "cannot use a closed ShreddedStore"
-            )
+            # else a closed in-memory store would open a new, empty
+            # ':memory:' database here and answer with wrong (empty) results
+            raise sqlite3.ProgrammingError("cannot use a closed ShreddedStore")
         shared = self._shared_connection
         if shared is not None:
             return shared
@@ -381,9 +400,7 @@ class ShreddedStore:
         before a pragma or a statement of ours has touched the file."""
         connection = None
         try:
-            connection = sqlite3.connect(
-                self.db_path or ":memory:", check_same_thread=False
-            )
+            connection = sqlite3.connect(self.db_path or ":memory:", check_same_thread=False)
             # Autocommit; shredding wraps itself in an explicit transaction.
             connection.isolation_level = None
             schema = connection.execute("SELECT name FROM sqlite_master")
@@ -434,69 +451,54 @@ class ShreddedStore:
         if self.cache_kib is not None:
             execute(f"PRAGMA cache_size=-{int(self.cache_kib)}")
 
-    def _shred_all(self, manifest: str | None) -> None:
-        """Describe every extent and — unless the file's tables are being
-        reused — create and fill its tables.  The catalog is never read
-        back: a reopen derives it as a fresh shred does, so the two cannot
-        disagree.  A rewrite (*manifest*: the new fingerprint) drops the
-        stale tables and records the manifest in the one transaction — a
-        file holding tables and no manifest is somebody else's."""
-        self.connection.execute("BEGIN IMMEDIATE")
-        try:
-            if manifest is not None:
+    def _shred_all(self) -> None:
+        """Shred every extent (:meth:`_shred_extent`) and write its tables,
+        in one transaction.  The catalog is never read back: a reopen
+        derives it as a fresh shred does, so the two cannot disagree.
+
+        A file-backed store's fingerprint is a CRC32 over the layout
+        version and each table's catalog entry and rows: what the tables
+        hold, ``$oid`` columns included, so a file holding another
+        database's OIDs re-shreds instead of answering with the wrong
+        object.  When the file's manifest holds it, the tables there are
+        kept (:attr:`reused`).  Rows wait for that comparison only when
+        there is a manifest to compare; otherwise each extent's are
+        written once walked.  A rewrite drops the stale tables and records
+        the manifest — a file with tables and no manifest is not ours."""
+        filed = self.db_path is not None
+        stored = self._stored_fingerprint() if filed else None
+        digest = zlib.crc32(b"layout %d" % _LAYOUT_VERSION)
+        held: list[tuple[_Table, list[tuple]]] = []
+        connection = self.connection
+        connection.execute("BEGIN IMMEDIATE")
+        with connection:  # COMMIT, or ROLLBACK on any exception
+            if filed and stored is None:
                 self._reset_file()
             for name in self._database.extent_names():
                 try:
-                    self._shred_extent(name)
+                    levels = self._shred_extent(name)
                 except BackendUnsupportedError as exc:
                     self.refusals[name] = exc.message
-            if manifest is not None:
-                self._write_manifest(manifest)
-            self.connection.execute("COMMIT")
-        except BaseException:
-            self.connection.execute("ROLLBACK")
-            raise
-
-    def _index_objects(self) -> str:
-        """One walk of the database: :attr:`objects` learns every stored
-        record, and the returned fingerprint digests the layout and schema
-        versions and, per extent, every value *and OID* in iteration order
-        — what the tables encode.  OIDs count because ``$oid`` columns
-        resolve through :attr:`objects`: a file whose OIDs are another
-        database's must re-shred, not answer with the wrong object."""
-        objects = self.objects
-
-        def canon(value: Any, out: list[str]) -> None:
-            if isinstance(value, Record):
-                if value.oid is not None:
-                    objects[value.oid] = value
-                out.append(f"<{value.oid}")
-                for attr in value.attributes():
-                    out.append(attr + "=")
-                    canon(value[attr], out)
-                out.append(">")
-            elif isinstance(value, CollectionValue):
-                out.append(type(value).__name__ + "[")
-                for element in value.elements():
-                    canon(element, out)
-                out.append("]")
-            else:
-                out.append(repr(value))
-
-        parts = [
-            f"format:{_LAYOUT_VERSION}",
-            f"schema:{self._database.schema_version}",
-        ]
-        for name in self._database.extent_names():
-            value = self._database.extent(name)
-            digest = 0
-            for element in value.elements():
-                out: list[str] = []
-                canon(element, out)
-                digest = zlib.crc32(",".join(out).encode("utf-8"), digest)
-            kind = type(value).__name__
-            parts.append(f"{name}:{kind}:{len(value)}:{digest}")
-        return ";".join(parts)
+                    continue
+                for table, rows in levels:
+                    if filed:
+                        digest = _digest(table, rows, digest)
+                    if stored is None:
+                        self._write(table, rows)
+                    else:
+                        held.append((table, rows))
+            fingerprint = f"{_LAYOUT_VERSION}:{digest:08x}"
+            self.reused = filed and fingerprint == stored
+            if filed and not self.reused:
+                if stored is not None:
+                    self._reset_file()
+                    for table, rows in held:
+                        self._write(table, rows)
+                manifest = _q(_MANIFEST_TABLE)
+                connection.execute(f"CREATE TABLE {manifest} (key TEXT PRIMARY KEY, value TEXT)")
+                connection.execute(
+                    f"INSERT INTO {manifest} VALUES ('fingerprint', ?)", (fingerprint,)
+                )
 
     def _stored_fingerprint(self) -> str | None:
         try:
@@ -509,26 +511,10 @@ class ShreddedStore:
         return None if row is None else row[0]
 
     def _reset_file(self) -> None:
-        names = [
-            row[0]
-            for row in self.connection.execute(
-                "SELECT name FROM sqlite_master "
-                "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
-            ).fetchall()
-        ]
-        for name in names:
-            self.connection.execute(f"DROP TABLE IF EXISTS {_q(name)}")
-
-    def _write_manifest(self, fingerprint: str) -> None:
-        self.connection.execute(
-            f"CREATE TABLE IF NOT EXISTS {_q(_MANIFEST_TABLE)} "
-            "(key TEXT PRIMARY KEY, value TEXT)"
-        )
-        self.connection.execute(
-            f"INSERT OR REPLACE INTO {_q(_MANIFEST_TABLE)} (key, value) "
-            "VALUES ('fingerprint', ?)",
-            (fingerprint,),
-        )
+        execute = self.connection.execute
+        tables = "SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        for (name,) in execute(tables).fetchall():
+            execute(f"DROP TABLE {_q(name)}")
 
     @contextmanager
     def statement_guard(self) -> Iterator[sqlite3.Connection]:
@@ -552,13 +538,7 @@ class ShreddedStore:
         re-ANALYZE when anything new appears.  Returns new index names."""
         created: list[str] = []
         with self.lock:
-            for table_name, column in sorted(requests):
-                if (table_name, column) in self._join_indexed:
-                    continue
-                if table_name not in {
-                    t.name for t in self._all_tables()
-                }:  # pragma: no cover - requests come from the catalog
-                    continue
+            for table_name, column in sorted(requests - self._join_indexed):
                 index = f"ix$join${table_name}${column}"
                 self.connection.execute(
                     f"CREATE INDEX IF NOT EXISTS {_q(index)} "
@@ -579,155 +559,151 @@ class ShreddedStore:
         for table in self.tables.values():
             yield from walk(table)
 
-    # -- shredding ----------------------------------------------------------
+    # -- shredding: one walk per table level ---------------------------------
 
-    def _surrogate(self) -> int:
-        oid = self._next_surrogate
-        self._next_surrogate -= 1
-        return oid
-
-    def _shred_extent(self, name: str) -> None:
+    def _shred_extent(self, name: str) -> list[tuple[_Table, list[tuple]]]:
+        """The extent's tables with their rows, a child before its parent."""
         value = self._database.extent(name)
-        elements = list(value.elements())
-        table = self._describe(name, _collection_kind(value), elements, False)
-        if not self.reused:
-            self._create(table)
-            self._insert(table, elements, None, set())
+        table = _Table(name, "record", _LABELS[type(value)], False)
+        levels: list[tuple[_Table, list[tuple]]] = []
+        self._shred_level(table, {None: value}, levels)
         self.tables[name] = table
+        return levels
 
-    def _describe(
-        self, table_name: str, kind: str, elements: list[Any], child: bool
-    ) -> _Table:
-        """The table of *elements*: the extent's, or those of every parent
-        row's nested collection."""
-        table = _Table(table_name, "record", kind, child)
-        present = [e for e in elements if not is_null(e)]
-        records = [e for e in present if isinstance(e, Record)]
-        if records:
-            if len(records) != len(elements):
+    def _shred_level(
+        self, table: _Table, owned: dict[int | None, CollectionValue], levels: list
+    ) -> None:
+        """One walk of the elements of the collections *owned* (the owning
+        row's ``$oid`` → its collection, so one is written once per owner).
+        It labels every value for *table*'s catalog, flattens each element
+        into its row and gathers the collections of the child tables, which
+        :meth:`_read_catalog` walks where it meets their paths."""
+        labels: dict[str, None] = {}
+        shapes: dict[str, _Shape] = {}
+        nested: dict[str, dict[int, CollectionValue]] = {}
+        rows: list[Any] = []  # a scalar's row, a record's column → value
+        for parent, collection in owned.items():
+            for pos, element in enumerate(collection.elements()):
+                label = _LABELS.get(type(element), "other")
+                labels[label] = None
+                if label == "record":
+                    oid = self._oid(element)
+                    flat = {"$oid": oid, "$parent": parent, "$pos": pos}
+                    self._shred_record(table, shapes, "", element, flat, oid, nested)
+                    rows.append(flat)
+                else:
+                    value = _value(label, element)
+                    oid = next(self._surrogates)
+                    rows.append((oid, parent, pos, value) if table.child else (oid, pos, value))
+        if "record" in labels:
+            if len(labels) > 1:
                 raise BackendUnsupportedError(
-                    f"{table_name}: record-shaped collection mixes records "
+                    f"{table.name}: record-shaped collection mixes records "
                     "with other elements"
                 )
             table.records.add("")
-            self._describe_fields(table, "", records)
-            return table
-        scalars = [e for e in present if _scalar_tag(e) is not None]
-        if len(scalars) != len(present):
-            raise BackendUnsupportedError(
-                f"{table_name}: elements are neither records nor scalars"
-            )
-        tag: str | None = None
-        for e in scalars:
-            tag = _merge_tag(tag, _scalar_tag(e))
-        table.element = "scalar"
-        table.columns[""] = tag or "any"
-        return table
+            self._read_catalog(table, shapes, "", nested, levels)
+            columns = table.all_columns()
+            for i, flat in enumerate(rows):  # in place: no row is held twice
+                rows[i] = tuple(map(flat.get, columns))
+        else:
+            tag = _scalar_tag([label for label in labels if label != "null"])
+            if tag is None:
+                raise BackendUnsupportedError(
+                    f"{table.name}: elements are neither records nor scalars"
+                )
+            table.element = "scalar"
+            table.columns[""] = tag
+        levels.append((table, rows))
 
-    def _describe_fields(
-        self, table: _Table, prefix: str, records: list[Record]
+    def _oid(self, record: Record) -> int:
+        """*record*'s ``$oid``: its OID, indexed in :attr:`objects`, or a
+        surrogate."""
+        oid = record.oid
+        if oid is None:
+            return next(self._surrogates)
+        self.objects[oid] = record
+        return oid
+
+    def _shred_record(
+        self, table: _Table, shapes: dict, prefix: str, record: Record, flat: dict,
+        owner: int, nested: dict[str, dict[int, CollectionValue]],
     ) -> None:
-        attrs = records[0].attributes()
-        if any(r.attributes() != attrs for r in records):
+        """*record*'s values under *prefix* into *flat* (column → value),
+        nested records in place, collections filed under *owner*."""
+        layout = record._layout
+        shape = shapes.get(prefix)
+        if shape is None:
+            shape = shapes[prefix] = _Shape(prefix, layout)
+        elif layout is not shape.layout and layout.keys() != shape.layout.keys():
+            shape.mixed = True  # refused where the catalog is read, in its order
+            return
+        # A record holds its values in sorted-name order, as a shape its paths.
+        for path, labels, value in zip(shape.paths, shape.labels, record._values):
+            label = _LABELS.get(type(value), "other")
+            labels[label] = None
+            if label in _TAGS:
+                flat[path] = _value(label, value)
+            elif label == "record":
+                flat[table.oid_column(path)] = self._oid(value)
+                self._shred_record(table, shapes, path, value, flat, owner, nested)
+            elif label in _KINDS:
+                nested.setdefault(path, {}).setdefault(owner, value)
+
+    def _read_catalog(
+        self, table: _Table, shapes: dict, prefix: str, nested: dict, levels: list
+    ) -> None:
+        """*table*'s columns, nested records and child tables under
+        *prefix*, from what its walk met at each path, in attribute order:
+        a child table is walked where it is met, so the first rule an
+        extent breaks in that order is the one it is refused for."""
+        shape = shapes[prefix]
+        if shape.mixed:
             raise BackendUnsupportedError(
                 f"{table.name}: heterogeneous record shapes at "
                 f"{prefix or 'the element'!r}"
             )
-        for attr in attrs:
-            path = f"{prefix}${attr}" if prefix else attr
-            values = [r[attr] for r in records]
-            present = [v for v in values if not is_null(v)]
-            if not present:
-                table.columns[path] = "any"
-                continue
-            if all(_scalar_tag(v) is not None for v in present):
-                tag: str | None = None
-                for v in present:
-                    tag = _merge_tag(tag, _scalar_tag(v))
-                table.columns[path] = tag or "any"
-            elif all(isinstance(v, Record) for v in present):
+        for path, labels in zip(shape.paths, shape.labels):
+            present = [label for label in labels if label != "null"]
+            tag = _scalar_tag(present)
+            if tag is not None:
+                table.columns[path] = tag
+            elif present == ["record"]:
                 table.records.add(path)
-                self._describe_fields(table, path, present)
-            elif all(isinstance(v, CollectionValue) for v in present):
-                if len(present) != len(values):
-                    raise BackendUnsupportedError(
-                        f"{table.name}: NULL-valued collection attribute "
-                        f"{path!r} (a missing child table cannot distinguish "
-                        "NULL from empty)"
-                    )
-                kinds = {_collection_kind(v) for v in present}
-                if len(kinds) != 1:
-                    raise BackendUnsupportedError(
-                        f"{table.name}: mixed collection kinds at {path!r}"
-                    )
-                nested = [e for v in present for e in v.elements()]
-                table.children[path] = self._describe(
-                    f"{table.name}${path}", kinds.pop(), nested, True
-                )
-            else:
+                self._read_catalog(table, shapes, path, nested, levels)
+            elif not _KINDS.issuperset(present):
                 raise BackendUnsupportedError(
                     f"{table.name}: attribute {path!r} mixes value categories"
                 )
+            elif "null" in labels:
+                raise BackendUnsupportedError(
+                    f"{table.name}: NULL-valued collection attribute "
+                    f"{path!r} (a missing child table cannot distinguish "
+                    "NULL from empty)"
+                )
+            elif len(present) != 1:
+                raise BackendUnsupportedError(
+                    f"{table.name}: mixed collection kinds at {path!r}"
+                )
+            else:
+                child = _Table(f"{table.name}${path}", "record", present[0], True)
+                table.children[path] = child
+                self._shred_level(child, nested[path], levels)
 
-    def _create(self, table: _Table) -> None:
-        cols = ", ".join(_q(c) for c in table.all_columns())
-        self.connection.execute(f"CREATE TABLE {_q(table.name)} ({cols})")
+    def _write(self, table: _Table, rows: list[tuple]) -> None:
+        columns = table.all_columns()
+        execute = self.connection.execute
+        execute(f"CREATE TABLE {_q(table.name)} ({', '.join(map(_q, columns))})")
+        self.connection.executemany(
+            f"INSERT INTO {_q(table.name)} VALUES ({', '.join('?' * len(columns))})", rows
+        )
         if table.child:
             # Composite: probes join on $parent and scan children in $pos
             # order, so one index covers both the join and the sort.
-            self.connection.execute(
+            execute(
                 f"CREATE INDEX {_q('ix$' + table.name)} "
                 f"ON {_q(table.name)} ({_q('$parent')}, {_q('$pos')})"
             )
-        for child in table.children.values():
-            self._create(child)
-
-    def _insert(
-        self, table: _Table, elements: list[Any], parent: int | None, owners: set
-    ) -> None:
-        """*elements* as rows of *table*; a collection once per *owners*."""
-        columns = table.all_columns()
-        sql = (
-            f"INSERT INTO {_q(table.name)} "
-            f"({', '.join(_q(c) for c in columns)}) "
-            f"VALUES ({', '.join('?' for _ in columns)})"
-        )
-        for pos, element in enumerate(elements):
-            row = {c: None for c in columns}
-            row["$pos"] = pos
-            if table.child:
-                row["$parent"] = parent
-            if table.element == "record":
-                oid = element.oid if element.oid is not None else self._surrogate()
-                row["$oid"] = oid
-                self._flatten(table, "", element, row)
-            else:
-                row["$oid"] = self._surrogate()
-                row["$value"] = _encode(element)
-            self.connection.execute(sql, [row[c] for c in columns])
-            for path, child in table.children.items():
-                value = _walk_path(element, path)
-                owner = (child.name, row["$oid"])
-                if value is None or is_null(value) or owner in owners:
-                    continue
-                owners.add(owner)
-                self._insert(child, list(value.elements()), row["$oid"], owners)
-
-    def _flatten(
-        self, table: _Table, prefix: str, record: Record, row: dict
-    ) -> None:
-        for attr in record.attributes():
-            path = f"{prefix}${attr}" if prefix else attr
-            value = record[attr]
-            if path in table.columns:
-                row[table.value_column(path)] = _encode(value)
-            elif path in table.records:
-                if is_null(value):
-                    continue  # the path$oid column stays NULL
-                oid = value.oid if value.oid is not None else self._surrogate()
-                row[table.oid_column(path)] = oid
-                self._flatten(table, path, value, row)
-            # collection paths are handled by the child-table inserts
 
     # -- the ExtentProvider protocol ------------------------------------------
 
@@ -740,28 +716,6 @@ class ShreddedStore:
                 f"extent {name!r} was not shredded: {self.refusals[name]}"
             )
         return self._database.extent(name)
-
-
-def _collection_kind(value: CollectionValue) -> str:
-    if isinstance(value, SetValue):
-        return "set"
-    if isinstance(value, BagValue):
-        return "bag"
-    if isinstance(value, ListValue):
-        return "list"
-    raise BackendUnsupportedError(
-        f"unknown collection kind {type(value).__name__}"
-    )
-
-
-def _walk_path(element: Any, path: str) -> Any | None:
-    """Navigate ``a$b$c`` through nested records; None when unreachable."""
-    value = element
-    for attr in path.split("$"):
-        if is_null(value) or not isinstance(value, Record):
-            return None
-        value = value[attr]
-    return value
 
 
 _STORE_BUILD_LOCK = threading.Lock()
@@ -918,29 +872,11 @@ def _sql_expr(term: Term, binds: Mapping[str, _VarBind]) -> _SqlExpr | None:
         return _SqlExpr("NULL", "null")
     if isinstance(term, (Var, Proj)):
         return _resolve_path(term, binds)
-    if isinstance(term, IsNull):
-        inner = _sql_expr(term.expr, binds)
-        if inner is None:
-            return None
-        return _SqlExpr(f"({inner.sql} IS NULL)", "bool")
     if isinstance(term, Not):
         inner = _sql_expr(term.expr, binds)
         if inner is None or inner.tag not in ("bool", "any", "null"):
             return None
         return _SqlExpr(f"(NOT {inner.sql})", "bool")
-    if isinstance(term, If):
-        cond = _sql_expr(term.cond, binds)
-        then = _sql_expr(term.then, binds)
-        orelse = _sql_expr(term.orelse, binds)
-        if cond is None or then is None or orelse is None:
-            return None
-        if "object" in (cond.tag, then.tag, orelse.tag):
-            return None
-        # SQL CASE takes ELSE on a NULL condition, matching the calculus.
-        return _SqlExpr(
-            f"(CASE WHEN {cond.sql} THEN {then.sql} ELSE {orelse.sql} END)",
-            _result_tag(then.tag, orelse.tag),
-        )
     if isinstance(term, BinOp):
         return _sql_binop(term, binds)
     return None

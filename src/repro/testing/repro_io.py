@@ -1,16 +1,19 @@
 """JSON repro artifacts for fuzzer findings.
 
 Every disagreement the fuzzer shrinks is saved as a self-contained JSON
-file — OQL source, parameter bindings, schema, extent contents, and index
-definitions — that :func:`load_repro` turns back into a runnable sample.
+file — OQL source, parameter bindings and the database — that
+:func:`load_repro` turns back into a runnable sample.
 ``tests/test_fuzz_regressions.py`` replays every artifact under
 ``tests/fuzz_repros/`` forever, so a fixed bug stays fixed.
 
-The encoding is deliberately explicit (tagged dicts, not pickles — the
-value codec is :mod:`repro.data.codec`): repro files are meant to be read,
-edited, and committed.  Stored objects keep
+The database is the image of :mod:`repro.data.storage`
+(:func:`~repro.data.storage.database_to_dict`: schema, extents and
+indexes, values in the :mod:`repro.data.codec` encoding), so an artifact
+is checked on load as a saved database is, and a malformed one is a
+:class:`~repro.data.storage.StorageError` that says what is wrong.  Repro
+files are meant to be read, edited, and committed.  Stored objects keep
 their engine-assigned identity via a ``$oid`` sibling of ``$record``;
-objects without one are re-stamped with fresh OIDs on load (the replayed
+objects without one are stamped with fresh OIDs on load (the replayed
 sample still distinguishes value-equal duplicates, just under new OIDs).
 """
 
@@ -22,66 +25,11 @@ from typing import Any
 
 from repro.data.codec import decode_value, encode_value
 from repro.data.database import Database
-from repro.data.schema import (
-    BOOL,
-    FLOAT,
-    INT,
-    STRING,
-    BoolType,
-    CollectionType,
-    FloatType,
-    IntType,
-    RecordType,
-    Schema,
-    StringType,
-    Type,
-)
-from repro.testing.shrink import _extent_kind
+from repro.data.storage import StorageError, database_from_dict, database_to_dict
 
-FORMAT_VERSION = 1
-
-
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-_SCALARS: dict[str, Type] = {
-    "int": INT,
-    "float": FLOAT,
-    "string": STRING,
-    "bool": BOOL,
-}
-
-
-def _encode_type(t: Type) -> Any:
-    if isinstance(t, IntType):
-        return "int"
-    if isinstance(t, FloatType):
-        return "float"
-    if isinstance(t, StringType):
-        return "string"
-    if isinstance(t, BoolType):
-        return "bool"
-    if isinstance(t, RecordType):
-        return {"record": [[attr, _encode_type(ft)] for attr, ft in t.fields]}
-    if isinstance(t, CollectionType):
-        return {"coll": t.monoid_name, "element": _encode_type(t.element)}
-    raise ValueError(f"cannot encode type {t!r} in a repro file")
-
-
-def _decode_type(data: Any) -> Type:
-    if isinstance(data, str):
-        return _SCALARS[data]
-    if "record" in data:
-        return RecordType(
-            tuple((attr, _decode_type(ft)) for attr, ft in data["record"])
-        )
-    return CollectionType(data["coll"], _decode_type(data["element"]))
-
-
-# ---------------------------------------------------------------------------
-# Whole samples
-# ---------------------------------------------------------------------------
+#: Version 1 spelled the schema, extents and indexes out at the top level
+#: in an encoding of its own; version 2 holds a database image.
+FORMAT_VERSION = 2
 
 
 def encode_sample(
@@ -106,46 +54,18 @@ def encode_sample(
         "expect": expect,
         "source": source,
         "params": {name: encode_value(v) for name, v in params.items()},
-        "schema": {
-            "classes": {
-                name: _encode_type(record_type)
-                for name, record_type in db.schema.classes.items()
-            },
-            "extents": dict(db.schema.extents),
-        },
-        "extents": {
-            name: {
-                "kind": _extent_kind(db, name),
-                "objects": [encode_value(obj) for obj in db.extent(name).elements()],
-            }
-            for name in db.extent_names()
-        },
-        "indexes": [
-            [name, attr]
-            for name in db.extent_names()
-            for attr in db.indexed_attributes(name)
-        ],
+        "database": database_to_dict(db),
     }
 
 
 def decode_sample(data: dict[str, Any]) -> tuple[str, dict[str, Any], Database]:
     """Rebuild the runnable (source, params, database) triple."""
-    schema = Schema()
-    for class_name, encoded in data["schema"]["classes"].items():
-        record_type = _decode_type(encoded)
-        assert isinstance(record_type, RecordType)
-        schema.define_class(class_name, **dict(record_type.fields))
-    for extent_name, class_name in data["schema"]["extents"].items():
-        schema.define_extent(extent_name, class_name)
-    db = Database(schema)
-    for extent_name, payload in data["extents"].items():
-        db.add_extent(
-            extent_name,
-            [decode_value(obj) for obj in payload["objects"]],
-            kind=payload["kind"],
+    if data.get("version") != FORMAT_VERSION:
+        raise StorageError(
+            f"unsupported repro version {data.get('version')!r} "
+            f"(expected {FORMAT_VERSION})"
         )
-    for extent_name, attr in data.get("indexes", []):
-        db.create_index(extent_name, attr)
+    db = database_from_dict(data.get("database"))
     params = {name: decode_value(v) for name, v in data.get("params", {}).items()}
     return data["source"], params, db
 

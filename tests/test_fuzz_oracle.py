@@ -393,6 +393,18 @@ class TestReproIO:
             assert decoded_db.extent(name) == db.extent(name)
             assert decoded_db.indexed_attributes(name) == db.indexed_attributes(name)
 
+    def test_the_database_is_a_storage_image(self):
+        from repro.data.storage import StorageError, database_to_dict
+
+        db, _ = random_database(13)
+        payload = encode_sample("select v from v in X0", {}, db)
+        assert payload["version"] == 2 and payload["database"] == database_to_dict(db)
+        payload["database"]["extents"]["X0"]["kind"] = "heap"
+        with pytest.raises(StorageError, match="extent 'X0' needs a 'kind'"):
+            decode_sample(payload)
+        with pytest.raises(StorageError, match="unsupported repro version 1"):
+            decode_sample({"version": 1, "source": "count(X0)", "extents": {}})
+
     def test_encoding_is_json_safe(self):
         import json
 

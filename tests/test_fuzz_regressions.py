@@ -81,13 +81,13 @@ def test_replay_repro_exactly(path: Path):
 )
 def test_repro_files_are_well_formed(path: Path):
     data = json.loads(path.read_text())
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert data["description"], f"{path.name} needs a description"
     assert isinstance(data["source"], str) and data["source"]
     # The loader must round-trip every artifact without error.
     source, params, db = load_repro(path)
     assert source == data["source"]
-    assert set(db.extent_names()) == set(data["extents"])
+    assert set(db.extent_names()) == set(data["database"]["extents"])
 
 
 @pytest.mark.parametrize(

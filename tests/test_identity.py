@@ -194,7 +194,7 @@ class TestPersistenceRoundTrip:
         # as distinct objects.
         db = _bag_duplicate_db()
         encoded = encode_sample("select y from y in Y", {}, db)
-        for obj in encoded["extents"]["Y"]["objects"]:
+        for obj in encoded["database"]["extents"]["Y"]["items"]:
             obj.pop("$oid", None)
         _, _, decoded = decode_sample(encoded)
         oids = [obj.oid for obj in decoded.extent("Y").elements()]

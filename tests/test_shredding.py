@@ -243,6 +243,19 @@ class TestShreddedStore:
         assert tables["nested-record"]["Ts"].children["sub$kids"].name == "Ts$sub$kids"
         assert tables["ab"]["A"].element == "scalar"
 
+    def test_what_no_row_holds_is_an_any_column(self):
+        # A nested collection empty in every row is a scalar table with an
+        # `any` column (not a record table); an attribute NULL in every row
+        # is an `any` column.
+        db = _hand_built(
+            [Record(k=1, v=NULL, kids=BagValue([])), Record(k=2, v=NULL, kids=BagValue([]))]
+        )
+        table = ShreddedStore(db).tables["Ts"]
+        assert table.columns == {"k": "int", "v": "any"} and table.records == {""}
+        kids = table.children["kids"]
+        assert (kids.name, kids.element, kids.kind, kids.child) == ("Ts$kids", "scalar", "bag", True)
+        assert kids.columns == {"": "any"} and kids.records == set() and kids.children == {}
+
     def test_every_stored_object_is_indexed_once(self):
         # objects: one entry per OID-carrying record of the database —
         # nested records and elements of nested collections included — and
@@ -359,6 +372,38 @@ class TestStoreFiles:
         assert "unexpected" not in str(refusal.value)
         if kind == "text_file":
             assert path.read_text().startswith("remember the milk")
+
+    def test_a_manifest_of_another_layout_version_re_shreds(self, tmp_path, monkeypatch):
+        import repro.backends.shred as shred
+
+        path = str(tmp_path / "shred.db")
+        monkeypatch.setattr(shred, "_LAYOUT_VERSION", 4)
+        older = ShreddedStore(DATABASES["company"](), db_path=path)
+        older.connection.execute('INSERT INTO "Departments" ("$oid", "$pos") VALUES (-99, 99)')
+        older.close()
+        monkeypatch.undo()
+        store = ShreddedStore(DATABASES["company"](), db_path=path)
+        assert not store.reused
+        [(fingerprint,)] = store.connection.execute('SELECT value FROM "repro$manifest"')
+        assert fingerprint.startswith(f"{shred._LAYOUT_VERSION}:")
+        # the tables were written again, not read: the stray row is gone
+        assert store.connection.execute(
+            'SELECT count(*) FROM "Departments" WHERE "$oid" = -99'
+        ).fetchone() == (0,)
+        store.close()
+        assert ShreddedStore(DATABASES["company"](), db_path=path).reused
+
+    def test_explain_says_whether_the_file_was_shredded_or_reused(self, tmp_path):
+        path = tmp_path / "shred.db"
+
+        def header():
+            db = DATABASES["company"]()
+            options = OptimizerOptions(backend="sqlite", db_path=str(path))
+            explain = QueryPipeline(db, options).compile_oql(self.SOURCE).explain(db)
+            return explain.splitlines()[1]
+
+        assert header() == f"store: file-backed at {path} (shredded)"
+        assert header() == f"store: file-backed at {path} (reused)"
 
     def test_an_empty_file_and_a_stale_store_still_shred(self, tmp_path):
         path = tmp_path / "shred.db"
@@ -1509,6 +1554,28 @@ class TestCorpusParity:
 
     def test_zero_silent_skips(self):
         assert TestCorpusParity.refusals == []
+
+    def test_the_unrewritten_plans_agree(self, monkeypatch):
+        # Without the algebraic rewrites a lowered Reduce keeps its
+        # predicate, which becomes the segment's WHERE.
+        from repro.backends.shred import _SegmentBuilder
+
+        filtered = []
+        build = _SegmentBuilder._build_reduce
+
+        def spy(self, plan, counter):
+            segment = build(self, plan, counter)
+            if segment is not None and plan.pred != Const(True):
+                filtered.append(segment)
+            return segment
+
+        monkeypatch.setattr(_SegmentBuilder, "_build_reduce", spy)
+        for query in CORPUS:
+            db = _FAMILY_DBS[query.family]
+            memory = _pipeline(db, algebraic=False).run_oql(query.oql)
+            shredded = _pipeline(db, backend="sqlite", algebraic=False).run_oql(query.oql)
+            assert encode_value(memory) == encode_value(shredded), query.name
+        assert filtered
 
     @pytest.mark.parametrize("query", CORPUS, ids=lambda q: q.name)
     def test_stats_path_is_the_one_physical_plan(self, query):
