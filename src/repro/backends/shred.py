@@ -550,15 +550,6 @@ class ShreddedStore:
                 self.connection.execute("ANALYZE")
         return created
 
-    def _all_tables(self) -> Iterator[_Table]:
-        def walk(table: _Table) -> Iterator[_Table]:
-            yield table
-            for child in table.children.values():
-                yield from walk(child)
-
-        for table in self.tables.values():
-            yield from walk(table)
-
     # -- shredding: one walk per table level ---------------------------------
 
     def _shred_extent(self, name: str) -> list[tuple[_Table, list[tuple]]]:

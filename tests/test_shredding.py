@@ -203,7 +203,9 @@ class TestShreddedStore:
         for name, table in store.tables.items():
             _expected_rows(table, db.extent(name), None, expected)
         surrogates = []
-        for table in store._all_tables():
+        tables = list(store.tables.values())  # children appended as reached
+        for table in tables:
+            tables += table.children.values()
             names = table.all_columns()
             order = '"$parent", "$pos"' if table.child else '"$pos"'
             stored = [
