@@ -20,9 +20,13 @@ A kernel is one generated body plus the definition:
 * the **comprehension form** — the term as a single Python expression
   (walrus assignments standing in for temporaries), so the whole chunk
   evaluates as one list comprehension;
+* **folds as row functions of statements** — each comprehension is a
+  function of the row (``_fN(_i, <temps it reads>)``) defined before the
+  comprehension and called where the fold sits: one ``for`` per generator,
+  one ``if`` per filter, its accumulator a local and its monoid's merge
+  inline;
 * **row functions for deep terms** — a subterm more than :data:`_DEPTH`
-  levels below its expression's root is emitted as a function of the row
-  (``_hN(_i, <temps it reads>)``) defined before the comprehension, so no
+  levels below its expression's root is a row function ``_hN`` too, so no
   expression nests deeper than Python parses, at any term depth;
 * the **interpreter as its error path** — any exception in the
   comprehension reruns the chunk through :func:`_interpreted`, one
@@ -89,7 +93,15 @@ from repro.calculus.terms import (
     Zero,
     free_vars,
 )
-from repro.data.values import NULL, CollectionValue, Record, identity_key, layout_of
+from repro.data.values import (
+    NULL,
+    CollectionValue,
+    ListValue,
+    Record,
+    SetValue,
+    identity_key,
+    layout_of,
+)
 from repro.engine.governor import charge_values
 from repro.errors import GovernorError, PlanningError
 
@@ -248,7 +260,8 @@ def _proj(value: Any, attr: str) -> Any:
 
 
 def _members(value: Any) -> Any:
-    """A generator domain's elements (a set's or list's own); none for NULL."""
+    """A generator domain's elements where it is not a set or a list (whose
+    own tuples folds read inline): a bag's, none for NULL, else a fault."""
     if isinstance(value, CollectionValue):
         return value.members()
     if value is NULL:
@@ -279,6 +292,24 @@ _UNBOUND = object()
 #: moves a subterm into a row function of its own.
 _DEPTH = 32
 
+#: Generator loops a fold's row function nests before the rest of its
+#: qualifiers continue in a generator function (CPython compiles 20 blocks).
+_LOOPS = 16
+
+#: Each primitive monoid's merge of a head ``{e}`` into the accumulator
+#: ``{a}`` (``{h}`` a temp), as ``Monoid.loop`` states it: a NULL is
+#: skipped, ``all`` and ``some`` return at the deciding element, avg keeps
+#: a total ``{a}`` and a count ``{c}``.
+_MERGES = {
+    "sum": "if ({h} := {e}) is not NULL: {a} = {a} + {h}",
+    "prod": "if ({h} := {e}) is not NULL: {a} = {a} * {h}",
+    "max": "if ({h} := {e}) is not NULL and not {a} >= {h}: {a} = {h}",
+    "min": "if ({h} := {e}) is not NULL and not {a} <= {h}: {a} = {h}",
+    "all": "if ({h} := {e}) is not NULL and ({a} := {a} and {h}) is False: return False",
+    "some": "if ({h} := {e}) is not NULL and ({a} := {a} or {h}) is True: return True",
+    "avg": "if ({h} := {e}) is not NULL: {a} = {a} + {h}; {c} = {c} + 1",
+}
+
 #: What generated code reads that no kernel owns — the globals of every
 #: shape.  What a kernel does own (column names, constants, monoid
 #: functions, its error path) reaches it as closure variables.
@@ -291,6 +322,8 @@ _HELPERS: dict[str, Any] = {
     "_proj": _proj,
     "_record": Record._of,
     "_members": _members,
+    "SetValue": SetValue,
+    "ListValue": ListValue,
     "_settle": _settle,
 }
 
@@ -326,7 +359,8 @@ class _KernelEmitter:
 
         def _kern(ex, cols, n):
             try:
-                <column hoists>
+                <column hoists and row functions>
+                _k, _b = 0, []
                 _out = [<expr> for _i in range(n)]
             except Exception:
                 return _slow(ex, cols, n)
@@ -353,7 +387,11 @@ class _KernelEmitter:
       partial list and ``_slow`` — :func:`_interpreted` — reruns the chunk
       for the truncation row and the structured error.  Success values
       must agree with the interpreter; a faulting row only has to raise;
-    * **deep subterms are row functions** — :meth:`split` (see there).
+    * **folds and deep subterms are row functions** — a fold is a function
+      of statements (:meth:`_x_comprehension`), a deep subterm one that
+      returns it (:meth:`split`), both defined by :meth:`rowfn`; folds
+      count the elements they reach in ``_k`` and keep collections in
+      ``_b``.
     """
 
     handlers: dict[type, Callable[..., str]]
@@ -448,28 +486,34 @@ class _KernelEmitter:
             scope[var] = saved
         return expr
 
-    def split(self, term: Term) -> str:
-        """*term* as a call of a row function defined in the prologue::
+    def rowfn(self, prefix: str, term: Term, body: Callable[[], list[str]]) -> str:
+        """*body*'s statements as a row function defined in the prologue,
+        and its call, which sits where *term* did::
 
-            def _hN(_i, <the let and generator temps it reads>):
+            def <prefix>N(_i, <the let and generator temps term reads>):
                 nonlocal _k
-                return <term, its depth counted from 0 again>
+                <body>
 
-        Each term level nests at most about five brackets and Python parses
-        200, so no expression of a kernel nests deeper than it parses, at
-        any term depth.  The call sits where the subterm did, so a lazy
-        position (a branch, a right operand, a fold head) stays lazy; the
-        row function's folds count what they reach in the kernel's ``_k``."""
+        Its folds count what they reach in the kernel's ``_k``."""
         free = free_vars(term)
         args = ", ".join(("_i", *(t for v, t in self._scope.items() if v in free)))
         self.n += 1
-        name = f"_h{self.n}"
-        depth, self.depth = self.depth, 0
-        expr = self.xgen(term)
-        self.depth = depth
-        indent = " " * 16
-        self.pline(f"def {name}({args}):\n{indent}nonlocal _k\n{indent}return {expr}")
+        name = f"{prefix}{self.n}"
+        lines = "".join(f"\n{' ' * 16}{line}" for line in ("nonlocal _k", *body()))
+        self.pline(f"def {name}({args}):{lines}")
         return f"{name}({args})"
+
+    def split(self, term: Term) -> str:
+        """*term* as the call of a row function ``_hN`` that returns it, its
+        depth counted from 0 again.  Each term level nests at most about
+        five brackets and Python parses 200, so no expression of a kernel
+        nests deeper than it parses, at any term depth.  The call sits where
+        the subterm did, so a lazy position (a branch, a right operand, a
+        fold head) stays lazy."""
+        depth, self.depth = self.depth, 0
+        call = self.rowfn("_h", term, lambda: [f"return {self.xgen(term)}"])
+        self.depth = depth
+        return call
 
     # -- one handler per term kind ------------------------------------------
 
@@ -616,55 +660,81 @@ class _KernelEmitter:
         )
 
     def _x_comprehension(self, term: Comprehension) -> str:
-        """A generator expression in the row's own: a domain is bound in a
-        condition (Python refuses a walrus in an iterable), ``if (_k :=
-        len((t := _members(<domain>))) + _k) for x in t`` (``_k`` read after
-        the domain, whose own folds count into it), a singleton domain
-        ``if ((t := v),)``, a filter an ``if``; folded by the monoid's
-        ``loop``, or the monoid's ``folder`` of a list kept in ``_b`` (the
-        root bag of a plain kernel is plain: ``BagValue.of_plain``)."""
+        """A fold as the call of a row function ``_fN`` of statements: the
+        accumulator a local, the monoid's merge inline (:data:`_MERGES`), a
+        collection's heads appended to a list kept in ``_b`` and folded by
+        the monoid's ``folder`` (the root bag of a plain kernel is plain:
+        ``BagValue.of_plain``)."""
         # Only the root bag is plain: its domains and head hold other folds.
         plain = self.plain_root and term.monoid_name == "bag"
         self.plain_root = False
-        saved = dict(self._scope)  # an emitter that raises is discarded
-        clauses: list[str] = [f"for {self.wtemp()} in (None,)"]
-        self.depth += 1  # a qualifier nests twice a head's brackets
-        for qualifier in term.qualifiers:
-            t, domain = self.wtemp(), getattr(qualifier, "domain", None)
-            if isinstance(qualifier, Filter):
-                pred = qualifier.pred
-                if isinstance(pred.expr if isinstance(pred, Not) else pred, IsNull):
-                    clauses.append(f"if {self.xgen(pred)}")  # a boolean: bare
-                else:
-                    clauses.append(
-                        f"if (({t} := {self.xgen(pred)}) is True or "
-                        f"({t} is not False and {t} is not NULL and _fault()))"
-                    )
-            elif isinstance(domain, Singleton) and domain.monoid.is_collection:
-                clauses.append(f"if (({t} := {self.xgen(domain.expr)}),)")
-                self._scope[qualifier.var] = t
-            else:
-                element = self.wtemp()
-                clauses.append(
-                    f"if (_k := len(({t} := _members({self.xgen(domain)}))) + _k) "
-                    f"for {element} in {t}"
-                )
-                self._scope[qualifier.var] = element
-        self.depth -= 1
-        head = self.xgen(term.head)
+        monoid, saved = term.monoid, dict(self._scope)  # an emitter that raises is discarded
+        a, h, c = self.wtemp(), self.wtemp(), self.wtemp()
+        if isinstance(monoid, CollectionMonoid):
+            first, merge = f"{a} = []", f"{a}.append({{e}})"
+            last = [f"_b.append({a})", f"return {self.bind('f', folder(monoid, plain))}({a})"]
+        else:
+            zero = self.bind("c", monoid.zero)
+            first, merge = f"{a} = {zero}", _MERGES[monoid.name].format(a=a, h=h, c=c, e="{e}")
+            last = [f"return {a}"]
+            if monoid.has_carrier:
+                first = f"{a}, {c} = {zero}"
+                last = [f"return {self.bind('f', monoid.finalize)}(({a}, {c}))"]
+        call = self.rowfn("_f", term, lambda: [
+            first,
+            # A filter that fails before the first loop returns the empty fold.
+            *self._loops(term.qualifiers, term.head, merge, last[-1]),
+            *last,
+        ])
         self._scope.clear()
         self._scope.update(saved)
-        stream = f"{head} {' '.join(clauses)}"
-        monoid = term.monoid
-        if isinstance(monoid, CollectionMonoid):
-            kept = self.wtemp()
-            fold = self.bind("f", folder(monoid, plain))
-            return f"{fold}((_b.append(({kept} := [{stream}])), {kept})[1])"
-        loop = self.bind("f", monoid.loop)
-        folded = f"{loop}({self.bind('c', monoid.zero)}, ({stream}))"
-        if monoid.has_carrier:
-            return f"{self.bind('f', monoid.finalize)}({folded})"
-        return folded
+        return call
+
+    def _loops(self, qualifiers: tuple, head: Term, merge: str, empty: str) -> list[str]:
+        """Statements running *qualifiers* around *merge* of the head (its
+        ``{e}``): a generator domain a ``for`` over its own tuple, with
+        ``_k`` read after the domain, whose own folds count into it; a
+        singleton domain an assignment; a filter an ``if`` that skips the
+        element (before the first loop, runs *empty*).  Past :data:`_LOOPS` loops
+        the rest is a generator function ``_gN`` of the heads, so no
+        function nests more blocks than Python compiles."""
+        lines, pad, loops = [], "", 0
+        self.depth += 1  # a qualifier nests twice a head's brackets
+        for k, qualifier in enumerate(qualifiers):
+            t = self.wtemp()
+            if isinstance(qualifier, Filter):
+                pred, skip = qualifier.pred, ("continue" if loops else empty)
+                if isinstance(pred.expr if isinstance(pred, Not) else pred, IsNull):
+                    lines.append(f"{pad}if not {self.xgen(pred)}: {skip}")  # a boolean
+                else:
+                    lines.append(
+                        f"{pad}if ({t} := {self.xgen(pred)}) is not True and "
+                        f"({t} is False or {t} is NULL or _fault()): {skip}"
+                    )
+                continue
+            domain = qualifier.domain
+            if isinstance(domain, Singleton) and domain.monoid.is_collection:
+                lines.append(f"{pad}{t} = {self.xgen(domain.expr)}")
+                self._scope[qualifier.var] = t
+                continue
+            if loops == _LOOPS:
+                rest = Comprehension("bag", head, qualifiers[k:])
+                heads = self.rowfn("_g", rest, lambda: self._loops(
+                    qualifiers[k:], head, "yield {e}", "return"
+                ))
+                self.depth -= 1
+                return [*lines, f"{pad}for {t} in {heads}:", f"{pad}    " + merge.format(e=t)]
+            element = self.wtemp()
+            lines += [
+                f"{pad}{t} = {t}._order if ({t} := {self.xgen(domain)}).__class__ is SetValue "
+                f"else ({t}._items if {t}.__class__ is ListValue else _members({t}))",
+                f"{pad}_k = len({t}) + _k",
+                f"{pad}for {element} in {t}:",
+            ]
+            self._scope[qualifier.var] = element
+            loops, pad = loops + 1, pad + "    "
+        self.depth -= 1
+        return [*lines, pad + merge.format(e=self.xgen(head))]
 
 
 # The table holds plain function objects (no dynamic attribute lookup per

@@ -22,7 +22,7 @@ physical plans"):
   over a path) is re-folded into the calculus term ``⊕{ h | x <- path, x
   is not NULL, q, p }`` — a **group-unnest**: a
   :class:`~repro.engine.physical.PMap` binding the nest's variable to that
-  fold, one generator expression per row, no child row and no group;
+  fold, one generated fold per row, no child row and no group;
 * a nest that is neither but whose groups are still the rows of a
   descendant ``L`` — reached through nests, selections, outer-unnests and
   the left side of at least one outer-join — and whose spine reads of

@@ -73,6 +73,7 @@ _AGGREGATES = frozenset({"count", "sum", "avg", "max", "min"})
 _CONSTANTS = {"true": True, "false": False, "nil": None}
 _LITERALS = {"int": int, "float": float, "string": str}
 _PREFIXES = frozenset({"not", "exists", "for"})
+_SET_OPS = ("union", "except", "intersect")
 
 #: The binary operators' precedences (the table in the module docstring).
 #: A value in the table names an operator unless its token is a string.
@@ -221,13 +222,33 @@ class _Parser:
     # -- grammar ---------------------------------------------------------------
 
     def parse_query(self) -> Node:
-        operand, ops = self._parse_query_operand, ("union", "except", "intersect")
-        return self._chain(operand(), operand, ops, SetOp)
+        operand = self._parse_query_operand
+        node = self._chain(operand(), operand, _SET_OPS, SetOp)
+        token = self._peek()
+        if isinstance(node, SetOp) and token.kind == "keyword" and token.value == "order":
+            self._refuse_order(node.op, token)
+        return node
 
     def _parse_query_operand(self) -> Node:
-        if self._accept_keyword("select"):
-            return self._parse_select()
-        return self._parse_or()
+        if not self._accept_keyword("select"):
+            return self._parse_or()
+        before = self._tokens[self._index - 2] if self._index > 1 else None
+        node = self._parse_select()
+        if node.order_by:
+            for token in (before, self._peek()):
+                if token is not None and token.kind == "keyword" and token.value in _SET_OPS:
+                    self._refuse_order(token.value, token)
+        return node
+
+    def _refuse_order(self, op: str, token: Token) -> None:
+        """ORDER BY beside a set operation: its result has no order to
+        keep, and the sort would bind to one operand, not the result."""
+        raise OQLSyntaxError(
+            f"ORDER BY cannot sort the result of {op}; sort it in a select "
+            f"over it: select x from x in (<the {op}>) order by x",
+            self._source,
+            token.position,
+        )
 
     def _parse_select(self) -> Select:
         distinct = self._accept_keyword("distinct")

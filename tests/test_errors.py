@@ -99,6 +99,28 @@ class TestOptimizerErrors:
             Optimizer(db).compile_oql("select e from e in Employees order by value")
         assert err.value.stage == "typecheck"
 
+    @pytest.mark.parametrize("op", ["union", "intersect", "except"])
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            "(select e.age from e in Employees) {op} "
+            "(select e.age from e in Employees) order by value",
+            "select e.age from e in Employees {op} "
+            "select e.age from e in Employees order by value",
+        ],
+        ids=["parenthesised", "bare"],
+    )
+    def test_order_by_after_a_set_operation_is_refused_at_parse(self, op, spelling):
+        from repro.core.optimizer import Optimizer
+        from repro.data.datagen import company_database
+        from repro.oql.lexer import OQLSyntaxError
+
+        db = company_database(5, 2, seed=2)
+        message = f"ORDER BY cannot sort the result of {op}"
+        with pytest.raises(OQLSyntaxError, match=message) as err:
+            Optimizer(db).compile_oql(spelling.format(op=op))
+        assert err.value.stage == "parse"
+
     @pytest.mark.parametrize(
         "source, monoid",
         [

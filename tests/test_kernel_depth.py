@@ -45,7 +45,7 @@ from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryPipeline
 from repro.data.database import Database
 from repro.data.datagen import company_database
-from repro.data.values import BagValue, Record
+from repro.data.values import NULL, BagValue, ListValue, Record
 from repro.engine import compile as compile_module
 from repro.engine.compile import ExprCompiler
 from repro.engine.governor import Governor
@@ -292,3 +292,89 @@ def test_a_singleton_of_a_primitive_monoid_faults_only_when_reached():
     assert run("Nope") == 0
     with pytest.raises(QueryError, match="singleton of primitive monoid sum"):
         run("One")
+
+
+# ---------------------------------------------------------------------------
+# Folds past CPython's block and indentation limits
+# ---------------------------------------------------------------------------
+
+_WIDE = {
+    "x": [2, 4, 0, 5],
+    "one": [ListValue([1])] * 4,
+    "xs": [ListValue([1, 3])] * 4,
+    "ys": [BagValue([1, NULL, 2])] * 4,
+}
+
+
+def _many_generators(count: int):
+    """``sum{ v0 + v<count-1> + 10 / x | v0 <- one, v1 <- one, … }``, every
+    eighth domain ``ys`` (three elements, one NULL) and the rest ``one``;
+    a fault on x = 0."""
+    head = BinOp("+", BinOp("+", Var("v0"), Var(f"v{count - 1}")), _TEN_OVER_X)
+    domains = [Var("ys") if i % 8 == 7 else Var("one") for i in range(count)]
+    return Comprehension("sum", head, tuple(Generator(f"v{i}", d) for i, d in enumerate(domains)))
+
+
+def _many_filters(count: int):
+    """``bag{ v | <count/2 filters on x>, v <- ys, <the rest on v> }``: the
+    leading ones fault on x = 0 and fail on x = 2 (before any loop), the
+    trailing ones skip v = 2 and, being NULL there, v = NULL."""
+    leading = [Filter(BinOp("<", _TEN_OVER_X, Const(i + 3))) for i in range(count // 2)]
+    trailing = [Filter(BinOp("!=", Var("v"), Const(2))) for _ in range(count - count // 2)]
+    return Comprehension("bag", Var("v"), (*leading, Generator("v", Var("ys")), *trailing))
+
+
+def _nested_folds(count: int):
+    """*count* folds, each in the head of the one around it, cycling
+    sum, max, min, avg and prod, over domains of one, two and three
+    elements (one NULL)."""
+    term = _TEN_OVER_X
+    for level in reversed(range(count)):
+        monoid = ("sum", "max", "min", "avg", "prod")[level % 5]
+        v = f"v{level}"
+        domain = Var(("one", "xs", "one", "ys")[level % 4])
+        term = Comprehension(monoid, BinOp("+", Var(v), term), (Generator(v, domain),))
+    return term
+
+
+LIMIT_CASES = {
+    "40-generators": lambda: _many_generators(40),
+    "150-filters": lambda: _many_filters(150),
+    "400-filters": lambda: _many_filters(400),
+    "12-nested-folds": lambda: _nested_folds(12),
+}
+
+
+def _interpreter_ticks(term, columns: dict) -> int:
+    governor = Governor(max_rows=10**9)
+    evaluator = Evaluator(Database(), governor=governor)
+    for i in range(len(columns["x"])):
+        evaluator.evaluate(term, {k: col[i] for k, col in columns.items()})
+    return governor.ticks
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+def test_folds_past_the_nesting_limits_compile_and_agree(case, sources, monkeypatch):
+    term = LIMIT_CASES[case]()
+    kernel = ExprCompiler().compile_kernel(term)
+    [source] = sources
+    assert "def _f" in source and "def _h" not in source
+    expected = _row_by_row(Evaluator(Database()), term, _WIDE)
+    assert expected[1] == 2 and expected[2] is not None  # x = 0 faults
+    for size in (1, 3, 1024):
+        assert _chunked(kernel, _WIDE, size) == expected
+    # Without the fault, generated code answers alone (its error path is
+    # gone) and settles the units the interpreter ticks.
+    clean = {name: column[:2] + column[3:] for name, column in _WIDE.items()}
+    governor = Governor(max_rows=10**9)
+    with monkeypatch.context() as patch:
+        patch.setattr(compile_module, "_interpreted", lambda term, predicate: None)
+        got = _chunked(ExprCompiler().compile_kernel(term), clean, 1024, governor)
+    assert got == _row_by_row(Evaluator(Database()), term, clean)
+    assert governor.ticks == _interpreter_ticks(term, clean) > 0
+
+
+def test_forty_generators_continue_in_generator_functions(sources):
+    ExprCompiler().compile_kernel(_many_generators(40))
+    [source] = sources
+    assert source.count("def _g") == (40 - 1) // compile_module._LOOPS
